@@ -1,4 +1,4 @@
-"""Ablation: neighbour vs global-barrier synchronization (DESIGN.md #5).
+"""Ablation: neighbour vs global-barrier synchronization.
 
 MPI point-to-point halo exchange only couples neighbouring ranks (the
 default in SPECFEM3D and in our simulator); a global barrier at every

@@ -10,7 +10,7 @@ it two ways on a 1D SEM system (where the numerics actually run):
   Python vector overhead makes this a lower bound).
 
 This doubles as the ablation bench for the reference-vs-optimized design
-decision called out in DESIGN.md.
+decision (see the :mod:`repro.core.lts_newmark` module docstring).
 """
 
 import time

@@ -60,7 +60,7 @@ def test_fig07_load_imbalance(benchmark, trench_setup, trench_partitions):
     # strict enforcement (MeTiS) is clearly the worst balanced at every K,
     # while SCOTCH-P and PaToH 0.01 stay tight.  (The paper additionally
     # sees MeTiS degrade 34% -> 89% with K; our stand-in is uniformly bad
-    # instead — see EXPERIMENTS.md.)
+    # instead; the rows are saved as ``benchmarks/results/fig07.json``.)
     for k in (16, 32, 64):
         get = lambda s: next(
             x["total_imbalance"] for x in rows if x["strategy"] == s and x["k"] == k

@@ -1,23 +1,23 @@
-"""Allocation-free hot path: pooled LTS stepping vs the seed NumPy tier.
+"""Allocation-free hot path: pooled NumPy kernels vs the seed kernel tier.
 
 The paper's Sec. II-C cost model only holds if a substep at level ``k``
 costs the work of level ``k``'s active set — nothing amortized, nothing
-allocated.  The seed NumPy implementation got the *operation count*
-right but paid the allocator on every stiffness apply and vector
-update.  This bench measures what the pooled hot path
-(:mod:`repro.core.workspace` + the precomputed scatter plans of
-:mod:`repro.sem.matfree` + in-place LTS-Newmark stepping) buys over
-that seed tier, on the multi-level optimized LTS solver:
+allocated.  The LTS recursion itself is allocation-free and compact
+(one path, see :mod:`repro.core.lts_newmark`); this bench measures what
+the pooled *kernel* tier (:mod:`repro.core.workspace` + the precomputed,
+rows-only scatter plans of :mod:`repro.sem.matfree`) buys under it over
+the seed kernels (``operator(..., pooled=False)``: allocating
+``tensordot`` contraction, ``bincount`` scatter, full-length passes on
+every level), on the multi-level optimized LTS solver:
 
 * **steady-state steps/sec**, interleaved best-of-rounds, pooled vs
-  seed (``pooled=False`` reconstructs the seed behaviour exactly — the
-  reference contraction path and allocating apply are untouched);
+  seed kernels under the same recursion;
 * **run-to-run bitwise determinism** of the pooled path (two fresh
   solver instances, identical initial conditions, bitwise-equal ``u``
   and ``v`` after every measured step);
-* **pooled-vs-seed agreement** ``<= 1e-12`` max relative error (the
-  only numerical difference is the ``M^{-1}`` coefficient folded into
-  the scatter plan, which commutes through the accumulation to ~1 ulp);
+* **optimized-vs-reference agreement** ``<= 1e-12`` max relative error
+  against ``mode="reference"`` — the literal full-vector transcription
+  of Algorithm 1, the independent oracle;
 * **allocation discipline** via :func:`repro.core.workspace.measure_hot_path`
   (net tracemalloc blocks per steady-state step, pooled workspace bytes).
 
@@ -102,9 +102,10 @@ def _setup(dim: int, shape: tuple, order: int):
     return sem, a, dof_level, u0, v0
 
 
-def _solver(sem, dof_level, dt: float, pooled: bool) -> LTSNewmarkSolver:
+def _solver(sem, dof_level, dt: float, pooled: bool,
+            mode: str = "optimized") -> LTSNewmarkSolver:
     op = sem.operator("matfree", use_fused=False, pooled=pooled)
-    return LTSNewmarkSolver(op, dof_level, dt, pooled=pooled)
+    return LTSNewmarkSolver(op, dof_level, dt, mode=mode)
 
 
 def _best_rate(solver, u0, v0, n_steps: int, rounds: int) -> float:
@@ -140,7 +141,7 @@ def run(quick: bool = False, rounds: int = 3) -> dict:
     t = Table(
         ["config", "n_dof", "levels", "pooled/s", "seed/s", "speedup",
          "maxrel", "allocs/step", "ws KiB"],
-        title="hot path: pooled vs seed NumPy tier (optimized LTS)",
+        title="hot path: pooled vs seed NumPy kernels (optimized LTS)",
     )
     for name, dim, shape, order, n_steps in configs:
         sem, a, dof_level, u0, v0 = _setup(dim, shape, order)
@@ -163,11 +164,13 @@ def run(quick: bool = False, rounds: int = 3) -> dict:
             assert np.array_equal(ua, ub) and np.array_equal(va, vb), (
                 f"{name}: pooled path is not run-to-run deterministic")
 
-        # Agreement with the seed tier: <= 1e-12 max relative error.
-        traj_s = _trajectory(seed, u0, v0, check_steps)
-        u_p, u_s = traj_a[-1][0], traj_s[-1][0]
-        maxrel = float(np.abs(u_p - u_s).max() / np.abs(u_s).max())
-        assert maxrel <= 1e-12, f"{name}: pooled vs seed maxrel {maxrel:.2e}"
+        # Agreement with the literal reference recursion: <= 1e-12 max
+        # relative error.
+        reference = _solver(sem, dof_level, a.dt, pooled=True, mode="reference")
+        u_p = traj_a[-1][0]
+        u_r = _trajectory(reference, u0, v0, check_steps)[-1][0]
+        maxrel = float(np.abs(u_p - u_r).max() / np.abs(u_r).max())
+        assert maxrel <= 1e-12, f"{name}: optimized vs reference maxrel {maxrel:.2e}"
 
         # Allocation discipline on the pooled path.
         u, v = u0.copy(), v0.copy()
@@ -193,7 +196,7 @@ def run(quick: bool = False, rounds: int = 3) -> dict:
             "pooled_steps_per_sec": float(rate_p),
             "seed_steps_per_sec": float(rate_s),
             "speedup": float(speedup),
-            "maxrel_vs_seed": maxrel,
+            "maxrel_vs_reference": maxrel,
             "bitwise_deterministic": True,
             "allocs_per_step": float(stats.allocs_per_step),
             "alloc_peak_bytes_per_step": int(stats.alloc_peak_bytes_per_step),

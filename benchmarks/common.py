@@ -1,6 +1,6 @@
 """Shared benchmark infrastructure: bench-scale meshes, machines, reporting.
 
-Scale mapping (DESIGN.md): the paper partitions 1.2M-26M-element meshes on
+Scale mapping: the paper partitions 1.2M-26M-element meshes on
 128-8192 cores; we partition topology-faithful meshes 25-500x smaller with
 band radii re-tuned so each family keeps its Fig.-5 theoretical speedup,
 and simulate rank counts 8x smaller (so the *strong-scaling span* — 8x —
@@ -8,8 +8,7 @@ and the per-rank work regime match the paper).  The machine model absorbs
 the remaining factor via :func:`repro.runtime.perfmodel.scaled`.
 
 Every bench prints a paper-vs-measured table and appends its rows to
-``benchmarks/results/<name>.json`` so EXPERIMENTS.md can be regenerated
-from actual runs.
+``benchmarks/results/<name>.json``, the record of actual runs.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def counted_cycles(solver, u0, v0, n_cycles: int, rounds: int = 1):
 
 
 def save_results(name: str, payload) -> None:
-    """Persist bench output for EXPERIMENTS.md regeneration."""
+    """Persist bench output under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     with open(path, "w") as f:

@@ -37,7 +37,7 @@ def main() -> None:
     mesh, levels = sim.mesh, sim.levels
     ts = theoretical_speedup(levels)
     # Scale mapping: per-rank workload at the smallest config matches the
-    # paper's 16-node runs (see DESIGN.md).
+    # paper's 16-node runs (see repro.runtime.perfmodel.scaled).
     factor = (2.5e6 / 128) / (mesh.n_elements / 16)
     cpu = scaled(CPU_NODE, factor)
     gpu = scaled(GPU_NODE, factor)

@@ -18,17 +18,33 @@ Two implementations share one recursion:
   Every substep performs a full-size stiffness product and full-length
   vector updates.  Simple, obviously correct, slow.
 * ``mode="optimized"`` — the high-performance variant the paper's Sec. II-C
-  describes as requiring "great care".  Per level ``k`` it precomputes the
-  restricted product ``A[:, dofs(level k)] u[dofs(level k)]`` so a substep
-  costs only the work of the active columns, restricts vector updates to
-  the *active set* (DOFs of levels >= k plus their stiffness halo -- the
-  paper's gray nodes), skips empty levels by doubling the substep ratio,
-  and handles the frozen complement in closed form: under constant force
-  a leap-frog chain is exactly quadratic, ``u(T) = u(0) - T^2/2 * F``, so
-  inactive DOFs need one axpy per cycle.  The two modes agree to machine
-  precision (tested), which is the paper's implicit claim that the
-  optimized implementation computes *the same scheme* with the minimal
-  op set.
+  describes as requiring "great care": a substep costs work proportional
+  to its *active set* (DOFs of levels >= k plus their stiffness halo --
+  the paper's gray nodes), never to the mesh.  Empty levels are skipped
+  by doubling the substep ratio.  Three pieces:
+
+  - *restricted applies*: level ``k`` precomputes the product
+    ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
+    .restrict`), which reads only the level's columns and writes only
+    its row support; the solver owns one zero-initialised full-length
+    output per fine level, so rows a level never writes stay zero;
+  - *depth 0 is plain Newmark plus a fix-up*: outside the coarsest
+    active set the auxiliary system sees a constant force, a leap-frog
+    chain under constant force is exactly quadratic (``u(T) = u(0) -
+    T^2/2 F``), and that closed form followed by the velocity
+    reconstruction *is* ``v -= dt F; u += dt v`` -- four contiguous
+    passes over the whole vector, after which the active rows are
+    overwritten from the recursion's result;
+  - *a compact recursion*: each depth holds displacement, velocity and
+    frozen forcing as active-set-length vectors, ordered so the nested
+    active sets are suffix slices and the closed-form complement a
+    prefix slice.  Per substep one gather (the level's output rows) and
+    one scatter (the level's columns into the single full-length buffer
+    its apply reads) touch index arrays; everything else is contiguous.
+
+  The two modes agree to machine precision (tested), which is the
+  paper's implicit claim that the optimized implementation computes
+  *the same scheme* with the minimal op set.
 
 The solver is backend- and dimension-agnostic: ``A`` may be a scipy
 sparse matrix (the assembled path), or any
@@ -49,9 +65,9 @@ import numpy as np
 
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment
-from repro.core.newmark import _checked_run
-from repro.core.operator import AssembledOperator, as_operator
-from repro.core.workspace import resolve_pooled, workspace_bytes
+from repro.core.newmark import _checked_run, subtract_force
+from repro.core.operator import AssembledOperator, Restriction, as_operator
+from repro.core.workspace import workspace_bytes
 from repro.util.errors import SolverError
 from repro.util.validation import check_positive, require
 
@@ -96,7 +112,8 @@ class OperationCounter:
     matrix-free backend (see :mod:`repro.core.operator`); both scale
     identically between a full apply (``A.nnz``) and the per-level
     restricted applies, so Eq. (9) speedup ratios are backend-consistent.
-    ``vector_ops`` counts elements touched by axpy-style updates.  The
+    ``vector_ops`` counts elements touched by the arithmetic passes of
+    the vector updates (gathers, scatters and copies are not counted).  The
     serial-efficiency benchmark (paper Eq. (9), Sec. II-C) compares LTS
     cycles against non-LTS steps in these units.
     """
@@ -144,6 +161,24 @@ def newmark_cycle_ops(A, n_substeps: int) -> int:
 # ----------------------------------------------------------------------
 # The solver
 # ----------------------------------------------------------------------
+@dataclass
+class _Depth:
+    """Compact state of one recursion depth of the optimized mode: the
+    auxiliary system of one fine level on its active set."""
+
+    level: int
+    restr: Restriction
+    idx: np.ndarray  # global DOF ids of the active set, in compact order
+    colpos: np.ndarray  # positions in ``idx`` of the level's columns (restr.cols)
+    n_diff: int  # leading entries outside the next finer depth's active set
+    z: np.ndarray  # full-length, zero-initialised: the level's apply output
+    u: np.ndarray  # displacement, velocity, frozen forcing and scratch,
+    v: np.ndarray  # all of the active set's length
+    F: np.ndarray
+    r: np.ndarray
+    c: np.ndarray  # staging for the level's column values
+
+
 class LTSNewmarkSolver:
     """Multi-level LTS-Newmark integrator for ``u'' = -A u + f(t)``.
 
@@ -163,19 +198,14 @@ class LTSNewmarkSolver:
     mode:
         ``"optimized"`` (default) or ``"reference"`` (see module docs).
     force:
-        Optional mass-scaled force ``f(t)``; frozen over each cycle at
-        ``t_n`` and treated as a level-1 (coarse) contribution, which is
-        second-order consistent for sources supported on coarse DOFs.
+        Optional mass-scaled force ``f(t)`` (fixed at construction);
+        frozen over each cycle at ``t_n`` and treated as a level-1
+        (coarse) contribution, which is second-order consistent for
+        sources supported on coarse DOFs.  A
+        :class:`repro.sem.sources.PointSource` is applied as a
+        single-entry update, any other callable as a dense vector.
     counter:
         Optional :class:`OperationCounter` to fill while stepping.
-    pooled:
-        Workspace pooling for the optimized mode's stepping loop
-        (default on; ``REPRO_POOLED=0`` or ``pooled=False`` pins the
-        seed temporary-per-update path for A/B measurement).  All
-        active-set and full-vector updates then run through per-depth
-        scratch vectors allocated once here, with arithmetic bitwise
-        identical to the seed.  Reference mode is never pooled — it is
-        the deliberately literal transcription.
     """
 
     def __init__(
@@ -186,7 +216,6 @@ class LTSNewmarkSolver:
         mode: str = "optimized",
         force: Callable[[float], np.ndarray] | None = None,
         counter: OperationCounter | None = None,
-        pooled: bool | None = None,
     ):
         require(mode in ("optimized", "reference"), f"unknown mode {mode!r}", SolverError)
         self.mode = mode
@@ -219,104 +248,149 @@ class LTSNewmarkSolver:
             "corrupt level histogram",
             SolverError,
         )
+        self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
+        self._depths: list[_Depth] = []
+        if mode == "optimized":
+            self._build_optimized()
 
-        # Per-level restricted products A[:, dofs(level k)] u[dofs(level k)]
-        # (column blocks for the assembled backend, element subsets for
-        # the matrix-free one).
-        self._cols: dict[int, np.ndarray] = {}
-        self._restr: dict[int, object] = {}
-        for k in self.active_levels:
-            cols = np.nonzero(self.dof_level == k)[0]
-            self._cols[k] = cols
-            self._restr[k] = self.op.restrict(cols)
+    def _build_optimized(self) -> None:
+        """Restricted products, active sets and compact state, built once.
 
-        # Active sets per recursion depth i (levels >= active_levels[i]):
-        # rows reachable from the columns of those levels, plus the columns
-        # themselves; and per-depth complements within the parent set.
-        # op.reach() is one vectorized structural query per depth.
-        self._act: list[np.ndarray] = []
-        self._act_mask: list[np.ndarray] = []
-        for i in range(1, len(self.active_levels)):
-            lv = self.active_levels[i]
+        ``op.restrict(cols)`` gives the per-level product (column blocks
+        for the assembled backend, element subsets for the matrix-free
+        one); ``op.reach()`` — one vectorized structural query per depth
+        — the active set of depth ``i``: the rows reachable from the
+        columns of levels ``>= active_levels[i]``, plus those columns.
+        The sets are nested, so one ordering of the coarsest serves all
+        depths: ``[act_1 \\ act_2, act_2 \\ act_3, ..., act_last]`` makes
+        every depth's set a suffix, and the part its child does not
+        cover — where the closed form applies — a prefix of that.
+        """
+        n, levels = self.n_dof, self.active_levels
+        restr = {k: self.op.restrict(self._cols[k]) for k in levels}
+        self._restr0 = restr[levels[0]]
+        # Level 1's output also takes the source term.  The depth-0 passes
+        # keep its unwritten rows at zero (0 * dt), so only a source entry
+        # outside the level's row support could survive into the next
+        # cycle: a dense force, or a point source no level-1 column
+        # reaches.  Only then is the buffer cleared every cycle.
+        self._F1 = np.zeros(n)
+        self._F1_stale = self.force is not None
+        if self._F1_stale:
+            reach1 = self.op.reach(self.dof_level == levels[0])
+            dof = getattr(self.force, "dof", None)
+            self._F1_stale = not (reach1.all() or (dof is not None and reach1[dof]))
+        #: The one full-length buffer every fine level's apply reads (each
+        #: depth scatters its level's columns into it first); depth 0's
+        #: scratch between cycles.  Always finite: the matrix-free gather
+        #: multiplies the entries it does not use by a zero mask.
+        self._w = np.zeros(n)
+        masks = []
+        for lv in levels[1:]:
             col_mask = self.dof_level >= lv
-            reach = self.op.reach(col_mask) | col_mask
-            self._act.append(np.nonzero(reach)[0])
-            self._act_mask.append(reach)
-        # diff[i] = act[i] \ act[i+1]: DOFs the closed-form fix handles when
-        # returning from depth i+1 to depth i.
-        self._diff: list[np.ndarray] = []
-        for i in range(len(self._act) - 1):
-            self._diff.append(
-                np.nonzero(self._act_mask[i] & ~self._act_mask[i + 1])[0]
-            )
-
-        # Pooled stepping scratch (optimized mode): everything the
-        # steady-state loop touches, allocated once.  One full-length
-        # stiffness buffer is shared across depths (its content is
-        # consumed before any deeper apply overwrites it); displacement
-        # copies, frozen-force accumulators, and active-set vectors are
-        # per recursion depth.
-        self.pooled = resolve_pooled(pooled) and self.mode == "optimized"
-        if self.pooled:
-            n_depths = len(self.active_levels)
-            self._zbuf = np.empty(n)
-            self._F1 = np.empty(n)
-            self._ub: dict[int, np.ndarray] = {}
-            self._F2: dict[int, np.ndarray] = {}
-            self._vact: dict[int, np.ndarray] = {}
-            self._r1: dict[int, np.ndarray] = {}
-            self._r2: dict[int, np.ndarray] = {}
-            self._d1: dict[int, np.ndarray] = {}
-            self._d2: dict[int, np.ndarray] = {}
-            for i in range(1, n_depths):
-                na = len(self._act[i - 1])
-                # Zero-filled, not np.empty: the depth buffers are only
-                # refreshed on their active rows per call, and a
-                # masked-subset gather may read (and zero via gmask) the
-                # inactive rows — which must hold finite values.
-                self._ub[i] = np.zeros(n)
-                self._vact[i] = np.empty(na)
-                self._r1[i] = np.empty(na)
-                self._r2[i] = np.empty(na)
-                if i < n_depths - 1:
-                    nd = len(self._diff[i - 1])
-                    self._F2[i] = np.zeros(n)
-                    self._d1[i] = np.empty(nd)
-                    self._d2[i] = np.empty(nd)
-            if n_depths > 1:
-                self._inact = np.nonzero(~self._act_mask[0])[0]
-                self._i1 = np.empty(len(self._inact))
-                self._i2 = np.empty(len(self._inact))
+            masks.append(self.op.reach(col_mask) | col_mask)
+        if not masks:
+            return
+        blocks = [np.nonzero(a & ~b)[0] for a, b in zip(masks, masks[1:])]
+        order = np.concatenate(blocks + [np.nonzero(masks[-1])[0]])
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(len(order))
+        off = 0
+        for i, lv in enumerate(levels[1:]):
+            n_diff = len(blocks[i]) if i < len(blocks) else 0
+            na = len(order) - off
+            self._depths.append(_Depth(
+                level=lv, restr=restr[lv], idx=order[off:],
+                colpos=pos[self._cols[lv]] - off, n_diff=n_diff, z=np.zeros(n),
+                u=np.empty(na), v=np.empty(na), F=np.empty(na), r=np.empty(na),
+                c=np.empty(len(self._cols[lv])),
+            ))
+            off += n_diff
+        # Saved depth-0 copies of the coarsest active set's rows.
+        self._u0 = np.empty(len(order))
+        self._v0 = np.empty(len(order))
 
     def workspace_bytes(self) -> int:
-        """Bytes of pooled stepping scratch (solver, operator, and
-        level restrictions)."""
+        """Bytes of persistent stepping scratch (solver, operator, and
+        level restrictions; index maps included)."""
         total = workspace_bytes(self.op)
-        total += sum(int(r.workspace_bytes) for r in self._restr.values())
-        if self.pooled:
-            pools = [self._zbuf, self._F1]
-            for d in (self._ub, self._F2, self._vact, self._r1, self._r2,
-                      self._d1, self._d2):
-                pools.extend(d.values())
-            if len(self.active_levels) > 1:
-                pools.extend([self._inact, self._i1, self._i2])
-            total += sum(b.nbytes for b in pools)
+        if self.mode == "optimized":
+            restrs = [self._restr0] + [d.restr for d in self._depths]
+            total += sum(int(r.workspace_bytes) for r in restrs)
+            bufs = [self._F1, self._w]
+            for d in self._depths:
+                bufs += [d.colpos, d.z, d.u, d.v, d.F, d.r, d.c]
+            if self._depths:
+                bufs += [self._depths[0].idx, self._u0, self._v0]
+            total += sum(b.nbytes for b in bufs)
         return total
 
     # ------------------------------------------------------------------
-    def _apply_level(self, k: int, u: np.ndarray) -> np.ndarray:
-        """``A P_k u`` — full-length result.
+    def _count_vec(self, n: int) -> None:
+        if self.counter is not None:
+            self.counter.count_vector(n)
 
-        Optimized mode multiplies only the level-``k`` column block;
-        reference mode masks and runs the full product, as a direct
-        transcription would.
+    def _apply(self, restr: Restriction, level: int, u: np.ndarray,
+               out: np.ndarray) -> None:
+        """Optimized ``A P_k u``: the restricted product, written on the
+        level's row support of its own output buffer."""
+        restr.apply(u, out=out)
+        if self.counter is not None:
+            self.counter.count_stiffness(level, restr.ops)
+
+    def _advance(self, i: int, n_steps: int) -> None:
+        """Advance the auxiliary system of levels ``active_levels[i+1:]``
+        on its active set, in place in ``self._depths[i]``.
+
+        The caller has filled the depth's displacement ``u`` and frozen
+        coarser forcing ``F``; the auxiliary velocity starts at zero.
+        Takes ``n_steps`` steps of size ``dt / 2**(level-1)``.  With a
+        finer depth below, the leading ``n_diff`` entries (not in the
+        child's set) see a constant force over the child's whole span
+        ``dt_k``, so their reconstructed velocity is the closed form
+        ``-dt_k/2 F`` — no ``(u - small) - u`` cancellation.
         """
-        if self.mode == "optimized":
-            restr = self._restr[k]
-            z = restr.apply(u)
-            if self.counter is not None:
-                self.counter.count_stiffness(k, restr.ops)
-            return z
+        d = self._depths[i]
+        dt_k = self.dt / float(2 ** (d.level - 1))
+        u, v, F, r, w = d.u, d.v, d.F, d.r, self._w
+        na, nd = len(u), d.n_diff
+        child = self._depths[i + 1] if i + 1 < len(self._depths) else None
+        if child is not None:
+            ratio = 2 ** (child.level - d.level)
+            u_in, r_in, r_out = u[nd:], r[nd:], r[:nd]
+        for s in range(n_steps):
+            u.take(d.colpos, out=d.c, mode="clip")
+            w[d.restr.cols] = d.c
+            self._apply(d.restr, d.level, w, d.z)
+            d.z.take(d.idx, out=r, mode="clip")
+            r += F  # rhs = F + A P_k u on the active set
+            if child is None:
+                if s == 0:
+                    np.multiply(r, -(0.5 * dt_k), out=v)
+                else:
+                    r *= dt_k
+                    v -= r
+                self._count_vec((4 if s == 0 else 5) * na)
+            else:
+                np.copyto(child.F, r_in)
+                np.copyto(child.u, u_in)
+                self._advance(i + 1, ratio)
+                np.subtract(child.u, u_in, out=r_in)
+                r_in /= dt_k  # recon = (u_fine - u) / dt_k
+                r_out *= -(0.5 * dt_k)
+                if s == 0:
+                    np.copyto(v, r)
+                else:
+                    r *= 2.0
+                    v += r
+                self._count_vec((5 if s == 0 else 7) * na - nd)
+            np.multiply(v, dt_k, out=r)
+            u += r
+
+    # ---------------- reference mode: full vectors ----------------------
+    def _apply_level(self, k: int, u: np.ndarray) -> np.ndarray:
+        """Reference ``A P_k u``: mask and run the full product, as a
+        direct transcription would."""
         masked = np.zeros_like(u)
         cols = self._cols[k]
         masked[cols] = u[cols]
@@ -324,71 +398,18 @@ class LTSNewmarkSolver:
             self.counter.count_stiffness(k, self.op.nnz)
         return self.op.apply(masked)
 
-    def _count_vec(self, n: int) -> None:
-        if self.counter is not None:
-            self.counter.count_vector(n)
-
-    def _apply_level_into(self, k: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Pooled ``A P_k u``: the restricted apply written into ``out``."""
-        restr = self._restr[k]
-        z = restr.apply(u, out=out)
-        if self.counter is not None:
-            self.counter.count_stiffness(k, restr.ops)
-        return z
-
-    # ------------------------------------------------------------------
-    def _advance(self, i: int, u0: np.ndarray, F: np.ndarray, n_steps: int) -> np.ndarray:
-        """Advance the auxiliary system of levels ``active_levels[i:]``.
-
-        Starts from ``u0`` with zero auxiliary velocity, takes ``n_steps``
-        steps of size ``dt / 2**(active_levels[i]-1)`` under the frozen
-        coarser forcing ``F``.  Returns the advanced displacement; in
-        optimized mode only entries in ``self._act[i-1]`` are meaningful
-        (the caller applies the quadratic closed form elsewhere).
-        """
+    def _advance_reference(self, i: int, u0: np.ndarray, F: np.ndarray,
+                           n_steps: int) -> np.ndarray:
+        """Literal Algorithm 1 for levels ``active_levels[i:]``: starts
+        from ``u0`` with zero auxiliary velocity, takes ``n_steps`` steps
+        of size ``dt / 2**(active_levels[i]-1)`` under the frozen coarser
+        forcing ``F``, returns the advanced displacement."""
         lv = self.active_levels[i]
         dt_k = self.dt / float(2 ** (lv - 1))
         u = u0.copy()
-        last = i == len(self.active_levels) - 1
-
-        if self.mode == "optimized":
-            act = self._act[i - 1]
-            if last:
-                v = np.zeros(len(act))
-                for s in range(n_steps):
-                    z = self._apply_level(lv, u)
-                    rhs = F[act] + z[act]
-                    if s == 0:
-                        v = -(0.5 * dt_k) * rhs
-                    else:
-                        v -= dt_k * rhs
-                    u[act] += dt_k * v
-                    self._count_vec(4 * len(act))
-                return u
-            ratio = 2 ** (self.active_levels[i + 1] - lv)
-            diff = self._diff[i - 1]
-            child_act = self._act[i]
-            v = np.zeros(len(act))
-            for m in range(n_steps):
-                z = self._apply_level(lv, u)
-                F2 = F + z  # full-length buffer; only act entries are read
-                u_fine = self._advance(i + 1, u, F2, ratio)
-                # Closed-form complement: constant-force leap-frog is
-                # exactly quadratic over the child's whole span dt_k.
-                u_fine[diff] = u[diff] - (0.5 * dt_k * dt_k) * F2[diff]
-                recon = (u_fine[act] - u[act]) / dt_k
-                if m == 0:
-                    v = recon
-                else:
-                    v += 2.0 * recon
-                u[act] += dt_k * v
-                self._count_vec(6 * len(act) + 2 * len(diff))
-            return u
-
-        # ---------------- reference mode: full vectors -----------------
         n = self.n_dof
-        if last:
-            v = np.zeros(n)
+        v = np.zeros(n)
+        if i == len(self.active_levels) - 1:
             for s in range(n_steps):
                 rhs = F + self._apply_level(lv, u)
                 if s == 0:
@@ -399,10 +420,9 @@ class LTSNewmarkSolver:
                 self._count_vec(5 * n)
             return u
         ratio = 2 ** (self.active_levels[i + 1] - lv)
-        v = np.zeros(n)
         for m in range(n_steps):
             z = self._apply_level(lv, u)
-            u_fine = self._advance(i + 1, u, F + z, ratio)
+            u_fine = self._advance_reference(i + 1, u, F + z, ratio)
             recon = (u_fine - u) / dt_k
             if m == 0:
                 v = recon
@@ -412,147 +432,64 @@ class LTSNewmarkSolver:
             self._count_vec(7 * n)
         return u
 
-    # ------------------------------------------------------------------
-    def _advance_pooled(self, i: int, u0: np.ndarray, F: np.ndarray,
-                        n_steps: int) -> np.ndarray:
-        """Pooled optimized :meth:`_advance`: identical arithmetic (take
-        / in-place ufunc / scatter-assign decompositions of the seed's
-        fancy-indexed axpys — bitwise equal), zero per-substep
-        allocations.  Returns the depth's persistent displacement
-        buffer; the caller consumes it before the next child call
-        overwrites it."""
-        lv = self.active_levels[i]
-        dt_k = self.dt / float(2 ** (lv - 1))
-        last = i == len(self.active_levels) - 1
-        act = self._act[i - 1]
-        v = self._vact[i]
-        r1, r2 = self._r1[i], self._r2[i]
-        z = self._zbuf
-        # Refresh only the active rows of this depth's displacement
-        # buffer — everything the auxiliary system below reads or
-        # writes lives in ``act`` (inactive rows are gathered only
-        # through a zero gmask, so their stale-but-finite values cannot
-        # contribute).  This keeps the per-substep cost proportional to
-        # the active set, the Sec. II-C discipline.
-        u = self._ub[i]
-        u0.take(act, out=r1, mode="clip")
-        u[act] = r1
-
-        if last:
-            for s in range(n_steps):
-                self._apply_level_into(lv, u, z)
-                F.take(act, out=r1, mode="clip")
-                z.take(act, out=r2, mode="clip")
-                r1 += r2  # rhs = F[act] + z[act]
-                if s == 0:
-                    np.multiply(r1, -(0.5 * dt_k), out=v)
-                else:
-                    r1 *= dt_k
-                    v -= r1
-                np.multiply(v, dt_k, out=r2)
-                u.take(act, out=r1, mode="clip")
-                r1 += r2
-                u[act] = r1  # u[act] += dt_k * v
-                self._count_vec(4 * len(act))
-            return u
-
-        ratio = 2 ** (self.active_levels[i + 1] - lv)
-        diff = self._diff[i - 1]
-        d1, d2 = self._d1[i], self._d2[i]
-        F2 = self._F2[i]
-        for m in range(n_steps):
-            self._apply_level_into(lv, u, z)
-            # Frozen forcing for the child, on the active rows only —
-            # the only rows read below (child act sets are nested inside
-            # this depth's, ``diff`` is a subset of ``act``).  ``z`` is
-            # consumed before the child reuses the shared buffer.
-            F.take(act, out=r1, mode="clip")
-            z.take(act, out=r2, mode="clip")
-            r1 += r2
-            F2[act] = r1
-            u_fine = self._advance_pooled(i + 1, u, F2, ratio)
-            # Closed-form complement: constant-force leap-frog is
-            # exactly quadratic over the child's whole span dt_k.
-            F2.take(diff, out=d1, mode="clip")
-            d1 *= 0.5 * dt_k * dt_k
-            u.take(diff, out=d2, mode="clip")
-            d2 -= d1
-            u_fine[diff] = d2
-            u_fine.take(act, out=r1, mode="clip")
-            u.take(act, out=r2, mode="clip")
-            r1 -= r2
-            r1 /= dt_k  # recon = (u_fine[act] - u[act]) / dt_k
-            if m == 0:
-                v[:] = r1
-            else:
-                r1 *= 2.0
-                v += r1
-            np.multiply(v, dt_k, out=r1)
-            u.take(act, out=r2, mode="clip")
-            r2 += r1
-            u[act] = r2  # u[act] += dt_k * v
-            self._count_vec(6 * len(act) + 2 * len(diff))
-        return u
+    def _step_reference(self, u: np.ndarray, v: np.ndarray) -> None:
+        F1 = self._apply_level(self.active_levels[0], u)
+        if self.force is not None:
+            F1 = F1 - self.force(self.t)
+        if len(self.active_levels) == 1:
+            # Degenerate single-level mesh: LTS *is* explicit Newmark.
+            v -= self.dt * F1
+            self._count_vec(4 * self.n_dof)
+        else:
+            n_sub = 2 ** (self.active_levels[1] - 1)
+            u_t = self._advance_reference(1, u, F1, n_sub)
+            v += (2.0 / self.dt) * (u_t - u)
+            self._count_vec(6 * self.n_dof)
+        u += self.dt * v
 
     # ------------------------------------------------------------------
     def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One LTS cycle: advance ``(u^n, v^{n-1/2})`` by the coarse ``dt``."""
-        n = self.n_dof
+        """One LTS cycle: advance ``(u^n, v^{n-1/2})`` by the coarse ``dt``,
+        in place."""
+        n, dt = self.n_dof, self.dt
         require(u.shape == (n,) and v.shape == (n,), "state shape mismatch", SolverError)
-
-        if len(self.active_levels) == 1:
-            # Degenerate single-level mesh: LTS *is* explicit Newmark.
-            if self.pooled:
-                z = self._zbuf
-                self._apply_level_into(self.active_levels[0], u, z)
-                np.negative(z, out=z)
-                if self.force is not None:
-                    z += self.force(self.t)
-                z *= self.dt
-                v += z
-                np.multiply(v, self.dt, out=z)
-                u += z
-            else:
-                accel = -(self._apply_level(self.active_levels[0], u))
-                if self.force is not None:
-                    accel += self.force(self.t)
-                v += self.dt * accel
-                u += self.dt * v
-            self._count_vec(4 * n)
-        elif self.pooled:
-            F1 = self._F1
-            self._apply_level_into(self.active_levels[0], u, F1)
-            if self.force is not None:
-                np.subtract(F1, self.force(self.t), out=F1)
-            n_sub = 2 ** (self.active_levels[1] - 1)
-            u_t = self._advance_pooled(1, u, F1, n_sub)
-            inact = self._inact
-            F1.take(inact, out=self._i1, mode="clip")
-            self._i1 *= 0.5 * self.dt * self.dt
-            u.take(inact, out=self._i2, mode="clip")
-            self._i2 -= self._i1
-            u_t[inact] = self._i2
-            z = self._zbuf
-            np.subtract(u_t, u, out=z)
-            z *= 2.0 / self.dt
-            v += z  # v += (2/dt) (u_t - u)
-            np.multiply(v, self.dt, out=z)
-            u += z
-            self._count_vec(6 * n)
+        if self.mode == "reference":
+            self._step_reference(u, v)
         else:
-            F1 = self._apply_level(self.active_levels[0], u)
+            F1, w = self._F1, self._w
+            if self._F1_stale:
+                F1.fill(0.0)
+            self._apply(self._restr0, self.active_levels[0], u, F1)
             if self.force is not None:
-                F1 = F1 - self.force(self.t)
-            n_sub = 2 ** (self.active_levels[1] - 1)
-            u_t = self._advance(1, u, F1, n_sub)
-            if self.mode == "optimized":
-                inactive = ~self._act_mask[0]
-                u_t[inactive] = u[inactive] - (0.5 * self.dt * self.dt) * F1[inactive]
-            v += (2.0 / self.dt) * (u_t - u)
-            u += self.dt * v
-            self._count_vec(6 * n)
-
-        self.t += self.dt
+                subtract_force(self.force, self.t, F1)
+            if self._depths:
+                d, u0, v0 = self._depths[0], self._u0, self._v0
+                u.take(d.idx, out=u0, mode="clip")
+                v.take(d.idx, out=v0, mode="clip")
+                F1.take(d.idx, out=d.F, mode="clip")
+                np.copyto(d.u, u0)
+                self._advance(0, 2 ** (d.level - 1))
+            # Plain Newmark on the whole vector (with one level that is
+            # the scheme; with more, the closed form of every DOF outside
+            # the coarsest active set) ...
+            F1 *= dt
+            v -= F1
+            np.multiply(v, dt, out=w)
+            u += w
+            self._count_vec(4 * n)
+            if self._depths:
+                # ... then the active rows from the recursion's result:
+                # v += 2 (u_fine - u) / dt, u += dt v on the saved copies.
+                r = d.r
+                np.subtract(d.u, u0, out=r)
+                r *= 2.0 / dt
+                v0 += r
+                v[d.idx] = v0
+                np.multiply(v0, dt, out=r)
+                u0 += r
+                u[d.idx] = u0
+                self._count_vec(5 * len(u0))
+        self.t += dt
         self.n_cycles_taken += 1
         return u, v
 

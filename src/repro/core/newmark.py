@@ -61,6 +61,21 @@ def _checked_run(
     return u, v
 
 
+def subtract_force(force: Callable, t: float, z: np.ndarray) -> None:
+    """``z -= f(t)``, in place.
+
+    A force that exposes ``dof`` and ``value(t)`` — a
+    :class:`repro.sem.sources.PointSource` — is one nonzero entry and is
+    applied as a single-entry update; any other callable returns the
+    dense vector.
+    """
+    dof = getattr(force, "dof", None)
+    if dof is None:
+        z -= force(t)
+    else:
+        z[dof] -= force.value(t)
+
+
 class NewmarkSolver:
     """Explicit Newmark/leap-frog integrator for ``u'' = -A u + f(t)``.
 
@@ -90,18 +105,18 @@ class NewmarkSolver:
 
         All updates run through one preallocated scratch vector with
         ``out=`` ufunc forms — bitwise identical to the seed's
-        temporary-per-axpy arithmetic, without the per-step allocations.
+        temporary-per-axpy arithmetic (``v -= dt (A u - f)`` rounds
+        exactly like ``v += dt (f - A u)``), without the per-step
+        allocations.
         """
         z = self._z
         if z is None or z.shape != u.shape:
             z = self._z = np.empty_like(u, dtype=np.float64)
         self._apply_into(u, z)
         if self.force is not None:
-            np.subtract(self.force(self.t), z, out=z)
-        else:
-            np.negative(z, out=z)
+            subtract_force(self.force, self.t, z)
         z *= self.dt
-        v += z
+        v -= z
         np.multiply(v, self.dt, out=z)
         u += z
         self.t += self.dt

@@ -112,10 +112,18 @@ class Restriction:
     workspace_bytes: int = 0
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Full-length ``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
+        """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
 
-        With ``out=`` the result is written into the caller's buffer and
-        no new vector is allocated (the workspace contract)."""
+        ``out=None`` returns a fresh, fully defined full-length vector.
+        With ``out=`` nothing is allocated and the product is written
+        on the restriction's *row support* (the rows ``cols`` reach);
+        entries of ``out`` outside it are either left untouched (the
+        matrix-free backends, when the support is a minority of the
+        rows — the cost of a fine LTS level is then proportional to the
+        level) or set to zero (dense supports, the assembled backend).
+        A caller that reads ``out`` beyond the support therefore hands
+        each restriction its own zero-initialised buffer, as
+        :class:`~repro.core.lts_newmark.LTSNewmarkSolver` does."""
         return self._apply(u, out=out)
 
 

@@ -1,7 +1,7 @@
 """Parallel runtime: simulated MPI, distributed LTS, performance model.
 
 The paper's evaluation ran MPI on the Piz Daint CPU/GPU cluster; this
-package substitutes two complementary pieces (see DESIGN.md):
+package substitutes two complementary pieces:
 
 * a **rank-serialized BSP runtime** — :mod:`repro.runtime.comm` provides
   an in-memory mailbox communicator with mpi4py-style semantics;

@@ -42,8 +42,25 @@ from repro.util.validation import check_positive, require
 class _DistributedBase:
     """Shared machinery: halo-summed ``A`` application and state I/O."""
 
-    def __init__(self, layout: RankLayout, world: MailboxWorld | None = None):
+    def __init__(
+        self,
+        layout: RankLayout,
+        world: MailboxWorld | None = None,
+        force: Callable[[float], np.ndarray] | None = None,
+    ):
         self.layout = layout
+        self.force = force
+        # A point source (one nonzero entry, see
+        # repro.sem.sources.PointSource) lives at one local index on each
+        # rank that holds its DOF; any other force is scattered densely.
+        dof = getattr(force, "dof", None)
+        self._force_at: list[tuple[int, int]] | None = None
+        if dof is not None:
+            self._force_at = []
+            for r, g in enumerate(layout.gdofs):
+                i = int(np.searchsorted(g, dof))
+                if i < len(g) and g[i] == dof:
+                    self._force_at.append((r, i))
         self.world = world if world is not None else MailboxWorld(layout.n_ranks)
         require(
             self.world.n_ranks == layout.n_ranks,
@@ -61,6 +78,19 @@ class _DistributedBase:
             np.empty(len(g)) for g in layout.gdofs
         ]
         self._apply_into_local = [make_apply_into(K) for K in layout.K_local]
+
+    def _subtract_force(self, z_locals: list[np.ndarray]) -> None:
+        """``z -= f(t)`` on every rank's replica, in place."""
+        if self.force is None:
+            return
+        if self._force_at is not None:
+            value = self.force.value(self.t)
+            for r, i in self._force_at:
+                z_locals[r][i] -= value
+        else:
+            f_locals = self.layout.scatter(self.force(self.t))
+            for r in range(self.layout.n_ranks):
+                z_locals[r] -= f_locals[r]
 
     def _full_plan(self) -> ExchangePlan:
         if self._plan_full is None:
@@ -213,19 +243,15 @@ class DistributedNewmarkSolver(_DistributedBase):
         world: MailboxWorld | None = None,
         force: Callable[[float], np.ndarray] | None = None,
     ):
-        super().__init__(layout, world)
+        super().__init__(layout, world, force)
         self.dt = check_positive(dt, "dt", SolverError)
-        self.force = force
 
     def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:
         self.world.begin_superstep()
         z = self._apply_A(u_locals)
-        f_locals = None
-        if self.force is not None:
-            f_locals = self.layout.scatter(self.force(self.t))
+        self._subtract_force(z)  # z = A u - f; the apply output is ours
         for r in range(self.layout.n_ranks):
-            accel = -z[r] if f_locals is None else f_locals[r] - z[r]
-            v_locals[r] += self.dt * accel
+            v_locals[r] -= self.dt * z[r]
             u_locals[r] += self.dt * v_locals[r]
         self.t += self.dt
         self.n_cycles_taken += 1
@@ -261,14 +287,13 @@ class DistributedLTSSolver(_DistributedBase):
         world: MailboxWorld | None = None,
         force: Callable[[float], np.ndarray] | None = None,
     ):
-        super().__init__(layout, world)
+        super().__init__(layout, world, force)
         require(
             len(layout.dof_level_local) == layout.n_ranks,
             "layout must carry dof levels (build_rank_layout(dof_level=...))",
             SolverError,
         )
         self.dt = check_positive(dt, "dt", SolverError)
-        self.force = force
         all_levels: set[int] = set()
         for lv in layout.dof_level_local:
             all_levels.update(int(x) for x in np.unique(lv))
@@ -391,12 +416,9 @@ class DistributedLTSSolver(_DistributedBase):
         lay = self.layout
         if len(self.active_levels) == 1:
             z = self._apply_level(self.active_levels[0], u_locals)
-            f_locals = (
-                lay.scatter(self.force(self.t)) if self.force is not None else None
-            )
+            self._subtract_force(z)
             for r in range(lay.n_ranks):
-                accel = -z[r] if f_locals is None else f_locals[r] - z[r]
-                v_locals[r] += self.dt * accel
+                v_locals[r] -= self.dt * z[r]
                 u_locals[r] += self.dt * v_locals[r]
         else:
             z = self._apply_level(self.active_levels[0], u_locals)
@@ -405,10 +427,7 @@ class DistributedLTSSolver(_DistributedBase):
             F1 = self._F1l
             for r in range(lay.n_ranks):
                 F1[r][:] = z[r]
-            if self.force is not None:
-                f_locals = lay.scatter(self.force(self.t))
-                for r in range(lay.n_ranks):
-                    F1[r] -= f_locals[r]
+            self._subtract_force(F1)
             n_sub = 2 ** (self.active_levels[1] - 1)
             u_t = self._advance(1, u_locals, F1, n_sub)
             for r in range(lay.n_ranks):

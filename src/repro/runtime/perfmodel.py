@@ -161,9 +161,9 @@ def scaled(machine: MachineModel, factor: float) -> MachineModel:
     ``factor`` because residency is decided by *real* bytes.  Latency
     ``alpha`` and kernel-launch overhead are genuinely per-event and stay.
 
-    This is the documented scale mapping of DESIGN.md: it keeps the
-    compute/communication/overhead ratios of the paper's 2.5M-26M-element
-    runs while partitioning meshes ~65x smaller.
+    This is the scale mapping the benchmarks use (``benchmarks/common.py``):
+    it keeps the compute/communication/overhead ratios of the paper's
+    2.5M-26M-element runs while partitioning meshes ~65x smaller.
     """
     require(factor > 0, "factor must be > 0", ReproError)
     from dataclasses import replace

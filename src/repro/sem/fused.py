@@ -196,12 +196,29 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
  * zt, reduced deterministically in ascending thread order — no atomics,
  * and the static schedules make the partial sums reproducible for a
  * fixed thread count).  ne must be a multiple of VL.
+ *
+ * rows (optional, with n_rows): the sorted row support of ed.  When
+ * given, only those entries of z are zeroed, accumulated and scaled —
+ * an LTS fine level then costs its own rows, not n_dof — and Minv is
+ * the compact per-row coefficient Minv[j] for row rows[j]; z outside
+ * the support is left untouched.  rows == NULL is the contiguous
+ * full-overwrite pass (Minv full-length).
  */
+#define ZERO_ROWS(ZP)                                                        \
+    do {                                                                     \
+        if (rows)                                                            \
+            for (long j = 0; j < n_rows; ++j) (ZP)[rows[j]] = 0.0;           \
+        else                                                                 \
+            memset((ZP), 0, (size_t)n_dof * sizeof(double));                 \
+    } while (0)
+
 #define SERIAL_DRIVER(CALL)                                                  \
     do {                                                                     \
-        memset(z, 0, (size_t)n_dof * sizeof(double));                        \
+        ZERO_ROWS(z);                                                        \
         for (long e0 = 0; e0 < ne; e0 += VL) { CALL(z); }                    \
-        if (Minv)                                                            \
+        if (Minv && rows)                                                    \
+            for (long j = 0; j < n_rows; ++j) z[rows[j]] *= Minv[j];         \
+        else if (Minv)                                                       \
             for (long i = 0; i < n_dof; ++i) z[i] *= Minv[i];                \
     } while (0)
 
@@ -209,18 +226,20 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
 #define APPLY_DRIVER(CALL)                                                   \
     do {                                                                     \
         if (n_threads > 1 && zt) {                                           \
+            long n_out = rows ? n_rows : n_dof;                              \
             _Pragma("omp parallel num_threads(n_threads)")                   \
             {                                                                \
                 double *zme = zt + (size_t)omp_get_thread_num() * n_dof;     \
-                memset(zme, 0, (size_t)n_dof * sizeof(double));              \
+                ZERO_ROWS(zme);                                              \
                 _Pragma("omp for schedule(static)")                          \
                 for (long e0 = 0; e0 < ne; e0 += VL) { CALL(zme); }          \
                 _Pragma("omp for schedule(static)")                          \
-                for (long i = 0; i < n_dof; ++i) {                           \
+                for (long j = 0; j < n_out; ++j) {                           \
+                    long i = rows ? rows[j] : j;                             \
                     double acc = 0.0;                                        \
                     for (int t = 0; t < n_threads; ++t)                      \
                         acc += zt[(size_t)t * n_dof + i];                    \
-                    z[i] = Minv ? acc * Minv[i] : acc;                       \
+                    z[i] = Minv ? acc * Minv[j] : acc;                       \
                 }                                                            \
             }                                                                \
         } else {                                                             \
@@ -267,12 +286,14 @@ static void ac_block(long e0, int n1,
     }
 }
 
-void ac_apply(long ne, long n_dof, int n1,
+void ac_apply(const double *restrict u, double *restrict z,
+              long ne, long n_dof, int n1,
               const double *restrict KxX, const double *restrict w,
               const double *restrict ax, const double *restrict ay,
-              const int64_t *restrict ed, const double *restrict u,
+              const int64_t *restrict ed,
               const double *restrict gmask, const double *restrict Minv,
-              double *restrict z, int n_threads, double *restrict zt)
+              int n_threads, double *restrict zt,
+              const int64_t *restrict rows, long n_rows)
 {
 #define AC_CALL(ZP) ac_block(e0, n1, KxX, w, ax, ay, ed, u, gmask, ZP)
     APPLY_DRIVER(AC_CALL);
@@ -329,13 +350,15 @@ static void ac_block3(long e0, int n1,
     }
 }
 
-void ac_apply3(long ne, long n_dof, int n1,
+void ac_apply3(const double *restrict u, double *restrict z,
+               long ne, long n_dof, int n1,
                const double *restrict KxX, const double *restrict w,
                const double *restrict ax, const double *restrict ay,
                const double *restrict az,
-               const int64_t *restrict ed, const double *restrict u,
+               const int64_t *restrict ed,
                const double *restrict gmask, const double *restrict Minv,
-               double *restrict z, int n_threads, double *restrict zt)
+               int n_threads, double *restrict zt,
+               const int64_t *restrict rows, long n_rows)
 {
 #define AC3_CALL(ZP) ac_block3(e0, n1, KxX, w, ax, ay, az, ed, u, gmask, ZP)
     APPLY_DRIVER(AC3_CALL);
@@ -401,15 +424,17 @@ static void el_block(long e0, int n1,
     }
 }
 
-void el_apply(long ne, long n_dof, int n1,
+void el_apply(const double *restrict u, double *restrict z,
+              long ne, long n_dof, int n1,
               const double *restrict KxX, const double *restrict w,
               const double *restrict E, const double *restrict ET,
               const double *restrict F, const double *restrict FT,
               const double *restrict lam, const double *restrict mu,
               const double *restrict hx, const double *restrict hy,
-              const int64_t *restrict ed, const double *restrict u,
+              const int64_t *restrict ed,
               const double *restrict gmask, const double *restrict Minv,
-              double *restrict z, int n_threads, double *restrict zt)
+              int n_threads, double *restrict zt,
+              const int64_t *restrict rows, long n_rows)
 {
 #define EL_CALL(ZP) \
     el_block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
@@ -500,13 +525,15 @@ static void el_block3(long e0, int n1,
     }
 }
 
-void el_apply3(long ne, long n_dof, int n1,
+void el_apply3(const double *restrict u, double *restrict z,
+               long ne, long n_dof, int n1,
                const double *restrict KxX, const double *restrict w,
                const double *restrict E, const double *restrict F,
                const double *restrict coef,
-               const int64_t *restrict ed, const double *restrict u,
+               const int64_t *restrict ed,
                const double *restrict gmask, const double *restrict Minv,
-               double *restrict z, int n_threads, double *restrict zt)
+               int n_threads, double *restrict zt,
+               const int64_t *restrict rows, long n_rows)
 {
 #define EL3_CALL(ZP) el_block3(e0, n1, KxX, w, E, F, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(EL3_CALL);
@@ -567,12 +594,14 @@ static void an_block(long e0, int n1,
     }
 }
 
-void an_apply(long ne, long n_dof, int n1,
+void an_apply(const double *restrict u, double *restrict z,
+              long ne, long n_dof, int n1,
               const double *restrict D, const double *restrict Dt,
               const double *restrict w, const double *restrict coef,
-              const int64_t *restrict ed, const double *restrict u,
+              const int64_t *restrict ed,
               const double *restrict gmask, const double *restrict Minv,
-              double *restrict z, int n_threads, double *restrict zt)
+              int n_threads, double *restrict zt,
+              const int64_t *restrict rows, long n_rows)
 {
 #define AN_CALL(ZP) an_block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN_CALL);
@@ -633,12 +662,14 @@ static void an_block3(long e0, int n1,
     }
 }
 
-void an_apply3(long ne, long n_dof, int n1,
+void an_apply3(const double *restrict u, double *restrict z,
+               long ne, long n_dof, int n1,
                const double *restrict D, const double *restrict Dt,
                const double *restrict w, const double *restrict coef,
-               const int64_t *restrict ed, const double *restrict u,
+               const int64_t *restrict ed,
                const double *restrict gmask, const double *restrict Minv,
-               double *restrict z, int n_threads, double *restrict zt)
+               int n_threads, double *restrict zt,
+               const int64_t *restrict rows, long n_rows)
 {
 #define AN3_CALL(ZP) an_block3(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN3_CALL);
@@ -653,8 +684,11 @@ _BASE_CFLAGS = ("-O3", "-funroll-loops", "-shared", "-fPIC")
 _ARCH_FLAGS = ("-march=native", "-mcpu=native")
 _OMP_FLAG = "-fopenmp"
 
-_KERNELS = ("ac_apply", "ac_apply3", "el_apply", "el_apply3",
-            "an_apply", "an_apply3")
+#: Kernel symbol -> number of kernel-specific coefficient pointers
+#: between the shared ``(u, z, ne, n_dof, n1)`` head and the shared
+#: ``(ed, gmask, Minv, n_threads, zt, rows, n_rows)`` tail.
+_KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
+            "an_apply": 4, "an_apply3": 4}
 
 _lib: ctypes.CDLL | None = None
 _tried = False
@@ -759,8 +793,15 @@ def _build(cc: str, flags: tuple[str, ...]) -> ctypes.CDLL | None:
                 )
                 os.replace(out, so_path)  # atomic vs concurrent builders
         lib = ctypes.CDLL(so_path)
-        for name in _KERNELS:
-            getattr(lib, name).restype = None
+        ptr = ctypes.c_void_p
+        for name, n_coef in _KERNELS.items():
+            fn = getattr(lib, name)
+            fn.restype = None
+            fn.argtypes = (
+                [ptr, ptr, ctypes.c_long, ctypes.c_long, ctypes.c_int]
+                + [ptr] * n_coef
+                + [ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_long]
+            )
         return lib
     except Exception:
         return None
@@ -819,12 +860,9 @@ def omp_enabled() -> bool:
         return False
 
 
-_PD = ctypes.POINTER(ctypes.c_double)
-_PI = ctypes.POINTER(ctypes.c_int64)
-
-
-def _pd(a: np.ndarray | None):
-    return None if a is None else a.ctypes.data_as(_PD)
+def _addr(a: np.ndarray | None) -> int | None:
+    """Raw data address for a ``c_void_p`` argument (``None`` = NULL)."""
+    return None if a is None else a.ctypes.data
 
 
 def _pad(a: np.ndarray, ne_pad: int, fill=0.0) -> np.ndarray:
@@ -846,12 +884,18 @@ class _FusedPlan:
     thread at least one ``VL`` block — otherwise the plan silently runs
     serial (``self.threads == 1``), which callers surface as the
     resolved tier.
+
+    ``rows`` (the sorted row support of ``element_dofs``) selects the
+    rows-only pass: only those entries of the output are zeroed,
+    accumulated and ``Minv``-scaled, the rest is left untouched.  The
+    argument tuple of the C call is built once here; a call passes only
+    the ``u`` / ``z`` addresses.
     """
 
     _symbol = ""
 
     def __init__(self, kernel, element_dofs, n_dof, gmask=None, Minv=None,
-                 threads: int = 1):
+                 threads: int = 1, rows: np.ndarray | None = None):
         lib = load()
         assert lib is not None
         self._fn = getattr(lib, self._symbol)
@@ -859,11 +903,18 @@ class _FusedPlan:
         self.n1 = kernel.n1
         ne = element_dofs.shape[0]
         ne_pad = -(-ne // VL) * VL
-        self._ed = _pad(np.ascontiguousarray(element_dofs, dtype=np.int64), ne_pad)
+        ed = np.ascontiguousarray(element_dofs, dtype=np.int64)
+        # Ghost elements carry zero coefficients and point at a DOF of
+        # the row support, so their scatter adds 0.0 to a row this
+        # apply owns.
+        self._ed = _pad(ed, ne_pad, fill=ed.flat[0])
         self._gmask = None if gmask is None else _pad(
             np.ascontiguousarray(gmask, dtype=np.float64), ne_pad, fill=0.0
         )
-        self._Minv = None if Minv is None else np.ascontiguousarray(Minv)
+        self._rows = None if rows is None else np.ascontiguousarray(rows, dtype=np.int64)
+        if Minv is not None:
+            Minv = np.ascontiguousarray(Minv if rows is None else Minv[rows])
+        self._Minv = Minv
         self._ne = ne_pad
         _, w = _gll(kernel.order)
         self._w = w
@@ -875,11 +926,20 @@ class _FusedPlan:
         else:
             self.threads = 1
             self._zt = None
+        self._args = (
+            self._ne, self.n_dof, self.n1,
+            *(_addr(a) for a in self._coef_arrays()),
+            _addr(self._ed), _addr(self._gmask), _addr(self._Minv),
+            self.threads, _addr(self._zt),
+            _addr(self._rows), 0 if rows is None else len(rows),
+        )
 
     def _bind(self, kernel, ne_pad: int) -> None:
         raise NotImplementedError
 
-    def _coef_args(self) -> tuple:
+    def _coef_arrays(self) -> tuple:
+        """The kernel-specific coefficient arrays, in C argument order
+        (kept alive on ``self`` — the call passes raw addresses)."""
         raise NotImplementedError
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -893,18 +953,13 @@ class _FusedPlan:
             and out.shape == (self.n_dof,)
         ):
             z = out
-        else:
+        elif self._rows is None:
             z = np.empty(self.n_dof)
-        u = np.ascontiguousarray(u, dtype=np.float64)
-        self._fn(
-            ctypes.c_long(self._ne),
-            ctypes.c_long(self.n_dof),
-            ctypes.c_int(self.n1),
-            *self._coef_args(),
-            self._ed.ctypes.data_as(_PI), _pd(u),
-            _pd(self._gmask), _pd(self._Minv), _pd(z),
-            ctypes.c_int(self.threads), _pd(self._zt),
-        )
+        else:  # rows-only pass: the complement must be defined
+            z = np.zeros(self.n_dof)
+        if not (u.flags.c_contiguous and u.dtype == np.float64):
+            u = np.ascontiguousarray(u, dtype=np.float64)
+        self._fn(u.ctypes.data, z.ctypes.data, *self._args)
         if out is not None and z is not out:
             out[:] = z
             return out
@@ -921,8 +976,8 @@ class AcousticPlan(_FusedPlan):
         self._ay = _pad(kernel.ay, ne_pad)
         self._KxX = np.ascontiguousarray(kernel.KxX)
 
-    def _coef_args(self):
-        return (_pd(self._KxX), _pd(self._w), _pd(self._ax), _pd(self._ay))
+    def _coef_arrays(self):
+        return (self._KxX, self._w, self._ax, self._ay)
 
 
 class Acoustic3DPlan(_FusedPlan):
@@ -937,9 +992,8 @@ class Acoustic3DPlan(_FusedPlan):
         self._az = _pad(np.ascontiguousarray(kernel.scales[:, 2]), ne_pad)
         self._KxX = np.ascontiguousarray(kernel.KxX)
 
-    def _coef_args(self):
-        return (_pd(self._KxX), _pd(self._w),
-                _pd(self._ax), _pd(self._ay), _pd(self._az))
+    def _coef_arrays(self):
+        return (self._KxX, self._w, self._ax, self._ay, self._az)
 
 
 class ElasticPlan(_FusedPlan):
@@ -958,10 +1012,9 @@ class ElasticPlan(_FusedPlan):
         self._F = np.ascontiguousarray(kernel.F)
         self._FT = np.ascontiguousarray(kernel.F.T)
 
-    def _coef_args(self):
-        return (_pd(self._KxX), _pd(self._w),
-                _pd(self._E), _pd(self._ET), _pd(self._F), _pd(self._FT),
-                _pd(self._lam), _pd(self._mu), _pd(self._hx), _pd(self._hy))
+    def _coef_arrays(self):
+        return (self._KxX, self._w, self._E, self._ET, self._F, self._FT,
+                self._lam, self._mu, self._hx, self._hy)
 
 
 class Elastic3DPlan(_FusedPlan):
@@ -986,9 +1039,8 @@ class Elastic3DPlan(_FusedPlan):
         self._E = np.ascontiguousarray(kernel.E)
         self._F = np.ascontiguousarray(kernel.F)
 
-    def _coef_args(self):
-        return (_pd(self._KxX), _pd(self._w), _pd(self._E), _pd(self._F),
-                _pd(self._coef))
+    def _coef_arrays(self):
+        return (self._KxX, self._w, self._E, self._F, self._coef)
 
 
 class AnisotropicPlan(_FusedPlan):
@@ -1009,8 +1061,8 @@ class AnisotropicPlan(_FusedPlan):
         self._D = np.ascontiguousarray(kernel.D)
         self._Dt = np.ascontiguousarray(kernel.Dt)
 
-    def _coef_args(self):
-        return (_pd(self._D), _pd(self._Dt), _pd(self._w), _pd(self._coef))
+    def _coef_arrays(self):
+        return (self._D, self._Dt, self._w, self._coef)
 
 
 class Anisotropic3DPlan(AnisotropicPlan):

@@ -70,6 +70,12 @@ from repro.util.errors import SolverError
 from repro.util.validation import require
 
 
+#: A row support below ``n_dof / _ROWS_ONLY_FACTOR`` takes the rows-only
+#: pass (indexed zero + scale of the support) instead of the contiguous
+#: full-length one; an indexed entry costs a few contiguous ones.
+_ROWS_ONLY_FACTOR = 2
+
+
 def resolve_threads(threads: int | None) -> int:
     """The effective thread count for a requested ``threads`` setting.
 
@@ -112,7 +118,7 @@ def _pool(n: int) -> ThreadPoolExecutor:
 
 
 def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None,
-                threads: int = 1):
+                threads: int = 1, rows=None):
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
     ``enabled=None`` auto-detects (compiler present, order and dimension
@@ -121,6 +127,7 @@ def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None
     ``False`` forces the NumPy path; ``True`` raises if unavailable.
     ``threads > 1`` requests the OpenMP element-block loop (honored only
     when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
+    ``rows`` (a sparse row support) selects the plan's rows-only pass.
     """
     if enabled is False:
         return None
@@ -143,7 +150,7 @@ def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
     return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, Minv=Minv,
-                    threads=threads)
+                    threads=threads, rows=rows)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +223,12 @@ class _ScatterPlan:
     distributes into the sum (``sum(c v_j)`` vs ``c sum(v_j)``), so
     with ``coeff`` the result is within 1 ulp per accumulation of the
     seed's separate multiply rather than bitwise identical.
+
+    ``rows`` (the sorted row support, given when it is a minority of
+    the dof space) makes the scatter compact: only those entries of
+    ``out`` are zeroed before the accumulation — which never visits any
+    other — so the rest of ``out`` is left untouched and a fine LTS
+    level pays no full-length pass at all.
     """
 
     def __init__(
@@ -223,12 +236,14 @@ class _ScatterPlan:
         element_dofs: np.ndarray,
         n_dof: int,
         coeff: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ):
         flat = np.ascontiguousarray(
             np.asarray(element_dofs, dtype=np.int64).ravel()
         )
         self.n_dof = int(n_dof)
         self._flat = flat
+        self._rows = rows
         self._colptr = np.arange(flat.size + 1, dtype=np.int64)
         self.folds_coeff = coeff is not None and _sptools is not None
         self._data = (
@@ -239,13 +254,20 @@ class _ScatterPlan:
 
     def scatter(self, values_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out[:] = bincount(dofs, weights=values_flat)`` (times the
-        folded ``coeff``, when given), pooled."""
+        folded ``coeff``, when given), pooled — on ``rows`` only when
+        the plan is compact."""
+        rows = self._rows
         if _sptools is None:  # pragma: no cover - scipy internals moved
-            out[:] = np.bincount(
-                self._flat, weights=values_flat, minlength=self.n_dof
-            )
+            z = np.bincount(self._flat, weights=values_flat, minlength=self.n_dof)
+            if rows is None:
+                out[:] = z
+            else:
+                out[rows] = z[rows]
             return out
-        out[:] = 0.0
+        if rows is None:
+            out[:] = 0.0
+        else:
+            out[rows] = 0.0
         _sptools.csc_matvec(
             self.n_dof, self._flat.size, self._colptr, self._flat,
             self._data, values_flat, out,
@@ -877,6 +899,17 @@ class MatrixFreeStiffness:
         self._use_fused = use_fused
         self._requested_threads = threads
         self.threads = resolve_threads(threads)
+        self._requested_pooled = pooled
+        self.pooled = resolve_pooled(pooled)
+        ne = self.element_dofs.shape[0]
+        support = self.row_support()
+        # Sorted row support when it is sparse enough for the rows-only
+        # pass to win (an empty operator's support is empty, hence sparse).
+        rows = (
+            np.nonzero(support)[0]
+            if _ROWS_ONLY_FACTOR * np.count_nonzero(support) < self.n_dof
+            else None
+        )
         self._plan = (
             _fused_plan(
                 kernel,
@@ -886,15 +919,15 @@ class MatrixFreeStiffness:
                 Minv=self.Minv,
                 enabled=use_fused,
                 threads=self.threads,
+                rows=rows,
             )
-            if self.element_dofs.size
+            if ne
             else None
         )
         # Chunked NumPy tier: contiguous element ranges, one per worker,
         # each with its own kernel subset; partials are summed in chunk
         # order so the result is independent of completion order.
         self._chunks = None
-        ne = self.element_dofs.shape[0]
         if self._plan is None and self.threads > 1 and ne >= 2 * self.threads:
             bounds = np.linspace(0, ne, self.threads + 1).astype(int)
             self._chunks = [
@@ -908,14 +941,19 @@ class MatrixFreeStiffness:
         # Pooled hot path: gather/contract buffers and the sort-plan
         # scatter, built eagerly so workspace accounting is stable and
         # the first traced step is already steady-state.
-        self._requested_pooled = pooled
-        self.pooled = resolve_pooled(pooled)
         self._ws = Workspace()
         self._scatter = None
         self._chunk_state = None
+        #: The row support :meth:`apply_rows` confines itself to, or None
+        #: when it overwrites everything: a dense support, or the chunked
+        #: and seed NumPy tiers, which have no rows-only pass.
+        rows_only_tier = self._plan is not None or (
+            self.pooled and self._chunks is None
+        )
+        self._rows = rows if rows_only_tier or not ne else None
         if self.pooled and self._plan is None and self._chunks is None and ne:
             self._scatter = _ScatterPlan(
-                self.element_dofs, self.n_dof, coeff=self.Minv
+                self.element_dofs, self.n_dof, coeff=self.Minv, rows=self._rows
             )
             self._ws.buf("Ue", self.element_dofs.shape)
             self._ws.buf("ku", self.element_dofs.shape)
@@ -951,20 +989,28 @@ class MatrixFreeStiffness:
         return self.element_dofs.shape[0] * self.kernel.flops_per_element
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The full-length action: every entry of the result is defined
+        (zero outside the row support)."""
+        if out is not None and self._rows is not None:
+            out.fill(0.0)
+        return self.apply_rows(u, out=out)
+
+    def apply_rows(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The action written into ``out`` on this operator's row
+        support only: with a sparse support the rest of ``out`` is left
+        untouched (and never read), with a dense one ``out`` is fully
+        overwritten.  ``out=None`` returns a fresh, fully defined
+        vector."""
+        if out is None:
+            out = np.empty(self.n_dof) if self._rows is None else np.zeros(self.n_dof)
         if self.element_dofs.shape[0] == 0:
-            if out is None:
-                return np.zeros(self.n_dof)
-            out[:] = 0.0
             return out
         if self._plan is not None:
             return self._plan(u, out=out)
         if self._chunks is not None:
             return self._apply_chunked(u, out=out)
         if not self.pooled:
-            z = self._apply_ref(u)
-            if out is None:
-                return z
-            out[:] = z
+            out[:] = self._apply_ref(u)
             return out
         Ue = self._ws.buf("Ue", self.element_dofs.shape)
         u.take(self.element_dofs, out=Ue, mode="clip")
@@ -972,11 +1018,11 @@ class MatrixFreeStiffness:
             Ue *= self.gmask
         ku = self._ws.buf("ku", self.element_dofs.shape)
         self.kernel.contract(Ue, out=ku)
-        z = out if out is not None else np.empty(self.n_dof)
-        self._scatter.scatter(ku.reshape(-1), z)
-        if self.Minv is not None and not self._scatter.folds_coeff:
-            z *= self.Minv
-        return z
+        self._scatter.scatter(ku.reshape(-1), out)
+        if self.Minv is not None and not self._scatter.folds_coeff:  # pragma: no cover
+            rows = slice(None) if self._rows is None else self._rows
+            out[rows] *= self.Minv[rows]
+        return out
 
     def _apply_ref(self, u: np.ndarray) -> np.ndarray:
         """Seed apply: fancy-index gather, allocating contraction,
@@ -992,7 +1038,7 @@ class MatrixFreeStiffness:
             z *= self.Minv
         return z
 
-    def _apply_chunked(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _apply_chunked(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.pooled:
 
             def _partial(i):
@@ -1020,11 +1066,8 @@ class MatrixFreeStiffness:
                 )
 
             parts = list(_pool(self.threads).map(_partial, self._chunks))
-        if out is None:
-            z = parts[0] if not self.pooled else parts[0].copy()
-        else:
-            z = out
-            z[:] = parts[0]
+        z = out
+        z[:] = parts[0]
         for p in parts[1:]:
             z += p
         if self.Minv is not None and not (
@@ -1037,6 +1080,8 @@ class MatrixFreeStiffness:
         """Bytes of pooled hot-path scratch currently held (gather and
         contraction buffers, scatter plans, per-chunk partials)."""
         total = self._ws.nbytes + getattr(self.kernel, "workspace_nbytes", 0)
+        if self._rows is not None:
+            total += self._rows.nbytes
         if self._scatter is not None:
             total += self._scatter.nbytes
         if self._plan is not None and getattr(self._plan, "_zt", None) is not None:
@@ -1092,7 +1137,9 @@ class MatrixFreeOperator:
     the elements adjacent to ``cols`` (active level + gray halo) are
     gathered and contracted, with the gathered values masked to ``cols``
     so the result equals ``A[:, cols] @ u[cols]`` of the assembled
-    backend to machine precision.
+    backend to machine precision — written on the subset's row support
+    only when that is sparse (see :meth:`MatrixFreeStiffness.apply_rows`
+    and :meth:`repro.core.operator.Restriction.apply`).
     """
 
     def __init__(
@@ -1117,6 +1164,8 @@ class MatrixFreeOperator:
         # The full pipeline (input mask, contraction, scatter, M^{-1})
         # lives in one MatrixFreeStiffness; restrictions are its masked
         # subsets, so the level-restriction logic exists exactly once.
+        # The Dirichlet row mask (0/1) folds into the M^{-1} row
+        # coefficients — no separate masking pass on any apply.
         self._stiffness = MatrixFreeStiffness(
             kernel,
             self.element_dofs,
@@ -1127,7 +1176,11 @@ class MatrixFreeOperator:
                 if self.dirichlet_mask is None
                 else self.dirichlet_mask[self.element_dofs]
             ),
-            Minv=self._Minv,
+            Minv=(
+                self._Minv
+                if self.dirichlet_mask is None
+                else self._Minv * self.dirichlet_mask
+            ),
             threads=threads,
             pooled=pooled,
         )
@@ -1151,10 +1204,8 @@ class MatrixFreeOperator:
         return self._stiffness.nnz
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        z = self._stiffness.apply(u, out=out)  # input mask and M^{-1} folded in
-        if self.dirichlet_mask is not None:
-            z *= self.dirichlet_mask
-        return z
+        # Input mask, M^{-1} and the Dirichlet row mask are all folded in.
+        return self._stiffness.apply(u, out=out)
 
     def workspace_bytes(self) -> int:
         """Bytes of pooled hot-path scratch currently held, including
@@ -1177,15 +1228,7 @@ class MatrixFreeOperator:
         col_mask[cols] = True
         sub = self._stiffness.masked_subset(col_mask)
         self._restrictions.add(sub)
-        dmask = self.dirichlet_mask
-
-        def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            z = sub.apply(u, out=out)
-            if dmask is not None:
-                z *= dmask
-            return z
-
-        return Restriction(cols=cols, ops=sub.nnz, _apply=_apply)
+        return Restriction(cols=cols, ops=sub.nnz, _apply=sub.apply_rows)
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """All DOFs of elements adjacent to the masked columns.

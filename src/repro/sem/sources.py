@@ -34,9 +34,37 @@ def ricker(f0: float, t0: float | None = None, amplitude: float = 1.0) -> Callab
     return s
 
 
+class PointSource:
+    """Mass-scaled point force ``f(t)`` at a single DOF.
+
+    Calling it returns the dense ``(n_dof,)`` force vector, like any
+    other force callable.  It also exposes what it closes over —
+    ``dof``, ``scale`` (``1 / M[dof]``) and ``stf`` — and
+    :meth:`value`, the one nonzero entry, so the solvers apply it as a
+    single-entry update instead of allocating and adding a full-length
+    vector every step.
+    """
+
+    def __init__(self, n_dof: int, dof: int, scale: float,
+                 stf: Callable[[float], float]):
+        self.n_dof = int(n_dof)
+        self.dof = int(dof)
+        self.scale = float(scale)
+        self.stf = stf
+
+    def value(self, t: float) -> float:
+        """``f(t)[dof]`` — the only nonzero entry."""
+        return self.stf(t) * self.scale
+
+    def __call__(self, t: float) -> np.ndarray:
+        out = np.zeros(self.n_dof)
+        out[self.dof] = self.value(t)
+        return out
+
+
 def point_source(
     n_dof: int, dof: int, mass_diag: np.ndarray, stf: Callable[[float], float]
-) -> Callable[[float], np.ndarray]:
+) -> PointSource:
     """Mass-scaled point force ``f(t)`` at a single DOF.
 
     The solvers integrate ``u'' = -A u + f(t)`` with ``f = M^{-1} F``;
@@ -45,12 +73,4 @@ def point_source(
     """
     if not 0 <= dof < n_dof:
         raise SolverError(f"source dof {dof} outside [0, {n_dof})")
-    inv_m = 1.0 / float(mass_diag[dof])
-    base = np.zeros(n_dof)
-
-    def f(t: float) -> np.ndarray:
-        out = base.copy()
-        out[dof] = stf(t) * inv_m
-        return out
-
-    return f
+    return PointSource(n_dof, dof, 1.0 / float(mass_diag[dof]), stf)

@@ -2,7 +2,8 @@
 
 The benchmark harness reproduces the paper's tables (Figs 5, 7, 8) and the
 series behind its scaling figures (Figs 9-13); each bench prints its rows
-through :class:`Table` so the output can be diffed against EXPERIMENTS.md.
+through :class:`Table`, and records the same rows in
+``benchmarks/results/<name>.json`` so runs can be diffed.
 """
 
 from __future__ import annotations

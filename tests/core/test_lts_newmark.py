@@ -12,6 +12,7 @@ The load-bearing claims:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     OperationCounter,
@@ -27,7 +28,7 @@ from repro.core.lts_newmark import (
 )
 from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
 from repro.mesh import refined_interval, uniform_grid, uniform_interval
-from repro.sem import Sem1D, Sem2D, discrete_energy
+from repro.sem import Sem1D, Sem2D, Sem3D, discrete_energy, fused, point_source, ricker
 from repro.util.errors import SolverError
 
 
@@ -125,6 +126,69 @@ class TestModeEquivalence:
         assert a.counts()[1] == 0
         solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized")
         assert solver.active_levels == [1, 3]
+
+
+class TestRandomAssignments:
+    """Optimized == reference for *any* element-level assignment, on
+    every backend: the compact recursion (suffix-ordered active sets,
+    closed-form complement, rows-only restricted applies, depth-0
+    Newmark + fix-up) computes the scheme of the literal transcription.
+
+    The strategy draws levels from a random subset of ``{2, 3, 4}`` on
+    top of at least one level-1 element, so it covers skipped levels, a
+    single level, a sparse level 1 (one coarse element in a fine mesh),
+    level jumps of more than one between neighbours, Dirichlet masks,
+    and a source on a coarse or a fine DOF — as a point source (the
+    single-entry update) and as an opaque dense callable.
+    """
+
+    N_CYCLES = 6
+
+    @staticmethod
+    def _system(dim: int, dirichlet: bool):
+        shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+        mesh = uniform_grid(shape)
+        return cls(mesh, order=order, dirichlet=dirichlet), assign_levels(
+            mesh, c_cfl=0.4, order=order
+        ).dt
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]), dirichlet=st.booleans(),
+           source=st.sampled_from(["none", "point", "dense"]))
+    def test_optimized_matches_reference(self, data, dim, dirichlet, source):
+        sem, dt = self._system(dim, dirichlet)
+        ne = sem.element_dofs.shape[0]
+        fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
+        levels = np.array(
+            data.draw(
+                st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
+                label="element levels",
+            )
+        )
+        levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+        dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+        force = None
+        if source != "none":
+            dof = data.draw(st.integers(0, sem.n_dof - 1), label="source dof")
+            point = point_source(sem.n_dof, dof, sem.M, ricker(f0=0.5, t0=2 * dt))
+            force = point if source == "point" else (lambda t: point(t))
+        seed = data.draw(st.integers(0, 2**16), label="field seed")
+        u0 = np.random.default_rng(seed).standard_normal(sem.n_dof)
+        if dirichlet:
+            u0 *= sem.dirichlet_mask
+        v0 = np.zeros(sem.n_dof)
+
+        backends = [sem.A, sem.operator("matfree", use_fused=False)]
+        if fused.available():
+            backends.append(sem.operator("matfree", use_fused=True))
+        for op in backends:
+            ur, vr = lts_newmark_run(op, dof_level, dt, u0, v0, self.N_CYCLES,
+                                     mode="reference", force=force)
+            uo, vo = lts_newmark_run(op, dof_level, dt, u0, v0, self.N_CYCLES,
+                                     mode="optimized", force=force)
+            tier = getattr(op, "tier", "assembled")
+            assert np.abs(uo - ur).max() <= 1e-12 * np.abs(ur).max(), tier
+            assert np.abs(vo - vr).max() <= 1e-12 * max(np.abs(vr).max(), 1.0), tier
 
 
 class TestAccuracy:

@@ -16,6 +16,11 @@ that substitution safe:
   the plan data commutes through the sum only to rounding (~1 ulp), so
   pooled results must stay within 1e-12 of ``pooled=False`` results,
   for full and level-restricted applies, 2D/3D, all three physics.
+
+The last class pins the ``Restriction.apply(u, out=buf)`` contract the
+LTS solver relies on: the product lands on the restriction's row
+support; with a sparse support the rest of ``buf`` is left untouched
+(rows-only pass), with a dense one ``buf`` is fully overwritten.
 """
 
 import numpy as np
@@ -28,9 +33,14 @@ from repro.sem import (
     ElasticSem3D,
     Sem2D,
     Sem3D,
+    fused,
     isotropic_stiffness,
 )
 from repro.sem.matfree import _ScatterPlan
+
+#: Kernel tiers to pin: the NumPy tier always, the fused C tier when a
+#: compiler is present.
+TIERS = [False, True] if fused.available() else [False]
 
 
 def _rel_err(got, ref):
@@ -85,6 +95,24 @@ class TestScatterPlanUnit:
         else:
             assert _rel_err(out, ref) < 1e-12
 
+    def test_compact_plan_touches_only_its_rows(self):
+        rng = np.random.default_rng(3)
+        n_dof = 300
+        ed = rng.integers(40, 90, size=(12, 8))  # support inside [40, 90)
+        rows = np.unique(ed)
+        vals = rng.standard_normal(ed.size)
+        coeff = 0.5 + rng.random(n_dof)
+        full = np.empty(n_dof)
+        _ScatterPlan(ed, n_dof, coeff=coeff).scatter(vals, full)
+        out = np.full(n_dof, 7.25)
+        plan = _ScatterPlan(ed, n_dof, coeff=coeff, rows=rows)
+        plan.scatter(vals, out)
+        plan.scatter(vals, out)  # re-zeroes its rows: no accumulation
+        assert np.array_equal(out[rows], full[rows])
+        untouched = np.ones(n_dof, dtype=bool)
+        untouched[rows] = False
+        assert np.all(out[untouched] == 7.25)
+
     def test_scatter_is_repeatable_bitwise(self):
         rng = np.random.default_rng(2)
         n_dof = 100
@@ -129,3 +157,73 @@ class TestPooledOperatorDeterminism:
         got2 = np.array(pooled_r.apply(u))
         assert np.array_equal(got1, got2), (physics, dim)
         assert _rel_err(got1, ref) < 1e-12, (physics, dim)
+
+
+@pytest.mark.parametrize("physics", ["acoustic", "elastic", "anisotropic"])
+@pytest.mark.parametrize("dim", [2, 3])
+class TestRestrictionOutContract:
+    """``restrict(cols).apply(u, out=buf)``: assembled values on the row
+    support; a sentinel-filled ``buf`` untouched elsewhere when the
+    support is sparse, fully overwritten when it is dense; repeatable
+    with different ``u`` (no accumulation); fused == NumPy to 1e-12."""
+
+    SENTINEL = 7.25
+
+    @staticmethod
+    def _cols(sem, sparse: bool) -> np.ndarray:
+        if not sparse:
+            return np.arange(sem.n_dof)[::2]  # touches every element
+        # DOFs of element 0 that no other element shares: the subset is
+        # that single element, a small minority of the rows.
+        ed = np.asarray(sem.element_dofs)
+        shared = np.bincount(ed.ravel(), minlength=sem.n_dof)
+        return ed[0][shared[ed[0]] == 1]
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_out_contract(self, physics, dim, sparse):
+        sem = _make_sem(physics, dim)
+        cols = self._cols(sem, sparse)
+        A_cols = sem.A.tocsc()[:, cols]
+        rng = np.random.default_rng(20 + dim)
+        u1, u2 = rng.standard_normal((2, sem.n_dof))
+        results = []
+        for use_fused in TIERS:
+            op = sem.operator("matfree", use_fused=use_fused)
+            col_mask = np.zeros(sem.n_dof, dtype=bool)
+            col_mask[cols] = True
+            support = op.reach(col_mask)
+            assert (2 * support.sum() < sem.n_dof) == sparse
+            restr = op.restrict(cols)
+            buf = np.full(sem.n_dof, self.SENTINEL)
+            restr.apply(u1, out=buf)
+            got = restr.apply(u2, out=buf)  # second call, different u
+            assert got is buf
+            ref = A_cols @ u2[cols]
+            assert _rel_err(buf[support], ref[support]) < 1e-12, use_fused
+            if sparse:
+                assert np.all(buf[~support] == self.SENTINEL), use_fused
+            else:
+                assert _rel_err(buf, ref) < 1e-12, use_fused
+            # out=None: a fresh, fully defined vector with the same values.
+            fresh = restr.apply(u2)
+            assert np.array_equal(fresh[support], buf[support]), use_fused
+            assert not fresh[~support].any(), use_fused
+            results.append(fresh)
+        if len(results) == 2:
+            assert _rel_err(results[1], results[0]) < 1e-12
+
+    def test_masked_subset_apply_is_fully_defined(self, physics, dim):
+        """The distributed executor shares one output across levels and
+        reads it full-length: ``masked_subset(...).apply(u, out=)`` must
+        define every entry, sparse support or not."""
+        sem = _make_sem(physics, dim)
+        cols = self._cols(sem, sparse=True)
+        mask = np.zeros(sem.n_dof, dtype=bool)
+        mask[cols] = True
+        u = np.random.default_rng(30 + dim).standard_normal(sem.n_dof)
+        for use_fused in TIERS:
+            sub = sem.operator("matfree", use_fused=use_fused)._stiffness.masked_subset(mask)
+            buf = np.full(sem.n_dof, self.SENTINEL)
+            sub.apply(u, out=buf)
+            assert np.array_equal(buf, sub.apply(u)), use_fused
+            assert not buf[~sub.row_support()].any(), use_fused
