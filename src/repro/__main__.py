@@ -146,17 +146,7 @@ def _cmd_run(args) -> int:
         )
     print(f"final field: max |u| = {np.abs(result.u).max():.6e}")
     if args.output is not None:
-        payload = {
-            "times": result.times,
-            "u": result.u,
-            "v": result.v,
-            "config_json": np.array(json.dumps(cfg.to_dict())),
-            "kernel_tier": np.array(md["kernel_tier"]),
-        }
-        if result.traces is not None:
-            payload["traces"] = result.traces
-            payload["receiver_dofs"] = result.receiver_dofs
-        written = atomic_savez(args.output, **payload)
+        written = atomic_savez(args.output, **result.to_payload())
         print(f"wrote {written}")
     return 0
 
@@ -205,16 +195,9 @@ def _cmd_ensemble(args) -> int:
             f"max |u| = {np.abs(result.u).max():.6e}"
         )
         if out_dir is not None:
-            payload = {
-                "times": result.times,
-                "u": result.u,
-                "v": result.v,
-                "config_json": np.array(json.dumps(result.config.to_dict())),
-            }
-            if result.traces is not None:
-                payload["traces"] = result.traces
-                payload["receiver_dofs"] = result.receiver_dofs
-            atomic_savez(out_dir / f"member_{md['index']:03d}.npz", **payload)
+            atomic_savez(
+                out_dir / f"member_{md['index']:03d}.npz", **result.to_payload()
+            )
 
     res = run_ensemble(
         spec,

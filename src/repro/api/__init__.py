@@ -54,7 +54,6 @@ from repro.api.simulation import (
     compare_backends,
     relative_deviation,
     run,
-    run_distributed,
     stage_key,
 )
 from repro.util.errors import ConfigError
@@ -75,7 +74,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "run",
-    "run_distributed",
     "compare_backends",
     "relative_deviation",
     "StageCache",

@@ -18,8 +18,9 @@ executes them:
    resolving each *distinct* upstream artifact exactly once, in
    dependency order (mesh -> material -> assembler -> levels ->
    dof_level -> parts, plus the CSR for assembled-backend members);
-3. **run** the members on a bounded worker pool —
-   ``ThreadPoolExecutor`` by default for matrix-free configs (the
+3. **run** each member through :func:`run_member` — the one job
+   runner, shared with the service's workers — on a bounded worker
+   pool: ``ThreadPoolExecutor`` by default for matrix-free configs (the
    NumPy/fused kernels release the GIL), a ``ProcessPoolExecutor``
    fallback otherwise (sharing through the on-disk cache layer when a
    ``cache_dir`` is set) — streaming each
@@ -36,7 +37,7 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Mapping
@@ -44,7 +45,6 @@ from typing import Callable, ClassVar, Mapping
 from repro.api.cache import StageCache
 from repro.api.config import SimulationConfig, Spec, _freeze, _thaw
 from repro.api.simulation import STAGES, Simulation, SimulationResult
-from repro.core.levels import LevelAssignment
 from repro.util.errors import ConfigError
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "SweepSpec",
     "EnsembleResult",
     "run_ensemble",
+    "run_member",
 ]
 
 _MAX_MEMBERS = 100_000
@@ -277,9 +278,8 @@ class EnsembleResult:
     cache: StageCache = field(repr=False, default=None)
 
 
-def _attach_member_metadata(result, index, name, seconds, events) -> None:
+def _attach_member_metadata(result, name, seconds, events) -> None:
     result.metadata["member"] = {
-        "index": index,
         "name": name,
         "seconds": seconds,
         "cache_hits": int(events.get("hits", 0)),
@@ -287,38 +287,31 @@ def _attach_member_metadata(result, index, name, seconds, events) -> None:
     }
 
 
-def _run_member_in_process(payload: dict) -> dict:
-    """Worker-process entry: run one member from plain data.
+def run_member(config: SimulationConfig | Mapping, cache=None) -> SimulationResult:
+    """The one job runner: resolve ``config`` through ``cache``, run it,
+    and return the result with the member provenance attached.
 
-    Specs hold ``MappingProxyType`` views (not picklable), so the
-    config crosses the process boundary as its dict form and the result
-    comes back as plain arrays; the parent reassembles the
-    :class:`SimulationResult`.  Stage sharing happens through the
-    on-disk cache layer when a ``cache_dir`` is given.
+    Every execution path funnels through here — ensemble members under
+    the serial, thread and process executors, and the service's inline
+    and process-pool jobs — so ``result.metadata["member"]`` (``name``,
+    wall ``seconds``, and this run's stage-cache ``cache_hits`` /
+    ``cache_misses``) means the same thing everywhere.  ``cache`` is a shared
+    :class:`~repro.api.cache.StageCache`, or — for worker processes,
+    which share stages through the on-disk layer — a cache directory
+    (``None``: no cache).  Picklable both ways: the config may be its
+    dict form, and the result travels as its payload.
     """
-    config = SimulationConfig.from_dict(payload["config"])
-    cache = (
-        StageCache(cache_dir=payload["cache_dir"])
-        if payload["cache_dir"]
-        else None
-    )
+    if isinstance(config, Mapping):
+        config = SimulationConfig.from_dict(config)
+    if cache is not None and not isinstance(cache, StageCache):
+        cache = StageCache(cache_dir=cache)
     sim = Simulation(config, cache=cache)
+    t = time.perf_counter()
     result = sim.run()
-    return {
-        "u": result.u,
-        "v": result.v,
-        "times": result.times,
-        "traces": result.traces,
-        "receiver_dofs": result.receiver_dofs,
-        "level": result.levels.level,
-        "levels_dt": result.levels.dt,
-        "levels_dt_min": result.levels.dt_min,
-        "dt": result.dt,
-        "n_cycles": result.n_cycles,
-        "parts": result.parts,
-        "metadata": result.metadata,
-        "events": sim.cache_events,
-    }
+    _attach_member_metadata(
+        result, config.name, time.perf_counter() - t, sim.cache_events
+    )
+    return result
 
 
 def _pick_executor(executor: str, jobs: int, configs) -> str:
@@ -369,10 +362,9 @@ def run_ensemble(
         ``"auto"`` (threads for all-matfree ensembles, processes
         otherwise), ``"serial"``, ``"thread"`` or ``"process"``.
     on_result:
-        Streaming hook, called with each member's
-        :class:`SimulationResult` as it completes (from worker threads
-        under the ``thread`` executor; completion order, not member
-        order).
+        Streaming hook, called from the calling thread with each
+        member's :class:`SimulationResult` as it completes (completion
+        order, not member order).
 
     Raises the first member failure after cancelling outstanding work;
     cache-shared artifacts resolved before the failure stay warm.
@@ -428,87 +420,37 @@ def run_ensemble(
     warm_seconds = time.perf_counter() - t0
 
     # -- run the members ------------------------------------------------
-    results: list[SimulationResult | None] = [None] * len(sims)
+    results: list[SimulationResult | None] = [None] * len(configs)
 
-    def run_one(i: int) -> SimulationResult:
-        sim = sims[i]
-        t = time.perf_counter()
-        result = sim.run()
-        _attach_member_metadata(
-            result,
-            i,
-            sim.config.name,
-            time.perf_counter() - t,
-            sim.cache_events,
-        )
+    def collect(i: int, result: SimulationResult) -> None:
+        result.metadata["member"]["index"] = i
         if on_result is not None:
             on_result(result)
-        return result
+        results[i] = result
 
     t1 = time.perf_counter()
     if mode == "serial":
-        for i in range(len(sims)):
-            results[i] = run_one(i)
-    elif mode == "thread":
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_one, i): i for i in range(len(sims))}
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = [f for f in done if f.exception() is not None]
-            if failed:
-                for f in not_done:
+        for i, cfg in enumerate(configs):
+            collect(i, run_member(cfg, cache))
+    else:
+        if mode == "thread":
+            pool = ThreadPoolExecutor(max_workers=jobs)
+            args = [(cfg, cache) for cfg in configs]
+        else:
+            # Configs cross the process boundary as dicts (specs hold
+            # unpicklable MappingProxyType views); stages are shared
+            # through the on-disk cache layer when there is one.
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            args = [(cfg.to_dict(), cache.cache_dir) for cfg in configs]
+        with pool:
+            futures = {pool.submit(run_member, *a): i for i, a in enumerate(args)}
+            try:
+                for f in as_completed(futures):
+                    collect(futures[f], f.result())
+            finally:
+                # Only bites when a member failed: drop the queued rest.
+                for f in futures:
                     f.cancel()
-                raise failed[0].exception()
-            for f in done:
-                results[futures[f]] = f.result()
-    else:  # process
-        payloads = [
-            {
-                "config": cfg.to_dict(),
-                "cache_dir": None if cache.cache_dir is None else str(cache.cache_dir),
-            }
-            for cfg in configs
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_member_in_process, payloads[i]): i
-                for i in range(len(sims))
-            }
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = [f for f in done if f.exception() is not None]
-            if failed:
-                for f in not_done:
-                    f.cancel()
-                raise failed[0].exception()
-            for f in done:
-                i = futures[f]
-                d = f.result()
-                result = SimulationResult(
-                    config=configs[i],
-                    u=d["u"],
-                    v=d["v"],
-                    times=d["times"],
-                    traces=d["traces"],
-                    receiver_dofs=d["receiver_dofs"],
-                    levels=LevelAssignment(
-                        level=d["level"],
-                        dt=float(d["levels_dt"]),
-                        dt_min=float(d["levels_dt_min"]),
-                    ),
-                    dt=float(d["dt"]),
-                    n_cycles=int(d["n_cycles"]),
-                    parts=d["parts"],
-                    metadata=d["metadata"],
-                )
-                _attach_member_metadata(
-                    result,
-                    i,
-                    configs[i].name,
-                    result.metadata.get("run_seconds", 0.0),
-                    d["events"],
-                )
-                if on_result is not None:
-                    on_result(result)
-                results[i] = result
     run_seconds = time.perf_counter() - t1
     total = time.perf_counter() - t0
 

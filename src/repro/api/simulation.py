@@ -30,10 +30,8 @@ by hand, reuse ``sim.levels`` in a partition study, and so on.
 
 Module-level conveniences: :func:`run` (one-shot),
 :func:`compare_backends` (the assembled-vs-matfree cross-check every
-backend-parity example performs), :func:`relative_deviation` (result
-agreement metric) and :func:`run_distributed` (the shared
-partition -> layout -> executor block, also used by ``Simulation``
-itself).
+backend-parity example performs) and :func:`relative_deviation` (result
+agreement metric).
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from repro.api.config import BackendSpec, PartitionSpec, SimulationConfig
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment, assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
+from repro.core.newmark import Fields, run_cycles
 from repro.core.workspace import HotPathTracer
 from repro.partition.strategies import PARTITIONERS
 from repro.runtime.checkpoint import (
@@ -65,7 +64,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.comm import MailboxWorld
-from repro.runtime.executor import DistributedLTSSolver
+from repro.runtime.executor import DistributedLTSSolver, RankFields
 from repro.runtime.faults import FaultyWorld
 from repro.runtime.halo import build_rank_layout
 from repro.runtime.supervisor import Supervisor
@@ -217,90 +216,66 @@ class SimulationResult:
     parts: np.ndarray | None
     metadata: dict
 
+    def to_payload(self) -> dict:
+        """The result as a flat ``{name: ndarray}`` dict — the single
+        definition of the result ``.npz`` field set.
 
-def _receiver_locations(layout, receiver_dofs) -> list[tuple[int, int]]:
-    """``(owning rank, local index)`` of each global receiver DOF.
+        ``atomic_savez(path, **result.to_payload())`` is what
+        ``python -m repro run --output``, ensemble member files and
+        service results write; :meth:`from_payload` is the inverse, and
+        a :class:`SimulationResult` pickles as its payload, so results
+        cross process boundaries in the same form they reach disk.
+        ``traces``/``receiver_dofs`` and ``parts`` are present only when
+        the run has receivers / is partitioned.
+        """
+        payload = {
+            "times": self.times,
+            "u": self.u,
+            "v": self.v,
+            "config_json": np.array(json.dumps(self.config.to_dict())),
+            "kernel_tier": np.array(self.metadata["kernel_tier"]),
+            "dt": np.array(self.dt),
+            "level": self.levels.level,
+            "levels_dt": np.array(self.levels.dt),
+            "levels_dt_min": np.array(self.levels.dt_min),
+            "metadata_json": np.array(json.dumps(self.metadata)),
+        }
+        if self.traces is not None:
+            payload["traces"] = self.traces
+            payload["receiver_dofs"] = self.receiver_dofs
+        if self.parts is not None:
+            payload["parts"] = self.parts
+        return payload
 
-    Locating each receiver once lets trace recording read scalars off
-    the owning rank's local vector instead of gathering the global
-    field every cycle.  Every DOF has exactly one owning rank.
-    """
-    locations: list[tuple[int, int]] = []
-    for g in receiver_dofs:
-        for r in range(layout.n_ranks):
-            i = int(np.searchsorted(layout.gdofs[r], g))
-            if (
-                i < len(layout.gdofs[r])
-                and layout.gdofs[r][i] == g
-                and layout.owner[r][i]
-            ):
-                locations.append((r, i))
-                break
-    return locations
+    @classmethod
+    def from_payload(cls, payload: Mapping) -> "SimulationResult":
+        """Rebuild a result from :meth:`to_payload`'s dict (or from the
+        ``np.load`` archive of a file written from it)."""
+        has_traces = "traces" in payload
+        return cls(
+            config=SimulationConfig.from_dict(
+                json.loads(str(payload["config_json"]))
+            ),
+            u=payload["u"],
+            v=payload["v"],
+            times=payload["times"],
+            traces=payload["traces"] if has_traces else None,
+            receiver_dofs=payload["receiver_dofs"] if has_traces else None,
+            levels=LevelAssignment(
+                level=payload["level"],
+                dt=float(payload["levels_dt"]),
+                dt_min=float(payload["levels_dt_min"]),
+            ),
+            dt=float(payload["dt"]),
+            n_cycles=len(payload["times"]),
+            parts=payload["parts"] if "parts" in payload else None,
+            metadata=json.loads(str(payload["metadata_json"])),
+        )
 
-
-def run_distributed(
-    assembler,
-    parts: np.ndarray,
-    dof_level: np.ndarray,
-    dt: float,
-    n_cycles: int,
-    *,
-    n_ranks: int | None = None,
-    backend: str = "assembled",
-    use_fused: bool | None = None,
-    threads: int | None = None,
-    force: Callable[[float], np.ndarray] | None = None,
-    receiver_dofs: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
-    world: MailboxWorld | None = None,
-    tracer: HotPathTracer | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, MailboxWorld]:
-    """Partitioned LTS run: layout -> mailbox world -> executor -> gather.
-
-    The shared block every distributed example used to hand-roll (and
-    :meth:`Simulation.run` uses for multi-rank configs): builds the
-    rank layout in the requested stiffness backend, steps
-    :class:`repro.runtime.executor.DistributedLTSSolver` for
-    ``n_cycles``, records receiver traces once per cycle, and returns
-    ``(u, v, traces, world)`` with globally gathered fields.  An
-    optional :class:`~repro.core.workspace.HotPathTracer` brackets each
-    cycle (``tracer.workspace`` is set to the solver's pooled scratch
-    footprint for the caller's stats).
-    """
-    parts = np.asarray(parts, dtype=np.int64)
-    if n_ranks is None:
-        n_ranks = int(parts.max()) + 1
-    if world is None:
-        world = MailboxWorld(n_ranks)
-    layout = build_rank_layout(
-        assembler, parts, n_ranks, dof_level=dof_level, backend=backend,
-        use_fused=use_fused, threads=threads,
-    )
-    solver = DistributedLTSSolver(layout, dt, world=world, force=force)
-    n_dof = int(assembler.n_dof)
-    u0 = np.zeros(n_dof) if u0 is None else u0
-    v0 = np.zeros(n_dof) if v0 is None else v0
-    u_locals = layout.scatter(u0)
-    v_locals = layout.scatter(v0)
-    traces = None
-    locations: list[tuple[int, int]] = []
-    if receiver_dofs is not None:
-        traces = np.zeros((n_cycles, len(receiver_dofs)))
-        locations = _receiver_locations(layout, receiver_dofs)
-    for n in range(n_cycles):
-        if tracer is not None:
-            tracer.before_step(n)
-        solver.step(u_locals, v_locals)
-        if tracer is not None:
-            tracer.after_step(n)
-        if traces is not None:
-            traces[n] = [u_locals[r][i] for r, i in locations]
-    solver.check_no_leaks()
-    if tracer is not None:
-        tracer.workspace = solver.workspace_bytes()
-    return layout.gather(u_locals), layout.gather(v_locals), traces, world
+    def __reduce__(self):
+        # Specs hold MappingProxyType views (not picklable): travel as
+        # the payload instead.
+        return SimulationResult.from_payload, (self.to_payload(),)
 
 
 class Simulation:
@@ -662,127 +637,6 @@ class Simulation:
         return sim
 
     # -- the run ---------------------------------------------------------
-    def run(
-        self,
-        resume: str | Path | CheckpointState | None = None,
-        perf: bool = False,
-    ) -> SimulationResult:
-        """Execute the configured simulation and collect the result.
-
-        ``resume`` restarts from a checkpoint file (or an in-memory
-        :class:`~repro.runtime.checkpoint.CheckpointState`): the run
-        continues at the saved cycle and produces the same result as an
-        uninterrupted run — bitwise on the serial path, to round-off
-        distributed.  Resuming against a config whose content hash
-        differs from the checkpoint's is a :class:`ConfigError`.
-
-        ``perf=True`` brackets a few steady-state cycles with a
-        :class:`~repro.core.workspace.HotPathTracer` and records hot-path
-        evidence (steps/sec, net tracemalloc blocks per step, transient
-        peak, pooled workspace footprint) under ``metadata["perf"]``.
-        Tracing a short window perturbs only the traced cycles; results
-        are unchanged.  Not supported on the resilient path.
-
-        When ``config.resilience`` is enabled (or ``resume`` is given)
-        the run goes through the fault-tolerant loop: periodic
-        checkpoints, numerical health checks, injected faults, and
-        supervised restarts — see
-        :class:`~repro.api.config.ResilienceSpec`.  Otherwise this is
-        the plain fast path, unchanged.
-        """
-        if resume is not None or self.config.resilience.enabled:
-            return self._run_resilient(resume)
-        cfg = self.config
-        t0 = time.perf_counter()
-        sem = self.assembler
-        dt, n_cycles = self._stepping
-        dof_level = self.dof_level
-        force = self.force
-        rec = self.receiver_dofs
-        parts = self.parts
-        build_seconds = time.perf_counter() - t0
-
-        u0 = np.zeros(sem.n_dof)
-        v0 = np.zeros(sem.n_dof)
-        tracer = (
-            HotPathTracer(warmup=1, trace=min(4, n_cycles))
-            if perf and n_cycles >= 2
-            else None
-        )
-        perf_workspace = 0
-        t1 = time.perf_counter()
-        world = None
-        if parts is None:
-            solver = LTSNewmarkSolver(self.operator(), dof_level, dt, force=force)
-            traces = None if rec is None else np.zeros((n_cycles, len(rec)))
-            u, v = u0, v0
-            for n in range(n_cycles):
-                if tracer is not None:
-                    tracer.before_step(n)
-                u, v = solver.step(u, v)
-                if tracer is not None:
-                    tracer.after_step(n)
-                if traces is not None:
-                    traces[n] = u[rec]
-            if tracer is not None:
-                perf_workspace = solver.workspace_bytes()
-        else:
-            u, v, traces, world = run_distributed(
-                sem,
-                parts,
-                dof_level,
-                dt,
-                n_cycles,
-                n_ranks=cfg.partition.n_ranks,
-                backend=cfg.backend.stiffness,
-                use_fused=cfg.backend.fused,
-                threads=cfg.backend.threads,
-                force=force,
-                receiver_dofs=rec,
-                u0=u0,
-                v0=v0,
-                tracer=tracer,
-            )
-            if tracer is not None:
-                perf_workspace = getattr(tracer, "workspace", 0)
-        run_seconds = time.perf_counter() - t1
-
-        metadata = {
-            "name": cfg.name,
-            "n_elements": int(self.mesh.n_elements),
-            "n_dof": int(sem.n_dof),
-            "n_levels": int(self.levels.n_levels),
-            "scheme": cfg.time.scheme,
-            "backend": cfg.backend.stiffness,
-            "kernel_tier": self.kernel_tier(),
-            "n_ranks": int(cfg.partition.n_ranks),
-            "build_seconds": build_seconds,
-            "run_seconds": run_seconds,
-        }
-        if world is not None:
-            metadata["messages"] = int(world.sent_messages)
-            metadata["comm_volume"] = int(world.sent_volume)
-        if tracer is not None:
-            metadata["perf"] = tracer.stats(
-                steps_per_second=n_cycles / max(run_seconds, 1e-12),
-                steps_measured=n_cycles,
-                workspace=perf_workspace,
-            ).as_dict()
-        return SimulationResult(
-            config=cfg,
-            u=u,
-            v=v,
-            times=np.arange(1, n_cycles + 1) * dt,
-            traces=traces,
-            receiver_dofs=rec,
-            levels=self.levels,
-            dt=dt,
-            n_cycles=n_cycles,
-            parts=parts,
-            metadata=metadata,
-        )
-
-    # -- the fault-tolerant run -------------------------------------------
     def _health_guard(self, dt: float) -> HealthGuard | None:
         """The configured :class:`HealthGuard`, or ``None`` when off."""
         res = self.config.resilience
@@ -827,22 +681,49 @@ class Simulation:
             )
         return state
 
-    def _run_resilient(
-        self, resume: str | Path | CheckpointState | None
+    def run(
+        self,
+        resume: str | Path | CheckpointState | None = None,
+        perf: bool = False,
     ) -> SimulationResult:
-        """Checkpointed, health-guarded, supervised execution of the run.
+        """Execute the configured simulation and collect the result.
 
-        Structure: a per-attempt body (fresh world, latest restorable
-        state, the stepping loop) handed to a
-        :class:`~repro.runtime.supervisor.Supervisor`.  Each retry
-        rebuilds the world at the next attempt index — so planned
-        faults fire only in the attempt they name — and restores the
-        newest checkpoint, falling back to the ``resume`` state or a
-        cold start.  The rank layout is resolved once and shared across
-        attempts (it is immutable; only the mailbox world is rebuilt).
+        Every run — plain, checkpointed, health-guarded, fault-injected,
+        resumed; one rank or many — is the same body: an *attempt*
+        (fresh solver and mailbox world, newest restorable state, then
+        :func:`repro.core.newmark.run_cycles`) under a
+        :class:`~repro.runtime.supervisor.Supervisor`.  The default
+        :class:`~repro.api.config.ResilienceSpec` switches every hook
+        off (no restarts, no cadences, no faults), and a hook that is
+        off costs nothing.  Per cycle the loop records the receiver row,
+        then runs the health check, then writes the checkpoint — health
+        before write, so a corrupted state is never persisted.
+
+        ``resume`` restarts from a checkpoint file (or an in-memory
+        :class:`~repro.runtime.checkpoint.CheckpointState`): the run
+        continues at the saved cycle and produces the same result as an
+        uninterrupted run, bitwise (distributed checkpoints carry the
+        exact per-rank replicas).  Resuming against a config whose
+        content hash differs from the checkpoint's is a
+        :class:`ConfigError`.  Each retry rebuilds the world at the next
+        attempt index — so planned faults fire only in the attempt they
+        name — and restores the newest checkpoint, falling back to the
+        ``resume`` state or a cold start.
+
+        ``perf=True`` brackets a few steady-state cycles with a
+        :class:`~repro.core.workspace.HotPathTracer` and records hot-path
+        evidence (steps/sec, net tracemalloc blocks per step, transient
+        peak, pooled workspace footprint) of the successful attempt
+        under ``metadata["perf"]``.  Tracing a short window perturbs
+        only the traced cycles; results are unchanged.
+
+        ``metadata["resilience"]`` (checkpoints written, attempts,
+        recovery log, injected faults, health checks) is recorded when
+        ``config.resilience`` enables anything or ``resume`` is given.
         """
         cfg = self.config
         res = cfg.resilience
+        resilient = resume is not None or res.enabled
         t0 = time.perf_counter()
         sem = self.assembler
         dt, n_cycles = self._stepping
@@ -850,7 +731,7 @@ class Simulation:
         force = self.force
         rec = self.receiver_dofs
         parts = self.parts
-        cfg_hash = cfg.content_hash()
+        n_ranks = cfg.partition.n_ranks
         health = self._health_guard(dt)
         plan = res.fault_plan()
         resume_state = None
@@ -863,122 +744,34 @@ class Simulation:
             self._check_restorable(resume_state, resume)
         layout = None
         if parts is not None:
+            # Immutable, so resolved once and shared across attempts;
+            # only the mailbox world is rebuilt.
             layout = build_rank_layout(
                 sem,
                 parts,
-                cfg.partition.n_ranks,
+                n_ranks,
                 dof_level=dof_level,
                 backend=cfg.backend.stiffness,
                 use_fused=cfg.backend.fused,
                 threads=cfg.backend.threads,
             )
-        ckpt_dir = Path(res.checkpoint_dir) if res.checkpoint_dir else None
+        ckpt_dir = (
+            Path(res.checkpoint_dir) if resilient and res.checkpoint_dir else None
+        )
         written: list[Path] = []
         worlds: list[MailboxWorld] = []
         build_seconds = time.perf_counter() - t0
 
-        def start_state() -> CheckpointState | None:
-            """Newest restorable state: a checkpoint this run (or a
-            previous attempt) wrote beats the ``resume`` argument beats
-            a cold start."""
-            best = resume_state
+        def attempt(i: int):
+            # Newest restorable state: a checkpoint this run (or a
+            # previous attempt) wrote beats ``resume`` beats a cold start.
+            state = resume_state
             if ckpt_dir is not None:
                 path = latest_checkpoint(ckpt_dir)
                 if path is not None:
-                    state = self._check_restorable(load_checkpoint(path), path)
-                    if best is None or state.cycle > best.cycle:
-                        best = state
-            return best
-
-        def write_checkpoint(cycle, t, u, v, u_locals, v_locals, traces):
-            state = CheckpointState(
-                cycle=cycle,
-                t=t,
-                u=u,
-                v=v,
-                u_locals=u_locals,
-                v_locals=v_locals,
-                traces=None if traces is None else traces[:cycle].copy(),
-                dt=dt,
-                n_cycles_total=n_cycles,
-                config_hash=cfg_hash,
-            )
-            written.append(save_checkpoint(checkpoint_path(ckpt_dir, cycle), state))
-            prune_checkpoints(ckpt_dir, res.keep_checkpoints)
-
-        checkpointing = ckpt_dir is not None and res.checkpoint_every is not None
-
-        def attempt_serial(state, traces, start):
-            solver = LTSNewmarkSolver(self.operator(), dof_level, dt, force=force)
-            if state is not None:
-                u, v = state.u.copy(), state.v.copy()
-                solver.restore(state.solver_state())
-            else:
-                u, v = np.zeros(sem.n_dof), np.zeros(sem.n_dof)
-            for _ in range(start, n_cycles):
-                u, v = solver.step(u, v)
-                cycle = solver.n_cycles_taken
-                if traces is not None:
-                    traces[cycle - 1] = u[rec]
-                if health is not None:
-                    health.check(cycle, u, v)
-                if checkpointing and cycle % res.checkpoint_every == 0:
-                    write_checkpoint(
-                        cycle, solver.t, u.copy(), v.copy(), None, None, traces
-                    )
-            return u, v, traces, None
-
-        def attempt_distributed(state, traces, start, attempt):
-            n_ranks = cfg.partition.n_ranks
-            world = (
-                FaultyWorld(n_ranks, plan, attempt=attempt)
-                if plan is not None
-                else MailboxWorld(n_ranks)
-            )
-            worlds.append(world)
-            solver = DistributedLTSSolver(layout, dt, world=world, force=force)
-            if state is not None:
-                if state.u_locals is not None:
-                    # Exact per-rank replicas: bitwise continuation.
-                    u_locals = [x.copy() for x in state.u_locals]
-                    v_locals = [x.copy() for x in state.v_locals]
-                else:
-                    u_locals = layout.scatter(state.u)
-                    v_locals = layout.scatter(state.v)
-                solver.restore(state.solver_state())
-            else:
-                u_locals = layout.scatter(np.zeros(sem.n_dof))
-                v_locals = layout.scatter(np.zeros(sem.n_dof))
-            locations = [] if rec is None else _receiver_locations(layout, rec)
-            for _ in range(start, n_cycles):
-                solver.step(u_locals, v_locals)
-                cycle = solver.n_cycles_taken
-                if traces is not None:
-                    traces[cycle - 1] = [u_locals[r][i] for r, i in locations]
-                if health is not None:
-                    health.check_locals(
-                        cycle, u_locals, v_locals, gdofs=layout.gdofs
-                    )
-                if checkpointing and cycle % res.checkpoint_every == 0:
-                    write_checkpoint(
-                        cycle,
-                        solver.t,
-                        layout.gather(u_locals),
-                        layout.gather(v_locals),
-                        [x.copy() for x in u_locals],
-                        [x.copy() for x in v_locals],
-                        traces,
-                    )
-            solver.check_no_leaks()
-            return (
-                layout.gather(u_locals),
-                layout.gather(v_locals),
-                traces,
-                world,
-            )
-
-        def attempt(i: int):
-            state = start_state()
+                    newest = self._check_restorable(load_checkpoint(path), path)
+                    if state is None or newest.cycle > state.cycle:
+                        state = newest
             traces = None if rec is None else np.zeros((n_cycles, len(rec)))
             start = 0
             if state is not None:
@@ -986,15 +779,87 @@ class Simulation:
                 if traces is not None and state.traces is not None:
                     m = min(start, len(state.traces))
                     traces[:m] = state.traces[:m]
-            if parts is None:
-                return attempt_serial(state, traces, start)
-            return attempt_distributed(state, traces, start, i)
+            if layout is None:
+                solver = LTSNewmarkSolver(self.operator(), dof_level, dt, force=force)
+                if state is None:
+                    u, v = np.zeros(sem.n_dof), np.zeros(sem.n_dof)
+                else:
+                    u, v = state.u.copy(), state.v.copy()
+                fields = Fields(u, v, rec)
+            else:
+                world = (
+                    MailboxWorld(n_ranks)
+                    if plan is None
+                    else FaultyWorld(n_ranks, plan, attempt=i)
+                )
+                worlds.append(world)
+                solver = DistributedLTSSolver(layout, dt, world=world, force=force)
+                if state is not None and state.u_locals is not None:
+                    # Exact per-rank replicas: bitwise continuation.
+                    u = [x.copy() for x in state.u_locals]
+                    v = [x.copy() for x in state.v_locals]
+                else:
+                    zeros = np.zeros(sem.n_dof)
+                    u = layout.scatter(zeros if state is None else state.u)
+                    v = layout.scatter(zeros if state is None else state.v)
+                fields = RankFields(layout, u, v, rec)
+            if state is not None:
+                solver.restore(state.solver_state())
+
+            def write_checkpoint(cycle, u, v):
+                # ``u, v`` are the view's snapshot: global vectors on
+                # one rank, the per-rank replicas otherwise.
+                replicas = layout is not None
+                ckpt = CheckpointState(
+                    cycle=cycle,
+                    t=solver.t,
+                    u=layout.gather(u) if replicas else u,
+                    v=layout.gather(v) if replicas else v,
+                    u_locals=u if replicas else None,
+                    v_locals=v if replicas else None,
+                    traces=None if traces is None else traces[:cycle],
+                    dt=dt,
+                    n_cycles_total=n_cycles,
+                    config_hash=cfg.content_hash(),
+                )
+                written.append(save_checkpoint(checkpoint_path(ckpt_dir, cycle), ckpt))
+                prune_checkpoints(ckpt_dir, res.keep_checkpoints)
+
+            todo = n_cycles - start
+            tracer = (
+                HotPathTracer(warmup=1, trace=min(4, todo - 1))
+                if perf and todo >= 2
+                else None
+            )
+            t_loop = time.perf_counter()
+            try:
+                u, v = run_cycles(
+                    solver,
+                    fields,
+                    todo,
+                    traces=traces,
+                    health=health,
+                    checkpoint_every=res.checkpoint_every,
+                    on_checkpoint=write_checkpoint,
+                    tracer=tracer,
+                )
+            finally:
+                if tracer is not None:
+                    tracer.close()
+            perf_stats = None
+            if tracer is not None:
+                perf_stats = tracer.stats(
+                    steps_per_second=todo / max(time.perf_counter() - t_loop, 1e-12),
+                    steps_measured=todo,
+                    workspace=solver.workspace_bytes(),
+                ).as_dict()
+            return u, v, traces, perf_stats
 
         supervisor = Supervisor(
             max_restarts=res.max_restarts, backoff_seconds=res.backoff_seconds
         )
         t1 = time.perf_counter()
-        u, v, traces, world = supervisor.run(attempt)
+        u, v, traces, perf_stats = supervisor.run(attempt)
         run_seconds = time.perf_counter() - t1
 
         metadata = {
@@ -1005,28 +870,31 @@ class Simulation:
             "scheme": cfg.time.scheme,
             "backend": cfg.backend.stiffness,
             "kernel_tier": self.kernel_tier(),
-            "n_ranks": int(cfg.partition.n_ranks),
+            "n_ranks": int(n_ranks),
             "build_seconds": build_seconds,
             "run_seconds": run_seconds,
         }
-        if world is not None:
-            metadata["messages"] = int(world.sent_messages)
-            metadata["comm_volume"] = int(world.sent_volume)
-        metadata["resilience"] = {
-            "checkpoints_written": len(written),
-            "resumed_from_cycle": (
-                int(resume_state.cycle) if resume_state is not None else None
-            ),
-            "attempts": len(supervisor.log) + 1,
-            "recovery": supervisor.log,
-            "faults_injected": [
-                f
-                for w in worlds
-                if isinstance(w, FaultyWorld)
-                for f in w.injected
-            ],
-            "health_checks": 0 if health is None else health.checks_run,
-        }
+        if worlds:
+            metadata["messages"] = int(worlds[-1].sent_messages)
+            metadata["comm_volume"] = int(worlds[-1].sent_volume)
+        if perf_stats is not None:
+            metadata["perf"] = perf_stats
+        if resilient:
+            metadata["resilience"] = {
+                "checkpoints_written": len(written),
+                "resumed_from_cycle": (
+                    int(resume_state.cycle) if resume_state is not None else None
+                ),
+                "attempts": len(supervisor.log) + 1,
+                "recovery": supervisor.log,
+                "faults_injected": [
+                    f
+                    for w in worlds
+                    if isinstance(w, FaultyWorld)
+                    for f in w.injected
+                ],
+                "health_checks": 0 if health is None else health.checks_run,
+            }
         return SimulationResult(
             config=cfg,
             u=u,

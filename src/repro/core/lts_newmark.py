@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment
-from repro.core.newmark import _checked_run, subtract_force
+from repro.core.newmark import Fields, run_cycles, subtract_force
 from repro.core.operator import AssembledOperator, Restriction, as_operator
 from repro.core.workspace import workspace_bytes
 from repro.util.errors import SolverError
@@ -527,9 +527,9 @@ class LTSNewmarkSolver:
         """
         u = np.array(u0, dtype=np.float64, copy=True)
         v = np.array(v0, dtype=np.float64, copy=True)
-        return _checked_run(
-            self, u, v, n_cycles, health, checkpoint_every, on_checkpoint,
-            "n_cycles_taken",
+        return run_cycles(
+            self, Fields(u, v), n_cycles, health=health,
+            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
         )
 
 

@@ -8,6 +8,13 @@ The scheme staggers velocity by half a step (equivalent to leap-frog)::
 where ``A = M^{-1} K`` and ``f`` is the mass-scaled external force.  This
 is the non-LTS reference scheme: it must take the globally smallest stable
 step (Eq. (7)) everywhere, which is the bottleneck LTS removes.
+
+This module also owns :func:`run_cycles` — the package's single time
+loop.  All four solvers' ``run`` methods and
+:meth:`repro.api.Simulation.run` (plain, checkpointed, health-guarded,
+resumed, serial or partitioned) step through it; they differ only in
+which optional hooks they pass and in the field view (:class:`Fields`
+here, :class:`repro.runtime.executor.RankFields` for per-rank replicas).
 """
 
 from __future__ import annotations
@@ -22,43 +29,90 @@ from repro.util.errors import SolverError
 from repro.util.validation import check_positive, require
 
 
-def _checked_run(
-    solver,
-    u: np.ndarray,
-    v: np.ndarray,
-    n_cycles: int,
-    health: HealthGuard | None,
-    checkpoint_every: int | None,
-    on_checkpoint: Callable | None,
-    cycle_attr: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared stepping loop with health checks and checkpoint callbacks.
+class Fields:
+    """Serial field view for :func:`run_cycles`: the ``(u, v)`` the
+    solver steps in place, and how the loop's hooks look at them.
 
-    ``cycle_attr`` names the solver's completed-cycle counter
-    (``n_steps_taken`` / ``n_cycles_taken``), so cadences stay aligned
-    across a checkpoint/restore: a solver restored at cycle 10 with
-    ``checkpoint_every=4`` checkpoints next at cycle 12, exactly like
-    the uninterrupted run.  ``on_checkpoint(cycle, u, v)`` receives
-    snapshot copies, safe to serialize asynchronously.
+    The distributed counterpart (per-rank replicas instead of global
+    vectors) is :class:`repro.runtime.executor.RankFields`; the two
+    views are the only place the serial and partitioned runs differ.
     """
-    require(n_cycles >= 0, "n_steps must be >= 0", SolverError)
+
+    def __init__(
+        self, u: np.ndarray, v: np.ndarray, receiver_dofs: np.ndarray | None = None
+    ):
+        self.u, self.v = u, v
+        self.receiver_dofs = receiver_dofs
+
+    def receivers(self) -> np.ndarray:
+        """Displacement at the receiver DOFs (one trace row)."""
+        return self.u[self.receiver_dofs]
+
+    def check(self, health: HealthGuard, cycle: int) -> None:
+        health.check(cycle, self.u, self.v)
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of ``(u, v)``, safe to serialize asynchronously."""
+        return self.u.copy(), self.v.copy()
+
+    def result(self, solver) -> tuple[np.ndarray, np.ndarray]:
+        return self.u, self.v
+
+
+def run_cycles(
+    solver,
+    fields,
+    n_cycles: int,
+    *,
+    traces: np.ndarray | None = None,
+    health: HealthGuard | None = None,
+    checkpoint_every: int | None = None,
+    on_checkpoint: Callable | None = None,
+    tracer=None,
+):
+    """The one cycle loop: every ``run`` in the package steps through here.
+
+    Advances ``solver`` by ``n_cycles`` cycles over ``fields``
+    (:class:`Fields`, or :class:`repro.runtime.executor.RankFields` for
+    a partitioned run) and returns the view's global ``(u, v)``.  The
+    per-cycle hooks are all optional — ``None`` costs one comparison —
+    and run in a fixed order after each step:
+
+    1. ``tracer`` (:class:`~repro.core.workspace.HotPathTracer`)
+       brackets the step itself;
+    2. ``traces[cycle - 1]`` receives the receiver row;
+    3. ``health`` checks the fields on its cadence;
+    4. ``on_checkpoint(cycle, *fields.snapshot())`` fires every
+       ``checkpoint_every`` cycles — after the health check, so a
+       corrupted state is never written.
+
+    ``cycle`` is the solver's own completed-cycle count, so cadences
+    stay aligned across a checkpoint/restore: a solver restored at
+    cycle 10 with ``checkpoint_every=4`` checkpoints next at cycle 12,
+    exactly like the uninterrupted run.
+    """
+    require(n_cycles >= 0, "n_cycles must be >= 0", SolverError)
     require(
         checkpoint_every is None or checkpoint_every >= 1,
         "checkpoint_every must be >= 1",
         SolverError,
     )
-    for _ in range(n_cycles):
+    checkpointing = on_checkpoint is not None and checkpoint_every is not None
+    u, v = fields.u, fields.v
+    for n in range(n_cycles):
+        if tracer is not None:
+            tracer.before_step(n)
         solver.step(u, v)
-        cycle = getattr(solver, cycle_attr)
+        if tracer is not None:
+            tracer.after_step(n)
+        cycle = solver.n_cycles_taken
+        if traces is not None:
+            traces[cycle - 1] = fields.receivers()
         if health is not None:
-            health.check(cycle, u, v)
-        if (
-            on_checkpoint is not None
-            and checkpoint_every is not None
-            and cycle % checkpoint_every == 0
-        ):
-            on_checkpoint(cycle, u.copy(), v.copy())
-    return u, v
+            fields.check(health, cycle)
+        if checkpointing and cycle % checkpoint_every == 0:
+            on_checkpoint(cycle, *fields.snapshot())
+    return fields.result(solver)
 
 
 def subtract_force(force: Callable, t: float, z: np.ndarray) -> None:
@@ -96,7 +150,7 @@ class NewmarkSolver:
         self.dt = check_positive(dt, "dt", SolverError)
         self.force = force
         self.t = 0.0
-        self.n_steps_taken = 0
+        self.n_cycles_taken = 0
         self._apply_into = make_apply_into(A)
         self._z: np.ndarray | None = None  # step scratch, sized on first use
 
@@ -120,7 +174,7 @@ class NewmarkSolver:
         np.multiply(v, self.dt, out=z)
         u += z
         self.t += self.dt
-        self.n_steps_taken += 1
+        self.n_cycles_taken += 1
         return u, v
 
     def workspace_bytes(self) -> int:
@@ -132,12 +186,12 @@ class NewmarkSolver:
     def state(self) -> dict:
         """Schedule position for checkpointing (``u``/``v`` live with
         the caller — pair this with copies of the field vectors)."""
-        return {"t": self.t, "cycle": self.n_steps_taken}
+        return {"t": self.t, "cycle": self.n_cycles_taken}
 
     def restore(self, state: dict) -> None:
         """Resume the schedule position saved by :meth:`state`."""
         self.t = float(state["t"])
-        self.n_steps_taken = int(state["cycle"])
+        self.n_cycles_taken = int(state["cycle"])
 
     def run(
         self,
@@ -158,9 +212,9 @@ class NewmarkSolver:
         """
         u = np.array(u0, dtype=np.float64, copy=True)
         v = np.array(v0, dtype=np.float64, copy=True)
-        return _checked_run(
-            self, u, v, n_steps, health, checkpoint_every, on_checkpoint,
-            "n_steps_taken",
+        return run_cycles(
+            self, Fields(u, v), n_steps, health=health,
+            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
         )
 
 

@@ -243,10 +243,15 @@ class HotPathTracer:
             snap_after = tracemalloc.take_snapshot()
             diff = snap_after.compare_to(self._snap_before, "lineno")
             self.net_blocks = sum(max(d.count_diff, 0) for d in diff)
-            self._snap_before = None
-            if self._started_here:
-                tracemalloc.stop()
-                self._started_here = False
+            self.close()
+
+    def close(self) -> None:
+        """Stop tracing if this tracer started it.  Idempotent; call it
+        when the run ends (or fails) inside the traced window."""
+        self._snap_before = None
+        if self._started_here:
+            tracemalloc.stop()
+            self._started_here = False
 
     def stats(
         self, steps_per_second: float, steps_measured: int, workspace: int = 0

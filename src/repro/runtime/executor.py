@@ -23,6 +23,10 @@ The distributed LTS recursion is the full-vector reference scheme applied
 to rank-local vectors, so the distributed solution equals the serial
 solver up to floating-point summation order (tested at ~1e-12): the
 partitioned execution computes *the same scheme*, for any partition.
+
+There is no time loop here: ``run`` hands a :class:`RankFields` view of
+the per-rank replicas to :func:`repro.core.newmark.run_cycles`, the one
+cycle loop the serial solvers and the façade also use.
 """
 
 from __future__ import annotations
@@ -32,11 +36,64 @@ from typing import Callable
 import numpy as np
 
 from repro.core.health import HealthGuard
+from repro.core.newmark import run_cycles
 from repro.core.workspace import make_apply_into
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import ExchangePlan, RankLayout
 from repro.util.errors import CommError, SolverError
 from repro.util.validation import check_positive, require
+
+
+class RankFields:
+    """Distributed field view for :func:`~repro.core.newmark.run_cycles`:
+    per-rank replica lists in place of global vectors (the counterpart
+    of :class:`repro.core.newmark.Fields`).
+
+    Receivers are located once — ``(owning rank, local index)`` per
+    global DOF, every DOF having exactly one owner — so a trace row
+    reads scalars off the owners' local vectors instead of gathering
+    the global field every cycle.  Health checks see the *replicas*
+    (corruption in a non-owned copy is invisible to an owner-projected
+    gather), and :meth:`result` verifies the mailbox drained before
+    gathering.
+    """
+
+    def __init__(
+        self,
+        layout: RankLayout,
+        u_locals: list[np.ndarray],
+        v_locals: list[np.ndarray],
+        receiver_dofs: np.ndarray | None = None,
+    ):
+        self.layout = layout
+        self.u, self.v = u_locals, v_locals
+        self._receivers: list[tuple[int, int]] = []
+        if receiver_dofs is None:
+            return
+        for g in receiver_dofs:
+            for r in range(layout.n_ranks):
+                i = int(np.searchsorted(layout.gdofs[r], g))
+                if (
+                    i < len(layout.gdofs[r])
+                    and layout.gdofs[r][i] == g
+                    and layout.owner[r][i]
+                ):
+                    self._receivers.append((r, i))
+                    break
+
+    def receivers(self) -> list[float]:
+        return [self.u[r][i] for r, i in self._receivers]
+
+    def check(self, health: HealthGuard, cycle: int) -> None:
+        health.check_locals(cycle, self.u, self.v, gdofs=self.layout.gdofs)
+
+    def snapshot(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Copies of the exact per-rank replicas."""
+        return [x.copy() for x in self.u], [x.copy() for x in self.v]
+
+    def result(self, solver) -> tuple[np.ndarray, np.ndarray]:
+        solver.check_no_leaks()
+        return self.layout.gather(self.u), self.layout.gather(self.v)
 
 
 class _DistributedBase:
@@ -134,48 +191,30 @@ class _DistributedBase:
                 f"{self.world.describe_channels(leaked)}"
             )
 
-    def _run_cycles(
+    def run(
         self,
         u0: np.ndarray,
         v0: np.ndarray,
         n_cycles: int,
-        health: HealthGuard | None,
-        checkpoint_every: int | None,
-        on_checkpoint: Callable | None,
+        health: HealthGuard | None = None,
+        checkpoint_every: int | None = None,
+        on_checkpoint: Callable | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared ``run`` body: scatter, step, guard, checkpoint, gather.
+        """Scatter global staggered state, run cycles, gather back.
 
-        ``health`` checks the per-rank replicas every ``check_every``
-        cycles (replicas, not gathered fields — corruption in a
-        non-owned copy is invisible to an owner-projected gather);
+        ``health`` checks the per-rank replicas on its cadence;
         ``on_checkpoint(cycle, u_locals, v_locals)`` fires every
-        ``checkpoint_every`` completed cycles (cycle counts are the
-        solver totals, so resumed runs keep their cadence).  Verifies
-        the mailbox drained before gathering.
+        ``checkpoint_every`` completed cycles with copies of the
+        replicas (cycle counts are the solver totals, so resumed runs
+        keep their cadence).
         """
-        require(n_cycles >= 0, "n_cycles must be >= 0", SolverError)
-        require(
-            checkpoint_every is None or checkpoint_every >= 1,
-            "checkpoint_every must be >= 1",
-            SolverError,
+        fields = RankFields(
+            self.layout, self.layout.scatter(u0), self.layout.scatter(v0)
         )
-        u_locals = self.layout.scatter(u0)
-        v_locals = self.layout.scatter(v0)
-        for _ in range(n_cycles):
-            self.step(u_locals, v_locals)
-            cycle = self.n_cycles_taken
-            if health is not None:
-                health.check_locals(
-                    cycle, u_locals, v_locals, gdofs=self.layout.gdofs
-                )
-            if (
-                on_checkpoint is not None
-                and checkpoint_every is not None
-                and cycle % checkpoint_every == 0
-            ):
-                on_checkpoint(cycle, u_locals, v_locals)
-        self.check_no_leaks()
-        return self.layout.gather(u_locals), self.layout.gather(v_locals)
+        return run_cycles(
+            self, fields, n_cycles, health=health,
+            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
+        )
 
     # -- collectives -----------------------------------------------------
     def _exchange_sum(
@@ -255,21 +294,6 @@ class DistributedNewmarkSolver(_DistributedBase):
             u_locals[r] += self.dt * v_locals[r]
         self.t += self.dt
         self.n_cycles_taken += 1
-
-    def run(
-        self,
-        u0: np.ndarray,
-        v0: np.ndarray,
-        n_steps: int,
-        health: HealthGuard | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint: Callable | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter global staggered state, step, gather back (see
-        :meth:`_DistributedBase._run_cycles` for the hooks)."""
-        return self._run_cycles(
-            u0, v0, n_steps, health, checkpoint_every, on_checkpoint
-        )
 
 
 class DistributedLTSSolver(_DistributedBase):
@@ -435,18 +459,3 @@ class DistributedLTSSolver(_DistributedBase):
                 u_locals[r] += self.dt * v_locals[r]
         self.t += self.dt
         self.n_cycles_taken += 1
-
-    def run(
-        self,
-        u0: np.ndarray,
-        v0: np.ndarray,
-        n_cycles: int,
-        health: HealthGuard | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint: Callable | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter global staggered state, run cycles, gather back (see
-        :meth:`_DistributedBase._run_cycles` for the hooks)."""
-        return self._run_cycles(
-            u0, v0, n_cycles, health, checkpoint_every, on_checkpoint
-        )

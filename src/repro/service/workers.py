@@ -2,8 +2,9 @@
 
 Each worker is a thread claiming jobs off the
 :class:`~repro.service.jobs.JobQueue` and publishing results through
-the :class:`~repro.service.jobs.JobStore`.  Execution reuses the PR-8
-ensemble executor economics:
+the :class:`~repro.service.jobs.JobStore`.  A simulation job is one
+call to :func:`repro.api.ensemble.run_member` — the same runner
+ensemble members go through — and only *where* it is called differs:
 
 * **matrix-free jobs run inline** in the worker thread — the
   NumPy/fused kernels release the GIL for the bulk of a step, so
@@ -17,13 +18,17 @@ ensemble executor economics:
   holds the GIL too long for thread overlap), sharing stages through
   the cache's content-addressed on-disk layer when the service has a
   ``cache_dir`` — the same corruption-safe ``.npz`` layer ensemble
-  process workers use, so even cross-process requests warm-start.
+  process workers use, so even cross-process requests warm-start.  A
+  worker process that dies takes its pool with it
+  (``BrokenProcessPool``): that job fails, the pool is discarded, and
+  the next assembled job gets a fresh one.
 * **ensemble jobs** run :func:`repro.api.ensemble.run_ensemble` inline
   with the shared cache (members serial within the job; job-level
   parallelism comes from the pool).
 
 Results are published atomically (``results/<id>.npz`` via
-:func:`repro.util.io.atomic_savez`) *before* the job is marked
+:func:`repro.util.io.atomic_savez` of
+:meth:`repro.api.SimulationResult.to_payload`) *before* the job is marked
 ``done``, so a ``done`` record always has a complete result behind it.
 Failures never kill a worker: the job is marked ``failed`` with the
 error message and the worker moves on.
@@ -41,43 +46,18 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro.api.cache import StageCache
 from repro.api.config import SimulationConfig
-from repro.api.ensemble import EnsembleSpec, _run_member_in_process, run_ensemble
-from repro.api.simulation import Simulation
+from repro.api.ensemble import EnsembleSpec, run_ensemble, run_member
 from repro.service.jobs import JobQueue, JobRecord
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ConfigError
 from repro.util.io import atomic_savez
 
 __all__ = ["WorkerPool"]
-
-
-def _result_payload(
-    config_dict: dict,
-    times,
-    u,
-    v,
-    traces,
-    receiver_dofs,
-    kernel_tier: str,
-) -> dict:
-    """The ``.npz`` payload of a simulation job — the same fields
-    ``python -m repro run --output`` writes, so fetched results drop
-    into every existing loading path."""
-    payload = {
-        "times": np.asarray(times),
-        "u": np.asarray(u),
-        "v": np.asarray(v),
-        "config_json": np.array(json.dumps(config_dict)),
-        "kernel_tier": np.array(kernel_tier),
-    }
-    if traces is not None:
-        payload["traces"] = np.asarray(traces)
-        payload["receiver_dofs"] = np.asarray(receiver_dofs)
-    return payload
 
 
 class WorkerPool:
@@ -185,8 +165,6 @@ class WorkerPool:
             self.queue.finish(job.id, metadata=meta)
             with self._lock:
                 self.completed_total += 1
-        except ReproError as e:
-            self._fail(job, f"{type(e).__name__}: {e}")
         except Exception as e:  # a worker must survive anything
             self._fail(job, f"{type(e).__name__}: {e}")
 
@@ -216,57 +194,38 @@ class WorkerPool:
         if cfg.backend.stiffness == "matfree":
             # Inline: kernels release the GIL; stages resolve through
             # the shared in-memory cache.
-            sim = Simulation(cfg, cache=self.cache)
-            result = sim.run()
-            events = sim.cache_events
-            md = result.metadata
-            payload = _result_payload(
-                cfg.to_dict(),
-                result.times,
-                result.u,
-                result.v,
-                result.traces,
-                result.receiver_dofs,
-                md["kernel_tier"],
-            )
+            result = run_member(cfg, self.cache)
         else:
             # Assembled CSR holds the GIL: hand the job to a process,
             # sharing stages through the on-disk cache layer (if any).
-            d = self._pool().submit(
-                _run_member_in_process,
-                {
-                    "config": job.spec,
-                    "cache_dir": (
-                        None
-                        if self.cache.cache_dir is None
-                        else str(self.cache.cache_dir)
-                    ),
-                },
-            ).result()
-            events = d["events"]
-            md = d["metadata"]
-            payload = _result_payload(
-                job.spec,
-                d["times"],
-                d["u"],
-                d["v"],
-                d["traces"],
-                d["receiver_dofs"],
-                md["kernel_tier"],
-            )
+            pool = self._pool()
+            try:
+                result = pool.submit(
+                    run_member, job.spec, self.cache.cache_dir
+                ).result()
+            except BrokenProcessPool:
+                # A pool process died (OOM kill, segfault) and broke the
+                # whole pool.  This job fails; discard the pool — unless
+                # a sibling worker already replaced it — so the next
+                # assembled job builds a fresh one instead of failing
+                # instantly for the life of the server.
+                with self._lock:
+                    if self._process_pool is pool:
+                        self._process_pool = None
+                pool.shutdown(wait=False)
+                raise
+        md = result.metadata
         meta = {
             "member": {
-                "name": cfg.name,
-                "cache_hits": int(events.get("hits", 0)),
-                "cache_misses": int(events.get("misses", 0)),
-                "build_seconds": md.get("build_seconds"),
-                "run_seconds": md.get("run_seconds"),
-                "kernel_tier": md.get("kernel_tier"),
+                **md["member"],
+                "build_seconds": md["build_seconds"],
+                "run_seconds": md["run_seconds"],
+                "kernel_tier": md["kernel_tier"],
             }
         }
         if "perf" in md:
             meta["perf"] = md["perf"]
-        return payload, meta
+        return result.to_payload(), meta
 
     def _run_ensemble(self, job: JobRecord) -> tuple[dict, dict]:
         spec = EnsembleSpec.from_dict(job.spec)
@@ -276,13 +235,8 @@ class WorkerPool:
             "n_members": np.array(len(res.members)),
         }
         for i, member in enumerate(res.members):
-            prefix = f"member_{i:03d}_"
-            payload[prefix + "times"] = member.times
-            payload[prefix + "u"] = member.u
-            payload[prefix + "v"] = member.v
-            if member.traces is not None:
-                payload[prefix + "traces"] = member.traces
-                payload[prefix + "receiver_dofs"] = member.receiver_dofs
+            for field, value in member.to_payload().items():
+                payload[f"member_{i:03d}_{field}"] = value
         s = res.summary
         # Per-job traffic is the sum over member events — the shared
         # cache's global counters aggregate every job on the server.

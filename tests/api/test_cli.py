@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import SimulationConfig, run
+from repro.api import SimulationConfig, SimulationResult, run
 
 REPO = Path(__file__).resolve().parents[2]
 QUICKSTART = REPO / "examples" / "configs" / "quickstart.json"
@@ -65,11 +65,17 @@ class TestRunParity:
         assert np.array_equal(data["receiver_dofs"], ref.receiver_dofs)
 
     def test_saved_config_round_trips(self, tmp_path, quickstart_reference):
-        cfg, _ = quickstart_reference
+        cfg, ref = quickstart_reference
         out = tmp_path / "out.npz"
         _repro("run", str(QUICKSTART), "--output", str(out))
         stored = json.loads(str(np.load(out)["config_json"]))
         assert SimulationConfig.from_dict(stored) == cfg
+        # ... and the whole file reads back as the result it came from
+        back = SimulationResult.from_payload(np.load(out))
+        assert back.config == cfg and back.n_cycles == ref.n_cycles
+        assert back.dt == ref.dt and back.levels.dt_min == ref.levels.dt_min
+        assert np.array_equal(back.levels.level, ref.levels.level)
+        assert back.metadata["kernel_tier"] == str(np.load(out)["kernel_tier"])
 
     def test_override_flags(self, tmp_path):
         out = tmp_path / "o.npz"

@@ -205,17 +205,37 @@ class TestEngine:
             "distinct": 1, "members": 4,
         }
 
-    def test_per_member_metadata_and_streaming(self):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_per_member_metadata_and_streaming(self, executor, tmp_path):
+        """One runner, one payload: every executor reports the same
+        member provenance and writes the same ``.npz`` field set."""
         spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
         seen = []
-        res = run_ensemble(spec, jobs=1, on_result=seen.append)
-        assert [r.metadata["member"]["index"] for r in seen] == [0, 1]
+        res = run_ensemble(
+            spec, jobs=2, executor=executor, cache_dir=tmp_path,
+            on_result=seen.append,
+        )
+        assert res.summary["executor"] == executor
+        assert sorted(r.metadata["member"]["index"] for r in seen) == [0, 1]
         for i, member in enumerate(res.members):
             md = member.metadata["member"]
+            assert set(md) == {
+                "index", "name", "seconds", "cache_hits", "cache_misses",
+            }
             assert md["index"] == i
             assert md["name"] == f"sweep[{i}]"
-            assert md["seconds"] > 0
-        assert res.members[1].metadata["member"]["cache_hits"] > 0
+            # wall time of the whole member, not just its stepping
+            assert md["seconds"] >= (
+                member.metadata["build_seconds"] + member.metadata["run_seconds"]
+            )
+            # (a worker process starts with an empty memory layer: its
+            # shared stages arrive as disk restores, counted as misses)
+            assert md["cache_hits" if executor != "process" else "cache_misses"] > 0
+            assert set(member.to_payload()) == {
+                "times", "u", "v", "traces", "receiver_dofs", "config_json",
+                "kernel_tier", "dt", "level", "levels_dt", "levels_dt_min",
+                "metadata_json",
+            }
         assert res.summary["n_members"] == 2
         assert res.summary["throughput_members_per_second"] > 0
 
@@ -325,6 +345,9 @@ class TestEnsembleCLI:
         )
         solo = Simulation(cfg).run()
         assert np.array_equal(solo.u, member["u"])
+        # same field set as `run --output` and service results
+        assert str(member["kernel_tier"]) == solo.metadata["kernel_tier"]
+        assert set(member.files) == set(solo.to_payload())
 
     def test_cli_rejects_bad_sweep(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

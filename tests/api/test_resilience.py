@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.api.simulation as simulation_mod
 from repro.__main__ import main as cli_main
 from repro.api import (
     ResilienceSpec,
@@ -129,21 +130,46 @@ class TestKillAndResume:
         else:
             assert relative_deviation(serial_reference, full) <= 1e-12
 
-    def test_distributed_resume_is_bitwise(self, tmp_path, distributed_reference):
-        cfg = config(
-            partition={"n_ranks": 3},
-            resilience={
-                "checkpoint_every": 4,
-                "checkpoint_dir": str(tmp_path),
-            },
+    @pytest.mark.parametrize("n_ranks", [1, 4])
+    def test_plain_guarded_and_resumed_runs_are_bitwise(
+        self, tmp_path, monkeypatch, n_ranks
+    ):
+        """One loop for every run: hooks off, hooks on (no faults), or
+        resumed mid-run produce the same bits — and the plain run does
+        not so much as construct the resilience machinery."""
+        partition = {"n_ranks": n_ranks}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("plain run touched the resilience machinery")
+
+        with monkeypatch.context() as m:
+            for name in ("FaultyWorld", "latest_checkpoint", "save_checkpoint"):
+                m.setattr(simulation_mod, name, forbidden)
+            plain = Simulation(config(partition=partition)).run()
+        assert "resilience" not in plain.metadata
+
+        guarded = Simulation(
+            config(
+                partition=partition,
+                resilience={
+                    "checkpoint_every": 4,
+                    "checkpoint_dir": str(tmp_path),
+                    "health_check_every": 1,
+                },
+            )
+        ).run()
+        assert guarded.metadata["resilience"]["health_checks"] == 10
+        assert guarded.metadata["resilience"]["checkpoints_written"] == 2
+        # resilience off, resume given: still the same loop
+        resumed = Simulation(config(partition=partition)).run(
+            resume=tmp_path / "ckpt_00000004.npz"
         )
-        full = Simulation(cfg).run()
-        assert np.array_equal(full.u, distributed_reference.u)
-        resumed = Simulation(cfg).run(resume=tmp_path / "ckpt_00000004.npz")
-        assert np.array_equal(resumed.u, full.u)
-        assert np.array_equal(resumed.traces, full.traces)
-        # and against the serial scheme the usual round-off bar holds
-        assert relative_deviation(distributed_reference, resumed) == 0.0
+        assert resumed.metadata["resilience"]["resumed_from_cycle"] == 4
+        assert resumed.metadata["resilience"]["checkpoints_written"] == 0
+        for other in (guarded, resumed):
+            assert np.array_equal(other.u, plain.u)
+            assert np.array_equal(other.v, plain.v)
+            assert np.array_equal(other.traces, plain.traces)
 
     def test_resume_skips_completed_work(self, tmp_path):
         cfg = config(

@@ -132,10 +132,28 @@ class TestPipelineStages:
         assert md["scheme"] == "lts" and md["n_ranks"] == 1
         assert md["n_dof"] == Simulation(config_2d()).assembler.n_dof
 
-    def test_perf_metadata_opt_in(self):
-        plain = Simulation(config_2d()).run()
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_perf_metadata_opt_in(self, resilient, tmp_path):
+        """One loop: ``perf`` is recorded on checkpointed, health-guarded
+        and resumed runs too (the old resilient path dropped it)."""
+        def cfg(ckpt_dir):
+            if not resilient:
+                return config_2d()
+            return config_2d(
+                resilience={
+                    "checkpoint_every": 4,
+                    "checkpoint_dir": str(tmp_path / ckpt_dir),
+                    "health_check_every": 1,
+                }
+            )
+
+        plain = Simulation(cfg("a")).run()
         assert "perf" not in plain.metadata
-        res = Simulation(config_2d()).run(perf=True)
+        assert ("resilience" in plain.metadata) == resilient
+        # The resilient leg also resumes mid-run (into a fresh
+        # checkpoint dir: a newer checkpoint there would win).
+        resume = tmp_path / "a" / "ckpt_00000004.npz" if resilient else None
+        res = Simulation(cfg("b")).run(perf=True, resume=resume)
         perf = res.metadata["perf"]
         assert perf["steps_per_second"] > 0
         assert perf["steps_traced"] >= 1
@@ -145,12 +163,21 @@ class TestPipelineStages:
         assert np.array_equal(res.u, plain.u)
         assert np.array_equal(res.traces, plain.traces)
 
-    def test_perf_metadata_distributed(self):
-        cfg = config_2d(partition={"n_ranks": 3})
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_perf_metadata_distributed(self, resilient, tmp_path):
+        cfg = config_2d(
+            partition={"n_ranks": 3},
+            resilience=(
+                {"checkpoint_every": 4, "checkpoint_dir": str(tmp_path)}
+                if resilient
+                else {}
+            ),
+        )
         res = Simulation(cfg).run(perf=True)
         perf = res.metadata["perf"]
         assert perf["steps_per_second"] > 0
         assert perf["steps_traced"] >= 1
+        assert ("resilience" in res.metadata) == resilient
 
 
 class TestSerialDistributedAgreement:

@@ -81,7 +81,7 @@ class TestWaveEquation:
         sem, _ = system
         s = NewmarkSolver(sem.A, 0.5)
         s.run(np.zeros(sem.n_dof), np.zeros(sem.n_dof), 4)
-        assert s.n_steps_taken == 4
+        assert s.n_cycles_taken == 4
         assert s.t == pytest.approx(2.0)
 
 

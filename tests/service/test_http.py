@@ -165,19 +165,14 @@ class TestCancelOverHTTP:
         the second submission is reliably still queued."""
         release = threading.Event()
         claimed = threading.Event()
-        real_simulation = workers_mod.Simulation
+        real_run_member = workers_mod.run_member
 
-        class _Gated:
-            def __init__(self, cfg, cache=None):
-                self._sim = real_simulation(cfg, cache=cache)
-                self.cache_events = self._sim.cache_events
+        def gated(cfg, cache=None):
+            claimed.set()
+            assert release.wait(30.0)
+            return real_run_member(cfg, cache)
 
-            def run(self):
-                claimed.set()
-                assert release.wait(30.0)
-                return self._sim.run()
-
-        monkeypatch.setattr(workers_mod, "Simulation", _Gated)
+        monkeypatch.setattr(workers_mod, "run_member", gated)
         with ReproService(tmp_path / "data", port=0, workers=1) as svc:
             client = ServiceClient(svc.url)
             blocker = client.submit(config=small_config())

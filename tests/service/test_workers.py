@@ -1,6 +1,8 @@
 """WorkerPool: shared-cache exactly-once stage resolution, failure
 isolation, and graceful drain."""
 
+import os
+import signal
 import threading
 import time
 
@@ -94,11 +96,10 @@ class TestSharedCacheProvenance:
 
 class TestFailureIsolation:
     def test_failed_job_does_not_kill_worker(self, queue, monkeypatch):
-        class _Boom:
-            def __init__(self, cfg, cache=None):
-                raise RuntimeError("kaboom")
+        def boom(cfg, cache=None):
+            raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(workers_mod, "Simulation", _Boom)
+        monkeypatch.setattr(workers_mod, "run_member", boom)
         pool = WorkerPool(queue, n_workers=1)
         pool.start()
         try:
@@ -115,6 +116,32 @@ class TestFailureIsolation:
         finally:
             pool.drain()
 
+    def test_dead_pool_process_fails_one_job_not_the_server(self, queue):
+        """A killed pool process breaks its ProcessPoolExecutor for good;
+        the job that hits it fails, the pool is discarded, and the next
+        assembled job runs on a fresh one."""
+        pool = WorkerPool(queue, n_workers=1)
+        pool.start()
+        try:
+            assembled = small_config(backend="assembled")
+            first = _wait_terminal(queue, queue.submit(assembled).id)
+            assert first.state == "done"
+            victims = list(pool._process_pool._processes.values())
+            for proc in victims:
+                os.kill(proc.pid, signal.SIGKILL)
+            hit = _wait_terminal(queue, queue.submit(assembled).id)
+            assert hit.state == "failed"
+            assert "BrokenProcessPool" in hit.error
+            assert "terminated abruptly" in hit.error
+            after = _wait_terminal(queue, queue.submit(assembled).id)
+            assert after.state == "done"
+            assert pool.alive == 1
+            for proc in victims:  # reap: the discarded pool may not have yet
+                proc.join(timeout=10.0)
+                assert not proc.is_alive()
+        finally:
+            pool.drain()
+
     def test_n_workers_validated(self, queue):
         with pytest.raises(ConfigError, match="n_workers"):
             WorkerPool(queue, n_workers=0)
@@ -126,19 +153,14 @@ class TestDrain:
     ):
         release = threading.Event()
         claimed = threading.Event()
-        real_simulation = workers_mod.Simulation
+        real_run_member = workers_mod.run_member
 
-        class _Slow:
-            def __init__(self, cfg, cache=None):
-                self._sim = real_simulation(cfg, cache=cache)
-                self.cache_events = self._sim.cache_events
+        def gated(cfg, cache=None):
+            claimed.set()
+            assert release.wait(30.0)
+            return real_run_member(cfg, cache)
 
-            def run(self):
-                claimed.set()
-                assert release.wait(30.0)
-                return self._sim.run()
-
-        monkeypatch.setattr(workers_mod, "Simulation", _Slow)
+        monkeypatch.setattr(workers_mod, "run_member", gated)
         pool = WorkerPool(queue, n_workers=1)
         pool.start()
         slow = queue.submit(small_config())
