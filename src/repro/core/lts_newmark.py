@@ -168,15 +168,55 @@ class _Depth:
 
     level: int
     restr: Restriction
-    idx: np.ndarray  # global DOF ids of the active set, in compact order
+    idx: np.ndarray  # DOF ids of the active set, in compact order
     colpos: np.ndarray  # positions in ``idx`` of the level's columns (restr.cols)
     n_diff: int  # leading entries outside the next finer depth's active set
-    z: np.ndarray  # full-length, zero-initialised: the level's apply output
+    z: np.ndarray  # full-length: the level's apply output
     u: np.ndarray  # displacement, velocity, frozen forcing and scratch,
     v: np.ndarray  # all of the active set's length
     F: np.ndarray
     r: np.ndarray
     c: np.ndarray  # staging for the level's column values
+
+
+def compact_depths(
+    levels: list[int],
+    restr: list[Restriction],
+    masks: list[np.ndarray],
+    z: np.ndarray | None = None,
+) -> list[_Depth]:
+    """Compact recursion state for the fine ``levels`` (ascending, the
+    coarsest active level excluded) of one DOF numbering — the whole
+    mesh, or one rank's local DOFs.
+
+    ``masks[i]`` is depth ``i``'s active set and ``restr[i]`` its
+    level's restricted product, which writes into ``z`` when every
+    product overwrites the whole vector, else (a product that writes
+    its row support only) into a zero-initialised buffer of the depth's
+    own.  The sets are nested, so one ordering of the coarsest serves
+    all depths: ``[act_1 \\ act_2, act_2 \\ act_3, ..., act_last]``
+    makes every depth's set a suffix, and the part its child does not
+    cover — where the closed form applies — a prefix of that.
+    """
+    if not levels:
+        return []
+    blocks = [np.nonzero(a & ~b)[0] for a, b in zip(masks, masks[1:])]
+    order = np.concatenate(blocks + [np.nonzero(masks[-1])[0]])
+    n = len(masks[0])
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    depths, off = [], 0
+    for i, (lv, rs) in enumerate(zip(levels, restr)):
+        n_diff = len(blocks[i]) if i < len(blocks) else 0
+        na = len(order) - off
+        depths.append(_Depth(
+            level=lv, restr=rs, idx=order[off:], colpos=pos[rs.cols] - off,
+            n_diff=n_diff, z=np.zeros(n) if z is None else z,
+            u=np.empty(na), v=np.empty(na), F=np.empty(na), r=np.empty(na),
+            c=np.empty(len(rs.cols)),
+        ))
+        off += n_diff
+    return depths
 
 
 class LTSNewmarkSolver:
@@ -260,11 +300,10 @@ class LTSNewmarkSolver:
         for the assembled backend, element subsets for the matrix-free
         one); ``op.reach()`` — one vectorized structural query per depth
         — the active set of depth ``i``: the rows reachable from the
-        columns of levels ``>= active_levels[i]``, plus those columns.
-        The sets are nested, so one ordering of the coarsest serves all
-        depths: ``[act_1 \\ act_2, act_2 \\ act_3, ..., act_last]`` makes
-        every depth's set a suffix, and the part its child does not
-        cover — where the closed form applies — a prefix of that.
+        columns of levels ``>= active_levels[i]``, plus those columns;
+        :func:`compact_depths` orders them and gives each fine level a
+        zero-initialised output buffer (its product writes its row
+        support only).
         """
         n, levels = self.n_dof, self.active_levels
         restr = {k: self.op.restrict(self._cols[k]) for k in levels}
@@ -291,24 +330,12 @@ class LTSNewmarkSolver:
             masks.append(self.op.reach(col_mask) | col_mask)
         if not masks:
             return
-        blocks = [np.nonzero(a & ~b)[0] for a, b in zip(masks, masks[1:])]
-        order = np.concatenate(blocks + [np.nonzero(masks[-1])[0]])
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(len(order))
-        off = 0
-        for i, lv in enumerate(levels[1:]):
-            n_diff = len(blocks[i]) if i < len(blocks) else 0
-            na = len(order) - off
-            self._depths.append(_Depth(
-                level=lv, restr=restr[lv], idx=order[off:],
-                colpos=pos[self._cols[lv]] - off, n_diff=n_diff, z=np.zeros(n),
-                u=np.empty(na), v=np.empty(na), F=np.empty(na), r=np.empty(na),
-                c=np.empty(len(self._cols[lv])),
-            ))
-            off += n_diff
+        self._depths = compact_depths(
+            levels[1:], [restr[lv] for lv in levels[1:]], masks
+        )
         # Saved depth-0 copies of the coarsest active set's rows.
-        self._u0 = np.empty(len(order))
-        self._v0 = np.empty(len(order))
+        self._u0 = np.empty(len(self._depths[0].idx))
+        self._v0 = np.empty(len(self._depths[0].idx))
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and

@@ -6,23 +6,33 @@ stiffness application performs the partial product and a halo exchange
 that sums shared-DOF contributions — one synchronization per substep,
 exactly the pattern whose load sensitivity Fig. 1 illustrates.
 
-The rank-local stiffness is consumed through the operator protocol
-(``K_local[r] @ u``), so both layout backends — assembled partial CSR
-and matrix-free tensor-product (``build_rank_layout(backend="matfree")``)
-— run unchanged, in any dimension the SEM layer discretizes (1D
-intervals through the 3D hexahedral meshes of the paper's benchmarks)
-and for any physics it declares (scalar acoustic or multi-component
-elastic; the interleaved elastic DOFs exchange through the same halo
-plans).  With the matrix-free backend, the LTS solver's
-per-level application restricts the stiffness to the active level's
-elements plus their gray halo (:meth:`repro.sem.matfree
-.MatrixFreeStiffness.masked_subset`) instead of masking a full local
-product, as the paper's Sec. II-C implementation does.
+Both layout backends — assembled partial CSR and matrix-free
+tensor-product (``build_rank_layout(backend="matfree")``) — run through
+one level-apply path, in any dimension the SEM layer discretizes and for
+any physics it declares (the interleaved elastic DOFs exchange through
+the same halo plans): level ``k`` on rank ``r`` is a
+:class:`~repro.core.operator.Restriction` of the bare partial ``K`` to
+the rank's level-``k`` columns — the level's elements plus their gray
+halo (:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a
+CSR column block — exchanged through a plan that keeps only the shared
+DOFs some sharer can write, then scaled by the rank-local ``1/M``.
 
-The distributed LTS recursion is the full-vector reference scheme applied
-to rank-local vectors, so the distributed solution equals the serial
-solver up to floating-point summation order (tested at ~1e-12): the
-partitioned execution computes *the same scheme*, for any partition.
+The recursion is the serial solver's compact one
+(:mod:`repro.core.lts_newmark`, ``mode="optimized"``), held per rank and
+advanced in lock step: a substep costs each rank work proportional to
+its *local* active set, never to its local vector.  A rank's depth-``i``
+active set is, over the levels ``k >= level_i``, its level-``k``
+columns, the rows its level-``k`` product writes, **and every local
+index the level's exchange plan keeps** — a shared DOF that only a
+peer's gray-halo element writes still receives a nonzero through the
+exchange.  Ordering and compact state come from
+:func:`repro.core.lts_newmark.compact_depths`, the builder the serial
+solver uses; depth 0 is the four contiguous Newmark passes over the
+whole local vector plus the O(active) fix-up.  The distributed solution
+equals the serial one up to floating-point summation order (tested at
+1e-12 for random level assignments and partitions): the partitioned
+execution computes *the same scheme*, for any partition.  Non-LTS
+Newmark is the same solver with every DOF on level 1.
 
 There is no time loop here: ``run`` hands a :class:`RankFields` view of
 the per-rank replicas to :func:`repro.core.newmark.run_cycles`, the one
@@ -31,13 +41,15 @@ cycle loop the serial solvers and the façade also use.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from repro.core.health import HealthGuard
+from repro.core.lts_newmark import compact_depths
 from repro.core.newmark import run_cycles
-from repro.core.workspace import make_apply_into
+from repro.core.operator import AssembledOperator, Restriction
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import ExchangePlan, RankLayout
 from repro.util.errors import CommError, SolverError
@@ -97,7 +109,7 @@ class RankFields:
 
 
 class _DistributedBase:
-    """Shared machinery: halo-summed ``A`` application and state I/O."""
+    """Shared machinery: the halo sum, the source term and state I/O."""
 
     def __init__(
         self,
@@ -127,14 +139,11 @@ class _DistributedBase:
         self.comms: list[RankComm] = self.world.comms()
         self.t = 0.0
         self.n_cycles_taken = 0
-        # Pooled hot-path state: the full-operator exchange plan, one
-        # persistent apply output per rank, and in-place appliers for the
-        # rank-local stiffness (built lazily on first use).
-        self._plan_full: ExchangePlan | None = None
-        self._zl: list[np.ndarray] = [
-            np.empty(len(g)) for g in layout.gdofs
-        ]
-        self._apply_into_local = [make_apply_into(K) for K in layout.K_local]
+        # One persistent apply output per rank, shared by every level (a
+        # level's result is consumed before the next apply), and the
+        # rank-local 1/M the exchanged sums are scaled by.
+        self._zl: list[np.ndarray] = [np.empty(len(g)) for g in layout.gdofs]
+        self._Minv: list[np.ndarray] = [1.0 / M for M in layout.M_local]
 
     def _subtract_force(self, z_locals: list[np.ndarray]) -> None:
         """``z -= f(t)`` on every rank's replica, in place."""
@@ -148,23 +157,6 @@ class _DistributedBase:
             f_locals = self.layout.scatter(self.force(self.t))
             for r in range(self.layout.n_ranks):
                 z_locals[r] -= f_locals[r]
-
-    def _full_plan(self) -> ExchangePlan:
-        if self._plan_full is None:
-            self._plan_full = self.layout.exchange_plan()
-        return self._plan_full
-
-    def workspace_bytes(self) -> int:
-        """Bytes of persistent hot-path scratch (apply outputs, exchange
-        pack/accumulate buffers, per-level plans where present)."""
-        total = sum(z.nbytes for z in self._zl)
-        if self._plan_full is not None:
-            total += self._plan_full.workspace_bytes()
-        for plan in getattr(self, "_plans", {}).values():
-            total += plan.workspace_bytes()
-        for attr in ("_uml", "_F1l"):
-            total += sum(b.nbytes for b in getattr(self, attr, ()))
-        return int(total)
 
     # -- checkpoint/restart hooks ----------------------------------------
     def state(self) -> dict:
@@ -218,10 +210,7 @@ class _DistributedBase:
 
     # -- collectives -----------------------------------------------------
     def _exchange_sum(
-        self,
-        z_locals: list[np.ndarray],
-        tag: int = 0,
-        plan: ExchangePlan | None = None,
+        self, z_locals: list[np.ndarray], plan: ExchangePlan, tag: int = 0
     ) -> None:
         """Sum shared-DOF entries across ranks, in place.
 
@@ -234,10 +223,8 @@ class _DistributedBase:
         immediately reusable); channels the plan dropped as structurally
         zero are skipped symmetrically — neither side sends, so no
         zero-length messages are ever queued and ``check_no_leaks()``
-        still holds.  ``plan=None`` uses the cached full-operator plan.
+        still holds.
         """
-        if plan is None:
-            plan = self._full_plan()
         for r in range(plan.n_ranks):
             z = z_locals[r]
             send = self.comms[r].Send
@@ -256,44 +243,31 @@ class _DistributedBase:
                 acc += recv(peer, tag)
                 z[idx] = acc
 
-    def _apply_A(self, u_locals: list[np.ndarray]) -> list[np.ndarray]:
-        """Global ``A u = M^{-1} K u`` on consistent local vectors.
 
-        Writes into the persistent per-rank outputs ``self._zl`` — the
-        returned list is reused by the next apply, so callers must
-        consume it before re-entering."""
-        lay = self.layout
-        z = self._zl
-        for r in range(lay.n_ranks):
-            self._apply_into_local[r](u_locals[r], z[r])
-        self._exchange_sum(z)
-        for r in range(lay.n_ranks):
-            z[r] /= lay.M_local[r]
-        return z
+def _restrict_levels(K, col_masks: list[np.ndarray]):
+    """One rank's restricted products ``u -> K[:, cols_k] u[cols_k]``,
+    one per level mask in the order given (coarsest first): the first
+    as a bare ``apply(u, out=)`` — it is applied to ``u`` itself, so no
+    column list is kept for it — the finer ones as
+    :class:`~repro.core.operator.Restriction`; and, per level, the rows
+    the product can write.
 
-
-class DistributedNewmarkSolver(_DistributedBase):
-    """Non-LTS reference scheme, domain-decomposed (Eqs. (5)-(6))."""
-
-    def __init__(
-        self,
-        layout: RankLayout,
-        dt: float,
-        world: MailboxWorld | None = None,
-        force: Callable[[float], np.ndarray] | None = None,
-    ):
-        super().__init__(layout, world, force)
-        self.dt = check_positive(dt, "dt", SolverError)
-
-    def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:
-        self.world.begin_superstep()
-        z = self._apply_A(u_locals)
-        self._subtract_force(z)  # z = A u - f; the apply output is ours
-        for r in range(self.layout.n_ranks):
-            v_locals[r] -= self.dt * z[r]
-            u_locals[r] += self.dt * v_locals[r]
-        self.t += self.dt
-        self.n_cycles_taken += 1
+    A matrix-free ``K`` restricts to the level's elements plus their
+    gray halo; an assembled CSR to its column block.  Either way the
+    product overwrites the whole output (zero outside the row support).
+    """
+    fine_cols = [np.nonzero(m)[0] for m in col_masks[1:]]
+    if hasattr(K, "masked_subset"):
+        subs = [K.masked_subset(m) for m in col_masks]
+        fine = [Restriction(c, s.nnz, s.apply) for c, s in zip(fine_cols, subs[1:])]
+        return subs[0].apply, fine, [s.row_support() for s in subs]
+    op = AssembledOperator(K)
+    coarse = op.restrict(np.nonzero(col_masks[0])[0])
+    return (
+        coarse.apply,
+        [op.restrict(c) for c in fine_cols],
+        [op.reach(m) for m in col_masks],
+    )
 
 
 class DistributedLTSSolver(_DistributedBase):
@@ -312,150 +286,187 @@ class DistributedLTSSolver(_DistributedBase):
         force: Callable[[float], np.ndarray] | None = None,
     ):
         super().__init__(layout, world, force)
+        n_ranks, dof_levels = layout.n_ranks, layout.dof_level_local
         require(
-            len(layout.dof_level_local) == layout.n_ranks,
+            len(dof_levels) == n_ranks,
             "layout must carry dof levels (build_rank_layout(dof_level=...))",
             SolverError,
         )
         self.dt = check_positive(dt, "dt", SolverError)
-        all_levels: set[int] = set()
-        for lv in layout.dof_level_local:
-            all_levels.update(int(x) for x in np.unique(lv))
-        require(min(all_levels, default=1) >= 1, "levels must be >= 1", SolverError)
         #: Non-empty levels across the whole domain (every rank follows the
         #: same global schedule even if a level is locally absent).
-        self.active_levels = sorted(all_levels)
-        self._masks = [
-            {
-                k: (layout.dof_level_local[r] == k)
-                for k in self.active_levels
-            }
-            for r in range(layout.n_ranks)
-        ]
-        # Per-level restricted operators where the backend supports it
-        # (matrix-free): apply only the level's elements + gray halo.
-        self._K_level: list[dict[int, object] | None] = []
-        for r in range(layout.n_ranks):
-            K = layout.K_local[r]
-            if hasattr(K, "masked_subset"):
-                self._K_level.append(
-                    {k: K.masked_subset(self._masks[r][k]) for k in self.active_levels}
-                )
-            else:
-                self._K_level.append(None)
-        self._K_level_into = [
-            None if d is None else {k: make_apply_into(d[k]) for k in d}
-            for d in self._K_level
-        ]
+        self.active_levels = levels = sorted(
+            {int(k) for lv in dof_levels for k in np.unique(lv)}
+        )
+        require(min(levels, default=1) >= 1, "levels must be >= 1", SolverError)
+        col_masks = [[lv == k for k in levels] for lv in dof_levels]
+        self._apply0, fine, supports = zip(*(
+            _restrict_levels(K, m) for K, m in zip(layout.K_local, col_masks)
+        ))
         # Per-level exchange plans: channel positions outside every
         # sharer's structural row support carry only zeros, so each
         # level's plan keeps just the reachable slice (and drops
         # untouched channels outright).  Message volume then scales with
         # the level footprint instead of the full interface.
         self._plans: dict[int, ExchangePlan] = {
-            k: layout.exchange_plan(supports=self._level_supports(k))
-            for k in self.active_levels
+            k: layout.exchange_plan(supports=[sup[j] for sup in supports])
+            for j, k in enumerate(levels)
         }
-        self._uml = [np.empty(len(g)) for g in layout.gdofs]  # mask scratch
-        self._F1l = [np.empty(len(g)) for g in layout.gdofs]
+        # Active sets, finest first: whatever a level >= k can make
+        # nonzero on this rank, through its own product or the exchange.
+        by_rank = []
+        for r in range(n_ranks):
+            active, acts = np.zeros(len(layout.gdofs[r]), dtype=bool), []
+            for j in range(len(levels) - 1, 0, -1):
+                active = active | col_masks[r][j] | supports[r][j]
+                for idx in self._plans[levels[j]].indices[r]:
+                    active[idx] = True
+                acts.append(active)
+            by_rank.append(
+                compact_depths(levels[1:], fine[r], acts[::-1], z=self._zl[r])
+            )
+        #: ``_depths[i][r]``: rank ``r``'s compact state at depth ``i``.
+        self._depths = [list(ds) for ds in zip(*by_rank)]
+        #: Depth 0's per-rank states (empty with one level), their saved
+        #: copies of the active rows, and ``1/M`` over each depth's
+        #: active set (suffixes of depth 0's).
+        self._top = self._depths[0] if self._depths else []
+        minv0 = [m[d.idx] for m, d in zip(self._Minv, self._top)]
+        self._minv = [
+            [m[len(m) - len(d.idx):] for m, d in zip(minv0, ds)]
+            for ds in self._depths
+        ]
+        self._u0l = [np.empty(len(m)) for m in minv0]
+        self._v0l = [np.empty(len(m)) for m in minv0]
+        #: Per rank, the one buffer every fine level's apply reads (each
+        #: substep scatters the level's columns into it first); always
+        #: finite, since the matrix-free gather multiplies the entries it
+        #: does not use by a zero mask.
+        self._wl = [np.zeros(len(d.z)) for d in self._top]
 
-    def _level_supports(self, k: int) -> list[np.ndarray]:
-        """Per-rank boolean masks of rows level ``k``'s restricted
-        stiffness can write (elements of the level plus gray halo)."""
-        supports = []
-        for r in range(self.layout.n_ranks):
-            if self._K_level[r] is not None:
-                supports.append(self._K_level[r][k].row_support())
-            else:
-                K = self.layout.K_local[r]
-                cols = np.nonzero(self._masks[r][k])[0]
-                mask = np.zeros(K.shape[0], dtype=bool)
-                if len(cols):
-                    mask[np.unique(K.tocsc()[:, cols].indices)] = True
-                supports.append(mask)
-        return supports
+    def workspace_bytes(self) -> int:
+        """Bytes of persistent hot-path scratch the solver owns: apply
+        outputs, ``1/M``, exchange pack/accumulate buffers, and the
+        compact recursion state with its index maps (the rank-local
+        operators' own scratch is theirs to report)."""
+        bufs = [*self._zl, *self._Minv, *self._wl, *self._u0l, *self._v0l]
+        bufs += [d.idx for d in self._top]
+        bufs += self._minv[0] if self._minv else []
+        for ds in self._depths:
+            for d in ds:
+                bufs += [d.restr.cols, d.colpos, d.u, d.v, d.F, d.r, d.c]
+        total = sum(b.nbytes for b in bufs)
+        total += sum(p.workspace_bytes() for p in self._plans.values())
+        return int(total)
 
-    # -- level-restricted stiffness application ---------------------------
-    def _apply_level(self, k: int, u_locals: list[np.ndarray]) -> list[np.ndarray]:
-        """Level-``k`` ``A`` application into the persistent per-rank
-        outputs ``self._zl`` (consumed by callers before the next
-        apply), exchanged through the level's coalesced plan."""
-        lay = self.layout
-        z = self._zl
-        for r in range(lay.n_ranks):
-            if self._K_level_into[r] is not None:
-                self._K_level_into[r][k](u_locals[r], z[r])
-            else:
-                um = self._uml[r]
-                np.multiply(u_locals[r], self._masks[r][k], out=um)
-                self._apply_into_local[r](um, z[r])
-        self._exchange_sum(z, plan=self._plans[k])
-        for r in range(lay.n_ranks):
-            z[r] /= lay.M_local[r]
-        return z
+    def _advance(self, i: int, n_steps: int) -> None:
+        """Advance every rank's auxiliary system of levels
+        ``active_levels[i+1:]`` on its local active set, in lock step.
 
-    # -- recursion (reference scheme on local vectors) --------------------
-    def _advance(
-        self,
-        i: int,
-        u_locals: list[np.ndarray],
-        F_locals: list[np.ndarray],
-        n_steps: int,
-    ) -> list[np.ndarray]:
-        lay = self.layout
-        lv = self.active_levels[i]
+        Per rank this is :meth:`repro.core.lts_newmark.LTSNewmarkSolver
+        ._advance` — same compact updates, same closed form on the
+        leading ``n_diff`` entries — with the level's halo sum between
+        the apply and the gather, and the gathered rows scaled by
+        ``1/M`` (the rank-local ``K`` is bare).
+        """
+        ds = self._depths[i]
+        lv = ds[0].level
         dt_k = self.dt / float(2 ** (lv - 1))
-        u = [x.copy() for x in u_locals]
-        last = i == len(self.active_levels) - 1
-        if last:
-            v = [np.zeros_like(x) for x in u]
-            for s in range(n_steps):
-                z = self._apply_level(lv, u)
-                for r in range(lay.n_ranks):
-                    rhs = F_locals[r] + z[r]
-                    if s == 0:
-                        v[r] = -(0.5 * dt_k) * rhs
-                    else:
-                        v[r] -= dt_k * rhs
-                    u[r] += dt_k * v[r]
-            return u
-        ratio = 2 ** (self.active_levels[i + 1] - lv)
-        v = [np.zeros_like(x) for x in u]
-        for m in range(n_steps):
-            z = self._apply_level(lv, u)
-            F2 = [F_locals[r] + z[r] for r in range(lay.n_ranks)]
-            u_fine = self._advance(i + 1, u, F2, ratio)
-            for r in range(lay.n_ranks):
-                recon = (u_fine[r] - u[r]) / dt_k
-                if m == 0:
-                    v[r] = recon
+        plan, z = self._plans[lv], self._zl
+        kids = self._depths[i + 1] if i + 1 < len(self._depths) else None
+        if kids is not None:
+            ratio = 2 ** (kids[0].level - lv)
+            inner = [(d.u[d.n_diff:], d.r[d.n_diff:], d.r[:d.n_diff]) for d in ds]
+        for s in range(n_steps):
+            for d, w in zip(ds, self._wl):
+                d.u.take(d.colpos, out=d.c, mode="clip")
+                w[d.restr.cols] = d.c
+                d.restr.apply(w, out=d.z)
+            self._exchange_sum(z, plan)
+            for r, (d, minv) in enumerate(zip(ds, self._minv[i])):
+                rhs = d.r
+                d.z.take(d.idx, out=rhs, mode="clip")
+                rhs *= minv
+                rhs += d.F  # rhs = F + A P_k u on the active set
+                if kids is not None:
+                    u_in, r_in, _ = inner[r]
+                    np.copyto(kids[r].F, r_in)
+                    np.copyto(kids[r].u, u_in)
+                elif s == 0:
+                    np.multiply(rhs, -(0.5 * dt_k), out=d.v)
                 else:
-                    v[r] += 2.0 * recon
-                u[r] += dt_k * v[r]
-        return u
+                    rhs *= dt_k
+                    d.v -= rhs
+            if kids is not None:
+                self._advance(i + 1, ratio)
+                for d, kid, (u_in, r_in, r_out) in zip(ds, kids, inner):
+                    np.subtract(kid.u, u_in, out=r_in)
+                    r_in /= dt_k  # recon = (u_fine - u) / dt_k
+                    r_out *= -(0.5 * dt_k)
+                    if s == 0:
+                        np.copyto(d.v, d.r)
+                    else:
+                        d.r *= 2.0
+                        d.v += d.r
+            for d in ds:
+                np.multiply(d.v, dt_k, out=d.r)
+                d.u += d.r
 
     def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:
         """One LTS cycle of the coarse step ``dt`` across all ranks."""
         self.world.begin_superstep()
-        lay = self.layout
-        if len(self.active_levels) == 1:
-            z = self._apply_level(self.active_levels[0], u_locals)
-            self._subtract_force(z)
-            for r in range(lay.n_ranks):
-                v_locals[r] -= self.dt * z[r]
-                u_locals[r] += self.dt * v_locals[r]
-        else:
-            z = self._apply_level(self.active_levels[0], u_locals)
-            # Copy out of the shared apply output: the recursion below
-            # re-enters _apply_level, which would overwrite it.
-            F1 = self._F1l
-            for r in range(lay.n_ranks):
-                F1[r][:] = z[r]
-            self._subtract_force(F1)
-            n_sub = 2 ** (self.active_levels[1] - 1)
-            u_t = self._advance(1, u_locals, F1, n_sub)
-            for r in range(lay.n_ranks):
-                v_locals[r] += (2.0 / self.dt) * (u_t[r] - u_locals[r])
-                u_locals[r] += self.dt * v_locals[r]
-        self.t += self.dt
+        dt, z = self.dt, self._zl
+        for apply, u, zr in zip(self._apply0, u_locals, z):
+            apply(u, out=zr)
+        self._exchange_sum(z, self._plans[self.active_levels[0]])
+        for zr, minv in zip(z, self._Minv):
+            zr *= minv
+        self._subtract_force(z)  # z = A P_1 u - f; the apply output is ours
+        fine = self._top
+        for d, u, v, zr, u0, v0 in zip(fine, u_locals, v_locals, z, self._u0l, self._v0l):
+            u.take(d.idx, out=u0, mode="clip")
+            v.take(d.idx, out=v0, mode="clip")
+            zr.take(d.idx, out=d.F, mode="clip")
+            np.copyto(d.u, u0)
+        for u, v, zr in zip(u_locals, v_locals, z):
+            # Plain Newmark on the whole local vector: with one level
+            # that is the scheme; with more, the closed form of every
+            # DOF outside the coarsest active set, whose rows are saved
+            # above and overwritten below.
+            zr *= dt
+            v -= zr
+            np.multiply(v, dt, out=zr)
+            u += zr
+        if fine:
+            self._advance(0, 2 ** (fine[0].level - 1))
+        for d, u, v, u0, v0 in zip(fine, u_locals, v_locals, self._u0l, self._v0l):
+            # The active rows from the recursion's result:
+            # v += 2 (u_fine - u) / dt, u += dt v on the saved copies.
+            rec = d.r
+            np.subtract(d.u, u0, out=rec)
+            rec *= 2.0 / dt
+            v0 += rec
+            v[d.idx] = v0
+            np.multiply(v0, dt, out=rec)
+            u0 += rec
+            u[d.idx] = u0
+        self.t += dt
         self.n_cycles_taken += 1
+
+
+class DistributedNewmarkSolver(DistributedLTSSolver):
+    """Non-LTS reference scheme, domain-decomposed (Eqs. (5)-(6)): the
+    one-level :class:`DistributedLTSSolver`, every DOF on level 1
+    whatever levels the layout carries."""
+
+    def __init__(
+        self,
+        layout: RankLayout,
+        dt: float,
+        world: MailboxWorld | None = None,
+        force: Callable[[float], np.ndarray] | None = None,
+    ):
+        one_level = [np.ones(len(g), dtype=np.int64) for g in layout.gdofs]
+        super().__init__(
+            replace(layout, dof_level_local=one_level), dt, world, force
+        )

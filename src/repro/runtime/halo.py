@@ -283,16 +283,22 @@ def build_rank_layout(
     )
 
     # Local DOF sets (sorted global ids), local element connectivity
-    # (searchsorted into the sorted gdofs replaces per-entry dict lookups),
-    # and rank-local stiffness in the requested backend.
+    # (one global -> local table per rank: a flag pass and a gather, no
+    # sort of the rank's element DOFs), and rank-local stiffness in the
+    # requested backend.
     gdofs: list[np.ndarray] = []
     K_local: list = []
     local_eldofs: list[np.ndarray] = []
     owned_per_rank: list[np.ndarray] = []
+    present = np.zeros(n_dof, dtype=bool)
+    local_id = np.empty(n_dof, dtype=np.int64)
     for r in range(n_ranks):
         owned = np.nonzero(parts == r)[0]
-        ids = np.unique(element_dofs[owned].ravel()) if len(owned) else np.empty(0, np.int64)
-        ld = np.searchsorted(ids, element_dofs[owned])
+        present[element_dofs[owned]] = True
+        ids = np.nonzero(present)[0]
+        present[ids] = False
+        local_id[ids] = np.arange(len(ids))
+        ld = local_id[element_dofs[owned]]
         gdofs.append(ids)
         owned_per_rank.append(owned)
         local_eldofs.append(ld)
@@ -321,29 +327,32 @@ def build_rank_layout(
         owner_of[gdofs[r]] = r  # reversed: lowest rank wins
         counts[gdofs[r]] += 1
 
-    # Halo plans: shared DOFs per rank pair, ordered by global id.  Only
-    # boundary DOFs (counts > 1) enter the pair loop.
-    touching: dict[int, list[int]] = {}
-    for r in range(n_ranks):
-        sh = gdofs[r][counts[gdofs[r]] > 1]
-        for g in sh:
-            touching.setdefault(int(g), []).append(r)
-    shared_by_pair: dict[tuple[int, int], list[int]] = {}
-    for g, ranks in touching.items():
-        for a in ranks:
-            for b in ranks:
-                if a != b:
-                    shared_by_pair.setdefault((a, b), []).append(g)
-    halos: list[HaloExchange] = []
-    owner_masks: list[np.ndarray] = []
-    for r in range(n_ranks):
-        peers = sorted({b for (a, b) in shared_by_pair if a == r})
-        local_indices = []
-        for peer in peers:
-            glist = np.array(sorted(shared_by_pair[(r, peer)]), dtype=np.int64)
-            local_indices.append(np.searchsorted(gdofs[r], glist))
-        halos.append(HaloExchange(peers=peers, local_indices=local_indices))
-        owner_masks.append(owner_of[gdofs[r]] == r)
+    # Halo plans: shared DOFs per rank pair, ordered by global id.  One
+    # stable sort of the boundary (counts > 1) ``(gdof, rank)`` pairs
+    # groups each DOF's sharers, ranks ascending; entries ``s`` apart in
+    # a group are the pairs of sharers, taken in both directions.
+    shared = [g[counts[g] > 1] for g in gdofs]
+    g_all = np.concatenate(shared)
+    r_all = np.repeat(np.arange(n_ranks), [len(sh) for sh in shared])
+    by_dof = np.argsort(g_all, kind="stable")
+    g_all, r_all = g_all[by_dof], r_all[by_dof]
+    src, dst, dof = [], [], []
+    for s in range(1, int(counts.max(initial=1))):
+        same = g_all[s:] == g_all[:-s]
+        lo, hi, g = r_all[:-s][same], r_all[s:][same], g_all[s:][same]
+        src += [lo, hi]
+        dst += [hi, lo]
+        dof += [g, g]
+    src, dst, dof = (np.concatenate(x or [g_all[:0]]) for x in (src, dst, dof))
+    by_pair = np.lexsort((dof, dst, src))
+    src, dst, dof = src[by_pair], dst[by_pair], dof[by_pair]
+    bounds = np.flatnonzero(np.diff(src * n_ranks + dst, prepend=-1, append=-1))
+    halos = [HaloExchange(peers=[], local_indices=[]) for _ in range(n_ranks)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        r = int(src[lo])
+        halos[r].peers.append(int(dst[lo]))
+        halos[r].local_indices.append(np.searchsorted(gdofs[r], dof[lo:hi]))
+    owner_masks = [owner_of[g] == r for r, g in enumerate(gdofs)]
 
     # Fully-summed diagonal mass restricted to each rank (production codes
     # collect this once at setup; the assembler already holds the sum).

@@ -1,0 +1,129 @@
+"""Distributed LTS == serial LTS for *any* level assignment and *any*
+element -> rank map, on every layout backend.
+
+The executor holds the serial solver's compact recursion per rank, over
+rank-local active sets.  What the serial code never has to get right is
+the exchange: a shared DOF that only a *peer's* gray-halo element writes
+still receives a nonzero through the halo sum, so it must be in the
+rank's active set although no local product reaches it.  Random
+partitions of small meshes hit that case constantly (dropping the
+exchange-plan indices from the active sets fails this file), along with
+cuts through the finest region, DOFs shared by three and more ranks,
+ranks with no fine element, ranks with only fine elements and ranks with
+no element at all.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import assign_levels
+from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
+from repro.mesh import uniform_grid
+from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
+from repro.sem import Sem2D, Sem3D, fused, point_source, ricker
+
+N_CYCLES = 6
+
+
+def _system(dim: int):
+    shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+    mesh = uniform_grid(shape)
+    return cls(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
+
+
+def _backends():
+    out = [("assembled", None), ("matfree", False)]
+    if fused.available():
+        out.append(("matfree", True))
+    return out
+
+
+def _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed):
+    dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+    u0 = np.random.default_rng(seed).standard_normal(sem.n_dof)
+    v0 = np.zeros(sem.n_dof)
+    us, vs = LTSNewmarkSolver(sem.A, dof_level, dt, force=force).run(u0, v0, N_CYCLES)
+    for backend, use_fused in _backends():
+        layout = build_rank_layout(
+            sem, parts, n_ranks, dof_level=dof_level, backend=backend,
+            use_fused=use_fused,
+        )
+        solver = DistributedLTSSolver(layout, dt, world=MailboxWorld(n_ranks), force=force)
+        ud, vd = solver.run(u0, v0, N_CYCLES)
+        solver.check_no_leaks()
+        tier = (backend, use_fused)
+        assert np.abs(ud - us).max() <= 1e-12 * np.abs(us).max(), tier
+        assert np.abs(vd - vs).max() <= 1e-12 * max(np.abs(vs).max(), 1.0), tier
+
+
+class TestRandomPartitions:
+    """The strategy of ``tests/core/test_lts_newmark.py``'s
+    ``TestRandomAssignments`` (levels from a random subset of ``{2, 3,
+    4}`` over at least one level-1 element: skipped, single and sparse
+    levels, jumps) times a uniformly random element -> rank map on 2-5
+    ranks, which on a dozen elements leaves ranks empty, purely fine or
+    purely coarse and shares corner DOFs among up to four ranks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]),
+           source=st.sampled_from(["none", "point", "dense"]))
+    def test_distributed_matches_serial_optimized(self, data, dim, source):
+        sem, dt = _system(dim)
+        ne = sem.element_dofs.shape[0]
+        fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
+        levels = np.array(
+            data.draw(
+                st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
+                label="element levels",
+            )
+        )
+        levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+        n_ranks = data.draw(st.integers(2, 5), label="ranks")
+        parts = np.array(
+            data.draw(
+                st.lists(st.integers(0, n_ranks - 1), min_size=ne, max_size=ne),
+                label="element ranks",
+            )
+        )
+        force = None
+        if source != "none":
+            dof = data.draw(st.integers(0, sem.n_dof - 1), label="source dof")
+            point = point_source(sem.n_dof, dof, sem.M, ricker(f0=0.5, t0=2 * dt))
+            force = point if source == "point" else (lambda t: point(t))
+        seed = data.draw(st.integers(0, 2**16), label="field seed")
+        _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed)
+
+
+#: 4 x 3 quads, element ``e = 3 * ix + iy``: a fine block in the middle
+#: columns with a level jump next to it.
+_BLOCK = [1, 1, 1, 3, 4, 1, 2, 4, 1, 1, 1, 1]
+#: One fine element in the corner; element 4 touches it by a corner only.
+_CORNER = [3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+
+_NAMED = {
+    # the cut runs through the finest elements (4 and 7 on either side)
+    "cut_through_finest": (_BLOCK, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1], 2),
+    # rank 1 owns exactly the fine elements, ranks 0 and 2 none of them
+    "fine_only_rank": (_BLOCK, [0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 2, 2], 3),
+    # rank 2 owns nothing at all
+    "empty_rank": (_BLOCK, [0, 0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3], 4),
+    # the elements round the interior corner of 3, 4, 6, 7 sit on four
+    # ranks: one DOF with three peers
+    "four_way_corner": (_BLOCK, [0, 0, 0, 0, 1, 1, 2, 3, 3, 2, 2, 3], 4),
+    # the cut runs along the far side of the gray halo: rank 1 has no
+    # fine column and no element its fine-level product could write,
+    # yet element 4 (rank 0) writes the DOFs they share
+    "halo_written_by_peer_only": (_CORNER, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED))
+def test_named_partitions_match_serial(name):
+    levels, parts, n_ranks = (np.array(x) for x in _NAMED[name])
+    sem, dt = _system(2)
+    if name == "empty_rank":
+        assert 2 not in parts
+    if name == "fine_only_rank":
+        assert np.all(levels[parts == 1] > 1) and np.all(levels[parts != 1] == 1)
+    _assert_matches_serial(sem, dt, levels, parts, int(n_ranks), None, seed=7)

@@ -68,6 +68,40 @@ class TestLayout:
                     lay.gdofs[r][idx], lay.gdofs[peer][back.local_indices[j]]
                 )
 
+    @pytest.mark.parametrize("dim,n_ranks", [(2, 2), (2, 5), (3, 4), (3, 7)])
+    def test_halo_pairing_matches_per_dof_construction(self, dim, n_ranks):
+        """The one-sort pairing of shared DOFs gives the peers and
+        indices of the per-DOF dictionary construction it replaced, on
+        scattered partitions (corner DOFs shared by many ranks, and with
+        7 ranks on 12 elements ranks that own nothing)."""
+        from repro.sem import Sem3D
+
+        sem = (
+            Sem2D(uniform_grid((5, 4)), order=3) if dim == 2
+            else Sem3D(uniform_grid((3, 2, 2)), order=2)
+        )
+        ne = sem.element_dofs.shape[0]
+        parts = np.random.default_rng(n_ranks).integers(0, n_ranks, ne)
+        lay = build_rank_layout(sem, parts, n_ranks)
+
+        touching: dict[int, list[int]] = {}
+        for r in range(n_ranks):
+            for g in lay.gdofs[r]:
+                touching.setdefault(int(g), []).append(r)
+        shared: dict[tuple[int, int], list[int]] = {}
+        for g, ranks in touching.items():
+            for a in ranks:
+                for b in ranks:
+                    if a != b:
+                        shared.setdefault((a, b), []).append(g)
+        assert max(len(ranks) for ranks in touching.values()) >= min(3, n_ranks)
+        for r in range(n_ranks):
+            peers = sorted({b for (a, b) in shared if a == r})
+            assert lay.halo[r].peers == peers
+            for peer, idx in zip(peers, lay.halo[r].local_indices):
+                glist = np.array(sorted(shared[(r, peer)]), dtype=np.int64)
+                assert np.array_equal(idx, np.searchsorted(lay.gdofs[r], glist))
+
     def test_mass_summed_across_ranks(self, sys1d):
         mesh, sem, _, _, _, _ = sys1d
         lay = build_rank_layout(sem, block_partition(mesh.n_elements, 2), 2)
@@ -216,10 +250,10 @@ class TestDistributedLTS:
         parts = np.zeros(mesh.n_elements, dtype=np.int64)
         lay = build_rank_layout(sem, parts, 1, dof_level=dof_level, backend="matfree")
         solver = DistributedLTSSolver(lay, a.dt)
-        assert solver._K_level[0] is not None
-        finest = max(solver.active_levels)
+        finest = solver._depths[-1][0]
+        assert finest.level == max(solver.active_levels)
         # the finest level touches only a few elements -> much cheaper
-        assert solver._K_level[0][finest].nnz < lay.K_local[0].nnz
+        assert finest.restr.ops < lay.K_local[0].nnz
 
     def test_requires_dof_levels(self, sys1d):
         mesh, sem, a, _, _, _ = sys1d
@@ -252,3 +286,67 @@ class TestDistributedLTS:
         assert 0 < expected <= full * sum(
             2 ** (k - 1) for k in solver.active_levels
         )
+
+
+class _LoggingWorld(MailboxWorld):
+    """Records ``(src, dst, tag, doubles)`` of every send, in order."""
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.log = []
+
+    def _push(self, src, dst, tag, payload):
+        self.log.append((src, dst, tag, payload.size))
+        super()._push(src, dst, tag, payload)
+
+
+def _level_schedule(levels):
+    """The order Algorithm 1 applies the active levels in one cycle."""
+
+    def below(i, n_steps):
+        for _ in range(n_steps):
+            yield levels[i]
+            if i + 1 < len(levels):
+                yield from below(i + 1, 2 ** (levels[i + 1] - levels[i]))
+
+    yield levels[0]
+    if len(levels) > 1:
+        yield from below(1, 2 ** (levels[1] - 1))
+
+
+@pytest.mark.parametrize("backend", ["assembled", "matfree"])
+def test_cycle_sends_the_level_schedule_in_order(small_trench, backend):
+    """One cycle sends, apply by apply in Algorithm 1's order, exactly
+    each level's exchange plan — rank by rank, peer by peer, tag 0 —
+    so ``sum_k applies_k x plan_k`` messages and doubles: a
+    :class:`~repro.runtime.faults.FaultPlan` position (superstep,
+    message index) names the same message whatever the recursion does
+    between exchanges."""
+    from repro.sem import Sem3D
+
+    sem = Sem3D(small_trench, order=2)
+    a = assign_levels(small_trench, c_cfl=0.4, order=2)
+    dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
+    parts = (np.arange(small_trench.n_elements) % 4).astype(np.int64)
+    lay = build_rank_layout(sem, parts, 4, dof_level=dof_level, backend=backend)
+    world = _LoggingWorld(4)
+    solver = DistributedLTSSolver(lay, a.dt, world=world)
+    assert len(solver.active_levels) >= 3
+    u = lay.scatter(np.random.default_rng(0).standard_normal(sem.n_dof))
+    v = lay.scatter(np.zeros(sem.n_dof))
+    solver.step(u, v)
+    expected = [
+        (r, peer, 0, len(idx))
+        for k in _level_schedule(solver.active_levels)
+        for r in range(4)
+        for peer, idx in zip(solver._plans[k].peers[r], solver._plans[k].indices[r])
+    ]
+    assert world.log == expected
+    applies = {k: 2 ** (k - 1) for k in solver.active_levels}
+    assert world.sent_messages == sum(
+        n * solver._plans[k].messages_per_exchange() for k, n in applies.items()
+    )
+    assert world.sent_volume == sum(
+        n * solver._plans[k].total_doubles() for k, n in applies.items()
+    )
+    solver.check_no_leaks()
