@@ -1,8 +1,9 @@
 """Content-addressed cache for resolved pipeline stages.
 
 The paper's central economics: setup (mesh construction, stiffness
-assembly, level assignment, partitioning) is expensive and amortized,
-the per-step hot loop is cheap and repeated.  The façade re-resolved
+assembly, level assignment, partitioning, the per-level element and
+halo lists of the solver) is expensive and amortized, the per-step hot
+loop is cheap and repeated.  The façade re-resolved
 every stage per :class:`~repro.api.config.SimulationConfig` even when
 two configs differ only in the source position or a material
 perturbation — exactly the N-source / perturbed-material ensembles the
@@ -16,10 +17,15 @@ determine it (``Spec.content_hash()``, see
 artifacts are stored under that key:
 
 * **in memory** — an LRU keyed store bounded by entry count and/or an
-  approximate byte budget (array payloads are measured exactly, other
-  objects estimated), shared safely across threads: per-key build locks
-  guarantee each distinct artifact is resolved **exactly once** even
-  when ensemble workers race for it;
+  approximate byte budget (every array buffer an artifact holds,
+  however deep — a solver plan's sit behind closures — measured exactly
+  by :func:`repro.core.workspace.reachable_buffers` and charged to the
+  first entry that holds it), shared safely across threads: per-key
+  build locks guarantee each distinct artifact is resolved **exactly
+  once** even when ensemble workers race for it.  The rank layout and
+  the solver plan live here too (the latest of each only, see
+  ``_LATEST_ONLY``) — a run only binds the plan to fresh buffers, so the
+  second request for a warm model pays for the stepping alone;
 * **on disk** (optional) — the expensive array-backed artifacts
   (assembled CSR stiffness, LTS level assignments, partition vectors)
   persist as ``.npz`` files written atomically via
@@ -47,41 +53,19 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.workspace import reachable_buffers
 from repro.util.errors import ConfigError
 from repro.util.io import atomic_savez
 
 __all__ = ["CacheStats", "StageCache"]
 
-
-def _approx_nbytes(obj: Any, _depth: int = 0) -> int:
-    """Approximate in-memory footprint of a stage artifact.
-
-    Arrays (and the array attributes of CSR matrices / dataclasses like
-    ``LevelAssignment``) are measured exactly; containers recurse a few
-    levels; everything else is charged a nominal constant.  The point
-    is a *stable, cheap* LRU byte budget, not accounting-grade numbers.
-    """
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if _depth >= 3:
-        return 64
-    if isinstance(obj, (list, tuple)):
-        return 64 + sum(_approx_nbytes(v, _depth + 1) for v in obj)
-    if isinstance(obj, dict):
-        return 64 + sum(_approx_nbytes(v, _depth + 1) for v in obj.values())
-    total = 64
-    # scipy sparse matrices and plain dataclasses both keep their
-    # payload in ndarray attributes; sum whatever we can see.
-    for name in ("data", "indices", "indptr", "level", "elems", "xadj"):
-        v = getattr(obj, name, None)
-        if isinstance(v, np.ndarray):
-            total += int(v.nbytes)
-    d = getattr(obj, "__dict__", None)
-    if d:
-        for v in d.values():
-            if isinstance(v, np.ndarray):
-                total += int(v.nbytes)
-    return total
+#: Stages memory keeps one entry of, the latest: execution plans are the
+#: largest artifacts and the cheapest to rebuild from the entries they
+#: are built on.  A sweep or a service's warm model reuses exactly the
+#: latest; a cache that alternates between two models rebuilds the plan
+#: per job (what every job paid before plans were cached) instead of
+#: growing by a plan per model, scheme and backend it has ever seen.
+_LATEST_ONLY = frozenset({"rank_layout", "solver_plan"})
 
 
 @dataclass
@@ -156,8 +140,10 @@ class StageCache:
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[Any, int]] = OrderedDict()
+        #: key -> (artifact, bytes charged, stage, ids of the buffers charged)
+        self._entries: OrderedDict[str, tuple[Any, int, str, Any]] = OrderedDict()
         self._bytes = 0
+        self._charged: set[int] = set()  # buffers some live entry is charged for
         self._key_locks: dict[str, threading.Lock] = {}
 
     # -- in-memory LRU --------------------------------------------------
@@ -177,15 +163,34 @@ class StageCache:
         """Drop every in-memory entry (disk files are left alone)."""
         with self._lock:
             self._entries.clear()
+            self._charged.clear()
             self._bytes = 0
 
-    def _store(self, key: str, obj: Any) -> None:
-        size = _approx_nbytes(obj)
+    def _evict(self, key: str) -> None:
+        _, size, _, buffers = self._entries.pop(key)
+        self._bytes -= size
+        self._charged.difference_update(buffers)
+        self.stats.evictions += 1
+
+    def _evict_stage(self, stage: str) -> None:
+        """Of a latest-only stage, drop what memory holds."""
+        if stage in _LATEST_ONLY:
+            for k in [k for k, e in self._entries.items() if e[2] == stage]:
+                self._evict(k)
+
+    def _store(self, key: str, obj: Any, stage: str) -> None:
+        buffers = reachable_buffers(obj)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (obj, size)
+            if key in self._entries:
+                self._evict(key)
+            self._evict_stage(stage)
+            # An artifact shares arrays with the entries it was built on
+            # (a plan's operator reads the assembler's tables): each
+            # buffer is charged once, to the first entry holding it.
+            own = {i: n for i, n in buffers.items() if i not in self._charged}
+            self._charged.update(own)
+            size = sum(own.values())
+            self._entries[key] = (obj, size, stage, own.keys())
             self._bytes += size
             while self._entries and len(self._entries) > 1:
                 over_n = (
@@ -195,9 +200,7 @@ class StageCache:
                 over_b = self.max_bytes is not None and self._bytes > self.max_bytes
                 if not (over_n or over_b):
                     break
-                _, (_, evicted_size) = self._entries.popitem(last=False)
-                self._bytes -= evicted_size
-                self.stats.evictions += 1
+                self._evict(next(iter(self._entries)))
 
     def _lookup(self, key: str) -> tuple[bool, Any]:
         with self._lock:
@@ -281,6 +284,7 @@ class StageCache:
         per-caller counter dict — ``{"hits": n, "misses": n}`` is
         accumulated into it, which is how ensemble members report
         per-member cache traffic without racing on the shared stats.
+        Of a ``stage`` in ``_LATEST_ONLY`` memory keeps the latest entry.
 
         Concurrent callers with the same key serialize on a per-key
         build lock, so each distinct artifact is built exactly once;
@@ -313,11 +317,13 @@ class StageCache:
             if self.cache_dir is not None and unpack is not None:
                 restored = self._disk_load(key, unpack)
                 if restored is not None:
-                    self._store(key, restored)
+                    self._store(key, restored, stage)
                     return restored
             self.stats.count_resolution(stage)
+            with self._lock:  # before the build: old and new never add up
+                self._evict_stage(stage)
             obj = build()
-            self._store(key, obj)
+            self._store(key, obj, stage)
             if self.cache_dir is not None and pack is not None:
                 self._disk_store(key, pack(obj))
             return obj
@@ -328,7 +334,8 @@ class StageCache:
         line = (
             f"{len(self._entries)} entries / {self._bytes / 1e6:.1f} MB in "
             f"memory, {s.hits} hits / {s.misses} misses"
-            f" ({s.evictions} evictions)"
+            f" ({s.evictions} evictions); built "
+            + (", ".join(f"{k} x{n}" for k, n in s.resolutions.items()) or "nothing")
         )
         if self.cache_dir is not None:
             line += (

@@ -51,7 +51,7 @@ from repro.api.cache import StageCache
 from repro.api.config import BackendSpec, PartitionSpec, SimulationConfig
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment, assign_levels
-from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
+from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
 from repro.core.newmark import Fields, run_cycles
 from repro.core.workspace import HotPathTracer
 from repro.partition.strategies import PARTITIONERS
@@ -64,7 +64,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.comm import MailboxWorld
-from repro.runtime.executor import DistributedLTSSolver, RankFields
+from repro.runtime.executor import DistributedLTSPlan, RankFields
 from repro.runtime.faults import FaultyWorld
 from repro.runtime.halo import build_rank_layout
 from repro.runtime.supervisor import Supervisor
@@ -103,12 +103,16 @@ from repro.util.errors import ConfigError
 # force           assembler key + source spec
 # receiver_dofs   assembler key + receivers spec
 # parts           levels key + partition spec
+# rank_layout     parts key + backend spec
+# solver_plan     dof_level key + backend spec (+ partition spec on
+#                 more than one rank)
 # ==============  =====================================================
 #
-# Notably *absent* everywhere: BackendSpec (stiffness backend, fused,
-# threads select an execution plan, not a different artifact — the
-# operator itself is built per run from the shared assembler), the
-# resilience spec, and the config name.
+# BackendSpec (stiffness backend, fused, threads) enters only the last
+# two, which hold the execution plan — rank-local operators, level
+# restrictions, index maps — and live in the cache's memory tier only,
+# the latest of each (``repro.api.cache._LATEST_ONLY``).
+# Absent everywhere: the resilience spec and the config name.
 
 
 def _mesh_key(cfg: SimulationConfig) -> tuple:
@@ -149,6 +153,15 @@ def _parts_key(cfg: SimulationConfig) -> tuple:
     return _levels_key(cfg) + (cfg.partition.content_hash(),)
 
 
+def _layout_key(cfg: SimulationConfig) -> tuple:
+    return _parts_key(cfg) + (cfg.backend.content_hash(),)
+
+
+def _plan_key(cfg: SimulationConfig) -> tuple:
+    part = None if cfg.partition.n_ranks == 1 else cfg.partition.content_hash()
+    return _dof_level_key(cfg) + (cfg.backend.content_hash(), part)
+
+
 #: Resolved-stage dependency table: cached attribute -> key function.
 STAGES: dict[str, Callable[[SimulationConfig], tuple]] = {
     "mesh": _mesh_key,
@@ -160,6 +173,8 @@ STAGES: dict[str, Callable[[SimulationConfig], tuple]] = {
     "force": _force_key,
     "receiver_dofs": _receivers_key,
     "parts": _parts_key,
+    "rank_layout": _layout_key,
+    "solver_plan": _plan_key,
 }
 
 
@@ -529,9 +544,13 @@ class Simulation:
         src = self.config.source
         if src is None:
             return None
-        dof = self._locate_dof(src.position, src.component, "source")
-        stf = ricker(src.f0, t0=src.t0, amplitude=src.amplitude)
-        return point_source(self.assembler.n_dof, dof, self.assembler.M, stf)
+
+        def build():
+            dof = self._locate_dof(src.position, src.component, "source")
+            stf = ricker(src.f0, t0=src.t0, amplitude=src.amplitude)
+            return point_source(self.assembler.n_dof, dof, self.assembler.M, stf)
+
+        return self._resolve("force", build)
 
     @cached_property
     def receiver_dofs(self) -> np.ndarray | None:
@@ -539,12 +558,15 @@ class Simulation:
         rec = self.config.receivers
         if rec is None:
             return None
-        return np.array(
-            [
-                self._locate_dof(p, rec.component, f"receiver #{i}")
-                for i, p in enumerate(rec.positions)
-            ],
-            dtype=np.int64,
+        return self._resolve(
+            "receiver_dofs",
+            lambda: np.array(
+                [
+                    self._locate_dof(p, rec.component, f"receiver #{i}")
+                    for i, p in enumerate(rec.positions)
+                ],
+                dtype=np.int64,
+            ),
         )
 
     @cached_property
@@ -565,6 +587,35 @@ class Simulation:
             pack=lambda parts: {"parts": parts},
             unpack=lambda d: d["parts"].astype(np.int64),
         )
+
+    @cached_property
+    def rank_layout(self):
+        """The partition's :class:`~repro.runtime.halo.RankLayout` in the
+        configured backend, LTS levels left to the solver plan
+        (``None`` for serial configs)."""
+        if self.parts is None:
+            return None
+        b, n_ranks = self.config.backend, self.config.partition.n_ranks
+        return self._resolve("rank_layout", lambda: build_rank_layout(
+            self.assembler, self.parts, n_ranks,
+            backend=b.stiffness, use_fused=b.fused, threads=b.threads,
+        ))
+
+    @cached_property
+    def solver_plan(self) -> LTSPlan | DistributedLTSPlan:
+        """Everything the solver derives from operator, levels and
+        partition — level restrictions, active sets, index maps,
+        exchange channels — built once; each run (and each supervised
+        retry) binds it, which allocates buffers only."""
+
+        def build():
+            layout, levels = self.rank_layout, self.dof_level
+            if layout is None:
+                return LTSPlan(self.operator(), levels)
+            on_ranks = [levels[g] for g in layout.gdofs]
+            return DistributedLTSPlan(replace(layout, dof_level_local=on_ranks))
+
+        return self._resolve("solver_plan", build)
 
     def operator(self):
         """The serial stiffness operator in the configured backend."""
@@ -689,10 +740,13 @@ class Simulation:
         """Execute the configured simulation and collect the result.
 
         Every run — plain, checkpointed, health-guarded, fault-injected,
-        resumed; one rank or many — is the same body: an *attempt*
-        (fresh solver and mailbox world, newest restorable state, then
+        resumed; one rank or many — is the same body: every stage and
+        the solver plan resolved once (``metadata["build_seconds"]``),
+        then an *attempt* (the plan bound to fresh buffers and a fresh
+        mailbox world, newest restorable state, then
         :func:`repro.core.newmark.run_cycles`) under a
-        :class:`~repro.runtime.supervisor.Supervisor`.  The default
+        :class:`~repro.runtime.supervisor.Supervisor`
+        (``metadata["run_seconds"]``).  The default
         :class:`~repro.api.config.ResilienceSpec` switches every hook
         off (no restarts, no cadences, no faults), and a hook that is
         off costs nothing.  Per cycle the loop records the receiver row,
@@ -727,7 +781,6 @@ class Simulation:
         t0 = time.perf_counter()
         sem = self.assembler
         dt, n_cycles = self._stepping
-        dof_level = self.dof_level
         force = self.force
         rec = self.receiver_dofs
         parts = self.parts
@@ -742,19 +795,10 @@ class Simulation:
                 else load_checkpoint(resume)
             )
             self._check_restorable(resume_state, resume)
-        layout = None
-        if parts is not None:
-            # Immutable, so resolved once and shared across attempts;
-            # only the mailbox world is rebuilt.
-            layout = build_rank_layout(
-                sem,
-                parts,
-                n_ranks,
-                dof_level=dof_level,
-                backend=cfg.backend.stiffness,
-                use_fused=cfg.backend.fused,
-                threads=cfg.backend.threads,
-            )
+        # Immutable, so resolved once, beside the other stages: a retry
+        # re-binds (fresh buffers and mailbox world) and nothing else.
+        solver_plan = self.solver_plan
+        layout = None if parts is None else solver_plan.layout
         ckpt_dir = (
             Path(res.checkpoint_dir) if resilient and res.checkpoint_dir else None
         )
@@ -780,7 +824,7 @@ class Simulation:
                     m = min(start, len(state.traces))
                     traces[:m] = state.traces[:m]
             if layout is None:
-                solver = LTSNewmarkSolver(self.operator(), dof_level, dt, force=force)
+                solver = solver_plan.bind(dt, force=force)
                 if state is None:
                     u, v = np.zeros(sem.n_dof), np.zeros(sem.n_dof)
                 else:
@@ -793,7 +837,7 @@ class Simulation:
                     else FaultyWorld(n_ranks, plan, attempt=i)
                 )
                 worlds.append(world)
-                solver = DistributedLTSSolver(layout, dt, world=world, force=force)
+                solver = solver_plan.bind(dt, world=world, force=force)
                 if state is not None and state.u_locals is not None:
                     # Exact per-rank replicas: bitwise continuation.
                     u = [x.copy() for x in state.u_locals]

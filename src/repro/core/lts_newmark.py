@@ -58,7 +58,8 @@ implementation does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -163,108 +164,74 @@ def newmark_cycle_ops(A, n_substeps: int) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class _Depth:
-    """Compact state of one recursion depth of the optimized mode: the
-    auxiliary system of one fine level on its active set."""
+    """One recursion depth of the optimized mode, the auxiliary system
+    of one fine level on its active set: index maps (a plan's, shared
+    by its solvers) and the compact state :meth:`bind` adds."""
 
     level: int
     restr: Restriction
     idx: np.ndarray  # DOF ids of the active set, in compact order
     colpos: np.ndarray  # positions in ``idx`` of the level's columns (restr.cols)
     n_diff: int  # leading entries outside the next finer depth's active set
-    z: np.ndarray  # full-length: the level's apply output
-    u: np.ndarray  # displacement, velocity, frozen forcing and scratch,
-    v: np.ndarray  # all of the active set's length
-    F: np.ndarray
-    r: np.ndarray
-    c: np.ndarray  # staging for the level's column values
+    z: np.ndarray | None = None  # full-length: the level's apply output
+    u: np.ndarray | None = None  # displacement, velocity, frozen forcing and
+    v: np.ndarray | None = None  # scratch, all of the active set's length
+    F: np.ndarray | None = None
+    r: np.ndarray | None = None
+    c: np.ndarray | None = None  # staging for the level's column values
+
+    def bind(self, z: np.ndarray) -> "_Depth":
+        """This depth ready to step: fresh state vectors and a fork of
+        its product, whose output ``z`` is."""
+        na = len(self.idx)
+        return replace(
+            self, restr=self.restr.fork(), z=z, u=np.empty(na), v=np.empty(na),
+            F=np.empty(na), r=np.empty(na), c=np.empty(len(self.colpos)),
+        )
 
 
 def compact_depths(
-    levels: list[int],
-    restr: list[Restriction],
-    masks: list[np.ndarray],
-    z: np.ndarray | None = None,
+    levels: list[int], restr: list[Restriction], masks: list[np.ndarray]
 ) -> list[_Depth]:
-    """Compact recursion state for the fine ``levels`` (ascending, the
-    coarsest active level excluded) of one DOF numbering — the whole
-    mesh, or one rank's local DOFs.
+    """Index maps of the compact recursion for the fine ``levels``
+    (ascending, the coarsest active level excluded) of one DOF
+    numbering — the whole mesh, or one rank's local DOFs.
 
     ``masks[i]`` is depth ``i``'s active set and ``restr[i]`` its
-    level's restricted product, which writes into ``z`` when every
-    product overwrites the whole vector, else (a product that writes
-    its row support only) into a zero-initialised buffer of the depth's
-    own.  The sets are nested, so one ordering of the coarsest serves
-    all depths: ``[act_1 \\ act_2, act_2 \\ act_3, ..., act_last]``
-    makes every depth's set a suffix, and the part its child does not
-    cover — where the closed form applies — a prefix of that.
+    level's restricted product.  The sets are nested, so one ordering
+    of the coarsest serves all depths: ``[act_1 \\ act_2, act_2 \\
+    act_3, ..., act_last]`` makes every depth's set a suffix, and the
+    part its child does not cover — where the closed form applies — a
+    prefix of that.
     """
     if not levels:
         return []
     blocks = [np.nonzero(a & ~b)[0] for a, b in zip(masks, masks[1:])]
     order = np.concatenate(blocks + [np.nonzero(masks[-1])[0]])
-    n = len(masks[0])
-    pos = np.empty(n, dtype=np.int64)
+    pos = np.empty(len(masks[0]), dtype=np.int64)
     pos[order] = np.arange(len(order))
     depths, off = [], 0
     for i, (lv, rs) in enumerate(zip(levels, restr)):
         n_diff = len(blocks[i]) if i < len(blocks) else 0
-        na = len(order) - off
-        depths.append(_Depth(
-            level=lv, restr=rs, idx=order[off:], colpos=pos[rs.cols] - off,
-            n_diff=n_diff, z=np.zeros(n) if z is None else z,
-            u=np.empty(na), v=np.empty(na), F=np.empty(na), r=np.empty(na),
-            c=np.empty(len(rs.cols)),
-        ))
+        depths.append(_Depth(lv, rs, order[off:], pos[rs.cols] - off, n_diff))
         off += n_diff
     return depths
 
 
-class LTSNewmarkSolver:
-    """Multi-level LTS-Newmark integrator for ``u'' = -A u + f(t)``.
-
-    Parameters
-    ----------
-    A:
-        Stiffness operator ``M^{-1} K``: a scipy sparse matrix / dense
-        array (wrapped into an assembled-CSR backend), or any
-        :class:`repro.core.operator.StiffnessOperator` such as the
-        matrix-free backend from :meth:`repro.sem.tensor.SemND.operator`
-        (2D quads and 3D hexahedra alike).
-    dof_level:
-        ``(n,)`` int array of per-DOF levels, 1 = coarsest (from
-        :func:`dof_levels_from_elements`).
-    dt:
-        Coarse (cycle) step, i.e. :attr:`LevelAssignment.dt`.
-    mode:
-        ``"optimized"`` (default) or ``"reference"`` (see module docs).
-    force:
-        Optional mass-scaled force ``f(t)`` (fixed at construction);
-        frozen over each cycle at ``t_n`` and treated as a level-1
-        (coarse) contribution, which is second-order consistent for
-        sources supported on coarse DOFs.  A
-        :class:`repro.sem.sources.PointSource` is applied as a
-        single-entry update, any other callable as a dense vector.
-    counter:
-        Optional :class:`OperationCounter` to fill while stepping.
+class LTSPlan:
+    """What an :class:`LTSNewmarkSolver` derives from the operator and
+    the DOF levels alone: the non-empty levels, their columns and, in
+    ``mode="optimized"``, the per-level restricted products, the active
+    sets and the compact recursion's index maps.  Stepping changes
+    none of it, so one plan serves any number of solvers, concurrently
+    too: :meth:`bind` gives each its own buffers and operator scratch.
+    (Optimized mode only: reference-mode solvers all apply the plan's
+    one operator, scratch included, so step those one at a time.)
     """
 
-    def __init__(
-        self,
-        A,
-        dof_level: np.ndarray,
-        dt: float,
-        mode: str = "optimized",
-        force: Callable[[float], np.ndarray] | None = None,
-        counter: OperationCounter | None = None,
-    ):
+    def __init__(self, A, dof_level: np.ndarray, mode: str = "optimized"):
         require(mode in ("optimized", "reference"), f"unknown mode {mode!r}", SolverError)
         self.mode = mode
-        self.dt = check_positive(dt, "dt", SolverError)
-        self.force = force
-        self.counter = counter
-        self.t = 0.0
-        self.n_cycles_taken = 0
-
         self.op = as_operator(A)
         n = self.op.shape[0]
         require(self.op.shape == (n, n), "A must be square", SolverError)
@@ -289,53 +256,117 @@ class LTSNewmarkSolver:
             SolverError,
         )
         self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
-        self._depths: list[_Depth] = []
-        if mode == "optimized":
-            self._build_optimized()
-
-    def _build_optimized(self) -> None:
-        """Restricted products, active sets and compact state, built once.
-
-        ``op.restrict(cols)`` gives the per-level product (column blocks
-        for the assembled backend, element subsets for the matrix-free
-        one); ``op.reach()`` — one vectorized structural query per depth
-        — the active set of depth ``i``: the rows reachable from the
-        columns of levels ``>= active_levels[i]``, plus those columns;
-        :func:`compact_depths` orders them and gives each fine level a
-        zero-initialised output buffer (its product writes its row
-        support only).
-        """
-        n, levels = self.n_dof, self.active_levels
+        self.restr0: Restriction | None = None
+        self.depths: list[_Depth] = []
+        if mode != "optimized":
+            return
+        # ``op.restrict(cols)`` gives the per-level product (column blocks
+        # for the assembled backend, element subsets for the matrix-free
+        # one); ``op.reach()`` — one vectorized structural query per depth
+        # — the active set of depth ``i``: the rows reachable from the
+        # columns of levels ``>= active_levels[i]``, plus those columns;
+        # :func:`compact_depths` orders them.
+        levels = self.active_levels
         restr = {k: self.op.restrict(self._cols[k]) for k in levels}
-        self._restr0 = restr[levels[0]]
+        self.restr0 = restr[levels[0]]
+        masks = []
+        for lv in levels[1:]:
+            col_mask = self.dof_level >= lv
+            masks.append(self.op.reach(col_mask) | col_mask)
+        self.depths = compact_depths(
+            levels[1:], [restr[lv] for lv in levels[1:]], masks
+        )
+
+    @cached_property
+    def reach1(self) -> np.ndarray:
+        """Rows the coarsest level's columns reach (see ``_F1_stale``)."""
+        return self.op.reach(self.dof_level == self.active_levels[0])
+
+    def bind(self, dt: float, force=None, counter=None) -> "LTSNewmarkSolver":
+        """A solver stepping this plan: only buffers are allocated."""
+        return LTSNewmarkSolver(self, None, dt, force=force, counter=counter)
+
+
+class LTSNewmarkSolver:
+    """Multi-level LTS-Newmark integrator for ``u'' = -A u + f(t)``.
+
+    Parameters
+    ----------
+    A:
+        Stiffness operator ``M^{-1} K``: a scipy sparse matrix / dense
+        array (wrapped into an assembled-CSR backend), or any
+        :class:`repro.core.operator.StiffnessOperator` such as the
+        matrix-free backend from :meth:`repro.sem.tensor.SemND.operator`
+        (2D quads and 3D hexahedra alike).  Or an :class:`LTSPlan`,
+        which stands for ``A``, ``dof_level`` and ``mode`` together.
+    dof_level:
+        ``(n,)`` int array of per-DOF levels, 1 = coarsest (from
+        :func:`dof_levels_from_elements`).
+    dt:
+        Coarse (cycle) step, i.e. :attr:`LevelAssignment.dt`.
+    mode:
+        ``"optimized"`` (default) or ``"reference"`` (see module docs).
+    force:
+        Optional mass-scaled force ``f(t)`` (fixed at construction);
+        frozen over each cycle at ``t_n`` and treated as a level-1
+        (coarse) contribution, which is second-order consistent for
+        sources supported on coarse DOFs.  A
+        :class:`repro.sem.sources.PointSource` is applied as a
+        single-entry update, any other callable as a dense vector.
+    counter:
+        Optional :class:`OperationCounter` to fill while stepping.
+
+    What derives from ``A`` and ``dof_level`` alone is kept as
+    :attr:`plan`; to step the same system again, :meth:`LTSPlan.bind` it.
+    """
+
+    def __init__(
+        self,
+        A,
+        dof_level: np.ndarray,
+        dt: float,
+        mode: str = "optimized",
+        force: Callable[[float], np.ndarray] | None = None,
+        counter: OperationCounter | None = None,
+    ):
+        self.plan = plan = A if isinstance(A, LTSPlan) else LTSPlan(A, dof_level, mode)
+        self.dt = check_positive(dt, "dt", SolverError)
+        self.force = force
+        self.counter = counter
+        self.t = 0.0
+        self.n_cycles_taken = 0
+        self.mode, self.op, self.A = plan.mode, plan.op, plan.A
+        self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
+        self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
+        self._depths: list[_Depth] = []
+        if self.mode != "optimized":
+            return
+        n = self.n_dof
+        self._restr0 = plan.restr0.fork()
         # Level 1's output also takes the source term.  The depth-0 passes
         # keep its unwritten rows at zero (0 * dt), so only a source entry
         # outside the level's row support could survive into the next
         # cycle: a dense force, or a point source no level-1 column
         # reaches.  Only then is the buffer cleared every cycle.
         self._F1 = np.zeros(n)
-        self._F1_stale = self.force is not None
+        self._F1_stale = force is not None
         if self._F1_stale:
-            reach1 = self.op.reach(self.dof_level == levels[0])
-            dof = getattr(self.force, "dof", None)
-            self._F1_stale = not (reach1.all() or (dof is not None and reach1[dof]))
+            dof = getattr(force, "dof", None)
+            self._F1_stale = not (
+                plan.reach1.all() or (dof is not None and plan.reach1[dof])
+            )
         #: The one full-length buffer every fine level's apply reads (each
         #: depth scatters its level's columns into it first); depth 0's
         #: scratch between cycles.  Always finite: the matrix-free gather
         #: multiplies the entries it does not use by a zero mask.
         self._w = np.zeros(n)
-        masks = []
-        for lv in levels[1:]:
-            col_mask = self.dof_level >= lv
-            masks.append(self.op.reach(col_mask) | col_mask)
-        if not masks:
-            return
-        self._depths = compact_depths(
-            levels[1:], [restr[lv] for lv in levels[1:]], masks
-        )
-        # Saved depth-0 copies of the coarsest active set's rows.
-        self._u0 = np.empty(len(self._depths[0].idx))
-        self._v0 = np.empty(len(self._depths[0].idx))
+        # Each fine level's product writes its row support only: a
+        # zero-initialised output apiece keeps the other rows zero.
+        self._depths = [d.bind(np.zeros(n)) for d in plan.depths]
+        if self._depths:
+            # Saved depth-0 copies of the coarsest active set's rows.
+            self._u0 = np.empty(len(self._depths[0].idx))
+            self._v0 = np.empty(len(self._depths[0].idx))
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and
@@ -343,7 +374,7 @@ class LTSNewmarkSolver:
         total = workspace_bytes(self.op)
         if self.mode == "optimized":
             restrs = [self._restr0] + [d.restr for d in self._depths]
-            total += sum(int(r.workspace_bytes) for r in restrs)
+            total += workspace_bytes(*restrs)
             bufs = [self._F1, self._w]
             for d in self._depths:
                 bufs += [d.colpos, d.z, d.u, d.v, d.F, d.r, d.c]

@@ -103,13 +103,22 @@ class Restriction:
     Produced by :meth:`StiffnessOperator.restrict`; ``ops`` is the cost
     of one :meth:`apply` in the backend's operation unit (see module
     docs), which :class:`~repro.core.lts_newmark.OperationCounter`
-    accumulates per level.
+    accumulates per level.  ``workspace_bytes`` is the scratch behind
+    :meth:`apply`: a number, or a callable when it is allocated lazily.
     """
 
     cols: np.ndarray
     ops: int
     _apply: Callable[..., np.ndarray]
-    workspace_bytes: int = 0
+    workspace_bytes: int | Callable[[], int] = 0
+    _fork: Callable[[], "Restriction"] | None = None
+
+    def fork(self) -> "Restriction":
+        """The same product with scratch of its own — index arrays and
+        coefficients shared — so two solvers bound from one plan can
+        apply it concurrently.  A restriction that was given no way to
+        fork (a caller's wrapper) is returned as is."""
+        return self if self._fork is None else self._fork()
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
@@ -203,8 +212,10 @@ class AssembledOperator:
 
     def restrict(self, cols: np.ndarray) -> Restriction:
         cols = np.asarray(cols, dtype=np.int64)
-        A_cols = self._A_csc[:, cols].tocsr()
-        ucols = np.empty(len(cols))
+        return self._restriction(cols, self._A_csc[:, cols].tocsr())
+
+    def _restriction(self, cols: np.ndarray, A_cols) -> Restriction:
+        ucols = np.empty(len(cols))  # the gather buffer: the one mutable part
 
         def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if out is None:
@@ -213,7 +224,8 @@ class AssembledOperator:
             return csr_matvec_into(A_cols, ucols, out)
 
         return Restriction(
-            cols=cols, ops=A_cols.nnz, _apply=_apply, workspace_bytes=ucols.nbytes
+            cols=cols, ops=A_cols.nnz, _apply=_apply, workspace_bytes=ucols.nbytes,
+            _fork=lambda: self._restriction(cols, A_cols),
         )
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:

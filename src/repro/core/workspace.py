@@ -29,9 +29,11 @@ workspaces, the sort-plan segment-sum scatter) lives in
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import tracemalloc
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -167,6 +169,29 @@ def workspace_bytes(*objs) -> int:
         if fn is not None:
             total += int(fn() if callable(fn) else fn)
     return total
+
+
+def reachable_buffers(root) -> dict[int, int]:
+    """``id -> nbytes`` of every distinct array buffer reachable from
+    ``root`` — through attributes, containers, bound methods and
+    closures, never into a module, a class or a function's globals.
+    What the stage cache charges its entries by, a solver plan as well
+    as a bare array."""
+    seen, buffers, stack = set(), {}, [root]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            if o.base is None:
+                buffers[id(o)] = o.nbytes
+            stack.append(o.base)  # a view's buffer is its base's
+        elif isinstance(o, types.FunctionType):
+            stack.extend(c.cell_contents for c in o.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(o))
+    return buffers
 
 
 # ----------------------------------------------------------------------

@@ -108,16 +108,125 @@ class RankFields:
         return self.layout.gather(self.u), self.layout.gather(self.v)
 
 
-class _DistributedBase:
-    """Shared machinery: the halo sum, the source term and state I/O."""
+def _restriction(cols: np.ndarray, sub) -> Restriction:
+    """The masked stiffness ``sub`` as the restricted product over
+    ``cols``, able to fork when its *class* is: a caller's proxy that
+    forwards attribute lookups has no fork of its own and is used as is."""
+    fork = getattr(type(sub), "fork", None)
+    return Restriction(
+        cols, sub.nnz, sub.apply,
+        _fork=fork and (lambda: _restriction(cols, fork(sub))),
+    )
+
+
+def _restrict_levels(K, col_masks: list[np.ndarray]):
+    """One rank's restricted products ``u -> K[:, cols_k] u[cols_k]``,
+    one per level mask in the order given (coarsest first), and, per
+    level, the rows the product can write.
+
+    A matrix-free ``K`` restricts to the level's elements plus their
+    gray halo; an assembled CSR to its column block.  Either way the
+    product overwrites the whole output (zero outside the row support).
+    """
+    cols = [np.nonzero(m)[0] for m in col_masks]
+    if hasattr(K, "masked_subset"):
+        subs = [K.masked_subset(m) for m in col_masks]
+        restr = [_restriction(c, s) for c, s in zip(cols, subs)]
+        return restr, [s.row_support() for s in subs]
+    op = AssembledOperator(K)
+    return [op.restrict(c) for c in cols], [op.reach(m) for m in col_masks]
+
+
+class DistributedLTSPlan:
+    """What a :class:`DistributedLTSSolver` derives from the rank layout
+    alone: the global level schedule and, per rank, the level-restricted
+    products, the per-level exchange channels, the active sets with the
+    compact recursion's index maps, and ``1/M``.  Stepping changes none
+    of it, so one plan serves any number of solvers, concurrently too:
+    :meth:`bind` gives each its own vectors, buffers and operator scratch.
+    """
+
+    def __init__(self, layout: RankLayout):
+        self.layout = layout
+        n_ranks, dof_levels = layout.n_ranks, layout.dof_level_local
+        require(
+            len(dof_levels) == n_ranks,
+            "layout must carry dof levels (build_rank_layout(dof_level=...))",
+            SolverError,
+        )
+        #: Non-empty levels across the whole domain (every rank follows the
+        #: same global schedule even if a level is locally absent).
+        self.active_levels = levels = sorted(
+            {int(k) for lv in dof_levels for k in np.unique(lv)}
+        )
+        require(min(levels, default=1) >= 1, "levels must be >= 1", SolverError)
+        col_masks = [[lv == k for k in levels] for lv in dof_levels]
+        restr, supports = zip(*(
+            _restrict_levels(K, m) for K, m in zip(layout.K_local, col_masks)
+        ))
+        #: Per rank, the coarsest level's product (applied to ``u`` itself).
+        self.restr0 = [rs[0] for rs in restr]
+        # Per-level exchange plans: channel positions outside every
+        # sharer's structural row support carry only zeros, so each
+        # level's plan keeps just the reachable slice (and drops
+        # untouched channels outright).  Message volume then scales with
+        # the level footprint instead of the full interface.
+        self.exchange: dict[int, ExchangePlan] = {
+            k: layout.exchange_channels([sup[j] for sup in supports])
+            for j, k in enumerate(levels)
+        }
+        # Active sets, finest first: whatever a level >= k can make
+        # nonzero on this rank, through its own product or the exchange.
+        by_rank = []
+        for r in range(n_ranks):
+            active, acts = np.zeros(len(layout.gdofs[r]), dtype=bool), []
+            for j in range(len(levels) - 1, 0, -1):
+                active = active | col_masks[r][j] | supports[r][j]
+                for idx in self.exchange[levels[j]].indices[r]:
+                    active[idx] = True
+                acts.append(active)
+            by_rank.append(compact_depths(levels[1:], restr[r][1:], acts[::-1]))
+        #: ``depths[i][r]``: rank ``r``'s index maps at depth ``i``.
+        self.depths = [list(ds) for ds in zip(*by_rank)]
+        #: The rank-local ``1/M`` the exchanged sums are scaled by, and
+        #: the same over each depth's active set (suffixes of depth 0's).
+        self.Minv = [1.0 / M for M in layout.M_local]
+        top = self.depths[0] if self.depths else []
+        minv0 = [m[d.idx] for m, d in zip(self.Minv, top)]
+        self.minv = [
+            [m[len(m) - len(d.idx):] for m, d in zip(minv0, ds)]
+            for ds in self.depths
+        ]
+
+    def bind(self, dt: float, world=None, force=None) -> "DistributedLTSSolver":
+        """A solver stepping this plan: only buffers are allocated."""
+        return DistributedLTSSolver(self, dt, world, force)
+
+
+class DistributedLTSSolver:
+    """Multi-level LTS-Newmark, domain-decomposed.
+
+    Requires ``layout.dof_level_local`` (pass ``dof_level`` to
+    :func:`repro.runtime.halo.build_rank_layout`); a
+    :class:`DistributedLTSPlan` may stand for the layout.  ``dt`` is the
+    coarse cycle step, as in
+    :class:`repro.core.lts_newmark.LTSNewmarkSolver`.  What derives from
+    the layout alone is kept as :attr:`plan`; to step the same
+    decomposition again, :meth:`DistributedLTSPlan.bind` it.
+    """
 
     def __init__(
         self,
-        layout: RankLayout,
+        layout: RankLayout | DistributedLTSPlan,
+        dt: float,
         world: MailboxWorld | None = None,
         force: Callable[[float], np.ndarray] | None = None,
     ):
-        self.layout = layout
+        self.plan = plan = (
+            layout if isinstance(layout, DistributedLTSPlan) else DistributedLTSPlan(layout)
+        )
+        self.layout = layout = plan.layout
+        self.dt = check_positive(dt, "dt", SolverError)
         self.force = force
         # A point source (one nonzero entry, see
         # repro.sem.sources.PointSource) lives at one local index on each
@@ -139,11 +248,27 @@ class _DistributedBase:
         self.comms: list[RankComm] = self.world.comms()
         self.t = 0.0
         self.n_cycles_taken = 0
+        self.active_levels = plan.active_levels
         # One persistent apply output per rank, shared by every level (a
-        # level's result is consumed before the next apply), and the
-        # rank-local 1/M the exchanged sums are scaled by.
+        # level's result is consumed before the next apply).
         self._zl: list[np.ndarray] = [np.empty(len(g)) for g in layout.gdofs]
-        self._Minv: list[np.ndarray] = [1.0 / M for M in layout.M_local]
+        self._Minv, self._minv = plan.Minv, plan.minv
+        self._apply0 = [rs.fork().apply for rs in plan.restr0]
+        self._plans = {k: p.fork() for k, p in plan.exchange.items()}
+        #: ``_depths[i][r]``: rank ``r``'s compact state at depth ``i``.
+        self._depths = [
+            [d.bind(z) for d, z in zip(ds, self._zl)] for ds in plan.depths
+        ]
+        #: Depth 0's per-rank states (empty with one level) and their
+        #: saved copies of the active rows.
+        self._top = self._depths[0] if self._depths else []
+        self._u0l = [np.empty(len(d.idx)) for d in self._top]
+        self._v0l = [np.empty(len(d.idx)) for d in self._top]
+        #: Per rank, the one buffer every fine level's apply reads (each
+        #: substep scatters the level's columns into it first); always
+        #: finite, since the matrix-free gather multiplies the entries it
+        #: does not use by a zero mask.
+        self._wl = [np.zeros(len(d.z)) for d in self._top]
 
     def _subtract_force(self, z_locals: list[np.ndarray]) -> None:
         """``z -= f(t)`` on every rank's replica, in place."""
@@ -242,107 +367,6 @@ class _DistributedBase:
                 z.take(idx, out=acc, mode="clip")
                 acc += recv(peer, tag)
                 z[idx] = acc
-
-
-def _restrict_levels(K, col_masks: list[np.ndarray]):
-    """One rank's restricted products ``u -> K[:, cols_k] u[cols_k]``,
-    one per level mask in the order given (coarsest first): the first
-    as a bare ``apply(u, out=)`` — it is applied to ``u`` itself, so no
-    column list is kept for it — the finer ones as
-    :class:`~repro.core.operator.Restriction`; and, per level, the rows
-    the product can write.
-
-    A matrix-free ``K`` restricts to the level's elements plus their
-    gray halo; an assembled CSR to its column block.  Either way the
-    product overwrites the whole output (zero outside the row support).
-    """
-    fine_cols = [np.nonzero(m)[0] for m in col_masks[1:]]
-    if hasattr(K, "masked_subset"):
-        subs = [K.masked_subset(m) for m in col_masks]
-        fine = [Restriction(c, s.nnz, s.apply) for c, s in zip(fine_cols, subs[1:])]
-        return subs[0].apply, fine, [s.row_support() for s in subs]
-    op = AssembledOperator(K)
-    coarse = op.restrict(np.nonzero(col_masks[0])[0])
-    return (
-        coarse.apply,
-        [op.restrict(c) for c in fine_cols],
-        [op.reach(m) for m in col_masks],
-    )
-
-
-class DistributedLTSSolver(_DistributedBase):
-    """Multi-level LTS-Newmark, domain-decomposed.
-
-    Requires ``layout.dof_level_local`` (pass ``dof_level`` to
-    :func:`repro.runtime.halo.build_rank_layout`).  ``dt`` is the coarse
-    cycle step, as in :class:`repro.core.lts_newmark.LTSNewmarkSolver`.
-    """
-
-    def __init__(
-        self,
-        layout: RankLayout,
-        dt: float,
-        world: MailboxWorld | None = None,
-        force: Callable[[float], np.ndarray] | None = None,
-    ):
-        super().__init__(layout, world, force)
-        n_ranks, dof_levels = layout.n_ranks, layout.dof_level_local
-        require(
-            len(dof_levels) == n_ranks,
-            "layout must carry dof levels (build_rank_layout(dof_level=...))",
-            SolverError,
-        )
-        self.dt = check_positive(dt, "dt", SolverError)
-        #: Non-empty levels across the whole domain (every rank follows the
-        #: same global schedule even if a level is locally absent).
-        self.active_levels = levels = sorted(
-            {int(k) for lv in dof_levels for k in np.unique(lv)}
-        )
-        require(min(levels, default=1) >= 1, "levels must be >= 1", SolverError)
-        col_masks = [[lv == k for k in levels] for lv in dof_levels]
-        self._apply0, fine, supports = zip(*(
-            _restrict_levels(K, m) for K, m in zip(layout.K_local, col_masks)
-        ))
-        # Per-level exchange plans: channel positions outside every
-        # sharer's structural row support carry only zeros, so each
-        # level's plan keeps just the reachable slice (and drops
-        # untouched channels outright).  Message volume then scales with
-        # the level footprint instead of the full interface.
-        self._plans: dict[int, ExchangePlan] = {
-            k: layout.exchange_plan(supports=[sup[j] for sup in supports])
-            for j, k in enumerate(levels)
-        }
-        # Active sets, finest first: whatever a level >= k can make
-        # nonzero on this rank, through its own product or the exchange.
-        by_rank = []
-        for r in range(n_ranks):
-            active, acts = np.zeros(len(layout.gdofs[r]), dtype=bool), []
-            for j in range(len(levels) - 1, 0, -1):
-                active = active | col_masks[r][j] | supports[r][j]
-                for idx in self._plans[levels[j]].indices[r]:
-                    active[idx] = True
-                acts.append(active)
-            by_rank.append(
-                compact_depths(levels[1:], fine[r], acts[::-1], z=self._zl[r])
-            )
-        #: ``_depths[i][r]``: rank ``r``'s compact state at depth ``i``.
-        self._depths = [list(ds) for ds in zip(*by_rank)]
-        #: Depth 0's per-rank states (empty with one level), their saved
-        #: copies of the active rows, and ``1/M`` over each depth's
-        #: active set (suffixes of depth 0's).
-        self._top = self._depths[0] if self._depths else []
-        minv0 = [m[d.idx] for m, d in zip(self._Minv, self._top)]
-        self._minv = [
-            [m[len(m) - len(d.idx):] for m, d in zip(minv0, ds)]
-            for ds in self._depths
-        ]
-        self._u0l = [np.empty(len(m)) for m in minv0]
-        self._v0l = [np.empty(len(m)) for m in minv0]
-        #: Per rank, the one buffer every fine level's apply reads (each
-        #: substep scatters the level's columns into it first); always
-        #: finite, since the matrix-free gather multiplies the entries it
-        #: does not use by a zero mask.
-        self._wl = [np.zeros(len(d.z)) for d in self._top]
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent hot-path scratch the solver owns: apply

@@ -26,7 +26,7 @@ in the spec's element-subset slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,13 +65,21 @@ class ExchangePlan:
     Channels whose keep-mask is empty are dropped from *both* sides —
     no message is sent at all, which is what lets per-level exchange
     volume shrink with the level's footprint while
-    ``check_no_leaks()`` still holds.
+    ``check_no_leaks()`` still holds.  Peers and indices never change;
+    the buffers are one solver's (:meth:`fork`).
     """
 
     peers: list[list[int]]  # per rank, peer ids with a non-empty channel
     indices: list[list[np.ndarray]]  # per rank, aligned pack/unpack indices
-    send_bufs: list[list[np.ndarray]]
-    acc_bufs: list[list[np.ndarray]]
+    send_bufs: list[list[np.ndarray]] = field(default_factory=list)
+    acc_bufs: list[list[np.ndarray]] = field(default_factory=list)
+
+    def fork(self) -> "ExchangePlan":
+        """The same channels with pack/accumulate buffers of its own."""
+        def bufs():
+            return [[np.empty(len(ix)) for ix in per_rank] for per_rank in self.indices]
+
+        return replace(self, send_bufs=bufs(), acc_bufs=bufs())
 
     @property
     def n_ranks(self) -> int:
@@ -145,7 +153,15 @@ class RankLayout:
     def exchange_plan(
         self, supports: list[np.ndarray] | None = None
     ) -> ExchangePlan:
-        """Build a pooled :class:`ExchangePlan` over the halo channels.
+        """Build a pooled :class:`ExchangePlan` over the halo channels:
+        :meth:`exchange_channels` plus pack/accumulate buffers."""
+        return self.exchange_channels(supports).fork()
+
+    def exchange_channels(
+        self, supports: list[np.ndarray] | None = None
+    ) -> ExchangePlan:
+        """The halo channels as a bufferless :class:`ExchangePlan` (peers
+        and indices: what solvers share; each forks its own buffers).
 
         ``supports`` optionally gives, per rank, a boolean mask over
         local DOFs of the rows the rank's (possibly level-restricted)
@@ -162,14 +178,10 @@ class RankLayout:
         )
         peers: list[list[int]] = []
         indices: list[list[np.ndarray]] = []
-        send_bufs: list[list[np.ndarray]] = []
-        acc_bufs: list[list[np.ndarray]] = []
         for r in range(self.n_ranks):
             h = self.halo[r]
             pr: list[int] = []
             ir: list[np.ndarray] = []
-            sr: list[np.ndarray] = []
-            ar: list[np.ndarray] = []
             for peer, idx in zip(h.peers, h.local_indices):
                 if supports is not None:
                     # Position j of the r->peer channel and of the
@@ -184,15 +196,9 @@ class RankLayout:
                     idx = idx[keep]
                 pr.append(peer)
                 ir.append(np.ascontiguousarray(idx, dtype=np.int64))
-                sr.append(np.empty(len(idx)))
-                ar.append(np.empty(len(idx)))
             peers.append(pr)
             indices.append(ir)
-            send_bufs.append(sr)
-            acc_bufs.append(ar)
-        return ExchangePlan(
-            peers=peers, indices=indices, send_bufs=send_bufs, acc_bufs=acc_bufs
-        )
+        return ExchangePlan(peers, indices)
 
 
 def _rank_stiffness_assembled(assembler, owned, local_dofs, n_local) -> sp.csr_matrix:

@@ -50,6 +50,7 @@ Design notes (mirrors the NumPy path in :mod:`repro.sem.matfree`):
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import hashlib
 import os
@@ -926,13 +927,26 @@ class _FusedPlan:
         else:
             self.threads = 1
             self._zt = None
-        self._args = (
+        self._args = self._call_args()
+
+    def _call_args(self) -> tuple:
+        return (
             self._ne, self.n_dof, self.n1,
             *(_addr(a) for a in self._coef_arrays()),
             _addr(self._ed), _addr(self._gmask), _addr(self._Minv),
             self.threads, _addr(self._zt),
-            _addr(self._rows), 0 if rows is None else len(rows),
+            _addr(self._rows), 0 if self._rows is None else len(self._rows),
         )
+
+    def fork(self) -> "_FusedPlan":
+        """A plan safe to call beside this one: itself when serial (a
+        call writes only its output), else one with its own partials."""
+        if self._zt is None:
+            return self
+        twin = copy.copy(self)
+        twin._zt = np.empty_like(self._zt)
+        twin._args = twin._call_args()
+        return twin
 
     def _bind(self, kernel, ne_pad: int) -> None:
         raise NotImplementedError

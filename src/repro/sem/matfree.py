@@ -56,8 +56,8 @@ meaningful — see :mod:`repro.core.operator`.
 
 from __future__ import annotations
 
+import copy
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -282,7 +282,18 @@ class _ScatterPlan:
 # ----------------------------------------------------------------------
 # Physics kernels: batched element contraction
 # ----------------------------------------------------------------------
-class AcousticKernelND:
+class _PooledKernel:
+    """What the element kernels share: one contraction scratch pool
+    (``_ws``) each — their only mutable part."""
+
+    def fork(self):
+        """This kernel, coefficient arrays shared, with its own pool."""
+        twin = copy.copy(self)
+        twin._ws = Workspace()
+        return twin
+
+
+class AcousticKernelND(_PooledKernel):
     """Batched acoustic element stiffness action, generic over dimension.
 
     For axis ``a`` of an axis-aligned box element,
@@ -454,7 +465,7 @@ class AcousticKernel3D(AcousticKernelND):
         return out.reshape(Ue.shape)
 
 
-class ElasticKernelND:
+class ElasticKernelND(_PooledKernel):
     """Batched isotropic elastic element stiffness action, generic over
     dimension (component-interleaved DOFs).
 
@@ -541,6 +552,11 @@ class ElasticKernelND:
     @classmethod
     def _from_params(cls, order: int, lam, mu, h_axes) -> "ElasticKernelND":
         return cls(order, lam, mu, h_axes)
+
+    def fork(self) -> "ElasticKernelND":
+        twin = super().fork()
+        twin._diag = [k.fork() for k in self._diag]
+        return twin
 
     def subset(self, ids: np.ndarray) -> "ElasticKernelND":
         return type(self)._from_params(
@@ -680,7 +696,7 @@ class ElasticKernel3D(ElasticKernelND):
         return (U.reshape(-1, n1) @ A.T).reshape(U.shape)
 
 
-class AnisotropicKernelND:
+class AnisotropicKernelND(_PooledKernel):
     """Batched general-anisotropy elastic stiffness action, generic over
     dimension (component-interleaved DOFs; fused C tier via
     ``an_apply``/``an_apply3``).
@@ -938,12 +954,12 @@ class MatrixFreeStiffness:
                 )
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
-        # Pooled hot path: gather/contract buffers and the sort-plan
-        # scatter, built eagerly so workspace accounting is stable and
-        # the first traced step is already steady-state.
+        # Pooled hot path: the sort-plan scatters are built here; every
+        # mutable buffer lives in a Workspace and appears on first use,
+        # so :meth:`fork` only has to hand out fresh pools.
         self._ws = Workspace()
         self._scatter = None
-        self._chunk_state = None
+        self._chunk_scatter = None
         #: The row support :meth:`apply_rows` confines itself to, or None
         #: when it overwrites everything: a dense support, or the chunked
         #: and seed NumPy tiers, which have no rows-only pass.
@@ -955,17 +971,27 @@ class MatrixFreeStiffness:
             self._scatter = _ScatterPlan(
                 self.element_dofs, self.n_dof, coeff=self.Minv, rows=self._rows
             )
-            self._ws.buf("Ue", self.element_dofs.shape)
-            self._ws.buf("ku", self.element_dofs.shape)
         if self.pooled and self._chunks is not None:
-            self._chunk_state = [
-                {
-                    "scatter": _ScatterPlan(ed, self.n_dof, coeff=self.Minv),
-                    "ws": Workspace(),
-                    "z": np.empty(self.n_dof),
-                }
+            self._chunk_scatter = [
+                _ScatterPlan(ed, self.n_dof, coeff=self.Minv)
                 for ed, _, _ in self._chunks
             ]
+            self._chunk_ws = [Workspace() for _ in self._chunks]
+
+    def fork(self) -> "MatrixFreeStiffness":
+        """This operator with scratch of its own (gather/contract
+        buffers, kernel pools, per-thread partials), for a concurrent
+        caller; tables, masks, scatter and fused plans are shared."""
+        twin = copy.copy(self)
+        twin._ws = Workspace()
+        if self._plan is not None:
+            twin._plan = self._plan.fork()
+            return twin
+        twin.kernel = self.kernel.fork()
+        if self._chunks is not None:
+            twin._chunks = [(ed, k.fork(), gm) for ed, k, gm in self._chunks]
+            twin._chunk_ws = [Workspace() for _ in self._chunks]
+        return twin
 
     @property
     def tier(self) -> str:
@@ -1043,14 +1069,16 @@ class MatrixFreeStiffness:
 
             def _partial(i):
                 ed, kern, gm = self._chunks[i]
-                st = self._chunk_state[i]
-                Ue = st["ws"].buf("Ue", ed.shape)
+                ws = self._chunk_ws[i]
+                Ue = ws.buf("Ue", ed.shape)
                 u.take(ed, out=Ue, mode="clip")
                 if gm is not None:
                     Ue *= gm
-                ku = st["ws"].buf("ku", ed.shape)
+                ku = ws.buf("ku", ed.shape)
                 kern.contract(Ue, out=ku)
-                return st["scatter"].scatter(ku.reshape(-1), st["z"])
+                return self._chunk_scatter[i].scatter(
+                    ku.reshape(-1), ws.buf("z", self.n_dof)
+                )
 
             parts = list(_pool(self.threads).map(_partial, range(len(self._chunks))))
         else:
@@ -1071,7 +1099,7 @@ class MatrixFreeStiffness:
         for p in parts[1:]:
             z += p
         if self.Minv is not None and not (
-            self.pooled and self._chunk_state[0]["scatter"].folds_coeff
+            self.pooled and self._chunk_scatter[0].folds_coeff
         ):
             z *= self.Minv
         return z
@@ -1086,10 +1114,11 @@ class MatrixFreeStiffness:
             total += self._scatter.nbytes
         if self._plan is not None and getattr(self._plan, "_zt", None) is not None:
             total += self._plan._zt.nbytes
-        if self._chunk_state is not None:
-            for (_, kern, _), st in zip(self._chunks, self._chunk_state):
-                total += st["ws"].nbytes + st["z"].nbytes + st["scatter"].nbytes
-                total += getattr(kern, "workspace_nbytes", 0)
+        if self._chunk_scatter is not None:
+            for (_, kern, _), ws, sc in zip(
+                self._chunks, self._chunk_ws, self._chunk_scatter
+            ):
+                total += ws.nbytes + sc.nbytes + getattr(kern, "workspace_nbytes", 0)
         return total
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
@@ -1184,9 +1213,6 @@ class MatrixFreeOperator:
             threads=threads,
             pooled=pooled,
         )
-        # Live restriction subsets, for workspace accounting only (weak:
-        # a discarded solver's restrictions drop out of the count).
-        self._restrictions = weakref.WeakSet()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -1208,12 +1234,9 @@ class MatrixFreeOperator:
         return self._stiffness.apply(u, out=out)
 
     def workspace_bytes(self) -> int:
-        """Bytes of pooled hot-path scratch currently held, including
-        the live level restrictions built from this operator."""
-        total = self._stiffness.workspace_bytes()
-        for sub in self._restrictions:
-            total += sub.workspace_bytes()
-        return total
+        """Bytes of pooled hot-path scratch currently held (a level
+        restriction reports its own)."""
+        return self._stiffness.workspace_bytes()
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
@@ -1226,9 +1249,14 @@ class MatrixFreeOperator:
         cols = np.asarray(cols, dtype=np.int64)
         col_mask = np.zeros(self.n_dof, dtype=bool)
         col_mask[cols] = True
-        sub = self._stiffness.masked_subset(col_mask)
-        self._restrictions.add(sub)
-        return Restriction(cols=cols, ops=sub.nnz, _apply=sub.apply_rows)
+        return self._restriction(cols, self._stiffness.masked_subset(col_mask))
+
+    def _restriction(self, cols: np.ndarray, sub: MatrixFreeStiffness) -> Restriction:
+        return Restriction(
+            cols=cols, ops=sub.nnz, _apply=sub.apply_rows,
+            workspace_bytes=sub.workspace_bytes,
+            _fork=lambda: self._restriction(cols, sub.fork()),
+        )
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """All DOFs of elements adjacent to the masked columns.

@@ -827,7 +827,13 @@ class SemND:
     def nearest_dof(self, *point: float) -> int:
         """Global DOF closest to ``point`` (one coordinate per axis)."""
         require(len(point) == self.dim, "point must have one coordinate per axis", SolverError)
-        d2 = ((self.node_coords - np.asarray(point, dtype=np.float64)) ** 2).sum(axis=1)
+        # Per axis into one buffer (no (n_nodes, dim) temporaries), in the
+        # order of a row sum: bitwise the same distances, so the same DOF.
+        d2 = np.zeros(len(self.node_coords))
+        for a, x in enumerate(point):
+            d = self.node_coords[:, a] - np.float64(x)
+            d *= d
+            d2 += d
         return int(np.argmin(d2))
 
 

@@ -11,9 +11,10 @@ ensemble members go through — and only *where* it is called differs:
   worker threads genuinely overlap, and every worker resolves its
   pipeline *through the one shared*
   :class:`~repro.api.cache.StageCache`.  N queued variants of one warm
-  model resolve each distinct mesh/assembler/levels artifact exactly
+  model resolve each distinct mesh / assembler / levels / partition
+  artifact, and the rank layout and solver plan built on them, exactly
   once — the fleet-scaling story: the second request for a warm model
-  pays only the stepping.
+  binds the cached plan to fresh buffers and pays only the stepping.
 * **assembled-backend jobs run in a process pool** (the CSR matvec
   holds the GIL too long for thread overlap), sharing stages through
   the cache's content-addressed on-disk layer when the service has a

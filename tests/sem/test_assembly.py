@@ -145,3 +145,37 @@ class TestSem2D:
         sem = Sem2D(uniform_grid((2, 2)), order=4)
         assert np.all(sem.M > 0)
         assert sp.issparse(sem.A)
+
+
+class TestNearestDof:
+    """``SemND.nearest_dof`` accumulates per axis into one buffer; it
+    must pick the DOF the row-sum formula it replaced picks — on exact
+    ties (points equidistant from several nodes) the lowest id."""
+
+    @staticmethod
+    def _sem(kind):
+        from repro.sem import ElasticSem2D, ElasticSem3D, Sem3D
+        from repro.sem.materials import IsotropicElastic
+
+        mesh = uniform_grid((4, 4) if kind.endswith("2d") else (3, 3, 3))
+        if kind.startswith("acoustic"):
+            return (Sem2D if kind.endswith("2d") else Sem3D)(mesh, order=3)
+        cls = ElasticSem2D if kind.endswith("2d") else ElasticSem3D
+        return cls(mesh, order=3, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
+
+    @pytest.mark.parametrize("kind", ["acoustic2d", "acoustic3d", "elastic2d", "elastic3d"])
+    def test_same_dof_as_the_row_sum_formula(self, kind):
+        sem = self._sem(kind)
+        lo, hi = sem.node_coords.min(axis=0), sem.node_coords.max(axis=0)
+        rng = np.random.default_rng(7)
+        ties = [lo + 0.5, lo + 1.5, hi - 0.5]  # element centres: 2**dim nearest nodes
+        points = ties + [lo, hi, 0.5 * (lo + hi)]
+        points += list(rng.uniform(lo - 0.3, hi + 0.3, size=(12, sem.dim)))
+        n_comp = int(getattr(sem, "n_comp", 1))
+        for p in points:
+            d2 = ((sem.node_coords - p) ** 2).sum(axis=1)
+            if any(p is t for t in ties):
+                assert np.count_nonzero(d2 == d2.min()) > 1
+            for comp in range(n_comp):
+                got = sem.nearest_dof(*p) if n_comp == 1 else sem.nearest_dof(*p, comp=comp)
+                assert got == n_comp * int(np.argmin(d2)) + comp
