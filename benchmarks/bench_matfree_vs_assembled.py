@@ -29,10 +29,10 @@ larger and arrives earlier than in the acoustic sweeps.
 medium) through the fused stress-form kernels (``an_apply`` /
 ``an_apply3``) against the (much denser) anisotropic CSR.
 
-``--threads N`` additionally times the threaded kernel tiers — the
-OpenMP fused path and the chunked NumPy thread pool — and records the
-resolved tier labels plus CPU identity (model name, core count) so a
-result file documents the machine it came from.  Threaded results are
+``--threads N`` additionally times the threaded kernel tier — the
+OpenMP fused path — and records the resolved tier label plus CPU
+identity (model name, core count) so a result file documents the
+machine it came from.  Threaded results are
 written to a separate ``..._threads*.json`` so the serial baselines
 stay untouched.  The ``threads_speedup >= 2`` scaling assertion is
 gated on ``usable_cores >= N``: a single-core container records its
@@ -193,7 +193,7 @@ def run(
     header = ["order", "n_dof", "nnz", "assembled ms", "matfree ms", "speedup",
               "numpy ms", "restricted speedup", "max rel err"]
     if threads is not None:
-        header[7:7] = [f"omp:{threads} ms", f"pool:{threads} ms"]
+        header[7:7] = [f"omp:{threads} ms"]
     rows = []
     t = Table(
         header,
@@ -244,21 +244,16 @@ def run(
                  f"{t_asm / t_mf:.2f}x", f"{t_np:.3f}"]
         if threads is not None:
             mf_t = sem.operator("matfree", threads=threads)
-            np_t = sem.operator("matfree", use_fused=False, threads=threads)
             err_t = float(np.abs(mf_t @ u - ref).max() / np.abs(ref).max())
-            err_tp = float(np.abs(np_t @ u - ref).max() / np.abs(ref).max())
             t_omp = _best_ms(lambda: mf_t @ u, reps)
-            t_pool = _best_ms(lambda: np_t @ u, reps)
             row.update(
                 threads=threads,
                 matfree_threads_ms=t_omp,
                 matfree_threads_tier=mf_t.tier,
-                numpy_threads_ms=t_pool,
-                numpy_threads_tier=np_t.tier,
                 threads_speedup=t_mf / t_omp,
             )
-            row["max_rel_err"] = max(row["max_rel_err"], err_t, err_tp)
-            cells += [f"{t_omp:.3f}", f"{t_pool:.3f}"]
+            row["max_rel_err"] = max(row["max_rel_err"], err_t)
+            cells.append(f"{t_omp:.3f}")
         rows.append(row)
         cells += [f"{t_rasm / t_rmf:.2f}x", f"{row['max_rel_err']:.1e}"]
         t.add_row(cells)
@@ -295,7 +290,7 @@ def run(
         cells = [f"{el_order} (elastic)", el.n_dof, asm_e.nnz, f"{te_asm:.3f}",
                  f"{te_mf:.3f}", f"{te_asm / te_mf:.2f}x", "-"]
         if threads is not None:
-            cells += ["-", "-"]
+            cells.append("-")
         t.add_row(cells + ["-", f"{err_e:.1e}"])
     t.print()
 
@@ -393,7 +388,7 @@ if __name__ == "__main__":
                     choices=("acoustic", "elastic", "anisotropic"),
                     help="operator physics (elastic/anisotropic = vector-valued sweeps)")
     ap.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="also time the threaded kernel tiers with N threads "
+                    help="also time the OpenMP fused tier with N threads "
                          "(results go to a separate _threads JSON)")
     args = ap.parse_args()
     run(quick=args.quick, dim=args.dim, physics=args.physics, threads=args.threads)

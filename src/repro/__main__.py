@@ -450,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--threads", type=int, default=None, metavar="N",
-        help="override BackendSpec.threads for the matfree backend "
-             "(0 = auto-detect; needs --backend matfree or a matfree config)",
+        help="override BackendSpec.threads, the fused tier's OpenMP thread "
+             "count (0 = auto-detect; needs --backend matfree or a matfree config)",
     )
     p_run.add_argument(
         "--output", default=None, metavar="OUT.npz",

@@ -637,11 +637,12 @@ class BackendSpec(Spec):
     architecture"): ``"assembled"`` (global/partial CSR) or
     ``"matfree"`` (sum-factorization, no matrix).  ``fused`` toggles
     the fused C element kernels on the matfree path (``None`` = auto).
-    ``threads`` parallelizes the matfree element loop: ``None`` = serial,
-    ``0`` = auto-detect the CPUs available to the process, ``N >= 1`` =
-    that many threads (OpenMP on the fused tier, a chunked thread pool
-    on the NumPy tier).  The ``REPRO_THREADS`` environment variable
-    overrides the field at operator-build time.
+    ``threads`` is the OpenMP thread count of the fused kernels' element
+    loop: ``None`` = serial, ``0`` = auto-detect the CPUs available to
+    the process, ``N >= 1`` = that many threads.  The NumPy tier is
+    serial, so ``fused=False`` with ``threads`` above 1 (or 0) names a
+    tier that does not exist and is rejected; with ``fused=None`` the
+    run reports the tier it got (``Simulation.kernel_tier``).
     """
 
     stiffness: str = "assembled"
@@ -676,6 +677,12 @@ class BackendSpec(Spec):
                 raise ConfigError(
                     f"BackendSpec.threads must be >= 0 (0 = auto-detect), "
                     f"got {self.threads}"
+                )
+            if self.fused is False and self.threads != 1:
+                raise ConfigError(
+                    f"BackendSpec.threads={self.threads} applies to the fused "
+                    f"tier only (the NumPy tier is serial); drop fused=False "
+                    f"or leave threads=None"
                 )
 
 

@@ -628,10 +628,11 @@ class Simulation:
 
     def kernel_tier(self) -> str:
         """The kernel tier this config resolves to — ``"assembled"``,
-        ``"numpy"``, ``"numpy-threads:N"``, ``"fused"``, or
-        ``"fused+openmp:N"`` — so results always record whether the
-        fused/threaded path actually ran (a missing compiler or OpenMP
-        silently falls back).  Cheap: no operator is built."""
+        ``"numpy"``, ``"fused"``, or ``"fused+openmp:N"`` — so results
+        always record which path actually ran: with ``fused=None`` a
+        missing compiler means ``"numpy"``, a build without OpenMP means
+        ``"fused"`` whatever ``threads`` says (``fused=True`` without a
+        compiler raises instead).  Cheap: no operator is built."""
         b = self.config.backend
         if b.stiffness == "assembled":
             return "assembled"

@@ -30,7 +30,6 @@ workspaces, the sort-plan segment-sum scatter) lives in
 from __future__ import annotations
 
 import gc
-import os
 import time
 import tracemalloc
 import types
@@ -41,16 +40,6 @@ import numpy as np
 
 from repro.util.errors import SolverError
 from repro.util.validation import require
-
-
-def resolve_pooled(pooled: bool | None) -> bool:
-    """The effective pooling setting: ``None`` means on unless the
-    ``REPRO_POOLED=0`` environment override disables it (the A/B knob
-    the hot-path benchmark and determinism tests use)."""
-    env = os.environ.get("REPRO_POOLED")
-    if env is not None and env != "":
-        return env != "0"
-    return True if pooled is None else bool(pooled)
 
 
 class Workspace:

@@ -260,7 +260,7 @@ def build_rank_layout(
         auto-detect, as in :meth:`repro.sem.tensor.SemND.operator`);
         must stay ``None`` for the assembled backend.
     threads:
-        Threaded element-loop selection for the rank-local matfree
+        OpenMP thread count of the rank-local fused matfree
         stiffness (``None`` serial, ``0`` auto-detect — see
         :func:`repro.sem.matfree.resolve_threads`); must stay ``None``
         for the assembled backend.

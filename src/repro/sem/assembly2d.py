@@ -40,11 +40,10 @@ class Sem2D(SemND):
     element interiors), so any conforming mesh — not just structured grids
     — assembles correctly, with shared edge nodes oriented consistently.
 
-    ``rho`` enables variable-density acoustics (per-element, scalars
-    broadcast): the operator becomes ``rho u_tt = div(rho c^2 grad u)``
-    with the wave speed still ``mesh.c`` — see
-    :class:`repro.sem.materials.IsotropicAcoustic`, which ``material=``
-    passes in full.
+    ``material=`` (a :class:`repro.sem.materials.IsotropicAcoustic`)
+    enables variable-density acoustics (``rho`` per element, scalars
+    broadcast): the operator becomes ``rho u_tt = div(rho c^2 grad u)``;
+    the default is the mesh's wave speed ``mesh.c`` at unit density.
     """
 
     def __init__(
@@ -52,13 +51,10 @@ class Sem2D(SemND):
         mesh: Mesh,
         order: int = 4,
         dirichlet: bool = False,
-        rho=None,
         material=None,
     ):
         require(mesh.dim == 2, "Sem2D requires a 2D mesh", SolverError)
-        super().__init__(
-            mesh, order=order, dirichlet=dirichlet, rho=rho, material=material
-        )
+        super().__init__(mesh, order=order, dirichlet=dirichlet, material=material)
 
     @property
     def xy(self) -> np.ndarray:

@@ -14,8 +14,8 @@ edge interiors, *orientation-consistent* face interiors, element
 interiors), lumped diagonal mass, chunked vectorized CSR assembly from
 the three per-axis reference kernels, and the backend-pluggable
 :meth:`SemND.operator`.  The matrix-free backend applies the element
-stiffness as three per-axis ``tensordot`` contractions
-(:class:`repro.sem.matfree.AcousticKernel3D`) — O(n^4) work per element
+stiffness as three per-axis batched contractions
+(:class:`repro.sem.matfree.AcousticKernelND`) — O(n^4) work per element
 against the O(n^6) of a dense element matvec, which is where
 sum-factorization pays off asymptotically.
 """
@@ -38,11 +38,10 @@ class Sem3D(SemND):
     through a canonical corner-id frame so any conforming hex mesh — not
     just structured grids — assembles correctly.
 
-    ``rho`` enables variable-density acoustics (per-element, scalars
-    broadcast): the operator becomes ``rho u_tt = div(rho c^2 grad u)``
-    with the wave speed still ``mesh.c`` — see
-    :class:`repro.sem.materials.IsotropicAcoustic`, which ``material=``
-    passes in full.
+    ``material=`` (a :class:`repro.sem.materials.IsotropicAcoustic`)
+    enables variable-density acoustics (``rho`` per element, scalars
+    broadcast): the operator becomes ``rho u_tt = div(rho c^2 grad u)``;
+    the default is the mesh's wave speed ``mesh.c`` at unit density.
     """
 
     def __init__(
@@ -50,13 +49,10 @@ class Sem3D(SemND):
         mesh: Mesh,
         order: int = 4,
         dirichlet: bool = False,
-        rho=None,
         material=None,
     ):
         require(mesh.dim == 3, "Sem3D requires a 3D mesh", SolverError)
-        super().__init__(
-            mesh, order=order, dirichlet=dirichlet, rho=rho, material=material
-        )
+        super().__init__(mesh, order=order, dirichlet=dirichlet, material=material)
 
     @property
     def xyz(self) -> np.ndarray:

@@ -39,13 +39,12 @@ class ElasticSem2D(ElasticSemND):
     ----------
     mesh:
         Axis-aligned rectangular quad mesh; ``mesh.c`` is *ignored* for
-        material properties (use ``lam``/``mu``/``rho``) — see
+        material properties (use ``material``) — see
         :meth:`ElasticSemND.p_velocity` for LTS level assignment.
-    lam, mu, rho:
-        Per-element Lamé parameters and density (scalars broadcast) —
-        thin wrappers over ``material=``, a full
-        :class:`repro.sem.materials.IsotropicElastic` (mutually
-        exclusive with the kwargs).
+    material:
+        A :class:`repro.sem.materials.IsotropicElastic`: per-element
+        Lamé parameters and density (scalars broadcast); the default is
+        ``lam = mu = rho = 1``.
 
     DOF layout: component-interleaved, ``2*node + comp`` with comp 0 = x,
     1 = y; scalar node numbering (and therefore halo construction and
@@ -56,17 +55,11 @@ class ElasticSem2D(ElasticSemND):
         self,
         mesh: Mesh,
         order: int = 4,
-        lam=None,
-        mu=None,
-        rho=None,
         dirichlet: bool = False,
         material=None,
     ):
         require(mesh.dim == 2, "ElasticSem2D requires a 2D mesh", SolverError)
-        super().__init__(
-            mesh, order=order, lam=lam, mu=mu, rho=rho,
-            dirichlet=dirichlet, material=material,
-        )
+        super().__init__(mesh, order=order, dirichlet=dirichlet, material=material)
 
     @property
     def xy(self) -> np.ndarray:

@@ -13,7 +13,7 @@ Everything is inherited from the physics- and dimension-generic
 per-axis reference-kernel combinations and the six off-diagonal blocks
 are the axis-pair cross kernels ``g_cd (lam R_cd + mu R_cd^T)`` — nine
 blocks total, each a scalar combination of geometry-free kron kernels.
-The matrix-free backend (:class:`repro.sem.matfree.ElasticKernel3D`)
+The matrix-free backend (:class:`repro.sem.matfree.ElasticKernelND`)
 applies exactly those blocks as batched per-axis contractions — O(n^4)
 work per element against the O(n^6) of a dense element matvec, with an
 optional fused C kernel (``el_apply3``) that keeps the whole
@@ -38,15 +38,14 @@ class ElasticSem3D(ElasticSemND):
     ----------
     mesh:
         Axis-aligned hexahedral mesh; ``mesh.c`` is *ignored* for
-        material properties (use ``lam``/``mu``/``rho``) — pass the
+        material properties (use ``material``) — pass the
         assembler as ``assembler=`` to
         :func:`repro.core.levels.assign_levels` so LTS levels follow the
         compressional speed (Eq. (7)).
-    lam, mu, rho:
-        Per-element Lamé parameters and density (scalars broadcast) —
-        thin wrappers over ``material=``, a full
-        :class:`repro.sem.materials.IsotropicElastic` (mutually
-        exclusive with the kwargs).
+    material:
+        A :class:`repro.sem.materials.IsotropicElastic`: per-element
+        Lamé parameters and density (scalars broadcast); the default is
+        ``lam = mu = rho = 1``.
     dirichlet:
         Clamp all components on the domain boundary; the default is the
         paper's free-surface (natural) condition.
@@ -60,17 +59,11 @@ class ElasticSem3D(ElasticSemND):
         self,
         mesh: Mesh,
         order: int = 4,
-        lam=None,
-        mu=None,
-        rho=None,
         dirichlet: bool = False,
         material=None,
     ):
         require(mesh.dim == 3, "ElasticSem3D requires a 3D mesh", SolverError)
-        super().__init__(
-            mesh, order=order, lam=lam, mu=mu, rho=rho,
-            dirichlet=dirichlet, material=material,
-        )
+        super().__init__(mesh, order=order, dirichlet=dirichlet, material=material)
 
     @property
     def xyz(self) -> np.ndarray:

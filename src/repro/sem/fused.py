@@ -986,8 +986,9 @@ class AcousticPlan(_FusedPlan):
     _symbol = "ac_apply"
 
     def _bind(self, kernel, ne_pad):
-        self._ax = _pad(kernel.ax, ne_pad)  # ghost elements: zero coefficient
-        self._ay = _pad(kernel.ay, ne_pad)
+        # Per-axis scales; ghost elements get zero coefficients.
+        self._ax = _pad(np.ascontiguousarray(kernel.scales[:, 0]), ne_pad)
+        self._ay = _pad(np.ascontiguousarray(kernel.scales[:, 1]), ne_pad)
         self._KxX = np.ascontiguousarray(kernel.KxX)
 
     def _coef_arrays(self):
@@ -1035,7 +1036,7 @@ class Elastic3DPlan(_FusedPlan):
     """Bound fused 3D elastic apply (component-interleaved DOFs).
 
     Packs the per-element block coefficients of
-    :class:`repro.sem.matfree.ElasticKernel3D` — nine diagonal-block
+    :class:`repro.sem.matfree.ElasticKernelND` — nine diagonal-block
     axis scales plus ``lam``/``mu`` pair coefficients with the geometry
     factors folded in — into one 15-wide array for ``el_apply3``.
     """

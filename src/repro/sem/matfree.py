@@ -12,30 +12,31 @@ Three physics families share the machinery, each generic over dimension:
 
 * acoustic (:class:`AcousticKernelND`) — ``K_e u`` is one 1D GLL
   stiffness contraction per axis, each scaled by a per-element weight
-  plane; :class:`AcousticKernel` (2D, fused-C capable) and
-  :class:`AcousticKernel3D` pin the dimension.  In 3D this is the
-  paper's asymptotic win: O(n^4) contraction work per element versus the
-  O(n^6) of a dense element matvec;
+  plane.  In 3D this is the paper's asymptotic win: O(n^4) contraction
+  work per element versus the O(n^6) of a dense element matvec;
 * isotropic elastic (:class:`ElasticKernelND`) — the per-axis-pair block
   structure of :class:`repro.sem.tensor.ElasticSemND` (diagonal blocks
   are acoustic-style per-axis contractions with material coefficients;
   each off-diagonal block ``g_cd (lam R_cd + mu R_cd^T)`` is a two-stage
   1D contraction), applied per displacement component on the interleaved
-  DOF layout.  :class:`ElasticKernel` (2D P-SV, fused-C capable) and
-  :class:`ElasticKernel3D` (nine blocks, copy-free batched matmul, fused
-  ``el_apply3`` tier) pin the dimension;
+  DOF layout;
 * general anisotropic elastic (:class:`AnisotropicKernelND`) — the
   stress-form pipeline (gradient contractions, per-element Hooke
   combine with the rank-4 ``C``, divergence contractions) for an
   arbitrary per-element Voigt stiffness
-  (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`); NumPy tier
-  only — the fused dispatch falls back transparently.
+  (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`).
 
 Which kernel applies is decided by the assembler's *explicit* physics
 declaration — :meth:`repro.sem.tensor.SemND.kernel_spec` returning a
 :class:`repro.core.operator.KernelSpec` — through the
 :func:`kernel_from_spec` registry, never by duck-typed attribute
 sniffing.
+
+Every kernel has two tiers and no more: the batched NumPy contraction
+through preallocated workspaces (``tier == "numpy"``, always serial) and,
+where :data:`_FUSED_PLANS` lists the physics and dimension, the fused C
+kernels of :mod:`repro.sem.fused` (``"fused"``, or ``"fused+openmp:N"``
+when ``threads`` asks for the OpenMP element loop and the build has it).
 
 Layered on top:
 
@@ -57,16 +58,15 @@ meaningful — see :mod:`repro.core.operator`.
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core.operator import KernelSpec, Restriction
-from repro.core.workspace import Workspace, resolve_pooled
+from repro.core.workspace import Workspace
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.util.errors import SolverError
+from repro.util.sysinfo import usable_cores
 from repro.util.validation import require
 
 
@@ -77,76 +77,56 @@ _ROWS_ONLY_FACTOR = 2
 
 
 def resolve_threads(threads: int | None) -> int:
-    """The effective thread count for a requested ``threads`` setting.
+    """The effective OpenMP thread count of the fused tier for a
+    requested ``threads`` setting.
 
-    ``REPRO_THREADS`` (when set and non-empty) overrides the argument;
     ``None`` means serial (1), ``0`` auto-detects the CPUs available to
     this process, positive integers are taken literally.  Negative
     values are rejected.
     """
-    env = os.environ.get("REPRO_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise SolverError(f"REPRO_THREADS must be an integer, got {env!r}")
     if threads is None:
         return 1
     threads = int(threads)
     require(threads >= 0, "threads must be >= 0 (0 = auto-detect)", SolverError)
-    if threads == 0:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            return os.cpu_count() or 1
-    return threads
+    return threads or usable_cores()
 
 
-# One shared worker pool for the chunked NumPy tier, grown to the
-# largest thread count requested so far.  A superseded executor is left
-# to the GC — its idle workers exit once the object is collected.
-_POOL: ThreadPoolExecutor | None = None
-_POOL_SIZE = 0
+#: Which ``(physics, dim)`` has a fused C tier, as ``(plan class, highest
+#: order)`` — the one table behind both the built operator
+#: (:func:`_fused_plan`) and the configured tier (:func:`describe_tier`).
+_FUSED_PLANS = {
+    ("acoustic", 2): (fused.AcousticPlan, fused.MAX_ORDER),
+    ("acoustic", 3): (fused.Acoustic3DPlan, fused.MAX_ORDER_3D),
+    ("elastic", 2): (fused.ElasticPlan, fused.MAX_ORDER),
+    ("elastic", 3): (fused.Elastic3DPlan, fused.MAX_ORDER_3D),
+    ("anisotropic_elastic", 2): (fused.AnisotropicPlan, fused.MAX_ORDER),
+    ("anisotropic_elastic", 3): (fused.Anisotropic3DPlan, fused.MAX_ORDER_3D),
+}
 
 
-def _pool(n: int) -> ThreadPoolExecutor:
-    global _POOL, _POOL_SIZE
-    if _POOL is None or _POOL_SIZE < n:
-        _POOL = ThreadPoolExecutor(max_workers=n, thread_name_prefix="repro-matfree")
-        _POOL_SIZE = n
-    return _POOL
+def _fused_plan_cls(physics: str, dim: int, order: int):
+    """The fused plan class for this physics, mesh dimension and
+    polynomial order, or ``None`` when no compiled tier exists for it
+    (any other dimension, an order above the table's, no compiler)."""
+    plan_cls, max_order = _FUSED_PLANS.get((physics, dim), (None, -1))
+    return plan_cls if order <= max_order and fused.available() else None
 
 
 def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None,
                 threads: int = 1, rows=None):
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
-    ``enabled=None`` auto-detects (compiler present, order and dimension
-    supported — acoustic, elastic, and anisotropic kernels all have
-    fused tiers in 2D and 3D; anything else falls back to NumPy);
-    ``False`` forces the NumPy path; ``True`` raises if unavailable.
+    ``enabled=None`` auto-detects (:func:`_fused_plan_cls`; anything
+    without a fused tier runs NumPy); ``False`` forces the NumPy path;
+    ``True`` raises if unavailable.
     ``threads > 1`` requests the OpenMP element-block loop (honored only
     when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
     ``rows`` (a sparse row support) selects the plan's rows-only pass.
     """
     if enabled is False:
         return None
-    if isinstance(kernel, ElasticKernel):
-        plan_cls, max_order = fused.ElasticPlan, fused.MAX_ORDER
-    elif isinstance(kernel, ElasticKernel3D):
-        plan_cls, max_order = fused.Elastic3DPlan, fused.MAX_ORDER_3D
-    elif isinstance(kernel, AcousticKernel):
-        plan_cls, max_order = fused.AcousticPlan, fused.MAX_ORDER
-    elif isinstance(kernel, AcousticKernel3D):
-        plan_cls, max_order = fused.Acoustic3DPlan, fused.MAX_ORDER_3D
-    elif isinstance(kernel, AnisotropicKernelND) and kernel.dim == 2:
-        plan_cls, max_order = fused.AnisotropicPlan, fused.MAX_ORDER
-    elif isinstance(kernel, AnisotropicKernelND) and kernel.dim == 3:
-        plan_cls, max_order = fused.Anisotropic3DPlan, fused.MAX_ORDER_3D
-    else:  # generic-ND kernels have no fused tier
-        plan_cls, max_order = None, -1
-    ok = fused.available() and plan_cls is not None and kernel.order <= max_order
-    if not ok:
+    plan_cls = _fused_plan_cls(kernel.physics, kernel.dim, kernel.order)
+    if plan_cls is None:
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
     return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, Minv=Minv,
@@ -212,7 +192,7 @@ class _ScatterPlan:
     applies it with scipy's ``csc_matvec`` kernel: the kernel's
     column-major accumulation loop is then *exactly* bincount's loop —
     one pass over the flat element values in appearance order,
-    ``out[dof[j]] += 1.0 * v[j]`` — bitwise equal to the seed path with
+    ``out[dof[j]] += 1.0 * v[j]`` — bitwise equal to ``bincount`` with
     no temporary and no per-row scan of the dof space (which is what
     makes it beat a CSR formulation: a fine LTS level touches a sliver
     of the dofs but a row scan would still walk all of them).
@@ -221,8 +201,8 @@ class _ScatterPlan:
     subsequent elementwise multiply into the accumulation
     coefficients — one fewer full-vector pass per apply.  The multiply
     distributes into the sum (``sum(c v_j)`` vs ``c sum(v_j)``), so
-    with ``coeff`` the result is within 1 ulp per accumulation of the
-    seed's separate multiply rather than bitwise identical.
+    with ``coeff`` the result is within 1 ulp per accumulation of a
+    separate multiply rather than bitwise identical.
 
     ``rows`` (the sorted row support, given when it is a minority of
     the dof space) makes the scatter compact: only those entries of
@@ -308,6 +288,8 @@ class AcousticKernelND(_PooledKernel):
     elementwise combines — O(n^{dim+1}) work per element.
     """
 
+    physics = "acoustic"
+
     def __init__(self, order: int, scales: np.ndarray):
         self.order = int(order)
         self.n1 = self.order + 1
@@ -330,9 +312,9 @@ class AcousticKernelND(_PooledKernel):
                 shape[b] = len(axis_w)
                 plane = plane * axis_w.reshape(shape)
             self._wplanes.append(scales[:, a].reshape((-1,) + (1,) * self.dim) * plane[None])
-        # Contiguous copies of the weight planes, materialized lazily by
-        # the pooled path (broadcast multiplies with a size-1 middle
-        # axis defeat SIMD and run 2-4x slower than dense ones).
+        # Contiguous copies of the weight planes, materialized lazily
+        # (broadcast multiplies with a size-1 middle axis defeat SIMD
+        # and run 2-4x slower than dense ones).
         self._wfull: list[np.ndarray] | None = None
 
     @property
@@ -342,12 +324,8 @@ class AcousticKernelND(_PooledKernel):
         n1 = self.n1
         return 2 * self.dim * n1 ** (self.dim + 1) + 3 * self.dim * n1**self.dim
 
-    @classmethod
-    def _from_scales(cls, order: int, scales: np.ndarray) -> "AcousticKernelND":
-        return cls(order, scales)
-
     def subset(self, ids: np.ndarray) -> "AcousticKernelND":
-        return type(self)._from_scales(self.order, self.scales[ids])
+        return AcousticKernelND(self.order, self.scales[ids])
 
     @property
     def workspace_nbytes(self) -> int:
@@ -358,10 +336,9 @@ class AcousticKernelND(_PooledKernel):
         return total
 
     def _pooled_planes(self) -> list[np.ndarray]:
-        """Weight planes for the pooled contraction: dense contiguous
-        copies when affordable (a broadcast multiply with a size-1
-        inner axis defeats SIMD and runs 2-4x slower; the values are
-        identical, so the result stays bitwise equal to the seed),
+        """Weight planes for the contraction: dense contiguous copies
+        when affordable (a broadcast multiply with a size-1 inner axis
+        defeats SIMD and runs 2-4x slower; same values, same result),
         falling back to the broadcast originals beyond ~32 MB."""
         if self._wfull is None:
             ne = self.scales.shape[0]
@@ -378,10 +355,9 @@ class AcousticKernelND(_PooledKernel):
     def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply all element stiffnesses: ``(ne, n_loc) -> (ne, n_loc)``.
 
-        Pooled path: one batched ``matmul`` per axis through a cached
-        scratch tensor, accumulated into ``out`` (allocated only when
-        not supplied).  :meth:`contract_ref` keeps the seed
-        ``tensordot`` path for A/B comparison.
+        One batched ``matmul`` per axis through a cached scratch
+        tensor, accumulated into ``out`` (allocated only when not
+        supplied).
         """
         if out is None:
             out = np.empty_like(Ue)
@@ -393,8 +369,7 @@ class AcousticKernelND(_PooledKernel):
         t = _kbuf(self._ws, "ac.t", tshape)
         w = self._pooled_planes()
         # Axis 0 contracts straight into the output (then scales in
-        # place) — one full copy pass fewer than contract-to-scratch;
-        # identical arithmetic, so still bitwise equal to the seed.
+        # place) — one full copy pass fewer than contract-to-scratch.
         _contract_axis(U, self.KxX, self._KxT, 0, dim, O)
         O *= w[0]
         for a in range(1, dim):
@@ -402,67 +377,6 @@ class AcousticKernelND(_PooledKernel):
             t *= w[a]
             O += t
         return out
-
-    def contract_ref(self, Ue: np.ndarray) -> np.ndarray:
-        """Seed (allocating ``tensordot``) contraction — the reference
-        the pooled path is validated against."""
-        n1, dim = self.n1, self.dim
-        U = Ue.reshape((-1,) + (n1,) * dim)
-        out = None
-        for a in range(dim):
-            # t[..., i_a -> :] = sum_j KxX[i_a, j] U[..., j, ...]
-            t = np.tensordot(U, self.KxX, axes=([a + 1], [1]))
-            t = np.moveaxis(t, -1, a + 1)
-            term = t * self._wplanes[a]
-            out = term if out is None else out + term
-        return out.reshape(Ue.shape)
-
-
-class AcousticKernel(AcousticKernelND):
-    """2D acoustic kernel: ``K_e = ax K1 + ay K2`` with ``ax = c^2 hy/hx``,
-    ``ay = c^2 hx/hy``.  Keeps the named per-axis coefficient arrays the
-    fused C tier (:class:`repro.sem.fused.AcousticPlan`) binds to.
-    """
-
-    def __init__(self, order: int, ax: np.ndarray, ay: np.ndarray):
-        ax = np.asarray(ax, dtype=np.float64)
-        ay = np.asarray(ay, dtype=np.float64)
-        super().__init__(order, np.stack([ax, ay], axis=1))
-        self.ax = ax
-        self.ay = ay
-
-    @classmethod
-    def _from_scales(cls, order: int, scales: np.ndarray) -> "AcousticKernel":
-        return cls(order, scales[:, 0], scales[:, 1])
-
-
-class AcousticKernel3D(AcousticKernelND):
-    """3D hexahedral acoustic kernel: three per-axis contractions per
-    apply (O(n^4) per element — the sum-factorization payoff of paper
-    Sec. II-C, against the O(n^6) dense element matvec).
-
-    The NumPy tier overrides the generic ``tensordot`` contraction with
-    copy-free batched ``matmul`` reshapes (``tensordot`` materializes a
-    transposed copy per axis, which dominates at hex sizes); the fused C
-    tier (:class:`repro.sem.fused.Acoustic3DPlan`) additionally keeps
-    the whole element workspace on registers/L1 so only gather/scatter
-    touch memory.
-    """
-
-    def __init__(self, order: int, scales: np.ndarray):
-        scales = np.atleast_2d(np.asarray(scales, dtype=np.float64))
-        require(scales.shape[1] == 3, "AcousticKernel3D needs 3 axis scales", SolverError)
-        super().__init__(order, scales)
-
-    def contract_ref(self, Ue: np.ndarray) -> np.ndarray:
-        n1 = self.n1
-        ne = Ue.shape[0]
-        U = Ue.reshape(ne, n1, n1, n1)
-        wx, wy, wz = self._wplanes
-        out = (self.KxX @ U.reshape(ne, n1, n1 * n1)).reshape(U.shape) * wx
-        out += (self.KxX @ U.reshape(ne * n1, n1, n1)).reshape(U.shape) * wy
-        out += (Ue.reshape(-1, n1) @ self._KxT).reshape(U.shape) * wz
-        return out.reshape(Ue.shape)
 
 
 class ElasticKernelND(_PooledKernel):
@@ -480,6 +394,8 @@ class ElasticKernelND(_PooledKernel):
     F@d (x) Wd@rest``; note ``E = F^T``), with the remaining axes'
     quadrature weights as a broadcast plane.
     """
+
+    physics = "elastic"
 
     def __init__(self, order: int, lam, mu, h_axes):
         from repro.sem.tensor import elastic_axis_scales, elastic_pair_scales
@@ -511,8 +427,7 @@ class ElasticKernelND(_PooledKernel):
             ds[:, c, :] = self.mu[:, None] * s
             ds[:, c, c] = cp * s[:, c]
         self.diag_scales = ds
-        acoustic_cls = AcousticKernel3D if self.dim == 3 else AcousticKernelND
-        self._diag = [acoustic_cls(self.order, ds[:, c, :]) for c in range(self.dim)]
+        self._diag = [AcousticKernelND(self.order, ds[:, c, :]) for c in range(self.dim)]
 
         # Off-diagonal pairs: material-times-geometry coefficients and
         # the quadrature plane over the axes not in the pair.
@@ -549,38 +464,22 @@ class ElasticKernelND(_PooledKernel):
         pair_terms = 4 * len(self.pairs)  # lam & mu terms, both directions
         return diag + pair_terms * (4 * n1 ** (self.dim + 1) + 3 * n1**self.dim)
 
-    @classmethod
-    def _from_params(cls, order: int, lam, mu, h_axes) -> "ElasticKernelND":
-        return cls(order, lam, mu, h_axes)
-
     def fork(self) -> "ElasticKernelND":
         twin = super().fork()
         twin._diag = [k.fork() for k in self._diag]
         return twin
 
     def subset(self, ids: np.ndarray) -> "ElasticKernelND":
-        return type(self)._from_params(
+        return ElasticKernelND(
             self.order, self.lam[ids], self.mu[ids], self.h_axes[ids]
         )
 
-    def _axis_apply(self, U: np.ndarray, A: np.ndarray, axis: int) -> np.ndarray:
-        """Contract the batched tensor ``U`` along spatial ``axis`` with
-        the 1D matrix ``A``: ``out[..., i, ...] = sum_t A[i, t] U[..., t, ...]``."""
-        t = np.tensordot(U, A, axes=([axis + 1], [1]))
-        return np.moveaxis(t, -1, axis + 1)
-
-    def _pair(self, U, c: int, d: int, lg, mg, wp) -> np.ndarray:
+    def _pair_into(self, U, c: int, d: int, lg, mg, wp, ta, tb, tc, acc) -> None:
         """Off-diagonal block ``g_cd (lam R_cd + mu R_cd^T)`` applied to
-        one component tensor: ``E`` at the test axis ``c`` / ``F`` at
+        one component tensor and accumulated onto ``acc`` through three
+        caller scratch tensors: ``E`` at the test axis ``c`` / ``F`` at
         the trial axis ``d`` for the ``lam`` term, roles swapped
         (``R^T``) for the ``mu`` term."""
-        t1 = self._axis_apply(self._axis_apply(U, self.F, d), self.E, c)
-        t2 = self._axis_apply(self._axis_apply(U, self.E, d), self.F, c)
-        return (lg * t1 + mg * t2) * wp
-
-    def _pair_into(self, U, c: int, d: int, lg, mg, wp, ta, tb, tc, acc) -> None:
-        """Pooled :meth:`_pair`, accumulated onto ``acc`` through three
-        caller scratch tensors (same accumulation order as the seed)."""
         dim = self.dim
         _contract_axis(U, self.F, self._Ft, d, dim, ta)
         _contract_axis(ta, self.E, self._Et, c, dim, tb)
@@ -599,9 +498,9 @@ class ElasticKernelND(_PooledKernel):
         return self._ws.nbytes + sum(k.workspace_nbytes for k in self._diag)
 
     def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pooled contraction: contiguous per-component gathers, batched
-        ``matmul`` blocks, everything through cached scratch tensors.
-        :meth:`contract_ref` keeps the seed allocating path."""
+        """Apply all element stiffnesses: contiguous per-component
+        gathers, batched ``matmul`` blocks, everything through cached
+        scratch tensors."""
         if out is None:
             out = np.empty_like(Ue)
         n1, dim, nc = self.n1, self.dim, self.n_comp
@@ -626,24 +525,6 @@ class ElasticKernelND(_PooledKernel):
             out[:, c::nc] = O[c].reshape(ne, -1)
         return out
 
-    def contract_ref(self, Ue: np.ndarray) -> np.ndarray:
-        """Seed (allocating) contraction — the reference the pooled
-        path is validated against."""
-        n1, dim, nc = self.n1, self.dim, self.n_comp
-        ne = Ue.shape[0]
-        tshape = (ne,) + (n1,) * dim
-        comps = [Ue[:, c::nc] for c in range(nc)]
-        U = [comp.reshape(tshape) for comp in comps]
-        out = [self._diag[c].contract_ref(comps[c]).reshape(tshape) for c in range(nc)]
-        for p, (c, d) in enumerate(self.pairs):
-            lg, mg, wp = self._lam_b[p], self._mu_b[p], self._wpair[p]
-            out[c] += self._pair(U[d], c, d, lg, mg, wp)
-            out[d] += self._pair(U[c], d, c, lg, mg, wp)
-        res = np.empty_like(Ue)
-        for c in range(nc):
-            res[:, c::nc] = out[c].reshape(ne, -1)
-        return res
-
     # Named geometry views the fused plans bind to.
     @property
     def hx(self) -> np.ndarray:
@@ -652,48 +533,6 @@ class ElasticKernelND(_PooledKernel):
     @property
     def hy(self) -> np.ndarray:
         return self.h_axes[:, 1]
-
-
-class ElasticKernel(ElasticKernelND):
-    """2D P-SV elastic kernel — the four-kernel form of
-    :mod:`repro.sem.elastic2d` (in 2D the shear coupling ``C = E (x) F``
-    is geometry-free).  Keeps the named ``(lam, mu, hx, hy)`` constructor
-    the fused C tier (:class:`repro.sem.fused.ElasticPlan`) binds to.
-    """
-
-    def __init__(self, order: int, lam, mu, hx, hy):
-        hx = np.asarray(hx, dtype=np.float64)
-        hy = np.asarray(hy, dtype=np.float64)
-        super().__init__(order, lam, mu, np.stack([hx, hy], axis=1))
-
-    @classmethod
-    def _from_params(cls, order: int, lam, mu, h_axes) -> "ElasticKernel":
-        return cls(order, lam, mu, h_axes[:, 0], h_axes[:, 1])
-
-
-class ElasticKernel3D(ElasticKernelND):
-    """3D hexahedral elastic kernel: nine per-axis-pair blocks.
-
-    The NumPy tier overrides the generic ``tensordot`` axis contraction
-    with copy-free batched ``matmul`` reshapes (mirroring
-    :class:`AcousticKernel3D`); the fused C tier
-    (:class:`repro.sem.fused.Elastic3DPlan`, kernel ``el_apply3``)
-    additionally keeps the whole three-component element workspace on
-    registers/L1 so only gather/scatter touch memory.
-    """
-
-    def __init__(self, order: int, lam, mu, h_axes):
-        h_axes = np.atleast_2d(np.asarray(h_axes, dtype=np.float64))
-        require(h_axes.shape[1] == 3, "ElasticKernel3D needs (ne, 3) h_axes", SolverError)
-        super().__init__(order, lam, mu, h_axes)
-
-    def _axis_apply(self, U: np.ndarray, A: np.ndarray, axis: int) -> np.ndarray:
-        ne, n1 = U.shape[0], self.n1
-        if axis == 0:
-            return (A @ U.reshape(ne, n1, n1 * n1)).reshape(U.shape)
-        if axis == 1:
-            return (A @ U.reshape(ne * n1, n1, n1)).reshape(U.shape)
-        return (U.reshape(-1, n1) @ A.T).reshape(U.shape)
 
 
 class AnisotropicKernelND(_PooledKernel):
@@ -719,6 +558,8 @@ class AnisotropicKernelND(_PooledKernel):
     ``G_a^T W G_a`` is the per-axis stiffness kernel and ``G_a^T W G_b``
     the axis-pair cross kernel).
     """
+
+    physics = "anisotropic_elastic"
 
     def __init__(self, order: int, C, h_axes):
         from repro.sem.materials import VOIGT_SIZE, voigt_to_tensor
@@ -748,7 +589,7 @@ class AnisotropicKernelND(_PooledKernel):
         g = elastic_pair_scales(self.h_axes)
         self.coef = c4 * g[:, None, :, None, :]
         # Matrix view (ne, dim^2, dim^2) of the same coefficients, rows
-        # (c, a) / cols (d, b) — the pooled Hooke combine is one batched
+        # (c, a) / cols (d, b) — the Hooke combine is one batched
         # matmul with it (a view: no extra storage).
         ne_c = self.coef.shape[0]
         self._coefmat = np.ascontiguousarray(
@@ -759,8 +600,7 @@ class AnisotropicKernelND(_PooledKernel):
         wq = w
         for _ in range(self.dim - 1):
             wq = np.kron(wq, w)
-        self._wfull = wq.reshape((1,) + (self.n1,) * self.dim)
-        self._wflat = self._wfull.reshape(1, 1, -1)
+        self._wflat = wq.reshape(1, 1, -1)
 
     @property
     def flops_per_element(self) -> int:
@@ -774,28 +614,16 @@ class AnisotropicKernelND(_PooledKernel):
     def subset(self, ids: np.ndarray) -> "AnisotropicKernelND":
         return AnisotropicKernelND(self.order, self.C[ids], self.h_axes[ids])
 
-    def _axis_apply(self, U: np.ndarray, A: np.ndarray, axis: int) -> np.ndarray:
-        """Contract the batched tensor ``U`` along spatial ``axis`` with
-        the 1D matrix ``A`` — every axis as a copy-free batched matmul
-        (fold the leading axes into the batch dimension, the trailing
-        ones into columns)."""
-        n1 = self.n1
-        if axis == self.dim - 1:
-            return (U.reshape(-1, n1) @ A.T).reshape(U.shape)
-        lead = U.shape[0] * n1**axis
-        return (A @ U.reshape(lead, n1, -1)).reshape(U.shape)
-
     @property
     def workspace_nbytes(self) -> int:
         """Bytes of pooled contraction scratch built so far."""
         return self._ws.nbytes
 
     def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pooled stress-form contraction: gradient stack and stress
-        stack live in cached ``(ne, dim^2, n_loc)`` workspaces, the
-        Hooke combine is one batched ``matmul`` with the ``(dim^2,
-        dim^2)`` coefficient matrices (same multiply-add structure as
-        the seed einsum).  :meth:`contract_ref` keeps the seed path."""
+        """Stress-form contraction: gradient stack and stress stack
+        live in cached ``(ne, dim^2, n_loc)`` workspaces, the Hooke
+        combine is one batched ``matmul`` with the ``(dim^2, dim^2)``
+        coefficient matrices."""
         if out is None:
             out = np.empty_like(Ue)
         n1, dim, nc = self.n1, self.dim, self.n_comp
@@ -834,31 +662,6 @@ class AnisotropicKernelND(_PooledKernel):
             out[:, c::nc] = acc.reshape(ne, nl)
         return out
 
-    def contract_ref(self, Ue: np.ndarray) -> np.ndarray:
-        """Seed (allocating einsum) contraction — the reference the
-        pooled path is validated against."""
-        n1, dim, nc = self.n1, self.dim, self.n_comp
-        ne = Ue.shape[0]
-        tshape = (ne,) + (n1,) * dim
-        # 1. gradient of every component along every axis.
-        DU = np.empty((ne, dim, dim) + (n1,) * dim)
-        for d in range(nc):
-            U = Ue[:, d::nc].reshape(tshape)
-            for b in range(dim):
-                DU[:, d, b] = self._axis_apply(U, self.D, b)
-        # 2. Hooke combine with the per-element coefficients, then the
-        #    quadrature weights (one plane for all (c, a)).
-        S = np.einsum("ecadb,edb...->eca...", self.coef, DU, optimize=True)
-        S *= self._wfull[:, None, None]
-        # 3. weighted divergence back onto each component.
-        res = np.empty_like(Ue)
-        for c in range(nc):
-            out = self._axis_apply(S[:, c, 0], self.Dt, 0)
-            for a in range(1, dim):
-                out += self._axis_apply(S[:, c, a], self.Dt, a)
-            res[:, c::nc] = out.reshape(ne, -1)
-        return res
-
 
 # ----------------------------------------------------------------------
 # Gather / contract / scatter operators
@@ -879,16 +682,13 @@ class MatrixFreeStiffness:
     ``use_fused=None`` auto-selects the fused C kernels when available
     (:mod:`repro.sem.fused`); ``False`` pins the batched NumPy path.
     ``threads`` (resolved by :func:`resolve_threads` — ``None`` serial,
-    ``0`` auto-detect, ``REPRO_THREADS`` overriding) parallelizes the
-    element loop: on the fused tier via the kernels' OpenMP element-block
-    loop, on the NumPy tier via contiguous element chunks fanned out on a
-    shared :class:`~concurrent.futures.ThreadPoolExecutor` (NumPy
-    releases the GIL inside the batched contractions).  Both scatters
-    reduce partial results in a fixed order, so for a fixed thread count
-    results are deterministic and agree with serial to summation order
-    (<= 1e-12 relative).  Tiny workloads (fewer than 2 chunks / one
-    ``VL`` block per thread) silently run serial; ``tier`` reports what
-    actually runs.
+    ``0`` auto-detect) is the OpenMP thread count of the fused kernels'
+    element-block loop, whose scatter reduces per-thread partials in a
+    fixed order: for a fixed thread count results are deterministic and
+    agree with serial to summation order (<= 1e-12 relative).  The NumPy
+    tier is serial whatever ``threads`` says, as is a fused build
+    without OpenMP or a workload below one ``VL`` block per thread;
+    ``tier`` reports what actually runs.
     """
 
     def __init__(
@@ -900,13 +700,15 @@ class MatrixFreeStiffness:
         gmask: np.ndarray | None = None,
         Minv: np.ndarray | None = None,
         threads: int | None = None,
-        pooled: bool | None = None,
     ):
         self.kernel = kernel
         self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
         self.n_dof = int(n_dof)
+        # Both tiers index with these unchecked (``take(mode="clip")``,
+        # ``csc_matvec``, the C gather/scatter), so the table is vetted here.
         require(
-            self.element_dofs.size == 0 or self.element_dofs.max() < self.n_dof,
+            self.element_dofs.size == 0
+            or (self.element_dofs.min() >= 0 and self.element_dofs.max() < self.n_dof),
             "element dof out of range",
             SolverError,
         )
@@ -915,13 +717,13 @@ class MatrixFreeStiffness:
         self._use_fused = use_fused
         self._requested_threads = threads
         self.threads = resolve_threads(threads)
-        self._requested_pooled = pooled
-        self.pooled = resolve_pooled(pooled)
         ne = self.element_dofs.shape[0]
         support = self.row_support()
-        # Sorted row support when it is sparse enough for the rows-only
-        # pass to win (an empty operator's support is empty, hence sparse).
-        rows = (
+        #: The row support :meth:`apply_rows` confines itself to — sorted,
+        #: kept when it is sparse enough for the rows-only pass to win (an
+        #: empty operator's support is empty, hence sparse) — or None when
+        #: it overwrites everything (a dense support).
+        self._rows = (
             np.nonzero(support)[0]
             if _ROWS_ONLY_FACTOR * np.count_nonzero(support) < self.n_dof
             else None
@@ -935,48 +737,20 @@ class MatrixFreeStiffness:
                 Minv=self.Minv,
                 enabled=use_fused,
                 threads=self.threads,
-                rows=rows,
+                rows=self._rows,
             )
             if ne
             else None
         )
-        # Chunked NumPy tier: contiguous element ranges, one per worker,
-        # each with its own kernel subset; partials are summed in chunk
-        # order so the result is independent of completion order.
-        self._chunks = None
-        if self._plan is None and self.threads > 1 and ne >= 2 * self.threads:
-            bounds = np.linspace(0, ne, self.threads + 1).astype(int)
-            self._chunks = [
-                (
-                    self.element_dofs[lo:hi],
-                    self.kernel.subset(np.arange(lo, hi)),
-                    None if self.gmask is None else self.gmask[lo:hi],
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-        # Pooled hot path: the sort-plan scatters are built here; every
-        # mutable buffer lives in a Workspace and appears on first use,
-        # so :meth:`fork` only has to hand out fresh pools.
+        # NumPy tier: the scatter plan is built here; every mutable
+        # buffer lives in a Workspace and appears on first use, so
+        # :meth:`fork` only has to hand out fresh pools.
         self._ws = Workspace()
-        self._scatter = None
-        self._chunk_scatter = None
-        #: The row support :meth:`apply_rows` confines itself to, or None
-        #: when it overwrites everything: a dense support, or the chunked
-        #: and seed NumPy tiers, which have no rows-only pass.
-        rows_only_tier = self._plan is not None or (
-            self.pooled and self._chunks is None
+        self._scatter = (
+            _ScatterPlan(self.element_dofs, self.n_dof, coeff=self.Minv, rows=self._rows)
+            if self._plan is None and ne
+            else None
         )
-        self._rows = rows if rows_only_tier or not ne else None
-        if self.pooled and self._plan is None and self._chunks is None and ne:
-            self._scatter = _ScatterPlan(
-                self.element_dofs, self.n_dof, coeff=self.Minv, rows=self._rows
-            )
-        if self.pooled and self._chunks is not None:
-            self._chunk_scatter = [
-                _ScatterPlan(ed, self.n_dof, coeff=self.Minv)
-                for ed, _, _ in self._chunks
-            ]
-            self._chunk_ws = [Workspace() for _ in self._chunks]
 
     def fork(self) -> "MatrixFreeStiffness":
         """This operator with scratch of its own (gather/contract
@@ -986,24 +760,18 @@ class MatrixFreeStiffness:
         twin._ws = Workspace()
         if self._plan is not None:
             twin._plan = self._plan.fork()
-            return twin
-        twin.kernel = self.kernel.fork()
-        if self._chunks is not None:
-            twin._chunks = [(ed, k.fork(), gm) for ed, k, gm in self._chunks]
-            twin._chunk_ws = [Workspace() for _ in self._chunks]
+        else:
+            twin.kernel = self.kernel.fork()
         return twin
 
     @property
     def tier(self) -> str:
         """The kernel tier this operator actually runs (post-gating):
-        ``"fused+openmp:N"``, ``"fused"``, ``"numpy-threads:N"``, or
-        ``"numpy"``."""
+        ``"fused+openmp:N"``, ``"fused"``, or ``"numpy"``."""
         if self._plan is not None:
             if self._plan.threads > 1:
                 return f"fused+openmp:{self._plan.threads}"
             return "fused"
-        if self._chunks is not None:
-            return f"numpy-threads:{self.threads}"
         return "numpy"
 
     @property
@@ -1033,11 +801,6 @@ class MatrixFreeStiffness:
             return out
         if self._plan is not None:
             return self._plan(u, out=out)
-        if self._chunks is not None:
-            return self._apply_chunked(u, out=out)
-        if not self.pooled:
-            out[:] = self._apply_ref(u)
-            return out
         Ue = self._ws.buf("Ue", self.element_dofs.shape)
         u.take(self.element_dofs, out=Ue, mode="clip")
         if self.gmask is not None:
@@ -1050,63 +813,9 @@ class MatrixFreeStiffness:
             out[rows] *= self.Minv[rows]
         return out
 
-    def _apply_ref(self, u: np.ndarray) -> np.ndarray:
-        """Seed apply: fancy-index gather, allocating contraction,
-        ``bincount`` scatter — the reference for the pooled path."""
-        Ue = u[self.element_dofs]
-        if self.gmask is not None:
-            Ue = Ue * self.gmask
-        ku = self.kernel.contract_ref(Ue)
-        z = np.bincount(
-            self.element_dofs.ravel(), weights=ku.ravel(), minlength=self.n_dof
-        )
-        if self.Minv is not None:
-            z *= self.Minv
-        return z
-
-    def _apply_chunked(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.pooled:
-
-            def _partial(i):
-                ed, kern, gm = self._chunks[i]
-                ws = self._chunk_ws[i]
-                Ue = ws.buf("Ue", ed.shape)
-                u.take(ed, out=Ue, mode="clip")
-                if gm is not None:
-                    Ue *= gm
-                ku = ws.buf("ku", ed.shape)
-                kern.contract(Ue, out=ku)
-                return self._chunk_scatter[i].scatter(
-                    ku.reshape(-1), ws.buf("z", self.n_dof)
-                )
-
-            parts = list(_pool(self.threads).map(_partial, range(len(self._chunks))))
-        else:
-
-            def _partial(chunk):
-                ed, kern, gm = chunk
-                Ue = u[ed]
-                if gm is not None:
-                    Ue = Ue * gm
-                ku = kern.contract_ref(Ue)
-                return np.bincount(
-                    ed.ravel(), weights=ku.ravel(), minlength=self.n_dof
-                )
-
-            parts = list(_pool(self.threads).map(_partial, self._chunks))
-        z = out
-        z[:] = parts[0]
-        for p in parts[1:]:
-            z += p
-        if self.Minv is not None and not (
-            self.pooled and self._chunk_scatter[0].folds_coeff
-        ):
-            z *= self.Minv
-        return z
-
     def workspace_bytes(self) -> int:
         """Bytes of pooled hot-path scratch currently held (gather and
-        contraction buffers, scatter plans, per-chunk partials)."""
+        contraction buffers, the scatter plan, per-thread partials)."""
         total = self._ws.nbytes + getattr(self.kernel, "workspace_nbytes", 0)
         if self._rows is not None:
             total += self._rows.nbytes
@@ -1114,11 +823,6 @@ class MatrixFreeStiffness:
             total += self._scatter.nbytes
         if self._plan is not None and getattr(self._plan, "_zt", None) is not None:
             total += self._plan._zt.nbytes
-        if self._chunk_scatter is not None:
-            for (_, kern, _), ws, sc in zip(
-                self._chunks, self._chunk_ws, self._chunk_scatter
-            ):
-                total += ws.nbytes + sc.nbytes + getattr(kern, "workspace_nbytes", 0)
         return total
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
@@ -1145,7 +849,6 @@ class MatrixFreeStiffness:
             gmask=gm,
             Minv=self.Minv,
             threads=self._requested_threads,
-            pooled=self._requested_pooled,
         )
 
     def row_support(self) -> np.ndarray:
@@ -1179,7 +882,6 @@ class MatrixFreeOperator:
         dirichlet_mask: np.ndarray | None = None,
         use_fused: bool | None = None,
         threads: int | None = None,
-        pooled: bool | None = None,
     ):
         self.kernel = kernel
         self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
@@ -1211,7 +913,6 @@ class MatrixFreeOperator:
                 else self._Minv * self.dirichlet_mask
             ),
             threads=threads,
-            pooled=pooled,
         )
 
     @property
@@ -1292,9 +993,9 @@ def kernel_from_spec(spec: KernelSpec):
 
     This is the registry behind backend dispatch: a
     :class:`repro.core.operator.KernelSpec` names the physics and
-    carries the per-element parameter arrays; the dimension picks the
-    specialized (fused-capable) kernel class.  Adding a physics means
-    adding a spec + kernel pair here — never another ``hasattr`` chain.
+    carries the per-element parameter arrays; each physics has one
+    kernel class for every dimension.  Adding a physics means adding a
+    spec + kernel pair here — never another ``hasattr`` chain.
     Unknown physics names and malformed parameter sets (missing keys,
     wrong shapes) raise :class:`~repro.util.errors.SolverError`.
     """
@@ -1305,10 +1006,6 @@ def kernel_from_spec(spec: KernelSpec):
             f"acoustic scales must be (n_elements, {spec.dim})",
             SolverError,
         )
-        if spec.dim == 2:
-            return AcousticKernel(spec.order, scales[:, 0], scales[:, 1])
-        if spec.dim == 3:
-            return AcousticKernel3D(spec.order, scales)
         return AcousticKernelND(spec.order, scales)
     if spec.physics == "elastic":
         lam, mu = _param(spec, "lam"), _param(spec, "mu")
@@ -1318,10 +1015,6 @@ def kernel_from_spec(spec: KernelSpec):
             f"elastic h_axes must be (n_elements, {spec.dim})",
             SolverError,
         )
-        if spec.dim == 2:
-            return ElasticKernel(spec.order, lam, mu, h[:, 0], h[:, 1])
-        if spec.dim == 3:
-            return ElasticKernel3D(spec.order, lam, mu, h)
         return ElasticKernelND(spec.order, lam, mu, h)
     if spec.physics == "anisotropic_elastic":
         C = _param(spec, "C")
@@ -1352,24 +1045,18 @@ def operator_for(
     backend: str = "assembled",
     use_fused: bool | None = None,
     threads: int | None = None,
-    pooled: bool | None = None,
 ):
     """Backend dispatch behind ``Sem2D.operator`` / ``ElasticSem2D.operator``.
 
     ``"assembled"`` wraps the precomputed CSR; ``"matfree"`` builds the
     tensor-product operator.  One implementation, every assembler.
-    ``pooled`` controls the NumPy tier's workspace pooling (default on;
-    ``REPRO_POOLED=0`` or ``pooled=False`` pins the seed allocating
-    path for A/B measurement).
     """
     if backend == "assembled":
         from repro.core.operator import AssembledOperator
 
         return AssembledOperator(assembler.A)
     if backend == "matfree":
-        return matrix_free_operator(
-            assembler, use_fused=use_fused, threads=threads, pooled=pooled
-        )
+        return matrix_free_operator(assembler, use_fused=use_fused, threads=threads)
     raise SolverError(f"unknown backend {backend!r}")
 
 
@@ -1377,7 +1064,6 @@ def matrix_free_operator(
     assembler,
     use_fused: bool | None = None,
     threads: int | None = None,
-    pooled: bool | None = None,
 ) -> MatrixFreeOperator:
     """Matrix-free ``A = M^{-1} K`` for any :class:`~repro.sem.tensor.SemND`
     assembler (:class:`~repro.sem.assembly2d.Sem2D`,
@@ -1391,7 +1077,6 @@ def matrix_free_operator(
         dirichlet_mask=getattr(assembler, "dirichlet_mask", None),
         use_fused=use_fused,
         threads=threads,
-        pooled=pooled,
     )
 
 
@@ -1402,7 +1087,6 @@ def local_stiffness(
     n_local: int,
     use_fused: bool | None = None,
     threads: int | None = None,
-    pooled: bool | None = None,
 ) -> MatrixFreeStiffness:
     """Rank-local unassembled ``K`` for the distributed runtime.
 
@@ -1417,23 +1101,6 @@ def local_stiffness(
         n_local,
         use_fused=use_fused,
         threads=threads,
-        pooled=pooled,
-    )
-
-
-#: Fused-tier order ceilings by dimension (see :mod:`repro.sem.fused`).
-_FUSED_MAX_ORDER = {2: fused.MAX_ORDER, 3: fused.MAX_ORDER_3D}
-_FUSED_PHYSICS = frozenset({"acoustic", "elastic", "anisotropic_elastic"})
-
-
-def fused_supported(physics: str, dim: int, order: int) -> bool:
-    """True when a compiled fused C tier exists for this physics, mesh
-    dimension, and polynomial order."""
-    return (
-        physics in _FUSED_PHYSICS
-        and dim in _FUSED_MAX_ORDER
-        and order <= _FUSED_MAX_ORDER[dim]
-        and fused.available()
     )
 
 
@@ -1445,17 +1112,17 @@ def describe_tier(
     threads: int | None = None,
 ) -> str:
     """The kernel tier a matfree operator with these settings resolves
-    to, without building one: ``"fused+openmp:N"``, ``"fused"``,
-    ``"numpy-threads:N"``, or ``"numpy"``.
+    to, without building one: ``"fused+openmp:N"``, ``"fused"``, or
+    ``"numpy"``.
 
-    This is the *configured* tier — per-operator size gating (an element
-    count too small to split across ``N`` workers) can still downgrade a
+    This is the *configured* tier — per-operator size gating (fewer
+    ``VL`` element blocks than OpenMP threads) can still downgrade a
     specific apply to serial; :attr:`MatrixFreeStiffness.tier` on a
     built operator is authoritative.
     """
     n = resolve_threads(threads)
-    if use_fused is not False and fused_supported(physics, dim, order):
-        if n > 1 and fused.omp_enabled():
-            return f"fused+openmp:{n}"
-        return "fused"
-    return f"numpy-threads:{n}" if n > 1 else "numpy"
+    if use_fused is False or _fused_plan_cls(physics, dim, order) is None:
+        return "numpy"
+    if n > 1 and fused.omp_enabled():
+        return f"fused+openmp:{n}"
+    return "fused"

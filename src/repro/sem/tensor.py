@@ -30,8 +30,7 @@ per GLL node:
   assignment (paper Eq. (7) drives levels with the *P* speed).
 
 Constitutive parameters live in :mod:`repro.sem.materials`: every
-assembler resolves a :class:`~repro.sem.materials.Material` (the legacy
-``lam=``/``mu=``/``rho=`` kwargs are thin wrappers), which owns
+assembler takes a :class:`~repro.sem.materials.Material`, which owns
 broadcasting, validation and the maximal wave speed the CFL/LTS layer
 pulls via :meth:`SemND.max_velocity`.  The general-anisotropy assembler
 (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`) builds on the
@@ -49,7 +48,6 @@ element against the O(n^6) of a dense element matvec (paper Sec. II-C).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +64,6 @@ from repro.util.validation import require
 _CHUNK_ENTRIES = 8_000_000
 
 
-def _warn_legacy_kwargs(obj, base: type, kwargs: str, material_cls: str) -> None:
-    """Deprecation notice for the loose constitutive constructor kwargs.
-
-    The wrappers stay bit-identical to the material path; only the
-    spelling is deprecated.  The stacklevel must reach the *user's*
-    frame: 3 when ``base.__init__`` was called directly, 4 when a
-    dimension-pinned subclass ``__init__`` (Sem2D/Sem3D/ElasticSem2D/
-    ElasticSem3D) forwarded here.
-    """
-    warnings.warn(
-        f"{type(obj).__name__}({kwargs}) is deprecated; pass "
-        f"material={material_cls}(...) (repro.sem.materials) or declare a "
-        f"repro.api.MaterialSpec — behaviour is unchanged",
-        DeprecationWarning,
-        stacklevel=3 if type(obj) is base else 4,
-    )
 
 #: Element-local edge slots per dimension: corner pairs, ordered
 #: axis-by-axis (x-direction edges first).  Local corner index packs the
@@ -524,23 +506,14 @@ class SemND:
         order: int = 4,
         dirichlet: bool = False,
         material: Material | None = None,
-        rho=None,
     ):
         require(mesh.dim in (1, 2, 3), "SemND requires dim in (1, 2, 3)", SolverError)
         require(order >= 1, "order must be >= 1", SolverError)
         if not hasattr(self, "material"):
             # Scalar acoustic base: the material defaults to the mesh's
-            # per-element wave speed with unit density; ``rho`` is the
-            # variable-density convenience, ``material`` the full form.
-            require(
-                material is None or rho is None,
-                "pass either material= or rho=, not both",
-                SolverError,
-            )
+            # per-element wave speed with unit density.
             if material is None:
-                if rho is not None:
-                    _warn_legacy_kwargs(self, SemND, "rho=", "IsotropicAcoustic")
-                material = IsotropicAcoustic(mesh.c, rho=1.0 if rho is None else rho)
+                material = IsotropicAcoustic(mesh.c)
             require(
                 isinstance(material, self.material_cls),
                 f"{type(self).__name__} needs a {self.material_cls.__name__} material",
@@ -742,7 +715,6 @@ class SemND:
         backend: str = "assembled",
         use_fused: bool | None = None,
         threads: int | None = None,
-        pooled: bool | None = None,
     ):
         """Stiffness operator ``A = M^{-1} K`` in the requested backend.
 
@@ -750,17 +722,12 @@ class SemND:
         builds the batched sum-factorization operator (no matrix) — see
         :mod:`repro.sem.matfree` for when each wins.  ``use_fused``
         selects the optional fused C kernels (``None`` = auto);
-        ``threads`` the threaded element loop (``None`` serial, ``0``
-        auto-detect — see :func:`repro.sem.matfree.resolve_threads`);
-        ``pooled`` the allocation-free workspace path of the NumPy
-        kernels (``None`` = on unless ``REPRO_POOLED=0`` — see
-        :func:`repro.core.workspace.resolve_pooled`).
+        ``threads`` their OpenMP element loop (``None`` serial, ``0``
+        auto-detect — see :func:`repro.sem.matfree.resolve_threads`).
         """
         from repro.sem.matfree import operator_for
 
-        return operator_for(
-            self, backend, use_fused=use_fused, threads=threads, pooled=pooled
-        )
+        return operator_for(self, backend, use_fused=use_fused, threads=threads)
 
     # ------------------------------------------------------------------
     def _axis_kernels(self) -> list[np.ndarray]:
@@ -896,10 +863,9 @@ class ElasticSemND(VectorSemMixin, SemND):
     as ``assembler=`` to :func:`repro.core.levels.assign_levels` and the
     maximal material speed (here: P) is pulled automatically.
 
-    Parameters come either as the legacy ``lam=``/``mu=``/``rho=``
-    kwargs or as a :class:`repro.sem.materials.IsotropicElastic`
-    ``material=`` (the two are bit-identical; the kwargs are thin
-    wrappers over the material).  ``mu = 0`` elements are fluid
+    Parameters come as a :class:`repro.sem.materials.IsotropicElastic`
+    ``material=`` (default ``lam = mu = rho = 1``).  ``mu = 0`` elements
+    are fluid
     (acoustic-limit) inclusions: their S speed is 0, so level
     assignment and CFL must use the P speed — which ``max_velocity`` /
     ``assembler=`` do.
@@ -912,32 +878,16 @@ class ElasticSemND(VectorSemMixin, SemND):
         self,
         mesh: Mesh,
         order: int = 4,
-        lam=None,
-        mu=None,
-        rho=None,
         dirichlet: bool = False,
         material: IsotropicElastic | None = None,
     ):
         if material is None:
-            if lam is not None or mu is not None or rho is not None:
-                _warn_legacy_kwargs(self, ElasticSemND, "lam=/mu=/rho=",
-                                    "IsotropicElastic")
-            material = IsotropicElastic(
-                lam=1.0 if lam is None else lam,
-                mu=1.0 if mu is None else mu,
-                rho=1.0 if rho is None else rho,
-            )
-        else:
-            require(
-                lam is None and mu is None and rho is None,
-                "pass either material= or lam=/mu=/rho=, not both",
-                SolverError,
-            )
-            require(
-                isinstance(material, self.material_cls),
-                f"{type(self).__name__} needs a {self.material_cls.__name__} material",
-                SolverError,
-            )
+            material = IsotropicElastic()
+        require(
+            isinstance(material, self.material_cls),
+            f"{type(self).__name__} needs a {self.material_cls.__name__} material",
+            SolverError,
+        )
         self.material = material.expand(mesh.n_elements)
         # Back-compat per-element views (same arrays as the material's).
         self.lam = self.material.lam

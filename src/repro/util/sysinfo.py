@@ -40,8 +40,8 @@ def package_version() -> str:
         return repro.__version__
 
 
-#: The environment knobs the kernel tiers and hot path honor.
-ENV_KNOBS = ("REPRO_FUSED", "REPRO_THREADS", "REPRO_POOLED")
+#: The environment knobs the kernel tiers honor.
+ENV_KNOBS = ("REPRO_FUSED",)
 
 
 def runtime_info() -> dict:

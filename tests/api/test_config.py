@@ -238,12 +238,19 @@ class TestRejection:
         # 0 = auto-detect is valid, as is any positive count.
         assert BackendSpec(stiffness="matfree", threads=0).threads == 0
         assert BackendSpec(stiffness="matfree", threads=4).threads == 4
+        # The NumPy tier is serial: naming it with a thread count is an
+        # error, not a silent downgrade (threads=1 says serial).
+        for n in (0, 2):
+            with pytest.raises(ConfigError, match="applies to the fused tier"):
+                BackendSpec(stiffness="matfree", fused=False, threads=n)
+        assert BackendSpec(stiffness="matfree", fused=False, threads=1).threads == 1
+        assert BackendSpec(stiffness="matfree", fused=True, threads=2).threads == 2
 
     def test_backend_threads_round_trip(self, tmp_path):
         cfg = SimulationConfig(
             mesh=MeshSpec("uniform_grid", {"shape": (3, 3)}),
             time=TimeSpec(n_cycles=1),
-            backend=BackendSpec(stiffness="matfree", fused=False, threads=2),
+            backend=BackendSpec(stiffness="matfree", fused=True, threads=2),
         )
         back = SimulationConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg

@@ -192,14 +192,14 @@ class TestAssemblerConvenience:
     polynomial order) so callers stop copy-pasting velocity=..."""
 
     def test_matches_explicit_velocity_and_order_elastic(self):
-        from repro.sem import ElasticSem2D
+        from repro.sem import ElasticSem2D, IsotropicElastic
 
         mesh = uniform_grid((4, 4), (1.0, 1.0))
         lam = np.full(mesh.n_elements, 2.0)
         lam[5] = 32.0
         mu = np.full(mesh.n_elements, 1.0)
         mu[5] = 16.0
-        sem = ElasticSem2D(mesh, order=3, lam=lam, mu=mu)
+        sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
         via_assembler = assign_levels(mesh, c_cfl=0.4, assembler=sem)
         explicit = assign_levels(mesh, c_cfl=0.4, order=3, velocity=sem.p_velocity())
         assert np.array_equal(via_assembler.level, explicit.level)

@@ -63,7 +63,7 @@ def test_newmark_step_allocation_budget(sys2d, backend):
     A = (
         sem.A
         if backend == "assembled"
-        else sem.operator("matfree", use_fused=False, pooled=True)
+        else sem.operator("matfree", use_fused=False)
     )
     stats = _measure(NewmarkSolver(A, a.dt), u0, v0)
     assert stats.allocs_per_step <= ALLOC_BUDGET, (backend, stats)
@@ -78,7 +78,7 @@ def test_lts_step_allocation_budget(sys2d, backend):
     op = (
         sem.operator("assembled")
         if backend == "assembled"
-        else sem.operator("matfree", use_fused=backend == "fused", pooled=True)
+        else sem.operator("matfree", use_fused=backend == "fused")
     )
     solver = LTSNewmarkSolver(op, dof_level, a.dt)
     assert len(solver.active_levels) >= 2  # multi-level recursion exercised
@@ -94,7 +94,7 @@ def test_optimized_matches_reference(sys2d):
     of the literal ``mode="reference"`` transcription (the independent
     oracle: full-vector recursion, allocating updates)."""
     sem, a, dof_level, u0, v0 = sys2d
-    op = sem.operator("matfree", use_fused=False, pooled=True)
+    op = sem.operator("matfree", use_fused=False)
     fast = LTSNewmarkSolver(op, dof_level, a.dt)
     ref = LTSNewmarkSolver(op, dof_level, a.dt, mode="reference")
     uf, vf = u0.copy(), v0.copy()

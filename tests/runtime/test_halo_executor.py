@@ -199,9 +199,9 @@ class TestDistributedLTS:
         if physics == "acoustic":
             sem = Sem2D(mesh, order=3)
         else:
-            from repro.sem import ElasticSem2D
+            from repro.sem import ElasticSem2D, IsotropicElastic
 
-            sem = ElasticSem2D(mesh, order=3, lam=2.0, mu=1.0)
+            sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
             mesh.c = sem.p_velocity()
         a = assign_levels(mesh, c_cfl=0.4, order=3)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)

@@ -17,6 +17,7 @@ from repro.sem import (
     AnisotropicElasticSemND,
     ElasticSem2D,
     ElasticSem3D,
+    IsotropicElastic,
     hexagonal_stiffness,
     isotropic_stiffness,
 )
@@ -48,7 +49,7 @@ class TestIsotropicReduction:
         lam = 2.0 + rng.random(mesh.n_elements)
         mu = 1.0 + rng.random(mesh.n_elements)
         rho = 1.0 + rng.random(mesh.n_elements)
-        iso = cls(mesh, order=3, lam=lam, mu=mu, rho=rho)
+        iso = cls(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
         aniso = AnisotropicElasticSemND(
             mesh, order=3, C=isotropic_stiffness(lam, mu, dim), rho=rho
         )
@@ -59,7 +60,7 @@ class TestIsotropicReduction:
 
     def test_max_velocity_matches_p_velocity(self):
         mesh = uniform_grid((3, 3))
-        iso = ElasticSem2D(mesh, order=2, lam=2.0, mu=1.0, rho=1.3)
+        iso = ElasticSem2D(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
         aniso = AnisotropicElasticSemND(
             mesh, order=2, C=isotropic_stiffness(2.0, 1.0, 2), rho=1.3
         )

@@ -22,7 +22,7 @@ class TestDensityScaling:
     def test_default_matches_explicit_unit_density(self):
         mesh = uniform_grid((4, 3))
         a = Sem2D(mesh, order=3)
-        b = Sem2D(mesh, order=3, rho=1.0)
+        b = Sem2D(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=1.0))
         assert np.array_equal(a.M, b.M)
         assert (a.K != b.K).nnz == 0
         assert (a.A != b.A).nnz == 0
@@ -32,7 +32,7 @@ class TestDensityScaling:
         density leaves A = M^{-1} K (and every wave solution) unchanged."""
         mesh = uniform_grid((4, 3))
         a = Sem2D(mesh, order=3)
-        b = Sem2D(mesh, order=3, rho=2.5)
+        b = Sem2D(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=2.5))
         assert np.allclose(b.M, 2.5 * a.M)
         u = np.random.default_rng(0).standard_normal(a.n_dof)
         assert _rel_err(b.A @ u, a.A @ u) < 1e-13
@@ -43,29 +43,22 @@ class TestDensityScaling:
     def test_heterogeneous_density_backend_equivalence(self, grid, cls):
         mesh = uniform_grid(grid)
         rng = np.random.default_rng(0)
-        sem = cls(mesh, order=3, rho=1.0 + rng.random(mesh.n_elements))
+        rho = 1.0 + rng.random(mesh.n_elements)
+        sem = cls(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=rho))
         u = rng.standard_normal(sem.n_dof)
         assert _rel_err(sem.operator("matfree") @ u, sem.A @ u) < 1e-12
-
-    def test_material_equals_rho_kwarg(self):
-        mesh = uniform_grid((3, 3))
-        rho = 1.0 + np.arange(mesh.n_elements, dtype=float) / 10
-        a = Sem2D(mesh, order=2, rho=rho)
-        b = Sem2D(mesh, order=2, material=IsotropicAcoustic(c=mesh.c, rho=rho))
-        assert np.array_equal(a.M, b.M)
-        assert (a.A != b.A).nnz == 0
 
     def test_rejects_nonpositive_density(self):
         mesh = uniform_grid((2, 2))
         with pytest.raises(SolverError):
-            Sem2D(mesh, rho=0.0)
+            Sem2D(mesh, material=IsotropicAcoustic(mesh.c, rho=0.0))
         with pytest.raises(SolverError):
-            Sem2D(mesh, rho=-1.0)
+            Sem2D(mesh, material=IsotropicAcoustic(mesh.c, rho=-1.0))
 
     def test_max_velocity_is_material_speed(self):
         mesh = uniform_grid((3, 2))
         mesh.c = np.linspace(1.0, 2.0, mesh.n_elements)
-        sem = Sem2D(mesh, order=2, rho=2.0)
+        sem = Sem2D(mesh, order=2, material=IsotropicAcoustic(mesh.c, rho=2.0))
         assert np.array_equal(sem.max_velocity(), mesh.c)
 
 
@@ -98,7 +91,8 @@ class TestHeterogeneousDensityConvergence:
         mesh = uniform_grid((6, 2), (1.0, 1.0))
         left = mesh.coords[mesh.elements].mean(axis=1)[:, 0] < 1 / 3
         mesh.c = np.where(left, 2.0, 4.0)
-        sem = Sem2D(mesh, order=order, rho=np.where(left, 1.0, 0.25))
+        rho = np.where(left, 1.0, 0.25)
+        sem = Sem2D(mesh, order=order, material=IsotropicAcoustic(mesh.c, rho=rho))
         uI = sem.interpolate(lambda x, y: self._mode(x))
         return _rel_err(sem.A @ uI, self.OMEGA**2 * uI)
 

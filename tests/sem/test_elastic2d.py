@@ -7,14 +7,17 @@ from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
 from repro.mesh import uniform_grid
-from repro.sem import discrete_energy
+from repro.sem import IsotropicElastic, discrete_energy
 from repro.sem.elastic2d import ElasticSem2D
 from repro.util.errors import SolverError
 
 
 @pytest.fixture(scope="module")
 def elastic():
-    return ElasticSem2D(uniform_grid((4, 4), (1.0, 1.0)), order=4, lam=2.0, mu=1.0, rho=1.0)
+    return ElasticSem2D(
+        uniform_grid((4, 4), (1.0, 1.0)), order=4,
+        material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0),
+    )
 
 
 class TestAssembly:
@@ -48,7 +51,7 @@ class TestAssembly:
 
     def test_rejects_bad_materials(self):
         with pytest.raises(SolverError):
-            ElasticSem2D(uniform_grid((2, 2)), mu=-1.0)
+            ElasticSem2D(uniform_grid((2, 2)), material=IsotropicElastic(mu=-1.0))
 
 
 class TestEigenstructure:
@@ -58,7 +61,10 @@ class TestEigenstructure:
         omega^2 = (pi cp)^2, cp = sqrt(2 mu / rho).  (For lambda != 0 the
         lateral boundaries carry sigma_yy, so no plane mode exists — which
         is why this test pins the lambda = 0 case.)"""
-        sem = ElasticSem2D(uniform_grid((4, 4), (1.0, 1.0)), order=4, lam=0.0, mu=1.0)
+        sem = ElasticSem2D(
+            uniform_grid((4, 4), (1.0, 1.0)), order=4,
+            material=IsotropicElastic(lam=0.0, mu=1.0),
+        )
         vals = np.sort(np.real(np.linalg.eigvals(sem.A.toarray())))
         vals = vals[vals > 1e-6]
         target = 2.0 * np.pi**2  # (pi cp)^2, cp = sqrt(2)
@@ -68,7 +74,8 @@ class TestEigenstructure:
         """A is linear in (lambda, mu)/rho: scaling both by 4 scales every
         eigenvalue by 4 (homogeneity check of the assembly)."""
         sem4 = ElasticSem2D(
-            uniform_grid((4, 4), (1.0, 1.0)), order=4, lam=8.0, mu=4.0, rho=1.0
+            uniform_grid((4, 4), (1.0, 1.0)), order=4,
+            material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
         diff = (sem4.A - 4.0 * elastic.A)
         assert np.max(np.abs(diff.toarray())) < 1e-9
@@ -77,7 +84,10 @@ class TestEigenstructure:
 class TestDynamics:
     def test_p_plane_wave_evolution(self):
         """ux = cos(pi x) cos(pi cp t) is exact for lambda = 0."""
-        sem = ElasticSem2D(uniform_grid((4, 4), (1.0, 1.0)), order=4, lam=0.0, mu=1.0)
+        sem = ElasticSem2D(
+            uniform_grid((4, 4), (1.0, 1.0)), order=4,
+            material=IsotropicElastic(lam=0.0, mu=1.0),
+        )
         cp = np.sqrt(2.0)
         u0 = sem.interpolate(lambda x, y: np.cos(np.pi * x), lambda x, y: 0 * x)
         T, n = 0.5, 800
@@ -111,7 +121,7 @@ class TestElasticLTS:
         mu = np.full(16, 1.0)
         lam[5] = 32.0
         mu[5] = 16.0  # cp factor-4 inclusion
-        sem = ElasticSem2D(mesh, order=3, lam=lam, mu=mu)
+        sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
         mesh.c = sem.p_velocity()
         levels = assign_levels(mesh, c_cfl=0.35, order=3)
         assert levels.n_levels >= 2
@@ -134,7 +144,7 @@ class TestElasticLTS:
         mu = np.full(16, 1.0)
         lam[10] = 32.0
         mu[10] = 16.0
-        sem = ElasticSem2D(mesh, order=3, lam=lam, mu=mu)
+        sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
         mesh.c = sem.p_velocity()
         levels = assign_levels(mesh, c_cfl=0.35, order=3)
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)

@@ -14,13 +14,8 @@ from repro.core import (
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem3D, discrete_energy, fused
-from repro.sem.matfree import (
-    ElasticKernel3D,
-    ElasticKernelND,
-    kernel_from_spec,
-    local_stiffness,
-)
+from repro.sem import ElasticSem3D, IsotropicElastic, discrete_energy, fused
+from repro.sem.matfree import ElasticKernelND, kernel_from_spec, local_stiffness
 from repro.util.errors import SolverError
 
 #: Both implementation tiers when the fused C kernels are available,
@@ -32,11 +27,11 @@ def _mesh(shape=(3, 2, 2)):
     return uniform_grid(shape, (1.0, 1.3, 0.8))
 
 
-def _sem(order=3, shape=(3, 2, 2), **kw):
-    kw.setdefault("lam", 2.3)
-    kw.setdefault("mu", 1.7)
-    kw.setdefault("rho", 1.1)
-    return ElasticSem3D(_mesh(shape), order=order, **kw)
+def _sem(order=3, shape=(3, 2, 2), dirichlet=False):
+    return ElasticSem3D(
+        _mesh(shape), order=order, dirichlet=dirichlet,
+        material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
+    )
 
 
 def _rel_err(got, ref):
@@ -46,7 +41,8 @@ def _rel_err(got, ref):
 @pytest.fixture(scope="module")
 def elastic():
     return ElasticSem3D(
-        uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3, lam=2.0, mu=1.0, rho=1.0
+        uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
+        material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0),
     )
 
 
@@ -91,7 +87,8 @@ class TestAssembly:
         """A is linear in (lambda, mu)/rho: scaling both by 4 scales
         every entry of A by 4 (homogeneity check of the assembly)."""
         sem4 = ElasticSem3D(
-            uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3, lam=8.0, mu=4.0, rho=1.0
+            uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
+            material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
         diff = sem4.A - 4.0 * elastic.A
         assert np.max(np.abs(diff.toarray())) < 1e-9
@@ -106,7 +103,7 @@ class TestAssembly:
 
     def test_rejects_bad_materials_and_dim(self):
         with pytest.raises(SolverError):
-            ElasticSem3D(_mesh(), mu=-1.0)
+            ElasticSem3D(_mesh(), material=IsotropicElastic(mu=-1.0))
         with pytest.raises(SolverError):
             ElasticSem3D(uniform_grid((2, 2)), order=2)
 
@@ -141,7 +138,7 @@ class TestBackendEquivalence:
         lam = rng.uniform(1.0, 4.0, mesh.n_elements)
         mu = rng.uniform(0.5, 2.0, mesh.n_elements)
         rho = rng.uniform(0.8, 1.2, mesh.n_elements)
-        sem = ElasticSem3D(mesh, order=3, lam=lam, mu=mu, rho=rho)
+        sem = ElasticSem3D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
         u = rng.standard_normal(sem.n_dof)
         ref = sem.A @ u
         for uf in FUSED_PARAMS:
@@ -172,7 +169,7 @@ class TestBackendEquivalence:
     def test_nnz_counts_contraction_flops(self):
         sem = _sem(order=3)
         op = sem.operator("matfree")
-        assert isinstance(op.kernel, ElasticKernel3D)
+        assert isinstance(op.kernel, ElasticKernelND) and op.kernel.dim == 3
         assert op.nnz == sem.mesh.n_elements * op.kernel.flops_per_element
         cols = np.arange(10)
         assert 0 < op.restrict(cols).ops < op.nnz
@@ -193,9 +190,8 @@ class TestKernelSpec:
     def test_kernel_from_spec_dispatch(self):
         sem = _sem(order=2)
         k = kernel_from_spec(sem.kernel_spec())
-        assert isinstance(k, ElasticKernel3D)
         assert isinstance(k, ElasticKernelND)
-        assert k.n_comp == 3
+        assert k.dim == k.n_comp == 3
 
     def test_unknown_physics_rejected(self):
         spec = KernelSpec(physics="magnetic", order=2, dim=3, n_comp=1, params={})
@@ -230,7 +226,10 @@ class TestFusedGating3D:
 
     def test_order_above_3d_cap_falls_back_to_numpy(self):
         order = fused.MAX_ORDER_3D + 1
-        sem = ElasticSem3D(uniform_grid((1, 1, 1)), order=order, lam=2.0, mu=1.0)
+        sem = ElasticSem3D(
+            uniform_grid((1, 1, 1)), order=order,
+            material=IsotropicElastic(lam=2.0, mu=1.0),
+        )
         op = sem.operator("matfree")  # auto: numpy fallback
         assert op._stiffness._plan is None
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
@@ -284,7 +283,7 @@ class TestElasticLTS3D:
         mu = np.full(mesh.n_elements, 1.0)
         lam[7] = 32.0
         mu[7] = 16.0  # cp factor-4 inclusion
-        sem = ElasticSem3D(mesh, order=2, lam=lam, mu=mu)
+        sem = ElasticSem3D(mesh, order=2, material=IsotropicElastic(lam=lam, mu=mu))
         levels = assign_levels(mesh, c_cfl=0.35, order=2, velocity=sem.p_velocity())
         assert levels.n_levels >= 2  # P-velocity-driven, not geometry
         dof_level = dof_levels_from_elements(

@@ -1,6 +1,6 @@
 """Tests for the material-model subsystem (repro.sem.materials):
-broadcasting, validation, Christoffel wave speeds, and the equivalence
-of the material path with the legacy kwargs path on the assemblers."""
+broadcasting, validation, Christoffel wave speeds, and the assemblers'
+handling of the ``material=`` they are given."""
 
 import warnings
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem2D, ElasticSem3D, Sem2D
+from repro.sem import ElasticSem2D, Sem2D
 from repro.sem.materials import (
     AnisotropicElastic,
     IsotropicAcoustic,
@@ -154,45 +154,7 @@ class TestChristoffel:
 
 
 class TestAssemblerMaterialPath:
-    """The material= path must be bit-identical to the legacy kwargs."""
-
-    def test_elastic2d_bit_identical(self):
-        mesh = uniform_grid((3, 3), (1.0, 1.2))
-        rng = np.random.default_rng(0)
-        lam = 2.0 + rng.random(mesh.n_elements)
-        mu = 1.0 + rng.random(mesh.n_elements)
-        rho = 1.0 + rng.random(mesh.n_elements)
-        with pytest.warns(DeprecationWarning):
-            legacy = ElasticSem2D(mesh, order=3, lam=lam, mu=mu, rho=rho)
-        material = ElasticSem2D(
-            mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho)
-        )
-        assert np.array_equal(legacy.M, material.M)
-        assert (legacy.K != material.K).nnz == 0
-        assert (legacy.A != material.A).nnz == 0
-
-    def test_elastic3d_bit_identical(self):
-        mesh = uniform_grid((2, 2, 2))
-        with pytest.warns(DeprecationWarning):
-            legacy = ElasticSem3D(mesh, order=2, lam=2.0, mu=1.0, rho=1.3)
-        material = ElasticSem3D(
-            mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3)
-        )
-        assert np.array_equal(legacy.M, material.M)
-        assert (legacy.A != material.A).nnz == 0
-
-    def test_legacy_kwargs_emit_deprecation_warning(self):
-        """The loose constitutive kwargs warn (pointing at the material
-        layer / MaterialSpec) on every assembler family that keeps them."""
-        mesh2 = uniform_grid((2, 2))
-        with pytest.warns(DeprecationWarning, match="MaterialSpec"):
-            ElasticSem2D(mesh2, order=2, lam=2.0)
-        with pytest.warns(DeprecationWarning, match="IsotropicElastic"):
-            ElasticSem2D(mesh2, order=2, mu=1.5)
-        with pytest.warns(DeprecationWarning, match="rho="):
-            Sem2D(mesh2, order=2, rho=1.3)
-        with pytest.warns(DeprecationWarning, match="lam=/mu=/rho="):
-            ElasticSem3D(uniform_grid((2, 2, 2)), order=1, rho=2.0)
+    """What the assemblers do with the ``material=`` they are given."""
 
     def test_material_path_does_not_warn(self):
         """material= (and the bare default) must stay warning-free."""
@@ -203,13 +165,6 @@ class TestAssemblerMaterialPath:
             ElasticSem2D(mesh, order=2)
             Sem2D(mesh, order=2)
             Sem2D(mesh, order=2, material=IsotropicAcoustic(c=mesh.c, rho=1.3))
-
-    def test_material_and_kwargs_are_mutually_exclusive(self):
-        mesh = uniform_grid((2, 2))
-        with pytest.raises(SolverError):
-            ElasticSem2D(mesh, lam=2.0, material=IsotropicElastic())
-        with pytest.raises(SolverError):
-            Sem2D(mesh, rho=2.0, material=IsotropicAcoustic(c=mesh.c))
 
     def test_assembler_rejects_wrong_material_type(self):
         mesh = uniform_grid((2, 2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem2D, Sem2D, fused
+from repro.sem import ElasticSem2D, IsotropicElastic, Sem2D, fused
 from repro.sem.matfree import (
     MatrixFreeOperator,
     MatrixFreeStiffness,
@@ -78,7 +78,10 @@ class TestAcousticEquivalence:
 class TestElasticEquivalence:
     @pytest.mark.parametrize("order", range(1, 9))
     def test_full_apply(self, order):
-        el = ElasticSem2D(_mesh((4, 3)), order=order, lam=2.3, mu=1.7, rho=1.1)
+        el = ElasticSem2D(
+            _mesh((4, 3)), order=order,
+            material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
+        )
         u = np.random.default_rng(order).standard_normal(el.n_dof)
         ref = el.A @ u
         for uf in FUSED_PARAMS:
@@ -87,7 +90,10 @@ class TestElasticEquivalence:
 
     @pytest.mark.parametrize("order", [2, 5])
     def test_restricted_apply(self, order):
-        el = ElasticSem2D(_mesh((4, 3)), order=order, lam=2.3, mu=1.7, rho=1.1)
+        el = ElasticSem2D(
+            _mesh((4, 3)), order=order,
+            material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
+        )
         rng = np.random.default_rng(order)
         u = rng.standard_normal(el.n_dof)
         cols = rng.choice(el.n_dof, size=el.n_dof // 4, replace=False)
@@ -97,7 +103,7 @@ class TestElasticEquivalence:
             assert _rel_err(restr.apply(u), ref) < 1e-12, (order, uf)
 
     def test_rigid_motions_in_kernel(self):
-        el = ElasticSem2D(_mesh((4, 3)), order=3, lam=2.0, mu=1.0)
+        el = ElasticSem2D(_mesh((4, 3)), order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
         op = el.operator("matfree")
         rot = el.interpolate(lambda x, y: y, lambda x, y: -x)
         assert np.abs(op @ rot).max() < 1e-8
@@ -144,6 +150,24 @@ class TestStiffnessOnly:
         sub = K.masked_subset(np.zeros(sem.n_dof, dtype=bool))
         assert not (sub @ np.ones(sem.n_dof)).any()
 
+    @pytest.mark.parametrize("bad", [-3, "n_dof"])
+    def test_element_dof_out_of_range_rejected(self, bad):
+        """A corrupt table is refused at construction on both tiers (an
+        apply would gather a clipped entry and scatter through the bad
+        index) — below 0 as well as at ``n_dof``."""
+        from repro.util.errors import SolverError
+
+        sem = Sem2D(_mesh(), order=2)
+        ed = sem.element_dofs.copy()
+        ed[0, 0] = sem.n_dof if bad == "n_dof" else bad
+        ids = np.arange(sem.mesh.n_elements)
+        for uf in FUSED_PARAMS:
+            with pytest.raises(SolverError, match="out of range"):
+                MatrixFreeStiffness(matrix_free_operator(sem).kernel, ed, sem.n_dof,
+                                    use_fused=uf)
+            with pytest.raises(SolverError, match="out of range"):
+                local_stiffness(sem, ids, ed, sem.n_dof, use_fused=uf)
+
 
 class TestKernelSpecDispatch:
     """Backend dispatch keys off the explicit kernel spec, 2D included."""
@@ -157,12 +181,13 @@ class TestKernelSpecDispatch:
         assert sub.params["scales"].shape == (2, 2)
 
     def test_elastic_spec(self):
-        el = ElasticSem2D(_mesh((4, 3)), order=3, lam=2.0, mu=1.0)
+        el = ElasticSem2D(_mesh((4, 3)), order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
         spec = el.kernel_spec()
         assert (spec.physics, spec.dim, spec.n_comp) == ("elastic", 2, 2)
-        from repro.sem.matfree import ElasticKernel, kernel_from_spec
+        from repro.sem.matfree import ElasticKernelND, kernel_from_spec
 
-        assert isinstance(kernel_from_spec(spec), ElasticKernel)
+        k = kernel_from_spec(spec)
+        assert isinstance(k, ElasticKernelND) and k.dim == 2
 
     def test_unknown_physics_rejected(self):
         from repro.core.operator import KernelSpec

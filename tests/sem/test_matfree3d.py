@@ -7,7 +7,7 @@ import pytest
 
 from repro.mesh import uniform_grid
 from repro.sem import Sem3D, fused
-from repro.sem.matfree import AcousticKernel3D, local_stiffness
+from repro.sem.matfree import AcousticKernelND, local_stiffness
 from repro.util.errors import SolverError
 
 #: Both implementation tiers when the fused C kernels are available,
@@ -64,7 +64,7 @@ class TestAcoustic3DEquivalence:
         sem = Sem3D(_mesh(), order=4)
         op = sem.operator("matfree")
         k = op.kernel
-        assert isinstance(k, AcousticKernel3D)
+        assert isinstance(k, AcousticKernelND) and k.dim == 3
         n1 = k.n1
         assert k.flops_per_element == 6 * n1**4 + 9 * n1**3
         assert op.nnz == sem.mesh.n_elements * k.flops_per_element

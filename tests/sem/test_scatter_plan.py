@@ -1,21 +1,22 @@
 """Determinism of the pooled scatter plan (hot-path PR regression suite).
 
-The pooled matrix-free kernels replace the seed's per-call
-``np.bincount`` scatter with a precomputed single-entry-column CSC plan
-(:class:`repro.sem.matfree._ScatterPlan`) that can also fold the
+The NumPy matrix-free kernels scatter through a precomputed
+single-entry-column CSC plan (:class:`repro.sem.matfree._ScatterPlan`)
+instead of a per-call ``np.bincount``; the plan can also fold the
 ``M^{-1}`` coefficient into the accumulation.  Three properties keep
 that substitution safe:
 
 * **bitwise vs bincount** — the CSC kernel runs exactly bincount's
-  accumulation loop, so an unfolded plan is bitwise-equal to the seed
-  scatter;
+  accumulation loop, so an unfolded plan is bitwise-equal to
+  ``np.bincount``;
 * **run-to-run bitwise determinism** — repeated applies, and applies
-  through independently constructed pooled operators, produce identical
-  bits (no ordering or workspace-content dependence);
-* **<= 1e-12 agreement with the seed tier** — folding ``M^{-1}`` into
-  the plan data commutes through the sum only to rounding (~1 ulp), so
-  pooled results must stay within 1e-12 of ``pooled=False`` results,
-  for full and level-restricted applies, 2D/3D, all three physics.
+  through independently constructed operators, produce identical bits
+  (no ordering or workspace-content dependence);
+* **<= 1e-12 agreement with the assembled CSR** — folding ``M^{-1}``
+  into the plan data commutes through the sum only to rounding
+  (~1 ulp), so the NumPy tier must stay within 1e-12 of ``sem.A @ u``
+  and ``sem.A[:, cols] @ u[cols]``, for full and level-restricted
+  applies, 2D/3D, all three physics.
 
 The last class pins the ``Restriction.apply(u, out=buf)`` contract the
 LTS solver relies on: the product lands on the restriction's row
@@ -31,6 +32,7 @@ from repro.sem import (
     AnisotropicElasticSemND,
     ElasticSem2D,
     ElasticSem3D,
+    IsotropicElastic,
     Sem2D,
     Sem3D,
     fused,
@@ -57,7 +59,7 @@ def _make_sem(physics: str, dim: int):
         return (Sem2D if dim == 2 else Sem3D)(mesh, order=order)
     if physics == "elastic":
         cls = ElasticSem2D if dim == 2 else ElasticSem3D
-        return cls(mesh, order=order, lam=2.0, mu=1.0, rho=1.3)
+        return cls(mesh, order=order, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
     rng = np.random.default_rng(7)
     lam = 2.0 + rng.random(mesh.n_elements)
     mu = 1.0 + rng.random(mesh.n_elements)
@@ -79,8 +81,8 @@ class TestScatterPlanUnit:
         assert np.array_equal(out, ref)
 
     def test_folded_coeff_agrees_with_seed_order(self):
-        """Folding c into the accumulation (sum of c*v) differs from the
-        seed's c*(sum of v) only by rounding — well under 1e-12."""
+        """Folding c into the accumulation (sum of c*v) differs from
+        c*(sum of v) only by rounding — well under 1e-12."""
         rng = np.random.default_rng(1)
         n_dof = 150
         ed = rng.integers(0, n_dof, size=(25, 9))
@@ -90,7 +92,7 @@ class TestScatterPlanUnit:
         out = np.empty(n_dof)
         plan.scatter(vals, out)
         ref = coeff * np.bincount(ed.ravel(), weights=vals, minlength=n_dof)
-        if not plan.folds_coeff:  # scipy internals unavailable: seed path
+        if not plan.folds_coeff:  # scipy internals unavailable: bincount path
             assert np.array_equal(out, ref)
         else:
             assert _rel_err(out, ref) < 1e-12
@@ -133,29 +135,24 @@ class TestPooledOperatorDeterminism:
         sem = _make_sem(physics, dim)
         rng = np.random.default_rng(dim)
         u = rng.standard_normal(sem.n_dof)
-        seed_op = sem.operator("matfree", use_fused=False, pooled=False)
-        pooled_op = sem.operator("matfree", use_fused=False, pooled=True)
-        ref = seed_op @ u
-        got1 = np.array(pooled_op @ u)
-        got2 = np.array(pooled_op @ u)  # same operator, warm workspace
-        fresh = np.array(
-            sem.operator("matfree", use_fused=False, pooled=True) @ u
-        )
+        op = sem.operator("matfree", use_fused=False)
+        got1 = np.array(op @ u)
+        got2 = np.array(op @ u)  # same operator, warm workspace
+        fresh = np.array(sem.operator("matfree", use_fused=False) @ u)
         assert np.array_equal(got1, got2), (physics, dim)
         assert np.array_equal(got1, fresh), (physics, dim)
-        assert _rel_err(got1, ref) < 1e-12, (physics, dim)
+        assert _rel_err(got1, sem.A @ u) < 1e-12, (physics, dim)
 
     def test_restricted_apply(self, physics, dim):
         sem = _make_sem(physics, dim)
         rng = np.random.default_rng(10 + dim)
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
-        seed_r = sem.operator("matfree", use_fused=False, pooled=False).restrict(cols)
-        pooled_r = sem.operator("matfree", use_fused=False, pooled=True).restrict(cols)
-        ref = np.array(seed_r.apply(u))
-        got1 = np.array(pooled_r.apply(u))
-        got2 = np.array(pooled_r.apply(u))
+        restr = sem.operator("matfree", use_fused=False).restrict(cols)
+        got1 = np.array(restr.apply(u))
+        got2 = np.array(restr.apply(u))
         assert np.array_equal(got1, got2), (physics, dim)
+        ref = sem.A.tocsc()[:, cols] @ u[cols]
         assert _rel_err(got1, ref) < 1e-12, (physics, dim)
 
 

@@ -1,17 +1,19 @@
-"""Threaded kernel tier: OpenMP fused kernels and the chunked NumPy
-thread pool agree with their serial counterparts.
+"""Threaded kernel tier: the OpenMP fused kernels agree with their
+serial counterparts, and ``threads`` means nothing else.
 
-Both threaded paths change only summation order (per-thread partial
+The OpenMP path changes only summation order (per-thread partial
 scatters reduced in a fixed order), so results are documented to match
 serial within 1e-12 *relative* — in practice they agree to the last few
 bits, and for a fixed thread count repeated applies are deterministic.
+The NumPy tier is serial whatever ``threads`` says, and the tier a
+config describes is the tier the built operator reports.
 """
 
 import numpy as np
 import pytest
 
-from repro.mesh import uniform_grid
-from repro.sem import ElasticSem2D, ElasticSem3D, Sem2D, Sem3D, fused
+from repro.mesh import uniform_grid, uniform_interval
+from repro.sem import ElasticSem2D, ElasticSem3D, Sem1D, Sem2D, Sem3D, fused
 from repro.sem.anisotropic import AnisotropicElasticSemND
 from repro.sem.matfree import describe_tier, resolve_threads
 from repro.util.errors import SolverError
@@ -25,19 +27,20 @@ def _rel_err(got, ref):
     return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-30)
 
 
+def _spd_voigt(n_elements: int, nv: int) -> np.ndarray:
+    A = np.random.default_rng(0).standard_normal((n_elements, nv, nv))
+    return A @ A.transpose(0, 2, 1) + nv * np.eye(nv)
+
+
 def _assemblers():
     mesh2 = uniform_grid((5, 4), (1.0, 1.3))
     mesh3 = uniform_grid((3, 3, 2))
-    rng = np.random.default_rng(0)
-    nv = 6
-    A = rng.standard_normal((mesh3.n_elements, nv, nv))
-    C3 = A @ A.transpose(0, 2, 1) + nv * np.eye(nv)
     return [
         ("acoustic2", Sem2D(mesh2, order=4, dirichlet=True)),
         ("acoustic3", Sem3D(mesh3, order=3)),
         ("elastic2", ElasticSem2D(mesh2, order=3)),
         ("elastic3", ElasticSem3D(mesh3, order=2, dirichlet=True)),
-        ("aniso3", AnisotropicElasticSemND(mesh3, order=2, C=C3)),
+        ("aniso3", AnisotropicElasticSemND(mesh3, order=2, C=_spd_voigt(mesh3.n_elements, 6))),
     ]
 
 
@@ -56,28 +59,20 @@ class TestResolveThreads:
         with pytest.raises(SolverError, match="threads must be >= 0"):
             resolve_threads(-2)
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "5")
-        assert resolve_threads(None) == 5
-        assert resolve_threads(2) == 5
-
-    def test_env_bad_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "many")
-        with pytest.raises(SolverError, match="REPRO_THREADS"):
-            resolve_threads(None)
-
 
 class TestNumpyPoolTier:
-    """The chunked ThreadPoolExecutor path needs no compiler at all."""
+    """The NumPy tier has no thread pool: ``threads`` is the fused tier's
+    OpenMP count and nothing else, so a NumPy-tier operator asked for N
+    threads is the serial operator, bit for bit."""
 
     @pytest.mark.parametrize("name,sem", _assemblers())
     def test_full_apply_matches_serial(self, name, sem):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(sem.n_dof)
-        ref = sem.operator("matfree", use_fused=False) @ u
+        serial = sem.operator("matfree", use_fused=False)
         op = sem.operator("matfree", use_fused=False, threads=2)
-        assert op.tier == "numpy-threads:2"
-        assert _rel_err(op @ u, ref) < TOL, name
+        assert op.tier == serial.tier == "numpy"
+        assert np.array_equal(op @ u, serial @ u), name
 
     @pytest.mark.parametrize("name,sem", _assemblers()[:2])
     def test_restricted_apply_matches_serial(self, name, sem):
@@ -86,7 +81,7 @@ class TestNumpyPoolTier:
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
         ref = sem.operator("matfree", use_fused=False).restrict(cols).apply(u)
         op = sem.operator("matfree", use_fused=False, threads=2)
-        assert _rel_err(op.restrict(cols).apply(u), ref) < TOL, name
+        assert np.array_equal(op.restrict(cols).apply(u), ref), name
 
     def test_deterministic_across_applies(self):
         sem = Sem2D(uniform_grid((5, 4)), order=3)
@@ -99,7 +94,7 @@ class TestNumpyPoolTier:
     def test_tiny_workload_runs_serial(self):
         sem = Sem2D(uniform_grid((1, 1)), order=2)
         op = sem.operator("matfree", use_fused=False, threads=8)
-        assert op.tier == "numpy"  # 1 element < 2 * 8 -> serial
+        assert op.tier == "numpy"
 
 
 @pytest.mark.skipif(not OMP, reason="fused kernels without OpenMP")
@@ -157,16 +152,6 @@ class TestSimulationParity:
             }
         )
 
-    def test_numpy_pool_matches_serial(self):
-        from repro.api import Simulation
-
-        ref = Simulation(self._cfg(stiffness="matfree", fused=False)).run()
-        sim = Simulation(self._cfg(stiffness="matfree", fused=False, threads=2))
-        assert sim.kernel_tier() == "numpy-threads:2"
-        res = sim.run()
-        assert res.metadata["kernel_tier"] == "numpy-threads:2"
-        assert _rel_err(res.u, ref.u) < TOL
-
     @pytest.mark.skipif(not OMP, reason="fused kernels without OpenMP")
     def test_openmp_fused_matches_serial(self):
         from repro.api import Simulation
@@ -180,18 +165,32 @@ class TestSimulationParity:
 
 class TestTierReporting:
     def test_describe_matches_built_operator(self):
-        sem = Sem2D(uniform_grid((5, 4)), order=3)
-        for uf, th in [(False, None), (False, 2), (None, None)]:
-            op = sem.operator("matfree", use_fused=uf, threads=th)
-            assert op.tier == describe_tier("acoustic", 2, 3, uf, th)
+        """One table decides fused availability for the built operator
+        and for the configured tier: they agree on every physics x
+        dimension x ``use_fused`` x ``threads``."""
+        mesh2 = uniform_grid((5, 4), (1.0, 1.3))  # > 2 VL blocks in both
+        mesh3 = uniform_grid((3, 3, 2))
+        sems = [
+            Sem2D(mesh2, order=3),
+            Sem3D(mesh3, order=3),
+            ElasticSem2D(mesh2, order=3),
+            ElasticSem3D(mesh3, order=2),
+            AnisotropicElasticSemND(mesh2, order=3, C=_spd_voigt(mesh2.n_elements, 3)),
+            AnisotropicElasticSemND(mesh3, order=2, C=_spd_voigt(mesh3.n_elements, 6)),
+        ]
+        fused_settings = [False, None] + ([True] if fused.available() else [])
+        for sem in sems:
+            for uf in fused_settings:
+                for th in (None, 2):
+                    op = sem.operator("matfree", use_fused=uf, threads=th)
+                    described = describe_tier(sem.physics, sem.dim, sem.order, uf, th)
+                    assert op.tier == described, (sem.physics, sem.dim, uf, th)
+                    if uf is False:
+                        assert described == "numpy"
 
     def test_describe_unfused_physics(self):
         # 1D has no fused tier regardless of availability.
         assert describe_tier("acoustic", 1, 3) == "numpy"
-        assert describe_tier("acoustic", 1, 3, threads=2) == "numpy-threads:2"
-
-    def test_env_override_reaches_operator(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "2")
-        sem = Sem2D(uniform_grid((5, 4)), order=3)
-        op = sem.operator("matfree", use_fused=False)
-        assert op.tier == "numpy-threads:2"
+        assert describe_tier("acoustic", 1, 3, threads=2) == "numpy"
+        sem = Sem1D(uniform_interval(6), order=3)
+        assert sem.operator("matfree", threads=2).tier == "numpy"
