@@ -16,7 +16,7 @@ Two implementations share one recursion:
 
 * ``mode="reference"`` — literal full-vector transcription of Algorithm 1.
   Every substep performs a full-size stiffness product and full-length
-  vector updates.  Simple, obviously correct, slow.
+  vector updates.  Simple, obviously correct, slow: the oracle.
 * ``mode="optimized"`` — the high-performance variant the paper's Sec. II-C
   describes as requiring "great care": a substep costs work proportional
   to its *active set* (DOFs of levels >= k plus their stiffness halo --
@@ -27,7 +27,7 @@ Two implementations share one recursion:
     ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
     .restrict`), which reads only the level's columns and writes only
     its row support; the solver owns one zero-initialised full-length
-    output per fine level, so rows a level never writes stay zero;
+    output per level, so rows a level never writes stay zero;
   - *depth 0 is plain Newmark plus a fix-up*: outside the coarsest
     active set the auxiliary system sees a constant force, a leap-frog
     chain under constant force is exactly quadratic (``u(T) = u(0) -
@@ -45,6 +45,18 @@ Two implementations share one recursion:
   The two modes agree to machine precision (tested), which is the
   paper's implicit claim that the optimized implementation computes
   *the same scheme* with the minimal op set.
+
+The optimized cycle exists once, for one solver or many ranks — the
+paper parallelises the SPECFEM way (Sec. III): every rank runs the
+serial substep and a neighbour sum follows each stiffness application.
+:class:`_RankState` holds the compact state of one DOF numbering (the
+whole mesh, or one rank's local DOFs) and does the arithmetic in
+*phases*, cut exactly where a level's apply output must be summed over
+the ranks sharing its rows; :class:`_LockStepCycle` runs the phases over
+a list of states with a ``_sum_shared(level)`` hook at each cut.
+:class:`LTSNewmarkSolver` is that driver over one state, its hook doing
+nothing; :class:`repro.runtime.executor.DistributedLTSSolver` the same
+driver over one state per rank, its hook the halo exchange.
 
 The solver is backend- and dimension-agnostic: ``A`` may be a scipy
 sparse matrix (the assembled path), or any
@@ -218,6 +230,283 @@ def compact_depths(
     return depths
 
 
+class _RankState:
+    """Buffers and arithmetic of the optimized cycle on one DOF numbering
+    (see the module docs), in the phases :class:`_LockStepCycle` runs:
+    :meth:`apply_coarse` | :meth:`begin`; per substep :meth:`apply_level`
+    | :meth:`update`, the child's substeps, :meth:`reconstruct`; last
+    :meth:`finish` (``|``: where several ranks sum the apply output).
+
+    ``restr0`` and the bound ``depths`` arrive forked.  ``z1`` is level
+    1's output: the depths' shared ``z`` when every product overwrites
+    its whole output (a rank's bare ``K``), else a zero-initialised
+    buffer of its own that ``z1_stale`` says to clear every cycle.
+    ``minv`` is the numbering's ``1/M`` where the products lack it,
+    ``force`` the source in this numbering.  The state never refers
+    back to its solver: through such a cycle the buffers of a finished
+    run would wait for the cyclic collector.
+    """
+
+    def __init__(self, dt: float, level0: int, restr0: Restriction,
+                 depths: list[_Depth], z1: np.ndarray, force=None,
+                 minv: np.ndarray | None = None, z1_stale: bool = False):
+        self.dt, self.level0, self.restr0, self.depths = dt, level0, restr0, depths
+        self.z1, self.force, self.minv, self.z1_stale = z1, force, minv, z1_stale
+        self.n = len(z1)
+        #: The one full-length buffer every fine level's apply reads (each
+        #: substep scatters its level's columns into it first), depth 0's
+        #: scratch before that.  Always finite: the matrix-free gather
+        #: multiplies the entries it does not use by a zero mask.  Level
+        #: 1's output cannot double as it: its unwritten rows stay zero.
+        self.w = np.zeros(self.n)
+        # Per depth, what each phase unpacks — hoisted here because
+        # attribute access per buffer per substep shows on small cycles.
+        self._applies, self._updates, self._recons = [], [], []
+        if not depths:
+            return
+        top = depths[0]
+        # Saved depth-0 copies of the coarsest active set's rows, and
+        # 1/M there (every deeper active set is a suffix of this one).
+        self.u0, self.v0 = np.empty(len(top.idx)), np.empty(len(top.idx))
+        self.minv0 = None if minv is None else minv[top.idx]
+        for d, kid in zip(depths, depths[1:] + [None]):
+            dt_k = dt / float(2 ** (d.level - 1))
+            na, nd = len(d.idx), d.n_diff
+            mv = None if minv is None else self.minv0[len(top.idx) - na:]
+            rs = d.restr
+            self._applies.append(
+                (d.u, d.colpos, d.c, self.w, rs.cols, rs.apply, d.z, d.level, rs.ops)
+            )
+            hand = None
+            if kid is not None:
+                u_in, r_in = d.u[nd:], d.r[nd:]  # the child's set is a suffix
+                hand = (kid.F, r_in, kid.u, u_in)
+                self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
+            self._updates.append((d.z, d.idx, d.r, mv, d.F, d.u, d.v, dt_k, hand))
+
+    def nbytes(self) -> int:
+        """Bytes of the buffers and index maps the phases touch, and of
+        the scratch its restricted products report."""
+        bufs = [self.z1, self.w]
+        for d in self.depths:
+            bufs += [d.colpos, d.u, d.v, d.F, d.r, d.c]
+            if d.z is not self.z1:
+                bufs.append(d.z)
+        if self.depths:
+            bufs += [self.depths[0].idx, self.u0, self.v0]
+            if self.minv0 is not None:
+                bufs.append(self.minv0)
+        restrs = [self.restr0, *(d.restr for d in self.depths)]
+        return sum(b.nbytes for b in bufs) + workspace_bytes(*restrs)
+
+    def apply_coarse(self, u: np.ndarray, counter) -> None:
+        """``z1 = A P_1 u``, the level's own (unsummed) share."""
+        if self.z1_stale:
+            self.z1.fill(0.0)
+        self.restr0.apply(u, out=self.z1)
+        if counter is not None:
+            counter.count_stiffness(self.level0, self.restr0.ops)
+
+    def begin(self, u: np.ndarray, v: np.ndarray, t: float, counter) -> None:
+        """Freeze ``F_1 = A P_1 u - f(t)``, save the active rows for the
+        recursion, and take plain Newmark on the whole vector: with one
+        level that is the scheme; with more, the closed form of every
+        DOF outside the coarsest active set (:meth:`finish` overwrites
+        the rest).  The passes run *before* the recursion because its
+        applies may write into ``z1``."""
+        z1, w, dt = self.z1, self.w, self.dt
+        if self.minv is not None:
+            z1 *= self.minv
+        if self.force is not None:
+            subtract_force(self.force, t, z1)
+        if self.depths:
+            d = self.depths[0]
+            u.take(d.idx, out=self.u0, mode="clip")
+            v.take(d.idx, out=self.v0, mode="clip")
+            z1.take(d.idx, out=d.F, mode="clip")
+            np.copyto(d.u, self.u0)
+        z1 *= dt
+        v -= z1
+        np.multiply(v, dt, out=w)
+        u += w
+        if counter is not None:
+            counter.count_vector(4 * self.n)
+
+    def apply_level(self, i: int, counter) -> None:
+        """``z = A P_k u~`` for depth ``i``'s level, unsummed: scatter
+        the level's columns into ``w``, apply its restricted product."""
+        u, colpos, c, w, cols, apply, z, level, ops = self._applies[i]
+        u.take(colpos, out=c, mode="clip")
+        w[cols] = c
+        apply(w, out=z)
+        if counter is not None:
+            counter.count_stiffness(level, ops)
+
+    def update(self, i: int, first: bool, counter) -> None:
+        """After the (summed) apply: ``rhs = F + A P_k u~`` on the active
+        set.  The finest depth takes its leap-frog step with it; any
+        other hands its child the forcing and the displacement on the
+        child's set (a suffix) and waits for :meth:`reconstruct`."""
+        z, idx, r, minv, F, u, v, dt_k, hand = self._updates[i]
+        z.take(idx, out=r, mode="clip")
+        if minv is not None:
+            r *= minv
+        r += F
+        if hand is not None:
+            kid_F, r_in, kid_u, u_in = hand
+            np.copyto(kid_F, r_in)
+            np.copyto(kid_u, u_in)
+            return
+        if first:
+            np.multiply(r, -(0.5 * dt_k), out=v)
+        else:
+            r *= dt_k
+            v -= r
+        np.multiply(v, dt_k, out=r)
+        u += r
+        if counter is not None:
+            counter.count_vector((4 if first else 5) * len(u))
+
+    def reconstruct(self, i: int, first: bool, counter) -> None:
+        """After the child's substeps: the staggered velocity from the
+        substepped displacement, ``v += 2 (u_fine - u) / dt_k`` (Eq.
+        (14)).  The leading ``n_diff`` entries, outside the child's set,
+        saw a constant force over the child's whole span ``dt_k``, so
+        theirs is the closed form ``-dt_k/2 F`` — no ``(u - small) - u``
+        cancellation."""
+        kid_u, u_in, r_in, r_out, r, u, v, dt_k = self._recons[i]
+        np.subtract(kid_u, u_in, out=r_in)
+        r_in /= dt_k  # recon = (u_fine - u) / dt_k
+        r_out *= -(0.5 * dt_k)
+        if first:
+            np.copyto(v, r)
+        else:
+            r *= 2.0
+            v += r
+        np.multiply(v, dt_k, out=r)
+        u += r
+        if counter is not None:
+            counter.count_vector((5 if first else 7) * len(u) - len(r_out))
+
+    def finish(self, u: np.ndarray, v: np.ndarray, counter) -> None:
+        """The active rows from the recursion's result: ``v += 2 (u_fine
+        - u) / dt``, ``u += dt v`` on the saved copies."""
+        d, u0, v0, dt = self.depths[0], self.u0, self.v0, self.dt
+        r = d.r
+        np.subtract(d.u, u0, out=r)
+        r *= 2.0 / dt
+        v0 += r
+        v[d.idx] = v0
+        np.multiply(v0, dt, out=r)
+        u0 += r
+        u[d.idx] = u0
+        if counter is not None:
+            counter.count_vector(5 * len(u0))
+
+
+class _LockStepCycle:
+    """One optimized LTS cycle over ``self._states`` in lock step, and
+    what a solver keeps around it: the schedule position and ``run``.
+    A subclass fills ``_states`` (a :class:`_RankState` per numbering)
+    and ``active_levels``; several numberings need :meth:`_sum_shared`.
+    """
+
+    #: Optional :class:`OperationCounter`, read afresh every cycle.
+    counter: OperationCounter | None = None
+
+    def __init__(self, dt: float, force):
+        self.dt = check_positive(dt, "dt", SolverError)
+        self.force = force
+        self.t = 0.0
+        self.n_cycles_taken = 0
+        self._states: list[_RankState] = []
+
+    def _sum_shared(self, level: int) -> None:
+        """Sum ``level``'s fresh apply outputs over the numberings that
+        share rows (one numbering: nothing to do)."""
+
+    def _cycle(self, us, vs) -> None:
+        """Advance every numbering's ``(u^n, v^{n-1/2})`` by the coarse
+        ``dt``, in place: one pair per state, each of its length."""
+        states, levels, counter = self._states, self.active_levels, self.counter
+        require(
+            len(us) == len(vs) == len(states)
+            and all(u.shape == v.shape == (st.n,) for st, u, v in zip(states, us, vs)),
+            "state shape mismatch: one (u, v) pair per DOF numbering, each of its length",
+            SolverError,
+        )
+        for st, u in zip(states, us):
+            st.apply_coarse(u, counter)
+        self._sum_shared(levels[0])
+        for st, u, v in zip(states, us, vs):
+            st.begin(u, v, self.t, counter)
+        if len(levels) > 1:
+            self._advance(0, 2 ** (levels[1] - 1), counter)
+            for st, u, v in zip(states, us, vs):
+                st.finish(u, v, counter)
+        self.t += self.dt
+        self.n_cycles_taken += 1
+
+    def _advance(self, i: int, n_steps: int, counter) -> None:
+        """Advance the auxiliary system of levels ``active_levels[i+1:]``
+        on every numbering's active set: ``n_steps`` steps of size ``dt /
+        2**(level-1)`` from the displacement and frozen coarser forcing
+        the caller filled in, the auxiliary velocity starting at zero."""
+        states, levels = self._states, self.active_levels
+        level = levels[i + 1]
+        ratio = 2 ** (levels[i + 2] - level) if i + 2 < len(levels) else 0
+        for s in range(n_steps):
+            for st in states:
+                st.apply_level(i, counter)
+            self._sum_shared(level)
+            for st in states:
+                st.update(i, s == 0, counter)
+            if ratio:
+                self._advance(i + 1, ratio, counter)
+                for st in states:
+                    st.reconstruct(i, s == 0, counter)
+
+    # -- checkpoint/restart hooks ----------------------------------------
+    def state(self) -> dict:
+        """Schedule position for checkpointing: completed-cycle count
+        and simulated time.  The LTS schedule is RNG-free and repeats
+        identically every cycle, so the cycle index *is* the full
+        schedule position; the fields live with the caller."""
+        return {"t": self.t, "cycle": self.n_cycles_taken}
+
+    def restore(self, state: dict) -> None:
+        """Resume the schedule position saved by :meth:`state`.
+
+        With field vectors restored alongside, continuing is bitwise
+        identical to the uninterrupted run (same operator, same
+        summation order, same force sampling times)."""
+        self.t = float(state["t"])
+        self.n_cycles_taken = int(state["cycle"])
+
+    def run(
+        self,
+        u0: np.ndarray,
+        v0: np.ndarray,
+        n_cycles: int,
+        health: HealthGuard | None = None,
+        checkpoint_every: int | None = None,
+        on_checkpoint: Callable | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Integrate ``n_cycles`` LTS cycles from the global staggered
+        ``(u0, v^{-1/2})``; returns global vectors, inputs untouched.
+
+        ``health`` runs a :class:`~repro.core.health.HealthGuard` on
+        its cadence; ``on_checkpoint(cycle, u, v)`` fires every
+        ``checkpoint_every`` completed cycles with snapshot copies of
+        the solver's field view (cycle counts are the solver totals, so
+        resumed runs keep their cadence).
+        """
+        return run_cycles(
+            self, self._fields(u0, v0), n_cycles, health=health,
+            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
+        )
+
+
 class LTSPlan:
     """What an :class:`LTSNewmarkSolver` derives from the operator and
     the DOF levels alone: the non-empty levels, their columns and, in
@@ -287,7 +576,7 @@ class LTSPlan:
         return LTSNewmarkSolver(self, None, dt, force=force, counter=counter)
 
 
-class LTSNewmarkSolver:
+class LTSNewmarkSolver(_LockStepCycle):
     """Multi-level LTS-Newmark integrator for ``u'' = -A u + f(t)``.
 
     Parameters
@@ -330,122 +619,46 @@ class LTSNewmarkSolver:
         counter: OperationCounter | None = None,
     ):
         self.plan = plan = A if isinstance(A, LTSPlan) else LTSPlan(A, dof_level, mode)
-        self.dt = check_positive(dt, "dt", SolverError)
-        self.force = force
+        super().__init__(dt, force)
         self.counter = counter
-        self.t = 0.0
-        self.n_cycles_taken = 0
         self.mode, self.op, self.A = plan.mode, plan.op, plan.A
         self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
         self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
-        self._depths: list[_Depth] = []
         if self.mode != "optimized":
             return
         n = self.n_dof
-        self._restr0 = plan.restr0.fork()
         # Level 1's output also takes the source term.  The depth-0 passes
         # keep its unwritten rows at zero (0 * dt), so only a source entry
         # outside the level's row support could survive into the next
         # cycle: a dense force, or a point source no level-1 column
         # reaches.  Only then is the buffer cleared every cycle.
-        self._F1 = np.zeros(n)
-        self._F1_stale = force is not None
-        if self._F1_stale:
+        stale = force is not None
+        if stale:
             dof = getattr(force, "dof", None)
-            self._F1_stale = not (
-                plan.reach1.all() or (dof is not None and plan.reach1[dof])
-            )
-        #: The one full-length buffer every fine level's apply reads (each
-        #: depth scatters its level's columns into it first); depth 0's
-        #: scratch between cycles.  Always finite: the matrix-free gather
-        #: multiplies the entries it does not use by a zero mask.
-        self._w = np.zeros(n)
-        # Each fine level's product writes its row support only: a
+            stale = not (plan.reach1.all() or (dof is not None and plan.reach1[dof]))
+        # Each level's product writes its row support only: a
         # zero-initialised output apiece keeps the other rows zero.
-        self._depths = [d.bind(np.zeros(n)) for d in plan.depths]
-        if self._depths:
-            # Saved depth-0 copies of the coarsest active set's rows.
-            self._u0 = np.empty(len(self._depths[0].idx))
-            self._v0 = np.empty(len(self._depths[0].idx))
+        self._states = [_RankState(
+            self.dt, self.active_levels[0], plan.restr0.fork(),
+            [d.bind(np.zeros(n)) for d in plan.depths], np.zeros(n),
+            force=force, z1_stale=stale,
+        )]
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and
         level restrictions; index maps included)."""
-        total = workspace_bytes(self.op)
-        if self.mode == "optimized":
-            restrs = [self._restr0] + [d.restr for d in self._depths]
-            total += workspace_bytes(*restrs)
-            bufs = [self._F1, self._w]
-            for d in self._depths:
-                bufs += [d.colpos, d.z, d.u, d.v, d.F, d.r, d.c]
-            if self._depths:
-                bufs += [self._depths[0].idx, self._u0, self._v0]
-            total += sum(b.nbytes for b in bufs)
-        return total
+        return workspace_bytes(self.op) + sum(st.nbytes() for st in self._states)
 
-    # ------------------------------------------------------------------
+    def _fields(self, u0: np.ndarray, v0: np.ndarray) -> Fields:
+        u = np.array(u0, dtype=np.float64, copy=True)
+        v = np.array(v0, dtype=np.float64, copy=True)
+        return Fields(u, v)
+
+    # ---------------- reference mode: full vectors ----------------------
     def _count_vec(self, n: int) -> None:
         if self.counter is not None:
             self.counter.count_vector(n)
 
-    def _apply(self, restr: Restriction, level: int, u: np.ndarray,
-               out: np.ndarray) -> None:
-        """Optimized ``A P_k u``: the restricted product, written on the
-        level's row support of its own output buffer."""
-        restr.apply(u, out=out)
-        if self.counter is not None:
-            self.counter.count_stiffness(level, restr.ops)
-
-    def _advance(self, i: int, n_steps: int) -> None:
-        """Advance the auxiliary system of levels ``active_levels[i+1:]``
-        on its active set, in place in ``self._depths[i]``.
-
-        The caller has filled the depth's displacement ``u`` and frozen
-        coarser forcing ``F``; the auxiliary velocity starts at zero.
-        Takes ``n_steps`` steps of size ``dt / 2**(level-1)``.  With a
-        finer depth below, the leading ``n_diff`` entries (not in the
-        child's set) see a constant force over the child's whole span
-        ``dt_k``, so their reconstructed velocity is the closed form
-        ``-dt_k/2 F`` — no ``(u - small) - u`` cancellation.
-        """
-        d = self._depths[i]
-        dt_k = self.dt / float(2 ** (d.level - 1))
-        u, v, F, r, w = d.u, d.v, d.F, d.r, self._w
-        na, nd = len(u), d.n_diff
-        child = self._depths[i + 1] if i + 1 < len(self._depths) else None
-        if child is not None:
-            ratio = 2 ** (child.level - d.level)
-            u_in, r_in, r_out = u[nd:], r[nd:], r[:nd]
-        for s in range(n_steps):
-            u.take(d.colpos, out=d.c, mode="clip")
-            w[d.restr.cols] = d.c
-            self._apply(d.restr, d.level, w, d.z)
-            d.z.take(d.idx, out=r, mode="clip")
-            r += F  # rhs = F + A P_k u on the active set
-            if child is None:
-                if s == 0:
-                    np.multiply(r, -(0.5 * dt_k), out=v)
-                else:
-                    r *= dt_k
-                    v -= r
-                self._count_vec((4 if s == 0 else 5) * na)
-            else:
-                np.copyto(child.F, r_in)
-                np.copyto(child.u, u_in)
-                self._advance(i + 1, ratio)
-                np.subtract(child.u, u_in, out=r_in)
-                r_in /= dt_k  # recon = (u_fine - u) / dt_k
-                r_out *= -(0.5 * dt_k)
-                if s == 0:
-                    np.copyto(v, r)
-                else:
-                    r *= 2.0
-                    v += r
-                self._count_vec((5 if s == 0 else 7) * na - nd)
-            np.multiply(v, dt_k, out=r)
-            u += r
-
-    # ---------------- reference mode: full vectors ----------------------
     def _apply_level(self, k: int, u: np.ndarray) -> np.ndarray:
         """Reference ``A P_k u``: mask and run the full product, as a
         direct transcription would."""
@@ -509,86 +722,15 @@ class LTSNewmarkSolver:
     def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One LTS cycle: advance ``(u^n, v^{n-1/2})`` by the coarse ``dt``,
         in place."""
-        n, dt = self.n_dof, self.dt
+        if self.mode == "optimized":
+            self._cycle((u,), (v,))
+            return u, v
+        n = self.n_dof
         require(u.shape == (n,) and v.shape == (n,), "state shape mismatch", SolverError)
-        if self.mode == "reference":
-            self._step_reference(u, v)
-        else:
-            F1, w = self._F1, self._w
-            if self._F1_stale:
-                F1.fill(0.0)
-            self._apply(self._restr0, self.active_levels[0], u, F1)
-            if self.force is not None:
-                subtract_force(self.force, self.t, F1)
-            if self._depths:
-                d, u0, v0 = self._depths[0], self._u0, self._v0
-                u.take(d.idx, out=u0, mode="clip")
-                v.take(d.idx, out=v0, mode="clip")
-                F1.take(d.idx, out=d.F, mode="clip")
-                np.copyto(d.u, u0)
-                self._advance(0, 2 ** (d.level - 1))
-            # Plain Newmark on the whole vector (with one level that is
-            # the scheme; with more, the closed form of every DOF outside
-            # the coarsest active set) ...
-            F1 *= dt
-            v -= F1
-            np.multiply(v, dt, out=w)
-            u += w
-            self._count_vec(4 * n)
-            if self._depths:
-                # ... then the active rows from the recursion's result:
-                # v += 2 (u_fine - u) / dt, u += dt v on the saved copies.
-                r = d.r
-                np.subtract(d.u, u0, out=r)
-                r *= 2.0 / dt
-                v0 += r
-                v[d.idx] = v0
-                np.multiply(v0, dt, out=r)
-                u0 += r
-                u[d.idx] = u0
-                self._count_vec(5 * len(u0))
-        self.t += dt
+        self._step_reference(u, v)
+        self.t += self.dt
         self.n_cycles_taken += 1
         return u, v
-
-    # -- checkpoint/restart hooks ----------------------------------------
-    def state(self) -> dict:
-        """Schedule position for checkpointing: completed-cycle count
-        and simulated time.  The LTS schedule is RNG-free and repeats
-        identically every cycle, so the cycle index *is* the full
-        schedule position; ``u``/``v`` live with the caller."""
-        return {"t": self.t, "cycle": self.n_cycles_taken}
-
-    def restore(self, state: dict) -> None:
-        """Resume the schedule position saved by :meth:`state`.
-
-        With field vectors restored alongside, continuing is bitwise
-        identical to the uninterrupted run (same operator, same
-        summation order, same force sampling times)."""
-        self.t = float(state["t"])
-        self.n_cycles_taken = int(state["cycle"])
-
-    def run(
-        self,
-        u0: np.ndarray,
-        v0: np.ndarray,
-        n_cycles: int,
-        health: HealthGuard | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint: Callable | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate ``n_cycles`` LTS cycles from staggered ``(u0, v^{-1/2})``.
-
-        ``health`` runs a :class:`~repro.core.health.HealthGuard` on
-        its cadence; ``on_checkpoint(cycle, u, v)`` fires every
-        ``checkpoint_every`` completed cycles with snapshot copies.
-        """
-        u = np.array(u0, dtype=np.float64, copy=True)
-        v = np.array(v0, dtype=np.float64, copy=True)
-        return run_cycles(
-            self, Fields(u, v), n_cycles, health=health,
-            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
-        )
 
 
 def lts_newmark_run(

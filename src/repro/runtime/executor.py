@@ -17,43 +17,45 @@ halo (:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a
 CSR column block — exchanged through a plan that keeps only the shared
 DOFs some sharer can write, then scaled by the rank-local ``1/M``.
 
-The recursion is the serial solver's compact one
-(:mod:`repro.core.lts_newmark`, ``mode="optimized"``), held per rank and
-advanced in lock step: a substep costs each rank work proportional to
-its *local* active set, never to its local vector.  A rank's depth-``i``
-active set is, over the levels ``k >= level_i``, its level-``k``
-columns, the rows its level-``k`` product writes, **and every local
-index the level's exchange plan keeps** — a shared DOF that only a
-peer's gray-halo element writes still receives a nonzero through the
-exchange.  Ordering and compact state come from
-:func:`repro.core.lts_newmark.compact_depths`, the builder the serial
-solver uses; depth 0 is the four contiguous Newmark passes over the
-whole local vector plus the O(active) fix-up.  The distributed solution
+No LTS arithmetic lives here.  The cycle is the serial solver's
+(:mod:`repro.core.lts_newmark`, ``mode="optimized"``): one
+:class:`~repro.core.lts_newmark._RankState` per rank holds the compact
+recursion over the rank's local DOFs, and the one lock-step driver runs
+the ranks' phases with this module's halo sum between each level's
+apply and its update, so a substep costs each rank work proportional to
+its *local* active set, never to its local vector.  What this module
+adds is the plan.  A rank's depth-``i`` active set is, over the levels
+``k >= level_i``, its level-``k`` columns, the rows its level-``k``
+product writes, **and every local index the level's exchange plan
+keeps** — a shared DOF that only a peer's gray-halo element writes
+still receives a nonzero through the exchange.  The distributed solution
 equals the serial one up to floating-point summation order (tested at
-1e-12 for random level assignments and partitions): the partitioned
-execution computes *the same scheme*, for any partition.  Non-LTS
-Newmark is the same solver with every DOF on level 1.
+1e-12 against the serial solver and its ``mode="reference"`` oracle for
+random level assignments and partitions, one rank included): the
+partitioned execution computes *the same scheme*, for any partition.
+Non-LTS Newmark is the same solver with every DOF on level 1.
 
-There is no time loop here: ``run`` hands a :class:`RankFields` view of
-the per-rank replicas to :func:`repro.core.newmark.run_cycles`, the one
-cycle loop the serial solvers and the façade also use.
+There is no time loop here either: ``run`` hands a :class:`RankFields`
+view of the per-rank replicas to :func:`repro.core.newmark.run_cycles`,
+the one cycle loop the serial solvers and the façade also use.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.core.lts_newmark import compact_depths
-from repro.core.newmark import run_cycles
+from repro.core.lts_newmark import _LockStepCycle, _RankState, compact_depths
 from repro.core.operator import AssembledOperator, Restriction
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import ExchangePlan, RankLayout
 from repro.util.errors import CommError, SolverError
-from repro.util.validation import check_positive, require
+from repro.util.validation import require
 
 
 class RankFields:
@@ -175,9 +177,10 @@ class DistributedLTSPlan:
             k: layout.exchange_channels([sup[j] for sup in supports])
             for j, k in enumerate(levels)
         }
+        #: ``depths[r][i]``: rank ``r``'s index maps at depth ``i``.
+        self.depths = []
         # Active sets, finest first: whatever a level >= k can make
         # nonzero on this rank, through its own product or the exchange.
-        by_rank = []
         for r in range(n_ranks):
             active, acts = np.zeros(len(layout.gdofs[r]), dtype=bool), []
             for j in range(len(levels) - 1, 0, -1):
@@ -185,25 +188,36 @@ class DistributedLTSPlan:
                 for idx in self.exchange[levels[j]].indices[r]:
                     active[idx] = True
                 acts.append(active)
-            by_rank.append(compact_depths(levels[1:], restr[r][1:], acts[::-1]))
-        #: ``depths[i][r]``: rank ``r``'s index maps at depth ``i``.
-        self.depths = [list(ds) for ds in zip(*by_rank)]
-        #: The rank-local ``1/M`` the exchanged sums are scaled by, and
-        #: the same over each depth's active set (suffixes of depth 0's).
+            self.depths.append(compact_depths(levels[1:], restr[r][1:], acts[::-1]))
+        #: The rank-local ``1/M`` the exchanged sums are scaled by.
         self.Minv = [1.0 / M for M in layout.M_local]
-        top = self.depths[0] if self.depths else []
-        minv0 = [m[d.idx] for m, d in zip(self.Minv, top)]
-        self.minv = [
-            [m[len(m) - len(d.idx):] for m, d in zip(minv0, ds)]
-            for ds in self.depths
-        ]
 
     def bind(self, dt: float, world=None, force=None) -> "DistributedLTSSolver":
         """A solver stepping this plan: only buffers are allocated."""
         return DistributedLTSSolver(self, dt, world, force)
 
 
-class DistributedLTSSolver:
+def _rank_forces(layout: RankLayout, force) -> list:
+    """``force`` as each rank's local numbering sees it (``None`` where
+    it vanishes).  A point source (one nonzero entry, see
+    :class:`repro.sem.sources.PointSource`) lives at one local index on
+    each rank that holds its DOF; any other force is evaluated once per
+    time and scattered densely."""
+    if force is None:
+        return [None] * layout.n_ranks
+    dof = getattr(force, "dof", None)
+    if dof is None:
+        scattered = lru_cache(maxsize=1)(lambda t: layout.scatter(force(t)))
+        return [lambda t, r=r: scattered(t)[r] for r in range(layout.n_ranks)]
+    local = []
+    for g in layout.gdofs:
+        i = int(np.searchsorted(g, dof))
+        hit = i < len(g) and g[i] == dof
+        local.append(SimpleNamespace(dof=i, value=force.value) if hit else None)
+    return local
+
+
+class DistributedLTSSolver(_LockStepCycle):
     """Multi-level LTS-Newmark, domain-decomposed.
 
     Requires ``layout.dof_level_local`` (pass ``dof_level`` to
@@ -225,20 +239,8 @@ class DistributedLTSSolver:
         self.plan = plan = (
             layout if isinstance(layout, DistributedLTSPlan) else DistributedLTSPlan(layout)
         )
+        super().__init__(dt, force)
         self.layout = layout = plan.layout
-        self.dt = check_positive(dt, "dt", SolverError)
-        self.force = force
-        # A point source (one nonzero entry, see
-        # repro.sem.sources.PointSource) lives at one local index on each
-        # rank that holds its DOF; any other force is scattered densely.
-        dof = getattr(force, "dof", None)
-        self._force_at: list[tuple[int, int]] | None = None
-        if dof is not None:
-            self._force_at = []
-            for r, g in enumerate(layout.gdofs):
-                i = int(np.searchsorted(g, dof))
-                if i < len(g) and g[i] == dof:
-                    self._force_at.append((r, i))
         self.world = world if world is not None else MailboxWorld(layout.n_ranks)
         require(
             self.world.n_ranks == layout.n_ranks,
@@ -246,53 +248,21 @@ class DistributedLTSSolver:
             SolverError,
         )
         self.comms: list[RankComm] = self.world.comms()
-        self.t = 0.0
-        self.n_cycles_taken = 0
         self.active_levels = plan.active_levels
         # One persistent apply output per rank, shared by every level (a
         # level's result is consumed before the next apply).
         self._zl: list[np.ndarray] = [np.empty(len(g)) for g in layout.gdofs]
-        self._Minv, self._minv = plan.Minv, plan.minv
-        self._apply0 = [rs.fork().apply for rs in plan.restr0]
         self._plans = {k: p.fork() for k, p in plan.exchange.items()}
-        #: ``_depths[i][r]``: rank ``r``'s compact state at depth ``i``.
-        self._depths = [
-            [d.bind(z) for d, z in zip(ds, self._zl)] for ds in plan.depths
+        self._states = [
+            _RankState(
+                self.dt, self.active_levels[0], restr0.fork(),
+                [d.bind(z) for d in depths], z, force=f, minv=minv,
+            )
+            for restr0, depths, z, f, minv in zip(
+                plan.restr0, plan.depths, self._zl,
+                _rank_forces(layout, force), plan.Minv,
+            )
         ]
-        #: Depth 0's per-rank states (empty with one level) and their
-        #: saved copies of the active rows.
-        self._top = self._depths[0] if self._depths else []
-        self._u0l = [np.empty(len(d.idx)) for d in self._top]
-        self._v0l = [np.empty(len(d.idx)) for d in self._top]
-        #: Per rank, the one buffer every fine level's apply reads (each
-        #: substep scatters the level's columns into it first); always
-        #: finite, since the matrix-free gather multiplies the entries it
-        #: does not use by a zero mask.
-        self._wl = [np.zeros(len(d.z)) for d in self._top]
-
-    def _subtract_force(self, z_locals: list[np.ndarray]) -> None:
-        """``z -= f(t)`` on every rank's replica, in place."""
-        if self.force is None:
-            return
-        if self._force_at is not None:
-            value = self.force.value(self.t)
-            for r, i in self._force_at:
-                z_locals[r][i] -= value
-        else:
-            f_locals = self.layout.scatter(self.force(self.t))
-            for r in range(self.layout.n_ranks):
-                z_locals[r] -= f_locals[r]
-
-    # -- checkpoint/restart hooks ----------------------------------------
-    def state(self) -> dict:
-        """Schedule position for checkpointing (fields live with the
-        caller; pair this with the ``u_locals``/``v_locals`` vectors)."""
-        return {"t": self.t, "cycle": self.n_cycles_taken}
-
-    def restore(self, state: dict) -> None:
-        """Resume the schedule position saved by :meth:`state`."""
-        self.t = float(state["t"])
-        self.n_cycles_taken = int(state["cycle"])
 
     def check_no_leaks(self) -> None:
         """Assert every sent message was consumed (clean-run invariant).
@@ -308,36 +278,14 @@ class DistributedLTSSolver:
                 f"{self.world.describe_channels(leaked)}"
             )
 
-    def run(
-        self,
-        u0: np.ndarray,
-        v0: np.ndarray,
-        n_cycles: int,
-        health: HealthGuard | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint: Callable | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter global staggered state, run cycles, gather back.
-
-        ``health`` checks the per-rank replicas on its cadence;
-        ``on_checkpoint(cycle, u_locals, v_locals)`` fires every
-        ``checkpoint_every`` completed cycles with copies of the
-        replicas (cycle counts are the solver totals, so resumed runs
-        keep their cadence).
-        """
-        fields = RankFields(
-            self.layout, self.layout.scatter(u0), self.layout.scatter(v0)
-        )
-        return run_cycles(
-            self, fields, n_cycles, health=health,
-            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
-        )
+    def _fields(self, u0: np.ndarray, v0: np.ndarray) -> RankFields:
+        """Scattered replicas: checkpoints receive the per-rank lists."""
+        return RankFields(self.layout, self.layout.scatter(u0), self.layout.scatter(v0))
 
     # -- collectives -----------------------------------------------------
-    def _exchange_sum(
-        self, z_locals: list[np.ndarray], plan: ExchangePlan, tag: int = 0
-    ) -> None:
-        """Sum shared-DOF entries across ranks, in place.
+    def _sum_shared(self, level: int) -> None:
+        """Sum the shared-DOF entries of ``level``'s apply outputs across
+        ranks, in place, through the level's exchange plan.
 
         Two BSP supersteps: all ranks send their partial boundary values,
         then all ranks receive and accumulate.  Receives accumulate in
@@ -350,6 +298,7 @@ class DistributedLTSSolver:
         zero-length messages are ever queued and ``check_no_leaks()``
         still holds.
         """
+        plan, z_locals = self._plans[level], self._zl
         for r in range(plan.n_ranks):
             z = z_locals[r]
             send = self.comms[r].Send
@@ -357,7 +306,7 @@ class DistributedLTSSolver:
                 plan.peers[r], plan.indices[r], plan.send_bufs[r]
             ):
                 z.take(idx, out=buf, mode="clip")
-                send(buf, peer, tag)
+                send(buf, peer)
         for r in range(plan.n_ranks):
             z = z_locals[r]
             recv = self.comms[r].recv
@@ -365,117 +314,25 @@ class DistributedLTSSolver:
                 plan.peers[r], plan.indices[r], plan.acc_bufs[r]
             ):
                 z.take(idx, out=acc, mode="clip")
-                acc += recv(peer, tag)
+                acc += recv(peer)
                 z[idx] = acc
 
     def workspace_bytes(self) -> int:
-        """Bytes of persistent hot-path scratch the solver owns: apply
-        outputs, ``1/M``, exchange pack/accumulate buffers, and the
-        compact recursion state with its index maps (the rank-local
-        operators' own scratch is theirs to report)."""
-        bufs = [*self._zl, *self._Minv, *self._wl, *self._u0l, *self._v0l]
-        bufs += [d.idx for d in self._top]
-        bufs += self._minv[0] if self._minv else []
-        for ds in self._depths:
-            for d in ds:
-                bufs += [d.restr.cols, d.colpos, d.u, d.v, d.F, d.r, d.c]
-        total = sum(b.nbytes for b in bufs)
+        """Bytes of persistent hot-path scratch the solver owns: the
+        rank states (apply outputs, compact recursion, index maps, what
+        the restricted products report of their scratch), the level
+        column lists, ``1/M`` and the exchange pack/accumulate buffers."""
+        total = sum(m.nbytes for m in self.plan.Minv)
+        for st in self._states:
+            total += st.nbytes() + sum(d.restr.cols.nbytes for d in st.depths)
         total += sum(p.workspace_bytes() for p in self._plans.values())
         return int(total)
 
-    def _advance(self, i: int, n_steps: int) -> None:
-        """Advance every rank's auxiliary system of levels
-        ``active_levels[i+1:]`` on its local active set, in lock step.
-
-        Per rank this is :meth:`repro.core.lts_newmark.LTSNewmarkSolver
-        ._advance` — same compact updates, same closed form on the
-        leading ``n_diff`` entries — with the level's halo sum between
-        the apply and the gather, and the gathered rows scaled by
-        ``1/M`` (the rank-local ``K`` is bare).
-        """
-        ds = self._depths[i]
-        lv = ds[0].level
-        dt_k = self.dt / float(2 ** (lv - 1))
-        plan, z = self._plans[lv], self._zl
-        kids = self._depths[i + 1] if i + 1 < len(self._depths) else None
-        if kids is not None:
-            ratio = 2 ** (kids[0].level - lv)
-            inner = [(d.u[d.n_diff:], d.r[d.n_diff:], d.r[:d.n_diff]) for d in ds]
-        for s in range(n_steps):
-            for d, w in zip(ds, self._wl):
-                d.u.take(d.colpos, out=d.c, mode="clip")
-                w[d.restr.cols] = d.c
-                d.restr.apply(w, out=d.z)
-            self._exchange_sum(z, plan)
-            for r, (d, minv) in enumerate(zip(ds, self._minv[i])):
-                rhs = d.r
-                d.z.take(d.idx, out=rhs, mode="clip")
-                rhs *= minv
-                rhs += d.F  # rhs = F + A P_k u on the active set
-                if kids is not None:
-                    u_in, r_in, _ = inner[r]
-                    np.copyto(kids[r].F, r_in)
-                    np.copyto(kids[r].u, u_in)
-                elif s == 0:
-                    np.multiply(rhs, -(0.5 * dt_k), out=d.v)
-                else:
-                    rhs *= dt_k
-                    d.v -= rhs
-            if kids is not None:
-                self._advance(i + 1, ratio)
-                for d, kid, (u_in, r_in, r_out) in zip(ds, kids, inner):
-                    np.subtract(kid.u, u_in, out=r_in)
-                    r_in /= dt_k  # recon = (u_fine - u) / dt_k
-                    r_out *= -(0.5 * dt_k)
-                    if s == 0:
-                        np.copyto(d.v, d.r)
-                    else:
-                        d.r *= 2.0
-                        d.v += d.r
-            for d in ds:
-                np.multiply(d.v, dt_k, out=d.r)
-                d.u += d.r
-
     def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:
-        """One LTS cycle of the coarse step ``dt`` across all ranks."""
+        """One LTS cycle of the coarse step ``dt`` across all ranks: one
+        ``(u, v)`` replica pair per rank, advanced in place."""
         self.world.begin_superstep()
-        dt, z = self.dt, self._zl
-        for apply, u, zr in zip(self._apply0, u_locals, z):
-            apply(u, out=zr)
-        self._exchange_sum(z, self._plans[self.active_levels[0]])
-        for zr, minv in zip(z, self._Minv):
-            zr *= minv
-        self._subtract_force(z)  # z = A P_1 u - f; the apply output is ours
-        fine = self._top
-        for d, u, v, zr, u0, v0 in zip(fine, u_locals, v_locals, z, self._u0l, self._v0l):
-            u.take(d.idx, out=u0, mode="clip")
-            v.take(d.idx, out=v0, mode="clip")
-            zr.take(d.idx, out=d.F, mode="clip")
-            np.copyto(d.u, u0)
-        for u, v, zr in zip(u_locals, v_locals, z):
-            # Plain Newmark on the whole local vector: with one level
-            # that is the scheme; with more, the closed form of every
-            # DOF outside the coarsest active set, whose rows are saved
-            # above and overwritten below.
-            zr *= dt
-            v -= zr
-            np.multiply(v, dt, out=zr)
-            u += zr
-        if fine:
-            self._advance(0, 2 ** (fine[0].level - 1))
-        for d, u, v, u0, v0 in zip(fine, u_locals, v_locals, self._u0l, self._v0l):
-            # The active rows from the recursion's result:
-            # v += 2 (u_fine - u) / dt, u += dt v on the saved copies.
-            rec = d.r
-            np.subtract(d.u, u0, out=rec)
-            rec *= 2.0 / dt
-            v0 += rec
-            v[d.idx] = v0
-            np.multiply(v0, dt, out=rec)
-            u0 += rec
-            u[d.idx] = u0
-        self.t += dt
-        self.n_cycles_taken += 1
+        self._cycle(u_locals, v_locals)
 
 
 class DistributedNewmarkSolver(DistributedLTSSolver):

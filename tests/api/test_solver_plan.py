@@ -96,9 +96,9 @@ def test_stale_level1_buffer_is_decided_per_bind():
     clean = Simulation(make_config(), cache=cache)
     plan = stale.solver_plan
     assert clean.solver_plan is plan
-    assert plan.bind(stale.dt, force=stale.force)._F1_stale
-    assert not plan.bind(clean.dt, force=clean.force)._F1_stale
-    assert not plan.bind(clean.dt)._F1_stale
+    assert plan.bind(stale.dt, force=stale.force)._states[0].z1_stale
+    assert not plan.bind(clean.dt, force=clean.force)._states[0].z1_stale
+    assert not plan.bind(clean.dt)._states[0].z1_stale
 
 
 def test_plan_keys_follow_backend_scheme_and_partition():
@@ -181,22 +181,23 @@ def test_a_preempted_apply_survives_only_with_private_scratch(share_workspace):
     sim = Simulation(make_config("numpy"))
     plan = sim.solver_plan
     a, b = plan.bind(sim.dt), plan.bind(sim.dt)
-    sub_a, sub_b = a._restr0._apply.__self__, b._restr0._apply.__self__
+    ra, rb = a._states[0].restr0, b._states[0].restr0
+    sub_a, sub_b = ra._apply.__self__, rb._apply.__self__
     assert sub_a is not sub_b and sub_a.element_dofs is sub_b.element_dofs
     if share_workspace:
         sub_b._ws = sub_a._ws
     rng = np.random.default_rng(0)
     ua, ub = rng.standard_normal((2, plan.n_dof))
-    expected = a._restr0.apply(ua, out=np.zeros(plan.n_dof)).copy()
+    expected = ra.apply(ua, out=np.zeros(plan.n_dof)).copy()
 
     contract = sub_a.kernel.contract
 
     def preempted(Ue, out=None):
-        b._restr0.apply(ub, out=np.zeros(plan.n_dof))
+        rb.apply(ub, out=np.zeros(plan.n_dof))
         return contract(Ue, out=out)
 
     sub_a.kernel.contract = preempted
-    got = a._restr0.apply(ua, out=np.zeros(plan.n_dof))
+    got = ra.apply(ua, out=np.zeros(plan.n_dof))
     assert np.array_equal(got, expected) != share_workspace
 
 

@@ -85,6 +85,16 @@ class TestDegenerateCases:
         ul, _ = lts_newmark_run(sem.A, lv, dt, u0, v0, 10, mode="reference")
         assert np.allclose(un, ul, atol=1e-14)
 
+    @pytest.mark.parametrize("mode", ["optimized", "reference"])
+    def test_step_rejects_misshapen_fields_untouched(self, mode):
+        _, sem, a, dof_level = _setup_1d()
+        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode=mode)
+        u, v = np.ones(sem.n_dof), np.ones(sem.n_dof)
+        for bad_u, bad_v in ((u[:-1], v), (u, v[:-1])):  # views of u, v
+            with pytest.raises(SolverError, match="shape mismatch"):
+                solver.step(bad_u, bad_v)
+        assert np.all(u == 1) and np.all(v == 1) and solver.n_cycles_taken == 0
+
     def test_rejects_bad_mode(self):
         with pytest.raises(SolverError):
             LTSNewmarkSolver(np.eye(2), np.ones(2, dtype=int), 0.1, mode="turbo")

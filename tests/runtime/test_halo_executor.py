@@ -250,7 +250,7 @@ class TestDistributedLTS:
         parts = np.zeros(mesh.n_elements, dtype=np.int64)
         lay = build_rank_layout(sem, parts, 1, dof_level=dof_level, backend="matfree")
         solver = DistributedLTSSolver(lay, a.dt)
-        finest = solver._depths[-1][0]
+        finest = solver._states[0].depths[-1]
         assert finest.level == max(solver.active_levels)
         # the finest level touches only a few elements -> much cheaper
         assert finest.restr.ops < lay.K_local[0].nnz
@@ -260,6 +260,27 @@ class TestDistributedLTS:
         lay = build_rank_layout(sem, block_partition(mesh.n_elements, 2), 2)
         with pytest.raises(SolverError, match="dof level"):
             DistributedLTSSolver(lay, a.dt)
+
+    def test_step_validates_its_replicas_first(self, sys1d):
+        """Every per-rank loop of the cycle is a ``zip``: a replica list
+        one rank short would leave that rank unstepped while its peers
+        consume its stale halo values, a local vector one entry short
+        would fail halfway through the ranks.  Both are refused before
+        anything is applied, sent or advanced."""
+        mesh, sem, a, dof_level, u0, v0 = sys1d
+        lay = build_rank_layout(
+            sem, block_partition(mesh.n_elements, 4), 4, dof_level=dof_level
+        )
+        world = MailboxWorld(4)
+        solver = DistributedLTSSolver(lay, a.dt, world=world)
+        u, v = lay.scatter(u0), lay.scatter(v0)
+        short = [x[:-1] if r == 2 else x for r, x in enumerate(u)]
+        for bad_u, bad_v in ((u[:3], v[:3]), (u, v[:3]), (short, v)):
+            with pytest.raises(SolverError, match="shape mismatch"):
+                solver.step(bad_u, bad_v)
+        assert world.sent_messages == 0 and solver.n_cycles_taken == 0
+        for x, x0 in zip(u + v, lay.scatter(u0) + lay.scatter(v0)):
+            assert np.array_equal(x, x0)
 
     def test_message_count_scales_with_levels(self, sys1d):
         """Finer levels synchronize more often (the Fig. 2 cost model).
