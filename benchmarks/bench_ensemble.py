@@ -9,9 +9,9 @@ sweep over one model — three ways:
 * ``naive`` — ``Simulation(cfg).run()`` per member, no sharing (what a
   bash loop over ``python -m repro run`` does);
 * ``cached`` — :func:`repro.api.run_ensemble` with a shared
-  :class:`repro.api.StageCache`, serial executor (isolates the
+  :class:`repro.api.StageCache`, one worker thread (isolates the
   cache win from parallelism);
-* ``cached+threads`` — the same, on the bounded worker pool.
+* ``cached+threads`` — the same, on ``--jobs`` worker threads.
 
 It also replays the sweep against a pre-warmed on-disk cache and
 asserts the warm members are **bitwise equal** to the cold ones — the
@@ -112,18 +112,17 @@ def main(argv=None) -> int:
 
     naive_seconds, naive_fields = run_naive(configs)
 
-    cached = run_ensemble(spec, jobs=1, executor="serial")
-    # Explicit thread executor: members share the in-memory cache under
-    # concurrency (the auto process fallback would pay a fresh
-    # interpreter per worker — far more than this model's stepping).
-    threaded = run_ensemble(spec, jobs=args.jobs, executor="thread")
+    cached = run_ensemble(spec, jobs=1)
+    # Members share the in-memory cache under concurrency.
+    threaded = run_ensemble(spec, jobs=args.jobs)
 
     # Cold-vs-warm bitwise contract, through the on-disk layer: a second
     # process (here: a fresh cache) replays the sweep from the persisted
     # artifacts and must reproduce every member exactly.
     with tempfile.TemporaryDirectory() as td:
-        run_ensemble(spec, jobs=1, cache_dir=td)          # cold, writes disk
-        warm = run_ensemble(spec, jobs=1, cache_dir=td)   # warm, reads disk
+        # cold (writes disk), then warm (reads disk)
+        run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=td))
+        warm = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=td))
         disk_hits = warm.summary["cache"]["disk_hits"]
     bitwise_naive_vs_cached = all(
         np.array_equal(f, m.u) for f, m in zip(naive_fields, cached.members)

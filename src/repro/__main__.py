@@ -18,8 +18,8 @@ Subcommands
 ``ensemble <sweep.json|toml>``
     Expand an :class:`repro.api.EnsembleSpec` (base config + sweep
     axes) and run every member through a shared content-addressed
-    :class:`repro.api.StageCache` on a bounded worker pool
-    (``--jobs``).  ``--cache-dir`` persists the expensive artifacts
+    :class:`repro.api.StageCache` on ``--jobs`` worker threads.
+    ``--cache-dir`` persists the expensive artifacts
     (assembled CSR, LTS levels, partitions) across invocations;
     ``--output-dir`` writes one ``member_<i>.npz`` per member plus a
     ``summary.json`` with per-member timings and cache-hit provenance
@@ -167,7 +167,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    from repro.api import EnsembleSpec, run_ensemble
+    from repro.api import EnsembleSpec, StageCache, run_ensemble
     from repro.util.io import atomic_write_text, ensure_writable_dir
 
     spec = EnsembleSpec.from_file(args.sweep)
@@ -202,8 +202,7 @@ def _cmd_ensemble(args) -> int:
     res = run_ensemble(
         spec,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=args.executor,
+        cache=StageCache(cache_dir=args.cache_dir),
         on_result=save_member,
     )
     s = res.summary
@@ -220,8 +219,7 @@ def _cmd_ensemble(args) -> int:
     print(
         f"done: {s['total_seconds']:.2f}s total "
         f"({s['warm_seconds']:.2f}s warm + {s['run_seconds']:.2f}s members), "
-        f"{s['throughput_members_per_second']:.2f} members/s "
-        f"[{s['executor']}]"
+        f"{s['throughput_members_per_second']:.2f} members/s"
     )
     if out_dir is not None:
         written = atomic_write_text(
@@ -255,38 +253,9 @@ def _cmd_info(args) -> int:
 def _load_job_file(path: str) -> tuple[str, dict]:
     """Parse a submission file and classify it: an EnsembleSpec (has
     ``base`` + ``sweeps``) or a plain SimulationConfig."""
-    from pathlib import Path
+    from repro.api.config import _read_spec_file
 
-    from repro.util.errors import ConfigError
-
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"job file not found: {p}")
-    suffix = p.suffix.lower()
-    if suffix == ".json":
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p} is not valid JSON: {e}") from e
-    elif suffix == ".toml":
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # pragma: no cover - py < 3.11
-            raise ConfigError(
-                "TOML configs require Python 3.11+ (tomllib); "
-                "use a JSON file instead"
-            ) from None
-        try:
-            data = tomllib.loads(p.read_text())
-        except tomllib.TOMLDecodeError as e:
-            raise ConfigError(f"{p} is not valid TOML: {e}") from e
-    else:
-        raise ConfigError(
-            f"unsupported job format {suffix!r} for {p}; "
-            f"expected .json or .toml"
-        )
-    if not isinstance(data, dict):
-        raise ConfigError(f"{p} must hold a JSON/TOML object")
+    data = _read_spec_file(path, "job")
     kind = "ensemble" if "base" in data and "sweeps" in data else "simulation"
     return kind, data
 
@@ -494,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ens.add_argument("sweep", help="path to a .json or .toml EnsembleSpec")
     p_ens.add_argument(
         "--jobs", type=int, default=1, metavar="K",
-        help="worker-pool width (default 1 = run members inline)",
+        help="worker-thread count (default 1 = members one at a time)",
     )
     p_ens.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -504,12 +473,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ens.add_argument(
         "--output-dir", default=None, metavar="DIR",
         help="write member_<i>.npz per member plus summary.json into DIR",
-    )
-    p_ens.add_argument(
-        "--executor", choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="worker pool kind (auto = threads for all-matfree sweeps, "
-             "processes otherwise)",
     )
     p_ens.set_defaults(func=_cmd_ensemble)
 
@@ -544,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="shared on-disk stage-cache layer: expensive artifacts "
-             "persist across jobs, worker processes, and restarts",
+             "persist across server restarts",
     )
     p_serve.add_argument(
         "--verbose", action="store_true", help="log each HTTP request"

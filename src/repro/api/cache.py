@@ -29,9 +29,9 @@ artifacts are stored under that key:
 * **on disk** (optional) — the expensive array-backed artifacts
   (assembled CSR stiffness, LTS level assignments, partition vectors)
   persist as ``.npz`` files written atomically via
-  :func:`repro.util.io.atomic_savez`, so a second process — or a
-  ``ProcessPoolExecutor`` ensemble worker — warm-starts from a prior
-  run.  A key mismatch or an unreadable/truncated file is treated as a
+  :func:`repro.util.io.atomic_savez`, so a later invocation, a
+  restarted server or a second process on the same host warm-starts
+  from a prior run.  A key mismatch or an unreadable/truncated file is treated as a
   miss (the bad file is removed and the artifact recomputed), never a
   crash.
 

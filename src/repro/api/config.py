@@ -822,6 +822,42 @@ class ResilienceSpec(Spec):
 # ----------------------------------------------------------------------
 # The top-level config
 # ----------------------------------------------------------------------
+def _read_spec_file(path, noun: str) -> dict:
+    """Parse a ``.json`` / ``.toml`` spec file into its top-level
+    mapping; every failure is a :class:`ConfigError` naming ``noun``
+    (``"config"``, ``"ensemble"``, ``"job"``) or the file."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{noun} file not found: {path}")
+    suffix = path.suffix.lower()
+    if suffix == ".json":
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    elif suffix == ".toml":
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # pragma: no cover - py < 3.11
+            alt = {"ensemble": "sweep", "job": "file"}.get(noun, noun)
+            raise ConfigError(
+                f"TOML configs require Python 3.11+ (tomllib); "
+                f"use a JSON {alt} instead"
+            ) from None
+        try:
+            data = tomllib.loads(path.read_text())
+        except tomllib.TOMLDecodeError as e:
+            raise ConfigError(f"{path} is not valid TOML: {e}") from e
+    else:
+        raise ConfigError(
+            f"unsupported {noun} format {suffix!r} for {path}; "
+            f"expected .json or .toml"
+        )
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON/TOML object")
+    return data
+
+
 @dataclass(frozen=True)
 class SimulationConfig(Spec):
     """The complete declarative specification of one simulation:
@@ -934,33 +970,7 @@ class SimulationConfig(Spec):
     @classmethod
     def from_file(cls, path) -> "SimulationConfig":
         """Load a config from a ``.json`` or ``.toml`` file."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path} is not valid JSON: {e}") from e
-        elif suffix == ".toml":
-            try:
-                import tomllib
-            except ModuleNotFoundError:  # pragma: no cover - py < 3.11
-                raise ConfigError(
-                    "TOML configs require Python 3.11+ (tomllib); "
-                    "use a JSON config instead"
-                ) from None
-            try:
-                data = tomllib.loads(path.read_text())
-            except tomllib.TOMLDecodeError as e:
-                raise ConfigError(f"{path} is not valid TOML: {e}") from e
-        else:
-            raise ConfigError(
-                f"unsupported config format {suffix!r} for {path}; "
-                f"expected .json or .toml"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_read_spec_file(path, "config"))
 
     def save(self, path) -> None:
         """Write the config as pretty-printed JSON (atomically — a

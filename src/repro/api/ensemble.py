@@ -19,11 +19,10 @@ executes them:
    dependency order (mesh -> material -> assembler -> levels ->
    dof_level -> parts, plus the CSR for assembled-backend members);
 3. **run** each member through :func:`run_member` — the one job
-   runner, shared with the service's workers — on a bounded worker
-   pool: ``ThreadPoolExecutor`` by default for matrix-free configs (the
-   NumPy/fused kernels release the GIL), a ``ProcessPoolExecutor``
-   fallback otherwise (sharing through the on-disk cache layer when a
-   ``cache_dir`` is set) — streaming each
+   runner, shared with the service's workers — on a thread pool of
+   width ``jobs``, every thread resolving through the same cache (the
+   matrix-free kernels and scipy's CSR matvec both release the GIL for
+   the bulk of a step) — streaming each
    :class:`~repro.api.simulation.SimulationResult` through
    ``on_result`` as it completes, with per-member timing and cache-hit
    metadata attached.
@@ -37,13 +36,18 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, ClassVar, Mapping
 
 from repro.api.cache import StageCache
-from repro.api.config import SimulationConfig, Spec, _freeze, _thaw
+from repro.api.config import (
+    SimulationConfig,
+    Spec,
+    _freeze,
+    _read_spec_file,
+    _thaw,
+)
 from repro.api.simulation import STAGES, Simulation, SimulationResult
 from repro.util.errors import ConfigError
 
@@ -56,7 +60,6 @@ __all__ = [
 ]
 
 _MAX_MEMBERS = 100_000
-_EXECUTORS = ("auto", "serial", "thread", "process")
 
 #: Stages warmed (resolved once per distinct key) before the member
 #: runs, in dependency order.
@@ -226,35 +229,7 @@ class EnsembleSpec(Spec):
     def from_file(cls, path) -> "EnsembleSpec":
         """Load a sweep from a ``.json`` or ``.toml`` file (same formats
         as :meth:`SimulationConfig.from_file`)."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"ensemble file not found: {path}")
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            import json
-
-            try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path} is not valid JSON: {e}") from e
-        elif suffix == ".toml":
-            try:
-                import tomllib
-            except ModuleNotFoundError:  # pragma: no cover - py < 3.11
-                raise ConfigError(
-                    "TOML configs require Python 3.11+ (tomllib); "
-                    "use a JSON sweep instead"
-                ) from None
-            try:
-                data = tomllib.loads(path.read_text())
-            except tomllib.TOMLDecodeError as e:
-                raise ConfigError(f"{path} is not valid TOML: {e}") from e
-        else:
-            raise ConfigError(
-                f"unsupported ensemble format {suffix!r} for {path}; "
-                f"expected .json or .toml"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_read_spec_file(path, "ensemble"))
 
 
 # ----------------------------------------------------------------------
@@ -287,24 +262,20 @@ def _attach_member_metadata(result, name, seconds, events) -> None:
     }
 
 
-def run_member(config: SimulationConfig | Mapping, cache=None) -> SimulationResult:
+def run_member(
+    config: SimulationConfig | Mapping, cache: StageCache | None = None
+) -> SimulationResult:
     """The one job runner: resolve ``config`` through ``cache``, run it,
     and return the result with the member provenance attached.
 
-    Every execution path funnels through here — ensemble members under
-    the serial, thread and process executors, and the service's inline
-    and process-pool jobs — so ``result.metadata["member"]`` (``name``,
-    wall ``seconds``, and this run's stage-cache ``cache_hits`` /
-    ``cache_misses``) means the same thing everywhere.  ``cache`` is a shared
-    :class:`~repro.api.cache.StageCache`, or — for worker processes,
-    which share stages through the on-disk layer — a cache directory
-    (``None``: no cache).  Picklable both ways: the config may be its
-    dict form, and the result travels as its payload.
+    Ensemble members and service jobs both run here, on their pool's
+    threads, so ``result.metadata["member"]`` (``name``, wall
+    ``seconds``, and this run's stage-cache ``cache_hits`` /
+    ``cache_misses``) means the same thing everywhere.  ``config`` may
+    be its dict form; ``cache=None`` runs uncached.
     """
     if isinstance(config, Mapping):
         config = SimulationConfig.from_dict(config)
-    if cache is not None and not isinstance(cache, StageCache):
-        cache = StageCache(cache_dir=cache)
     sim = Simulation(config, cache=cache)
     t = time.perf_counter()
     result = sim.run()
@@ -314,31 +285,10 @@ def run_member(config: SimulationConfig | Mapping, cache=None) -> SimulationResu
     return result
 
 
-def _pick_executor(executor: str, jobs: int, configs) -> str:
-    if executor not in _EXECUTORS:
-        raise ConfigError(
-            f"unknown ensemble executor {executor!r}; "
-            f"available: {', '.join(_EXECUTORS)}"
-        )
-    if jobs == 1 and executor in ("auto", "thread", "process"):
-        return "serial"
-    if executor != "auto":
-        return executor
-    # Matrix-free kernels (NumPy batched contractions, fused C with or
-    # without OpenMP) release the GIL for the bulk of a step, so threads
-    # genuinely overlap; the assembled CSR matvec holds it for longer —
-    # fall back to processes there.
-    if all(cfg.backend.stiffness == "matfree" for cfg in configs):
-        return "thread"
-    return "process"
-
-
 def run_ensemble(
     spec,
     jobs: int = 1,
     cache: StageCache | None = None,
-    cache_dir=None,
-    executor: str = "auto",
     on_result: Callable[[SimulationResult], None] | None = None,
 ) -> EnsembleResult:
     """Execute an ensemble with shared stage resolution (module docs).
@@ -349,18 +299,11 @@ def run_ensemble(
         An :class:`EnsembleSpec` (or its mapping form), or a plain
         sequence of :class:`SimulationConfig` members.
     jobs:
-        Worker-pool width; ``1`` runs members inline (still
-        cache-shared).
+        Thread-pool width; ``1`` runs the members one after another.
     cache:
-        Shared :class:`StageCache` to resolve through (a fresh one is
-        created when omitted).
-    cache_dir:
-        Convenience for ``cache=StageCache(cache_dir=...)`` — enables
-        on-disk persistence of CSR/levels/parts; mutually exclusive
-        with ``cache``.
-    executor:
-        ``"auto"`` (threads for all-matfree ensembles, processes
-        otherwise), ``"serial"``, ``"thread"`` or ``"process"``.
+        Shared :class:`StageCache` to resolve through (a fresh
+        memory-only one when omitted; pass
+        ``StageCache(cache_dir=...)`` to persist CSR/levels/parts).
     on_result:
         Streaming hook, called from the calling thread with each
         member's :class:`SimulationResult` as it completes (completion
@@ -385,14 +328,8 @@ def run_ensemble(
     if int(jobs) < 1:
         raise ConfigError(f"run_ensemble jobs must be >= 1, got {jobs}")
     jobs = int(jobs)
-    if cache is not None and cache_dir is not None:
-        raise ConfigError(
-            "pass either cache= (a StageCache) or cache_dir= (a path), "
-            "not both"
-        )
     if cache is None:
-        cache = StageCache(cache_dir=cache_dir)
-    mode = _pick_executor(executor, jobs, configs)
+        cache = StageCache()
 
     t0 = time.perf_counter()
     sims = [Simulation(cfg, cache=cache) for cfg in configs]
@@ -429,28 +366,17 @@ def run_ensemble(
         results[i] = result
 
     t1 = time.perf_counter()
-    if mode == "serial":
-        for i, cfg in enumerate(configs):
-            collect(i, run_member(cfg, cache))
-    else:
-        if mode == "thread":
-            pool = ThreadPoolExecutor(max_workers=jobs)
-            args = [(cfg, cache) for cfg in configs]
-        else:
-            # Configs cross the process boundary as dicts (specs hold
-            # unpicklable MappingProxyType views); stages are shared
-            # through the on-disk cache layer when there is one.
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            args = [(cfg.to_dict(), cache.cache_dir) for cfg in configs]
-        with pool:
-            futures = {pool.submit(run_member, *a): i for i, a in enumerate(args)}
-            try:
-                for f in as_completed(futures):
-                    collect(futures[f], f.result())
-            finally:
-                # Only bites when a member failed: drop the queued rest.
-                for f in futures:
-                    f.cancel()
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {
+            pool.submit(run_member, cfg, cache): i for i, cfg in enumerate(configs)
+        }
+        try:
+            for f in as_completed(futures):
+                collect(futures[f], f.result())
+        finally:
+            # Only bites when a member failed: drop the queued rest.
+            for f in futures:
+                f.cancel()
     run_seconds = time.perf_counter() - t1
     total = time.perf_counter() - t0
 
@@ -458,7 +384,6 @@ def run_ensemble(
     summary = {
         "n_members": len(sims),
         "jobs": jobs,
-        "executor": mode,
         "warm_seconds": warm_seconds,
         "run_seconds": run_seconds,
         "total_seconds": total,

@@ -7,9 +7,9 @@ The serving layer the ROADMAP's north star asks for, stdlib-only:
   ``queued -> running -> done | failed | cancelled`` lifecycle;
 * :mod:`repro.service.workers` — the bounded :class:`WorkerPool`
   executing jobs through **one shared**
-  :class:`~repro.api.cache.StageCache` (threads for matrix-free jobs,
-  processes otherwise), so N requests against one warm model resolve
-  each expensive stage exactly once;
+  :class:`~repro.api.cache.StageCache` on worker threads, so N
+  requests against one warm model resolve each expensive stage exactly
+  once;
 * :mod:`repro.service.http` — :class:`ReproService`, a
   ``ThreadingHTTPServer`` JSON API (submit/list/status/cancel, atomic
   ``.npz`` result streaming, ``/healthz``, ``/metrics``) with graceful

@@ -91,7 +91,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            raise ConfigError(
+                f"Content-Length {header!r} is not an integer"
+            ) from None
         if length <= 0:
             raise ConfigError("request body is empty; expected JSON")
         if length > _MAX_BODY_BYTES:
@@ -229,8 +235,9 @@ class ReproService:
         Worker-pool width (concurrent jobs).
     cache_dir:
         Optional on-disk stage-cache layer: expensive artifacts (CSR,
-        levels, partitions) persist across jobs, process workers *and*
-        server restarts, shareable by a whole single-host fleet.
+        levels, partitions) persist across server restarts and are
+        shareable by a whole single-host fleet (within one server the
+        memory layer already shares them between jobs).
     verbose:
         Log one line per HTTP request to stderr (quiet by default).
     """

@@ -2,30 +2,25 @@
 
 Each worker is a thread claiming jobs off the
 :class:`~repro.service.jobs.JobQueue` and publishing results through
-the :class:`~repro.service.jobs.JobStore`.  A simulation job is one
-call to :func:`repro.api.ensemble.run_member` — the same runner
-ensemble members go through — and only *where* it is called differs:
+the :class:`~repro.service.jobs.JobStore`.  Every job runs inline in
+its worker thread and resolves its pipeline *through the one shared*
+:class:`~repro.api.cache.StageCache`; the matrix-free kernels and
+scipy's CSR matvec both release the GIL for the bulk of a step, so
+worker threads overlap on either backend.
 
-* **matrix-free jobs run inline** in the worker thread — the
-  NumPy/fused kernels release the GIL for the bulk of a step, so
-  worker threads genuinely overlap, and every worker resolves its
-  pipeline *through the one shared*
-  :class:`~repro.api.cache.StageCache`.  N queued variants of one warm
-  model resolve each distinct mesh / assembler / levels / partition
-  artifact, and the rank layout and solver plan built on them, exactly
-  once — the fleet-scaling story: the second request for a warm model
-  binds the cached plan to fresh buffers and pays only the stepping.
-* **assembled-backend jobs run in a process pool** (the CSR matvec
-  holds the GIL too long for thread overlap), sharing stages through
-  the cache's content-addressed on-disk layer when the service has a
-  ``cache_dir`` — the same corruption-safe ``.npz`` layer ensemble
-  process workers use, so even cross-process requests warm-start.  A
-  worker process that dies takes its pool with it
-  (``BrokenProcessPool``): that job fails, the pool is discarded, and
-  the next assembled job gets a fresh one.
-* **ensemble jobs** run :func:`repro.api.ensemble.run_ensemble` inline
-  with the shared cache (members serial within the job; job-level
+* a **simulation job** is one call to
+  :func:`repro.api.ensemble.run_member` — the runner ensemble members
+  go through.  N queued variants of one warm model resolve each
+  distinct mesh / assembler / levels / partition artifact, and the rank
+  layout and solver plan built on them, exactly once: the second
+  request for a warm model binds the cached plan to fresh buffers and
+  pays only the stepping.
+* an **ensemble job** runs :func:`repro.api.ensemble.run_ensemble` with
+  the shared cache (members one at a time within the job; job-level
   parallelism comes from the pool).
+
+With a ``cache_dir`` the cache's on-disk layer keeps the expensive
+artifacts across server restarts.
 
 Results are published atomically (``results/<id>.npz`` via
 :func:`repro.util.io.atomic_savez` of
@@ -43,16 +38,12 @@ data directory.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro.api.cache import StageCache
-from repro.api.config import SimulationConfig
 from repro.api.ensemble import EnsembleSpec, run_ensemble, run_member
 from repro.service.jobs import JobQueue, JobRecord
 from repro.util.errors import ConfigError
@@ -70,12 +61,10 @@ class WorkerPool:
         The queue to claim from (owns the store the results go to).
     cache:
         The shared :class:`StageCache`; a fresh memory-only one is
-        created when omitted.  Give it a ``cache_dir`` to extend the
-        sharing to process workers and across server restarts.
+        created when omitted.  Give it a ``cache_dir`` to keep its
+        artifacts across server restarts.
     n_workers:
-        Concurrent jobs bound.  Matrix-free jobs occupy only their
-        worker thread; assembled jobs additionally occupy one process
-        of the (lazily created, equally bounded) process pool.
+        Worker threads, i.e. the bound on concurrent jobs.
     """
 
     _POLL_SECONDS = 0.2
@@ -97,7 +86,6 @@ class WorkerPool:
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
         self._lock = threading.Lock()
-        self._process_pool: ProcessPoolExecutor | None = None
         self.completed_total = 0
         self.failed_total = 0
         self.busy = 0
@@ -127,10 +115,6 @@ class WorkerPool:
         for t in self._threads:
             t.join()
         self._threads.clear()
-        with self._lock:
-            pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     @property
     def alive(self) -> int:
@@ -174,47 +158,9 @@ class WorkerPool:
         with self._lock:
             self.failed_total += 1
 
-    # -- execution paths ------------------------------------------------
-    def _pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._process_pool is None:
-                # Spawn, not fork: the pool is created lazily from a
-                # worker thread while sibling workers may be mid-step in
-                # numpy — a fork there inherits held allocator/BLAS
-                # locks and deadlocks the child.  Spawned workers start
-                # clean (and pay one interpreter start, amortized over
-                # the server's lifetime).
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            return self._process_pool
-
+    # -- the two job kinds ---------------------------------------------
     def _run_simulation(self, job: JobRecord) -> tuple[dict, dict]:
-        cfg = SimulationConfig.from_dict(job.spec)
-        if cfg.backend.stiffness == "matfree":
-            # Inline: kernels release the GIL; stages resolve through
-            # the shared in-memory cache.
-            result = run_member(cfg, self.cache)
-        else:
-            # Assembled CSR holds the GIL: hand the job to a process,
-            # sharing stages through the on-disk cache layer (if any).
-            pool = self._pool()
-            try:
-                result = pool.submit(
-                    run_member, job.spec, self.cache.cache_dir
-                ).result()
-            except BrokenProcessPool:
-                # A pool process died (OOM kill, segfault) and broke the
-                # whole pool.  This job fails; discard the pool — unless
-                # a sibling worker already replaced it — so the next
-                # assembled job builds a fresh one instead of failing
-                # instantly for the life of the server.
-                with self._lock:
-                    if self._process_pool is pool:
-                        self._process_pool = None
-                pool.shutdown(wait=False)
-                raise
+        result = run_member(job.spec, self.cache)
         md = result.metadata
         meta = {
             "member": {

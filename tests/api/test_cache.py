@@ -312,8 +312,8 @@ class TestCrossProcessDiskSharing:
         """Two *processes* race the same key through the disk layer:
         both must succeed (atomic_savez means no torn reads), each
         builds at most once, and nothing is ever rejected as corrupt —
-        the contract the service's process workers and multi-server
-        cache_dir sharing rest on."""
+        the contract multi-process and multi-server cache_dir sharing
+        rests on."""
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
         out = ctx.Queue()

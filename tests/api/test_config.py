@@ -295,6 +295,48 @@ class TestRejection:
             SimulationConfig.from_file(weird)
 
 
+def _load_job(path):
+    from repro.__main__ import _load_job_file
+
+    return _load_job_file(path)
+
+
+def _load_ensemble(path):
+    from repro.api import EnsembleSpec
+
+    return EnsembleSpec.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "load, noun",
+    [
+        (SimulationConfig.from_file, "config"),
+        (_load_ensemble, "ensemble"),
+        (_load_job, "job"),
+    ],
+    ids=["config", "ensemble", "job"],
+)
+@pytest.mark.parametrize(
+    "name, text, match",
+    [
+        ("missing.json", None, "{noun} file not found: "),
+        ("bad.json", "{nope", "is not valid JSON"),
+        ("bad.toml", "a = = 1", "is not valid TOML"),
+        ("cfg.yaml", "a: 1", "unsupported {noun} format '.yaml'"),
+        ("list.json", "[1, 2]", "must hold a JSON/TOML object"),
+    ],
+    ids=["missing", "bad-json", "bad-toml", "suffix", "non-object"],
+)
+def test_spec_file_readers_share_errors(tmp_path, load, noun, name, text, match):
+    """Config, ensemble and job files go through one reader: the same
+    failure gives the same ConfigError, named for the caller."""
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match.format(noun=noun)):
+        load(path)
+
+
 class TestMaterialBuild:
     def test_acoustic_defaults_to_mesh_speed(self):
         mesh = MeshSpec("uniform_grid", {"shape": (3, 3)}).build()

@@ -1,6 +1,6 @@
 """Ensemble engine acceptance: sweep expansion, stage-key grouping,
-executor selection, and the bitwise warm-vs-cold contract across
-dimensions, backends, and serial/distributed execution."""
+and the bitwise warm-vs-cold contract across pool widths, dimensions,
+backends, and serial/distributed execution."""
 
 import json
 
@@ -153,12 +153,13 @@ class TestExpansion:
 
 
 class TestEngine:
-    def test_members_bitwise_equal_cold_solo_runs_2d(self):
-        spec = source_sweep(
-            BASE_2D, [[1.0, 3.0], [2.0, 3.0], [3.0, 3.0]]
-        )
-        res = run_ensemble(spec, jobs=2, executor="thread")
-        assert res.summary["executor"] == "thread"
+    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_members_bitwise_equal_cold_solo_runs_2d(self, jobs, backend):
+        base = {**BASE_2D, "backend": {"stiffness": backend}}
+        spec = source_sweep(base, [[1.0, 3.0], [2.0, 3.0], [3.0, 3.0]])
+        res = run_ensemble(spec, jobs=jobs)
+        assert res.summary["jobs"] == jobs
         for cfg, member in zip(spec.expand(), res.members):
             solo = Simulation(cfg).run()
             assert np.array_equal(solo.u, member.u)
@@ -182,21 +183,22 @@ class TestEngine:
             "partition": {"n_ranks": 3},
         }
         spec = source_sweep(base, [[1.0, 3.0], [2.0, 3.0]])
-        res = run_ensemble(spec, jobs=1)
-        assert res.summary["stage_sharing"]["parts"] == {
-            "distinct": 1, "members": 2,
-        }
-        for cfg, member in zip(spec.expand(), res.members):
-            solo = Simulation(cfg).run()
-            assert member.parts is not None
-            assert np.array_equal(solo.parts, member.parts)
-            assert np.array_equal(solo.u, member.u)
+        solos = [Simulation(cfg).run() for cfg in spec.expand()]
+        for jobs in (1, 2):
+            res = run_ensemble(spec, jobs=jobs)
+            assert res.summary["stage_sharing"]["parts"] == {
+                "distinct": 1, "members": 2,
+            }
+            for solo, member in zip(solos, res.members):
+                assert member.parts is not None
+                assert np.array_equal(solo.parts, member.parts)
+                assert np.array_equal(solo.u, member.u)
 
     def test_each_distinct_stage_resolved_exactly_once(self):
         spec = source_sweep(
             BASE_2D, [[1.0, 3.0], [2.0, 3.0], [3.0, 3.0], [1.0, 2.0]]
         )
-        res = run_ensemble(spec, jobs=2, executor="thread")
+        res = run_ensemble(spec, jobs=2)
         r = res.summary["cache"]["resolutions"]
         assert r["mesh"] == 1
         assert r["assembler"] == 1
@@ -205,17 +207,17 @@ class TestEngine:
             "distinct": 1, "members": 4,
         }
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_per_member_metadata_and_streaming(self, executor, tmp_path):
-        """One runner, one payload: every executor reports the same
-        member provenance and writes the same ``.npz`` field set."""
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "thread"])
+    def test_per_member_metadata_and_streaming(self, jobs, tmp_path):
+        """One runner, one payload: members run one at a time or on
+        overlapping threads report the same provenance and write the
+        same ``.npz`` field set."""
         spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
         seen = []
         res = run_ensemble(
-            spec, jobs=2, executor=executor, cache_dir=tmp_path,
+            spec, jobs=jobs, cache=StageCache(cache_dir=tmp_path),
             on_result=seen.append,
         )
-        assert res.summary["executor"] == executor
         assert sorted(r.metadata["member"]["index"] for r in seen) == [0, 1]
         for i, member in enumerate(res.members):
             md = member.metadata["member"]
@@ -228,9 +230,7 @@ class TestEngine:
             assert md["seconds"] >= (
                 member.metadata["build_seconds"] + member.metadata["run_seconds"]
             )
-            # (a worker process starts with an empty memory layer: its
-            # shared stages arrive as disk restores, counted as misses)
-            assert md["cache_hits" if executor != "process" else "cache_misses"] > 0
+            assert md["cache_hits"] > 0
             assert set(member.to_payload()) == {
                 "times", "u", "v", "traces", "receiver_dofs", "config_json",
                 "kernel_tier", "dt", "level", "levels_dt", "levels_dt_min",
@@ -241,35 +241,13 @@ class TestEngine:
 
     def test_warm_disk_cache_replay_is_bitwise(self, tmp_path):
         spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
-        cold = run_ensemble(spec, jobs=1, cache_dir=tmp_path)
-        warm = run_ensemble(spec, jobs=1, cache_dir=tmp_path)
+        cold = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=tmp_path))
+        warm = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=tmp_path))
         assert warm.summary["cache"]["disk_hits"] >= 2  # assembler + levels
         assert "assembler" not in warm.summary["cache"]["resolutions"]
         for a, b in zip(cold.members, warm.members):
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.traces, b.traces)
-
-    def test_process_executor_members_match_solo(self, tmp_path):
-        spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
-        res = run_ensemble(spec, jobs=2, executor="process", cache_dir=tmp_path)
-        assert res.summary["executor"] == "process"
-        for cfg, member in zip(spec.expand(), res.members):
-            solo = Simulation(cfg).run()
-            assert np.array_equal(solo.u, member.u)
-            assert member.metadata["member"]["seconds"] > 0
-
-    def test_auto_executor_selection(self):
-        spec = source_sweep(
-            {**BASE_2D, "backend": {"stiffness": "matfree"}}, [[1.0, 3.0]]
-        )
-        assert run_ensemble(spec, jobs=1).summary["executor"] == "serial"
-        spec2 = source_sweep(
-            {**BASE_2D, "backend": {"stiffness": "matfree"}},
-            [[1.0, 3.0], [2.0, 3.0]],
-        )
-        assert (
-            run_ensemble(spec2, jobs=2).summary["executor"] == "thread"
-        )
 
     def test_plain_config_list_accepted(self):
         configs = [
@@ -293,10 +271,6 @@ class TestEngine:
         spec = source_sweep(BASE_2D, [[1.0, 3.0]])
         with pytest.raises(ConfigError, match="jobs"):
             run_ensemble(spec, jobs=0)
-        with pytest.raises(ConfigError, match="executor"):
-            run_ensemble(spec, executor="gpu")
-        with pytest.raises(ConfigError, match="not both"):
-            run_ensemble(spec, cache=StageCache(), cache_dir="/tmp/x")
         with pytest.raises(ConfigError, match="at least one member"):
             run_ensemble([])
 
@@ -306,7 +280,7 @@ class TestEngine:
         bad = {**BASE_2D, "receivers": {"positions": [[1.0, 2.0, 3.0]]}}
         spec = source_sweep(bad, [[1.0, 3.0], [2.0, 3.0]])
         with pytest.raises(ConfigError, match="coordinates"):
-            run_ensemble(spec, jobs=2, executor="thread")
+            run_ensemble(spec, jobs=2)
 
 
 class TestEnsembleCLI:
@@ -326,7 +300,6 @@ class TestEnsembleCLI:
             [
                 "ensemble", str(sweep_file),
                 "--jobs", "2",
-                "--executor", "thread",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--output-dir", str(out_dir),
             ]

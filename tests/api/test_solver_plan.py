@@ -224,7 +224,7 @@ def test_source_sweep_builds_plan_and_layout_once(ranks):
         "mode": "zip",
         "sweeps": [{"path": "source.position", "values": positions}],
     })
-    res = run_ensemble(spec, jobs=3, executor="thread")
+    res = run_ensemble(spec, jobs=3)
     built = res.cache.stats.resolutions
     assert built["solver_plan"] == 1 and built["force"] == 6
     assert built.get("rank_layout", 0) == (ranks > 1)

@@ -1,7 +1,10 @@
 """HTTP API: round-trip parity with direct runs, restart recovery,
 cancellation, error codes, and observability endpoints."""
 
+import json
+import socket
 import threading
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
@@ -57,9 +60,9 @@ class TestRoundTrip:
             assert dev <= 1e-12
             assert np.array_equal(data["times"], ref.times)
 
-    def test_assembled_job_runs_in_process_pool(self, client, tmp_path):
-        """The process execution path (spawned worker, disk-shared
-        cache) produces the same traces as an in-process run."""
+    def test_assembled_job_matches_direct_run(self, client, tmp_path):
+        """An assembled-backend job, run in a worker thread through the
+        server's shared cache, steps to the same bits as a direct run."""
         cfg = small_config(backend="assembled", name="asm")
         record = client.wait(client.submit(config=cfg)["id"], timeout=120)
         assert record["state"] == "done", record.get("error")
@@ -151,6 +154,25 @@ class TestErrorPaths:
         with pytest.raises(ServiceError) as exc:
             client.cancel(record["id"])
         assert exc.value.status == 409
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_400(self, service, length):
+        """A Content-Length that is not a positive integer is a 400 JSON
+        error, not a dropped connection."""
+        host, port = urlparse(service.url).netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+                .encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", reply
+        assert "error" in json.loads(body)
 
     def test_submit_needs_exactly_one_spec(self, client):
         with pytest.raises(ServiceError, match="exactly one"):

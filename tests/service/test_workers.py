@@ -1,8 +1,6 @@
 """WorkerPool: shared-cache exactly-once stage resolution, failure
 isolation, and graceful drain."""
 
-import os
-import signal
 import threading
 import time
 
@@ -59,6 +57,30 @@ class TestSharedCacheProvenance:
         assert cache.stats.misses == ma["cache_misses"]
         assert pool.completed_total == 2
 
+    def test_assembled_jobs_share_the_memory_cache(self, queue):
+        """Assembled jobs run in the worker thread like matrix-free
+        ones: with no cache_dir, a repeat job resolves every stage from
+        the pool's memory cache and steps to the same bits."""
+        pool = WorkerPool(queue, n_workers=1)
+        pool.start()
+        try:
+            assembled = small_config(backend="assembled")
+            a = _wait_terminal(queue, queue.submit(assembled).id)
+            b = _wait_terminal(queue, queue.submit(assembled).id)
+        finally:
+            pool.drain()
+        assert (a.state, b.state) == ("done", "done")
+        assert pool.cache.cache_dir is None
+        assert a.metadata["member"]["kernel_tier"] == "assembled"
+        assert a.metadata["member"]["cache_misses"] > 0
+        assert b.metadata["member"]["cache_misses"] == 0
+        assert b.metadata["member"]["cache_hits"] > 0
+        with np.load(queue.store.result_path(a.id)) as da, np.load(
+            queue.store.result_path(b.id)
+        ) as db:
+            assert np.array_equal(da["traces"], db["traces"])
+            assert np.array_equal(da["u"], db["u"])
+
     def test_result_matches_direct_run(self, queue):
         pool = WorkerPool(queue, n_workers=1)
         pool.start()
@@ -113,32 +135,6 @@ class TestFailureIsolation:
             monkeypatch.undo()
             ok = _wait_terminal(queue, queue.submit(small_config()).id)
             assert ok.state == "done"
-        finally:
-            pool.drain()
-
-    def test_dead_pool_process_fails_one_job_not_the_server(self, queue):
-        """A killed pool process breaks its ProcessPoolExecutor for good;
-        the job that hits it fails, the pool is discarded, and the next
-        assembled job runs on a fresh one."""
-        pool = WorkerPool(queue, n_workers=1)
-        pool.start()
-        try:
-            assembled = small_config(backend="assembled")
-            first = _wait_terminal(queue, queue.submit(assembled).id)
-            assert first.state == "done"
-            victims = list(pool._process_pool._processes.values())
-            for proc in victims:
-                os.kill(proc.pid, signal.SIGKILL)
-            hit = _wait_terminal(queue, queue.submit(assembled).id)
-            assert hit.state == "failed"
-            assert "BrokenProcessPool" in hit.error
-            assert "terminated abruptly" in hit.error
-            after = _wait_terminal(queue, queue.submit(assembled).id)
-            assert after.state == "done"
-            assert pool.alive == 1
-            for proc in victims:  # reap: the discarded pool may not have yet
-                proc.join(timeout=10.0)
-                assert not proc.is_alive()
         finally:
             pool.drain()
 
