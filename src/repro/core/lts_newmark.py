@@ -26,8 +26,10 @@ Two implementations share one recursion:
   - *restricted applies*: level ``k`` precomputes the product
     ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
     .restrict`), which reads only the level's columns and writes only
-    its row support; the solver owns one zero-initialised full-length
-    output per level, so rows a level never writes stay zero;
+    its row support.  Level 1's product runs in mesh numbering; every
+    finer one is renumbered onto its depth's active set
+    (:meth:`~repro.core.operator.Restriction.renumber`), so it reads
+    and overwrites that depth's compact vectors directly;
   - *depth 0 is plain Newmark plus a fix-up*: outside the coarsest
     active set the auxiliary system sees a constant force, a leap-frog
     chain under constant force is exactly quadratic (``u(T) = u(0) -
@@ -35,12 +37,13 @@ Two implementations share one recursion:
     reconstruction *is* ``v -= dt F; u += dt v`` -- four contiguous
     passes over the whole vector, after which the active rows are
     overwritten from the recursion's result;
-  - *a compact recursion*: each depth holds displacement, velocity and
-    frozen forcing as active-set-length vectors, ordered so the nested
-    active sets are suffix slices and the closed-form complement a
-    prefix slice.  Per substep one gather (the level's output rows) and
-    one scatter (the level's columns into the single full-length buffer
-    its apply reads) touch index arrays; everything else is contiguous.
+  - *a compact recursion*: each depth holds displacement, velocity,
+    frozen forcing and its level's apply output as active-set-length
+    vectors, ordered so the nested active sets are suffix slices and
+    the closed-form complement a prefix slice.  A substep is one apply
+    on those buffers plus contiguous passes: no index array is touched.
+    Index traffic is left to the depth-0 passes, once per cycle (the
+    active rows saved before the recursion, written back after it).
 
   The two modes agree to machine precision (tested), which is the
   paper's implicit claim that the optimized implementation computes
@@ -177,55 +180,55 @@ def newmark_cycle_ops(A, n_substeps: int) -> int:
 @dataclass
 class _Depth:
     """One recursion depth of the optimized mode, the auxiliary system
-    of one fine level on its active set: index maps (a plan's, shared
-    by its solvers) and the compact state :meth:`bind` adds."""
+    of one fine level on its active set: the level's product renumbered
+    onto that set and its index map (a plan's, shared by its solvers),
+    and the compact state :meth:`bind` adds — every vector, the apply
+    output included, of the active set's length."""
 
     level: int
-    restr: Restriction
+    restr: Restriction  # on the numbering ``idx``
     idx: np.ndarray  # DOF ids of the active set, in compact order
-    colpos: np.ndarray  # positions in ``idx`` of the level's columns (restr.cols)
     n_diff: int  # leading entries outside the next finer depth's active set
-    z: np.ndarray | None = None  # full-length: the level's apply output
-    u: np.ndarray | None = None  # displacement, velocity, frozen forcing and
-    v: np.ndarray | None = None  # scratch, all of the active set's length
+    z: np.ndarray | None = None  # the level's apply output
+    u: np.ndarray | None = None  # displacement, velocity, frozen forcing
+    v: np.ndarray | None = None  # and scratch
     F: np.ndarray | None = None
     r: np.ndarray | None = None
-    c: np.ndarray | None = None  # staging for the level's column values
 
-    def bind(self, z: np.ndarray) -> "_Depth":
+    def bind(self) -> "_Depth":
         """This depth ready to step: fresh state vectors and a fork of
-        its product, whose output ``z`` is."""
+        its product."""
         na = len(self.idx)
         return replace(
-            self, restr=self.restr.fork(), z=z, u=np.empty(na), v=np.empty(na),
-            F=np.empty(na), r=np.empty(na), c=np.empty(len(self.colpos)),
+            self, restr=self.restr.fork(), z=np.empty(na), u=np.empty(na),
+            v=np.empty(na), F=np.empty(na), r=np.empty(na),
         )
 
 
 def compact_depths(
     levels: list[int], restr: list[Restriction], masks: list[np.ndarray]
 ) -> list[_Depth]:
-    """Index maps of the compact recursion for the fine ``levels``
-    (ascending, the coarsest active level excluded) of one DOF
-    numbering — the whole mesh, or one rank's local DOFs.
+    """The compact recursion for the fine ``levels`` (ascending, the
+    coarsest active level excluded) of one DOF numbering — the whole
+    mesh, or one rank's local DOFs.
 
     ``masks[i]`` is depth ``i``'s active set and ``restr[i]`` its
-    level's restricted product.  The sets are nested, so one ordering
-    of the coarsest serves all depths: ``[act_1 \\ act_2, act_2 \\
-    act_3, ..., act_last]`` makes every depth's set a suffix, and the
-    part its child does not cover — where the closed form applies — a
-    prefix of that.
+    level's restricted product, which must read and write inside it.
+    The sets are nested, so one ordering of the coarsest serves all
+    depths: ``[act_1 \\ act_2, act_2 \\ act_3, ..., act_last]`` makes
+    every depth's set a suffix, and the part its child does not cover —
+    where the closed form applies — a prefix of that.  Each product is
+    renumbered onto its depth's suffix (:meth:`Restriction.renumber`).
     """
     if not levels:
         return []
     blocks = [np.nonzero(a & ~b)[0] for a, b in zip(masks, masks[1:])]
     order = np.concatenate(blocks + [np.nonzero(masks[-1])[0]])
-    pos = np.empty(len(masks[0]), dtype=np.int64)
-    pos[order] = np.arange(len(order))
     depths, off = [], 0
     for i, (lv, rs) in enumerate(zip(levels, restr)):
         n_diff = len(blocks[i]) if i < len(blocks) else 0
-        depths.append(_Depth(lv, rs, order[off:], pos[rs.cols] - off, n_diff))
+        idx = order[off:]
+        depths.append(_Depth(lv, rs.renumber(idx, len(masks[0])), idx, n_diff))
         off += n_diff
     return depths
 
@@ -237,10 +240,11 @@ class _RankState:
     | :meth:`update`, the child's substeps, :meth:`reconstruct`; last
     :meth:`finish` (``|``: where several ranks sum the apply output).
 
-    ``restr0`` and the bound ``depths`` arrive forked.  ``z1`` is level
-    1's output: the depths' shared ``z`` when every product overwrites
-    its whole output (a rank's bare ``K``), else a zero-initialised
-    buffer of its own that ``z1_stale`` says to clear every cycle.
+    ``restr0`` and the bound ``depths`` arrive forked, each depth's
+    product renumbered onto its active set.  ``z1`` is level 1's output,
+    in this numbering; where that product writes its row support only,
+    ``z1`` is zero-initialised and ``z1_stale`` says whether a source
+    entry outside the support makes it need clearing every cycle.
     ``minv`` is the numbering's ``1/M`` where the products lack it,
     ``force`` the source in this numbering.  The state never refers
     back to its solver: through such a cycle the buffers of a finished
@@ -253,12 +257,11 @@ class _RankState:
         self.dt, self.level0, self.restr0, self.depths = dt, level0, restr0, depths
         self.z1, self.force, self.minv, self.z1_stale = z1, force, minv, z1_stale
         self.n = len(z1)
-        #: The one full-length buffer every fine level's apply reads (each
-        #: substep scatters its level's columns into it first), depth 0's
-        #: scratch before that.  Always finite: the matrix-free gather
-        #: multiplies the entries it does not use by a zero mask.  Level
-        #: 1's output cannot double as it: its unwritten rows stay zero.
+        #: Depth 0's full-length scratch.
         self.w = np.zeros(self.n)
+        #: Per level, ascending, the buffer its apply writes: what the
+        #: ranks sum in place when they share rows.
+        self.outputs = [z1, *(d.z for d in depths)]
         # Per depth, what each phase unpacks — hoisted here because
         # attribute access per buffer per substep shows on small cycles.
         self._applies, self._updates, self._recons = [], [], []
@@ -273,25 +276,20 @@ class _RankState:
             dt_k = dt / float(2 ** (d.level - 1))
             na, nd = len(d.idx), d.n_diff
             mv = None if minv is None else self.minv0[len(top.idx) - na:]
-            rs = d.restr
-            self._applies.append(
-                (d.u, d.colpos, d.c, self.w, rs.cols, rs.apply, d.z, d.level, rs.ops)
-            )
+            self._applies.append((d.restr.apply, d.u, d.z, d.level, d.restr.ops))
             hand = None
             if kid is not None:
                 u_in, r_in = d.u[nd:], d.r[nd:]  # the child's set is a suffix
                 hand = (kid.F, r_in, kid.u, u_in)
                 self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
-            self._updates.append((d.z, d.idx, d.r, mv, d.F, d.u, d.v, dt_k, hand))
+            self._updates.append((d.z, d.r, mv, d.F, d.u, d.v, dt_k, hand))
 
     def nbytes(self) -> int:
         """Bytes of the buffers and index maps the phases touch, and of
         the scratch its restricted products report."""
         bufs = [self.z1, self.w]
         for d in self.depths:
-            bufs += [d.colpos, d.u, d.v, d.F, d.r, d.c]
-            if d.z is not self.z1:
-                bufs.append(d.z)
+            bufs += [d.z, d.u, d.v, d.F, d.r]
         if self.depths:
             bufs += [self.depths[0].idx, self.u0, self.v0]
             if self.minv0 is not None:
@@ -333,12 +331,10 @@ class _RankState:
             counter.count_vector(4 * self.n)
 
     def apply_level(self, i: int, counter) -> None:
-        """``z = A P_k u~`` for depth ``i``'s level, unsummed: scatter
-        the level's columns into ``w``, apply its restricted product."""
-        u, colpos, c, w, cols, apply, z, level, ops = self._applies[i]
-        u.take(colpos, out=c, mode="clip")
-        w[cols] = c
-        apply(w, out=z)
+        """``z = A P_k u~`` for depth ``i``'s level, unsummed: one apply
+        of its renumbered product on the depth's own buffers."""
+        apply, u, z, level, ops = self._applies[i]
+        apply(u, out=z)
         if counter is not None:
             counter.count_stiffness(level, ops)
 
@@ -347,11 +343,12 @@ class _RankState:
         set.  The finest depth takes its leap-frog step with it; any
         other hands its child the forcing and the displacement on the
         child's set (a suffix) and waits for :meth:`reconstruct`."""
-        z, idx, r, minv, F, u, v, dt_k, hand = self._updates[i]
-        z.take(idx, out=r, mode="clip")
-        if minv is not None:
-            r *= minv
-        r += F
+        z, r, minv, F, u, v, dt_k, hand = self._updates[i]
+        if minv is None:
+            np.add(z, F, out=r)
+        else:
+            np.multiply(z, minv, out=r)
+            r += F
         if hand is not None:
             kid_F, r_in, kid_u, u_in = hand
             np.copyto(kid_F, r_in)
@@ -510,10 +507,11 @@ class _LockStepCycle:
 class LTSPlan:
     """What an :class:`LTSNewmarkSolver` derives from the operator and
     the DOF levels alone: the non-empty levels, their columns and, in
-    ``mode="optimized"``, the per-level restricted products, the active
-    sets and the compact recursion's index maps.  Stepping changes
-    none of it, so one plan serves any number of solvers, concurrently
-    too: :meth:`bind` gives each its own buffers and operator scratch.
+    ``mode="optimized"``, the per-level restricted products (the fine
+    ones renumbered onto their depths' active sets), the active sets and
+    the compact recursion's index maps.  Stepping changes none of it, so
+    one plan serves any number of solvers, concurrently too: :meth:`bind`
+    gives each its own buffers and operator scratch.
     (Optimized mode only: reference-mode solvers all apply the plan's
     one operator, scratch included, so step those one at a time.)
     """
@@ -554,7 +552,7 @@ class LTSPlan:
         # one); ``op.reach()`` — one vectorized structural query per depth
         # — the active set of depth ``i``: the rows reachable from the
         # columns of levels ``>= active_levels[i]``, plus those columns;
-        # :func:`compact_depths` orders them.
+        # :func:`compact_depths` orders them and renumbers the products.
         levels = self.active_levels
         restr = {k: self.op.restrict(self._cols[k]) for k in levels}
         self.restr0 = restr[levels[0]]
@@ -636,11 +634,9 @@ class LTSNewmarkSolver(_LockStepCycle):
         if stale:
             dof = getattr(force, "dof", None)
             stale = not (plan.reach1.all() or (dof is not None and plan.reach1[dof]))
-        # Each level's product writes its row support only: a
-        # zero-initialised output apiece keeps the other rows zero.
         self._states = [_RankState(
             self.dt, self.active_levels[0], plan.restr0.fork(),
-            [d.bind(np.zeros(n)) for d in plan.depths], np.zeros(n),
+            [d.bind() for d in plan.depths], np.zeros(n),
             force=force, z1_stale=stale,
         )]
 

@@ -12,8 +12,10 @@ is backend-agnostic:
   like a scipy sparse matrix (``shape``, ``nnz``, ``@``) that legacy
   call sites keep working, and adds the two capabilities LTS needs:
   :meth:`~AssembledOperator.restrict` (the level-restricted product
-  ``A[:, cols] u[cols]``) and :meth:`~AssembledOperator.reach` (the row
-  support of a column set — the "gray halo" of Fig. 2).
+  ``A[:, cols] u[cols]``, a :class:`Restriction` that can be
+  renumbered onto an LTS depth's active set) and
+  :meth:`~AssembledOperator.reach` (the row support of a column set —
+  the "gray halo" of Fig. 2).
 * :class:`AssembledOperator` — wraps a precomputed sparse ``A``; the
   seed's CSR path, unchanged semantics.
 * the matrix-free backend lives in :mod:`repro.sem.matfree` (it needs
@@ -39,7 +41,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.workspace import csr_matvec_into
+from repro.core.workspace import csr_matvec_into, workspace_bytes
 from repro.util.errors import SolverError
 from repro.util.validation import require
 
@@ -96,6 +98,29 @@ class KernelSpec:
         )
 
 
+def inverse_numbering(idx: np.ndarray, n: int) -> np.ndarray:
+    """``pos`` over ``n`` DOFs with ``pos[idx[j]] = j`` and ``-1`` at the
+    DOFs ``idx`` leaves out.  ``idx`` must name distinct DOFs in
+    ``range(n)`` (:class:`SolverError` otherwise)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    require(
+        idx.ndim == 1 and (idx.size == 0 or (idx.min() >= 0 and idx.max() < n)),
+        "numbering out of range", SolverError,
+    )
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[idx] = np.arange(len(idx))
+    require(np.count_nonzero(pos >= 0) == len(idx), "numbering repeats a DOF", SolverError)
+    return pos
+
+
+def positions_in(pos: np.ndarray, dofs: np.ndarray, what: str) -> np.ndarray:
+    """``pos[dofs]``: where ``dofs`` sit in the numbering ``pos`` inverts,
+    refused with :class:`SolverError` if the numbering misses one."""
+    out = pos[dofs]
+    require(bool((out >= 0).all()), f"numbering misses a {what}", SolverError)
+    return out
+
+
 @dataclass
 class Restriction:
     """The level-restricted action ``u -> A[:, cols] @ u[cols]``.
@@ -112,6 +137,7 @@ class Restriction:
     _apply: Callable[..., np.ndarray]
     workspace_bytes: int | Callable[[], int] = 0
     _fork: Callable[[], "Restriction"] | None = None
+    _renumber: Callable[[np.ndarray], "Restriction"] | None = None
 
     def fork(self) -> "Restriction":
         """The same product with scratch of its own — index arrays and
@@ -119,6 +145,29 @@ class Restriction:
         apply it concurrently.  A restriction that was given no way to
         fork (a caller's wrapper) is returned as is."""
         return self if self._fork is None else self._fork()
+
+    def renumber(self, idx: np.ndarray, n: int | None = None) -> "Restriction":
+        """The same product on the numbering ``idx``: position ``j`` is
+        DOF ``idx[j]``, input and output have length ``len(idx)``, and
+        the output is overwritten whole (zero outside the row support).
+        ``cols`` become positions in ``idx``.  This is how an LTS depth
+        applies its level on its own active set with no index traffic.
+
+        ``idx`` must hold every column and every row the product can
+        write, else :class:`SolverError`.  A backend remaps its own
+        tables and runs the same arithmetic in the same order, so the
+        result is bitwise ``apply(u)[idx]``.  A restriction made by a
+        caller's wrapper (a timing proxy, say) has no tables to remap:
+        it gets an adaptor that scatters into a private buffer of the
+        original length ``n``, applies the wrapped product and gathers
+        ``idx`` — bitwise the same, at the cost of that index traffic.
+        Its row support is the wrapper's secret, so the adaptor checks
+        the columns only."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self._renumber is not None:
+            return self._renumber(idx)
+        require(n is not None, "renumbering a wrapped product needs its length n", SolverError)
+        return _adapted(self, idx, int(n))
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
@@ -129,11 +178,37 @@ class Restriction:
         entries of ``out`` outside it are either left untouched (the
         matrix-free backends, when the support is a minority of the
         rows — the cost of a fine LTS level is then proportional to the
-        level) or set to zero (dense supports, the assembled backend).
-        A caller that reads ``out`` beyond the support therefore hands
-        each restriction its own zero-initialised buffer, as
-        :class:`~repro.core.lts_newmark.LTSNewmarkSolver` does."""
+        level) or set to zero (dense supports, the assembled backend,
+        every renumbered product).  A caller that reads
+        ``out`` beyond the support therefore hands such a restriction a
+        zero-initialised buffer of its own, as
+        :class:`~repro.core.lts_newmark.LTSNewmarkSolver` does for
+        level 1."""
         return self._apply(u, out=out)
+
+
+def _adapted(inner: Restriction, idx: np.ndarray, n: int) -> Restriction:
+    """``inner`` on the numbering ``idx`` through private full-length
+    buffers (see :meth:`Restriction.renumber`)."""
+    cols = inner.cols
+    colpos = positions_in(inverse_numbering(idx, n), cols, "column")
+    # The product reads only its columns: the rest of ``w`` stays 0
+    # (finite, as the matrix-free gather needs), rows it never writes
+    # stay 0 in ``z``.
+    c, w, z = np.empty(len(cols)), np.zeros(n), np.zeros(n)
+    apply = inner.apply
+
+    def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        u.take(colpos, out=c, mode="clip")
+        w[cols] = c
+        apply(w, out=z)
+        return z.take(idx, out=out, mode="clip")
+
+    return Restriction(
+        cols=colpos, ops=inner.ops, _apply=_apply,
+        workspace_bytes=lambda: c.nbytes + w.nbytes + z.nbytes + workspace_bytes(inner),
+        _fork=lambda: _adapted(inner.fork(), idx, n),
+    )
 
 
 @runtime_checkable
@@ -212,21 +287,7 @@ class AssembledOperator:
 
     def restrict(self, cols: np.ndarray) -> Restriction:
         cols = np.asarray(cols, dtype=np.int64)
-        return self._restriction(cols, self._A_csc[:, cols].tocsr())
-
-    def _restriction(self, cols: np.ndarray, A_cols) -> Restriction:
-        ucols = np.empty(len(cols))  # the gather buffer: the one mutable part
-
-        def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            if out is None:
-                return A_cols @ u[cols]
-            u.take(cols, out=ucols, mode="clip")
-            return csr_matvec_into(A_cols, ucols, out)
-
-        return Restriction(
-            cols=cols, ops=A_cols.nnz, _apply=_apply, workspace_bytes=ucols.nbytes,
-            _fork=lambda: self._restriction(cols, A_cols),
-        )
+        return _column_block(cols, self._A_csc[:, cols].tocsr())
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """Rows with a stored entry in any masked column.
@@ -238,6 +299,30 @@ class AssembledOperator:
         out = np.zeros(self.shape[0], dtype=bool)
         out[np.unique(self._A_csc[:, cols].indices)] = True
         return out
+
+
+def _column_block(cols: np.ndarray, A_cols) -> Restriction:
+    """The product of the CSR column block ``A_cols = A[:, cols]``.  It
+    renumbers by row-slicing the block: rows keep their entries in
+    stored order, so every row sum is the original's."""
+    ucols = np.empty(len(cols))  # the gather buffer: the one mutable part
+
+    def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return A_cols @ u[cols]
+        u.take(cols, out=ucols, mode="clip")
+        return csr_matvec_into(A_cols, ucols, out)
+
+    def _renumber(idx: np.ndarray) -> Restriction:
+        pos = inverse_numbering(idx, A_cols.shape[0])
+        colpos = positions_in(pos, cols, "column")
+        positions_in(pos, np.flatnonzero(np.diff(A_cols.indptr)), "row-support DOF")
+        return _column_block(colpos, A_cols[idx])
+
+    return Restriction(
+        cols=cols, ops=A_cols.nnz, _apply=_apply, workspace_bytes=ucols.nbytes,
+        _fork=lambda: _column_block(cols, A_cols), _renumber=_renumber,
+    )
 
 
 def as_operator(A) -> StiffnessOperator:

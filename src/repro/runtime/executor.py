@@ -28,7 +28,11 @@ adds is the plan.  A rank's depth-``i`` active set is, over the levels
 ``k >= level_i``, its level-``k`` columns, the rows its level-``k``
 product writes, **and every local index the level's exchange plan
 keeps** — a shared DOF that only a peer's gray-halo element writes
-still receives a nonzero through the exchange.  The distributed solution
+still receives a nonzero through the exchange.  Each fine level steps
+in its depth's own numbering: its product is renumbered onto that
+active set (:meth:`~repro.core.operator.Restriction.renumber`) and its
+exchange plan's indices with it, so the halo sum packs and accumulates
+the depth's compact output directly.  The distributed solution
 equals the serial one up to floating-point summation order (tested at
 1e-12 against the serial solver and its ``mode="reference"`` oracle for
 random level assignments and partitions, one rank included): the
@@ -51,7 +55,9 @@ import numpy as np
 
 from repro.core.health import HealthGuard
 from repro.core.lts_newmark import _LockStepCycle, _RankState, compact_depths
-from repro.core.operator import AssembledOperator, Restriction
+from repro.core.operator import (
+    AssembledOperator, Restriction, inverse_numbering, positions_in,
+)
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import ExchangePlan, RankLayout
 from repro.util.errors import CommError, SolverError
@@ -112,12 +118,19 @@ class RankFields:
 
 def _restriction(cols: np.ndarray, sub) -> Restriction:
     """The masked stiffness ``sub`` as the restricted product over
-    ``cols``, able to fork when its *class* is: a caller's proxy that
-    forwards attribute lookups has no fork of its own and is used as is."""
+    ``cols``, able to fork and renumber when its *class* is: a caller's
+    proxy that forwards attribute lookups has neither of its own, so it
+    is used as is and renumbered through the adaptor of
+    :meth:`Restriction.renumber` (the proxy keeps seeing every apply)."""
     fork = getattr(type(sub), "fork", None)
+    renumber = getattr(type(sub), "renumber", None)
     return Restriction(
         cols, sub.nnz, sub.apply,
         _fork=fork and (lambda: _restriction(cols, fork(sub))),
+        _renumber=renumber and (lambda idx: _restriction(
+            positions_in(inverse_numbering(idx, sub.shape[0]), cols, "column"),
+            renumber(sub, idx),
+        )),
     )
 
 
@@ -142,10 +155,12 @@ def _restrict_levels(K, col_masks: list[np.ndarray]):
 class DistributedLTSPlan:
     """What a :class:`DistributedLTSSolver` derives from the rank layout
     alone: the global level schedule and, per rank, the level-restricted
-    products, the per-level exchange channels, the active sets with the
-    compact recursion's index maps, and ``1/M``.  Stepping changes none
-    of it, so one plan serves any number of solvers, concurrently too:
-    :meth:`bind` gives each its own vectors, buffers and operator scratch.
+    products, the per-level exchange channels (both in the numbering the
+    level's output lands in: local for level 1, the depth's active set
+    for a finer one), the active sets with the compact recursion's index
+    maps, and ``1/M``.  Stepping changes none of it, so one plan serves
+    any number of solvers, concurrently too: :meth:`bind` gives each its
+    own vectors, buffers and operator scratch.
     """
 
     def __init__(self, layout: RankLayout):
@@ -189,6 +204,13 @@ class DistributedLTSPlan:
                     active[idx] = True
                 acts.append(active)
             self.depths.append(compact_depths(levels[1:], restr[r][1:], acts[::-1]))
+        # A fine level's output lands in its depth's numbering: so do
+        # the indices its exchange packs and accumulates.
+        for i, k in enumerate(levels[1:]):
+            self.exchange[k] = self.exchange[k].renumber([
+                inverse_numbering(d[i].idx, len(g))
+                for d, g in zip(self.depths, layout.gdofs)
+            ])
         #: The rank-local ``1/M`` the exchanged sums are scaled by.
         self.Minv = [1.0 / M for M in layout.M_local]
 
@@ -249,20 +271,24 @@ class DistributedLTSSolver(_LockStepCycle):
         )
         self.comms: list[RankComm] = self.world.comms()
         self.active_levels = plan.active_levels
-        # One persistent apply output per rank, shared by every level (a
-        # level's result is consumed before the next apply).
-        self._zl: list[np.ndarray] = [np.empty(len(g)) for g in layout.gdofs]
         self._plans = {k: p.fork() for k, p in plan.exchange.items()}
+        # Every product overwrites its whole output, so level 1's needs
+        # no zeroing; the finer levels' come with their depths.
         self._states = [
             _RankState(
                 self.dt, self.active_levels[0], restr0.fork(),
-                [d.bind(z) for d in depths], z, force=f, minv=minv,
+                [d.bind() for d in depths], np.empty(len(g)), force=f, minv=minv,
             )
-            for restr0, depths, z, f, minv in zip(
-                plan.restr0, plan.depths, self._zl,
+            for restr0, depths, g, f, minv in zip(
+                plan.restr0, plan.depths, layout.gdofs,
                 _rank_forces(layout, force), plan.Minv,
             )
         ]
+        #: Per level, each rank's apply output (what the exchange sums).
+        self._outputs = {
+            k: [st.outputs[j] for st in self._states]
+            for j, k in enumerate(self.active_levels)
+        }
 
     def check_no_leaks(self) -> None:
         """Assert every sent message was consumed (clean-run invariant).
@@ -298,7 +324,7 @@ class DistributedLTSSolver(_LockStepCycle):
         zero-length messages are ever queued and ``check_no_leaks()``
         still holds.
         """
-        plan, z_locals = self._plans[level], self._zl
+        plan, z_locals = self._plans[level], self._outputs[level]
         for r in range(plan.n_ranks):
             z = z_locals[r]
             send = self.comms[r].Send
@@ -320,11 +346,11 @@ class DistributedLTSSolver(_LockStepCycle):
     def workspace_bytes(self) -> int:
         """Bytes of persistent hot-path scratch the solver owns: the
         rank states (apply outputs, compact recursion, index maps, what
-        the restricted products report of their scratch), the level
-        column lists, ``1/M`` and the exchange pack/accumulate buffers."""
+        the restricted products report of their scratch) — counted as
+        the serial solver counts its one state — plus ``1/M`` and the
+        exchange pack/accumulate buffers."""
         total = sum(m.nbytes for m in self.plan.Minv)
-        for st in self._states:
-            total += st.nbytes() + sum(d.restr.cols.nbytes for d in st.depths)
+        total += sum(st.nbytes() for st in self._states)
         total += sum(p.workspace_bytes() for p in self._plans.values())
         return int(total)
 

@@ -65,8 +65,9 @@ class ExchangePlan:
     Channels whose keep-mask is empty are dropped from *both* sides —
     no message is sent at all, which is what lets per-level exchange
     volume shrink with the level's footprint while
-    ``check_no_leaks()`` still holds.  Peers and indices never change;
-    the buffers are one solver's (:meth:`fork`).
+    ``check_no_leaks()`` still holds.  Peers and indices never change
+    (:meth:`renumber` makes a new plan); the buffers are one solver's
+    (:meth:`fork`).
     """
 
     peers: list[list[int]]  # per rank, peer ids with a non-empty channel
@@ -80,6 +81,19 @@ class ExchangePlan:
             return [[np.empty(len(ix)) for ix in per_rank] for per_rank in self.indices]
 
         return replace(self, send_bufs=bufs(), acc_bufs=bufs())
+
+    def renumber(self, positions: list[np.ndarray]) -> "ExchangePlan":
+        """The same channels (bufferless) on other per-rank numberings:
+        ``positions[r][i]`` is where rank ``r``'s local index ``i`` sits
+        in its new numbering, ``-1`` where it has none — refused for a
+        channel index, whose sum would have nowhere to land."""
+        indices = [[pos[ix] for ix in per_rank]
+                   for pos, per_rank in zip(positions, self.indices)]
+        require(
+            all((ix >= 0).all() for per_rank in indices for ix in per_rank),
+            "a numbering misses an exchanged DOF", PartitionError,
+        )
+        return ExchangePlan(self.peers, indices)
 
     @property
     def n_ranks(self) -> int:

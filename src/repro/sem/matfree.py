@@ -61,7 +61,7 @@ import copy
 
 import numpy as np
 
-from repro.core.operator import KernelSpec, Restriction
+from repro.core.operator import KernelSpec, Restriction, inverse_numbering, positions_in
 from repro.core.workspace import Workspace
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
@@ -851,6 +851,26 @@ class MatrixFreeStiffness:
             threads=self._requested_threads,
         )
 
+    def renumber(self, idx: np.ndarray) -> "MatrixFreeStiffness":
+        """This operator on the numbering ``idx`` (position ``j`` is DOF
+        ``idx[j]``): element tables remapped, ``gmask`` kept, ``Minv``
+        gathered, the tier's plan rebuilt for ``len(idx)`` DOFs.  Every
+        element gathers, contracts and scatters in the same order, so
+        the result at position ``j`` is bitwise the original's at
+        ``idx[j]``.  ``idx`` must hold every element DOF — the row
+        support (:class:`SolverError` otherwise)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        pos = inverse_numbering(idx, self.n_dof)
+        return MatrixFreeStiffness(
+            self.kernel.fork(),
+            positions_in(pos, self.element_dofs, "row-support DOF"),
+            len(idx),
+            use_fused=self._use_fused,
+            gmask=self.gmask,
+            Minv=None if self.Minv is None else self.Minv[idx],
+            threads=self._requested_threads,
+        )
+
     def row_support(self) -> np.ndarray:
         """Boolean mask of rows this operator can structurally write
         (the union of its element dofs).  The distributed LTS executor
@@ -950,14 +970,7 @@ class MatrixFreeOperator:
         cols = np.asarray(cols, dtype=np.int64)
         col_mask = np.zeros(self.n_dof, dtype=bool)
         col_mask[cols] = True
-        return self._restriction(cols, self._stiffness.masked_subset(col_mask))
-
-    def _restriction(self, cols: np.ndarray, sub: MatrixFreeStiffness) -> Restriction:
-        return Restriction(
-            cols=cols, ops=sub.nnz, _apply=sub.apply_rows,
-            workspace_bytes=sub.workspace_bytes,
-            _fork=lambda: self._restriction(cols, sub.fork()),
-        )
+        return _subset_restriction(cols, self._stiffness.masked_subset(col_mask))
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """All DOFs of elements adjacent to the masked columns.
@@ -972,6 +985,22 @@ class MatrixFreeOperator:
         out = np.zeros(self.n_dof, dtype=bool)
         out[self.element_dofs[touch].ravel()] = True
         return out
+
+
+def _subset_restriction(cols: np.ndarray, sub: MatrixFreeStiffness,
+                        apply: str = "apply_rows") -> Restriction:
+    """The masked subset ``sub`` as the restricted product over ``cols``,
+    written on its row support only; renumbered, it overwrites its
+    compact output whole (:meth:`MatrixFreeStiffness.apply`)."""
+    return Restriction(
+        cols=cols, ops=sub.nnz, _apply=getattr(sub, apply),
+        workspace_bytes=sub.workspace_bytes,
+        _fork=lambda: _subset_restriction(cols, sub.fork(), apply),
+        _renumber=lambda idx: _subset_restriction(
+            positions_in(inverse_numbering(idx, sub.n_dof), cols, "column"),
+            sub.renumber(idx), "apply",
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
