@@ -34,16 +34,22 @@ Two implementations share one recursion:
     active set the auxiliary system sees a constant force, a leap-frog
     chain under constant force is exactly quadratic (``u(T) = u(0) -
     T^2/2 F``), and that closed form followed by the velocity
-    reconstruction *is* ``v -= dt F; u += dt v`` -- four contiguous
-    passes over the whole vector, after which the active rows are
-    overwritten from the recursion's result;
+    reconstruction *is* ``v -= dt F; u += dt v`` -- one streaming step
+    over the whole vector, after which the active rows are overwritten
+    from the recursion's result;
   - *a compact recursion*: each depth holds displacement, velocity,
     frozen forcing and its level's apply output as active-set-length
     vectors, ordered so the nested active sets are suffix slices and
     the closed-form complement a prefix slice.  A substep is one apply
     on those buffers plus contiguous passes: no index array is touched.
-    Index traffic is left to the depth-0 passes, once per cycle (the
-    active rows saved before the recursion, written back after it).
+    Index traffic is left to depth 0, once per cycle (the active rows
+    saved before the recursion, written back after it).
+
+  Each vector phase exists twice, with bitwise the same arithmetic: as
+  a few NumPy passes, and, where the level-1 product runs the fused C
+  tier, as one C loop (:mod:`repro.sem.fused`) — the depth-0 step with
+  its gathers in one call, each substep's update and reconstruction in
+  one call each.
 
   The two modes agree to machine precision (tested), which is the
   paper's implicit claim that the optimized implementation computes
@@ -84,6 +90,7 @@ from repro.core.levels import LevelAssignment
 from repro.core.newmark import Fields, run_cycles, subtract_force
 from repro.core.operator import AssembledOperator, Restriction, as_operator
 from repro.core.workspace import workspace_bytes
+from repro.sem.fused import bind_phase
 from repro.util.errors import SolverError
 from repro.util.validation import check_positive, require
 
@@ -246,32 +253,38 @@ class _RankState:
     ``z1`` is zero-initialised and ``z1_stale`` says whether a source
     entry outside the support makes it need clearing every cycle.
     ``minv`` is the numbering's ``1/M`` where the products lack it,
-    ``force`` the source in this numbering.  The state never refers
-    back to its solver: through such a cycle the buffers of a finished
-    run would wait for the cyclic collector.
+    ``force`` the source in this numbering.  ``tier`` is the kernel tier
+    of the level-1 product: where it is a ``fused`` one, each vector
+    phase is one C call (:meth:`_bind_c`), bitwise the NumPy phases.
+    The state never refers back to its solver: through such a cycle the
+    buffers of a finished run would wait for the cyclic collector.
     """
 
     def __init__(self, dt: float, level0: int, restr0: Restriction,
                  depths: list[_Depth], z1: np.ndarray, force=None,
-                 minv: np.ndarray | None = None, z1_stale: bool = False):
+                 minv: np.ndarray | None = None, z1_stale: bool = False,
+                 tier: str = ""):
         self.dt, self.level0, self.restr0, self.depths = dt, level0, restr0, depths
         self.z1, self.force, self.minv, self.z1_stale = z1, force, minv, z1_stale
         self.n = len(z1)
-        #: Depth 0's full-length scratch.
-        self.w = np.zeros(self.n)
+        native = tier.startswith("fused")
+        #: Depth 0's full-length scratch (the C phases need none).
+        self.w = None if native else np.zeros(self.n)
         #: Per level, ascending, the buffer its apply writes: what the
         #: ranks sum in place when they share rows.
         self.outputs = [z1, *(d.z for d in depths)]
         # Per depth, what each phase unpacks — hoisted here because
         # attribute access per buffer per substep shows on small cycles.
         self._applies, self._updates, self._recons = [], [], []
-        if not depths:
-            return
-        top = depths[0]
-        # Saved depth-0 copies of the coarsest active set's rows, and
-        # 1/M there (every deeper active set is a suffix of this one).
-        self.u0, self.v0 = np.empty(len(top.idx)), np.empty(len(top.idx))
-        self.minv0 = None if minv is None else minv[top.idx]
+        # The C phases (:meth:`_bind_c`); None / empty on the NumPy ones.
+        self._c_begin = self._c_finish = None
+        self._c_updates, self._c_recons = [], []
+        if depths:
+            top = depths[0]
+            # Saved depth-0 copies of the coarsest active set's rows, and
+            # 1/M there (every deeper active set is a suffix of this one).
+            self.u0, self.v0 = np.empty(len(top.idx)), np.empty(len(top.idx))
+            self.minv0 = None if minv is None else minv[top.idx]
         for d, kid in zip(depths, depths[1:] + [None]):
             dt_k = dt / float(2 ** (d.level - 1))
             na, nd = len(d.idx), d.n_diff
@@ -283,11 +296,43 @@ class _RankState:
                 hand = (kid.F, r_in, kid.u, u_in)
                 self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
             self._updates.append((d.z, d.r, mv, d.F, d.u, d.v, dt_k, hand))
+        if native:
+            self._bind_c()
+
+    def _bind_c(self) -> None:
+        """Bind the C phases to this state's buffers
+        (:func:`~repro.sem.fused.bind_phase`): a call then passes nothing
+        but, to ``begin`` and ``finish``, the cycle's ``(u, v)``.  Per
+        depth, indexed by ``first``, the update's (and a parent depth's
+        reconstruct's) call with the vector ops it counts."""
+        bind, dt, depths = bind_phase, self.dt, self.depths
+        if not depths:
+            self._c_begin = bind("lts_begin", self.z1, self.n, dt, None, 0, *[None] * 4)
+            return
+        top = depths[0]
+        saved = (top.idx, len(top.idx), self.u0, self.v0)
+        self._c_begin = bind("lts_begin", self.z1, self.n, dt, *saved, top.F, top.u)
+        self._c_finish = bind("lts_finish", *saved, top.u, dt)
+        for d, kid, upd in zip(depths, depths[1:] + [None], self._updates):
+            mv, dt_k, na, nd = upd[2], upd[6], len(d.idx), d.n_diff
+            head = (d.z, mv, d.F, d.r, d.u, d.v, na, nd, dt_k)
+            if kid is None:  # the finest depth steps; the others hand over
+                tail, ops = (None, None), (5 * na, 4 * na)
+            else:
+                tail, ops = (kid.F, kid.u), (0, 0)
+                recon = (kid.u, d.r, d.u, d.v, na, nd, dt_k)
+                self._c_recons.append(tuple(
+                    (bind("lts_reconstruct", *recon, first), (5 if first else 7) * na - nd)
+                    for first in (0, 1)
+                ))
+            self._c_updates.append(tuple(
+                (bind("lts_update", *head, *tail, first), ops[first]) for first in (0, 1)
+            ))
 
     def nbytes(self) -> int:
         """Bytes of the buffers and index maps the phases touch, and of
         the scratch its restricted products report."""
-        bufs = [self.z1, self.w]
+        bufs = [self.z1] if self.w is None else [self.z1, self.w]
         for d in self.depths:
             bufs += [d.z, d.u, d.v, d.F, d.r]
         if self.depths:
@@ -310,13 +355,18 @@ class _RankState:
         recursion, and take plain Newmark on the whole vector: with one
         level that is the scheme; with more, the closed form of every
         DOF outside the coarsest active set (:meth:`finish` overwrites
-        the rest).  The passes run *before* the recursion because its
-        applies may write into ``z1``."""
+        the rest from the saved rows).  The C phase gathers the rows and
+        takes the step in one call, reading ``z1`` without scaling it."""
         z1, w, dt = self.z1, self.w, self.dt
         if self.minv is not None:
             z1 *= self.minv
         if self.force is not None:
             subtract_force(self.force, t, z1)
+        if self._c_begin is not None:
+            self._c_begin(u.ctypes.data, v.ctypes.data)
+            if counter is not None:
+                counter.count_vector(4 * self.n)
+            return
         if self.depths:
             d = self.depths[0]
             u.take(d.idx, out=self.u0, mode="clip")
@@ -343,6 +393,12 @@ class _RankState:
         set.  The finest depth takes its leap-frog step with it; any
         other hands its child the forcing and the displacement on the
         child's set (a suffix) and waits for :meth:`reconstruct`."""
+        if self._c_updates:
+            call, ops = self._c_updates[i][first]
+            call()
+            if counter is not None:
+                counter.count_vector(ops)
+            return
         z, r, minv, F, u, v, dt_k, hand = self._updates[i]
         if minv is None:
             np.add(z, F, out=r)
@@ -371,6 +427,12 @@ class _RankState:
         saw a constant force over the child's whole span ``dt_k``, so
         theirs is the closed form ``-dt_k/2 F`` — no ``(u - small) - u``
         cancellation."""
+        if self._c_recons:
+            call, ops = self._c_recons[i][first]
+            call()
+            if counter is not None:
+                counter.count_vector(ops)
+            return
         kid_u, u_in, r_in, r_out, r, u, v, dt_k = self._recons[i]
         np.subtract(kid_u, u_in, out=r_in)
         r_in /= dt_k  # recon = (u_fine - u) / dt_k
@@ -388,6 +450,11 @@ class _RankState:
     def finish(self, u: np.ndarray, v: np.ndarray, counter) -> None:
         """The active rows from the recursion's result: ``v += 2 (u_fine
         - u) / dt``, ``u += dt v`` on the saved copies."""
+        if self._c_finish is not None:
+            self._c_finish(u.ctypes.data, v.ctypes.data)
+            if counter is not None:
+                counter.count_vector(5 * len(self.u0))
+            return
         d, u0, v0, dt = self.depths[0], self.u0, self.v0, self.dt
         r = d.r
         np.subtract(d.u, u0, out=r)
@@ -430,6 +497,14 @@ class _LockStepCycle:
             len(us) == len(vs) == len(states)
             and all(u.shape == v.shape == (st.n,) for st, u, v in zip(states, us, vs)),
             "state shape mismatch: one (u, v) pair per DOF numbering, each of its length",
+            SolverError,
+        )
+        # The C phases write u and v through raw pointers: a strided
+        # view or another dtype would be corrupted, not converted.
+        require(
+            all(x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable
+                for x in (*us, *vs)),
+            "u and v must be writeable C-contiguous float64 arrays",
             SolverError,
         )
         for st, u in zip(states, us):
@@ -625,8 +700,8 @@ class LTSNewmarkSolver(_LockStepCycle):
         if self.mode != "optimized":
             return
         n = self.n_dof
-        # Level 1's output also takes the source term.  The depth-0 passes
-        # keep its unwritten rows at zero (0 * dt), so only a source entry
+        # Level 1's output also takes the source term.  The depth-0 step
+        # keeps its unwritten rows at zero (0 * dt), so only a source entry
         # outside the level's row support could survive into the next
         # cycle: a dense force, or a point source no level-1 column
         # reaches.  Only then is the buffer cleared every cycle.
@@ -637,7 +712,7 @@ class LTSNewmarkSolver(_LockStepCycle):
         self._states = [_RankState(
             self.dt, self.active_levels[0], plan.restr0.fork(),
             [d.bind() for d in plan.depths], np.zeros(n),
-            force=force, z1_stale=stale,
+            force=force, z1_stale=stale, tier=getattr(plan.op, "tier", ""),
         )]
 
     def workspace_bytes(self) -> int:

@@ -278,10 +278,11 @@ class DistributedLTSSolver(_LockStepCycle):
             _RankState(
                 self.dt, self.active_levels[0], restr0.fork(),
                 [d.bind() for d in depths], np.empty(len(g)), force=f, minv=minv,
+                tier=getattr(K, "tier", ""),
             )
-            for restr0, depths, g, f, minv in zip(
+            for restr0, depths, g, f, minv, K in zip(
                 plan.restr0, plan.depths, layout.gdofs,
-                _rank_forces(layout, force), plan.Minv,
+                _rank_forces(layout, force), plan.Minv, layout.K_local,
             )
         ]
         #: Per level, each rank's apply output (what the exchange sums).

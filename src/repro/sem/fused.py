@@ -46,6 +46,24 @@ Design notes (mirrors the NumPy path in :mod:`repro.sem.matfree`):
   masking and the LTS level restriction (``A[:, cols] u[cols]``);
 * ``Minv`` folds the diagonal mass inverse into the same pass when the
   caller wants ``M^{-1} K u`` rather than ``K u``.
+
+LTS phases
+----------
+The same build carries the vector phases of the optimized LTS cycle
+(:class:`repro.core.lts_newmark._RankState`), one pass each, which a
+rank state runs when its level-1 product runs this tier:
+``lts_begin`` (gather the coarsest active set's rows, then ``v -= dt
+z1; u += dt v`` over the whole vector), ``lts_update`` (a fine depth's
+``r = z [* minv] + F``, handed to the child or taken as the finest
+leap-frog step), ``lts_reconstruct`` (the closed form on the prefix,
+``(u_fine - u) / dt_k`` on the child's suffix, then the ``v`` / ``u``
+step) and ``lts_finish`` (the ``2/dt`` velocity fix-up, written through
+the index map).  They must be bitwise the NumPy phases, so they are
+compiled with floating-point contraction off (GCC's
+``optimize("fp-contract=off")``, clang's ``#pragma clang fp
+contract(off)``): a fused multiply-add rounds once where NumPy rounds
+twice.  The kernels keep their FMAs.  :func:`bind_phase` binds a
+phase's leading arguments once.
 """
 
 from __future__ import annotations
@@ -59,6 +77,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -676,6 +695,120 @@ void an_apply3(const double *restrict u, double *restrict z,
     APPLY_DRIVER(AN3_CALL);
 #undef AN3_CALL
 }
+
+/*
+ * The vector phases of the optimized LTS cycle (repro.core.lts_newmark
+ * ._RankState), one pass each.  Every entry goes through the IEEE
+ * operations of the NumPy phases in the same order, so the results are
+ * bitwise theirs -- which needs floating-point contraction off: a fused
+ * multiply-add rounds once where NumPy rounds twice.  The kernels above
+ * keep their FMAs.  Arguments the caller binds once come first, the
+ * (u, v) pair a cycle is handed last.
+ */
+#if defined(__clang__)
+#define PHASE void
+#define NO_CONTRACT _Pragma("clang fp contract(off)")
+#elif defined(__GNUC__)
+#define PHASE __attribute__((optimize("fp-contract=off"))) void
+#define NO_CONTRACT
+#else
+#define PHASE void
+#define NO_CONTRACT _Pragma("STDC FP_CONTRACT OFF")
+#endif
+
+/* Save the coarsest active set's rows (u0, v0, the frozen forcing F and
+ * the recursion's displacement du), then plain Newmark on the whole
+ * vector: v -= dt z1; u += dt v.  z1 is read, not scaled in place. */
+PHASE lts_begin(const double *restrict z1, long n, double dt,
+                const int64_t *restrict idx, long na,
+                double *restrict u0, double *restrict v0,
+                double *restrict F, double *restrict du,
+                double *restrict u, double *restrict v)
+{
+    NO_CONTRACT
+    for (long j = 0; j < na; ++j) {
+        int64_t i = idx[j];
+        u0[j] = u[i];
+        du[j] = u[i];
+        v0[j] = v[i];
+        F[j] = z1[i];
+    }
+    for (long i = 0; i < n; ++i) {
+        double vi = v[i] - z1[i] * dt;
+        v[i] = vi;
+        u[i] += vi * dt;
+    }
+}
+
+/* One fine depth after its (summed) apply: r = z [* minv] + F.  With a
+ * child (kid_F != NULL) r is kept on the n_diff prefix and the suffix
+ * is handed over as the child's forcing and displacement; the finest
+ * depth takes its leap-frog step instead. */
+PHASE lts_update(const double *restrict z, const double *restrict minv,
+                 const double *restrict F, double *restrict r,
+                 double *restrict u, double *restrict v,
+                 long na, long nd, double dt_k,
+                 double *restrict kid_F, double *restrict kid_u, int first)
+{
+    NO_CONTRACT
+    if (kid_F) {
+        if (minv) {
+            for (long j = 0; j < nd; ++j) r[j] = z[j] * minv[j] + F[j];
+            for (long j = nd; j < na; ++j) kid_F[j - nd] = z[j] * minv[j] + F[j];
+        } else {
+            for (long j = 0; j < nd; ++j) r[j] = z[j] + F[j];
+            for (long j = nd; j < na; ++j) kid_F[j - nd] = z[j] + F[j];
+        }
+        for (long j = nd; j < na; ++j) kid_u[j - nd] = u[j];
+        return;
+    }
+    double h = -(0.5 * dt_k);
+    for (long j = 0; j < na; ++j) {
+        double rj = minv ? z[j] * minv[j] + F[j] : z[j] + F[j];
+        double vj = first ? rj * h : v[j] - rj * dt_k;
+        v[j] = vj;
+        u[j] += vj * dt_k;
+    }
+}
+
+/* A depth with a child, after the child's substeps: the velocity from
+ * the closed form -dt_k/2 r on the n_diff prefix and (u_fine - u)/dt_k
+ * on the child's suffix, then the v / u step. */
+PHASE lts_reconstruct(const double *restrict kid_u, const double *restrict r,
+                      double *restrict u, double *restrict v,
+                      long na, long nd, double dt_k, int first)
+{
+    NO_CONTRACT
+    double h = -(0.5 * dt_k);
+    for (long j = 0; j < nd; ++j) {
+        double rj = r[j] * h;
+        double vj = first ? rj : v[j] + rj * 2.0;
+        v[j] = vj;
+        u[j] += vj * dt_k;
+    }
+    for (long j = nd; j < na; ++j) {
+        double rj = (kid_u[j - nd] - u[j]) / dt_k;
+        double vj = first ? rj : v[j] + rj * 2.0;
+        v[j] = vj;
+        u[j] += vj * dt_k;
+    }
+}
+
+/* The coarsest active set's rows from the recursion's result:
+ * v = v0 + 2/dt (du - u0), u = u0 + dt v, written through idx. */
+PHASE lts_finish(const int64_t *restrict idx, long na,
+                 const double *restrict u0, const double *restrict v0,
+                 const double *restrict du, double dt,
+                 double *restrict u, double *restrict v)
+{
+    NO_CONTRACT
+    double c = 2.0 / dt;
+    for (long j = 0; j < na; ++j) {
+        double vj = v0[j] + (du[j] - u0[j]) * c;
+        v[idx[j]] = vj;
+        u[idx[j]] = u0[j] + vj * dt;
+    }
+}
 """
 
 #: Flags every build uses; optional flags are probed per compiler.
@@ -690,6 +823,13 @@ _OMP_FLAG = "-fopenmp"
 #: ``(ed, gmask, Minv, n_threads, zt, rows, n_rows)`` tail.
 _KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
             "an_apply": 4, "an_apply3": 4}
+#: LTS phase symbol -> its argument types, one letter each: ``F`` / ``I``
+#: a float64 / int64 array (or NULL), ``l`` long, ``d`` double, ``i`` int.
+_PHASES = {"lts_begin": "FldIlFFFFFF", "lts_update": "FFFFFFlldFFi",
+           "lts_reconstruct": "FFFFlldi", "lts_finish": "IlFFFdFF"}
+_CTYPE = {"F": ctypes.c_void_p, "I": ctypes.c_void_p, "l": ctypes.c_long,
+          "d": ctypes.c_double, "i": ctypes.c_int}
+_DTYPE = {"F": np.float64, "I": np.int64}
 
 _lib: ctypes.CDLL | None = None
 _tried = False
@@ -803,6 +943,10 @@ def _build(cc: str, flags: tuple[str, ...]) -> ctypes.CDLL | None:
                 + [ptr] * n_coef
                 + [ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_long]
             )
+        for name, sig in _PHASES.items():
+            fn = getattr(lib, name)
+            fn.restype = None
+            fn.argtypes = [_CTYPE[c] for c in sig]
         return lib
     except Exception:
         return None
@@ -864,6 +1008,25 @@ def omp_enabled() -> bool:
 def _addr(a: np.ndarray | None) -> int | None:
     """Raw data address for a ``c_void_p`` argument (``None`` = NULL)."""
     return None if a is None else a.ctypes.data
+
+
+def bind_phase(name: str, *args) -> partial:
+    """The LTS phase ``name`` of the loaded build with its leading
+    arguments bound, an array as its raw address and ``None`` as NULL
+    (as :class:`_FusedPlan` binds its call).  Each array must be
+    C-contiguous of the dtype its position takes (``TypeError``
+    otherwise: the C loop would read it as that); the caller keeps it
+    alive for as long as it calls the result."""
+    bound = []
+    for pos, a in enumerate(args):
+        if isinstance(a, np.ndarray):
+            want = _DTYPE.get(_PHASES[name][pos])
+            if want is None or a.dtype != want or not a.flags.c_contiguous:
+                takes = "a number" if want is None else f"a C-contiguous {want.__name__} array"
+                raise TypeError(f"{name} argument {pos} takes {takes}")
+            a = a.ctypes.data
+        bound.append(a)
+    return partial(getattr(load(), name), *bound)
 
 
 def _pad(a: np.ndarray, ne_pad: int, fill=0.0) -> np.ndarray:

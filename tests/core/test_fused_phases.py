@@ -1,0 +1,290 @@
+"""The C phases of the optimized LTS cycle are the NumPy phases, bitwise.
+
+Where a rank state's level-1 product runs the fused C tier, each vector
+phase of :class:`repro.core.lts_newmark._RankState` — ``begin``,
+``update``, ``reconstruct``, ``finish`` — is one call into
+:mod:`repro.sem.fused` (``lts_*``), compiled with floating-point
+contraction off so every entry goes through the NumPy phases' IEEE
+operations in their order.  The NumPy phases stay the reference: here
+both run on the same buffers, phase by phase and over whole cycles, and
+must agree to the bit.  The C phases write ``u`` and ``v`` through raw
+pointers, so the cycle refuses any other layout than C-contiguous
+float64 before it touches anything.
+"""
+
+import numpy as np
+import pytest
+from dataclasses import replace
+from hypothesis import given, settings, strategies as st
+
+from repro.core import assign_levels
+from repro.core.lts_newmark import (
+    LTSNewmarkSolver, OperationCounter, _Depth, _RankState, dof_levels_from_elements,
+)
+from repro.core.operator import Restriction
+from repro.mesh import uniform_grid
+from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
+from repro.sem import Sem2D, Sem3D, fused, point_source, ricker
+from repro.util.errors import SolverError
+
+needs_fused = pytest.mark.skipif(
+    not fused.available(), reason="no C compiler: fused tier unavailable"
+)
+
+DT = 0.37
+N = 100
+#: A product that is never applied (the phases alone are under test).
+_IDLE = Restriction(np.empty(0, dtype=np.int64), 0, lambda u, out=None: out)
+
+#: name -> (coarsest active set size, n_diff of every depth but the
+#: finest): the child's set equal to its parent's, empty, or in between;
+#: every depth empty; three depths in a row; and a single level.
+CASES = {
+    "split": (40, [15]),
+    "n_diff_0": (40, [0]),
+    "n_diff_full": (40, [40]),
+    "all_empty": (0, [0]),
+    "three_deep": (60, [20, 0, 25]),
+    "one_level": (None, None),
+}
+
+
+def _pair(case: str, with_minv: bool, seed: int = 0):
+    """A state on the C phases and one on the NumPy phases over the same
+    random structure, every buffer holding the same random values."""
+    rng = np.random.default_rng(seed)
+    na0, n_diffs = CASES[case]
+    depths = []
+    if na0 is not None:
+        order, off = rng.permutation(N)[:na0], 0
+        for i, nd in enumerate([*n_diffs, 0]):
+            depths.append(_Depth(2 + i, _IDLE, order[off:], nd))
+            off += nd
+    minv = rng.uniform(0.5, 2.0, N) if with_minv else None
+    states = [
+        _RankState(DT, 1, _IDLE, [d.bind() for d in depths], np.empty(N),
+                   minv=minv, tier=tier)
+        for tier in ("fused", "numpy")
+    ]
+    for bufs in zip(*map(_buffers, states)):
+        values = rng.standard_normal(len(bufs[0]))
+        for b in bufs:
+            b[:] = values
+    return states
+
+
+def _buffers(st: _RankState) -> list[np.ndarray]:
+    out = [st.z1]
+    if st.depths:
+        out += [st.u0, st.v0]
+    for d in st.depths:
+        out += [d.z, d.u, d.v, d.F, d.r]
+    return out
+
+
+def _fields(seed: int = 1):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(N), rng.standard_normal(N)
+
+
+def _assert_same(pairs, what):
+    for i, (a, b) in enumerate(pairs):
+        assert a.tobytes() == b.tobytes(), (what, i)
+
+
+@needs_fused
+class TestPhases:
+    """One phase at a time from identical states: whatever the NumPy
+    phase leaves for a later phase to read, the C phase leaves too."""
+
+    @pytest.mark.parametrize("with_minv", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_begin(self, case, with_minv):
+        c, ref = _pair(case, with_minv)
+        assert c._c_begin is not None and ref._c_begin is None
+        counters = OperationCounter(), OperationCounter()
+        uv = [_fields(), _fields()]
+        for st, (u, v), cnt in zip((c, ref), uv, counters):
+            st.begin(u, v, 0.0, cnt)
+        kept = lambda st: st.depths and [st.u0, st.v0, st.depths[0].F, st.depths[0].u]
+        _assert_same(zip(uv[0], uv[1]), "u, v")
+        _assert_same(zip(kept(c), kept(ref)), "saved rows")
+        assert counters[0] == counters[1]
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("with_minv", [False, True])
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
+    def test_update(self, case, with_minv, first):
+        for i in range(len(CASES[case][1]) + 1):
+            c, ref = _pair(case, with_minv, seed=i)
+            counters = OperationCounter(), OperationCounter()
+            for st, cnt in zip((c, ref), counters):
+                st.update(i, first, cnt)
+            dc, dr = c.depths[i], ref.depths[i]
+            if i + 1 < len(c.depths):  # the forcing handed down, r on the prefix
+                kc, kr = c.depths[i + 1], ref.depths[i + 1]
+                nd = dc.n_diff
+                pairs = [(dc.r[:nd], dr.r[:nd]), (kc.F, kr.F), (kc.u, kr.u)]
+            else:  # the finest depth's leap-frog step
+                pairs = [(dc.u, dr.u), (dc.v, dr.v)]
+            _assert_same(pairs, (case, i))
+            assert counters[0] == counters[1]
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("with_minv", [False, True])
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
+    def test_reconstruct(self, case, with_minv, first):
+        for i in range(len(CASES[case][1])):
+            c, ref = _pair(case, with_minv, seed=i)
+            counters = OperationCounter(), OperationCounter()
+            for st, cnt in zip((c, ref), counters):
+                st.reconstruct(i, first, cnt)
+            dc, dr = c.depths[i], ref.depths[i]
+            _assert_same([(dc.u, dr.u), (dc.v, dr.v)], (case, i))
+            assert counters[0] == counters[1]
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
+    def test_finish(self, case):
+        c, ref = _pair(case, False)
+        counters = OperationCounter(), OperationCounter()
+        uv = [_fields(), _fields()]
+        for st, (u, v), cnt in zip((c, ref), uv, counters):
+            st.finish(u, v, cnt)
+        _assert_same(zip(uv[0], uv[1]), "u, v")
+        assert counters[0] == counters[1]
+
+    def test_bind_refuses_buffers_the_loop_would_misread(self):
+        z = np.zeros(8)
+        fine = (z, 8, DT, np.arange(4), 4, z[:4], z[:4], z[:4], z[:4])
+        fused.bind_phase("lts_begin", *fine)
+        for pos, bad in [(0, z.astype(np.float32)), (0, np.zeros(16)[::2]),
+                         (3, np.arange(4, dtype=np.int32)), (3, np.zeros(4)),
+                         (1, np.array(8.0))]:
+            args = list(fine)
+            args[pos] = bad
+            with pytest.raises(TypeError, match=f"lts_begin argument {pos} takes"):
+                fused.bind_phase("lts_begin", *args)
+
+    def test_fused_state_drops_depth0_scratch(self):
+        c, ref = _pair("split", False)
+        assert c.w is None and ref.w is not None
+        assert ref.nbytes() - c.nbytes() == ref.w.nbytes
+
+
+class _NumpyPhases:
+    """An operator (or rank-local stiffness) forwarding everything to
+    the wrapped one but its tier: the solver then runs the same fused
+    products with the NumPy phases."""
+
+    tier = "numpy"
+
+    def __init__(self, op):
+        self._op = op
+
+    def __getattr__(self, name):
+        return getattr(self._op, name)
+
+
+def _system(dim: int):
+    shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+    mesh = uniform_grid(shape)
+    return cls(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
+
+
+N_CYCLES = 5
+
+
+@needs_fused
+class TestCycles:
+    """Whole cycles, serial and on 1-4 ranks, over random level
+    assignments and sources: the C phases and the NumPy phases give the
+    same ``u``, ``v`` and operation counts, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]),
+           source=st.sampled_from(["none", "point", "dense"]))
+    def test_c_phases_match_numpy_phases(self, data, dim, source):
+        sem, dt = _system(dim)
+        ne = sem.element_dofs.shape[0]
+        fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
+        levels = np.array(data.draw(
+            st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
+            label="element levels",
+        ))
+        levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+        n_ranks = data.draw(st.integers(1, 4), label="ranks")
+        parts = np.array(data.draw(
+            st.lists(st.integers(0, n_ranks - 1), min_size=ne, max_size=ne),
+            label="element ranks",
+        ))
+        force = None
+        if source != "none":
+            dof = data.draw(st.integers(0, sem.n_dof - 1), label="source dof")
+            point = point_source(sem.n_dof, dof, sem.M, ricker(f0=0.5, t0=2 * dt))
+            force = point if source == "point" else (lambda t: point(t))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="field seed"))
+        u0, v0 = rng.standard_normal(sem.n_dof), rng.standard_normal(sem.n_dof)
+        dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+
+        op = sem.operator("matfree", use_fused=True)
+        serial = [LTSNewmarkSolver(A, dof_level, dt, force=force, counter=OperationCounter())
+                  for A in (op, _NumpyPhases(op))]
+        layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level,
+                                   backend="matfree", use_fused=True)
+        ranks = [
+            DistributedLTSSolver(lay, dt, world=MailboxWorld(n_ranks), force=force)
+            for lay in (layout, replace(layout, K_local=[_NumpyPhases(K) for K in layout.K_local]))
+        ]
+        for solver in ranks:
+            solver.counter = OperationCounter()
+        for pair in (serial, ranks):
+            assert pair[0]._states[0]._c_begin is not None
+            assert all(s._c_begin is None for s in pair[1]._states)
+            (uc, vc), (un, vn) = (s.run(u0, v0, N_CYCLES) for s in pair)
+            assert uc.tobytes() == un.tobytes() and vc.tobytes() == vn.tobytes()
+            assert pair[0].counter == pair[1].counter
+
+
+def _serial_and_distributed(backend: str):
+    mesh = uniform_grid((4, 3))
+    sem = Sem2D(mesh, order=3)
+    a = assign_levels(mesh, c_cfl=0.4, order=3)
+    levels = np.array([1, 1, 1, 3, 4, 1, 2, 4, 1, 1, 1, 1])
+    dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+    matfree = backend != "assembled"
+    use_fused = backend == "fused" if matfree else None
+    op = sem.operator("matfree", use_fused=use_fused) if matfree else sem.A
+    layout = build_rank_layout(
+        sem, np.arange(12) % 2, 2, dof_level=dof_level,
+        backend="matfree" if matfree else "assembled", use_fused=use_fused,
+    )
+    return sem, LTSNewmarkSolver(op, dof_level, a.dt), DistributedLTSSolver(layout, a.dt), layout
+
+
+def _bad_fields(n: int, kind: str) -> np.ndarray:
+    x = np.random.default_rng(2).standard_normal(2 * n)
+    return x[::2] if kind == "strided" else x[:n].astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", ["strided", "float32"])
+@pytest.mark.parametrize("backend", [
+    "assembled", "numpy", pytest.param("fused", marks=needs_fused),
+])
+def test_cycle_refuses_fields_it_cannot_write_in_place(backend, kind):
+    """Strided views and float32 vectors are refused before any write,
+    on every tier (the same inputs are accepted whichever tier runs)."""
+    sem, serial, dist, layout = _serial_and_distributed(backend)
+    u, v = _bad_fields(sem.n_dof, kind), _bad_fields(sem.n_dof, kind)
+    before = u.copy(), v.copy()
+    with pytest.raises(SolverError, match="C-contiguous float64"):
+        serial.step(u, v)
+    assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])
+    assert serial.n_cycles_taken == 0
+
+    us = [_bad_fields(len(g), kind) for g in layout.gdofs]
+    vs = layout.scatter(np.ones(sem.n_dof))
+    before = [x.copy() for x in us], [x.copy() for x in vs]
+    with pytest.raises(SolverError, match="C-contiguous float64"):
+        dist.step(us, vs)
+    assert all(np.array_equal(x, y) for x, y in zip(us + vs, before[0] + before[1]))
+    assert dist.n_cycles_taken == 0

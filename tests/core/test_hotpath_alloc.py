@@ -89,6 +89,22 @@ def test_lts_step_allocation_budget(sys2d, backend):
     assert solver.workspace_bytes() > 0
 
 
+def test_fused_one_level_lts_allocation_budget(sys2d):
+    """The cycle the façade's ``scheme="newmark"`` runs — one-level LTS
+    on the fused tier, its depth-0 step the C ``begin`` — holds the
+    fused budget and allocates no full-length temporary."""
+    sem, a, _, u0, v0 = sys2d
+    if not fused.available():
+        pytest.skip("no C compiler: fused tier unavailable")
+    solver = LTSNewmarkSolver(
+        sem.operator("matfree", use_fused=True), np.ones(sem.n_dof, dtype=np.int64), a.dt
+    )
+    assert solver.active_levels == [1] and solver._states[0]._c_begin is not None
+    stats = _measure(solver, u0, v0)
+    assert stats.allocs_per_step <= FUSED_ALLOC_BUDGET, stats
+    assert stats.alloc_peak_bytes_per_step < u0.nbytes, stats
+
+
 def test_optimized_matches_reference(sys2d):
     """The allocation-free optimized LTS trajectory stays within 1e-12
     of the literal ``mode="reference"`` transcription (the independent

@@ -23,7 +23,7 @@ from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import measure_hot_path
 from repro.mesh import refined_interval, uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
-from repro.sem import Sem1D, Sem2D
+from repro.sem import Sem1D, Sem2D, fused
 
 #: Net tracemalloc blocks allowed to survive a steady-state LTS cycle.
 ALLOC_BUDGET = 16
@@ -126,20 +126,25 @@ class TestEmptyChannelSkip:
         assert world.sent_messages < len(exchanges) * full
 
 
-@pytest.mark.parametrize("backend", ["assembled", "matfree"])
+@pytest.mark.parametrize("backend", ["assembled", "matfree", "fused"])
 def test_distributed_lts_allocation_budget(sys2d, backend):
+    """On the fused tier the ranks' vector phases are the C ones: the
+    same budgets hold."""
     mesh, sem, a, dof_level, u0, v0 = sys2d
+    if backend == "fused" and not fused.available():
+        pytest.skip("no C compiler: fused tier unavailable")
     k = 3
     lay = build_rank_layout(
         sem,
         block_partition(mesh.n_elements, k),
         k,
         dof_level=dof_level,
-        backend=backend,
-        use_fused=False if backend == "matfree" else None,
+        backend="assembled" if backend == "assembled" else "matfree",
+        use_fused={"assembled": None, "matfree": False, "fused": True}[backend],
     )
     solver = DistributedLTSSolver(lay, a.dt, world=MailboxWorld(k))
     assert len(solver.active_levels) >= 2
+    assert all((st._c_begin is not None) == (backend == "fused") for st in solver._states)
     u_locals = lay.scatter(u0)
     v_locals = lay.scatter(v0)
 

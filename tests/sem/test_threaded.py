@@ -60,7 +60,7 @@ class TestResolveThreads:
             resolve_threads(-2)
 
 
-class TestNumpyPoolTier:
+class TestNumpyTierIgnoresThreads:
     """The NumPy tier has no thread pool: ``threads`` is the fused tier's
     OpenMP count and nothing else, so a NumPy-tier operator asked for N
     threads is the serial operator, bit for bit."""
