@@ -20,6 +20,17 @@ for the libraries the paper compares:
   p-level separately, then greedily couple one part per level per rank.
 
 Quality metrics (Sec. IV-B) live in :mod:`repro.partition.metrics`.
+
+Outputs are part of the contract: for a given mesh, level assignment,
+``k`` and seed, every strategy returns the same part vector, bit for bit,
+release to release — rank layouts, exchanges and distributed runs follow
+from it.  ``tests/partition/test_golden.py`` pins the sha256 of each
+strategy's vector on two meshes and on the benchmark's 4-rank trench.  A
+speed-up must make the same decisions in the same order: the same RNG
+calls on the same arrays, float sums in the same order, and dicts and
+sets built from the same insertion sequence (a set's iteration order
+depends on it).  Regenerate the hashes only for a deliberate change of
+output, with ``PYTHONPATH=src python tests/partition/test_golden.py``.
 """
 
 from repro.partition.graph import Graph

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, graph_from_edge_arrays, merge_edges
+from repro.partition.refine import fits
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -36,29 +37,30 @@ def heavy_edge_matching(
         ``match[v]`` is the coarse vertex id of ``v``.
     """
     n = graph.n_vertices
-    match = -np.ones(n, dtype=np.int64)
+    match = [-1] * n
     order = rng.permutation(n)
     cid = 0
-    xadj, adjncy, ew, vw = graph.xadj, graph.adjncy, graph.eweights, graph.vweights
-    for v in order:
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    ew, vw = graph.eweights.tolist(), graph.vweights.tolist()
+    cap = None if weight_cap is None else np.broadcast_to(weight_cap, len(vw[0])).tolist()
+    for v in order.tolist():
         if match[v] >= 0:
             continue
         best = -1
         best_w = -np.inf
-        for idx in range(int(xadj[v]), int(xadj[v + 1])):
-            u = int(adjncy[idx])
-            if match[u] >= 0 or u == v:
+        wv = vw[v]
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
+            if match[u] >= 0 or u == v or ew[idx] <= best_w:
                 continue
-            if weight_cap is not None and np.any(vw[v] + vw[u] > weight_cap):
-                continue
-            if ew[idx] > best_w:
-                best_w = float(ew[idx])
+            if cap is None or fits(wv, vw[u], cap):
+                best_w = ew[idx]
                 best = u
         match[v] = cid
         if best >= 0:
             match[best] = cid
         cid += 1
-    return match, cid
+    return np.array(match, dtype=np.int64), cid
 
 
 def contract(graph: Graph, match: np.ndarray, n_coarse: int) -> Graph:
@@ -66,41 +68,20 @@ def contract(graph: Graph, match: np.ndarray, n_coarse: int) -> Graph:
 
     Parallel edges merge by weight addition; self-loops (intra-pair
     edges) vanish — exactly the invariant that keeps the coarse cut equal
-    to the fine cut for any partition refined from it (tested).
+    to the fine cut for any partition refined from it (tested).  Coarse
+    edges are numbered, and their weights summed, in the order the fine
+    adjacency first visits them.
     """
     require(n_coarse >= 1, "contraction must keep at least one vertex", PartitionError)
     vweights = np.zeros((n_coarse, graph.n_constraints))
     np.add.at(vweights, match, graph.vweights)
 
-    edge_acc: dict[tuple[int, int], float] = {}
-    xadj, adjncy, ew = graph.xadj, graph.adjncy, graph.eweights
-    for v in range(graph.n_vertices):
-        cv = int(match[v])
-        for idx in range(int(xadj[v]), int(xadj[v + 1])):
-            cu = int(match[adjncy[idx]])
-            if cu == cv:
-                continue
-            key = (cv, cu) if cv < cu else (cu, cv)
-            edge_acc[key] = edge_acc.get(key, 0.0) + float(ew[idx])
+    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
+    cv, cu = match[src], match[graph.adjncy]
+    cross = cv != cu
+    a, b, w = merge_edges(n_coarse, cv[cross], cu[cross], graph.eweights[cross])
     # Each undirected fine edge was visited twice -> halve.
-    deg = np.zeros(n_coarse, dtype=np.int64)
-    for (a, b) in edge_acc:
-        deg[a] += 1
-        deg[b] += 1
-    xadj_c = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.cumsum(deg, out=xadj_c[1:])
-    adjncy_c = np.zeros(int(xadj_c[-1]), dtype=np.int64)
-    ew_c = np.zeros(int(xadj_c[-1]), dtype=np.float64)
-    fill = xadj_c[:-1].copy()
-    for (a, b), w in edge_acc.items():
-        w2 = w / 2.0
-        adjncy_c[fill[a]] = b
-        ew_c[fill[a]] = w2
-        fill[a] += 1
-        adjncy_c[fill[b]] = a
-        ew_c[fill[b]] = w2
-        fill[b] += 1
-    return Graph(xadj=xadj_c, adjncy=adjncy_c, vweights=vweights, eweights=ew_c)
+    return graph_from_edge_arrays(n_coarse, a, b, w / 2.0, vweights)
 
 
 def coarsen_to_size(

@@ -61,6 +61,8 @@ class Graph:
                 "adjncy references vertex out of range",
                 PartitionError,
             )
+        require(bool(np.all(self.eweights >= 0)), "edge weights must be non-negative", PartitionError)
+        require(bool(np.all(self.vweights >= 0)), "vertex weights must be non-negative", PartitionError)
 
     # ------------------------------------------------------------------
     @property
@@ -91,48 +93,49 @@ class Graph:
 
     # ------------------------------------------------------------------
     def validate_symmetry(self) -> None:
-        """Raise unless the adjacency is symmetric with matching weights."""
-        pairs: dict[tuple[int, int], float] = {}
-        for u in range(self.n_vertices):
-            for idx in range(int(self.xadj[u]), int(self.xadj[u + 1])):
-                v = int(self.adjncy[idx])
-                w = float(self.eweights[idx])
-                key = (min(u, v), max(u, v))
-                if key in pairs:
-                    if pairs[key] != w:
-                        raise PartitionError(f"asymmetric edge weight on {key}")
-                    pairs[key] = -pairs[key]  # mark seen twice
-                else:
-                    pairs[key] = w
-        for key, w in pairs.items():
-            if w > 0:
-                raise PartitionError(f"edge {key} present in one direction only")
+        """Raise unless every undirected edge is listed exactly twice, once
+        from each endpoint, with equal weights (so no self-loops)."""
+        src = np.repeat(np.arange(self.n_vertices, dtype=np.int64), np.diff(self.xadj))
+        lo, hi = np.minimum(src, self.adjncy), np.maximum(src, self.adjncy)
+        order = np.lexsort((src, hi, lo))
+        lo, hi, src, w = lo[order], hi[order], src[order], self.eweights[order]
+        _, first, count = np.unique(lo * self.n_vertices + hi, return_index=True, return_counts=True)
+        bad = np.nonzero(count != 2)[0]
+        if len(bad):
+            i = first[bad[0]]
+            raise PartitionError(
+                f"edge {(int(lo[i]), int(hi[i]))} listed {int(count[bad[0]])} time(s), not twice"
+            )
+        one_way = src[first] == src[first + 1]
+        if np.any(one_way):
+            i = first[np.argmax(one_way)]
+            raise PartitionError(f"edge {(int(lo[i]), int(hi[i]))} present in one direction only")
+        uneven = w[first] != w[first + 1]
+        if np.any(uneven):
+            i = first[np.argmax(uneven)]
+            raise PartitionError(f"asymmetric edge weight on {(int(lo[i]), int(hi[i]))}")
 
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
-        """Induced subgraph; returns ``(sub, vertices)`` with old ids."""
+        """Induced subgraph; returns ``(sub, vertices)`` with old ids.
+
+        Neighbour lists keep the parent's order, vertices the given one.
+        """
         vertices = np.asarray(vertices, dtype=np.int64)
         require(len(vertices) >= 1, "subgraph needs at least one vertex", PartitionError)
         remap = -np.ones(self.n_vertices, dtype=np.int64)
         remap[vertices] = np.arange(len(vertices))
-        xadj = [0]
-        adjncy: list[int] = []
-        ew: list[float] = []
-        for v in vertices:
-            for idx in range(int(self.xadj[v]), int(self.xadj[v + 1])):
-                u = remap[self.adjncy[idx]]
-                if u >= 0:
-                    adjncy.append(int(u))
-                    ew.append(float(self.eweights[idx]))
-            xadj.append(len(adjncy))
-        return (
-            Graph(
-                xadj=np.asarray(xadj, dtype=np.int64),
-                adjncy=np.asarray(adjncy, dtype=np.int64),
-                vweights=self.vweights[vertices].copy(),
-                eweights=np.asarray(ew, dtype=np.float64),
-            ),
-            vertices,
+        pos, owner = concat_ranges(self.xadj[vertices], self.xadj[vertices + 1])
+        nbr = remap[self.adjncy[pos]]
+        keep = nbr >= 0
+        xadj = np.zeros(len(vertices) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[keep], minlength=len(vertices)), out=xadj[1:])
+        sub = Graph(
+            xadj=xadj,
+            adjncy=nbr[keep],
+            vweights=self.vweights[vertices].copy(),
+            eweights=self.eweights[pos[keep]],
         )
+        return sub, vertices
 
     def connected_components(self) -> np.ndarray:
         """Component id per vertex (BFS)."""
@@ -153,30 +156,68 @@ class Graph:
         return comp
 
 
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``concatenate([arange(starts[i], stops[i]) for i])`` and, for each
+    entry, its ``i`` — e.g. the CSR slots of a list of rows, in row order."""
+    lens = stops - starts
+    owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    offset = np.arange(len(owner), dtype=np.int64) - (np.cumsum(lens) - lens)[owner]
+    return starts[owner] + offset, owner
+
+
+def merge_edges(
+    n_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Undirected edges with parallel copies merged: one ``(min, max, w)``
+    per vertex pair, numbered by first occurrence, ``w`` summed in input
+    order — the edges and sums a dict keyed by the pair would hold."""
+    keys, first, inv = np.unique(
+        np.minimum(u, v) * n_vertices + np.maximum(u, v), return_index=True, return_inverse=True
+    )
+    total = np.bincount(inv, weights=w, minlength=len(keys))
+    order = np.argsort(first)
+    return keys[order] // n_vertices, keys[order] % n_vertices, total[order]
+
+
+def graph_from_edge_arrays(
+    n_vertices: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    vweights: np.ndarray | None = None,
+) -> Graph:
+    """Build a :class:`Graph` from undirected edges ``(u[j], v[j], w[j])``.
+
+    Each vertex lists its edges in edge order (``j``), which is what makes
+    the coarsening and expansion passes reproducible.
+    """
+    require(n_vertices >= 1, "need at least one vertex", PartitionError)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    require(bool(np.all(u != v)), "self-loops are not allowed", PartitionError)
+    src = np.stack([u, v], axis=1).ravel()
+    require(
+        len(src) == 0 or (src.min() >= 0 and src.max() < n_vertices),
+        "edge references vertex out of range",
+        PartitionError,
+    )
+    order = np.argsort(src, kind="stable")
+    xadj = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_vertices), out=xadj[1:])
+    if vweights is None:
+        vweights = np.ones((n_vertices, 1))
+    return Graph(
+        xadj=xadj,
+        adjncy=np.stack([v, u], axis=1).ravel()[order],
+        vweights=vweights,
+        eweights=np.repeat(np.asarray(w, dtype=np.float64), 2)[order],
+    )
+
+
 def graph_from_edges(
     n_vertices: int,
     edges: list[tuple[int, int, float]],
     vweights: np.ndarray | None = None,
 ) -> Graph:
     """Build a :class:`Graph` from an undirected edge list (u, v, w)."""
-    require(n_vertices >= 1, "need at least one vertex", PartitionError)
-    deg = np.zeros(n_vertices, dtype=np.int64)
-    for u, v, _ in edges:
-        require(u != v, "self-loops are not allowed", PartitionError)
-        deg[u] += 1
-        deg[v] += 1
-    xadj = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(deg, out=xadj[1:])
-    adjncy = np.zeros(int(xadj[-1]), dtype=np.int64)
-    ew = np.zeros(int(xadj[-1]), dtype=np.float64)
-    fill = xadj[:-1].copy()
-    for u, v, w in edges:
-        adjncy[fill[u]] = v
-        ew[fill[u]] = w
-        fill[u] += 1
-        adjncy[fill[v]] = u
-        ew[fill[v]] = w
-        fill[v] += 1
-    if vweights is None:
-        vweights = np.ones((n_vertices, 1))
-    return Graph(xadj=xadj, adjncy=adjncy, vweights=vweights, eweights=ew)
+    u, v, w = ([e[i] for e in edges] for i in range(3))
+    return graph_from_edge_arrays(n_vertices, u, v, w, vweights)

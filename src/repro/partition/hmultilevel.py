@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, concat_ranges, graph_from_edge_arrays, merge_edges
 from repro.partition.hypergraph import Hypergraph
 from repro.partition.initial import recursive_bisection
-from repro.partition.refine import balance_bounds_from_weights
+from repro.partition.refine import fits, refine_loop, repair_loop
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -33,66 +33,76 @@ def heavy_connectivity_matching(
 ) -> tuple[np.ndarray, int]:
     """Match vertices by summed shared-net connectivity ``c/(|net|-1)``."""
     n = h.n_vertices
-    match = -np.ones(n, dtype=np.int64)
-    xnets, nets = h.vertex_nets()
+    match = [-1] * n
+    xnets, nets = (a.tolist() for a in h.vertex_nets())
+    xpins, pins = h.xpins.tolist(), h.pins.tolist()
+    share = _net_share(h).tolist()
+    vw = h.vweights.tolist()
+    cap = None if weight_cap is None else np.broadcast_to(weight_cap, len(vw[0])).tolist()
     cid = 0
-    for v in rng.permutation(n):
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
         scores: dict[int, float] = {}
         for net in nets[xnets[v] : xnets[v + 1]]:
-            size = h.net_size(int(net))
-            if size < 2:
+            if xpins[net + 1] - xpins[net] < 2:
                 continue
-            s = float(h.costs[net]) / (size - 1)
-            for u in h.net_pins(int(net)):
+            s = share[net]
+            for u in pins[xpins[net] : xpins[net + 1]]:
                 if u != v and match[u] < 0:
-                    scores[int(u)] = scores.get(int(u), 0.0) + s
+                    scores[u] = scores.get(u, 0.0) + s
         best, best_s = -1, 0.0
         for u, s in scores.items():
-            if weight_cap is not None and np.any(
-                h.vweights[v] + h.vweights[u] > weight_cap
-            ):
-                continue
-            if s > best_s:
+            if s > best_s and (cap is None or fits(vw[v], vw[u], cap)):
                 best, best_s = u, s
         match[v] = cid
         if best >= 0:
             match[best] = cid
         cid += 1
-    return match, cid
+    return np.array(match, dtype=np.int64), cid
+
+
+def _net_share(h: Hypergraph) -> np.ndarray:
+    """Per-net ``c/(|net|-1)`` (nets with < 2 pins get ``c``; callers skip them)."""
+    return h.costs / np.maximum(np.diff(h.xpins) - 1, 1)
 
 
 def contract_hypergraph(h: Hypergraph, match: np.ndarray, n_coarse: int) -> Hypergraph:
     """Coarse hypergraph: mapped pins deduplicated per net, identical nets
     merged (costs add), single-pin nets dropped — none of which can change
-    the cutsize of any partition lifted from the coarse level (tested)."""
+    the cutsize of any partition lifted from the coarse level (tested).
+
+    Coarse nets keep their pins sorted, are numbered by the first fine net
+    that maps to them, and sum their costs in fine-net order.
+    """
     require(n_coarse >= 1, "contraction must keep at least one vertex", PartitionError)
     vweights = np.zeros((n_coarse, h.n_constraints))
     np.add.at(vweights, match, h.vweights)
 
-    merged: dict[tuple[int, ...], float] = {}
-    for net in range(h.n_nets):
-        pins = np.unique(match[h.net_pins(net)])
-        if len(pins) < 2:
-            continue
-        key = tuple(int(x) for x in pins)
-        merged[key] = merged.get(key, 0.0) + float(h.costs[net])
-
-    xpins = [0]
-    pins_list: list[int] = []
-    costs: list[float] = []
-    for key, c in merged.items():
-        pins_list.extend(key)
-        costs.append(c)
-        xpins.append(len(pins_list))
-    if not costs:  # fully merged: keep a valid empty-net hypergraph
-        xpins = [0]
+    net_of_pin = np.repeat(np.arange(h.n_nets, dtype=np.int64), np.diff(h.xpins))
+    # Distinct (net, coarse pin) pairs, sorted: each net's pins ascending.
+    pairs = np.unique(net_of_pin * n_coarse + match[h.pins])
+    net_of_pin, mapped = pairs // n_coarse, pairs % n_coarse
+    size = np.bincount(net_of_pin, minlength=h.n_nets)
+    kept = size >= 2
+    if not np.any(kept):  # fully merged: keep a valid empty-net hypergraph
+        return Hypergraph(n_coarse, np.zeros(1, np.int64), np.zeros(0, np.int64),
+                          np.zeros(0), vweights)
+    # One row per net, padded with -1 (a shorter net never equals a longer).
+    col = np.arange(len(mapped)) - np.searchsorted(net_of_pin, net_of_pin)
+    rows = np.full((h.n_nets, int(size.max())), -1, dtype=np.int64)
+    rows[net_of_pin, col] = mapped
+    uniq, first, inv = np.unique(rows[kept], axis=0, return_index=True, return_inverse=True)
+    costs = np.bincount(inv, weights=h.costs[kept], minlength=len(uniq))
+    by_first = np.argsort(first)
+    uniq = uniq[by_first]
+    xpins = np.zeros(len(uniq) + 1, dtype=np.int64)
+    np.cumsum((uniq >= 0).sum(axis=1), out=xpins[1:])
     return Hypergraph(
         n_vertices=n_coarse,
-        xpins=np.asarray(xpins, dtype=np.int64),
-        pins=np.asarray(pins_list, dtype=np.int64),
-        costs=np.asarray(costs, dtype=np.float64),
+        xpins=xpins,
+        pins=uniq[uniq >= 0],
+        costs=costs[by_first],
         vweights=vweights,
     )
 
@@ -101,71 +111,88 @@ def clique_expansion(h: Hypergraph) -> Graph:
     """Weighted graph with an edge ``c/(|net|-1)`` per pin pair of each net.
 
     Standard device for seeding hypergraph partitioners; only used on the
-    coarsest level where ``sum |net|^2`` is small.
+    coarsest level where ``sum |net|^2`` is small.  Edges are numbered, and
+    their weights summed, in (net, pin, later pin) order.
     """
-    acc: dict[tuple[int, int], float] = {}
-    for net in range(h.n_nets):
-        pins = h.net_pins(net)
-        size = len(pins)
-        if size < 2:
-            continue
-        w = float(h.costs[net]) / (size - 1)
-        for i in range(size):
-            for j in range(i + 1, size):
-                a, b = int(pins[i]), int(pins[j])
-                key = (a, b) if a < b else (b, a)
-                acc[key] = acc.get(key, 0.0) + w
-    from repro.partition.graph import graph_from_edges
-
-    edges = [(a, b, w) for (a, b), w in acc.items()]
-    return graph_from_edges(h.n_vertices, edges, vweights=h.vweights.copy())
+    net_of_pin = np.repeat(np.arange(h.n_nets, dtype=np.int64), np.diff(h.xpins))
+    # Pair each pin with every later pin of its net.
+    later, pin = concat_ranges(np.arange(1, h.n_pins + 1), h.xpins[net_of_pin + 1])
+    edges = merge_edges(
+        h.n_vertices, h.pins[pin], h.pins[later], _net_share(h)[net_of_pin[pin]]
+    )
+    return graph_from_edge_arrays(h.n_vertices, *edges, vweights=h.vweights.copy())
 
 
 # ----------------------------------------------------------------------
 # K-way λ-1 refinement
 # ----------------------------------------------------------------------
 class _KWayState:
-    """Incremental per-net pin-count bookkeeping for λ−1 gains."""
+    """Incremental per-net pin-count bookkeeping for λ−1 gains.
+
+    ``counts[net * k + part]`` is the number of pins of ``net`` in
+    ``part``; ``present[net]`` has bit ``part`` set while that count is
+    non-zero.
+    """
 
     def __init__(self, h: Hypergraph, parts: np.ndarray, k: int):
         self.h = h
         self.k = k
-        self.counts = np.zeros((h.n_nets, k), dtype=np.int32)
-        for net in range(h.n_nets):
-            for p in parts[h.net_pins(net)]:
-                self.counts[net, p] += 1
+        net_of_pin = np.repeat(np.arange(h.n_nets, dtype=np.int64), np.diff(h.xpins))
+        slots = net_of_pin * k + np.asarray(parts)[h.pins]
+        self.counts = np.bincount(slots, minlength=h.n_nets * k).tolist()
+        self.present = [0] * h.n_nets
+        for slot in np.unique(slots).tolist():
+            self.present[slot // k] |= 1 << (slot % k)
+        xnets, nets = h.vertex_nets()
+        self._xnets, self._nets = xnets.tolist(), nets.tolist()
+        self._costs = h.costs.tolist()
+
+    def nets_of(self, v: int) -> list[int]:
+        return self._nets[self._xnets[v] : self._xnets[v + 1]]
 
     def gain(self, v: int, a: int, b: int) -> float:
         """Cutsize reduction of moving ``v`` from part ``a`` to ``b``."""
         g = 0.0
-        xnets, nets = self.h.vertex_nets()
-        for net in nets[xnets[v] : xnets[v + 1]]:
-            c = float(self.h.costs[net])
-            if self.counts[net, a] == 1:
+        k, counts, costs = self.k, self.counts, self._costs
+        for net in self.nets_of(v):
+            c = costs[net]
+            if counts[net * k + a] == 1:
                 g += c
-            if self.counts[net, b] == 0:
+            if counts[net * k + b] == 0:
                 g -= c
         return g
 
     def candidate_parts(self, v: int) -> set[int]:
-        xnets, nets = self.h.vertex_nets()
-        out: set[int] = set()
-        for net in nets[xnets[v] : xnets[v + 1]]:
-            out.update(int(p) for p in np.nonzero(self.counts[net])[0])
-        return out
+        """Parts with a pin on a net of ``v``: the set built by adding
+        each net's parts, nets in order and parts ascending.  The refinement
+        iterates it, so its iteration order is part of the result."""
+        seen, order = 0, []
+        for net in self.nets_of(v):
+            new = self.present[net] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                order.append(low.bit_length() - 1)
+                new ^= low
+        return set(order)
 
     def apply_move(self, v: int, a: int, b: int) -> None:
-        xnets, nets = self.h.vertex_nets()
-        for net in nets[xnets[v] : xnets[v + 1]]:
-            self.counts[net, a] -= 1
-            self.counts[net, b] += 1
+        k, counts, present = self.k, self.counts, self.present
+        for net in self.nets_of(v):
+            counts[net * k + a] -= 1
+            if counts[net * k + a] == 0:
+                present[net] &= ~(1 << a)
+            counts[net * k + b] += 1
+            if counts[net * k + b] == 1:
+                present[net] |= 1 << b
 
     def boundary_vertices(self) -> np.ndarray:
-        lam = (self.counts > 0).sum(axis=1)
-        cut_nets = np.nonzero(lam > 1)[0]
-        out: set[int] = set()
-        for net in cut_nets:
-            out.update(int(x) for x in self.h.net_pins(int(net)))
+        """Pins of cut nets, in the iteration order of the set built by
+        adding them net by net (the shuffle that follows permutes it)."""
+        cut = np.array([net for net, m in enumerate(self.present) if m & (m - 1)], dtype=np.int64)
+        pins = self.h.pins[concat_ranges(self.h.xpins[cut], self.h.xpins[cut + 1])[0]]
+        _, first = np.unique(pins, return_index=True)
+        out = set(pins[np.sort(first)].tolist())
         return np.fromiter(out, dtype=np.int64, count=len(out))
 
 
@@ -178,54 +205,16 @@ def hg_kway_refine(
     max_passes: int = 6,
     state: _KWayState | None = None,
 ) -> np.ndarray:
-    """Greedy K-way λ−1 refinement under multi-constraint bounds."""
+    """Greedy K-way λ−1 refinement under multi-constraint bounds (the
+    sweep of :func:`repro.partition.refine.kway_refine`, exact λ−1 gains)."""
     parts = np.asarray(parts, dtype=np.int64)
     state = _KWayState(h, parts, k) if state is None else state
-    W = np.zeros((k, h.n_constraints))
-    np.add.at(W, parts, h.vweights)
-    Lmax = balance_bounds_from_weights(h.vweights, k, eps)
-    sizes = np.bincount(parts, minlength=k)
-    total = h.total_weight()
-    norm = np.where(total > 0, total, 1.0)
-
-    for _ in range(max_passes):
-        boundary = state.boundary_vertices()
-        if len(boundary) == 0:
-            break
-        rng.shuffle(boundary)
-        moved = 0
-        for v in boundary:
-            a = int(parts[v])
-            if sizes[a] <= 1:
-                continue
-            best_b, best_gain, best_tie = -1, 0.0, 0.0
-            for b in state.candidate_parts(int(v)):
-                if b == a:
-                    continue
-                if np.any(W[b] + h.vweights[v] > Lmax[b]):
-                    continue
-                g = state.gain(int(v), a, b)
-                if g < 0.0:
-                    continue
-                before = max(np.max(W[a] / norm), np.max(W[b] / norm))
-                after = max(
-                    np.max((W[a] - h.vweights[v]) / norm),
-                    np.max((W[b] + h.vweights[v]) / norm),
-                )
-                tie = before - after
-                if g > best_gain or (g == best_gain and tie > best_tie):
-                    best_b, best_gain, best_tie = b, g, tie
-            if best_b >= 0 and (best_gain > 0.0 or best_tie > 1e-15):
-                state.apply_move(int(v), a, best_b)
-                W[a] -= h.vweights[v]
-                W[best_b] += h.vweights[v]
-                sizes[a] -= 1
-                sizes[best_b] += 1
-                parts[v] = best_b
-                moved += 1
-        if moved == 0:
-            break
-    return parts
+    return refine_loop(
+        h.vweights, parts, k, eps, rng, max_passes,
+        boundary=state.boundary_vertices,
+        gains=lambda v, a: ((b, state.gain(v, a, b)) for b in state.candidate_parts(v) if b != a),
+        on_move=state.apply_move,
+    )
 
 
 def hg_repair_balance(
@@ -243,99 +232,14 @@ def hg_repair_balance(
     gain, which is the PaToH behaviour the paper's ``final_imbal``
     comparison exercises.
     """
-    from repro.partition.refine import lower_bounds_from_weights
-
     parts = np.asarray(parts, dtype=np.int64)
     state = _KWayState(h, parts, k)
-    W = np.zeros((k, h.n_constraints))
-    np.add.at(W, parts, h.vweights)
-    Lmax = balance_bounds_from_weights(h.vweights, k, eps)
-    Lmin = lower_bounds_from_weights(h.vweights, k, eps)
-    sizes = np.bincount(parts, minlength=k)
-    budget = max_moves if max_moves is not None else h.n_vertices + 32 * k
-
-    def do_move(v: int, src: int, dst: int) -> None:
-        state.apply_move(v, src, dst)
-        W[src] -= h.vweights[v]
-        W[dst] += h.vweights[v]
-        sizes[src] -= 1
-        sizes[dst] += 1
-        parts[v] = dst
-
-    # Stagnation guard (see repro.partition.refine.repair_balance): bail
-    # out when push/pull moves stop shrinking the total violation.
-    best_violation = np.inf
-    stale = 0
-
-    while budget > 0:
-        over = np.argwhere(W > Lmax)
-        under = np.argwhere(W < Lmin)
-        if len(over) == 0 and len(under) == 0:
-            break
-        violation = float(
-            np.maximum(W - Lmax, 0.0).sum() + np.maximum(Lmin - W, 0.0).sum()
-        )
-        if violation < best_violation - 1e-12:
-            best_violation = violation
-            stale = 0
-        else:
-            stale += 1
-            if stale > 16:
-                break
-        moved = False
-        if len(over):
-            excess = np.array([W[p, i] - Lmax[p, i] for p, i in over])
-            p_over, i_con = (int(x) for x in over[int(np.argmax(excess))])
-            cand = np.nonzero((parts == p_over) & (h.vweights[:, i_con] > 0))[0]
-            if len(cand) and sizes[p_over] > 1:
-                if len(cand) > 256:
-                    cand = rng.choice(cand, size=256, replace=False)
-                best = None  # ((damage, dest_load), v, dest)
-                for v in cand:
-                    for b in range(k):
-                        if b == p_over:
-                            continue
-                        newW = W[b] + h.vweights[v]
-                        if np.any(newW > np.maximum(Lmax[b], W[b])):
-                            continue
-                        damage = -state.gain(int(v), p_over, b)
-                        key = (damage, W[b, i_con])
-                        if best is None or key < best[0]:
-                            best = (key, int(v), b)
-                if best is not None:
-                    _, v, b = best
-                    do_move(v, p_over, b)
-                    budget -= 1
-                    moved = True
-        if not moved and len(under):
-            deficit = np.array([Lmin[p, i] - W[p, i] for p, i in under])
-            p_under, i_con = (int(x) for x in under[int(np.argmax(deficit))])
-            donors = np.argsort(-W[:, i_con])
-            best = None
-            for d in donors[: max(4, k // 4)]:
-                d = int(d)
-                if d == p_under or sizes[d] <= 1 or W[d, i_con] <= W[p_under, i_con]:
-                    continue
-                cand = np.nonzero((parts == d) & (h.vweights[:, i_con] > 0))[0]
-                if len(cand) > 256:
-                    cand = rng.choice(cand, size=256, replace=False)
-                for v in cand:
-                    newW = W[p_under] + h.vweights[v]
-                    if np.any(newW > Lmax[p_under]):
-                        continue
-                    damage = -state.gain(int(v), d, p_under)
-                    key = (damage, -W[d, i_con])
-                    if best is None or key < best[0]:
-                        best = (key, int(v), d)
-            if best is None:
-                break
-            _, v, d = best
-            do_move(v, d, p_under)
-            budget -= 1
-            moved = True
-        if not moved:
-            break
-    return parts
+    return repair_loop(
+        h.vweights, parts, k, eps, rng,
+        damages=lambda v, src: lambda dst: -state.gain(v, src, dst),
+        on_move=state.apply_move,
+        max_moves=max_moves,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -21,19 +21,17 @@ from repro.util.validation import require
 def pseudo_peripheral_vertex(graph: Graph, rng: np.random.Generator) -> int:
     """Approximate graph-diameter endpoint via two BFS sweeps."""
     n = graph.n_vertices
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
     start = int(rng.integers(n))
     for _ in range(2):
-        dist = -np.ones(n, dtype=np.int64)
-        dist[start] = 0
+        seen = [False] * n
+        seen[start] = True
         queue = [start]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in graph.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(int(v))
+        for u in queue:
+            for v in adjncy[xadj[u] : xadj[u + 1]]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
         start = queue[-1]
     return start
 
@@ -56,6 +54,8 @@ def grow_bisection(
     norm = np.where(total > 0, total, 1.0)
     scalar_w = (graph.vweights / norm).sum(axis=1)
     target = float(scalar_w.sum()) * target_frac
+    scalar_w = scalar_w.tolist()
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
 
     from repro.partition.metrics import graph_cut
 
@@ -63,25 +63,26 @@ def grow_bisection(
     best_cut = np.inf
     for t in range(max(1, tries)):
         seed = pseudo_peripheral_vertex(graph, rng) if t % 2 == 0 else int(rng.integers(n))
-        side = np.ones(n, dtype=np.int64)
-        side[seed] = 0
+        grown_side = [1] * n
+        grown_side[seed] = 0
         grown = scalar_w[seed]
         heap: list[tuple[float, int, int]] = []
         counter = 0
-        for u in graph.neighbors(seed):
-            heapq.heappush(heap, (-1.0, counter, int(u)))
+        for u in adjncy[xadj[seed] : xadj[seed + 1]]:
+            heapq.heappush(heap, (-1.0, counter, u))
             counter += 1
         while grown < target and heap:
             _, _, v = heapq.heappop(heap)
-            if side[v] == 0:
+            if grown_side[v] == 0:
                 continue
-            side[v] = 0
+            grown_side[v] = 0
             grown += scalar_w[v]
-            for idx in range(int(graph.xadj[v]), int(graph.xadj[v + 1])):
-                u = int(graph.adjncy[idx])
-                if side[u] == 1:
-                    heapq.heappush(heap, (-float(graph.eweights[idx]), counter, u))
+            for idx in range(xadj[v], xadj[v + 1]):
+                u = adjncy[idx]
+                if grown_side[u] == 1:
+                    heapq.heappush(heap, (-ew[idx], counter, u))
                     counter += 1
+        side = np.array(grown_side, dtype=np.int64)
         if len(np.unique(side)) < 2:
             # Degenerate (tiny graphs): force a split.
             side[:] = 1

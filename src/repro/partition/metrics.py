@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.levels import LevelAssignment
-from repro.mesh.mesh import Mesh
+from repro.mesh.mesh import ElementIncidence, Mesh
 from repro.partition.graph import Graph
 from repro.partition.hypergraph import Hypergraph
 from repro.util.errors import PartitionError
@@ -95,14 +95,20 @@ def hypergraph_cutsize(h: Hypergraph, parts: np.ndarray, k: int | None = None) -
     """λ−1 cutsize (Eq. (20)): ``sum_h c[h] * (lambda_h - 1)``."""
     kk = int(parts.max()) + 1 if k is None else k
     parts = _check_parts(parts, h.n_vertices, kk)
-    total = 0.0
-    pin_parts = parts[h.pins]
-    for net in range(h.n_nets):
-        span = pin_parts[h.xpins[net] : h.xpins[net + 1]]
-        lam = len(np.unique(span))
-        if lam > 1:
-            total += float(h.costs[net]) * (lam - 1)
-    return total
+    net_of_pin = np.repeat(np.arange(h.n_nets, dtype=np.int64), np.diff(h.xpins))
+    # lambda_h = number of distinct (net, part) pairs of net h.
+    lam = np.bincount(np.unique(net_of_pin * kk + parts[h.pins]) // kk, minlength=h.n_nets)
+    # A running total in net order: the same float sum for any net costs.
+    return float(np.cumsum(np.r_[0.0, h.costs * np.maximum(lam - 1, 0)])[-1])
+
+
+def _node_parts(inc: ElementIncidence, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(node of each incidence, present)`` with ``present[n, r]`` true
+    when mesh corner node ``n`` touches an element of part ``r``."""
+    node = np.repeat(np.arange(inc.n_nodes, dtype=np.int64), np.diff(inc.xadj))
+    present = np.zeros((inc.n_nodes, int(parts.max()) + 1), dtype=bool)
+    present[node, parts[inc.elems]] = True
+    return node, present
 
 
 def mpi_volume(
@@ -114,22 +120,16 @@ def mpi_volume(
     touching element ``e`` sends its contribution ``p_e`` times per cycle
     to the ``lambda_n - 1`` other parts (Sec. III-A-2).  Equals
     ``hypergraph_cutsize(lts_hypergraph(mesh, assignment), parts)``;
-    implemented independently as a cross-check.
+    implemented independently (node x part table on the mesh) as a
+    cross-check.
     """
     kk = int(np.asarray(parts).max()) + 1 if k is None else k
     parts = _check_parts(parts, mesh.n_elements, kk)
     inc = mesh.node_incidence()
+    node, present = _node_parts(inc, parts)
     p = assignment.p_per_element.astype(np.float64)
-    total = 0.0
-    for n in range(inc.n_nodes):
-        elems = inc.elems[inc.xadj[n] : inc.xadj[n + 1]]
-        if len(elems) <= 1:
-            continue
-        owner_parts = parts[elems]
-        lam = len(np.unique(owner_parts))
-        if lam > 1:
-            total += float(p[elems].sum()) * (lam - 1)
-    return total
+    sent = np.bincount(node, weights=p[inc.elems], minlength=len(present))
+    return float(sent @ np.maximum(present.sum(axis=1) - 1, 0))
 
 
 def per_level_halo_nodes(
@@ -146,33 +146,23 @@ def per_level_halo_nodes(
     """
     parts = _check_parts(parts, mesh.n_elements, k)
     inc = mesh.node_incidence()
-    out = np.zeros((k, assignment.n_levels))
-    for n in range(inc.n_nodes):
-        elems = inc.elems[inc.xadj[n] : inc.xadj[n + 1]]
-        if len(elems) <= 1:
-            continue
-        owner_parts = np.unique(parts[elems])
-        lam = len(owner_parts)
-        if lam > 1:
-            lv = int(assignment.level[elems].max())
-            out[owner_parts, lv - 1] += lam - 1
-    return out
+    node, present = _node_parts(inc, parts)
+    lam = present.sum(axis=1)
+    finest = np.zeros(len(present), dtype=np.int64)
+    np.maximum.at(finest, node, assignment.level[inc.elems])
+    shared, r = np.nonzero(present & (lam > 1)[:, None])
+    L = assignment.n_levels
+    return np.bincount(
+        r * L + finest[shared] - 1, weights=lam[shared] - 1, minlength=k * L
+    ).reshape(k, L)
 
 
 def message_count(mesh: Mesh, parts: np.ndarray, k: int) -> int:
     """Number of directed neighbour pairs (ranks sharing any mesh node)."""
     parts = _check_parts(parts, mesh.n_elements, k)
-    inc = mesh.node_incidence()
-    pairs: set[tuple[int, int]] = set()
-    for n in range(inc.n_nodes):
-        elems = inc.elems[inc.xadj[n] : inc.xadj[n + 1]]
-        owner_parts = np.unique(parts[elems])
-        if len(owner_parts) > 1:
-            for a in owner_parts:
-                for b in owner_parts:
-                    if a != b:
-                        pairs.add((int(a), int(b)))
-    return len(pairs)
+    present = _node_parts(mesh.node_incidence(), parts)[1].astype(np.int64)
+    shares = present.T @ present
+    return int(np.count_nonzero(shares) - np.count_nonzero(shares.diagonal()))
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,15 @@ the multi-constraint balance bounds (Eq. (19)); repeat until a pass makes
 no move.  ``repair_balance`` then enforces the bounds directly, trading
 cut for balance — this is the mechanism behind PaToH's ``final_imbal``
 knob in the paper's comparison (tighter balance <-> more cut).
+
+The per-vertex sweeps are sequential by nature and run over ``tolist()``
+copies: Python floats round exactly as NumPy float64 does, so each
+comparison and sum is the one an array expression would compute.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,13 +57,6 @@ def balance_bounds_from_weights(
     return Lmax
 
 
-def balance_bounds(
-    graph: Graph, k: int, eps: float, target_fracs: np.ndarray | None = None
-) -> np.ndarray:
-    """Graph wrapper around :func:`balance_bounds_from_weights`."""
-    return balance_bounds_from_weights(graph.vweights, k, eps, target_fracs)
-
-
 def _boundary_vertices(graph: Graph, parts: np.ndarray) -> np.ndarray:
     src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
     cut = parts[src] != parts[graph.adjncy]
@@ -79,57 +78,104 @@ def kway_refine(
     they strictly reduce the maximum normalized part load, which lets the
     sweep walk along plateaus without cycling.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     parts = np.asarray(parts, dtype=np.int64)
-    W = part_weights(graph, parts, k)
-    Lmax = balance_bounds(graph, k, eps, target_fracs)
-    sizes = np.bincount(parts, minlength=k)
-    total = graph.total_weight()
-    norm = np.where(total > 0, total, 1.0)
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    pl = parts.tolist()
 
-    xadj, adjncy, ew, vw = graph.xadj, graph.adjncy, graph.eweights, graph.vweights
+    def gains(v: int, a: int) -> Iterable[tuple[int, float]]:
+        conn = _connectivity(v, xadj, adjncy, ew, pl)
+        internal = conn.get(a, 0.0)
+        return ((b, c - internal) for b, c in conn.items())
+
+    def on_move(v: int, src: int, dst: int) -> None:
+        pl[v] = dst
+
+    return refine_loop(
+        graph.vweights, parts, k, eps, rng, max_passes,
+        lambda: _boundary_vertices(graph, parts), gains, on_move, target_fracs,
+    )
+
+
+def refine_loop(
+    vw: np.ndarray,
+    parts: np.ndarray,
+    k: int,
+    eps: float,
+    rng: np.random.Generator | None,
+    max_passes: int,
+    boundary: Callable[[], np.ndarray],
+    gains: Callable[[int, int], Iterable[tuple[int, float]]],
+    on_move: Callable[[int, int, int], None],
+    target_fracs: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sweep of :func:`kway_refine`, for any cut model.
+
+    ``boundary()`` lists the vertices to visit (shuffled here; ``parts``
+    is current when it is called), ``gains(v, a)`` yields ``(b, gain)``
+    for the candidate parts of ``v`` in part ``a``, and ``on_move(v, a,
+    b)`` updates the caller's incremental state.  Mutates and returns
+    ``parts``.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    W = np.zeros((k, vw.shape[1]))
+    np.add.at(W, parts, vw)
+    W = W.tolist()
+    Lmax = balance_bounds_from_weights(vw, k, eps, target_fracs).tolist()
+    sizes = np.bincount(parts, minlength=k).tolist()
+    total = vw.sum(axis=0)
+    norm = np.where(total > 0, total, 1.0).tolist()
+    vwl, pl = vw.tolist(), parts.tolist()
     for _ in range(max_passes):
-        boundary = _boundary_vertices(graph, parts)
-        if len(boundary) == 0:
+        order = boundary()
+        if len(order) == 0:
             break
-        rng.shuffle(boundary)
+        rng.shuffle(order)
         moved = 0
-        for v in boundary:
-            a = int(parts[v])
+        for v in order.tolist():
+            a = pl[v]
             if sizes[a] <= 1:
                 continue
-            conn: dict[int, float] = {}
-            for idx in range(int(xadj[v]), int(xadj[v + 1])):
-                conn[int(parts[adjncy[idx]])] = (
-                    conn.get(int(parts[adjncy[idx]]), 0.0) + float(ew[idx])
-                )
-            internal = conn.get(a, 0.0)
-            best_b, best_gain, best_tie = -1, 0.0, 0.0
-            for b, c in conn.items():
-                if b == a:
+            wv = vwl[v]
+            best_b, best_gain, best_tie, load_a = -1, 0.0, 0.0, None
+            for b, gain in gains(v, a):
+                if b == a or gain < 0.0 or not fits(W[b], wv, Lmax[b]):
                     continue
-                if np.any(W[b] + vw[v] > Lmax[b]):
-                    continue
-                gain = c - internal
-                if gain < 0.0:
-                    continue
-                # Tie-break: improvement of the max normalized load of
-                # the two parts involved.
-                before = max(np.max(W[a] / norm), np.max(W[b] / norm))
-                after = max(np.max((W[a] - vw[v]) / norm), np.max((W[b] + vw[v]) / norm))
+                # Tie-break: improvement of the max normalized load of the
+                # two parts involved, i.e. max(W / norm) before and after.
+                if load_a is None:
+                    load_a = (max(x / n for x, n in zip(W[a], norm)),
+                              max((x - y) / n for x, y, n in zip(W[a], wv, norm)))
+                before = max(load_a[0], max(x / n for x, n in zip(W[b], norm)))
+                after = max(load_a[1], max((x + y) / n for x, y, n in zip(W[b], wv, norm)))
                 tie = before - after
                 if gain > best_gain or (gain == best_gain and tie > best_tie):
                     best_b, best_gain, best_tie = b, gain, tie
             if best_b >= 0 and (best_gain > 0.0 or best_tie > 1e-15):
-                W[a] -= vw[v]
-                W[best_b] += vw[v]
+                on_move(v, a, best_b)
+                W[a] = [x - y for x, y in zip(W[a], wv)]
+                W[best_b] = [x + y for x, y in zip(W[best_b], wv)]
                 sizes[a] -= 1
                 sizes[best_b] += 1
-                parts[v] = best_b
+                pl[v] = best_b
                 moved += 1
+        parts[:] = pl
         if moved == 0:
             break
     return parts
+
+
+def _connectivity(v: int, xadj: list, adjncy: list, ew: list, pl: list) -> dict[int, float]:
+    """Edge weight from ``v`` to each neighbouring part, in adjacency order."""
+    conn: dict[int, float] = {}
+    for idx in range(xadj[v], xadj[v + 1]):
+        b = pl[adjncy[idx]]
+        conn[b] = conn.get(b, 0.0) + ew[idx]
+    return conn
+
+
+def fits(load: list[float], w: list[float], bound: list[float]) -> bool:
+    """``not np.any(load + w > bound)`` on Python floats."""
+    return not any(x + y > b for x, y, b in zip(load, w, bound))
 
 
 def lower_bounds_from_weights(
@@ -172,21 +218,57 @@ def repair_balance(
     *underloaded* one from the most loaded donor — always choosing the
     move with the least edge-cut damage.  Mutates and returns ``parts``.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     parts = np.asarray(parts, dtype=np.int64)
-    W = part_weights(graph, parts, k)
-    Lmax = balance_bounds(graph, k, eps, target_fracs)
-    Lmin = lower_bounds_from_weights(graph.vweights, k, eps, target_fracs)
-    sizes = np.bincount(parts, minlength=k)
-    xadj, adjncy, ew, vw = graph.xadj, graph.adjncy, graph.eweights, graph.vweights
-    budget = max_moves if max_moves is not None else graph.n_vertices + 32 * k
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    pl = parts.tolist()
 
-    def conn_of(v: int) -> dict[int, float]:
-        c: dict[int, float] = {}
-        for idx in range(int(xadj[v]), int(xadj[v + 1])):
-            b = int(parts[adjncy[idx]])
-            c[b] = c.get(b, 0.0) + float(ew[idx])
-        return c
+    def damages(v: int, src: int) -> Callable[[int], float]:
+        conn = _connectivity(v, xadj, adjncy, ew, pl)
+        internal = conn.get(src, 0.0)
+        return lambda dst: internal - conn.get(dst, 0.0)
+
+    def on_move(v: int, src: int, dst: int) -> None:
+        pl[v] = dst
+
+    return repair_loop(
+        graph.vweights, parts, k, eps, rng, damages, on_move, max_moves, target_fracs
+    )
+
+
+def repair_loop(
+    vw: np.ndarray,
+    parts: np.ndarray,
+    k: int,
+    eps: float,
+    rng: np.random.Generator | None,
+    damages: Callable[[int, int], Callable[[int], float]],
+    on_move: Callable[[int, int, int], None],
+    max_moves: int | None = None,
+    target_fracs: np.ndarray | None = None,
+) -> np.ndarray:
+    """The push/pull loop of :func:`repair_balance`, for any cut model.
+
+    ``damages(v, src)(dst)`` is the cut cost of moving ``v`` from ``src``
+    to ``dst``; ``on_move(v, src, dst)`` updates the caller's incremental
+    state.  Mutates and returns ``parts``.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    W = np.zeros((k, vw.shape[1]))
+    np.add.at(W, parts, vw)
+    Lmax = balance_bounds_from_weights(vw, k, eps, target_fracs)
+    Lmin = lower_bounds_from_weights(vw, k, eps, target_fracs)
+    sizes = np.bincount(parts, minlength=k)
+    budget = max_moves if max_moves is not None else len(parts) + 32 * k
+
+    def move(v: int, src: int, dst: int) -> None:
+        nonlocal budget
+        on_move(v, src, dst)
+        W[src] -= vw[v]
+        W[dst] += vw[v]
+        sizes[src] -= 1
+        sizes[dst] += 1
+        parts[v] = dst
+        budget -= 1
 
     # Stagnation guard: push/pull repairs can oscillate on granularity-
     # limited constraints (a handful of heavy vertices per part); bail out
@@ -210,6 +292,7 @@ def repair_balance(
             if stale > 16:
                 break
         moved = False
+        Wl = W.tolist()
         if len(over):
             excess = np.array([W[p, i] - Lmax[p, i] for p, i in over])
             p_over, i_con = (int(x) for x in over[int(np.argmax(excess))])
@@ -217,59 +300,44 @@ def repair_balance(
             if len(cand) and sizes[p_over] > 1:
                 if len(cand) > 256:
                     cand = rng.choice(cand, size=256, replace=False)
+                # fit[i, b]: moving cand[i] to b worsens no other violation
+                fit = ~np.any(W + vw[cand][:, None, :] > np.maximum(Lmax, W), axis=2)
+                fit[:, p_over] = False
                 best = None  # ((damage, dest_load), v, dest)
-                for v in cand:
-                    conn = conn_of(int(v))
-                    internal = conn.get(p_over, 0.0)
+                for v, row in zip(cand.tolist(), fit.tolist()):
+                    if not any(row):
+                        continue
+                    damage = damages(v, p_over)
                     for b in range(k):
-                        if b == p_over:
+                        if not row[b]:
                             continue
-                        newW = W[b] + vw[v]
-                        if np.any(newW > np.maximum(Lmax[b], W[b])):
-                            continue  # never worsen another violation
-                        damage = internal - conn.get(b, 0.0)
-                        key = (damage, W[b, i_con])
+                        key = (damage(b), Wl[b][i_con])
                         if best is None or key < best[0]:
-                            best = (key, int(v), b)
+                            best = (key, v, b)
                 if best is not None:
                     _, v, b = best
-                    W[p_over] -= vw[v]
-                    W[b] += vw[v]
-                    sizes[p_over] -= 1
-                    sizes[b] += 1
-                    parts[v] = b
-                    budget -= 1
+                    move(v, p_over, b)
                     moved = True
         if not moved and len(under):
             deficit = np.array([Lmin[p, i] - W[p, i] for p, i in under])
             p_under, i_con = (int(x) for x in under[int(np.argmax(deficit))])
             donors = np.argsort(-W[:, i_con])
             best = None
-            for d in donors[: max(4, k // 4)]:
-                d = int(d)
+            for d in donors[: max(4, k // 4)].tolist():
                 if d == p_under or sizes[d] <= 1 or W[d, i_con] <= W[p_under, i_con]:
                     continue
                 cand = np.nonzero((parts == d) & (vw[:, i_con] > 0))[0]
                 if len(cand) > 256:
                     cand = rng.choice(cand, size=256, replace=False)
-                for v in cand:
-                    newW = W[p_under] + vw[v]
-                    if np.any(newW > Lmax[p_under]):
-                        continue
-                    conn = conn_of(int(v))
-                    damage = conn.get(int(parts[v]), 0.0) - conn.get(p_under, 0.0)
-                    key = (damage, -W[d, i_con])
+                fit = ~np.any(W[p_under] + vw[cand] > Lmax[p_under], axis=1)
+                for v in cand[fit].tolist():
+                    key = (damages(v, d)(p_under), -Wl[d][i_con])
                     if best is None or key < best[0]:
-                        best = (key, int(v), d)
+                        best = (key, v, d)
             if best is None:
                 break
             _, v, d = best
-            W[d] -= vw[v]
-            W[p_under] += vw[v]
-            sizes[d] -= 1
-            sizes[p_under] += 1
-            parts[v] = p_under
-            budget -= 1
+            move(v, d, p_under)
             moved = True
         if not moved:
             break

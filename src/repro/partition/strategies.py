@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.levels import LevelAssignment
 from repro.mesh.mesh import Mesh
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, concat_ranges
 from repro.partition.hmultilevel import multilevel_hypergraph_partition
 from repro.partition.models import lts_dual_graph, lts_hypergraph
 from repro.partition.multilevel import multilevel_graph_partition
@@ -95,17 +95,11 @@ def _interpart_connectivity(
 ) -> np.ndarray:
     """``C[part, rank]``: dual-edge count between a level part and the
     elements already assembled on each rank."""
-    C = np.zeros((k, k))
-    pos = -np.ones(rank_of_element.shape[0], dtype=np.int64)
-    pos[elems_a] = np.arange(len(elems_a))
-    for i, e in enumerate(elems_a):
-        pa = int(parts_a[i])
-        for idx in range(int(graph.xadj[e]), int(graph.xadj[e + 1])):
-            nb = int(graph.adjncy[idx])
-            r = int(rank_of_element[nb])
-            if r >= 0:
-                C[pa, r] += 1.0
-    return C
+    pos, owner = concat_ranges(graph.xadj[elems_a], graph.xadj[elems_a + 1])
+    rank = rank_of_element[graph.adjncy[pos]]
+    placed = rank >= 0
+    pair = parts_a[owner[placed]] * k + rank[placed]
+    return np.bincount(pair, minlength=k * k).reshape(k, k).astype(np.float64)
 
 
 def partition_scotch_p(
