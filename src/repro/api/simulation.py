@@ -52,7 +52,7 @@ from repro.api.config import BackendSpec, PartitionSpec, SimulationConfig
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment, assign_levels
 from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
-from repro.core.newmark import Fields, run_cycles
+from repro.core.newmark import run_cycles
 from repro.core.workspace import HotPathTracer
 from repro.partition.strategies import PARTITIONERS
 from repro.runtime.checkpoint import (
@@ -64,7 +64,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.comm import MailboxWorld
-from repro.runtime.executor import DistributedLTSPlan, RankFields
+from repro.runtime.executor import DistributedLTSPlan
 from repro.runtime.faults import FaultyWorld
 from repro.runtime.halo import build_rank_layout
 from repro.runtime.supervisor import Supervisor
@@ -799,7 +799,6 @@ class Simulation:
         # Immutable, so resolved once, beside the other stages: a retry
         # re-binds (fresh buffers and mailbox world) and nothing else.
         solver_plan = self.solver_plan
-        layout = None if parts is None else solver_plan.layout
         ckpt_dir = (
             Path(res.checkpoint_dir) if resilient and res.checkpoint_dir else None
         )
@@ -824,44 +823,21 @@ class Simulation:
                 if traces is not None and state.traces is not None:
                     m = min(start, len(state.traces))
                     traces[:m] = state.traces[:m]
-            if layout is None:
-                solver = solver_plan.bind(dt, force=force)
-                if state is None:
-                    u, v = np.zeros(sem.n_dof), np.zeros(sem.n_dof)
-                else:
-                    u, v = state.u.copy(), state.v.copy()
-                fields = Fields(u, v, rec)
-            else:
-                world = (
-                    MailboxWorld(n_ranks)
-                    if plan is None
-                    else FaultyWorld(n_ranks, plan, attempt=i)
-                )
-                worlds.append(world)
-                solver = solver_plan.bind(dt, world=world, force=force)
-                if state is not None and state.u_locals is not None:
-                    # Exact per-rank replicas: bitwise continuation.
-                    u = [x.copy() for x in state.u_locals]
-                    v = [x.copy() for x in state.v_locals]
-                else:
-                    zeros = np.zeros(sem.n_dof)
-                    u = layout.scatter(zeros if state is None else state.u)
-                    v = layout.scatter(zeros if state is None else state.v)
-                fields = RankFields(layout, u, v, rec)
+            # A fresh mailbox world per attempt: the one distributed-only line.
+            world = {} if parts is None else {"world": (
+                MailboxWorld(n_ranks) if plan is None else FaultyWorld(n_ranks, plan, attempt=i)
+            )}
+            worlds.extend(world.values())
+            solver = solver_plan.bind(dt, force=force, **world)
+            fields = solver_plan.fields(state, rec)
             if state is not None:
                 solver.restore(state.solver_state())
 
             def write_checkpoint(cycle, u, v):
-                # ``u, v`` are the view's snapshot: global vectors on
-                # one rank, the per-rank replicas otherwise.
-                replicas = layout is not None
                 ckpt = CheckpointState(
                     cycle=cycle,
                     t=solver.t,
-                    u=layout.gather(u) if replicas else u,
-                    v=layout.gather(v) if replicas else v,
-                    u_locals=u if replicas else None,
-                    v_locals=v if replicas else None,
+                    **fields.checkpoint_arrays(u, v),
                     traces=None if traces is None else traces[:cycle],
                     dt=dt,
                     n_cycles_total=n_cycles,

@@ -142,25 +142,9 @@ class HealthGuard:
         ``cycle`` is the 1-based count of completed cycles.  Returns
         ``True`` when the checks ran and passed, ``False`` when skipped;
         raises :class:`~repro.util.errors.NumericalError` on failure.
+        This is :meth:`check_locals` over the one replica.
         """
-        if not force and cycle % self.check_every != 0:
-            return False
-        self.checks_run += 1
-        bad_u = ~np.isfinite(u)
-        if bad_u.any():
-            self._fail_nonfinite(cycle, np.nonzero(bad_u)[0], "u")
-        if v is not None:
-            bad_v = ~np.isfinite(v)
-            if bad_v.any():
-                self._fail_nonfinite(cycle, np.nonzero(bad_v)[0], "v")
-        if self.energy_factor is not None:
-            # The proxy may overflow to inf right at blow-up — that is
-            # the condition being detected, not a warning-worthy event.
-            with np.errstate(over="ignore", invalid="ignore"):
-                e = float(u @ u) + (0.0 if v is None else float(v @ v))
-            self._check_energy(cycle, e)
-        self.last_healthy = cycle
-        return True
+        return self.check_locals(cycle, [u], None if v is None else [v], force=force)
 
     def check_locals(
         self,
@@ -180,31 +164,25 @@ class HealthGuard:
         (the per-rank local-to-global maps) translates bad local
         indices into global DOFs so element diagnostics still work.
         The energy proxy sums over all replicas; shared DOFs are
-        double-counted, consistently across cycles.
+        double-counted, consistently across cycles.  A failure names the
+        field, and the rank when there are several replicas.
         """
         if not force and cycle % self.check_every != 0:
             return False
         self.checks_run += 1
-        for r, u_r in enumerate(u_locals):
-            bad = ~np.isfinite(u_r)
-            if bad.any():
-                idx = np.nonzero(bad)[0]
-                self._fail_nonfinite(
-                    cycle,
-                    idx if gdofs is None else np.asarray(gdofs[r])[idx],
-                    f"u (rank {r})",
-                )
-        if v_locals is not None:
-            for r, v_r in enumerate(v_locals):
-                bad = ~np.isfinite(v_r)
+        for name, replicas in (("u", u_locals), ("v", v_locals or [])):
+            for r, x in enumerate(replicas):
+                bad = ~np.isfinite(x)
                 if bad.any():
                     idx = np.nonzero(bad)[0]
                     self._fail_nonfinite(
                         cycle,
                         idx if gdofs is None else np.asarray(gdofs[r])[idx],
-                        f"v (rank {r})",
+                        name if len(replicas) == 1 else f"{name} (rank {r})",
                     )
         if self.energy_factor is not None:
+            # The proxy may overflow to inf right at blow-up — that is
+            # the condition being detected, not a warning-worthy event.
             with np.errstate(over="ignore", invalid="ignore"):
                 e = sum(float(x @ x) for x in u_locals)
                 if v_locals is not None:

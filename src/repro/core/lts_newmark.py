@@ -25,9 +25,9 @@ Two implementations share one recursion:
 
   - *restricted applies*: level ``k`` precomputes the product
     ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
-    .restrict`), which reads only the level's columns and writes only
-    its row support.  Level 1's product runs in mesh numbering; every
-    finer one is renumbered onto its depth's active set
+    .restrict`), which reads only the level's columns and overwrites its
+    whole output, zero off its row support.  Level 1's product runs in
+    mesh numbering; every finer one is renumbered onto its depth's active set
     (:meth:`~repro.core.operator.Restriction.renumber`), so it reads
     and overwrites that depth's compact vectors directly;
   - *depth 0 is plain Newmark plus a fix-up*: outside the coarsest
@@ -65,7 +65,10 @@ the ranks sharing its rows; :class:`_LockStepCycle` runs the phases over
 a list of states with a ``_sum_shared(level)`` hook at each cut.
 :class:`LTSNewmarkSolver` is that driver over one state, its hook doing
 nothing; :class:`repro.runtime.executor.DistributedLTSSolver` the same
-driver over one state per rank, its hook the halo exchange.
+driver over one state per rank, its hook the halo exchange.  Their
+plans share one builder, :func:`plan_numberings`: the serial plan is
+the one-numbering case, the distributed plan runs it over one numbering
+per rank and adds only the exchange channels and ``1/M``.
 
 The solver is backend- and dimension-agnostic: ``A`` may be a scipy
 sparse matrix (the assembled path), or any
@@ -80,7 +83,6 @@ implementation does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -88,7 +90,9 @@ import numpy as np
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment
 from repro.core.newmark import Fields, run_cycles, subtract_force
-from repro.core.operator import AssembledOperator, Restriction, as_operator
+from repro.core.operator import (
+    AssembledOperator, Restriction, _restrict_levels, as_operator, inverse_numbering,
+)
 from repro.core.workspace import workspace_bytes
 from repro.sem.fused import bind_phase
 from repro.util.errors import SolverError
@@ -249,11 +253,10 @@ class _RankState:
 
     ``restr0`` and the bound ``depths`` arrive forked, each depth's
     product renumbered onto its active set.  ``z1`` is level 1's output,
-    in this numbering; where that product writes its row support only,
-    ``z1`` is zero-initialised and ``z1_stale`` says whether a source
-    entry outside the support makes it need clearing every cycle.
-    ``minv`` is the numbering's ``1/M`` where the products lack it,
-    ``force`` the source in this numbering.  ``tier`` is the kernel tier
+    in this numbering, overwritten whole by every apply (as every
+    product's output is), so a source entry written into it lasts one
+    cycle.  ``minv`` is the numbering's ``1/M`` where the products lack
+    it, ``force`` the source in this numbering.  ``tier`` is the kernel tier
     of the level-1 product: where it is a ``fused`` one, each vector
     phase is one C call (:meth:`_bind_c`), bitwise the NumPy phases.
     The state never refers back to its solver: through such a cycle the
@@ -262,10 +265,9 @@ class _RankState:
 
     def __init__(self, dt: float, level0: int, restr0: Restriction,
                  depths: list[_Depth], z1: np.ndarray, force=None,
-                 minv: np.ndarray | None = None, z1_stale: bool = False,
-                 tier: str = ""):
+                 minv: np.ndarray | None = None, tier: str = ""):
         self.dt, self.level0, self.restr0, self.depths = dt, level0, restr0, depths
-        self.z1, self.force, self.minv, self.z1_stale = z1, force, minv, z1_stale
+        self.z1, self.force, self.minv = z1, force, minv
         self.n = len(z1)
         native = tier.startswith("fused")
         #: Depth 0's full-length scratch (the C phases need none).
@@ -344,8 +346,6 @@ class _RankState:
 
     def apply_coarse(self, u: np.ndarray, counter) -> None:
         """``z1 = A P_1 u``, the level's own (unsummed) share."""
-        if self.z1_stale:
-            self.z1.fill(0.0)
         self.restr0.apply(u, out=self.z1)
         if counter is not None:
             counter.count_stiffness(self.level0, self.restr0.ops)
@@ -468,6 +468,85 @@ class _RankState:
             counter.count_vector(5 * len(u0))
 
 
+def active_levels(dof_levels: list[np.ndarray]) -> list[int]:
+    """The non-empty levels over every numbering, ascending: all
+    numberings follow one schedule, whether a level is present locally
+    or not."""
+    require(all(lv.min(initial=1) >= 1 for lv in dof_levels), "levels must be >= 1", SolverError)
+    return sorted({int(k) for lv in dof_levels for k in np.flatnonzero(np.bincount(lv))})
+
+
+@dataclass
+class NumberingPlan:
+    """One DOF numbering's share of an optimized plan — the whole mesh,
+    or one rank's local DOFs: its coarsest level's product, the compact
+    recursion of the finer levels, and the level-1 product's kernel
+    tier."""
+
+    n: int
+    level0: int
+    restr0: Restriction
+    depths: list[_Depth]
+    tier: str
+
+    def bind(self, dt: float, force=None, minv: np.ndarray | None = None) -> _RankState:
+        """A state stepping this numbering: fresh buffers, forked products."""
+        return _RankState(
+            dt, self.level0, self.restr0.fork(), [d.bind() for d in self.depths],
+            np.empty(self.n), force=force, minv=minv, tier=self.tier,
+        )
+
+
+def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None):
+    """The per-numbering work of both optimized plans: :class:`LTSPlan`
+    runs it over one numbering, the distributed plan over one per rank.
+
+    ``stiffness[r]`` makes numbering ``r``'s level products
+    (:func:`~repro.core.operator._restrict_levels`: an operator's
+    ``restrict``, a rank-local stiffness's ``masked_subset``) and
+    ``dof_levels[r]`` holds its DOF levels.  Numberings that share rows
+    pass ``channels(supports)``, which makes a level's exchange plan
+    from every numbering's row support of that level.  Depth ``i``'s
+    active set is, over the levels ``k >= level_i``, the level-``k``
+    columns, the rows the level-``k`` product writes and every index
+    the level's exchange keeps — a shared DOF only a peer's gray-halo
+    element writes still receives a sum there.
+
+    Returns the active levels, one :class:`NumberingPlan` per numbering
+    and the exchange plan per level (``{}`` without ``channels``), each
+    in the numbering its level's output lands in: the numberings' own
+    for the coarsest level, the depth's active set for a finer one.
+    """
+    levels = active_levels(dof_levels)
+    col_masks = [[lv == k for k in levels] for lv in dof_levels]
+    # The coarsest level's rows matter only to an exchange (its reach is
+    # a pass over nearly every element), so ``supports[r][j - first]``.
+    first = 0 if channels else 1
+    restr, supports = zip(*(
+        _restrict_levels(K, m, first) for K, m in zip(stiffness, col_masks)
+    ))
+    exchange = {} if channels is None else {
+        k: channels([s[j] for s in supports]) for j, k in enumerate(levels)
+    }
+    numberings = []
+    for r, (K, lv) in enumerate(zip(stiffness, dof_levels)):
+        active, acts = np.zeros(len(lv), dtype=bool), []
+        for j in range(len(levels) - 1, 0, -1):  # finest first
+            active = active | col_masks[r][j] | supports[r][j - first]
+            for idx in exchange[levels[j]].indices[r] if exchange else ():
+                active[idx] = True
+            acts.append(active)
+        depths = compact_depths(levels[1:], restr[r][1:], acts[::-1])
+        numberings.append(
+            NumberingPlan(len(lv), levels[0], restr[r][0], depths, getattr(K, "tier", ""))
+        )
+    for i, k in enumerate(levels[1:] if exchange else ()):
+        exchange[k] = exchange[k].renumber(
+            [inverse_numbering(nb.depths[i].idx, nb.n) for nb in numberings]
+        )
+    return levels, numberings, exchange
+
+
 class _LockStepCycle:
     """One optimized LTS cycle over ``self._states`` in lock step, and
     what a solver keeps around it: the schedule position and ``run``.
@@ -582,9 +661,10 @@ class _LockStepCycle:
 class LTSPlan:
     """What an :class:`LTSNewmarkSolver` derives from the operator and
     the DOF levels alone: the non-empty levels, their columns and, in
-    ``mode="optimized"``, the per-level restricted products (the fine
-    ones renumbered onto their depths' active sets), the active sets and
-    the compact recursion's index maps.  Stepping changes none of it, so
+    ``mode="optimized"``, :func:`plan_numberings` over the one numbering
+    (:attr:`numbering`: the per-level restricted products, the fine ones
+    renumbered onto their depths' active sets, and the compact
+    recursion's index maps).  Stepping changes none of it, so
     one plan serves any number of solvers, concurrently too: :meth:`bind`
     gives each its own buffers and operator scratch.
     (Optimized mode only: reference-mode solvers all apply the plan's
@@ -606,47 +686,23 @@ class LTSPlan:
         require(bool(np.all(self.dof_level >= 1)), "levels must be >= 1", SolverError)
 
         self.n_levels = int(self.dof_level.max())
-        counts = np.bincount(self.dof_level, minlength=self.n_levels + 1)
-        #: Non-empty levels, ascending (level 1 is always present: the
-        #: coarsest existing level defines the cycle step).
-        self.active_levels: list[int] = [
-            k for k in range(1, self.n_levels + 1) if counts[k] > 0
-        ]
-        require(
-            self.active_levels[0] >= 1 and self.active_levels[-1] == self.n_levels,
-            "corrupt level histogram",
-            SolverError,
-        )
-        self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
-        self.restr0: Restriction | None = None
-        self.depths: list[_Depth] = []
-        if mode != "optimized":
-            return
-        # ``op.restrict(cols)`` gives the per-level product (column blocks
-        # for the assembled backend, element subsets for the matrix-free
-        # one); ``op.reach()`` — one vectorized structural query per depth
-        # — the active set of depth ``i``: the rows reachable from the
-        # columns of levels ``>= active_levels[i]``, plus those columns;
-        # :func:`compact_depths` orders them and renumbers the products.
-        levels = self.active_levels
-        restr = {k: self.op.restrict(self._cols[k]) for k in levels}
-        self.restr0 = restr[levels[0]]
-        masks = []
-        for lv in levels[1:]:
-            col_mask = self.dof_level >= lv
-            masks.append(self.op.reach(col_mask) | col_mask)
-        self.depths = compact_depths(
-            levels[1:], [restr[lv] for lv in levels[1:]], masks
-        )
-
-    @cached_property
-    def reach1(self) -> np.ndarray:
-        """Rows the coarsest level's columns reach (see ``_F1_stale``)."""
-        return self.op.reach(self.dof_level == self.active_levels[0])
+        #: Non-empty levels, ascending (the coarsest defines the cycle step).
+        self.active_levels = active_levels([self.dof_level])
+        self.numbering: NumberingPlan | None = None
+        self._cols = None  # reference mode's level columns (products hold their own)
+        if mode == "optimized":
+            _, (self.numbering,), _ = plan_numberings([self.op], [self.dof_level])
+        else:
+            self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
 
     def bind(self, dt: float, force=None, counter=None) -> "LTSNewmarkSolver":
         """A solver stepping this plan: only buffers are allocated."""
         return LTSNewmarkSolver(self, None, dt, force=force, counter=counter)
+
+    def fields(self, state=None, receiver_dofs=None) -> Fields:
+        """The field view a bound solver steps: zeros, or a copy of a
+        :class:`~repro.runtime.checkpoint.CheckpointState`'s."""
+        return Fields.start(self.n_dof, state, receiver_dofs)
 
 
 class LTSNewmarkSolver(_LockStepCycle):
@@ -697,23 +753,8 @@ class LTSNewmarkSolver(_LockStepCycle):
         self.mode, self.op, self.A = plan.mode, plan.op, plan.A
         self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
         self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
-        if self.mode != "optimized":
-            return
-        n = self.n_dof
-        # Level 1's output also takes the source term.  The depth-0 step
-        # keeps its unwritten rows at zero (0 * dt), so only a source entry
-        # outside the level's row support could survive into the next
-        # cycle: a dense force, or a point source no level-1 column
-        # reaches.  Only then is the buffer cleared every cycle.
-        stale = force is not None
-        if stale:
-            dof = getattr(force, "dof", None)
-            stale = not (plan.reach1.all() or (dof is not None and plan.reach1[dof]))
-        self._states = [_RankState(
-            self.dt, self.active_levels[0], plan.restr0.fork(),
-            [d.bind() for d in plan.depths], np.zeros(n),
-            force=force, z1_stale=stale, tier=getattr(plan.op, "tier", ""),
-        )]
+        if self.mode == "optimized":
+            self._states = [plan.numbering.bind(self.dt, force=force)]
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and

@@ -44,6 +44,18 @@ class Fields:
         self.u, self.v = u, v
         self.receiver_dofs = receiver_dofs
 
+    @classmethod
+    def start(cls, n_dof: int, state=None, receiver_dofs=None) -> "Fields":
+        """Zero fields, or a copy of ``state``'s (a
+        :class:`~repro.runtime.checkpoint.CheckpointState`)."""
+        if state is None:
+            return cls(np.zeros(n_dof), np.zeros(n_dof), receiver_dofs)
+        return cls(state.u.copy(), state.v.copy(), receiver_dofs)
+
+    def checkpoint_arrays(self, u: np.ndarray, v: np.ndarray) -> dict:
+        """A checkpoint's fields from a :meth:`snapshot` ``(u, v)``."""
+        return {"u": u, "v": v}
+
     def receivers(self) -> np.ndarray:
         """Displacement at the receiver DOFs (one trace row)."""
         return self.u[self.receiver_dofs]

@@ -149,7 +149,7 @@ class Restriction:
     def renumber(self, idx: np.ndarray, n: int | None = None) -> "Restriction":
         """The same product on the numbering ``idx``: position ``j`` is
         DOF ``idx[j]``, input and output have length ``len(idx)``, and
-        the output is overwritten whole (zero outside the row support).
+        the output is overwritten whole, as by every :meth:`apply`.
         ``cols`` become positions in ``idx``.  This is how an LTS depth
         applies its level on its own active set with no index traffic.
 
@@ -170,20 +170,12 @@ class Restriction:
         return _adapted(self, idx, int(n))
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
-
-        ``out=None`` returns a fresh, fully defined full-length vector.
-        With ``out=`` nothing is allocated and the product is written
-        on the restriction's *row support* (the rows ``cols`` reach);
-        entries of ``out`` outside it are either left untouched (the
-        matrix-free backends, when the support is a minority of the
-        rows — the cost of a fine LTS level is then proportional to the
-        level) or set to zero (dense supports, the assembled backend,
-        every renumbered product).  A caller that reads
-        ``out`` beyond the support therefore hands such a restriction a
-        zero-initialised buffer of its own, as
-        :class:`~repro.core.lts_newmark.LTSNewmarkSolver` does for
-        level 1."""
+        """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``), into a
+        fresh vector or, allocating nothing, into ``out``.  Either way
+        every entry is written — zero outside the row support (the rows
+        ``cols`` reach) — so no caller clears an output before an apply
+        or after one.  A fine LTS level costs its active set because its
+        product is renumbered onto that set (:meth:`renumber`)."""
         return self._apply(u, out=out)
 
 
@@ -193,9 +185,8 @@ def _adapted(inner: Restriction, idx: np.ndarray, n: int) -> Restriction:
     cols = inner.cols
     colpos = positions_in(inverse_numbering(idx, n), cols, "column")
     # The product reads only its columns: the rest of ``w`` stays 0
-    # (finite, as the matrix-free gather needs), rows it never writes
-    # stay 0 in ``z``.
-    c, w, z = np.empty(len(cols)), np.zeros(n), np.zeros(n)
+    # (finite, as the matrix-free gather needs).
+    c, w, z = np.empty(len(cols)), np.zeros(n), np.empty(n)
     apply = inner.apply
 
     def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -334,3 +325,42 @@ def as_operator(A) -> StiffnessOperator:
     if hasattr(A, "restrict") and hasattr(A, "reach") and hasattr(A, "apply"):
         return A
     return AssembledOperator(A)
+
+
+def _restriction(cols: np.ndarray, sub) -> Restriction:
+    """The masked stiffness ``sub`` (a ``masked_subset``) as the
+    restricted product over ``cols``, able to fork and renumber when its
+    *class* is: a caller's proxy that forwards attribute lookups has
+    neither of its own, so it is used as is and renumbered through the
+    adaptor of :meth:`Restriction.renumber` (the proxy keeps seeing
+    every apply)."""
+    fork = getattr(type(sub), "fork", None)
+    renumber = getattr(type(sub), "renumber", None)
+    return Restriction(
+        cols, sub.nnz, sub.apply,
+        workspace_bytes=getattr(sub, "workspace_bytes", 0),
+        _fork=fork and (lambda: _restriction(cols, fork(sub))),
+        _renumber=renumber and (lambda idx: _restriction(
+            positions_in(inverse_numbering(idx, sub.shape[0]), cols, "column"),
+            renumber(sub, idx),
+        )),
+    )
+
+
+def _restrict_levels(K, col_masks: list[np.ndarray], first_support: int = 0):
+    """One numbering's restricted products ``u -> K[:, cols_k] u[cols_k]``,
+    one per level mask in the order given (coarsest first), and, per
+    level from ``first_support`` on, the rows the product can write.
+
+    Two protocols make them: a rank-local stiffness restricts to the
+    level's elements plus their gray halo (``masked_subset``) and knows
+    their ``row_support``; an operator — or a CSR block, wrapped —
+    answers ``restrict`` and ``reach``.
+    """
+    cols = [np.nonzero(m)[0] for m in col_masks]
+    if hasattr(K, "masked_subset"):
+        subs = [K.masked_subset(m) for m in col_masks]
+        restr = [_restriction(c, s) for c, s in zip(cols, subs)]
+        return restr, [s.row_support() for s in subs[first_support:]]
+    op = as_operator(K)
+    return [op.restrict(c) for c in cols], [op.reach(m) for m in col_masks[first_support:]]

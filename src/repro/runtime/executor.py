@@ -23,17 +23,17 @@ No LTS arithmetic lives here.  The cycle is the serial solver's
 recursion over the rank's local DOFs, and the one lock-step driver runs
 the ranks' phases with this module's halo sum between each level's
 apply and its update, so a substep costs each rank work proportional to
-its *local* active set, never to its local vector.  What this module
-adds is the plan.  A rank's depth-``i`` active set is, over the levels
-``k >= level_i``, its level-``k`` columns, the rows its level-``k``
-product writes, **and every local index the level's exchange plan
+its *local* active set, never to its local vector.  The plan is the
+serial one too: :func:`~repro.core.lts_newmark.plan_numberings`, the
+builder behind :class:`~repro.core.lts_newmark.LTSPlan`, runs over one
+numbering per rank.  What this module adds is the exchange channels and
+the rank-local ``1/M`` (Dirichlet rows folded in).  A rank's active
+sets therefore also hold **every local index the level's exchange plan
 keeps** — a shared DOF that only a peer's gray-halo element writes
-still receives a nonzero through the exchange.  Each fine level steps
-in its depth's own numbering: its product is renumbered onto that
-active set (:meth:`~repro.core.operator.Restriction.renumber`) and its
-exchange plan's indices with it, so the halo sum packs and accumulates
-the depth's compact output directly.  The distributed solution
-equals the serial one up to floating-point summation order (tested at
+still receives a nonzero through the exchange — and each fine level's
+exchange indices are renumbered with its product, so the halo sum packs
+and accumulates the depth's compact output directly.  The distributed
+solution equals the serial one up to floating-point summation order (tested at
 1e-12 against the serial solver and its ``mode="reference"`` oracle for
 random level assignments and partitions, one rank included): the
 partitioned execution computes *the same scheme*, for any partition.
@@ -54,12 +54,10 @@ from typing import Callable
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.core.lts_newmark import _LockStepCycle, _RankState, compact_depths
-from repro.core.operator import (
-    AssembledOperator, Restriction, inverse_numbering, positions_in,
-)
+from repro.core.lts_newmark import _LockStepCycle, plan_numberings
+from repro.core.operator import _restrict_levels  # noqa: F401  (importable here)
 from repro.runtime.comm import MailboxWorld, RankComm
-from repro.runtime.halo import ExchangePlan, RankLayout
+from repro.runtime.halo import RankLayout
 from repro.util.errors import CommError, SolverError
 from repro.util.validation import require
 
@@ -101,6 +99,27 @@ class RankFields:
                     self._receivers.append((r, i))
                     break
 
+    @classmethod
+    def start(cls, layout: RankLayout, state=None, receiver_dofs=None) -> "RankFields":
+        """Zero replicas, or ``state``'s (a
+        :class:`~repro.runtime.checkpoint.CheckpointState`): its exact
+        per-rank replicas when it holds them — a bitwise continuation —
+        else its global fields scattered."""
+        if state is not None and state.u_locals is not None:
+            u, v = [x.copy() for x in state.u_locals], [x.copy() for x in state.v_locals]
+        elif state is None:
+            zeros = np.zeros(layout.n_dof_global)
+            u, v = layout.scatter(zeros), layout.scatter(zeros)
+        else:
+            u, v = layout.scatter(state.u), layout.scatter(state.v)
+        return cls(layout, u, v, receiver_dofs)
+
+    def checkpoint_arrays(self, u: list[np.ndarray], v: list[np.ndarray]) -> dict:
+        """A checkpoint's fields from a :meth:`snapshot`: the gathered
+        global fields and the exact replicas."""
+        return {"u": self.layout.gather(u), "v": self.layout.gather(v),
+                "u_locals": u, "v_locals": v}
+
     def receivers(self) -> list[float]:
         return [self.u[r][i] for r, i in self._receivers]
 
@@ -116,107 +135,42 @@ class RankFields:
         return self.layout.gather(self.u), self.layout.gather(self.v)
 
 
-def _restriction(cols: np.ndarray, sub) -> Restriction:
-    """The masked stiffness ``sub`` as the restricted product over
-    ``cols``, able to fork and renumber when its *class* is: a caller's
-    proxy that forwards attribute lookups has neither of its own, so it
-    is used as is and renumbered through the adaptor of
-    :meth:`Restriction.renumber` (the proxy keeps seeing every apply)."""
-    fork = getattr(type(sub), "fork", None)
-    renumber = getattr(type(sub), "renumber", None)
-    return Restriction(
-        cols, sub.nnz, sub.apply,
-        _fork=fork and (lambda: _restriction(cols, fork(sub))),
-        _renumber=renumber and (lambda idx: _restriction(
-            positions_in(inverse_numbering(idx, sub.shape[0]), cols, "column"),
-            renumber(sub, idx),
-        )),
-    )
-
-
-def _restrict_levels(K, col_masks: list[np.ndarray]):
-    """One rank's restricted products ``u -> K[:, cols_k] u[cols_k]``,
-    one per level mask in the order given (coarsest first), and, per
-    level, the rows the product can write.
-
-    A matrix-free ``K`` restricts to the level's elements plus their
-    gray halo; an assembled CSR to its column block.  Either way the
-    product overwrites the whole output (zero outside the row support).
-    """
-    cols = [np.nonzero(m)[0] for m in col_masks]
-    if hasattr(K, "masked_subset"):
-        subs = [K.masked_subset(m) for m in col_masks]
-        restr = [_restriction(c, s) for c, s in zip(cols, subs)]
-        return restr, [s.row_support() for s in subs]
-    op = AssembledOperator(K)
-    return [op.restrict(c) for c in cols], [op.reach(m) for m in col_masks]
-
-
 class DistributedLTSPlan:
     """What a :class:`DistributedLTSSolver` derives from the rank layout
-    alone: the global level schedule and, per rank, the level-restricted
-    products, the per-level exchange channels (both in the numbering the
-    level's output lands in: local for level 1, the depth's active set
-    for a finer one), the active sets with the compact recursion's index
-    maps, and ``1/M``.  Stepping changes none of it, so one plan serves
-    any number of solvers, concurrently too: :meth:`bind` gives each its
-    own vectors, buffers and operator scratch.
+    alone: the serial plan's per-numbering work
+    (:func:`~repro.core.lts_newmark.plan_numberings`) over one numbering
+    per rank, plus what ranks sharing rows add — the per-level exchange
+    channels and the rank-local ``1/M``.  A level's channels keep only
+    the shared positions some sharer's product can write (untouched
+    channels drop out), so message volume scales with the level's
+    footprint.  Stepping changes none of it, so one plan serves any
+    number of solvers, concurrently too: :meth:`bind` gives each its own
+    vectors, buffers and operator scratch.
     """
 
     def __init__(self, layout: RankLayout):
         self.layout = layout
-        n_ranks, dof_levels = layout.n_ranks, layout.dof_level_local
         require(
-            len(dof_levels) == n_ranks,
+            len(layout.dof_level_local) == layout.n_ranks,
             "layout must carry dof levels (build_rank_layout(dof_level=...))",
             SolverError,
         )
-        #: Non-empty levels across the whole domain (every rank follows the
-        #: same global schedule even if a level is locally absent).
-        self.active_levels = levels = sorted(
-            {int(k) for lv in dof_levels for k in np.unique(lv)}
+        #: The global level schedule, the per-rank :class:`~repro.core
+        #: .lts_newmark.NumberingPlan` and, per level, the exchange plan
+        #: in the numbering the level's output lands in.
+        self.active_levels, self.numberings, self.exchange = plan_numberings(
+            layout.K_local, layout.dof_level_local, channels=layout.exchange_channels
         )
-        require(min(levels, default=1) >= 1, "levels must be >= 1", SolverError)
-        col_masks = [[lv == k for k in levels] for lv in dof_levels]
-        restr, supports = zip(*(
-            _restrict_levels(K, m) for K, m in zip(layout.K_local, col_masks)
-        ))
-        #: Per rank, the coarsest level's product (applied to ``u`` itself).
-        self.restr0 = [rs[0] for rs in restr]
-        # Per-level exchange plans: channel positions outside every
-        # sharer's structural row support carry only zeros, so each
-        # level's plan keeps just the reachable slice (and drops
-        # untouched channels outright).  Message volume then scales with
-        # the level footprint instead of the full interface.
-        self.exchange: dict[int, ExchangePlan] = {
-            k: layout.exchange_channels([sup[j] for sup in supports])
-            for j, k in enumerate(levels)
-        }
-        #: ``depths[r][i]``: rank ``r``'s index maps at depth ``i``.
-        self.depths = []
-        # Active sets, finest first: whatever a level >= k can make
-        # nonzero on this rank, through its own product or the exchange.
-        for r in range(n_ranks):
-            active, acts = np.zeros(len(layout.gdofs[r]), dtype=bool), []
-            for j in range(len(levels) - 1, 0, -1):
-                active = active | col_masks[r][j] | supports[r][j]
-                for idx in self.exchange[levels[j]].indices[r]:
-                    active[idx] = True
-                acts.append(active)
-            self.depths.append(compact_depths(levels[1:], restr[r][1:], acts[::-1]))
-        # A fine level's output lands in its depth's numbering: so do
-        # the indices its exchange packs and accumulates.
-        for i, k in enumerate(levels[1:]):
-            self.exchange[k] = self.exchange[k].renumber([
-                inverse_numbering(d[i].idx, len(g))
-                for d, g in zip(self.depths, layout.gdofs)
-            ])
-        #: The rank-local ``1/M`` the exchanged sums are scaled by.
-        self.Minv = [1.0 / M for M in layout.M_local]
+        #: The rank-local ``1/M`` (Dirichlet rows: 0) the sums are scaled by.
+        self.Minv = layout.Minv_local
 
     def bind(self, dt: float, world=None, force=None) -> "DistributedLTSSolver":
         """A solver stepping this plan: only buffers are allocated."""
         return DistributedLTSSolver(self, dt, world, force)
+
+    def fields(self, state=None, receiver_dofs=None) -> RankFields:
+        """The replica view a bound solver steps (:meth:`RankFields.start`)."""
+        return RankFields.start(self.layout, state, receiver_dofs)
 
 
 def _rank_forces(layout: RankLayout, force) -> list:
@@ -272,18 +226,9 @@ class DistributedLTSSolver(_LockStepCycle):
         self.comms: list[RankComm] = self.world.comms()
         self.active_levels = plan.active_levels
         self._plans = {k: p.fork() for k, p in plan.exchange.items()}
-        # Every product overwrites its whole output, so level 1's needs
-        # no zeroing; the finer levels' come with their depths.
         self._states = [
-            _RankState(
-                self.dt, self.active_levels[0], restr0.fork(),
-                [d.bind() for d in depths], np.empty(len(g)), force=f, minv=minv,
-                tier=getattr(K, "tier", ""),
-            )
-            for restr0, depths, g, f, minv, K in zip(
-                plan.restr0, plan.depths, layout.gdofs,
-                _rank_forces(layout, force), plan.Minv, layout.K_local,
-            )
+            nb.bind(self.dt, force=f, minv=minv)
+            for nb, f, minv in zip(plan.numberings, _rank_forces(layout, force), plan.Minv)
         ]
         #: Per level, each rank's apply output (what the exchange sums).
         self._outputs = {

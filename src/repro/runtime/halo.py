@@ -135,6 +135,11 @@ class RankLayout:
     M_local:
         Per rank, the fully-summed diagonal mass restricted to local DOFs
         (collected once at setup, as production codes do).
+    Minv_local:
+        Per rank, ``1/M`` on the local DOFs with the Dirichlet row mask
+        folded in (0 on a masked row), as the serial operator holds it:
+        what the summed partial products are scaled by.  The column mask
+        sits in ``K_local``.
     halo:
         Per rank, the exchange plan.
     owner:
@@ -148,6 +153,7 @@ class RankLayout:
     gdofs: list[np.ndarray]
     K_local: list[sp.csr_matrix]
     M_local: list[np.ndarray]
+    Minv_local: list[np.ndarray]
     halo: list[HaloExchange]
     owner: list[np.ndarray]
     dof_level_local: list[np.ndarray] = field(default_factory=list)
@@ -291,6 +297,7 @@ def build_rank_layout(
         PartitionError,
     )
     element_dofs = np.asarray(assembler.element_dofs)
+    mask = getattr(assembler, "dirichlet_mask", None)
     n_elem, n_loc = element_dofs.shape
     n_dof = int(assembler.n_dof)
     parts = np.asarray(parts, dtype=np.int64)
@@ -338,7 +345,8 @@ def build_rank_layout(
                 )
             )
         else:
-            K_local.append(_rank_stiffness_assembled(assembler, owned, ld, len(ids)))
+            K = _rank_stiffness_assembled(assembler, owned, ld, len(ids))
+            K_local.append(K if mask is None else sp.csr_matrix(K @ sp.diags(mask[ids])))
 
     # Ownership (lowest touching rank) and shared-DOF counts, vectorized.
     owner_of = np.full(n_dof, n_ranks, dtype=np.int64)
@@ -385,6 +393,9 @@ def build_rank_layout(
                 _, Me = assembler.element_system(int(e))
                 np.add.at(M_global, gdofs[r][ld], Me)
     M_local = [M_global[g].copy() for g in gdofs]
+    Minv_local = [
+        1.0 / M if mask is None else (1.0 / M) * mask[g] for M, g in zip(M_local, gdofs)
+    ]
 
     levels_local: list[np.ndarray] = []
     if dof_level is not None:
@@ -398,6 +409,7 @@ def build_rank_layout(
         gdofs=gdofs,
         K_local=K_local,
         M_local=M_local,
+        Minv_local=Minv_local,
         halo=halos,
         owner=owner_masks,
         dof_level_local=levels_local,

@@ -215,30 +215,15 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
  * shared z) or OpenMP (per-thread n_dof slices of the caller scratch
  * zt, reduced deterministically in ascending thread order — no atomics,
  * and the static schedules make the partial sums reproducible for a
- * fixed thread count).  ne must be a multiple of VL.
- *
- * rows (optional, with n_rows): the sorted row support of ed.  When
- * given, only those entries of z are zeroed, accumulated and scaled —
- * an LTS fine level then costs its own rows, not n_dof — and Minv is
- * the compact per-row coefficient Minv[j] for row rows[j]; z outside
- * the support is left untouched.  rows == NULL is the contiguous
- * full-overwrite pass (Minv full-length).
+ * fixed thread count).  ne must be a multiple of VL.  Every apply
+ * overwrites all n_dof entries of z: zeroed, accumulated, then scaled
+ * by the full-length Minv when one is given.
  */
-#define ZERO_ROWS(ZP)                                                        \
-    do {                                                                     \
-        if (rows)                                                            \
-            for (long j = 0; j < n_rows; ++j) (ZP)[rows[j]] = 0.0;           \
-        else                                                                 \
-            memset((ZP), 0, (size_t)n_dof * sizeof(double));                 \
-    } while (0)
-
 #define SERIAL_DRIVER(CALL)                                                  \
     do {                                                                     \
-        ZERO_ROWS(z);                                                        \
+        memset(z, 0, (size_t)n_dof * sizeof(double));                        \
         for (long e0 = 0; e0 < ne; e0 += VL) { CALL(z); }                    \
-        if (Minv && rows)                                                    \
-            for (long j = 0; j < n_rows; ++j) z[rows[j]] *= Minv[j];         \
-        else if (Minv)                                                       \
+        if (Minv)                                                            \
             for (long i = 0; i < n_dof; ++i) z[i] *= Minv[i];                \
     } while (0)
 
@@ -246,20 +231,18 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
 #define APPLY_DRIVER(CALL)                                                   \
     do {                                                                     \
         if (n_threads > 1 && zt) {                                           \
-            long n_out = rows ? n_rows : n_dof;                              \
             _Pragma("omp parallel num_threads(n_threads)")                   \
             {                                                                \
                 double *zme = zt + (size_t)omp_get_thread_num() * n_dof;     \
-                ZERO_ROWS(zme);                                              \
+                memset(zme, 0, (size_t)n_dof * sizeof(double));              \
                 _Pragma("omp for schedule(static)")                          \
                 for (long e0 = 0; e0 < ne; e0 += VL) { CALL(zme); }          \
                 _Pragma("omp for schedule(static)")                          \
-                for (long j = 0; j < n_out; ++j) {                           \
-                    long i = rows ? rows[j] : j;                             \
+                for (long i = 0; i < n_dof; ++i) {                           \
                     double acc = 0.0;                                        \
                     for (int t = 0; t < n_threads; ++t)                      \
                         acc += zt[(size_t)t * n_dof + i];                    \
-                    z[i] = Minv ? acc * Minv[j] : acc;                       \
+                    z[i] = Minv ? acc * Minv[i] : acc;                       \
                 }                                                            \
             }                                                                \
         } else {                                                             \
@@ -312,8 +295,7 @@ void ac_apply(const double *restrict u, double *restrict z,
               const double *restrict ax, const double *restrict ay,
               const int64_t *restrict ed,
               const double *restrict gmask, const double *restrict Minv,
-              int n_threads, double *restrict zt,
-              const int64_t *restrict rows, long n_rows)
+              int n_threads, double *restrict zt)
 {
 #define AC_CALL(ZP) ac_block(e0, n1, KxX, w, ax, ay, ed, u, gmask, ZP)
     APPLY_DRIVER(AC_CALL);
@@ -377,8 +359,7 @@ void ac_apply3(const double *restrict u, double *restrict z,
                const double *restrict az,
                const int64_t *restrict ed,
                const double *restrict gmask, const double *restrict Minv,
-               int n_threads, double *restrict zt,
-               const int64_t *restrict rows, long n_rows)
+               int n_threads, double *restrict zt)
 {
 #define AC3_CALL(ZP) ac_block3(e0, n1, KxX, w, ax, ay, az, ed, u, gmask, ZP)
     APPLY_DRIVER(AC3_CALL);
@@ -453,8 +434,7 @@ void el_apply(const double *restrict u, double *restrict z,
               const double *restrict hx, const double *restrict hy,
               const int64_t *restrict ed,
               const double *restrict gmask, const double *restrict Minv,
-              int n_threads, double *restrict zt,
-              const int64_t *restrict rows, long n_rows)
+              int n_threads, double *restrict zt)
 {
 #define EL_CALL(ZP) \
     el_block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
@@ -552,8 +532,7 @@ void el_apply3(const double *restrict u, double *restrict z,
                const double *restrict coef,
                const int64_t *restrict ed,
                const double *restrict gmask, const double *restrict Minv,
-               int n_threads, double *restrict zt,
-               const int64_t *restrict rows, long n_rows)
+               int n_threads, double *restrict zt)
 {
 #define EL3_CALL(ZP) el_block3(e0, n1, KxX, w, E, F, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(EL3_CALL);
@@ -620,8 +599,7 @@ void an_apply(const double *restrict u, double *restrict z,
               const double *restrict w, const double *restrict coef,
               const int64_t *restrict ed,
               const double *restrict gmask, const double *restrict Minv,
-              int n_threads, double *restrict zt,
-              const int64_t *restrict rows, long n_rows)
+              int n_threads, double *restrict zt)
 {
 #define AN_CALL(ZP) an_block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN_CALL);
@@ -688,8 +666,7 @@ void an_apply3(const double *restrict u, double *restrict z,
                const double *restrict w, const double *restrict coef,
                const int64_t *restrict ed,
                const double *restrict gmask, const double *restrict Minv,
-               int n_threads, double *restrict zt,
-               const int64_t *restrict rows, long n_rows)
+               int n_threads, double *restrict zt)
 {
 #define AN3_CALL(ZP) an_block3(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN3_CALL);
@@ -820,7 +797,7 @@ _OMP_FLAG = "-fopenmp"
 
 #: Kernel symbol -> number of kernel-specific coefficient pointers
 #: between the shared ``(u, z, ne, n_dof, n1)`` head and the shared
-#: ``(ed, gmask, Minv, n_threads, zt, rows, n_rows)`` tail.
+#: ``(ed, gmask, Minv, n_threads, zt)`` tail.
 _KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
             "an_apply": 4, "an_apply3": 4}
 #: LTS phase symbol -> its argument types, one letter each: ``F`` / ``I``
@@ -941,7 +918,7 @@ def _build(cc: str, flags: tuple[str, ...]) -> ctypes.CDLL | None:
             fn.argtypes = (
                 [ptr, ptr, ctypes.c_long, ctypes.c_long, ctypes.c_int]
                 + [ptr] * n_coef
-                + [ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_long]
+                + [ptr, ptr, ptr, ctypes.c_int, ptr]
             )
         for name, sig in _PHASES.items():
             fn = getattr(lib, name)
@@ -1049,17 +1026,15 @@ class _FusedPlan:
     serial (``self.threads == 1``), which callers surface as the
     resolved tier.
 
-    ``rows`` (the sorted row support of ``element_dofs``) selects the
-    rows-only pass: only those entries of the output are zeroed,
-    accumulated and ``Minv``-scaled, the rest is left untouched.  The
-    argument tuple of the C call is built once here; a call passes only
-    the ``u`` / ``z`` addresses.
+    A call overwrites the whole output.  The argument tuple of the C
+    call is built once here; a call passes only the ``u`` / ``z``
+    addresses.
     """
 
     _symbol = ""
 
     def __init__(self, kernel, element_dofs, n_dof, gmask=None, Minv=None,
-                 threads: int = 1, rows: np.ndarray | None = None):
+                 threads: int = 1):
         lib = load()
         assert lib is not None
         self._fn = getattr(lib, self._symbol)
@@ -1075,10 +1050,7 @@ class _FusedPlan:
         self._gmask = None if gmask is None else _pad(
             np.ascontiguousarray(gmask, dtype=np.float64), ne_pad, fill=0.0
         )
-        self._rows = None if rows is None else np.ascontiguousarray(rows, dtype=np.int64)
-        if Minv is not None:
-            Minv = np.ascontiguousarray(Minv if rows is None else Minv[rows])
-        self._Minv = Minv
+        self._Minv = None if Minv is None else np.ascontiguousarray(Minv)
         self._ne = ne_pad
         _, w = _gll(kernel.order)
         self._w = w
@@ -1098,7 +1070,6 @@ class _FusedPlan:
             *(_addr(a) for a in self._coef_arrays()),
             _addr(self._ed), _addr(self._gmask), _addr(self._Minv),
             self.threads, _addr(self._zt),
-            _addr(self._rows), 0 if self._rows is None else len(self._rows),
         )
 
     def fork(self) -> "_FusedPlan":
@@ -1130,10 +1101,8 @@ class _FusedPlan:
             and out.shape == (self.n_dof,)
         ):
             z = out
-        elif self._rows is None:
+        else:
             z = np.empty(self.n_dof)
-        else:  # rows-only pass: the complement must be defined
-            z = np.zeros(self.n_dof)
         if not (u.flags.c_contiguous and u.dtype == np.float64):
             u = np.ascontiguousarray(u, dtype=np.float64)
         self._fn(u.ctypes.data, z.ctypes.data, *self._args)

@@ -61,19 +61,15 @@ import copy
 
 import numpy as np
 
-from repro.core.operator import KernelSpec, Restriction, inverse_numbering, positions_in
+from repro.core.operator import (
+    KernelSpec, Restriction, _restriction, inverse_numbering, positions_in,
+)
 from repro.core.workspace import Workspace
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.util.errors import SolverError
 from repro.util.sysinfo import usable_cores
 from repro.util.validation import require
-
-
-#: A row support below ``n_dof / _ROWS_ONLY_FACTOR`` takes the rows-only
-#: pass (indexed zero + scale of the support) instead of the contiguous
-#: full-length one; an indexed entry costs a few contiguous ones.
-_ROWS_ONLY_FACTOR = 2
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -113,7 +109,7 @@ def _fused_plan_cls(physics: str, dim: int, order: int):
 
 
 def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None,
-                threads: int = 1, rows=None):
+                threads: int = 1):
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
     ``enabled=None`` auto-detects (:func:`_fused_plan_cls`; anything
@@ -121,7 +117,6 @@ def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None
     ``True`` raises if unavailable.
     ``threads > 1`` requests the OpenMP element-block loop (honored only
     when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
-    ``rows`` (a sparse row support) selects the plan's rows-only pass.
     """
     if enabled is False:
         return None
@@ -129,8 +124,7 @@ def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None
     if plan_cls is None:
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
-    return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, Minv=Minv,
-                    threads=threads, rows=rows)
+    return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, Minv=Minv, threads=threads)
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +197,6 @@ class _ScatterPlan:
     distributes into the sum (``sum(c v_j)`` vs ``c sum(v_j)``), so
     with ``coeff`` the result is within 1 ulp per accumulation of a
     separate multiply rather than bitwise identical.
-
-    ``rows`` (the sorted row support, given when it is a minority of
-    the dof space) makes the scatter compact: only those entries of
-    ``out`` are zeroed before the accumulation — which never visits any
-    other — so the rest of ``out`` is left untouched and a fine LTS
-    level pays no full-length pass at all.
     """
 
     def __init__(
@@ -216,14 +204,12 @@ class _ScatterPlan:
         element_dofs: np.ndarray,
         n_dof: int,
         coeff: np.ndarray | None = None,
-        rows: np.ndarray | None = None,
     ):
         flat = np.ascontiguousarray(
             np.asarray(element_dofs, dtype=np.int64).ravel()
         )
         self.n_dof = int(n_dof)
         self._flat = flat
-        self._rows = rows
         self._colptr = np.arange(flat.size + 1, dtype=np.int64)
         self.folds_coeff = coeff is not None and _sptools is not None
         self._data = (
@@ -234,20 +220,11 @@ class _ScatterPlan:
 
     def scatter(self, values_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out[:] = bincount(dofs, weights=values_flat)`` (times the
-        folded ``coeff``, when given), pooled — on ``rows`` only when
-        the plan is compact."""
-        rows = self._rows
+        folded ``coeff``, when given), pooled."""
         if _sptools is None:  # pragma: no cover - scipy internals moved
-            z = np.bincount(self._flat, weights=values_flat, minlength=self.n_dof)
-            if rows is None:
-                out[:] = z
-            else:
-                out[rows] = z[rows]
+            out[:] = np.bincount(self._flat, weights=values_flat, minlength=self.n_dof)
             return out
-        if rows is None:
-            out[:] = 0.0
-        else:
-            out[rows] = 0.0
+        out[:] = 0.0
         _sptools.csc_matvec(
             self.n_dof, self._flat.size, self._colptr, self._flat,
             self._data, values_flat, out,
@@ -718,16 +695,6 @@ class MatrixFreeStiffness:
         self._requested_threads = threads
         self.threads = resolve_threads(threads)
         ne = self.element_dofs.shape[0]
-        support = self.row_support()
-        #: The row support :meth:`apply_rows` confines itself to — sorted,
-        #: kept when it is sparse enough for the rows-only pass to win (an
-        #: empty operator's support is empty, hence sparse) — or None when
-        #: it overwrites everything (a dense support).
-        self._rows = (
-            np.nonzero(support)[0]
-            if _ROWS_ONLY_FACTOR * np.count_nonzero(support) < self.n_dof
-            else None
-        )
         self._plan = (
             _fused_plan(
                 kernel,
@@ -737,7 +704,6 @@ class MatrixFreeStiffness:
                 Minv=self.Minv,
                 enabled=use_fused,
                 threads=self.threads,
-                rows=self._rows,
             )
             if ne
             else None
@@ -747,7 +713,7 @@ class MatrixFreeStiffness:
         # :meth:`fork` only has to hand out fresh pools.
         self._ws = Workspace()
         self._scatter = (
-            _ScatterPlan(self.element_dofs, self.n_dof, coeff=self.Minv, rows=self._rows)
+            _ScatterPlan(self.element_dofs, self.n_dof, coeff=self.Minv)
             if self._plan is None and ne
             else None
         )
@@ -783,21 +749,12 @@ class MatrixFreeStiffness:
         return self.element_dofs.shape[0] * self.kernel.flops_per_element
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The full-length action: every entry of the result is defined
-        (zero outside the row support)."""
-        if out is not None and self._rows is not None:
-            out.fill(0.0)
-        return self.apply_rows(u, out=out)
-
-    def apply_rows(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The action written into ``out`` on this operator's row
-        support only: with a sparse support the rest of ``out`` is left
-        untouched (and never read), with a dense one ``out`` is fully
-        overwritten.  ``out=None`` returns a fresh, fully defined
-        vector."""
+        """The full-length action, into ``out`` or a fresh vector: every
+        entry is overwritten (zero outside the row support)."""
         if out is None:
-            out = np.empty(self.n_dof) if self._rows is None else np.zeros(self.n_dof)
+            out = np.empty(self.n_dof)
         if self.element_dofs.shape[0] == 0:
+            out.fill(0.0)
             return out
         if self._plan is not None:
             return self._plan(u, out=out)
@@ -809,16 +766,13 @@ class MatrixFreeStiffness:
         self.kernel.contract(Ue, out=ku)
         self._scatter.scatter(ku.reshape(-1), out)
         if self.Minv is not None and not self._scatter.folds_coeff:  # pragma: no cover
-            rows = slice(None) if self._rows is None else self._rows
-            out[rows] *= self.Minv[rows]
+            out *= self.Minv
         return out
 
     def workspace_bytes(self) -> int:
         """Bytes of pooled hot-path scratch currently held (gather and
         contraction buffers, the scatter plan, per-thread partials)."""
         total = self._ws.nbytes + getattr(self.kernel, "workspace_nbytes", 0)
-        if self._rows is not None:
-            total += self._rows.nbytes
         if self._scatter is not None:
             total += self._scatter.nbytes
         if self._plan is not None and getattr(self._plan, "_zt", None) is not None:
@@ -889,9 +843,8 @@ class MatrixFreeOperator:
     the elements adjacent to ``cols`` (active level + gray halo) are
     gathered and contracted, with the gathered values masked to ``cols``
     so the result equals ``A[:, cols] @ u[cols]`` of the assembled
-    backend to machine precision — written on the subset's row support
-    only when that is sparse (see :meth:`MatrixFreeStiffness.apply_rows`
-    and :meth:`repro.core.operator.Restriction.apply`).
+    backend to machine precision (see
+    :meth:`repro.core.operator.Restriction.apply`).
     """
 
     def __init__(
@@ -970,7 +923,7 @@ class MatrixFreeOperator:
         cols = np.asarray(cols, dtype=np.int64)
         col_mask = np.zeros(self.n_dof, dtype=bool)
         col_mask[cols] = True
-        return _subset_restriction(cols, self._stiffness.masked_subset(col_mask))
+        return _restriction(cols, self._stiffness.masked_subset(col_mask))
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """All DOFs of elements adjacent to the masked columns.
@@ -985,22 +938,6 @@ class MatrixFreeOperator:
         out = np.zeros(self.n_dof, dtype=bool)
         out[self.element_dofs[touch].ravel()] = True
         return out
-
-
-def _subset_restriction(cols: np.ndarray, sub: MatrixFreeStiffness,
-                        apply: str = "apply_rows") -> Restriction:
-    """The masked subset ``sub`` as the restricted product over ``cols``,
-    written on its row support only; renumbered, it overwrites its
-    compact output whole (:meth:`MatrixFreeStiffness.apply`)."""
-    return Restriction(
-        cols=cols, ops=sub.nnz, _apply=getattr(sub, apply),
-        workspace_bytes=sub.workspace_bytes,
-        _fork=lambda: _subset_restriction(cols, sub.fork(), apply),
-        _renumber=lambda idx: _subset_restriction(
-            positions_in(inverse_numbering(idx, sub.n_dof), cols, "column"),
-            sub.renumber(idx), "apply",
-        ),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1122,13 +1059,18 @@ def local_stiffness(
     ``local_dofs`` is ``assembler.element_dofs[element_ids]`` mapped to
     rank-local numbering; the returned object drops into
     :class:`repro.runtime.halo.RankLayout.K_local` (partial products are
-    summed across ranks by the usual halo exchange).
+    summed across ranks by the usual halo exchange).  The assembler's
+    Dirichlet mask, if any, masks the columns as in
+    :func:`matrix_free_operator`; the rows are the caller's ``1/M``'s.
     """
+    element_ids = np.asarray(element_ids)
+    mask = getattr(assembler, "dirichlet_mask", None)
     return MatrixFreeStiffness(
-        _make_kernel(assembler, np.asarray(element_ids)),
+        _make_kernel(assembler, element_ids),
         local_dofs,
         n_local,
         use_fused=use_fused,
+        gmask=None if mask is None else mask[np.asarray(assembler.element_dofs)[element_ids]],
         threads=threads,
     )
 

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro.api import EnsembleSpec, Simulation, SimulationConfig, StageCache, run_ensemble
+from repro.core.lts_newmark import LTSNewmarkSolver
+from repro.core.operator import AssembledOperator
 from repro.core.workspace import reachable_buffers
 from repro.runtime.comm import MailboxWorld
 from repro.sem import fused
@@ -31,7 +33,8 @@ BACKENDS = {
     "fused": {"stiffness": "matfree", "fused": True},
 }
 #: Centre of fast element 27 of the 8x8 grid: a DOF no level-1 column
-#: reaches, so a source there leaves stale entries in the level-1 buffer.
+#: reaches, so a source there is the one entry of the level-1 output off
+#: that product's row support.
 FINE_INTERIOR = [3.5, 3.5]
 
 
@@ -71,7 +74,7 @@ def same_result(a, b) -> bool:
 def test_jobs_through_one_cached_plan_equal_fresh_runs(backend, ranks):
     jobs = [
         make_config(backend, ranks),
-        make_config(backend, ranks, source=FINE_INTERIOR),  # needs _F1_stale
+        make_config(backend, ranks, source=FINE_INTERIOR),  # off level 1's support
         make_config(backend, ranks, source=(5.0, 2.5)),  # right after: does not
         make_config(backend, ranks, time={"n_cycles": 3, "c_cfl": 0.35}),
         make_config(backend, ranks, time={"t_end": 1.7, "c_cfl": 0.35}),  # moves dt
@@ -90,15 +93,22 @@ def test_jobs_through_one_cached_plan_equal_fresh_runs(backend, ranks):
     assert built["receiver_dofs"] == 1 and built["force"] == 3
 
 
-def test_stale_level1_buffer_is_decided_per_bind():
-    cache = StageCache()
-    stale = Simulation(make_config(source=FINE_INTERIOR), cache=cache)
-    clean = Simulation(make_config(), cache=cache)
-    plan = stale.solver_plan
-    assert clean.solver_plan is plan
-    assert plan.bind(stale.dt, force=stale.force)._states[0].z1_stale
-    assert not plan.bind(clean.dt, force=clean.force)._states[0].z1_stale
-    assert not plan.bind(clean.dt)._states[0].z1_stale
+@pytest.mark.parametrize("ranks", [1, 2])
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_source_off_level1_support_equals_the_reference(backend, ranks):
+    """Every product overwrites its output, so a source entry off the
+    level-1 product's row support enters each cycle once — nothing of it
+    lingers into the next — exactly as in ``mode="reference"``."""
+    sim = Simulation(make_config(backend, ranks, source=FINE_INTERIOR,
+                                 time={"n_cycles": 8, "c_cfl": 0.35}))
+    sem, force = sim.assembler, sim.force
+    assert not AssembledOperator(sem.A).reach(sim.dof_level == 1)[force.dof]
+    got = sim.run()
+    ref = LTSNewmarkSolver(sem.A, sim.dof_level, got.dt, mode="reference", force=force)
+    u, v = ref.run(np.zeros(sem.n_dof), np.zeros(sem.n_dof), got.n_cycles)
+    assert got.n_cycles >= 6 and np.abs(u).max() > 0
+    for a, b in ((got.u, u), (got.v, v)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_plan_keys_follow_backend_scheme_and_partition():

@@ -141,7 +141,7 @@ class TestModeEquivalence:
 class TestRandomAssignments:
     """Optimized == reference for *any* element-level assignment, on
     every backend: the compact recursion (suffix-ordered active sets,
-    closed-form complement, rows-only restricted applies, depth-0
+    closed-form complement, renumbered restricted applies, depth-0
     Newmark + fix-up) computes the scheme of the literal transcription.
 
     The strategy draws levels from a random subset of ``{2, 3, 4}`` on

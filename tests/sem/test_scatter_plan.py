@@ -19,9 +19,8 @@ that substitution safe:
   applies, 2D/3D, all three physics.
 
 The last class pins the ``Restriction.apply(u, out=buf)`` contract the
-LTS solver relies on: the product lands on the restriction's row
-support; with a sparse support the rest of ``buf`` is left untouched
-(rows-only pass), with a dense one ``buf`` is fully overwritten.
+LTS solver relies on: ``buf`` is overwritten whole, the product on the
+restriction's row support and zero off it, sparse support or dense.
 """
 
 import numpy as np
@@ -97,24 +96,6 @@ class TestScatterPlanUnit:
         else:
             assert _rel_err(out, ref) < 1e-12
 
-    def test_compact_plan_touches_only_its_rows(self):
-        rng = np.random.default_rng(3)
-        n_dof = 300
-        ed = rng.integers(40, 90, size=(12, 8))  # support inside [40, 90)
-        rows = np.unique(ed)
-        vals = rng.standard_normal(ed.size)
-        coeff = 0.5 + rng.random(n_dof)
-        full = np.empty(n_dof)
-        _ScatterPlan(ed, n_dof, coeff=coeff).scatter(vals, full)
-        out = np.full(n_dof, 7.25)
-        plan = _ScatterPlan(ed, n_dof, coeff=coeff, rows=rows)
-        plan.scatter(vals, out)
-        plan.scatter(vals, out)  # re-zeroes its rows: no accumulation
-        assert np.array_equal(out[rows], full[rows])
-        untouched = np.ones(n_dof, dtype=bool)
-        untouched[rows] = False
-        assert np.all(out[untouched] == 7.25)
-
     def test_scatter_is_repeatable_bitwise(self):
         rng = np.random.default_rng(2)
         n_dof = 100
@@ -159,10 +140,10 @@ class TestPooledOperatorDeterminism:
 @pytest.mark.parametrize("physics", ["acoustic", "elastic", "anisotropic"])
 @pytest.mark.parametrize("dim", [2, 3])
 class TestRestrictionOutContract:
-    """``restrict(cols).apply(u, out=buf)``: assembled values on the row
-    support; a sentinel-filled ``buf`` untouched elsewhere when the
-    support is sparse, fully overwritten when it is dense; repeatable
-    with different ``u`` (no accumulation); fused == NumPy to 1e-12."""
+    """``restrict(cols).apply(u, out=buf)`` overwrites a sentinel- or
+    NaN-filled ``buf`` whole — assembled values on the row support, zero
+    off it — for sparse and dense supports alike; repeatable with
+    different ``u`` (no accumulation); fused == NumPy to 1e-12."""
 
     SENTINEL = 7.25
 
@@ -183,6 +164,7 @@ class TestRestrictionOutContract:
         A_cols = sem.A.tocsc()[:, cols]
         rng = np.random.default_rng(20 + dim)
         u1, u2 = rng.standard_normal((2, sem.n_dof))
+        ref = A_cols @ u2[cols]
         results = []
         for use_fused in TIERS:
             op = sem.operator("matfree", use_fused=use_fused)
@@ -191,20 +173,16 @@ class TestRestrictionOutContract:
             support = op.reach(col_mask)
             assert (2 * support.sum() < sem.n_dof) == sparse
             restr = op.restrict(cols)
-            buf = np.full(sem.n_dof, self.SENTINEL)
-            restr.apply(u1, out=buf)
-            got = restr.apply(u2, out=buf)  # second call, different u
-            assert got is buf
-            ref = A_cols @ u2[cols]
-            assert _rel_err(buf[support], ref[support]) < 1e-12, use_fused
-            if sparse:
-                assert np.all(buf[~support] == self.SENTINEL), use_fused
-            else:
-                assert _rel_err(buf, ref) < 1e-12, use_fused
-            # out=None: a fresh, fully defined vector with the same values.
+            for fill in (self.SENTINEL, np.nan):
+                buf = np.full(sem.n_dof, fill)
+                restr.apply(u1, out=buf)
+                got = restr.apply(u2, out=buf)  # second call, different u
+                assert got is buf
+                assert _rel_err(buf, ref) < 1e-12, (use_fused, fill)
+                assert not buf[~support].any(), (use_fused, fill)
+            # out=None: a fresh vector with the same values.
             fresh = restr.apply(u2)
-            assert np.array_equal(fresh[support], buf[support]), use_fused
-            assert not fresh[~support].any(), use_fused
+            assert np.array_equal(fresh, buf), use_fused
             results.append(fresh)
         if len(results) == 2:
             assert _rel_err(results[1], results[0]) < 1e-12
