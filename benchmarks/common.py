@@ -91,7 +91,9 @@ def gpu_machine(family: str, mesh):
 def counted_cycles(solver, u0, v0, n_cycles: int, rounds: int = 1):
     """Run ``rounds`` repetitions of ``n_cycles`` cycles/steps, resetting
     the solver's :class:`~repro.core.lts_newmark.OperationCounter` before
-    *each* repetition.
+    *each* repetition.  It serves the counts a run produces — the
+    reference mode's; the optimized mode's are the plan's closed form
+    (``NumberingPlan.ops_per_cycle``), read without running.
 
     Without the per-repetition reset, op counts accumulate across
     repetitions and every derived metric (Eq. (9) efficiency, speedup

@@ -142,19 +142,29 @@ class OperationCounter:
     ``vector_ops`` counts elements touched by the arithmetic passes of
     the vector updates (gathers, scatters and copies are not counted).  The
     serial-efficiency benchmark (paper Eq. (9), Sec. II-C) compares LTS
-    cycles against non-LTS steps in these units.
+    cycles against non-LTS steps in these units.  An optimized cycle
+    adds its plan's closed form once (:meth:`NumberingPlan.ops_per_cycle`);
+    ``mode="reference"`` counts at run time, the oracle of that form.
     """
 
     stiffness_ops: int = 0
     vector_ops: int = 0
     applications_per_level: dict[int, int] = field(default_factory=dict)
 
-    def count_stiffness(self, level: int, nnz: int) -> None:
-        self.stiffness_ops += int(nnz)
-        self.applications_per_level[level] = self.applications_per_level.get(level, 0) + 1
+    def count_stiffness(self, level: int, nnz: int, times: int = 1) -> None:
+        self.stiffness_ops += times * int(nnz)
+        self.applications_per_level[level] = self.applications_per_level.get(level, 0) + times
 
     def count_vector(self, n: int) -> None:
         self.vector_ops += int(n)
+
+    def add(self, other: "OperationCounter") -> "OperationCounter":
+        """Add ``other``'s counts to this counter, which is returned."""
+        self.stiffness_ops += other.stiffness_ops
+        self.vector_ops += other.vector_ops
+        for level, n in other.applications_per_level.items():
+            self.applications_per_level[level] = self.applications_per_level.get(level, 0) + n
+        return self
 
     @property
     def total_ops(self) -> int:
@@ -168,11 +178,7 @@ class OperationCounter:
     def snapshot(self) -> "OperationCounter":
         """Detached copy of the current counts (safe to keep across
         :meth:`reset` — used for per-repetition benchmark reporting)."""
-        return OperationCounter(
-            stiffness_ops=self.stiffness_ops,
-            vector_ops=self.vector_ops,
-            applications_per_level=dict(self.applications_per_level),
-        )
+        return OperationCounter().add(self)
 
 
 def newmark_cycle_ops(A, n_substeps: int) -> int:
@@ -263,10 +269,10 @@ class _RankState:
     buffers of a finished run would wait for the cyclic collector.
     """
 
-    def __init__(self, dt: float, level0: int, restr0: Restriction,
+    def __init__(self, dt: float, restr0: Restriction,
                  depths: list[_Depth], z1: np.ndarray, force=None,
                  minv: np.ndarray | None = None, tier: str = ""):
-        self.dt, self.level0, self.restr0, self.depths = dt, level0, restr0, depths
+        self.dt, self.restr0, self.depths = dt, restr0, depths
         self.z1, self.force, self.minv = z1, force, minv
         self.n = len(z1)
         native = tier.startswith("fused")
@@ -291,7 +297,7 @@ class _RankState:
             dt_k = dt / float(2 ** (d.level - 1))
             na, nd = len(d.idx), d.n_diff
             mv = None if minv is None else self.minv0[len(top.idx) - na:]
-            self._applies.append((d.restr.apply, d.u, d.z, d.level, d.restr.ops))
+            self._applies.append((d.restr.apply, d.u, d.z))
             hand = None
             if kid is not None:
                 u_in, r_in = d.u[nd:], d.r[nd:]  # the child's set is a suffix
@@ -306,7 +312,7 @@ class _RankState:
         (:func:`~repro.sem.fused.bind_phase`): a call then passes nothing
         but, to ``begin`` and ``finish``, the cycle's ``(u, v)``.  Per
         depth, indexed by ``first``, the update's (and a parent depth's
-        reconstruct's) call with the vector ops it counts."""
+        reconstruct's) bound call."""
         bind, dt, depths = bind_phase, self.dt, self.depths
         if not depths:
             self._c_begin = bind("lts_begin", self.z1, self.n, dt, None, 0, *[None] * 4)
@@ -318,18 +324,11 @@ class _RankState:
         for d, kid, upd in zip(depths, depths[1:] + [None], self._updates):
             mv, dt_k, na, nd = upd[2], upd[6], len(d.idx), d.n_diff
             head = (d.z, mv, d.F, d.r, d.u, d.v, na, nd, dt_k)
-            if kid is None:  # the finest depth steps; the others hand over
-                tail, ops = (None, None), (5 * na, 4 * na)
-            else:
-                tail, ops = (kid.F, kid.u), (0, 0)
+            tail = (None, None) if kid is None else (kid.F, kid.u)  # the finest steps
+            self._c_updates.append(tuple(bind("lts_update", *head, *tail, f) for f in (0, 1)))
+            if kid is not None:  # the others hand over, then reconstruct
                 recon = (kid.u, d.r, d.u, d.v, na, nd, dt_k)
-                self._c_recons.append(tuple(
-                    (bind("lts_reconstruct", *recon, first), (5 if first else 7) * na - nd)
-                    for first in (0, 1)
-                ))
-            self._c_updates.append(tuple(
-                (bind("lts_update", *head, *tail, first), ops[first]) for first in (0, 1)
-            ))
+                self._c_recons.append(tuple(bind("lts_reconstruct", *recon, f) for f in (0, 1)))
 
     def nbytes(self) -> int:
         """Bytes of the buffers and index maps the phases touch, and of
@@ -344,13 +343,11 @@ class _RankState:
         restrs = [self.restr0, *(d.restr for d in self.depths)]
         return sum(b.nbytes for b in bufs) + workspace_bytes(*restrs)
 
-    def apply_coarse(self, u: np.ndarray, counter) -> None:
+    def apply_coarse(self, u: np.ndarray) -> None:
         """``z1 = A P_1 u``, the level's own (unsummed) share."""
         self.restr0.apply(u, out=self.z1)
-        if counter is not None:
-            counter.count_stiffness(self.level0, self.restr0.ops)
 
-    def begin(self, u: np.ndarray, v: np.ndarray, t: float, counter) -> None:
+    def begin(self, u: np.ndarray, v: np.ndarray, t: float) -> None:
         """Freeze ``F_1 = A P_1 u - f(t)``, save the active rows for the
         recursion, and take plain Newmark on the whole vector: with one
         level that is the scheme; with more, the closed form of every
@@ -364,8 +361,6 @@ class _RankState:
             subtract_force(self.force, t, z1)
         if self._c_begin is not None:
             self._c_begin(u.ctypes.data, v.ctypes.data)
-            if counter is not None:
-                counter.count_vector(4 * self.n)
             return
         if self.depths:
             d = self.depths[0]
@@ -377,27 +372,20 @@ class _RankState:
         v -= z1
         np.multiply(v, dt, out=w)
         u += w
-        if counter is not None:
-            counter.count_vector(4 * self.n)
 
-    def apply_level(self, i: int, counter) -> None:
+    def apply_level(self, i: int) -> None:
         """``z = A P_k u~`` for depth ``i``'s level, unsummed: one apply
         of its renumbered product on the depth's own buffers."""
-        apply, u, z, level, ops = self._applies[i]
+        apply, u, z = self._applies[i]
         apply(u, out=z)
-        if counter is not None:
-            counter.count_stiffness(level, ops)
 
-    def update(self, i: int, first: bool, counter) -> None:
+    def update(self, i: int, first: bool) -> None:
         """After the (summed) apply: ``rhs = F + A P_k u~`` on the active
         set.  The finest depth takes its leap-frog step with it; any
         other hands its child the forcing and the displacement on the
         child's set (a suffix) and waits for :meth:`reconstruct`."""
         if self._c_updates:
-            call, ops = self._c_updates[i][first]
-            call()
-            if counter is not None:
-                counter.count_vector(ops)
+            self._c_updates[i][first]()
             return
         z, r, minv, F, u, v, dt_k, hand = self._updates[i]
         if minv is None:
@@ -417,10 +405,8 @@ class _RankState:
             v -= r
         np.multiply(v, dt_k, out=r)
         u += r
-        if counter is not None:
-            counter.count_vector((4 if first else 5) * len(u))
 
-    def reconstruct(self, i: int, first: bool, counter) -> None:
+    def reconstruct(self, i: int, first: bool) -> None:
         """After the child's substeps: the staggered velocity from the
         substepped displacement, ``v += 2 (u_fine - u) / dt_k`` (Eq.
         (14)).  The leading ``n_diff`` entries, outside the child's set,
@@ -428,10 +414,7 @@ class _RankState:
         theirs is the closed form ``-dt_k/2 F`` — no ``(u - small) - u``
         cancellation."""
         if self._c_recons:
-            call, ops = self._c_recons[i][first]
-            call()
-            if counter is not None:
-                counter.count_vector(ops)
+            self._c_recons[i][first]()
             return
         kid_u, u_in, r_in, r_out, r, u, v, dt_k = self._recons[i]
         np.subtract(kid_u, u_in, out=r_in)
@@ -444,16 +427,12 @@ class _RankState:
             v += r
         np.multiply(v, dt_k, out=r)
         u += r
-        if counter is not None:
-            counter.count_vector((5 if first else 7) * len(u) - len(r_out))
 
-    def finish(self, u: np.ndarray, v: np.ndarray, counter) -> None:
+    def finish(self, u: np.ndarray, v: np.ndarray) -> None:
         """The active rows from the recursion's result: ``v += 2 (u_fine
         - u) / dt``, ``u += dt v`` on the saved copies."""
         if self._c_finish is not None:
             self._c_finish(u.ctypes.data, v.ctypes.data)
-            if counter is not None:
-                counter.count_vector(5 * len(self.u0))
             return
         d, u0, v0, dt = self.depths[0], self.u0, self.v0, self.dt
         r = d.r
@@ -464,8 +443,6 @@ class _RankState:
         np.multiply(v0, dt, out=r)
         u0 += r
         u[d.idx] = u0
-        if counter is not None:
-            counter.count_vector(5 * len(u0))
 
 
 def active_levels(dof_levels: list[np.ndarray]) -> list[int]:
@@ -492,9 +469,27 @@ class NumberingPlan:
     def bind(self, dt: float, force=None, minv: np.ndarray | None = None) -> _RankState:
         """A state stepping this numbering: fresh buffers, forked products."""
         return _RankState(
-            dt, self.level0, self.restr0.fork(), [d.bind() for d in self.depths],
+            dt, self.restr0.fork(), [d.bind() for d in self.depths],
             np.empty(self.n), force=force, minv=minv, tier=self.tier,
         )
+
+    def ops_per_cycle(self) -> OperationCounter:
+        """One optimized cycle's operations on this numbering, from the
+        plan alone: the coarsest level is applied once, a finer level
+        ``k`` ``2**(k-1)`` times, and each vector pass touches entries
+        fixed by its depth's active set, ``n_diff`` and ``first``."""
+        ops = OperationCounter(self.restr0.ops, 4 * self.n, {self.level0: 1})  # 4 n: begin
+        parent = 1  # substeps of the parent depth per cycle, one first substep each
+        for d in self.depths:
+            applies, na, nd = 2 ** (d.level - 1), len(d.idx), d.n_diff
+            ops.count_stiffness(d.level, d.restr.ops, applies)
+            # The finest depth's leap-frog update, or another's reconstruct.
+            first, later = (4 * na, 5 * na) if d is self.depths[-1] else (5 * na - nd, 7 * na - nd)
+            ops.count_vector(parent * first + (applies - parent) * later)
+            parent = applies
+        if self.depths:
+            ops.count_vector(5 * len(self.depths[0].idx))  # finish
+        return ops
 
 
 def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None):
@@ -550,11 +545,11 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
 class _LockStepCycle:
     """One optimized LTS cycle over ``self._states`` in lock step, and
     what a solver keeps around it: the schedule position and ``run``.
-    A subclass fills ``_states`` (a :class:`_RankState` per numbering)
-    and ``active_levels``; several numberings need :meth:`_sum_shared`.
+    A subclass sets ``active_levels`` and binds its numberings
+    (:meth:`_bind`); several numberings need :meth:`_sum_shared`.
     """
 
-    #: Optional :class:`OperationCounter`, read afresh every cycle.
+    #: Optional :class:`OperationCounter`: every cycle adds ``_ops`` to it.
     counter: OperationCounter | None = None
 
     def __init__(self, dt: float, force):
@@ -564,6 +559,13 @@ class _LockStepCycle:
         self.n_cycles_taken = 0
         self._states: list[_RankState] = []
 
+    def _bind(self, numberings: list[NumberingPlan], forces, minvs) -> None:
+        """A :class:`_RankState` per numbering, and ``_ops``: one cycle's operations."""
+        self._states = [nb.bind(self.dt, f, m) for nb, f, m in zip(numberings, forces, minvs)]
+        self._ops = OperationCounter()
+        for nb in numberings:
+            self._ops.add(nb.ops_per_cycle())
+
     def _sum_shared(self, level: int) -> None:
         """Sum ``level``'s fresh apply outputs over the numberings that
         share rows (one numbering: nothing to do)."""
@@ -571,7 +573,7 @@ class _LockStepCycle:
     def _cycle(self, us, vs) -> None:
         """Advance every numbering's ``(u^n, v^{n-1/2})`` by the coarse
         ``dt``, in place: one pair per state, each of its length."""
-        states, levels, counter = self._states, self.active_levels, self.counter
+        states, levels = self._states, self.active_levels
         require(
             len(us) == len(vs) == len(states)
             and all(u.shape == v.shape == (st.n,) for st, u, v in zip(states, us, vs)),
@@ -587,18 +589,20 @@ class _LockStepCycle:
             SolverError,
         )
         for st, u in zip(states, us):
-            st.apply_coarse(u, counter)
+            st.apply_coarse(u)
         self._sum_shared(levels[0])
         for st, u, v in zip(states, us, vs):
-            st.begin(u, v, self.t, counter)
+            st.begin(u, v, self.t)
         if len(levels) > 1:
-            self._advance(0, 2 ** (levels[1] - 1), counter)
+            self._advance(0, 2 ** (levels[1] - 1))
             for st, u, v in zip(states, us, vs):
-                st.finish(u, v, counter)
+                st.finish(u, v)
         self.t += self.dt
         self.n_cycles_taken += 1
+        if self.counter is not None:
+            self.counter.add(self._ops)
 
-    def _advance(self, i: int, n_steps: int, counter) -> None:
+    def _advance(self, i: int, n_steps: int) -> None:
         """Advance the auxiliary system of levels ``active_levels[i+1:]``
         on every numbering's active set: ``n_steps`` steps of size ``dt /
         2**(level-1)`` from the displacement and frozen coarser forcing
@@ -608,14 +612,14 @@ class _LockStepCycle:
         ratio = 2 ** (levels[i + 2] - level) if i + 2 < len(levels) else 0
         for s in range(n_steps):
             for st in states:
-                st.apply_level(i, counter)
+                st.apply_level(i)
             self._sum_shared(level)
             for st in states:
-                st.update(i, s == 0, counter)
+                st.update(i, s == 0)
             if ratio:
-                self._advance(i + 1, ratio, counter)
+                self._advance(i + 1, ratio)
                 for st in states:
-                    st.reconstruct(i, s == 0, counter)
+                    st.reconstruct(i, s == 0)
 
     # -- checkpoint/restart hooks ----------------------------------------
     def state(self) -> dict:
@@ -695,9 +699,9 @@ class LTSPlan:
         else:
             self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
 
-    def bind(self, dt: float, force=None, counter=None) -> "LTSNewmarkSolver":
+    def bind(self, dt: float, force=None) -> "LTSNewmarkSolver":
         """A solver stepping this plan: only buffers are allocated."""
-        return LTSNewmarkSolver(self, None, dt, force=force, counter=counter)
+        return LTSNewmarkSolver(self, None, dt, force=force)
 
     def fields(self, state=None, receiver_dofs=None) -> Fields:
         """The field view a bound solver steps: zeros, or a copy of a
@@ -732,7 +736,8 @@ class LTSNewmarkSolver(_LockStepCycle):
         :class:`repro.sem.sources.PointSource` is applied as a
         single-entry update, any other callable as a dense vector.
     counter:
-        Optional :class:`OperationCounter` to fill while stepping.
+        Optional :class:`OperationCounter` (assignable later as
+        :attr:`counter`); each cycle adds its operations to it.
 
     What derives from ``A`` and ``dof_level`` alone is kept as
     :attr:`plan`; to step the same system again, :meth:`LTSPlan.bind` it.
@@ -754,7 +759,7 @@ class LTSNewmarkSolver(_LockStepCycle):
         self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
         self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
         if self.mode == "optimized":
-            self._states = [plan.numbering.bind(self.dt, force=force)]
+            self._bind([plan.numbering], [force], [None])
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and
@@ -766,19 +771,14 @@ class LTSNewmarkSolver(_LockStepCycle):
         v = np.array(v0, dtype=np.float64, copy=True)
         return Fields(u, v)
 
-    # ---------------- reference mode: full vectors ----------------------
-    def _count_vec(self, n: int) -> None:
-        if self.counter is not None:
-            self.counter.count_vector(n)
-
+    # ---------------- reference mode: full vectors, counted as run ------
     def _apply_level(self, k: int, u: np.ndarray) -> np.ndarray:
         """Reference ``A P_k u``: mask and run the full product, as a
         direct transcription would."""
         masked = np.zeros_like(u)
         cols = self._cols[k]
         masked[cols] = u[cols]
-        if self.counter is not None:
-            self.counter.count_stiffness(k, self.op.nnz)
+        self._tally.count_stiffness(k, self.op.nnz)
         return self.op.apply(masked)
 
     def _advance_reference(self, i: int, u0: np.ndarray, F: np.ndarray,
@@ -800,7 +800,7 @@ class LTSNewmarkSolver(_LockStepCycle):
                 else:
                     v -= dt_k * rhs
                 u += dt_k * v
-                self._count_vec(5 * n)
+                self._tally.count_vector(5 * n)
             return u
         ratio = 2 ** (self.active_levels[i + 1] - lv)
         for m in range(n_steps):
@@ -812,7 +812,7 @@ class LTSNewmarkSolver(_LockStepCycle):
             else:
                 v += 2.0 * recon
             u += dt_k * v
-            self._count_vec(7 * n)
+            self._tally.count_vector(7 * n)
         return u
 
     def _step_reference(self, u: np.ndarray, v: np.ndarray) -> None:
@@ -822,12 +822,12 @@ class LTSNewmarkSolver(_LockStepCycle):
         if len(self.active_levels) == 1:
             # Degenerate single-level mesh: LTS *is* explicit Newmark.
             v -= self.dt * F1
-            self._count_vec(4 * self.n_dof)
+            self._tally.count_vector(4 * self.n_dof)
         else:
             n_sub = 2 ** (self.active_levels[1] - 1)
             u_t = self._advance_reference(1, u, F1, n_sub)
             v += (2.0 / self.dt) * (u_t - u)
-            self._count_vec(6 * self.n_dof)
+            self._tally.count_vector(6 * self.n_dof)
         u += self.dt * v
 
     # ------------------------------------------------------------------
@@ -839,6 +839,8 @@ class LTSNewmarkSolver(_LockStepCycle):
             return u, v
         n = self.n_dof
         require(u.shape == (n,) and v.shape == (n,), "state shape mismatch", SolverError)
+        # Counted as it runs, into the attached counter or a throwaway.
+        self._tally = self.counter if self.counter is not None else OperationCounter()
         self._step_reference(u, v)
         self.t += self.dt
         self.n_cycles_taken += 1
@@ -866,11 +868,8 @@ def make_solver_for_assignment(
     assignment: LevelAssignment,
     mode: str = "optimized",
     force: Callable[[float], np.ndarray] | None = None,
-    counter: OperationCounter | None = None,
 ) -> LTSNewmarkSolver:
     """Build an :class:`LTSNewmarkSolver` from an element-level assignment."""
     n_dof = A.shape[0]  # sparse matrices, arrays, and operators all have .shape
     dof_level = dof_levels_from_elements(element_dofs, assignment.level, n_dof)
-    return LTSNewmarkSolver(
-        A, dof_level, assignment.dt, mode=mode, force=force, counter=counter
-    )
+    return LTSNewmarkSolver(A, dof_level, assignment.dt, mode=mode, force=force)

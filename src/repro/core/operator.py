@@ -127,9 +127,10 @@ class Restriction:
 
     Produced by :meth:`StiffnessOperator.restrict`; ``ops`` is the cost
     of one :meth:`apply` in the backend's operation unit (see module
-    docs), which :class:`~repro.core.lts_newmark.OperationCounter`
-    accumulates per level.  ``workspace_bytes`` is the scratch behind
-    :meth:`apply`: a number, or a callable when it is allocated lazily.
+    docs), which an LTS plan weights by the level's applies per cycle
+    (:meth:`~repro.core.lts_newmark.NumberingPlan.ops_per_cycle`).
+    ``workspace_bytes`` is the scratch behind :meth:`apply`: a number,
+    or a callable when it is allocated lazily.
     """
 
     cols: np.ndarray

@@ -226,10 +226,7 @@ class DistributedLTSSolver(_LockStepCycle):
         self.comms: list[RankComm] = self.world.comms()
         self.active_levels = plan.active_levels
         self._plans = {k: p.fork() for k, p in plan.exchange.items()}
-        self._states = [
-            nb.bind(self.dt, force=f, minv=minv)
-            for nb, f, minv in zip(plan.numberings, _rank_forces(layout, force), plan.Minv)
-        ]
+        self._bind(plan.numberings, _rank_forces(layout, force), plan.Minv)
         #: Per level, each rank's apply output (what the exchange sums).
         self._outputs = {
             k: [st.outputs[j] for st in self._states]

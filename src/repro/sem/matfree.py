@@ -50,9 +50,9 @@ Layered on top:
   only the elements adjacent to ``cols`` (the active level plus its gray
   halo), never a column slice of a global matrix.
 
-``nnz`` reports tensor-contraction flops per apply so
-:class:`repro.core.lts_newmark.OperationCounter` ratios (Eq. (9)) stay
-meaningful — see :mod:`repro.core.operator`.
+``nnz`` reports tensor-contraction flops per apply so the op counts of
+an LTS plan (:meth:`repro.core.lts_newmark.NumberingPlan.ops_per_cycle`)
+and their Eq. (9) ratios stay meaningful — see :mod:`repro.core.operator`.
 """
 
 from __future__ import annotations

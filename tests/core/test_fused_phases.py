@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import (
-    LTSNewmarkSolver, OperationCounter, _Depth, _RankState, dof_levels_from_elements,
+    LTSNewmarkSolver, _Depth, _RankState, dof_levels_from_elements,
 )
 from repro.core.operator import Restriction
 from repro.mesh import uniform_grid
@@ -62,7 +62,7 @@ def _pair(case: str, with_minv: bool, seed: int = 0):
             off += nd
     minv = rng.uniform(0.5, 2.0, N) if with_minv else None
     states = [
-        _RankState(DT, 1, _IDLE, [d.bind() for d in depths], np.empty(N),
+        _RankState(DT, _IDLE, [d.bind() for d in depths], np.empty(N),
                    minv=minv, tier=tier)
         for tier in ("fused", "numpy")
     ]
@@ -102,14 +102,12 @@ class TestPhases:
     def test_begin(self, case, with_minv):
         c, ref = _pair(case, with_minv)
         assert c._c_begin is not None and ref._c_begin is None
-        counters = OperationCounter(), OperationCounter()
         uv = [_fields(), _fields()]
-        for st, (u, v), cnt in zip((c, ref), uv, counters):
-            st.begin(u, v, 0.0, cnt)
+        for st, (u, v) in zip((c, ref), uv):
+            st.begin(u, v, 0.0)
         kept = lambda st: st.depths and [st.u0, st.v0, st.depths[0].F, st.depths[0].u]
         _assert_same(zip(uv[0], uv[1]), "u, v")
         _assert_same(zip(kept(c), kept(ref)), "saved rows")
-        assert counters[0] == counters[1]
 
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("with_minv", [False, True])
@@ -117,9 +115,8 @@ class TestPhases:
     def test_update(self, case, with_minv, first):
         for i in range(len(CASES[case][1]) + 1):
             c, ref = _pair(case, with_minv, seed=i)
-            counters = OperationCounter(), OperationCounter()
-            for st, cnt in zip((c, ref), counters):
-                st.update(i, first, cnt)
+            for st in (c, ref):
+                st.update(i, first)
             dc, dr = c.depths[i], ref.depths[i]
             if i + 1 < len(c.depths):  # the forcing handed down, r on the prefix
                 kc, kr = c.depths[i + 1], ref.depths[i + 1]
@@ -128,7 +125,6 @@ class TestPhases:
             else:  # the finest depth's leap-frog step
                 pairs = [(dc.u, dr.u), (dc.v, dr.v)]
             _assert_same(pairs, (case, i))
-            assert counters[0] == counters[1]
 
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("with_minv", [False, True])
@@ -136,22 +132,18 @@ class TestPhases:
     def test_reconstruct(self, case, with_minv, first):
         for i in range(len(CASES[case][1])):
             c, ref = _pair(case, with_minv, seed=i)
-            counters = OperationCounter(), OperationCounter()
-            for st, cnt in zip((c, ref), counters):
-                st.reconstruct(i, first, cnt)
+            for st in (c, ref):
+                st.reconstruct(i, first)
             dc, dr = c.depths[i], ref.depths[i]
             _assert_same([(dc.u, dr.u), (dc.v, dr.v)], (case, i))
-            assert counters[0] == counters[1]
 
     @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
     def test_finish(self, case):
         c, ref = _pair(case, False)
-        counters = OperationCounter(), OperationCounter()
         uv = [_fields(), _fields()]
-        for st, (u, v), cnt in zip((c, ref), uv, counters):
-            st.finish(u, v, cnt)
+        for st, (u, v) in zip((c, ref), uv):
+            st.finish(u, v)
         _assert_same(zip(uv[0], uv[1]), "u, v")
-        assert counters[0] == counters[1]
 
     def test_bind_refuses_buffers_the_loop_would_misread(self):
         z = np.zeros(8)
@@ -198,7 +190,7 @@ N_CYCLES = 5
 class TestCycles:
     """Whole cycles, serial and on 1-4 ranks, over random level
     assignments and sources: the C phases and the NumPy phases give the
-    same ``u``, ``v`` and operation counts, bit for bit."""
+    same ``u`` and ``v``, bit for bit."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]),
@@ -227,22 +219,18 @@ class TestCycles:
         dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
 
         op = sem.operator("matfree", use_fused=True)
-        serial = [LTSNewmarkSolver(A, dof_level, dt, force=force, counter=OperationCounter())
-                  for A in (op, _NumpyPhases(op))]
+        serial = [LTSNewmarkSolver(A, dof_level, dt, force=force) for A in (op, _NumpyPhases(op))]
         layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level,
                                    backend="matfree", use_fused=True)
         ranks = [
             DistributedLTSSolver(lay, dt, world=MailboxWorld(n_ranks), force=force)
             for lay in (layout, replace(layout, K_local=[_NumpyPhases(K) for K in layout.K_local]))
         ]
-        for solver in ranks:
-            solver.counter = OperationCounter()
         for pair in (serial, ranks):
             assert pair[0]._states[0]._c_begin is not None
             assert all(s._c_begin is None for s in pair[1]._states)
             (uc, vc), (un, vn) = (s.run(u0, v0, N_CYCLES) for s in pair)
             assert uc.tobytes() == un.tobytes() and vc.tobytes() == vn.tobytes()
-            assert pair[0].counter == pair[1].counter
 
 
 def _serial_and_distributed(backend: str):

@@ -28,8 +28,13 @@ from repro.core.lts_newmark import (
 )
 from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
 from repro.mesh import refined_interval, uniform_grid, uniform_interval
+from repro.runtime import DistributedLTSSolver, build_rank_layout
 from repro.sem import Sem1D, Sem2D, Sem3D, discrete_energy, fused, point_source, ricker
 from repro.util.errors import SolverError
+
+needs_fused = pytest.mark.skipif(
+    not fused.available(), reason="no C compiler: fused tier unavailable"
+)
 
 
 def _setup_1d(n_coarse=12, n_fine=8, refinement=4, order=4, dirichlet=True):
@@ -38,6 +43,89 @@ def _setup_1d(n_coarse=12, n_fine=8, refinement=4, order=4, dirichlet=True):
     a = assign_levels(mesh, c_cfl=0.4, order=order)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     return mesh, sem, a, dof_level
+
+
+def _setup_2d():
+    """An 8 x 8 order-4 grid with two fast inclusions: three levels."""
+    mesh = uniform_grid((8, 8))
+    mesh.c = mesh.c.copy()
+    mesh.c[27] = 4.0
+    mesh.c[36] = 2.0
+    sem = Sem2D(mesh, order=4)
+    a = assign_levels(mesh, c_cfl=0.4, order=4)
+    dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
+    return sem, a, dof_level
+
+
+#: Element levels of the 3 x 2 x 2 hex golden case: level 2 is skipped.
+_HEX_LEVELS = [1, 1, 3, 1, 4, 1, 3, 1, 1, 1, 1, 1]
+
+
+def _golden_solver(case: str):
+    """The solver of a golden op-count case with an
+    :class:`OperationCounter` attached, and its global DOF count.  A
+    case is ``dim/tier`` serially, ``ranksN/tier/source`` distributed
+    (the 2D system cut into ``N`` element blocks, matrix-free)."""
+    kind, tier, *source = case.split("/")
+    counter = OperationCounter()
+    if kind == "1d":
+        _, sem, a, dof_level = _setup_1d()
+        return LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=counter), sem.n_dof
+    if kind == "3d":
+        mesh = uniform_grid((3, 2, 2))
+        sem = Sem3D(mesh, order=2)
+        dof_level = dof_levels_from_elements(sem.element_dofs, np.array(_HEX_LEVELS), sem.n_dof)
+        op = sem.operator("matfree", use_fused=tier == "fused")
+        dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
+        return LTSNewmarkSolver(op, dof_level, dt, counter=counter), sem.n_dof
+    sem, a, dof_level = _setup_2d()
+    if kind == "2d":
+        op = sem.A if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
+        return LTSNewmarkSolver(op, dof_level, a.dt, counter=counter), sem.n_dof
+    n_ranks = int(kind[len("ranks"):])
+    ne = sem.element_dofs.shape[0]
+    layout = build_rank_layout(
+        sem, np.arange(ne) * n_ranks // ne, n_ranks, dof_level=dof_level,
+        backend="matfree", use_fused=tier == "fused",
+    )
+    force = None if source == ["none"] else point_source(
+        sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * a.dt)
+    )
+    solver = DistributedLTSSolver(layout, a.dt, force=force)
+    solver.counter = counter
+    return solver, sem.n_dof
+
+
+#: One cycle's ``(stiffness_ops, vector_ops, applications_per_level)``
+#: per case, recorded when the optimized phases still counted their
+#: work as they ran; the plan's closed form must reproduce them exactly.
+GOLDEN_OPS = {
+    "1d/assembled": (1066, 1308, {1: 1, 3: 4}),
+    "2d/assembled": (12852, 8871, {1: 1, 2: 2, 3: 4}),
+    "2d/numpy": (74100, 11591, {1: 1, 2: 2, 3: 4}),
+    "2d/fused": (74100, 11591, {1: 1, 2: 2, 3: 4}),
+    "3d/fused": (99873, 12425, {1: 1, 3: 4, 4: 8}),
+    "ranks1/numpy/none": (74100, 11591, {1: 1, 2: 2, 3: 4}),
+    "ranks1/numpy/point": (74100, 11591, {1: 1, 2: 2, 3: 4}),
+    "ranks1/fused/none": (74100, 11591, {1: 1, 2: 2, 3: 4}),
+    "ranks1/fused/point": (74100, 11591, {1: 1, 2: 2, 3: 4}),
+    "ranks2/numpy/none": (74100, 12238, {1: 2, 2: 4, 3: 8}),
+    "ranks2/numpy/point": (74100, 12238, {1: 2, 2: 4, 3: 8}),
+    "ranks2/fused/none": (74100, 12238, {1: 2, 2: 4, 3: 8}),
+    "ranks2/fused/point": (74100, 12238, {1: 2, 2: 4, 3: 8}),
+    "ranks3/numpy/none": (74100, 12837, {1: 3, 2: 6, 3: 12}),
+    "ranks3/numpy/point": (74100, 12837, {1: 3, 2: 6, 3: 12}),
+    "ranks3/fused/none": (74100, 12837, {1: 3, 2: 6, 3: 12}),
+    "ranks3/fused/point": (74100, 12837, {1: 3, 2: 6, 3: 12}),
+    "ranks4/numpy/none": (74100, 13152, {1: 4, 2: 8, 3: 16}),
+    "ranks4/numpy/point": (74100, 13152, {1: 4, 2: 8, 3: 16}),
+    "ranks4/fused/none": (74100, 13152, {1: 4, 2: 8, 3: 16}),
+    "ranks4/fused/point": (74100, 13152, {1: 4, 2: 8, 3: 16}),
+    "ranks5/numpy/none": (74100, 13943, {1: 5, 2: 10, 3: 20}),
+    "ranks5/numpy/point": (74100, 13943, {1: 5, 2: 10, 3: 20}),
+    "ranks5/fused/none": (74100, 13943, {1: 5, 2: 10, 3: 20}),
+    "ranks5/fused/point": (74100, 13943, {1: 5, 2: 10, 3: 20}),
+}
 
 
 class TestDofLevels:
@@ -138,6 +226,18 @@ class TestModeEquivalence:
         assert solver.active_levels == [1, 3]
 
 
+def _draw_levels(data, ne: int) -> np.ndarray:
+    """Levels of ``ne`` elements from a random subset of ``{2, 3, 4}``
+    on top of at least one level-1 element."""
+    fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
+    levels = np.array(data.draw(
+        st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
+        label="element levels",
+    ))
+    levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+    return levels
+
+
 class TestRandomAssignments:
     """Optimized == reference for *any* element-level assignment, on
     every backend: the compact recursion (suffix-ordered active sets,
@@ -168,14 +268,7 @@ class TestRandomAssignments:
     def test_optimized_matches_reference(self, data, dim, dirichlet, source):
         sem, dt = self._system(dim, dirichlet)
         ne = sem.element_dofs.shape[0]
-        fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
-        levels = np.array(
-            data.draw(
-                st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
-                label="element levels",
-            )
-        )
-        levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+        levels = _draw_levels(data, ne)
         dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
         force = None
         if source != "none":
@@ -291,6 +384,62 @@ class TestOperationCounts:
         total_speedup = newmark_cycle_ops(solver.A, a.p_max) / counter.total_ops
         assert total_speedup / theoretical_speedup(a) > 0.5
 
+    @pytest.mark.parametrize("case", [
+        pytest.param(c, marks=needs_fused) if "fused" in c else c for c in GOLDEN_OPS
+    ])
+    def test_closed_form_reproduces_golden_counts(self, case):
+        solver, n = _golden_solver(case)
+        solver.run(np.random.default_rng(3).standard_normal(n), np.zeros(n), 1)
+        c = solver.counter
+        assert (c.stiffness_ops, c.vector_ops, c.applications_per_level) == GOLDEN_OPS[case]
+        numberings = getattr(solver.plan, "numberings", None) or [solver.plan.numbering]
+        plan_ops = OperationCounter()
+        for nb in numberings:
+            plan_ops.add(nb.ops_per_cycle())
+        assert plan_ops == c
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]),
+           backend=st.sampled_from(["assembled", "matfree"]))
+    def test_closed_form_matches_reference_schedule(self, data, dim, backend):
+        """Over random levels (skipped ones included) and 1-5 ranks: every
+        numbering's closed form applies each level as often as the
+        run-time count of ``mode="reference"``, and a solver's stiffness
+        count is, level by level, those applies times the summed ``ops``
+        of its numberings' products of that level."""
+        sem, dt = TestRandomAssignments._system(dim, dirichlet=False)
+        ne = sem.element_dofs.shape[0]
+        levels = _draw_levels(data, ne)
+        n_ranks = data.draw(st.integers(1, 5), label="ranks")
+        parts = np.array(data.draw(
+            st.lists(st.integers(0, n_ranks - 1), min_size=ne, max_size=ne),
+            label="element ranks",
+        ))
+        dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+        zeros = np.zeros(sem.n_dof)
+        ref = LTSNewmarkSolver(sem.A, dof_level, dt, mode="reference", counter=OperationCounter())
+        ref.run(zeros, zeros, 1)
+        applies = ref.counter.applications_per_level
+
+        layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level, backend=backend,
+                                   use_fused=None if backend == "assembled" else False)
+        serial = LTSNewmarkSolver(sem.A, dof_level, dt, counter=OperationCounter())
+        ranks = DistributedLTSSolver(layout, dt)
+        ranks.counter = OperationCounter()
+        for solver, numberings in ((serial, [serial.plan.numbering]),
+                                   (ranks, ranks.plan.numberings)):
+            solver.run(zeros, zeros, 1)
+            level_ops = dict.fromkeys(applies, 0)
+            for nb in numberings:
+                assert nb.ops_per_cycle().applications_per_level == applies
+                level_ops[nb.level0] += nb.restr0.ops
+                for d in nb.depths:
+                    level_ops[d.level] += d.restr.ops
+            assert solver.counter.stiffness_ops == sum(applies[k] * level_ops[k] for k in applies)
+            assert solver.counter.applications_per_level == {
+                k: len(numberings) * n for k, n in applies.items()
+            }
+
     def test_counter_reset(self):
         c = OperationCounter()
         c.count_stiffness(1, 10)
@@ -306,14 +455,8 @@ class TestBackendEquivalence:
 
     @pytest.fixture(scope="class")
     def setup_2d(self):
-        mesh = uniform_grid((8, 8))
-        mesh.c = mesh.c.copy()
-        mesh.c[27] = 4.0
-        mesh.c[36] = 2.0
-        sem = Sem2D(mesh, order=4)
-        a = assign_levels(mesh, c_cfl=0.4, order=4)
+        sem, a, dof_level = _setup_2d()
         assert a.n_levels >= 3  # genuinely multi-level
-        dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         u0 = np.exp(-((sem.xy[:, 0] - 4) ** 2 + (sem.xy[:, 1] - 4) ** 2))
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         return sem, a, dof_level, u0, v0
