@@ -20,8 +20,9 @@ import numpy as np
 
 from common import counted_cycles, save_results
 from repro.core import OperationCounter, assign_levels, theoretical_speedup
-from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements, newmark_cycle_ops
-from repro.core.newmark import NewmarkSolver
+from repro.core.lts_newmark import (
+    LTSNewmarkSolver, NewmarkSolver, dof_levels_from_elements, newmark_cycle_ops,
+)
 from repro.mesh import refined_interval
 from repro.sem import Sem1D
 from repro.util import Table

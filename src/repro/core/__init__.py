@@ -7,10 +7,12 @@ Contents:
   :mod:`repro.core.levels`;
 * the LTS speedup model (Eq. (9)) and efficiency metrics —
   :mod:`repro.core.speedup`;
-* the explicit Newmark scheme (Eqs. (5)-(6)) — :mod:`repro.core.newmark`;
-* two-level and recursive multi-level LTS-Newmark (Eq. (14), Algorithm 1)
-  with both a literal reference implementation and the optimized
-  active-set implementation — :mod:`repro.core.lts_newmark`;
+* the explicit Newmark scheme (Eqs. (5)-(6)) and the one time loop
+  every solver runs — :mod:`repro.core.newmark`;
+* recursive multi-level LTS-Newmark (Eq. (14), Algorithm 1) with both a
+  literal reference implementation and the optimized active-set
+  implementation, whose one-level case is the Newmark solver
+  (:class:`NewmarkSolver`) — :mod:`repro.core.lts_newmark`;
 * the LTS cycle schedule consumed by the cluster simulator —
   :mod:`repro.core.schedule`;
 * the stiffness-operator protocol shared by the assembled-CSR and
@@ -40,10 +42,11 @@ from repro.core.speedup import (
     serial_efficiency,
 )
 from repro.core.health import HealthGuard
-from repro.core.newmark import NewmarkSolver, newmark_run
 from repro.core.lts_newmark import (
     LTSNewmarkSolver,
+    NewmarkSolver,
     lts_newmark_run,
+    newmark_run,
     OperationCounter,
 )
 from repro.core.schedule import LTSSchedule, build_schedule

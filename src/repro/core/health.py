@@ -21,9 +21,11 @@ Two checks, both O(n) and run every ``check_every`` cycles:
   energy, where any relative-growth bound is meaningless; enable it for
   source-free or late-time runs.
 
-All four solvers (:class:`repro.core.newmark.NewmarkSolver`,
-:class:`repro.core.lts_newmark.LTSNewmarkSolver` and the distributed
-executors) accept a guard via ``run(..., health=...)``, and the façade
+Every solver — serial :class:`repro.core.lts_newmark.LTSNewmarkSolver`
+and distributed :class:`repro.runtime.executor.DistributedLTSSolver`,
+each with its one-level Newmark subclass — accepts a guard via
+``run(..., health=...)`` (one loop, :func:`repro.core.newmark
+.run_cycles`, runs the check), and the façade
 builds one from :class:`repro.api.config.ResilienceSpec
 .health_check_every`.
 """

@@ -10,7 +10,10 @@ recursively: each level ``k`` freezes ``z_k = A P_k u~`` over its own step
 ``dt / 2**(k-1)`` while the finer levels substep inside it, and
 reconstructs its staggered velocity from the substepped displacement
 (``v <- v + 2 (u_fine - u) / dt_k``, Eq. (14)).  With a single level the
-scheme *is* explicit Newmark (tested to machine precision).
+scheme *is* explicit Newmark, and that is how Newmark runs:
+:class:`NewmarkSolver` is the one-level :class:`LTSNewmarkSolver`, its
+one product the operator's own (a restriction to every column is no
+copy and no mask, :mod:`repro.core.operator`).
 
 Two implementations share one recursion:
 
@@ -88,7 +91,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.core.levels import LevelAssignment
 from repro.core.newmark import Fields, run_cycles, subtract_force
 from repro.core.operator import (
     AssembledOperator, Restriction, _restrict_levels, as_operator, inverse_numbering,
@@ -275,9 +277,7 @@ class _RankState:
         self.dt, self.restr0, self.depths = dt, restr0, depths
         self.z1, self.force, self.minv = z1, force, minv
         self.n = len(z1)
-        native = tier.startswith("fused")
-        #: Depth 0's full-length scratch (the C phases need none).
-        self.w = None if native else np.zeros(self.n)
+        self.shape = z1.shape  # of the (u, v) this state steps
         #: Per level, ascending, the buffer its apply writes: what the
         #: ranks sum in place when they share rows.
         self.outputs = [z1, *(d.z for d in depths)]
@@ -304,7 +304,7 @@ class _RankState:
                 hand = (kid.F, r_in, kid.u, u_in)
                 self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
             self._updates.append((d.z, d.r, mv, d.F, d.u, d.v, dt_k, hand))
-        if native:
+        if tier.startswith("fused"):
             self._bind_c()
 
     def _bind_c(self) -> None:
@@ -333,7 +333,7 @@ class _RankState:
     def nbytes(self) -> int:
         """Bytes of the buffers and index maps the phases touch, and of
         the scratch its restricted products report."""
-        bufs = [self.z1] if self.w is None else [self.z1, self.w]
+        bufs = [self.z1]
         for d in self.depths:
             bufs += [d.z, d.u, d.v, d.F, d.r]
         if self.depths:
@@ -353,8 +353,10 @@ class _RankState:
         level that is the scheme; with more, the closed form of every
         DOF outside the coarsest active set (:meth:`finish` overwrites
         the rest from the saved rows).  The C phase gathers the rows and
-        takes the step in one call, reading ``z1`` without scaling it."""
-        z1, w, dt = self.z1, self.w, self.dt
+        takes the step in one call, reading ``z1`` without scaling it;
+        the NumPy passes reuse ``z1`` as the step's scratch once ``v``
+        has read it (the next apply overwrites it whole)."""
+        z1, dt = self.z1, self.dt
         if self.minv is not None:
             z1 *= self.minv
         if self.force is not None:
@@ -370,8 +372,8 @@ class _RankState:
             np.copyto(d.u, self.u0)
         z1 *= dt
         v -= z1
-        np.multiply(v, dt, out=w)
-        u += w
+        np.multiply(v, dt, out=z1)
+        u += z1
 
     def apply_level(self, i: int) -> None:
         """``z = A P_k u~`` for depth ``i``'s level, unsummed: one apply
@@ -542,6 +544,25 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
     return levels, numberings, exchange
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _check_fields(states: list[_RankState], us, vs) -> None:
+    """Refuse, before any write, fields a cycle cannot step in place:
+    one ``(u, v)`` per state, of its length, and writeable aligned
+    C-contiguous float64 (``flags.carray``) — the C phases write through
+    raw pointers, so a strided view or another dtype would be corrupted,
+    not converted.  Plain tests: on a small system this costs as much
+    as a vector pass."""
+    if len(us) != len(states) or len(vs) != len(states):
+        raise SolverError("state shape mismatch: one (u, v) pair per DOF numbering")
+    for st, u, v in zip(states, us, vs):
+        if u.shape != st.shape or v.shape != st.shape:
+            raise SolverError("state shape mismatch: each (u, v) of its numbering's length")
+        if not (u.flags.carray and v.flags.carray and u.dtype == _F64 and v.dtype == _F64):
+            raise SolverError("u and v must be writeable C-contiguous float64 arrays")
+
+
 class _LockStepCycle:
     """One optimized LTS cycle over ``self._states`` in lock step, and
     what a solver keeps around it: the schedule position and ``run``.
@@ -574,20 +595,7 @@ class _LockStepCycle:
         """Advance every numbering's ``(u^n, v^{n-1/2})`` by the coarse
         ``dt``, in place: one pair per state, each of its length."""
         states, levels = self._states, self.active_levels
-        require(
-            len(us) == len(vs) == len(states)
-            and all(u.shape == v.shape == (st.n,) for st, u, v in zip(states, us, vs)),
-            "state shape mismatch: one (u, v) pair per DOF numbering, each of its length",
-            SolverError,
-        )
-        # The C phases write u and v through raw pointers: a strided
-        # view or another dtype would be corrupted, not converted.
-        require(
-            all(x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable
-                for x in (*us, *vs)),
-            "u and v must be writeable C-contiguous float64 arrays",
-            SolverError,
-        )
+        _check_fields(states, us, vs)
         for st, u in zip(states, us):
             st.apply_coarse(u)
         self._sum_shared(levels[0])
@@ -847,6 +855,38 @@ class LTSNewmarkSolver(_LockStepCycle):
         return u, v
 
 
+class NewmarkSolver(LTSNewmarkSolver):
+    """Explicit Newmark/leap-frog (Eqs. (5)-(6)) for ``u'' = -A u + f(t)``:
+    the one-level :class:`LTSNewmarkSolver`, every DOF on level 1, whose
+    cycle is one step of ``dt``.
+
+    ``A`` is whatever :func:`~repro.core.operator.as_operator` accepts: a
+    :class:`~repro.core.operator.StiffnessOperator`, or a scipy sparse
+    matrix or dense array, wrapped as CSR and applied in its stored entry
+    order.  ``step(u, v)`` advances writeable C-contiguous float64
+    vectors of length ``n`` in place.  ``dt`` must be CFL-admissible
+    (:func:`repro.core.cfl.cfl_timestep`); ``force`` is an optional
+    mass-scaled ``f(t)``, as for :class:`LTSNewmarkSolver`.
+    """
+
+    def __init__(self, A, dt: float, force: Callable[[float], np.ndarray] | None = None):
+        # Every DOF on level 1, as a read-only view: no vector of ones.
+        one_level = np.broadcast_to(np.int64(1), (A.shape[0],))
+        super().__init__(A, one_level, dt, force=force)
+
+
+def newmark_run(
+    A,
+    dt: float,
+    u0: np.ndarray,
+    v0: np.ndarray,
+    n_steps: int,
+    force: Callable[[float], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-shot convenience wrapper around :class:`NewmarkSolver`."""
+    return NewmarkSolver(A, dt, force=force).run(u0, v0, n_steps)
+
+
 def lts_newmark_run(
     A,
     dof_level: np.ndarray,
@@ -860,16 +900,3 @@ def lts_newmark_run(
     """One-shot convenience wrapper around :class:`LTSNewmarkSolver`."""
     solver = LTSNewmarkSolver(A, dof_level, dt, mode=mode, force=force)
     return solver.run(u0, v0, n_cycles)
-
-
-def make_solver_for_assignment(
-    A,
-    element_dofs: np.ndarray,
-    assignment: LevelAssignment,
-    mode: str = "optimized",
-    force: Callable[[float], np.ndarray] | None = None,
-) -> LTSNewmarkSolver:
-    """Build an :class:`LTSNewmarkSolver` from an element-level assignment."""
-    n_dof = A.shape[0]  # sparse matrices, arrays, and operators all have .shape
-    dof_level = dof_levels_from_elements(element_dofs, assignment.level, n_dof)
-    return LTSNewmarkSolver(A, dof_level, assignment.dt, mode=mode, force=force)

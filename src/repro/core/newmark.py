@@ -1,4 +1,4 @@
-"""Explicit Newmark time stepping (paper Eqs. (5)-(6)).
+"""Explicit Newmark time stepping (paper Eqs. (5)-(6)) and the time loop.
 
 The scheme staggers velocity by half a step (equivalent to leap-frog)::
 
@@ -7,14 +7,15 @@ The scheme staggers velocity by half a step (equivalent to leap-frog)::
 
 where ``A = M^{-1} K`` and ``f`` is the mass-scaled external force.  This
 is the non-LTS reference scheme: it must take the globally smallest stable
-step (Eq. (7)) everywhere, which is the bottleneck LTS removes.
+step (Eq. (7)) everywhere, which is the bottleneck LTS removes.  It runs
+as one-level LTS: :class:`repro.core.lts_newmark.NewmarkSolver`.
 
-This module also owns :func:`run_cycles` — the package's single time
-loop.  All four solvers' ``run`` methods and
-:meth:`repro.api.Simulation.run` (plain, checkpointed, health-guarded,
-resumed, serial or partitioned) step through it; they differ only in
-which optional hooks they pass and in the field view (:class:`Fields`
-here, :class:`repro.runtime.executor.RankFields` for per-rank replicas).
+This module owns :func:`run_cycles` — the package's single time loop.
+Every solver's ``run`` and :meth:`repro.api.Simulation.run` (plain,
+checkpointed, health-guarded, resumed, serial or partitioned) step
+through it; they differ only in which optional hooks they pass and in
+the field view (:class:`Fields` here,
+:class:`repro.runtime.executor.RankFields` for per-rank replicas).
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.core.workspace import make_apply_into, workspace_bytes
 from repro.util.errors import SolverError
-from repro.util.validation import check_positive, require
+from repro.util.validation import require
 
 
 class Fields:
@@ -84,6 +84,8 @@ def run_cycles(
 ):
     """The one cycle loop: every ``run`` in the package steps through here.
 
+    ``solver`` is a serial or distributed LTS solver; a cycle of a
+    one-level one (the Newmark solvers) is one Newmark step.
     Advances ``solver`` by ``n_cycles`` cycles over ``fields``
     (:class:`Fields`, or :class:`repro.runtime.executor.RankFields` for
     a partitioned run) and returns the view's global ``(u, v)``.  The
@@ -140,106 +142,6 @@ def subtract_force(force: Callable, t: float, z: np.ndarray) -> None:
         z -= force(t)
     else:
         z[dof] -= force.value(t)
-
-
-class NewmarkSolver:
-    """Explicit Newmark/leap-frog integrator for ``u'' = -A u + f(t)``.
-
-    Parameters
-    ----------
-    A:
-        Operator supporting ``A @ u`` (scipy sparse matrix, ndarray, or
-        LinearOperator); typically ``M^{-1} K`` with diagonal ``M``.
-    dt:
-        Time step; caller is responsible for CFL admissibility
-        (:func:`repro.core.cfl.cfl_timestep`).
-    force:
-        Optional ``f(t) -> (n,) array`` of mass-scaled external force.
-    """
-
-    def __init__(self, A, dt: float, force: Callable[[float], np.ndarray] | None = None):
-        self.A = A
-        self.dt = check_positive(dt, "dt", SolverError)
-        self.force = force
-        self.t = 0.0
-        self.n_cycles_taken = 0
-        self._apply_into = make_apply_into(A)
-        self._z: np.ndarray | None = None  # step scratch, sized on first use
-
-    def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance ``(u^n, v^{n-1/2})`` to ``(u^{n+1}, v^{n+1/2})`` in place.
-
-        All updates run through one preallocated scratch vector with
-        ``out=`` ufunc forms — bitwise identical to the seed's
-        temporary-per-axpy arithmetic (``v -= dt (A u - f)`` rounds
-        exactly like ``v += dt (f - A u)``), without the per-step
-        allocations.
-        """
-        z = self._z
-        if z is None or z.shape != u.shape:
-            z = self._z = np.empty_like(u, dtype=np.float64)
-        self._apply_into(u, z)
-        if self.force is not None:
-            subtract_force(self.force, self.t, z)
-        z *= self.dt
-        v -= z
-        np.multiply(v, self.dt, out=z)
-        u += z
-        self.t += self.dt
-        self.n_cycles_taken += 1
-        return u, v
-
-    def workspace_bytes(self) -> int:
-        """Bytes of pooled stepping scratch (solver plus operator)."""
-        own = 0 if self._z is None else self._z.nbytes
-        return own + workspace_bytes(self.A)
-
-    # -- checkpoint/restart hooks ----------------------------------------
-    def state(self) -> dict:
-        """Schedule position for checkpointing (``u``/``v`` live with
-        the caller — pair this with copies of the field vectors)."""
-        return {"t": self.t, "cycle": self.n_cycles_taken}
-
-    def restore(self, state: dict) -> None:
-        """Resume the schedule position saved by :meth:`state`."""
-        self.t = float(state["t"])
-        self.n_cycles_taken = int(state["cycle"])
-
-    def run(
-        self,
-        u0: np.ndarray,
-        v0: np.ndarray,
-        n_steps: int,
-        health: HealthGuard | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint: Callable | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate ``n_steps`` steps from ``(u0, v0)``.
-
-        ``v0`` is interpreted as the staggered ``v^{-1/2}`` value.  Returns
-        copies; inputs are not modified.  ``health`` runs a
-        :class:`~repro.core.health.HealthGuard` on its cadence;
-        ``on_checkpoint(cycle, u, v)`` fires every ``checkpoint_every``
-        completed steps with snapshot copies.
-        """
-        u = np.array(u0, dtype=np.float64, copy=True)
-        v = np.array(v0, dtype=np.float64, copy=True)
-        return run_cycles(
-            self, Fields(u, v), n_steps, health=health,
-            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
-        )
-
-
-def newmark_run(
-    A,
-    dt: float,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    n_steps: int,
-    force: Callable[[float], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience wrapper around :class:`NewmarkSolver`."""
-    return NewmarkSolver(A, dt, force=force).run(u0, v0, n_steps)
 
 
 def staggered_initial_velocity(

@@ -15,7 +15,9 @@ is backend-agnostic:
   ``A[:, cols] u[cols]``, a :class:`Restriction` that can be
   renumbered onto an LTS depth's active set) and
   :meth:`~AssembledOperator.reach` (the row support of a column set —
-  the "gray halo" of Fig. 2).
+  the "gray halo" of Fig. 2).  A restriction to every column is the
+  operator's own product, with no copy and no input mask: one-level
+  LTS, which is explicit Newmark, costs what a plain apply costs.
 * :class:`AssembledOperator` — wraps a precomputed sparse ``A``; the
   seed's CSR path, unchanged semantics.
 * the matrix-free backend lives in :mod:`repro.sem.matfree` (it needs
@@ -36,6 +38,7 @@ ratios (Eq. (9) serial efficiency) stay meaningful per backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -236,15 +239,20 @@ class StiffnessOperator(Protocol):
 class AssembledOperator:
     """Assembled sparse backend: wraps a precomputed ``A = M^{-1} K``.
 
-    Keeps the CSR for row-oriented products and a CSC twin for the
-    column slicing that level restriction and reachability need.
+    Keeps the CSR (the caller's arrays, when ``A`` is one) for
+    row-oriented products.  A CSC twin serves the column slicing that a
+    proper level restriction and reachability need; it is built on first
+    such use, so a plan whose one level is every column never pays for it.
     """
 
     def __init__(self, A):
         self.A = sp.csr_matrix(A)
         n = self.A.shape[0]
         require(self.A.shape == (n, n), "A must be square", SolverError)
-        self._A_csc = self.A.tocsc()
+
+    @cached_property
+    def _A_csc(self):
+        return self.A.tocsc()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -278,7 +286,12 @@ class AssembledOperator:
         return self.restrict(cols).apply(u)
 
     def restrict(self, cols: np.ndarray) -> Restriction:
+        """The product ``A[:, cols] @ u[cols]``.  Every column, in order,
+        is ``A`` itself: applied as it stands (its stored entry order),
+        with no column slice, copy or gather."""
         cols = np.asarray(cols, dtype=np.int64)
+        if np.array_equal(cols, np.arange(self.shape[0])):
+            return _column_block(cols, self.A, gather=False)
         return _column_block(cols, self._A_csc[:, cols].tocsr())
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
@@ -293,17 +306,20 @@ class AssembledOperator:
         return out
 
 
-def _column_block(cols: np.ndarray, A_cols) -> Restriction:
-    """The product of the CSR column block ``A_cols = A[:, cols]``.  It
-    renumbers by row-slicing the block: rows keep their entries in
-    stored order, so every row sum is the original's."""
-    ucols = np.empty(len(cols))  # the gather buffer: the one mutable part
+def _column_block(cols: np.ndarray, A_cols, gather: bool = True) -> Restriction:
+    """The product of the CSR column block ``A_cols = A[:, cols]`` — or,
+    without ``gather``, of ``A`` itself (``cols`` every column, in
+    order), which reads ``u`` as it is.  It renumbers by row-slicing the
+    block: rows keep their entries in stored order, so every row sum is
+    the original's."""
+    ucols = np.empty(len(cols)) if gather else None  # the one mutable part
 
     def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if ucols is not None:
+            u = u.take(cols, out=ucols, mode="clip")
         if out is None:
-            return A_cols @ u[cols]
-        u.take(cols, out=ucols, mode="clip")
-        return csr_matvec_into(A_cols, ucols, out)
+            return A_cols @ u
+        return csr_matvec_into(A_cols, u, out)
 
     def _renumber(idx: np.ndarray) -> Restriction:
         pos = inverse_numbering(idx, A_cols.shape[0])
@@ -312,8 +328,9 @@ def _column_block(cols: np.ndarray, A_cols) -> Restriction:
         return _column_block(colpos, A_cols[idx])
 
     return Restriction(
-        cols=cols, ops=A_cols.nnz, _apply=_apply, workspace_bytes=ucols.nbytes,
-        _fork=lambda: _column_block(cols, A_cols), _renumber=_renumber,
+        cols=cols, ops=A_cols.nnz, _apply=_apply,
+        workspace_bytes=0 if ucols is None else ucols.nbytes,
+        _fork=lambda: _column_block(cols, A_cols, gather), _renumber=_renumber,
     )
 
 

@@ -11,12 +11,10 @@ allocation-discipline layer that removes that overhead:
 * :class:`Workspace` — a tiny named buffer pool.  Operators and solvers
   own one, request buffers by name once, and reuse them on every
   subsequent step; ``nbytes`` makes the footprint observable.
-* :func:`apply_into` / :func:`csr_matvec_into` — ``out=``-style
-  operator application for anything a solver may hold: protocol
-  operators (``apply(u, out=)``), scipy CSR matrices (via the
+* :func:`csr_matvec_into` — ``out=``-style CSR products (via the
   ``csr_matvec`` kernel scipy's own ``@`` uses, accumulated into a
-  caller buffer), dense arrays, and as a last resort any ``A @ u``
-  duck type (one allocation, then a copy).
+  caller buffer), behind the assembled backend's ``apply(u, out=)``;
+  every solver applies its stiffness through that protocol.
 * :class:`HotPathStats` / :class:`HotPathTracer` — the opt-in evidence:
   steady-state steps/sec, tracemalloc block/byte deltas per step, and
   pooled workspace bytes, surfaced in
@@ -103,50 +101,6 @@ def csr_matvec_into(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     except (ImportError, AttributeError):  # pragma: no cover - scipy internals moved
         out[:] = A @ x
     return out
-
-
-def supports_out(A) -> bool:
-    """True when ``A.apply`` accepts the ``out=`` keyword (the
-    :class:`repro.core.operator.StiffnessOperator` workspace contract)."""
-    apply = getattr(A, "apply", None)
-    if apply is None:
-        return False
-    import inspect
-
-    try:
-        return "out" in inspect.signature(apply).parameters
-    except (TypeError, ValueError):  # pragma: no cover - C callables
-        return False
-
-
-def make_apply_into(A) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """A bound ``(u, out) -> out`` applier for ``A``, resolved once.
-
-    Dispatch order: protocol operators with the ``out=`` contract,
-    scipy sparse matrices (:func:`csr_matvec_into`), dense arrays
-    (``np.matmul`` with ``out=``), then any ``A @ u`` duck type
-    (allocating fallback — correct, just not pooled).
-    """
-    import scipy.sparse as sp
-
-    if supports_out(A):
-        return lambda u, out: A.apply(u, out=out)
-    if sp.issparse(A):
-        csr = A if sp.isspmatrix_csr(A) else A.tocsr()
-        return lambda u, out: csr_matvec_into(csr, u, out)
-    if isinstance(A, np.ndarray):
-        return lambda u, out: np.matmul(A, u, out=out)
-
-    def _fallback(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[:] = A @ u
-        return out
-
-    return _fallback
-
-
-def apply_into(A, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One-shot :func:`make_apply_into` (prefer the factory in loops)."""
-    return make_apply_into(A)(u, out)
 
 
 def workspace_bytes(*objs) -> int:

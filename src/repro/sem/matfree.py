@@ -788,9 +788,13 @@ class MatrixFreeStiffness:
 
         This is the paper's per-level stiffness application for the
         distributed runtime: each rank applies only the elements of the
-        active level instead of masking a full local product.
+        active level instead of masking a full local product.  A mask
+        over every DOF returns this operator itself: no rebuild, no
+        all-ones input mask.
         """
         col_mask = np.asarray(col_mask, dtype=bool)
+        if col_mask.all():
+            return self
         ids = np.nonzero(col_mask[self.element_dofs].any(axis=1))[0]
         gm = col_mask[self.element_dofs[ids]].astype(np.float64)
         if self.gmask is not None:
@@ -920,6 +924,9 @@ class MatrixFreeOperator:
         return self.restrict(cols).apply(u)
 
     def restrict(self, cols: np.ndarray) -> Restriction:
+        """The product ``A[:, cols] @ u[cols]`` on the elements adjacent
+        to ``cols``.  Every column is the full operator's own pipeline
+        (:meth:`MatrixFreeStiffness.masked_subset`)."""
         cols = np.asarray(cols, dtype=np.int64)
         col_mask = np.zeros(self.n_dof, dtype=bool)
         col_mask[cols] = True

@@ -46,7 +46,7 @@ class TestCfl:
         sem = Sem1D(mesh, order=4)
         dt = stable_timestep_from_operator(sem.A, safety=1.0)
         # Leap-frog with dt below the bound stays bounded; 5% above blows up.
-        from repro.core.newmark import NewmarkSolver
+        from repro.core import NewmarkSolver
 
         u0 = np.sin(np.pi * sem.x / sem.x.max())
         stable, _ = NewmarkSolver(sem.A, 0.95 * dt).run(u0, np.zeros_like(u0), 400)

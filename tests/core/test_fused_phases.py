@@ -157,10 +157,12 @@ class TestPhases:
             with pytest.raises(TypeError, match=f"lts_begin argument {pos} takes"):
                 fused.bind_phase("lts_begin", *args)
 
-    def test_fused_state_drops_depth0_scratch(self):
-        c, ref = _pair("split", False)
-        assert c.w is None and ref.w is not None
-        assert ref.nbytes() - c.nbytes() == ref.w.nbytes
+    @pytest.mark.parametrize("case", ["split", "one_level"])
+    def test_states_hold_the_same_buffers(self, case):
+        """Depth 0's step reuses ``z1`` as scratch on the NumPy phases, so
+        they hold no more than the C phases."""
+        c, ref = _pair(case, False)
+        assert c.nbytes() == ref.nbytes()
 
 
 class _NumpyPhases:
@@ -227,7 +229,8 @@ class TestCycles:
             for lay in (layout, replace(layout, K_local=[_NumpyPhases(K) for K in layout.K_local]))
         ]
         for pair in (serial, ranks):
-            assert pair[0]._states[0]._c_begin is not None
+            # A rank that owns no element has no fused product: NumPy phases.
+            assert any(s._c_begin is not None for s in pair[0]._states)
             assert all(s._c_begin is None for s in pair[1]._states)
             (uc, vc), (un, vn) = (s.run(u0, v0, N_CYCLES) for s in pair)
             assert uc.tobytes() == un.tobytes() and vc.tobytes() == vn.tobytes()

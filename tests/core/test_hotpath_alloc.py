@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.core import assign_levels
-from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
-from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
+from repro.core.lts_newmark import LTSNewmarkSolver, NewmarkSolver, dof_levels_from_elements
+from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import measure_hot_path
 from repro.mesh import uniform_grid
 from repro.sem import Sem2D, fused

@@ -21,12 +21,12 @@ from repro.core import (
 )
 from repro.core.lts_newmark import (
     LTSNewmarkSolver,
+    NewmarkSolver,
     dof_levels_from_elements,
     lts_newmark_run,
-    make_solver_for_assignment,
     newmark_cycle_ops,
 )
-from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
+from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import refined_interval, uniform_grid, uniform_interval
 from repro.runtime import DistributedLTSSolver, build_rank_layout
 from repro.sem import Sem1D, Sem2D, Sem3D, discrete_energy, fused, point_source, ricker
@@ -150,16 +150,30 @@ class TestDofLevels:
 
 
 class TestDegenerateCases:
-    def test_single_level_equals_newmark(self):
-        mesh = uniform_interval(16)
-        sem = Sem1D(mesh, order=4, dirichlet=True)
-        dt = 1e-3
-        u0 = np.sin(np.pi * sem.x / sem.x.max())
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        un, vn = NewmarkSolver(sem.A, dt).run(u0, v0, 20)
-        ul, vl = lts_newmark_run(sem.A, np.ones(sem.n_dof, dtype=int), dt, u0, v0, 20)
-        assert np.allclose(un, ul, atol=1e-14)
-        assert np.allclose(vn, vl, atol=1e-14)
+    @pytest.mark.parametrize("mode", ["optimized", "reference"])
+    @pytest.mark.parametrize("tier", [
+        "assembled", "numpy", pytest.param("fused", marks=needs_fused),
+    ])
+    def test_single_level_equals_newmark(self, tier, mode):
+        """One level is explicit Newmark: checked against a leap-frog
+        loop written out here, not against another solver of the package
+        (``NewmarkSolver`` is the one-level solver itself)."""
+        mesh = uniform_grid((4, 3))
+        sem = Sem2D(mesh, order=3, dirichlet=True)
+        dt = assign_levels(mesh, c_cfl=0.4, order=3).dt
+        A = sem.A if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
+        point = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * dt))
+        force = lambda t: point(t)  # noqa: E731  (dense: the oracle reads a vector)
+        rng = np.random.default_rng(3)
+        u0, v0 = rng.standard_normal(sem.n_dof), rng.standard_normal(sem.n_dof)
+        u, v = u0.copy(), v0.copy()
+        for n in range(20):
+            v -= dt * (A @ u - force(n * dt))
+            u += dt * v
+        solver = LTSNewmarkSolver(A, np.ones(sem.n_dof, dtype=int), dt, mode=mode, force=force)
+        ul, vl = solver.run(u0, v0, 20)
+        assert np.abs(ul - u).max() <= 1e-14 * np.abs(u).max()
+        assert np.abs(vl - v).max() <= 1e-14 * np.abs(v).max()
 
     def test_all_coarse_two_level_setup_equals_newmark(self):
         """If the level-2 set is empty the cycle degenerates to leapfrog."""
@@ -518,11 +532,3 @@ class TestForce:
         ul, _ = lts_newmark_run(sem.A, dof_level, dt, u0, v0, n, force=force)
         un, _ = NewmarkSolver(sem.A, dt / a.p_max, force=force).run(u0, v0, n * a.p_max)
         assert np.max(np.abs(ul - un)) < 0.05 * np.max(np.abs(un))
-
-
-class TestFactory:
-    def test_make_solver_for_assignment(self):
-        mesh, sem, a, _ = _setup_1d()
-        solver = make_solver_for_assignment(sem.A, sem.element_dofs, a)
-        assert solver.dt == a.dt
-        assert solver.n_levels == a.n_levels

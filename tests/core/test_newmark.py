@@ -1,11 +1,23 @@
-"""Tests for the explicit Newmark reference scheme (Eqs. (5)-(6))."""
+"""Tests for the explicit Newmark reference scheme (Eqs. (5)-(6)).
+
+``NewmarkSolver`` is the one-level LTS cycle, and a level over every
+column is the operator's own product.  The golden pins below were
+recorded when Newmark still had a stepper of its own; the one-level
+cycle must reproduce them bit for bit, on every tier and on ranks.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.core.newmark import NewmarkSolver, newmark_run, staggered_initial_velocity
-from repro.sem import Sem1D
-from repro.mesh import uniform_interval
+from repro.core import AssembledOperator, NewmarkSolver, assign_levels, newmark_run
+from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
+from repro.core.newmark import staggered_initial_velocity
+from repro.core.workspace import reachable_buffers
+from repro.mesh import uniform_grid, uniform_interval
+from repro.runtime import DistributedLTSSolver, DistributedNewmarkSolver, build_rank_layout
+from repro.sem import ElasticSem2D, Sem1D, Sem2D, Sem3D, fused, point_source, ricker
 from repro.util.errors import SolverError
 
 
@@ -93,3 +105,172 @@ class TestValidation:
     def test_rejects_negative_steps(self):
         with pytest.raises(SolverError):
             NewmarkSolver(np.eye(2), dt=0.1).run(np.zeros(2), np.zeros(2), -1)
+
+
+# ----------------------------------------------------------------------
+# Golden pins: sha256 of u and v after 30 steps
+# ----------------------------------------------------------------------
+N_STEPS = 30
+
+GOLDEN = {
+    "1d/assembled": "4eb0ebd5b2072601716849aae59d53448599f90a3058cd2f5aa4fed0be3176eb",
+    "2d/assembled/point": "a3412b8ec951f0f368e863a1d2bb82da3d1d909082d6e1eef2d13fecb556405d",
+    "2d/assembled/dense": "a3412b8ec951f0f368e863a1d2bb82da3d1d909082d6e1eef2d13fecb556405d",
+    "2d/numpy/point": "65f256ad962ca8ef946005a498c8f157720ab8dbd76044297d6f75f86591d878",
+    "2d/numpy/dense": "65f256ad962ca8ef946005a498c8f157720ab8dbd76044297d6f75f86591d878",
+    "2d/fused/point": "0d0ceba57c4dee8e4a0e17429e8635ba1abf217b5d203f492ebab4849a0bbe39",
+    "2d/fused/dense": "0d0ceba57c4dee8e4a0e17429e8635ba1abf217b5d203f492ebab4849a0bbe39",
+    "2d-dirichlet/numpy/point": "f54ab2a637da5a1ac4105fe183ca227aac4c9682a75cf43516da5e143c628d3e",
+    "2d-dirichlet/fused/point": "1ba788df9035a3174c0703570fa7656d10f4a9b019fe932cc364af53b4c690ee",
+    "3d/fused/point": "43f078336e43cd59ef596f7ba931a3a052920fe493f8e6a431dd6257805e4ed7",
+    "elastic/numpy/point": "ccf18d297b326a5ea6d4a83e8ed0c9d3ec88ea10026e863687a24b399d071507",
+    "newmark3/assembled": "3891e41e6b9d8ebaecbfe2caa9e6ef48a5a1f5faecd0932aa474d9c3f571c366",
+    "newmark3/numpy": "0bf94a78ef0a37becdd1c80ff58e439d400e902207546b9a5044cbed5c755a28",
+    "newmark3/fused": "1ebe437a6ab0c24e1d5fb0ae5c7a8ffbd9c8f53536a98f8fc75d0c9ad80c8879",
+    "lts3/assembled": "53c56f739af957a7ecef25650a3a4824b15fca63a29a5cc77b03b1e2438d8181",
+    "lts3/numpy": "e6cc339d73f6c81f8e7478f31eef8e4a27a38a6070af5b5aa381549972b05ad0",
+    "lts3/fused": "0b9e9e0c8b7012d027e2b111a87832fad80e4c907e638469140deeaae32c8193",
+}
+
+
+def _bump(x):
+    return np.exp(-8.0 * ((x - x.mean(axis=0)) ** 2).sum(axis=1))
+
+
+def _tier_kw(tier):
+    """``build_rank_layout`` / ``operator`` arguments of a tier."""
+    if tier == "assembled":
+        return {"backend": "assembled"}
+    return {"backend": "matfree", "use_fused": tier == "fused"}
+
+
+def _serial_pin(kind, tier, source):
+    """``NewmarkSolver`` on a small serial system: ``(u, v)`` after the pin's steps."""
+    if kind == "1d":
+        sem = Sem1D(uniform_interval(16), order=4, dirichlet=True)
+        dt = 1e-3
+        u0 = np.sin(np.pi * sem.x / sem.x.max())
+        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
+        return NewmarkSolver(sem.A, dt).run(u0, v0, N_STEPS)
+    if kind == "3d":
+        mesh, order = uniform_grid((3, 2, 2)), 2
+        sem = Sem3D(mesh, order=order)
+        x = sem.xyz
+    elif kind == "elastic":
+        mesh, order = uniform_grid((4, 3)), 3
+        sem = ElasticSem2D(mesh, order=order)
+        x = np.repeat(sem.xy, 2, axis=0)
+    else:
+        mesh, order = uniform_grid((5, 4)), 3
+        sem = Sem2D(mesh, order=order, dirichlet=kind == "2d-dirichlet")
+        x = sem.xy
+    dt = assign_levels(mesh, c_cfl=0.4, order=order).dt_min
+    point = point_source(sem.n_dof, sem.n_dof // 3, sem.M, ricker(f0=0.5, t0=2 * dt))
+    force = point if source == "point" else (lambda t: point(t))
+    kw = _tier_kw(tier)
+    A = sem.A if tier == "assembled" else sem.operator(**kw)
+    u0 = _bump(x)
+    return NewmarkSolver(A, dt, force=force).run(u0, np.zeros_like(u0), N_STEPS)
+
+
+def _ranks_pin(kind, tier):
+    """Three row blocks of an 8 x 8 grid: one-level Newmark, or LTS with
+    a fast corner (``lts3``) that leaves rank 0 only level-1 DOFs."""
+    mesh = uniform_grid((8, 8))
+    mesh.c = mesh.c.copy()
+    if kind == "lts3":
+        mesh.c[[43, 44, 51]] = [4.0, 2.0, 2.0]
+    sem = Sem2D(mesh, order=3)
+    a = assign_levels(mesh, c_cfl=0.4, order=3)
+    dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
+    layout = build_rank_layout(
+        sem, np.arange(64) // 22, 3, dof_level=dof_level, **_tier_kw(tier)
+    )
+    point = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * a.dt))
+    if kind == "newmark3":
+        solver = DistributedNewmarkSolver(layout, a.dt_min, force=point)
+    else:
+        assert a.n_levels > 1 and layout.dof_level_local[0].max() == 1
+        solver = DistributedLTSSolver(layout, a.dt, force=point)
+    u0 = _bump(sem.xy)
+    return solver.run(u0, np.zeros_like(u0), N_STEPS)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_pin(case):
+    kind, tier, *source = case.split("/")
+    if tier == "fused" and not fused.available():
+        pytest.skip("no C compiler: fused tier unavailable")
+    if kind in ("newmark3", "lts3"):
+        u, v = _ranks_pin(kind, tier)
+    else:
+        u, v = _serial_pin(kind, tier, source[0] if source else None)
+    assert hashlib.sha256(u.tobytes() + v.tobytes()).hexdigest() == GOLDEN[case]
+
+
+# ----------------------------------------------------------------------
+# A level over every column is the operator's own product
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def grid():
+    mesh = uniform_grid((4, 3))
+    return mesh, Sem2D(mesh, order=3), Sem2D(mesh, order=3, dirichlet=True)
+
+
+class TestWholeColumnRule:
+    def test_assembled_applies_the_matrix_as_given(self, grid):
+        _, sem, _ = grid
+        A = sem.A.copy()
+        op = AssembledOperator(A)
+        restr = op.restrict(np.arange(sem.n_dof))
+        u = np.random.default_rng(0).standard_normal(sem.n_dof)
+        out = np.empty(sem.n_dof)
+        restr.apply(u, out=out)
+        assert out.tobytes() == (A @ u).tobytes()
+        assert restr.apply(u).tobytes() == out.tobytes()
+        assert restr.workspace_bytes == 0  # no gather buffer
+        assert "_A_csc" not in vars(op)  # and no CSC twin
+        A.data *= 2.0  # the product reads the caller's entries, not a copy
+        assert restr.apply(u, out=out).tobytes() == (A @ u).tobytes()
+        assert np.shares_memory(op.A.data, A.data)
+
+    def test_one_level_plan_builds_no_csc_twin(self, grid):
+        _, sem, _ = grid
+        plan = LTSPlan(sem.A, np.ones(sem.n_dof, dtype=np.int64))
+        assert "_A_csc" not in vars(plan.op)
+        plan.op.reach(np.ones(sem.n_dof, dtype=bool))  # a reach builds it
+        assert "_A_csc" in vars(plan.op)
+
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("tier", ["numpy", pytest.param("fused", marks=pytest.mark.skipif(
+        not fused.available(), reason="no C compiler: fused tier unavailable"))])
+    def test_matrix_free_whole_restriction_is_the_operator(self, grid, tier, dirichlet):
+        _, sem, sem_d = grid
+        s = sem_d if dirichlet else sem
+        op = s.operator("matfree", use_fused=tier == "fused")
+        u = np.random.default_rng(1).standard_normal(s.n_dof)
+        whole = op.restrict(np.arange(s.n_dof))
+        assert whole.apply(u).tobytes() == op.apply(u).tobytes()
+        assert op._stiffness.masked_subset(np.ones(s.n_dof, dtype=bool)) is op._stiffness
+
+    def test_proper_subset_still_masks(self, grid):
+        _, sem, _ = grid
+        op = sem.operator("matfree", use_fused=False)
+        mask = np.ones(sem.n_dof, dtype=bool)
+        mask[0] = False
+        sub = op._stiffness.masked_subset(mask)
+        assert sub is not op._stiffness and sub.gmask is not None
+
+    def test_newmark_holds_two_vectors_beyond_the_matrix(self):
+        """After a step, a NewmarkSolver holds, beyond the arrays of
+        ``A``: the apply output (also the step's scratch) and the level's
+        column list — nothing of ``A``'s size."""
+        mesh = uniform_grid((16, 16))
+        sem = Sem2D(mesh, order=4)
+        solver = NewmarkSolver(sem.A, assign_levels(mesh, c_cfl=0.4, order=4).dt)
+        solver.step(np.ones(sem.n_dof), np.zeros(sem.n_dof))
+        own = reachable_buffers(sem.A)
+        extra = [b for k, b in reachable_buffers(solver).items() if k not in own]
+        assert sorted(extra)[-2:] == [8 * sem.n_dof] * 2
+        assert sum(extra) < 2 * 8 * sem.n_dof + 4096
+

@@ -11,7 +11,8 @@ import pytest
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
-from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
+from repro.core import NewmarkSolver
+from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import refined_interval, uniform_grid
 from repro.runtime import (
     DistributedLTSSolver,

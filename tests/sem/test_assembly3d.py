@@ -12,7 +12,8 @@ time) mirroring the 2D tier-1 suite.
 import numpy as np
 import pytest
 
-from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
+from repro.core import NewmarkSolver
+from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.mesh.mesh import Mesh
 from repro.sem import Sem3D, discrete_energy

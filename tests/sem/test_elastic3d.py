@@ -12,7 +12,8 @@ from repro.core import (
     stable_timestep_from_operator,
 )
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
-from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
+from repro.core import NewmarkSolver
+from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.sem import ElasticSem3D, IsotropicElastic, discrete_energy, fused
 from repro.sem.matfree import ElasticKernelND, kernel_from_spec, local_stiffness

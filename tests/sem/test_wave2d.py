@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
+from repro.core import NewmarkSolver
+from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.sem import Sem2D, discrete_energy
 
