@@ -8,11 +8,19 @@ the executor's communication pattern is exactly what an MPI port would
 issue — the halo-exchange code would transfer to ``mpi4py.MPI.COMM_WORLD``
 unchanged.
 
-Semantics: sends are non-blocking (buffered); receives pop in FIFO order
-per ``(src, dst, tag)`` channel and raise :class:`CommError` when empty —
-a deliberate departure from blocking MPI, because in a rank-serialized
+Semantics: sends are non-blocking; receives pop in FIFO order per
+``(src, dst, tag)`` channel and raise :class:`CommError` when empty — a
+deliberate departure from blocking MPI, because in a rank-serialized
 runtime a blocking receive would be a deadlock anyway, and failing fast
 surfaces schedule bugs (receiving before the peer's superstep ran).
+
+``Send`` queues a copy of its buffer (buffered, like ``MPI_Bsend``).
+``Isend`` queues the buffer itself, so the receiver gets the very array
+that was sent and no payload is copied; its rule is ``MPI_Isend``'s: the
+sender leaves the buffer alone until the receive has completed.  Either
+way the message is counted and passes the world's transport hooks
+(:class:`repro.runtime.faults.FaultyWorld` duplicates and bit-flips
+copies, never the sender's buffer).
 """
 
 from __future__ import annotations
@@ -79,8 +87,14 @@ class MailboxWorld:
 
     # -- internals -----------------------------------------------------
     def _push(self, src: int, dst: int, tag: int, payload: np.ndarray) -> None:
-        require(0 <= dst < self.n_ranks, f"dest rank {dst} out of range", CommError)
-        self._boxes.setdefault((src, dst, tag), deque()).append(payload)
+        # Hot path (one call per message): format nothing, build no queue
+        # unless the check fails or the channel is new.
+        if not 0 <= dst < self.n_ranks:
+            raise CommError(f"dest rank {dst} out of range")
+        box = self._boxes.get((src, dst, tag))
+        if box is None:
+            box = self._boxes[src, dst, tag] = deque()
+        box.append(payload)
         self.sent_messages += 1
         self.sent_volume += payload.size
 
@@ -122,6 +136,15 @@ class RankComm:
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffered send of a copy of ``buf``."""
         self.world._push(self.rank, int(dest), int(tag), np.array(buf, copy=True))
+
+    def Isend(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
+        """Zero-copy send: queue ``buf`` itself, counted as ``Send``
+        counts.  ``MPI_Isend``'s rule: leave ``buf`` alone until the
+        receive has completed — writing it earlier changes what the peer
+        receives.  The receiver's ``recv`` returns ``buf`` (the same
+        object) unless a transport fault replaced it with a copy.
+        ``dest`` and ``tag`` are ints, taken as given."""
+        self.world._push(self.rank, dest, tag, buf)
 
     def Recv(self, buf: np.ndarray, source: int, tag: int = 0) -> None:
         """Receive into ``buf`` (shape/dtype must match the message)."""

@@ -32,11 +32,19 @@ sets therefore also hold **every local index the level's exchange plan
 keeps** — a shared DOF that only a peer's gray-halo element writes
 still receives a nonzero through the exchange — and each fine level's
 exchange indices are renumbered with its product, so the halo sum packs
-and accumulates the depth's compact output directly.  The distributed
-solution equals the serial one up to floating-point summation order (tested at
-1e-12 against the serial solver and its ``mode="reference"`` oracle for
-random level assignments and partitions, one rank included): the
-partitioned execution computes *the same scheme*, for any partition.
+and accumulates the depth's compact output directly.
+
+The halo sum (:class:`_HaloSum`) is two passes per level — a pack into
+the level's one payload buffer and an accumulate in ascending peer
+order, one C call each whenever the fused build loads, NumPy loops
+otherwise, bitwise equal — around one zero-copy ``Isend`` and one
+``recv`` per message.
+
+The distributed solution equals the serial one up to floating-point
+summation order (tested at 1e-12 against the serial solver and its
+``mode="reference"`` oracle for random level assignments and
+partitions, one rank included): the partitioned execution computes
+*the same scheme*, for any partition.
 Non-LTS Newmark is the same solver with every DOF on level 1.
 
 There is no time loop here either: ``run`` hands a :class:`RankFields`
@@ -55,9 +63,9 @@ import numpy as np
 
 from repro.core.health import HealthGuard
 from repro.core.lts_newmark import _LockStepCycle, plan_numberings
-from repro.core.operator import _restrict_levels  # noqa: F401  (importable here)
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import RankLayout
+from repro.sem import fused
 from repro.util.errors import CommError, SolverError
 from repro.util.validation import require
 
@@ -193,6 +201,110 @@ def _rank_forces(layout: RankLayout, force) -> list:
     return local
 
 
+class _HaloSum:
+    """One level's halo sum over one solver's rank outputs: calling it
+    adds every shared entry's peer contributions into each rank's
+    output, in place.
+
+    Two BSP supersteps around two passes.  The pack fills every
+    channel's slot of the forked plan's payload from the senders'
+    outputs; every rank then sends its slots with ``Isend``, the views
+    themselves; every rank receives its messages and an accumulate adds
+    them in, receivers ascending and, per receiver, peers ascending, so
+    a row three ranks share sums in a fixed order.  With ``compiled``
+    each pass is one C call (:mod:`repro.sem.fused`'s ``halo_pack`` /
+    ``halo_accumulate``), else a NumPy loop over the channels — the
+    same copies and adds in the same order, bitwise equal.
+
+    A received message that is its slot (every message, in a clean
+    world) is already in place.  Anything else — a copy a fault plan
+    duplicated or bit-flipped in flight — is copied into the slot
+    first.  Channels the plan dropped as structurally zero are skipped
+    by both sides, so no zero-length message is ever queued and
+    ``check_no_leaks()`` holds.
+    """
+
+    def __init__(self, plan, outputs: list[np.ndarray], comms: list[RankComm],
+                 compiled: bool):
+        #: Every channel, in payload order (see :meth:`ExchangePlan.routes
+        #: <repro.runtime.halo.ExchangePlan.routes>`).
+        self.routes = routes = plan.routes()
+        slots = [s for per_rank in plan.slots for s in per_rank]
+        slot_of = {(dst, src): s for (dst, src, _, _), s in zip(routes, slots)}
+        #: Per message, sender ranks ascending, each its peers ascending.
+        self.sends = [
+            (comms[src].Isend, slot_of[dst, src], dst)
+            for src, peers in enumerate(plan.peers) for dst in peers
+        ]
+        #: Per message, in payload order.
+        self.receives = [
+            (comms[dst].recv, src, s) for (dst, src, _, _), s in zip(routes, slots)
+        ]
+        #: The NumPy accumulate's gather buffer (empty on the C path).
+        self.scratch = np.empty(
+            0 if compiled else max((len(ix) for _, _, ix, _ in routes), default=0)
+        )
+        if compiled:
+            self._bind_c(plan.payload, outputs)
+            return
+        self._gathers = [
+            (outputs[src].take, src_ix, s) for (_, src, _, src_ix), s in zip(routes, slots)
+        ]
+        self._adds = [
+            (outputs[dst], dst_ix, self.scratch[:len(dst_ix)], s)
+            for (dst, _, dst_ix, _), s in zip(routes, slots)
+        ]
+        self.pack, self.accumulate = self._pack, self._accumulate
+
+    def _bind_c(self, payload: np.ndarray, outputs: list[np.ndarray]) -> None:
+        """Bind the C passes: per channel its payload offset, and the
+        addresses of the output and the indices each pass goes through
+        (int64 tables built once; the arrays they point to are held
+        here, by :attr:`routes` and the solver's states)."""
+        dst, src, dst_ix, src_ix = zip(*self.routes) if self.routes else ((),) * 4
+        off = np.cumsum([0, *map(len, dst_ix)], dtype=np.int64)
+
+        def addresses(arrays, dtype):
+            arrays = list(arrays)
+            if not all(a.dtype == dtype and a.flags.c_contiguous for a in arrays):
+                raise TypeError(f"the halo passes read C-contiguous {np.dtype(dtype)} arrays")
+            return np.array([a.ctypes.data for a in arrays], dtype=np.int64)
+
+        self._c_args = [
+            (off, addresses((outputs[r] for r in ranks), np.float64), addresses(ixs, np.int64))
+            for ranks, ixs in ((src, src_ix), (dst, dst_ix))
+        ]
+        self.pack, self.accumulate = (
+            fused.bind_phase(name, len(self.routes), *args, payload)
+            for name, args in zip(("halo_pack", "halo_accumulate"), self._c_args)
+        )
+
+    def _pack(self) -> None:
+        for take, idx, slot in self._gathers:
+            take(idx, out=slot, mode="clip")
+
+    def _accumulate(self) -> None:
+        for z, idx, acc, slot in self._adds:
+            z.take(idx, out=acc, mode="clip")
+            acc += slot
+            z[idx] = acc
+
+    def __call__(self) -> None:
+        self.pack()
+        for isend, slot, dst in self.sends:
+            isend(slot, dst)
+        for recv, src, slot in self.receives:
+            msg = recv(src)
+            if msg is not slot:
+                if msg.shape != slot.shape:
+                    raise CommError(
+                        f"rank {recv.__self__.rank} receive from {src}: message "
+                        f"shape {msg.shape} != its slot {slot.shape}"
+                    )
+                slot[...] = msg
+        self.accumulate()
+
+
 class DistributedLTSSolver(_LockStepCycle):
     """Multi-level LTS-Newmark, domain-decomposed.
 
@@ -232,6 +344,11 @@ class DistributedLTSSolver(_LockStepCycle):
             k: [st.outputs[j] for st in self._states]
             for j, k in enumerate(self.active_levels)
         }
+        compiled = fused.available()
+        self._sums = {
+            k: _HaloSum(p, self._outputs[k], self.comms, compiled)
+            for k, p in self._plans.items()
+        }
 
     def check_no_leaks(self) -> None:
         """Assert every sent message was consumed (clean-run invariant).
@@ -254,47 +371,19 @@ class DistributedLTSSolver(_LockStepCycle):
     # -- collectives -----------------------------------------------------
     def _sum_shared(self, level: int) -> None:
         """Sum the shared-DOF entries of ``level``'s apply outputs across
-        ranks, in place, through the level's exchange plan.
-
-        Two BSP supersteps: all ranks send their partial boundary values,
-        then all ranks receive and accumulate.  Receives accumulate in
-        ascending peer order so the result is deterministic.
-
-        Packing and accumulation run through the ``plan``'s persistent
-        per-channel buffers (``Send`` copies, so the staging buffer is
-        immediately reusable); channels the plan dropped as structurally
-        zero are skipped symmetrically — neither side sends, so no
-        zero-length messages are ever queued and ``check_no_leaks()``
-        still holds.
-        """
-        plan, z_locals = self._plans[level], self._outputs[level]
-        for r in range(plan.n_ranks):
-            z = z_locals[r]
-            send = self.comms[r].Send
-            for peer, idx, buf in zip(
-                plan.peers[r], plan.indices[r], plan.send_bufs[r]
-            ):
-                z.take(idx, out=buf, mode="clip")
-                send(buf, peer)
-        for r in range(plan.n_ranks):
-            z = z_locals[r]
-            recv = self.comms[r].recv
-            for peer, idx, acc in zip(
-                plan.peers[r], plan.indices[r], plan.acc_bufs[r]
-            ):
-                z.take(idx, out=acc, mode="clip")
-                acc += recv(peer)
-                z[idx] = acc
+        ranks, in place: the level's :class:`_HaloSum`."""
+        self._sums[level]()
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent hot-path scratch the solver owns: the
         rank states (apply outputs, compact recursion, index maps, what
         the restricted products report of their scratch) — counted as
-        the serial solver counts its one state — plus ``1/M`` and the
-        exchange pack/accumulate buffers."""
+        the serial solver counts its one state — plus ``1/M``, the
+        exchange payloads and the NumPy accumulate's scratch."""
         total = sum(m.nbytes for m in self.plan.Minv)
         total += sum(st.nbytes() for st in self._states)
         total += sum(p.workspace_bytes() for p in self._plans.values())
+        total += sum(h.scratch.nbytes for h in self._sums.values())
         return int(total)
 
     def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:

@@ -49,38 +49,54 @@ class HaloExchange:
 
 @dataclass
 class ExchangePlan:
-    """Precomputed, buffer-pooled halo exchange over all ranks.
+    """Precomputed halo exchange over all ranks.
 
-    For every (rank, peer) channel the plan stores the pack/unpack local
-    index array plus two persistent buffers (send payload staging and
-    receive accumulation), so one exchange performs zero allocations:
-    pack with ``np.take(z, idx, out=send_buf)``, unpack with
-    ``np.take(z, idx, out=acc); acc += msg; z[idx] = acc``.
+    For every (rank, peer) channel the plan stores the local indices of
+    the shared DOFs: the sender packs its partial sums from there, the
+    receiver adds the message there.  Both channel directions order
+    shared DOFs by global id, so position ``j`` of ``r -> p`` and of
+    ``p -> r`` name the same DOF.
+
+    A forked plan (:meth:`fork`) owns one solver's :attr:`payload`: every
+    message of one exchange in one buffer, receiver-major — a receiver's
+    channels contiguous, in its ascending ``peers`` order — with
+    ``slots[r][i]`` the view the message from ``peers[r][i]`` to ``r``
+    occupies.  The sender packs into that view and sends the view itself
+    (:meth:`repro.runtime.comm.RankComm.Isend`), so one exchange
+    allocates no payload and moves each one once, in the pack.
 
     Channels may be *filtered* by per-rank structural row supports (the
     level-restricted operators' reachable rows): a shared-DOF position is
-    kept only if at least one side can contribute a nonzero there.  Both
-    channel directions order shared DOFs by global id, so the two sides
-    derive identical keep-masks and message lengths always agree.
-    Channels whose keep-mask is empty are dropped from *both* sides —
-    no message is sent at all, which is what lets per-level exchange
-    volume shrink with the level's footprint while
-    ``check_no_leaks()`` still holds.  Peers and indices never change
-    (:meth:`renumber` makes a new plan); the buffers are one solver's
-    (:meth:`fork`).
+    kept only if at least one side can contribute a nonzero there, which
+    both sides derive identically.  Channels whose keep-mask is empty
+    are dropped from *both* sides — no message is sent at all, which is
+    what lets per-level exchange volume shrink with the level's footprint
+    while ``check_no_leaks()`` still holds.  Peers and indices never
+    change (:meth:`renumber` makes a new plan).
     """
 
-    peers: list[list[int]]  # per rank, peer ids with a non-empty channel
+    peers: list[list[int]]  # per rank, ascending peer ids with a non-empty channel
     indices: list[list[np.ndarray]]  # per rank, aligned pack/unpack indices
-    send_bufs: list[list[np.ndarray]] = field(default_factory=list)
-    acc_bufs: list[list[np.ndarray]] = field(default_factory=list)
+    payload: np.ndarray = field(default_factory=lambda: np.empty(0))
+    slots: list[list[np.ndarray]] = field(default_factory=list)
 
     def fork(self) -> "ExchangePlan":
-        """The same channels with pack/accumulate buffers of its own."""
-        def bufs():
-            return [[np.empty(len(ix)) for ix in per_rank] for per_rank in self.indices]
+        """The same channels with a payload buffer of its own."""
+        sizes = [len(ix) for per_rank in self.indices for ix in per_rank]
+        payload = np.empty(sum(sizes))
+        views = iter(np.split(payload, np.cumsum(sizes)[:-1]))
+        slots = [[next(views) for _ in per_rank] for per_rank in self.indices]
+        return replace(self, payload=payload, slots=slots)
 
-        return replace(self, send_bufs=bufs(), acc_bufs=bufs())
+    def routes(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Every channel in payload order as ``(dst, src, dst indices,
+        src indices)``: the receiver's unpack and the sender's pack
+        indices of the message ``src -> dst``."""
+        return [
+            (r, p, idx, self.indices[p][self.peers[p].index(r)])
+            for r, (peers, per_rank) in enumerate(zip(self.peers, self.indices))
+            for p, idx in zip(peers, per_rank)
+        ]
 
     def renumber(self, positions: list[np.ndarray]) -> "ExchangePlan":
         """The same channels (bufferless) on other per-rank numberings:
@@ -109,14 +125,8 @@ class ExchangePlan:
         return int(sum(len(ix) for per_rank in self.indices for ix in per_rank))
 
     def workspace_bytes(self) -> int:
-        """Bytes held in persistent pack/accumulate buffers."""
-        return int(
-            sum(
-                b.nbytes
-                for per_rank in (*self.send_bufs, *self.acc_bufs)
-                for b in per_rank
-            )
-        )
+        """Bytes held in the payload buffer."""
+        return int(self.payload.nbytes)
 
 
 @dataclass
@@ -173,15 +183,15 @@ class RankLayout:
     def exchange_plan(
         self, supports: list[np.ndarray] | None = None
     ) -> ExchangePlan:
-        """Build a pooled :class:`ExchangePlan` over the halo channels:
-        :meth:`exchange_channels` plus pack/accumulate buffers."""
+        """Build a forked :class:`ExchangePlan` over the halo channels:
+        :meth:`exchange_channels` plus a payload buffer."""
         return self.exchange_channels(supports).fork()
 
     def exchange_channels(
         self, supports: list[np.ndarray] | None = None
     ) -> ExchangePlan:
         """The halo channels as a bufferless :class:`ExchangePlan` (peers
-        and indices: what solvers share; each forks its own buffers).
+        and indices: what solvers share; each forks its own payload).
 
         ``supports`` optionally gives, per rank, a boolean mask over
         local DOFs of the rows the rank's (possibly level-restricted)

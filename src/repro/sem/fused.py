@@ -64,6 +64,14 @@ compiled with floating-point contraction off (GCC's
 contract(off)``): a fused multiply-add rounds once where NumPy rounds
 twice.  The kernels keep their FMAs.  :func:`bind_phase` binds a
 phase's leading arguments once.
+
+Next to them sit the two passes of the distributed halo sum
+(:mod:`repro.runtime.executor`), which run whenever this build loads:
+``halo_pack`` gathers every channel's payload from the senders' apply
+outputs into one receiver-major buffer, ``halo_accumulate`` adds the
+payloads into the receivers' outputs channel by channel, in ascending
+peer order.  Pure data movement and one add per entry: bitwise the
+NumPy per-channel loop.
 """
 
 from __future__ import annotations
@@ -786,6 +794,39 @@ PHASE lts_finish(const int64_t *restrict idx, long na,
         u[idx[j]] = u0[j] + vj * dt;
     }
 }
+
+/* The halo sum's two passes (repro.runtime.executor), over nc message
+ * channels laid out receiver-major in one payload buffer: channel c is
+ * buf[off[c] .. off[c+1]), and zp[c] / ip[c] the addresses of the rank
+ * output it reads (pack: the sender's) or writes (accumulate: the
+ * receiver's) and of the local indices it goes through.  Accumulate
+ * adds channel after channel, so a row several peers share sums in the
+ * channels' (ascending peer) order, each entry z + m as the NumPy
+ * loop's acc = z[idx]; acc += m. */
+PHASE halo_pack(long nc, const int64_t *restrict off,
+                const int64_t *restrict zp, const int64_t *restrict ip,
+                double *restrict buf)
+{
+    for (long c = 0; c < nc; ++c) {
+        const double *z = (const double *)(intptr_t)zp[c];
+        const int64_t *idx = (const int64_t *)(intptr_t)ip[c];
+        double *b = buf + off[c];
+        for (int64_t j = 0, n = off[c + 1] - off[c]; j < n; ++j) b[j] = z[idx[j]];
+    }
+}
+
+PHASE halo_accumulate(long nc, const int64_t *restrict off,
+                      const int64_t *restrict zp, const int64_t *restrict ip,
+                      const double *restrict buf)
+{
+    NO_CONTRACT
+    for (long c = 0; c < nc; ++c) {
+        double *z = (double *)(intptr_t)zp[c];
+        const int64_t *idx = (const int64_t *)(intptr_t)ip[c];
+        const double *b = buf + off[c];
+        for (int64_t j = 0, n = off[c + 1] - off[c]; j < n; ++j) z[idx[j]] += b[j];
+    }
+}
 """
 
 #: Flags every build uses; optional flags are probed per compiler.
@@ -800,10 +841,12 @@ _OMP_FLAG = "-fopenmp"
 #: ``(ed, gmask, Minv, n_threads, zt)`` tail.
 _KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
             "an_apply": 4, "an_apply3": 4}
-#: LTS phase symbol -> its argument types, one letter each: ``F`` / ``I``
-#: a float64 / int64 array (or NULL), ``l`` long, ``d`` double, ``i`` int.
+#: LTS phase (or halo pass) symbol -> its argument types, one letter
+#: each: ``F`` / ``I`` a float64 / int64 array (or NULL), ``l`` long,
+#: ``d`` double, ``i`` int.
 _PHASES = {"lts_begin": "FldIlFFFFFF", "lts_update": "FFFFFFlldFFi",
-           "lts_reconstruct": "FFFFlldi", "lts_finish": "IlFFFdFF"}
+           "lts_reconstruct": "FFFFlldi", "lts_finish": "IlFFFdFF",
+           "halo_pack": "lIIIF", "halo_accumulate": "lIIIF"}
 _CTYPE = {"F": ctypes.c_void_p, "I": ctypes.c_void_p, "l": ctypes.c_long,
           "d": ctypes.c_double, "i": ctypes.c_int}
 _DTYPE = {"F": np.float64, "I": np.int64}
@@ -988,9 +1031,9 @@ def _addr(a: np.ndarray | None) -> int | None:
 
 
 def bind_phase(name: str, *args) -> partial:
-    """The LTS phase ``name`` of the loaded build with its leading
-    arguments bound, an array as its raw address and ``None`` as NULL
-    (as :class:`_FusedPlan` binds its call).  Each array must be
+    """The LTS phase (or halo pass) ``name`` of the loaded build with its
+    leading arguments bound, an array as its raw address and ``None`` as
+    NULL (as :class:`_FusedPlan` binds its call).  Each array must be
     C-contiguous of the dtype its position takes (``TypeError``
     otherwise: the C loop would read it as that); the caller keeps it
     alive for as long as it calls the result."""

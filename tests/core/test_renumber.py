@@ -17,10 +17,9 @@ import pytest
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
-from repro.core.operator import Restriction
+from repro.core.operator import Restriction, _restrict_levels
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
-from repro.runtime.executor import _restrict_levels
 from repro.sem import (
     AnisotropicElasticSemND,
     ElasticSemND,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import MailboxWorld
+from repro.runtime import FaultEvent, FaultPlan, FaultyWorld, MailboxWorld
 from repro.runtime.comm import allreduce_sum
 from repro.util.errors import CommError
 
@@ -127,6 +127,70 @@ class TestMailbox:
         c0, c1 = world.comms()
         c0.Send(np.ones(1), dest=1)
         assert c1.recv(0)[0] == 1.0
+
+
+class TestIsend:
+    """The zero-copy send: the queue holds the buffer itself, counted and
+    hooked like any ``Send``."""
+
+    def test_queues_the_buffer_itself(self):
+        world = MailboxWorld(2)
+        c0, c1 = world.comms()
+        buf = np.arange(4.0)
+        c0.Isend(buf, 1, tag=3)
+        assert c1.recv(0, tag=3) is buf
+
+    def test_counted_like_send(self):
+        world = MailboxWorld(3)
+        comms = world.comms()
+        comms[0].Isend(np.zeros(10), 2)
+        comms[1].Isend(np.zeros(3), 0)
+        assert world.sent_messages == 2
+        assert world.sent_volume == 13
+        assert world.channels() == {(0, 2, 0): 1, (1, 0, 0): 1}
+
+    def test_fifo_per_channel(self):
+        world = MailboxWorld(2)
+        c0, c1 = world.comms()
+        a, b = np.ones(2), np.zeros(2)
+        c0.Isend(a, 1)
+        c0.Send(a, 1)
+        c0.Isend(b, 1)
+        assert c1.recv(0) is a
+        copy = c1.recv(0)
+        assert copy is not a and np.array_equal(copy, a)
+        assert c1.recv(0) is b
+        assert world.pending() == 0
+
+    def test_bad_dest_rejected(self):
+        world = MailboxWorld(2)
+        with pytest.raises(CommError, match="dest rank 9 out of range"):
+            world.comm(0).Isend(np.zeros(1), 9)
+        assert world.sent_messages == 0
+
+    def test_duplicate_delivers_a_copy_first(self):
+        world = FaultyWorld(2, FaultPlan((FaultEvent("duplicate", src=0, dst=1),)))
+        world.begin_superstep()
+        c0, c1 = world.comms()
+        buf = np.array([1.0, -2.0, 3.0])
+        c0.Isend(buf, 1)
+        first = c1.recv(0)
+        assert first is not buf and np.array_equal(first, buf)
+        first[:] = 0.0  # the receiver owns the copy: the sender's buffer is untouched
+        assert c1.recv(0) is buf
+        assert np.array_equal(buf, [1.0, -2.0, 3.0])
+        assert world.sent_messages == 2
+
+    def test_bitflip_corrupts_a_copy_only(self):
+        world = FaultyWorld(2, FaultPlan((FaultEvent("bitflip", src=0, dst=1, bit=62),)))
+        world.begin_superstep()
+        c0, c1 = world.comms()
+        buf = np.array([1.0, -2.0, 3.0])
+        c0.Isend(buf, 1)
+        msg = c1.recv(0)
+        assert msg is not buf
+        assert np.array_equal(buf, [1.0, -2.0, 3.0])
+        assert (msg != buf).sum() == 1 and msg[2] != 3.0  # the largest magnitude
 
 
 class TestAllreduce:

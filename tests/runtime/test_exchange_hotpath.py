@@ -7,11 +7,12 @@ that can only carry structural zeros.  A channel left empty disappears
 *symmetrically* (neither side sends), so no zero-length messages are
 ever queued and ``check_no_leaks()`` still holds.  The allocation test
 mirrors the serial budgets of ``tests/core/test_hotpath_alloc.py`` for
-the distributed LTS executor: the mailbox transport copies each message
-payload (that is the transport's semantics), so the transient peak is
-bounded by one exchange's in-flight messages — the compact recursion
-allocates no rank-local temporary — and the *net surviving* allocations
-per cycle must stay small and fixed.
+the distributed LTS executor: every message is a view of the plan's
+payload buffer sent with ``Isend`` and received as itself, so a clean
+cycle copies no payload — the transient peak is bounded by the
+mailbox's queue nodes — the compact recursion allocates no rank-local
+temporary, and the *net surviving* allocations per cycle must stay
+small and fixed.
 """
 
 import numpy as np
@@ -23,12 +24,13 @@ from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import measure_hot_path
 from repro.mesh import refined_interval, uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
+from repro.runtime.executor import _HaloSum
 from repro.sem import Sem1D, Sem2D, fused
 
 #: Net tracemalloc blocks allowed to survive a steady-state LTS cycle.
 ALLOC_BUDGET = 16
-#: Bytes allowed per in-flight message beyond its payload (array header,
-#: mailbox queue node).
+#: Bytes allowed per in-flight message: the mailbox's queue node and
+#: channel key (the payload is the sender's buffer, not a copy).
 MESSAGE_OVERHEAD = 1024
 
 
@@ -126,12 +128,39 @@ class TestEmptyChannelSkip:
         assert world.sent_messages < len(exchanges) * full
 
 
-@pytest.mark.parametrize("backend", ["assembled", "matfree", "fused"])
-def test_distributed_lts_allocation_budget(sys2d, backend):
-    """On the fused tier the ranks' vector phases are the C ones: the
-    same budgets hold."""
+class _RecordingWorld(MailboxWorld):
+    """A mailbox that keeps every payload it is handed."""
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.payloads = []
+
+    def _push(self, src, dst, tag, payload):
+        self.payloads.append(payload)
+        super()._push(src, dst, tag, payload)
+
+
+def test_clean_exchange_sends_views_of_the_payload(sys2d):
+    """Every message of a clean cycle is a view of its level's payload
+    buffer, handed over as is: nothing is copied to send it."""
     mesh, sem, a, dof_level, u0, v0 = sys2d
-    if backend == "fused" and not fused.available():
+    k = 3
+    lay = build_rank_layout(sem, block_partition(mesh.n_elements, k), k, dof_level=dof_level)
+    world = _RecordingWorld(k)
+    solver = DistributedLTSSolver(lay, a.dt, world=world)
+    solver.run(u0, v0, 2)
+    buffers = [p.payload for p in solver._plans.values()]
+    assert len(world.payloads) == world.sent_messages > 0
+    assert all(any(m.base is b for b in buffers) for m in world.payloads)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["c_exchange", "numpy_exchange"])
+@pytest.mark.parametrize("backend", ["assembled", "matfree", "fused"])
+def test_distributed_lts_allocation_budget(sys2d, backend, compiled):
+    """On the fused tier the ranks' vector phases are the C ones, and
+    either exchange path sums the levels: the same budgets hold."""
+    mesh, sem, a, dof_level, u0, v0 = sys2d
+    if (backend == "fused" or compiled) and not fused.available():
         pytest.skip("no C compiler: fused tier unavailable")
     k = 3
     lay = build_rank_layout(
@@ -143,6 +172,10 @@ def test_distributed_lts_allocation_budget(sys2d, backend):
         use_fused={"assembled": None, "matfree": False, "fused": True}[backend],
     )
     solver = DistributedLTSSolver(lay, a.dt, world=MailboxWorld(k))
+    solver._sums = {
+        lv: _HaloSum(p, solver._outputs[lv], solver.comms, compiled)
+        for lv, p in solver._plans.items()
+    }
     assert len(solver.active_levels) >= 2
     assert all((st._c_begin is not None) == (backend == "fused") for st in solver._states)
     u_locals = lay.scatter(u0)
@@ -153,12 +186,12 @@ def test_distributed_lts_allocation_budget(sys2d, backend):
 
     stats = measure_hot_path(step, n_steps=5, warmup=3)
     assert stats.allocs_per_step <= ALLOC_BUDGET, (backend, stats)
-    # Transient peak: the mailbox's copies of one exchange's messages
-    # (sent before any is received) and nothing else — not one
-    # rank-local temporary, which here would be ~3 kB on top.
-    in_flight = max(
-        8 * plan.total_doubles() + MESSAGE_OVERHEAD * plan.messages_per_exchange()
-        for plan in solver._plans.values()
+    # Transient peak: the mailbox's queue nodes for one exchange's
+    # messages (sent before any is received) and nothing else — no
+    # payload copy, which here would be ~1.5 kB per level on top, and
+    # not one rank-local temporary (~3 kB).
+    in_flight = MESSAGE_OVERHEAD * max(
+        plan.messages_per_exchange() for plan in solver._plans.values()
     )
     assert stats.alloc_peak_bytes_per_step <= in_flight, (backend, stats)
     assert solver.workspace_bytes() > 0
