@@ -52,7 +52,7 @@ from repro.api.config import BackendSpec, PartitionSpec, SimulationConfig
 from repro.core.health import HealthGuard
 from repro.core.levels import LevelAssignment, assign_levels
 from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
-from repro.core.newmark import run_cycles
+from repro.core.newmark import Fields, run_cycles
 from repro.core.workspace import HotPathTracer
 from repro.partition.strategies import PARTITIONERS
 from repro.runtime.checkpoint import (
@@ -158,6 +158,8 @@ def _layout_key(cfg: SimulationConfig) -> tuple:
 
 
 def _plan_key(cfg: SimulationConfig) -> tuple:
+    # One key shape: on one rank the partition part is None because a
+    # serial plan depends on neither strategy nor seed (a normalisation).
     part = None if cfg.partition.n_ranks == 1 else cfg.partition.content_hash()
     return _dof_level_key(cfg) + (cfg.backend.content_hash(), part)
 
@@ -606,7 +608,12 @@ class Simulation:
         """Everything the solver derives from operator, levels and
         partition — level restrictions, active sets, index maps,
         exchange channels — built once; each run (and each supervised
-        retry) binds it, which allocates buffers only."""
+        retry) binds it, which allocates buffers only.
+
+        Serial and partitioned plans are different products (the serial
+        one applies the caller's ``M^{-1} K`` and owns reference mode; the
+        distributed one bare partial ``K``, ``1/M`` and the channels), so
+        the run reads only what both expose: ``bind`` and ``replicas``."""
 
         def build():
             layout, levels = self.rank_layout, self.dof_level
@@ -723,14 +730,6 @@ class Simulation:
                 f"checkpoint {origin} holds {len(state.u)} DOFs but this "
                 f"config resolves to {int(self.assembler.n_dof)}"
             )
-        n_ranks = self.config.partition.n_ranks
-        if state.u_locals is not None and n_ranks > 1 and state.n_ranks != n_ranks:
-            raise ConfigError(
-                f"checkpoint {origin} was written by a {state.n_ranks}-rank "
-                f"run but this config has n_ranks={n_ranks}; distributed "
-                f"resumes need matching rank counts (per-rank replicas are "
-                f"restored exactly)"
-            )
         return state
 
     def run(
@@ -757,13 +756,14 @@ class Simulation:
         ``resume`` restarts from a checkpoint file (or an in-memory
         :class:`~repro.runtime.checkpoint.CheckpointState`): the run
         continues at the saved cycle and produces the same result as an
-        uninterrupted run, bitwise (distributed checkpoints carry the
-        exact per-rank replicas).  Resuming against a config whose
-        content hash differs from the checkpoint's is a
-        :class:`ConfigError`.  Each retry rebuilds the world at the next
-        attempt index — so planned faults fire only in the attempt they
-        name — and restores the newest checkpoint, falling back to the
-        ``resume`` state or a cold start.
+        uninterrupted run, bitwise (checkpoints carry the exact
+        replicas; :meth:`repro.core.newmark.Fields.start` holds the
+        resume rule).  Resuming against a config whose content hash
+        differs from the checkpoint's is a :class:`ConfigError`.  Each
+        retry rebuilds the world at the next attempt index — so planned
+        faults fire only in the attempt they name — and restores the
+        newest checkpoint, falling back to the ``resume`` state or a
+        cold start.
 
         ``perf=True`` brackets a few steady-state cycles with a
         :class:`~repro.core.workspace.HotPathTracer` and records hot-path
@@ -829,7 +829,7 @@ class Simulation:
             )}
             worlds.extend(world.values())
             solver = solver_plan.bind(dt, force=force, **world)
-            fields = solver_plan.fields(state, rec)
+            fields = Fields.start(solver_plan.replicas, state, rec)
             if state is not None:
                 solver.restore(state.solver_state())
 

@@ -86,12 +86,13 @@ implementation does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.core.newmark import Fields, run_cycles, subtract_force
+from repro.core.newmark import Fields, ReplicaMap, run_cycles, subtract_force
 from repro.core.operator import (
     AssembledOperator, Restriction, _restrict_levels, as_operator, inverse_numbering,
 )
@@ -566,7 +567,8 @@ def _check_fields(states: list[_RankState], us, vs) -> None:
 class _LockStepCycle:
     """One optimized LTS cycle over ``self._states`` in lock step, and
     what a solver keeps around it: the schedule position and ``run``.
-    A subclass sets ``active_levels`` and binds its numberings
+    A subclass sets ``plan`` (whose ``replicas`` lay out the fields it
+    steps) and ``active_levels`` and binds its numberings
     (:meth:`_bind`); several numberings need :meth:`_sum_shared`.
     """
 
@@ -591,9 +593,14 @@ class _LockStepCycle:
         """Sum ``level``'s fresh apply outputs over the numberings that
         share rows (one numbering: nothing to do)."""
 
-    def _cycle(self, us, vs) -> None:
+    def check_no_leaks(self) -> None:
+        """Verify no message is left undelivered after a run (no mailbox:
+        nothing to do)."""
+
+    def cycle(self, us, vs) -> None:
         """Advance every numbering's ``(u^n, v^{n-1/2})`` by the coarse
-        ``dt``, in place: one pair per state, each of its length."""
+        ``dt``, in place: one replica pair per state, each of its
+        length."""
         states, levels = self._states, self.active_levels
         _check_fields(states, us, vs)
         for st, u in zip(states, us):
@@ -659,13 +666,14 @@ class _LockStepCycle:
         ``(u0, v^{-1/2})``; returns global vectors, inputs untouched.
 
         ``health`` runs a :class:`~repro.core.health.HealthGuard` on
-        its cadence; ``on_checkpoint(cycle, u, v)`` fires every
-        ``checkpoint_every`` completed cycles with snapshot copies of
-        the solver's field view (cycle counts are the solver totals, so
-        resumed runs keep their cadence).
+        its cadence; ``on_checkpoint(cycle, us, vs)`` fires every
+        ``checkpoint_every`` completed cycles with copies of the
+        replica lists (cycle counts are the solver totals, so resumed
+        runs keep their cadence).
         """
+        m = self.plan.replicas
         return run_cycles(
-            self, self._fields(u0, v0), n_cycles, health=health,
+            self, Fields(m, m.scatter(u0), m.scatter(v0)), n_cycles, health=health,
             checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
         )
 
@@ -711,10 +719,10 @@ class LTSPlan:
         """A solver stepping this plan: only buffers are allocated."""
         return LTSNewmarkSolver(self, None, dt, force=force)
 
-    def fields(self, state=None, receiver_dofs=None) -> Fields:
-        """The field view a bound solver steps: zeros, or a copy of a
-        :class:`~repro.runtime.checkpoint.CheckpointState`'s."""
-        return Fields.start(self.n_dof, state, receiver_dofs)
+    @cached_property
+    def replicas(self) -> ReplicaMap:
+        """The fields' layout: one replica owning every DOF."""
+        return ReplicaMap.identity(self.n_dof)
 
 
 class LTSNewmarkSolver(_LockStepCycle):
@@ -773,11 +781,6 @@ class LTSNewmarkSolver(_LockStepCycle):
         """Bytes of persistent stepping scratch (solver, operator, and
         level restrictions; index maps included)."""
         return workspace_bytes(self.op) + sum(st.nbytes() for st in self._states)
-
-    def _fields(self, u0: np.ndarray, v0: np.ndarray) -> Fields:
-        u = np.array(u0, dtype=np.float64, copy=True)
-        v = np.array(v0, dtype=np.float64, copy=True)
-        return Fields(u, v)
 
     # ---------------- reference mode: full vectors, counted as run ------
     def _apply_level(self, k: int, u: np.ndarray) -> np.ndarray:
@@ -839,19 +842,26 @@ class LTSNewmarkSolver(_LockStepCycle):
         u += self.dt * v
 
     # ------------------------------------------------------------------
+    def cycle(self, us, vs) -> None:
+        """The lock-step cycle; ``mode="reference"`` takes its single
+        replica through the literal recursion instead."""
+        if self.mode == "optimized":
+            return super().cycle(us, vs)
+        n = self.n_dof
+        require(
+            len(us) == len(vs) == 1 and us[0].shape == vs[0].shape == (n,),
+            "state shape mismatch", SolverError,
+        )
+        # Counted as it runs, into the attached counter or a throwaway.
+        self._tally = self.counter if self.counter is not None else OperationCounter()
+        self._step_reference(us[0], vs[0])
+        self.t += self.dt
+        self.n_cycles_taken += 1
+
     def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One LTS cycle: advance ``(u^n, v^{n-1/2})`` by the coarse ``dt``,
         in place."""
-        if self.mode == "optimized":
-            self._cycle((u,), (v,))
-            return u, v
-        n = self.n_dof
-        require(u.shape == (n,) and v.shape == (n,), "state shape mismatch", SolverError)
-        # Counted as it runs, into the attached counter or a throwaway.
-        self._tally = self.counter if self.counter is not None else OperationCounter()
-        self._step_reference(u, v)
-        self.t += self.dt
-        self.n_cycles_taken += 1
+        self.cycle((u,), (v,))
         return u, v
 
 

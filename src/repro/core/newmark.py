@@ -13,67 +13,162 @@ as one-level LTS: :class:`repro.core.lts_newmark.NewmarkSolver`.
 This module owns :func:`run_cycles` — the package's single time loop.
 Every solver's ``run`` and :meth:`repro.api.Simulation.run` (plain,
 checkpointed, health-guarded, resumed, serial or partitioned) step
-through it; they differ only in which optional hooks they pass and in
-the field view (:class:`Fields` here,
-:class:`repro.runtime.executor.RankFields` for per-rank replicas).
+through it over one field view, :class:`Fields`: a list of *replicas*
+(one rank's copy of its local DOFs) laid out by a :class:`ReplicaMap`.
+The paper parallelises the SPECFEM way (Sec. III) — every rank runs the
+serial substep — so a serial run is the one-replica case: its map is
+the identity, one replica owning every DOF.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.util.errors import SolverError
+from repro.util.errors import ConfigError, SolverError
 from repro.util.validation import require
 
 
-class Fields:
-    """Serial field view for :func:`run_cycles`: the ``(u, v)`` the
-    solver steps in place, and how the loop's hooks look at them.
+@dataclass
+class ReplicaMap:
+    """Which global DOFs each replica holds and which of them it owns.
 
-    The distributed counterpart (per-rank replicas instead of global
-    vectors) is :class:`repro.runtime.executor.RankFields`; the two
-    views are the only place the serial and partitioned runs differ.
+    ``gdofs[r]`` is replica ``r``'s sorted global DOF ids, ``owner[r]``
+    the boolean mask of those it owns (every DOF has exactly one owner).
+    A serial run is :meth:`identity`; a partitioned one is its
+    :class:`repro.runtime.halo.RankLayout`.
+    """
+
+    n_dof_global: int
+    gdofs: list[np.ndarray]
+    owner: list[np.ndarray]
+
+    @classmethod
+    def identity(cls, n: int) -> "ReplicaMap":
+        """One replica holding and owning all ``n`` DOFs."""
+        return cls(n, [np.arange(n)], [np.ones(n, dtype=bool)])
+
+    @property
+    def n_ranks(self) -> int:
+        """Replica count: one per rank."""
+        return len(self.gdofs)
+
+    @property
+    def whole(self) -> bool:
+        """One replica holding, so owning, every DOF: it *is* the global
+        vector, so scatter and gather skip the index passes."""
+        return len(self.gdofs) == 1 and len(self.gdofs[0]) == self.n_dof_global
+
+    def scatter(self, u_global: np.ndarray) -> list[np.ndarray]:
+        """Restrict a global vector to every replica (replicating shares)."""
+        if self.whole:
+            return [np.array(u_global, dtype=np.float64)]
+        u_global = np.asarray(u_global, dtype=np.float64)
+        return [u_global[g] for g in self.gdofs]
+
+    def gather(self, u_locals: list[np.ndarray]) -> np.ndarray:
+        """Assemble a global vector from owned local entries (a
+        :attr:`whole` map's one replica, as is)."""
+        if self.whole:
+            return u_locals[0]
+        out = np.zeros(self.n_dof_global)
+        for g, own, u in zip(self.gdofs, self.owner, u_locals):
+            out[g[own]] = u[own]
+        return out
+
+
+class Fields:
+    """The field view :func:`run_cycles` steps: per-replica ``(u, v)``
+    lists of one :class:`ReplicaMap`, and how the loop's hooks look at
+    them.
+
+    Receivers are located once, on the replica owning each (a search in
+    each replica's DOF ids and one owner-mask lookup): a trace row is
+    then one fancy-index read per replica that owns a receiver.
+    Health checks see the *replicas* (corruption in a non-owned copy is
+    invisible to an owner-projected gather); :meth:`result` gathers.
     """
 
     def __init__(
-        self, u: np.ndarray, v: np.ndarray, receiver_dofs: np.ndarray | None = None
+        self,
+        replicas: ReplicaMap,
+        us: list[np.ndarray],
+        vs: list[np.ndarray],
+        receiver_dofs: np.ndarray | None = None,
     ):
-        self.u, self.v = u, v
-        self.receiver_dofs = receiver_dofs
+        self.map = replicas
+        self.u, self.v = us, vs
+        #: Per replica owning receivers: its ``u``, the local indices,
+        #: and the row positions they fill (a slice when it owns all).
+        self._reads: list[tuple] = []
+        if receiver_dofs is None:
+            return
+        rec = np.asarray(receiver_dofs, dtype=np.int64)
+        found = 0
+        for u, g, own in zip(us, replicas.gdofs, replicas.owner):
+            if not len(g):
+                continue
+            at = np.minimum(np.searchsorted(g, rec), len(g) - 1)
+            mine = (g[at] == rec) & own[at]
+            if mine.any():
+                self._reads.append((u, at[mine], slice(None) if mine.all() else mine))
+                found += int(mine.sum())
+        require(found == len(rec), "a receiver DOF lies outside the mesh", SolverError)
 
     @classmethod
-    def start(cls, n_dof: int, state=None, receiver_dofs=None) -> "Fields":
-        """Zero fields, or a copy of ``state``'s (a
-        :class:`~repro.runtime.checkpoint.CheckpointState`)."""
+    def start(cls, replicas: ReplicaMap, state=None, receiver_dofs=None) -> "Fields":
+        """Zero fields, or ``state``'s (a
+        :class:`~repro.runtime.checkpoint.CheckpointState`): copies of
+        its replicas when they match the map's one for one (count and
+        lengths) — a bitwise continuation — else, when either side has a
+        single replica, its global fields scattered.  Any other pair is
+        refused: a resume never guesses a replica layout."""
         if state is None:
-            return cls(np.zeros(n_dof), np.zeros(n_dof), receiver_dofs)
-        return cls(state.u.copy(), state.v.copy(), receiver_dofs)
+            us = [np.zeros(len(g)) for g in replicas.gdofs]
+            vs = [np.zeros(len(g)) for g in replicas.gdofs]
+        elif [len(x) for x in state.u_locals] == [len(g) for g in replicas.gdofs]:
+            us, vs = [x.copy() for x in state.u_locals], [x.copy() for x in state.v_locals]
+        elif 1 in (state.n_ranks, replicas.n_ranks):
+            us, vs = replicas.scatter(state.u), replicas.scatter(state.v)
+        else:
+            raise ConfigError(
+                f"checkpoint holds {state.n_ranks} per-rank replicas but this run "
+                f"has {replicas.n_ranks} ranks; a resume restores matching replicas "
+                f"exactly or starts from the global field when either side has one"
+            )
+        return cls(replicas, us, vs, receiver_dofs)
 
-    def checkpoint_arrays(self, u: np.ndarray, v: np.ndarray) -> dict:
-        """A checkpoint's fields from a :meth:`snapshot` ``(u, v)``."""
-        return {"u": u, "v": v}
+    def checkpoint_arrays(self, us: list[np.ndarray], vs: list[np.ndarray]) -> dict:
+        """A checkpoint's fields from a :meth:`snapshot`: the gathered
+        global fields and the exact replicas."""
+        return {"u": self.map.gather(us), "v": self.map.gather(vs),
+                "u_locals": us, "v_locals": vs}
 
-    def receivers(self) -> np.ndarray:
-        """Displacement at the receiver DOFs (one trace row)."""
-        return self.u[self.receiver_dofs]
+    def receivers(self, row: np.ndarray) -> None:
+        """Write the displacement at the receiver DOFs into ``row``."""
+        for u, local, cols in self._reads:
+            row[cols] = u[local]
 
     def check(self, health: HealthGuard, cycle: int) -> None:
-        health.check(cycle, self.u, self.v)
+        health.check_locals(cycle, self.u, self.v, gdofs=self.map.gdofs)
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of ``(u, v)``, safe to serialize asynchronously."""
-        return self.u.copy(), self.v.copy()
+    def snapshot(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Copies of the replicas, safe to serialize asynchronously."""
+        return [x.copy() for x in self.u], [x.copy() for x in self.v]
 
     def result(self, solver) -> tuple[np.ndarray, np.ndarray]:
-        return self.u, self.v
+        """The global ``(u, v)``, once the solver's mailbox (if any) is
+        verified drained."""
+        solver.check_no_leaks()
+        return self.map.gather(self.u), self.map.gather(self.v)
 
 
 def run_cycles(
     solver,
-    fields,
+    fields: Fields,
     n_cycles: int,
     *,
     traces: np.ndarray | None = None,
@@ -86,19 +181,19 @@ def run_cycles(
 
     ``solver`` is a serial or distributed LTS solver; a cycle of a
     one-level one (the Newmark solvers) is one Newmark step.
-    Advances ``solver`` by ``n_cycles`` cycles over ``fields``
-    (:class:`Fields`, or :class:`repro.runtime.executor.RankFields` for
-    a partitioned run) and returns the view's global ``(u, v)``.  The
+    Advances ``solver`` by ``n_cycles`` cycles over ``fields``' replica
+    lists (``solver.cycle(us, vs)``: one replica serially, one per rank
+    partitioned) and returns the gathered global ``(u, v)``.  The
     per-cycle hooks are all optional — ``None`` costs one comparison —
-    and run in a fixed order after each step:
+    and run in a fixed order after each cycle:
 
     1. ``tracer`` (:class:`~repro.core.workspace.HotPathTracer`)
-       brackets the step itself;
+       brackets the cycle itself;
     2. ``traces[cycle - 1]`` receives the receiver row;
-    3. ``health`` checks the fields on its cadence;
-    4. ``on_checkpoint(cycle, *fields.snapshot())`` fires every
-       ``checkpoint_every`` cycles — after the health check, so a
-       corrupted state is never written.
+    3. ``health`` checks the replicas on its cadence;
+    4. ``on_checkpoint(cycle, us, vs)`` fires every
+       ``checkpoint_every`` cycles with copies of the replicas — after
+       the health check, so a corrupted state is never written.
 
     ``cycle`` is the solver's own completed-cycle count, so cadences
     stay aligned across a checkpoint/restore: a solver restored at
@@ -112,16 +207,16 @@ def run_cycles(
         SolverError,
     )
     checkpointing = on_checkpoint is not None and checkpoint_every is not None
-    u, v = fields.u, fields.v
+    us, vs = fields.u, fields.v
     for n in range(n_cycles):
         if tracer is not None:
             tracer.before_step(n)
-        solver.step(u, v)
+        solver.cycle(us, vs)
         if tracer is not None:
             tracer.after_step(n)
         cycle = solver.n_cycles_taken
         if traces is not None:
-            traces[cycle - 1] = fields.receivers()
+            fields.receivers(traces[cycle - 1])
         if health is not None:
             fields.check(health, cycle)
         if checkpointing and cycle % checkpoint_every == 0:

@@ -27,7 +27,7 @@ package substitutes two complementary pieces:
 """
 
 from repro.runtime.comm import MailboxWorld, RankComm
-from repro.runtime.halo import HaloExchange, build_rank_layout, RankLayout
+from repro.runtime.halo import build_rank_layout, RankLayout
 from repro.runtime.executor import DistributedLTSSolver, DistributedNewmarkSolver
 from repro.runtime.checkpoint import (
     CheckpointState,
@@ -46,7 +46,6 @@ from repro.runtime.trace import CycleTrace, render_timeline
 __all__ = [
     "MailboxWorld",
     "RankComm",
-    "HaloExchange",
     "RankLayout",
     "build_rank_layout",
     "DistributedLTSSolver",

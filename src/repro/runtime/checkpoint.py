@@ -6,11 +6,15 @@ count and simulated time — the scheme is RNG-free, so that *is* the
 full schedule state), the receiver traces recorded so far, and a
 content hash of the :class:`repro.api.SimulationConfig` so a restore
 against a different configuration is rejected instead of silently
-diverging.  For distributed runs the exact per-rank replicas are
-stored too: scattering a gathered field re-derives shared-DOF copies
+diverging.  A state always holds the run's replicas
+(:class:`repro.core.newmark.Fields`; a serial run's one replica is its
+global field): scattering a gathered field re-derives shared-DOF copies
 from their owners, which is only equal to round-off for DOFs shared by
 three or more ranks — restoring the replicas keeps the distributed
-resume bitwise.
+resume bitwise.  The file format (version 1) is the same for both: the
+global ``u``/``v`` and ``n_ranks`` always, ``u_local_<r>`` /
+``v_local_<r>`` only when there is more than one replica, so a file
+without them loads as the one replica ``[u]``.
 
 Files are ``.npz`` archives written atomically
 (:func:`repro.util.io.atomic_savez`), named ``ckpt_<cycle>.npz`` so
@@ -37,9 +41,9 @@ class CheckpointState:
     """Full solver state at the end of LTS cycle ``cycle``.
 
     ``u``/``v`` are the global (gathered) fields; ``u_locals`` /
-    ``v_locals`` the exact per-rank replicas for distributed runs
-    (``None`` for serial).  ``traces`` holds the receiver rows recorded
-    for cycles ``1..cycle``.  ``config_hash`` is
+    ``v_locals`` the exact replicas, one per rank — left out, the one
+    replica ``[u]`` / ``[v]`` of a serial run.  ``traces`` holds the
+    receiver rows recorded for cycles ``1..cycle``.  ``config_hash`` is
     :meth:`repro.api.SimulationConfig.content_hash` of the producing
     run (``None`` when checkpointing outside the façade).
     """
@@ -56,10 +60,16 @@ class CheckpointState:
     config_hash: str | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.u_locals is None:
+            self.u_locals = [self.u]
+        if self.v_locals is None:
+            self.v_locals = [self.v]
+
     @property
     def n_ranks(self) -> int:
-        """Rank count of the producing run (1 = serial)."""
-        return 1 if self.u_locals is None else len(self.u_locals)
+        """Replica count of the producing run (1 = serial)."""
+        return len(self.u_locals)
 
     def solver_state(self) -> dict:
         """The ``restore()`` payload for the stepping solvers."""
@@ -102,13 +112,13 @@ def save_checkpoint(path, state: CheckpointState) -> Path:
         "v": np.asarray(state.v, dtype=np.float64),
         "n_ranks": np.int64(state.n_ranks),
     }
-    if state.u_locals is not None:
-        require(
-            state.v_locals is not None
-            and len(state.v_locals) == len(state.u_locals),
-            "u_locals and v_locals must pair up",
-            SolverError,
-        )
+    require(
+        len(state.v_locals) == len(state.u_locals)
+        and all(len(ul) == len(vl) for ul, vl in zip(state.u_locals, state.v_locals)),
+        "u_locals and v_locals must pair up",
+        SolverError,
+    )
+    if state.n_ranks > 1:
         for r, (ul, vl) in enumerate(zip(state.u_locals, state.v_locals)):
             payload[f"u_local_{r}"] = np.asarray(ul, dtype=np.float64)
             payload[f"v_local_{r}"] = np.asarray(vl, dtype=np.float64)

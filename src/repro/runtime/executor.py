@@ -47,9 +47,12 @@ partitions, one rank included): the partitioned execution computes
 *the same scheme*, for any partition.
 Non-LTS Newmark is the same solver with every DOF on level 1.
 
-There is no time loop here either: ``run`` hands a :class:`RankFields`
-view of the per-rank replicas to :func:`repro.core.newmark.run_cycles`,
-the one cycle loop the serial solvers and the façade also use.
+There is no time loop or field view here either: ``run`` hands the
+per-rank replicas, laid out by the layout's
+:class:`~repro.core.newmark.ReplicaMap`, to
+:func:`repro.core.newmark.run_cycles` as one
+:class:`~repro.core.newmark.Fields` — the loop and the view the serial
+solvers and the façade use, a serial run being the one-replica case.
 """
 
 from __future__ import annotations
@@ -61,86 +64,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.health import HealthGuard
 from repro.core.lts_newmark import _LockStepCycle, plan_numberings
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import RankLayout
 from repro.sem import fused
 from repro.util.errors import CommError, SolverError
 from repro.util.validation import require
-
-
-class RankFields:
-    """Distributed field view for :func:`~repro.core.newmark.run_cycles`:
-    per-rank replica lists in place of global vectors (the counterpart
-    of :class:`repro.core.newmark.Fields`).
-
-    Receivers are located once — ``(owning rank, local index)`` per
-    global DOF, every DOF having exactly one owner — so a trace row
-    reads scalars off the owners' local vectors instead of gathering
-    the global field every cycle.  Health checks see the *replicas*
-    (corruption in a non-owned copy is invisible to an owner-projected
-    gather), and :meth:`result` verifies the mailbox drained before
-    gathering.
-    """
-
-    def __init__(
-        self,
-        layout: RankLayout,
-        u_locals: list[np.ndarray],
-        v_locals: list[np.ndarray],
-        receiver_dofs: np.ndarray | None = None,
-    ):
-        self.layout = layout
-        self.u, self.v = u_locals, v_locals
-        self._receivers: list[tuple[int, int]] = []
-        if receiver_dofs is None:
-            return
-        for g in receiver_dofs:
-            for r in range(layout.n_ranks):
-                i = int(np.searchsorted(layout.gdofs[r], g))
-                if (
-                    i < len(layout.gdofs[r])
-                    and layout.gdofs[r][i] == g
-                    and layout.owner[r][i]
-                ):
-                    self._receivers.append((r, i))
-                    break
-
-    @classmethod
-    def start(cls, layout: RankLayout, state=None, receiver_dofs=None) -> "RankFields":
-        """Zero replicas, or ``state``'s (a
-        :class:`~repro.runtime.checkpoint.CheckpointState`): its exact
-        per-rank replicas when it holds them — a bitwise continuation —
-        else its global fields scattered."""
-        if state is not None and state.u_locals is not None:
-            u, v = [x.copy() for x in state.u_locals], [x.copy() for x in state.v_locals]
-        elif state is None:
-            zeros = np.zeros(layout.n_dof_global)
-            u, v = layout.scatter(zeros), layout.scatter(zeros)
-        else:
-            u, v = layout.scatter(state.u), layout.scatter(state.v)
-        return cls(layout, u, v, receiver_dofs)
-
-    def checkpoint_arrays(self, u: list[np.ndarray], v: list[np.ndarray]) -> dict:
-        """A checkpoint's fields from a :meth:`snapshot`: the gathered
-        global fields and the exact replicas."""
-        return {"u": self.layout.gather(u), "v": self.layout.gather(v),
-                "u_locals": u, "v_locals": v}
-
-    def receivers(self) -> list[float]:
-        return [self.u[r][i] for r, i in self._receivers]
-
-    def check(self, health: HealthGuard, cycle: int) -> None:
-        health.check_locals(cycle, self.u, self.v, gdofs=self.layout.gdofs)
-
-    def snapshot(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Copies of the exact per-rank replicas."""
-        return [x.copy() for x in self.u], [x.copy() for x in self.v]
-
-    def result(self, solver) -> tuple[np.ndarray, np.ndarray]:
-        solver.check_no_leaks()
-        return self.layout.gather(self.u), self.layout.gather(self.v)
 
 
 class DistributedLTSPlan:
@@ -176,9 +105,10 @@ class DistributedLTSPlan:
         """A solver stepping this plan: only buffers are allocated."""
         return DistributedLTSSolver(self, dt, world, force)
 
-    def fields(self, state=None, receiver_dofs=None) -> RankFields:
-        """The replica view a bound solver steps (:meth:`RankFields.start`)."""
-        return RankFields.start(self.layout, state, receiver_dofs)
+    @property
+    def replicas(self) -> RankLayout:
+        """The fields' layout: one replica per rank."""
+        return self.layout
 
 
 def _rank_forces(layout: RankLayout, force) -> list:
@@ -364,10 +294,6 @@ class DistributedLTSSolver(_LockStepCycle):
                 f"{self.world.describe_channels(leaked)}"
             )
 
-    def _fields(self, u0: np.ndarray, v0: np.ndarray) -> RankFields:
-        """Scattered replicas: checkpoints receive the per-rank lists."""
-        return RankFields(self.layout, self.layout.scatter(u0), self.layout.scatter(v0))
-
     # -- collectives -----------------------------------------------------
     def _sum_shared(self, level: int) -> None:
         """Sum the shared-DOF entries of ``level``'s apply outputs across
@@ -386,11 +312,15 @@ class DistributedLTSSolver(_LockStepCycle):
         total += sum(h.scratch.nbytes for h in self._sums.values())
         return int(total)
 
+    def cycle(self, us, vs) -> None:
+        """The lock-step cycle, opening a superstep of the world first."""
+        self.world.begin_superstep()
+        super().cycle(us, vs)
+
     def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:
         """One LTS cycle of the coarse step ``dt`` across all ranks: one
         ``(u, v)`` replica pair per rank, advanced in place."""
-        self.world.begin_superstep()
-        self._cycle(u_locals, v_locals)
+        self.cycle(u_locals, v_locals)
 
 
 class DistributedNewmarkSolver(DistributedLTSSolver):

@@ -31,20 +31,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.newmark import ReplicaMap
 from repro.util.errors import PartitionError
 from repro.util.validation import require
-
-
-@dataclass
-class HaloExchange:
-    """One rank's exchange plan: for each neighbour, the local indices of
-    shared DOFs, ordered by global id so both sides agree."""
-
-    peers: list[int]
-    local_indices: list[np.ndarray]  # aligned with peers
-
-    def total_shared(self) -> int:
-        return int(sum(len(ix) for ix in self.local_indices))
 
 
 @dataclass
@@ -130,62 +119,35 @@ class ExchangePlan:
 
 
 @dataclass
-class RankLayout:
-    """Everything the distributed solvers need, per rank.
+class RankLayout(ReplicaMap):
+    """Everything the distributed solvers need, per rank: the replica
+    map of the partition (:class:`~repro.core.newmark.ReplicaMap` —
+    ``gdofs``, each rank's sorted global DOF ids; ``owner``, the mask of
+    those it owns, the lowest rank among sharers; ``scatter`` and
+    ``gather``) plus:
 
     Attributes
     ----------
-    gdofs:
-        Per rank, the sorted global DOF ids present on that rank.
     K_local:
         Per rank, the partial stiffness from *owned elements only* on
         local numbering (so the cross-rank sum is exact): a CSR matrix
         or a matrix-free stiffness operator, either way applied as
         ``K_local[r] @ u``.
-    M_local:
-        Per rank, the fully-summed diagonal mass restricted to local DOFs
-        (collected once at setup, as production codes do).
     Minv_local:
-        Per rank, ``1/M`` on the local DOFs with the Dirichlet row mask
-        folded in (0 on a masked row), as the serial operator holds it:
-        what the summed partial products are scaled by.  The column mask
-        sits in ``K_local``.
-    halo:
-        Per rank, the exchange plan.
-    owner:
-        Per rank, boolean mask of local DOFs this rank owns (lowest rank
-        among sharers) — used to gather a global vector without double
-        counting.
+        Per rank, ``1/M`` on the local DOFs — the fully-summed diagonal
+        mass, collected once at setup as production codes do — with the
+        Dirichlet row mask folded in (0 on a masked row), as the serial
+        operator holds it: what the summed partial products are scaled
+        by.  The column mask sits in ``K_local``.
+    channels:
+        The halo channels: a bufferless :class:`ExchangePlan` over every
+        shared DOF.
     """
 
-    n_ranks: int
-    n_dof_global: int
-    gdofs: list[np.ndarray]
     K_local: list[sp.csr_matrix]
-    M_local: list[np.ndarray]
     Minv_local: list[np.ndarray]
-    halo: list[HaloExchange]
-    owner: list[np.ndarray]
+    channels: ExchangePlan
     dof_level_local: list[np.ndarray] = field(default_factory=list)
-
-    def scatter(self, u_global: np.ndarray) -> list[np.ndarray]:
-        """Restrict a global vector to every rank (replicating shares)."""
-        return [np.array(u_global[g], dtype=np.float64) for g in self.gdofs]
-
-    def gather(self, u_locals: list[np.ndarray]) -> np.ndarray:
-        """Assemble a global vector from owned local entries."""
-        out = np.zeros(self.n_dof_global)
-        for r in range(self.n_ranks):
-            own = self.owner[r]
-            out[self.gdofs[r][own]] = u_locals[r][own]
-        return out
-
-    def exchange_plan(
-        self, supports: list[np.ndarray] | None = None
-    ) -> ExchangePlan:
-        """Build a forked :class:`ExchangePlan` over the halo channels:
-        :meth:`exchange_channels` plus a payload buffer."""
-        return self.exchange_channels(supports).fork()
 
     def exchange_channels(
         self, supports: list[np.ndarray] | None = None
@@ -199,35 +161,26 @@ class RankLayout:
         *neither* side's support reaches are dropped — their exchanged
         values are structural zeros — and channels left empty disappear
         entirely (no message in either direction).  With ``supports=None``
-        every channel is kept whole (the full-operator plan).
+        every channel is kept whole: :attr:`channels` itself.
         """
-        require(
-            supports is None or len(supports) == self.n_ranks,
-            "supports must give one mask per rank",
-            PartitionError,
-        )
-        peers: list[list[int]] = []
-        indices: list[list[np.ndarray]] = []
-        for r in range(self.n_ranks):
-            h = self.halo[r]
-            pr: list[int] = []
-            ir: list[np.ndarray] = []
-            for peer, idx in zip(h.peers, h.local_indices):
-                if supports is not None:
-                    # Position j of the r->peer channel and of the
-                    # peer->r channel name the same global DOF (both are
-                    # sorted by global id), so this keep-mask is computed
-                    # identically on both sides.
-                    hp = self.halo[peer]
-                    idx_peer = hp.local_indices[hp.peers.index(r)]
-                    keep = supports[r][idx] | supports[peer][idx_peer]
-                    if not keep.any():
-                        continue
-                    idx = idx[keep]
-                pr.append(peer)
-                ir.append(np.ascontiguousarray(idx, dtype=np.int64))
-            peers.append(pr)
-            indices.append(ir)
+        ch = self.channels
+        if supports is None:
+            return ch
+        require(len(supports) == self.n_ranks, "supports must give one mask per rank",
+                PartitionError)
+        peers: list[list[int]] = [[] for _ in ch.peers]
+        indices: list[list[np.ndarray]] = [[] for _ in ch.peers]
+        for r, (pr, ir) in enumerate(zip(ch.peers, ch.indices)):
+            for peer, idx in zip(pr, ir):
+                # Position j of the r->peer channel and of the peer->r
+                # channel name the same global DOF (both are sorted by
+                # global id), so this keep-mask is computed identically
+                # on both sides.
+                idx_peer = ch.indices[peer][ch.peers[peer].index(r)]
+                keep = supports[r][idx] | supports[peer][idx_peer]
+                if keep.any():
+                    peers[r].append(peer)
+                    indices[r].append(idx[keep])
         return ExchangePlan(peers, indices)
 
 
@@ -385,11 +338,11 @@ def build_rank_layout(
     by_pair = np.lexsort((dof, dst, src))
     src, dst, dof = src[by_pair], dst[by_pair], dof[by_pair]
     bounds = np.flatnonzero(np.diff(src * n_ranks + dst, prepend=-1, append=-1))
-    halos = [HaloExchange(peers=[], local_indices=[]) for _ in range(n_ranks)]
+    channels = ExchangePlan([[] for _ in range(n_ranks)], [[] for _ in range(n_ranks)])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         r = int(src[lo])
-        halos[r].peers.append(int(dst[lo]))
-        halos[r].local_indices.append(np.searchsorted(gdofs[r], dof[lo:hi]))
+        channels.peers[r].append(int(dst[lo]))
+        channels.indices[r].append(np.searchsorted(gdofs[r], dof[lo:hi]))
     owner_masks = [owner_of[g] == r for r, g in enumerate(gdofs)]
 
     # Fully-summed diagonal mass restricted to each rank (production codes
@@ -402,9 +355,8 @@ def build_rank_layout(
             for e, ld in zip(owned_per_rank[r], local_eldofs[r]):
                 _, Me = assembler.element_system(int(e))
                 np.add.at(M_global, gdofs[r][ld], Me)
-    M_local = [M_global[g].copy() for g in gdofs]
     Minv_local = [
-        1.0 / M if mask is None else (1.0 / M) * mask[g] for M, g in zip(M_local, gdofs)
+        1.0 / M_global[g] if mask is None else (1.0 / M_global[g]) * mask[g] for g in gdofs
     ]
 
     levels_local: list[np.ndarray] = []
@@ -414,13 +366,11 @@ def build_rank_layout(
         levels_local = [dof_level[g].copy() for g in gdofs]
 
     return RankLayout(
-        n_ranks=n_ranks,
         n_dof_global=n_dof,
         gdofs=gdofs,
-        K_local=K_local,
-        M_local=M_local,
-        Minv_local=Minv_local,
-        halo=halos,
         owner=owner_masks,
+        K_local=K_local,
+        Minv_local=Minv_local,
+        channels=channels,
         dof_level_local=levels_local,
     )

@@ -23,7 +23,7 @@ from repro.api import (
     SimulationConfig,
     relative_deviation,
 )
-from repro.runtime import load_checkpoint
+from repro.runtime import CheckpointState, load_checkpoint
 from repro.util.errors import ConfigError, SolverError
 
 REPO = Path(__file__).resolve().parents[2]
@@ -238,14 +238,140 @@ class TestKillAndResume:
         assert relative_deviation(full, crossed) <= 1e-12
 
     def test_rank_count_mismatch_refused(self, tmp_path):
+        """Two refusals, each asserted by its own words.  A façade
+        checkpoint of another rank count fails the content hash (the
+        partition is part of it); a hash-less 3-replica state on a
+        2-rank config fails the replica count."""
         cfg = config(
             partition={"n_ranks": 3},
             resilience={"checkpoint_every": 5, "checkpoint_dir": str(tmp_path)},
         )
         Simulation(cfg).run()
         ckpt = tmp_path / "ckpt_00000005.npz"
-        with pytest.raises(ConfigError, match="rank"):
+        with pytest.raises(ConfigError, match="written by a different configuration"):
             Simulation(config(partition={"n_ranks": 2})).run(resume=ckpt)
+        state = load_checkpoint(ckpt)
+        state.config_hash = None
+        assert state.n_ranks == 3
+        with pytest.raises(ConfigError, match="3 per-rank replicas but this run has 2 ranks"):
+            Simulation(config(partition={"n_ranks": 2})).run(resume=state)
+
+
+class TestResumeMatrix:
+    """Every (checkpoint, run) pair reaches the outcome it reached when
+    serial checkpoints held no replicas: the replicas copied, the global
+    field scattered onto ranks or started from serially, or a refusal.
+    Checkpoints come from a run of 1 or 3 ranks, written to disk with
+    their content hash or handed over in memory without one."""
+
+    #: (checkpoint replicas, run ranks, hashed) -> outcome.
+    OUTCOMES = {
+        (1, 1, True): "copy", (1, 3, True): "refuse",
+        (3, 1, True): "refuse", (3, 3, True): "replicas",
+        (1, 1, False): "copy", (1, 3, False): "scatter",
+        (3, 1, False): "from-global", (3, 3, False): "replicas",
+    }
+    KEYS = {"version", "cycle", "t", "u", "v", "n_ranks", "traces", "dt",
+            "n_cycles_total", "config_hash"}
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """Per rank count, the cycle-5 checkpoint file and the
+        uninterrupted result."""
+        out = {}
+        for n in (1, 3):
+            d = tmp_path_factory.mktemp(f"ranks{n}")
+            cfg = config(
+                partition={"n_ranks": n},
+                resilience={"checkpoint_every": 5, "checkpoint_dir": str(d)},
+            )
+            out[n] = (d / "ckpt_00000005.npz", Simulation(cfg).run())
+        return out
+
+    @pytest.mark.parametrize("replicas,ranks,hashed", sorted(OUTCOMES))
+    def test_outcome(self, replicas, ranks, hashed, written, monkeypatch):
+        path, _ = written[replicas]
+        state = load_checkpoint(path)
+        resume = path
+        if not hashed:
+            # Several replicas are nudged, so that restoring them and
+            # scattering the global field start from different values.
+            nudge = (lambda xs: None) if replicas == 1 else (lambda xs: [x + 1.0 for x in xs])
+            state = resume = CheckpointState(
+                cycle=state.cycle, t=state.t, u=state.u, v=state.v,
+                u_locals=nudge(state.u_locals), v_locals=nudge(state.v_locals),
+                traces=state.traces,
+            )
+        starts = []
+        real = simulation_mod.run_cycles
+
+        def spy(solver, fields, *args, **kwargs):
+            starts.append([x.copy() for x in fields.u])
+            return real(solver, fields, *args, **kwargs)
+
+        monkeypatch.setattr(simulation_mod, "run_cycles", spy)
+        sim = Simulation(config(partition={"n_ranks": ranks}))
+        outcome = self.OUTCOMES[replicas, ranks, hashed]
+        if outcome == "refuse":
+            with pytest.raises(ConfigError, match="written by a different configuration"):
+                sim.run(resume=resume)
+            assert not starts
+            return
+        result = sim.run(resume=resume)
+        gdofs = [slice(None)] if ranks == 1 else sim.rank_layout.gdofs
+        expected = {
+            "copy": state.u_locals,
+            "replicas": state.u_locals,
+            "scatter": [state.u[g] for g in gdofs],
+            "from-global": [state.u],
+        }[outcome]
+        (start,) = starts
+        assert len(start) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(start, expected))
+        _, full = written[ranks]
+        if outcome == "copy" or (outcome == "replicas" and hashed):
+            for key in ("u", "v", "traces"):
+                assert np.array_equal(getattr(result, key), getattr(full, key)), key
+        elif outcome != "replicas":  # the global field of another rank count
+            assert relative_deviation(full, result) <= 1e-12
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_file_keys_and_version_1_layout(self, ranks, written, tmp_path):
+        """A serial file holds no replicas; a 3-rank one holds
+        ``u_local_0..2`` / ``v_local_0..2``.  The state written by hand
+        with ``np.savez`` in the version-1 key layout loads and resumes
+        bitwise."""
+        path, full = written[ranks]
+        keys = set(self.KEYS)
+        if ranks > 1:
+            keys |= {f"{x}_local_{r}" for x in "uv" for r in range(ranks)}
+        with np.load(path) as ck:
+            assert set(ck.files) == keys
+            v1 = {
+                "version": np.int64(1),
+                "cycle": np.int64(ck["cycle"]),
+                "t": np.float64(ck["t"]),
+                "u": ck["u"],
+                "v": ck["v"],
+                "n_ranks": np.int64(ranks),
+            }
+            if ranks > 1:
+                for r in range(ranks):
+                    v1[f"u_local_{r}"] = ck[f"u_local_{r}"]
+                    v1[f"v_local_{r}"] = ck[f"v_local_{r}"]
+            v1["traces"] = ck["traces"]
+            v1["dt"] = np.float64(ck["dt"])
+            v1["n_cycles_total"] = np.int64(ck["n_cycles_total"])
+            v1["config_hash"] = np.array(str(ck["config_hash"]))
+        np.savez(tmp_path / "v1.npz", **v1)
+        state = load_checkpoint(tmp_path / "v1.npz")
+        assert state.n_ranks == ranks and state.cycle == 5
+        resumed = Simulation(config(partition={"n_ranks": ranks})).run(
+            resume=tmp_path / "v1.npz"
+        )
+        assert resumed.metadata["resilience"]["resumed_from_cycle"] == 5
+        for key in ("u", "v", "traces"):
+            assert np.array_equal(getattr(resumed, key), getattr(full, key)), key
 
 
 class TestSupervisedRecovery:

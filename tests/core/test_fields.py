@@ -1,0 +1,151 @@
+"""One field view: every run steps replica lists laid out by a
+:class:`~repro.core.newmark.ReplicaMap` (the identity serially, a rank
+layout partitioned), reads its receivers off the owning replica, and
+resumes by one rule (:meth:`~repro.core.newmark.Fields.start`)."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.api import Simulation, SimulationConfig
+from repro.core import assign_levels
+from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
+from repro.core.newmark import Fields, ReplicaMap, run_cycles
+from repro.mesh import uniform_grid
+from repro.runtime import CheckpointState, DistributedLTSSolver, build_rank_layout
+from repro.sem import Sem2D
+from repro.util.errors import ConfigError, SolverError
+
+
+def test_identity_map_is_one_owning_replica(rng):
+    """Its one replica is the global vector: scatter copies once, gather
+    hands the replica back."""
+    m = ReplicaMap.identity(7)
+    u = rng.standard_normal(7)
+    (local,) = m.scatter(u)
+    assert m.n_ranks == 1 and m.whole
+    assert local is not u and np.array_equal(local, u)
+    assert m.gather([local]) is local
+
+
+def test_serial_plan_caches_its_identity_map():
+    plan = LTSPlan(np.eye(4) * 2.0, np.ones(4, dtype=np.int64))
+    assert plan.replicas is plan.replicas
+    assert plan.replicas.n_ranks == 1 and plan.replicas.n_dof_global == 4
+
+
+def test_receiver_outside_the_mesh_refused():
+    with pytest.raises(SolverError, match="receiver"):
+        Fields(ReplicaMap.identity(3), [np.zeros(3)], [np.zeros(3)], np.array([5]))
+
+
+class TestTraceRows:
+    """3 ranks on a 2D mesh, two levels: a trace row reads the owner
+    replica, bitwise, both at a DOF three ranks share and at one that
+    lies inside a rank."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        mesh = uniform_grid((4, 4))
+        sem = Sem2D(mesh, order=2)
+        dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
+        gen = np.random.default_rng(3)
+        levels = gen.integers(1, 3, mesh.n_elements)
+        parts = gen.integers(0, 3, mesh.n_elements)
+        dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+        lay = build_rank_layout(sem, parts, 3, dof_level=dof_level)
+        holders = np.zeros(sem.n_dof, dtype=np.int64)
+        for g in lay.gdofs:
+            holders[g] += 1
+        rec = np.array([np.flatnonzero(holders >= 3)[0], np.flatnonzero(holders == 1)[0]])
+        # Sixteen decades of magnitude: a three-way sum in another order shows.
+        u0 = gen.standard_normal(sem.n_dof) * 10.0 ** gen.uniform(-8, 8, sem.n_dof)
+        fields = Fields(lay, lay.scatter(u0), lay.scatter(np.zeros(sem.n_dof)), rec)
+        n = 6
+        traces, snaps = np.zeros((n, len(rec))), {}
+        run_cycles(
+            DistributedLTSSolver(lay, dt), fields, n, traces=traces,
+            checkpoint_every=1, on_checkpoint=lambda c, us, vs: snaps.__setitem__(c, us),
+        )
+        return lay, rec, traces, snaps
+
+    def test_rows_are_the_owner_replica(self, run):
+        lay, rec, traces, snaps = run
+        assert sorted(snaps) == list(range(1, len(traces) + 1))
+        for j, g in enumerate(rec):
+            (r,) = [r for r in range(3) if g in lay.gdofs[r][lay.owner[r]]]
+            i = int(np.searchsorted(lay.gdofs[r], g))
+            for c, us in snaps.items():
+                assert traces[c - 1, j].tobytes() == us[r][i].tobytes()
+
+    def test_shared_replicas_differ_so_the_owner_matters(self, run):
+        lay, rec, _, snaps = run
+        g = rec[0]
+        copies = {
+            c: {us[r][np.searchsorted(lay.gdofs[r], g)] for r in range(3) if g in lay.gdofs[r]}
+            for c, us in snaps.items()
+        }
+        assert any(len(v) > 1 for v in copies.values())
+
+
+#: sha256 of serial façade traces: reading a serial run's receivers off
+#: its one replica gives the bits a read of the global vector gives.
+SERIAL_TRACE_PINS = {
+    "1d_assembled": (
+        {
+            "mesh": {"family": "refined_interval",
+                     "params": {"n_coarse": 16, "n_fine": 8, "refinement": 4}},
+            "time": {"n_cycles": 10},
+            "source": {"position": [0.3], "f0": 4.0},
+            "receivers": {"positions": [[0.7], [0.2]]},
+        },
+        "6e1dc622e55c9c2eb32b82e25a7fce18a3a163867ba71e6f8a757a9c4246c968",
+    ),
+    "2d_matfree_numpy": (
+        {
+            "mesh": {"family": "uniform_grid", "params": {"shape": [6, 5]}},
+            "order": 3,
+            "time": {"n_cycles": 6},
+            "source": {"position": [0.4, 0.5], "f0": 2.0},
+            "receivers": {"positions": [[0.7, 0.2], [0.1, 0.9]]},
+            "backend": {"stiffness": "matfree", "fused": False},
+        },
+        "7ab22b62138a6dd5f4b5ee8439f2c2722d56577bd68dc0f354f9b387894fdee9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIAL_TRACE_PINS))
+def test_serial_facade_traces_match_pin(case):
+    cfg, digest = SERIAL_TRACE_PINS[case]
+    traces = Simulation(SimulationConfig.from_dict(cfg)).run().traces
+    assert hashlib.sha256(traces.tobytes()).hexdigest() == digest
+
+
+class TestStartRule:
+    """:meth:`Fields.start` on what the façade matrix
+    (``tests/api/test_resilience.py``) cannot reach: matching replicas
+    are copied, not aliased, and replicas of the right count but other
+    lengths are refused like a wrong count."""
+
+    MAP3 = ReplicaMap(
+        5, [np.array([0, 1, 2]), np.array([2, 3]), np.array([3, 4])],
+        [np.array([1, 1, 1], bool), np.array([0, 1], bool), np.array([0, 1], bool)],
+    )
+
+    def state(self, held):
+        u = np.arange(5.0)
+        return CheckpointState(cycle=1, t=0.1, u=u, v=-u, u_locals=held,
+                               v_locals=[-x for x in held])
+
+    def test_matching_replicas_are_copied(self):
+        held = [np.array([9.0, 8, 7]), np.array([6.0, 5]), np.array([4.0, 3])]
+        f = Fields.start(self.MAP3, self.state(held))
+        assert all(np.array_equal(a, b) and a is not b for a, b in zip(f.u, held))
+
+    @pytest.mark.parametrize("lengths", [[3, 2], [2, 3, 2]])
+    def test_other_layouts_refused(self, lengths):
+        st = self.state([np.zeros(n) for n in lengths])
+        with pytest.raises(ConfigError, match="replicas"):
+            Fields.start(self.MAP3, st)

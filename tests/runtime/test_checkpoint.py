@@ -50,7 +50,9 @@ class TestPersistence:
         assert np.array_equal(back.traces, state.traces)
         assert back.dt == 0.1 and back.n_cycles_total == 12
         assert back.config_hash == "abc123"
-        assert back.n_ranks == 1 and back.u_locals is None
+        # A serial state's one replica is its global field.
+        assert back.n_ranks == 1
+        assert back.u_locals[0] is back.u and back.v_locals[0] is back.v
 
     def test_roundtrip_distributed_replicas(self, tmp_path, rng):
         u_locals = [rng.standard_normal(5), rng.standard_normal(7)]

@@ -81,7 +81,7 @@ class TestEmptyChannelSkip:
 
     def test_coarse_level_plan_drops_far_channels(self, sys1d):
         solver, lay, _ = self._solver(sys1d)
-        full = lay.exchange_plan()
+        full = lay.exchange_channels().fork()
         coarsest = min(solver.active_levels)
         assert max(solver.active_levels) > coarsest
         coarse_plan = solver._plans[coarsest]
@@ -95,7 +95,7 @@ class TestEmptyChannelSkip:
 
     def test_no_zero_length_channels_in_any_plan(self, sys1d):
         solver, lay, _ = self._solver(sys1d)
-        plans = [lay.exchange_plan(), *solver._plans.values()]
+        plans = [lay.exchange_channels().fork(), *solver._plans.values()]
         for plan in plans:
             for per_rank in plan.indices:
                 for idx in per_rank:
@@ -124,7 +124,7 @@ class TestEmptyChannelSkip:
         solver._sum_shared = lambda level: exchanges.append(level) or sum_shared(level)
         solver.run(u0.copy(), v0.copy(), 2)
         assert len(exchanges) == 2 * sum(2 ** (k - 1) for k in solver.active_levels)
-        full = lay.exchange_plan().messages_per_exchange()
+        full = lay.exchange_channels().fork().messages_per_exchange()
         assert world.sent_messages < len(exchanges) * full
 
 

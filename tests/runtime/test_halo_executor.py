@@ -56,18 +56,15 @@ class TestLayout:
     def test_halo_symmetry(self, sys1d):
         mesh, sem, _, _, _, _ = sys1d
         lay = build_rank_layout(sem, block_partition(mesh.n_elements, 3), 3)
+        ch = lay.channels
         for r in range(3):
-            h = lay.halo[r]
-            for peer, idx in zip(h.peers, h.local_indices):
-                back = lay.halo[peer]
-                assert r in back.peers
-                j = back.peers.index(r)
+            for peer, idx in zip(ch.peers[r], ch.indices[r]):
+                assert r in ch.peers[peer]
+                back = ch.indices[peer][ch.peers[peer].index(r)]
                 # Both sides exchange the same number of shared DOFs,
                 # referring to the same global ids in the same order.
-                assert len(back.local_indices[j]) == len(idx)
-                assert np.array_equal(
-                    lay.gdofs[r][idx], lay.gdofs[peer][back.local_indices[j]]
-                )
+                assert len(back) == len(idx)
+                assert np.array_equal(lay.gdofs[r][idx], lay.gdofs[peer][back])
 
     @pytest.mark.parametrize("dim,n_ranks", [(2, 2), (2, 5), (3, 4), (3, 7)])
     def test_halo_pairing_matches_per_dof_construction(self, dim, n_ranks):
@@ -98,8 +95,8 @@ class TestLayout:
         assert max(len(ranks) for ranks in touching.values()) >= min(3, n_ranks)
         for r in range(n_ranks):
             peers = sorted({b for (a, b) in shared if a == r})
-            assert lay.halo[r].peers == peers
-            for peer, idx in zip(peers, lay.halo[r].local_indices):
+            assert lay.channels.peers[r] == peers
+            for peer, idx in zip(peers, lay.channels.indices[r]):
                 glist = np.array(sorted(shared[(r, peer)]), dtype=np.int64)
                 assert np.array_equal(idx, np.searchsorted(lay.gdofs[r], glist))
 
@@ -107,7 +104,7 @@ class TestLayout:
         mesh, sem, _, _, _, _ = sys1d
         lay = build_rank_layout(sem, block_partition(mesh.n_elements, 2), 2)
         for r in range(2):
-            assert np.allclose(lay.M_local[r], sem.M[lay.gdofs[r]])
+            assert np.allclose(lay.Minv_local[r], 1.0 / sem.M[lay.gdofs[r]])
 
     def test_bad_parts_shape_rejected(self, sys1d):
         _, sem, _, _, _, _ = sys1d
@@ -304,7 +301,7 @@ class TestDistributedLTS:
         # Coalescing must never send more than the seed's
         # every-channel-every-apply schedule, and at least one level must
         # actually reach the rank interface.
-        full = solver.layout.exchange_plan().messages_per_exchange()
+        full = solver.layout.exchange_channels().fork().messages_per_exchange()
         assert 0 < expected <= full * sum(
             2 ** (k - 1) for k in solver.active_levels
         )
