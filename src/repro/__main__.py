@@ -238,7 +238,7 @@ def _cmd_info(args) -> int:
         return 0
     print(f"repro {info['version']} (python {info['python']}, "
           f"numpy {info['numpy']}, scipy {info['scipy']})")
-    fused = "yes" if info["fused_available"] else "no"
+    fused = "yes" if info["fused_available"] else f"no ({info['fused_failure']})"
     omp = "yes" if info["fused_omp"] else "no"
     print(f"kernel tiers: numpy yes, fused C {fused}, openmp {omp}")
     print(f"cores: {info['usable_cores']} usable / {info['cpu_count']} machine")

@@ -435,7 +435,12 @@ class ElasticKernelND(_PooledKernel):
     def flops_per_element(self) -> int:
         """Multiply-adds of one element contraction: ``dim`` diagonal
         acoustic-style contractions plus four two-stage pair
-        contractions per unordered axis pair."""
+        contractions per unordered axis pair.  The model counts every
+        pair term's first stage, although the fused 3D tier
+        (``el_apply3``) computes each trial axis's first stage once and
+        shares it between both receiving components (18 axis
+        contractions instead of 24): the Eq. 9 ratios and the golden
+        op counts rest on this count."""
         n1 = self.n1
         diag = sum(k.flops_per_element for k in self._diag)
         pair_terms = 4 * len(self.pairs)  # lam & mu terms, both directions

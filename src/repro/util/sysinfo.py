@@ -49,7 +49,8 @@ def runtime_info() -> dict:
 
     Keys: package/python/numpy/scipy versions, ``fused_available`` /
     ``fused_omp`` (whether the C kernels compiled and whether they
-    honor ``n_threads > 1``), ``usable_cores`` vs ``cpu_count``, and
+    honor ``n_threads > 1``), ``fused_failure`` (why they did not
+    load, else ``None``), ``usable_cores`` vs ``cpu_count``, and
     the set ``REPRO_*`` env overrides.  Calling this triggers the
     (cached) one-time fused-kernel compile probe — that is the point:
     the answer reflects what a run would actually get."""
@@ -64,6 +65,7 @@ def runtime_info() -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "fused_available": bool(fused.available()),
+        "fused_failure": fused.failure_reason(),
         "fused_omp": bool(fused.omp_enabled()),
         "usable_cores": usable_cores(),
         "cpu_count": os.cpu_count(),

@@ -17,7 +17,20 @@ from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import reachable_buffers
 from repro.mesh import uniform_grid, uniform_interval
 from repro.runtime import DistributedLTSSolver, DistributedNewmarkSolver, build_rank_layout
-from repro.sem import ElasticSem2D, Sem1D, Sem2D, Sem3D, fused, point_source, ricker
+from repro.sem import (
+    AnisotropicElasticSemND,
+    ElasticSem2D,
+    ElasticSem3D,
+    IsotropicElastic,
+    Sem1D,
+    Sem2D,
+    Sem3D,
+    fused,
+    hexagonal_stiffness,
+    point_source,
+    ricker,
+)
+from repro.sem.materials import rotate_voigt, rotation_about_y
 from repro.util.errors import SolverError
 
 
@@ -110,6 +123,9 @@ class TestValidation:
 # ----------------------------------------------------------------------
 # Golden pins: sha256 of u and v after 30 steps
 # ----------------------------------------------------------------------
+# Every fused kernel has a pin (el_apply3, an_apply3 and ac_apply3 at
+# order 4, ac_apply at order 8 past the compiled orders), recorded on
+# the runtime-order loops the per-order instances must reproduce.
 N_STEPS = 30
 
 GOLDEN = {
@@ -122,8 +138,14 @@ GOLDEN = {
     "2d/fused/dense": "0d0ceba57c4dee8e4a0e17429e8635ba1abf217b5d203f492ebab4849a0bbe39",
     "2d-dirichlet/numpy/point": "f54ab2a637da5a1ac4105fe183ca227aac4c9682a75cf43516da5e143c628d3e",
     "2d-dirichlet/fused/point": "1ba788df9035a3174c0703570fa7656d10f4a9b019fe932cc364af53b4c690ee",
+    "2d-o8/fused/point": "31f1cdacd63ea0adcaefdc8eb6d5ca679a04172de3be55d0ca677bf5e54b7ceb",
     "3d/fused/point": "43f078336e43cd59ef596f7ba931a3a052920fe493f8e6a431dd6257805e4ed7",
+    "3d-o4/fused/point": "d50d2e475e4c8db25d43485a66b69f76aa0c6ed317cd3a4854e098ba4626fa9f",
     "elastic/numpy/point": "ccf18d297b326a5ea6d4a83e8ed0c9d3ec88ea10026e863687a24b399d071507",
+    "elastic/fused/point": "c8314c546a3396de05181c684193c5c5e9316b19ad3fa4a37aca7f26262b37af",
+    "elastic3d/fused/point": "fd7184158af3a5638c3a2c57ac052a606c49f44ad5279b4e161ce85ccc03c553",
+    "aniso/fused/point": "1225e79ce405b6131686f960003305620152e6c22deee043a8de4710135a205a",
+    "aniso3d/fused/point": "677ee057a8d90aae8dbbcfdde7a5dc2e113ad8f0a381b4e66a6f29e85e072ee2",
     "newmark3/assembled": "3891e41e6b9d8ebaecbfe2caa9e6ef48a5a1f5faecd0932aa474d9c3f571c366",
     "newmark3/numpy": "0bf94a78ef0a37becdd1c80ff58e439d400e902207546b9a5044cbed5c755a28",
     "newmark3/fused": "1ebe437a6ab0c24e1d5fb0ae5c7a8ffbd9c8f53536a98f8fc75d0c9ad80c8879",
@@ -152,19 +174,37 @@ def _serial_pin(kind, tier, source):
         u0 = np.sin(np.pi * sem.x / sem.x.max())
         v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
         return NewmarkSolver(sem.A, dt).run(u0, v0, N_STEPS)
-    if kind == "3d":
-        mesh, order = uniform_grid((3, 2, 2)), 2
+    velocity = None
+    if kind in ("3d", "3d-o4"):
+        mesh, order = (uniform_grid((3, 2, 2)), 2) if kind == "3d" else (uniform_grid((2, 2, 2)), 4)
         sem = Sem3D(mesh, order=order)
         x = sem.xyz
     elif kind == "elastic":
         mesh, order = uniform_grid((4, 3)), 3
         sem = ElasticSem2D(mesh, order=order)
         x = np.repeat(sem.xy, 2, axis=0)
+    elif kind in ("elastic3d", "aniso", "aniso3d"):
+        # The vector kernels at their pins' orders: 3D elastic and 3D
+        # stress form at order 4, 2D stress form at order 3.
+        mesh, order = uniform_grid((2, 2, 2)), 4
+        if kind == "elastic3d":
+            material = IsotropicElastic(lam=2.0, mu=1.0)
+            sem = ElasticSem3D(mesh, order=order, material=material)
+        elif kind == "aniso":
+            mesh, order = uniform_grid((4, 3)), 3
+            C = [[4.0, 1.5, 0.3], [1.5, 3.0, 0.2], [0.3, 0.2, 1.2]]
+            sem = AnisotropicElasticSemND(mesh, order=order, C=C)
+        else:
+            C = rotate_voigt(hexagonal_stiffness(4.0, 3.0, 1.2, 1.0, 1.3), rotation_about_y(0.4))
+            sem = AnisotropicElasticSemND(mesh, order=order, C=C)
+        x = np.repeat(sem.node_coords, sem.n_comp, axis=0)
+        velocity = sem.max_velocity()
     else:
-        mesh, order = uniform_grid((5, 4)), 3
+        # 2d-o8: an order above the compiled ones (the runtime-order loop)
+        mesh, order = (uniform_grid((2, 2)), 8) if kind == "2d-o8" else (uniform_grid((5, 4)), 3)
         sem = Sem2D(mesh, order=order, dirichlet=kind == "2d-dirichlet")
         x = sem.xy
-    dt = assign_levels(mesh, c_cfl=0.4, order=order).dt_min
+    dt = assign_levels(mesh, c_cfl=0.4, order=order, velocity=velocity).dt_min
     point = point_source(sem.n_dof, sem.n_dof // 3, sem.M, ricker(f0=0.5, t0=2 * dt))
     force = point if source == "point" else (lambda t: point(t))
     kw = _tier_kw(tier)

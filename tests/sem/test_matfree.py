@@ -2,6 +2,8 @@
 backend to machine precision (paper Sec. II-C: the unassembled
 implementation computes *the same* operator)."""
 
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,30 @@ class TestFusedGating:
     def test_fused_plan_built_when_available(self):
         sem = Sem2D(_mesh(), order=2)
         assert sem.operator("matfree")._stiffness._plan is not None
+
+    def test_failed_build_is_reported(self, monkeypatch, tmp_path, capsys):
+        """A compiler that exits 1 leaves the NumPy tier, and says why:
+        the exception type and the compiler's stderr, in ``repro info``."""
+        from repro.__main__ import main
+
+        cc = tmp_path / "cc"
+        cc.write_text('#!/bin/sh\necho "fused.c: error: broken compiler" >&2\nexit 1\n')
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
+        for name, fresh in (("_tried", False), ("_lib", None), ("_failure", None),
+                            ("_flag_cache", {})):
+            monkeypatch.setattr(fused, name, fresh)
+        assert not fused.available()
+        reason = fused.failure_reason()
+        assert reason == "CalledProcessError: fused.c: error: broken compiler"
+        assert main(["info"]) == 0
+        assert f"fused C no ({reason})" in capsys.readouterr().out
+
+    def test_build_timeout_reason(self):
+        exc = subprocess.TimeoutExpired(["cc"], 120, stderr=b"still compiling")
+        assert fused._failure_reason(exc) == "TimeoutExpired: still compiling"
 
     def test_unknown_backend_rejected(self):
         from repro.util.errors import SolverError

@@ -27,10 +27,12 @@ def _rel_err(got, ref):
 
 
 class TestAcoustic3DEquivalence:
-    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("order", range(1, fused.MAX_ORDER_3D + 1))
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_full_apply(self, order, dirichlet):
-        sem = Sem3D(_mesh(), order=order, dirichlet=dirichlet)
+        # Every compiled order; four elements keep the high ones cheap.
+        mesh = _mesh() if order <= 5 else _mesh((2, 2, 1))
+        sem = Sem3D(mesh, order=order, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)
         ref = sem.A @ u
         for uf in FUSED_PARAMS:
