@@ -17,27 +17,30 @@ compile fails, ``REPRO_FUSED=0`` is set, or the polynomial order exceeds
 ``MAX_ORDER``, callers fall back to the NumPy path transparently — same
 results (up to last-bit summation order), just slower.  The compiled
 shared object is cached in a user-private directory keyed by a source
-hash, so the one-time compile (about 13 s and a 350 KB object with
-gcc 12 ``-O3 -march=native`` on a 2-core Xeon; 2.4 s and 80 KB before
-the per-order instances) is paid once per machine, not per process.
+hash, so the one-time compile (2–3 s and a 100 KB object with
+gcc 12 ``-O3 -march=native`` on a 2-core Xeon; 2 s and 80 KB before
+the order-4 instances) is paid once per machine, not per process.
 When the build fails, :func:`failure_reason` says why (``python -m
 repro info`` prints it).
 
-Per-order instances
--------------------
-SPECFEM compiles its element kernels for a fixed GLL point count; here
-each kernel's per-``VL``-block body is one always-inlined function of
-``n1`` = order + 1, stamped out (``ORDER_INSTANCES``) as one
-``noinline`` copy per ``n1`` in 2..8 with ``n1`` a literal — every 3D
-order up to ``MAX_ORDER_3D`` — plus one copy with the runtime ``n1``
-that runs 2D orders 8..15.  An apply picks its copy once, so every
-contraction loop of a compiled order has a trip count the compiler sees
-(unrolled, register-blocked).  All copies are the same source doing the
-same IEEE operations in the same order: bitwise the runtime loop.  The
-3D elastic block also computes each trial component's first pair
-contraction (``F`` or ``E`` along the trial axis ``d``) once per block
-and shares it between the two components it feeds: 18 off-diagonal
-axis contractions per block instead of 24, each the same arithmetic.
+Order-4 instances
+-----------------
+SPECFEM compiles its element kernels for a fixed GLL point count
+(``NGLLX = 5``).  Here the per-``VL``-block bodies of the kernels the
+measured workloads run (``ac_block``, ``ac_block3``, ``el_block3``) are
+always-inlined functions of ``n1`` = order + 1, stamped out
+(``ORDER_INSTANCES``) as one ``noinline`` copy with ``n1`` the literal
+``FIXED_N1 = 5`` (order 4, every benchmark workload's order) plus one
+copy with the runtime ``n1`` for every other order.  An apply picks its
+copy once, so at order 4 every contraction loop has a trip count the
+compiler sees (unrolled, register-blocked).  Both copies are the same
+source doing the same IEEE operations in the same order: bitwise the
+runtime loop.  Other orders and kernels get a literal copy only once a
+benchmark workload runs them.  The 3D elastic block also computes each
+trial component's first pair contraction (``F`` or ``E`` along the
+trial axis ``d``) once per block and shares it between the two
+components it feeds: 18 off-diagonal axis contractions per block
+instead of 24, each the same arithmetic.
 
 Threading
 ---------
@@ -281,31 +284,24 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
 #endif
 
 /*
- * Per-order instances (module docstring).  Every block body below is
- * BLOCK (always inlined); ORDER_INSTANCES(B, PARAMS, ARGS) stamps out
- * B##_2 .. B##_8 with n1 a literal, B##_rt with the runtime n1, and
+ * Per-order instances (module docstring).  A block body below that is
+ * BLOCK (always inlined) gets ORDER_INSTANCES(B, PARAMS, ARGS): B##_fixed
+ * with n1 the literal FIXED_N1, B##_rt with the runtime n1, and
  * B##_for(n1), which returns the one an apply runs.  PARAMS and ARGS
  * are B's parameters after (e0, n1) and their names, each in
  * parentheses.  The instances stay noinline: a block inlined into both
  * APPLY_DRIVER branches doubles the object and the build time.
  */
+#define FIXED_N1 5 /* order 4 */
 #define BLOCK static inline __attribute__((always_inline)) void
 #define UNPAREN(...) __VA_ARGS__
-#define ORDER_INSTANCE(B, N, PARAMS, ARGS)                                   \
-    static __attribute__((noinline)) void B##_##N(long e0, int n1,           \
-                                                 UNPAREN PARAMS)             \
+#define ORDER_INSTANCES(B, PARAMS, ARGS)                                     \
+    static __attribute__((noinline)) void B##_fixed(long e0, int n1,         \
+                                                   UNPAREN PARAMS)           \
     {                                                                        \
         (void)n1;                                                            \
-        B(e0, N, UNPAREN ARGS);                                              \
-    }
-#define ORDER_INSTANCES(B, PARAMS, ARGS)                                     \
-    ORDER_INSTANCE(B, 2, PARAMS, ARGS)                                       \
-    ORDER_INSTANCE(B, 3, PARAMS, ARGS)                                       \
-    ORDER_INSTANCE(B, 4, PARAMS, ARGS)                                       \
-    ORDER_INSTANCE(B, 5, PARAMS, ARGS)                                       \
-    ORDER_INSTANCE(B, 6, PARAMS, ARGS)                                       \
-    ORDER_INSTANCE(B, 7, PARAMS, ARGS)                                       \
-    ORDER_INSTANCE(B, 8, PARAMS, ARGS)                                       \
+        B(e0, FIXED_N1, UNPAREN ARGS);                                       \
+    }                                                                        \
     static __attribute__((noinline)) void B##_rt(long e0, int n1,            \
                                                 UNPAREN PARAMS)              \
     {                                                                        \
@@ -314,16 +310,7 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
     typedef void (*B##_fn)(long e0, int n1, UNPAREN PARAMS);                 \
     static B##_fn B##_for(int n1)                                            \
     {                                                                        \
-        switch (n1) {                                                        \
-        case 2: return B##_2;                                                \
-        case 3: return B##_3;                                                \
-        case 4: return B##_4;                                                \
-        case 5: return B##_5;                                                \
-        case 6: return B##_6;                                                \
-        case 7: return B##_7;                                                \
-        case 8: return B##_8;                                                \
-        default: return B##_rt;                                              \
-        }                                                                    \
+        return n1 == FIXED_N1 ? B##_fixed : B##_rt;                          \
     }
 
 /*
@@ -460,14 +447,14 @@ void ac_apply3(const double *restrict u, double *restrict z,
  *   fy = mu hy/hx K1 Uy + cp hx/hy K2 Uy + mu C Ux + lam C^T Ux
  * with C U = E (U F^T), C^T U = E^T (U F); E/ET/F/FT passed explicitly.
  */
-BLOCK el_block(long e0, int n1,
-               const double *restrict KxX, const double *restrict w,
-               const double *restrict E, const double *restrict ET,
-               const double *restrict F, const double *restrict FT,
-               const double *restrict lam, const double *restrict mu,
-               const double *restrict hx, const double *restrict hy,
-               const int64_t *restrict ed, const double *restrict u,
-               const double *restrict gmask, double *restrict z)
+static void el_block(long e0, int n1,
+                     const double *restrict KxX, const double *restrict w,
+                     const double *restrict E, const double *restrict ET,
+                     const double *restrict F, const double *restrict FT,
+                     const double *restrict lam, const double *restrict mu,
+                     const double *restrict hx, const double *restrict hy,
+                     const int64_t *restrict ed, const double *restrict u,
+                     const double *restrict gmask, double *restrict z)
 {
     int nl = n1 * n1;
     v8 Ux[MAXNL], Uy[MAXNL], T1[MAXNL], T2[MAXNL], S[MAXNL], Fo[MAXNL];
@@ -512,15 +499,6 @@ BLOCK el_block(long e0, int n1,
         }
     }
 }
-ORDER_INSTANCES(el_block,
-    (const double *restrict KxX, const double *restrict w,
-     const double *restrict E, const double *restrict ET,
-     const double *restrict F, const double *restrict FT,
-     const double *restrict lam, const double *restrict mu,
-     const double *restrict hx, const double *restrict hy,
-     const int64_t *restrict ed, const double *restrict u,
-     const double *restrict gmask, double *restrict z),
-    (KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, z))
 
 void el_apply(const double *restrict u, double *restrict z,
               long ne, long n_dof, int n1,
@@ -533,9 +511,8 @@ void el_apply(const double *restrict u, double *restrict z,
               const double *restrict gmask, const double *restrict Minv,
               int n_threads, double *restrict zt)
 {
-    el_block_fn block = el_block_for(n1);
 #define EL_CALL(ZP) \
-    block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
+    el_block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
     APPLY_DRIVER(EL_CALL);
 #undef EL_CALL
 }
@@ -660,11 +637,11 @@ void el_apply3(const double *restrict u, double *restrict z,
  * rank-4 material tensor times the pair geometry scales.  Axis-0
  * contraction is mul_left, axis-1 is mul_right (layout i*n1 + j).
  */
-BLOCK an_block(long e0, int n1,
-               const double *restrict D, const double *restrict Dt,
-               const double *restrict w, const double *restrict coef,
-               const int64_t *restrict ed, const double *restrict u,
-               const double *restrict gmask, double *restrict z)
+static void an_block(long e0, int n1,
+                     const double *restrict D, const double *restrict Dt,
+                     const double *restrict w, const double *restrict coef,
+                     const int64_t *restrict ed, const double *restrict u,
+                     const double *restrict gmask, double *restrict z)
 {
     int nl = n1 * n1;
     static _Thread_local v8 U[2][MAXNL], DU[2][2][MAXNL], S[2][MAXNL], Fo[MAXNL];
@@ -703,12 +680,6 @@ BLOCK an_block(long e0, int n1,
         }
     }
 }
-ORDER_INSTANCES(an_block,
-    (const double *restrict D, const double *restrict Dt,
-     const double *restrict w, const double *restrict coef,
-     const int64_t *restrict ed, const double *restrict u,
-     const double *restrict gmask, double *restrict z),
-    (D, Dt, w, coef, ed, u, gmask, z))
 
 void an_apply(const double *restrict u, double *restrict z,
               long ne, long n_dof, int n1,
@@ -718,8 +689,7 @@ void an_apply(const double *restrict u, double *restrict z,
               const double *restrict gmask, const double *restrict Minv,
               int n_threads, double *restrict zt)
 {
-    an_block_fn block = an_block_for(n1);
-#define AN_CALL(ZP) block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
+#define AN_CALL(ZP) an_block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN_CALL);
 #undef AN_CALL
 }
@@ -729,11 +699,11 @@ void an_apply(const double *restrict u, double *restrict z,
  * hex layout flat = (i*n1 + j)*n1 + k, coef width dim^4 = 81, axis
  * contractions via axis3_mul with cyclic stride permutations.
  */
-BLOCK an_block3(long e0, int n1,
-                const double *restrict D, const double *restrict Dt,
-                const double *restrict w, const double *restrict coef,
-                const int64_t *restrict ed, const double *restrict u,
-                const double *restrict gmask, double *restrict z)
+static void an_block3(long e0, int n1,
+                      const double *restrict D, const double *restrict Dt,
+                      const double *restrict w, const double *restrict coef,
+                      const int64_t *restrict ed, const double *restrict u,
+                      const double *restrict gmask, double *restrict z)
 {
     int n2 = n1 * n1, nl = n2 * n1;
     static _Thread_local v8 U[3][MAXNL3], DU[3][3][MAXNL3], S[3][MAXNL3],
@@ -777,12 +747,6 @@ BLOCK an_block3(long e0, int n1,
         }
     }
 }
-ORDER_INSTANCES(an_block3,
-    (const double *restrict D, const double *restrict Dt,
-     const double *restrict w, const double *restrict coef,
-     const int64_t *restrict ed, const double *restrict u,
-     const double *restrict gmask, double *restrict z),
-    (D, Dt, w, coef, ed, u, gmask, z))
 
 void an_apply3(const double *restrict u, double *restrict z,
                long ne, long n_dof, int n1,
@@ -792,8 +756,7 @@ void an_apply3(const double *restrict u, double *restrict z,
                const double *restrict gmask, const double *restrict Minv,
                int n_threads, double *restrict zt)
 {
-    an_block3_fn block = an_block3_for(n1);
-#define AN3_CALL(ZP) block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
+#define AN3_CALL(ZP) an_block3(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN3_CALL);
 #undef AN3_CALL
 }
@@ -1053,14 +1016,13 @@ def _cache_dir() -> str:
 
 
 def _failure_reason(exc: Exception) -> str:
-    """The exception type, plus the tail of the compiler's stderr when
-    the compile itself failed or timed out."""
-    reason = type(exc).__name__
+    """The exception type, then the tail of the compiler's stderr when
+    the compile itself failed or timed out, else the exception's message
+    (e.g. ``ctypes.CDLL``'s ``OSError`` naming the object and why)."""
     stderr = getattr(exc, "stderr", None)
     if stderr:
-        tail = stderr.decode(errors="replace").strip()[-400:]
-        reason += f": {tail}"
-    return reason
+        return f"{type(exc).__name__}: {stderr.decode(errors='replace').strip()[-400:]}"
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _note_failure(reason: str) -> None:

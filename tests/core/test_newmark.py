@@ -124,8 +124,9 @@ class TestValidation:
 # Golden pins: sha256 of u and v after 30 steps
 # ----------------------------------------------------------------------
 # Every fused kernel has a pin (el_apply3, an_apply3 and ac_apply3 at
-# order 4, ac_apply at order 8 past the compiled orders), recorded on
-# the runtime-order loops the per-order instances must reproduce.
+# order 4, the order with a literal-n1 instance; ac_apply at order 8 on
+# the runtime-n1 instance), recorded on the runtime-order loops the
+# instances must reproduce.
 N_STEPS = 30
 
 GOLDEN = {
@@ -200,7 +201,7 @@ def _serial_pin(kind, tier, source):
         x = np.repeat(sem.node_coords, sem.n_comp, axis=0)
         velocity = sem.max_velocity()
     else:
-        # 2d-o8: an order above the compiled ones (the runtime-order loop)
+        # 2d-o8: a 2D-only order (the runtime-n1 instance)
         mesh, order = (uniform_grid((2, 2)), 8) if kind == "2d-o8" else (uniform_grid((5, 4)), 3)
         sem = Sem2D(mesh, order=order, dirichlet=kind == "2d-dirichlet")
         x = sem.xy

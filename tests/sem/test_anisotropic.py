@@ -68,7 +68,7 @@ class TestIsotropicReduction:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8])  # 8: runtime-order loop
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8])  # 8: a 2D-only order
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_full_apply_2d(self, order, dirichlet):
         mesh = uniform_grid((4, 3), (1.0, 1.3))

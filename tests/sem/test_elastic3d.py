@@ -113,7 +113,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("order", range(1, fused.MAX_ORDER_3D + 1))
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_full_apply(self, order, dirichlet):
-        # Every compiled order; two elements keep the high ones cheap.
+        # Every 3D order; two elements keep the high ones cheap.
         shape = (3, 2, 2) if order <= 4 else (2, 1, 1)
         sem = _sem(order=order, shape=shape, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)

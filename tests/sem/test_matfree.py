@@ -257,13 +257,12 @@ class TestFusedGating:
         sem = Sem2D(_mesh(), order=2)
         assert sem.operator("matfree")._stiffness._plan is not None
 
-    def test_failed_build_is_reported(self, monkeypatch, tmp_path, capsys):
-        """A compiler that exits 1 leaves the NumPy tier, and says why:
-        the exception type and the compiler's stderr, in ``repro info``."""
-        from repro.__main__ import main
-
+    @staticmethod
+    def _fresh_build(monkeypatch, tmp_path, script):
+        """Point ``CC`` at a shell ``script`` and forget any earlier load,
+        so the next ``fused.load()`` builds from scratch with it."""
         cc = tmp_path / "cc"
-        cc.write_text('#!/bin/sh\necho "fused.c: error: broken compiler" >&2\nexit 1\n')
+        cc.write_text("#!/bin/sh\n" + script)
         cc.chmod(0o755)
         monkeypatch.setenv("CC", str(cc))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -271,15 +270,40 @@ class TestFusedGating:
         for name, fresh in (("_tried", False), ("_lib", None), ("_failure", None),
                             ("_flag_cache", {})):
             monkeypatch.setattr(fused, name, fresh)
+
+    def test_failed_build_is_reported(self, monkeypatch, tmp_path, capsys):
+        """A compiler that exits 1 leaves the NumPy tier, and says why:
+        the exception type and the compiler's stderr, in ``repro info``."""
+        from repro.__main__ import main
+
+        self._fresh_build(monkeypatch, tmp_path,
+                          'echo "fused.c: error: broken compiler" >&2\nexit 1\n')
         assert not fused.available()
         reason = fused.failure_reason()
         assert reason == "CalledProcessError: fused.c: error: broken compiler"
         assert main(["info"]) == 0
         assert f"fused C no ({reason})" in capsys.readouterr().out
 
+    def test_failed_load_is_reported(self, monkeypatch, tmp_path):
+        """A build that succeeds but leaves an object ``ctypes`` cannot
+        load reports the loader's ``OSError`` message, not just its type."""
+        self._fresh_build(
+            monkeypatch, tmp_path,
+            'while [ $# -gt 0 ]; do\n'
+            '  if [ "$1" = -o ]; then echo "not an object" > "$2"; fi\n'
+            '  shift\n'
+            'done\n',
+        )
+        assert not fused.available()
+        reason = fused.failure_reason()
+        assert reason.startswith("OSError: ") and "fused_" in reason, reason
+
     def test_build_timeout_reason(self):
         exc = subprocess.TimeoutExpired(["cc"], 120, stderr=b"still compiling")
         assert fused._failure_reason(exc) == "TimeoutExpired: still compiling"
+        exc = OSError("fused_x.so: failed to map segment from shared object")
+        assert (fused._failure_reason(exc)
+                == "OSError: fused_x.so: failed to map segment from shared object")
 
     def test_unknown_backend_rejected(self):
         from repro.util.errors import SolverError
