@@ -17,9 +17,10 @@ compile fails, ``REPRO_FUSED=0`` is set, or the polynomial order exceeds
 ``MAX_ORDER``, callers fall back to the NumPy path transparently — same
 results (up to last-bit summation order), just slower.  The compiled
 shared object is cached in a user-private directory keyed by a source
-hash, so the one-time compile (2–3 s and a 100 KB object with
-gcc 12 ``-O3 -march=native`` on a 2-core Xeon; 2 s and 80 KB before
-the order-4 instances) is paid once per machine, not per process.
+hash, so the one-time compile (4 s and a 105 KB object with gcc 12
+``-O3 -march=native -fopenmp`` on a 2-core Sapphire Rapids; 3 s and
+93 KB with 8-byte DOF tables and masks) is paid once per machine, not
+per process.
 When the build fails, :func:`failure_reason` says why (``python -m
 repro info`` prints it).
 
@@ -62,10 +63,20 @@ Design notes (mirrors the NumPy path in :mod:`repro.sem.matfree`):
   so every contraction is a broadcast-FMA regardless of how short the
   1D kernel axis is (the classic trick for low-order tensor kernels);
 * callers pad the element arrays to a multiple of ``VL`` with
-  zero-coefficient ghost elements (``ed`` rows pointing at DOF 0), so
-  the kernel needs no scalar remainder loop;
+  zero-coefficient ghost elements (``ed`` rows repeating the first DOF),
+  so the kernel needs no scalar remainder loop;
 * ``gmask`` (per-element-node 0/1) implements both Dirichlet input
   masking and the LTS level restriction (``A[:, cols] u[cols]``);
+* the kernels move bytes, not flops, so their tables are narrow: ``ed``
+  is ``int32`` (:data:`MAX_DOF` bounds ``n_dof``; a larger product runs
+  the NumPy tier) and ``gmask`` is ``uint8``.  An order-4 hex streams
+  125 x (4 + 1) = 625 B of tables per apply instead of 125 x (8 + 8) =
+  2,000 B (3D elastic: 1,875 B instead of 6,000 B).  The mask enters as
+  ``u[d] * (double)gm[k]``, and for a mask of 0 or 1 that is the IEEE
+  product a ``float64`` mask gives, with element and scatter order
+  unchanged: results are bitwise those of the 8-byte tables.  Values
+  other than 0 and 1 are refused before packing
+  (:class:`repro.sem.matfree.MatrixFreeStiffness`);
 * ``Minv`` folds the diagonal mass inverse into the same pass when the
   caller wants ``M^{-1} K u`` rather than ``K u``.
 
@@ -117,6 +128,8 @@ VL = 8
 MAX_ORDER = 15
 #: Highest 3D order: the hex workspace is (order+1)^3 vector lanes wide.
 MAX_ORDER_3D = 7
+#: Highest DOF count: the kernels read their DOF tables as ``int32``.
+MAX_DOF = 2**31 - 1
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -194,12 +207,16 @@ static inline void mul_left_acc(const double *restrict A, const v8 *restrict U,
     }
 }
 
-static inline void gather(const int64_t *restrict d, int stride, int nl,
+/* Lane `lane` of U[0..nl) from u through every stride-th entry of d,
+ * times the 0/1 mask gm when given: u * (double)gm is the IEEE product
+ * a float64 0.0/1.0 mask gives, so the narrow mask is bitwise free. */
+static inline void gather(const int32_t *restrict d, int stride, int nl,
                           const double *restrict u,
-                          const double *restrict gm, v8 *restrict U, int lane)
+                          const uint8_t *restrict gm, v8 *restrict U, int lane)
 {
     if (gm)
-        for (int k = 0; k < nl; ++k) U[k][lane] = u[d[k * stride]] * gm[k * stride];
+        for (int k = 0; k < nl; ++k)
+            U[k][lane] = u[d[k * stride]] * (double)gm[k * stride];
     else
         for (int k = 0; k < nl; ++k) U[k][lane] = u[d[k * stride]];
 }
@@ -320,8 +337,8 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
 BLOCK ac_block(long e0, int n1,
                const double *restrict KxX, const double *restrict w,
                const double *restrict ax, const double *restrict ay,
-               const int64_t *restrict ed, const double *restrict u,
-               const double *restrict gmask, double *restrict z)
+               const int32_t *restrict ed, const double *restrict u,
+               const uint8_t *restrict gmask, double *restrict z)
 {
     int nl = n1 * n1;
     v8 Ue[MAXNL], T[MAXNL], Ui[MAXNL];
@@ -344,23 +361,23 @@ BLOCK ac_block(long e0, int n1,
         }
     }
     for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * nl;
+        const int32_t *d = ed + (e0 + l) * nl;
         for (int k = 0; k < nl; ++k) z[d[k]] += T[k][l];
     }
 }
 ORDER_INSTANCES(ac_block,
     (const double *restrict KxX, const double *restrict w,
      const double *restrict ax, const double *restrict ay,
-     const int64_t *restrict ed, const double *restrict u,
-     const double *restrict gmask, double *restrict z),
+     const int32_t *restrict ed, const double *restrict u,
+     const uint8_t *restrict gmask, double *restrict z),
     (KxX, w, ax, ay, ed, u, gmask, z))
 
 void ac_apply(const double *restrict u, double *restrict z,
               long ne, long n_dof, int n1,
               const double *restrict KxX, const double *restrict w,
               const double *restrict ax, const double *restrict ay,
-              const int64_t *restrict ed,
-              const double *restrict gmask, const double *restrict Minv,
+              const int32_t *restrict ed,
+              const uint8_t *restrict gmask, const double *restrict Minv,
               int n_threads, double *restrict zt)
 {
     ac_block_fn block = ac_block_for(n1);
@@ -382,8 +399,8 @@ BLOCK ac_block3(long e0, int n1,
                 const double *restrict KxX, const double *restrict w,
                 const double *restrict ax, const double *restrict ay,
                 const double *restrict az,
-                const int64_t *restrict ed, const double *restrict u,
-                const double *restrict gmask, double *restrict z)
+                const int32_t *restrict ed, const double *restrict u,
+                const uint8_t *restrict gmask, double *restrict z)
 {
     int n2 = n1 * n1, nl = n2 * n1;
     static _Thread_local v8 Ue[MAXNL3], T[MAXNL3];
@@ -414,7 +431,7 @@ BLOCK ac_block3(long e0, int n1,
         }
     }
     for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * nl;
+        const int32_t *d = ed + (e0 + l) * nl;
         for (int k = 0; k < nl; ++k) z[d[k]] += T[k][l];
     }
 }
@@ -422,8 +439,8 @@ ORDER_INSTANCES(ac_block3,
     (const double *restrict KxX, const double *restrict w,
      const double *restrict ax, const double *restrict ay,
      const double *restrict az,
-     const int64_t *restrict ed, const double *restrict u,
-     const double *restrict gmask, double *restrict z),
+     const int32_t *restrict ed, const double *restrict u,
+     const uint8_t *restrict gmask, double *restrict z),
     (KxX, w, ax, ay, az, ed, u, gmask, z))
 
 void ac_apply3(const double *restrict u, double *restrict z,
@@ -431,8 +448,8 @@ void ac_apply3(const double *restrict u, double *restrict z,
                const double *restrict KxX, const double *restrict w,
                const double *restrict ax, const double *restrict ay,
                const double *restrict az,
-               const int64_t *restrict ed,
-               const double *restrict gmask, const double *restrict Minv,
+               const int32_t *restrict ed,
+               const uint8_t *restrict gmask, const double *restrict Minv,
                int n_threads, double *restrict zt)
 {
     ac_block3_fn block = ac_block3_for(n1);
@@ -453,14 +470,14 @@ static void el_block(long e0, int n1,
                      const double *restrict F, const double *restrict FT,
                      const double *restrict lam, const double *restrict mu,
                      const double *restrict hx, const double *restrict hy,
-                     const int64_t *restrict ed, const double *restrict u,
-                     const double *restrict gmask, double *restrict z)
+                     const int32_t *restrict ed, const double *restrict u,
+                     const uint8_t *restrict gmask, double *restrict z)
 {
     int nl = n1 * n1;
     v8 Ux[MAXNL], Uy[MAXNL], T1[MAXNL], T2[MAXNL], S[MAXNL], Fo[MAXNL];
     for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * 2 * nl;
-        const double *gm = gmask ? gmask + (e0 + l) * 2 * nl : 0;
+        const int32_t *d = ed + (e0 + l) * 2 * nl;
+        const uint8_t *gm = gmask ? gmask + (e0 + l) * 2 * nl : 0;
         gather(d, 2, nl, u, gm, Ux, l);
         gather(d + 1, 2, nl, u, gm ? gm + 1 : 0, Uy, l);
     }
@@ -494,7 +511,7 @@ static void el_block(long e0, int n1,
         mul_right(FT, V, S, n1);      /* S = V F    */
         mul_left_acc(ET, S, Fo, CT, n1);
         for (int l = 0; l < VL; ++l) {
-            const int64_t *d = ed + (e0 + l) * 2 * nl + comp;
+            const int32_t *d = ed + (e0 + l) * 2 * nl + comp;
             for (int k = 0; k < nl; ++k) z[d[2 * k]] += Fo[k][l];
         }
     }
@@ -507,8 +524,8 @@ void el_apply(const double *restrict u, double *restrict z,
               const double *restrict F, const double *restrict FT,
               const double *restrict lam, const double *restrict mu,
               const double *restrict hx, const double *restrict hy,
-              const int64_t *restrict ed,
-              const double *restrict gmask, const double *restrict Minv,
+              const int32_t *restrict ed,
+              const uint8_t *restrict gmask, const double *restrict Minv,
               int n_threads, double *restrict zt)
 {
 #define EL_CALL(ZP) \
@@ -531,16 +548,16 @@ BLOCK el_block3(long e0, int n1,
                 const double *restrict KxX, const double *restrict w,
                 const double *restrict E, const double *restrict F,
                 const double *restrict coef,
-                const int64_t *restrict ed, const double *restrict u,
-                const double *restrict gmask, double *restrict z)
+                const int32_t *restrict ed, const double *restrict u,
+                const uint8_t *restrict gmask, double *restrict z)
 {
     int n2 = n1 * n1, nl = n2 * n1;
     static _Thread_local v8 U[3][MAXNL3], P[3][2][MAXNL3], Fo[MAXNL3],
         T[MAXNL3];
     const int str[3] = {n2, n1, 1};
     for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * 3 * nl;
-        const double *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
+        const int32_t *d = ed + (e0 + l) * 3 * nl;
+        const uint8_t *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
         for (int c = 0; c < 3; ++c)
             gather(d + c, 3, nl, u, gm ? gm + c : 0, U[c], l);
     }
@@ -599,7 +616,7 @@ BLOCK el_block3(long e0, int n1,
             }
         }
         for (int l = 0; l < VL; ++l) {
-            const int64_t *dc = ed + (e0 + l) * 3 * nl + c;
+            const int32_t *dc = ed + (e0 + l) * 3 * nl + c;
             for (int k = 0; k < nl; ++k) z[dc[3 * k]] += Fo[k][l];
         }
     }
@@ -608,8 +625,8 @@ ORDER_INSTANCES(el_block3,
     (const double *restrict KxX, const double *restrict w,
      const double *restrict E, const double *restrict F,
      const double *restrict coef,
-     const int64_t *restrict ed, const double *restrict u,
-     const double *restrict gmask, double *restrict z),
+     const int32_t *restrict ed, const double *restrict u,
+     const uint8_t *restrict gmask, double *restrict z),
     (KxX, w, E, F, coef, ed, u, gmask, z))
 
 void el_apply3(const double *restrict u, double *restrict z,
@@ -617,8 +634,8 @@ void el_apply3(const double *restrict u, double *restrict z,
                const double *restrict KxX, const double *restrict w,
                const double *restrict E, const double *restrict F,
                const double *restrict coef,
-               const int64_t *restrict ed,
-               const double *restrict gmask, const double *restrict Minv,
+               const int32_t *restrict ed,
+               const uint8_t *restrict gmask, const double *restrict Minv,
                int n_threads, double *restrict zt)
 {
     el_block3_fn block = el_block3_for(n1);
@@ -640,14 +657,14 @@ void el_apply3(const double *restrict u, double *restrict z,
 static void an_block(long e0, int n1,
                      const double *restrict D, const double *restrict Dt,
                      const double *restrict w, const double *restrict coef,
-                     const int64_t *restrict ed, const double *restrict u,
-                     const double *restrict gmask, double *restrict z)
+                     const int32_t *restrict ed, const double *restrict u,
+                     const uint8_t *restrict gmask, double *restrict z)
 {
     int nl = n1 * n1;
     static _Thread_local v8 U[2][MAXNL], DU[2][2][MAXNL], S[2][MAXNL], Fo[MAXNL];
     for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * 2 * nl;
-        const double *gm = gmask ? gmask + (e0 + l) * 2 * nl : 0;
+        const int32_t *d = ed + (e0 + l) * 2 * nl;
+        const uint8_t *gm = gmask ? gmask + (e0 + l) * 2 * nl : 0;
         for (int c = 0; c < 2; ++c)
             gather(d + c, 2, nl, u, gm ? gm + c : 0, U[c], l);
     }
@@ -675,7 +692,7 @@ static void an_block(long e0, int n1,
         mul_left(Dt, S[0], Fo, n1);
         mul_right_add(Dt, S[1], Fo, n1);
         for (int l = 0; l < VL; ++l) {
-            const int64_t *dc = ed + (e0 + l) * 2 * nl + c;
+            const int32_t *dc = ed + (e0 + l) * 2 * nl + c;
             for (int k = 0; k < nl; ++k) z[dc[2 * k]] += Fo[k][l];
         }
     }
@@ -685,8 +702,8 @@ void an_apply(const double *restrict u, double *restrict z,
               long ne, long n_dof, int n1,
               const double *restrict D, const double *restrict Dt,
               const double *restrict w, const double *restrict coef,
-              const int64_t *restrict ed,
-              const double *restrict gmask, const double *restrict Minv,
+              const int32_t *restrict ed,
+              const uint8_t *restrict gmask, const double *restrict Minv,
               int n_threads, double *restrict zt)
 {
 #define AN_CALL(ZP) an_block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
@@ -702,16 +719,16 @@ void an_apply(const double *restrict u, double *restrict z,
 static void an_block3(long e0, int n1,
                       const double *restrict D, const double *restrict Dt,
                       const double *restrict w, const double *restrict coef,
-                      const int64_t *restrict ed, const double *restrict u,
-                      const double *restrict gmask, double *restrict z)
+                      const int32_t *restrict ed, const double *restrict u,
+                      const uint8_t *restrict gmask, double *restrict z)
 {
     int n2 = n1 * n1, nl = n2 * n1;
     static _Thread_local v8 U[3][MAXNL3], DU[3][3][MAXNL3], S[3][MAXNL3],
         Fo[MAXNL3];
     const int str[3] = {n2, n1, 1};
     for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * 3 * nl;
-        const double *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
+        const int32_t *d = ed + (e0 + l) * 3 * nl;
+        const uint8_t *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
         for (int c = 0; c < 3; ++c)
             gather(d + c, 3, nl, u, gm ? gm + c : 0, U[c], l);
     }
@@ -742,7 +759,7 @@ static void an_block3(long e0, int n1,
         axis3_mul_add(Dt, S[1], Fo, n1, str[1], str[2], str[0]);
         axis3_mul_add(Dt, S[2], Fo, n1, str[2], str[0], str[1]);
         for (int l = 0; l < VL; ++l) {
-            const int64_t *dc = ed + (e0 + l) * 3 * nl + c;
+            const int32_t *dc = ed + (e0 + l) * 3 * nl + c;
             for (int k = 0; k < nl; ++k) z[dc[3 * k]] += Fo[k][l];
         }
     }
@@ -752,8 +769,8 @@ void an_apply3(const double *restrict u, double *restrict z,
                long ne, long n_dof, int n1,
                const double *restrict D, const double *restrict Dt,
                const double *restrict w, const double *restrict coef,
-               const int64_t *restrict ed,
-               const double *restrict gmask, const double *restrict Minv,
+               const int32_t *restrict ed,
+               const uint8_t *restrict gmask, const double *restrict Minv,
                int n_threads, double *restrict zt)
 {
 #define AN3_CALL(ZP) an_block3(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
@@ -1158,11 +1175,12 @@ def bind_phase(name: str, *args) -> partial:
     return partial(getattr(load(), name), *bound)
 
 
-def _pad(a: np.ndarray, ne_pad: int, fill=0.0) -> np.ndarray:
-    """Pad axis 0 to ``ne_pad`` rows/entries with ``fill``."""
+def _pad(a: np.ndarray, ne_pad: int, fill=0.0, dtype=None) -> np.ndarray:
+    """Pad axis 0 to ``ne_pad`` rows/entries with ``fill``, as ``dtype``
+    (default ``a``'s; a cast is a plain assignment, values unchecked)."""
     if a.shape[0] == ne_pad:
-        return np.ascontiguousarray(a)
-    out = np.full((ne_pad, *a.shape[1:]), fill, dtype=a.dtype)
+        return np.ascontiguousarray(a, dtype=dtype)
+    out = np.full((ne_pad, *a.shape[1:]), fill, dtype=dtype or a.dtype)
     out[: a.shape[0]] = a
     return out
 
@@ -1181,6 +1199,15 @@ class _FusedPlan:
     A call overwrites the whole output.  The argument tuple of the C
     call is built once here; a call passes only the ``u`` / ``z``
     addresses.
+
+    The plan packs the tables the kernels stream: ``_ed`` as ``int32``
+    and ``_gmask`` as ``uint8``, each padded to ``VL`` rows.
+    ``element_dofs`` and ``gmask`` are views of their first ``ne`` rows,
+    which the owning :class:`repro.sem.matfree.MatrixFreeStiffness`
+    keeps as its own tables (one copy per product).  The caller vouches
+    that every entry of ``element_dofs`` lies in ``[0, n_dof)`` with
+    ``n_dof <= MAX_DOF`` and that ``gmask`` holds only 0 and 1: the
+    packing casts without a check.
     """
 
     _symbol = ""
@@ -1188,20 +1215,22 @@ class _FusedPlan:
     def __init__(self, kernel, element_dofs, n_dof, gmask=None, Minv=None,
                  threads: int = 1):
         lib = load()
-        assert lib is not None
+        assert lib is not None and int(n_dof) <= MAX_DOF
         self._fn = getattr(lib, self._symbol)
         self.n_dof = int(n_dof)
         self.n1 = kernel.n1
         ne = element_dofs.shape[0]
         ne_pad = -(-ne // VL) * VL
-        ed = np.ascontiguousarray(element_dofs, dtype=np.int64)
         # Ghost elements carry zero coefficients and point at a DOF of
         # the row support, so their scatter adds 0.0 to a row this
         # apply owns.
-        self._ed = _pad(ed, ne_pad, fill=ed.flat[0])
+        self._ed = _pad(element_dofs, ne_pad, fill=element_dofs.flat[0],
+                        dtype=np.int32)
         self._gmask = None if gmask is None else _pad(
-            np.ascontiguousarray(gmask, dtype=np.float64), ne_pad, fill=0.0
+            gmask, ne_pad, fill=0, dtype=np.uint8
         )
+        self.element_dofs = self._ed[:ne]
+        self.gmask = None if gmask is None else self._gmask[:ne]
         self._Minv = None if Minv is None else np.ascontiguousarray(Minv)
         self._ne = ne_pad
         _, w = _gll(kernel.order)

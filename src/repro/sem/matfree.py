@@ -113,18 +113,37 @@ def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
     ``enabled=None`` auto-detects (:func:`_fused_plan_cls`; anything
-    without a fused tier runs NumPy); ``False`` forces the NumPy path;
-    ``True`` raises if unavailable.
+    without a fused tier, or with more than :data:`repro.sem.fused.MAX_DOF`
+    DOFs, runs NumPy); ``False`` forces the NumPy path; ``True`` raises
+    if unavailable.
     ``threads > 1`` requests the OpenMP element-block loop (honored only
     when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
     """
     if enabled is False:
         return None
     plan_cls = _fused_plan_cls(kernel.physics, kernel.dim, kernel.order)
+    if n_dof > fused.MAX_DOF:
+        require(enabled is not True,
+                f"fused kernels index DOFs as int32: n_dof {n_dof} exceeds "
+                f"the limit {fused.MAX_DOF}", SolverError)
+        return None
     if plan_cls is None:
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
     return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, Minv=Minv, threads=threads)
+
+
+def _require_01(mask: np.ndarray, what: str) -> np.ndarray:
+    """``mask`` as an array, refused with :class:`SolverError` unless it
+    holds only 0 and 1 (the fused tier stores masks as ``uint8``)."""
+    mask = np.asarray(mask)
+    require(
+        mask.dtype == bool
+        or np.count_nonzero(mask == 0) + np.count_nonzero(mask == 1) == mask.size,
+        f"{what} must hold only 0 and 1",
+        SolverError,
+    )
+    return mask
 
 
 # ----------------------------------------------------------------------
@@ -657,9 +676,16 @@ class MatrixFreeStiffness:
     per apply.
 
     Computes ``K (gmask * u)`` with an optional per-element-node 0/1
-    input mask, times the optional diagonal ``Minv`` — i.e. the bare
-    ``K u`` by default, the full ``M^{-1} K`` action when ``Minv`` is
-    given (both folded into the fused kernel pass when available).
+    input mask (any other value is refused), times the optional diagonal
+    ``Minv`` — i.e. the bare ``K u`` by default, the full ``M^{-1} K``
+    action when ``Minv`` is given (both folded into the fused kernel
+    pass when available).
+
+    ``element_dofs`` and ``gmask`` are held once, in the width the tier
+    reads: with a fused plan they are views of the plan's ``int32`` and
+    ``uint8`` tables, on the NumPy tier ``int64`` and ``float64`` (what
+    ``take`` and ``csc_matvec`` index and multiply with, no per-call
+    conversion).
 
     ``use_fused=None`` auto-selects the fused C kernels when available
     (:mod:`repro.sem.fused`); ``False`` pins the batched NumPy path.
@@ -684,28 +710,30 @@ class MatrixFreeStiffness:
         threads: int | None = None,
     ):
         self.kernel = kernel
-        self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
+        element_dofs = np.asarray(element_dofs)
         self.n_dof = int(n_dof)
         # Both tiers index with these unchecked (``take(mode="clip")``,
-        # ``csc_matvec``, the C gather/scatter), so the table is vetted here.
+        # ``csc_matvec``, the C gather/scatter), so the table is vetted
+        # here, before any narrowing cast.
         require(
-            self.element_dofs.size == 0
-            or (self.element_dofs.min() >= 0 and self.element_dofs.max() < self.n_dof),
+            element_dofs.size == 0
+            or (element_dofs.min() >= 0 and element_dofs.max() < self.n_dof),
             "element dof out of range",
             SolverError,
         )
-        self.gmask = None if gmask is None else np.ascontiguousarray(gmask, dtype=np.float64)
+        if gmask is not None:
+            gmask = _require_01(gmask, "gmask")
         self.Minv = None if Minv is None else np.ascontiguousarray(Minv, dtype=np.float64)
         self._use_fused = use_fused
         self._requested_threads = threads
         self.threads = resolve_threads(threads)
-        ne = self.element_dofs.shape[0]
+        ne = element_dofs.shape[0]
         self._plan = (
             _fused_plan(
                 kernel,
-                self.element_dofs,
+                element_dofs,
                 self.n_dof,
-                gmask=self.gmask,
+                gmask=gmask,
                 Minv=self.Minv,
                 enabled=use_fused,
                 threads=self.threads,
@@ -713,6 +741,13 @@ class MatrixFreeStiffness:
             if ne
             else None
         )
+        if self._plan is not None:
+            self.element_dofs, self.gmask = self._plan.element_dofs, self._plan.gmask
+        else:
+            self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
+            self.gmask = (
+                None if gmask is None else np.ascontiguousarray(gmask, dtype=np.float64)
+            )
         # NumPy tier: the scatter plan is built here; every mutable
         # buffer lives in a Workspace and appears on first use, so
         # :meth:`fork` only has to hand out fresh pools.
@@ -801,12 +836,13 @@ class MatrixFreeStiffness:
         if col_mask.all():
             return self
         ids = np.nonzero(col_mask[self.element_dofs].any(axis=1))[0]
-        gm = col_mask[self.element_dofs[ids]].astype(np.float64)
+        ed = self.element_dofs[ids]
+        gm = col_mask[ed]
         if self.gmask is not None:
-            gm *= self.gmask[ids]
+            gm &= self.gmask[ids] != 0
         return MatrixFreeStiffness(
             self.kernel.subset(ids),
-            self.element_dofs[ids],
+            ed,
             self.n_dof,
             use_fused=self._use_fused,
             gmask=gm,
@@ -871,7 +907,9 @@ class MatrixFreeOperator:
         self.n_dof = len(self.M)
         self._Minv = 1.0 / self.M
         self.dirichlet_mask = (
-            None if dirichlet_mask is None else np.asarray(dirichlet_mask, dtype=np.float64)
+            None
+            if dirichlet_mask is None
+            else np.asarray(_require_01(dirichlet_mask, "dirichlet_mask"), dtype=np.float64)
         )
         self._use_fused = use_fused
         # The full pipeline (input mask, contraction, scatter, M^{-1})
@@ -887,7 +925,7 @@ class MatrixFreeOperator:
             gmask=(
                 None
                 if self.dirichlet_mask is None
-                else self.dirichlet_mask[self.element_dofs]
+                else (self.dirichlet_mask != 0)[self.element_dofs]
             ),
             Minv=(
                 self._Minv

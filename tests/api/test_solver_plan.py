@@ -218,9 +218,52 @@ def test_fork_of_an_openmp_operator_owns_its_per_thread_partials():
     K = sim.assembler.operator("matfree", use_fused=True, threads=2)._stiffness
     twin = K.fork()
     assert K._plan._zt is not None and twin._plan._zt is not K._plan._zt
-    assert twin._plan._ed is K._plan._ed
+    assert twin._plan._ed is K._plan._ed and twin.element_dofs is K.element_dofs
     u = np.random.default_rng(1).standard_normal(K.n_dof)
     assert np.array_equal(K.apply(u), twin.apply(u))
+
+
+def _dirichlet_assembler(physics, dim):
+    from repro.mesh import uniform_grid
+    from repro.sem import (AnisotropicElasticSemND, ElasticSem2D, ElasticSem3D,
+                           IsotropicElastic, Sem2D, Sem3D, isotropic_stiffness)
+
+    mesh = uniform_grid((3, 2) if dim == 2 else (2, 2, 1), (1.0, 1.3, 0.8)[:dim])
+    if physics == "acoustic":
+        return (Sem2D, Sem3D)[dim - 2](mesh, order=2, dirichlet=True)
+    if physics == "elastic":
+        return (ElasticSem2D, ElasticSem3D)[dim - 2](
+            mesh, order=2, dirichlet=True, material=IsotropicElastic(lam=2.0, mu=1.0))
+    C = isotropic_stiffness(np.full(mesh.n_elements, 2.0), 1.0, dim)
+    return AnisotropicElasticSemND(mesh, order=2, dirichlet=True, C=C)
+
+
+@pytest.mark.parametrize("tier", ["numpy", "fused"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("physics", ["acoustic", "elastic", "anisotropic_elastic"])
+def test_each_product_holds_its_tables_once_in_the_width_its_tier_reads(physics, dim, tier):
+    """A fused product's ``element_dofs`` and ``gmask`` are views of its
+    plan's ``int32`` / ``uint8`` tables (no second copy); a NumPy-tier
+    product holds ``int64`` / ``float64``, what ``take`` and
+    ``csc_matvec`` read without a per-call conversion."""
+    if tier == "fused" and not fused.available():
+        pytest.skip("no C compiler: fused tier unavailable")
+    op = _dirichlet_assembler(physics, dim).operator(
+        "matfree", use_fused=tier == "fused", threads=2)
+    K = op._stiffness
+    cols = np.zeros(K.n_dof, dtype=bool)
+    cols[: K.n_dof // 2] = True
+    sub = K.masked_subset(cols)
+    products = [K, sub, sub.renumber(np.flatnonzero(sub.row_support())),
+                K.fork(), sub.fork()]
+    for P in products:
+        assert P.gmask is not None and P.tier.startswith(tier)
+        if tier == "fused":
+            assert P._plan._ed.dtype == np.int32 and P._plan._gmask.dtype == np.uint8
+            assert np.shares_memory(P.element_dofs, P._plan._ed)
+            assert np.shares_memory(P.gmask, P._plan._gmask)
+        else:
+            assert P.element_dofs.dtype == np.int64 and P.gmask.dtype == np.float64
 
 
 # ----------------------------------------------------------------------

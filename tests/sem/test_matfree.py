@@ -170,6 +170,42 @@ class TestStiffnessOnly:
             with pytest.raises(SolverError, match="out of range"):
                 local_stiffness(sem, ids, ed, sem.n_dof, use_fused=uf)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_mask_other_than_0_1_refused(self, bad):
+        """Masks hold 0 and 1 only, on both tiers: the fused tier reads
+        them as ``uint8``, where a 0.5 would become 0."""
+        from repro.util.errors import SolverError
+
+        sem = Sem2D(_mesh(), order=2, dirichlet=True)
+        kernel = matrix_free_operator(sem).kernel
+        gm = np.ones(sem.element_dofs.shape)
+        gm[1, 2] = bad
+        dm = sem.dirichlet_mask.copy()
+        dm[np.flatnonzero(dm)[0]] = bad
+        for uf in FUSED_PARAMS:
+            with pytest.raises(SolverError, match="gmask must hold only 0 and 1"):
+                MatrixFreeStiffness(kernel, sem.element_dofs, sem.n_dof,
+                                    use_fused=uf, gmask=gm)
+            with pytest.raises(SolverError, match="dirichlet_mask must hold only 0 and 1"):
+                MatrixFreeOperator(kernel, sem.element_dofs, sem.M,
+                                   dirichlet_mask=dm, use_fused=uf)
+
+    def test_mask_dtype_does_not_change_the_product(self):
+        """A 0/1 mask gives one result whether it comes as float, uint8 or
+        bool, on each tier."""
+        sem = Sem2D(_mesh(), order=3)
+        kernel = matrix_free_operator(sem).kernel
+        rng = np.random.default_rng(2)
+        gm = rng.random(sem.element_dofs.shape) < 0.6
+        u = rng.standard_normal(sem.n_dof)
+        for uf in FUSED_PARAMS:
+            got = [
+                MatrixFreeStiffness(kernel, sem.element_dofs, sem.n_dof,
+                                    use_fused=uf, gmask=gm.astype(dt)) @ u
+                for dt in (np.float64, np.uint8, bool)
+            ]
+            assert all(np.array_equal(got[0], g) for g in got[1:])
+
 
 class TestKernelSpecDispatch:
     """Backend dispatch keys off the explicit kernel spec, 2D included."""
@@ -256,6 +292,26 @@ class TestFusedGating:
     def test_fused_plan_built_when_available(self):
         sem = Sem2D(_mesh(), order=2)
         assert sem.operator("matfree")._stiffness._plan is not None
+
+    def test_dof_count_beyond_int32_has_no_fused_tier(self):
+        """The fused kernels read ``int32`` DOF tables: a product with
+        ``n_dof > MAX_DOF`` runs NumPy (or raises, naming the limit, when
+        the fused tier is demanded).  A one-element table at the top of
+        the range allocates nothing of size ``n_dof``."""
+        from repro.sem.matfree import AcousticKernelND
+        from repro.util.errors import SolverError
+
+        kernel = AcousticKernelND(2, np.ones((1, 2)))
+        n_dof = fused.MAX_DOF + 1
+        ed = np.arange(n_dof - 9, n_dof, dtype=np.int64).reshape(1, 9)
+        K = MatrixFreeStiffness(kernel, ed, n_dof)
+        assert K.tier == "numpy" and K.element_dofs.dtype == np.int64
+        with pytest.raises(SolverError, match=f"limit {fused.MAX_DOF}"):
+            MatrixFreeStiffness(kernel, ed, n_dof, use_fused=True)
+        if fused.available():  # one below the limit still fits
+            K = MatrixFreeStiffness(kernel, ed - 1, n_dof - 1)
+            assert K.tier == "fused" and K.element_dofs.dtype == np.int32
+            assert np.array_equal(K.element_dofs, ed - 1)
 
     @staticmethod
     def _fresh_build(monkeypatch, tmp_path, script):
