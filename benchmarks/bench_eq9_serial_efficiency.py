@@ -38,7 +38,7 @@ def test_eq9_serial_efficiency(benchmark):
     v0 = np.zeros_like(u0)
 
     opt = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized")
-    counter = opt.plan.numbering.ops_per_cycle()
+    counter = opt.plan.numberings[0].ops_per_cycle()
     op_speedup = (a.p_max * opt.A.nnz) / counter.stiffness_ops
     op_eff = op_speedup / ts
 

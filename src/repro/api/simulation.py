@@ -64,7 +64,6 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.comm import MailboxWorld
-from repro.runtime.executor import DistributedLTSPlan
 from repro.runtime.faults import FaultyWorld
 from repro.runtime.halo import build_rank_layout
 from repro.runtime.supervisor import Supervisor
@@ -604,23 +603,22 @@ class Simulation:
         ))
 
     @cached_property
-    def solver_plan(self) -> LTSPlan | DistributedLTSPlan:
+    def solver_plan(self) -> LTSPlan:
         """Everything the solver derives from operator, levels and
         partition — level restrictions, active sets, index maps,
         exchange channels — built once; each run (and each supervised
         retry) binds it, which allocates buffers only.
 
-        Serial and partitioned plans are different products (the serial
-        one applies the caller's ``M^{-1} K`` and owns reference mode; the
-        distributed one bare partial ``K``, ``1/M`` and the channels), so
-        the run reads only what both expose: ``bind`` and ``replicas``."""
+        One :class:`~repro.core.lts_newmark.LTSPlan` either way: over the
+        serial operator (one numbering, no channels), or over the rank
+        layout (one numbering per rank, its channels); the run reads
+        ``bind`` and ``replicas``."""
 
         def build():
             layout, levels = self.rank_layout, self.dof_level
             if layout is None:
                 return LTSPlan(self.operator(), levels)
-            on_ranks = [levels[g] for g in layout.gdofs]
-            return DistributedLTSPlan(replace(layout, dof_level_local=on_ranks))
+            return LTSPlan(replace(layout, dof_level_local=[levels[g] for g in layout.gdofs]))
 
         return self._resolve("solver_plan", build)
 

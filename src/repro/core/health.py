@@ -44,8 +44,8 @@ class HealthGuard:
     Parameters
     ----------
     check_every:
-        Check cadence in cycles (1 = every cycle).  :meth:`check` is a
-        no-op on non-multiples, so it can be called unconditionally
+        Check cadence in cycles (1 = every cycle).  :meth:`check_locals`
+        is a no-op on non-multiples, so it can be called unconditionally
         from a stepping loop.
     element_dofs:
         Optional ``(n_elem, n_loc)`` connectivity used to map bad DOFs
@@ -135,19 +135,6 @@ class HealthGuard:
         )
 
     # ------------------------------------------------------------------
-    def check(
-        self, cycle: int, u: np.ndarray, v: np.ndarray | None = None,
-        force: bool = False,
-    ) -> bool:
-        """Run the checks if ``cycle`` is on the cadence (or ``force``).
-
-        ``cycle`` is the 1-based count of completed cycles.  Returns
-        ``True`` when the checks ran and passed, ``False`` when skipped;
-        raises :class:`~repro.util.errors.NumericalError` on failure.
-        This is :meth:`check_locals` over the one replica.
-        """
-        return self.check_locals(cycle, [u], None if v is None else [v], force=force)
-
     def check_locals(
         self,
         cycle: int,
@@ -156,7 +143,13 @@ class HealthGuard:
         gdofs: list[np.ndarray] | None = None,
         force: bool = False,
     ) -> bool:
-        """:meth:`check` over per-rank replica vectors.
+        """Run the checks on the replica vectors (one for a serial run,
+        one per rank for a distributed one) if ``cycle`` is on the
+        cadence (or ``force``).
+
+        ``cycle`` is the 1-based count of completed cycles.  Returns
+        ``True`` when the checks ran and passed, ``False`` when skipped;
+        raises :class:`~repro.util.errors.NumericalError` on failure.
 
         Distributed runs must check the *replicas*, not the gathered
         field: gathering projects every shared DOF onto its owner's

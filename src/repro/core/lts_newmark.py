@@ -68,10 +68,11 @@ the ranks sharing its rows; :class:`_LockStepCycle` runs the phases over
 a list of states with a ``_sum_shared(level)`` hook at each cut.
 :class:`LTSNewmarkSolver` is that driver over one state, its hook doing
 nothing; :class:`repro.runtime.executor.DistributedLTSSolver` the same
-driver over one state per rank, its hook the halo exchange.  Their
-plans share one builder, :func:`plan_numberings`: the serial plan is
-the one-numbering case, the distributed plan runs it over one numbering
-per rank and adds only the exchange channels and ``1/M``.
+driver over one state per rank, its hook the halo exchange.  Both step
+one :class:`LTSPlan`, whose every numbering applies its share of
+``M^{-1} K`` (a rank's with ``1/M`` folded into its entries): a rank
+adds the halo sum and nothing else, so one rank is the serial run bit
+for bit.
 
 The solver is backend- and dimension-agnostic: ``A`` may be a scipy
 sparse matrix (the assembled path), or any
@@ -261,22 +262,21 @@ class _RankState:
     :meth:`finish` (``|``: where several ranks sum the apply output).
 
     ``restr0`` and the bound ``depths`` arrive forked, each depth's
-    product renumbered onto its active set.  ``z1`` is level 1's output,
-    in this numbering, overwritten whole by every apply (as every
-    product's output is), so a source entry written into it lasts one
-    cycle.  ``minv`` is the numbering's ``1/M`` where the products lack
-    it, ``force`` the source in this numbering.  ``tier`` is the kernel tier
-    of the level-1 product: where it is a ``fused`` one, each vector
+    product renumbered onto its active set, each this numbering's share
+    of ``M^{-1} K``: a summed output is the forcing as it stands.  ``z1``
+    is level 1's output, in this numbering, overwritten whole by every
+    apply (as every product's output is), so a source entry written into
+    it lasts one cycle.  ``force`` is the source in this numbering.
+    ``tier`` is the kernel tier of the level-1 product: where it is a ``fused`` one, each vector
     phase is one C call (:meth:`_bind_c`), bitwise the NumPy phases.
     The state never refers back to its solver: through such a cycle the
     buffers of a finished run would wait for the cyclic collector.
     """
 
     def __init__(self, dt: float, restr0: Restriction,
-                 depths: list[_Depth], z1: np.ndarray, force=None,
-                 minv: np.ndarray | None = None, tier: str = ""):
+                 depths: list[_Depth], z1: np.ndarray, force=None, tier: str = ""):
         self.dt, self.restr0, self.depths = dt, restr0, depths
-        self.z1, self.force, self.minv = z1, force, minv
+        self.z1, self.force = z1, force
         self.n = len(z1)
         self.shape = z1.shape  # of the (u, v) this state steps
         #: Per level, ascending, the buffer its apply writes: what the
@@ -289,22 +289,18 @@ class _RankState:
         self._c_begin = self._c_finish = None
         self._c_updates, self._c_recons = [], []
         if depths:
-            top = depths[0]
-            # Saved depth-0 copies of the coarsest active set's rows, and
-            # 1/M there (every deeper active set is a suffix of this one).
-            self.u0, self.v0 = np.empty(len(top.idx)), np.empty(len(top.idx))
-            self.minv0 = None if minv is None else minv[top.idx]
+            # Saved depth-0 copies of the coarsest active set's rows.
+            self.u0, self.v0 = np.empty(len(depths[0].idx)), np.empty(len(depths[0].idx))
         for d, kid in zip(depths, depths[1:] + [None]):
             dt_k = dt / float(2 ** (d.level - 1))
-            na, nd = len(d.idx), d.n_diff
-            mv = None if minv is None else self.minv0[len(top.idx) - na:]
+            nd = d.n_diff
             self._applies.append((d.restr.apply, d.u, d.z))
             hand = None
             if kid is not None:
                 u_in, r_in = d.u[nd:], d.r[nd:]  # the child's set is a suffix
                 hand = (kid.F, r_in, kid.u, u_in)
                 self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
-            self._updates.append((d.z, d.r, mv, d.F, d.u, d.v, dt_k, hand))
+            self._updates.append((d.z, d.r, d.F, d.u, d.v, dt_k, hand))
         if tier.startswith("fused"):
             self._bind_c()
 
@@ -323,8 +319,8 @@ class _RankState:
         self._c_begin = bind("lts_begin", self.z1, self.n, dt, *saved, top.F, top.u)
         self._c_finish = bind("lts_finish", *saved, top.u, dt)
         for d, kid, upd in zip(depths, depths[1:] + [None], self._updates):
-            mv, dt_k, na, nd = upd[2], upd[6], len(d.idx), d.n_diff
-            head = (d.z, mv, d.F, d.r, d.u, d.v, na, nd, dt_k)
+            dt_k, na, nd = upd[5], len(d.idx), d.n_diff
+            head = (d.z, d.F, d.r, d.u, d.v, na, nd, dt_k)
             tail = (None, None) if kid is None else (kid.F, kid.u)  # the finest steps
             self._c_updates.append(tuple(bind("lts_update", *head, *tail, f) for f in (0, 1)))
             if kid is not None:  # the others hand over, then reconstruct
@@ -339,8 +335,6 @@ class _RankState:
             bufs += [d.z, d.u, d.v, d.F, d.r]
         if self.depths:
             bufs += [self.depths[0].idx, self.u0, self.v0]
-            if self.minv0 is not None:
-                bufs.append(self.minv0)
         restrs = [self.restr0, *(d.restr for d in self.depths)]
         return sum(b.nbytes for b in bufs) + workspace_bytes(*restrs)
 
@@ -358,8 +352,6 @@ class _RankState:
         the NumPy passes reuse ``z1`` as the step's scratch once ``v``
         has read it (the next apply overwrites it whole)."""
         z1, dt = self.z1, self.dt
-        if self.minv is not None:
-            z1 *= self.minv
         if self.force is not None:
             subtract_force(self.force, t, z1)
         if self._c_begin is not None:
@@ -390,12 +382,8 @@ class _RankState:
         if self._c_updates:
             self._c_updates[i][first]()
             return
-        z, r, minv, F, u, v, dt_k, hand = self._updates[i]
-        if minv is None:
-            np.add(z, F, out=r)
-        else:
-            np.multiply(z, minv, out=r)
-            r += F
+        z, r, F, u, v, dt_k, hand = self._updates[i]
+        np.add(z, F, out=r)
         if hand is not None:
             kid_F, r_in, kid_u, u_in = hand
             np.copyto(kid_F, r_in)
@@ -469,11 +457,11 @@ class NumberingPlan:
     depths: list[_Depth]
     tier: str
 
-    def bind(self, dt: float, force=None, minv: np.ndarray | None = None) -> _RankState:
+    def bind(self, dt: float, force=None) -> _RankState:
         """A state stepping this numbering: fresh buffers, forked products."""
         return _RankState(
             dt, self.restr0.fork(), [d.bind() for d in self.depths],
-            np.empty(self.n), force=force, minv=minv, tier=self.tier,
+            np.empty(self.n), force=force, tier=self.tier,
         )
 
     def ops_per_cycle(self) -> OperationCounter:
@@ -496,8 +484,8 @@ class NumberingPlan:
 
 
 def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None):
-    """The per-numbering work of both optimized plans: :class:`LTSPlan`
-    runs it over one numbering, the distributed plan over one per rank.
+    """The per-numbering work of an optimized :class:`LTSPlan`: over one
+    numbering serially, over one per rank on a layout.
 
     ``stiffness[r]`` makes numbering ``r``'s level products
     (:func:`~repro.core.operator._restrict_levels`: an operator's
@@ -582,9 +570,9 @@ class _LockStepCycle:
         self.n_cycles_taken = 0
         self._states: list[_RankState] = []
 
-    def _bind(self, numberings: list[NumberingPlan], forces, minvs) -> None:
+    def _bind(self, numberings: list[NumberingPlan], forces) -> None:
         """A :class:`_RankState` per numbering, and ``_ops``: one cycle's operations."""
-        self._states = [nb.bind(self.dt, f, m) for nb, f, m in zip(numberings, forces, minvs)]
+        self._states = [nb.bind(self.dt, f) for nb, f in zip(numberings, forces)]
         self._ops = OperationCounter()
         for nb in numberings:
             self._ops.add(nb.ops_per_cycle())
@@ -679,21 +667,37 @@ class _LockStepCycle:
 
 
 class LTSPlan:
-    """What an :class:`LTSNewmarkSolver` derives from the operator and
-    the DOF levels alone: the non-empty levels, their columns and, in
-    ``mode="optimized"``, :func:`plan_numberings` over the one numbering
-    (:attr:`numbering`: the per-level restricted products, the fine ones
-    renumbered onto their depths' active sets, and the compact
-    recursion's index maps).  Stepping changes none of it, so
-    one plan serves any number of solvers, concurrently too: :meth:`bind`
-    gives each its own buffers and operator scratch.
+    """What a solver derives from its products and DOF levels alone:
+    the non-empty levels and, in ``mode="optimized"``,
+    :func:`plan_numberings` over the numberings of :attr:`replicas` —
+    :attr:`numberings` (level restrictions, the fine ones renumbered onto
+    their depths' active sets, the compact recursion's index maps) and
+    the per-level :attr:`exchange` channels.  ``A`` is the serial
+    ``M^{-1} K`` with ``dof_level``: one numbering, the identity map, no
+    channels.  Or it is a :class:`~repro.runtime.halo.RankLayout` carrying
+    its levels: one numbering per rank (each product the rank's share of
+    ``M^{-1} K``), the layout, its channels.  Stepping changes none of it,
+    so one plan serves any number of solvers, concurrently too:
+    :meth:`bind` gives each its own buffers and operator scratch.
     (Optimized mode only: reference-mode solvers all apply the plan's
     one operator, scratch included, so step those one at a time.)
     """
 
-    def __init__(self, A, dof_level: np.ndarray, mode: str = "optimized"):
+    def __init__(self, A, dof_level: np.ndarray | None = None, mode: str = "optimized"):
         require(mode in ("optimized", "reference"), f"unknown mode {mode!r}", SolverError)
         self.mode = mode
+        if isinstance(A, ReplicaMap):  # a rank layout
+            require(mode == "optimized", "a rank layout steps in optimized mode", SolverError)
+            require(
+                len(A.dof_level_local) == A.n_ranks,
+                "layout must carry dof levels (build_rank_layout(dof_level=...))",
+                SolverError,
+            )
+            self.replicas = A
+            self.active_levels, self.numberings, self.exchange = plan_numberings(
+                A.K_local, A.dof_level_local, channels=A.exchange_channels
+            )
+            return
         self.op = as_operator(A)
         n = self.op.shape[0]
         require(self.op.shape == (n, n), "A must be square", SolverError)
@@ -708,20 +712,30 @@ class LTSPlan:
         self.n_levels = int(self.dof_level.max())
         #: Non-empty levels, ascending (the coarsest defines the cycle step).
         self.active_levels = active_levels([self.dof_level])
-        self.numbering: NumberingPlan | None = None
+        self.numberings: list[NumberingPlan] = []
+        self.exchange: dict = {}
         self._cols = None  # reference mode's level columns (products hold their own)
         if mode == "optimized":
-            _, (self.numbering,), _ = plan_numberings([self.op], [self.dof_level])
+            _, self.numberings, _ = plan_numberings([self.op], [self.dof_level])
         else:
             self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
 
-    def bind(self, dt: float, force=None) -> "LTSNewmarkSolver":
-        """A solver stepping this plan: only buffers are allocated."""
-        return LTSNewmarkSolver(self, None, dt, force=force)
+    def bind(self, dt: float, force=None, world=None) -> "_LockStepCycle":
+        """A solver stepping this plan: only buffers are allocated.  A
+        plan with channels steps its ranks through ``world`` (a fresh
+        mailbox world by default) in the runtime's
+        :class:`~repro.runtime.executor.DistributedLTSSolver`."""
+        if not self.exchange:
+            require(world is None, "a plan without channels steps no world", SolverError)
+            return LTSNewmarkSolver(self, None, dt, force=force)
+        from repro.runtime.executor import DistributedLTSSolver  # the layer above this one
+
+        return DistributedLTSSolver(self, dt, world=world, force=force)
 
     @cached_property
     def replicas(self) -> ReplicaMap:
-        """The fields' layout: one replica owning every DOF."""
+        """The fields' layout: the rank layout, or one replica owning
+        every DOF."""
         return ReplicaMap.identity(self.n_dof)
 
 
@@ -775,7 +789,7 @@ class LTSNewmarkSolver(_LockStepCycle):
         self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
         self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
         if self.mode == "optimized":
-            self._bind([plan.numbering], [force], [None])
+            self._bind(plan.numberings, [force])
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and

@@ -11,11 +11,13 @@ tensor-product (``build_rank_layout(backend="matfree")``) — run through
 one level-apply path, in any dimension the SEM layer discretizes and for
 any physics it declares (the interleaved elastic DOFs exchange through
 the same halo plans): level ``k`` on rank ``r`` is a
-:class:`~repro.core.operator.Restriction` of the bare partial ``K`` to
-the rank's level-``k`` columns — the level's elements plus their gray
-halo (:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a
-CSR column block — exchanged through a plan that keeps only the shared
-DOFs some sharer can write, then scaled by the rank-local ``1/M``.
+:class:`~repro.core.operator.Restriction` of the rank's partial ``M^{-1}
+K`` (``1/M`` folded into its entries at layout build) to the rank's
+level-``k`` columns — the level's elements plus their gray halo
+(:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a CSR
+column block — exchanged through a plan that keeps only the shared DOFs
+some sharer can write.  The sum of the ranks' scaled partials is the
+serial operator's product: nothing scales it afterwards.
 
 No LTS arithmetic lives here.  The cycle is the serial solver's
 (:mod:`repro.core.lts_newmark`, ``mode="optimized"``): one
@@ -24,11 +26,10 @@ recursion over the rank's local DOFs, and the one lock-step driver runs
 the ranks' phases with this module's halo sum between each level's
 apply and its update, so a substep costs each rank work proportional to
 its *local* active set, never to its local vector.  The plan is the
-serial one too: :func:`~repro.core.lts_newmark.plan_numberings`, the
-builder behind :class:`~repro.core.lts_newmark.LTSPlan`, runs over one
-numbering per rank.  What this module adds is the exchange channels and
-the rank-local ``1/M`` (Dirichlet rows folded in).  A rank's active
-sets therefore also hold **every local index the level's exchange plan
+serial one too, :class:`~repro.core.lts_newmark.LTSPlan`, over one
+numbering per rank; what ranks add is the exchange channels, and on one
+rank none is used: the run is the serial run, bit for bit.  A rank's
+active sets also hold **every local index the level's exchange plan
 keeps** — a shared DOF that only a peer's gray-halo element writes
 still receives a nonzero through the exchange — and each fine level's
 exchange indices are renumbered with its product, so the halo sum packs
@@ -43,7 +44,7 @@ otherwise, bitwise equal — around one zero-copy ``Isend`` and one
 The distributed solution equals the serial one up to floating-point
 summation order (tested at 1e-12 against the serial solver and its
 ``mode="reference"`` oracle for random level assignments and
-partitions, one rank included): the partitioned execution computes
+partitions, and bitwise on one rank): the partitioned execution computes
 *the same scheme*, for any partition.
 Non-LTS Newmark is the same solver with every DOF on level 1.
 
@@ -64,51 +65,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.lts_newmark import _LockStepCycle, plan_numberings
+from repro.core.lts_newmark import LTSPlan, _LockStepCycle
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import RankLayout
 from repro.sem import fused
 from repro.util.errors import CommError, SolverError
 from repro.util.validation import require
-
-
-class DistributedLTSPlan:
-    """What a :class:`DistributedLTSSolver` derives from the rank layout
-    alone: the serial plan's per-numbering work
-    (:func:`~repro.core.lts_newmark.plan_numberings`) over one numbering
-    per rank, plus what ranks sharing rows add — the per-level exchange
-    channels and the rank-local ``1/M``.  A level's channels keep only
-    the shared positions some sharer's product can write (untouched
-    channels drop out), so message volume scales with the level's
-    footprint.  Stepping changes none of it, so one plan serves any
-    number of solvers, concurrently too: :meth:`bind` gives each its own
-    vectors, buffers and operator scratch.
-    """
-
-    def __init__(self, layout: RankLayout):
-        self.layout = layout
-        require(
-            len(layout.dof_level_local) == layout.n_ranks,
-            "layout must carry dof levels (build_rank_layout(dof_level=...))",
-            SolverError,
-        )
-        #: The global level schedule, the per-rank :class:`~repro.core
-        #: .lts_newmark.NumberingPlan` and, per level, the exchange plan
-        #: in the numbering the level's output lands in.
-        self.active_levels, self.numberings, self.exchange = plan_numberings(
-            layout.K_local, layout.dof_level_local, channels=layout.exchange_channels
-        )
-        #: The rank-local ``1/M`` (Dirichlet rows: 0) the sums are scaled by.
-        self.Minv = layout.Minv_local
-
-    def bind(self, dt: float, world=None, force=None) -> "DistributedLTSSolver":
-        """A solver stepping this plan: only buffers are allocated."""
-        return DistributedLTSSolver(self, dt, world, force)
-
-    @property
-    def replicas(self) -> RankLayout:
-        """The fields' layout: one replica per rank."""
-        return self.layout
 
 
 def _rank_forces(layout: RankLayout, force) -> list:
@@ -239,26 +201,24 @@ class DistributedLTSSolver(_LockStepCycle):
     """Multi-level LTS-Newmark, domain-decomposed.
 
     Requires ``layout.dof_level_local`` (pass ``dof_level`` to
-    :func:`repro.runtime.halo.build_rank_layout`); a
-    :class:`DistributedLTSPlan` may stand for the layout.  ``dt`` is the
-    coarse cycle step, as in
+    :func:`repro.runtime.halo.build_rank_layout`); the layout's
+    :class:`~repro.core.lts_newmark.LTSPlan` may stand for it.  ``dt`` is
+    the coarse cycle step, as in
     :class:`repro.core.lts_newmark.LTSNewmarkSolver`.  What derives from
     the layout alone is kept as :attr:`plan`; to step the same
-    decomposition again, :meth:`DistributedLTSPlan.bind` it.
+    decomposition again, :meth:`~repro.core.lts_newmark.LTSPlan.bind` it.
     """
 
     def __init__(
         self,
-        layout: RankLayout | DistributedLTSPlan,
+        layout: RankLayout | LTSPlan,
         dt: float,
         world: MailboxWorld | None = None,
         force: Callable[[float], np.ndarray] | None = None,
     ):
-        self.plan = plan = (
-            layout if isinstance(layout, DistributedLTSPlan) else DistributedLTSPlan(layout)
-        )
+        self.plan = plan = layout if isinstance(layout, LTSPlan) else LTSPlan(layout)
         super().__init__(dt, force)
-        self.layout = layout = plan.layout
+        self.layout = layout = plan.replicas
         self.world = world if world is not None else MailboxWorld(layout.n_ranks)
         require(
             self.world.n_ranks == layout.n_ranks,
@@ -268,7 +228,7 @@ class DistributedLTSSolver(_LockStepCycle):
         self.comms: list[RankComm] = self.world.comms()
         self.active_levels = plan.active_levels
         self._plans = {k: p.fork() for k, p in plan.exchange.items()}
-        self._bind(plan.numberings, _rank_forces(layout, force), plan.Minv)
+        self._bind(plan.numberings, _rank_forces(layout, force))
         #: Per level, each rank's apply output (what the exchange sums).
         self._outputs = {
             k: [st.outputs[j] for st in self._states]
@@ -304,10 +264,9 @@ class DistributedLTSSolver(_LockStepCycle):
         """Bytes of persistent hot-path scratch the solver owns: the
         rank states (apply outputs, compact recursion, index maps, what
         the restricted products report of their scratch) — counted as
-        the serial solver counts its one state — plus ``1/M``, the
-        exchange payloads and the NumPy accumulate's scratch."""
-        total = sum(m.nbytes for m in self.plan.Minv)
-        total += sum(st.nbytes() for st in self._states)
+        the serial solver counts its one state — plus the exchange
+        payloads and the NumPy accumulate's scratch."""
+        total = sum(st.nbytes() for st in self._states)
         total += sum(p.workspace_bytes() for p in self._plans.values())
         total += sum(h.scratch.nbytes for h in self._sums.values())
         return int(total)

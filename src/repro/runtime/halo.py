@@ -9,12 +9,14 @@ substep* in Fig. 1.
 :func:`build_rank_layout` consumes any assembler exposing
 ``element_dofs`` and ``element_system(e)`` (all SEM assemblers do) plus
 an element partition vector, and produces a :class:`RankLayout` the
-distributed solvers run on.  Rank-local stiffness comes in two
-backends: ``"assembled"`` (partial CSR per rank, vectorized scatter
-assembly via ``element_system_batch`` when available) and ``"matfree"``
-(an unassembled :class:`repro.sem.matfree.MatrixFreeStiffness` per rank
-— no rank ever forms a matrix; requires the assembler to export its
-explicit :class:`repro.core.operator.KernelSpec`).  Both duck-type
+distributed solvers run on.  A rank's product is its share of the serial
+``M^{-1} K`` — its owned elements' partial stiffness, rows scaled by
+``1/M`` — in one of two backends: ``"assembled"`` (partial CSR per rank,
+vectorized scatter assembly via ``element_system_batch`` when available)
+and ``"matfree"`` (an unassembled
+:class:`repro.sem.matfree.MatrixFreeStiffness` per rank — no rank ever
+forms a matrix; requires the assembler to export its explicit
+:class:`repro.core.operator.KernelSpec`).  Both duck-type
 ``K @ u``, so the executors are backend- and physics-agnostic: scalar
 acoustic (with variable density), multi-component isotropic elastic and
 general anisotropic elastic layouts build identically — the
@@ -129,23 +131,21 @@ class RankLayout(ReplicaMap):
     Attributes
     ----------
     K_local:
-        Per rank, the partial stiffness from *owned elements only* on
-        local numbering (so the cross-rank sum is exact): a CSR matrix
-        or a matrix-free stiffness operator, either way applied as
-        ``K_local[r] @ u``.
-    Minv_local:
-        Per rank, ``1/M`` on the local DOFs — the fully-summed diagonal
-        mass, collected once at setup as production codes do — with the
-        Dirichlet row mask folded in (0 on a masked row), as the serial
-        operator holds it: what the summed partial products are scaled
-        by.  The column mask sits in ``K_local``.
+        Per rank, the partial ``M^{-1} K`` from *owned elements only* on
+        local numbering, so the cross-rank sum is the serial operator's
+        product: a CSR matrix or a matrix-free stiffness operator, either
+        way applied as ``K_local[r] @ u``.  Its rows carry ``1/M`` — the
+        fully-summed diagonal mass, collected once at setup as production
+        codes do — with the Dirichlet row mask folded in (0 on a masked
+        row), and its columns the Dirichlet column mask, as the serial
+        operator holds them: on one rank it is that operator, entry for
+        entry.
     channels:
         The halo channels: a bufferless :class:`ExchangePlan` over every
         shared DOF.
     """
 
     K_local: list[sp.csr_matrix]
-    Minv_local: list[np.ndarray]
     channels: ExchangePlan
     dof_level_local: list[np.ndarray] = field(default_factory=list)
 
@@ -272,14 +272,24 @@ def build_rank_layout(
         PartitionError,
     )
 
+    # ``1/M`` of every rank-local product's rows: the fully-summed
+    # diagonal mass (the assembler's, else summed here from its element
+    # masses), 0 on a Dirichlet row.
+    M = getattr(assembler, "M", None)
+    if M is None:
+        M = np.zeros(n_dof)
+        for e, dofs in enumerate(element_dofs):
+            np.add.at(M, dofs, assembler.element_system(e)[1])
+    inv_m = 1.0 / np.asarray(M, dtype=np.float64)
+    if mask is not None:
+        inv_m = inv_m * mask
+
     # Local DOF sets (sorted global ids), local element connectivity
     # (one global -> local table per rank: a flag pass and a gather, no
-    # sort of the rank's element DOFs), and rank-local stiffness in the
-    # requested backend.
+    # sort of the rank's element DOFs), and rank-local ``M^{-1} K`` in
+    # the requested backend.
     gdofs: list[np.ndarray] = []
     K_local: list = []
-    local_eldofs: list[np.ndarray] = []
-    owned_per_rank: list[np.ndarray] = []
     present = np.zeros(n_dof, dtype=bool)
     local_id = np.empty(n_dof, dtype=np.int64)
     for r in range(n_ranks):
@@ -290,8 +300,6 @@ def build_rank_layout(
         local_id[ids] = np.arange(len(ids))
         ld = local_id[element_dofs[owned]]
         gdofs.append(ids)
-        owned_per_rank.append(owned)
-        local_eldofs.append(ld)
         if backend == "matfree":
             from repro.sem.matfree import local_stiffness
 
@@ -303,13 +311,18 @@ def build_rank_layout(
             )
             K_local.append(
                 local_stiffness(
-                    assembler, owned, ld, len(ids),
+                    assembler, owned, ld, len(ids), Minv=inv_m[ids],
                     use_fused=use_fused, threads=threads,
                 )
             )
         else:
             K = _rank_stiffness_assembled(assembler, owned, ld, len(ids))
-            K_local.append(K if mask is None else sp.csr_matrix(K @ sp.diags(mask[ids])))
+            if mask is not None:
+                K.data *= mask[ids][K.indices]
+            # The rows scaled as the assemblers form ``A``, by a product
+            # with a diagonal: the same entry order, the same zeros
+            # dropped, so on one rank this is ``A`` entry for entry.
+            K_local.append(sp.csr_matrix(sp.diags(inv_m[ids]) @ K))
 
     # Ownership (lowest touching rank) and shared-DOF counts, vectorized.
     owner_of = np.full(n_dof, n_ranks, dtype=np.int64)
@@ -345,20 +358,6 @@ def build_rank_layout(
         channels.indices[r].append(np.searchsorted(gdofs[r], dof[lo:hi]))
     owner_masks = [owner_of[g] == r for r, g in enumerate(gdofs)]
 
-    # Fully-summed diagonal mass restricted to each rank (production codes
-    # collect this once at setup; the assembler already holds the sum).
-    if hasattr(assembler, "M"):
-        M_global = np.asarray(assembler.M, dtype=np.float64)
-    else:
-        M_global = np.zeros(n_dof)
-        for r in range(n_ranks):
-            for e, ld in zip(owned_per_rank[r], local_eldofs[r]):
-                _, Me = assembler.element_system(int(e))
-                np.add.at(M_global, gdofs[r][ld], Me)
-    Minv_local = [
-        1.0 / M_global[g] if mask is None else (1.0 / M_global[g]) * mask[g] for g in gdofs
-    ]
-
     levels_local: list[np.ndarray] = []
     if dof_level is not None:
         dof_level = np.asarray(dof_level, dtype=np.int64)
@@ -370,7 +369,6 @@ def build_rank_layout(
         gdofs=gdofs,
         owner=owner_masks,
         K_local=K_local,
-        Minv_local=Minv_local,
         channels=channels,
         dof_level_local=levels_local,
     )

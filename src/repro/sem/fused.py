@@ -87,8 +87,8 @@ The same build carries the vector phases of the optimized LTS cycle
 rank state runs when its level-1 product runs this tier:
 ``lts_begin`` (gather the coarsest active set's rows, then ``v -= dt
 z1; u += dt v`` over the whole vector), ``lts_update`` (a fine depth's
-``r = z [* minv] + F``, handed to the child or taken as the finest
-leap-frog step), ``lts_reconstruct`` (the closed form on the prefix,
+``r = z + F``, handed to the child or taken as the finest leap-frog
+step), ``lts_reconstruct`` (the closed form on the prefix,
 ``(u_fine - u) / dt_k`` on the child's suffix, then the ``v`` / ``u``
 step) and ``lts_finish`` (the ``2/dt`` velocity fix-up, written through
 the index map).  They must be bitwise the NumPy phases, so they are
@@ -822,31 +822,25 @@ PHASE lts_begin(const double *restrict z1, long n, double dt,
     }
 }
 
-/* One fine depth after its (summed) apply: r = z [* minv] + F.  With a
- * child (kid_F != NULL) r is kept on the n_diff prefix and the suffix
- * is handed over as the child's forcing and displacement; the finest
- * depth takes its leap-frog step instead. */
-PHASE lts_update(const double *restrict z, const double *restrict minv,
-                 const double *restrict F, double *restrict r,
-                 double *restrict u, double *restrict v,
+/* One fine depth after its (summed) apply: r = z + F.  With a child
+ * (kid_F != NULL) r is kept on the n_diff prefix and the suffix is
+ * handed over as the child's forcing and displacement; the finest depth
+ * takes its leap-frog step instead. */
+PHASE lts_update(const double *restrict z, const double *restrict F,
+                 double *restrict r, double *restrict u, double *restrict v,
                  long na, long nd, double dt_k,
                  double *restrict kid_F, double *restrict kid_u, int first)
 {
     NO_CONTRACT
     if (kid_F) {
-        if (minv) {
-            for (long j = 0; j < nd; ++j) r[j] = z[j] * minv[j] + F[j];
-            for (long j = nd; j < na; ++j) kid_F[j - nd] = z[j] * minv[j] + F[j];
-        } else {
-            for (long j = 0; j < nd; ++j) r[j] = z[j] + F[j];
-            for (long j = nd; j < na; ++j) kid_F[j - nd] = z[j] + F[j];
-        }
+        for (long j = 0; j < nd; ++j) r[j] = z[j] + F[j];
+        for (long j = nd; j < na; ++j) kid_F[j - nd] = z[j] + F[j];
         for (long j = nd; j < na; ++j) kid_u[j - nd] = u[j];
         return;
     }
     double h = -(0.5 * dt_k);
     for (long j = 0; j < na; ++j) {
-        double rj = minv ? z[j] * minv[j] + F[j] : z[j] + F[j];
+        double rj = z[j] + F[j];
         double vj = first ? rj * h : v[j] - rj * dt_k;
         v[j] = vj;
         u[j] += vj * dt_k;
@@ -941,7 +935,7 @@ _KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
 #: LTS phase (or halo pass) symbol -> its argument types, one letter
 #: each: ``F`` / ``I`` a float64 / int64 array (or NULL), ``l`` long,
 #: ``d`` double, ``i`` int.
-_PHASES = {"lts_begin": "FldIlFFFFFF", "lts_update": "FFFFFFlldFFi",
+_PHASES = {"lts_begin": "FldIlFFFFFF", "lts_update": "FFFFFlldFFi",
            "lts_reconstruct": "FFFFlldi", "lts_finish": "IlFFFdFF",
            "halo_pack": "lIIIF", "halo_accumulate": "lIIIF"}
 _CTYPE = {"F": ctypes.c_void_p, "I": ctypes.c_void_p, "l": ctypes.c_long,

@@ -1101,17 +1101,21 @@ def local_stiffness(
     element_ids: np.ndarray,
     local_dofs: np.ndarray,
     n_local: int,
+    Minv: np.ndarray | None = None,
     use_fused: bool | None = None,
     threads: int | None = None,
 ) -> MatrixFreeStiffness:
-    """Rank-local unassembled ``K`` for the distributed runtime.
+    """Rank-local unassembled ``K`` — or, given the rank-local ``Minv``,
+    ``M^{-1} K`` — for the distributed runtime.
 
     ``local_dofs`` is ``assembler.element_dofs[element_ids]`` mapped to
-    rank-local numbering; the returned object drops into
-    :class:`repro.runtime.halo.RankLayout.K_local` (partial products are
-    summed across ranks by the usual halo exchange).  The assembler's
-    Dirichlet mask, if any, masks the columns as in
-    :func:`matrix_free_operator`; the rows are the caller's ``1/M``'s.
+    rank-local numbering.  With ``Minv`` (``1/M`` on the local DOFs,
+    Dirichlet rows 0) folded into the scatter, as the serial
+    :class:`MatrixFreeOperator` folds it, the returned object drops into
+    :class:`repro.runtime.halo.RankLayout.K_local`: each rank applies its
+    share of the serial operator and the halo exchange sums the shares.
+    The assembler's Dirichlet mask, if any, masks the columns as in
+    :func:`matrix_free_operator`.
     """
     element_ids = np.asarray(element_ids)
     mask = getattr(assembler, "dirichlet_mask", None)
@@ -1121,6 +1125,7 @@ def local_stiffness(
         n_local,
         use_fused=use_fused,
         gmask=None if mask is None else mask[np.asarray(assembler.element_dofs)[element_ids]],
+        Minv=Minv,
         threads=threads,
     )
 

@@ -1,8 +1,8 @@
 """The solver plan and the rank layout as cached stages.
 
-A plan (:class:`repro.core.lts_newmark.LTSPlan`,
-:class:`repro.runtime.executor.DistributedLTSPlan`) is everything a
-solver derives from operator, levels and partition; a run only binds it.
+A plan (:class:`repro.core.lts_newmark.LTSPlan`, serial or over a rank
+layout) is everything a solver derives from operator, levels and
+partition; a run only binds it.
 These tests pin the contract that makes caching it safe:
 
 * reuse is invisible — jobs sharing one cached plan equal fresh,
@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 
 from repro.api import EnsembleSpec, Simulation, SimulationConfig, StageCache, run_ensemble
-from repro.core.lts_newmark import LTSNewmarkSolver
+from repro.core.lts_newmark import LTSNewmarkSolver, LTSPlan
 from repro.core.operator import AssembledOperator
 from repro.core.workspace import reachable_buffers
 from repro.runtime.comm import MailboxWorld
+from repro.runtime.executor import DistributedLTSSolver
 from repro.sem import fused
+from repro.util.errors import SolverError
 
 BACKENDS = {
     "assembled": {"stiffness": "assembled"},
@@ -135,22 +137,15 @@ def _bound(sim, source):
     """Bind a solver from ``sim``'s plan on zero fields; the returned
     ``run(n_cycles)`` steps it and hands back the flattened state."""
     force = sim.variant(source={"position": list(source), "f0": 0.8}).force
-    n = int(sim.assembler.n_dof)
-    if sim.parts is None:
-        solver = sim.solver_plan.bind(sim.dt, force=force)
-        fields = (np.zeros(n), np.zeros(n))
-    else:
-        world = MailboxWorld(sim.config.partition.n_ranks)
-        solver = sim.solver_plan.bind(sim.dt, world=world, force=force)
-        layout = sim.solver_plan.layout
-        fields = (layout.scatter(np.zeros(n)), layout.scatter(np.zeros(n)))
+    plan, zeros = sim.solver_plan, np.zeros(sim.assembler.n_dof)
+    world = None if sim.parts is None else MailboxWorld(sim.config.partition.n_ranks)
+    solver = plan.bind(sim.dt, force=force, world=world)
+    us, vs = plan.replicas.scatter(zeros), plan.replicas.scatter(zeros)
 
     def run(n_cycles):
         for _ in range(n_cycles):
-            solver.step(*fields)
-        return np.concatenate(
-            fields if sim.parts is None else [x for f in fields for x in f]
-        )
+            solver.cycle(us, vs)
+        return np.concatenate(us + vs)
 
     return run
 
@@ -180,6 +175,23 @@ def test_two_threads_stepping_one_plan_equal_their_solo_runs(backend, ranks):
     for alone, shared in zip(solo, together):
         assert np.isfinite(alone).all() and np.abs(alone).max() > 0
         assert np.array_equal(alone, shared)
+
+
+def test_one_plan_class_binds_the_solver_its_channels_need():
+    """Serial and partitioned configs resolve to one plan class: a plan
+    without channels binds the serial solver (and refuses a world), a
+    layout's plan the distributed one, in optimized mode only."""
+    serial, ranks = (Simulation(make_config("numpy", r)) for r in (1, 2))
+    plan = serial.solver_plan
+    assert isinstance(plan, LTSPlan) and len(plan.numberings) == 1 and not plan.exchange
+    assert type(plan.bind(serial.dt)) is LTSNewmarkSolver
+    with pytest.raises(SolverError, match="world"):
+        plan.bind(serial.dt, world=MailboxWorld(1))
+    plan = ranks.solver_plan
+    assert isinstance(plan, LTSPlan) and len(plan.numberings) == 2 and plan.exchange
+    assert type(plan.bind(ranks.dt, world=MailboxWorld(2))) is DistributedLTSSolver
+    with pytest.raises(SolverError, match="optimized"):
+        LTSPlan(plan.replicas, mode="reference")
 
 
 @pytest.mark.parametrize("share_workspace", [False, True])

@@ -42,8 +42,15 @@ def test_receiver_outside_the_mesh_refused():
 
 class TestTraceRows:
     """3 ranks on a 2D mesh, two levels: a trace row reads the owner
-    replica, bitwise, both at a DOF three ranks share and at one that
-    lies inside a rank."""
+    replica, bitwise, at every DOF three ranks share and at one that
+    lies inside a rank.
+
+    The ranks run in diagonal stripes, so three of them meet at every
+    interior vertex, and each such replica sums the three partial
+    products in its own order (its own first, then its peers
+    ascending).  With fields of one magnitude those orders round
+    differently at several of the nine vertices, which is what makes the
+    owner's replica the one to read."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -52,15 +59,15 @@ class TestTraceRows:
         dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
         gen = np.random.default_rng(3)
         levels = gen.integers(1, 3, mesh.n_elements)
-        parts = gen.integers(0, 3, mesh.n_elements)
+        e = np.arange(mesh.n_elements)
+        parts = (e // 4 + e % 4) % 3  # element (ix, iy) on rank (ix + iy) % 3
         dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
         lay = build_rank_layout(sem, parts, 3, dof_level=dof_level)
         holders = np.zeros(sem.n_dof, dtype=np.int64)
         for g in lay.gdofs:
             holders[g] += 1
-        rec = np.array([np.flatnonzero(holders >= 3)[0], np.flatnonzero(holders == 1)[0]])
-        # Sixteen decades of magnitude: a three-way sum in another order shows.
-        u0 = gen.standard_normal(sem.n_dof) * 10.0 ** gen.uniform(-8, 8, sem.n_dof)
+        rec = np.append(np.flatnonzero(holders == 3), np.flatnonzero(holders == 1)[0])
+        u0 = gen.standard_normal(sem.n_dof)
         fields = Fields(lay, lay.scatter(u0), lay.scatter(np.zeros(sem.n_dof)), rec)
         n = 6
         traces, snaps = np.zeros((n, len(rec))), {}
@@ -81,10 +88,9 @@ class TestTraceRows:
 
     def test_shared_replicas_differ_so_the_owner_matters(self, run):
         lay, rec, _, snaps = run
-        g = rec[0]
         copies = {
-            c: {us[r][np.searchsorted(lay.gdofs[r], g)] for r in range(3) if g in lay.gdofs[r]}
-            for c, us in snaps.items()
+            (c, g): {us[r][np.searchsorted(lay.gdofs[r], g)] for r in range(3) if g in lay.gdofs[r]}
+            for c, us in snaps.items() for g in rec[:-1]
         }
         assert any(len(v) > 1 for v in copies.values())
 

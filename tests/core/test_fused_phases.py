@@ -49,7 +49,7 @@ CASES = {
 }
 
 
-def _pair(case: str, with_minv: bool, seed: int = 0):
+def _pair(case: str, seed: int = 0):
     """A state on the C phases and one on the NumPy phases over the same
     random structure, every buffer holding the same random values."""
     rng = np.random.default_rng(seed)
@@ -60,10 +60,8 @@ def _pair(case: str, with_minv: bool, seed: int = 0):
         for i, nd in enumerate([*n_diffs, 0]):
             depths.append(_Depth(2 + i, _IDLE, order[off:], nd))
             off += nd
-    minv = rng.uniform(0.5, 2.0, N) if with_minv else None
     states = [
-        _RankState(DT, _IDLE, [d.bind() for d in depths], np.empty(N),
-                   minv=minv, tier=tier)
+        _RankState(DT, _IDLE, [d.bind() for d in depths], np.empty(N), tier=tier)
         for tier in ("fused", "numpy")
     ]
     for bufs in zip(*map(_buffers, states)):
@@ -97,10 +95,9 @@ class TestPhases:
     """One phase at a time from identical states: whatever the NumPy
     phase leaves for a later phase to read, the C phase leaves too."""
 
-    @pytest.mark.parametrize("with_minv", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_begin(self, case, with_minv):
-        c, ref = _pair(case, with_minv)
+    def test_begin(self, case):
+        c, ref = _pair(case)
         assert c._c_begin is not None and ref._c_begin is None
         uv = [_fields(), _fields()]
         for st, (u, v) in zip((c, ref), uv):
@@ -110,11 +107,10 @@ class TestPhases:
         _assert_same(zip(kept(c), kept(ref)), "saved rows")
 
     @pytest.mark.parametrize("first", [True, False])
-    @pytest.mark.parametrize("with_minv", [False, True])
     @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
-    def test_update(self, case, with_minv, first):
+    def test_update(self, case, first):
         for i in range(len(CASES[case][1]) + 1):
-            c, ref = _pair(case, with_minv, seed=i)
+            c, ref = _pair(case, seed=i)
             for st in (c, ref):
                 st.update(i, first)
             dc, dr = c.depths[i], ref.depths[i]
@@ -127,11 +123,10 @@ class TestPhases:
             _assert_same(pairs, (case, i))
 
     @pytest.mark.parametrize("first", [True, False])
-    @pytest.mark.parametrize("with_minv", [False, True])
     @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
-    def test_reconstruct(self, case, with_minv, first):
+    def test_reconstruct(self, case, first):
         for i in range(len(CASES[case][1])):
-            c, ref = _pair(case, with_minv, seed=i)
+            c, ref = _pair(case, seed=i)
             for st in (c, ref):
                 st.reconstruct(i, first)
             dc, dr = c.depths[i], ref.depths[i]
@@ -139,7 +134,7 @@ class TestPhases:
 
     @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
     def test_finish(self, case):
-        c, ref = _pair(case, False)
+        c, ref = _pair(case)
         uv = [_fields(), _fields()]
         for st, (u, v) in zip((c, ref), uv):
             st.finish(u, v)
@@ -161,7 +156,7 @@ class TestPhases:
     def test_states_hold_the_same_buffers(self, case):
         """Depth 0's step reuses ``z1`` as scratch on the NumPy phases, so
         they hold no more than the C phases."""
-        c, ref = _pair(case, False)
+        c, ref = _pair(case)
         assert c.nbytes() == ref.nbytes()
 
 

@@ -13,30 +13,30 @@ from repro.util.errors import NumericalError, SolverError
 class TestHealthGuard:
     def test_clean_fields_pass(self):
         guard = HealthGuard()
-        assert guard.check(1, np.zeros(8), np.zeros(8))
+        assert guard.check_locals(1, [np.zeros(8)], [np.zeros(8)])
         assert guard.last_healthy == 1
         assert guard.checks_run == 1
 
     def test_cadence_skips_off_cycles(self):
         guard = HealthGuard(check_every=3)
         u = np.full(4, np.nan)
-        assert not guard.check(1, u)  # skipped, no raise
-        assert not guard.check(2, u)
+        assert not guard.check_locals(1, [u])  # skipped, no raise
+        assert not guard.check_locals(2, [u])
         with pytest.raises(NumericalError):
-            guard.check(3, u)
+            guard.check_locals(3, [u])
         assert guard.checks_run == 1
 
     def test_force_overrides_cadence(self):
         guard = HealthGuard(check_every=10)
         with pytest.raises(NumericalError):
-            guard.check(1, np.array([np.inf]), force=True)
+            guard.check_locals(1, [np.array([np.inf])], force=True)
 
     def test_nan_reports_dofs_and_cycle(self):
         guard = HealthGuard()
         u = np.zeros(10)
         u[7] = np.nan
         with pytest.raises(NumericalError, match="cycle 5") as exc:
-            guard.check(5, u)
+            guard.check_locals(5, [u])
         assert exc.value.cycle == 5
         assert list(exc.value.bad_dofs) == [7]
         assert exc.value.last_healthy == -1
@@ -47,7 +47,7 @@ class TestHealthGuard:
         u = np.zeros(7)
         u[3] = np.inf
         with pytest.raises(NumericalError, match="elements") as exc:
-            guard.check(1, u)
+            guard.check_locals(1, [u])
         assert list(exc.value.bad_elements) == [1]
 
     def test_shared_dof_maps_to_both_elements(self):
@@ -56,7 +56,7 @@ class TestHealthGuard:
         u = np.zeros(5)
         u[2] = np.nan
         with pytest.raises(NumericalError) as exc:
-            guard.check(1, u)
+            guard.check_locals(1, [u])
         assert list(exc.value.bad_elements) == [0, 1]
 
     def test_velocity_checked_too(self):
@@ -64,34 +64,34 @@ class TestHealthGuard:
         v = np.zeros(4)
         v[0] = np.inf
         with pytest.raises(NumericalError, match="in v"):
-            guard.check(1, np.zeros(4), v)
+            guard.check_locals(1, [np.zeros(4)], [v])
 
     def test_dt_clause_names_cfl_violation(self):
         guard = HealthGuard(dt=2.0, dt_stable=1.0)
         with pytest.raises(NumericalError, match="EXCEEDS"):
-            guard.check(1, np.array([np.nan]))
+            guard.check_locals(1, [np.array([np.nan])])
         guard = HealthGuard(dt=0.5, dt_stable=1.0)
         with pytest.raises(NumericalError, match="within"):
-            guard.check(1, np.array([np.nan]))
+            guard.check_locals(1, [np.array([np.nan])])
 
     def test_last_healthy_tracks_best_known_cycle(self):
         guard = HealthGuard()
-        guard.check(1, np.zeros(2))
-        guard.check(2, np.zeros(2))
+        guard.check_locals(1, [np.zeros(2)])
+        guard.check_locals(2, [np.zeros(2)])
         with pytest.raises(NumericalError) as exc:
-            guard.check(3, np.array([np.nan, 0.0]))
+            guard.check_locals(3, [np.array([np.nan, 0.0])])
         assert exc.value.last_healthy == 2
 
     def test_energy_growth_trips_before_nonfinite(self):
         guard = HealthGuard(energy_factor=4.0)
-        guard.check(1, np.ones(4))  # establishes the peak
+        guard.check_locals(1, [np.ones(4)])  # establishes the peak
         with pytest.raises(NumericalError, match="energy"):
-            guard.check(2, np.full(4, 100.0))
+            guard.check_locals(2, [np.full(4, 100.0)])
 
     def test_energy_growth_allows_modest_variation(self):
         guard = HealthGuard(energy_factor=4.0)
         for cycle, scale in enumerate([1.0, 1.5, 1.2, 1.9], start=1):
-            guard.check(cycle, np.full(4, scale))
+            guard.check_locals(cycle, [np.full(4, scale)])
         assert guard.last_healthy == 4
 
     def test_invalid_params_rejected(self):
@@ -192,10 +192,10 @@ class TestSolverIntegration:
         u = u0.copy()
         v = np.zeros_like(u)
         u, v = solver.step(u, v)
-        guard.check(1, u, v)
+        guard.check_locals(1, [u], [v])
         u[5] = np.nan
         u, v = solver.step(u, v)
         with pytest.raises(NumericalError) as exc:
-            guard.check(2, u, v)
+            guard.check_locals(2, [u], [v])
         assert exc.value.last_healthy == 1
         assert len(exc.value.bad_elements) >= 1

@@ -126,7 +126,9 @@ class TestValidation:
 # Every fused kernel has a pin (el_apply3, an_apply3 and ac_apply3 at
 # order 4, the order with a literal-n1 instance; ac_apply at order 8 on
 # the runtime-n1 instance), recorded on the runtime-order loops the
-# instances must reproduce.
+# instances must reproduce.  The three-rank pins (``newmark3``, ``lts3``)
+# are recorded with ``1/M`` in every rank's product, the halo sum adding
+# scaled partials.
 N_STEPS = 30
 
 GOLDEN = {
@@ -147,12 +149,12 @@ GOLDEN = {
     "elastic3d/fused/point": "fd7184158af3a5638c3a2c57ac052a606c49f44ad5279b4e161ce85ccc03c553",
     "aniso/fused/point": "1225e79ce405b6131686f960003305620152e6c22deee043a8de4710135a205a",
     "aniso3d/fused/point": "677ee057a8d90aae8dbbcfdde7a5dc2e113ad8f0a381b4e66a6f29e85e072ee2",
-    "newmark3/assembled": "3891e41e6b9d8ebaecbfe2caa9e6ef48a5a1f5faecd0932aa474d9c3f571c366",
-    "newmark3/numpy": "0bf94a78ef0a37becdd1c80ff58e439d400e902207546b9a5044cbed5c755a28",
-    "newmark3/fused": "1ebe437a6ab0c24e1d5fb0ae5c7a8ffbd9c8f53536a98f8fc75d0c9ad80c8879",
-    "lts3/assembled": "53c56f739af957a7ecef25650a3a4824b15fca63a29a5cc77b03b1e2438d8181",
-    "lts3/numpy": "e6cc339d73f6c81f8e7478f31eef8e4a27a38a6070af5b5aa381549972b05ad0",
-    "lts3/fused": "0b9e9e0c8b7012d027e2b111a87832fad80e4c907e638469140deeaae32c8193",
+    "newmark3/assembled": "74c88e0994673725667bfc169f842f2d29f4fd085f4d7b4e88e39e6c7f2ddd9e",
+    "newmark3/numpy": "65f4926d498077ebebdc780ee22547acea512e8eef1791eb7572875ce2393935",
+    "newmark3/fused": "c385e2d816c1e8a5ace62c1a444517ad06437ad17fffd49a611d1321996093f3",
+    "lts3/assembled": "ee5c40036ba205aadb9de6f3278b19d59d905efc9086347d3a367bf2e84403d4",
+    "lts3/numpy": "005078903b5d9b5f832007614b324cc1a30156def8c5657c74bb7100f75cc613",
+    "lts3/fused": "c474b1b14a72e313d89bbe9bbb25d761a1628eda5be3ae301a35f0f8ec00130a",
 }
 
 

@@ -14,6 +14,11 @@ reaches it.  Random partitions of small meshes hit that case constantly
 file), along with cuts through the finest region, DOFs shared by three
 and more ranks, ranks with no fine element, ranks with only fine
 elements and ranks with no element at all.
+
+One rank is more than close: every rank applies its share of the
+serial ``M^{-1} K`` (``1/M`` folded into its product), so a one-rank
+layout plans the serial run, and its result is the serial solver's over
+the same tier's operator bit for bit, Dirichlet masks included.
 """
 
 import numpy as np
@@ -24,15 +29,19 @@ from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
-from repro.sem import Sem2D, Sem3D, fused, point_source, ricker
+from repro.sem import (
+    AnisotropicElasticSemND, ElasticSem2D, ElasticSem3D, Sem1D, Sem2D, Sem3D,
+    fused, point_source, ricker,
+)
 
 N_CYCLES = 6
 
 
-def _system(dim: int):
+def _system(dim: int, dirichlet: bool = False):
     shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
     mesh = uniform_grid(shape)
-    return cls(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
+    sem = cls(mesh, order=order, dirichlet=dirichlet)
+    return sem, assign_levels(mesh, c_cfl=0.4, order=order).dt
 
 
 def _backends():
@@ -64,6 +73,10 @@ def _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed):
         for us, vs in oracles:
             assert np.abs(ud - us).max() <= 1e-12 * np.abs(us).max(), tier
             assert np.abs(vd - vs).max() <= 1e-12 * max(np.abs(vs).max(), 1.0), tier
+        if n_ranks == 1:  # the serial run over the same tier's operator, bitwise
+            op = sem.A if backend == "assembled" else sem.operator("matfree", use_fused=use_fused)
+            us, vs = LTSNewmarkSolver(op, dof_level, dt, force=force).run(u0, v0, N_CYCLES)
+            assert ud.tobytes() == us.tobytes() and vd.tobytes() == vs.tobytes(), tier
 
 
 class TestRandomPartitions:
@@ -125,15 +138,78 @@ _NAMED = {
     # fine column and no element its fine-level product could write,
     # yet element 4 (rank 0) writes the DOFs they share
     "halo_written_by_peer_only": (_CORNER, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1], 2),
+    # Dirichlet rows and columns on one rank: the serial run, bitwise
+    "one_rank_dirichlet": (_BLOCK, [0] * 12, 1),
 }
+#: Cases on the system with a Dirichlet boundary.
+_DIRICHLET = {"one_rank_dirichlet"}
 
 
 @pytest.mark.parametrize("name", sorted(_NAMED))
 def test_named_partitions_match_serial(name):
     levels, parts, n_ranks = (np.array(x) for x in _NAMED[name])
-    sem, dt = _system(2)
+    sem, dt = _system(2, dirichlet=name in _DIRICHLET)
     if name == "empty_rank":
         assert 2 not in parts
     if name == "fine_only_rank":
         assert np.all(levels[parts == 1] > 1) and np.all(levels[parts != 1] == 1)
     _assert_matches_serial(sem, dt, levels, parts, int(n_ranks), None, seed=7)
+
+
+#: Every kernel family: name -> (system on a mesh, mesh shape).  The
+#: Voigt stiffness is an arbitrary positive-definite one.
+_C2 = np.array([[4.0, 1.0, 0.3], [1.0, 3.0, 0.2], [0.3, 0.2, 1.5]])
+_PHYSICS = {
+    "acoustic1d": (lambda m, d: Sem1D(m, order=3, dirichlet=d), (12,)),
+    "acoustic2d": (lambda m, d: Sem2D(m, order=3, dirichlet=d), (4, 3)),
+    "acoustic3d": (lambda m, d: Sem3D(m, order=2, dirichlet=d), (3, 2, 2)),
+    "elastic2d": (lambda m, d: ElasticSem2D(m, order=3, dirichlet=d), (4, 3)),
+    "elastic3d": (lambda m, d: ElasticSem3D(m, order=2, dirichlet=d), (3, 2, 2)),
+    "anisotropic2d": (
+        lambda m, d: AnisotropicElasticSemND(m, order=3, C=_C2, dirichlet=d), (4, 3),
+    ),
+}
+_needs_fused = pytest.mark.skipif(
+    not fused.available(), reason="no C compiler: fused tier unavailable"
+)
+_TIERS = {"assembled": ("assembled", None), "numpy": ("matfree", False),
+          "fused": ("matfree", True)}
+
+
+def _one_rank_cases():
+    for name in sorted(_PHYSICS):
+        for tier in _TIERS:
+            if tier == "fused" and name.endswith("1d"):
+                continue  # no 1D kernel in the fused tier
+            for dirichlet in (False, True):
+                marks = [_needs_fused] if tier == "fused" else []
+                yield pytest.param(name, tier, dirichlet, marks=marks,
+                                   id=f"{name}-{tier}-{'dirichlet' if dirichlet else 'free'}")
+
+
+@pytest.mark.parametrize("name,tier,dirichlet", _one_rank_cases())
+def test_one_rank_is_the_serial_run(name, tier, dirichlet):
+    """Every kernel family, one component or several: a one-rank layout
+    folds the same ``1/M`` (masked on Dirichlet rows) into the same
+    product, so its run is the serial run over the tier's operator, bit
+    for bit, point source included."""
+    make, shape = _PHYSICS[name]
+    mesh = uniform_grid(shape)
+    sem = make(mesh, dirichlet)
+    dt = assign_levels(mesh, c_cfl=0.4, order=sem.order, assembler=sem).dt
+    ne = sem.element_dofs.shape[0]
+    dof_level = dof_levels_from_elements(sem.element_dofs, np.resize(_BLOCK, ne), sem.n_dof)
+    assert dof_level.max() == 4
+    force = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * dt))
+    u0, v0 = np.random.default_rng(3).standard_normal(sem.n_dof), np.zeros(sem.n_dof)
+
+    backend, use_fused = _TIERS[tier]
+    op = sem.A if backend == "assembled" else sem.operator("matfree", use_fused=use_fused)
+    us, vs = LTSNewmarkSolver(op, dof_level, dt, force=force).run(u0, v0, N_CYCLES)
+    layout = build_rank_layout(sem, np.zeros(ne, dtype=np.int64), 1, dof_level=dof_level,
+                               backend=backend, use_fused=use_fused)
+    world = MailboxWorld(1)
+    ud, vd = DistributedLTSSolver(layout, dt, world=world, force=force).run(u0, v0, N_CYCLES)
+    assert world.sent_messages == 0
+    assert np.abs(us).max() > 0 and not np.isnan(us).any()
+    assert ud.tobytes() == us.tobytes() and vd.tobytes() == vs.tobytes()

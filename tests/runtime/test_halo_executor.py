@@ -20,7 +20,7 @@ from repro.runtime import (
     MailboxWorld,
     build_rank_layout,
 )
-from repro.sem import Sem1D, Sem2D
+from repro.sem import Sem1D, Sem2D, fused
 from repro.util.errors import PartitionError, SolverError
 
 
@@ -100,11 +100,28 @@ class TestLayout:
                 glist = np.array(sorted(shared[(r, peer)]), dtype=np.int64)
                 assert np.array_equal(idx, np.searchsorted(lay.gdofs[r], glist))
 
-    def test_mass_summed_across_ranks(self, sys1d):
-        mesh, sem, _, _, _, _ = sys1d
-        lay = build_rank_layout(sem, block_partition(mesh.n_elements, 2), 2)
-        for r in range(2):
-            assert np.allclose(lay.Minv_local[r], 1.0 / sem.M[lay.gdofs[r]])
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("backend,use_fused", [
+        ("assembled", None), ("matfree", False),
+        pytest.param("matfree", True, marks=pytest.mark.skipif(
+            not fused.available(), reason="no C compiler: fused tier unavailable")),
+    ])
+    def test_mass_summed_across_ranks(self, backend, use_fused, dirichlet):
+        """Each rank applies its share of ``M^{-1} K``: ``1/M`` of the
+        fully-summed mass (0 on a Dirichlet row) lives in its product,
+        so the ranks' partial products, scattered back and summed, are
+        the serial ``A u``."""
+        sem = Sem2D(uniform_grid((4, 3)), order=3, dirichlet=dirichlet)
+        parts = np.random.default_rng(1).integers(0, 3, 12)
+        lay = build_rank_layout(sem, parts, 3, backend=backend, use_fused=use_fused)
+        u = np.random.default_rng(2).standard_normal(sem.n_dof)
+        total = np.zeros(sem.n_dof)
+        for g, K, ul in zip(lay.gdofs, lay.K_local, lay.scatter(u)):
+            np.add.at(total, g, K @ ul)
+        expect = sem.A @ u
+        assert np.abs(total - expect).max() <= 1e-13 * np.abs(expect).max()
+        if dirichlet:
+            assert not total[sem.dirichlet_mask == 0].any()
 
     def test_bad_parts_shape_rejected(self, sys1d):
         _, sem, _, _, _, _ = sys1d
