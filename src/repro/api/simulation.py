@@ -605,9 +605,9 @@ class Simulation:
     @cached_property
     def solver_plan(self) -> LTSPlan:
         """Everything the solver derives from operator, levels and
-        partition — level restrictions, active sets, index maps,
-        exchange channels — built once; each run (and each supervised
-        retry) binds it, which allocates buffers only.
+        partition — level-sorted numberings, the restrictions relabelled
+        onto them, exchange channels — built once; each run (and each
+        supervised retry) binds it, which allocates buffers only.
 
         One :class:`~repro.core.lts_newmark.LTSPlan` either way: over the
         serial operator (one numbering, no channels), or over the rank

@@ -29,30 +29,25 @@ Two implementations share one recursion:
   - *restricted applies*: level ``k`` precomputes the product
     ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
     .restrict`), which reads only the level's columns and overwrites its
-    whole output, zero off its row support.  Level 1's product runs in
-    mesh numbering; every finer one is renumbered onto its depth's active set
-    (:meth:`~repro.core.operator.Restriction.renumber`), so it reads
-    and overwrites that depth's compact vectors directly;
+    whole output, zero off its row support;
   - *depth 0 is plain Newmark plus a fix-up*: outside the coarsest
     active set the auxiliary system sees a constant force, a leap-frog
     chain under constant force is exactly quadratic (``u(T) = u(0) -
     T^2/2 F``), and that closed form followed by the velocity
-    reconstruction *is* ``v -= dt F; u += dt v`` -- one streaming step
-    over the whole vector, after which the active rows are overwritten
-    from the recursion's result;
-  - *a compact recursion*: each depth holds displacement, velocity,
-    frozen forcing and its level's apply output as active-set-length
-    vectors, ordered so the nested active sets are suffix slices and
-    the closed-form complement a prefix slice.  A substep is one apply
-    on those buffers plus contiguous passes: no index array is touched.
-    Index traffic is left to depth 0, once per cycle (the active rows
-    saved before the recursion, written back after it).
+    reconstruction *is* ``v -= dt F; u += dt v`` -- one streaming step;
+    the active rows take the recursion's result instead;
+  - *a compact recursion on one level-sorted numbering*: the active
+    sets are nested, so the order ``[~act_1, act_1 \\ act_2, ...,
+    act_last]`` makes every depth's active set a tail of the vector,
+    and every product is relabelled onto it once, at plan build
+    (:meth:`~repro.core.operator.Restriction.renumber`).  Each depth
+    holds its vectors at its tail's length, a substep is one apply on
+    them plus contiguous passes, and depth 0 steps the prefix and
+    updates the tail in place: no index array is touched in a cycle.
 
   Each vector phase exists twice, with bitwise the same arithmetic: as
   a few NumPy passes, and, where the level-1 product runs the fused C
-  tier, as one C loop (:mod:`repro.sem.fused`) — the depth-0 step with
-  its gathers in one call, each substep's update and reconstruction in
-  one call each.
+  tier, as one C loop (:mod:`repro.sem.fused`) each.
 
   The two modes agree to machine precision (tested), which is the
   paper's implicit claim that the optimized implementation computes
@@ -94,9 +89,7 @@ import numpy as np
 
 from repro.core.health import HealthGuard
 from repro.core.newmark import Fields, ReplicaMap, run_cycles, subtract_force
-from repro.core.operator import (
-    AssembledOperator, Restriction, _restrict_levels, as_operator, inverse_numbering,
-)
+from repro.core.operator import AssembledOperator, Restriction, _restrict_levels, as_operator
 from repro.core.workspace import workspace_bytes
 from repro.sem.fused import bind_phase
 from repro.util.errors import SolverError
@@ -201,57 +194,58 @@ def newmark_cycle_ops(A, n_substeps: int) -> int:
 @dataclass
 class _Depth:
     """One recursion depth of the optimized mode, the auxiliary system
-    of one fine level on its active set: the level's product renumbered
-    onto that set and its index map (a plan's, shared by its solvers),
-    and the compact state :meth:`bind` adds — every vector, the apply
-    output included, of the active set's length."""
+    of one fine level on its active set, the numbering's last ``n``
+    entries: the level's product relabelled onto that tail (a plan's,
+    shared by its solvers), and the compact state :meth:`bind` adds —
+    every vector, the apply output included, of the tail's length."""
 
     level: int
-    restr: Restriction  # on the numbering ``idx``
-    idx: np.ndarray  # DOF ids of the active set, in compact order
+    restr: Restriction  # on the tail
+    n: int  # active-set length: the numbering's last n entries
     n_diff: int  # leading entries outside the next finer depth's active set
     z: np.ndarray | None = None  # the level's apply output
     u: np.ndarray | None = None  # displacement, velocity, frozen forcing
-    v: np.ndarray | None = None  # and scratch
+    v: np.ndarray | None = None  # (a view, see bind) and scratch
     F: np.ndarray | None = None
     r: np.ndarray | None = None
 
-    def bind(self) -> "_Depth":
-        """This depth ready to step: fresh state vectors and a fork of
-        its product."""
-        na = len(self.idx)
-        return replace(
-            self, restr=self.restr.fork(), z=np.empty(na), u=np.empty(na),
-            v=np.empty(na), F=np.empty(na), r=np.empty(na),
-        )
+    def bind(self, F: np.ndarray) -> "_Depth":
+        """This depth ready to step: fresh state vectors, a fork of its
+        product, and ``F``, a view of its parent's summed output on this
+        depth's set (``z1``'s tail, or the parent depth's ``r``'s)."""
+        return replace(self, restr=self.restr.fork(), F=F,
+                       **{k: np.empty(self.n) for k in "zuvr"})
 
 
 def compact_depths(
     levels: list[int], restr: list[Restriction], masks: list[np.ndarray]
-) -> list[_Depth]:
-    """The compact recursion for the fine ``levels`` (ascending, the
-    coarsest active level excluded) of one DOF numbering — the whole
-    mesh, or one rank's local DOFs.
+) -> tuple[np.ndarray, np.ndarray, list[_Depth]]:
+    """The level-sorted numbering and compact recursion of the fine
+    ``levels`` (ascending, the coarsest active level excluded) of one DOF
+    numbering — the whole mesh, or one rank's local DOFs.
 
     ``masks[i]`` is depth ``i``'s active set and ``restr[i]`` its
     level's restricted product, which must read and write inside it.
-    The sets are nested, so one ordering of the coarsest serves all
-    depths: ``[act_1 \\ act_2, act_2 \\ act_3, ..., act_last]`` makes
-    every depth's set a suffix, and the part its child does not cover —
-    where the closed form applies — a prefix of that.  Each product is
-    renumbered onto its depth's suffix (:meth:`Restriction.renumber`).
+    The sets are nested, so the order ``[~act_1, act_1 \\ act_2, ...,
+    act_last]`` (each block ascending) makes every depth's set a tail,
+    and the part its child does not cover — where the closed form
+    applies — a prefix of that tail.  Returns the order (position ``j``
+    holds DOF ``order[j]``), its inverse, and the depths, each product
+    relabelled onto its tail through that one inverse.
     """
-    if not levels:
-        return []
-    blocks = [np.nonzero(a & ~b)[0] for a, b in zip(masks, masks[1:])]
-    order = np.concatenate(blocks + [np.nonzero(masks[-1])[0]])
-    depths, off = [], 0
-    for i, (lv, rs) in enumerate(zip(levels, restr)):
-        n_diff = len(blocks[i]) if i < len(blocks) else 0
-        idx = order[off:]
-        depths.append(_Depth(lv, rs.renumber(idx, len(masks[0])), idx, n_diff))
-        off += n_diff
-    return depths
+    depth = np.zeros(len(masks[0]), dtype=np.int16)  # how many of the sets hold a DOF
+    for m in masks:
+        depth += m
+    order = np.argsort(depth, kind="stable").astype(np.int32)  # by block, each ascending
+    sizes = np.bincount(depth, minlength=len(masks) + 1).tolist()
+    inv = np.empty(len(order), dtype=np.int32)  # int32 both: half the bytes of int64
+    inv[order] = np.arange(len(order), dtype=np.int32)
+    starts = np.cumsum(sizes).tolist()
+    return order, inv, [
+        _Depth(lv, rs.renumber(order[off:], inv, off), len(order) - off,
+               nd if i + 1 < len(levels) else 0)
+        for i, (lv, rs, off, nd) in enumerate(zip(levels, restr, starts, sizes[1:]))
+    ]
 
 
 class _RankState:
@@ -261,12 +255,13 @@ class _RankState:
     | :meth:`update`, the child's substeps, :meth:`reconstruct`; last
     :meth:`finish` (``|``: where several ranks sum the apply output).
 
-    ``restr0`` and the bound ``depths`` arrive forked, each depth's
-    product renumbered onto its active set, each this numbering's share
-    of ``M^{-1} K``: a summed output is the forcing as it stands.  ``z1``
-    is level 1's output, in this numbering, overwritten whole by every
-    apply (as every product's output is), so a source entry written into
-    it lasts one cycle.  ``force`` is the source in this numbering.
+    ``restr0`` and the bound ``depths`` arrive forked, relabelled onto
+    the level-sorted numbering, each its share of ``M^{-1} K``: a summed
+    output is the forcing as it stands.  ``z1`` is level 1's output,
+    overwritten whole by every apply (as every product's output is), so
+    a source entry written into it lasts one cycle; its tail is the top
+    depth's ``F``, as each depth's ``r`` tail is its child's.  ``force``
+    is the source in this numbering.
     ``tier`` is the kernel tier of the level-1 product: where it is a ``fused`` one, each vector
     phase is one C call (:meth:`_bind_c`), bitwise the NumPy phases.
     The state never refers back to its solver: through such a cycle the
@@ -278,6 +273,7 @@ class _RankState:
         self.dt, self.restr0, self.depths = dt, restr0, depths
         self.z1, self.force = z1, force
         self.n = len(z1)
+        self.n0 = self.n - (depths[0].n if depths else 0)  # the prefix no depth holds
         self.shape = z1.shape  # of the (u, v) this state steps
         #: Per level, ascending, the buffer its apply writes: what the
         #: ranks sum in place when they share rows.
@@ -288,9 +284,6 @@ class _RankState:
         # The C phases (:meth:`_bind_c`); None / empty on the NumPy ones.
         self._c_begin = self._c_finish = None
         self._c_updates, self._c_recons = [], []
-        if depths:
-            # Saved depth-0 copies of the coarsest active set's rows.
-            self.u0, self.v0 = np.empty(len(depths[0].idx)), np.empty(len(depths[0].idx))
         for d, kid in zip(depths, depths[1:] + [None]):
             dt_k = dt / float(2 ** (d.level - 1))
             nd = d.n_diff
@@ -298,7 +291,7 @@ class _RankState:
             hand = None
             if kid is not None:
                 u_in, r_in = d.u[nd:], d.r[nd:]  # the child's set is a suffix
-                hand = (kid.F, r_in, kid.u, u_in)
+                hand = (kid.u, u_in)
                 self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
             self._updates.append((d.z, d.r, d.F, d.u, d.v, dt_k, hand))
         if tier.startswith("fused"):
@@ -310,31 +303,25 @@ class _RankState:
         but, to ``begin`` and ``finish``, the cycle's ``(u, v)``.  Per
         depth, indexed by ``first``, the update's (and a parent depth's
         reconstruct's) bound call."""
-        bind, dt, depths = bind_phase, self.dt, self.depths
-        if not depths:
-            self._c_begin = bind("lts_begin", self.z1, self.n, dt, None, 0, *[None] * 4)
-            return
-        top = depths[0]
-        saved = (top.idx, len(top.idx), self.u0, self.v0)
-        self._c_begin = bind("lts_begin", self.z1, self.n, dt, *saved, top.F, top.u)
-        self._c_finish = bind("lts_finish", *saved, top.u, dt)
+        bind, dt, depths, n0 = bind_phase, self.dt, self.depths, self.n0
+        du, na0 = (depths[0].u, depths[0].n) if depths else (None, 0)
+        self._c_begin = bind("lts_begin", self.z1, n0, dt, du, na0)
+        if depths:
+            self._c_finish = bind("lts_finish", du, n0, na0, dt)
         for d, kid, upd in zip(depths, depths[1:] + [None], self._updates):
-            dt_k, na, nd = upd[5], len(d.idx), d.n_diff
-            head = (d.z, d.F, d.r, d.u, d.v, na, nd, dt_k)
-            tail = (None, None) if kid is None else (kid.F, kid.u)  # the finest steps
-            self._c_updates.append(tuple(bind("lts_update", *head, *tail, f) for f in (0, 1)))
+            dt_k, na, nd = upd[5], d.n, d.n_diff
+            head = (d.z, d.F, d.r, d.u, d.v, na, nd, dt_k, None if kid is None else kid.u)
+            self._c_updates.append(tuple(bind("lts_update", *head, f) for f in (0, 1)))
             if kid is not None:  # the others hand over, then reconstruct
                 recon = (kid.u, d.r, d.u, d.v, na, nd, dt_k)
                 self._c_recons.append(tuple(bind("lts_reconstruct", *recon, f) for f in (0, 1)))
 
     def nbytes(self) -> int:
-        """Bytes of the buffers and index maps the phases touch, and of
-        the scratch its restricted products report."""
+        """Bytes of the buffers the phases touch (every ``F`` is a view),
+        and of the scratch its restricted products report."""
         bufs = [self.z1]
         for d in self.depths:
-            bufs += [d.z, d.u, d.v, d.F, d.r]
-        if self.depths:
-            bufs += [self.depths[0].idx, self.u0, self.v0]
+            bufs += [d.z, d.u, d.v, d.r]
         restrs = [self.restr0, *(d.restr for d in self.depths)]
         return sum(b.nbytes for b in bufs) + workspace_bytes(*restrs)
 
@@ -343,30 +330,25 @@ class _RankState:
         self.restr0.apply(u, out=self.z1)
 
     def begin(self, u: np.ndarray, v: np.ndarray, t: float) -> None:
-        """Freeze ``F_1 = A P_1 u - f(t)``, save the active rows for the
-        recursion, and take plain Newmark on the whole vector: with one
-        level that is the scheme; with more, the closed form of every
-        DOF outside the coarsest active set (:meth:`finish` overwrites
-        the rest from the saved rows).  The C phase gathers the rows and
-        takes the step in one call, reading ``z1`` without scaling it;
-        the NumPy passes reuse ``z1`` as the step's scratch once ``v``
-        has read it (the next apply overwrites it whole)."""
-        z1, dt = self.z1, self.dt
+        """Freeze ``F_1 = A P_1 u - f(t)``, copy the tail's displacement
+        into the recursion, and take plain Newmark on the prefix: with one
+        level that is the scheme; with more, the closed form of every DOF
+        outside the coarsest active set.  The C phase does both in one
+        call, reading ``z1`` without scaling it; the NumPy passes reuse
+        ``z1``'s prefix as the step's scratch once ``v`` has read it."""
+        z1, dt, n0 = self.z1, self.dt, self.n0
         if self.force is not None:
             subtract_force(self.force, t, z1)
         if self._c_begin is not None:
             self._c_begin(u.ctypes.data, v.ctypes.data)
             return
         if self.depths:
-            d = self.depths[0]
-            u.take(d.idx, out=self.u0, mode="clip")
-            v.take(d.idx, out=self.v0, mode="clip")
-            z1.take(d.idx, out=d.F, mode="clip")
-            np.copyto(d.u, self.u0)
-        z1 *= dt
-        v -= z1
-        np.multiply(v, dt, out=z1)
-        u += z1
+            np.copyto(self.depths[0].u, u[n0:])
+        z, u, v = z1[:n0], u[:n0], v[:n0]
+        z *= dt
+        v -= z
+        np.multiply(v, dt, out=z)
+        u += z
 
     def apply_level(self, i: int) -> None:
         """``z = A P_k u~`` for depth ``i``'s level, unsummed: one apply
@@ -375,19 +357,18 @@ class _RankState:
         apply(u, out=z)
 
     def update(self, i: int, first: bool) -> None:
-        """After the (summed) apply: ``rhs = F + A P_k u~`` on the active
+        """After the (summed) apply: ``r = F + A P_k u~`` on the active
         set.  The finest depth takes its leap-frog step with it; any
-        other hands its child the forcing and the displacement on the
-        child's set (a suffix) and waits for :meth:`reconstruct`."""
+        other hands its child the displacement on the child's set (a
+        suffix; ``r`` there is the child's forcing) and waits for
+        :meth:`reconstruct`."""
         if self._c_updates:
             self._c_updates[i][first]()
             return
         z, r, F, u, v, dt_k, hand = self._updates[i]
         np.add(z, F, out=r)
         if hand is not None:
-            kid_F, r_in, kid_u, u_in = hand
-            np.copyto(kid_F, r_in)
-            np.copyto(kid_u, u_in)
+            np.copyto(*hand)
             return
         if first:
             np.multiply(r, -(0.5 * dt_k), out=v)
@@ -420,20 +401,18 @@ class _RankState:
         u += r
 
     def finish(self, u: np.ndarray, v: np.ndarray) -> None:
-        """The active rows from the recursion's result: ``v += 2 (u_fine
-        - u) / dt``, ``u += dt v`` on the saved copies."""
+        """The tail from the recursion's result, in place: ``v += 2
+        (u_fine - u) / dt``, ``u += dt v``."""
         if self._c_finish is not None:
             self._c_finish(u.ctypes.data, v.ctypes.data)
             return
-        d, u0, v0, dt = self.depths[0], self.u0, self.v0, self.dt
-        r = d.r
-        np.subtract(d.u, u0, out=r)
+        r, dt, n0 = self.depths[0].r, self.dt, self.n0
+        u, v = u[n0:], v[n0:]
+        np.subtract(self.depths[0].u, u, out=r)
         r *= 2.0 / dt
-        v0 += r
-        v[d.idx] = v0
-        np.multiply(v0, dt, out=r)
-        u0 += r
-        u[d.idx] = u0
+        v += r
+        np.multiply(v, dt, out=r)
+        u += r
 
 
 def active_levels(dof_levels: list[np.ndarray]) -> list[int]:
@@ -459,27 +438,31 @@ class NumberingPlan:
 
     def bind(self, dt: float, force=None) -> _RankState:
         """A state stepping this numbering: fresh buffers, forked products."""
-        return _RankState(
-            dt, self.restr0.fork(), [d.bind() for d in self.depths],
-            np.empty(self.n), force=force, tier=self.tier,
-        )
+        z1 = out = np.empty(self.n)
+        depths = []
+        for d in self.depths:  # each forcing the tail of its parent's output
+            depths.append(d.bind(out[len(out) - d.n:]))
+            out = depths[-1].r
+        return _RankState(dt, self.restr0.fork(), depths, z1, force=force, tier=self.tier)
 
     def ops_per_cycle(self) -> OperationCounter:
         """One optimized cycle's operations on this numbering, from the
         plan alone: the coarsest level is applied once, a finer level
         ``k`` ``2**(k-1)`` times, and each vector pass touches entries
-        fixed by its depth's active set, ``n_diff`` and ``first``."""
-        ops = OperationCounter(self.restr0.ops, 4 * self.n, {self.level0: 1})  # 4 n: begin
+        fixed by its depth's active set, ``n_diff`` and ``first``.
+        ``begin`` steps the prefix only: the top depth's tail is the
+        recursion's, and ``finish``'s."""
+        na0 = self.depths[0].n if self.depths else 0
+        ops = OperationCounter(self.restr0.ops, 4 * (self.n - na0), {self.level0: 1})
         parent = 1  # substeps of the parent depth per cycle, one first substep each
         for d in self.depths:
-            applies, na, nd = 2 ** (d.level - 1), len(d.idx), d.n_diff
+            applies, na, nd = 2 ** (d.level - 1), d.n, d.n_diff
             ops.count_stiffness(d.level, d.restr.ops, applies)
             # The finest depth's leap-frog update, or another's reconstruct.
             first, later = (4 * na, 5 * na) if d is self.depths[-1] else (5 * na - nd, 7 * na - nd)
             ops.count_vector(parent * first + (applies - parent) * later)
             parent = applies
-        if self.depths:
-            ops.count_vector(5 * len(self.depths[0].idx))  # finish
+        ops.count_vector(5 * na0)  # finish
         return ops
 
 
@@ -498,39 +481,50 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
     the level's exchange keeps — a shared DOF only a peer's gray-halo
     element writes still receives a sum there.
 
-    Returns the active levels, one :class:`NumberingPlan` per numbering
-    and the exchange plan per level (``{}`` without ``channels``), each
-    in the numbering its level's output lands in: the numberings' own
-    for the coarsest level, the depth's active set for a finer one.
+    With fine levels each numbering is level-sorted (:func:`compact_depths`)
+    and, through its one inverse, the level-1 product is relabelled onto
+    the whole order and each level's exchange indices onto the tail its
+    output lands in.  Returns the active levels, one :class:`NumberingPlan`
+    per numbering, the exchange plan per level (``{}`` without
+    ``channels``) and each numbering's ``(order, inverse)`` (``None``
+    with one level: nothing is relabelled).
     """
     levels = active_levels(dof_levels)
     col_masks = [[lv == k for k in levels] for lv in dof_levels]
     # The coarsest level's rows matter only to an exchange (its reach is
     # a pass over nearly every element), so ``supports[r][j - first]``.
     first = 0 if channels else 1
-    restr, supports = zip(*(
+    restr, supports = map(list, zip(*(
         _restrict_levels(K, m, first) for K, m in zip(stiffness, col_masks)
-    ))
+    )))
     exchange = {} if channels is None else {
         k: channels([s[j] for s in supports]) for j, k in enumerate(levels)
     }
-    numberings = []
+    numberings, orders = [], [] if len(levels) > 1 else None
     for r, (K, lv) in enumerate(zip(stiffness, dof_levels)):
-        active, acts = np.zeros(len(lv), dtype=bool), []
-        for j in range(len(levels) - 1, 0, -1):  # finest first
-            active = active | col_masks[r][j] | supports[r][j - first]
-            for idx in exchange[levels[j]].indices[r] if exchange else ():
-                active[idx] = True
-            acts.append(active)
-        depths = compact_depths(levels[1:], restr[r][1:], acts[::-1])
-        numberings.append(
-            NumberingPlan(len(lv), levels[0], restr[r][0], depths, getattr(K, "tier", ""))
-        )
-    for i, k in enumerate(levels[1:] if exchange else ()):
-        exchange[k] = exchange[k].renumber(
-            [inverse_numbering(nb.depths[i].idx, nb.n) for nb in numberings]
-        )
-    return levels, numberings, exchange
+        nb = NumberingPlan(len(lv), levels[0], restr[r][0], [], getattr(K, "tier", ""))
+        if orders is not None:
+            active, acts = np.zeros(len(lv), dtype=bool), []
+            for j in range(len(levels) - 1, 0, -1):  # finest first
+                active = active | col_masks[r][j] | supports[r][j - first]
+                for idx in exchange[levels[j]].indices[r] if exchange else ():
+                    active[idx] = True
+                acts.append(active)
+            order, inv, nb.depths = compact_depths(levels[1:], restr[r][1:], acts[::-1])
+            # Each ascending product goes as soon as it is relabelled: the
+            # copies of the largest, level 1's, never outnumber one.
+            restr[r] = supports[r] = col_masks[r] = acts = active = None
+            nb.restr0 = nb.restr0.renumber(order, pos=inv)
+            # The map's sorter: an index NumPy reads without a converted copy.
+            orders.append((order, inv.astype(np.intp)))
+        numberings.append(nb)
+    for j, k in enumerate(levels if exchange and orders else ()):
+        offs = [nb.n - nb.depths[j - 1].n if j else 0 for nb in numberings]
+        exchange[k] = replace(exchange[k], indices=[
+            [np.subtract(inv[ix], off, dtype=ix.dtype) for ix in per_rank]
+            for (_, inv), off, per_rank in zip(orders, offs, exchange[k].indices)
+        ])
+    return levels, numberings, exchange, orders
 
 
 _F64 = np.dtype(np.float64)
@@ -570,8 +564,11 @@ class _LockStepCycle:
         self.n_cycles_taken = 0
         self._states: list[_RankState] = []
 
-    def _bind(self, numberings: list[NumberingPlan], forces) -> None:
-        """A :class:`_RankState` per numbering, and ``_ops``: one cycle's operations."""
+    def _bind(self, numberings: list[NumberingPlan]) -> None:
+        """A :class:`_RankState` per numbering, with the force in its
+        order, and ``_ops``: one cycle's operations."""
+        forces = [None] * len(numberings) if self.force is None else (
+            self.plan.replicas.forces(self.force))
         self._states = [nb.bind(self.dt, f) for nb, f in zip(numberings, forces)]
         self._ops = OperationCounter()
         for nb in numberings:
@@ -587,8 +584,9 @@ class _LockStepCycle:
 
     def cycle(self, us, vs) -> None:
         """Advance every numbering's ``(u^n, v^{n-1/2})`` by the coarse
-        ``dt``, in place: one replica pair per state, each of its
-        length."""
+        ``dt``, in place: one replica pair per state, each of its length
+        and in its order (``plan.replicas``' ``scatter`` makes them from
+        global vectors, its ``gather`` the global result)."""
         states, levels = self._states, self.active_levels
         _check_fields(states, us, vs)
         for st, u in zip(states, us):
@@ -656,8 +654,8 @@ class _LockStepCycle:
         ``health`` runs a :class:`~repro.core.health.HealthGuard` on
         its cadence; ``on_checkpoint(cycle, us, vs)`` fires every
         ``checkpoint_every`` completed cycles with copies of the
-        replica lists (cycle counts are the solver totals, so resumed
-        runs keep their cadence).
+        replica lists, each ascending in global DOF id (cycle counts are
+        the solver totals, so resumed runs keep their cadence).
         """
         m = self.plan.replicas
         return run_cycles(
@@ -669,14 +667,15 @@ class _LockStepCycle:
 class LTSPlan:
     """What a solver derives from its products and DOF levels alone:
     the non-empty levels and, in ``mode="optimized"``,
-    :func:`plan_numberings` over the numberings of :attr:`replicas` —
-    :attr:`numberings` (level restrictions, the fine ones renumbered onto
-    their depths' active sets, the compact recursion's index maps) and
-    the per-level :attr:`exchange` channels.  ``A`` is the serial
-    ``M^{-1} K`` with ``dof_level``: one numbering, the identity map, no
-    channels.  Or it is a :class:`~repro.runtime.halo.RankLayout` carrying
-    its levels: one numbering per rank (each product the rank's share of
-    ``M^{-1} K``), the layout, its channels.  Stepping changes none of it,
+    :func:`plan_numberings` over one numbering per replica —
+    :attr:`numberings` (level restrictions relabelled onto the
+    level-sorted order, the compact recursion) and the per-level
+    :attr:`exchange` channels — and :attr:`replicas`, the map that lays
+    the fields out in those orders.  ``A`` is the serial ``M^{-1} K``
+    with ``dof_level``: one numbering, no channels.  Or it is a
+    :class:`~repro.runtime.halo.RankLayout` carrying its levels, kept as
+    :attr:`layout`: one numbering per rank (each product the rank's
+    share of ``M^{-1} K``), its channels.  Stepping changes none of it,
     so one plan serves any number of solvers, concurrently too:
     :meth:`bind` gives each its own buffers and operator scratch.
     (Optimized mode only: reference-mode solvers all apply the plan's
@@ -693,10 +692,11 @@ class LTSPlan:
                 "layout must carry dof levels (build_rank_layout(dof_level=...))",
                 SolverError,
             )
-            self.replicas = A
-            self.active_levels, self.numberings, self.exchange = plan_numberings(
+            self.layout = A
+            self.active_levels, self.numberings, self.exchange, orders = plan_numberings(
                 A.K_local, A.dof_level_local, channels=A.exchange_channels
             )
+            self.replicas = A if orders is None else A.reorder(orders)
             return
         self.op = as_operator(A)
         n = self.op.shape[0]
@@ -716,7 +716,10 @@ class LTSPlan:
         self.exchange: dict = {}
         self._cols = None  # reference mode's level columns (products hold their own)
         if mode == "optimized":
-            _, self.numberings, _ = plan_numberings([self.op], [self.dof_level])
+            _, self.numberings, _, orders = plan_numberings([self.op], [self.dof_level])
+            if orders:  # the serial map: its one replica's ids are the order
+                ((order, inv),) = orders
+                self.replicas = ReplicaMap(n, [order], [np.ones(n, dtype=bool)], sorter=[inv])
         else:
             self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
 
@@ -734,8 +737,8 @@ class LTSPlan:
 
     @cached_property
     def replicas(self) -> ReplicaMap:
-        """The fields' layout: the rank layout, or one replica owning
-        every DOF."""
+        """The fields' layout, each replica in its numbering's order: one
+        replica owning every DOF, ascending unless levels sort it."""
         return ReplicaMap.identity(self.n_dof)
 
 
@@ -789,11 +792,11 @@ class LTSNewmarkSolver(_LockStepCycle):
         self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
         self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
         if self.mode == "optimized":
-            self._bind(plan.numberings, [force])
+            self._bind(plan.numberings)
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and
-        level restrictions; index maps included)."""
+        level restrictions)."""
         return workspace_bytes(self.op) + sum(st.nbytes() for st in self._states)
 
     # ---------------- reference mode: full vectors, counted as run ------
@@ -874,7 +877,9 @@ class LTSNewmarkSolver(_LockStepCycle):
 
     def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One LTS cycle: advance ``(u^n, v^{n-1/2})`` by the coarse ``dt``,
-        in place."""
+        in place, in ``plan.replicas``' order: with several levels, make
+        them with its ``scatter`` and read them with its ``gather`` (or
+        use :meth:`run`)."""
         self.cycle((u,), (v,))
         return u, v
 

@@ -22,7 +22,9 @@ the identity, one replica owning every DOF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -34,22 +36,29 @@ from repro.util.validation import require
 
 @dataclass
 class ReplicaMap:
-    """Which global DOFs each replica holds and which of them it owns.
-
-    ``gdofs[r]`` is replica ``r``'s sorted global DOF ids, ``owner[r]``
-    the boolean mask of those it owns (every DOF has exactly one owner).
-    A serial run is :meth:`identity`; a partitioned one is its
-    :class:`repro.runtime.halo.RankLayout`.
-    """
+    """Which global DOFs each replica holds, in which order, and which of
+    them it owns: ``gdofs[r]``, ascending unless ``gdofs[r][sorter[r]]``
+    is (an LTS plan's level-sorted order, :meth:`reorder`), and
+    ``owner[r]``, the mask of those it owns (each DOF has one owner).  A
+    serial run is :meth:`identity`; a partitioned one its
+    :class:`repro.runtime.halo.RankLayout`."""
 
     n_dof_global: int
     gdofs: list[np.ndarray]
     owner: list[np.ndarray]
+    sorter: list[np.ndarray] | None = field(default=None, kw_only=True)
 
     @classmethod
     def identity(cls, n: int) -> "ReplicaMap":
         """One replica holding and owning all ``n`` DOFs."""
         return cls(n, [np.arange(n)], [np.ones(n, dtype=bool)])
+
+    def reorder(self, orders: list[tuple[np.ndarray, np.ndarray]]) -> "ReplicaMap":
+        """This ascending map, replica ``r``'s entry ``j`` now its entry
+        ``order[j]`` for ``(order, inverse) = orders[r]``."""
+        order, inverse = zip(*orders)
+        return ReplicaMap(self.n_dof_global, [g[o] for g, o in zip(self.gdofs, order)],
+                          [w[o] for w, o in zip(self.owner, order)], sorter=list(inverse))
 
     @property
     def n_ranks(self) -> int:
@@ -58,26 +67,64 @@ class ReplicaMap:
 
     @property
     def whole(self) -> bool:
-        """One replica holding, so owning, every DOF: it *is* the global
-        vector, so scatter and gather skip the index passes."""
+        """One replica holding, so owning, every DOF: ascending, it *is*
+        the global vector, so scatter and gather skip the index passes."""
         return len(self.gdofs) == 1 and len(self.gdofs[0]) == self.n_dof_global
 
     def scatter(self, u_global: np.ndarray) -> list[np.ndarray]:
         """Restrict a global vector to every replica (replicating shares)."""
-        if self.whole:
+        if self.whole and self.sorter is None:
             return [np.array(u_global, dtype=np.float64)]
         u_global = np.asarray(u_global, dtype=np.float64)
         return [u_global[g] for g in self.gdofs]
 
     def gather(self, u_locals: list[np.ndarray]) -> np.ndarray:
         """Assemble a global vector from owned local entries (a
-        :attr:`whole` map's one replica, as is)."""
+        :attr:`whole` map's one replica: as is, or sorted)."""
         if self.whole:
-            return u_locals[0]
+            return u_locals[0] if self.sorter is None else u_locals[0][self.sorter[0]]
         out = np.zeros(self.n_dof_global)
         for g, own, u in zip(self.gdofs, self.owner, u_locals):
             out[g[own]] = u[own]
         return out
+
+    def ascending(self, u_locals: list[np.ndarray]) -> list[np.ndarray]:
+        """Copies of the replicas, entries ascending in global id: what a
+        checkpoint stores."""
+        if self.sorter is None:
+            return [x.copy() for x in u_locals]
+        return [x[s] for x, s in zip(u_locals, self.sorter)]
+
+    def numbered(self, u_locals: list[np.ndarray]) -> list[np.ndarray]:
+        """Copies of :meth:`ascending` replicas in this map's order."""
+        out = [x.copy() for x in u_locals]
+        for x, a, s in zip(out, u_locals, self.sorter or ()):
+            x[s] = a
+        return out
+
+    def positions(self, r: int, dofs) -> np.ndarray:
+        """Where replica ``r`` holds the global ``dofs`` — or, where it
+        holds none, an entry of another DOF (``gdofs[r][at] != dofs``)."""
+        g, s = self.gdofs[r], self.sorter[r] if self.sorter else None
+        if self.whole:  # DOF i sorts to entry i
+            at = np.clip(dofs, 0, len(g) - 1)
+        else:
+            at = np.minimum(np.searchsorted(g, dofs, sorter=s), len(g) - 1)
+        return at if s is None else s[at]
+
+    def forces(self, force: Callable) -> list:
+        """``force`` in each replica's numbering, ``None`` where it vanishes:
+        a point source (``dof``, ``value(t)``: :func:`subtract_force`) at
+        its position, any other force evaluated once per time, scattered."""
+        if self.whole and self.sorter is None:
+            return [force]
+        dof = getattr(force, "dof", None)
+        if dof is None:
+            scattered = lru_cache(maxsize=1)(lambda t: self.scatter(force(t)))
+            return [lambda t, r=r: scattered(t)[r] for r in range(self.n_ranks)]
+        at = [int(self.positions(r, dof)) if len(g) else -1 for r, g in enumerate(self.gdofs)]
+        return [SimpleNamespace(dof=i, value=force.value) if i >= 0 and g[i] == dof else None
+                for i, g in zip(at, self.gdofs)]
 
 
 class Fields:
@@ -90,7 +137,7 @@ class Fields:
     then one fancy-index read per replica that owns a receiver.
     Health checks see the *replicas* (corruption in a non-owned copy is
     invisible to an owner-projected gather); :meth:`result` gathers.
-    """
+    Replicas enter and leave a run ascending, whatever the map's order."""
 
     def __init__(
         self,
@@ -108,10 +155,10 @@ class Fields:
             return
         rec = np.asarray(receiver_dofs, dtype=np.int64)
         found = 0
-        for u, g, own in zip(us, replicas.gdofs, replicas.owner):
+        for r, (u, g, own) in enumerate(zip(us, replicas.gdofs, replicas.owner)):
             if not len(g):
                 continue
-            at = np.minimum(np.searchsorted(g, rec), len(g) - 1)
+            at = replicas.positions(r, rec)
             mine = (g[at] == rec) & own[at]
             if mine.any():
                 self._reads.append((u, at[mine], slice(None) if mine.all() else mine))
@@ -121,16 +168,16 @@ class Fields:
     @classmethod
     def start(cls, replicas: ReplicaMap, state=None, receiver_dofs=None) -> "Fields":
         """Zero fields, or ``state``'s (a
-        :class:`~repro.runtime.checkpoint.CheckpointState`): copies of
-        its replicas when they match the map's one for one (count and
-        lengths) — a bitwise continuation — else, when either side has a
-        single replica, its global fields scattered.  Any other pair is
-        refused: a resume never guesses a replica layout."""
+        :class:`~repro.runtime.checkpoint.CheckpointState`): its replicas
+        in the map's order when they match the map's one for one (count
+        and lengths) — a bitwise continuation — else, when either side
+        has a single replica, its global fields scattered.  Any other
+        pair is refused: a resume never guesses a replica layout."""
         if state is None:
             us = [np.zeros(len(g)) for g in replicas.gdofs]
             vs = [np.zeros(len(g)) for g in replicas.gdofs]
         elif [len(x) for x in state.u_locals] == [len(g) for g in replicas.gdofs]:
-            us, vs = [x.copy() for x in state.u_locals], [x.copy() for x in state.v_locals]
+            us, vs = replicas.numbered(state.u_locals), replicas.numbered(state.v_locals)
         elif 1 in (state.n_ranks, replicas.n_ranks):
             us, vs = replicas.scatter(state.u), replicas.scatter(state.v)
         else:
@@ -144,7 +191,8 @@ class Fields:
     def checkpoint_arrays(self, us: list[np.ndarray], vs: list[np.ndarray]) -> dict:
         """A checkpoint's fields from a :meth:`snapshot`: the gathered
         global fields and the exact replicas."""
-        return {"u": self.map.gather(us), "v": self.map.gather(vs),
+        m = self.map
+        return {"u": m.gather(m.numbered(us)), "v": m.gather(m.numbered(vs)),
                 "u_locals": us, "v_locals": vs}
 
     def receivers(self, row: np.ndarray) -> None:
@@ -156,14 +204,22 @@ class Fields:
         health.check_locals(cycle, self.u, self.v, gdofs=self.map.gdofs)
 
     def snapshot(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Copies of the replicas, safe to serialize asynchronously."""
-        return [x.copy() for x in self.u], [x.copy() for x in self.v]
+        """Ascending copies of the replicas, safe to serialize
+        asynchronously."""
+        return self.map.ascending(self.u), self.map.ascending(self.v)
 
     def result(self, solver) -> tuple[np.ndarray, np.ndarray]:
         """The global ``(u, v)``, once the solver's mailbox (if any) is
-        verified drained."""
+        verified drained: a run's last use of its replicas.  One replica
+        holding every DOF is handed over as the result, sorted in place
+        where the map reorders it (no second copy of the fields)."""
         solver.check_no_leaks()
-        return self.map.gather(self.u), self.map.gather(self.v)
+        m, (u, v) = self.map, (self.u, self.v)
+        if m.whole and m.sorter is not None:
+            for x in (u[0], v[0]):
+                x[:] = x[m.sorter[0]]
+            return u[0], v[0]
+        return m.gather(u), m.gather(v)
 
 
 def run_cycles(

@@ -13,7 +13,7 @@ is backend-agnostic:
   call sites keep working, and adds the two capabilities LTS needs:
   :meth:`~AssembledOperator.restrict` (the level-restricted product
   ``A[:, cols] u[cols]``, a :class:`Restriction` that can be
-  renumbered onto an LTS depth's active set) and
+  relabelled onto an LTS plan's numbering) and
   :meth:`~AssembledOperator.reach` (the row support of a column set —
   the "gray halo" of Fig. 2).  A restriction to every column is the
   operator's own product, with no copy and no input mask: one-level
@@ -101,25 +101,12 @@ class KernelSpec:
         )
 
 
-def inverse_numbering(idx: np.ndarray, n: int) -> np.ndarray:
-    """``pos`` over ``n`` DOFs with ``pos[idx[j]] = j`` and ``-1`` at the
-    DOFs ``idx`` leaves out.  ``idx`` must name distinct DOFs in
-    ``range(n)`` (:class:`SolverError` otherwise)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    require(
-        idx.ndim == 1 and (idx.size == 0 or (idx.min() >= 0 and idx.max() < n)),
-        "numbering out of range", SolverError,
-    )
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[idx] = np.arange(len(idx))
-    require(np.count_nonzero(pos >= 0) == len(idx), "numbering repeats a DOF", SolverError)
-    return pos
-
-
-def positions_in(pos: np.ndarray, dofs: np.ndarray, what: str) -> np.ndarray:
-    """``pos[dofs]``: where ``dofs`` sit in the numbering ``pos`` inverts,
-    refused with :class:`SolverError` if the numbering misses one."""
+def positions_in(pos: np.ndarray, dofs: np.ndarray, what: str, off: int = 0) -> np.ndarray:
+    """``pos[dofs] - off``, in ``pos``' dtype: where ``dofs`` sit in the
+    tail from ``off`` of the numbering ``pos`` inverts, refused
+    (:class:`SolverError`) if one is not."""
     out = pos[dofs]
+    out -= off
     require(bool((out >= 0).all()), f"numbering misses a {what}", SolverError)
     return out
 
@@ -141,7 +128,7 @@ class Restriction:
     _apply: Callable[..., np.ndarray]
     workspace_bytes: int | Callable[[], int] = 0
     _fork: Callable[[], "Restriction"] | None = None
-    _renumber: Callable[[np.ndarray], "Restriction"] | None = None
+    _renumber: Callable[[np.ndarray, np.ndarray, int], "Restriction"] | None = None
 
     def fork(self) -> "Restriction":
         """The same product with scratch of its own — index arrays and
@@ -150,12 +137,14 @@ class Restriction:
         fork (a caller's wrapper) is returned as is."""
         return self if self._fork is None else self._fork()
 
-    def renumber(self, idx: np.ndarray, n: int | None = None) -> "Restriction":
+    def renumber(self, idx: np.ndarray, pos: np.ndarray, off: int = 0) -> "Restriction":
         """The same product on the numbering ``idx``: position ``j`` is
         DOF ``idx[j]``, input and output have length ``len(idx)``, and
         the output is overwritten whole, as by every :meth:`apply`.
-        ``cols`` become positions in ``idx``.  This is how an LTS depth
-        applies its level on its own active set with no index traffic.
+        ``cols`` become positions in ``idx``, the tail from ``off`` of the
+        numbering ``pos`` inverts (DOF ``i`` at ``pos[i] - off``, a
+        negative entry where it has none): an LTS plan relabels every
+        product of a numbering through its one inverse.
 
         ``idx`` must hold every column and every row the product can
         write, else :class:`SolverError`.  A backend remaps its own
@@ -163,15 +152,13 @@ class Restriction:
         result is bitwise ``apply(u)[idx]``.  A restriction made by a
         caller's wrapper (a timing proxy, say) has no tables to remap:
         it gets an adaptor that scatters into a private buffer of the
-        original length ``n``, applies the wrapped product and gathers
-        ``idx`` — bitwise the same, at the cost of that index traffic.
-        Its row support is the wrapper's secret, so the adaptor checks
-        the columns only."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if self._renumber is not None:
-            return self._renumber(idx)
-        require(n is not None, "renumbering a wrapped product needs its length n", SolverError)
-        return _adapted(self, idx, int(n))
+        original length, ``len(pos)``, applies the wrapped product and
+        gathers ``idx`` — bitwise the same, at the cost of that index
+        traffic.  Its row support is the wrapper's secret, so the
+        adaptor checks the columns only."""
+        if self._renumber is None:
+            return _adapted(self, idx, pos, off)
+        return self._renumber(idx, pos, off)
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``), into a
@@ -183,11 +170,11 @@ class Restriction:
         return self._apply(u, out=out)
 
 
-def _adapted(inner: Restriction, idx: np.ndarray, n: int) -> Restriction:
+def _adapted(inner: Restriction, idx: np.ndarray, pos: np.ndarray, off: int) -> Restriction:
     """``inner`` on the numbering ``idx`` through private full-length
     buffers (see :meth:`Restriction.renumber`)."""
-    cols = inner.cols
-    colpos = positions_in(inverse_numbering(idx, n), cols, "column")
+    cols, n, idx = inner.cols, len(pos), np.asarray(idx, dtype=np.intp)
+    colpos = positions_in(pos, cols, "column", off).astype(np.intp)
     # The product reads only its columns: the rest of ``w`` stays 0
     # (finite, as the matrix-free gather needs).
     c, w, z = np.empty(len(cols)), np.zeros(n), np.empty(n)
@@ -202,7 +189,7 @@ def _adapted(inner: Restriction, idx: np.ndarray, n: int) -> Restriction:
     return Restriction(
         cols=colpos, ops=inner.ops, _apply=_apply,
         workspace_bytes=lambda: c.nbytes + w.nbytes + z.nbytes + workspace_bytes(inner),
-        _fork=lambda: _adapted(inner.fork(), idx, n),
+        _fork=lambda: _adapted(inner.fork(), idx, pos, off),
     )
 
 
@@ -312,6 +299,7 @@ def _column_block(cols: np.ndarray, A_cols, gather: bool = True) -> Restriction:
     order), which reads ``u`` as it is.  It renumbers by row-slicing the
     block: rows keep their entries in stored order, so every row sum is
     the original's."""
+    cols = np.asarray(cols, dtype=np.intp)  # a take with other indices converts per call
     ucols = np.empty(len(cols)) if gather else None  # the one mutable part
 
     def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -321,10 +309,9 @@ def _column_block(cols: np.ndarray, A_cols, gather: bool = True) -> Restriction:
             return A_cols @ u
         return csr_matvec_into(A_cols, u, out)
 
-    def _renumber(idx: np.ndarray) -> Restriction:
-        pos = inverse_numbering(idx, A_cols.shape[0])
-        colpos = positions_in(pos, cols, "column")
-        positions_in(pos, np.flatnonzero(np.diff(A_cols.indptr)), "row-support DOF")
+    def _renumber(idx: np.ndarray, pos: np.ndarray, off: int) -> Restriction:
+        colpos = positions_in(pos, cols, "column", off)
+        positions_in(pos, np.flatnonzero(np.diff(A_cols.indptr)), "row-support DOF", off)
         return _column_block(colpos, A_cols[idx])
 
     return Restriction(
@@ -358,9 +345,8 @@ def _restriction(cols: np.ndarray, sub) -> Restriction:
         cols, sub.nnz, sub.apply,
         workspace_bytes=getattr(sub, "workspace_bytes", 0),
         _fork=fork and (lambda: _restriction(cols, fork(sub))),
-        _renumber=renumber and (lambda idx: _restriction(
-            positions_in(inverse_numbering(idx, sub.shape[0]), cols, "column"),
-            renumber(sub, idx),
+        _renumber=renumber and (lambda idx, pos, off: _restriction(
+            positions_in(pos, cols, "column", off), renumber(sub, idx, pos, off),
         )),
     )
 

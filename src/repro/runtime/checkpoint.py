@@ -41,7 +41,7 @@ class CheckpointState:
     """Full solver state at the end of LTS cycle ``cycle``.
 
     ``u``/``v`` are the global (gathered) fields; ``u_locals`` /
-    ``v_locals`` the exact replicas, one per rank — left out, the one
+    ``v_locals`` the exact replicas, one per rank, ascending — left out, the one
     replica ``[u]`` / ``[v]`` of a serial run.  ``traces`` holds the
     receiver rows recorded for cycles ``1..cycle``.  ``config_hash`` is
     :meth:`repro.api.SimulationConfig.content_hash` of the producing

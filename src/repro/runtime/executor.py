@@ -19,21 +19,20 @@ column block — exchanged through a plan that keeps only the shared DOFs
 some sharer can write.  The sum of the ranks' scaled partials is the
 serial operator's product: nothing scales it afterwards.
 
-No LTS arithmetic lives here.  The cycle is the serial solver's
-(:mod:`repro.core.lts_newmark`, ``mode="optimized"``): one
-:class:`~repro.core.lts_newmark._RankState` per rank holds the compact
-recursion over the rank's local DOFs, and the one lock-step driver runs
+No LTS arithmetic lives here.  The cycle and the plan are the serial
+solver's (:mod:`repro.core.lts_newmark`): one
+:class:`~repro.core.lts_newmark._RankState` per rank steps the rank's
+replica in its level-sorted numbering, and the one lock-step driver runs
 the ranks' phases with this module's halo sum between each level's
 apply and its update, so a substep costs each rank work proportional to
-its *local* active set, never to its local vector.  The plan is the
-serial one too, :class:`~repro.core.lts_newmark.LTSPlan`, over one
-numbering per rank; what ranks add is the exchange channels, and on one
-rank none is used: the run is the serial run, bit for bit.  A rank's
+its *local* active set.  What ranks add to the
+:class:`~repro.core.lts_newmark.LTSPlan` is the exchange channels; on
+one rank none is used: the run is the serial run, bit for bit.  A rank's
 active sets also hold **every local index the level's exchange plan
-keeps** — a shared DOF that only a peer's gray-halo element writes
-still receives a nonzero through the exchange — and each fine level's
-exchange indices are renumbered with its product, so the halo sum packs
-and accumulates the depth's compact output directly.
+keeps** (a shared DOF only a peer's gray-halo element writes still
+receives a nonzero through the exchange), and the plan relabels those
+indices with the products, so the halo sum packs and accumulates each
+level's output where it lies.
 
 The halo sum (:class:`_HaloSum`) is two passes per level — a pack into
 the level's one payload buffer and an accumulate in ascending peer
@@ -49,7 +48,7 @@ partitions, and bitwise on one rank): the partitioned execution computes
 Non-LTS Newmark is the same solver with every DOF on level 1.
 
 There is no time loop or field view here either: ``run`` hands the
-per-rank replicas, laid out by the layout's
+per-rank replicas, laid out by the plan's
 :class:`~repro.core.newmark.ReplicaMap`, to
 :func:`repro.core.newmark.run_cycles` as one
 :class:`~repro.core.newmark.Fields` — the loop and the view the serial
@@ -59,8 +58,6 @@ solvers and the façade use, a serial run being the one-replica case.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -71,26 +68,6 @@ from repro.runtime.halo import RankLayout
 from repro.sem import fused
 from repro.util.errors import CommError, SolverError
 from repro.util.validation import require
-
-
-def _rank_forces(layout: RankLayout, force) -> list:
-    """``force`` as each rank's local numbering sees it (``None`` where
-    it vanishes).  A point source (one nonzero entry, see
-    :class:`repro.sem.sources.PointSource`) lives at one local index on
-    each rank that holds its DOF; any other force is evaluated once per
-    time and scattered densely."""
-    if force is None:
-        return [None] * layout.n_ranks
-    dof = getattr(force, "dof", None)
-    if dof is None:
-        scattered = lru_cache(maxsize=1)(lambda t: layout.scatter(force(t)))
-        return [lambda t, r=r: scattered(t)[r] for r in range(layout.n_ranks)]
-    local = []
-    for g in layout.gdofs:
-        i = int(np.searchsorted(g, dof))
-        hit = i < len(g) and g[i] == dof
-        local.append(SimpleNamespace(dof=i, value=force.value) if hit else None)
-    return local
 
 
 class _HaloSum:
@@ -218,7 +195,7 @@ class DistributedLTSSolver(_LockStepCycle):
     ):
         self.plan = plan = layout if isinstance(layout, LTSPlan) else LTSPlan(layout)
         super().__init__(dt, force)
-        self.layout = layout = plan.replicas
+        self.layout = layout = plan.layout
         self.world = world if world is not None else MailboxWorld(layout.n_ranks)
         require(
             self.world.n_ranks == layout.n_ranks,
@@ -228,7 +205,7 @@ class DistributedLTSSolver(_LockStepCycle):
         self.comms: list[RankComm] = self.world.comms()
         self.active_levels = plan.active_levels
         self._plans = {k: p.fork() for k, p in plan.exchange.items()}
-        self._bind(plan.numberings, _rank_forces(layout, force))
+        self._bind(plan.numberings)
         #: Per level, each rank's apply output (what the exchange sums).
         self._outputs = {
             k: [st.outputs[j] for st in self._states]
@@ -262,7 +239,7 @@ class DistributedLTSSolver(_LockStepCycle):
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent hot-path scratch the solver owns: the
-        rank states (apply outputs, compact recursion, index maps, what
+        rank states (apply outputs, compact recursion, what
         the restricted products report of their scratch) — counted as
         the serial solver counts its one state — plus the exchange
         payloads and the NumPy accumulate's scratch."""
@@ -278,7 +255,7 @@ class DistributedLTSSolver(_LockStepCycle):
 
     def step(self, u_locals: list[np.ndarray], v_locals: list[np.ndarray]) -> None:
         """One LTS cycle of the coarse step ``dt`` across all ranks: one
-        ``(u, v)`` replica pair per rank, advanced in place."""
+        ``(u, v)`` pair per rank in ``plan.replicas``' order, in place."""
         self.cycle(u_locals, v_locals)
 
 

@@ -63,7 +63,7 @@ class ExchangePlan:
     are dropped from *both* sides — no message is sent at all, which is
     what lets per-level exchange volume shrink with the level's footprint
     while ``check_no_leaks()`` still holds.  Peers and indices never
-    change (:meth:`renumber` makes a new plan).
+    change: an LTS plan relabels them into a new plan.
     """
 
     peers: list[list[int]]  # per rank, ascending peer ids with a non-empty channel
@@ -88,19 +88,6 @@ class ExchangePlan:
             for r, (peers, per_rank) in enumerate(zip(self.peers, self.indices))
             for p, idx in zip(peers, per_rank)
         ]
-
-    def renumber(self, positions: list[np.ndarray]) -> "ExchangePlan":
-        """The same channels (bufferless) on other per-rank numberings:
-        ``positions[r][i]`` is where rank ``r``'s local index ``i`` sits
-        in its new numbering, ``-1`` where it has none — refused for a
-        channel index, whose sum would have nowhere to land."""
-        indices = [[pos[ix] for ix in per_rank]
-                   for pos, per_rank in zip(positions, self.indices)]
-        require(
-            all((ix >= 0).all() for per_rank in indices for ix in per_rank),
-            "a numbering misses an exchanged DOF", PartitionError,
-        )
-        return ExchangePlan(self.peers, indices)
 
     @property
     def n_ranks(self) -> int:

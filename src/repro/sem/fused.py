@@ -84,19 +84,19 @@ LTS phases
 ----------
 The same build carries the vector phases of the optimized LTS cycle
 (:class:`repro.core.lts_newmark._RankState`), one pass each, which a
-rank state runs when its level-1 product runs this tier:
-``lts_begin`` (gather the coarsest active set's rows, then ``v -= dt
-z1; u += dt v`` over the whole vector), ``lts_update`` (a fine depth's
-``r = z + F``, handed to the child or taken as the finest leap-frog
-step), ``lts_reconstruct`` (the closed form on the prefix,
-``(u_fine - u) / dt_k`` on the child's suffix, then the ``v`` / ``u``
-step) and ``lts_finish`` (the ``2/dt`` velocity fix-up, written through
-the index map).  They must be bitwise the NumPy phases, so they are
-compiled with floating-point contraction off (GCC's
-``optimize("fp-contract=off")``, clang's ``#pragma clang fp
-contract(off)``): a fused multiply-add rounds once where NumPy rounds
-twice.  The kernels keep their FMAs.  :func:`bind_phase` binds a
-phase's leading arguments once.
+rank state runs when its level-1 product runs this tier; its numbering
+is level-sorted, every depth a tail, so no phase takes an index map:
+``lts_begin`` (``v -= dt z1; u += dt v`` on the prefix, the tail copied
+into the recursion), ``lts_update`` (a fine depth's ``r = z + F``, its
+suffix the child's forcing, or the finest leap-frog step),
+``lts_reconstruct`` (the closed form on the prefix, ``(u_fine - u) /
+dt_k`` on the child's suffix, then the ``v`` / ``u`` step) and
+``lts_finish`` (the ``2/dt`` velocity fix-up of the tail, in place).
+They must be bitwise the NumPy phases, so they are compiled with
+floating-point contraction off (GCC's ``optimize("fp-contract=off")``,
+clang's ``#pragma clang fp contract(off)``): a fused multiply-add rounds
+once where NumPy rounds twice.  The kernels keep their FMAs.
+:func:`bind_phase` binds a phase's leading arguments once.
 
 Next to them sit the two passes of the distributed halo sum
 (:mod:`repro.runtime.executor`), which run whenever this build loads:
@@ -798,43 +798,34 @@ void an_apply3(const double *restrict u, double *restrict z,
 #define NO_CONTRACT _Pragma("STDC FP_CONTRACT OFF")
 #endif
 
-/* Save the coarsest active set's rows (u0, v0, the frozen forcing F and
- * the recursion's displacement du), then plain Newmark on the whole
- * vector: v -= dt z1; u += dt v.  z1 is read, not scaled in place. */
-PHASE lts_begin(const double *restrict z1, long n, double dt,
-                const int64_t *restrict idx, long na,
-                double *restrict u0, double *restrict v0,
-                double *restrict F, double *restrict du,
+/* Plain Newmark on the n0 leading entries, outside the coarsest active
+ * set: v -= dt z1; u += dt v (z1 is read, not scaled in place).  The
+ * active set is the na entries after them: their displacement is copied
+ * into the recursion's du, their forcing is z1's tail as it stands. */
+PHASE lts_begin(const double *restrict z1, long n0, double dt,
+                double *restrict du, long na,
                 double *restrict u, double *restrict v)
 {
     NO_CONTRACT
-    for (long j = 0; j < na; ++j) {
-        int64_t i = idx[j];
-        u0[j] = u[i];
-        du[j] = u[i];
-        v0[j] = v[i];
-        F[j] = z1[i];
-    }
-    for (long i = 0; i < n; ++i) {
+    for (long i = 0; i < n0; ++i) {
         double vi = v[i] - z1[i] * dt;
         v[i] = vi;
         u[i] += vi * dt;
     }
+    for (long j = 0; j < na; ++j) du[j] = u[n0 + j];
 }
 
 /* One fine depth after its (summed) apply: r = z + F.  With a child
- * (kid_F != NULL) r is kept on the n_diff prefix and the suffix is
- * handed over as the child's forcing and displacement; the finest depth
- * takes its leap-frog step instead. */
+ * (kid_u != NULL) r's suffix past n_diff is the child's forcing and u's
+ * is handed over as its displacement; the finest depth takes its
+ * leap-frog step instead. */
 PHASE lts_update(const double *restrict z, const double *restrict F,
                  double *restrict r, double *restrict u, double *restrict v,
-                 long na, long nd, double dt_k,
-                 double *restrict kid_F, double *restrict kid_u, int first)
+                 long na, long nd, double dt_k, double *restrict kid_u, int first)
 {
     NO_CONTRACT
-    if (kid_F) {
-        for (long j = 0; j < nd; ++j) r[j] = z[j] + F[j];
-        for (long j = nd; j < na; ++j) kid_F[j - nd] = z[j] + F[j];
+    if (kid_u) {
+        for (long j = 0; j < na; ++j) r[j] = z[j] + F[j];
         for (long j = nd; j < na; ++j) kid_u[j - nd] = u[j];
         return;
     }
@@ -870,19 +861,19 @@ PHASE lts_reconstruct(const double *restrict kid_u, const double *restrict r,
     }
 }
 
-/* The coarsest active set's rows from the recursion's result:
- * v = v0 + 2/dt (du - u0), u = u0 + dt v, written through idx. */
-PHASE lts_finish(const int64_t *restrict idx, long na,
-                 const double *restrict u0, const double *restrict v0,
-                 const double *restrict du, double dt,
+/* The coarsest active set, the na entries after n0, from the
+ * recursion's result du, in place: v += 2/dt (du - u), u += dt v. */
+PHASE lts_finish(const double *restrict du, long n0, long na, double dt,
                  double *restrict u, double *restrict v)
 {
     NO_CONTRACT
     double c = 2.0 / dt;
+    u += n0;
+    v += n0;
     for (long j = 0; j < na; ++j) {
-        double vj = v0[j] + (du[j] - u0[j]) * c;
-        v[idx[j]] = vj;
-        u[idx[j]] = u0[j] + vj * dt;
+        double vj = v[j] + (du[j] - u[j]) * c;
+        v[j] = vj;
+        u[j] += vj * dt;
     }
 }
 
@@ -935,8 +926,8 @@ _KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
 #: LTS phase (or halo pass) symbol -> its argument types, one letter
 #: each: ``F`` / ``I`` a float64 / int64 array (or NULL), ``l`` long,
 #: ``d`` double, ``i`` int.
-_PHASES = {"lts_begin": "FldIlFFFFFF", "lts_update": "FFFFFlldFFi",
-           "lts_reconstruct": "FFFFlldi", "lts_finish": "IlFFFdFF",
+_PHASES = {"lts_begin": "FldFlFF", "lts_update": "FFFFFlldFi",
+           "lts_reconstruct": "FFFFlldi", "lts_finish": "FlldFF",
            "halo_pack": "lIIIF", "halo_accumulate": "lIIIF"}
 _CTYPE = {"F": ctypes.c_void_p, "I": ctypes.c_void_p, "l": ctypes.c_long,
           "d": ctypes.c_double, "i": ctypes.c_int}

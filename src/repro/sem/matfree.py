@@ -61,9 +61,7 @@ import copy
 
 import numpy as np
 
-from repro.core.operator import (
-    KernelSpec, Restriction, _restriction, inverse_numbering, positions_in,
-)
+from repro.core.operator import KernelSpec, Restriction, _restriction, positions_in
 from repro.core.workspace import Workspace
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
@@ -297,21 +295,7 @@ class AcousticKernelND(_PooledKernel):
         self.KxX = (D.T * w) @ D
         self._KxT = np.ascontiguousarray(self.KxX.T)
         self._ws = Workspace()
-        # Scale planes: plane ``a`` carries scale[e, a] times the tensor
-        # weights of every axis but ``a`` (broadcast size 1 along ``a``).
-        self._wplanes: list[np.ndarray] = []
-        for a in range(self.dim):
-            plane = np.ones((1,) * self.dim)
-            for b in range(self.dim):
-                axis_w = np.ones(1) if b == a else w
-                shape = [1] * self.dim
-                shape[b] = len(axis_w)
-                plane = plane * axis_w.reshape(shape)
-            self._wplanes.append(scales[:, a].reshape((-1,) + (1,) * self.dim) * plane[None])
-        # Contiguous copies of the weight planes, materialized lazily
-        # (broadcast multiplies with a size-1 middle axis defeat SIMD
-        # and run 2-4x slower than dense ones).
-        self._wfull: list[np.ndarray] | None = None
+        self._wfull: list[np.ndarray] | None = None  # see _pooled_planes
 
     @property
     def flops_per_element(self) -> int:
@@ -327,25 +311,32 @@ class AcousticKernelND(_PooledKernel):
     def workspace_nbytes(self) -> int:
         """Bytes of pooled contraction scratch built so far."""
         total = self._ws.nbytes
-        if self._wfull is not None and self._wfull[0] is not self._wplanes[0]:
+        if self._wfull is not None:
             total += sum(p.nbytes for p in self._wfull)
         return total
 
     def _pooled_planes(self) -> list[np.ndarray]:
-        """Weight planes for the contraction: dense contiguous copies
-        when affordable (a broadcast multiply with a size-1 inner axis
-        defeats SIMD and runs 2-4x slower; same values, same result),
-        falling back to the broadcast originals beyond ~32 MB."""
+        """Weight planes for the contraction, built on its first use (the
+        fused tier never reads them): plane ``a`` carries scale[e, a]
+        times the tensor weights of every axis but ``a``.  Dense
+        contiguous when affordable (a broadcast multiply with a size-1
+        inner axis defeats SIMD and runs 2-4x slower; same values, same
+        result), left broadcast (size 1 along ``a``) beyond ~32 MB."""
         if self._wfull is None:
+            _, w = gll_points_weights(self.order)
             ne = self.scales.shape[0]
-            if self.dim * ne * self.n1**self.dim <= 4_000_000:
+            dense = self.dim * ne * self.n1**self.dim <= 4_000_000
+            self._wfull = []
+            for a in range(self.dim):
+                plane = np.ones((1,) * self.dim)
+                for b in range(self.dim):
+                    axis_w = np.ones(1) if b == a else w
+                    shape = [1] * self.dim
+                    shape[b] = len(axis_w)
+                    plane = plane * axis_w.reshape(shape)
+                p = self.scales[:, a].reshape((-1,) + (1,) * self.dim) * plane[None]
                 full = (ne,) + (self.n1,) * self.dim
-                self._wfull = [
-                    np.ascontiguousarray(np.broadcast_to(p, full))
-                    for p in self._wplanes
-                ]
-            else:
-                self._wfull = self._wplanes
+                self._wfull.append(np.ascontiguousarray(np.broadcast_to(p, full)) if dense else p)
         return self._wfull
 
     def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -850,19 +841,19 @@ class MatrixFreeStiffness:
             threads=self._requested_threads,
         )
 
-    def renumber(self, idx: np.ndarray) -> "MatrixFreeStiffness":
+    def renumber(self, idx: np.ndarray, pos: np.ndarray, off: int = 0) -> "MatrixFreeStiffness":
         """This operator on the numbering ``idx`` (position ``j`` is DOF
-        ``idx[j]``): element tables remapped, ``gmask`` kept, ``Minv``
-        gathered, the tier's plan rebuilt for ``len(idx)`` DOFs.  Every
-        element gathers, contracts and scatters in the same order, so
-        the result at position ``j`` is bitwise the original's at
-        ``idx[j]``.  ``idx`` must hold every element DOF — the row
-        support (:class:`SolverError` otherwise)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        pos = inverse_numbering(idx, self.n_dof)
+        ``idx[j]``, at ``pos[idx[j]] - off``, as for
+        :meth:`~repro.core.operator.Restriction.renumber`): element
+        tables remapped, ``gmask`` kept, ``Minv`` gathered, the tier's
+        plan rebuilt for ``len(idx)`` DOFs.  Every element gathers,
+        contracts and scatters in the same order, so the result at
+        position ``j`` is bitwise the original's at ``idx[j]``.  ``idx``
+        must hold every element DOF — the row support
+        (:class:`SolverError` otherwise)."""
         return MatrixFreeStiffness(
             self.kernel.fork(),
-            positions_in(pos, self.element_dofs, "row-support DOF"),
+            positions_in(pos, self.element_dofs, "row-support DOF", off),
             len(idx),
             use_fused=self._use_fused,
             gmask=self.gmask,

@@ -260,10 +260,11 @@ class TestFacadeMatchesManualWiring:
         solver = LTSNewmarkSolver(
             sim.assembler.A, sim.dof_level, sim.dt, force=sim.force
         )
-        u = np.zeros(sim.assembler.n_dof)
-        v = np.zeros(sim.assembler.n_dof)
+        m = solver.plan.replicas  # step runs in the plan's numbering
+        (u,), (v,) = m.scatter(np.zeros(sim.assembler.n_dof)), m.scatter(np.zeros(sim.assembler.n_dof))
         for _ in range(sim.n_cycles):
             u, v = solver.step(u, v)
+        u, v = m.gather([u]), m.gather([v])
         assert np.array_equal(res.u, u)
         assert np.array_equal(res.v, v)
 

@@ -68,11 +68,14 @@ class TestTraceRows:
             holders[g] += 1
         rec = np.append(np.flatnonzero(holders == 3), np.flatnonzero(holders == 1)[0])
         u0 = gen.standard_normal(sem.n_dof)
-        fields = Fields(lay, lay.scatter(u0), lay.scatter(np.zeros(sem.n_dof)), rec)
+        solver = DistributedLTSSolver(lay, dt)
+        m = solver.plan.replicas  # the solver's level-sorted numbering
+        assert m.sorter is not None
+        fields = Fields(m, m.scatter(u0), m.scatter(np.zeros(sem.n_dof)), rec)
         n = 6
         traces, snaps = np.zeros((n, len(rec))), {}
         run_cycles(
-            DistributedLTSSolver(lay, dt), fields, n, traces=traces,
+            solver, fields, n, traces=traces,
             checkpoint_every=1, on_checkpoint=lambda c, us, vs: snaps.__setitem__(c, us),
         )
         return lay, rec, traces, snaps

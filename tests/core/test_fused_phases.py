@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import (
-    LTSNewmarkSolver, _Depth, _RankState, dof_levels_from_elements,
+    LTSNewmarkSolver, NumberingPlan, _Depth, _RankState, dof_levels_from_elements,
 )
 from repro.core.operator import Restriction
 from repro.mesh import uniform_grid
@@ -56,14 +56,11 @@ def _pair(case: str, seed: int = 0):
     na0, n_diffs = CASES[case]
     depths = []
     if na0 is not None:
-        order, off = rng.permutation(N)[:na0], 0
+        off = 0
         for i, nd in enumerate([*n_diffs, 0]):
-            depths.append(_Depth(2 + i, _IDLE, order[off:], nd))
+            depths.append(_Depth(2 + i, _IDLE, na0 - off, nd))
             off += nd
-    states = [
-        _RankState(DT, _IDLE, [d.bind() for d in depths], np.empty(N), tier=tier)
-        for tier in ("fused", "numpy")
-    ]
+    states = [NumberingPlan(N, 1, _IDLE, depths, tier).bind(DT) for tier in ("fused", "numpy")]
     for bufs in zip(*map(_buffers, states)):
         values = rng.standard_normal(len(bufs[0]))
         for b in bufs:
@@ -72,11 +69,11 @@ def _pair(case: str, seed: int = 0):
 
 
 def _buffers(st: _RankState) -> list[np.ndarray]:
+    """Every buffer the phases touch: each depth's forcing is a view of
+    its parent's output (``z1``, or the parent depth's ``r``)."""
     out = [st.z1]
-    if st.depths:
-        out += [st.u0, st.v0]
     for d in st.depths:
-        out += [d.z, d.u, d.v, d.F, d.r]
+        out += [d.z, d.u, d.v, d.r]
     return out
 
 
@@ -102,9 +99,9 @@ class TestPhases:
         uv = [_fields(), _fields()]
         for st, (u, v) in zip((c, ref), uv):
             st.begin(u, v, 0.0)
-        kept = lambda st: st.depths and [st.u0, st.v0, st.depths[0].F, st.depths[0].u]
+        kept = lambda st: st.depths and [st.depths[0].F, st.depths[0].u]
         _assert_same(zip(uv[0], uv[1]), "u, v")
-        _assert_same(zip(kept(c), kept(ref)), "saved rows")
+        _assert_same(zip(kept(c), kept(ref)), "the recursion's forcing and displacement")
 
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
@@ -142,10 +139,10 @@ class TestPhases:
 
     def test_bind_refuses_buffers_the_loop_would_misread(self):
         z = np.zeros(8)
-        fine = (z, 8, DT, np.arange(4), 4, z[:4], z[:4], z[:4], z[:4])
+        fine = (z, 4, DT, z[4:], 4)
         fused.bind_phase("lts_begin", *fine)
         for pos, bad in [(0, z.astype(np.float32)), (0, np.zeros(16)[::2]),
-                         (3, np.arange(4, dtype=np.int32)), (3, np.zeros(4)),
+                         (3, np.arange(4, dtype=np.int32)), (4, np.zeros(4)),
                          (1, np.array(8.0))]:
             args = list(fine)
             args[pos] = bad
@@ -268,7 +265,7 @@ def test_cycle_refuses_fields_it_cannot_write_in_place(backend, kind):
     assert serial.n_cycles_taken == 0
 
     us = [_bad_fields(len(g), kind) for g in layout.gdofs]
-    vs = layout.scatter(np.ones(sem.n_dof))
+    vs = dist.plan.replicas.scatter(np.ones(sem.n_dof))
     before = [x.copy() for x in us], [x.copy() for x in vs]
     with pytest.raises(SolverError, match="C-contiguous float64"):
         dist.step(us, vs)

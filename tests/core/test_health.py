@@ -189,13 +189,14 @@ class TestSolverIntegration:
         sem, a, dof_level, u0 = sys1d
         solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
         guard = HealthGuard(check_every=1, element_dofs=sem.element_dofs)
-        u = u0.copy()
-        v = np.zeros_like(u)
+        # step runs in the plan's numbering; its map names the global DOFs.
+        m = solver.plan.replicas
+        (u,), (v,) = m.scatter(u0), m.scatter(np.zeros_like(u0))
         u, v = solver.step(u, v)
-        guard.check_locals(1, [u], [v])
+        guard.check_locals(1, [u], [v], gdofs=m.gdofs)
         u[5] = np.nan
         u, v = solver.step(u, v)
         with pytest.raises(NumericalError) as exc:
-            guard.check_locals(2, [u], [v])
+            guard.check_locals(2, [u], [v], gdofs=m.gdofs)
         assert exc.value.last_healthy == 1
         assert len(exc.value.bad_elements) >= 1

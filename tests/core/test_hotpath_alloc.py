@@ -113,9 +113,10 @@ def test_optimized_matches_reference(sys2d):
     op = sem.operator("matfree", use_fused=False)
     fast = LTSNewmarkSolver(op, dof_level, a.dt)
     ref = LTSNewmarkSolver(op, dof_level, a.dt, mode="reference")
-    uf, vf = u0.copy(), v0.copy()
+    m = fast.plan.replicas  # the optimized solver steps its level-sorted numbering
+    (uf,), (vf,) = m.scatter(u0), m.scatter(v0)
     ur, vr = u0.copy(), v0.copy()
     for _ in range(5):
         uf, vf = fast.step(uf, vf)
         ur, vr = ref.step(ur, vr)
-    assert np.abs(uf - ur).max() / np.abs(ur).max() < 1e-12
+    assert np.abs(m.gather([uf]) - ur).max() / np.abs(ur).max() < 1e-12

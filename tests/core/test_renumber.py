@@ -1,8 +1,8 @@
 """Renumbered restricted products: every LTS depth applies its level on
 its own active set.
 
-``Restriction.renumber(idx)`` is the same product on the numbering
-``idx``.  The backends remap their own tables and must stay bitwise
+``Restriction.renumber(idx, pos)`` is the same product on the
+numbering ``idx`` (``pos`` its inverse).  The backends remap their own tables and must stay bitwise
 equal to the original product gathered at ``idx``, for every tier,
 physics, dimension and both ways a level product is made (a serial
 operator's ``restrict``, a rank-local ``masked_subset``).  A caller's
@@ -76,6 +76,14 @@ def _level_product(tier, physics, dim, kind, level):
     return restr, len(col_mask), col_mask, support
 
 
+def _inverse(idx: np.ndarray, n: int) -> np.ndarray:
+    """Position of each of ``n`` DOFs in the numbering ``idx``, ``-1``
+    where it has none: what ``Restriction.renumber`` reads."""
+    pos = np.full(n, -1)
+    pos[idx] = np.arange(len(idx))
+    return pos
+
+
 def _numbering(active: np.ndarray, rng) -> np.ndarray:
     """The active DOFs and a few outside them, shuffled."""
     outside = np.flatnonzero(~active)
@@ -94,7 +102,7 @@ class TestRenumber:
             r, n, cols, support = _level_product(tier, physics, dim, kind, level)
             assert cols.any() == (level == 2)
             idx = _numbering(cols | support, rng)
-            rr = r.renumber(idx)
+            rr = r.renumber(idx, _inverse(idx, n))
             assert rr.ops == r.ops
             assert np.array_equal(idx[rr.cols], r.cols)
             for _ in range(2):
@@ -111,10 +119,16 @@ class TestRenumber:
         active = np.flatnonzero(cols | support)
         halo = np.flatnonzero(support & ~cols)
         assert len(halo)
-        with pytest.raises(SolverError, match="misses a column"):
-            r.renumber(active[active != np.flatnonzero(cols)[0]])
-        with pytest.raises(SolverError, match="misses a row-support DOF"):
-            r.renumber(active[active != halo[0]])
+        for idx, what in [(active[active != np.flatnonzero(cols)[0]], "a column"),
+                          (active[active != halo[0]], "a row-support DOF")]:
+            with pytest.raises(SolverError, match=f"misses {what}"):
+                r.renumber(idx, _inverse(idx, n))
+        # A tail of a longer numbering: the DOFs before ``off`` are missed.
+        order = np.concatenate([np.flatnonzero(~(cols | support)), active])
+        off = n - len(active)
+        r.renumber(order[off:], _inverse(order, n), off)
+        with pytest.raises(SolverError, match="misses"):
+            r.renumber(order[off + 1:], _inverse(order, n), off + 1)
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +202,11 @@ def _trench_like():
     return sem, a.dt, dof_level, rng.standard_normal(sem.n_dof), rng.standard_normal(sem.n_dof)
 
 
-def test_adaptor_needs_the_length_and_every_column():
+def test_adaptor_needs_every_column():
     sem, _, dof_level, _, _ = _trench_like()
     r = WrappedOperator(sem.operator("assembled")).restrict(np.flatnonzero(dof_level == 2))
-    with pytest.raises(SolverError, match="needs its length"):
-        r.renumber(r.cols)
     with pytest.raises(SolverError, match="misses a column"):
-        r.renumber(r.cols[1:], sem.n_dof)
+        r.renumber(r.cols[1:], _inverse(r.cols[1:], sem.n_dof))
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -244,6 +256,6 @@ def test_fine_depths_hold_active_set_length_buffers(ranks):
     for st in solver._states:
         assert len(st.depths) >= 2
         for d in st.depths:
-            assert len(d.idx) < st.n
-            for buf in (d.u, d.z, d.r):
-                assert buf.shape == (len(d.idx),)
+            assert d.n < st.n
+            for buf in (d.u, d.z, d.r, d.F):
+                assert buf.shape == (d.n,)

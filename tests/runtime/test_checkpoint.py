@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import LTSNewmarkSolver, NewmarkSolver, assign_levels
 from repro.core.lts_newmark import dof_levels_from_elements
+from repro.core.newmark import Fields, run_cycles
 from repro.mesh import refined_interval
 from repro.runtime import (
     CheckpointState,
@@ -182,12 +183,58 @@ class TestKillAndResume:
 
         solver = DistributedLTSSolver(lay, a.dt)
         solver.restore(back.solver_state())
-        u_locals = [x.copy() for x in back.u_locals]
-        v_locals = [x.copy() for x in back.v_locals]
+        # Stored replicas are ascending; the solver steps its plan's numbering.
+        m = solver.plan.replicas
+        u_locals, v_locals = m.numbered(back.u_locals), m.numbered(back.v_locals)
         for _ in range(3):
             solver.step(u_locals, v_locals)
-        assert np.array_equal(lay.gather(u_locals), u_ref)
-        assert np.array_equal(lay.gather(v_locals), v_ref)
+        assert np.array_equal(m.gather(u_locals), u_ref)
+        assert np.array_equal(m.gather(v_locals), v_ref)
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_ascending_replicas_resume_bitwise(self, sys1d, tmp_path, ranks):
+        """Solvers step a level-sorted numbering, but replicas leave a
+        run ascending in global DOF id — ``on_checkpoint``'s and a
+        checkpoint's ``u_locals``, as every earlier version wrote them
+        (``[u[g] for g in layout.gdofs]``) — and such a state resumes
+        bitwise equal to the uninterrupted run."""
+        sem, a, dof_level, u0 = sys1d
+        v0 = np.zeros_like(u0)
+        parts = (np.arange(sem.mesh.n_elements) * 3 // sem.mesh.n_elements).astype(np.int64)
+        lay = build_rank_layout(sem, parts, 3, dof_level=dof_level)
+
+        def solver():
+            if ranks == 1:
+                return LTSNewmarkSolver(sem.A, dof_level, a.dt)
+            return DistributedLTSSolver(lay, a.dt)
+
+        gdofs = lay.gdofs if ranks > 1 else [np.arange(sem.n_dof)]
+        assert solver().plan.replicas.sorter is not None  # several levels: reordered
+        u_ref, v_ref = solver().run(u0, v0, 8)
+        grabbed = []
+        u5, v5 = solver().run(
+            u0, v0, 5, checkpoint_every=5,
+            on_checkpoint=lambda cycle, us, vs: grabbed.append((us, vs)),
+        )
+        ascending = [u5[g] for g in gdofs], [v5[g] for g in gdofs]
+        for got, want in zip(grabbed[0], ascending):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+        state = CheckpointState(cycle=5, t=5 * a.dt, u=u5, v=v5,
+                                u_locals=ascending[0], v_locals=ascending[1])
+        back = load_checkpoint(save_checkpoint(tmp_path / "ck", state))
+        resumed = solver()
+        resumed.restore(back.solver_state())
+        fields = Fields.start(resumed.plan.replicas, back)
+        written = {}  # what a checkpoint at the last cycle would store
+        u, v = run_cycles(
+            resumed, fields, 3, checkpoint_every=8,
+            on_checkpoint=lambda c, us, vs: written.update(fields.checkpoint_arrays(us, vs)),
+        )
+        assert u.tobytes() == u_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert written["u"].tobytes() == u.tobytes()
+        for x, g in zip(written["u_locals"], gdofs):
+            assert x.tobytes() == u[g].tobytes()
 
     def test_checkpoint_cadence_uses_absolute_cycles(self, sys1d):
         """A restored solver checkpoints at the same cycles the

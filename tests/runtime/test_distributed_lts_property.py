@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import assign_levels
-from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
+from repro.core.lts_newmark import LTSNewmarkSolver, LTSPlan, dof_levels_from_elements
+from repro.core.operator import _restrict_levels
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import (
@@ -42,6 +43,18 @@ def _system(dim: int, dirichlet: bool = False):
     mesh = uniform_grid(shape)
     sem = cls(mesh, order=order, dirichlet=dirichlet)
     return sem, assign_levels(mesh, c_cfl=0.4, order=order).dt
+
+
+def _draw_levels(data, ne: int) -> np.ndarray:
+    """Levels of ``ne`` elements from a random subset of ``{2, 3, 4}``
+    over at least one level-1 element."""
+    fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
+    levels = np.array(data.draw(
+        st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
+        label="element levels",
+    ))
+    levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+    return levels
 
 
 def _backends():
@@ -94,14 +107,7 @@ class TestRandomPartitions:
     def test_distributed_matches_serial_optimized(self, data, dim, source):
         sem, dt = _system(dim)
         ne = sem.element_dofs.shape[0]
-        fine = data.draw(st.sets(st.sampled_from([2, 3, 4])), label="fine levels")
-        levels = np.array(
-            data.draw(
-                st.lists(st.sampled_from([1, *sorted(fine)]), min_size=ne, max_size=ne),
-                label="element levels",
-            )
-        )
-        levels[data.draw(st.integers(0, ne - 1), label="coarse element")] = 1
+        levels = _draw_levels(data, ne)
         n_ranks = data.draw(st.integers(1, 5), label="ranks")
         parts = np.array(
             data.draw(
@@ -116,6 +122,91 @@ class TestRandomPartitions:
             force = point if source == "point" else (lambda t: point(t))
         seed = data.draw(st.integers(0, 2**16), label="field seed")
         _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed)
+
+
+class TestLevelSortedNumbering:
+    """What the plan's level-sorted numbering promises, per rank, over
+    the same random levels (skipped ones included), partitions on 1-5
+    ranks and every tier: each numbering is a permutation of its
+    replica, blocks kept ascending; each depth's active set is exactly
+    its tail; a fine level's product neither reads nor writes the
+    prefix, and its relabelled twin is it on the tail, bitwise; each
+    level's exchange indices lie in that level's tail and name the
+    DOFs the ascending channels name; the map scatters and gathers
+    losslessly."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]))
+    def test_every_depth_is_a_tail(self, data, dim):
+        sem, _ = _system(dim)
+        ne = sem.element_dofs.shape[0]
+        levels = _draw_levels(data, ne)
+        n_ranks = data.draw(st.integers(1, 5), label="ranks")
+        parts = np.array(data.draw(
+            st.lists(st.integers(0, n_ranks - 1), min_size=ne, max_size=ne),
+            label="element ranks",
+        ))
+        dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        x = rng.standard_normal(sem.n_dof)
+        for backend, use_fused in _backends():
+            layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level,
+                                       backend=backend, use_fused=use_fused)
+            plan = LTSPlan(layout)
+            m = plan.replicas
+            assert m.gather(m.scatter(x)).tobytes() == x.tobytes()
+            if len(plan.active_levels) == 1:
+                assert m is layout
+                continue
+            self._check_ranks(layout, plan, rng)
+
+    @staticmethod
+    def _check_ranks(layout, plan, rng):
+        levels, m = plan.active_levels, plan.replicas
+        # Every level's product and row support in each rank's ascending
+        # numbering, and the exchange channels they make.
+        masks = [[lv == k for k in levels] for lv in layout.dof_level_local]
+        restr, supports = zip(*(
+            _restrict_levels(K, mk) for K, mk in zip(layout.K_local, masks)
+        ))
+        channels = [layout.exchange_channels([s[j] for s in supports])
+                    for j in range(len(levels))]
+        for r, nb in enumerate(plan.numberings):
+            # Position j of the plan's replica holds local DOF order[j].
+            n, order = nb.n, np.searchsorted(layout.gdofs[r], m.gdofs[r])
+            assert np.array_equal(np.sort(m.gdofs[r]), layout.gdofs[r])
+            assert np.array_equal(m.gdofs[r][m.sorter[r]], layout.gdofs[r])
+            assert np.array_equal(m.owner[r], layout.owner[r][order])
+            offsets = [0, *(n - d.n for d in nb.depths)]
+            for lo, hi in zip(offsets, offsets[1:] + [n]):
+                assert np.all(np.diff(order[lo:hi]) > 0)  # each block ascending
+            active = np.zeros(n, dtype=bool)
+            for j in range(len(levels) - 1, 0, -1):  # finest first
+                active |= masks[r][j] | supports[r][j]
+                for ix in channels[j].indices[r]:
+                    active[ix] = True
+                tail = order[offsets[j]:]
+                assert np.array_equal(np.sort(tail), np.flatnonzero(active)), (r, j)
+            # Products: fine ones confined to their tails, every one its
+            # relabelled twin, bitwise.
+            xs = rng.standard_normal(n)
+            for j, rs in enumerate([nb.restr0, *(d.restr for d in nb.depths)]):
+                off = offsets[j]
+                outs = []
+                for _ in range(2):  # the prefix redrawn: nothing may change
+                    xs[:off] = rng.standard_normal(off)
+                    xa = np.empty(n)
+                    xa[order] = xs
+                    outs.append(restr[r][j].apply(xa)[order])
+                assert outs[0].tobytes() == outs[1].tobytes()
+                assert not outs[0][:off].any()
+                assert rs.apply(xs[off:]).tobytes() == outs[0][off:].tobytes()
+            # Exchange indices: inside the level's tail, naming the DOFs
+            # the ascending channels name, channel by channel.
+            for j, k in enumerate(levels):
+                for ix, ax in zip(plan.exchange[k].indices[r], channels[j].indices[r]):
+                    assert ix.min() >= 0 and ix.max() < n - offsets[j]
+                    assert np.array_equal(m.gdofs[r][offsets[j] + ix], layout.gdofs[r][ax])
 
 
 #: 4 x 3 quads, element ``e = 3 * ix + iy``: a fine block in the middle

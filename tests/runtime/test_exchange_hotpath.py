@@ -107,9 +107,11 @@ class TestEmptyChannelSkip:
         u, v = solver.run(u0.copy(), v0.copy(), 4)  # run() checks leaks
         assert world.pending() == 0
         serial = LTSNewmarkSolver(sem.A, dof_level, a.dt)
-        us, vs = u0.copy(), v0.copy()
+        m = serial.plan.replicas  # step runs in the plan's numbering
+        (us,), (vs,) = m.scatter(u0), m.scatter(v0)
         for _ in range(4):
             us, vs = serial.step(us, vs)
+        us = m.gather([us])
         assert np.abs(u - us).max() / np.abs(us).max() < 1e-12
 
     def test_skipping_reduces_messages(self, sys1d):
@@ -178,8 +180,8 @@ def test_distributed_lts_allocation_budget(sys2d, backend, compiled):
     }
     assert len(solver.active_levels) >= 2
     assert all((st._c_begin is not None) == (backend == "fused") for st in solver._states)
-    u_locals = lay.scatter(u0)
-    v_locals = lay.scatter(v0)
+    u_locals = solver.plan.replicas.scatter(u0)
+    v_locals = solver.plan.replicas.scatter(v0)
 
     def step():
         solver.step(u_locals, v_locals)

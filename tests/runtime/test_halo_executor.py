@@ -288,13 +288,14 @@ class TestDistributedLTS:
         )
         world = MailboxWorld(4)
         solver = DistributedLTSSolver(lay, a.dt, world=world)
-        u, v = lay.scatter(u0), lay.scatter(v0)
+        m = solver.plan.replicas
+        u, v = m.scatter(u0), m.scatter(v0)
         short = [x[:-1] if r == 2 else x for r, x in enumerate(u)]
         for bad_u, bad_v in ((u[:3], v[:3]), (u, v[:3]), (short, v)):
             with pytest.raises(SolverError, match="shape mismatch"):
                 solver.step(bad_u, bad_v)
         assert world.sent_messages == 0 and solver.n_cycles_taken == 0
-        for x, x0 in zip(u + v, lay.scatter(u0) + lay.scatter(v0)):
+        for x, x0 in zip(u + v, m.scatter(u0) + m.scatter(v0)):
             assert np.array_equal(x, x0)
 
     def test_message_count_scales_with_levels(self, sys1d):
@@ -368,8 +369,9 @@ def test_cycle_sends_the_level_schedule_in_order(small_trench, backend):
     world = _LoggingWorld(4)
     solver = DistributedLTSSolver(lay, a.dt, world=world)
     assert len(solver.active_levels) >= 3
-    u = lay.scatter(np.random.default_rng(0).standard_normal(sem.n_dof))
-    v = lay.scatter(np.zeros(sem.n_dof))
+    m = solver.plan.replicas
+    u = m.scatter(np.random.default_rng(0).standard_normal(sem.n_dof))
+    v = m.scatter(np.zeros(sem.n_dof))
     solver.step(u, v)
     expected = [
         (r, peer, 0, len(idx))

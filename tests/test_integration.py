@@ -43,24 +43,27 @@ class TestFullPipeline1D:
         force = point_source(sem.n_dof, src, sem.M, ricker(f0=1.5))
         rec = sem.nearest_dof(3.0)
 
-        u = np.zeros(sem.n_dof)
-        v = np.zeros(sem.n_dof)
         serial = LTSNewmarkSolver(sem.A, dof_level, levels.dt, force=force)
+        # Solvers step their plan's level-sorted numbering: fields go in
+        # and come out through its replica map.
+        m = serial.plan.replicas
+        (u,), (v,) = m.scatter(np.zeros(sem.n_dof)), m.scatter(np.zeros(sem.n_dof))
         trace_serial = []
         for _ in range(40):
             u, v = serial.step(u, v)
-            trace_serial.append(u[rec])
+            trace_serial.append(m.gather([u])[rec])
 
         parts = PARTITIONERS["SCOTCH-P"](mesh, levels, 3, seed=0)
         layout = build_rank_layout(sem, parts, 3, dof_level=dof_level)
         world = MailboxWorld(3)
         dist = DistributedLTSSolver(layout, levels.dt, world=world, force=force)
-        ul = layout.scatter(np.zeros(sem.n_dof))
-        vl = layout.scatter(np.zeros(sem.n_dof))
+        m = dist.plan.replicas
+        ul = m.scatter(np.zeros(sem.n_dof))
+        vl = m.scatter(np.zeros(sem.n_dof))
         trace_dist = []
         for _ in range(40):
             dist.step(ul, vl)
-            trace_dist.append(layout.gather(ul)[rec])
+            trace_dist.append(m.gather(ul)[rec])
 
         trace_serial = np.asarray(trace_serial)
         trace_dist = np.asarray(trace_dist)
