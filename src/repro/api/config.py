@@ -505,6 +505,8 @@ class SourceSpec(Spec):
                 f"got {self.position!r}"
             )
         self._set("position", tuple(float(x) for x in pos))
+        if not np.isfinite(self.position).all():
+            raise ConfigError(f"SourceSpec.position must be finite, got {self.position}")
         if not self.f0 > 0:
             raise ConfigError(f"SourceSpec.f0 must be > 0, got {self.f0}")
         if int(self.component) < 0:
@@ -530,7 +532,7 @@ class ReceiverSpec(Spec):
                 "coordinate points"
             )
         norm = []
-        for p in pos:
+        for i, p in enumerate(pos):
             if not (
                 isinstance(p, tuple)
                 and p
@@ -541,6 +543,8 @@ class ReceiverSpec(Spec):
                     f"sequence, got {p!r}"
                 )
             norm.append(tuple(float(x) for x in p))
+            if not np.isfinite(norm[i]).all():
+                raise ConfigError(f"ReceiverSpec.positions[{i}] must be finite, got {norm[i]}")
         self._set("positions", tuple(norm))
         if int(self.component) < 0:
             raise ConfigError(

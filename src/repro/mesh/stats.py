@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.mesh.mesh import Mesh
 from repro.util.errors import MeshError
+from repro.util.rows import unique_rows
 from repro.util.validation import require
 
 
@@ -69,7 +70,7 @@ _FACE_CORNERS_3D = (
 
 
 def _unique_entities(mesh: Mesh, entity: str) -> int:
-    """Count unique edges or faces by hashing sorted corner tuples."""
+    """Count unique edges or faces: distinct sorted corner tuples."""
     if entity == "edge":
         local = _EDGE_CORNERS[mesh.dim]
     elif entity == "face":
@@ -79,7 +80,7 @@ def _unique_entities(mesh: Mesh, entity: str) -> int:
         raise MeshError(f"unknown entity {entity!r}")
     parts = [np.sort(mesh.elements[:, list(idx)], axis=1) for idx in local]
     allrows = np.concatenate(parts, axis=0)
-    return int(np.unique(allrows, axis=0).shape[0])
+    return len(unique_rows(allrows)[0])
 
 
 @dataclass(frozen=True)

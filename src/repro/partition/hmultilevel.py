@@ -22,6 +22,7 @@ from repro.partition.hypergraph import Hypergraph
 from repro.partition.initial import recursive_bisection
 from repro.partition.refine import fits, refine_loop, repair_loop
 from repro.util.errors import PartitionError
+from repro.util.rows import unique_rows
 from repro.util.validation import require
 
 
@@ -92,7 +93,7 @@ def contract_hypergraph(h: Hypergraph, match: np.ndarray, n_coarse: int) -> Hype
     col = np.arange(len(mapped)) - np.searchsorted(net_of_pin, net_of_pin)
     rows = np.full((h.n_nets, int(size.max())), -1, dtype=np.int64)
     rows[net_of_pin, col] = mapped
-    uniq, first, inv = np.unique(rows[kept], axis=0, return_index=True, return_inverse=True)
+    uniq, first, inv = unique_rows(rows[kept])
     costs = np.bincount(inv, weights=h.costs[kept], minlength=len(uniq))
     by_first = np.argsort(first)
     uniq = uniq[by_first]

@@ -173,4 +173,5 @@ class Sem1D:
 
     def nearest_dof(self, x0: float) -> int:
         """Global DOF closest to coordinate ``x0`` (receiver/source helper)."""
+        require(bool(np.isfinite(x0)), f"point must be finite, got {x0}", SolverError)
         return int(np.argmin(np.abs(self.x - x0)))

@@ -11,7 +11,7 @@ per GLL node:
   physics couples components with;
 * entity-based global DOF numbering (corners, then edge interiors, then
   face interiors in 3D, then element interiors), built with one
-  ``np.unique`` over sorted corner tuples per entity kind.  Shared edges
+  lexicographic sort over sorted corner tuples per entity kind.  Shared edges
   are traversed from the lower- to the higher-numbered corner; shared
   hexahedral *faces* are mapped through a canonical frame anchored at the
   face's smallest corner id (see :func:`_face_orientation_perms`), so any
@@ -58,6 +58,7 @@ from repro.mesh.mesh import Mesh
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
 from repro.util.errors import SolverError
+from repro.util.rows import unique_rows
 from repro.util.validation import require
 
 #: Cap on scattered COO entries per assembly chunk (~64 MB of values).
@@ -321,8 +322,8 @@ class TensorDofLayout:
     """Entity-based global numbering of a tensor-product SEM space.
 
     Numbering order: mesh corner nodes, edge interiors, face interiors
-    (3D), element interiors — each entity kind numbered by one
-    ``np.unique`` over its sorted corner tuples.
+    (3D), element interiors — each entity kind numbered in the
+    lexicographic order of its sorted corner tuples.
     """
 
     order: int
@@ -389,7 +390,8 @@ class TensorDofLayout:
 
 def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
     """Entity-based global DOF numbering for any conforming line/quad/hex
-    mesh (see :class:`TensorDofLayout`)."""
+    mesh (see :class:`TensorDofLayout`): edge/face ``i`` is the ``i``-th distinct
+    sorted corner tuple in lexicographic order, as ``np.unique`` orders them."""
     dim = mesh.dim
     N = int(order)
     require(N >= 1, "order must be >= 1", SolverError)
@@ -413,7 +415,7 @@ def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
         pairs = np.sort(
             np.stack([conn[:, list(s)] for s in slots], axis=1), axis=2
         )  # (n_elem, n_slots, 2)
-        edge_keys, inv = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+        edge_keys, _, inv = unique_rows(pairs.reshape(-1, 2))
         edge_inv = inv.reshape(n_elem, len(slots))
         if n_int:
             for s, (a, b) in enumerate(slots):
@@ -429,7 +431,7 @@ def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
             [np.sort(conn[:, list(c4)], axis=1) for (c4, _, _) in _HEX_FACE_SLOTS],
             axis=1,
         )  # (n_elem, 6, 4)
-        face_keys, finv = np.unique(quads.reshape(-1, 4), axis=0, return_inverse=True)
+        face_keys, _, finv = unique_rows(quads.reshape(-1, 4))
         face_inv = finv.reshape(n_elem, 6)
         if n_int:
             n_int2 = n_int * n_int
@@ -467,6 +469,11 @@ def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
         face_keys=face_keys,
         face_inv=face_inv,
     )
+
+
+def _sq_dist(deltas: np.ndarray) -> np.ndarray:
+    """Sums of squares of ``(dim, n)`` per-axis differences, axis by axis."""
+    return sum(d * d for d in deltas)
 
 
 # ----------------------------------------------------------------------
@@ -567,6 +574,10 @@ class SemND:
             vals = p0[:, a : a + 1] + gx[None, :] * self.h_axes[:, a : a + 1]
             coords[self.scalar_dofs.ravel(), a] = vals[:, ia].ravel()
         self.node_coords = coords
+        # Per-axis (dim, n_elem) element boxes padded by 10x the corner slack
+        # element_axis_sizes admits: each holds every node stored for it.
+        pad = 1e-7 + 1e-4 * np.abs(mesh.coords).max()
+        self._boxes = ((p0 - pad).T.copy(), (p0 + self.h_axes + pad).T.copy())
 
         # Per-element physics parameters (acoustic: the per-axis scales).
         self._setup_physics()
@@ -792,16 +803,18 @@ class SemND:
         return np.asarray(f(*args), dtype=np.float64)
 
     def nearest_dof(self, *point: float) -> int:
-        """Global DOF closest to ``point`` (one coordinate per axis)."""
+        """Global DOF closest to ``point`` (one coordinate per axis), ties to
+        the lowest id: the brute-force ``argmin``, measured only on elements
+        whose box lies within the nearest box's best node distance (a box's
+        distance, summed per axis alike, is bitwise <= its nodes')."""
         require(len(point) == self.dim, "point must have one coordinate per axis", SolverError)
-        # Per axis into one buffer (no (n_nodes, dim) temporaries), in the
-        # order of a row sum: bitwise the same distances, so the same DOF.
-        d2 = np.zeros(len(self.node_coords))
-        for a, x in enumerate(point):
-            d = self.node_coords[:, a] - np.float64(x)
-            d *= d
-            d2 += d
-        return int(np.argmin(d2))
+        x = np.array(point, dtype=np.float64)
+        require(bool(np.isfinite(x).all()), f"point must be finite, got {point}", SolverError)
+        (lo, hi), xc = self._boxes, x[:, None]
+        box = _sq_dist(np.maximum(np.maximum(lo - xc, xc - hi), 0.0))
+        best = _sq_dist((self.node_coords[self.scalar_dofs[np.argmin(box)]] - x).T).min()
+        ids = np.unique(self.scalar_dofs[box <= best])
+        return int(ids[np.argmin(_sq_dist((self.node_coords[ids] - x).T))])
 
 
 # ----------------------------------------------------------------------

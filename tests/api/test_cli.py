@@ -107,6 +107,16 @@ class TestValidateAndErrors:
         assert "did you mean 'mesh'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_validate_refuses_non_finite_position(self, tmp_path):
+        cfg = json.loads(QUICKSTART.read_text())
+        cfg["source"]["position"] = [float("nan")]
+        bad = tmp_path / "nan_source.json"
+        bad.write_text(json.dumps(cfg))  # NaN is written as a bare literal
+        proc = _repro("validate", str(bad), check=False)
+        assert proc.returncode == 2
+        assert "SourceSpec.position must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_fails_cleanly(self, tmp_path):
         proc = _repro("run", str(tmp_path / "nope.json"), check=False)
         assert proc.returncode == 2

@@ -214,6 +214,19 @@ class TestRejection:
         with pytest.raises(ConfigError, match="coordinate sequence"):
             ReceiverSpec(positions=("x",))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_positions_are_refused(self, bad):
+        """``np.argmin`` over NaN distances is 0: a non-finite position
+        would silently land on DOF 0 instead of failing."""
+        cfg = full_config().to_dict()
+        cfg["source"]["position"][1] = bad
+        with pytest.raises(ConfigError, match=r"SourceSpec\.position must be finite"):
+            SimulationConfig.from_dict(cfg)
+        cfg = full_config().to_dict()
+        cfg["receivers"]["positions"][1][2] = bad
+        with pytest.raises(ConfigError, match=r"ReceiverSpec\.positions\[1\] must be finite"):
+            SimulationConfig.from_dict(cfg)
+
     def test_partition_validation(self):
         with pytest.raises(ConfigError, match="n_ranks must be >= 1"):
             PartitionSpec(n_ranks=0)

@@ -148,9 +148,10 @@ class TestSem2D:
 
 
 class TestNearestDof:
-    """``SemND.nearest_dof`` accumulates per axis into one buffer; it
-    must pick the DOF the row-sum formula it replaced picks — on exact
-    ties (points equidistant from several nodes) the lowest id."""
+    """``SemND.nearest_dof`` measures only the nodes of elements whose
+    box can hold the nearest one; it must pick the DOF the brute-force
+    row-sum ``argmin`` picks — on exact ties (points equidistant from
+    several nodes) the lowest id."""
 
     @staticmethod
     def _sem(kind):
@@ -179,3 +180,85 @@ class TestNearestDof:
             for comp in range(n_comp):
                 got = sem.nearest_dof(*p) if n_comp == 1 else sem.nearest_dof(*p, comp=comp)
                 assert got == n_comp * int(np.argmin(d2)) + comp
+
+    @staticmethod
+    def _graded(dim):
+        """A box grid whose spacing grows geometrically along every axis,
+        so node coordinates are not short binary fractions."""
+        mesh = uniform_grid((5, 4, 3)[:dim])
+        for a in range(dim):
+            n = int(mesh.coords[:, a].max())
+            ticks = np.concatenate([[0.0], np.cumsum(0.37 * 1.3 ** np.arange(n))])
+            mesh.coords[:, a] = ticks[mesh.coords[:, a].astype(int)]
+        return mesh
+
+    @staticmethod
+    def _points(sem, rng):
+        """Nodes, element corners, face and element centres, midpoints of
+        neighbouring nodes (half-grid ties), random points in and out."""
+        mesh, nc, dim = sem.mesh, sem.node_coords, sem.dim
+        P = mesh.coords[mesh.elements]  # (n_elem, 2**dim, dim)
+        e = rng.integers(0, mesh.n_elements, 6)
+        bits = (np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+        dofs = sem.scalar_dofs[e]
+        lo, hi = nc.min(axis=0), nc.max(axis=0)
+        outside = rng.uniform(lo, hi, size=(8, dim))
+        axis = rng.integers(0, dim, 8)
+        outside[np.arange(8), axis] += (hi - lo + 1.0)[axis] * rng.choice([-1.0, 1.0], 8)
+        return np.concatenate([
+            nc[rng.integers(0, len(nc), 6)],
+            mesh.coords[rng.integers(0, mesh.n_nodes, 6)],
+            *[P[e][:, bits[:, a] == b].mean(axis=1) for a in range(dim) for b in (0, 1)],
+            P[e].mean(axis=1),
+            0.5 * (nc[dofs[:, 0]] + nc[dofs[:, 1]]),
+            0.5 * (nc[dofs[:, 0]] + nc[dofs[:, sem.order + 2]]),
+            rng.uniform(lo, hi, size=(8, dim)),
+            outside,
+            [lo - 1.0, hi + 1.0],
+        ])
+
+    @pytest.mark.parametrize("family", ["trench", "crust", "graded2d", "graded3d"])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_box_pruned_search_equals_brute_force(self, family, order):
+        """The element-box search returns the brute-force row-sum
+        ``argmin`` (lowest id on ties) for every component of acoustic
+        and elastic physics, at nodes, ties and points outside the mesh."""
+        from repro.mesh import crust_mesh, trench_mesh
+        from repro.sem import ElasticSem2D, ElasticSem3D, Sem3D
+        from repro.sem.materials import IsotropicElastic
+
+        mesh = {
+            "trench": lambda: trench_mesh(8, 6, 3, band_radii=(0.8, 1.8)),
+            "crust": lambda: crust_mesh(5, 4, 4),
+            "graded2d": lambda: self._graded(2),
+            "graded3d": lambda: self._graded(3),
+        }[family]()
+        elastic = IsotropicElastic(lam=2.0, mu=1.0, rho=1.3)
+        sems = [
+            (Sem2D if mesh.dim == 2 else Sem3D)(mesh, order=order),
+            (ElasticSem2D if mesh.dim == 2 else ElasticSem3D)(mesh, order=order, material=elastic),
+        ]
+        points = self._points(sems[0], np.random.default_rng(order))
+        n_ties = 0
+        for p in points:
+            d2 = ((sems[0].node_coords - p) ** 2).sum(axis=1)
+            n_ties += np.count_nonzero(d2 == d2.min()) > 1
+            best = int(np.argmin(d2))
+            assert sems[0].nearest_dof(*p) == best
+            for comp in range(mesh.dim):
+                assert sems[1].nearest_dof(*p, comp=comp) == mesh.dim * best + comp
+        assert n_ties > 0  # the tie-break is exercised
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_refused(self, bad):
+        from repro.sem import ElasticSem2D
+        from repro.sem.materials import IsotropicElastic
+
+        mesh = uniform_grid((3, 3))
+        elastic = ElasticSem2D(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0))
+        with pytest.raises(SolverError, match="finite"):
+            Sem2D(mesh, order=2).nearest_dof(1.0, bad)
+        with pytest.raises(SolverError, match="finite"):
+            elastic.nearest_dof(bad, 1.0, comp=1)
+        with pytest.raises(SolverError, match="finite"):
+            Sem1D(uniform_interval(3), order=2).nearest_dof(bad)
