@@ -106,12 +106,14 @@ def _cmd_run(args) -> int:
         f"scheme={cfg.time.scheme}: {levels.n_levels} LTS levels "
         f"{levels.counts().tolist()}, dt={sim.dt:.6g}, "
         f"{sim.n_cycles} cycles "
-        f"(backend={cfg.backend.stiffness}, kernel={sim.kernel_tier()}, "
-        f"ranks={cfg.partition.n_ranks})"
+        f"(backend={cfg.backend.stiffness}, ranks={cfg.partition.n_ranks})"
     )
     result = sim.run(resume=args.resume, perf=args.perf)
     md = result.metadata
-    line = f"run: {md['build_seconds']:.2f}s build, {md['run_seconds']:.2f}s stepping"
+    line = (
+        f"run: kernel={md['kernel_tier']}, {md['build_seconds']:.2f}s build, "
+        f"{md['run_seconds']:.2f}s stepping"
+    )
     if "messages" in md:
         line += f", {md['messages']} messages / {md['comm_volume']} values exchanged"
     print(line)

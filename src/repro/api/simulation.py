@@ -632,24 +632,17 @@ class Simulation:
         )
 
     def kernel_tier(self) -> str:
-        """The kernel tier this config resolves to — ``"assembled"``,
-        ``"numpy"``, ``"fused"``, or ``"fused+openmp:N"`` — so results
-        always record which path actually ran: with ``fused=None`` a
-        missing compiler means ``"numpy"``, a build without OpenMP means
-        ``"fused"`` whatever ``threads`` says (``fused=True`` without a
-        compiler raises instead).  Cheap: no operator is built."""
-        b = self.config.backend
-        if b.stiffness == "assembled":
-            return "assembled"
-        from repro.sem.matfree import describe_tier
-
-        return describe_tier(
-            self.config.material.model,
-            self.mesh.dim,
-            self.config.order,
-            use_fused=b.fused,
-            threads=b.threads,
-        )
+        """The kernel tier the solver plan's level-1 products run —
+        ``"assembled"``, ``"numpy"``, ``"fused"`` or ``"fused+openmp:N"``
+        — read off the built plan (:attr:`NumberingPlan.tier
+        <repro.core.lts_newmark.NumberingPlan.tier>`), so results record
+        the path that ran: with ``fused=None`` a missing compiler or a
+        DOF count past the int32 tables is ``"numpy"``, and a product
+        below one ``VL`` block per thread runs ``"fused"`` whatever
+        ``threads`` says.  Numberings that ran different tiers record
+        each, comma-separated in order of first appearance."""
+        tiers = dict.fromkeys(nb.tier for nb in self.solver_plan.numberings)
+        return ",".join(tiers)
 
     def cache_summary(self) -> dict:
         """This Simulation's own stage-cache traffic: ``{"hits": n,

@@ -428,7 +428,7 @@ class NumberingPlan:
     """One DOF numbering's share of an optimized plan — the whole mesh,
     or one rank's local DOFs: its coarsest level's product, the compact
     recursion of the finer levels, and the level-1 product's kernel
-    tier."""
+    tier (``"assembled"`` for a CSR one): the tier a run records."""
 
     n: int
     level0: int
@@ -502,7 +502,7 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
     }
     numberings, orders = [], [] if len(levels) > 1 else None
     for r, (K, lv) in enumerate(zip(stiffness, dof_levels)):
-        nb = NumberingPlan(len(lv), levels[0], restr[r][0], [], getattr(K, "tier", ""))
+        nb = NumberingPlan(len(lv), levels[0], restr[r][0], [], getattr(K, "tier", "assembled"))
         if orders is not None:
             active, acts = np.zeros(len(lv), dtype=bool), []
             for j in range(len(levels) - 1, 0, -1):  # finest first

@@ -20,14 +20,20 @@ is backend-agnostic:
   LTS, which is explicit Newmark, costs what a plain apply costs.
 * :class:`AssembledOperator` — wraps a precomputed sparse ``A``; the
   seed's CSR path, unchanged semantics.
-* the matrix-free backend lives in :mod:`repro.sem.matfree` (it needs
-  element geometry the core layer does not know about).
+* :class:`repro.sem.matfree.MatrixFreeStiffness` — the unassembled
+  ``M^{-1} K``, serial or a rank's share; it lives in
+  :mod:`repro.sem.matfree` (it needs element geometry the core layer
+  does not know about).
 * :class:`KernelSpec` — the explicit physics description every SEM
   assembler exports (``kernel_spec()``).  Backend dispatch — which
   element kernel applies the stiffness, which fused C tier binds to it
   — keys off this declaration instead of duck-typed attribute sniffing
   (``hasattr(assembler, "lam")`` and friends), so adding a physics is
   adding a spec + kernel pair, never another ``hasattr`` chain.
+
+Every product — a full apply, a level restriction, a renumbered one —
+refuses (:class:`SolverError`) a ``u`` or ``out`` of another length
+before it reads or writes either (:func:`check_lengths`).
 
 ``nnz`` is defined as *operations per full apply* — literal stored
 nonzeros for the assembled backend, tensor-contraction flops for the
@@ -98,6 +104,18 @@ class KernelSpec:
             dim=self.dim,
             n_comp=self.n_comp,
             params={k: np.asarray(v)[ids] for k, v in self.params.items()},
+        )
+
+
+def check_lengths(n: int, u: np.ndarray, out: np.ndarray | None) -> None:
+    """Refuse, with :class:`SolverError` naming both lengths, a ``u`` or
+    an ``out`` that is not a vector of a product's length ``n``: the
+    kernels read and write through raw indices and would run off the
+    end of a short one."""
+    if u.shape != (n,) or (out is not None and out.shape != (n,)):
+        bad = ("u", u) if u.shape != (n,) else ("out", out)
+        raise SolverError(
+            f"a product of length {n} was given {bad[0]} of shape {bad[1].shape}"
         )
 
 
@@ -181,6 +199,7 @@ def _adapted(inner: Restriction, idx: np.ndarray, pos: np.ndarray, off: int) -> 
     apply = inner.apply
 
     def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        check_lengths(len(idx), u, out)
         u.take(colpos, out=c, mode="clip")
         w[cols] = c
         apply(w, out=z)
@@ -198,7 +217,7 @@ class StiffnessOperator(Protocol):
     """What every stiffness backend provides.
 
     Implementations: :class:`AssembledOperator` (CSR) and
-    :class:`repro.sem.matfree.MatrixFreeOperator` (sum-factorization).
+    :class:`repro.sem.matfree.MatrixFreeStiffness` (sum-factorization).
     """
 
     @property
@@ -259,6 +278,7 @@ class AssembledOperator:
         return self.A @ u
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        check_lengths(self.A.shape[0], u, out)
         if out is None:
             return self.A @ u
         return csr_matvec_into(self.A, u, out)
@@ -301,8 +321,10 @@ def _column_block(cols: np.ndarray, A_cols, gather: bool = True) -> Restriction:
     the original's."""
     cols = np.asarray(cols, dtype=np.intp)  # a take with other indices converts per call
     ucols = np.empty(len(cols)) if gather else None  # the one mutable part
+    n = A_cols.shape[0]  # input and output share the rows' numbering
 
     def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        check_lengths(n, u, out)
         if ucols is not None:
             u = u.take(cols, out=ucols, mode="clip")
         if out is None:
@@ -356,13 +378,16 @@ def _restrict_levels(K, col_masks: list[np.ndarray], first_support: int = 0):
     one per level mask in the order given (coarsest first), and, per
     level from ``first_support`` on, the rows the product can write.
 
-    Two protocols make them: a rank-local stiffness restricts to the
-    level's elements plus their gray halo (``masked_subset``) and knows
-    their ``row_support``; an operator — or a CSR block, wrapped —
+    Two protocols make them, chosen by what ``K``'s *class* defines (as
+    :func:`_restriction` chooses ``fork`` and ``renumber``): a
+    matrix-free stiffness restricts to the level's elements plus their
+    gray halo (``masked_subset``) and knows their ``row_support``;
+    anything else — an operator, a CSR block (wrapped), a caller's proxy
+    that forwards attribute lookups but intercepts ``restrict`` —
     answers ``restrict`` and ``reach``.
     """
     cols = [np.nonzero(m)[0] for m in col_masks]
-    if hasattr(K, "masked_subset"):
+    if hasattr(type(K), "masked_subset"):
         subs = [K.masked_subset(m) for m in col_masks]
         restr = [_restriction(c, s) for c, s in zip(cols, subs)]
         return restr, [s.row_support() for s in subs[first_support:]]

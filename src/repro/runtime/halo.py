@@ -7,15 +7,16 @@ point-to-point exchange — the synchronization that happens at *every LTS
 substep* in Fig. 1.
 
 :func:`build_rank_layout` consumes any assembler exposing
-``element_dofs`` and ``element_system(e)`` (all SEM assemblers do) plus
+``element_dofs``, ``M`` and ``element_system(e)`` (all SEM assemblers do) plus
 an element partition vector, and produces a :class:`RankLayout` the
 distributed solvers run on.  A rank's product is its share of the serial
 ``M^{-1} K`` — its owned elements' partial stiffness, rows scaled by
-``1/M`` — in one of two backends: ``"assembled"`` (partial CSR per rank,
+the one ``1/M`` (:func:`repro.sem.matfree.inverse_mass`, Dirichlet rows
+0) — in one of two backends: ``"assembled"`` (partial CSR per rank,
 vectorized scatter assembly via ``element_system_batch`` when available)
-and ``"matfree"`` (an unassembled
-:class:`repro.sem.matfree.MatrixFreeStiffness` per rank — no rank ever
-forms a matrix; requires the assembler to export its explicit
+and ``"matfree"`` (the rank's elements through the builder of the serial
+matrix-free operator, :func:`repro.sem.matfree.stiffness_share` — no
+rank ever forms a matrix; requires the assembler to export its explicit
 :class:`repro.core.operator.KernelSpec`).  Both duck-type
 ``K @ u``, so the executors are backend- and physics-agnostic: scalar
 acoustic (with variable density), multi-component isotropic elastic and
@@ -34,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.newmark import ReplicaMap
+from repro.sem.matfree import inverse_mass, stiffness_share
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -208,8 +210,8 @@ def build_rank_layout(
     Parameters
     ----------
     assembler:
-        Object with ``element_dofs`` (``(n_elem, n_loc)``), ``n_dof``, and
-        ``element_system(e) -> (Ke, Me)``.
+        Object with ``element_dofs`` (``(n_elem, n_loc)``), ``n_dof``, the
+        fully-summed diagonal mass ``M`` and ``element_system(e) -> (Ke, Me)``.
     parts:
         ``(n_elem,)`` rank id per element.
     dof_level:
@@ -259,17 +261,9 @@ def build_rank_layout(
         PartitionError,
     )
 
-    # ``1/M`` of every rank-local product's rows: the fully-summed
-    # diagonal mass (the assembler's, else summed here from its element
-    # masses), 0 on a Dirichlet row.
-    M = getattr(assembler, "M", None)
-    if M is None:
-        M = np.zeros(n_dof)
-        for e, dofs in enumerate(element_dofs):
-            np.add.at(M, dofs, assembler.element_system(e)[1])
-    inv_m = 1.0 / np.asarray(M, dtype=np.float64)
-    if mask is not None:
-        inv_m = inv_m * mask
+    # ``1/M`` of every rank-local product's rows, as the serial
+    # operator's: the fully-summed diagonal mass, 0 on a Dirichlet row.
+    inv_m = inverse_mass(assembler)
 
     # Local DOF sets (sorted global ids), local element connectivity
     # (one global -> local table per rank: a flag pass and a gather, no
@@ -288,20 +282,15 @@ def build_rank_layout(
         ld = local_id[element_dofs[owned]]
         gdofs.append(ids)
         if backend == "matfree":
-            from repro.sem.matfree import local_stiffness
-
             require(
                 hasattr(assembler, "kernel_spec"),
                 "matfree layout backend requires an assembler exporting "
                 "kernel_spec() (see repro.core.operator.KernelSpec)",
                 PartitionError,
             )
-            K_local.append(
-                local_stiffness(
-                    assembler, owned, ld, len(ids), Minv=inv_m[ids],
-                    use_fused=use_fused, threads=threads,
-                )
-            )
+            K_local.append(stiffness_share(
+                assembler, inv_m[ids], owned, ld, use_fused=use_fused, threads=threads,
+            ))
         else:
             K = _rank_stiffness_assembled(assembler, owned, ld, len(ids))
             if mask is not None:

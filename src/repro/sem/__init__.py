@@ -62,12 +62,7 @@ from repro.sem.assembly2d import Sem2D
 from repro.sem.assembly3d import Sem3D
 from repro.sem.elastic2d import ElasticSem2D
 from repro.sem.elastic3d import ElasticSem3D
-from repro.sem.matfree import (
-    MatrixFreeOperator,
-    MatrixFreeStiffness,
-    kernel_from_spec,
-    matrix_free_operator,
-)
+from repro.sem.matfree import MatrixFreeStiffness, kernel_from_spec, stiffness_share
 from repro.sem.sources import ricker, point_source
 from repro.sem.energy import discrete_energy
 from repro.sem import fused, materials
@@ -90,10 +85,9 @@ __all__ = [
     "Sem3D",
     "ElasticSem2D",
     "ElasticSem3D",
-    "MatrixFreeOperator",
     "MatrixFreeStiffness",
     "kernel_from_spec",
-    "matrix_free_operator",
+    "stiffness_share",
     "ricker",
     "point_source",
     "discrete_energy",

@@ -77,8 +77,8 @@ Design notes (mirrors the NumPy path in :mod:`repro.sem.matfree`):
   unchanged: results are bitwise those of the 8-byte tables.  Values
   other than 0 and 1 are refused before packing
   (:class:`repro.sem.matfree.MatrixFreeStiffness`);
-* ``Minv`` folds the diagonal mass inverse into the same pass when the
-  caller wants ``M^{-1} K u`` rather than ``K u``.
+* ``Minv`` (``1/M``, Dirichlet rows 0) scales the rows in the same
+  pass: every kernel computes ``M^{-1} K u``.
 
 LTS phases
 ----------
@@ -264,14 +264,13 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
  * and the static schedules make the partial sums reproducible for a
  * fixed thread count).  ne must be a multiple of VL.  Every apply
  * overwrites all n_dof entries of z: zeroed, accumulated, then scaled
- * by the full-length Minv when one is given.
+ * by the full-length Minv.
  */
 #define SERIAL_DRIVER(CALL)                                                  \
     do {                                                                     \
         memset(z, 0, (size_t)n_dof * sizeof(double));                        \
         for (long e0 = 0; e0 < ne; e0 += VL) { CALL(z); }                    \
-        if (Minv)                                                            \
-            for (long i = 0; i < n_dof; ++i) z[i] *= Minv[i];                \
+        for (long i = 0; i < n_dof; ++i) z[i] *= Minv[i];                    \
     } while (0)
 
 #if REPRO_OMP
@@ -289,7 +288,7 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
                     double acc = 0.0;                                        \
                     for (int t = 0; t < n_threads; ++t)                      \
                         acc += zt[(size_t)t * n_dof + i];                    \
-                    z[i] = Minv ? acc * Minv[i] : acc;                       \
+                    z[i] = acc * Minv[i];                                    \
                 }                                                            \
             }                                                                \
         } else {                                                             \
@@ -1171,7 +1170,7 @@ def _pad(a: np.ndarray, ne_pad: int, fill=0.0, dtype=None) -> np.ndarray:
 
 
 class _FusedPlan:
-    """Base bound fused apply: ``u -> [Minv *] K u`` (+ gmask).
+    """Base bound fused apply: ``u -> Minv * K u`` (+ gmask).
 
     Subclasses name their C symbol and bind the kernel-specific
     coefficient arrays; padding, masks, the GLL weights, and the
@@ -1189,20 +1188,20 @@ class _FusedPlan:
     and ``_gmask`` as ``uint8``, each padded to ``VL`` rows.
     ``element_dofs`` and ``gmask`` are views of their first ``ne`` rows,
     which the owning :class:`repro.sem.matfree.MatrixFreeStiffness`
-    keeps as its own tables (one copy per product).  The caller vouches
-    that every entry of ``element_dofs`` lies in ``[0, n_dof)`` with
-    ``n_dof <= MAX_DOF`` and that ``gmask`` holds only 0 and 1: the
-    packing casts without a check.
+    keeps as its own tables (one copy per product).  ``n_dof`` is
+    ``len(Minv)``.  The caller vouches that every entry of
+    ``element_dofs`` lies in ``[0, n_dof)`` with ``n_dof <= MAX_DOF``
+    and that ``gmask`` holds only 0 and 1: the packing casts without a
+    check.
     """
 
     _symbol = ""
 
-    def __init__(self, kernel, element_dofs, n_dof, gmask=None, Minv=None,
-                 threads: int = 1):
+    def __init__(self, kernel, element_dofs, Minv, gmask=None, threads: int = 1):
         lib = load()
-        assert lib is not None and int(n_dof) <= MAX_DOF
+        assert lib is not None and len(Minv) <= MAX_DOF
         self._fn = getattr(lib, self._symbol)
-        self.n_dof = int(n_dof)
+        self.n_dof = len(Minv)
         self.n1 = kernel.n1
         ne = element_dofs.shape[0]
         ne_pad = -(-ne // VL) * VL
@@ -1216,7 +1215,7 @@ class _FusedPlan:
         )
         self.element_dofs = self._ed[:ne]
         self.gmask = None if gmask is None else self._gmask[:ne]
-        self._Minv = None if Minv is None else np.ascontiguousarray(Minv)
+        self._Minv = np.ascontiguousarray(Minv)
         self._ne = ne_pad
         _, w = _gll(kernel.order)
         self._w = w

@@ -38,17 +38,18 @@ where :data:`_FUSED_PLANS` lists the physics and dimension, the fused C
 kernels of :mod:`repro.sem.fused` (``"fused"``, or ``"fused+openmp:N"``
 when ``threads`` asks for the OpenMP element loop and the build has it).
 
-Layered on top:
-
-* :class:`MatrixFreeStiffness` — the bare ``K u`` action (duck-types a
-  sparse matrix: ``shape``/``nnz``/``@``), which is what the distributed
-  runtime's rank-local partial products need;
-* :class:`MatrixFreeOperator` — the full ``A u = M^{-1} K u`` with
-  optional Dirichlet masking, implementing the
-  :class:`repro.core.operator.StiffnessOperator` protocol including the
-  element-subset level restriction LTS uses: ``restrict(cols)`` touches
-  only the elements adjacent to ``cols`` (the active level plus its gray
-  halo), never a column slice of a global matrix.
+Layered on top, one class: :class:`MatrixFreeStiffness`, the
+unassembled ``M^{-1} K`` of a set of elements on a numbering, rows
+scaled by ``1/M`` (Dirichlet rows 0) and columns by the Dirichlet mask.
+:func:`stiffness_share` builds it for every caller: over the whole mesh
+it is the serial operator (:meth:`repro.sem.tensor.SemND.operator`,
+the :class:`repro.core.operator.StiffnessOperator` protocol), over a
+rank's elements that rank's share in
+:class:`repro.runtime.halo.RankLayout`.  The element-subset level
+restriction LTS uses is its :meth:`~MatrixFreeStiffness.masked_subset`:
+``restrict(cols)`` touches only the elements adjacent to ``cols`` (the
+active level plus its gray halo), never a column slice of a global
+matrix.
 
 ``nnz`` reports tensor-contraction flops per apply so the op counts of
 an LTS plan (:meth:`repro.core.lts_newmark.NumberingPlan.ops_per_cycle`)
@@ -61,7 +62,13 @@ import copy
 
 import numpy as np
 
-from repro.core.operator import KernelSpec, Restriction, _restriction, positions_in
+from repro.core.operator import (
+    KernelSpec,
+    Restriction,
+    _restriction,
+    check_lengths,
+    positions_in,
+)
 from repro.core.workspace import Workspace
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
@@ -86,8 +93,7 @@ def resolve_threads(threads: int | None) -> int:
 
 
 #: Which ``(physics, dim)`` has a fused C tier, as ``(plan class, highest
-#: order)`` — the one table behind both the built operator
-#: (:func:`_fused_plan`) and the configured tier (:func:`describe_tier`).
+#: order)``.
 _FUSED_PLANS = {
     ("acoustic", 2): (fused.AcousticPlan, fused.MAX_ORDER),
     ("acoustic", 3): (fused.Acoustic3DPlan, fused.MAX_ORDER_3D),
@@ -98,37 +104,28 @@ _FUSED_PLANS = {
 }
 
 
-def _fused_plan_cls(physics: str, dim: int, order: int):
-    """The fused plan class for this physics, mesh dimension and
-    polynomial order, or ``None`` when no compiled tier exists for it
-    (any other dimension, an order above the table's, no compiler)."""
-    plan_cls, max_order = _FUSED_PLANS.get((physics, dim), (None, -1))
-    return plan_cls if order <= max_order and fused.available() else None
-
-
-def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None,
-                threads: int = 1):
+def _fused_plan(kernel, element_dofs, Minv, gmask=None, enabled=None, threads: int = 1):
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
-    ``enabled=None`` auto-detects (:func:`_fused_plan_cls`; anything
-    without a fused tier, or with more than :data:`repro.sem.fused.MAX_DOF`
-    DOFs, runs NumPy); ``False`` forces the NumPy path; ``True`` raises
-    if unavailable.
+    ``enabled=None`` auto-detects: a physics and dimension without a
+    fused tier, an order above the table's, no compiler, or more than
+    :data:`repro.sem.fused.MAX_DOF` DOFs runs NumPy; ``False`` forces
+    the NumPy path; ``True`` raises if unavailable.
     ``threads > 1`` requests the OpenMP element-block loop (honored only
     when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
     """
     if enabled is False:
         return None
-    plan_cls = _fused_plan_cls(kernel.physics, kernel.dim, kernel.order)
-    if n_dof > fused.MAX_DOF:
+    if len(Minv) > fused.MAX_DOF:
         require(enabled is not True,
-                f"fused kernels index DOFs as int32: n_dof {n_dof} exceeds "
+                f"fused kernels index DOFs as int32: n_dof {len(Minv)} exceeds "
                 f"the limit {fused.MAX_DOF}", SolverError)
         return None
-    if plan_cls is None:
+    plan_cls, max_order = _FUSED_PLANS.get((kernel.physics, kernel.dim), (None, -1))
+    if kernel.order > max_order or not fused.available():
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
-    return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, Minv=Minv, threads=threads)
+    return plan_cls(kernel, element_dofs, Minv, gmask=gmask, threads=threads)
 
 
 def _require_01(mask: np.ndarray, what: str) -> np.ndarray:
@@ -196,50 +193,39 @@ except ImportError:  # pragma: no cover - scipy internals moved
 
 class _ScatterPlan:
     """Precomputed allocation-free scatter: an exact replacement for
-    per-apply ``np.bincount``.
+    per-apply ``np.bincount``, times a per-dof ``coeff`` (``M^{-1}``).
 
     Views the assembly scatter as the one-hot matrix whose column ``j``
-    holds a single unit entry at row ``element_dofs.ravel()[j]`` and
-    applies it with scipy's ``csc_matvec`` kernel: the kernel's
-    column-major accumulation loop is then *exactly* bincount's loop —
-    one pass over the flat element values in appearance order,
-    ``out[dof[j]] += 1.0 * v[j]`` — bitwise equal to ``bincount`` with
-    no temporary and no per-row scan of the dof space (which is what
-    makes it beat a CSR formulation: a fine LTS level touches a sliver
-    of the dofs but a row scan would still walk all of them).
+    holds the single entry ``coeff[dof[j]]`` at row ``dof[j]`` (``dof``
+    = ``element_dofs.ravel()``) and applies it with scipy's
+    ``csc_matvec`` kernel: the kernel's column-major accumulation loop
+    is then *exactly* bincount's loop — one pass over the flat element
+    values in appearance order, ``out[dof[j]] += coeff[dof[j]] * v[j]``
+    — with no temporary and no per-row scan of the dof space (which is
+    what makes it beat a CSR formulation: a fine LTS level touches a
+    sliver of the dofs but a row scan would still walk all of them).
 
-    ``coeff`` (a per-dof vector, typically ``M^{-1}``) folds a
-    subsequent elementwise multiply into the accumulation
-    coefficients — one fewer full-vector pass per apply.  The multiply
-    distributes into the sum (``sum(c v_j)`` vs ``c sum(v_j)``), so
-    with ``coeff`` the result is within 1 ulp per accumulation of a
-    separate multiply rather than bitwise identical.
+    Folding ``coeff`` into the accumulation saves a full-vector pass per
+    apply.  The multiply distributes into the sum (``sum(c v_j)`` vs
+    ``c sum(v_j)``), so the result is within 1 ulp per accumulation of
+    a separate multiply rather than bitwise identical.
     """
 
-    def __init__(
-        self,
-        element_dofs: np.ndarray,
-        n_dof: int,
-        coeff: np.ndarray | None = None,
-    ):
+    def __init__(self, element_dofs: np.ndarray, coeff: np.ndarray):
         flat = np.ascontiguousarray(
             np.asarray(element_dofs, dtype=np.int64).ravel()
         )
-        self.n_dof = int(n_dof)
+        self.n_dof = len(coeff)
         self._flat = flat
         self._colptr = np.arange(flat.size + 1, dtype=np.int64)
-        self.folds_coeff = coeff is not None and _sptools is not None
-        self._data = (
-            np.ascontiguousarray(coeff[flat])
-            if self.folds_coeff
-            else np.ones(flat.size)
-        )
+        self._data = np.ascontiguousarray(coeff[flat])
 
     def scatter(self, values_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out[:] = bincount(dofs, weights=values_flat)`` (times the
-        folded ``coeff``, when given), pooled."""
+        """``out[:] = bincount(dofs, weights=coeff[dofs] * values_flat)``,
+        pooled."""
         if _sptools is None:  # pragma: no cover - scipy internals moved
-            out[:] = np.bincount(self._flat, weights=values_flat, minlength=self.n_dof)
+            out[:] = np.bincount(self._flat, weights=self._data * values_flat,
+                                 minlength=self.n_dof)
             return out
         out[:] = 0.0
         _sptools.csc_matvec(
@@ -659,18 +645,24 @@ class AnisotropicKernelND(_PooledKernel):
 # Gather / contract / scatter operators
 # ----------------------------------------------------------------------
 class MatrixFreeStiffness:
-    """The unassembled stiffness action: gather -> contract -> scatter-add.
+    """The unassembled ``M^{-1} K`` action: gather -> contract ->
+    scatter-add, rows scaled by ``Minv``.  The serial operator (every
+    element, :meth:`repro.sem.tensor.SemND.operator`) and a rank's share
+    of it (its owned elements, local numbering) are the same class, made
+    by the one builder :func:`stiffness_share`.
 
-    Duck-types the minimal sparse-matrix surface (``shape``, ``nnz``,
-    ``@``) so rank-local partial products in the distributed runtime can
-    swap it in for a CSR block unchanged.  ``nnz`` is contraction flops
-    per apply.
+    Implements the :class:`repro.core.operator.StiffnessOperator`
+    protocol (``shape``, ``nnz``, ``@``, ``apply``, ``restrict``,
+    ``reach``); ``nnz`` is contraction flops per apply.  LTS levels are
+    :meth:`masked_subset` products: only the elements adjacent to the
+    level's columns (active level plus gray halo) are gathered and
+    contracted.
 
-    Computes ``K (gmask * u)`` with an optional per-element-node 0/1
-    input mask (any other value is refused), times the optional diagonal
-    ``Minv`` — i.e. the bare ``K u`` by default, the full ``M^{-1} K``
-    action when ``Minv`` is given (both folded into the fused kernel
-    pass when available).
+    Computes ``Minv * K (gmask * u)`` with an optional per-element-node
+    0/1 input mask (any other value is refused) and the diagonal
+    ``Minv``, whose length is the product's DOF count — ``1/M`` with the
+    Dirichlet rows 0 (:func:`inverse_mass`), folded into the scatter on
+    both tiers.
 
     ``element_dofs`` and ``gmask`` are held once, in the width the tier
     reads: with a fused plan they are views of the plan's ``int32`` and
@@ -694,15 +686,15 @@ class MatrixFreeStiffness:
         self,
         kernel,
         element_dofs: np.ndarray,
-        n_dof: int,
+        Minv: np.ndarray,
         use_fused: bool | None = None,
         gmask: np.ndarray | None = None,
-        Minv: np.ndarray | None = None,
         threads: int | None = None,
     ):
         self.kernel = kernel
         element_dofs = np.asarray(element_dofs)
-        self.n_dof = int(n_dof)
+        self.Minv = np.ascontiguousarray(Minv, dtype=np.float64)
+        self.n_dof = len(self.Minv)
         # Both tiers index with these unchecked (``take(mode="clip")``,
         # ``csc_matvec``, the C gather/scatter), so the table is vetted
         # here, before any narrowing cast.
@@ -714,21 +706,13 @@ class MatrixFreeStiffness:
         )
         if gmask is not None:
             gmask = _require_01(gmask, "gmask")
-        self.Minv = None if Minv is None else np.ascontiguousarray(Minv, dtype=np.float64)
         self._use_fused = use_fused
         self._requested_threads = threads
         self.threads = resolve_threads(threads)
         ne = element_dofs.shape[0]
         self._plan = (
-            _fused_plan(
-                kernel,
-                element_dofs,
-                self.n_dof,
-                gmask=gmask,
-                Minv=self.Minv,
-                enabled=use_fused,
-                threads=self.threads,
-            )
+            _fused_plan(kernel, element_dofs, self.Minv, gmask=gmask,
+                        enabled=use_fused, threads=self.threads)
             if ne
             else None
         )
@@ -744,7 +728,7 @@ class MatrixFreeStiffness:
         # :meth:`fork` only has to hand out fresh pools.
         self._ws = Workspace()
         self._scatter = (
-            _ScatterPlan(self.element_dofs, self.n_dof, coeff=self.Minv)
+            _ScatterPlan(self.element_dofs, self.Minv)
             if self._plan is None and ne
             else None
         )
@@ -781,7 +765,9 @@ class MatrixFreeStiffness:
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The full-length action, into ``out`` or a fresh vector: every
-        entry is overwritten (zero outside the row support)."""
+        entry is overwritten (zero outside the row support).  ``u`` and
+        ``out`` of another length are refused before any read."""
+        check_lengths(self.n_dof, u, out)
         if out is None:
             out = np.empty(self.n_dof)
         if self.element_dofs.shape[0] == 0:
@@ -795,10 +781,7 @@ class MatrixFreeStiffness:
             Ue *= self.gmask
         ku = self._ws.buf("ku", self.element_dofs.shape)
         self.kernel.contract(Ue, out=ku)
-        self._scatter.scatter(ku.reshape(-1), out)
-        if self.Minv is not None and not self._scatter.folds_coeff:  # pragma: no cover
-            out *= self.Minv
-        return out
+        return self._scatter.scatter(ku.reshape(-1), out)
 
     def workspace_bytes(self) -> int:
         """Bytes of pooled hot-path scratch currently held (gather and
@@ -813,15 +796,35 @@ class MatrixFreeStiffness:
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
 
-    def masked_subset(self, col_mask: np.ndarray) -> "MatrixFreeStiffness":
-        """The restricted action ``u -> K (1_cols * u)`` on the elements
-        adjacent to the masked DOFs (active level + gray halo).
+    def restrict(self, cols: np.ndarray) -> Restriction:
+        """The product ``A[:, cols] @ u[cols]``: the :meth:`masked_subset`
+        of the columns, equal to the assembled backend's column block to
+        machine precision."""
+        cols = np.asarray(cols, dtype=np.int64)
+        col_mask = np.zeros(self.n_dof, dtype=bool)
+        col_mask[cols] = True
+        return _restriction(cols, self.masked_subset(col_mask))
 
-        This is the paper's per-level stiffness application for the
-        distributed runtime: each rank applies only the elements of the
-        active level instead of masking a full local product.  A mask
-        over every DOF returns this operator itself: no rebuild, no
-        all-ones input mask.
+    def reach(self, col_mask: np.ndarray) -> np.ndarray:
+        """All DOFs of elements adjacent to the masked columns: the row
+        support of their :meth:`masked_subset`.  A structural superset
+        of the assembled backend's reach (it keeps same-element DOFs
+        whose stiffness entry is exactly zero), which is valid for LTS
+        active sets: any superset of the true coupling yields the
+        identical scheme."""
+        touch = np.asarray(col_mask, dtype=bool)[self.element_dofs].any(axis=1)
+        out = np.zeros(self.n_dof, dtype=bool)
+        out[self.element_dofs[touch].ravel()] = True
+        return out
+
+    def masked_subset(self, col_mask: np.ndarray) -> "MatrixFreeStiffness":
+        """The restricted action ``u -> Minv * K (1_cols * u)`` on the
+        elements adjacent to the masked DOFs (active level + gray halo).
+
+        This is the paper's per-level stiffness application: each level
+        applies only the elements of the active level instead of masking
+        a full product.  A mask over every DOF returns this operator
+        itself: no rebuild, no all-ones input mask.
         """
         col_mask = np.asarray(col_mask, dtype=bool)
         if col_mask.all():
@@ -834,10 +837,9 @@ class MatrixFreeStiffness:
         return MatrixFreeStiffness(
             self.kernel.subset(ids),
             ed,
-            self.n_dof,
+            self.Minv,
             use_fused=self._use_fused,
             gmask=gm,
-            Minv=self.Minv,
             threads=self._requested_threads,
         )
 
@@ -854,131 +856,20 @@ class MatrixFreeStiffness:
         return MatrixFreeStiffness(
             self.kernel.fork(),
             positions_in(pos, self.element_dofs, "row-support DOF", off),
-            len(idx),
+            self.Minv[idx],
             use_fused=self._use_fused,
             gmask=self.gmask,
-            Minv=None if self.Minv is None else self.Minv[idx],
             threads=self._requested_threads,
         )
 
     def row_support(self) -> np.ndarray:
         """Boolean mask of rows this operator can structurally write
-        (the union of its element dofs).  The distributed LTS executor
-        uses it to skip halo channels a level never touches."""
+        (the union of its element dofs).  An LTS plan builds its active
+        sets and halo channels from it."""
         mask = np.zeros(self.n_dof, dtype=bool)
         if self.element_dofs.size:
             mask[self.element_dofs.ravel()] = True
         return mask
-
-
-class MatrixFreeOperator:
-    """Matrix-free ``A u = M^{-1} K u`` implementing the
-    :class:`repro.core.operator.StiffnessOperator` protocol.
-
-    ``restrict(cols)`` realizes the paper's per-level application: only
-    the elements adjacent to ``cols`` (active level + gray halo) are
-    gathered and contracted, with the gathered values masked to ``cols``
-    so the result equals ``A[:, cols] @ u[cols]`` of the assembled
-    backend to machine precision (see
-    :meth:`repro.core.operator.Restriction.apply`).
-    """
-
-    def __init__(
-        self,
-        kernel,
-        element_dofs: np.ndarray,
-        M: np.ndarray,
-        dirichlet_mask: np.ndarray | None = None,
-        use_fused: bool | None = None,
-        threads: int | None = None,
-    ):
-        self.kernel = kernel
-        self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
-        self.M = np.asarray(M, dtype=np.float64)
-        self.n_dof = len(self.M)
-        self._Minv = 1.0 / self.M
-        self.dirichlet_mask = (
-            None
-            if dirichlet_mask is None
-            else np.asarray(_require_01(dirichlet_mask, "dirichlet_mask"), dtype=np.float64)
-        )
-        self._use_fused = use_fused
-        # The full pipeline (input mask, contraction, scatter, M^{-1})
-        # lives in one MatrixFreeStiffness; restrictions are its masked
-        # subsets, so the level-restriction logic exists exactly once.
-        # The Dirichlet row mask (0/1) folds into the M^{-1} row
-        # coefficients — no separate masking pass on any apply.
-        self._stiffness = MatrixFreeStiffness(
-            kernel,
-            self.element_dofs,
-            self.n_dof,
-            use_fused=use_fused,
-            gmask=(
-                None
-                if self.dirichlet_mask is None
-                else (self.dirichlet_mask != 0)[self.element_dofs]
-            ),
-            Minv=(
-                self._Minv
-                if self.dirichlet_mask is None
-                else self._Minv * self.dirichlet_mask
-            ),
-            threads=threads,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_dof, self.n_dof)
-
-    @property
-    def tier(self) -> str:
-        """The kernel tier of the full-operator apply (see
-        :attr:`MatrixFreeStiffness.tier`)."""
-        return self._stiffness.tier
-
-    @property
-    def nnz(self) -> int:
-        """Tensor-contraction flops of one full apply (see module docs)."""
-        return self._stiffness.nnz
-
-    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # Input mask, M^{-1} and the Dirichlet row mask are all folded in.
-        return self._stiffness.apply(u, out=out)
-
-    def workspace_bytes(self) -> int:
-        """Bytes of pooled hot-path scratch currently held (a level
-        restriction reports its own)."""
-        return self._stiffness.workspace_bytes()
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        return self.apply(u)
-
-    def apply_on(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One-shot ``A[:, cols] @ u[cols]`` (uncached convenience)."""
-        return self.restrict(cols).apply(u)
-
-    def restrict(self, cols: np.ndarray) -> Restriction:
-        """The product ``A[:, cols] @ u[cols]`` on the elements adjacent
-        to ``cols``.  Every column is the full operator's own pipeline
-        (:meth:`MatrixFreeStiffness.masked_subset`)."""
-        cols = np.asarray(cols, dtype=np.int64)
-        col_mask = np.zeros(self.n_dof, dtype=bool)
-        col_mask[cols] = True
-        return _restriction(cols, self._stiffness.masked_subset(col_mask))
-
-    def reach(self, col_mask: np.ndarray) -> np.ndarray:
-        """All DOFs of elements adjacent to the masked columns.
-
-        A structural superset of the assembled backend's reach (it keeps
-        same-element DOFs whose stiffness entry is exactly zero), which
-        is valid for LTS active sets: any superset of the true coupling
-        yields the identical scheme.
-        """
-        col_mask = np.asarray(col_mask, dtype=bool)
-        touch = col_mask[self.element_dofs].any(axis=1)
-        out = np.zeros(self.n_dof, dtype=bool)
-        out[self.element_dofs[touch].ravel()] = True
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -1053,93 +944,61 @@ def operator_for(
     use_fused: bool | None = None,
     threads: int | None = None,
 ):
-    """Backend dispatch behind ``Sem2D.operator`` / ``ElasticSem2D.operator``.
+    """Backend dispatch behind ``SemND.operator`` / ``Sem1D.operator``.
 
-    ``"assembled"`` wraps the precomputed CSR; ``"matfree"`` builds the
-    tensor-product operator.  One implementation, every assembler.
+    ``"assembled"`` wraps the precomputed CSR; ``"matfree"`` is the
+    whole mesh's :func:`stiffness_share` — the serial ``M^{-1} K`` is
+    the all-elements case of a rank's product.  One implementation,
+    every assembler.
     """
     if backend == "assembled":
         from repro.core.operator import AssembledOperator
 
         return AssembledOperator(assembler.A)
     if backend == "matfree":
-        return matrix_free_operator(assembler, use_fused=use_fused, threads=threads)
+        return stiffness_share(
+            assembler, inverse_mass(assembler), use_fused=use_fused, threads=threads
+        )
     raise SolverError(f"unknown backend {backend!r}")
 
 
-def matrix_free_operator(
-    assembler,
-    use_fused: bool | None = None,
-    threads: int | None = None,
-) -> MatrixFreeOperator:
-    """Matrix-free ``A = M^{-1} K`` for any :class:`~repro.sem.tensor.SemND`
-    assembler (:class:`~repro.sem.assembly2d.Sem2D`,
-    :class:`~repro.sem.assembly3d.Sem3D`) or
-    :class:`~repro.sem.elastic2d.ElasticSem2D`, equivalent to its
-    assembled ``assembler.A`` (including Dirichlet masking)."""
-    return MatrixFreeOperator(
-        _make_kernel(assembler),
-        assembler.element_dofs,
-        assembler.M,
-        dirichlet_mask=getattr(assembler, "dirichlet_mask", None),
-        use_fused=use_fused,
-        threads=threads,
-    )
+def inverse_mass(assembler) -> np.ndarray:
+    """``1/M`` of ``assembler``'s fully-summed diagonal mass with its
+    Dirichlet rows set to 0: the row scale of every ``M^{-1} K``
+    product, serial or rank-local, on either backend."""
+    inv_m = 1.0 / np.asarray(assembler.M, dtype=np.float64)
+    mask = getattr(assembler, "dirichlet_mask", None)
+    return inv_m if mask is None else inv_m * mask
 
 
-def local_stiffness(
+def stiffness_share(
     assembler,
-    element_ids: np.ndarray,
-    local_dofs: np.ndarray,
-    n_local: int,
-    Minv: np.ndarray | None = None,
+    Minv: np.ndarray,
+    element_ids: np.ndarray | None = None,
+    local_dofs: np.ndarray | None = None,
     use_fused: bool | None = None,
     threads: int | None = None,
 ) -> MatrixFreeStiffness:
-    """Rank-local unassembled ``K`` — or, given the rank-local ``Minv``,
-    ``M^{-1} K`` — for the distributed runtime.
+    """The unassembled ``M^{-1} K`` of the elements ``element_ids`` (all
+    of them when ``None``) of any SEM assembler: the serial operator, or
+    a rank's share of it for :class:`repro.runtime.halo.RankLayout`.
 
-    ``local_dofs`` is ``assembler.element_dofs[element_ids]`` mapped to
-    rank-local numbering.  With ``Minv`` (``1/M`` on the local DOFs,
-    Dirichlet rows 0) folded into the scatter, as the serial
-    :class:`MatrixFreeOperator` folds it, the returned object drops into
-    :class:`repro.runtime.halo.RankLayout.K_local`: each rank applies its
-    share of the serial operator and the halo exchange sums the shares.
-    The assembler's Dirichlet mask, if any, masks the columns as in
-    :func:`matrix_free_operator`.
+    ``local_dofs`` is ``assembler.element_dofs[element_ids]`` in the
+    product's numbering (the global one when ``None``) and ``Minv``
+    (:func:`inverse_mass` on those DOFs) scales its rows.  The
+    assembler's Dirichlet mask, if any, masks the columns, so the whole
+    mesh's share equals the assembled ``assembler.A`` and the halo sum
+    of the ranks' shares is its product.
     """
-    element_ids = np.asarray(element_ids)
+    ed = np.asarray(assembler.element_dofs)
+    if element_ids is not None:
+        ed = ed[np.asarray(element_ids)]
     mask = getattr(assembler, "dirichlet_mask", None)
     return MatrixFreeStiffness(
         _make_kernel(assembler, element_ids),
-        local_dofs,
-        n_local,
+        ed if local_dofs is None else local_dofs,
+        Minv,
         use_fused=use_fused,
-        gmask=None if mask is None else mask[np.asarray(assembler.element_dofs)[element_ids]],
-        Minv=Minv,
+        gmask=None if mask is None else _require_01(mask, "dirichlet_mask")[ed],
         threads=threads,
     )
-
-
-def describe_tier(
-    physics: str,
-    dim: int,
-    order: int,
-    use_fused: bool | None = None,
-    threads: int | None = None,
-) -> str:
-    """The kernel tier a matfree operator with these settings resolves
-    to, without building one: ``"fused+openmp:N"``, ``"fused"``, or
-    ``"numpy"``.
-
-    This is the *configured* tier — per-operator size gating (fewer
-    ``VL`` element blocks than OpenMP threads) can still downgrade a
-    specific apply to serial; :attr:`MatrixFreeStiffness.tier` on a
-    built operator is authoritative.
-    """
-    n = resolve_threads(threads)
-    if use_fused is False or _fused_plan_cls(physics, dim, order) is None:
-        return "numpy"
-    if n > 1 and fused.omp_enabled():
-        return f"fused+openmp:{n}"
-    return "fused"

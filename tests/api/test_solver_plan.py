@@ -227,7 +227,7 @@ def test_fork_of_an_openmp_operator_owns_its_per_thread_partials():
     if not (fused.available() and fused.omp_enabled()):
         pytest.skip("no OpenMP build of the fused kernels")
     sim = Simulation(make_config("fused"))
-    K = sim.assembler.operator("matfree", use_fused=True, threads=2)._stiffness
+    K = sim.assembler.operator("matfree", use_fused=True, threads=2)
     twin = K.fork()
     assert K._plan._zt is not None and twin._plan._zt is not K._plan._zt
     assert twin._plan._ed is K._plan._ed and twin.element_dofs is K.element_dofs
@@ -260,9 +260,8 @@ def test_each_product_holds_its_tables_once_in_the_width_its_tier_reads(physics,
     ``csc_matvec`` read without a per-call conversion."""
     if tier == "fused" and not fused.available():
         pytest.skip("no C compiler: fused tier unavailable")
-    op = _dirichlet_assembler(physics, dim).operator(
+    K = _dirichlet_assembler(physics, dim).operator(
         "matfree", use_fused=tier == "fused", threads=2)
-    K = op._stiffness
     cols = np.zeros(K.n_dof, dtype=bool)
     cols[: K.n_dof // 2] = True
     sub = K.masked_subset(cols)
@@ -396,3 +395,47 @@ def test_byte_budget_sees_plans_and_evicts_them_lru_first(ranks):
     tiny.get_or_create("mesh:m", lambda: np.zeros(4))
     tiny.get_or_create("solver_plan:a", lambda: plans["a"])
     assert "solver_plan:a" in tiny and "mesh:m" not in tiny  # the newest survives
+
+
+# ----------------------------------------------------------------------
+# (d) the recorded kernel tier is the one that ran
+# ----------------------------------------------------------------------
+def _tiny_config(**backend):
+    return {
+        "mesh": {"family": "uniform_grid", "params": {"shape": [2, 2]}},
+        "material": {"model": "acoustic", "c": 1.0},
+        "order": 3,
+        "time": {"n_cycles": 2},
+        "backend": {"stiffness": "matfree", **backend},
+    }
+
+
+def test_recorded_tier_is_serial_below_one_block_per_thread():
+    """Four elements are one ``VL`` block: a ``threads=2`` config runs,
+    and records, the serial fused tier."""
+    if not fused.available():
+        pytest.skip("no C compiler: fused tier unavailable")
+    sim = Simulation(_tiny_config(fused=True, threads=2))
+    assert sim.run().metadata["kernel_tier"] == "fused"
+    assert sim.solver_plan.numberings[0].tier == "fused"
+
+
+def test_recorded_tier_is_numpy_past_the_dof_limit(monkeypatch):
+    """A product with more DOFs than the fused tables index runs NumPy
+    under ``fused=None``, and the run records that."""
+    monkeypatch.setattr(fused, "MAX_DOF", 10)
+    sim = Simulation(_tiny_config())
+    assert sim.assembler.n_dof > fused.MAX_DOF
+    assert sim.run().metadata["kernel_tier"] == "numpy"
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_recorded_tier_is_every_numberings_level1_tier(backend, ranks):
+    sim = Simulation(make_config(backend, ranks))
+    ran = sim.run().metadata["kernel_tier"]
+    assert ran == backend
+    assert all(nb.tier == ran for nb in sim.solver_plan.numberings)
+    if ranks > 1:  # numberings that disagree record each tier they ran
+        sim.solver_plan.numberings[1].tier = "numpy" if ran != "numpy" else "fused"
+        assert sim.kernel_tier() == f"{ran},{sim.solver_plan.numberings[1].tier}"

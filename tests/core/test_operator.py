@@ -81,3 +81,59 @@ class TestAsOperator:
         op = Sem2D(uniform_grid((2, 2)), order=2).operator("matfree")
         assert isinstance(op, StiffnessOperator)
         assert as_operator(op) is op
+
+
+# ----------------------------------------------------------------------
+# Every product refuses a vector of another length before touching it
+# ----------------------------------------------------------------------
+PRODUCTS = ["full", "whole", "restricted", "renumbered", "adapted"]
+
+
+def _product(tier: str, kind: str):
+    """A ``kind`` of product of a 6x6 order-4 grid (625 DOFs) on ``tier``
+    and the length its vectors must have."""
+    from repro.mesh import uniform_grid
+    from repro.sem import Sem2D, fused
+
+    if tier == "fused" and not fused.available():
+        pytest.skip("no C compiler for the fused tier")
+    sem = Sem2D(uniform_grid((6, 6)), order=4)
+    op = (AssembledOperator(sem.A) if tier == "assembled"
+          else sem.operator("matfree", use_fused=tier == "fused"))
+    n = sem.n_dof
+    if kind == "full":
+        return op, n
+    if kind == "whole":
+        return op.restrict(np.arange(n)), n
+    col_mask = np.arange(n) % 7 == 0
+    restr = op.restrict(np.flatnonzero(col_mask))
+    if kind == "restricted":
+        return restr, n
+    if kind == "adapted":  # a caller's wrapper: no tables to remap
+        restr = Restriction(restr.cols, restr.ops, restr.apply)
+    idx = np.flatnonzero(col_mask | op.reach(col_mask))
+    pos = np.full(n, -1)
+    pos[idx] = np.arange(len(idx))
+    return restr.renumber(idx, pos), len(idx)
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+@pytest.mark.parametrize("tier", ["assembled", "numpy", "fused"])
+def test_products_refuse_vectors_of_another_length(tier, kind):
+    """A short ``u`` would be read past its end and a short ``out``
+    written past it (the C kernels, ``take(mode="clip")``, scipy's
+    matvec): every product refuses both, naming both lengths, before it
+    reads or writes either."""
+    from repro.util.errors import SolverError
+
+    P, n = _product(tier, kind)
+    u = np.random.default_rng(0).standard_normal(n)
+    for bad in (n // 2, n + 1):
+        with pytest.raises(SolverError, match=rf"length {n} was given u of shape \({bad},\)"):
+            P.apply(u[:bad] if bad < n else np.append(u, 1.0))
+        out = np.full(bad, 7.25)
+        with pytest.raises(SolverError, match=rf"length {n} was given out of shape \({bad},\)"):
+            P.apply(u, out=out)
+        assert (out == 7.25).all()
+    out = np.full(n, np.nan)
+    assert P.apply(u, out=out) is out and np.array_equal(out, P.apply(u))

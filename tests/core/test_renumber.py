@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
-from repro.core.operator import Restriction, _restrict_levels
+from repro.core.operator import AssembledOperator, Restriction, _restrict_levels
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import (
@@ -209,6 +209,15 @@ def test_adaptor_needs_every_column():
         r.renumber(r.cols[1:], _inverse(r.cols[1:], sem.n_dof))
 
 
+def _applies(solver, cycles: int) -> int:
+    """Level applies ``cycles`` cycles of ``solver`` make, over every
+    numbering, by the plan's closed form: a proxy must see each one."""
+    return cycles * sum(
+        sum(nb.ops_per_cycle().applications_per_level.values())
+        for nb in solver.plan.numberings
+    )
+
+
 @pytest.mark.parametrize("tier", TIERS)
 def test_wrapped_operator_steps_bitwise_like_the_native_one(tier):
     backend, use_fused = _tier_args(tier)
@@ -216,25 +225,35 @@ def test_wrapped_operator_steps_bitwise_like_the_native_one(tier):
     op = sem.operator(backend, use_fused=use_fused)
     wrapped = WrappedOperator(op)
     native = LTSNewmarkSolver(op, dof_level, dt).run(u0, v0, 8)
-    proxied = LTSNewmarkSolver(wrapped, dof_level, dt).run(u0, v0, 8)
-    assert wrapped.applies > 0
+    solver = LTSNewmarkSolver(wrapped, dof_level, dt)
+    proxied = solver.run(u0, v0, 8)
+    assert wrapped.applies == _applies(solver, 8) > 0
     for a, b in zip(native, proxied):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("tier", ["numpy", "fused"])
+@pytest.mark.parametrize("tier", TIERS)
 def test_wrapped_rank_stiffness_steps_bitwise_like_the_native_one(tier):
-    _, use_fused = _tier_args(tier)
+    """Every apply of every rank's every level goes through the proxy: a
+    ``masked_subset`` one on the matrix-free tiers, an operator one
+    (``restrict``) around each rank's CSR."""
+    backend, use_fused = _tier_args(tier)
     sem, dt, dof_level, u0, v0 = _trench_like()
     parts = np.arange(sem.mesh.n_elements) % 4
     lay = build_rank_layout(
-        sem, parts, 4, dof_level=dof_level, backend="matfree", use_fused=use_fused
+        sem, parts, 4, dof_level=dof_level, backend=backend, use_fused=use_fused
     )
-    applies = [0]
-    proxied_lay = replace(lay, K_local=[WrappedStiffness(K, applies) for K in lay.K_local])
+    shared = [0]
+    wrapped = [
+        WrappedOperator(AssembledOperator(K)) if tier == "assembled"
+        else WrappedStiffness(K, shared)
+        for K in lay.K_local
+    ]
     native = DistributedLTSSolver(lay, dt, world=MailboxWorld(4)).run(u0, v0, 8)
-    proxied = DistributedLTSSolver(proxied_lay, dt, world=MailboxWorld(4)).run(u0, v0, 8)
-    assert applies[0] > 0
+    solver = DistributedLTSSolver(replace(lay, K_local=wrapped), dt, world=MailboxWorld(4))
+    proxied = solver.run(u0, v0, 8)
+    seen = sum(w.applies for w in wrapped) if tier == "assembled" else shared[0]
+    assert seen == _applies(solver, 8) > 0
     for a, b in zip(native, proxied):
         assert np.array_equal(a, b)
 

@@ -16,7 +16,7 @@ from repro.core import NewmarkSolver
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.sem import ElasticSem3D, IsotropicElastic, discrete_energy, fused
-from repro.sem.matfree import ElasticKernelND, kernel_from_spec, local_stiffness
+from repro.sem.matfree import ElasticKernelND, kernel_from_spec, inverse_mass, stiffness_share
 from repro.util.errors import SolverError
 
 #: Both implementation tiers when the fused C kernels are available,
@@ -155,19 +155,20 @@ class TestBackendEquivalence:
         reach_m = sem.operator("matfree").reach(mask)
         assert np.all(reach_m | ~reach_a)  # reach_a implies reach_m
 
-    def test_local_stiffness_matches_partial_assembly(self):
+    def test_rank_share_matches_partial_assembly(self):
         sem = _sem(order=2)
         ids = np.array([0, 3, 7, 11])
         gd = np.unique(sem.element_dofs[ids].ravel())
         ld = np.searchsorted(gd, sem.element_dofs[ids])
+        minv = inverse_mass(sem)[gd]
         for uf in FUSED_PARAMS:
-            K = local_stiffness(sem, ids, ld, len(gd), use_fused=uf)
+            K = stiffness_share(sem, minv, ids, ld, use_fused=uf)
             u = np.random.default_rng(0).standard_normal(len(gd))
             ref = np.zeros(len(gd))
             Ke, _ = sem.element_system_batch(ids)
             for m in range(len(ids)):
                 ref[ld[m]] += Ke[m] @ u[ld[m]]
-            assert _rel_err(K @ u, ref) < 1e-12
+            assert _rel_err(K @ u, minv * ref) < 1e-12
 
     def test_nnz_counts_contraction_flops(self):
         sem = _sem(order=3)
@@ -218,13 +219,13 @@ class TestFusedGating3D:
     def test_numpy_path_pinned(self):
         sem = _sem(order=2)
         op = sem.operator("matfree", use_fused=False)
-        assert op._stiffness._plan is None
+        assert op._plan is None
         assert np.isfinite(op @ np.ones(sem.n_dof)).all()
 
     @pytest.mark.skipif(not fused.available(), reason="no C compiler")
     def test_fused_3d_plan_built_when_available(self):
         sem = _sem(order=2)
-        plan = sem.operator("matfree")._stiffness._plan
+        plan = sem.operator("matfree")._plan
         assert isinstance(plan, fused.Elastic3DPlan)
 
     def test_order_above_3d_cap_falls_back_to_numpy(self):
@@ -234,7 +235,7 @@ class TestFusedGating3D:
             material=IsotropicElastic(lam=2.0, mu=1.0),
         )
         op = sem.operator("matfree")  # auto: numpy fallback
-        assert op._stiffness._plan is None
+        assert op._plan is None
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
         assert _rel_err(op @ u, sem.A @ u) < 1e-12
         with pytest.raises(SolverError):

@@ -9,12 +9,7 @@ import pytest
 
 from repro.mesh import uniform_grid
 from repro.sem import ElasticSem2D, IsotropicElastic, Sem2D, fused
-from repro.sem.matfree import (
-    MatrixFreeOperator,
-    MatrixFreeStiffness,
-    local_stiffness,
-    matrix_free_operator,
-)
+from repro.sem.matfree import MatrixFreeStiffness, inverse_mass, stiffness_share
 
 #: Both implementation tiers when the fused C kernels are available,
 #: otherwise just the portable NumPy path.
@@ -115,28 +110,47 @@ class TestElasticEquivalence:
             assert np.abs(op @ u).max() < 1e-9
 
 
-class TestStiffnessOnly:
-    """The K-only operators the distributed runtime consumes."""
+class TestStiffnessShare:
+    """One builder makes every matrix-free product: a rank's share of
+    ``M^{-1} K`` and, over every element, the serial operator."""
 
-    def test_local_stiffness_matches_partial_assembly(self):
+    def test_rank_share_matches_partial_assembly(self):
         sem = Sem2D(_mesh(), order=3)
         ids = np.array([0, 3, 7, 11])
         gd = np.unique(sem.element_dofs[ids].ravel())
         ld = np.searchsorted(gd, sem.element_dofs[ids])
+        minv = inverse_mass(sem)[gd]
         for uf in FUSED_PARAMS:
-            K = local_stiffness(sem, ids, ld, len(gd), use_fused=uf)
+            K = stiffness_share(sem, minv, ids, ld, use_fused=uf)
             u = np.random.default_rng(0).standard_normal(len(gd))
-            # brute force: sum of dense element systems
+            # brute force: sum of dense element systems, rows scaled by 1/M
             ref = np.zeros(len(gd))
             Ke, _ = sem.element_system_batch(ids)
             for m in range(len(ids)):
                 ref[ld[m]] += Ke[m] @ u[ld[m]]
-            assert _rel_err(K @ u, ref) < 1e-12
+            assert _rel_err(K @ u, minv * ref) < 1e-12
+
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    def test_serial_operator_is_the_all_elements_share(self, dirichlet):
+        """The serial operator and the whole mesh's share are one
+        product, bitwise; the 1/M of both is 0 on Dirichlet rows."""
+        sem = Sem2D(_mesh(), order=3, dirichlet=dirichlet)
+        minv = inverse_mass(sem)
+        held = np.zeros(sem.n_dof, dtype=bool)
+        if dirichlet:
+            held[sem.boundary_dofs()] = True
+        assert np.array_equal(minv == 0, held)
+        u = np.random.default_rng(3).standard_normal(sem.n_dof)
+        for uf in FUSED_PARAMS:
+            op = sem.operator("matfree", use_fused=uf)
+            share = stiffness_share(sem, minv, np.arange(sem.mesh.n_elements),
+                                    use_fused=uf)
+            assert isinstance(op, MatrixFreeStiffness) and op.tier == share.tier
+            assert (op @ u).tobytes() == (share @ u).tobytes()
 
     def test_masked_subset_restricts_input_support(self):
         sem = Sem2D(_mesh(), order=3)
-        op = matrix_free_operator(sem)
-        K = MatrixFreeStiffness(op.kernel, sem.element_dofs, sem.n_dof)
+        K = sem.operator("matfree")
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[sem.element_dofs[2]] = True
         sub = K.masked_subset(mask)
@@ -147,8 +161,7 @@ class TestStiffnessOnly:
 
     def test_empty_subset(self):
         sem = Sem2D(_mesh(), order=2)
-        op = matrix_free_operator(sem)
-        K = MatrixFreeStiffness(op.kernel, sem.element_dofs, sem.n_dof)
+        K = sem.operator("matfree")
         sub = K.masked_subset(np.zeros(sem.n_dof, dtype=bool))
         assert not (sub @ np.ones(sem.n_dof)).any()
 
@@ -163,12 +176,13 @@ class TestStiffnessOnly:
         ed = sem.element_dofs.copy()
         ed[0, 0] = sem.n_dof if bad == "n_dof" else bad
         ids = np.arange(sem.mesh.n_elements)
+        minv = inverse_mass(sem)
         for uf in FUSED_PARAMS:
             with pytest.raises(SolverError, match="out of range"):
-                MatrixFreeStiffness(matrix_free_operator(sem).kernel, ed, sem.n_dof,
+                MatrixFreeStiffness(sem.operator("matfree").kernel, ed, minv,
                                     use_fused=uf)
             with pytest.raises(SolverError, match="out of range"):
-                local_stiffness(sem, ids, ed, sem.n_dof, use_fused=uf)
+                stiffness_share(sem, minv, ids, ed, use_fused=uf)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
     def test_mask_other_than_0_1_refused(self, bad):
@@ -177,30 +191,33 @@ class TestStiffnessOnly:
         from repro.util.errors import SolverError
 
         sem = Sem2D(_mesh(), order=2, dirichlet=True)
-        kernel = matrix_free_operator(sem).kernel
+        kernel = sem.operator("matfree").kernel
+        minv = inverse_mass(sem)
         gm = np.ones(sem.element_dofs.shape)
         gm[1, 2] = bad
         dm = sem.dirichlet_mask.copy()
         dm[np.flatnonzero(dm)[0]] = bad
         for uf in FUSED_PARAMS:
             with pytest.raises(SolverError, match="gmask must hold only 0 and 1"):
-                MatrixFreeStiffness(kernel, sem.element_dofs, sem.n_dof,
+                MatrixFreeStiffness(kernel, sem.element_dofs, minv,
                                     use_fused=uf, gmask=gm)
+        sem.dirichlet_mask = dm
+        for uf in FUSED_PARAMS:
             with pytest.raises(SolverError, match="dirichlet_mask must hold only 0 and 1"):
-                MatrixFreeOperator(kernel, sem.element_dofs, sem.M,
-                                   dirichlet_mask=dm, use_fused=uf)
+                stiffness_share(sem, minv, use_fused=uf)
 
     def test_mask_dtype_does_not_change_the_product(self):
         """A 0/1 mask gives one result whether it comes as float, uint8 or
         bool, on each tier."""
         sem = Sem2D(_mesh(), order=3)
-        kernel = matrix_free_operator(sem).kernel
+        kernel = sem.operator("matfree").kernel
+        minv = inverse_mass(sem)
         rng = np.random.default_rng(2)
         gm = rng.random(sem.element_dofs.shape) < 0.6
         u = rng.standard_normal(sem.n_dof)
         for uf in FUSED_PARAMS:
             got = [
-                MatrixFreeStiffness(kernel, sem.element_dofs, sem.n_dof,
+                MatrixFreeStiffness(kernel, sem.element_dofs, minv,
                                     use_fused=uf, gmask=gm.astype(dt)) @ u
                 for dt in (np.float64, np.uint8, bool)
             ]
@@ -285,33 +302,34 @@ class TestFusedGating:
     def test_forcing_numpy_path_works(self):
         sem = Sem2D(_mesh(), order=2)
         op = sem.operator("matfree", use_fused=False)
-        assert op._stiffness._plan is None  # numpy path pinned
+        assert op._plan is None  # numpy path pinned
         assert np.isfinite(op @ np.ones(sem.n_dof)).all()
 
     @pytest.mark.skipif(not fused.available(), reason="no C compiler")
     def test_fused_plan_built_when_available(self):
         sem = Sem2D(_mesh(), order=2)
-        assert sem.operator("matfree")._stiffness._plan is not None
+        assert sem.operator("matfree")._plan is not None
 
-    def test_dof_count_beyond_int32_has_no_fused_tier(self):
+    def test_dof_count_beyond_int32_has_no_fused_tier(self, monkeypatch):
         """The fused kernels read ``int32`` DOF tables: a product with
         ``n_dof > MAX_DOF`` runs NumPy (or raises, naming the limit, when
-        the fused tier is demanded).  A one-element table at the top of
-        the range allocates nothing of size ``n_dof``."""
-        from repro.sem.matfree import AcousticKernelND
+        the fused tier is demanded).  The limit is lowered to this
+        product's size, so no vector of 2**31 entries is allocated."""
         from repro.util.errors import SolverError
 
-        kernel = AcousticKernelND(2, np.ones((1, 2)))
-        n_dof = fused.MAX_DOF + 1
-        ed = np.arange(n_dof - 9, n_dof, dtype=np.int64).reshape(1, 9)
-        K = MatrixFreeStiffness(kernel, ed, n_dof)
+        assert fused.MAX_DOF == 2**31 - 1
+        sem = Sem2D(_mesh(), order=2)
+        kernel, minv, ed = sem.operator("matfree").kernel, inverse_mass(sem), sem.element_dofs
+        monkeypatch.setattr(fused, "MAX_DOF", sem.n_dof - 1)
+        K = MatrixFreeStiffness(kernel, ed, minv)
         assert K.tier == "numpy" and K.element_dofs.dtype == np.int64
-        with pytest.raises(SolverError, match=f"limit {fused.MAX_DOF}"):
-            MatrixFreeStiffness(kernel, ed, n_dof, use_fused=True)
-        if fused.available():  # one below the limit still fits
-            K = MatrixFreeStiffness(kernel, ed - 1, n_dof - 1)
+        with pytest.raises(SolverError, match=f"limit {sem.n_dof - 1}"):
+            MatrixFreeStiffness(kernel, ed, minv, use_fused=True)
+        if fused.available():  # at the limit it still fits
+            monkeypatch.setattr(fused, "MAX_DOF", sem.n_dof)
+            K = MatrixFreeStiffness(kernel, ed, minv)
             assert K.tier == "fused" and K.element_dofs.dtype == np.int32
-            assert np.array_equal(K.element_dofs, ed - 1)
+            assert np.array_equal(K.element_dofs, ed)
 
     @staticmethod
     def _fresh_build(monkeypatch, tmp_path, script):

@@ -2,13 +2,13 @@
 
 The NumPy matrix-free kernels scatter through a precomputed
 single-entry-column CSC plan (:class:`repro.sem.matfree._ScatterPlan`)
-instead of a per-call ``np.bincount``; the plan can also fold the
-``M^{-1}`` coefficient into the accumulation.  Three properties keep
-that substitution safe:
+instead of a per-call ``np.bincount``, with the ``M^{-1}`` coefficient
+folded into the accumulation.  Three properties keep that substitution
+safe:
 
 * **bitwise vs bincount** — the CSC kernel runs exactly bincount's
-  accumulation loop, so an unfolded plan is bitwise-equal to
-  ``np.bincount``;
+  accumulation loop, so a plan with unit coefficients is bitwise-equal
+  to ``np.bincount``;
 * **run-to-run bitwise determinism** — repeated applies, and applies
   through independently constructed operators, produce identical bits
   (no ordering or workspace-content dependence);
@@ -73,7 +73,7 @@ class TestScatterPlanUnit:
         n_dof = 200
         ed = rng.integers(0, n_dof, size=(30, 16))
         vals = rng.standard_normal(ed.size)
-        plan = _ScatterPlan(ed, n_dof)
+        plan = _ScatterPlan(ed, np.ones(n_dof))
         out = np.empty(n_dof)
         plan.scatter(vals, out)
         ref = np.bincount(ed.ravel(), weights=vals, minlength=n_dof)
@@ -87,14 +87,11 @@ class TestScatterPlanUnit:
         ed = rng.integers(0, n_dof, size=(25, 9))
         vals = rng.standard_normal(ed.size)
         coeff = 0.5 + rng.random(n_dof)
-        plan = _ScatterPlan(ed, n_dof, coeff=coeff)
+        plan = _ScatterPlan(ed, coeff)
         out = np.empty(n_dof)
         plan.scatter(vals, out)
         ref = coeff * np.bincount(ed.ravel(), weights=vals, minlength=n_dof)
-        if not plan.folds_coeff:  # scipy internals unavailable: bincount path
-            assert np.array_equal(out, ref)
-        else:
-            assert _rel_err(out, ref) < 1e-12
+        assert _rel_err(out, ref) < 1e-12
 
     def test_scatter_is_repeatable_bitwise(self):
         rng = np.random.default_rng(2)
@@ -102,7 +99,7 @@ class TestScatterPlanUnit:
         ed = rng.integers(0, n_dof, size=(20, 4))
         vals = rng.standard_normal(ed.size)
         coeff = 0.5 + rng.random(n_dof)
-        plan = _ScatterPlan(ed, n_dof, coeff=coeff)
+        plan = _ScatterPlan(ed, coeff)
         a, b = np.empty(n_dof), np.full(n_dof, np.nan)
         plan.scatter(vals, a)
         plan.scatter(vals, b)  # must fully overwrite, including zeros
@@ -197,7 +194,7 @@ class TestRestrictionOutContract:
         mask[cols] = True
         u = np.random.default_rng(30 + dim).standard_normal(sem.n_dof)
         for use_fused in TIERS:
-            sub = sem.operator("matfree", use_fused=use_fused)._stiffness.masked_subset(mask)
+            sub = sem.operator("matfree", use_fused=use_fused).masked_subset(mask)
             buf = np.full(sem.n_dof, self.SENTINEL)
             sub.apply(u, out=buf)
             assert np.array_equal(buf, sub.apply(u)), use_fused

@@ -5,8 +5,8 @@ The OpenMP path changes only summation order (per-thread partial
 scatters reduced in a fixed order), so results are documented to match
 serial within 1e-12 *relative* — in practice they agree to the last few
 bits, and for a fixed thread count repeated applies are deterministic.
-The NumPy tier is serial whatever ``threads`` says, and the tier a
-config describes is the tier the built operator reports.
+The NumPy tier is serial whatever ``threads`` says, and a built
+operator reports the tier it runs.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from repro.mesh import uniform_grid, uniform_interval
 from repro.sem import ElasticSem2D, ElasticSem3D, Sem1D, Sem2D, Sem3D, fused
 from repro.sem.anisotropic import AnisotropicElasticSemND
-from repro.sem.matfree import describe_tier, resolve_threads
+from repro.sem.matfree import resolve_threads
 from repro.util.errors import SolverError
 
 TOL = 1e-12
@@ -164,11 +164,12 @@ class TestSimulationParity:
 
 
 class TestTierReporting:
-    def test_describe_matches_built_operator(self):
-        """One table decides fused availability for the built operator
-        and for the configured tier: they agree on every physics x
-        dimension x ``use_fused`` x ``threads``."""
-        mesh2 = uniform_grid((5, 4), (1.0, 1.3))  # > 2 VL blocks in both
+    def test_built_operator_reports_its_tier(self):
+        """``tier`` names what a built operator runs on every physics x
+        dimension x ``use_fused`` x ``threads``: NumPy when pinned or
+        without a compiler, else fused, with OpenMP when asked for and
+        built (every mesh here has more than two ``VL`` blocks)."""
+        mesh2 = uniform_grid((5, 4), (1.0, 1.3))
         mesh3 = uniform_grid((3, 3, 2))
         sems = [
             Sem2D(mesh2, order=3),
@@ -183,14 +184,13 @@ class TestTierReporting:
             for uf in fused_settings:
                 for th in (None, 2):
                     op = sem.operator("matfree", use_fused=uf, threads=th)
-                    described = describe_tier(sem.physics, sem.dim, sem.order, uf, th)
-                    assert op.tier == described, (sem.physics, sem.dim, uf, th)
-                    if uf is False:
-                        assert described == "numpy"
+                    if uf is False or not fused.available():
+                        want = "numpy"
+                    else:
+                        want = "fused+openmp:2" if th == 2 and OMP else "fused"
+                    assert op.tier == want, (sem.physics, sem.dim, uf, th)
 
-    def test_describe_unfused_physics(self):
+    def test_unfused_physics(self):
         # 1D has no fused tier regardless of availability.
-        assert describe_tier("acoustic", 1, 3) == "numpy"
-        assert describe_tier("acoustic", 1, 3, threads=2) == "numpy"
         sem = Sem1D(uniform_interval(6), order=3)
         assert sem.operator("matfree", threads=2).tier == "numpy"
