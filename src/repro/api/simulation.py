@@ -56,6 +56,7 @@ from repro.core.newmark import Fields, run_cycles
 from repro.core.workspace import HotPathTracer
 from repro.partition.strategies import PARTITIONERS
 from repro.runtime.checkpoint import (
+    DOF_ORDER_SINCE,
     CheckpointState,
     checkpoint_path,
     latest_checkpoint,
@@ -367,26 +368,13 @@ class Simulation:
         model = cfg.material.model
         material = self.material
         if model == "acoustic":
-            if mesh.dim == 1:
-                if not bool(np.all(material.rho == 1.0)):
-                    raise ConfigError(
-                        "1D acoustic assemblers have unit density; drop "
-                        "MaterialSpec.rho (or use a 2D/3D mesh)"
-                    )
-                # Sem1D reads the wave speed off the mesh; the resolved
-                # material (spec c override + regions) is authoritative.
-                # Rebind c on a shallow copy: the built mesh may be
-                # shared (via the stage cache) with configs whose
-                # material resolves to a different speed field.
-                mesh = replace(mesh, c=np.array(material.c, dtype=np.float64))
-                return Sem1D(mesh, order=cfg.order, dirichlet=cfg.dirichlet)
-            cls = {2: Sem2D, 3: Sem3D}[mesh.dim]
+            cls = {1: Sem1D, 2: Sem2D, 3: Sem3D}[mesh.dim]
         elif model == "elastic":
-            if mesh.dim == 1:
+            cls = {2: ElasticSem2D, 3: ElasticSem3D}.get(mesh.dim)
+            if cls is None:
                 raise ConfigError(
-                    "elastic materials need a 2D or 3D mesh, got dim=1"
+                    f"elastic materials need a 2D or 3D mesh, got dim={mesh.dim}"
                 )
-            cls = {2: ElasticSem2D, 3: ElasticSem3D}[mesh.dim]
         else:
             cls = AnisotropicElasticSemND
         return cls(
@@ -403,10 +391,9 @@ class Simulation:
         hold no large invariants worth persisting) and the matrices
         injected, skipping the chunked scatter.  Matrix-free configs
         never assemble, so the codec is enabled only for the
-        ``assembled`` backend (and only for the dimension-generic SemND
-        assemblers — the 1D chain assembles in microseconds).
+        ``assembled`` backend, in every dimension.
         """
-        if self.config.backend.stiffness != "assembled" or self.mesh.dim == 1:
+        if self.config.backend.stiffness != "assembled":
             return None, None
 
         def pack(sem) -> dict:
@@ -720,6 +707,13 @@ class Simulation:
             raise ConfigError(
                 f"checkpoint {origin} holds {len(state.u)} DOFs but this "
                 f"config resolves to {int(self.assembler.n_dof)}"
+            )
+        since = DOF_ORDER_SINCE[self.mesh.dim]
+        if state.version < since:
+            raise ConfigError(
+                f"checkpoint {origin} is version {state.version}: its "
+                f"{self.mesh.dim}D fields are in the DOF order before version "
+                f"{since} changed it to entity numbering; refusing to resume"
             )
         return state
 

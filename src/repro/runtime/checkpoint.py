@@ -11,10 +11,12 @@ diverging.  A state always holds the run's replicas
 global field): scattering a gathered field re-derives shared-DOF copies
 from their owners, which is only equal to round-off for DOFs shared by
 three or more ranks — restoring the replicas keeps the distributed
-resume bitwise.  The file format (version 1) is the same for both: the
-global ``u``/``v`` and ``n_ranks`` always, ``u_local_<r>`` /
-``v_local_<r>`` only when there is more than one replica, so a file
-without them loads as the one replica ``[u]``.
+resume bitwise.  The file format is the same for both: the global
+``u``/``v`` and ``n_ranks`` always, ``u_local_<r>`` / ``v_local_<r>``
+only when there is more than one replica, so a file without them loads
+as the one replica ``[u]``.  Version 2 has version 1's keys but numbers
+1D DOFs by entity (mesh corners, then element interiors) as in 2D and
+3D, where version 1 ran left to right along the element chain.
 
 Files are ``.npz`` archives written atomically
 (:func:`repro.util.io.atomic_savez`), named ``ckpt_<cycle>.npz`` so
@@ -33,7 +35,11 @@ from repro.util.errors import SolverError
 from repro.util.io import atomic_savez
 from repro.util.validation import require
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: Per mesh dimension, the first version whose fields are in the current
+#: DOF order: version 2 renumbered 1D meshes (see the module docstring).
+DOF_ORDER_SINCE = {1: 2, 2: 1, 3: 1}
 
 
 @dataclass
@@ -45,7 +51,9 @@ class CheckpointState:
     replica ``[u]`` / ``[v]`` of a serial run.  ``traces`` holds the
     receiver rows recorded for cycles ``1..cycle``.  ``config_hash`` is
     :meth:`repro.api.SimulationConfig.content_hash` of the producing
-    run (``None`` when checkpointing outside the façade).
+    run (``None`` when checkpointing outside the façade).  ``version``
+    is the format its fields are in: the loaded file's, else the
+    current one; :func:`save_checkpoint` writes it back unchanged.
     """
 
     cycle: int
@@ -58,6 +66,7 @@ class CheckpointState:
     dt: float | None = None
     n_cycles_total: int | None = None
     config_hash: str | None = None
+    version: int = CHECKPOINT_VERSION
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -105,7 +114,7 @@ def prune_checkpoints(directory, keep: int) -> list[Path]:
 def save_checkpoint(path, state: CheckpointState) -> Path:
     """Atomically write ``state`` as an ``.npz`` archive."""
     payload = {
-        "version": np.int64(CHECKPOINT_VERSION),
+        "version": np.int64(state.version),
         "cycle": np.int64(state.cycle),
         "t": np.float64(state.t),
         "u": np.asarray(state.u, dtype=np.float64),
@@ -169,6 +178,7 @@ def load_checkpoint(path) -> CheckpointState:
                 config_hash=(
                     str(data["config_hash"]) if "config_hash" in data else None
                 ),
+                version=version,
             )
     except (KeyError, ValueError, OSError) as e:
         raise SolverError(f"corrupt or unreadable checkpoint {path}: {e}") from e

@@ -7,16 +7,17 @@ point-to-point exchange — the synchronization that happens at *every LTS
 substep* in Fig. 1.
 
 :func:`build_rank_layout` consumes any assembler exposing
-``element_dofs``, ``M`` and ``element_system(e)`` (all SEM assemblers do) plus
-an element partition vector, and produces a :class:`RankLayout` the
-distributed solvers run on.  A rank's product is its share of the serial
-``M^{-1} K`` — its owned elements' partial stiffness, rows scaled by
-the one ``1/M`` (:func:`repro.sem.matfree.inverse_mass`, Dirichlet rows
-0) — in one of two backends: ``"assembled"`` (partial CSR per rank,
-vectorized scatter assembly via ``element_system_batch`` when available)
-and ``"matfree"`` (the rank's elements through the builder of the serial
-matrix-free operator, :func:`repro.sem.matfree.stiffness_share` — no
-rank ever forms a matrix; requires the assembler to export its explicit
+``element_dofs``, ``M`` and ``element_system_batch(ids)`` (every SEM
+assembler, 1D to 3D) plus an element partition vector, and produces a
+:class:`RankLayout` the distributed solvers run on.  A rank's product is
+its share of the serial ``M^{-1} K`` — its owned elements' partial
+stiffness, rows scaled by the one ``1/M``
+(:func:`repro.sem.matfree.inverse_mass`, Dirichlet rows 0) — in one of
+two backends: ``"assembled"`` (partial CSR per rank, one vectorized
+scatter of the owned elements' matrices) and ``"matfree"`` (the rank's
+elements through the builder of the serial matrix-free operator,
+:func:`repro.sem.matfree.stiffness_share` — no rank ever forms a
+matrix; requires the assembler to export its explicit
 :class:`repro.core.operator.KernelSpec`).  Both duck-type
 ``K @ u``, so the executors are backend- and physics-agnostic: scalar
 acoustic (with variable density), multi-component isotropic elastic and
@@ -177,10 +178,7 @@ def _rank_stiffness_assembled(assembler, owned, local_dofs, n_local) -> sp.csr_m
     """Partial CSR from owned elements, batched scatter assembly."""
     if len(owned) == 0:
         return sp.csr_matrix((n_local, n_local))
-    if hasattr(assembler, "element_system_batch"):
-        Ke, _ = assembler.element_system_batch(owned)
-    else:  # 1D assembler: per-element fallback
-        Ke = np.stack([assembler.element_system(int(e))[0] for e in owned])
+    Ke, _ = assembler.element_system_batch(owned)
     n_loc = local_dofs.shape[1]
     K = sp.coo_matrix(
         (
@@ -211,7 +209,8 @@ def build_rank_layout(
     ----------
     assembler:
         Object with ``element_dofs`` (``(n_elem, n_loc)``), ``n_dof``, the
-        fully-summed diagonal mass ``M`` and ``element_system(e) -> (Ke, Me)``.
+        fully-summed diagonal mass ``M`` and ``element_system_batch(ids)
+        -> (Ke, Me)`` — any :class:`~repro.sem.tensor.SemND` subclass.
     parts:
         ``(n_elem,)`` rank id per element.
     dof_level:
@@ -221,12 +220,12 @@ def build_rank_layout(
         (unassembled tensor-product stiffness per rank; requires an
         assembler exporting ``kernel_spec()`` — any
         :class:`~repro.sem.tensor.SemND` subclass, acoustic
-        (:class:`~repro.sem.assembly2d.Sem2D`,
+        (:class:`~repro.sem.assembly1d.Sem1D`,
+        :class:`~repro.sem.assembly2d.Sem2D`,
         :class:`~repro.sem.assembly3d.Sem3D`), elastic
         (:class:`~repro.sem.elastic2d.ElasticSem2D`,
-        :class:`~repro.sem.elastic3d.ElasticSem3D`), anisotropic
-        (:class:`~repro.sem.anisotropic.AnisotropicElasticSemND`), plus
-        :class:`~repro.sem.assembly1d.Sem1D`).
+        :class:`~repro.sem.elastic3d.ElasticSem3D`) or anisotropic
+        (:class:`~repro.sem.anisotropic.AnisotropicElasticSemND`)).
     use_fused:
         Fused-C kernel selection for the matfree backend (``None`` =
         auto-detect, as in :meth:`repro.sem.tensor.SemND.operator`);

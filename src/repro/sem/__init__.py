@@ -10,12 +10,13 @@ LTS level coupling delicate (Sec. II-C).
 This package reproduces that algebraic structure in pure NumPy/SciPy:
 
 * :mod:`repro.sem.gll` — GLL points, weights, Lagrange derivative matrix;
-* :mod:`repro.sem.assembly1d` — 1D SEM on arbitrary interval meshes
-  (supports the geometrically refined meshes of the LTS tests);
 * :mod:`repro.sem.tensor` — the dimension-generic tensor-product core:
   reference kernels, entity-based DOF numbering (with
   orientation-consistent 3D faces), and the :class:`~repro.sem.tensor
-  .SemND` assembler base every quad/hex assembler derives from;
+  .SemND` assembler base every line/quad/hex assembler derives from;
+* :mod:`repro.sem.assembly1d` — 1D SEM on arbitrary interval meshes
+  (the geometrically refined meshes of the LTS tests), ``SemND`` pinned
+  to ``dim == 1``;
 * :mod:`repro.sem.assembly2d` — 2D SEM on conforming quad meshes with a
   per-element velocity field (velocity contrast creates LTS levels on
   uniform grids: high-velocity inclusions force locally small steps);

@@ -944,7 +944,7 @@ def operator_for(
     use_fused: bool | None = None,
     threads: int | None = None,
 ):
-    """Backend dispatch behind ``SemND.operator`` / ``Sem1D.operator``.
+    """Backend dispatch behind :meth:`repro.sem.tensor.SemND.operator`.
 
     ``"assembled"`` wraps the precomputed CSR; ``"matfree"`` is the
     whole mesh's :func:`stiffness_share` — the serial ``M^{-1} K`` is

@@ -36,7 +36,8 @@ pulls via :meth:`SemND.max_velocity`.  The general-anisotropy assembler
 (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`) builds on the
 same hooks.
 
-:class:`repro.sem.assembly2d.Sem2D`, :class:`repro.sem.assembly3d.Sem3D`,
+:class:`repro.sem.assembly1d.Sem1D`, :class:`repro.sem.assembly2d.Sem2D`,
+:class:`repro.sem.assembly3d.Sem3D`,
 :class:`repro.sem.elastic2d.ElasticSem2D` and
 :class:`repro.sem.elastic3d.ElasticSem3D` are thin dimension-pinned
 subclasses; the matrix-free backend (:mod:`repro.sem.matfree`) consumes
@@ -495,6 +496,7 @@ class SemND:
     DOF numbering is entity-based (see :func:`number_dofs`), so any
     conforming mesh — not just structured grids — assembles correctly,
     with shared edge and face nodes oriented consistently.  Subclasses
+    :class:`repro.sem.assembly1d.Sem1D`,
     :class:`repro.sem.assembly2d.Sem2D` and
     :class:`repro.sem.assembly3d.Sem3D` pin the dimension and add
     dimension-flavoured conveniences.
@@ -783,11 +785,6 @@ class SemND:
         for a in range(1, self.dim):
             Ke = Ke + self.axis_scales[ids, a, None, None] * kernels[a]
         return Ke, self.element_mass_batch(ids)
-
-    def element_system(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Element stiffness (dense) and mass (diagonal) of element ``e``."""
-        Ke, Me = self.element_system_batch(np.array([e]))
-        return Ke[0], Me[0]
 
     def boundary_dofs(self) -> np.ndarray:
         """Global DOFs on the domain boundary (all components of the

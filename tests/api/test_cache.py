@@ -235,13 +235,18 @@ class TestSimulationThroughCache:
         assert np.array_equal(cached.u, plain.u)
         assert np.array_equal(cached.traces, plain.traces)
 
-    def test_assembler_disk_roundtrip_is_exact(self, tmp_path):
-        cfg = make_config()
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_assembler_disk_roundtrip_is_exact(self, dim, tmp_path):
+        cfg = make_config() if dim == 2 else make_config(
+            mesh={"family": "refined_interval", "params": {"n_coarse": 12, "n_fine": 4}},
+            source={"position": [0.3], "f0": 4.0},
+        )
         cold = Simulation(cfg, cache=StageCache(cache_dir=tmp_path))
         cold.assembler  # resolve + persist
         warm = Simulation(cfg, cache=StageCache(cache_dir=tmp_path))
         warm.assembler
         assert warm.cache.stats.disk_hits >= 1
+        assert "assembler" not in warm.cache.stats.resolutions
         assert (cold.assembler.A - warm.assembler.A).nnz == 0
         assert (cold.assembler.K - warm.assembler.K).nnz == 0
         assert np.array_equal(cold.run().u, warm.run().u)

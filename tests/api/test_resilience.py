@@ -23,7 +23,7 @@ from repro.api import (
     SimulationConfig,
     relative_deviation,
 )
-from repro.runtime import CheckpointState, load_checkpoint
+from repro.runtime import CheckpointState, load_checkpoint, save_checkpoint
 from repro.util.errors import ConfigError, SolverError
 
 REPO = Path(__file__).resolve().parents[2]
@@ -39,8 +39,23 @@ BASE = {
 }
 
 
-def config(**extra) -> SimulationConfig:
-    return SimulationConfig.from_dict({**BASE, **extra})
+#: A 2D case for the checkpoint format: version 2 renumbered 1D DOFs
+#: only, so 2D version-1 files keep resuming.
+BASE_2D = {
+    "mesh": {"family": "uniform_grid", "params": {"shape": [6, 6]}},
+    "material": {
+        "model": "acoustic",
+        "regions": [{"elements": [14, 15], "values": {"c": 4.0}}],
+    },
+    "order": 3,
+    "time": {"n_cycles": 10, "c_cfl": 0.35},
+    "source": {"position": [1.0, 3.0], "f0": 0.8},
+    "receivers": {"positions": [[4.0, 3.0]]},
+}
+
+
+def config(base=BASE, **extra) -> SimulationConfig:
+    return SimulationConfig.from_dict({**base, **extra})
 
 
 @pytest.fixture(scope="module")
@@ -274,19 +289,29 @@ class TestResumeMatrix:
     KEYS = {"version", "cycle", "t", "u", "v", "n_ranks", "traces", "dt",
             "n_cycles_total", "config_hash"}
 
-    @pytest.fixture(scope="class")
-    def written(self, tmp_path_factory):
-        """Per rank count, the cycle-5 checkpoint file and the
-        uninterrupted result."""
+    @staticmethod
+    def _write(tmp_path_factory, base):
         out = {}
         for n in (1, 3):
             d = tmp_path_factory.mktemp(f"ranks{n}")
             cfg = config(
+                base,
                 partition={"n_ranks": n},
                 resilience={"checkpoint_every": 5, "checkpoint_dir": str(d)},
             )
             out[n] = (d / "ckpt_00000005.npz", Simulation(cfg).run())
         return out
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """Per rank count, the cycle-5 checkpoint file and the
+        uninterrupted result."""
+        return self._write(tmp_path_factory, BASE)
+
+    @pytest.fixture(scope="class")
+    def written_2d(self, tmp_path_factory):
+        """:meth:`written` for the 2D case."""
+        return self._write(tmp_path_factory, BASE_2D)
 
     @pytest.mark.parametrize("replicas,ranks,hashed", sorted(OUTCOMES))
     def test_outcome(self, replicas, ranks, hashed, written, monkeypatch):
@@ -325,7 +350,9 @@ class TestResumeMatrix:
             "scatter": [state.u[g] for g in gdofs],
             "from-global": [state.u],
         }[outcome]
-        (start,) = starts
+        # The run starts from replicas in the plan's (level-sorted)
+        # numbering; ``expected`` is ascending in global id.
+        start = sim.solver_plan.replicas.ascending(*starts)
         assert len(start) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(start, expected))
         _, full = written[ranks]
@@ -336,12 +363,15 @@ class TestResumeMatrix:
             assert relative_deviation(full, result) <= 1e-12
 
     @pytest.mark.parametrize("ranks", [1, 3])
-    def test_file_keys_and_version_1_layout(self, ranks, written, tmp_path):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_file_keys_and_version_1_layout(self, dim, ranks, request, tmp_path):
         """A serial file holds no replicas; a 3-rank one holds
         ``u_local_0..2`` / ``v_local_0..2``.  The state written by hand
-        with ``np.savez`` in the version-1 key layout loads and resumes
-        bitwise."""
-        path, full = written[ranks]
+        with ``np.savez`` in the version-1 key layout loads; in 2D it
+        resumes bitwise, in 1D (whose DOFs version 2 renumbered) it is
+        refused.  The version-2 file resumes bitwise in both."""
+        base = BASE if dim == 1 else BASE_2D
+        path, full = request.getfixturevalue("written" if dim == 1 else "written_2d")[ranks]
         keys = set(self.KEYS)
         if ranks > 1:
             keys |= {f"{x}_local_{r}" for x in "uv" for r in range(ranks)}
@@ -365,13 +395,21 @@ class TestResumeMatrix:
             v1["config_hash"] = np.array(str(ck["config_hash"]))
         np.savez(tmp_path / "v1.npz", **v1)
         state = load_checkpoint(tmp_path / "v1.npz")
-        assert state.n_ranks == ranks and state.cycle == 5
-        resumed = Simulation(config(partition={"n_ranks": ranks})).run(
-            resume=tmp_path / "v1.npz"
-        )
-        assert resumed.metadata["resilience"]["resumed_from_cycle"] == 5
-        for key in ("u", "v", "traces"):
-            assert np.array_equal(getattr(resumed, key), getattr(full, key)), key
+        assert state.n_ranks == ranks and state.cycle == 5 and state.version == 1
+        assert load_checkpoint(path).version == 2
+        # Saving the loaded state again keeps its version (and DOF order).
+        resaved = save_checkpoint(tmp_path / "resaved.npz", state)
+        old = [tmp_path / "v1.npz", resaved]
+        sim = Simulation(config(base, partition={"n_ranks": ranks}))
+        if dim == 1:
+            for resume in old:
+                with pytest.raises(ConfigError, match="DOF order before version 2"):
+                    sim.run(resume=resume)
+        for resume in [path] if dim == 1 else [path, *old]:
+            resumed = sim.run(resume=resume)
+            assert resumed.metadata["resilience"]["resumed_from_cycle"] == 5
+            for key in ("u", "v", "traces"):
+                assert np.array_equal(getattr(resumed, key), getattr(full, key)), key
 
 
 class TestSupervisedRecovery:

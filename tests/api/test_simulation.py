@@ -287,13 +287,21 @@ class TestFacadeMatchesManualWiring:
         assert res.levels.n_levels == 3
         assert np.all(np.isfinite(res.u))
 
-    def test_1d_rejects_non_unit_density(self):
-        cfg = SimulationConfig.from_dict(
-            {
-                "mesh": {"family": "uniform_interval", "params": {"n_elements": 4}},
-                "material": {"model": "acoustic", "rho": 2.0},
-                "time": {"n_cycles": 1},
-            }
-        )
-        with pytest.raises(ConfigError, match="unit density"):
-            Simulation(cfg).assembler
+    def test_1d_density_reaches_the_assembler(self):
+        """A 1D acoustic config assembles with its resolved material, as
+        in 2D and 3D: ``rho`` scales the mass, and a constant density
+        cancels out of ``A = M^{-1} K``."""
+        spec = {
+            "mesh": {"family": "uniform_interval", "params": {"n_elements": 4}},
+            "time": {"n_cycles": 1},
+        }
+        unit = Simulation(SimulationConfig.from_dict(spec)).assembler
+        sim = Simulation(SimulationConfig.from_dict(
+            {**spec, "material": {"model": "acoustic", "rho": 2.0}}
+        ))
+        sem = sim.assembler
+        assert isinstance(sem, Sem1D)
+        assert np.array_equal(sem.material.rho, np.full(4, 2.0))
+        assert np.array_equal(sem.material.c, sim.material.c)
+        assert np.array_equal(sem.M, 2.0 * unit.M)
+        assert np.abs(sem.A - unit.A).max() <= 1e-14 * np.abs(unit.A).max()

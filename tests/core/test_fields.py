@@ -109,7 +109,7 @@ SERIAL_TRACE_PINS = {
             "source": {"position": [0.3], "f0": 4.0},
             "receivers": {"positions": [[0.7], [0.2]]},
         },
-        "6e1dc622e55c9c2eb32b82e25a7fce18a3a163867ba71e6f8a757a9c4246c968",
+        "12216ccf52d025fc201b26cc24c3c1be516b8e3deed452edbe8e175cb6ff0c0f",
     ),
     "2d_matfree_numpy": (
         {

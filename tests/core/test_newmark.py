@@ -132,7 +132,7 @@ class TestValidation:
 N_STEPS = 30
 
 GOLDEN = {
-    "1d/assembled": "4eb0ebd5b2072601716849aae59d53448599f90a3058cd2f5aa4fed0be3176eb",
+    "1d/assembled": "4f5d7ec21b3640fb4ca4896bce83b1408e164691ec5eba147965d88bf01130b9",
     "2d/assembled/point": "a3412b8ec951f0f368e863a1d2bb82da3d1d909082d6e1eef2d13fecb556405d",
     "2d/assembled/dense": "a3412b8ec951f0f368e863a1d2bb82da3d1d909082d6e1eef2d13fecb556405d",
     "2d/numpy/point": "65f256ad962ca8ef946005a498c8f157720ab8dbd76044297d6f75f86591d878",

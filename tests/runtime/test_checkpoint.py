@@ -17,6 +17,7 @@ from repro.runtime import (
     prune_checkpoints,
     save_checkpoint,
 )
+from repro.runtime.checkpoint import CHECKPOINT_VERSION
 from repro.sem import Sem1D
 from repro.util.errors import SolverError
 
@@ -87,15 +88,19 @@ class TestPersistence:
         with pytest.raises(SolverError, match="corrupt|unreadable"):
             load_checkpoint(bad)
 
-    def test_future_version_rejected(self, tmp_path, monkeypatch):
-        import repro.runtime.checkpoint as ckpt
-
-        state = CheckpointState(cycle=1, t=0.1, u=np.zeros(2), v=np.zeros(2))
-        monkeypatch.setattr(ckpt, "CHECKPOINT_VERSION", 99)
+    def test_future_version_rejected(self, tmp_path):
+        state = CheckpointState(cycle=1, t=0.1, u=np.zeros(2), v=np.zeros(2), version=99)
         path = save_checkpoint(tmp_path / "ck", state)
-        monkeypatch.setattr(ckpt, "CHECKPOINT_VERSION", 1)
         with pytest.raises(SolverError, match="version 99"):
             load_checkpoint(path)
+
+    def test_version_round_trips(self, tmp_path):
+        """A state keeps the version its fields are in through a save."""
+        for version in (1, CHECKPOINT_VERSION):
+            state = CheckpointState(cycle=1, t=0.1, u=np.zeros(2), v=np.zeros(2), version=version)
+            path = save_checkpoint(tmp_path / f"ck{version}", state)
+            assert load_checkpoint(path).version == version
+        assert CheckpointState(cycle=1, t=0.1, u=np.zeros(2), v=np.zeros(2)).version == CHECKPOINT_VERSION
 
     def test_latest_and_prune(self, tmp_path):
         assert latest_checkpoint(tmp_path / "absent") is None

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.mesh import refined_interval, uniform_grid, uniform_interval
+from repro.mesh import Mesh, refined_interval, uniform_grid, uniform_interval
 from repro.sem import Sem1D, Sem2D
+from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.util.errors import SolverError
 
 
@@ -43,20 +44,28 @@ class TestSem1D:
     def test_dirichlet_zeroes_boundary_rows(self):
         sem = Sem1D(uniform_interval(4), order=3, dirichlet=True)
         A = sem.A.toarray()
-        assert np.allclose(A[0], 0) and np.allclose(A[-1], 0)
+        ends = sem.boundary_dofs()
+        assert sorted(sem.x[ends]) == [0.0, 1.0]
+        assert np.allclose(A[ends], 0) and np.allclose(A[:, ends], 0)
 
     def test_refined_mesh_coordinates_monotone(self):
-        sem = Sem1D(refined_interval(4, 4, refinement=4), order=4)
-        assert np.all(np.diff(sem.x) > 0)
+        """Each element's DOFs list its GLL nodes left to right."""
+        mesh = refined_interval(4, 4, refinement=4)
+        sem = Sem1D(mesh, order=4)
+        xi, _ = gll_points_weights(4)
+        for e, (a, b) in enumerate(mesh.elements):
+            left, right = mesh.coords[a, 0], mesh.coords[b, 0]
+            nodes = left + (xi + 1.0) * 0.5 * (right - left)
+            assert np.array_equal(sem.x[sem.element_dofs[e]], nodes)
+            assert np.all(np.diff(nodes) > 0)
 
     def test_element_system_reassembles_global(self):
         mesh = refined_interval(3, 3, refinement=2)
         sem = Sem1D(mesh, order=3)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
-        for e in range(mesh.n_elements):
-            Ke, Me = sem.element_system(e)
-            d = sem.element_dofs[e]
+        Kes, Mes = sem.element_system_batch()
+        for d, Ke, Me in zip(sem.element_dofs, Kes, Mes):
             K[np.ix_(d, d)] += Ke
             M[d] += Me
         assert np.allclose(K, sem.K.toarray(), atol=1e-12)
@@ -69,6 +78,112 @@ class TestSem1D:
     def test_nearest_dof(self):
         sem = Sem1D(uniform_interval(10), order=2)
         assert sem.x[sem.nearest_dof(0.5)] == pytest.approx(0.5)
+
+
+def _chain_assembly(mesh, order, dirichlet):
+    """The retired 1D assembler, kept as an oracle: elements sorted into
+    a chain by left endpoint, DOFs numbered left to right along it
+    (element ``e`` at chain position ``p`` owns ``p*order .. p*order +
+    order``), one dense element matrix per loop iteration scattered as
+    COO, endpoints clamped by a row/column mask.  Returns ``(x,
+    element_dofs, M, K, A)``."""
+    xi, w = gll_points_weights(order)
+    D = lagrange_derivative_matrix(order)
+    n_elem, n_loc = mesh.n_elements, order + 1
+    left = mesh.coords[mesh.elements[:, 0], 0]
+    right = mesh.coords[mesh.elements[:, 1], 0]
+    n_dof = n_elem * order + 1
+    element_dofs = np.empty((n_elem, n_loc), dtype=np.int64)
+    x = np.empty(n_dof)
+    for pos, e in enumerate(np.argsort(left, kind="stable")):
+        element_dofs[e] = pos * order + np.arange(n_loc)
+        x[element_dofs[e]] = left[e] + (xi + 1.0) * 0.5 * (right[e] - left[e])
+    M = np.zeros(n_dof)
+    rows, cols, vals = [], [], []
+    for e in range(n_elem):
+        jac = 0.5 * (right[e] - left[e])
+        Ke = (float(mesh.c[e]) ** 2 / jac) * (D.T * w) @ D
+        dofs = element_dofs[e]
+        M[dofs] += jac * w
+        rows.append(np.repeat(dofs, n_loc))
+        cols.append(np.tile(dofs, n_loc))
+        vals.append(Ke.ravel())
+    K = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_dof, n_dof),
+    ).tocsr()
+    K.sum_duplicates()
+    A = sp.diags(1.0 / M) @ K
+    if dirichlet:
+        mask = np.ones(n_dof)
+        mask[0] = mask[-1] = 0.0
+        A = sp.diags(mask) @ A @ sp.diags(mask)
+    return x, element_dofs, M, K, sp.csr_matrix(A)
+
+
+def _shuffled(mesh, seed):
+    """``mesh`` with its elements in random order and its corner nodes
+    relabelled at random."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(mesh.n_elements)
+    relabel = rng.permutation(mesh.n_nodes)
+    coords = np.empty_like(mesh.coords)
+    coords[relabel] = mesh.coords
+    return Mesh(1, coords, relabel[mesh.elements[order]], mesh.h[order], mesh.c[order])
+
+
+class TestSem1DMatchesChainOracle:
+    """``Sem1D`` is ``SemND`` on a 1D mesh: its entity numbering (mesh
+    corners, then element interiors) is a permutation of the chain
+    numbering, and under it ``x``, ``M``, ``K`` and ``A`` are the
+    chain loop's.  ``K`` and ``A`` are bitwise where the element scale
+    ``s = 2 c^2 / h`` is a power of two; elsewhere they may differ in
+    the last bit, because the loop formed ``(s D^T W) D`` and ``SemND``
+    forms ``s (D^T W D)``."""
+
+    DYADIC = {
+        "uniform": lambda: uniform_interval(8),
+        "refined": lambda: refined_interval(12, 8, refinement=4),
+        "refined-left": lambda: refined_interval(5, 6, refinement=2, fine_position="left"),
+        "shuffled": lambda: _shuffled(refined_interval(6, 4, refinement=4), 3),
+    }
+    GENERAL = {
+        "uniform": lambda: uniform_interval(7, length=2.3, c=1.7),
+        "shuffled": lambda: _shuffled(refined_interval(5, 9, 3, coarse_h=0.37, c=2.9), 5),
+    }
+
+    @staticmethod
+    def _pair(mesh, order, dirichlet):
+        sem = Sem1D(mesh, order=order, dirichlet=dirichlet)
+        x, ed, M, K, A = _chain_assembly(mesh, order, dirichlet)
+        chain = np.empty(sem.n_dof, dtype=np.int64)
+        chain[sem.element_dofs.ravel()] = ed.ravel()  # new DOF -> chain DOF
+        assert sem.n_dof == len(M)
+        assert np.array_equal(np.sort(chain), np.arange(sem.n_dof))
+        return sem, chain, (x, M, K, A)
+
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", sorted(DYADIC))
+    def test_bitwise_under_the_permutation(self, kind, order, dirichlet):
+        sem, p, (x, M, K, A) = self._pair(self.DYADIC[kind](), order, dirichlet)
+        assert np.array_equal(sem.x, x[p])
+        assert np.array_equal(sem.M, M[p])
+        for got, ref in ((sem.K, K), (sem.A, A)):
+            ref = ref[p][:, p]
+            assert (got != ref).nnz == 0
+            assert np.array_equal(got.toarray(), ref.toarray())
+
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", sorted(GENERAL))
+    def test_equal_to_round_off_on_any_mesh(self, kind, order, dirichlet):
+        sem, p, (x, M, K, A) = self._pair(self.GENERAL[kind](), order, dirichlet)
+        assert np.array_equal(sem.x, x[p])
+        assert np.array_equal(sem.M, M[p])
+        for got, ref in ((sem.K, K), (sem.A, A)):
+            ref = ref[p][:, p]
+            assert np.abs(got - ref).max() <= 4e-16 * np.abs(ref).max()
 
 
 class TestSem2D:
@@ -119,9 +234,8 @@ class TestSem2D:
         sem = Sem2D(mesh, order=3)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
-        for e in range(mesh.n_elements):
-            Ke, Me = sem.element_system(e)
-            d = sem.element_dofs[e]
+        Kes, Mes = sem.element_system_batch()
+        for d, Ke, Me in zip(sem.element_dofs, Kes, Mes):
             K[np.ix_(d, d)] += Ke
             M[d] += Me
         assert np.allclose(K, sem.K.toarray(), atol=1e-10)

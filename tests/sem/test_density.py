@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import IsotropicAcoustic, Sem2D, Sem3D
+from repro.sem import IsotropicAcoustic, Sem1D, Sem2D, Sem3D
 from repro.util.errors import SolverError
 
 
@@ -38,7 +38,7 @@ class TestDensityScaling:
         assert _rel_err(b.A @ u, a.A @ u) < 1e-13
 
     @pytest.mark.parametrize(
-        "grid,cls", [((4, 3), Sem2D), ((2, 2, 2), Sem3D)]
+        "grid,cls", [((6,), Sem1D), ((4, 3), Sem2D), ((2, 2, 2), Sem3D)]
     )
     def test_heterogeneous_density_backend_equivalence(self, grid, cls):
         mesh = uniform_grid(grid)
