@@ -39,7 +39,7 @@ def test_eq9_serial_efficiency(benchmark):
 
     opt = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized")
     counter = opt.plan.numberings[0].ops_per_cycle()
-    op_speedup = (a.p_max * opt.A.nnz) / counter.stiffness_ops
+    op_speedup = (a.p_max * opt.op.nnz) / counter.stiffness_ops
     op_eff = op_speedup / ts
 
     # The reference mode counts as it runs: two repetitions with a reset
@@ -48,8 +48,8 @@ def test_eq9_serial_efficiency(benchmark):
         sem.A, dof_level, a.dt, mode="reference", counter=OperationCounter()
     )
     c_ref = counted_cycles(ref, u0, v0, 1, rounds=2)[-1]
-    ref_total_speedup = newmark_cycle_ops(opt.A, a.p_max) / c_ref.total_ops
-    opt_total_speedup = newmark_cycle_ops(opt.A, a.p_max) / counter.total_ops
+    ref_total_speedup = newmark_cycle_ops(opt.op, a.p_max) / c_ref.total_ops
+    opt_total_speedup = newmark_cycle_ops(opt.op, a.p_max) / counter.total_ops
 
     n_cycles = 40
     lts_wall = benchmark.pedantic(

@@ -385,12 +385,11 @@ class Simulation:
         """Disk ``pack``/``unpack`` for the assembler stage, or
         ``(None, None)`` when persisting its CSR makes no sense.
 
-        The persisted artifact is the assembled ``(K, A)`` CSR pair —
-        the single most expensive resolution step.  On a disk hit the
-        assembler object is rebuilt (geometry/numbering are cheap and
-        hold no large invariants worth persisting) and the matrices
-        injected, skipping the chunked scatter.  Matrix-free configs
-        never assemble, so the codec is enabled only for the
+        The persisted artifact is the assembled ``K`` — the single most
+        expensive resolution step.  On a disk hit the assembler object is
+        rebuilt (geometry/numbering are cheap) and ``K`` injected, which
+        scales ``A`` from it as a cold build does, bitwise.  Matrix-free
+        configs never assemble, so the codec is enabled only for the
         ``assembled`` backend, in every dimension.
         """
         if self.config.backend.stiffness != "assembled":
@@ -401,22 +400,15 @@ class Simulation:
                 "K_data": sem.K.data,
                 "K_indices": sem.K.indices,
                 "K_indptr": sem.K.indptr,
-                "A_data": sem.A.data,
-                "A_indices": sem.A.indices,
-                "A_indptr": sem.A.indptr,
-                "shape": np.array(sem.A.shape, dtype=np.int64),
+                "shape": np.array(sem.K.shape, dtype=np.int64),
             }
 
         def unpack(d: dict):
             shape = tuple(int(x) for x in d["shape"])
-            K = sp.csr_matrix(
-                (d["K_data"], d["K_indices"], d["K_indptr"]), shape=shape
-            )
-            A = sp.csr_matrix(
-                (d["A_data"], d["A_indices"], d["A_indptr"]), shape=shape
-            )
             sem = self._build_assembler()
-            sem._set_assembled(K, A)
+            sem._set_assembled(sp.csr_matrix(
+                (d["K_data"], d["K_indices"], d["K_indptr"]), shape=shape
+            ))
             return sem
 
         return pack, unpack
@@ -612,11 +604,7 @@ class Simulation:
     def operator(self):
         """The serial stiffness operator in the configured backend."""
         b = self.config.backend
-        if b.stiffness == "assembled":
-            return self.assembler.A
-        return self.assembler.operator(
-            "matfree", use_fused=b.fused, threads=b.threads
-        )
+        return self.assembler.operator(b.stiffness, use_fused=b.fused, threads=b.threads)
 
     def kernel_tier(self) -> str:
         """The kernel tier the solver plan's level-1 products run —

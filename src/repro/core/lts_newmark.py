@@ -89,7 +89,7 @@ import numpy as np
 
 from repro.core.health import HealthGuard
 from repro.core.newmark import Fields, ReplicaMap, run_cycles, subtract_force
-from repro.core.operator import AssembledOperator, Restriction, _restrict_levels, as_operator
+from repro.core.operator import Restriction, _restrict_levels, as_operator
 from repro.core.workspace import workspace_bytes
 from repro.sem.fused import bind_phase
 from repro.util.errors import SolverError
@@ -701,9 +701,6 @@ class LTSPlan:
         self.op = as_operator(A)
         n = self.op.shape[0]
         require(self.op.shape == (n, n), "A must be square", SolverError)
-        #: Legacy attribute: the assembled CSR matrix when the backend is
-        #: assembled, else the operator itself (both expose shape/nnz/@).
-        self.A = self.op.A if isinstance(self.op, AssembledOperator) else self.op
         self.n_dof = n
         self.dof_level = np.asarray(dof_level, dtype=np.int64)
         require(self.dof_level.shape == (n,), "dof_level must be (n,)", SolverError)
@@ -788,7 +785,7 @@ class LTSNewmarkSolver(_LockStepCycle):
         self.plan = plan = A if isinstance(A, LTSPlan) else LTSPlan(A, dof_level, mode)
         super().__init__(dt, force)
         self.counter = counter
-        self.mode, self.op, self.A = plan.mode, plan.op, plan.A
+        self.mode, self.op = plan.mode, plan.op
         self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
         self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
         if self.mode == "optimized":

@@ -288,10 +288,6 @@ class AssembledOperator:
         gather buffers are owned by their :class:`Restriction`)."""
         return 0
 
-    def apply_on(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One-shot ``A[:, cols] @ u[cols]`` (uncached convenience)."""
-        return self.restrict(cols).apply(u)
-
     def restrict(self, cols: np.ndarray) -> Restriction:
         """The product ``A[:, cols] @ u[cols]``.  Every column, in order,
         is ``A`` itself: applied as it stands (its stored entry order),

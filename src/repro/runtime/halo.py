@@ -7,16 +7,16 @@ point-to-point exchange — the synchronization that happens at *every LTS
 substep* in Fig. 1.
 
 :func:`build_rank_layout` consumes any assembler exposing
-``element_dofs``, ``M`` and ``element_system_batch(ids)`` (every SEM
-assembler, 1D to 3D) plus an element partition vector, and produces a
-:class:`RankLayout` the distributed solvers run on.  A rank's product is
-its share of the serial ``M^{-1} K`` — its owned elements' partial
+``element_dofs``, ``M`` and ``stiffness_csr(ids, local_dofs, n)`` (every
+SEM assembler, 1D to 3D) plus an element partition vector, and produces
+a :class:`RankLayout` the distributed solvers run on.  A rank's product
+is its share of the serial ``M^{-1} K`` — its owned elements' partial
 stiffness, rows scaled by the one ``1/M``
-(:func:`repro.sem.matfree.inverse_mass`, Dirichlet rows 0) — in one of
-two backends: ``"assembled"`` (partial CSR per rank, one vectorized
-scatter of the owned elements' matrices) and ``"matfree"`` (the rank's
-elements through the builder of the serial matrix-free operator,
-:func:`repro.sem.matfree.stiffness_share` — no rank ever forms a
+(:func:`repro.sem.matfree.inverse_mass`, Dirichlet rows 0) — from the
+serial operator's own builder, in one of two backends: ``"assembled"``
+(:meth:`repro.sem.tensor.SemND.stiffness_csr`, chunked as the serial
+``K``, then :func:`repro.sem.tensor.mass_scaled`) and ``"matfree"``
+(:func:`repro.sem.matfree.stiffness_share` — no rank ever forms a
 matrix; requires the assembler to export its explicit
 :class:`repro.core.operator.KernelSpec`).  Both duck-type
 ``K @ u``, so the executors are backend- and physics-agnostic: scalar
@@ -37,6 +37,7 @@ import scipy.sparse as sp
 
 from repro.core.newmark import ReplicaMap
 from repro.sem.matfree import inverse_mass, stiffness_share
+from repro.sem.tensor import mass_scaled
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -174,26 +175,6 @@ class RankLayout(ReplicaMap):
         return ExchangePlan(peers, indices)
 
 
-def _rank_stiffness_assembled(assembler, owned, local_dofs, n_local) -> sp.csr_matrix:
-    """Partial CSR from owned elements, batched scatter assembly."""
-    if len(owned) == 0:
-        return sp.csr_matrix((n_local, n_local))
-    Ke, _ = assembler.element_system_batch(owned)
-    n_loc = local_dofs.shape[1]
-    K = sp.coo_matrix(
-        (
-            Ke.reshape(len(owned), -1).ravel(),
-            (
-                np.repeat(local_dofs, n_loc, axis=1).ravel(),
-                np.tile(local_dofs, (1, n_loc)).ravel(),
-            ),
-        ),
-        shape=(n_local, n_local),
-    ).tocsr()
-    K.sum_duplicates()
-    return K
-
-
 def build_rank_layout(
     assembler,
     parts: np.ndarray,
@@ -209,8 +190,8 @@ def build_rank_layout(
     ----------
     assembler:
         Object with ``element_dofs`` (``(n_elem, n_loc)``), ``n_dof``, the
-        fully-summed diagonal mass ``M`` and ``element_system_batch(ids)
-        -> (Ke, Me)`` — any :class:`~repro.sem.tensor.SemND` subclass.
+        fully-summed diagonal mass ``M`` and ``stiffness_csr(ids,
+        local_dofs, n)`` — any :class:`~repro.sem.tensor.SemND` subclass.
     parts:
         ``(n_elem,)`` rank id per element.
     dof_level:
@@ -291,13 +272,10 @@ def build_rank_layout(
                 assembler, inv_m[ids], owned, ld, use_fused=use_fused, threads=threads,
             ))
         else:
-            K = _rank_stiffness_assembled(assembler, owned, ld, len(ids))
-            if mask is not None:
-                K.data *= mask[ids][K.indices]
-            # The rows scaled as the assemblers form ``A``, by a product
-            # with a diagonal: the same entry order, the same zeros
-            # dropped, so on one rank this is ``A`` entry for entry.
-            K_local.append(sp.csr_matrix(sp.diags(inv_m[ids]) @ K))
+            K_local.append(mass_scaled(
+                assembler.stiffness_csr(owned, ld, len(ids)), inv_m[ids],
+                None if mask is None else mask[ids],
+            ))
 
     # Ownership (lowest touching rank) and shared-DOF counts, vectorized.
     owner_of = np.full(n_dof, n_ranks, dtype=np.int64)

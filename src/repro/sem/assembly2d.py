@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mesh.mesh import Mesh
-from repro.sem.tensor import SemND, _CHUNK_ENTRIES  # noqa: F401  (re-export)
+from repro.sem.tensor import SemND
 from repro.util.errors import SolverError
 from repro.util.validation import require
 

@@ -63,6 +63,7 @@ import copy
 import numpy as np
 
 from repro.core.operator import (
+    AssembledOperator,
     KernelSpec,
     Restriction,
     _restriction,
@@ -952,8 +953,6 @@ def operator_for(
     every assembler.
     """
     if backend == "assembled":
-        from repro.core.operator import AssembledOperator
-
         return AssembledOperator(assembler.A)
     if backend == "matfree":
         return stiffness_share(

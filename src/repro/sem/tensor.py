@@ -20,9 +20,10 @@ per GLL node:
   box elements (the affine tensor mapping every kernel relies on);
 * the :class:`SemND` assembler base: the multi-component interleaved
   DOF layout (``n_comp * node + comp``), diagonal (lumped) mass with a
-  per-element density hook, chunked vectorized CSR stiffness assembly
-  from :meth:`SemND.element_system_batch`, Dirichlet masking, the
-  explicit :meth:`SemND.kernel_spec` physics declaration, and the
+  per-element density hook, one chunked CSR stiffness builder for any
+  element subset (:meth:`SemND.stiffness_csr`) and one Dirichlet-masked
+  ``1/M`` scaling (:func:`mass_scaled`), the explicit
+  :meth:`SemND.kernel_spec` physics declaration, and the
   backend-pluggable :meth:`SemND.operator`;
 * :class:`ElasticSemND`, the isotropic elastic (P-SV / P-S) assembler
   generic over dimension: per-element Lamé parameters and density,
@@ -58,6 +59,7 @@ from repro.core.operator import KernelSpec
 from repro.mesh.mesh import Mesh
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
+from repro.sem.matfree import inverse_mass, operator_for
 from repro.util.errors import SolverError
 from repro.util.rows import unique_rows
 from repro.util.validation import require
@@ -477,6 +479,19 @@ def _sq_dist(deltas: np.ndarray) -> np.ndarray:
     return sum(d * d for d in deltas)
 
 
+def mass_scaled(K, inv_m: np.ndarray, mask: np.ndarray | None = None) -> sp.csr_matrix:
+    """``M^{-1} K`` as the serial ``A`` and every rank's assembled share
+    hold it: rows times ``inv_m`` (:func:`repro.sem.matfree.inverse_mass`),
+    columns times the Dirichlet ``mask``, zeros dropped.  The rows scale
+    by a product with a diagonal, whose stored entry order (the order a
+    CSR product sums in) every pinned result was computed with."""
+    A = sp.csr_matrix(sp.diags(inv_m) @ K)
+    if mask is not None:
+        A.data *= mask[A.indices]
+    A.eliminate_zeros()
+    return A
+
+
 # ----------------------------------------------------------------------
 # The dimension-generic assembler
 # ----------------------------------------------------------------------
@@ -602,58 +617,48 @@ class SemND:
         # Stiffness assembly is *lazy*: the chunked CSR scatter is by
         # far the most expensive construction step and matrix-free runs
         # never need it.  ``A``/``K`` trigger it on first access;
-        # ``_set_assembled`` injects matrices restored from a stage
-        # cache so a warm resolve skips the scatter entirely.
+        # ``_set_assembled`` takes a ``K`` restored from a stage cache
+        # and scales ``A`` from it, so a warm resolve skips the scatter.
         self._K: sp.csr_matrix | None = None
         self._A: sp.csr_matrix | None = None
 
     # ------------------------------------------------------------------
     # Lazy global stiffness
     # ------------------------------------------------------------------
-    def _assemble_stiffness(self) -> None:
-        """Chunked vectorized scatter of the dense element matrices from
-        the physics hook into the global CSR pair ``(K, A)``."""
-        n2 = self.n_comp * (self.order + 1) ** self.dim
-        K = sp.csr_matrix((self.n_dof, self.n_dof))
+    def stiffness_csr(self, ids=None, local_dofs=None, n: int | None = None) -> sp.csr_matrix:
+        """Stiffness of the elements ``ids`` (all) as CSR on a numbering of
+        ``n`` DOFs (``n_dof``) in which their ``element_dofs`` are
+        ``local_dofs`` (the global ones): the serial ``K`` or a rank's
+        partial one, scattered from :meth:`element_system_batch` one
+        ``_CHUNK_ENTRIES`` chunk of dense element matrices at a time."""
+        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
+        ed = self.element_dofs[ids] if local_dofs is None else local_dofs
+        n = self.n_dof if n is None else int(n)
+        n2 = ed.shape[1]
+        K = sp.csr_matrix((n, n))
         chunk = max(1, _CHUNK_ENTRIES // (n2 * n2))
-        for s in range(0, self.mesh.n_elements, chunk):
-            ids = np.arange(s, min(s + chunk, self.mesh.n_elements))
-            Ke, _ = self.element_system_batch(ids)
-            d = self.element_dofs[ids]
-            K = K + sp.coo_matrix(
-                (
-                    Ke.reshape(len(ids), -1).ravel(),
-                    (
-                        np.repeat(d, n2, axis=1).ravel(),
-                        np.tile(d, (1, n2)).ravel(),
-                    ),
-                ),
-                shape=(self.n_dof, self.n_dof),
-            ).tocsr()
+        for s in range(0, len(ids), chunk):
+            Ke, _ = self.element_system_batch(ids[s : s + chunk])
+            d = ed[s : s + chunk]
+            rows, cols = np.repeat(d, n2, axis=1).ravel(), np.tile(d, (1, n2)).ravel()
+            K = K + sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         K.sum_duplicates()
         K.eliminate_zeros()  # kron kernels are exactly zero off the GLL lines
-
-        A = sp.diags(1.0 / self.M) @ K
-        if self.dirichlet_mask is not None:
-            mask = self.dirichlet_mask
-            A = sp.diags(mask) @ A @ sp.diags(mask)
-        A = sp.csr_matrix(A)
-        A.eliminate_zeros()
-        self._K, self._A = K, A
+        return K
 
     @property
     def K(self) -> sp.csr_matrix:
         """Global stiffness matrix (assembled on first access)."""
         if self._K is None:
-            self._assemble_stiffness()
+            self._set_assembled(self.stiffness_csr())
         return self._K
 
     @property
     def A(self) -> sp.csr_matrix:
-        """Assembled operator ``M^{-1} K`` with Dirichlet masking
-        applied (assembled on first access)."""
+        """Assembled operator ``M^{-1} K``, :func:`mass_scaled` :attr:`K`
+        (assembled on first access)."""
         if self._A is None:
-            self._assemble_stiffness()
+            self._set_assembled(self.stiffness_csr())
         return self._A
 
     @property
@@ -661,20 +666,19 @@ class SemND:
         """Whether the global CSR pair has been built (or injected)."""
         return self._A is not None
 
-    def _set_assembled(self, K: sp.csr_matrix, A: sp.csr_matrix) -> None:
-        """Inject a previously assembled ``(K, A)`` pair — the stage
-        cache's disk-restore path.  The matrices must come from an
-        assembler with an identical content key; no cross-checks beyond
-        the shape are performed."""
+    def _set_assembled(self, K: sp.csr_matrix) -> None:
+        """Hold the global stiffness ``K`` and its :func:`mass_scaled`
+        ``A``.  The stage cache's disk restore injects a ``K`` from an
+        assembler with an identical content key here; no cross-checks
+        beyond the shape are performed."""
         require(
-            K.shape == (self.n_dof, self.n_dof)
-            and A.shape == (self.n_dof, self.n_dof),
-            f"injected stiffness shape {A.shape} does not match "
+            K.shape == (self.n_dof, self.n_dof),
+            f"injected stiffness shape {K.shape} does not match "
             f"n_dof={self.n_dof}",
             SolverError,
         )
         self._K = sp.csr_matrix(K)
-        self._A = sp.csr_matrix(A)
+        self._A = mass_scaled(self._K, inverse_mass(self), self.dirichlet_mask)
 
     # ------------------------------------------------------------------
     # Physics hooks (base class: scalar acoustic)
@@ -738,8 +742,6 @@ class SemND:
         ``threads`` their OpenMP element loop (``None`` serial, ``0``
         auto-detect — see :func:`repro.sem.matfree.resolve_threads`).
         """
-        from repro.sem.matfree import operator_for
-
         return operator_for(self, backend, use_fused=use_fused, threads=threads)
 
     # ------------------------------------------------------------------
@@ -775,8 +777,8 @@ class SemND:
         """Dense stiffness ``(m, n_loc, n_loc)`` and diagonal mass
         ``(m, n_loc)`` of elements ``ids`` (all elements when ``None``).
 
-        Consumed by the assembly loop and the distributed runtime's
-        vectorized rank-local assembly
+        Consumed chunk by chunk by :meth:`stiffness_csr`, which builds
+        the serial ``K`` and every rank's assembled share
         (:func:`repro.runtime.halo.build_rank_layout`).
         """
         ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)

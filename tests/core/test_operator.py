@@ -43,12 +43,6 @@ class TestAssembledOperator:
         assert isinstance(restr, Restriction)
         assert restr.ops == small_A.tocsc()[:, cols].nnz
 
-    def test_apply_on_convenience(self, small_A):
-        op = AssembledOperator(small_A)
-        cols = np.array([0, 5])
-        u = np.random.default_rng(1).standard_normal(12)
-        assert np.array_equal(op.apply_on(cols, u), op.restrict(cols).apply(u))
-
     def test_reach_matches_bruteforce(self, small_A):
         op = AssembledOperator(small_A)
         mask = np.zeros(12, dtype=bool)

@@ -32,7 +32,7 @@ from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import (
     AnisotropicElasticSemND, ElasticSem2D, ElasticSem3D, Sem1D, Sem2D, Sem3D,
-    fused, point_source, ricker,
+    fused, point_source, ricker, tensor,
 )
 
 N_CYCLES = 6
@@ -274,19 +274,29 @@ def _one_rank_cases():
                 continue  # no 1D kernel in the fused tier
             for dirichlet in (False, True):
                 marks = [_needs_fused] if tier == "fused" else []
-                yield pytest.param(name, tier, dirichlet, marks=marks,
+                yield pytest.param(name, tier, dirichlet, False, marks=marks,
                                    id=f"{name}-{tier}-{'dirichlet' if dirichlet else 'free'}")
+    # Assembly over several chunks, on per-element random wave speeds
+    # (uniform ones sum to the same entries in any grouping).
+    for name in ("acoustic2d", "acoustic3d"):
+        yield pytest.param(name, "assembled", False, True, id=f"{name}-assembled-chunked")
 
 
-@pytest.mark.parametrize("name,tier,dirichlet", _one_rank_cases())
-def test_one_rank_is_the_serial_run(name, tier, dirichlet):
+@pytest.mark.parametrize("name,tier,dirichlet,chunked", _one_rank_cases())
+def test_one_rank_is_the_serial_run(name, tier, dirichlet, chunked, monkeypatch):
     """Every kernel family, one component or several: a one-rank layout
     folds the same ``1/M`` (masked on Dirichlet rows) into the same
     product, so its run is the serial run over the tier's operator, bit
-    for bit, point source included."""
+    for bit, point source included.  The assembled tier holds it when
+    assembly takes several chunks (``chunked``: two elements each):
+    the rank's CSR is summed in the serial ``K``'s chunks."""
     make, shape = _PHYSICS[name]
     mesh = uniform_grid(shape)
+    if chunked:
+        mesh.c = np.random.default_rng(5).uniform(1.0, 3.0, mesh.n_elements)
     sem = make(mesh, dirichlet)
+    if chunked:
+        monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 2 * sem.element_dofs.shape[1] ** 2)
     dt = assign_levels(mesh, c_cfl=0.4, order=sem.order, assembler=sem).dt
     ne = sem.element_dofs.shape[0]
     dof_level = dof_levels_from_elements(sem.element_dofs, np.resize(_BLOCK, ne), sem.n_dof)

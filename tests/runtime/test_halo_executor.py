@@ -123,6 +123,30 @@ class TestLayout:
         if dirichlet:
             assert not total[sem.dirichlet_mask == 0].any()
 
+    @pytest.mark.parametrize("n_ranks", [None, 1, 4])
+    def test_assembly_batches_stay_bounded(self, n_ranks, monkeypatch):
+        """Assembly holds at most one chunk of dense element matrices at
+        a time, for the serial ``A`` (``n_ranks=None``) and for every
+        rank of an assembled layout, and visits each element once."""
+        from repro.sem import tensor
+
+        sem = Sem2D(uniform_grid((4, 3)), order=3)
+        ne, n_loc = sem.element_dofs.shape
+        monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 2 * n_loc * n_loc)
+        batches = []
+        batch = sem.element_system_batch
+
+        def spy(ids=None):
+            batches.append(len(ids))
+            return batch(ids)
+
+        monkeypatch.setattr(sem, "element_system_batch", spy)
+        if n_ranks is None:
+            sem.A
+        else:
+            build_rank_layout(sem, np.arange(ne) % n_ranks, n_ranks)
+        assert max(batches) <= 2 and sum(batches) == ne
+
     def test_bad_parts_shape_rejected(self, sys1d):
         _, sem, _, _, _, _ = sys1d
         with pytest.raises(PartitionError):
