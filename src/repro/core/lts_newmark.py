@@ -218,33 +218,35 @@ class _Depth:
 
 
 def compact_depths(
-    levels: list[int], restr: list[Restriction], masks: list[np.ndarray]
+    levels: list[int], make: list[Callable[..., Restriction]], masks: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, list[_Depth]]:
     """The level-sorted numbering and compact recursion of the fine
     ``levels`` (ascending, the coarsest active level excluded) of one DOF
     numbering — the whole mesh, or one rank's local DOFs.
 
-    ``masks[i]`` is depth ``i``'s active set and ``restr[i]`` its
-    level's restricted product, which must read and write inside it.
-    The sets are nested, so the order ``[~act_1, act_1 \\ act_2, ...,
-    act_last]`` (each block ascending) makes every depth's set a tail,
-    and the part its child does not cover — where the closed form
-    applies — a prefix of that tail.  Returns the order (position ``j``
-    holds DOF ``order[j]``), its inverse, and the depths, each product
-    relabelled onto its tail through that one inverse.
+    ``masks[i]`` is depth ``i``'s active set and ``make[i](idx, pos,
+    off)`` builds its level's restricted product, which must read and
+    write inside it, on a numbering.  The sets are nested, so the order
+    ``[~act_1, act_1 \\ act_2, ..., act_last]`` (each block ascending: a
+    stable counting sort by how many sets hold a DOF) makes every
+    depth's set a tail, and the part its child does not cover — where
+    the closed form applies — a prefix of that tail.  Returns the order
+    (position ``j`` holds DOF ``order[j]``), its inverse, and the
+    depths, each product built on its tail through that one inverse.
     """
     depth = np.zeros(len(masks[0]), dtype=np.int16)  # how many of the sets hold a DOF
     for m in masks:
         depth += m
-    order = np.argsort(depth, kind="stable").astype(np.int32)  # by block, each ascending
-    sizes = np.bincount(depth, minlength=len(masks) + 1).tolist()
+    blocks = [np.flatnonzero(depth == d) for d in range(len(masks) + 1)]
+    order = np.concatenate(blocks, dtype=np.int32, casting="same_kind")
     inv = np.empty(len(order), dtype=np.int32)  # int32 both: half the bytes of int64
     inv[order] = np.arange(len(order), dtype=np.int32)
+    sizes = [len(b) for b in blocks]
     starts = np.cumsum(sizes).tolist()
     return order, inv, [
-        _Depth(lv, rs.renumber(order[off:], inv, off), len(order) - off,
+        _Depth(lv, mk(order[off:], inv, off), len(order) - off,
                nd if i + 1 < len(levels) else 0)
-        for i, (lv, rs, off, nd) in enumerate(zip(levels, restr, starts, sizes[1:]))
+        for i, (lv, mk, off, nd) in enumerate(zip(levels, make, starts, sizes[1:]))
     ]
 
 
@@ -471,8 +473,8 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
     numbering serially, over one per rank on a layout.
 
     ``stiffness[r]`` makes numbering ``r``'s level products
-    (:func:`~repro.core.operator._restrict_levels`: an operator's
-    ``restrict``, a rank-local stiffness's ``masked_subset``) and
+    (:func:`~repro.core.operator._restrict_levels`: a matrix-free
+    stiffness's element subsets, an operator's ``restrict``) and
     ``dof_levels[r]`` holds its DOF levels.  Numberings that share rows
     pass ``channels(supports)``, which makes a level's exchange plan
     from every numbering's row support of that level.  Depth ``i``'s
@@ -482,19 +484,19 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
     element writes still receives a sum there.
 
     With fine levels each numbering is level-sorted (:func:`compact_depths`)
-    and, through its one inverse, the level-1 product is relabelled onto
-    the whole order and each level's exchange indices onto the tail its
-    output lands in.  Returns the active levels, one :class:`NumberingPlan`
-    per numbering, the exchange plan per level (``{}`` without
-    ``channels``) and each numbering's ``(order, inverse)`` (``None``
-    with one level: nothing is relabelled).
+    and, through its one inverse, the level-1 product is built on the
+    whole order and each level's exchange indices relabelled onto the
+    tail its output lands in.  Returns the active levels, one
+    :class:`NumberingPlan` per numbering, the exchange plan per level
+    (``{}`` without ``channels``) and each numbering's ``(order,
+    inverse)`` (``None`` with one level: nothing is relabelled).
     """
     levels = active_levels(dof_levels)
     col_masks = [[lv == k for k in levels] for lv in dof_levels]
     # The coarsest level's rows matter only to an exchange (its reach is
     # a pass over nearly every element), so ``supports[r][j - first]``.
     first = 0 if channels else 1
-    restr, supports = map(list, zip(*(
+    make, supports = map(list, zip(*(
         _restrict_levels(K, m, first) for K, m in zip(stiffness, col_masks)
     )))
     exchange = {} if channels is None else {
@@ -502,7 +504,7 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
     }
     numberings, orders = [], [] if len(levels) > 1 else None
     for r, (K, lv) in enumerate(zip(stiffness, dof_levels)):
-        nb = NumberingPlan(len(lv), levels[0], restr[r][0], [], getattr(K, "tier", "assembled"))
+        depths, numbering = [], ()
         if orders is not None:
             active, acts = np.zeros(len(lv), dtype=bool), []
             for j in range(len(levels) - 1, 0, -1):  # finest first
@@ -510,14 +512,15 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
                 for idx in exchange[levels[j]].indices[r] if exchange else ():
                     active[idx] = True
                 acts.append(active)
-            order, inv, nb.depths = compact_depths(levels[1:], restr[r][1:], acts[::-1])
-            # Each ascending product goes as soon as it is relabelled: the
-            # copies of the largest, level 1's, never outnumber one.
-            restr[r] = supports[r] = col_masks[r] = acts = active = None
-            nb.restr0 = nb.restr0.renumber(order, pos=inv)
+            order, inv, depths = compact_depths(levels[1:], make[r][1:], acts[::-1])
+            numbering = (order, inv)
             # The map's sorter: an index NumPy reads without a converted copy.
             orders.append((order, inv.astype(np.intp)))
-        numberings.append(nb)
+        # Level 1's product last, once the other builders (and any
+        # ascending products they hold) are gone.
+        make0, make[r], supports[r], col_masks[r] = make[r][0], None, None, None
+        numberings.append(NumberingPlan(len(lv), levels[0], make0(*numbering), depths,
+                                        getattr(K, "tier", "assembled")))
     for j, k in enumerate(levels if exchange and orders else ()):
         offs = [nb.n - nb.depths[j - 1].n if j else 0 for nb in numberings]
         exchange[k] = replace(exchange[k], indices=[

@@ -44,7 +44,7 @@ ratios (Eq. (9) serial efficiency) stay meaningful per backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -371,21 +371,35 @@ def _restriction(cols: np.ndarray, sub) -> Restriction:
 
 def _restrict_levels(K, col_masks: list[np.ndarray], first_support: int = 0):
     """One numbering's restricted products ``u -> K[:, cols_k] u[cols_k]``,
-    one per level mask in the order given (coarsest first), and, per
-    level from ``first_support`` on, the rows the product can write.
+    one per level mask in the order given (coarsest first), as builders
+    called once each — ``make[k]()``, or ``make[k](idx, pos, off)`` on the
+    numbering ``idx`` (see :meth:`Restriction.renumber`) — and, per level
+    from ``first_support`` on, the rows the product can write.
 
-    Two protocols make them, chosen by what ``K``'s *class* defines (as
-    :func:`_restriction` chooses ``fork`` and ``renumber``): a
-    matrix-free stiffness restricts to the level's elements plus their
-    gray halo (``masked_subset``) and knows their ``row_support``;
-    anything else — an operator, a CSR block (wrapped), a caller's proxy
-    that forwards attribute lookups but intercepts ``restrict`` —
-    answers ``restrict`` and ``reach``.
+    What ``K``'s *class* defines picks the protocol (as :func:`_restriction`
+    picks ``fork`` and ``renumber``): a matrix-free stiffness finds every
+    level's elements (level plus gray halo) in one pass and builds each
+    product once, on its numbering (``level_tables``, ``element_subset``);
+    a caller's proxy that forwards attribute lookups but intercepts
+    ``masked_subset`` gets one call per level, in order; anything else —
+    an operator, a CSR block (wrapped) — answers ``restrict`` and ``reach``.
     """
     cols = [np.nonzero(m)[0] for m in col_masks]
+    if len(col_masks) > 1 and hasattr(type(K), "level_tables"):
+        tables, supports = K.level_tables(col_masks, first_support)
+
+        def build(c, table, idx=None, pos=None, off: int = 0) -> Restriction:
+            c = c if idx is None else positions_in(pos, c, "column", off)
+            return _restriction(c, K.element_subset(*table, idx, pos, off))
+
+        return [partial(build, c, t) for c, t in zip(cols, tables)], supports
     if hasattr(type(K), "masked_subset"):
         subs = [K.masked_subset(m) for m in col_masks]
         restr = [_restriction(c, s) for c, s in zip(cols, subs)]
-        return restr, [s.row_support() for s in subs[first_support:]]
-    op = as_operator(K)
-    return [op.restrict(c) for c in cols], [op.reach(m) for m in col_masks[first_support:]]
+        supports = [s.row_support() for s in subs[first_support:]]
+    else:
+        op = as_operator(K)
+        restr = [op.restrict(c) for c in cols]
+        supports = [op.reach(m) for m in col_masks[first_support:]]
+    return [lambda *numbering, r=r: r.renumber(*numbering) if numbering else r
+            for r in restr], supports

@@ -10,6 +10,12 @@ knob in the paper's comparison (tighter balance <-> more cut).
 The per-vertex sweeps are sequential by nature and run over ``tolist()``
 copies: Python floats round exactly as NumPy float64 does, so each
 comparison and sum is the one an array expression would compute.
+
+The graph sweep caches each vertex's candidate moves ``(b, gain)`` —
+parts ``b`` other than its own with ``gain >= 0``, in adjacency order —
+across passes, and a move drops the lists of the mover and its
+neighbours (the Fiduccia-Mattheyses gain update); a pass computes the
+lists its boundary lacks in one array step with the same left-fold sums.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, concat_ranges
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -57,12 +63,6 @@ def balance_bounds_from_weights(
     return Lmax
 
 
-def _boundary_vertices(graph: Graph, parts: np.ndarray) -> np.ndarray:
-    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
-    cut = parts[src] != parts[graph.adjncy]
-    return np.unique(src[cut])
-
-
 def kway_refine(
     graph: Graph,
     parts: np.ndarray,
@@ -79,21 +79,58 @@ def kway_refine(
     sweep walk along plateaus without cycling.
     """
     parts = np.asarray(parts, dtype=np.int64)
-    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    xadj, adjncy, ew = graph.lists
     pl = parts.tolist()
+    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
+    cands: list = [None] * graph.n_vertices  # a vertex's candidate list; None: stale
 
-    def gains(v: int, a: int) -> Iterable[tuple[int, float]]:
-        conn = _connectivity(v, xadj, adjncy, ew, pl)
-        internal = conn.get(a, 0.0)
-        return ((b, c - internal) for b, c in conn.items())
+    def boundary() -> np.ndarray:
+        on = np.zeros(graph.n_vertices, dtype=bool)
+        on[src[parts[src] != parts[graph.adjncy]]] = True
+        order = np.flatnonzero(on)
+        todo = [v for v in order.tolist() if cands[v] is None]
+        _candidate_lists(graph, parts, k, np.array(todo, dtype=np.int64), cands)
+        return order
 
-    def on_move(v: int, src: int, dst: int) -> None:
-        pl[v] = dst
+    def gains(v: int, a: int) -> list[tuple[int, float]]:
+        if cands[v] is None:
+            conn = _connectivity(v, xadj, adjncy, ew, pl)
+            internal = conn.get(a, 0.0)
+            cands[v] = [(b, c - internal) for b, c in conn.items()
+                        if b != a and c - internal >= 0.0]
+        return cands[v]
+
+    def on_move(v: int, a: int, b: int) -> None:
+        pl[v] = b
+        cands[v] = None
+        for u in adjncy[xadj[v]:xadj[v + 1]]:  # the CSR is symmetric: v's neighbours
+            cands[u] = None
 
     return refine_loop(
-        graph.vweights, parts, k, eps, rng, max_passes,
-        lambda: _boundary_vertices(graph, parts), gains, on_move, target_fracs,
+        graph.vweights, parts, k, eps, rng, max_passes, boundary, gains, on_move, target_fracs,
     )
+
+
+def _candidate_lists(graph: Graph, parts: np.ndarray, k: int, vs: np.ndarray, cands: list) -> None:
+    """``cands[v]`` for the vertices ``vs``, as :func:`_connectivity` would
+    lead to them: ``np.add.at`` folds each (vertex, part) sum in slot
+    order, and the slots where the pairs first appear order them."""
+    pos, owner = concat_ranges(graph.xadj[vs], graph.xadj[vs + 1])
+    b = parts[graph.adjncy[pos]]
+    _, first, slot = np.unique(owner * k + b, return_index=True, return_inverse=True)
+    conn = np.zeros(len(first))
+    np.add.at(conn, slot, graph.eweights[pos])
+    first.sort()  # the slots are grouped by vertex: by vertex, then first appearance
+    o, b, conn = owner[first], b[first], conn[slot[first]]
+    own = b == parts[vs][o]
+    internal = np.zeros(len(vs))
+    internal[o[own]] = conn[own]
+    gain = conn - internal[o]
+    keep = ~own & (gain >= 0.0)
+    for v in vs.tolist():
+        cands[v] = []
+    for v, b, g in zip(vs[o[keep]].tolist(), b[keep].tolist(), gain[keep].tolist()):
+        cands[v].append((b, g))
 
 
 def refine_loop(
@@ -112,9 +149,9 @@ def refine_loop(
 
     ``boundary()`` lists the vertices to visit (shuffled here; ``parts``
     is current when it is called), ``gains(v, a)`` yields ``(b, gain)``
-    for the candidate parts of ``v`` in part ``a``, and ``on_move(v, a,
-    b)`` updates the caller's incremental state.  Mutates and returns
-    ``parts``.
+    for the candidate parts of ``v`` in part ``a`` (an empty sequence
+    skips ``v`` at once), and ``on_move(v, a, b)`` updates the caller's
+    incremental state.  Mutates and returns ``parts``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     W = np.zeros((k, vw.shape[1]))
@@ -124,7 +161,7 @@ def refine_loop(
     sizes = np.bincount(parts, minlength=k).tolist()
     total = vw.sum(axis=0)
     norm = np.where(total > 0, total, 1.0).tolist()
-    vwl, pl = vw.tolist(), parts.tolist()
+    pl = parts.tolist()
     for _ in range(max_passes):
         order = boundary()
         if len(order) == 0:
@@ -133,11 +170,12 @@ def refine_loop(
         moved = 0
         for v in order.tolist():
             a = pl[v]
-            if sizes[a] <= 1:
+            cands = gains(v, a)
+            if not cands or sizes[a] <= 1:
                 continue
-            wv = vwl[v]
+            wv = vw[v].tolist()
             best_b, best_gain, best_tie, load_a = -1, 0.0, 0.0, None
-            for b, gain in gains(v, a):
+            for b, gain in cands:
                 if b == a or gain < 0.0 or not fits(W[b], wv, Lmax[b]):
                     continue
                 # Tie-break: improvement of the max normalized load of the
@@ -219,7 +257,7 @@ def repair_balance(
     move with the least edge-cut damage.  Mutates and returns ``parts``.
     """
     parts = np.asarray(parts, dtype=np.int64)
-    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    xadj, adjncy, ew = graph.lists
     pl = parts.tolist()
 
     def damages(v: int, src: int) -> Callable[[int], float]:

@@ -292,7 +292,9 @@ class AcousticKernelND(_PooledKernel):
         return 2 * self.dim * n1 ** (self.dim + 1) + 3 * self.dim * n1**self.dim
 
     def subset(self, ids: np.ndarray) -> "AcousticKernelND":
-        return AcousticKernelND(self.order, self.scales[ids])
+        twin = self.fork()  # the 1D matrices shared, the planes rebuilt
+        twin.scales, twin._wfull = self.scales[ids], None
+        return twin
 
     @property
     def workspace_nbytes(self) -> int:
@@ -813,10 +815,7 @@ class MatrixFreeStiffness:
         whose stiffness entry is exactly zero), which is valid for LTS
         active sets: any superset of the true coupling yields the
         identical scheme."""
-        touch = np.asarray(col_mask, dtype=bool)[self.element_dofs].any(axis=1)
-        out = np.zeros(self.n_dof, dtype=bool)
-        out[self.element_dofs[touch].ravel()] = True
-        return out
+        return self.row_support(np.asarray(col_mask, dtype=bool)[self.element_dofs].any(axis=1))
 
     def masked_subset(self, col_mask: np.ndarray) -> "MatrixFreeStiffness":
         """The restricted action ``u -> Minv * K (1_cols * u)`` on the
@@ -831,45 +830,58 @@ class MatrixFreeStiffness:
         if col_mask.all():
             return self
         ids = np.nonzero(col_mask[self.element_dofs].any(axis=1))[0]
-        ed = self.element_dofs[ids]
-        gm = col_mask[ed]
+        return self.element_subset(ids, col_mask[self.element_dofs[ids]])
+
+    def level_tables(self, col_masks: list[np.ndarray], first_support: int = 0):
+        """Per mask of ``col_masks``, what :meth:`masked_subset` finds — its
+        elements ``ids`` and input mask ``gm`` (``None`` for a mask of
+        every DOF), :meth:`element_subset`'s arguments — and, from
+        ``first_support`` on, its :meth:`row_support`: all from one gather
+        of ``element_dofs``, each DOF coded by the bits of its masks."""
+        code = np.zeros(self.n_dof, dtype=np.min_scalar_type((1 << len(col_masks)) - 1))
+        for j, m in enumerate(col_masks):
+            code[m] |= 1 << j
+        coded = code[self.element_dofs]
+        hit = np.bitwise_or.reduce(coded, axis=1)
+        ids = [np.flatnonzero(hit & (1 << j)) for j in range(len(col_masks))]
+        return [(i, None if m.all() else (coded[i] & (1 << j)) != 0)
+                for j, (i, m) in enumerate(zip(ids, col_masks))
+                ], [self.row_support(i) for i in ids[first_support:]]
+
+    def element_subset(self, ids: np.ndarray, gm: np.ndarray | None,
+                       idx: np.ndarray | None = None, pos: np.ndarray | None = None,
+                       off: int = 0) -> "MatrixFreeStiffness":
+        """The product of the elements ``ids``, input masked by ``gm`` (and
+        this operator's mask), built on the numbering ``idx`` when given:
+        its tables are relabelled before the tier's plan is packed, so a
+        level product lands on its LTS tail in one build — bitwise
+        :meth:`masked_subset` then :meth:`renumber`."""
+        ed, Minv = self.element_dofs[ids], self.Minv
         if self.gmask is not None:
-            gm &= self.gmask[ids] != 0
-        return MatrixFreeStiffness(
-            self.kernel.subset(ids),
-            ed,
-            self.Minv,
-            use_fused=self._use_fused,
-            gmask=gm,
-            threads=self._requested_threads,
-        )
+            keep = self.gmask[ids] != 0
+            gm = keep if gm is None else gm & keep
+        if idx is not None:
+            ed, Minv = positions_in(pos, ed, "row-support DOF", off), Minv[idx]
+        return MatrixFreeStiffness(self.kernel.subset(ids), ed, Minv, use_fused=self._use_fused,
+                                   gmask=gm, threads=self._requested_threads)
 
     def renumber(self, idx: np.ndarray, pos: np.ndarray, off: int = 0) -> "MatrixFreeStiffness":
         """This operator on the numbering ``idx`` (position ``j`` is DOF
         ``idx[j]``, at ``pos[idx[j]] - off``, as for
         :meth:`~repro.core.operator.Restriction.renumber`): element
         tables remapped, ``gmask`` kept, ``Minv`` gathered, the tier's
-        plan rebuilt for ``len(idx)`` DOFs.  Every element gathers,
-        contracts and scatters in the same order, so the result at
-        position ``j`` is bitwise the original's at ``idx[j]``.  ``idx``
-        must hold every element DOF — the row support
-        (:class:`SolverError` otherwise)."""
-        return MatrixFreeStiffness(
-            self.kernel.fork(),
-            positions_in(pos, self.element_dofs, "row-support DOF", off),
-            self.Minv[idx],
-            use_fused=self._use_fused,
-            gmask=self.gmask,
-            threads=self._requested_threads,
-        )
+        plan rebuilt.  Every element gathers, contracts and scatters in
+        the same order, so position ``j`` is bitwise the original's
+        ``idx[j]``; an element DOF outside ``idx`` is a
+        :class:`SolverError`."""
+        return self.element_subset(np.arange(len(self.element_dofs)), None, idx, pos, off)
 
-    def row_support(self) -> np.ndarray:
-        """Boolean mask of rows this operator can structurally write
-        (the union of its element dofs).  An LTS plan builds its active
-        sets and halo channels from it."""
+    def row_support(self, ids: np.ndarray | None = None) -> np.ndarray:
+        """Boolean mask of rows this operator (or its elements ``ids``)
+        can structurally write: the union of their element dofs.  An LTS
+        plan builds its active sets and halo channels from it."""
         mask = np.zeros(self.n_dof, dtype=bool)
-        if self.element_dofs.size:
-            mask[self.element_dofs.ravel()] = True
+        mask[self.element_dofs if ids is None else self.element_dofs[ids]] = True
         return mask
 
 

@@ -72,8 +72,8 @@ def _level_product(tier, physics, dim, kind, level):
         sem, parts, 2, dof_level=dof_level, backend=backend, use_fused=use_fused
     )
     col_mask = lay.dof_level_local[0] == level
-    (restr,), (support,) = _restrict_levels(lay.K_local[0], [col_mask])
-    return restr, len(col_mask), col_mask, support
+    (make,), (support,) = _restrict_levels(lay.K_local[0], [col_mask])
+    return make(), len(col_mask), col_mask, support
 
 
 def _inverse(idx: np.ndarray, n: int) -> np.ndarray:

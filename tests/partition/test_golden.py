@@ -34,7 +34,12 @@ def grid2d():
     return mesh
 
 
-MESHES = {"trench": lambda: trench_mesh(10, 10, 5), "grid2d": grid2d}
+MESHES = {
+    "trench": lambda: trench_mesh(10, 10, 5),
+    "grid2d": grid2d,
+    # The benchmark's mesh (4,800 elements, four levels).
+    "trench24": lambda: trench_mesh(24, 20, 10, band_radii=[0.8, 1.8, 3.6]),
+}
 
 #: (strategy, mesh, k, seed) -> sha256 of the part vector.
 GOLDEN = {
@@ -78,6 +83,9 @@ GOLDEN = {
     ("PaToH 0.01", "grid2d", 3, 7): "3788c456a0ec4c15c53b5764ca2706e6fe1b9c16bb371434aba8f6da8076f8da",
     ("PaToH 0.01", "grid2d", 16, 1): "99c9a2027125019fb7de011231744086f916431b0b43ee086e04124b7fb3d211",
     ("PaToH 0.01", "grid2d", 16, 7): "80e6f70649b8ea77f3c92561a1bdb720f676ba2e1466fa30b3de33521cc5ee3a",
+    ("SCOTCH-P", "trench24", 4, 1): "f2d63a7e37185c3e96820d0008e0971dcc618362c7b204e8dc907296c798ac05",
+    ("SCOTCH-P", "trench24", 4, 2): "5ecc826f8447804ba6ebf6cb0e56065dce7573e1615034b658baf6726f804232",
+    ("SCOTCH-P", "trench24", 4, 3): "96dcab8236dfc5b6fe8d8548f2c410a265c72d0ee464a6c4d6248aeefde280a0",
 }
 
 #: The benchmark's 4-rank trench model (4,800 elements, four levels,
@@ -133,7 +141,11 @@ def trench_sim():
 
 
 def test_golden_meshes_have_three_levels(meshes):
-    assert [a.n_levels for _, a in meshes.values()] == [3, 3]
+    assert [meshes[name][1].n_levels for name in ("trench", "grid2d")] == [3, 3]
+
+
+def test_benchmark_mesh_has_four_levels(meshes):
+    assert meshes["trench24"][1].n_levels == 4
 
 
 @pytest.mark.parametrize("name, mesh, k, seed", sorted(GOLDEN))

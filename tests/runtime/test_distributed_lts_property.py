@@ -166,9 +166,10 @@ class TestLevelSortedNumbering:
         # Every level's product and row support in each rank's ascending
         # numbering, and the exchange channels they make.
         masks = [[lv == k for k in levels] for lv in layout.dof_level_local]
-        restr, supports = zip(*(
+        make, supports = zip(*(
             _restrict_levels(K, mk) for K, mk in zip(layout.K_local, masks)
         ))
+        restr = [[build() for build in row] for row in make]
         channels = [layout.exchange_channels([s[j] for s in supports])
                     for j in range(len(levels))]
         for r, nb in enumerate(plan.numberings):
