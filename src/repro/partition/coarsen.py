@@ -40,22 +40,22 @@ def heavy_edge_matching(
     match = [-1] * n
     order = rng.permutation(n)
     cid = 0
-    # Not ``graph.lists``: cached here, every level's lists would live at once.
-    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
-    cap = None if weight_cap is None else np.broadcast_to(weight_cap, graph.n_constraints).tolist()
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    ew, vw = graph.eweights.tolist(), graph.vweights.tolist()
+    cap = None if weight_cap is None else np.broadcast_to(weight_cap, len(vw[0])).tolist()
     if cap is not None and np.all(2.0 * graph.vweights.max(axis=0) <= cap):
         cap = None  # two of the heaviest fit, so every pair does: nothing to check
-    vw = None if cap is None else graph.vweights.tolist()
     for v in order.tolist():
         if match[v] >= 0:
             continue
         best = -1
         best_w = -np.inf
+        wv = vw[v]
         for idx in range(xadj[v], xadj[v + 1]):
             u = adjncy[idx]
             if match[u] >= 0 or u == v or ew[idx] <= best_w:
                 continue
-            if cap is None or fits(vw[v], vw[u], cap):
+            if cap is None or fits(wv, vw[u], cap):
                 best_w = ew[idx]
                 best = u
         match[v] = cid

@@ -9,7 +9,6 @@ of cutting them (``max(p_u, p_v)``, Fig. 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,12 +86,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return int(self.xadj[v + 1] - self.xadj[v])
-
-    @cached_property
-    def lists(self) -> tuple[list, list, list]:
-        """``xadj``, ``adjncy`` and ``eweights`` as Python lists, made once
-        for the per-vertex sweeps (which must not mutate them)."""
-        return self.xadj.tolist(), self.adjncy.tolist(), self.eweights.tolist()
 
     def total_weight(self) -> np.ndarray:
         """Per-constraint total vertex weight ``W[V, i]``."""

@@ -21,7 +21,7 @@ from repro.util.validation import require
 def pseudo_peripheral_vertex(graph: Graph, rng: np.random.Generator) -> int:
     """Approximate graph-diameter endpoint via two BFS sweeps."""
     n = graph.n_vertices
-    xadj, adjncy, _ = graph.lists
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
     start = int(rng.integers(n))
     for _ in range(2):
         seen = [False] * n
@@ -55,7 +55,7 @@ def grow_bisection(
     scalar_w = (graph.vweights / norm).sum(axis=1)
     target = float(scalar_w.sum()) * target_frac
     scalar_w = scalar_w.tolist()
-    xadj, adjncy, ew = graph.lists
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
 
     from repro.partition.metrics import graph_cut
 

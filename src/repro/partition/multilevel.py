@@ -58,7 +58,6 @@ def multilevel_graph_partition(
 
     for level in range(len(matches) - 1, -1, -1):
         parts = parts[matches[level]]
-        graphs.pop()  # the coarser graph is done, and its cached lists with it
         parts = kway_refine(
             graphs[level], parts, k, eps=eps, rng=rng, max_passes=refine_passes
         )

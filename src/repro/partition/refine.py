@@ -79,7 +79,7 @@ def kway_refine(
     sweep walk along plateaus without cycling.
     """
     parts = np.asarray(parts, dtype=np.int64)
-    xadj, adjncy, ew = graph.lists
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
     pl = parts.tolist()
     src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
     cands: list = [None] * graph.n_vertices  # a vertex's candidate list; None: stale
@@ -257,7 +257,7 @@ def repair_balance(
     move with the least edge-cut damage.  Mutates and returns ``parts``.
     """
     parts = np.asarray(parts, dtype=np.int64)
-    xadj, adjncy, ew = graph.lists
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
     pl = parts.tolist()
 
     def damages(v: int, src: int) -> Callable[[int], float]:
