@@ -9,17 +9,14 @@ it two ways on a 1D SEM system (where the numerics actually run):
   (``NumberingPlan.ops_per_cycle``) — the efficiency claim proper;
 * in wall-clock of the NumPy implementation, reported for context (pure
   Python vector overhead makes this a lower bound).
-
-This doubles as the ablation bench for the reference-vs-optimized design
-decision (see the :mod:`repro.core.lts_newmark` module docstring).
 """
 
 import time
 
 import numpy as np
 
-from common import counted_cycles, save_results
-from repro.core import OperationCounter, assign_levels, theoretical_speedup
+from common import save_results
+from repro.core import assign_levels, theoretical_speedup
 from repro.core.lts_newmark import (
     LTSNewmarkSolver, NewmarkSolver, dof_levels_from_elements, newmark_cycle_ops,
 )
@@ -37,18 +34,10 @@ def test_eq9_serial_efficiency(benchmark):
     u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.5)
     v0 = np.zeros_like(u0)
 
-    opt = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized")
+    opt = LTSNewmarkSolver(sem.A, dof_level, a.dt)
     counter = opt.plan.numberings[0].ops_per_cycle()
     op_speedup = (a.p_max * opt.op.nnz) / counter.stiffness_ops
     op_eff = op_speedup / ts
-
-    # The reference mode counts as it runs: two repetitions with a reset
-    # each (counted_cycles guards the double-reporting bug).
-    ref = LTSNewmarkSolver(
-        sem.A, dof_level, a.dt, mode="reference", counter=OperationCounter()
-    )
-    c_ref = counted_cycles(ref, u0, v0, 1, rounds=2)[-1]
-    ref_total_speedup = newmark_cycle_ops(opt.op, a.p_max) / c_ref.total_ops
     opt_total_speedup = newmark_cycle_ops(opt.op, a.p_max) / counter.total_ops
 
     n_cycles = 40
@@ -68,20 +57,17 @@ def test_eq9_serial_efficiency(benchmark):
         ["metric", "value", "paper"],
         title=f"Eq. (9) — serial LTS efficiency (model speedup {ts:.2f}x)",
     )
-    t.add_row(["op-count speedup (optimized)", f"{op_speedup:.2f}x", f"{ts:.2f}x model"])
+    t.add_row(["op-count speedup", f"{op_speedup:.2f}x", f"{ts:.2f}x model"])
     t.add_row(["op-count efficiency", f"{op_eff:.0%}", ">90%"])
-    t.add_row(["total-op speedup optimized vs reference",
-               f"{opt_total_speedup:.2f}x vs {ref_total_speedup:.2f}x", "-"])
+    t.add_row(["total-op speedup", f"{opt_total_speedup:.2f}x", "-"])
     t.add_row(["NumPy wall-clock speedup", f"{wall_speedup:.2f}x", "(context)"])
     t.print()
     save_results(
         "eq9",
         {"model_speedup": ts, "op_speedup": op_speedup, "op_efficiency": op_eff,
-         "reference_total_speedup": ref_total_speedup,
          "optimized_total_speedup": opt_total_speedup,
          "wall_speedup": wall_speedup},
     )
 
     assert op_eff > 0.90  # the paper's headline claim
-    assert opt_total_speedup > ref_total_speedup  # the ablation direction
     assert wall_speedup > 1.0

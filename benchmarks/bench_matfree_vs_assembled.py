@@ -157,7 +157,7 @@ def _best_ms(fn, reps: int) -> float:
     return best * 1e3
 
 
-def _corner_cols(sem) -> np.ndarray:
+def _corner_columns(sem) -> np.ndarray:
     """DOFs of the low corner (2^-dim of the domain — a fake LTS level)."""
     xc = sem.node_coords
     mid = 0.5 * (xc.min(axis=0) + xc.max(axis=0))
@@ -212,7 +212,7 @@ def run(
         err = float(np.abs(matfree @ u - ref).max() / np.abs(ref).max())
         err_np = float(np.abs(mf_numpy @ u - ref).max() / np.abs(ref).max())
 
-        cols = _corner_cols(sem)
+        cols = _corner_columns(sem)
         r_asm = assembled.restrict(cols)
         r_mf = matfree.restrict(cols)
         err_r = float(

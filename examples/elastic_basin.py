@@ -6,13 +6,14 @@ which a stiff, fast intrusion (4x the background P speed, a declarative
 assigns the intrusion to a finer p-level and steps the rest of the
 domain coarsely.
 
-The optimized scheme runs through the :class:`repro.api.Simulation`
-façade; the literal Algorithm-1 reference solver is then wired by hand
-from the *same* resolved pipeline stages (``sim.assembler``,
-``sim.dof_level``, ``sim.force`` ...) — demonstrating that the façade
-and the manual layer compose — and the two must agree to machine
-precision on the full elastic operator (the paper's implicit claim that
-the optimized implementation computes the same scheme).
+The LTS scheme runs through the :class:`repro.api.Simulation` façade;
+plain Newmark at the finest step ``dt_min`` everywhere (what a non-LTS
+code must take) is then wired by hand from the *same* resolved pipeline
+stages (``sim.assembler``, ``sim.force``, ``sim.levels``) — the façade
+and the manual layer compose — and covers the same simulated time.  The
+two are different schemes, so they agree to discretisation accuracy,
+not machine precision; LTS == Algorithm 1 to machine precision on the
+elastic operator is held by the tests (``tests/sem/test_elastic2d.py``).
 
 Run:  python examples/elastic_basin.py
 """
@@ -20,8 +21,7 @@ Run:  python examples/elastic_basin.py
 import numpy as np
 
 from repro.api import Simulation, SimulationConfig
-from repro.core import theoretical_speedup
-from repro.core.lts_newmark import LTSNewmarkSolver
+from repro.core import NewmarkSolver, theoretical_speedup
 
 
 def main() -> None:
@@ -58,23 +58,21 @@ def main() -> None:
     print(f"LTS levels: {sim.levels.n_levels} {sim.levels.counts()}, "
           f"speedup model {theoretical_speedup(sim.levels):.2f}x")
 
-    # Optimized scheme through the façade.
+    # LTS through the façade.
     res = sim.run()
 
-    # Literal Algorithm-1 reference, hand-wired from the same stages.
-    ref_solver = LTSNewmarkSolver(
-        sim.assembler.A, sim.dof_level, sim.dt, mode="reference",
-        force=sim.force,
-    )
-    u_ref, _ = ref_solver.run(
-        np.zeros(sim.assembler.n_dof), np.zeros(sim.assembler.n_dof),
-        sim.n_cycles,
+    # Newmark at dt_min over the same time, hand-wired from the same stages.
+    zeros = np.zeros(sim.assembler.n_dof)
+    u_nm, _ = NewmarkSolver(sim.assembler.A, sim.levels.dt_min, force=sim.force).run(
+        zeros, zeros, sim.n_cycles * sim.levels.p_max
     )
 
-    diff = np.max(np.abs(res.u - u_ref))
-    print(f"optimized vs reference (Algorithm 1): max diff {diff:.2e}")
+    dev = np.max(np.abs(res.u - u_nm)) / np.max(np.abs(u_nm))
+    print(f"LTS vs Newmark at dt_min: relative max deviation {dev:.2e}")
     print(f"displacement field bounded: max |u| = {np.max(np.abs(res.u)):.3e}")
-    assert diff < 1e-11 * max(np.max(np.abs(u_ref)), 1.0)
+    # Measured 3.3e-3 (Newmark at dt_min / 4 is 7.6e-4 from Newmark at
+    # dt_min, 4.1e-3 from LTS): the bound is ~3x the measured deviation.
+    assert dev < 1e-2
     assert np.all(np.isfinite(res.u))
     print("elastic LTS run verified.")
 

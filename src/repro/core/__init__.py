@@ -9,9 +9,8 @@ Contents:
   :mod:`repro.core.speedup`;
 * the explicit Newmark scheme (Eqs. (5)-(6)) and the one time loop
   every solver runs — :mod:`repro.core.newmark`;
-* recursive multi-level LTS-Newmark (Eq. (14), Algorithm 1) with both a
-  literal reference implementation and the optimized active-set
-  implementation, whose one-level case is the Newmark solver
+* recursive multi-level LTS-Newmark (Eq. (14), Algorithm 1) as one
+  active-set implementation, whose one-level case is the Newmark solver
   (:class:`NewmarkSolver`) — :mod:`repro.core.lts_newmark`;
 * the LTS cycle schedule consumed by the cluster simulator —
   :mod:`repro.core.schedule`;
@@ -45,8 +44,6 @@ from repro.core.health import HealthGuard
 from repro.core.lts_newmark import (
     LTSNewmarkSolver,
     NewmarkSolver,
-    lts_newmark_run,
-    newmark_run,
     OperationCounter,
 )
 from repro.core.schedule import LTSSchedule, build_schedule
@@ -71,9 +68,7 @@ __all__ = [
     "serial_efficiency",
     "HealthGuard",
     "NewmarkSolver",
-    "newmark_run",
     "LTSNewmarkSolver",
-    "lts_newmark_run",
     "OperationCounter",
     "LTSSchedule",
     "build_schedule",

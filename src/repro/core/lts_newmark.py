@@ -15,45 +15,42 @@ scheme *is* explicit Newmark, and that is how Newmark runs:
 one product the operator's own (a restriction to every column is no
 copy and no mask, :mod:`repro.core.operator`).
 
-Two implementations share one recursion:
+One implementation steps it, the variant the paper's Sec. II-C
+describes as requiring "great care": a substep costs work proportional
+to its *active set* (DOFs of levels >= k plus their stiffness halo --
+the paper's gray nodes), never to the mesh.  Empty levels are skipped by
+doubling the substep ratio.  Three pieces:
 
-* ``mode="reference"`` — literal full-vector transcription of Algorithm 1.
-  Every substep performs a full-size stiffness product and full-length
-  vector updates.  Simple, obviously correct, slow: the oracle.
-* ``mode="optimized"`` — the high-performance variant the paper's Sec. II-C
-  describes as requiring "great care": a substep costs work proportional
-  to its *active set* (DOFs of levels >= k plus their stiffness halo --
-  the paper's gray nodes), never to the mesh.  Empty levels are skipped
-  by doubling the substep ratio.  Three pieces:
+* *restricted applies*: level ``k`` precomputes the product
+  ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
+  .restrict`), which reads only the level's columns and overwrites its
+  whole output, zero off its row support;
+* *depth 0 is plain Newmark plus a fix-up*: outside the coarsest active
+  set the auxiliary system sees a constant force, a leap-frog chain
+  under constant force is exactly quadratic (``u(T) = u(0) - T^2/2
+  F``), and that closed form followed by the velocity reconstruction
+  *is* ``v -= dt F; u += dt v`` -- one streaming step; the active rows
+  take the recursion's result instead;
+* *a compact recursion on one level-sorted numbering*: the active sets
+  are nested, so the order ``[~act_1, act_1 \\ act_2, ..., act_last]``
+  makes every depth's active set a tail of the vector, and every
+  product is relabelled onto it once, at plan build
+  (:meth:`~repro.core.operator.Restriction.renumber`).  Each depth holds
+  its vectors at its tail's length, a substep is one apply on them plus
+  contiguous passes, and depth 0 steps the prefix and updates the tail
+  in place: no index array is touched in a cycle.
 
-  - *restricted applies*: level ``k`` precomputes the product
-    ``A[:, dofs(level k)] u[dofs(level k)]`` (:meth:`StiffnessOperator
-    .restrict`), which reads only the level's columns and overwrites its
-    whole output, zero off its row support;
-  - *depth 0 is plain Newmark plus a fix-up*: outside the coarsest
-    active set the auxiliary system sees a constant force, a leap-frog
-    chain under constant force is exactly quadratic (``u(T) = u(0) -
-    T^2/2 F``), and that closed form followed by the velocity
-    reconstruction *is* ``v -= dt F; u += dt v`` -- one streaming step;
-    the active rows take the recursion's result instead;
-  - *a compact recursion on one level-sorted numbering*: the active
-    sets are nested, so the order ``[~act_1, act_1 \\ act_2, ...,
-    act_last]`` makes every depth's active set a tail of the vector,
-    and every product is relabelled onto it once, at plan build
-    (:meth:`~repro.core.operator.Restriction.renumber`).  Each depth
-    holds its vectors at its tail's length, a substep is one apply on
-    them plus contiguous passes, and depth 0 steps the prefix and
-    updates the tail in place: no index array is touched in a cycle.
+Each vector phase exists twice, with bitwise the same arithmetic: as a
+few NumPy passes, and, where the level-1 product runs the fused C tier,
+as one C loop (:mod:`repro.sem.fused`) each.
 
-  Each vector phase exists twice, with bitwise the same arithmetic: as
-  a few NumPy passes, and, where the level-1 product runs the fused C
-  tier, as one C loop (:mod:`repro.sem.fused`) each.
+Its oracle is the literal transcription of Algorithm 1 -- a full-size
+product per substep, full-length vector updates -- kept with the tests
+(``tests/oracles/algorithm1.py``).  The two agree to machine precision
+(tested), which is the paper's implicit claim that the active-set cycle
+computes *the same scheme* with the minimal op set.
 
-  The two modes agree to machine precision (tested), which is the
-  paper's implicit claim that the optimized implementation computes
-  *the same scheme* with the minimal op set.
-
-The optimized cycle exists once, for one solver or many ranks — the
+The cycle exists once, for one solver or many ranks — the
 paper parallelises the SPECFEM way (Sec. III): every rank runs the
 serial substep and a neighbour sum follows each stiffness application.
 :class:`_RankState` holds the compact state of one DOF numbering (the
@@ -139,9 +136,9 @@ class OperationCounter:
     ``vector_ops`` counts elements touched by the arithmetic passes of
     the vector updates (gathers, scatters and copies are not counted).  The
     serial-efficiency benchmark (paper Eq. (9), Sec. II-C) compares LTS
-    cycles against non-LTS steps in these units.  An optimized cycle
-    adds its plan's closed form once (:meth:`NumberingPlan.ops_per_cycle`);
-    ``mode="reference"`` counts at run time, the oracle of that form.
+    cycles against non-LTS steps in these units.  A cycle adds its plan's
+    closed form once (:meth:`NumberingPlan.ops_per_cycle`); the tests'
+    Algorithm 1 oracle counts as it runs, and holds that form to it.
     """
 
     stiffness_ops: int = 0
@@ -193,7 +190,7 @@ def newmark_cycle_ops(A, n_substeps: int) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class _Depth:
-    """One recursion depth of the optimized mode, the auxiliary system
+    """One recursion depth of the cycle, the auxiliary system
     of one fine level on its active set, the numbering's last ``n``
     entries: the level's product relabelled onto that tail (a plan's,
     shared by its solvers), and the compact state :meth:`bind` adds —
@@ -251,7 +248,7 @@ def compact_depths(
 
 
 class _RankState:
-    """Buffers and arithmetic of the optimized cycle on one DOF numbering
+    """Buffers and arithmetic of the cycle on one DOF numbering
     (see the module docs), in the phases :class:`_LockStepCycle` runs:
     :meth:`apply_coarse` | :meth:`begin`; per substep :meth:`apply_level`
     | :meth:`update`, the child's substeps, :meth:`reconstruct`; last
@@ -427,7 +424,7 @@ def active_levels(dof_levels: list[np.ndarray]) -> list[int]:
 
 @dataclass
 class NumberingPlan:
-    """One DOF numbering's share of an optimized plan — the whole mesh,
+    """One DOF numbering's share of a plan — the whole mesh,
     or one rank's local DOFs: its coarsest level's product, the compact
     recursion of the finer levels, and the level-1 product's kernel
     tier (``"assembled"`` for a CSR one): the tier a run records."""
@@ -448,7 +445,7 @@ class NumberingPlan:
         return _RankState(dt, self.restr0.fork(), depths, z1, force=force, tier=self.tier)
 
     def ops_per_cycle(self) -> OperationCounter:
-        """One optimized cycle's operations on this numbering, from the
+        """One cycle's operations on this numbering, from the
         plan alone: the coarsest level is applied once, a finer level
         ``k`` ``2**(k-1)`` times, and each vector pass touches entries
         fixed by its depth's active set, ``n_diff`` and ``first``.
@@ -469,7 +466,7 @@ class NumberingPlan:
 
 
 def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None):
-    """The per-numbering work of an optimized :class:`LTSPlan`: over one
+    """The per-numbering work of an :class:`LTSPlan`: over one
     numbering serially, over one per rank on a layout.
 
     ``stiffness[r]`` makes numbering ``r``'s level products
@@ -550,7 +547,7 @@ def _check_fields(states: list[_RankState], us, vs) -> None:
 
 
 class _LockStepCycle:
-    """One optimized LTS cycle over ``self._states`` in lock step, and
+    """One LTS cycle over ``self._states`` in lock step, and
     what a solver keeps around it: the schedule position and ``run``.
     A subclass sets ``plan`` (whose ``replicas`` lay out the fields it
     steps) and ``active_levels`` and binds its numberings
@@ -669,27 +666,22 @@ class _LockStepCycle:
 
 class LTSPlan:
     """What a solver derives from its products and DOF levels alone:
-    the non-empty levels and, in ``mode="optimized"``,
-    :func:`plan_numberings` over one numbering per replica —
-    :attr:`numberings` (level restrictions relabelled onto the
-    level-sorted order, the compact recursion) and the per-level
-    :attr:`exchange` channels — and :attr:`replicas`, the map that lays
-    the fields out in those orders.  ``A`` is the serial ``M^{-1} K``
-    with ``dof_level``: one numbering, no channels.  Or it is a
-    :class:`~repro.runtime.halo.RankLayout` carrying its levels, kept as
-    :attr:`layout`: one numbering per rank (each product the rank's
-    share of ``M^{-1} K``), its channels.  Stepping changes none of it,
-    so one plan serves any number of solvers, concurrently too:
+    :func:`plan_numberings` over one numbering per replica — the
+    non-empty levels (:attr:`active_levels`, ascending: the coarsest sets
+    the cycle step), :attr:`numberings` (level restrictions relabelled
+    onto the level-sorted order, the compact recursion) and the
+    per-level :attr:`exchange` channels — and :attr:`replicas`, the map
+    that lays the fields out in those orders.  ``A`` is the serial
+    ``M^{-1} K`` with ``dof_level``: one numbering, no channels.  Or it
+    is a :class:`~repro.runtime.halo.RankLayout` carrying its levels,
+    kept as :attr:`layout`: one numbering per rank (each product the
+    rank's share of ``M^{-1} K``), its channels.  Stepping changes none
+    of it, so one plan serves any number of solvers, concurrently too:
     :meth:`bind` gives each its own buffers and operator scratch.
-    (Optimized mode only: reference-mode solvers all apply the plan's
-    one operator, scratch included, so step those one at a time.)
     """
 
-    def __init__(self, A, dof_level: np.ndarray | None = None, mode: str = "optimized"):
-        require(mode in ("optimized", "reference"), f"unknown mode {mode!r}", SolverError)
-        self.mode = mode
+    def __init__(self, A, dof_level: np.ndarray | None = None):
         if isinstance(A, ReplicaMap):  # a rank layout
-            require(mode == "optimized", "a rank layout steps in optimized mode", SolverError)
             require(
                 len(A.dof_level_local) == A.n_ranks,
                 "layout must carry dof levels (build_rank_layout(dof_level=...))",
@@ -705,23 +697,14 @@ class LTSPlan:
         n = self.op.shape[0]
         require(self.op.shape == (n, n), "A must be square", SolverError)
         self.n_dof = n
-        self.dof_level = np.asarray(dof_level, dtype=np.int64)
-        require(self.dof_level.shape == (n,), "dof_level must be (n,)", SolverError)
-        require(bool(np.all(self.dof_level >= 1)), "levels must be >= 1", SolverError)
-
-        self.n_levels = int(self.dof_level.max())
-        #: Non-empty levels, ascending (the coarsest defines the cycle step).
-        self.active_levels = active_levels([self.dof_level])
-        self.numberings: list[NumberingPlan] = []
-        self.exchange: dict = {}
-        self._cols = None  # reference mode's level columns (products hold their own)
-        if mode == "optimized":
-            _, self.numberings, _, orders = plan_numberings([self.op], [self.dof_level])
-            if orders:  # the serial map: its one replica's ids are the order
-                ((order, inv),) = orders
-                self.replicas = ReplicaMap(n, [order], [np.ones(n, dtype=bool)], sorter=[inv])
-        else:
-            self._cols = {k: np.nonzero(self.dof_level == k)[0] for k in self.active_levels}
+        dof_level = np.asarray(dof_level, dtype=np.int64)
+        require(dof_level.shape == (n,), "dof_level must be (n,)", SolverError)
+        self.active_levels, self.numberings, self.exchange, orders = plan_numberings(
+            [self.op], [dof_level]
+        )
+        if orders:  # the serial map: its one replica's ids are the order
+            ((order, inv),) = orders
+            self.replicas = ReplicaMap(n, [order], [np.ones(n, dtype=bool)], sorter=[inv])
 
     def bind(self, dt: float, force=None, world=None) -> "_LockStepCycle":
         """A solver stepping this plan: only buffers are allocated.  A
@@ -752,15 +735,14 @@ class LTSNewmarkSolver(_LockStepCycle):
         array (wrapped into an assembled-CSR backend), or any
         :class:`repro.core.operator.StiffnessOperator` such as the
         matrix-free backend from :meth:`repro.sem.tensor.SemND.operator`
-        (2D quads and 3D hexahedra alike).  Or an :class:`LTSPlan`,
-        which stands for ``A``, ``dof_level`` and ``mode`` together.
+        (2D quads and 3D hexahedra alike).  Or a serial
+        :class:`LTSPlan`, which stands for ``A`` and ``dof_level``
+        together (a plan over ranks binds through :meth:`LTSPlan.bind`).
     dof_level:
         ``(n,)`` int array of per-DOF levels, 1 = coarsest (from
         :func:`dof_levels_from_elements`).
     dt:
         Coarse (cycle) step, i.e. :attr:`LevelAssignment.dt`.
-    mode:
-        ``"optimized"`` (default) or ``"reference"`` (see module docs).
     force:
         Optional mass-scaled force ``f(t)`` (fixed at construction);
         frozen over each cycle at ``t_n`` and treated as a level-1
@@ -772,8 +754,9 @@ class LTSNewmarkSolver(_LockStepCycle):
         Optional :class:`OperationCounter` (assignable later as
         :attr:`counter`); each cycle adds its operations to it.
 
-    What derives from ``A`` and ``dof_level`` alone is kept as
-    :attr:`plan`; to step the same system again, :meth:`LTSPlan.bind` it.
+    ``force`` and ``counter`` are keyword-only.  What derives from ``A``
+    and ``dof_level`` alone is kept as :attr:`plan`; to step the same
+    system again, :meth:`LTSPlan.bind` it.
     """
 
     def __init__(
@@ -781,99 +764,21 @@ class LTSNewmarkSolver(_LockStepCycle):
         A,
         dof_level: np.ndarray,
         dt: float,
-        mode: str = "optimized",
+        *,
         force: Callable[[float], np.ndarray] | None = None,
         counter: OperationCounter | None = None,
     ):
-        self.plan = plan = A if isinstance(A, LTSPlan) else LTSPlan(A, dof_level, mode)
+        self.plan = plan = A if isinstance(A, LTSPlan) else LTSPlan(A, dof_level)
+        require(not plan.exchange, "a plan over ranks steps through LTSPlan.bind", SolverError)
         super().__init__(dt, force)
         self.counter = counter
-        self.mode, self.op = plan.mode, plan.op
-        self.n_dof, self.dof_level, self._cols = plan.n_dof, plan.dof_level, plan._cols
-        self.n_levels, self.active_levels = plan.n_levels, plan.active_levels
-        if self.mode == "optimized":
-            self._bind(plan.numberings)
+        self.op, self.active_levels = plan.op, plan.active_levels
+        self._bind(plan.numberings)
 
     def workspace_bytes(self) -> int:
         """Bytes of persistent stepping scratch (solver, operator, and
         level restrictions)."""
         return workspace_bytes(self.op) + sum(st.nbytes() for st in self._states)
-
-    # ---------------- reference mode: full vectors, counted as run ------
-    def _apply_level(self, k: int, u: np.ndarray) -> np.ndarray:
-        """Reference ``A P_k u``: mask and run the full product, as a
-        direct transcription would."""
-        masked = np.zeros_like(u)
-        cols = self._cols[k]
-        masked[cols] = u[cols]
-        self._tally.count_stiffness(k, self.op.nnz)
-        return self.op.apply(masked)
-
-    def _advance_reference(self, i: int, u0: np.ndarray, F: np.ndarray,
-                           n_steps: int) -> np.ndarray:
-        """Literal Algorithm 1 for levels ``active_levels[i:]``: starts
-        from ``u0`` with zero auxiliary velocity, takes ``n_steps`` steps
-        of size ``dt / 2**(active_levels[i]-1)`` under the frozen coarser
-        forcing ``F``, returns the advanced displacement."""
-        lv = self.active_levels[i]
-        dt_k = self.dt / float(2 ** (lv - 1))
-        u = u0.copy()
-        n = self.n_dof
-        v = np.zeros(n)
-        if i == len(self.active_levels) - 1:
-            for s in range(n_steps):
-                rhs = F + self._apply_level(lv, u)
-                if s == 0:
-                    v = -(0.5 * dt_k) * rhs
-                else:
-                    v -= dt_k * rhs
-                u += dt_k * v
-                self._tally.count_vector(5 * n)
-            return u
-        ratio = 2 ** (self.active_levels[i + 1] - lv)
-        for m in range(n_steps):
-            z = self._apply_level(lv, u)
-            u_fine = self._advance_reference(i + 1, u, F + z, ratio)
-            recon = (u_fine - u) / dt_k
-            if m == 0:
-                v = recon
-            else:
-                v += 2.0 * recon
-            u += dt_k * v
-            self._tally.count_vector(7 * n)
-        return u
-
-    def _step_reference(self, u: np.ndarray, v: np.ndarray) -> None:
-        F1 = self._apply_level(self.active_levels[0], u)
-        if self.force is not None:
-            F1 = F1 - self.force(self.t)
-        if len(self.active_levels) == 1:
-            # Degenerate single-level mesh: LTS *is* explicit Newmark.
-            v -= self.dt * F1
-            self._tally.count_vector(4 * self.n_dof)
-        else:
-            n_sub = 2 ** (self.active_levels[1] - 1)
-            u_t = self._advance_reference(1, u, F1, n_sub)
-            v += (2.0 / self.dt) * (u_t - u)
-            self._tally.count_vector(6 * self.n_dof)
-        u += self.dt * v
-
-    # ------------------------------------------------------------------
-    def cycle(self, us, vs) -> None:
-        """The lock-step cycle; ``mode="reference"`` takes its single
-        replica through the literal recursion instead."""
-        if self.mode == "optimized":
-            return super().cycle(us, vs)
-        n = self.n_dof
-        require(
-            len(us) == len(vs) == 1 and us[0].shape == vs[0].shape == (n,),
-            "state shape mismatch", SolverError,
-        )
-        # Counted as it runs, into the attached counter or a throwaway.
-        self._tally = self.counter if self.counter is not None else OperationCounter()
-        self._step_reference(us[0], vs[0])
-        self.t += self.dt
-        self.n_cycles_taken += 1
 
     def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One LTS cycle: advance ``(u^n, v^{n-1/2})`` by the coarse ``dt``,
@@ -903,29 +808,3 @@ class NewmarkSolver(LTSNewmarkSolver):
         one_level = np.broadcast_to(np.int64(1), (A.shape[0],))
         super().__init__(A, one_level, dt, force=force)
 
-
-def newmark_run(
-    A,
-    dt: float,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    n_steps: int,
-    force: Callable[[float], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience wrapper around :class:`NewmarkSolver`."""
-    return NewmarkSolver(A, dt, force=force).run(u0, v0, n_steps)
-
-
-def lts_newmark_run(
-    A,
-    dof_level: np.ndarray,
-    dt: float,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    n_cycles: int,
-    mode: str = "optimized",
-    force: Callable[[float], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience wrapper around :class:`LTSNewmarkSolver`."""
-    solver = LTSNewmarkSolver(A, dof_level, dt, mode=mode, force=force)
-    return solver.run(u0, v0, n_cycles)

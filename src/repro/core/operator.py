@@ -309,33 +309,33 @@ class AssembledOperator:
         return out
 
 
-def _column_block(cols: np.ndarray, A_cols, gather: bool = True) -> Restriction:
-    """The product of the CSR column block ``A_cols = A[:, cols]`` — or,
+def _column_block(cols: np.ndarray, block, gather: bool = True) -> Restriction:
+    """The product of the CSR column block ``block = A[:, cols]`` — or,
     without ``gather``, of ``A`` itself (``cols`` every column, in
     order), which reads ``u`` as it is.  It renumbers by row-slicing the
     block: rows keep their entries in stored order, so every row sum is
     the original's."""
     cols = np.asarray(cols, dtype=np.intp)  # a take with other indices converts per call
     ucols = np.empty(len(cols)) if gather else None  # the one mutable part
-    n = A_cols.shape[0]  # input and output share the rows' numbering
+    n = block.shape[0]  # input and output share the rows' numbering
 
     def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         check_lengths(n, u, out)
         if ucols is not None:
             u = u.take(cols, out=ucols, mode="clip")
         if out is None:
-            return A_cols @ u
-        return csr_matvec_into(A_cols, u, out)
+            return block @ u
+        return csr_matvec_into(block, u, out)
 
     def _renumber(idx: np.ndarray, pos: np.ndarray, off: int) -> Restriction:
         colpos = positions_in(pos, cols, "column", off)
-        positions_in(pos, np.flatnonzero(np.diff(A_cols.indptr)), "row-support DOF", off)
-        return _column_block(colpos, A_cols[idx])
+        positions_in(pos, np.flatnonzero(np.diff(block.indptr)), "row-support DOF", off)
+        return _column_block(colpos, block[idx])
 
     return Restriction(
-        cols=cols, ops=A_cols.nnz, _apply=_apply,
+        cols=cols, ops=block.nnz, _apply=_apply,
         workspace_bytes=0 if ucols is None else ucols.nbytes,
-        _fork=lambda: _column_block(cols, A_cols, gather), _renumber=_renumber,
+        _fork=lambda: _column_block(cols, block, gather), _renumber=_renumber,
     )
 
 

@@ -41,8 +41,8 @@ otherwise, bitwise equal — around one zero-copy ``Isend`` and one
 ``recv`` per message.
 
 The distributed solution equals the serial one up to floating-point
-summation order (tested at 1e-12 against the serial solver and its
-``mode="reference"`` oracle for random level assignments and
+summation order (tested at 1e-12 against the serial solver and the
+tests' literal Algorithm 1 oracle for random level assignments and
 partitions, and bitwise on one rank): the partitioned execution computes
 *the same scheme*, for any partition.
 Non-LTS Newmark is the same solver with every DOF on level 1.

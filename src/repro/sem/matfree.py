@@ -818,7 +818,7 @@ class MatrixFreeStiffness:
         return self.row_support(np.asarray(col_mask, dtype=bool)[self.element_dofs].any(axis=1))
 
     def masked_subset(self, col_mask: np.ndarray) -> "MatrixFreeStiffness":
-        """The restricted action ``u -> Minv * K (1_cols * u)`` on the
+        """The restricted action ``u -> Minv * K (col_mask * u)`` on the
         elements adjacent to the masked DOFs (active level + gray halo).
 
         This is the paper's per-level stiffness application: each level

@@ -19,6 +19,7 @@ import threading
 
 import numpy as np
 import pytest
+from oracles.algorithm1 import algorithm1
 
 from repro.api import EnsembleSpec, Simulation, SimulationConfig, StageCache, run_ensemble
 from repro.core.lts_newmark import LTSNewmarkSolver, LTSPlan
@@ -100,14 +101,14 @@ def test_jobs_through_one_cached_plan_equal_fresh_runs(backend, ranks):
 def test_source_off_level1_support_equals_the_reference(backend, ranks):
     """Every product overwrites its output, so a source entry off the
     level-1 product's row support enters each cycle once — nothing of it
-    lingers into the next — exactly as in ``mode="reference"``."""
+    lingers into the next — exactly as in the Algorithm 1 oracle."""
     sim = Simulation(make_config(backend, ranks, source=FINE_INTERIOR,
                                  time={"n_cycles": 8, "c_cfl": 0.35}))
     sem, force = sim.assembler, sim.force
     assert not AssembledOperator(sem.A).reach(sim.dof_level == 1)[force.dof]
     got = sim.run()
-    ref = LTSNewmarkSolver(sem.A, sim.dof_level, got.dt, mode="reference", force=force)
-    u, v = ref.run(np.zeros(sem.n_dof), np.zeros(sem.n_dof), got.n_cycles)
+    zeros = np.zeros(sem.n_dof)
+    u, v = algorithm1(sem.A, sim.dof_level, got.dt, zeros, zeros, got.n_cycles, force=force)
     assert got.n_cycles >= 6 and np.abs(u).max() > 0
     for a, b in ((got.u, u), (got.v, v)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -180,7 +181,7 @@ def test_two_threads_stepping_one_plan_equal_their_solo_runs(backend, ranks):
 def test_one_plan_class_binds_the_solver_its_channels_need():
     """Serial and partitioned configs resolve to one plan class: a plan
     without channels binds the serial solver (and refuses a world), a
-    layout's plan the distributed one, in optimized mode only."""
+    layout's plan the distributed one."""
     serial, ranks = (Simulation(make_config("numpy", r)) for r in (1, 2))
     plan = serial.solver_plan
     assert isinstance(plan, LTSPlan) and len(plan.numberings) == 1 and not plan.exchange
@@ -190,8 +191,16 @@ def test_one_plan_class_binds_the_solver_its_channels_need():
     plan = ranks.solver_plan
     assert isinstance(plan, LTSPlan) and len(plan.numberings) == 2 and plan.exchange
     assert type(plan.bind(ranks.dt, world=MailboxWorld(2))) is DistributedLTSSolver
-    with pytest.raises(SolverError, match="optimized"):
-        LTSPlan(plan.replicas, mode="reference")
+
+
+def test_the_serial_solver_refuses_a_plan_over_ranks():
+    """A plan with exchange channels binds only through ``LTSPlan.bind``;
+    the serial solver refuses it with a pointer there."""
+    sim = Simulation(make_config("assembled", 2))
+    plan = sim.solver_plan
+    assert plan.exchange
+    with pytest.raises(SolverError, match=r"LTSPlan\.bind"):
+        LTSNewmarkSolver(plan, None, sim.dt)
 
 
 @pytest.mark.parametrize("share_workspace", [False, True])

@@ -1,12 +1,22 @@
-"""Shared fixtures: small meshes, assemblies, and level assignments."""
+"""Shared fixtures: small meshes, assemblies, and level assignments.
+
+Also puts ``tests/`` on the path, so every test file (a single one run
+alone too) imports the oracles as ``from oracles.algorithm1 import
+algorithm1``.
+"""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import assign_levels
 from repro.mesh import refined_interval, trench_mesh, uniform_grid
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ budget: its prebound ctypes call passes two addresses per apply.
 
 import numpy as np
 import pytest
+from oracles.algorithm1 import algorithm1
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, NewmarkSolver, dof_levels_from_elements
@@ -106,17 +107,15 @@ def test_fused_one_level_lts_allocation_budget(sys2d):
 
 
 def test_optimized_matches_reference(sys2d):
-    """The allocation-free optimized LTS trajectory stays within 1e-12
-    of the literal ``mode="reference"`` transcription (the independent
-    oracle: full-vector recursion, allocating updates)."""
+    """The allocation-free LTS trajectory stays within 1e-12 of the
+    literal Algorithm 1 transcription (the independent oracle:
+    full-vector recursion, allocating updates)."""
     sem, a, dof_level, u0, v0 = sys2d
     op = sem.operator("matfree", use_fused=False)
     fast = LTSNewmarkSolver(op, dof_level, a.dt)
-    ref = LTSNewmarkSolver(op, dof_level, a.dt, mode="reference")
-    m = fast.plan.replicas  # the optimized solver steps its level-sorted numbering
+    m = fast.plan.replicas  # the solver steps its level-sorted numbering
     (uf,), (vf,) = m.scatter(u0), m.scatter(v0)
-    ur, vr = u0.copy(), v0.copy()
     for _ in range(5):
         uf, vf = fast.step(uf, vf)
-        ur, vr = ref.step(ur, vr)
+    ur, _ = algorithm1(op, dof_level, a.dt, u0, v0, 5)
     assert np.abs(m.gather([uf]) - ur).max() / np.abs(ur).max() < 1e-12

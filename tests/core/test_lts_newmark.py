@@ -3,8 +3,9 @@
 The load-bearing claims:
 
 * with one level the scheme *is* explicit Newmark;
-* the optimized active-set implementation equals the literal reference
-  implementation to machine precision (Sec. II-C's "great care" claim);
+* the active-set implementation equals the literal transcription of
+  Algorithm 1 (``tests/oracles/algorithm1.py``) to machine precision
+  (Sec. II-C's "great care" claim);
 * second-order convergence is preserved (the companion paper's theory);
 * energy stays bounded over long runs (conservation);
 * the operation counter realizes >90% of the Eq. (9) model speedup.
@@ -13,6 +14,7 @@ The load-bearing claims:
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.algorithm1 import algorithm1
 
 from repro.core import (
     OperationCounter,
@@ -23,7 +25,6 @@ from repro.core.lts_newmark import (
     LTSNewmarkSolver,
     NewmarkSolver,
     dof_levels_from_elements,
-    lts_newmark_run,
     newmark_cycle_ops,
 )
 from repro.core.newmark import staggered_initial_velocity
@@ -35,6 +36,13 @@ from repro.util.errors import SolverError
 needs_fused = pytest.mark.skipif(
     not fused.available(), reason="no C compiler: fused tier unavailable"
 )
+
+
+def _run(stepper, A, dof_level, dt, u0, v0, n_cycles, force=None):
+    """``n_cycles`` cycles of the solver, or of the Algorithm 1 oracle."""
+    if stepper == "algorithm1":
+        return algorithm1(A, dof_level, dt, u0, v0, n_cycles, force=force)
+    return LTSNewmarkSolver(A, dof_level, dt, force=force).run(u0, v0, n_cycles)
 
 
 def _setup_1d(n_coarse=12, n_fine=8, refinement=4, order=4, dirichlet=True):
@@ -152,11 +160,11 @@ class TestDofLevels:
 
 
 class TestDegenerateCases:
-    @pytest.mark.parametrize("mode", ["optimized", "reference"])
+    @pytest.mark.parametrize("stepper", ["solver", "algorithm1"])
     @pytest.mark.parametrize("tier", [
         "assembled", "numpy", pytest.param("fused", marks=needs_fused),
     ])
-    def test_single_level_equals_newmark(self, tier, mode):
+    def test_single_level_equals_newmark(self, tier, stepper):
         """One level is explicit Newmark: checked against a leap-frog
         loop written out here, not against another solver of the package
         (``NewmarkSolver`` is the one-level solver itself)."""
@@ -172,8 +180,7 @@ class TestDegenerateCases:
         for n in range(20):
             v -= dt * (A @ u - force(n * dt))
             u += dt * v
-        solver = LTSNewmarkSolver(A, np.ones(sem.n_dof, dtype=int), dt, mode=mode, force=force)
-        ul, vl = solver.run(u0, v0, 20)
+        ul, vl = _run(stepper, A, np.ones(sem.n_dof, dtype=int), dt, u0, v0, 20, force=force)
         assert np.abs(ul - u).max() <= 1e-14 * np.abs(u).max()
         assert np.abs(vl - v).max() <= 1e-14 * np.abs(v).max()
 
@@ -186,38 +193,39 @@ class TestDegenerateCases:
         v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
         lv = np.ones(sem.n_dof, dtype=int)  # declared 1-level: same path
         un, _ = NewmarkSolver(sem.A, dt).run(u0, v0, 10)
-        ul, _ = lts_newmark_run(sem.A, lv, dt, u0, v0, 10, mode="reference")
+        ul, _ = algorithm1(sem.A, lv, dt, u0, v0, 10)
         assert np.allclose(un, ul, atol=1e-14)
 
-    @pytest.mark.parametrize("mode", ["optimized", "reference"])
-    def test_step_rejects_misshapen_fields_untouched(self, mode):
+    def test_step_rejects_misshapen_fields_untouched(self):
         _, sem, a, dof_level = _setup_1d()
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode=mode)
+        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
         u, v = np.ones(sem.n_dof), np.ones(sem.n_dof)
         for bad_u, bad_v in ((u[:-1], v), (u, v[:-1])):  # views of u, v
             with pytest.raises(SolverError, match="shape mismatch"):
                 solver.step(bad_u, bad_v)
         assert np.all(u == 1) and np.all(v == 1) and solver.n_cycles_taken == 0
 
-    def test_rejects_bad_mode(self):
-        with pytest.raises(SolverError):
-            LTSNewmarkSolver(np.eye(2), np.ones(2, dtype=int), 0.1, mode="turbo")
+    def test_force_and_counter_are_keyword_only(self):
+        """A stale positional fourth argument (the removed ``mode``) is
+        refused, not bound to ``force``."""
+        with pytest.raises(TypeError):
+            LTSNewmarkSolver(np.eye(2), np.ones(2, dtype=int), 0.1, "reference")
 
     def test_rejects_level_zero(self):
         with pytest.raises(SolverError):
             LTSNewmarkSolver(np.eye(2), np.zeros(2, dtype=int), 0.1)
 
 
-class TestModeEquivalence:
-    """Optimized active-set implementation == literal Algorithm 1."""
+class TestAlgorithm1Equivalence:
+    """Active-set implementation == literal Algorithm 1."""
 
     @pytest.mark.parametrize("refinement", [2, 4, 8])
     def test_1d_refinements(self, refinement):
         mesh, sem, a, dof_level = _setup_1d(refinement=refinement)
         u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        u1, v1 = lts_newmark_run(sem.A, dof_level, a.dt, u0, v0, 6, mode="reference")
-        u2, v2 = lts_newmark_run(sem.A, dof_level, a.dt, u0, v0, 6, mode="optimized")
+        u1, v1 = algorithm1(sem.A, dof_level, a.dt, u0, v0, 6)
+        u2, v2 = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
         assert np.max(np.abs(u1 - u2)) < 1e-12 * max(1.0, np.max(np.abs(u1)))
         assert np.max(np.abs(v1 - v2)) < 1e-10 * max(1.0, np.max(np.abs(v1)))
 
@@ -231,14 +239,14 @@ class TestModeEquivalence:
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         u0 = np.exp(-((sem.xy[:, 0] - 2.5) ** 2 + (sem.xy[:, 1] - 2.5) ** 2))
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        u1, _ = lts_newmark_run(sem.A, dof_level, a.dt, u0, v0, 5, mode="reference")
-        u2, _ = lts_newmark_run(sem.A, dof_level, a.dt, u0, v0, 5, mode="optimized")
+        u1, _ = algorithm1(sem.A, dof_level, a.dt, u0, v0, 5)
+        u2, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 5)
         assert np.max(np.abs(u1 - u2)) < 1e-12
 
     def test_empty_intermediate_level_skipped(self):
         mesh, sem, a, dof_level = _setup_1d(refinement=4)  # levels 1 and 3 only
         assert a.counts()[1] == 0
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized")
+        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
         assert solver.active_levels == [1, 3]
 
 
@@ -255,8 +263,8 @@ def _draw_levels(data, ne: int) -> np.ndarray:
 
 
 class TestRandomAssignments:
-    """Optimized == reference for *any* element-level assignment, on
-    every backend: the compact recursion (suffix-ordered active sets,
+    """Solver == the Algorithm 1 oracle for *any* element-level
+    assignment, on every backend: the compact recursion (suffix-ordered active sets,
     closed-form complement, renumbered restricted applies, depth-0
     Newmark + fix-up) computes the scheme of the literal transcription.
 
@@ -301,10 +309,8 @@ class TestRandomAssignments:
         if fused.available():
             backends.append(sem.operator("matfree", use_fused=True))
         for op in backends:
-            ur, vr = lts_newmark_run(op, dof_level, dt, u0, v0, self.N_CYCLES,
-                                     mode="reference", force=force)
-            uo, vo = lts_newmark_run(op, dof_level, dt, u0, v0, self.N_CYCLES,
-                                     mode="optimized", force=force)
+            ur, vr = algorithm1(op, dof_level, dt, u0, v0, self.N_CYCLES, force=force)
+            uo, vo = LTSNewmarkSolver(op, dof_level, dt, force=force).run(u0, v0, self.N_CYCLES)
             tier = getattr(op, "tier", "assembled")
             assert np.abs(uo - ur).max() <= 1e-12 * np.abs(ur).max(), tier
             assert np.abs(vo - vr).max() <= 1e-12 * max(np.abs(vr).max(), 1.0), tier
@@ -324,7 +330,7 @@ class TestAccuracy:
             dt = T / n
             u0 = np.sin(k * sem.x)
             v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-            u, _ = lts_newmark_run(sem.A, dof_level, dt, u0, v0, n)
+            u, _ = LTSNewmarkSolver(sem.A, dof_level, dt).run(u0, v0, n)
             errs.append(np.max(np.abs(u - u_exact(T))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert all(o > 1.7 for o in orders), (errs, orders)
@@ -351,7 +357,7 @@ class TestAccuracy:
         u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
         n_cycles = 8
         v0l = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        ul, _ = lts_newmark_run(sem.A, dof_level, a.dt, u0, v0l, n_cycles)
+        ul, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0l, n_cycles)
         nsub = n_cycles * a.p_max
         v0n = staggered_initial_velocity(sem.A, a.dt_min, u0, np.zeros_like(u0))
         un, _ = NewmarkSolver(sem.A, a.dt_min).run(u0, v0n, nsub)
@@ -374,8 +380,8 @@ class TestOperationCounts:
         mesh, sem, a, dof_level = _setup_1d(n_coarse=24, n_fine=8)
         u0 = np.zeros(sem.n_dof)
         c_ref, c_opt = OperationCounter(), OperationCounter()
-        LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="reference", counter=c_ref).run(u0, u0, 1)
-        LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized", counter=c_opt).run(u0, u0, 1)
+        algorithm1(sem.A, dof_level, a.dt, u0, u0, 1, counter=c_ref)
+        LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=c_opt).run(u0, u0, 1)
         assert c_opt.stiffness_ops < c_ref.stiffness_ops
         assert c_opt.vector_ops < c_ref.vector_ops
 
@@ -427,7 +433,7 @@ class TestOperationCounts:
     def test_closed_form_matches_reference_schedule(self, data, dim, backend):
         """Over random levels (skipped ones included) and 1-5 ranks: every
         numbering's closed form applies each level as often as the
-        run-time count of ``mode="reference"``, and a solver's stiffness
+        run-time count of the Algorithm 1 oracle, and a solver's stiffness
         count is, level by level, those applies times the summed ``ops``
         of its numberings' products of that level."""
         sem, dt = TestRandomAssignments._system(dim, dirichlet=False)
@@ -440,9 +446,9 @@ class TestOperationCounts:
         ))
         dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
         zeros = np.zeros(sem.n_dof)
-        ref = LTSNewmarkSolver(sem.A, dof_level, dt, mode="reference", counter=OperationCounter())
-        ref.run(zeros, zeros, 1)
-        applies = ref.counter.applications_per_level
+        ref = OperationCounter()
+        algorithm1(sem.A, dof_level, dt, zeros, zeros, 1, counter=ref)
+        applies = ref.applications_per_level
 
         layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level, backend=backend,
                                    use_fused=None if backend == "assembled" else False)
@@ -473,8 +479,8 @@ class TestOperationCounts:
 
 class TestBackendEquivalence:
     """LTS cycles agree across stiffness backends (assembled CSR vs
-    matrix-free sum-factorization) in both modes — the operator protocol
-    refactor must not change the scheme."""
+    matrix-free sum-factorization), in the solver and in the Algorithm 1
+    oracle — the operator protocol must not change the scheme."""
 
     @pytest.fixture(scope="class")
     def setup_2d(self):
@@ -484,22 +490,22 @@ class TestBackendEquivalence:
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         return sem, a, dof_level, u0, v0
 
-    @pytest.mark.parametrize("mode", ["reference", "optimized"])
-    def test_matfree_matches_assembled(self, setup_2d, mode):
+    @pytest.mark.parametrize("stepper", ["algorithm1", "solver"])
+    def test_matfree_matches_assembled(self, setup_2d, stepper):
         sem, a, dof_level, u0, v0 = setup_2d
-        ua, va = lts_newmark_run(sem.A, dof_level, a.dt, u0, v0, 6, mode=mode)
+        ua, va = _run(stepper, sem.A, dof_level, a.dt, u0, v0, 6)
         for use_fused in (False, None):
             op = sem.operator("matfree", use_fused=use_fused)
-            um, vm = lts_newmark_run(op, dof_level, a.dt, u0, v0, 6, mode=mode)
+            um, vm = _run(stepper, op, dof_level, a.dt, u0, v0, 6)
             scale = np.abs(ua).max()
-            assert np.abs(um - ua).max() < 1e-12 * scale, (mode, use_fused)
+            assert np.abs(um - ua).max() < 1e-12 * scale, (stepper, use_fused)
             assert np.abs(vm - va).max() < 1e-10 * max(np.abs(va).max(), 1.0)
 
     def test_matfree_optimized_matches_matfree_reference(self, setup_2d):
         sem, a, dof_level, u0, v0 = setup_2d
         op = sem.operator("matfree")
-        u1, _ = lts_newmark_run(op, dof_level, a.dt, u0, v0, 6, mode="reference")
-        u2, _ = lts_newmark_run(op, dof_level, a.dt, u0, v0, 6, mode="optimized")
+        u1, _ = algorithm1(op, dof_level, a.dt, u0, v0, 6)
+        u2, _ = LTSNewmarkSolver(op, dof_level, a.dt).run(u0, v0, 6)
         assert np.abs(u1 - u2).max() < 1e-12 * np.abs(u1).max()
 
     def test_operator_counting_works_on_matfree(self, setup_2d):
@@ -538,6 +544,6 @@ class TestForce:
         dt = T / n
         u0 = np.zeros(sem.n_dof)
         v0 = np.zeros(sem.n_dof)
-        ul, _ = lts_newmark_run(sem.A, dof_level, dt, u0, v0, n, force=force)
+        ul, _ = LTSNewmarkSolver(sem.A, dof_level, dt, force=force).run(u0, v0, n)
         un, _ = NewmarkSolver(sem.A, dt / a.p_max, force=force).run(u0, v0, n * a.p_max)
         assert np.max(np.abs(ul - un)) < 0.05 * np.max(np.abs(un))

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import AssembledOperator, NewmarkSolver, assign_levels, newmark_run
+from repro.core import AssembledOperator, NewmarkSolver, assign_levels
 from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
 from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import reachable_buffers
@@ -54,7 +54,7 @@ class TestHarmonicOscillator:
             dt = T / n
             u0 = np.array([1.0])
             v0 = staggered_initial_velocity(w2, dt, u0, np.zeros(1))
-            u, _ = newmark_run(w2, dt, u0, v0, n)
+            u, _ = NewmarkSolver(w2, dt).run(u0, v0, n)
             errs.append(abs(u[0] - np.cos(2.0 * T)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(o > 1.8 for o in orders), orders
@@ -67,7 +67,7 @@ class TestWaveEquation:
         T, n = 1.0, 400
         dt = T / n
         v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        u, _ = newmark_run(sem.A, dt, u0, v0, n)
+        u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
         assert np.max(np.abs(u - u0 * np.cos(k * T))) < 1e-4
 
     def test_energy_bounded_long_run(self, system):
@@ -91,7 +91,7 @@ class TestWaveEquation:
         u0 = np.sin(k * sem.x)
         v0 = np.zeros_like(u0)
         u0c, v0c = u0.copy(), v0.copy()
-        newmark_run(sem.A, 1e-4, u0, v0, 3)
+        NewmarkSolver(sem.A, 1e-4).run(u0, v0, 3)
         assert np.array_equal(u0, u0c) and np.array_equal(v0, v0c)
 
     def test_force_injection_moves_solution(self, system):
@@ -99,7 +99,7 @@ class TestWaveEquation:
         n = sem.n_dof
         f = np.zeros(n)
         f[n // 2] = 1.0
-        u, _ = newmark_run(sem.A, 1e-4, np.zeros(n), np.zeros(n), 50, force=lambda t: f)
+        u, _ = NewmarkSolver(sem.A, 1e-4, force=lambda t: f).run(np.zeros(n), np.zeros(n), 50)
         assert np.abs(u[n // 2]) > 0
 
     def test_step_counts_time(self, system):

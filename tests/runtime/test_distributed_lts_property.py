@@ -3,9 +3,9 @@ element -> rank map, on every layout backend.
 
 The executor runs the serial solver's one compact cycle per rank, over
 rank-local active sets, so "distributed == serial" compares shared
-arithmetic with itself plus an exchange: ``mode="reference"`` is the
-implementation the partitioned path shares no arithmetic with, and the
-distributed result is held to it too.  What the serial code never has
+arithmetic with itself plus an exchange: the literal Algorithm 1
+oracle (``tests/oracles/algorithm1.py``) shares no arithmetic with the
+partitioned path, and the distributed result is held to it too.  What the serial code never has
 to get right is the exchange: a shared DOF that only a *peer's*
 gray-halo element writes still receives a nonzero through the halo sum,
 so it must be in the rank's active set although no local product
@@ -24,6 +24,7 @@ the same tier's operator bit for bit, Dirichlet masks included.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.algorithm1 import algorithm1
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, LTSPlan, dof_levels_from_elements
@@ -69,8 +70,8 @@ def _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed):
     u0 = np.random.default_rng(seed).standard_normal(sem.n_dof)
     v0 = np.zeros(sem.n_dof)
     oracles = [
-        LTSNewmarkSolver(sem.A, dof_level, dt, mode=mode, force=force).run(u0, v0, N_CYCLES)
-        for mode in ("optimized", "reference")
+        LTSNewmarkSolver(sem.A, dof_level, dt, force=force).run(u0, v0, N_CYCLES),
+        algorithm1(sem.A, dof_level, dt, u0, v0, N_CYCLES, force=force),
     ]
     for backend, use_fused in _backends():
         layout = build_rank_layout(

@@ -8,6 +8,7 @@ round-off on 1D and 2D systems, across rank counts and partitioners.
 
 import numpy as np
 import pytest
+from oracles.algorithm1 import algorithm1
 
 from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
@@ -193,8 +194,7 @@ class TestDistributedLTS:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_serial_reference(self, sys1d, k):
         mesh, sem, a, dof_level, u0, v0 = sys1d
-        serial = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="reference")
-        us, vs = serial.run(u0, v0, 8)
+        us, vs = algorithm1(sem.A, dof_level, a.dt, u0, v0, 8)
         lay = build_rank_layout(
             sem, block_partition(mesh.n_elements, k), k, dof_level=dof_level
         )
@@ -210,7 +210,7 @@ class TestDistributedLTS:
         parts = partition_scotch_p(mesh, a, 3, seed=1)
         lay = build_rank_layout(sem, parts, 3, dof_level=dof_level)
         ud, _ = DistributedLTSSolver(lay, a.dt).run(u0, v0, 6)
-        us, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt, mode="optimized").run(u0, v0, 6)
+        us, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
         assert np.max(np.abs(us - ud)) < 1e-11
 
     def test_2d_velocity_contrast(self):
