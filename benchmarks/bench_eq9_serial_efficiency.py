@@ -21,17 +21,17 @@ from repro.core.lts_newmark import (
     LTSNewmarkSolver, NewmarkSolver, dof_levels_from_elements, newmark_cycle_ops,
 )
 from repro.mesh import refined_interval
-from repro.sem import Sem1D
+from repro.sem import SemND
 from repro.util import Table
 
 
 def test_eq9_serial_efficiency(benchmark):
     mesh = refined_interval(n_coarse=480, n_fine=32, refinement=4, coarse_h=0.125)
-    sem = Sem1D(mesh, order=4, dirichlet=True)
+    sem = SemND(mesh, order=4, dirichlet=True)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     ts = theoretical_speedup(a)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.5)
+    u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.5)
     v0 = np.zeros_like(u0)
 
     opt = LTSNewmarkSolver(sem.A, dof_level, a.dt)

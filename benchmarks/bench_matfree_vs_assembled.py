@@ -20,8 +20,7 @@ corner of the domain):
 class); this is where sum-factorization pays off asymptotically and the
 fused matfree tier beats the CSR matvec outright at order >= 4.
 ``--physics elastic`` sweeps the vector-valued operator instead
-(:class:`repro.sem.elastic2d.ElasticSem2D` /
-:class:`repro.sem.elastic3d.ElasticSem3D`) — the elastic CSR carries
+(:class:`repro.sem.tensor.ElasticSemND`) — the elastic CSR carries
 ``dim^2`` coupled blocks per element pair, so the matrix-free win is
 larger and arrives earlier than in the acoustic sweeps.
 ``--physics anisotropic`` sweeps the general-``C`` operator
@@ -71,25 +70,20 @@ from common import save_results  # noqa: E402
 from repro.mesh import uniform_grid  # noqa: E402
 from repro.sem import (  # noqa: E402
     AnisotropicElasticSemND,
-    ElasticSem2D,
-    ElasticSem3D,
+    ElasticSemND,
     IsotropicElastic,
-    Sem2D,
-    Sem3D,
+    SemND,
     hexagonal_stiffness,
     isotropic_stiffness,
 )
 from repro.sem import fused  # noqa: E402
 from repro.util import Table  # noqa: E402
 
-#: (physics, dim) -> assembler class.
+#: physics -> assembler class (each is generic over dimension).
 SEM_CLASSES = {
-    ("acoustic", 2): Sem2D,
-    ("acoustic", 3): Sem3D,
-    ("elastic", 2): ElasticSem2D,
-    ("elastic", 3): ElasticSem3D,
-    ("anisotropic", 2): AnisotropicElasticSemND,
-    ("anisotropic", 3): AnisotropicElasticSemND,
+    "acoustic": SemND,
+    "elastic": ElasticSemND,
+    "anisotropic": AnisotropicElasticSemND,
 }
 
 #: (physics, dim) -> results-file suffix.
@@ -169,7 +163,7 @@ def _corner_columns(sem) -> np.ndarray:
 
 
 def _make_sem(physics: str, dim: int, grid, order: int):
-    cls = SEM_CLASSES[(physics, dim)]
+    cls = SEM_CLASSES[physics]
     mesh = uniform_grid(grid)
     if physics == "elastic":
         return cls(mesh, order=order, material=IsotropicElastic(lam=2.0, mu=1.0))
@@ -184,7 +178,7 @@ def run(
     physics: str = "acoustic",
     threads: int | None = None,
 ) -> dict:
-    if (physics, dim) not in SEM_CLASSES:
+    if (physics, dim) not in RESULT_SUFFIX:
         raise SystemExit(f"unsupported combination physics={physics!r} dim={dim}")
     grid, orders = SWEEPS[(physics, dim)][quick]
     reps = 5 if quick else 30
@@ -263,7 +257,7 @@ def run(
         # default sweep so the recorded 2D results stay comparable; the
         # full elastic sweeps live behind --physics elastic).
         el_order = 2 if quick else 5
-        el = ElasticSem2D(
+        el = ElasticSemND(
             uniform_grid(grid), order=el_order,
             material=IsotropicElastic(lam=2.0, mu=1.0),
         )

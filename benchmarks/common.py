@@ -88,30 +88,6 @@ def gpu_machine(family: str, mesh):
     return scaled(GPU_NODE, factor)
 
 
-def counted_cycles(solver, u0, v0, n_cycles: int, rounds: int = 1):
-    """Run ``rounds`` repetitions of ``n_cycles`` cycles/steps, resetting
-    the solver's :class:`~repro.core.lts_newmark.OperationCounter` before
-    *each* repetition.  It serves the counts a run produces — the
-    reference mode's; the optimized mode's are the plan's closed form
-    (``NumberingPlan.ops_per_cycle``), read without running.
-
-    Without the per-repetition reset, op counts accumulate across
-    repetitions and every derived metric (Eq. (9) efficiency, speedup
-    ratios) silently reports multiples of the true cost — the
-    double-reporting bug this helper exists to prevent (regression-tested
-    in ``tests/core/test_operation_counter.py``).  Returns one counter
-    snapshot per repetition.
-    """
-    if solver.counter is None:
-        raise ValueError("solver has no OperationCounter attached")
-    snapshots = []
-    for _ in range(rounds):
-        solver.counter.reset()
-        solver.run(u0, v0, n_cycles)
-        snapshots.append(solver.counter.snapshot())
-    return snapshots
-
-
 def save_results(name: str, payload) -> None:
     """Persist bench output under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -25,19 +25,19 @@ from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import refined_interval
-from repro.sem import Sem1D, discrete_energy
+from repro.sem import SemND, discrete_energy
 from repro.util import Table
 
 
 def main() -> None:
     mesh = refined_interval(n_coarse=16, n_fine=16, refinement=4, coarse_h=0.125)
-    sem = Sem1D(mesh, order=4, dirichlet=True)
+    sem = SemND(mesh, order=4, dirichlet=True)
     levels = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
     L = mesh.coords[:, 0].max()
     k = np.pi / L
     T = 1.0
-    u0 = np.sin(k * sem.x)
+    u0 = np.sin(k * sem.node_coords[:, 0])
     exact = u0 * np.cos(k * T)
 
     t = Table(["cycles", "dt", "max error", "observed order"],

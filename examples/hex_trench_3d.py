@@ -8,7 +8,7 @@ that creates multiple LTS p-levels — from the checked-in config
 
 1. the config builds the trench mesh, assigns LTS levels from
    ``h_i / c_i``, and discretizes with order-3 hexahedral spectral
-   elements (:class:`repro.sem.assembly3d.Sem3D`);
+   elements (:class:`repro.sem.tensor.SemND`);
 2. :func:`repro.api.compare_backends` partitions across 4 ranks and
    runs the distributed LTS-Newmark solver through the mailbox
    runtime, once per stiffness backend — assembled partial-CSR and

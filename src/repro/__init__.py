@@ -15,8 +15,10 @@ Subpackages:
 * :mod:`repro.mesh` — meshes and the paper's benchmark families;
 * :mod:`repro.core` — CFL, p-levels, speedup model, Newmark and
   multi-level LTS-Newmark (the paper's contribution);
-* :mod:`repro.sem` — spectral-element substrate: dimension- and
-  physics-generic assemblers, material models, matrix-free kernels;
+* :mod:`repro.sem` — spectral-element substrate: three physics
+  assemblers (acoustic ``SemND``, ``ElasticSemND``,
+  ``AnisotropicElasticSemND``), each generic over dimension and each
+  building its own matrix-free kernel, plus the material models;
 * :mod:`repro.partition` — multilevel graph/hypergraph partitioners and
   the four strategies of Sec. III-B;
 * :mod:`repro.runtime` — mailbox-MPI distributed execution and the
@@ -83,14 +85,11 @@ from repro.runtime import (
 from repro.sem import (
     AnisotropicElastic,
     AnisotropicElasticSemND,
-    ElasticSem2D,
-    ElasticSem3D,
+    ElasticSemND,
     IsotropicAcoustic,
     IsotropicElastic,
     Material,
-    Sem1D,
-    Sem2D,
-    Sem3D,
+    SemND,
 )
 from repro.service import (
     JobQueue,
@@ -142,11 +141,8 @@ __all__ = [
     "IsotropicAcoustic",
     "IsotropicElastic",
     "AnisotropicElastic",
-    "Sem1D",
-    "Sem2D",
-    "Sem3D",
-    "ElasticSem2D",
-    "ElasticSem3D",
+    "SemND",
+    "ElasticSemND",
     "AnisotropicElasticSemND",
     # partitioning
     "PARTITIONERS",

@@ -429,6 +429,10 @@ class MaterialSpec(Spec):
         apply region overrides, and construct the validated
         :class:`repro.sem.materials.Material`."""
         n = mesh.n_elements
+        if self.model != "acoustic" and mesh.dim not in VOIGT_SIZE:
+            raise ConfigError(
+                f"{self.model} materials need a 2D or 3D mesh, got dim={mesh.dim}"
+            )
         if self.model == "acoustic":
             params = {
                 "c": np.array(mesh.c, dtype=np.float64)
@@ -443,11 +447,6 @@ class MaterialSpec(Spec):
                 "rho": self._expand("rho", self.rho, 1.0, n),
             }
         else:
-            if mesh.dim not in VOIGT_SIZE:
-                raise ConfigError(
-                    f"anisotropic_elastic materials need a 2D or 3D mesh, "
-                    f"got dim={mesh.dim}"
-                )
             nv = VOIGT_SIZE[mesh.dim]
             params = {
                 "C": self._expand("C", self.C, None, n, trailing=(nv, nv)),

@@ -69,11 +69,7 @@ from repro.runtime.faults import FaultyWorld
 from repro.runtime.halo import build_rank_layout
 from repro.runtime.supervisor import Supervisor
 from repro.sem.anisotropic import AnisotropicElasticSemND
-from repro.sem.assembly1d import Sem1D
-from repro.sem.assembly2d import Sem2D
-from repro.sem.assembly3d import Sem3D
-from repro.sem.elastic2d import ElasticSem2D
-from repro.sem.elastic3d import ElasticSem3D
+from repro.sem.tensor import ElasticSemND, SemND
 from repro.sem.sources import point_source, ricker
 from repro.util.errors import ConfigError
 
@@ -163,6 +159,13 @@ def _plan_key(cfg: SimulationConfig) -> tuple:
     part = None if cfg.partition.n_ranks == 1 else cfg.partition.content_hash()
     return _dof_level_key(cfg) + (cfg.backend.content_hash(), part)
 
+
+#: The assembler of each material model; each is generic over dimension.
+_ASSEMBLERS = {
+    "acoustic": SemND,
+    "elastic": ElasticSemND,
+    "anisotropic_elastic": AnisotropicElasticSemND,
+}
 
 #: Resolved-stage dependency table: cached attribute -> key function.
 STAGES: dict[str, Callable[[SimulationConfig], tuple]] = {
@@ -364,21 +367,8 @@ class Simulation:
     def _build_assembler(self):
         """The uncached assembler construction (see ``assembler``)."""
         cfg = self.config
-        mesh = self.mesh
-        model = cfg.material.model
-        material = self.material
-        if model == "acoustic":
-            cls = {1: Sem1D, 2: Sem2D, 3: Sem3D}[mesh.dim]
-        elif model == "elastic":
-            cls = {2: ElasticSem2D, 3: ElasticSem3D}.get(mesh.dim)
-            if cls is None:
-                raise ConfigError(
-                    f"elastic materials need a 2D or 3D mesh, got dim={mesh.dim}"
-                )
-        else:
-            cls = AnisotropicElasticSemND
-        return cls(
-            mesh, order=cfg.order, dirichlet=cfg.dirichlet, material=material
+        return _ASSEMBLERS[cfg.material.model](
+            self.mesh, order=cfg.order, dirichlet=cfg.dirichlet, material=self.material
         )
 
     def _assembler_codec(self):
@@ -415,7 +405,7 @@ class Simulation:
 
     @cached_property
     def assembler(self):
-        """The SEM assembler matching (material model, mesh dimension)."""
+        """The SEM assembler of the material model (any mesh dimension)."""
         pack, unpack = (None, None) if self.cache is None else self._assembler_codec()
         return self._resolve(
             "assembler", self._build_assembler, pack=pack, unpack=unpack

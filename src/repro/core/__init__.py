@@ -20,7 +20,6 @@ Contents:
 
 from repro.core.operator import (
     AssembledOperator,
-    KernelSpec,
     Restriction,
     StiffnessOperator,
     as_operator,
@@ -50,7 +49,6 @@ from repro.core.schedule import LTSSchedule, build_schedule
 
 __all__ = [
     "AssembledOperator",
-    "KernelSpec",
     "Restriction",
     "StiffnessOperator",
     "as_operator",

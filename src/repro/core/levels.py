@@ -47,11 +47,6 @@ class LevelAssignment:
         return int(self.level.max())
 
     @property
-    def p_of_level(self) -> np.ndarray:
-        """``p_k = 2**(k-1)`` for k = 1..n_levels (steps per cycle)."""
-        return 2 ** np.arange(self.n_levels, dtype=np.int64)
-
-    @property
     def p_max(self) -> int:
         return int(2 ** (self.n_levels - 1))
 

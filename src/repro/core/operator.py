@@ -23,13 +23,10 @@ is backend-agnostic:
 * :class:`repro.sem.matfree.MatrixFreeStiffness` — the unassembled
   ``M^{-1} K``, serial or a rank's share; it lives in
   :mod:`repro.sem.matfree` (it needs element geometry the core layer
-  does not know about).
-* :class:`KernelSpec` — the explicit physics description every SEM
-  assembler exports (``kernel_spec()``).  Backend dispatch — which
-  element kernel applies the stiffness, which fused C tier binds to it
-  — keys off this declaration instead of duck-typed attribute sniffing
-  (``hasattr(assembler, "lam")`` and friends), so adding a physics is
-  adding a spec + kernel pair, never another ``hasattr`` chain.
+  does not know about), and applies the element kernel each of the
+  three physics assemblers — acoustic, isotropic and anisotropic
+  elastic, each generic over dimension — builds for itself
+  (``assembler.kernel(ids)``).
 
 Every product — a full apply, a level restriction, a renumbered one —
 refuses (:class:`SolverError`) a ``u`` or ``out`` of another length
@@ -53,58 +50,6 @@ import scipy.sparse as sp
 from repro.core.workspace import csr_matvec_into, workspace_bytes
 from repro.util.errors import SolverError
 from repro.util.validation import require
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Explicit element-kernel description of a SEM discretization.
-
-    Every assembler exposes ``kernel_spec(ids=None) -> KernelSpec``: the
-    physics name, polynomial order, spatial dimension, components per
-    GLL node, and the per-element parameter arrays the matching
-    matrix-free kernel needs (``ids`` selects an element subset — the
-    rank-local or LTS-level slice).  Known specs:
-
-    * ``"acoustic"`` — ``n_comp = 1``; params ``scales`` with the
-      per-axis stiffness scales of
-      :func:`repro.sem.tensor.acoustic_axis_scales` (the modulus
-      ``rho c^2`` folds variable density in);
-    * ``"elastic"`` — ``n_comp = dim`` (component-interleaved DOFs);
-      params ``lam``, ``mu``, ``h_axes``;
-    * ``"anisotropic_elastic"`` — ``n_comp = dim``; params ``C`` (the
-      per-element Voigt stiffness, ``(n_elem, 3, 3)`` in 2D /
-      ``(n_elem, 6, 6)`` in 3D) and ``h_axes``.
-
-    Constitutive parameters originate from the
-    :class:`repro.sem.materials.Material` hierarchy, which owns their
-    validation; the spec carries the already-validated arrays.
-
-    The kernel registry lives in :mod:`repro.sem.matfree`
-    (:func:`~repro.sem.matfree.kernel_from_spec`).
-    """
-
-    physics: str
-    order: int
-    dim: int
-    n_comp: int
-    params: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        require(self.order >= 1, "order must be >= 1", SolverError)
-        require(self.dim >= 1, "dim must be >= 1", SolverError)
-        require(self.n_comp >= 1, "n_comp must be >= 1", SolverError)
-
-    def subset(self, ids: np.ndarray) -> "KernelSpec":
-        """The spec restricted to elements ``ids`` (per-element params
-        sliced; everything else unchanged)."""
-        ids = np.asarray(ids)
-        return KernelSpec(
-            physics=self.physics,
-            order=self.order,
-            dim=self.dim,
-            n_comp=self.n_comp,
-            params={k: np.asarray(v)[ids] for k, v in self.params.items()},
-        )
 
 
 def check_lengths(n: int, u: np.ndarray, out: np.ndarray | None) -> None:

@@ -28,7 +28,7 @@ package substitutes two complementary pieces:
 
 from repro.runtime.comm import MailboxWorld, RankComm
 from repro.runtime.halo import build_rank_layout, RankLayout
-from repro.runtime.executor import DistributedLTSSolver, DistributedNewmarkSolver
+from repro.runtime.executor import DistributedLTSSolver
 from repro.runtime.checkpoint import (
     CheckpointState,
     checkpoint_path,
@@ -49,7 +49,6 @@ __all__ = [
     "RankLayout",
     "build_rank_layout",
     "DistributedLTSSolver",
-    "DistributedNewmarkSolver",
     "CheckpointState",
     "checkpoint_path",
     "latest_checkpoint",

@@ -126,12 +126,6 @@ class RankComm:
     def size(self) -> int:
         return self.world.n_ranks
 
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.world.n_ranks
-
     # -- point to point -------------------------------------------------
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffered send of a copy of ``buf``."""
@@ -159,12 +153,6 @@ class RankComm:
     def recv(self, source: int, tag: int = 0) -> np.ndarray:
         """Allocating receive."""
         return self.world._pop(int(source), self.rank, int(tag))
-
-    # -- collectives (valid only when issued by every rank in turn) -----
-    def sendrecv(self, buf: np.ndarray, peer: int, tag: int = 0) -> np.ndarray:
-        """Exchange arrays with ``peer`` (must be called symmetrically)."""
-        self.Send(buf, peer, tag)
-        return self.world._pop(int(peer), self.rank, int(tag))
 
 
 def allreduce_sum(comms: list[RankComm], values: list[np.ndarray]) -> list[np.ndarray]:

@@ -45,7 +45,7 @@ summation order (tested at 1e-12 against the serial solver and the
 tests' literal Algorithm 1 oracle for random level assignments and
 partitions, and bitwise on one rank): the partitioned execution computes
 *the same scheme*, for any partition.
-Non-LTS Newmark is the same solver with every DOF on level 1.
+Non-LTS Newmark is the same solver on a layout with every DOF on level 1.
 
 There is no time loop or field view here either: ``run`` hands the
 per-rank replicas, laid out by the plan's
@@ -57,7 +57,6 @@ solvers and the façade use, a serial run being the one-replica case.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -257,21 +256,3 @@ class DistributedLTSSolver(_LockStepCycle):
         """One LTS cycle of the coarse step ``dt`` across all ranks: one
         ``(u, v)`` pair per rank in ``plan.replicas``' order, in place."""
         self.cycle(u_locals, v_locals)
-
-
-class DistributedNewmarkSolver(DistributedLTSSolver):
-    """Non-LTS reference scheme, domain-decomposed (Eqs. (5)-(6)): the
-    one-level :class:`DistributedLTSSolver`, every DOF on level 1
-    whatever levels the layout carries."""
-
-    def __init__(
-        self,
-        layout: RankLayout,
-        dt: float,
-        world: MailboxWorld | None = None,
-        force: Callable[[float], np.ndarray] | None = None,
-    ):
-        one_level = [np.ones(len(g), dtype=np.int64) for g in layout.gdofs]
-        super().__init__(
-            replace(layout, dof_level_local=one_level), dt, world, force
-        )

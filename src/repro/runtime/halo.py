@@ -17,15 +17,16 @@ serial operator's own builder, in one of two backends: ``"assembled"``
 (:meth:`repro.sem.tensor.SemND.stiffness_csr`, chunked as the serial
 ``K``, then :func:`repro.sem.tensor.mass_scaled`) and ``"matfree"``
 (:func:`repro.sem.matfree.stiffness_share` — no rank ever forms a
-matrix; requires the assembler to export its explicit
-:class:`repro.core.operator.KernelSpec`).  Both duck-type
-``K @ u``, so the executors are backend- and physics-agnostic: scalar
+matrix; requires the assembler to build its own element kernel,
+``kernel(ids)``).  Both duck-type ``K @ u``, so the executors are
+backend- and physics-agnostic: the three physics assemblers — scalar
 acoustic (with variable density), multi-component isotropic elastic and
-general anisotropic elastic layouts build identically — the
-component-interleaved DOF ids flow through local numbering, ownership
-and the halo exchange like any other DOFs, and the per-rank kernel
-parameters (including per-element Voigt stiffness tensors) ride along
-in the spec's element-subset slice.
+general anisotropic elastic, each generic over dimension — build
+layouts identically.  The component-interleaved DOF ids flow through
+local numbering, ownership and the halo exchange like any other DOFs,
+and each rank's kernel is built from its owned elements' slice of the
+per-element parameters (including per-element Voigt stiffness
+tensors).
 """
 
 from __future__ import annotations
@@ -199,14 +200,11 @@ def build_rank_layout(
     backend:
         ``"assembled"`` (partial CSR per rank) or ``"matfree"``
         (unassembled tensor-product stiffness per rank; requires an
-        assembler exporting ``kernel_spec()`` — any
-        :class:`~repro.sem.tensor.SemND` subclass, acoustic
-        (:class:`~repro.sem.assembly1d.Sem1D`,
-        :class:`~repro.sem.assembly2d.Sem2D`,
-        :class:`~repro.sem.assembly3d.Sem3D`), elastic
-        (:class:`~repro.sem.elastic2d.ElasticSem2D`,
-        :class:`~repro.sem.elastic3d.ElasticSem3D`) or anisotropic
-        (:class:`~repro.sem.anisotropic.AnisotropicElasticSemND`)).
+        assembler that builds its element kernel, ``kernel(ids)`` —
+        acoustic :class:`~repro.sem.tensor.SemND`, elastic
+        :class:`~repro.sem.tensor.ElasticSemND` or anisotropic
+        :class:`~repro.sem.anisotropic.AnisotropicElasticSemND`, in
+        any dimension each supports).
     use_fused:
         Fused-C kernel selection for the matfree backend (``None`` =
         auto-detect, as in :meth:`repro.sem.tensor.SemND.operator`);
@@ -263,9 +261,9 @@ def build_rank_layout(
         gdofs.append(ids)
         if backend == "matfree":
             require(
-                hasattr(assembler, "kernel_spec"),
-                "matfree layout backend requires an assembler exporting "
-                "kernel_spec() (see repro.core.operator.KernelSpec)",
+                hasattr(assembler, "kernel"),
+                "matfree layout backend requires an assembler that builds "
+                "its element kernel (kernel(ids))",
                 PartitionError,
             )
             K_local.append(stiffness_share(

@@ -101,13 +101,15 @@ class ClusterSimulator:
                 t += m.comm_time(int(self.msgs[r, lv - 1]), vol)
         return t
 
-    def lts_cycle(self) -> CycleCost:
-        """Wall-clock of one LTS cycle under the stage schedule."""
-        stages = self.schedule.stages
+    def replay(self):
+        """Play one LTS cycle stage by stage: yields ``(stage, levels,
+        rank, start, ready, work)`` for every rank of every stage, in
+        order — ``ready`` the rank's own previous stage end, ``start``
+        after waiting on its neighbours (or on every rank, under
+        ``sync="barrier"``), ``work`` the stage's compute plus exchange;
+        the rank's stage ends at ``start + work``."""
         t_end = np.zeros(self.n_ranks)
-        comp = np.zeros(self.n_ranks)
-        stall = np.zeros(self.n_ranks)
-        for s, levels in enumerate(stages):
+        for s, levels in enumerate(self.schedule.stages):
             if self.sync == "barrier":
                 start = np.full(self.n_ranks, t_end.max())
             else:
@@ -117,14 +119,23 @@ class ClusterSimulator:
                         if t_end[nb] > start[r]:
                             start[r] = t_end[nb]
             for r in range(self.n_ranks):
-                dt_work = self._stage_time(r, levels)
-                stall[r] += start[r] - t_end[r]
-                comp[r] += dt_work
-                t_end[r] = start[r] + dt_work
+                work = self._stage_time(r, levels)
+                yield s, levels, r, float(start[r]), float(t_end[r]), work
+                t_end[r] = start[r] + work
+
+    def lts_cycle(self) -> CycleCost:
+        """Wall-clock of one LTS cycle under the stage schedule."""
+        t_end = np.zeros(self.n_ranks)
+        comp = np.zeros(self.n_ranks)
+        stall = np.zeros(self.n_ranks)
+        for _, _, r, start, ready, work in self.replay():
+            stall[r] += start - ready
+            comp[r] += work
+            t_end[r] = start + work
         cycle = float(t_end.max())
         # Communication share (for reporting): recompute per rank.
         comm = np.zeros(self.n_ranks)
-        for s, levels in enumerate(stages):
+        for levels in self.schedule.stages:
             for r in range(self.n_ranks):
                 for lv in levels:
                     vol = float(self.halo[r, lv - 1])
@@ -155,13 +166,10 @@ class ClusterSimulator:
             t += m.comm_time(len(self.neighbors[r]), float(total_halo[r]))
             step[r] = t
         p_max = self.assignment.p_max
-        if self.sync == "barrier":
-            cycle = p_max * float(step.max())
-        else:
-            # Uniform steps: neighbour sync converges to the slowest
-            # neighbourhood chain; with identical per-step times the max
-            # rank dominates every step.
-            cycle = p_max * float(step.max())
+        # Uniform steps: under either sync the slowest rank paces every
+        # step (neighbour sync converges to the slowest neighbourhood
+        # chain; with identical per-step times the max rank dominates).
+        cycle = p_max * float(step.max())
         worst = int(np.argmax(step))
         return CycleCost(
             cycle_time=cycle,

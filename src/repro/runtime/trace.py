@@ -1,17 +1,15 @@
 """Per-rank timeline traces of an LTS cycle (paper Fig. 1).
 
 Fig. 1 shows two naive partitions of a 1D mesh stalling each other at
-every fine substep.  :func:`trace_cycle` replays the cluster simulator
-stage by stage recording (start, work-end, sync-end) per rank, and
-:func:`render_timeline` draws the result as a proportional ASCII Gantt
+every fine substep.  :func:`trace_cycle` records the cluster
+simulator's stage-by-stage replay (start, work-end, sync-end) per rank,
+and :func:`render_timeline` draws the result as a proportional ASCII Gantt
 chart — the quickstart's visual proof of why per-level balance matters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.runtime.simulate import ClusterSimulator
 from repro.util.errors import ReproError
@@ -41,33 +39,15 @@ class CycleTrace:
 
 
 def trace_cycle(sim: ClusterSimulator) -> CycleTrace:
-    """Replay one LTS cycle collecting per-rank stage events."""
-    stages = sim.schedule.stages
-    t_end = np.zeros(sim.n_ranks)
-    events: list[StageEvent] = []
-    for s, levels in enumerate(stages):
-        if sim.sync == "barrier":
-            start = np.full(sim.n_ranks, t_end.max())
-        else:
-            start = t_end.copy()
-            for r in range(sim.n_ranks):
-                for nb in sim.neighbors[r]:
-                    start[r] = max(start[r], t_end[nb])
-        for r in range(sim.n_ranks):
-            dt_work = sim._stage_time(r, levels)
-            events.append(
-                StageEvent(
-                    rank=r,
-                    stage=s,
-                    levels=levels,
-                    start=float(start[r]),
-                    ready=float(t_end[r]),
-                    end=float(start[r] + dt_work),
-                )
-            )
-            t_end[r] = start[r] + dt_work
+    """Replay one LTS cycle (:meth:`ClusterSimulator.replay`) collecting
+    per-rank stage events."""
+    events = tuple(
+        StageEvent(rank=r, stage=s, levels=levels, start=start, ready=ready,
+                   end=start + work)
+        for s, levels, r, start, ready, work in sim.replay()
+    )
     return CycleTrace(
-        n_ranks=sim.n_ranks, events=tuple(events), cycle_time=float(t_end.max())
+        n_ranks=sim.n_ranks, events=events, cycle_time=max(e.end for e in events)
     )
 
 

@@ -12,17 +12,16 @@ This package reproduces that algebraic structure in pure NumPy/SciPy:
 * :mod:`repro.sem.gll` — GLL points, weights, Lagrange derivative matrix;
 * :mod:`repro.sem.tensor` — the dimension-generic tensor-product core:
   reference kernels, entity-based DOF numbering (with
-  orientation-consistent 3D faces), and the :class:`~repro.sem.tensor
-  .SemND` assembler base every line/quad/hex assembler derives from;
-* :mod:`repro.sem.assembly1d` — 1D SEM on arbitrary interval meshes
-  (the geometrically refined meshes of the LTS tests), ``SemND`` pinned
-  to ``dim == 1``;
-* :mod:`repro.sem.assembly2d` — 2D SEM on conforming quad meshes with a
-  per-element velocity field (velocity contrast creates LTS levels on
-  uniform grids: high-velocity inclusions force locally small steps);
-* :mod:`repro.sem.assembly3d` — 3D SEM on conforming hexahedral meshes:
-  the paper's benchmark mesh families are hexahedral, and 3D is where
-  the matrix-free backend wins asymptotically (O(n^4) vs O(n^6));
+  orientation-consistent 3D faces), the acoustic assembler
+  :class:`~repro.sem.tensor.SemND` (1D intervals, 2D quads, 3D hexahedra;
+  velocity contrast creates LTS levels on uniform grids) and the
+  isotropic elastic :class:`~repro.sem.tensor.ElasticSemND` — the
+  paper's actual physics (Eqs. (1)-(2)): ``dim`` displacement
+  components per node, per-element Lamé parameters, P speeds for
+  Eq.-(7) LTS level assignment;
+* :mod:`repro.sem.anisotropic` — general anisotropic elastic SEM
+  (arbitrary per-element Voigt ``C``) on the same core, with LTS levels
+  driven by the Christoffel maximal velocity;
 * :mod:`repro.sem.materials` — the constitutive layer: the
   :class:`~repro.sem.materials.Material` hierarchy
   (:class:`~repro.sem.materials.IsotropicAcoustic` with variable
@@ -30,19 +29,13 @@ This package reproduces that algebraic structure in pure NumPy/SciPy:
   :class:`~repro.sem.materials.AnisotropicElastic` with Voigt
   stiffness validation and Christoffel wave speeds) every assembler
   resolves its parameters through;
-* :mod:`repro.sem.elastic2d` / :mod:`repro.sem.elastic3d` — the paper's
-  actual physics (elastic wave equation, Eqs. (1)-(2)) on the shared
-  :class:`~repro.sem.tensor.ElasticSemND` core: ``dim`` displacement
-  components per node, per-element Lamé parameters, P/S speeds for
-  Eq.-(7) LTS level assignment;
-* :mod:`repro.sem.anisotropic` — general anisotropic elastic SEM
-  (arbitrary per-element Voigt ``C``) on the same core, with LTS levels
-  driven by the Christoffel maximal velocity;
 * :mod:`repro.sem.sources` — Ricker wavelets and point sources;
 * :mod:`repro.sem.energy` — discrete energy for conservation tests;
 * :mod:`repro.sem.matfree` — matrix-free (sum-factorization) stiffness
   backend: batched gather -> tensor contraction -> scatter-add, with
-  per-level element-subset restriction for LTS;
+  per-level element-subset restriction for LTS; each of the three
+  physics assemblers above, generic over dimension, builds its own
+  element kernel for it (``kernel(ids=None)``);
 * :mod:`repro.sem.fused` — optional fused C element kernels behind the
   matrix-free backend (auto-detected, NumPy fallback).
 """
@@ -58,12 +51,7 @@ from repro.sem.materials import (
 )
 from repro.sem.tensor import ElasticSemND, SemND
 from repro.sem.anisotropic import AnisotropicElasticSemND
-from repro.sem.assembly1d import Sem1D
-from repro.sem.assembly2d import Sem2D
-from repro.sem.assembly3d import Sem3D
-from repro.sem.elastic2d import ElasticSem2D
-from repro.sem.elastic3d import ElasticSem3D
-from repro.sem.matfree import MatrixFreeStiffness, kernel_from_spec, stiffness_share
+from repro.sem.matfree import MatrixFreeStiffness, stiffness_share
 from repro.sem.sources import ricker, point_source
 from repro.sem.energy import discrete_energy
 from repro.sem import fused, materials
@@ -81,13 +69,7 @@ __all__ = [
     "SemND",
     "ElasticSemND",
     "AnisotropicElasticSemND",
-    "Sem1D",
-    "Sem2D",
-    "Sem3D",
-    "ElasticSem2D",
-    "ElasticSem3D",
     "MatrixFreeStiffness",
-    "kernel_from_spec",
     "stiffness_share",
     "ricker",
     "point_source",

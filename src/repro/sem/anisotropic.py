@@ -25,10 +25,10 @@ isotropic tensor reduces this to exactly the
 :class:`~repro.sem.tensor.ElasticSemND` blocks (tested to 1e-14).
 
 The matrix-free backend applies the same operator in stress form
-(:class:`repro.sem.matfree.AnisotropicKernelND`: gradient contractions,
-a per-element Hooke combine, divergence contractions) through the
-``"anisotropic_elastic"`` :class:`repro.core.operator.KernelSpec` — so
-LTS level restriction, rank-local stiffness and the distributed
+(:class:`repro.sem.matfree.AnisotropicKernelND`, built by
+:meth:`AnisotropicElasticSemND.kernel`: gradient contractions, a
+per-element Hooke combine, divergence contractions) — so LTS level
+restriction, rank-local stiffness and the distributed
 executors work unchanged.  LTS levels follow the *Christoffel* maximal
 velocity: pass the assembler as ``assembler=`` to
 :func:`repro.core.levels.assign_levels` (Eq. (7) with the quasi-P
@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.operator import KernelSpec
 from repro.mesh.mesh import Mesh
 from repro.sem.materials import AnisotropicElastic
+from repro.sem.matfree import AnisotropicKernelND
 from repro.sem.tensor import (
     SemND,
     VectorSemMixin,
+    _rows,
     elastic_axis_scales,
     elastic_pair_scales,
 )
@@ -72,12 +73,12 @@ class AnisotropicElasticSemND(VectorSemMixin, SemND):
         Clamp all components on the domain boundary; the default is the
         free-surface (natural) condition.
 
-    DOF layout: component-interleaved ``dim * node + comp``, identical
-    to the isotropic elastic assemblers, so rank layouts, halo exchange
+    ``C`` and ``rho`` are read back through ``self.material``.  DOF
+    layout: component-interleaved ``dim * node + comp``, identical to
+    :class:`~repro.sem.tensor.ElasticSemND`'s, so rank layouts, halo exchange
     and LTS level restriction treat it like any other physics.
     """
 
-    physics = "anisotropic_elastic"
     material_cls = AnisotropicElastic
 
     def __init__(
@@ -110,8 +111,6 @@ class AnisotropicElasticSemND(VectorSemMixin, SemND):
             SolverError,
         )
         self.material = material.expand(mesh.n_elements)
-        self.C = self.material.C
-        self.rho = self.material.rho
         super().__init__(mesh, order=order, dirichlet=dirichlet)
 
     # -- hooks ----------------------------------------------------------
@@ -123,18 +122,9 @@ class AnisotropicElasticSemND(VectorSemMixin, SemND):
         # coefficients of every component block (class docstring).
         self._c4 = self.material.stiffness_tensor()
 
-    def _density(self) -> np.ndarray:
-        return self.rho
-
-    def kernel_spec(self, ids: np.ndarray | None = None) -> KernelSpec:
-        sl = slice(None) if ids is None else np.asarray(ids)
-        return KernelSpec(
-            physics="anisotropic_elastic",
-            order=self.order,
-            dim=self.dim,
-            n_comp=self.dim,
-            params={"C": self.C[sl], "h_axes": self.h_axes[sl]},
-        )
+    def kernel(self, ids: np.ndarray | None = None) -> AnisotropicKernelND:
+        sl = _rows(ids)
+        return AnisotropicKernelND(self.order, self.material.C[sl], self.h_axes[sl])
 
     def element_system_batch(
         self, ids: np.ndarray | None = None

@@ -185,8 +185,6 @@ class Material:
     validates them once at construction, and broadcasts them against a
     mesh with :meth:`expand`.  Subclasses declare:
 
-    * ``physics`` — the :class:`repro.core.operator.KernelSpec` physics
-      name of the assembler family that consumes the material;
     * ``_fields`` — the parameter attribute names (with their trailing
       shapes) that :meth:`expand` broadcasts to ``(n_elements, ...)``;
     * :meth:`density` and :meth:`max_velocity` — the two quantities the
@@ -194,7 +192,6 @@ class Material:
       (the per-element ``c_i`` of paper Eq. (7)).
     """
 
-    physics: str = ""
     #: attribute name -> trailing shape (() for scalars-per-element).
     _fields: dict[str, tuple[int, ...]] = {}
 
@@ -246,7 +243,6 @@ class IsotropicAcoustic(Material):
     bit-identically to the classical ``u_tt = div(c^2 grad u)``).
     """
 
-    physics = "acoustic"
     _fields = {"c": (), "rho": ()}
 
     def __init__(self, c, rho=1.0):
@@ -275,7 +271,6 @@ class IsotropicElastic(Material):
     P speed (:meth:`max_velocity`), which stays positive.
     """
 
-    physics = "elastic"
     _fields = {"lam": (), "mu": (), "rho": ()}
 
     def __init__(self, lam=1.0, mu=1.0, rho=1.0):
@@ -325,7 +320,6 @@ class AnisotropicElastic(Material):
     of the three (two in 2D) modes along ``n``.
     """
 
-    physics = "anisotropic_elastic"
     _fields: dict[str, tuple[int, ...]] = {}  # set per instance (nv varies)
 
     def __init__(self, C, rho=1.0):

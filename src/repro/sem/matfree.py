@@ -26,11 +26,12 @@ Three physics families share the machinery, each generic over dimension:
   arbitrary per-element Voigt stiffness
   (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`).
 
-Which kernel applies is decided by the assembler's *explicit* physics
-declaration — :meth:`repro.sem.tensor.SemND.kernel_spec` returning a
-:class:`repro.core.operator.KernelSpec` — through the
-:func:`kernel_from_spec` registry, never by duck-typed attribute
-sniffing.
+Which kernel applies is decided by the assembler class: each of the
+three physics assemblers (:class:`repro.sem.tensor.SemND`,
+:class:`repro.sem.tensor.ElasticSemND`,
+:class:`repro.sem.anisotropic.AnisotropicElasticSemND`), generic over
+dimension, builds its own kernel from its per-element arrays in
+``kernel(ids=None)``.
 
 Every kernel has two tiers and no more: the batched NumPy contraction
 through preallocated workspaces (``tier == "numpy"``, always serial) and,
@@ -64,7 +65,6 @@ import numpy as np
 
 from repro.core.operator import (
     AssembledOperator,
-    KernelSpec,
     Restriction,
     _restriction,
     check_lengths,
@@ -245,7 +245,15 @@ class _ScatterPlan:
 # ----------------------------------------------------------------------
 class _PooledKernel:
     """What the element kernels share: one contraction scratch pool
-    (``_ws``) each — their only mutable part."""
+    (``_ws``) each — their only mutable part — and ``params``, the
+    per-element coefficient arrays named by ``param_names``."""
+
+    param_names: tuple[str, ...] = ()
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """The per-element coefficient arrays the kernel was built from."""
+        return {name: getattr(self, name) for name in self.param_names}
 
     def fork(self):
         """This kernel, coefficient arrays shared, with its own pool."""
@@ -270,6 +278,7 @@ class AcousticKernelND(_PooledKernel):
     """
 
     physics = "acoustic"
+    param_names = ("scales",)
 
     def __init__(self, order: int, scales: np.ndarray):
         self.order = int(order)
@@ -372,6 +381,7 @@ class ElasticKernelND(_PooledKernel):
     """
 
     physics = "elastic"
+    param_names = ("lam", "mu", "h_axes")
 
     def __init__(self, order: int, lam, mu, h_axes):
         from repro.sem.tensor import elastic_axis_scales, elastic_pair_scales
@@ -541,6 +551,7 @@ class AnisotropicKernelND(_PooledKernel):
     """
 
     physics = "anisotropic_elastic"
+    param_names = ("C", "h_axes")
 
     def __init__(self, order: int, C, h_axes):
         from repro.sem.materials import VOIGT_SIZE, voigt_to_tensor
@@ -888,69 +899,6 @@ class MatrixFreeStiffness:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-def _param(spec: KernelSpec, name: str) -> np.ndarray:
-    """A required per-element parameter array of ``spec``, as float64 —
-    a missing key is a malformed spec, reported as a solver error."""
-    require(
-        name in spec.params,
-        f"kernel spec for physics {spec.physics!r} is missing param {name!r}",
-        SolverError,
-    )
-    return np.asarray(spec.params[name], dtype=np.float64)
-
-
-def kernel_from_spec(spec: KernelSpec):
-    """Element kernel for an explicit physics declaration.
-
-    This is the registry behind backend dispatch: a
-    :class:`repro.core.operator.KernelSpec` names the physics and
-    carries the per-element parameter arrays; each physics has one
-    kernel class for every dimension.  Adding a physics means adding a
-    spec + kernel pair here — never another ``hasattr`` chain.
-    Unknown physics names and malformed parameter sets (missing keys,
-    wrong shapes) raise :class:`~repro.util.errors.SolverError`.
-    """
-    if spec.physics == "acoustic":
-        scales = np.atleast_2d(_param(spec, "scales"))
-        require(
-            scales.shape[1] == spec.dim,
-            f"acoustic scales must be (n_elements, {spec.dim})",
-            SolverError,
-        )
-        return AcousticKernelND(spec.order, scales)
-    if spec.physics == "elastic":
-        lam, mu = _param(spec, "lam"), _param(spec, "mu")
-        h = np.atleast_2d(_param(spec, "h_axes"))
-        require(
-            h.shape[1] == spec.dim,
-            f"elastic h_axes must be (n_elements, {spec.dim})",
-            SolverError,
-        )
-        return ElasticKernelND(spec.order, lam, mu, h)
-    if spec.physics == "anisotropic_elastic":
-        C = _param(spec, "C")
-        h = np.atleast_2d(_param(spec, "h_axes"))
-        require(
-            h.shape[1] == spec.dim,
-            f"anisotropic h_axes must be (n_elements, {spec.dim})",
-            SolverError,
-        )
-        return AnisotropicKernelND(spec.order, C, h)
-    raise SolverError(f"no element kernel registered for physics {spec.physics!r}")
-
-
-def _make_kernel(assembler, ids: np.ndarray | None = None):
-    """Physics kernel for a SEM assembler, via its explicit kernel spec."""
-    spec_fn = getattr(assembler, "kernel_spec", None)
-    require(
-        spec_fn is not None,
-        "assembler does not export kernel_spec() "
-        "(see repro.core.operator.KernelSpec)",
-        SolverError,
-    )
-    return kernel_from_spec(spec_fn(ids))
-
-
 def operator_for(
     assembler,
     backend: str = "assembled",
@@ -1006,7 +954,7 @@ def stiffness_share(
         ed = ed[np.asarray(element_ids)]
     mask = getattr(assembler, "dirichlet_mask", None)
     return MatrixFreeStiffness(
-        _make_kernel(assembler, element_ids),
+        assembler.kernel(element_ids),
         ed if local_dofs is None else local_dofs,
         Minv,
         use_fused=use_fused,

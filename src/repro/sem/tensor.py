@@ -19,11 +19,11 @@ per GLL node:
 * geometry validation and per-axis element sizes for axis-aligned
   box elements (the affine tensor mapping every kernel relies on);
 * the :class:`SemND` assembler base: the multi-component interleaved
-  DOF layout (``n_comp * node + comp``), diagonal (lumped) mass with a
-  per-element density hook, one chunked CSR stiffness builder for any
+  DOF layout (``n_comp * node + comp``), diagonal (lumped) mass from the
+  material's per-element density, one chunked CSR stiffness builder for any
   element subset (:meth:`SemND.stiffness_csr`) and one Dirichlet-masked
-  ``1/M`` scaling (:func:`mass_scaled`), the explicit
-  :meth:`SemND.kernel_spec` physics declaration, and the
+  ``1/M`` scaling (:func:`mass_scaled`), the element kernel the
+  matrix-free backend applies (:meth:`SemND.kernel`), and the
   backend-pluggable :meth:`SemND.operator`;
 * :class:`ElasticSemND`, the isotropic elastic (P-SV / P-S) assembler
   generic over dimension: per-element Lamé parameters and density,
@@ -37,15 +37,14 @@ pulls via :meth:`SemND.max_velocity`.  The general-anisotropy assembler
 (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`) builds on the
 same hooks.
 
-:class:`repro.sem.assembly1d.Sem1D`, :class:`repro.sem.assembly2d.Sem2D`,
-:class:`repro.sem.assembly3d.Sem3D`,
-:class:`repro.sem.elastic2d.ElasticSem2D` and
-:class:`repro.sem.elastic3d.ElasticSem3D` are thin dimension-pinned
-subclasses; the matrix-free backend (:mod:`repro.sem.matfree`) consumes
-the :class:`repro.core.operator.KernelSpec` these assemblers export
-without assembling anything.  In 3D this layering is where
-sum-factorization pays off asymptotically: O(n^4) contraction work per
-element against the O(n^6) of a dense element matvec (paper Sec. II-C).
+Three physics assemblers, each generic over dimension — acoustic
+:class:`SemND` (1D/2D/3D), :class:`ElasticSemND` and
+:class:`~repro.sem.anisotropic.AnisotropicElasticSemND` (2D/3D) — and
+each builds its own matrix-free element kernel
+(:mod:`repro.sem.matfree`) without assembling anything.  In 3D this
+layering is where sum-factorization pays off asymptotically: O(n^4)
+contraction work per element against the O(n^6) of a dense element
+matvec (paper Sec. II-C).
 """
 
 from __future__ import annotations
@@ -55,11 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.operator import KernelSpec
 from repro.mesh.mesh import Mesh
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
-from repro.sem.matfree import inverse_mass, operator_for
+from repro.sem.matfree import AcousticKernelND, ElasticKernelND, inverse_mass, operator_for
 from repro.util.errors import SolverError
 from repro.util.rows import unique_rows
 from repro.util.validation import require
@@ -479,6 +477,11 @@ def _sq_dist(deltas: np.ndarray) -> np.ndarray:
     return sum(d * d for d in deltas)
 
 
+def _rows(ids: np.ndarray | None):
+    """Per-element row selector of ``ids`` (every element when ``None``)."""
+    return slice(None) if ids is None else np.asarray(ids)
+
+
 def mass_scaled(K, inv_m: np.ndarray, mask: np.ndarray | None = None) -> sp.csr_matrix:
     """``M^{-1} K`` as the serial ``A`` and every rank's assembled share
     hold it: rows times ``inv_m`` (:func:`repro.sem.matfree.inverse_mass`),
@@ -502,24 +505,25 @@ class SemND:
 
     The base class is the scalar acoustic discretization; vector-valued
     physics subclass it and override the small hook set —
-    :meth:`_n_components`, :meth:`_setup_physics`, :meth:`_density`,
-    :meth:`element_system_batch`, :meth:`kernel_spec` — while the DOF
+    :meth:`_n_components`, :meth:`_setup_physics`,
+    :meth:`element_system_batch`, :meth:`kernel` — while the DOF
     layout (component-interleaved ``n_comp * node + comp``), mass and
     stiffness assembly, Dirichlet masking and backend dispatch live here
     exactly once (see :class:`ElasticSemND`).
 
     DOF numbering is entity-based (see :func:`number_dofs`), so any
     conforming mesh — not just structured grids — assembles correctly,
-    with shared edge and face nodes oriented consistently.  Subclasses
-    :class:`repro.sem.assembly1d.Sem1D`,
-    :class:`repro.sem.assembly2d.Sem2D` and
-    :class:`repro.sem.assembly3d.Sem3D` pin the dimension and add
-    dimension-flavoured conveniences.
-    """
+    with shared edge and face nodes oriented consistently.  In 1D the
+    mesh's corner nodes keep their ids and each element's ``order - 1``
+    interior nodes follow in element order, so ``node_coords[:, 0]`` is
+    *not* sorted; ``element_dofs[e]`` lists element ``e``'s nodes left to
+    right.
 
-    #: Physics name of :meth:`kernel_spec` (see
-    #: :class:`repro.core.operator.KernelSpec`).
-    physics = "acoustic"
+    ``material=`` (a :class:`repro.sem.materials.IsotropicAcoustic`)
+    enables variable-density acoustics (``rho`` per element, scalars
+    broadcast): the operator becomes ``rho u_tt = div(rho c^2 grad u)``;
+    the default is the mesh's wave speed ``mesh.c`` at unit density.
+    """
 
     #: Material class this assembler family consumes (subclasses narrow).
     material_cls: type[Material] = IsotropicAcoustic
@@ -561,11 +565,6 @@ class SemND:
 
         # Geometry: per-axis sizes of the axis-aligned boxes.
         self.h_axes = element_axis_sizes(mesh)
-        self.hx = self.h_axes[:, 0]
-        if dim >= 2:
-            self.hy = self.h_axes[:, 1]
-        if dim >= 3:
-            self.hz = self.h_axes[:, 2]
 
         # Entity-based global numbering of the scalar (per-node) space;
         # vector physics interleave components on top of it.
@@ -701,10 +700,6 @@ class SemND:
         """
         self.axis_scales = acoustic_axis_scales(self.material.modulus(), self.h_axes)
 
-    def _density(self) -> np.ndarray:
-        """Per-element mass density ``rho`` from the material."""
-        return self.material.density()
-
     def max_velocity(self) -> np.ndarray:
         """Per-element maximal wave speed of the material — the ``c_i``
         of the CFL condition (Eq. (7)).  Pass the assembler itself to
@@ -713,18 +708,16 @@ class SemND:
         is pulled automatically."""
         return self.material.max_velocity()
 
-    def kernel_spec(self, ids: np.ndarray | None = None) -> KernelSpec:
-        """The explicit physics declaration backend dispatch keys off
-        (see :class:`repro.core.operator.KernelSpec`); ``ids`` restricts
-        to an element subset."""
-        sl = slice(None) if ids is None else np.asarray(ids)
-        return KernelSpec(
-            physics="acoustic",
-            order=self.order,
-            dim=self.dim,
-            n_comp=1,
-            params={"scales": self.axis_scales[sl]},
-        )
+    def kernel(self, ids: np.ndarray | None = None) -> AcousticKernelND:
+        """The matrix-free element kernel of elements ``ids`` (all when
+        ``None``): what :func:`repro.sem.matfree.stiffness_share`
+        applies."""
+        return AcousticKernelND(self.order, self.axis_scales[_rows(ids)])
+
+    def kernel_spec(self, ids: np.ndarray | None = None):
+        """:meth:`kernel` under the name ``benchmarks/e2e/solver_bench.py``
+        reads the kernel's coefficient arrays (``.params``) through."""
+        return self.kernel(ids)
 
     # ------------------------------------------------------------------
     def operator(
@@ -766,7 +759,7 @@ class SemND:
         ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
         wq = tensor_quadrature_weights(self.order, self.dim)
         jac = self.h_axes[ids].prod(axis=1) / (2.0**self.dim)
-        Me = (self._density()[ids] * jac)[:, None] * wq[None, :]
+        Me = (self.material.density()[ids] * jac)[:, None] * wq[None, :]
         if self.n_comp == 1:
             return Me
         return np.repeat(Me, self.n_comp, axis=1)
@@ -867,8 +860,17 @@ class ElasticSemND(VectorSemMixin, SemND):
     :func:`axis_cross_kernels` and the pair scales of
     :func:`elastic_pair_scales`.  This vectorizes assembly (no
     per-element B-matrix loop) and is exactly the contraction structure
-    the matrix-free backend (:class:`repro.sem.matfree.ElasticKernelND`)
-    applies without forming any matrix.
+    the matrix-free backend (:class:`repro.sem.matfree.ElasticKernelND`,
+    built by :meth:`kernel`) applies without forming any matrix.
+
+    In 2D (P-SV) these blocks reduce to the classic four-kernel form::
+
+        Kxx = (l+2m)(hy/hx) K1 + m (hx/hy) K2      K1 = KxX (x) Wd
+        Kyy = (l+2m)(hx/hy) K2 + m (hy/hx) K1      K2 = Wd (x) KxX
+        Kxy = l C + m C^T,   Kyx = Kxy^T           C  = (Dm^T w) (x) (w Dm)
+
+    (the shear coupling ``C`` is geometry-free only in 2D); in 3D there
+    are nine blocks, six of them axis-pair cross kernels.
 
     ``mesh.c`` is *ignored* for material properties; LTS levels should
     follow the per-element P-wave speed (Eq. (7)) — pass the assembler
@@ -876,14 +878,13 @@ class ElasticSemND(VectorSemMixin, SemND):
     maximal material speed (here: P) is pulled automatically.
 
     Parameters come as a :class:`repro.sem.materials.IsotropicElastic`
-    ``material=`` (default ``lam = mu = rho = 1``).  ``mu = 0`` elements
-    are fluid
-    (acoustic-limit) inclusions: their S speed is 0, so level
-    assignment and CFL must use the P speed — which ``max_velocity`` /
-    ``assembler=`` do.
+    ``material=`` (default ``lam = mu = rho = 1``), read back through
+    ``self.material``.  ``mu = 0`` elements are fluid (acoustic-limit)
+    inclusions: their S speed is 0, so level assignment and CFL must use
+    the P speed — which ``max_velocity`` / ``assembler=`` do.  A 1D mesh
+    is refused: elastic waves need ``dim`` in (2, 3).
     """
 
-    physics = "elastic"
     material_cls = IsotropicElastic
 
     def __init__(
@@ -893,6 +894,7 @@ class ElasticSemND(VectorSemMixin, SemND):
         dirichlet: bool = False,
         material: IsotropicElastic | None = None,
     ):
+        require(mesh.dim in (2, 3), "elastic SEM requires dim in (2, 3)", SolverError)
         if material is None:
             material = IsotropicElastic()
         require(
@@ -901,10 +903,6 @@ class ElasticSemND(VectorSemMixin, SemND):
             SolverError,
         )
         self.material = material.expand(mesh.n_elements)
-        # Back-compat per-element views (same arrays as the material's).
-        self.lam = self.material.lam
-        self.mu = self.material.mu
-        self.rho = self.material.rho
         super().__init__(mesh, order=order, dirichlet=dirichlet)
 
     # -- hooks ----------------------------------------------------------
@@ -914,22 +912,10 @@ class ElasticSemND(VectorSemMixin, SemND):
     def _setup_physics(self) -> None:
         pass  # lam/mu/rho are validated by the material before super()
 
-    def _density(self) -> np.ndarray:
-        return self.rho
-
-    def kernel_spec(self, ids: np.ndarray | None = None) -> KernelSpec:
-        sl = slice(None) if ids is None else np.asarray(ids)
-        return KernelSpec(
-            physics="elastic",
-            order=self.order,
-            dim=self.dim,
-            n_comp=self.dim,
-            params={
-                "lam": self.lam[sl],
-                "mu": self.mu[sl],
-                "h_axes": self.h_axes[sl],
-            },
-        )
+    def kernel(self, ids: np.ndarray | None = None) -> ElasticKernelND:
+        sl = _rows(ids)
+        m = self.material
+        return ElasticKernelND(self.order, m.lam[sl], m.mu[sl], self.h_axes[sl])
 
     def element_system_batch(
         self, ids: np.ndarray | None = None
@@ -943,7 +929,7 @@ class ElasticSemND(VectorSemMixin, SemND):
         n_loc = (self.order + 1) ** dim
         kernels = self._axis_kernels()
         cross = self._cross_kernels()
-        lam, mu = self.lam[ids], self.mu[ids]
+        lam, mu = self.material.lam[ids], self.material.mu[ids]
         cp = lam + 2 * mu
         s = elastic_axis_scales(self.h_axes[ids])
         g = elastic_pair_scales(self.h_axes[ids])

@@ -246,14 +246,14 @@ def test_fork_of_an_openmp_operator_owns_its_per_thread_partials():
 
 def _dirichlet_assembler(physics, dim):
     from repro.mesh import uniform_grid
-    from repro.sem import (AnisotropicElasticSemND, ElasticSem2D, ElasticSem3D,
-                           IsotropicElastic, Sem2D, Sem3D, isotropic_stiffness)
+    from repro.sem import (AnisotropicElasticSemND, ElasticSemND,
+                           IsotropicElastic, SemND, isotropic_stiffness)
 
     mesh = uniform_grid((3, 2) if dim == 2 else (2, 2, 1), (1.0, 1.3, 0.8)[:dim])
     if physics == "acoustic":
-        return (Sem2D, Sem3D)[dim - 2](mesh, order=2, dirichlet=True)
+        return SemND(mesh, order=2, dirichlet=True)
     if physics == "elastic":
-        return (ElasticSem2D, ElasticSem3D)[dim - 2](
+        return ElasticSemND(
             mesh, order=2, dirichlet=True, material=IsotropicElastic(lam=2.0, mu=1.0))
     C = isotropic_stiffness(np.full(mesh.n_elements, 2.0), 1.0, dim)
     return AnisotropicElasticSemND(mesh, order=2, dirichlet=True, C=C)

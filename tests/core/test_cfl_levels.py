@@ -13,7 +13,7 @@ from repro.core import (
     stable_timestep_per_element,
 )
 from repro.mesh import refined_interval, uniform_grid, uniform_interval
-from repro.sem import Sem1D, Sem2D, Sem3D
+from repro.sem import SemND
 from repro.util.errors import SolverError
 
 
@@ -43,12 +43,12 @@ class TestCfl:
 
     def test_operator_bound_is_stable_and_sharp(self):
         mesh = uniform_interval(20)
-        sem = Sem1D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         dt = stable_timestep_from_operator(sem.A, safety=1.0)
         # Leap-frog with dt below the bound stays bounded; 5% above blows up.
         from repro.core import NewmarkSolver
 
-        u0 = np.sin(np.pi * sem.x / sem.x.max())
+        u0 = np.sin(np.pi * sem.node_coords[:, 0] / sem.node_coords[:, 0].max())
         stable, _ = NewmarkSolver(sem.A, 0.95 * dt).run(u0, np.zeros_like(u0), 400)
         assert np.max(np.abs(stable)) < 10.0
         unstable, _ = NewmarkSolver(sem.A, 1.05 * dt).run(u0, np.zeros_like(u0), 400)
@@ -60,18 +60,15 @@ class TestMatrixFreeCfl:
     (ROADMAP item) — no assembled matrix needed for very large meshes."""
 
     @staticmethod
-    def _contrast(sem_cls, shape, order):
+    def _contrast(shape, order):
         mesh = uniform_grid(shape)
         mesh.c = mesh.c.copy()
         mesh.c[mesh.n_elements // 2] = 3.0
-        return sem_cls(mesh, order=order)
+        return SemND(mesh, order=order)
 
-    @pytest.mark.parametrize(
-        "sem_cls,shape,order",
-        [(Sem2D, (5, 4), 4), (Sem2D, (6, 6), 3), (Sem3D, (3, 3, 2), 3)],
-    )
-    def test_power_iteration_matches_sparse_eigensolver(self, sem_cls, shape, order):
-        sem = self._contrast(sem_cls, shape, order)
+    @pytest.mark.parametrize("shape,order", [((5, 4), 4), ((6, 6), 3), ((3, 3, 2), 3)])
+    def test_power_iteration_matches_sparse_eigensolver(self, shape, order):
+        sem = self._contrast(shape, order)
         dt_eigs = stable_timestep_from_operator(sem.A, method="eigs")
         dt_pow = stable_timestep_from_operator(
             sem.operator("matfree"), method="power"
@@ -79,14 +76,14 @@ class TestMatrixFreeCfl:
         assert abs(dt_pow - dt_eigs) / dt_eigs < 1e-6
 
     def test_auto_selects_power_for_matrix_free_operator(self):
-        sem = self._contrast(Sem2D, (4, 4), 3)
+        sem = self._contrast((4, 4), 3)
         op = sem.operator("matfree")
         # auto on a matrix-free operator must not require any matrix
         dt = stable_timestep_from_operator(op)
         assert dt == pytest.approx(stable_timestep_from_operator(sem.A), rel=1e-6)
 
     def test_auto_unwraps_assembled_operator(self):
-        sem = self._contrast(Sem2D, (4, 4), 3)
+        sem = self._contrast((4, 4), 3)
         dt_wrapped = stable_timestep_from_operator(sem.operator("assembled"))
         assert dt_wrapped == pytest.approx(
             stable_timestep_from_operator(sem.A), rel=1e-12
@@ -100,7 +97,7 @@ class TestMatrixFreeCfl:
         assert operator_spectral_radius(A) == pytest.approx(7.0, rel=1e-9)
 
     def test_eigs_method_rejects_matrix_free(self):
-        sem = self._contrast(Sem2D, (4, 4), 2)
+        sem = self._contrast((4, 4), 2)
         with pytest.raises(SolverError):
             stable_timestep_from_operator(sem.operator("matfree"), method="eigs")
 
@@ -192,14 +189,14 @@ class TestAssemblerConvenience:
     polynomial order) so callers stop copy-pasting velocity=..."""
 
     def test_matches_explicit_velocity_and_order_elastic(self):
-        from repro.sem import ElasticSem2D, IsotropicElastic
+        from repro.sem import ElasticSemND, IsotropicElastic
 
         mesh = uniform_grid((4, 4), (1.0, 1.0))
         lam = np.full(mesh.n_elements, 2.0)
         lam[5] = 32.0
         mu = np.full(mesh.n_elements, 1.0)
         mu[5] = 16.0
-        sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
+        sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
         via_assembler = assign_levels(mesh, c_cfl=0.4, assembler=sem)
         explicit = assign_levels(mesh, c_cfl=0.4, order=3, velocity=sem.p_velocity())
         assert np.array_equal(via_assembler.level, explicit.level)
@@ -212,21 +209,21 @@ class TestAssemblerConvenience:
     def test_acoustic_assembler_uses_material_speed(self):
         mesh = uniform_grid((3, 3))
         mesh.c = np.linspace(1.0, 2.0, mesh.n_elements)
-        sem = Sem2D(mesh, order=2)
+        sem = SemND(mesh, order=2)
         assert cfl_timestep(mesh, assembler=sem) == cfl_timestep(
             mesh, order=2, velocity=sem.max_velocity()
         )
 
     def test_explicit_order_overrides_assembler_order(self):
         mesh = uniform_grid((3, 3))
-        sem = Sem2D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         assert cfl_timestep(mesh, assembler=sem, order=1) == cfl_timestep(
             mesh, order=1, velocity=sem.max_velocity()
         )
 
     def test_velocity_and_assembler_mutually_exclusive(self):
         mesh = uniform_grid((2, 2))
-        sem = Sem2D(mesh, order=2)
+        sem = SemND(mesh, order=2)
         with pytest.raises(SolverError):
             cfl_timestep(mesh, velocity=sem.max_velocity(), assembler=sem)
         with pytest.raises(SolverError):

@@ -14,7 +14,7 @@ from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
 from repro.core.newmark import Fields, ReplicaMap, run_cycles
 from repro.mesh import uniform_grid
 from repro.runtime import CheckpointState, DistributedLTSSolver, build_rank_layout
-from repro.sem import Sem2D
+from repro.sem import SemND
 from repro.util.errors import ConfigError, SolverError
 
 
@@ -55,7 +55,7 @@ class TestTraceRows:
     @pytest.fixture(scope="class")
     def run(self):
         mesh = uniform_grid((4, 4))
-        sem = Sem2D(mesh, order=2)
+        sem = SemND(mesh, order=2)
         dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
         gen = np.random.default_rng(3)
         levels = gen.integers(1, 3, mesh.n_elements)

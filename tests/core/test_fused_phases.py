@@ -24,7 +24,7 @@ from repro.core.lts_newmark import (
 from repro.core.operator import Restriction
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
-from repro.sem import Sem2D, Sem3D, fused, point_source, ricker
+from repro.sem import SemND, fused, point_source, ricker
 from repro.util.errors import SolverError
 
 needs_fused = pytest.mark.skipif(
@@ -172,9 +172,9 @@ class _NumpyPhases:
 
 
 def _system(dim: int):
-    shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+    shape, order = ((4, 3), 3) if dim == 2 else ((3, 2, 2), 2)
     mesh = uniform_grid(shape)
-    return cls(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
+    return SemND(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
 
 
 N_CYCLES = 5
@@ -230,7 +230,7 @@ class TestCycles:
 
 def _serial_and_distributed(backend: str):
     mesh = uniform_grid((4, 3))
-    sem = Sem2D(mesh, order=3)
+    sem = SemND(mesh, order=3)
     a = assign_levels(mesh, c_cfl=0.4, order=3)
     levels = np.array([1, 1, 1, 3, 4, 1, 2, 4, 1, 1, 1, 1])
     dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)

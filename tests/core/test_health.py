@@ -6,7 +6,7 @@ import pytest
 from repro.core import HealthGuard, LTSNewmarkSolver, NewmarkSolver
 from repro.core.lts_newmark import dof_levels_from_elements
 from repro.mesh import refined_interval
-from repro.sem import Sem1D
+from repro.sem import SemND
 from repro.util.errors import NumericalError, SolverError
 
 
@@ -150,12 +150,12 @@ class TestCheckLocals:
 @pytest.fixture(scope="module")
 def sys1d():
     mesh = refined_interval(8, 4, refinement=2, coarse_h=0.125)
-    sem = Sem1D(mesh, order=3)
+    sem = SemND(mesh, order=3)
     from repro.core import assign_levels
 
     a = assign_levels(mesh, c_cfl=0.4, order=3)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+    u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
     return sem, a, dof_level, u0
 
 

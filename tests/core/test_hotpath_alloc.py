@@ -27,7 +27,7 @@ from repro.core.lts_newmark import LTSNewmarkSolver, NewmarkSolver, dof_levels_f
 from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import measure_hot_path
 from repro.mesh import uniform_grid
-from repro.sem import Sem2D, fused
+from repro.sem import SemND, fused
 
 #: Net tracemalloc blocks allowed to survive a steady-state step.
 ALLOC_BUDGET = 8
@@ -41,10 +41,10 @@ def sys2d():
     mesh.c = mesh.c.copy()
     mesh.c[27] = 4.0
     mesh.c[36] = 2.0
-    sem = Sem2D(mesh, order=4)
+    sem = SemND(mesh, order=4)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.xy - sem.xy.mean(axis=0)) ** 2).sum(axis=1))
+    u0 = np.exp(-((sem.node_coords - sem.node_coords.mean(axis=0)) ** 2).sum(axis=1))
     v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
     return sem, a, dof_level, u0, v0
 

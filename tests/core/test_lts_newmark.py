@@ -30,7 +30,7 @@ from repro.core.lts_newmark import (
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import refined_interval, uniform_grid, uniform_interval
 from repro.runtime import DistributedLTSSolver, build_rank_layout
-from repro.sem import Sem1D, Sem2D, Sem3D, discrete_energy, fused, point_source, ricker
+from repro.sem import SemND, discrete_energy, fused, point_source, ricker
 from repro.util.errors import SolverError
 
 needs_fused = pytest.mark.skipif(
@@ -47,7 +47,7 @@ def _run(stepper, A, dof_level, dt, u0, v0, n_cycles, force=None):
 
 def _setup_1d(n_coarse=12, n_fine=8, refinement=4, order=4, dirichlet=True):
     mesh = refined_interval(n_coarse, n_fine, refinement=refinement, coarse_h=0.125)
-    sem = Sem1D(mesh, order=order, dirichlet=dirichlet)
+    sem = SemND(mesh, order=order, dirichlet=dirichlet)
     a = assign_levels(mesh, c_cfl=0.4, order=order)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     return mesh, sem, a, dof_level
@@ -59,7 +59,7 @@ def _setup_2d():
     mesh.c = mesh.c.copy()
     mesh.c[27] = 4.0
     mesh.c[36] = 2.0
-    sem = Sem2D(mesh, order=4)
+    sem = SemND(mesh, order=4)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     return sem, a, dof_level
@@ -81,7 +81,7 @@ def _golden_solver(case: str):
         return LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=counter), sem.n_dof
     if kind == "3d":
         mesh = uniform_grid((3, 2, 2))
-        sem = Sem3D(mesh, order=2)
+        sem = SemND(mesh, order=2)
         dof_level = dof_levels_from_elements(sem.element_dofs, np.array(_HEX_LEVELS), sem.n_dof)
         op = sem.operator("matfree", use_fused=tier == "fused")
         dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
@@ -169,7 +169,7 @@ class TestDegenerateCases:
         loop written out here, not against another solver of the package
         (``NewmarkSolver`` is the one-level solver itself)."""
         mesh = uniform_grid((4, 3))
-        sem = Sem2D(mesh, order=3, dirichlet=True)
+        sem = SemND(mesh, order=3, dirichlet=True)
         dt = assign_levels(mesh, c_cfl=0.4, order=3).dt
         A = sem.A if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
         point = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * dt))
@@ -187,9 +187,9 @@ class TestDegenerateCases:
     def test_all_coarse_two_level_setup_equals_newmark(self):
         """If the level-2 set is empty the cycle degenerates to leapfrog."""
         mesh = uniform_interval(10)
-        sem = Sem1D(mesh, order=3, dirichlet=True)
+        sem = SemND(mesh, order=3, dirichlet=True)
         dt = 1e-3
-        u0 = np.sin(np.pi * sem.x / sem.x.max())
+        u0 = np.sin(np.pi * sem.node_coords[:, 0] / sem.node_coords[:, 0].max())
         v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
         lv = np.ones(sem.n_dof, dtype=int)  # declared 1-level: same path
         un, _ = NewmarkSolver(sem.A, dt).run(u0, v0, 10)
@@ -222,7 +222,7 @@ class TestAlgorithm1Equivalence:
     @pytest.mark.parametrize("refinement", [2, 4, 8])
     def test_1d_refinements(self, refinement):
         mesh, sem, a, dof_level = _setup_1d(refinement=refinement)
-        u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+        u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         u1, v1 = algorithm1(sem.A, dof_level, a.dt, u0, v0, 6)
         u2, v2 = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
@@ -232,12 +232,12 @@ class TestAlgorithm1Equivalence:
     def test_2d_velocity_contrast(self):
         mesh = uniform_grid((5, 5))
         mesh.c = mesh.c.copy()
-        mesh.c[12] = 4.0
-        sem = Sem2D(mesh, order=3)
-        a = assign_levels(mesh, c_cfl=0.4, order=3)
-        assert a.n_levels >= 2
+        mesh.c[12] = 8.0  # graded around the inclusion: four active levels
+        sem = SemND(mesh, order=3)
+        a = assign_levels(mesh, c_cfl=0.4, order=3, grade=True)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-        u0 = np.exp(-((sem.xy[:, 0] - 2.5) ** 2 + (sem.xy[:, 1] - 2.5) ** 2))
+        assert np.unique(dof_level).tolist() == [1, 2, 3, 4]
+        u0 = np.exp(-((sem.node_coords[:, 0] - 2.5) ** 2 + (sem.node_coords[:, 1] - 2.5) ** 2))
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         u1, _ = algorithm1(sem.A, dof_level, a.dt, u0, v0, 5)
         u2, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 5)
@@ -280,9 +280,9 @@ class TestRandomAssignments:
 
     @staticmethod
     def _system(dim: int, dirichlet: bool):
-        shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+        shape, order = ((4, 3), 3) if dim == 2 else ((3, 2, 2), 2)
         mesh = uniform_grid(shape)
-        return cls(mesh, order=order, dirichlet=dirichlet), assign_levels(
+        return SemND(mesh, order=order, dirichlet=dirichlet), assign_levels(
             mesh, c_cfl=0.4, order=order
         ).dt
 
@@ -321,14 +321,14 @@ class TestAccuracy:
         mesh, sem, a, dof_level = _setup_1d(n_coarse=16, n_fine=16)
         L = mesh.coords[:, 0].max()
         k = np.pi / L
-        u_exact = lambda t: np.sin(k * sem.x) * np.cos(k * t)
+        u_exact = lambda t: np.sin(k * sem.node_coords[:, 0]) * np.cos(k * t)
         T = 1.0
         errs = []
         base = int(np.ceil(T / a.dt))
         for r in (1, 2, 4):
             n = base * r
             dt = T / n
-            u0 = np.sin(k * sem.x)
+            u0 = np.sin(k * sem.node_coords[:, 0])
             v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
             u, _ = LTSNewmarkSolver(sem.A, dof_level, dt).run(u0, v0, n)
             errs.append(np.max(np.abs(u - u_exact(T))))
@@ -338,7 +338,7 @@ class TestAccuracy:
     def test_energy_bounded_long_run(self):
         mesh, sem, a, dof_level = _setup_1d()
         L = mesh.coords[:, 0].max()
-        u = np.sin(np.pi * sem.x / L)
+        u = np.sin(np.pi * sem.node_coords[:, 0] / L)
         v = staggered_initial_velocity(sem.A, a.dt, u, np.zeros_like(u))
         solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
         m = solver.plan.replicas  # step runs in the plan's numbering
@@ -354,7 +354,7 @@ class TestAccuracy:
 
     def test_solution_tracks_newmark_at_dt_min(self):
         mesh, sem, a, dof_level = _setup_1d(n_coarse=16, n_fine=16)
-        u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+        u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
         n_cycles = 8
         v0l = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         ul, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0l, n_cycles)
@@ -395,7 +395,7 @@ class TestOperationCounts:
         with a looser bound).
         """
         mesh = refined_interval(n_coarse=96, n_fine=8, refinement=4, coarse_h=0.125)
-        sem = Sem1D(mesh, order=4, dirichlet=True)
+        sem = SemND(mesh, order=4, dirichlet=True)
         a = assign_levels(mesh, c_cfl=0.4, order=4)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         counter = OperationCounter()
@@ -486,7 +486,7 @@ class TestBackendEquivalence:
     def setup_2d(self):
         sem, a, dof_level = _setup_2d()
         assert a.n_levels >= 3  # genuinely multi-level
-        u0 = np.exp(-((sem.xy[:, 0] - 4) ** 2 + (sem.xy[:, 1] - 4) ** 2))
+        u0 = np.exp(-((sem.node_coords[:, 0] - 4) ** 2 + (sem.node_coords[:, 1] - 4) ** 2))
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         return sem, a, dof_level, u0, v0
 

@@ -16,15 +16,12 @@ from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
 from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import reachable_buffers
 from repro.mesh import uniform_grid, uniform_interval
-from repro.runtime import DistributedLTSSolver, DistributedNewmarkSolver, build_rank_layout
+from repro.runtime import DistributedLTSSolver, build_rank_layout
 from repro.sem import (
     AnisotropicElasticSemND,
-    ElasticSem2D,
-    ElasticSem3D,
+    ElasticSemND,
     IsotropicElastic,
-    Sem1D,
-    Sem2D,
-    Sem3D,
+    SemND,
     fused,
     hexagonal_stiffness,
     point_source,
@@ -37,7 +34,7 @@ from repro.util.errors import SolverError
 @pytest.fixture(scope="module")
 def system():
     mesh = uniform_interval(24)
-    sem = Sem1D(mesh, order=4, dirichlet=True)
+    sem = SemND(mesh, order=4, dirichlet=True)
     L = mesh.coords[:, 0].max()
     k = np.pi / L
     return sem, k
@@ -63,7 +60,7 @@ class TestHarmonicOscillator:
 class TestWaveEquation:
     def test_standing_wave_accuracy(self, system):
         sem, k = system
-        u0 = np.sin(k * sem.x)
+        u0 = np.sin(k * sem.node_coords[:, 0])
         T, n = 1.0, 400
         dt = T / n
         v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
@@ -74,7 +71,7 @@ class TestWaveEquation:
         sem, k = system
         from repro.sem import discrete_energy
 
-        u = np.sin(k * sem.x)
+        u = np.sin(k * sem.node_coords[:, 0])
         dt = 5e-4
         v = staggered_initial_velocity(sem.A, dt, u, np.zeros_like(u))
         solver = NewmarkSolver(sem.A, dt)
@@ -88,7 +85,7 @@ class TestWaveEquation:
 
     def test_run_does_not_mutate_inputs(self, system):
         sem, k = system
-        u0 = np.sin(k * sem.x)
+        u0 = np.sin(k * sem.node_coords[:, 0])
         v0 = np.zeros_like(u0)
         u0c, v0c = u0.copy(), v0.copy()
         NewmarkSolver(sem.A, 1e-4).run(u0, v0, 3)
@@ -172,27 +169,27 @@ def _tier_kw(tier):
 def _serial_pin(kind, tier, source):
     """``NewmarkSolver`` on a small serial system: ``(u, v)`` after the pin's steps."""
     if kind == "1d":
-        sem = Sem1D(uniform_interval(16), order=4, dirichlet=True)
+        sem = SemND(uniform_interval(16), order=4, dirichlet=True)
         dt = 1e-3
-        u0 = np.sin(np.pi * sem.x / sem.x.max())
+        u0 = np.sin(np.pi * sem.node_coords[:, 0] / sem.node_coords[:, 0].max())
         v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
         return NewmarkSolver(sem.A, dt).run(u0, v0, N_STEPS)
     velocity = None
     if kind in ("3d", "3d-o4"):
         mesh, order = (uniform_grid((3, 2, 2)), 2) if kind == "3d" else (uniform_grid((2, 2, 2)), 4)
-        sem = Sem3D(mesh, order=order)
-        x = sem.xyz
+        sem = SemND(mesh, order=order)
+        x = sem.node_coords
     elif kind == "elastic":
         mesh, order = uniform_grid((4, 3)), 3
-        sem = ElasticSem2D(mesh, order=order)
-        x = np.repeat(sem.xy, 2, axis=0)
+        sem = ElasticSemND(mesh, order=order)
+        x = np.repeat(sem.node_coords, 2, axis=0)
     elif kind in ("elastic3d", "aniso", "aniso3d"):
         # The vector kernels at their pins' orders: 3D elastic and 3D
         # stress form at order 4, 2D stress form at order 3.
         mesh, order = uniform_grid((2, 2, 2)), 4
         if kind == "elastic3d":
             material = IsotropicElastic(lam=2.0, mu=1.0)
-            sem = ElasticSem3D(mesh, order=order, material=material)
+            sem = ElasticSemND(mesh, order=order, material=material)
         elif kind == "aniso":
             mesh, order = uniform_grid((4, 3)), 3
             C = [[4.0, 1.5, 0.3], [1.5, 3.0, 0.2], [0.3, 0.2, 1.2]]
@@ -205,8 +202,8 @@ def _serial_pin(kind, tier, source):
     else:
         # 2d-o8: a 2D-only order (the runtime-n1 instance)
         mesh, order = (uniform_grid((2, 2)), 8) if kind == "2d-o8" else (uniform_grid((5, 4)), 3)
-        sem = Sem2D(mesh, order=order, dirichlet=kind == "2d-dirichlet")
-        x = sem.xy
+        sem = SemND(mesh, order=order, dirichlet=kind == "2d-dirichlet")
+        x = sem.node_coords
     dt = assign_levels(mesh, c_cfl=0.4, order=order, velocity=velocity).dt_min
     point = point_source(sem.n_dof, sem.n_dof // 3, sem.M, ricker(f0=0.5, t0=2 * dt))
     force = point if source == "point" else (lambda t: point(t))
@@ -223,19 +220,20 @@ def _ranks_pin(kind, tier):
     mesh.c = mesh.c.copy()
     if kind == "lts3":
         mesh.c[[43, 44, 51]] = [4.0, 2.0, 2.0]
-    sem = Sem2D(mesh, order=3)
+    sem = SemND(mesh, order=3)
     a = assign_levels(mesh, c_cfl=0.4, order=3)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     layout = build_rank_layout(
         sem, np.arange(64) // 22, 3, dof_level=dof_level, **_tier_kw(tier)
     )
     point = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * a.dt))
-    if kind == "newmark3":
-        solver = DistributedNewmarkSolver(layout, a.dt_min, force=point)
+    if kind == "newmark3":  # a one-level layout: the distributed Newmark run
+        assert a.n_levels == 1 and a.dt == a.dt_min
+        solver = DistributedLTSSolver(layout, a.dt_min, force=point)
     else:
         assert a.n_levels > 1 and layout.dof_level_local[0].max() == 1
         solver = DistributedLTSSolver(layout, a.dt, force=point)
-    u0 = _bump(sem.xy)
+    u0 = _bump(sem.node_coords)
     return solver.run(u0, np.zeros_like(u0), N_STEPS)
 
 
@@ -257,7 +255,7 @@ def test_golden_pin(case):
 @pytest.fixture(scope="module")
 def grid():
     mesh = uniform_grid((4, 3))
-    return mesh, Sem2D(mesh, order=3), Sem2D(mesh, order=3, dirichlet=True)
+    return mesh, SemND(mesh, order=3), SemND(mesh, order=3, dirichlet=True)
 
 
 class TestWholeColumnRule:
@@ -309,7 +307,7 @@ class TestWholeColumnRule:
         ``A``: the apply output (also the step's scratch) and the level's
         column list — nothing of ``A``'s size."""
         mesh = uniform_grid((16, 16))
-        sem = Sem2D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         solver = NewmarkSolver(sem.A, assign_levels(mesh, c_cfl=0.4, order=4).dt)
         solver.step(np.ones(sem.n_dof), np.zeros(sem.n_dof))
         own = reachable_buffers(sem.A)

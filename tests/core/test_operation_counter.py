@@ -3,34 +3,26 @@
 The Eq. (9) benchmarks derive speedups from counter *ratios*; if a
 counter is reused across benchmark repetitions without a reset, every
 repetition silently adds on top of the previous one and the reported
-efficiency is wrong by the repetition count.  ``benchmarks/common.py``
-provides :func:`counted_cycles` to enforce the per-repetition reset;
-these tests pin both the failure mode and the fix.
+efficiency is wrong by the repetition count.  These tests pin that
+failure mode and the detached snapshot a reset leaves intact.
 """
-
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-
-from common import counted_cycles  # noqa: E402
-
 from repro.core import OperationCounter, assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.mesh import refined_interval
-from repro.sem import Sem1D
+from repro.sem import SemND
 
 
 @pytest.fixture(scope="module")
 def solver_setup():
     mesh = refined_interval(n_coarse=12, n_fine=8, refinement=4, coarse_h=0.125)
-    sem = Sem1D(mesh, order=4, dirichlet=True)
+    sem = SemND(mesh, order=4, dirichlet=True)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+    u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
     return sem, a, dof_level, u0
 
 
@@ -43,28 +35,6 @@ def test_reuse_without_reset_double_reports(solver_setup):
     once = counter.total_ops
     solver.run(u0, np.zeros_like(u0), 1)
     assert counter.total_ops == 2 * once  # accumulates — must reset between reps
-
-
-def test_counted_cycles_resets_per_repetition(solver_setup):
-    """The fix: every repetition reports the same standalone count."""
-    sem, a, dof_level, u0 = solver_setup
-    solver = LTSNewmarkSolver(
-        sem.A, dof_level, a.dt, counter=OperationCounter()
-    )
-    snaps = counted_cycles(solver, u0, np.zeros_like(u0), 2, rounds=3)
-    assert len(snaps) == 3
-    assert all(s.total_ops == snaps[0].total_ops for s in snaps)
-    assert all(
-        s.applications_per_level == snaps[0].applications_per_level for s in snaps
-    )
-    assert snaps[0].total_ops > 0
-
-
-def test_counted_cycles_requires_counter(solver_setup):
-    sem, a, dof_level, u0 = solver_setup
-    solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
-    with pytest.raises(ValueError):
-        counted_cycles(solver, u0, np.zeros_like(u0), 1)
 
 
 def test_snapshot_is_detached():

@@ -70,9 +70,9 @@ class TestAsOperator:
 
     def test_matfree_satisfies_protocol(self):
         from repro.mesh import uniform_grid
-        from repro.sem import Sem2D
+        from repro.sem import SemND
 
-        op = Sem2D(uniform_grid((2, 2)), order=2).operator("matfree")
+        op = SemND(uniform_grid((2, 2)), order=2).operator("matfree")
         assert isinstance(op, StiffnessOperator)
         assert as_operator(op) is op
 
@@ -87,11 +87,11 @@ def _product(tier: str, kind: str):
     """A ``kind`` of product of a 6x6 order-4 grid (625 DOFs) on ``tier``
     and the length its vectors must have."""
     from repro.mesh import uniform_grid
-    from repro.sem import Sem2D, fused
+    from repro.sem import SemND, fused
 
     if tier == "fused" and not fused.available():
         pytest.skip("no C compiler for the fused tier")
-    sem = Sem2D(uniform_grid((6, 6)), order=4)
+    sem = SemND(uniform_grid((6, 6)), order=4)
     op = (AssembledOperator(sem.A) if tier == "assembled"
           else sem.operator("matfree", use_fused=tier == "fused"))
     n = sem.n_dof

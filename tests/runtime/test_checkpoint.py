@@ -18,17 +18,17 @@ from repro.runtime import (
     save_checkpoint,
 )
 from repro.runtime.checkpoint import CHECKPOINT_VERSION
-from repro.sem import Sem1D
+from repro.sem import SemND
 from repro.util.errors import SolverError
 
 
 @pytest.fixture(scope="module")
 def sys1d():
     mesh = refined_interval(12, 8, refinement=4, coarse_h=0.125)
-    sem = Sem1D(mesh, order=4)
+    sem = SemND(mesh, order=4)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+    u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
     return sem, a, dof_level, u0
 
 

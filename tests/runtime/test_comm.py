@@ -79,14 +79,6 @@ class TestMailbox:
         with pytest.raises(CommError):
             world.comm(0).Send(np.zeros(1), dest=9)
 
-    def test_sendrecv_symmetric(self):
-        world = MailboxWorld(2)
-        c0, c1 = world.comms()
-        c0.Send(np.array([10.0]), dest=1, tag=5)
-        c1.Send(np.array([20.0]), dest=0, tag=5)
-        assert c0.recv(1, tag=5)[0] == 20.0
-        assert c1.recv(0, tag=5)[0] == 10.0
-
     def test_channels_lists_nonempty_boxes(self):
         world = MailboxWorld(3)
         comms = world.comms()

@@ -32,7 +32,7 @@ from repro.core.operator import _restrict_levels
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import (
-    AnisotropicElasticSemND, ElasticSem2D, ElasticSem3D, Sem1D, Sem2D, Sem3D,
+    AnisotropicElasticSemND, ElasticSemND, SemND,
     fused, point_source, ricker, tensor,
 )
 
@@ -40,9 +40,9 @@ N_CYCLES = 6
 
 
 def _system(dim: int, dirichlet: bool = False):
-    shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+    shape, order = ((4, 3), 3) if dim == 2 else ((3, 2, 2), 2)
     mesh = uniform_grid(shape)
-    sem = cls(mesh, order=order, dirichlet=dirichlet)
+    sem = SemND(mesh, order=order, dirichlet=dirichlet)
     return sem, assign_levels(mesh, c_cfl=0.4, order=order).dt
 
 
@@ -253,11 +253,11 @@ def test_named_partitions_match_serial(name):
 #: Voigt stiffness is an arbitrary positive-definite one.
 _C2 = np.array([[4.0, 1.0, 0.3], [1.0, 3.0, 0.2], [0.3, 0.2, 1.5]])
 _PHYSICS = {
-    "acoustic1d": (lambda m, d: Sem1D(m, order=3, dirichlet=d), (12,)),
-    "acoustic2d": (lambda m, d: Sem2D(m, order=3, dirichlet=d), (4, 3)),
-    "acoustic3d": (lambda m, d: Sem3D(m, order=2, dirichlet=d), (3, 2, 2)),
-    "elastic2d": (lambda m, d: ElasticSem2D(m, order=3, dirichlet=d), (4, 3)),
-    "elastic3d": (lambda m, d: ElasticSem3D(m, order=2, dirichlet=d), (3, 2, 2)),
+    "acoustic1d": (lambda m, d: SemND(m, order=3, dirichlet=d), (12,)),
+    "acoustic2d": (lambda m, d: SemND(m, order=3, dirichlet=d), (4, 3)),
+    "acoustic3d": (lambda m, d: SemND(m, order=2, dirichlet=d), (3, 2, 2)),
+    "elastic2d": (lambda m, d: ElasticSemND(m, order=3, dirichlet=d), (4, 3)),
+    "elastic3d": (lambda m, d: ElasticSemND(m, order=2, dirichlet=d), (3, 2, 2)),
     "anisotropic2d": (
         lambda m, d: AnisotropicElasticSemND(m, order=3, C=_C2, dirichlet=d), (4, 3),
     ),

@@ -25,7 +25,7 @@ from repro.core.workspace import measure_hot_path
 from repro.mesh import refined_interval, uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.runtime.executor import _HaloSum
-from repro.sem import Sem1D, Sem2D, fused
+from repro.sem import SemND, fused
 
 #: Net tracemalloc blocks allowed to survive a steady-state LTS cycle.
 ALLOC_BUDGET = 16
@@ -44,10 +44,10 @@ def sys1d():
     partition the middle rank holds only fine-level elements, so the
     coarse level's support cannot reach the rank-0/rank-1 interface."""
     mesh = refined_interval(12, 8, refinement=4, coarse_h=0.125)
-    sem = Sem1D(mesh, order=4)
+    sem = SemND(mesh, order=4)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+    u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
     v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0
 
@@ -58,10 +58,10 @@ def sys2d():
     mesh.c = mesh.c.copy()
     mesh.c[27] = 4.0
     mesh.c[36] = 2.0
-    sem = Sem2D(mesh, order=4)
+    sem = SemND(mesh, order=4)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.xy - sem.xy.mean(axis=0)) ** 2).sum(axis=1))
+    u0 = np.exp(-((sem.node_coords - sem.node_coords.mean(axis=0)) ** 2).sum(axis=1))
     v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0
 

@@ -16,7 +16,7 @@ from repro.runtime import (
     build_rank_layout,
 )
 from repro.runtime.executor import _HaloSum
-from repro.sem import Sem1D, Sem2D, fused
+from repro.sem import SemND, fused
 from repro.util.errors import CommError, RankFailure
 
 
@@ -27,8 +27,8 @@ def system(request):
     width)."""
     if request.param == "1d_assembled":
         mesh = refined_interval(12, 8, refinement=4, coarse_h=0.125)
-        sem = Sem1D(mesh, order=4)
-        n_ranks, u0 = 2, np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+        sem = SemND(mesh, order=4)
+        n_ranks, u0 = 2, np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
         kw = {}
     else:
         if not fused.available():
@@ -36,9 +36,9 @@ def system(request):
         mesh = uniform_grid((8, 8))
         mesh.c = mesh.c.copy()
         mesh.c[27], mesh.c[36] = 4.0, 2.0
-        sem = Sem2D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         n_ranks = 3
-        u0 = np.exp(-((sem.xy - sem.xy.mean(axis=0)) ** 2).sum(axis=1))
+        u0 = np.exp(-((sem.node_coords - sem.node_coords.mean(axis=0)) ** 2).sum(axis=1))
         kw = {"backend": "matfree", "use_fused": True}
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)

@@ -17,21 +17,20 @@ from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import refined_interval, uniform_grid
 from repro.runtime import (
     DistributedLTSSolver,
-    DistributedNewmarkSolver,
     MailboxWorld,
     build_rank_layout,
 )
-from repro.sem import Sem1D, Sem2D, fused
+from repro.sem import SemND, fused
 from repro.util.errors import PartitionError, SolverError
 
 
 @pytest.fixture(scope="module")
 def sys1d():
     mesh = refined_interval(12, 8, refinement=4, coarse_h=0.125)
-    sem = Sem1D(mesh, order=4)
+    sem = SemND(mesh, order=4)
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    u0 = np.exp(-((sem.x - sem.x.mean()) ** 2) / 0.05)
+    u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
     v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0
 
@@ -73,11 +72,11 @@ class TestLayout:
         indices of the per-DOF dictionary construction it replaced, on
         scattered partitions (corner DOFs shared by many ranks, and with
         7 ranks on 12 elements ranks that own nothing)."""
-        from repro.sem import Sem3D
+        from repro.sem import SemND
 
         sem = (
-            Sem2D(uniform_grid((5, 4)), order=3) if dim == 2
-            else Sem3D(uniform_grid((3, 2, 2)), order=2)
+            SemND(uniform_grid((5, 4)), order=3) if dim == 2
+            else SemND(uniform_grid((3, 2, 2)), order=2)
         )
         ne = sem.element_dofs.shape[0]
         parts = np.random.default_rng(n_ranks).integers(0, n_ranks, ne)
@@ -112,7 +111,7 @@ class TestLayout:
         fully-summed mass (0 on a Dirichlet row) lives in its product,
         so the ranks' partial products, scattered back and summed, are
         the serial ``A u``."""
-        sem = Sem2D(uniform_grid((4, 3)), order=3, dirichlet=dirichlet)
+        sem = SemND(uniform_grid((4, 3)), order=3, dirichlet=dirichlet)
         parts = np.random.default_rng(1).integers(0, 3, 12)
         lay = build_rank_layout(sem, parts, 3, backend=backend, use_fused=use_fused)
         u = np.random.default_rng(2).standard_normal(sem.n_dof)
@@ -131,7 +130,7 @@ class TestLayout:
         rank of an assembled layout, and visits each element once."""
         from repro.sem import tensor
 
-        sem = Sem2D(uniform_grid((4, 3)), order=3)
+        sem = SemND(uniform_grid((4, 3)), order=3)
         ne, n_loc = sem.element_dofs.shape
         monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 2 * n_loc * n_loc)
         batches = []
@@ -154,22 +153,28 @@ class TestLayout:
             build_rank_layout(sem, np.zeros(3, dtype=int), 2)
 
 
+def _newmark(sem, k, dt, world=None):
+    """Distributed Newmark: the LTS solver on a one-level ``k``-rank layout."""
+    one_level = np.ones(sem.n_dof, dtype=np.int64)
+    parts = block_partition(sem.mesh.n_elements, k)
+    lay = build_rank_layout(sem, parts, k, dof_level=one_level)
+    return DistributedLTSSolver(lay, dt, world=world)
+
+
 class TestDistributedNewmark:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_matches_serial(self, sys1d, k):
         mesh, sem, a, _, u0, v0 = sys1d
         dt = a.dt_min
         us, vs = NewmarkSolver(sem.A, dt).run(u0, v0, 12)
-        lay = build_rank_layout(sem, block_partition(mesh.n_elements, k), k)
-        ud, vd = DistributedNewmarkSolver(lay, dt).run(u0, v0, 12)
+        ud, vd = _newmark(sem, k, dt).run(u0, v0, 12)
         assert np.max(np.abs(us - ud)) < 1e-12
         assert np.max(np.abs(vs - vd)) < 1e-12
 
     def test_no_pending_messages_after_run(self, sys1d):
         mesh, sem, a, _, u0, v0 = sys1d
         world = MailboxWorld(3)
-        lay = build_rank_layout(sem, block_partition(mesh.n_elements, 3), 3)
-        DistributedNewmarkSolver(lay, a.dt_min, world=world).run(u0, v0, 4)
+        _newmark(sem, 3, a.dt_min, world=world).run(u0, v0, 4)
         assert world.pending() == 0
         assert world.sent_messages > 0
 
@@ -180,8 +185,7 @@ class TestDistributedNewmark:
 
         mesh, sem, a, _, u0, v0 = sys1d
         world = MailboxWorld(2)
-        lay = build_rank_layout(sem, block_partition(mesh.n_elements, 2), 2)
-        solver = DistributedNewmarkSolver(lay, a.dt_min, world=world)
+        solver = _newmark(sem, 2, a.dt_min, world=world)
         solver.check_no_leaks()  # clean world passes
         world.comm(0).Send(np.zeros(3), dest=1, tag=77)
         with pytest.raises(CommError, match=r"undelivered.*tag=77"):
@@ -217,10 +221,10 @@ class TestDistributedLTS:
         mesh = uniform_grid((5, 5))
         mesh.c = mesh.c.copy()
         mesh.c[12] = 4.0
-        sem = Sem2D(mesh, order=3)
+        sem = SemND(mesh, order=3)
         a = assign_levels(mesh, c_cfl=0.4, order=3)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-        u0 = np.exp(-((sem.xy[:, 0] - 2.5) ** 2 + (sem.xy[:, 1] - 2.5) ** 2))
+        u0 = np.exp(-((sem.node_coords[:, 0] - 2.5) ** 2 + (sem.node_coords[:, 1] - 2.5) ** 2))
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         us, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
         parts = (np.arange(mesh.n_elements) % 4).astype(np.int64)
@@ -236,11 +240,11 @@ class TestDistributedLTS:
         mesh.c = mesh.c.copy()
         mesh.c[12] = 4.0
         if physics == "acoustic":
-            sem = Sem2D(mesh, order=3)
+            sem = SemND(mesh, order=3)
         else:
-            from repro.sem import ElasticSem2D, IsotropicElastic
+            from repro.sem import ElasticSemND, IsotropicElastic
 
-            sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
+            sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
             mesh.c = sem.p_velocity()
         a = assign_levels(mesh, c_cfl=0.4, order=3)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
@@ -261,10 +265,10 @@ class TestDistributedLTS:
         """The paper's workload class end-to-end: a 3D hex trench mesh
         runs a full distributed LTS cycle on both operator backends and
         reproduces the serial scheme to float round-off."""
-        from repro.sem import Sem3D
+        from repro.sem import SemND
 
         mesh = small_trench
-        sem = Sem3D(mesh, order=2)
+        sem = SemND(mesh, order=2)
         a = assign_levels(mesh, c_cfl=0.4, order=2)
         assert a.n_levels >= 3  # multi-level recursion actually exercised
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
@@ -283,7 +287,7 @@ class TestDistributedLTS:
         mesh = uniform_grid((5, 5))
         mesh.c = mesh.c.copy()
         mesh.c[12] = 4.0
-        sem = Sem2D(mesh, order=3)
+        sem = SemND(mesh, order=3)
         a = assign_levels(mesh, c_cfl=0.4, order=3)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         parts = np.zeros(mesh.n_elements, dtype=np.int64)
@@ -383,9 +387,9 @@ def test_cycle_sends_the_level_schedule_in_order(small_trench, backend):
     :class:`~repro.runtime.faults.FaultPlan` position (superstep,
     message index) names the same message whatever the recursion does
     between exchanges."""
-    from repro.sem import Sem3D
+    from repro.sem import SemND
 
-    sem = Sem3D(small_trench, order=2)
+    sem = SemND(small_trench, order=2)
     a = assign_levels(small_trench, c_cfl=0.4, order=2)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     parts = (np.arange(small_trench.n_elements) % 4).astype(np.int64)

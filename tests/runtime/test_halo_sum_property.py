@@ -21,7 +21,7 @@ from repro.core.lts_newmark import dof_levels_from_elements
 from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.runtime.executor import _HaloSum
-from repro.sem import Sem2D, Sem3D, fused
+from repro.sem import SemND, fused
 
 #: Exchange paths this machine can run: the NumPy passes, and the C
 #: passes where the fused build loads.
@@ -45,9 +45,9 @@ def per_channel_sum(plan, outputs, comms) -> None:
 
 
 def _system(dim: int):
-    shape, order, cls = ((4, 3), 3, Sem2D) if dim == 2 else ((3, 2, 2), 2, Sem3D)
+    shape, order = ((4, 3), 3) if dim == 2 else ((3, 2, 2), 2)
     mesh = uniform_grid(shape)
-    return cls(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
+    return SemND(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
 
 
 def _solver(sem, dt, levels, parts, n_ranks, backend):
@@ -123,12 +123,12 @@ class TestOrderMatters:
     @pytest.mark.parametrize("backend", ["assembled", "matfree"])
     def test_four_sharers(self, backend):
         mesh = uniform_grid((4, 4))
-        sem = Sem2D(mesh, order=2)
+        sem = SemND(mesh, order=2)
         dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
         ix, iy = np.divmod(np.arange(16), 4)
         parts = 2 * (ix >= 2) + (iy >= 2)
         solver = _solver(sem, dt, np.ones(16, dtype=np.int64), parts, 4, backend)
-        centre = int(np.argmin(np.abs(sem.xy - sem.xy.mean(axis=0)).sum(axis=1)))
+        centre = int(np.argmin(np.abs(sem.node_coords - sem.node_coords.mean(axis=0)).sum(axis=1)))
         layout = solver.layout
         local = [int(np.searchsorted(g, centre)) for g in layout.gdofs]
         assert all(layout.gdofs[r][i] == centre for r, i in enumerate(local))

@@ -106,6 +106,17 @@ class TestClusterSimulator:
         t_ba = ClusterSimulator(mesh, a, parts, 4, CPU_NODE, sync="barrier").lts_cycle()
         assert t_ba.cycle_time >= t_nb.cycle_time - 1e-15
 
+    def test_non_lts_cycle_does_not_depend_on_sync(self, sim_setup):
+        """Uniform ``dt_min`` steps: the slowest rank paces every step
+        under either sync, so both give the same cycle."""
+        mesh, a = sim_setup
+        parts = (np.arange(mesh.n_elements) % 4).astype(int)
+        costs = [
+            ClusterSimulator(mesh, a, parts, 4, CPU_NODE, sync=sync).non_lts_cycle()
+            for sync in ("neighbor", "barrier")
+        ]
+        assert costs[0] == costs[1]
+
     def test_performance_is_dt_over_cycle(self, sim_setup):
         mesh, a = sim_setup
         parts = np.zeros(mesh.n_elements, dtype=int)
@@ -131,6 +142,33 @@ class TestTrace:
         tr = trace_cycle(sim)
         assert len(tr.events) == 2 * sim.schedule.n_stages
         assert tr.cycle_time == pytest.approx(sim.lts_cycle().cycle_time)
+
+    @pytest.mark.parametrize("sync", ["neighbor", "barrier"])
+    def test_trace_records_the_cycle_replay(self, sim_setup, sync):
+        """The trace and :meth:`ClusterSimulator.lts_cycle` read one
+        replay: the same cycle time and worst stall, exactly."""
+        mesh, a = sim_setup
+        half = (mesh.element_centroids()[:, 1] > 3).astype(int)
+        sim = ClusterSimulator(mesh, a, half, 2, CPU_NODE, sync=sync)
+        tr = trace_cycle(sim)
+        cost = sim.lts_cycle()
+        assert tr.cycle_time == cost.cycle_time
+        stall = np.zeros(2)
+        for e in tr.events:
+            assert e.ready <= e.start <= e.end
+            stall[e.rank] += e.start - e.ready
+        assert stall.max() == cost.stall_time
+
+    def test_barrier_starts_every_rank_of_a_stage_together(self, sim_setup):
+        mesh, a = sim_setup
+        parts = (np.arange(mesh.n_elements) % 3).astype(int)
+        sim = ClusterSimulator(mesh, a, parts, 3, CPU_NODE, sync="barrier")
+        events = trace_cycle(sim).events
+        for s in range(sim.schedule.n_stages):
+            stage = [e for e in events if e.stage == s]
+            assert len(stage) == 3
+            assert len({e.start for e in stage}) == 1
+            assert stage[0].start == max(e.ready for e in stage)
 
     def test_render_produces_rows_per_rank(self, sim_setup):
         mesh, a = sim_setup

@@ -15,14 +15,15 @@ from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import (
     AnisotropicElastic,
     AnisotropicElasticSemND,
-    ElasticSem2D,
-    ElasticSem3D,
+    ElasticSemND,
+    ElasticSemND,
     IsotropicElastic,
     hexagonal_stiffness,
     isotropic_stiffness,
 )
 from repro.sem import fused
 from repro.sem.materials import rotation_about_y
+from repro.sem.matfree import AnisotropicKernelND
 from repro.util.errors import SolverError
 
 
@@ -39,17 +40,14 @@ def _rel_err(got, ref):
 class TestIsotropicReduction:
     """An isotropic Voigt tensor must reproduce ElasticSemND exactly."""
 
-    @pytest.mark.parametrize(
-        "dim,grid,cls",
-        [(2, (4, 3), ElasticSem2D), (3, (2, 2, 2), ElasticSem3D)],
-    )
-    def test_matches_isotropic_assembler(self, dim, grid, cls):
+    @pytest.mark.parametrize("dim,grid", [(2, (4, 3)), (3, (2, 2, 2))])
+    def test_matches_isotropic_assembler(self, dim, grid):
         mesh = uniform_grid(grid, tuple(1.0 + 0.2 * a for a in range(dim)))
         rng = np.random.default_rng(dim)
         lam = 2.0 + rng.random(mesh.n_elements)
         mu = 1.0 + rng.random(mesh.n_elements)
         rho = 1.0 + rng.random(mesh.n_elements)
-        iso = cls(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
+        iso = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
         aniso = AnisotropicElasticSemND(
             mesh, order=3, C=isotropic_stiffness(lam, mu, dim), rho=rho
         )
@@ -60,7 +58,7 @@ class TestIsotropicReduction:
 
     def test_max_velocity_matches_p_velocity(self):
         mesh = uniform_grid((3, 3))
-        iso = ElasticSem2D(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
+        iso = ElasticSemND(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
         aniso = AnisotropicElasticSemND(
             mesh, order=2, C=isotropic_stiffness(2.0, 1.0, 2), rho=1.3
         )
@@ -166,17 +164,18 @@ class TestBackendEquivalence:
             sem.operator("matfree", use_fused=True)
 
 
-class TestKernelSpec:
-    def test_spec_declares_physics_and_params(self):
+class TestKernel:
+    def test_kernel_is_built_from_the_element_slice(self):
         mesh = uniform_grid((3, 2))
         sem = AnisotropicElasticSemND(mesh, order=2, C=isotropic_stiffness(2.0, 1.0, 2))
-        spec = sem.kernel_spec()
-        assert spec.physics == "anisotropic_elastic"
-        assert spec.n_comp == 2
-        assert spec.params["C"].shape == (mesh.n_elements, 3, 3)
-        sub = sem.kernel_spec(np.array([0, 2]))
-        assert sub.params["C"].shape == (2, 3, 3)
-        assert sub.params["h_axes"].shape == (2, 2)
+        k = sem.kernel()
+        assert isinstance(k, AnisotropicKernelND)
+        assert (k.physics, k.dim, k.n_comp) == ("anisotropic_elastic", 2, 2)
+        assert np.array_equal(k.C, sem.material.C)
+        ids = np.array([0, 2])
+        sub = sem.kernel(ids)
+        assert np.array_equal(sub.C, sem.material.C[ids])
+        assert np.array_equal(sub.h_axes, sem.h_axes[ids])
 
 
 class TestChristoffelLevels:

@@ -5,23 +5,23 @@ import pytest
 import scipy.sparse as sp
 
 from repro.mesh import Mesh, refined_interval, uniform_grid, uniform_interval
-from repro.sem import Sem1D, Sem2D
+from repro.sem import SemND
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.util.errors import SolverError
 
 
 class TestSem1D:
     def test_dof_count(self):
-        sem = Sem1D(uniform_interval(5), order=4)
+        sem = SemND(uniform_interval(5), order=4)
         assert sem.n_dof == 21
 
     def test_mass_is_positive_and_sums_to_length(self):
-        sem = Sem1D(uniform_interval(4, length=3.0), order=4)
+        sem = SemND(uniform_interval(4, length=3.0), order=4)
         assert np.all(sem.M > 0)
         assert sem.M.sum() == pytest.approx(3.0)
 
     def test_stiffness_symmetric_positive_semidefinite(self):
-        sem = Sem1D(uniform_interval(4), order=3)
+        sem = SemND(uniform_interval(4), order=3)
         K = sem.K.toarray()
         assert np.allclose(K, K.T, atol=1e-12)
         eig = np.linalg.eigvalsh(K)
@@ -29,39 +29,39 @@ class TestSem1D:
 
     def test_stiffness_kills_constants(self):
         """Neumann stiffness annihilates the constant mode."""
-        sem = Sem1D(uniform_interval(6), order=4)
+        sem = SemND(uniform_interval(6), order=4)
         assert np.max(np.abs(sem.K @ np.ones(sem.n_dof))) < 1e-10
 
     def test_eigenvalue_of_first_mode(self):
         """Smallest nonzero eigenvalue of A ~ (pi*c/L)^2 for Neumann."""
         L, c = 2.0, 3.0
-        sem = Sem1D(uniform_interval(16, length=L, c=c), order=4)
+        sem = SemND(uniform_interval(16, length=L, c=c), order=4)
         vals = np.sort(np.real(np.linalg.eigvals(sem.A.toarray())))
         target = (np.pi * c / L) ** 2
         nonzero = vals[vals > 1e-8]
         assert nonzero[0] == pytest.approx(target, rel=1e-6)
 
     def test_dirichlet_zeroes_boundary_rows(self):
-        sem = Sem1D(uniform_interval(4), order=3, dirichlet=True)
+        sem = SemND(uniform_interval(4), order=3, dirichlet=True)
         A = sem.A.toarray()
         ends = sem.boundary_dofs()
-        assert sorted(sem.x[ends]) == [0.0, 1.0]
+        assert sorted(sem.node_coords[:, 0][ends]) == [0.0, 1.0]
         assert np.allclose(A[ends], 0) and np.allclose(A[:, ends], 0)
 
     def test_refined_mesh_coordinates_monotone(self):
         """Each element's DOFs list its GLL nodes left to right."""
         mesh = refined_interval(4, 4, refinement=4)
-        sem = Sem1D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         xi, _ = gll_points_weights(4)
         for e, (a, b) in enumerate(mesh.elements):
             left, right = mesh.coords[a, 0], mesh.coords[b, 0]
             nodes = left + (xi + 1.0) * 0.5 * (right - left)
-            assert np.array_equal(sem.x[sem.element_dofs[e]], nodes)
+            assert np.array_equal(sem.node_coords[:, 0][sem.element_dofs[e]], nodes)
             assert np.all(np.diff(nodes) > 0)
 
     def test_element_system_reassembles_global(self):
         mesh = refined_interval(3, 3, refinement=2)
-        sem = Sem1D(mesh, order=3)
+        sem = SemND(mesh, order=3)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
         Kes, Mes = sem.element_system_batch()
@@ -71,13 +71,9 @@ class TestSem1D:
         assert np.allclose(K, sem.K.toarray(), atol=1e-12)
         assert np.allclose(M, sem.M, atol=1e-12)
 
-    def test_rejects_2d_mesh(self):
-        with pytest.raises(SolverError):
-            Sem1D(uniform_grid((2, 2)))
-
     def test_nearest_dof(self):
-        sem = Sem1D(uniform_interval(10), order=2)
-        assert sem.x[sem.nearest_dof(0.5)] == pytest.approx(0.5)
+        sem = SemND(uniform_interval(10), order=2)
+        assert sem.node_coords[:, 0][sem.nearest_dof(0.5)] == pytest.approx(0.5)
 
 
 def _chain_assembly(mesh, order, dirichlet):
@@ -133,10 +129,10 @@ def _shuffled(mesh, seed):
 
 
 class TestSem1DMatchesChainOracle:
-    """``Sem1D`` is ``SemND`` on a 1D mesh: its entity numbering (mesh
-    corners, then element interiors) is a permutation of the chain
-    numbering, and under it ``x``, ``M``, ``K`` and ``A`` are the
-    chain loop's.  ``K`` and ``A`` are bitwise where the element scale
+    """``SemND`` on a 1D mesh: its entity numbering (mesh corners, then
+    element interiors) is a permutation of the chain numbering, and
+    under it ``node_coords``, ``M``, ``K`` and ``A`` are the chain
+    loop's.  ``K`` and ``A`` are bitwise where the element scale
     ``s = 2 c^2 / h`` is a power of two; elsewhere they may differ in
     the last bit, because the loop formed ``(s D^T W) D`` and ``SemND``
     forms ``s (D^T W D)``."""
@@ -154,7 +150,7 @@ class TestSem1DMatchesChainOracle:
 
     @staticmethod
     def _pair(mesh, order, dirichlet):
-        sem = Sem1D(mesh, order=order, dirichlet=dirichlet)
+        sem = SemND(mesh, order=order, dirichlet=dirichlet)
         x, ed, M, K, A = _chain_assembly(mesh, order, dirichlet)
         chain = np.empty(sem.n_dof, dtype=np.int64)
         chain[sem.element_dofs.ravel()] = ed.ravel()  # new DOF -> chain DOF
@@ -167,7 +163,7 @@ class TestSem1DMatchesChainOracle:
     @pytest.mark.parametrize("kind", sorted(DYADIC))
     def test_bitwise_under_the_permutation(self, kind, order, dirichlet):
         sem, p, (x, M, K, A) = self._pair(self.DYADIC[kind](), order, dirichlet)
-        assert np.array_equal(sem.x, x[p])
+        assert np.array_equal(sem.node_coords[:, 0], x[p])
         assert np.array_equal(sem.M, M[p])
         for got, ref in ((sem.K, K), (sem.A, A)):
             ref = ref[p][:, p]
@@ -179,7 +175,7 @@ class TestSem1DMatchesChainOracle:
     @pytest.mark.parametrize("kind", sorted(GENERAL))
     def test_equal_to_round_off_on_any_mesh(self, kind, order, dirichlet):
         sem, p, (x, M, K, A) = self._pair(self.GENERAL[kind](), order, dirichlet)
-        assert np.array_equal(sem.x, x[p])
+        assert np.array_equal(sem.node_coords[:, 0], x[p])
         assert np.array_equal(sem.M, M[p])
         for got, ref in ((sem.K, K), (sem.A, A)):
             ref = ref[p][:, p]
@@ -188,50 +184,50 @@ class TestSem1DMatchesChainOracle:
 
 class TestSem2D:
     def test_dof_count_structured(self):
-        sem = Sem2D(uniform_grid((3, 2)), order=4)
+        sem = SemND(uniform_grid((3, 2)), order=4)
         assert sem.n_dof == (4 * 3 + 1) * (4 * 2 + 1)
 
     def test_mass_sums_to_area(self):
-        sem = Sem2D(uniform_grid((3, 3), (2.0, 2.0)), order=3)
+        sem = SemND(uniform_grid((3, 3), (2.0, 2.0)), order=3)
         assert sem.M.sum() == pytest.approx(4.0)
 
     def test_stiffness_symmetric(self):
-        sem = Sem2D(uniform_grid((2, 3)), order=2)
+        sem = SemND(uniform_grid((2, 3)), order=2)
         K = sem.K.toarray()
         assert np.allclose(K, K.T, atol=1e-12)
 
     def test_stiffness_kills_constants(self):
-        sem = Sem2D(uniform_grid((3, 3)), order=3)
+        sem = SemND(uniform_grid((3, 3)), order=3)
         assert np.max(np.abs(sem.K @ np.ones(sem.n_dof))) < 1e-9
 
     def test_first_neumann_eigenvalue(self):
         """lambda_1 = (pi c / L)^2 for the (1,0) mode on a square."""
         L = 1.0
-        sem = Sem2D(uniform_grid((4, 4), (L, L)), order=4)
+        sem = SemND(uniform_grid((4, 4), (L, L)), order=4)
         vals = np.sort(np.real(np.linalg.eigvals(sem.A.toarray())))
         nonzero = vals[vals > 1e-7]
         assert nonzero[0] == pytest.approx(np.pi**2, rel=1e-4)
 
     def test_shared_edge_nodes_consistent(self):
         """Neighbouring elements must agree on shared GLL node ids/coords."""
-        sem = Sem2D(uniform_grid((2, 1)), order=4)
+        sem = SemND(uniform_grid((2, 1)), order=4)
         d0 = set(sem.element_dofs[0])
         d1 = set(sem.element_dofs[1])
         shared = d0 & d1
         assert len(shared) == 5  # a full edge of order-4 nodes
         for d in shared:
-            assert sem.xy[d, 0] == pytest.approx(1.0)
+            assert sem.node_coords[d, 0] == pytest.approx(1.0)
 
     def test_global_coordinates_unique(self):
-        sem = Sem2D(uniform_grid((3, 3)), order=3)
-        xy = np.round(sem.xy, 12)
+        sem = SemND(uniform_grid((3, 3)), order=3)
+        xy = np.round(sem.node_coords, 12)
         assert len(np.unique(xy, axis=0)) == sem.n_dof
 
     def test_element_system_reassembles_global(self):
         mesh = uniform_grid((2, 2))
         mesh.c = mesh.c.copy()
         mesh.c[0] = 2.0
-        sem = Sem2D(mesh, order=3)
+        sem = SemND(mesh, order=3)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
         Kes, Mes = sem.element_system_batch()
@@ -242,21 +238,17 @@ class TestSem2D:
         assert np.allclose(M, sem.M, atol=1e-12)
 
     def test_boundary_dofs_on_boundary(self):
-        sem = Sem2D(uniform_grid((3, 3), (1.0, 1.0)), order=3)
+        sem = SemND(uniform_grid((3, 3), (1.0, 1.0)), order=3)
         b = sem.boundary_dofs()
-        xy = sem.xy[b]
+        xy = sem.node_coords[b]
         on_edge = (
             np.isclose(xy[:, 0], 0) | np.isclose(xy[:, 0], 1)
             | np.isclose(xy[:, 1], 0) | np.isclose(xy[:, 1], 1)
         )
         assert np.all(on_edge)
 
-    def test_rejects_1d_mesh(self):
-        with pytest.raises(SolverError):
-            Sem2D(uniform_interval(3))
-
     def test_mass_lumping_diagonal_invertible(self):
-        sem = Sem2D(uniform_grid((2, 2)), order=4)
+        sem = SemND(uniform_grid((2, 2)), order=4)
         assert np.all(sem.M > 0)
         assert sp.issparse(sem.A)
 
@@ -269,14 +261,13 @@ class TestNearestDof:
 
     @staticmethod
     def _sem(kind):
-        from repro.sem import ElasticSem2D, ElasticSem3D, Sem3D
+        from repro.sem import ElasticSemND
         from repro.sem.materials import IsotropicElastic
 
         mesh = uniform_grid((4, 4) if kind.endswith("2d") else (3, 3, 3))
         if kind.startswith("acoustic"):
-            return (Sem2D if kind.endswith("2d") else Sem3D)(mesh, order=3)
-        cls = ElasticSem2D if kind.endswith("2d") else ElasticSem3D
-        return cls(mesh, order=3, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
+            return SemND(mesh, order=3)
+        return ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
 
     @pytest.mark.parametrize("kind", ["acoustic2d", "acoustic3d", "elastic2d", "elastic3d"])
     def test_same_dof_as_the_row_sum_formula(self, kind):
@@ -338,7 +329,7 @@ class TestNearestDof:
         ``argmin`` (lowest id on ties) for every component of acoustic
         and elastic physics, at nodes, ties and points outside the mesh."""
         from repro.mesh import crust_mesh, trench_mesh
-        from repro.sem import ElasticSem2D, ElasticSem3D, Sem3D
+        from repro.sem import ElasticSemND
         from repro.sem.materials import IsotropicElastic
 
         mesh = {
@@ -349,8 +340,8 @@ class TestNearestDof:
         }[family]()
         elastic = IsotropicElastic(lam=2.0, mu=1.0, rho=1.3)
         sems = [
-            (Sem2D if mesh.dim == 2 else Sem3D)(mesh, order=order),
-            (ElasticSem2D if mesh.dim == 2 else ElasticSem3D)(mesh, order=order, material=elastic),
+            SemND(mesh, order=order),
+            ElasticSemND(mesh, order=order, material=elastic),
         ]
         points = self._points(sems[0], np.random.default_rng(order))
         n_ties = 0
@@ -365,14 +356,14 @@ class TestNearestDof:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_is_refused(self, bad):
-        from repro.sem import ElasticSem2D
+        from repro.sem import ElasticSemND
         from repro.sem.materials import IsotropicElastic
 
         mesh = uniform_grid((3, 3))
-        elastic = ElasticSem2D(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0))
+        elastic = ElasticSemND(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0))
         with pytest.raises(SolverError, match="finite"):
-            Sem2D(mesh, order=2).nearest_dof(1.0, bad)
+            SemND(mesh, order=2).nearest_dof(1.0, bad)
         with pytest.raises(SolverError, match="finite"):
             elastic.nearest_dof(bad, 1.0, comp=1)
         with pytest.raises(SolverError, match="finite"):
-            Sem1D(uniform_interval(3), order=2).nearest_dof(bad)
+            SemND(uniform_interval(3), order=2).nearest_dof(bad)

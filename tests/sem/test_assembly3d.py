@@ -16,7 +16,7 @@ from repro.core import NewmarkSolver
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.mesh.mesh import Mesh
-from repro.sem import Sem3D, discrete_energy
+from repro.sem import SemND, discrete_energy
 from repro.util.errors import SolverError
 
 
@@ -55,14 +55,14 @@ class TestNumbering:
         """On an n-cell structured grid the continuous space has exactly
         prod(n_a * order + 1) nodes — any duplicate or missed sharing
         would change the count."""
-        sem = Sem3D(uniform_grid(shape), order=order)
+        sem = SemND(uniform_grid(shape), order=order)
         assert sem.n_dof == np.prod([n * order + 1 for n in shape])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dof_count_invariant_under_node_relabelling(self, seed):
         base = uniform_grid((3, 2, 2))
-        sem = Sem3D(base, order=4)
-        sem_p = Sem3D(_relabel_nodes(base, seed), order=4)
+        sem = SemND(base, order=4)
+        sem_p = SemND(_relabel_nodes(base, seed), order=4)
         assert sem_p.n_dof == sem.n_dof
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -71,7 +71,7 @@ class TestNumbering:
         global coordinate table — shared edge/face nodes included, under
         arbitrary node relabelling (all canonical face frames)."""
         mesh = _relabel_nodes(uniform_grid((3, 2, 2), (1.0, 0.7, 1.9)), seed)
-        sem = Sem3D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         from repro.sem.gll import gll_points_weights
 
         xi, _ = gll_points_weights(4)
@@ -86,36 +86,34 @@ class TestNumbering:
             assert np.abs(got - expect).max() < 1e-12
 
     def test_boundary_dofs_are_the_geometric_boundary(self):
-        sem = Sem3D(uniform_grid((2, 3, 2), (1.0, 1.0, 1.0)), order=3)
+        sem = SemND(uniform_grid((2, 3, 2), (1.0, 1.0, 1.0)), order=3)
         xc = sem.node_coords
         on_bnd = (
             np.isclose(xc, 0.0) | np.isclose(xc, 1.0)
         ).any(axis=1)
         assert np.array_equal(np.sort(sem.boundary_dofs()), np.nonzero(on_bnd)[0])
 
-    def test_rejects_2d_mesh_and_bad_geometry(self):
-        with pytest.raises(SolverError):
-            Sem3D(uniform_grid((2, 2)), order=2)
+    def test_rejects_bad_geometry(self):
         mesh = uniform_grid((2, 2, 2))
         mesh.coords = mesh.coords.copy()
         mesh.coords[0] += 0.1  # break the axis-aligned box assumption
         with pytest.raises(SolverError):
-            Sem3D(mesh, order=2)
+            SemND(mesh, order=2)
 
 
 class TestOperator:
     def test_mass_sums_to_volume(self):
-        sem = Sem3D(uniform_grid((3, 2, 2), (1.0, 0.7, 1.9)), order=3)
+        sem = SemND(uniform_grid((3, 2, 2), (1.0, 0.7, 1.9)), order=3)
         assert sem.M.sum() == pytest.approx(1.0 * 0.7 * 1.9, rel=1e-12)
 
     def test_stiffness_symmetric_with_constant_nullspace(self):
-        sem = Sem3D(_contrast_mesh(), order=3)
+        sem = SemND(_contrast_mesh(), order=3)
         assert abs(sem.K - sem.K.T).max() < 1e-10
         assert np.abs(sem.K @ np.ones(sem.n_dof)).max() < 1e-10
 
     def test_element_system_matches_assembled(self):
         """Summing dense element systems reproduces the global K and M."""
-        sem = Sem3D(_contrast_mesh((2, 2, 2)), order=2)
+        sem = SemND(_contrast_mesh((2, 2, 2)), order=2)
         Ke, Me = sem.element_system_batch()
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
@@ -127,7 +125,7 @@ class TestOperator:
         assert np.abs(M - sem.M).max() < 1e-12
 
     def test_dirichlet_masks_boundary_rows_and_cols(self):
-        sem = Sem3D(uniform_grid((2, 2, 2)), order=2, dirichlet=True)
+        sem = SemND(uniform_grid((2, 2, 2)), order=2, dirichlet=True)
         bnd = sem.boundary_dofs()
         A = sem.A.toarray()
         assert np.abs(A[bnd, :]).max() == 0.0
@@ -149,7 +147,7 @@ class TestSpectralAccuracy3D:
         (spectral convergence — the 3D analogue of the 2D suite)."""
         errs = {}
         for order in (2, 3, 4, 5, 6):
-            sem = Sem3D(uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=order)
+            sem = SemND(uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=order)
             u = self._mode(sem)
             errs[order] = np.abs(sem.A @ u - 3 * np.pi**2 * u).max()
         # monotone decay, and at least ~4 orders of magnitude over the sweep
@@ -157,7 +155,7 @@ class TestSpectralAccuracy3D:
         assert errs[6] < 1e-4 * errs[2], errs
 
     def test_standing_wave_time_accuracy(self):
-        sem = Sem3D(uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=5)
+        sem = SemND(uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=5)
         om = np.sqrt(3.0) * np.pi
         u0 = self._mode(sem)
         T, n = 0.5, 800
@@ -167,7 +165,7 @@ class TestSpectralAccuracy3D:
         assert np.max(np.abs(u - u0 * np.cos(om * T))) < 5e-4
 
     def test_energy_conserved(self):
-        sem = Sem3D(_contrast_mesh((2, 2, 2)), order=3)
+        sem = SemND(_contrast_mesh((2, 2, 2)), order=3)
         u = self._mode(sem)
         dt = 5e-3
         v = staggered_initial_velocity(sem.A, dt, u, np.zeros_like(u))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import IsotropicAcoustic, Sem1D, Sem2D, Sem3D
+from repro.sem import IsotropicAcoustic, SemND
 from repro.util.errors import SolverError
 
 
@@ -21,8 +21,8 @@ def _rel_err(got, ref):
 class TestDensityScaling:
     def test_default_matches_explicit_unit_density(self):
         mesh = uniform_grid((4, 3))
-        a = Sem2D(mesh, order=3)
-        b = Sem2D(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=1.0))
+        a = SemND(mesh, order=3)
+        b = SemND(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=1.0))
         assert np.array_equal(a.M, b.M)
         assert (a.K != b.K).nnz == 0
         assert (a.A != b.A).nnz == 0
@@ -31,34 +31,32 @@ class TestDensityScaling:
         """kappa = rho c^2 scales K by rho and M by rho, so a constant
         density leaves A = M^{-1} K (and every wave solution) unchanged."""
         mesh = uniform_grid((4, 3))
-        a = Sem2D(mesh, order=3)
-        b = Sem2D(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=2.5))
+        a = SemND(mesh, order=3)
+        b = SemND(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=2.5))
         assert np.allclose(b.M, 2.5 * a.M)
         u = np.random.default_rng(0).standard_normal(a.n_dof)
         assert _rel_err(b.A @ u, a.A @ u) < 1e-13
 
-    @pytest.mark.parametrize(
-        "grid,cls", [((6,), Sem1D), ((4, 3), Sem2D), ((2, 2, 2), Sem3D)]
-    )
-    def test_heterogeneous_density_backend_equivalence(self, grid, cls):
+    @pytest.mark.parametrize("grid", [(6,), (4, 3), (2, 2, 2)])
+    def test_heterogeneous_density_backend_equivalence(self, grid):
         mesh = uniform_grid(grid)
         rng = np.random.default_rng(0)
         rho = 1.0 + rng.random(mesh.n_elements)
-        sem = cls(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=rho))
+        sem = SemND(mesh, order=3, material=IsotropicAcoustic(mesh.c, rho=rho))
         u = rng.standard_normal(sem.n_dof)
         assert _rel_err(sem.operator("matfree") @ u, sem.A @ u) < 1e-12
 
     def test_rejects_nonpositive_density(self):
         mesh = uniform_grid((2, 2))
         with pytest.raises(SolverError):
-            Sem2D(mesh, material=IsotropicAcoustic(mesh.c, rho=0.0))
+            SemND(mesh, material=IsotropicAcoustic(mesh.c, rho=0.0))
         with pytest.raises(SolverError):
-            Sem2D(mesh, material=IsotropicAcoustic(mesh.c, rho=-1.0))
+            SemND(mesh, material=IsotropicAcoustic(mesh.c, rho=-1.0))
 
     def test_max_velocity_is_material_speed(self):
         mesh = uniform_grid((3, 2))
         mesh.c = np.linspace(1.0, 2.0, mesh.n_elements)
-        sem = Sem2D(mesh, order=2, material=IsotropicAcoustic(mesh.c, rho=2.0))
+        sem = SemND(mesh, order=2, material=IsotropicAcoustic(mesh.c, rho=2.0))
         assert np.array_equal(sem.max_velocity(), mesh.c)
 
 
@@ -92,7 +90,7 @@ class TestHeterogeneousDensityConvergence:
         left = mesh.coords[mesh.elements].mean(axis=1)[:, 0] < 1 / 3
         mesh.c = np.where(left, 2.0, 4.0)
         rho = np.where(left, 1.0, 0.25)
-        sem = Sem2D(mesh, order=order, material=IsotropicAcoustic(mesh.c, rho=rho))
+        sem = SemND(mesh, order=order, material=IsotropicAcoustic(mesh.c, rho=rho))
         uI = sem.interpolate(lambda x, y: self._mode(x))
         return _rel_err(sem.A @ uI, self.OMEGA**2 * uI)
 
@@ -108,6 +106,6 @@ class TestHeterogeneousDensityConvergence:
         mesh = uniform_grid((6, 2), (1.0, 1.0))
         left = mesh.coords[mesh.elements].mean(axis=1)[:, 0] < 1 / 3
         mesh.c = np.where(left, 2.0, 4.0)
-        sem = Sem2D(mesh, order=6)  # rho = 1 everywhere
+        sem = SemND(mesh, order=6)  # rho = 1 everywhere
         uI = sem.interpolate(lambda x, y: self._mode(x))
         assert _rel_err(sem.A @ uI, self.OMEGA**2 * uI) > 1e-2

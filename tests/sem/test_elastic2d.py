@@ -10,13 +10,13 @@ from repro.core import NewmarkSolver
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.sem import IsotropicElastic, discrete_energy
-from repro.sem.elastic2d import ElasticSem2D
+from repro.sem import ElasticSemND
 from repro.util.errors import SolverError
 
 
 @pytest.fixture(scope="module")
 def elastic():
-    return ElasticSem2D(
+    return ElasticSemND(
         uniform_grid((4, 4), (1.0, 1.0)), order=4,
         material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0),
     )
@@ -53,7 +53,7 @@ class TestAssembly:
 
     def test_rejects_bad_materials(self):
         with pytest.raises(SolverError):
-            ElasticSem2D(uniform_grid((2, 2)), material=IsotropicElastic(mu=-1.0))
+            ElasticSemND(uniform_grid((2, 2)), material=IsotropicElastic(mu=-1.0))
 
 
 class TestEigenstructure:
@@ -63,7 +63,7 @@ class TestEigenstructure:
         omega^2 = (pi cp)^2, cp = sqrt(2 mu / rho).  (For lambda != 0 the
         lateral boundaries carry sigma_yy, so no plane mode exists — which
         is why this test pins the lambda = 0 case.)"""
-        sem = ElasticSem2D(
+        sem = ElasticSemND(
             uniform_grid((4, 4), (1.0, 1.0)), order=4,
             material=IsotropicElastic(lam=0.0, mu=1.0),
         )
@@ -75,7 +75,7 @@ class TestEigenstructure:
     def test_spectrum_scales_with_moduli(self, elastic):
         """A is linear in (lambda, mu)/rho: scaling both by 4 scales every
         eigenvalue by 4 (homogeneity check of the assembly)."""
-        sem4 = ElasticSem2D(
+        sem4 = ElasticSemND(
             uniform_grid((4, 4), (1.0, 1.0)), order=4,
             material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
@@ -86,7 +86,7 @@ class TestEigenstructure:
 class TestDynamics:
     def test_p_plane_wave_evolution(self):
         """ux = cos(pi x) cos(pi cp t) is exact for lambda = 0."""
-        sem = ElasticSem2D(
+        sem = ElasticSemND(
             uniform_grid((4, 4), (1.0, 1.0)), order=4,
             material=IsotropicElastic(lam=0.0, mu=1.0),
         )
@@ -117,17 +117,18 @@ class TestDynamics:
 
 class TestElasticLTS:
     def test_lts_matches_algorithm1_on_stiff_inclusion(self):
-        """LTS levels from a stiff (fast) inclusion; optimized == reference."""
+        """LTS levels from a stiff (fast) inclusion, graded so every level
+        between is active; optimized == Algorithm 1."""
         mesh = uniform_grid((4, 4), (1.0, 1.0))
         lam = np.full(16, 2.0)
         mu = np.full(16, 1.0)
-        lam[5] = 32.0
-        mu[5] = 16.0  # cp factor-4 inclusion
-        sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
+        lam[5] = 128.0
+        mu[5] = 64.0  # cp factor-8 inclusion
+        sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
         mesh.c = sem.p_velocity()
-        levels = assign_levels(mesh, c_cfl=0.35, order=3)
-        assert levels.n_levels >= 2
+        levels = assign_levels(mesh, c_cfl=0.35, order=3, grade=True)
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
+        assert np.unique(dof_level).tolist() == [1, 2, 3, 4]
         u0 = sem.interpolate(
             lambda x, y: np.exp(-8 * ((x - 0.5) ** 2 + (y - 0.5) ** 2)),
             lambda x, y: 0 * x,
@@ -144,12 +145,13 @@ class TestElasticLTS:
         mesh = uniform_grid((4, 4), (1.0, 1.0))
         lam = np.full(16, 2.0)
         mu = np.full(16, 1.0)
-        lam[10] = 32.0
-        mu[10] = 16.0
-        sem = ElasticSem2D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
+        lam[10] = 128.0
+        mu[10] = 64.0  # cp factor-8 inclusion, graded: four active levels
+        sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu))
         mesh.c = sem.p_velocity()
-        levels = assign_levels(mesh, c_cfl=0.35, order=3)
+        levels = assign_levels(mesh, c_cfl=0.35, order=3, grade=True)
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
+        assert np.unique(dof_level).tolist() == [1, 2, 3, 4]
         u0 = sem.interpolate(
             lambda x, y: np.exp(-8 * ((x - 0.3) ** 2 + (y - 0.6) ** 2)),
             lambda x, y: 0 * x,

@@ -1,24 +1,20 @@
 """Tests for the 3D isotropic elastic SEM on the physics-generic core:
 assembly invariants, backend equivalence (full + LTS-restricted), fused
-gating, kernel-spec dispatch, energy conservation, power-iteration CFL,
+gating, the assembler-built kernel, energy conservation, power-iteration CFL,
 and distributed LTS — the 3D instances of the paper's Eqs. (1)-(2)."""
 
 import numpy as np
 import pytest
 from oracles.algorithm1 import algorithm1
 
-from repro.core import (
-    KernelSpec,
-    assign_levels,
-    stable_timestep_from_operator,
-)
+from repro.core import assign_levels, stable_timestep_from_operator
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.core import NewmarkSolver
 from repro.core.newmark import staggered_initial_velocity
-from repro.mesh import uniform_grid
-from repro.sem import ElasticSem3D, IsotropicElastic, discrete_energy, fused
-from repro.sem.matfree import ElasticKernelND, kernel_from_spec, inverse_mass, stiffness_share
-from repro.util.errors import SolverError
+from repro.mesh import uniform_grid, uniform_interval
+from repro.sem import ElasticSemND, IsotropicElastic, discrete_energy, fused
+from repro.sem.matfree import ElasticKernelND, inverse_mass, stiffness_share
+from repro.util.errors import PartitionError, SolverError
 
 #: Both implementation tiers when the fused C kernels are available,
 #: otherwise just the portable NumPy path.
@@ -30,7 +26,7 @@ def _mesh(shape=(3, 2, 2)):
 
 
 def _sem(order=3, shape=(3, 2, 2), dirichlet=False):
-    return ElasticSem3D(
+    return ElasticSemND(
         _mesh(shape), order=order, dirichlet=dirichlet,
         material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
     )
@@ -42,7 +38,7 @@ def _rel_err(got, ref):
 
 @pytest.fixture(scope="module")
 def elastic():
-    return ElasticSem3D(
+    return ElasticSemND(
         uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
         material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0),
     )
@@ -88,7 +84,7 @@ class TestAssembly:
     def test_spectrum_scales_with_moduli(self, elastic):
         """A is linear in (lambda, mu)/rho: scaling both by 4 scales
         every entry of A by 4 (homogeneity check of the assembly)."""
-        sem4 = ElasticSem3D(
+        sem4 = ElasticSemND(
             uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
             material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
@@ -105,9 +101,9 @@ class TestAssembly:
 
     def test_rejects_bad_materials_and_dim(self):
         with pytest.raises(SolverError):
-            ElasticSem3D(_mesh(), material=IsotropicElastic(mu=-1.0))
-        with pytest.raises(SolverError):
-            ElasticSem3D(uniform_grid((2, 2)), order=2)
+            ElasticSemND(_mesh(), material=IsotropicElastic(mu=-1.0))
+        with pytest.raises(SolverError, match="dim in"):
+            ElasticSemND(uniform_interval(4), order=2)
 
 
 class TestBackendEquivalence:
@@ -142,7 +138,7 @@ class TestBackendEquivalence:
         lam = rng.uniform(1.0, 4.0, mesh.n_elements)
         mu = rng.uniform(0.5, 2.0, mesh.n_elements)
         rho = rng.uniform(0.8, 1.2, mesh.n_elements)
-        sem = ElasticSem3D(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
+        sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
         u = rng.standard_normal(sem.n_dof)
         ref = sem.A @ u
         for uf in FUSED_PARAMS:
@@ -180,40 +176,34 @@ class TestBackendEquivalence:
         assert 0 < op.restrict(cols).ops < op.nnz
 
 
-class TestKernelSpec:
-    def test_elastic_spec_fields(self):
+class TestKernel:
+    def test_kernel_is_built_from_the_element_slice(self):
         sem = _sem(order=2)
-        spec = sem.kernel_spec()
-        assert (spec.physics, spec.dim, spec.n_comp) == ("elastic", 3, 3)
-        assert spec.params["h_axes"].shape == (sem.mesh.n_elements, 3)
-
-    def test_spec_subset_slices_params(self):
-        spec = _sem(order=2).kernel_spec().subset(np.array([1, 4]))
-        assert spec.params["lam"].shape == (2,)
-        assert spec.params["h_axes"].shape == (2, 3)
-
-    def test_kernel_from_spec_dispatch(self):
-        sem = _sem(order=2)
-        k = kernel_from_spec(sem.kernel_spec())
+        k = sem.kernel()
         assert isinstance(k, ElasticKernelND)
-        assert k.dim == k.n_comp == 3
+        assert (k.physics, k.dim, k.n_comp) == ("elastic", 3, 3)
+        ids = np.array([1, 4])
+        sub = sem.kernel(ids)
+        assert np.array_equal(sub.lam, sem.material.lam[ids])
+        assert np.array_equal(sub.mu, sem.material.mu[ids])
+        assert np.array_equal(sub.h_axes, sem.h_axes[ids])
 
-    def test_unknown_physics_rejected(self):
-        spec = KernelSpec(physics="magnetic", order=2, dim=3, n_comp=1, params={})
-        with pytest.raises(SolverError):
-            kernel_from_spec(spec)
+    def test_layout_refuses_assembler_without_kernel(self):
+        """A matrix-free rank layout needs the assembler's own kernel:
+        one that builds none gets a clear error."""
+        from repro.runtime import build_rank_layout
 
-    def test_assembler_without_spec_rejected(self):
-        """The explicit protocol replaced duck-typed attribute sniffing:
-        an assembler that declares nothing gets a clear error."""
+        sem = _sem(order=2)
 
-        class Legacy:
-            order = 2
+        class NoKernel:
+            def __getattr__(self, name):
+                if name == "kernel":
+                    raise AttributeError(name)
+                return getattr(sem, name)
 
-        from repro.sem.matfree import _make_kernel
-
-        with pytest.raises(SolverError):
-            _make_kernel(Legacy())
+        parts = np.arange(sem.mesh.n_elements) % 2
+        with pytest.raises(PartitionError, match="kernel"):
+            build_rank_layout(NoKernel(), parts, 2, backend="matfree")
 
 
 class TestFusedGating3D:
@@ -231,7 +221,7 @@ class TestFusedGating3D:
 
     def test_order_above_3d_cap_falls_back_to_numpy(self):
         order = fused.MAX_ORDER_3D + 1
-        sem = ElasticSem3D(
+        sem = ElasticSemND(
             uniform_grid((1, 1, 1)), order=order,
             material=IsotropicElastic(lam=2.0, mu=1.0),
         )
@@ -286,14 +276,16 @@ class TestElasticLTS3D:
         mesh = _mesh((3, 3, 2))
         lam = np.full(mesh.n_elements, 2.0)
         mu = np.full(mesh.n_elements, 1.0)
-        lam[7] = 32.0
-        mu[7] = 16.0  # cp factor-4 inclusion
-        sem = ElasticSem3D(mesh, order=2, material=IsotropicElastic(lam=lam, mu=mu))
-        levels = assign_levels(mesh, c_cfl=0.35, order=2, velocity=sem.p_velocity())
-        assert levels.n_levels >= 2  # P-velocity-driven, not geometry
+        lam[7] = 128.0
+        mu[7] = 64.0  # cp factor-8 inclusion, graded: four active levels
+        sem = ElasticSemND(mesh, order=2, material=IsotropicElastic(lam=lam, mu=mu))
+        levels = assign_levels(
+            mesh, c_cfl=0.35, order=2, velocity=sem.p_velocity(), grade=True
+        )  # P-velocity-driven, not geometry
         dof_level = dof_levels_from_elements(
             sem.element_dofs, levels.level, sem.n_dof
         )
+        assert np.unique(dof_level).tolist() == [1, 2, 3, 4]
         zero = lambda x, y, z: 0 * x  # noqa: E731
         u0 = sem.interpolate(
             lambda x, y, z: np.exp(-8 * ((x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.4) ** 2)),

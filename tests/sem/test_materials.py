@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem2D, Sem2D
+from repro.sem import ElasticSemND, SemND
 from repro.sem.materials import (
     AnisotropicElastic,
     IsotropicAcoustic,
@@ -161,17 +161,17 @@ class TestAssemblerMaterialPath:
         mesh = uniform_grid((2, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            ElasticSem2D(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0))
-            ElasticSem2D(mesh, order=2)
-            Sem2D(mesh, order=2)
-            Sem2D(mesh, order=2, material=IsotropicAcoustic(c=mesh.c, rho=1.3))
+            ElasticSemND(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=1.0))
+            ElasticSemND(mesh, order=2)
+            SemND(mesh, order=2)
+            SemND(mesh, order=2, material=IsotropicAcoustic(c=mesh.c, rho=1.3))
 
     def test_assembler_rejects_wrong_material_type(self):
         mesh = uniform_grid((2, 2))
         with pytest.raises(SolverError):
-            Sem2D(mesh, material=IsotropicElastic())
+            SemND(mesh, material=IsotropicElastic())
         with pytest.raises(SolverError):
-            ElasticSem2D(mesh, material=IsotropicAcoustic(c=1.0))
+            ElasticSemND(mesh, material=IsotropicAcoustic(c=1.0))
 
     def test_fluid_elements_inside_elastic_mesh(self):
         """mu = 0 elements build, have zero S speed, and level
@@ -181,7 +181,7 @@ class TestAssemblerMaterialPath:
         mesh = uniform_grid((4, 4))
         mu = np.full(mesh.n_elements, 1.0)
         mu[::3] = 0.0  # fluid stripes
-        sem = ElasticSem2D(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=mu))
+        sem = ElasticSemND(mesh, order=2, material=IsotropicElastic(lam=2.0, mu=mu))
         assert np.all(sem.s_velocity()[::3] == 0.0)
         assert np.all(sem.max_velocity() > 0)
         levels = assign_levels(mesh, assembler=sem)

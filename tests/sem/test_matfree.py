@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem2D, IsotropicElastic, Sem2D, fused
+from repro.sem import ElasticSemND, IsotropicElastic, SemND, fused
 from repro.sem.matfree import MatrixFreeStiffness, inverse_mass, stiffness_share
 
 #: Both implementation tiers when the fused C kernels are available,
@@ -31,7 +31,7 @@ class TestAcousticEquivalence:
     @pytest.mark.parametrize("order", range(1, 9))
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_full_apply(self, order, dirichlet):
-        sem = Sem2D(_mesh(), order=order, dirichlet=dirichlet)
+        sem = SemND(_mesh(), order=order, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)
         ref = sem.A @ u
         for uf in FUSED_PARAMS:
@@ -41,7 +41,7 @@ class TestAcousticEquivalence:
     @pytest.mark.parametrize("order", [1, 3, 5, 8])
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_restricted_apply(self, order, dirichlet):
-        sem = Sem2D(_mesh(), order=order, dirichlet=dirichlet)
+        sem = SemND(_mesh(), order=order, dirichlet=dirichlet)
         rng = np.random.default_rng(order)
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
@@ -56,7 +56,7 @@ class TestAcousticEquivalence:
         """Matrix-free reach = all same-element DOFs: a valid superset of
         the assembled structural reach (supersets preserve the LTS
         scheme; see lts_newmark module docs)."""
-        sem = Sem2D(_mesh(), order=order)
+        sem = SemND(_mesh(), order=order)
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[::7] = True
         reach_a = sem.operator("assembled").reach(mask)
@@ -64,7 +64,7 @@ class TestAcousticEquivalence:
         assert np.all(reach_m | ~reach_a)  # reach_a implies reach_m
 
     def test_nnz_counts_contraction_flops(self):
-        sem = Sem2D(_mesh(), order=4)
+        sem = SemND(_mesh(), order=4)
         op = sem.operator("matfree")
         assert op.nnz == sem.mesh.n_elements * op.kernel.flops_per_element
         # restriction ops scale with the touched element subset
@@ -75,7 +75,7 @@ class TestAcousticEquivalence:
 class TestElasticEquivalence:
     @pytest.mark.parametrize("order", range(1, 9))
     def test_full_apply(self, order):
-        el = ElasticSem2D(
+        el = ElasticSemND(
             _mesh((4, 3)), order=order,
             material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
         )
@@ -87,7 +87,7 @@ class TestElasticEquivalence:
 
     @pytest.mark.parametrize("order", [2, 5])
     def test_restricted_apply(self, order):
-        el = ElasticSem2D(
+        el = ElasticSemND(
             _mesh((4, 3)), order=order,
             material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
         )
@@ -100,7 +100,7 @@ class TestElasticEquivalence:
             assert _rel_err(restr.apply(u), ref) < 1e-12, (order, uf)
 
     def test_rigid_motions_in_kernel(self):
-        el = ElasticSem2D(_mesh((4, 3)), order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
+        el = ElasticSemND(_mesh((4, 3)), order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
         op = el.operator("matfree")
         rot = el.interpolate(lambda x, y: y, lambda x, y: -x)
         assert np.abs(op @ rot).max() < 1e-8
@@ -115,7 +115,7 @@ class TestStiffnessShare:
     ``M^{-1} K`` and, over every element, the serial operator."""
 
     def test_rank_share_matches_partial_assembly(self):
-        sem = Sem2D(_mesh(), order=3)
+        sem = SemND(_mesh(), order=3)
         ids = np.array([0, 3, 7, 11])
         gd = np.unique(sem.element_dofs[ids].ravel())
         ld = np.searchsorted(gd, sem.element_dofs[ids])
@@ -134,7 +134,7 @@ class TestStiffnessShare:
     def test_serial_operator_is_the_all_elements_share(self, dirichlet):
         """The serial operator and the whole mesh's share are one
         product, bitwise; the 1/M of both is 0 on Dirichlet rows."""
-        sem = Sem2D(_mesh(), order=3, dirichlet=dirichlet)
+        sem = SemND(_mesh(), order=3, dirichlet=dirichlet)
         minv = inverse_mass(sem)
         held = np.zeros(sem.n_dof, dtype=bool)
         if dirichlet:
@@ -149,7 +149,7 @@ class TestStiffnessShare:
             assert (op @ u).tobytes() == (share @ u).tobytes()
 
     def test_masked_subset_restricts_input_support(self):
-        sem = Sem2D(_mesh(), order=3)
+        sem = SemND(_mesh(), order=3)
         K = sem.operator("matfree")
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[sem.element_dofs[2]] = True
@@ -160,7 +160,7 @@ class TestStiffnessShare:
         assert sub.nnz < K.nnz  # fewer elements touched
 
     def test_empty_subset(self):
-        sem = Sem2D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         K = sem.operator("matfree")
         sub = K.masked_subset(np.zeros(sem.n_dof, dtype=bool))
         assert not (sub @ np.ones(sem.n_dof)).any()
@@ -172,7 +172,7 @@ class TestStiffnessShare:
         index) — below 0 as well as at ``n_dof``."""
         from repro.util.errors import SolverError
 
-        sem = Sem2D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         ed = sem.element_dofs.copy()
         ed[0, 0] = sem.n_dof if bad == "n_dof" else bad
         ids = np.arange(sem.mesh.n_elements)
@@ -190,7 +190,7 @@ class TestStiffnessShare:
         them as ``uint8``, where a 0.5 would become 0."""
         from repro.util.errors import SolverError
 
-        sem = Sem2D(_mesh(), order=2, dirichlet=True)
+        sem = SemND(_mesh(), order=2, dirichlet=True)
         kernel = sem.operator("matfree").kernel
         minv = inverse_mass(sem)
         gm = np.ones(sem.element_dofs.shape)
@@ -209,7 +209,7 @@ class TestStiffnessShare:
     def test_mask_dtype_does_not_change_the_product(self):
         """A 0/1 mask gives one result whether it comes as float, uint8 or
         bool, on each tier."""
-        sem = Sem2D(_mesh(), order=3)
+        sem = SemND(_mesh(), order=3)
         kernel = sem.operator("matfree").kernel
         minv = inverse_mass(sem)
         rng = np.random.default_rng(2)
@@ -224,90 +224,101 @@ class TestStiffnessShare:
             assert all(np.array_equal(got[0], g) for g in got[1:])
 
 
-class TestKernelSpecDispatch:
-    """Backend dispatch keys off the explicit kernel spec, 2D included."""
+class TestAssemblerKernel:
+    """Each physics assembler builds its own element kernel from its
+    per-element arrays, 2D included."""
 
-    def test_acoustic_spec(self):
-        sem = Sem2D(_mesh(), order=3)
-        spec = sem.kernel_spec()
-        assert (spec.physics, spec.dim, spec.n_comp) == ("acoustic", 2, 1)
-        assert spec.params["scales"].shape == (sem.mesh.n_elements, 2)
-        sub = sem.kernel_spec(np.array([0, 2]))
-        assert sub.params["scales"].shape == (2, 2)
+    def test_acoustic_kernel(self):
+        from repro.sem.matfree import AcousticKernelND
 
-    def test_elastic_spec(self):
-        el = ElasticSem2D(_mesh((4, 3)), order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
-        spec = el.kernel_spec()
-        assert (spec.physics, spec.dim, spec.n_comp) == ("elastic", 2, 2)
-        from repro.sem.matfree import ElasticKernelND, kernel_from_spec
+        sem = SemND(_mesh(), order=3)
+        k = sem.kernel()
+        assert isinstance(k, AcousticKernelND)
+        assert (k.physics, k.dim) == ("acoustic", 2)
+        assert np.array_equal(k.scales, sem.axis_scales)
+        ids = np.array([0, 2])
+        assert np.array_equal(sem.kernel(ids).scales, sem.axis_scales[ids])
+        assert sem.kernel_spec(ids).params.keys() == {"scales"}
 
-        k = kernel_from_spec(spec)
-        assert isinstance(k, ElasticKernelND) and k.dim == 2
+    def test_elastic_kernel(self):
+        from repro.sem.matfree import ElasticKernelND
 
-    def test_unknown_physics_rejected(self):
-        from repro.core.operator import KernelSpec
-        from repro.sem.matfree import kernel_from_spec
-        from repro.util.errors import SolverError
+        el = ElasticSemND(_mesh((4, 3)), order=3, material=IsotropicElastic(lam=2.0, mu=1.0))
+        k = el.kernel()
+        assert isinstance(k, ElasticKernelND)
+        assert (k.physics, k.dim, k.n_comp) == ("elastic", 2, 2)
+        assert np.array_equal(k.lam, el.material.lam)
+        assert np.array_equal(k.mu, el.material.mu)
+        assert np.array_equal(k.h_axes, el.h_axes)
 
-        spec = KernelSpec(physics="thermo", order=3, dim=2, n_comp=1, params={})
-        with pytest.raises(SolverError, match="no element kernel"):
-            kernel_from_spec(spec)
-
-    def test_malformed_params_rejected(self):
-        """Missing keys and wrong shapes are solver errors, not KeyErrors."""
-        from repro.core.operator import KernelSpec
-        from repro.sem.matfree import kernel_from_spec
-        from repro.util.errors import SolverError
-
-        h2 = np.ones((4, 2))
-        bad = [
-            # acoustic: missing / wrong-width scales
-            KernelSpec("acoustic", 3, 2, 1, {}),
-            KernelSpec("acoustic", 3, 2, 1, {"scales": np.ones((4, 3))}),
-            # elastic: missing mu, missing h_axes, wrong-width h_axes
-            KernelSpec("elastic", 3, 2, 2, {"lam": np.ones(4), "h_axes": h2}),
-            KernelSpec("elastic", 3, 2, 2, {"lam": np.ones(4), "mu": np.ones(4)}),
-            KernelSpec(
-                "elastic", 3, 3, 3,
-                {"lam": np.ones(4), "mu": np.ones(4), "h_axes": h2},
-            ),
-            # anisotropic: missing C, Voigt size not matching the dim
-            KernelSpec("anisotropic_elastic", 3, 2, 2, {"h_axes": h2}),
-            KernelSpec(
-                "anisotropic_elastic", 3, 2, 2,
-                {"C": np.ones((4, 6, 6)), "h_axes": h2},
-            ),
-        ]
-        for spec in bad:
-            with pytest.raises(SolverError):
-                kernel_from_spec(spec)
-
-    def test_sem1d_matfree_backend(self):
-        """kernel_spec opens the matrix-free backend to 1D meshes too."""
+    def test_1d_matfree_backend(self):
+        """The acoustic kernel opens the matrix-free backend to 1D meshes too."""
         from repro.mesh import refined_interval
-        from repro.sem import Sem1D
 
         mesh = refined_interval(n_coarse=4, n_fine=4, refinement=4)
         for dirichlet in (False, True):
-            sem = Sem1D(mesh, order=4, dirichlet=dirichlet)
-            spec = sem.kernel_spec()
-            assert (spec.physics, spec.dim, spec.n_comp) == ("acoustic", 1, 1)
+            sem = SemND(mesh, order=4, dirichlet=dirichlet)
+            assert sem.kernel().dim == 1
             u = np.random.default_rng(0).standard_normal(sem.n_dof)
             ref = sem.A @ u
             op = sem.operator("matfree", use_fused=False)
             assert _rel_err(op @ u, ref) < 1e-12
 
+    @pytest.mark.parametrize(
+        "physics, shape",
+        [
+            ("acoustic", (6,)),
+            ("acoustic", (3, 2)),
+            ("acoustic", (2, 2, 2)),
+            ("elastic", (3, 2)),
+            ("elastic", (2, 2, 2)),
+            ("anisotropic", (3, 2)),
+            ("anisotropic", (2, 2, 2)),
+        ],
+    )
+    def test_kernel_of_a_slice_applies_its_element_matrices(self, physics, shape):
+        """``kernel(ids)`` is the element stiffness of exactly the
+        elements ``ids``: its contraction equals the dense element
+        matrices of :meth:`element_system_batch` on those elements, and
+        it is the full kernel's ``subset(ids)``, bitwise."""
+        from repro.sem import (
+            AnisotropicElasticSemND,
+            IsotropicAcoustic,
+            isotropic_stiffness,
+        )
+
+        mesh = uniform_grid(shape, (1.0, 1.3, 0.8)[: len(shape)])
+        ne, dim = mesh.n_elements, mesh.dim
+        rng = np.random.default_rng(ne + dim)
+        if physics == "acoustic":
+            sem = SemND(mesh, order=3, material=IsotropicAcoustic(
+                c=rng.uniform(1.0, 3.0, ne), rho=rng.uniform(0.5, 2.0, ne)))
+        elif physics == "elastic":
+            sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(
+                lam=rng.uniform(1.0, 3.0, ne), mu=rng.uniform(0.5, 1.5, ne)))
+        else:
+            C = np.stack([isotropic_stiffness(la, mu, dim) for la, mu in
+                          zip(rng.uniform(1.0, 3.0, ne), rng.uniform(0.5, 1.5, ne))])
+            sem = AnisotropicElasticSemND(mesh, order=3, C=C)
+        ids = np.array([ne - 1, 0, ne // 2])
+        Ke, _ = sem.element_system_batch(ids)
+        Ue = rng.standard_normal(Ke.shape[:2])
+        got = sem.kernel(ids).contract(Ue.copy())
+        ref = np.einsum("eij,ej->ei", Ke, Ue)
+        assert _rel_err(got, ref) < 1e-12
+        assert np.array_equal(got, sem.kernel().subset(ids).contract(Ue.copy()))
+
 
 class TestFusedGating:
     def test_forcing_numpy_path_works(self):
-        sem = Sem2D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         op = sem.operator("matfree", use_fused=False)
         assert op._plan is None  # numpy path pinned
         assert np.isfinite(op @ np.ones(sem.n_dof)).all()
 
     @pytest.mark.skipif(not fused.available(), reason="no C compiler")
     def test_fused_plan_built_when_available(self):
-        sem = Sem2D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         assert sem.operator("matfree")._plan is not None
 
     def test_dof_count_beyond_int32_has_no_fused_tier(self, monkeypatch):
@@ -318,7 +329,7 @@ class TestFusedGating:
         from repro.util.errors import SolverError
 
         assert fused.MAX_DOF == 2**31 - 1
-        sem = Sem2D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         kernel, minv, ed = sem.operator("matfree").kernel, inverse_mass(sem), sem.element_dofs
         monkeypatch.setattr(fused, "MAX_DOF", sem.n_dof - 1)
         K = MatrixFreeStiffness(kernel, ed, minv)
@@ -382,6 +393,6 @@ class TestFusedGating:
     def test_unknown_backend_rejected(self):
         from repro.util.errors import SolverError
 
-        sem = Sem2D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         with pytest.raises(SolverError):
             sem.operator("turbo")

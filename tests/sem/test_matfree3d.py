@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import Sem3D, fused
+from repro.sem import SemND, fused
 from repro.sem.matfree import AcousticKernelND, inverse_mass, stiffness_share
 from repro.util.errors import SolverError
 
@@ -32,7 +32,7 @@ class TestAcoustic3DEquivalence:
     def test_full_apply(self, order, dirichlet):
         # Every 3D order; four elements keep order 7 (MAXNL3) cheap.
         mesh = _mesh() if order <= 6 else _mesh((2, 2, 1))
-        sem = Sem3D(mesh, order=order, dirichlet=dirichlet)
+        sem = SemND(mesh, order=order, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)
         ref = sem.A @ u
         for uf in FUSED_PARAMS:
@@ -42,7 +42,7 @@ class TestAcoustic3DEquivalence:
     @pytest.mark.parametrize("order", [1, 3, 5])
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_restricted_apply(self, order, dirichlet):
-        sem = Sem3D(_mesh(), order=order, dirichlet=dirichlet)
+        sem = SemND(_mesh(), order=order, dirichlet=dirichlet)
         rng = np.random.default_rng(order)
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
@@ -53,7 +53,7 @@ class TestAcoustic3DEquivalence:
             assert restr.ops > 0
 
     def test_reach_superset_of_assembled(self):
-        sem = Sem3D(_mesh(), order=3)
+        sem = SemND(_mesh(), order=3)
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[::11] = True
         reach_a = sem.operator("assembled").reach(mask)
@@ -63,7 +63,7 @@ class TestAcoustic3DEquivalence:
     def test_nnz_counts_contraction_flops(self):
         """3D flops per element are O(n^4): the sum-factorization payoff
         against the O(n^6) dense element matvec."""
-        sem = Sem3D(_mesh(), order=4)
+        sem = SemND(_mesh(), order=4)
         op = sem.operator("matfree")
         k = op.kernel
         assert isinstance(k, AcousticKernelND) and k.dim == 3
@@ -72,7 +72,7 @@ class TestAcoustic3DEquivalence:
         assert op.nnz == sem.mesh.n_elements * k.flops_per_element
 
     def test_rank_share_matches_partial_assembly(self):
-        sem = Sem3D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         ids = np.array([0, 3, 7, 11])
         gd = np.unique(sem.element_dofs[ids].ravel())
         ld = np.searchsorted(gd, sem.element_dofs[ids])
@@ -89,14 +89,14 @@ class TestAcoustic3DEquivalence:
 
 class TestFusedGating3D:
     def test_numpy_path_pinned(self):
-        sem = Sem3D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         op = sem.operator("matfree", use_fused=False)
         assert op._plan is None
         assert np.isfinite(op @ np.ones(sem.n_dof)).all()
 
     @pytest.mark.skipif(not fused.available(), reason="no C compiler")
     def test_fused_3d_plan_built_when_available(self):
-        sem = Sem3D(_mesh(), order=2)
+        sem = SemND(_mesh(), order=2)
         plan = sem.operator("matfree")._plan
         assert isinstance(plan, fused.Acoustic3DPlan)
 
@@ -104,7 +104,7 @@ class TestFusedGating3D:
         """Beyond MAX_ORDER_3D the auto tier must fall back silently,
         and forcing the fused tier must raise (REPRO_FUSED contract)."""
         order = fused.MAX_ORDER_3D + 1
-        sem = Sem3D(uniform_grid((1, 1, 1)), order=order)
+        sem = SemND(uniform_grid((1, 1, 1)), order=order)
         op = sem.operator("matfree")  # auto: numpy fallback
         assert op._plan is None
         u = np.random.default_rng(0).standard_normal(sem.n_dof)

@@ -29,11 +29,11 @@ import pytest
 from repro.mesh import uniform_grid
 from repro.sem import (
     AnisotropicElasticSemND,
-    ElasticSem2D,
-    ElasticSem3D,
+    ElasticSemND,
+    ElasticSemND,
     IsotropicElastic,
-    Sem2D,
-    Sem3D,
+    SemND,
+    SemND,
     fused,
     isotropic_stiffness,
 )
@@ -55,10 +55,9 @@ def _make_sem(physics: str, dim: int):
     mesh.c[mesh.n_elements // 2] = 3.0
     order = 4 if dim == 2 else 3
     if physics == "acoustic":
-        return (Sem2D if dim == 2 else Sem3D)(mesh, order=order)
+        return SemND(mesh, order=order)
     if physics == "elastic":
-        cls = ElasticSem2D if dim == 2 else ElasticSem3D
-        return cls(mesh, order=order, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
+        return ElasticSemND(mesh, order=order, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
     rng = np.random.default_rng(7)
     lam = 2.0 + rng.random(mesh.n_elements)
     mu = 1.0 + rng.random(mesh.n_elements)

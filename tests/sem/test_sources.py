@@ -5,7 +5,7 @@ import pytest
 
 from repro.sem import point_source, ricker
 from repro.mesh import uniform_interval
-from repro.sem import Sem1D
+from repro.sem import SemND
 from repro.util.errors import SolverError
 
 
@@ -31,7 +31,7 @@ class TestRicker:
 
 class TestPointSource:
     def test_mass_scaling(self):
-        sem = Sem1D(uniform_interval(4), order=3)
+        sem = SemND(uniform_interval(4), order=3)
         d = 5
         f = point_source(sem.n_dof, d, sem.M, lambda t: 2.0)
         out = f(0.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid, uniform_interval
-from repro.sem import ElasticSem2D, ElasticSem3D, Sem1D, Sem2D, Sem3D, fused
+from repro.sem import ElasticSemND, SemND, fused
 from repro.sem.anisotropic import AnisotropicElasticSemND
 from repro.sem.matfree import resolve_threads
 from repro.util.errors import SolverError
@@ -36,10 +36,10 @@ def _assemblers():
     mesh2 = uniform_grid((5, 4), (1.0, 1.3))
     mesh3 = uniform_grid((3, 3, 2))
     return [
-        ("acoustic2", Sem2D(mesh2, order=4, dirichlet=True)),
-        ("acoustic3", Sem3D(mesh3, order=3)),
-        ("elastic2", ElasticSem2D(mesh2, order=3)),
-        ("elastic3", ElasticSem3D(mesh3, order=2, dirichlet=True)),
+        ("acoustic2", SemND(mesh2, order=4, dirichlet=True)),
+        ("acoustic3", SemND(mesh3, order=3)),
+        ("elastic2", ElasticSemND(mesh2, order=3)),
+        ("elastic3", ElasticSemND(mesh3, order=2, dirichlet=True)),
         ("aniso3", AnisotropicElasticSemND(mesh3, order=2, C=_spd_voigt(mesh3.n_elements, 6))),
     ]
 
@@ -84,7 +84,7 @@ class TestNumpyTierIgnoresThreads:
         assert np.array_equal(op.restrict(cols).apply(u), ref), name
 
     def test_deterministic_across_applies(self):
-        sem = Sem2D(uniform_grid((5, 4)), order=3)
+        sem = SemND(uniform_grid((5, 4)), order=3)
         op = sem.operator("matfree", use_fused=False, threads=2)
         u = np.random.default_rng(3).standard_normal(sem.n_dof)
         z = op @ u
@@ -92,7 +92,7 @@ class TestNumpyTierIgnoresThreads:
             assert np.array_equal(op @ u, z)
 
     def test_tiny_workload_runs_serial(self):
-        sem = Sem2D(uniform_grid((1, 1)), order=2)
+        sem = SemND(uniform_grid((1, 1)), order=2)
         op = sem.operator("matfree", use_fused=False, threads=8)
         assert op.tier == "numpy"
 
@@ -122,7 +122,7 @@ class TestOpenMPFusedTier:
         assert _rel_err(op.restrict(cols).apply(u), ref) < TOL, name
 
     def test_deterministic_across_applies(self):
-        sem = Sem3D(uniform_grid((3, 2, 2)), order=3)
+        sem = SemND(uniform_grid((3, 2, 2)), order=3)
         op = sem.operator("matfree", threads=2)
         u = np.random.default_rng(6).standard_normal(sem.n_dof)
         z = op @ u
@@ -131,7 +131,7 @@ class TestOpenMPFusedTier:
 
     def test_tiny_workload_runs_serial(self):
         # fewer padded blocks than threads -> the plan drops to serial
-        sem = Sem2D(uniform_grid((2, 2)), order=2)  # 4 elements -> 1 block
+        sem = SemND(uniform_grid((2, 2)), order=2)  # 4 elements -> 1 block
         op = sem.operator("matfree", threads=4)
         assert op.tier == "fused"
 
@@ -172,10 +172,10 @@ class TestTierReporting:
         mesh2 = uniform_grid((5, 4), (1.0, 1.3))
         mesh3 = uniform_grid((3, 3, 2))
         sems = [
-            Sem2D(mesh2, order=3),
-            Sem3D(mesh3, order=3),
-            ElasticSem2D(mesh2, order=3),
-            ElasticSem3D(mesh3, order=2),
+            SemND(mesh2, order=3),
+            SemND(mesh3, order=3),
+            ElasticSemND(mesh2, order=3),
+            ElasticSemND(mesh3, order=2),
             AnisotropicElasticSemND(mesh2, order=3, C=_spd_voigt(mesh2.n_elements, 3)),
             AnisotropicElasticSemND(mesh3, order=2, C=_spd_voigt(mesh3.n_elements, 6)),
         ]
@@ -188,9 +188,9 @@ class TestTierReporting:
                         want = "numpy"
                     else:
                         want = "fused+openmp:2" if th == 2 and OMP else "fused"
-                    assert op.tier == want, (sem.physics, sem.dim, uf, th)
+                    assert op.tier == want, (type(sem).__name__, sem.dim, uf, th)
 
     def test_unfused_physics(self):
         # 1D has no fused tier regardless of availability.
-        sem = Sem1D(uniform_interval(6), order=3)
+        sem = SemND(uniform_interval(6), order=3)
         assert sem.operator("matfree", threads=2).tier == "numpy"

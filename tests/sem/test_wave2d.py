@@ -6,13 +6,13 @@ import pytest
 from repro.core import NewmarkSolver
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
-from repro.sem import Sem2D, discrete_energy
+from repro.sem import SemND, discrete_energy
 
 
 @pytest.fixture(scope="module")
 def square():
     mesh = uniform_grid((6, 6), (1.0, 1.0))
-    return Sem2D(mesh, order=4)
+    return SemND(mesh, order=4)
 
 
 class TestStandingWave2D:
@@ -50,7 +50,7 @@ class TestStandingWave2D:
         om = np.sqrt(2.0) * np.pi
         errs = {}
         for order in (2, 4):
-            sem = Sem2D(uniform_grid((4, 4), (1.0, 1.0)), order=order)
+            sem = SemND(uniform_grid((4, 4), (1.0, 1.0)), order=order)
             u0 = sem.interpolate(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
             T, n = 0.2, 800
             dt = T / n
@@ -78,11 +78,11 @@ class TestHeterogeneous2D:
     def test_fast_inclusion_shrinks_stable_step(self):
         from repro.core import stable_timestep_from_operator
 
-        uniform = Sem2D(uniform_grid((4, 4)), order=3)
+        uniform = SemND(uniform_grid((4, 4)), order=3)
         contrast_mesh = uniform_grid((4, 4))
         contrast_mesh.c = contrast_mesh.c.copy()
         contrast_mesh.c[5] = 4.0
-        contrast = Sem2D(contrast_mesh, order=3)
+        contrast = SemND(contrast_mesh, order=3)
         dt_u = stable_timestep_from_operator(uniform.A)
         dt_c = stable_timestep_from_operator(contrast.A)
         assert dt_c < dt_u / 2  # 4x velocity ~ 4x smaller step

@@ -29,7 +29,7 @@ from repro.runtime import (
     build_rank_layout,
 )
 from repro.runtime.perfmodel import scaled
-from repro.sem import Sem1D, Sem2D, point_source, ricker
+from repro.sem import SemND, point_source, ricker
 
 
 class TestFullPipeline1D:
@@ -37,7 +37,7 @@ class TestFullPipeline1D:
 
     def test_source_to_seismogram_distributed_equals_serial(self):
         mesh = refined_interval(n_coarse=18, n_fine=6, refinement=4, coarse_h=0.2)
-        sem = Sem1D(mesh, order=4)
+        sem = SemND(mesh, order=4)
         levels = assign_levels(mesh, c_cfl=0.4, order=4)
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
         src = sem.nearest_dof(0.5)
@@ -128,13 +128,13 @@ class TestVelocityContrastPipeline2D:
         mesh.c = mesh.c.copy()
         mesh.c[27:29] = 4.0
         mesh.c[35:37] = 4.0
-        sem = Sem2D(mesh, order=3)
+        sem = SemND(mesh, order=3)
         levels = assign_levels(mesh, c_cfl=0.4, order=3)
         assert levels.n_levels >= 2
         assert theoretical_speedup(levels) > 1.5
 
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
-        u0 = np.exp(-((sem.xy[:, 0] - 4) ** 2 + (sem.xy[:, 1] - 4) ** 2))
+        u0 = np.exp(-((sem.node_coords[:, 0] - 4) ** 2 + (sem.node_coords[:, 1] - 4) ** 2))
         v0 = staggered_initial_velocity(sem.A, levels.dt, u0, np.zeros_like(u0))
 
         u_ref, _ = algorithm1(sem.A, dof_level, levels.dt, u0, v0, 5)
