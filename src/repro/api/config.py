@@ -637,8 +637,10 @@ class PartitionSpec(Spec):
 @dataclass(frozen=True)
 class BackendSpec(Spec):
     """Stiffness-application backend (see README "Performance
-    architecture"): ``"assembled"`` (global/partial CSR) or
-    ``"matfree"`` (sum-factorization, no matrix).  ``fused`` toggles
+    architecture"): ``"matfree"`` (sum-factorization, no matrix; the
+    default, fused wherever that tier loads) or ``"assembled"``
+    (global/partial CSR, whose build costs seconds where matfree's costs
+    a tenth of one).  ``fused`` toggles
     the fused C element kernels on the matfree path (``None`` = auto).
     ``threads`` is the OpenMP thread count of the fused kernels' element
     loop: ``None`` = serial, ``0`` = auto-detect the CPUs available to
@@ -648,7 +650,7 @@ class BackendSpec(Spec):
     run reports the tier it got (``Simulation.kernel_tier``).
     """
 
-    stiffness: str = "assembled"
+    stiffness: str = "matfree"
     fused: bool | None = None
     threads: int | None = None
 

@@ -23,7 +23,7 @@ the identity, one replica owning every DOF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Callable
 
@@ -32,6 +32,8 @@ import numpy as np
 from repro.core.health import HealthGuard
 from repro.util.errors import ConfigError, SolverError
 from repro.util.validation import require
+
+_ZERO = np.zeros(1)  # what a gather reads for a DOF no replica owns
 
 
 @dataclass
@@ -80,13 +82,24 @@ class ReplicaMap:
 
     def gather(self, u_locals: list[np.ndarray]) -> np.ndarray:
         """Assemble a global vector from owned local entries (a
-        :attr:`whole` map's one replica: as is, or sorted)."""
+        :attr:`whole` map's one replica: as is, or sorted): one read of
+        the replicas, concatenated, through :attr:`owner_copy`."""
         if self.whole:
             return u_locals[0] if self.sorter is None else u_locals[0][self.sorter[0]]
-        out = np.zeros(self.n_dof_global)
-        for g, own, u in zip(self.gdofs, self.owner, u_locals):
-            out[g[own]] = u[own]
-        return out
+        return np.concatenate([*u_locals, _ZERO]).take(self.owner_copy)
+
+    @cached_property
+    def owner_copy(self) -> np.ndarray:
+        """Per global DOF, where the replicas concatenated hold its
+        owner's copy (one past their end for a DOF no replica owns; a
+        later owner wins, as a replica-by-replica scatter leaves it).
+        Built on the first gather and kept with the map."""
+        sizes = [len(g) for g in self.gdofs]
+        at = np.full(self.n_dof_global, sum(sizes),
+                     dtype=np.int32 if sum(sizes) < 2**31 - 1 else np.int64)
+        for g, own, start in zip(self.gdofs, self.owner, np.cumsum([0, *sizes[:-1]])):
+            at[g[own]] = start + np.flatnonzero(own)
+        return at
 
     def ascending(self, u_locals: list[np.ndarray]) -> list[np.ndarray]:
         """Copies of the replicas, entries ascending in global id: what a

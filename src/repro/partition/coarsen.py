@@ -5,6 +5,10 @@ variant): repeatedly collapse a maximal matching that prefers heavy edges,
 so the coarse graph preserves most of the cut structure while shrinking
 geometrically.  Vertex weight vectors add under contraction, keeping the
 multi-constraint balance problem (Eq. (19)) well-defined at every level.
+Matching walks the graph's lists once (weights only when the cap can
+bind); contraction merges parallel edges with one unstable sort (a
+pair's first occurrence is its group's least index) and lays the coarse
+adjacency out with one sort of unique ``(vertex, slot)`` keys.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.graph import Graph, graph_from_edge_arrays, merge_edges
-from repro.partition.refine import fits
+from repro.partition.refine import fits, part_weights
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -40,22 +44,21 @@ def heavy_edge_matching(
     match = [-1] * n
     order = rng.permutation(n)
     cid = 0
-    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
-    ew, vw = graph.eweights.tolist(), graph.vweights.tolist()
-    cap = None if weight_cap is None else np.broadcast_to(weight_cap, len(vw[0])).tolist()
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    cap = None if weight_cap is None else np.broadcast_to(weight_cap, graph.n_constraints).tolist()
     if cap is not None and np.all(2.0 * graph.vweights.max(axis=0) <= cap):
         cap = None  # two of the heaviest fit, so every pair does: nothing to check
+    vw = None if cap is None else graph.vweights.tolist()
     for v in order.tolist():
         if match[v] >= 0:
             continue
         best = -1
         best_w = -np.inf
-        wv = vw[v]
         for idx in range(xadj[v], xadj[v + 1]):
             u = adjncy[idx]
             if match[u] >= 0 or u == v or ew[idx] <= best_w:
                 continue
-            if cap is None or fits(wv, vw[u], cap):
+            if cap is None or fits(vw[v], vw[u], cap):
                 best_w = ew[idx]
                 best = u
         match[v] = cid
@@ -75,10 +78,8 @@ def contract(graph: Graph, match: np.ndarray, n_coarse: int) -> Graph:
     adjacency first visits them.
     """
     require(n_coarse >= 1, "contraction must keep at least one vertex", PartitionError)
-    vweights = np.zeros((n_coarse, graph.n_constraints))
-    np.add.at(vweights, match, graph.vweights)
-
-    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
+    vweights = part_weights(graph, match, n_coarse)
+    src = np.arange(graph.n_vertices, dtype=np.int64).repeat(graph.xadj[1:] - graph.xadj[:-1])
     cv, cu = match[src], match[graph.adjncy]
     cross = cv != cu
     a, b, w = merge_edges(n_coarse, cv[cross], cu[cross], graph.eweights[cross])

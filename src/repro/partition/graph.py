@@ -160,8 +160,8 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np
     """``concatenate([arange(starts[i], stops[i]) for i])`` and, for each
     entry, its ``i`` — e.g. the CSR slots of a list of rows, in row order."""
     lens = stops - starts
-    owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    offset = np.arange(len(owner), dtype=np.int64) - (np.cumsum(lens) - lens)[owner]
+    owner = np.arange(len(lens), dtype=np.int64).repeat(lens)
+    offset = np.arange(len(owner), dtype=np.int64) - (lens.cumsum() - lens)[owner]
     return starts[owner] + offset, owner
 
 
@@ -170,11 +170,13 @@ def merge_edges(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Undirected edges with parallel copies merged: one ``(min, max, w)``
     per vertex pair, numbered by first occurrence, ``w`` summed in input
-    order — the edges and sums a dict keyed by the pair would hold."""
-    keys, first, inv = np.unique(
-        np.minimum(u, v) * n_vertices + np.maximum(u, v), return_index=True, return_inverse=True
-    )
-    total = np.bincount(inv, weights=w, minlength=len(keys))
+    order — the edges and sums a dict keyed by the pair would hold.  A
+    pair's first occurrence is its group's least index, so no stable
+    sort is needed."""
+    keys, group = np.unique(np.minimum(u, v) * n_vertices + np.maximum(u, v), return_inverse=True)
+    first = np.full(len(keys), len(group))
+    np.minimum.at(first, group, np.arange(len(group)))
+    total = np.bincount(group, weights=w, minlength=len(keys))
     order = np.argsort(first)
     return keys[order] // n_vertices, keys[order] % n_vertices, total[order]
 
@@ -200,7 +202,7 @@ def graph_from_edge_arrays(
         "edge references vertex out of range",
         PartitionError,
     )
-    order = np.argsort(src, kind="stable")
+    order = np.argsort(src * len(src) + np.arange(len(src)))  # stable: (src, slot) unique
     xadj = np.zeros(n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_vertices), out=xadj[1:])
     if vweights is None:

@@ -47,6 +47,7 @@ def grow_bisection(
     The scalar growth criterion sums the normalized constraint weights, so
     a multi-constraint instance grows toward balance in aggregate; the
     per-constraint bounds are enforced afterwards by refinement/repair.
+    Each try's cut is :func:`repro.partition.metrics.graph_cut`'s sum.
     """
     require(0.0 < target_frac < 1.0, "target_frac must be in (0,1)", PartitionError)
     n = graph.n_vertices
@@ -56,8 +57,7 @@ def grow_bisection(
     target = float(scalar_w.sum()) * target_frac
     scalar_w = scalar_w.tolist()
     xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
-
-    from repro.partition.metrics import graph_cut
+    src = np.arange(n, dtype=np.int64).repeat(graph.xadj[1:] - graph.xadj[:-1])
 
     best_side: np.ndarray | None = None
     best_cut = np.inf
@@ -83,11 +83,11 @@ def grow_bisection(
                     heapq.heappush(heap, (-ew[idx], counter, u))
                     counter += 1
         side = np.array(grown_side, dtype=np.int64)
-        if len(np.unique(side)) < 2:
+        if not any(grown_side):
             # Degenerate (tiny graphs): force a split.
             side[:] = 1
             side[: max(1, int(round(n * target_frac)))] = 0
-        cut = graph_cut(graph, side, 2)
+        cut = float(graph.eweights[side[src] != side[graph.adjncy]].sum() / 2.0)
         if cut < best_cut:
             best_cut = cut
             best_side = side

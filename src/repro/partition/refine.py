@@ -7,15 +7,22 @@ no move.  ``repair_balance`` then enforces the bounds directly, trading
 cut for balance — this is the mechanism behind PaToH's ``final_imbal``
 knob in the paper's comparison (tighter balance <-> more cut).
 
-The per-vertex sweeps are sequential by nature and run over ``tolist()``
-copies: Python floats round exactly as NumPy float64 does, so each
-comparison and sum is the one an array expression would compute.
+The per-vertex sweeps are sequential by nature and run on Python
+floats, which round exactly as NumPy float64 does, so each comparison
+and sum is the one an array expression would compute.
 
-The graph sweep caches each vertex's candidate moves ``(b, gain)`` —
-parts ``b`` other than its own with ``gain >= 0``, in adjacency order —
-across passes, and a move drops the lists of the mover and its
-neighbours (the Fiduccia-Mattheyses gain update); a pass computes the
-lists its boundary lacks in one array step with the same left-fold sums.
+The graph sweep keeps, per vertex, the count of its adjacency entries
+into other parts, updated by each move, so a pass's boundary is the
+nonzero counts (ascending: the set a recount finds, so the shuffle draws
+the same order).  It caches each vertex's candidate moves ``(b, gain)``
+— parts ``b`` other than its own with ``gain >= 0``, in adjacency order
+— across passes; a move drops the lists of the mover and its neighbours
+(the Fiduccia-Mattheyses gain update), a pass computes the lists its
+boundary lacks in one array step with the same left-fold sums, and a
+vertex with an empty list is passed over without a call.  Part loads,
+their maximum normalized load and ``parts`` itself change in place per
+move; a vertex's adjacency is read only when it moves or its list is
+rebuilt.  The repair keeps each vertex's connectivity the same way.
 """
 
 from __future__ import annotations
@@ -31,9 +38,22 @@ from repro.util.validation import require
 
 def part_weights(graph: Graph, parts: np.ndarray, k: int) -> np.ndarray:
     """``(k, P)`` per-part, per-constraint weight totals."""
-    W = np.zeros((k, graph.n_constraints))
-    np.add.at(W, parts, graph.vweights)
-    return W
+    return _loads(graph.vweights, parts, k)
+
+
+def _loads(vw: np.ndarray, parts: np.ndarray, k: int) -> np.ndarray:
+    """``(k, P)`` part loads, each summed in vertex order from 0.0 (the
+    fold ``np.add.at`` makes, one ``bincount`` per constraint)."""
+    return np.stack([np.bincount(parts, weights=w, minlength=k) for w in vw.T], axis=1)
+
+
+def _shares(vw: np.ndarray, k: int, target_fracs: np.ndarray | None):
+    """``(total, maxv, share)``: per-constraint totals and maxima, and
+    ``share[part] = total * target_fracs[part]``."""
+    total = vw.sum(axis=0)
+    fracs = np.full(k, 1.0 / k) if target_fracs is None else np.asarray(target_fracs, np.float64)
+    require(fracs.shape == (k,), "target_fracs must be (k,)", PartitionError)
+    return total, vw.max(axis=0), fracs[:, None] * total
 
 
 def balance_bounds_from_weights(
@@ -48,17 +68,8 @@ def balance_bounds_from_weights(
     """
     require(k >= 1, "k must be >= 1", PartitionError)
     require(eps >= 0, "eps must be >= 0", PartitionError)
-    vweights = np.asarray(vweights, dtype=np.float64)
-    total = vweights.sum(axis=0)
-    if target_fracs is None:
-        target_fracs = np.full(k, 1.0 / k)
-    target_fracs = np.asarray(target_fracs, dtype=np.float64)
-    require(target_fracs.shape == (k,), "target_fracs must be (k,)", PartitionError)
-    maxv = vweights.max(axis=0)
-    Lmax = np.empty((k, vweights.shape[1]))
-    for part in range(k):
-        share = total * target_fracs[part]
-        Lmax[part] = np.maximum((1.0 + eps) * share, share + maxv)
+    total, maxv, share = _shares(np.asarray(vweights, dtype=np.float64), k, target_fracs)
+    Lmax = np.maximum((1.0 + eps) * share, share + maxv)
     Lmax[:, total <= 0] = np.inf
     return Lmax
 
@@ -79,58 +90,68 @@ def kway_refine(
     sweep walk along plateaus without cycling.
     """
     parts = np.asarray(parts, dtype=np.int64)
-    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    xadj, adjncy, n = graph.xadj, graph.adjncy, graph.n_vertices
+    src = np.arange(n, dtype=np.int64).repeat(xadj[1:] - xadj[:-1])
+    ext = np.bincount(src[parts[src] != parts[adjncy]], minlength=n)  # entries into other parts
+    known = np.zeros(n, dtype=bool)  # cands[v] is current
+    cands: list = [None] * n  # a vertex's candidate list; None: stale
     pl = parts.tolist()
-    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.xadj))
-    cands: list = [None] * graph.n_vertices  # a vertex's candidate list; None: stale
 
     def boundary() -> np.ndarray:
-        on = np.zeros(graph.n_vertices, dtype=bool)
-        on[src[parts[src] != parts[graph.adjncy]]] = True
-        order = np.flatnonzero(on)
-        todo = [v for v in order.tolist() if cands[v] is None]
-        _candidate_lists(graph, parts, k, np.array(todo, dtype=np.int64), cands)
+        order = ext.nonzero()[0]
+        todo = order[~known[order]]
+        if len(todo):
+            _candidate_lists(graph, parts, k, todo, cands)
+            known[todo] = True
         return order
 
     def gains(v: int, a: int) -> list[tuple[int, float]]:
-        if cands[v] is None:
-            conn = _connectivity(v, xadj, adjncy, ew, pl)
-            internal = conn.get(a, 0.0)
-            cands[v] = [(b, c - internal) for b, c in conn.items()
-                        if b != a and c - internal >= 0.0]
+        conn = _connectivity(graph, v, pl)
+        internal = conn.get(a, 0.0)
+        cands[v] = [(b, c - internal) for b, c in conn.items() if b != a and c - internal >= 0.0]
+        known[v] = True
         return cands[v]
 
     def on_move(v: int, a: int, b: int) -> None:
         pl[v] = b
         cands[v] = None
-        for u in adjncy[xadj[v]:xadj[v + 1]]:  # the CSR is symmetric: v's neighbours
+        nbrs = adjncy[xadj[v]:xadj[v + 1]]
+        known[v] = False
+        known[nbrs] = False
+        for u in nbrs.tolist():  # the CSR is symmetric: v's neighbours
             cands[u] = None
+            pu = pl[u]
+            if pu == a:  # an entry u -> v that now leaves u's part, and back
+                ext[u] += 1
+                ext[v] += 1
+            elif pu == b and u != v:
+                ext[u] -= 1
+                ext[v] -= 1
 
     return refine_loop(
         graph.vweights, parts, k, eps, rng, max_passes, boundary, gains, on_move, target_fracs,
+        lists=cands,
     )
 
 
 def _candidate_lists(graph: Graph, parts: np.ndarray, k: int, vs: np.ndarray, cands: list) -> None:
     """``cands[v]`` for the vertices ``vs``, as :func:`_connectivity` would
-    lead to them: ``np.add.at`` folds each (vertex, part) sum in slot
-    order, and the slots where the pairs first appear order them."""
+    lead to them: ``bincount`` folds each (vertex, part) sum in slot
+    order, and the slot where a pair first appears orders it."""
     pos, owner = concat_ranges(graph.xadj[vs], graph.xadj[vs + 1])
-    b = parts[graph.adjncy[pos]]
-    _, first, slot = np.unique(owner * k + b, return_index=True, return_inverse=True)
-    conn = np.zeros(len(first))
-    np.add.at(conn, slot, graph.eweights[pos])
-    first.sort()  # the slots are grouped by vertex: by vertex, then first appearance
-    o, b, conn = owner[first], b[first], conn[slot[first]]
-    own = b == parts[vs][o]
-    internal = np.zeros(len(vs))
-    internal[o[own]] = conn[own]
-    gain = conn - internal[o]
-    keep = ~own & (gain >= 0.0)
+    cell = owner * k + parts[graph.adjncy[pos]]  # (vertex, part), dense
+    conn = np.bincount(cell, weights=graph.eweights[pos], minlength=len(vs) * k)
+    first = np.full(len(vs) * k, len(cell))
+    np.minimum.at(first, cell, np.arange(len(cell)))
+    cell = cell[first[cell] == np.arange(len(cell))]  # by vertex, then first appearance
+    o, b = cell // k, cell % k
+    a = parts[vs][o]
+    gain = conn[cell] - conn[o * k + a]
+    keep = (b != a) & (gain >= 0.0)
     for v in vs.tolist():
-        cands[v] = []
+        cands[v] = ()
     for v, b, g in zip(vs[o[keep]].tolist(), b[keep].tolist(), gain[keep].tolist()):
-        cands[v].append((b, g))
+        cands[v] += ((b, g),)
 
 
 def refine_loop(
@@ -144,6 +165,7 @@ def refine_loop(
     gains: Callable[[int, int], Iterable[tuple[int, float]]],
     on_move: Callable[[int, int, int], None],
     target_fracs: np.ndarray | None = None,
+    lists: list | None = None,
 ) -> np.ndarray:
     """The sweep of :func:`kway_refine`, for any cut model.
 
@@ -151,17 +173,19 @@ def refine_loop(
     is current when it is called), ``gains(v, a)`` yields ``(b, gain)``
     for the candidate parts of ``v`` in part ``a`` (an empty sequence
     skips ``v`` at once), and ``on_move(v, a, b)`` updates the caller's
-    incremental state.  Mutates and returns ``parts``.
+    incremental state.  ``lists[v]``, where not ``None``, is the caller's
+    current ``gains(v, ·)``, read in place of the call.  Mutates and
+    returns ``parts``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    W = np.zeros((k, vw.shape[1]))
-    np.add.at(W, parts, vw)
-    W = W.tolist()
+    W = _loads(vw, parts, k).tolist()
     Lmax = balance_bounds_from_weights(vw, k, eps, target_fracs).tolist()
     sizes = np.bincount(parts, minlength=k).tolist()
     total = vw.sum(axis=0)
     norm = np.where(total > 0, total, 1.0).tolist()
+    Wn = [max(x / n for x, n in zip(w, norm)) for w in W]  # max(W[p] / norm)
     pl = parts.tolist()
+    lists = [None] * len(pl) if lists is None else lists
     for _ in range(max_passes):
         order = boundary()
         if len(order) == 0:
@@ -169,9 +193,13 @@ def refine_loop(
         rng.shuffle(order)
         moved = 0
         for v in order.tolist():
+            cands = lists[v]
+            if cands is None:
+                cands = gains(v, pl[v])
+            if not cands:
+                continue
             a = pl[v]
-            cands = gains(v, a)
-            if not cands or sizes[a] <= 1:
+            if sizes[a] <= 1:
                 continue
             wv = vw[v].tolist()
             best_b, best_gain, best_tie, load_a = -1, 0.0, 0.0, None
@@ -181,33 +209,32 @@ def refine_loop(
                 # Tie-break: improvement of the max normalized load of the
                 # two parts involved, i.e. max(W / norm) before and after.
                 if load_a is None:
-                    load_a = (max(x / n for x, n in zip(W[a], norm)),
-                              max((x - y) / n for x, y, n in zip(W[a], wv, norm)))
-                before = max(load_a[0], max(x / n for x, n in zip(W[b], norm)))
-                after = max(load_a[1], max((x + y) / n for x, y, n in zip(W[b], wv, norm)))
-                tie = before - after
+                    load_a = max((x - y) / n for x, y, n in zip(W[a], wv, norm))
+                after = max(load_a, max((x + y) / n for x, y, n in zip(W[b], wv, norm)))
+                tie = max(Wn[a], Wn[b]) - after
                 if gain > best_gain or (gain == best_gain and tie > best_tie):
                     best_b, best_gain, best_tie = b, gain, tie
             if best_b >= 0 and (best_gain > 0.0 or best_tie > 1e-15):
                 on_move(v, a, best_b)
                 W[a] = [x - y for x, y in zip(W[a], wv)]
                 W[best_b] = [x + y for x, y in zip(W[best_b], wv)]
+                Wn[a], Wn[best_b] = (max(x / n for x, n in zip(W[p], norm)) for p in (a, best_b))
                 sizes[a] -= 1
                 sizes[best_b] += 1
-                pl[v] = best_b
+                pl[v] = parts[v] = best_b
                 moved += 1
-        parts[:] = pl
         if moved == 0:
             break
     return parts
 
 
-def _connectivity(v: int, xadj: list, adjncy: list, ew: list, pl: list) -> dict[int, float]:
+def _connectivity(graph: Graph, v: int, pl: list) -> dict[int, float]:
     """Edge weight from ``v`` to each neighbouring part, in adjacency order."""
+    lo, hi = graph.xadj[v], graph.xadj[v + 1]
     conn: dict[int, float] = {}
-    for idx in range(xadj[v], xadj[v + 1]):
-        b = pl[adjncy[idx]]
-        conn[b] = conn.get(b, 0.0) + ew[idx]
+    for u, w in zip(graph.adjncy[lo:hi].tolist(), graph.eweights[lo:hi].tolist()):
+        b = pl[u]
+        conn[b] = conn.get(b, 0.0) + w
     return conn
 
 
@@ -226,17 +253,8 @@ def lower_bounds_from_weights(
     floor: ``(1-eps) W_i frac`` minus one maximal vertex of slack
     (0 where the average share is below one vertex — granularity limit).
     """
-    vweights = np.asarray(vweights, dtype=np.float64)
-    total = vweights.sum(axis=0)
-    if target_fracs is None:
-        target_fracs = np.full(k, 1.0 / k)
-    target_fracs = np.asarray(target_fracs, dtype=np.float64)
-    maxv = vweights.max(axis=0)
-    Lmin = np.empty((k, vweights.shape[1]))
-    for part in range(k):
-        share = total * target_fracs[part]
-        Lmin[part] = np.maximum(np.minimum((1.0 - eps) * share, share - maxv), 0.0)
-    return Lmin
+    _, maxv, share = _shares(np.asarray(vweights, dtype=np.float64), k, target_fracs)
+    return np.maximum(np.minimum((1.0 - eps) * share, share - maxv), 0.0)
 
 
 def repair_balance(
@@ -257,16 +275,20 @@ def repair_balance(
     move with the least edge-cut damage.  Mutates and returns ``parts``.
     """
     parts = np.asarray(parts, dtype=np.int64)
-    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
     pl = parts.tolist()
+    conns: dict[int, dict[int, float]] = {}  # dropped by a move of the vertex or a neighbour
 
     def damages(v: int, src: int) -> Callable[[int], float]:
-        conn = _connectivity(v, xadj, adjncy, ew, pl)
+        conn = conns.get(v)
+        if conn is None:
+            conn = conns[v] = _connectivity(graph, v, pl)
         internal = conn.get(src, 0.0)
         return lambda dst: internal - conn.get(dst, 0.0)
 
     def on_move(v: int, src: int, dst: int) -> None:
         pl[v] = dst
+        for u in [v, *graph.adjncy[graph.xadj[v]:graph.xadj[v + 1]].tolist()]:
+            conns.pop(u, None)
 
     return repair_loop(
         graph.vweights, parts, k, eps, rng, damages, on_move, max_moves, target_fracs
@@ -291,8 +313,7 @@ def repair_loop(
     state.  Mutates and returns ``parts``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    W = np.zeros((k, vw.shape[1]))
-    np.add.at(W, parts, vw)
+    W = _loads(vw, parts, k)
     Lmax = balance_bounds_from_weights(vw, k, eps, target_fracs)
     Lmin = lower_bounds_from_weights(vw, k, eps, target_fracs)
     sizes = np.bincount(parts, minlength=k)

@@ -77,13 +77,8 @@ def partition_patoh(
 # ----------------------------------------------------------------------
 def _level_subgraph(graph: Graph, elems: np.ndarray) -> Graph:
     sub, _ = graph.subgraph(elems)
-    # Within one level all elements cost the same: unit scalar weights.
-    return Graph(
-        xadj=sub.xadj,
-        adjncy=sub.adjncy,
-        vweights=np.ones((sub.n_vertices, 1)),
-        eweights=sub.eweights,
-    )
+    sub.vweights = np.ones((sub.n_vertices, 1))  # one level: every element costs the same
+    return sub
 
 
 def _interpart_connectivity(

@@ -27,6 +27,13 @@ local numbering, ownership and the halo exchange like any other DOFs,
 and each rank's kernel is built from its owned elements' slice of the
 per-element parameters (including per-element Voigt stiffness
 tensors).
+
+The layout is one pass per rank over its elements' DOFs — a flag
+scatter and one scan give its sorted ids, a ``uint8`` (or wider) count
+of the lower ranks already holding each gives its owner mask, and an
+``int32`` local-id table its element connectivity — then one pass that
+pairs the sharers of every shared DOF, sorted once on unique keys, each
+channel carrying its sender's local positions.
 """
 
 from __future__ import annotations
@@ -243,21 +250,25 @@ def build_rank_layout(
     # operator's: the fully-summed diagonal mass, 0 on a Dirichlet row.
     inv_m = inverse_mass(assembler)
 
-    # Local DOF sets (sorted global ids), local element connectivity
-    # (one global -> local table per rank: a flag pass and a gather, no
-    # sort of the rank's element DOFs), and rank-local ``M^{-1} K`` in
-    # the requested backend.
+    # Per rank (module docstring): ids, local connectivity, owner mask
+    # (no lower rank ``held`` the DOF), then its ``M^{-1} K``.
     gdofs: list[np.ndarray] = []
+    owner_masks: list[np.ndarray] = []
     K_local: list = []
     present = np.zeros(n_dof, dtype=bool)
-    local_id = np.empty(n_dof, dtype=np.int64)
+    held = np.zeros(n_dof, dtype=np.min_scalar_type(n_ranks))
+    local_id = np.empty(n_dof, dtype=np.int32 if n_dof < 2**31 else np.int64)
     for r in range(n_ranks):
-        owned = np.nonzero(parts == r)[0]
-        present[element_dofs[owned]] = True
-        ids = np.nonzero(present)[0]
+        owned = np.flatnonzero(parts == r)
+        ed = element_dofs[owned]
+        present[ed] = True
+        ids = np.flatnonzero(present)
         present[ids] = False
-        local_id[ids] = np.arange(len(ids))
-        ld = local_id[element_dofs[owned]]
+        local_id[ids] = np.arange(len(ids), dtype=local_id.dtype)
+        ld = local_id[ed]
+        h = held[ids]
+        owner_masks.append(h == 0)
+        held[ids] = h + 1
         gdofs.append(ids)
         if backend == "matfree":
             require(
@@ -275,45 +286,39 @@ def build_rank_layout(
                 None if mask is None else mask[ids],
             ))
 
-    # Ownership (lowest touching rank) and shared-DOF counts, vectorized.
-    owner_of = np.full(n_dof, n_ranks, dtype=np.int64)
-    counts = np.zeros(n_dof, dtype=np.int64)
-    for r in range(n_ranks - 1, -1, -1):
-        owner_of[gdofs[r]] = r  # reversed: lowest rank wins
-        counts[gdofs[r]] += 1
-
-    # Halo plans: shared DOFs per rank pair, ordered by global id.  One
-    # stable sort of the boundary (counts > 1) ``(gdof, rank)`` pairs
-    # groups each DOF's sharers, ranks ascending; entries ``s`` apart in
-    # a group are the pairs of sharers, taken in both directions.
-    shared = [g[counts[g] > 1] for g in gdofs]
-    g_all = np.concatenate(shared)
-    r_all = np.repeat(np.arange(n_ranks), [len(sh) for sh in shared])
-    by_dof = np.argsort(g_all, kind="stable")
-    g_all, r_all = g_all[by_dof], r_all[by_dof]
-    src, dst, dof = [], [], []
-    for s in range(1, int(counts.max(initial=1))):
-        same = g_all[s:] == g_all[:-s]
-        lo, hi, g = r_all[:-s][same], r_all[s:][same], g_all[s:][same]
+    # Halo plans: the shared (held > 1) ``(gdof, rank, position)``
+    # triples sorted by DOF, then rank; entries ``s`` apart in a DOF's
+    # group are pairs of sharers, taken both ways, and one sort of their
+    # ``(src, dst, gdof)`` keys lays the channels out, ordered by DOF.
+    at = [np.flatnonzero(held[g] > 1) for g in gdofs]
+    g_all = np.concatenate([g[i] for g, i in zip(gdofs, at)])
+    r_all = np.repeat(np.arange(n_ranks), [len(i) for i in at])
+    by_dof = np.argsort(g_all * n_ranks + r_all)  # by DOF, then rank: unique keys
+    g_all, r_all, at_all = g_all[by_dof], r_all[by_dof], np.concatenate(at)[by_dof]
+    src, dst, dof, pos = [], [], [], []
+    for s in range(1, int(held.max(initial=1))):
+        same = np.flatnonzero(g_all[s:] == g_all[:-s])
+        lo, hi, g = r_all[same], r_all[same + s], g_all[same]
         src += [lo, hi]
         dst += [hi, lo]
         dof += [g, g]
-    src, dst, dof = (np.concatenate(x or [g_all[:0]]) for x in (src, dst, dof))
-    by_pair = np.lexsort((dof, dst, src))
-    src, dst, dof = src[by_pair], dst[by_pair], dof[by_pair]
-    bounds = np.flatnonzero(np.diff(src * n_ranks + dst, prepend=-1, append=-1))
+        pos += [at_all[same], at_all[same + s]]
+    src, dst, dof, pos = (np.concatenate(x or [g_all[:0]]) for x in (src, dst, dof, pos))
+    pair = src * n_ranks + dst
+    by_pair = np.argsort(pair * n_dof + dof)
+    pair, pos = pair[by_pair], pos[by_pair]
+    bounds = np.flatnonzero(np.diff(pair, prepend=-1, append=-1))
     channels = ExchangePlan([[] for _ in range(n_ranks)], [[] for _ in range(n_ranks)])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        r = int(src[lo])
-        channels.peers[r].append(int(dst[lo]))
-        channels.indices[r].append(np.searchsorted(gdofs[r], dof[lo:hi]))
-    owner_masks = [owner_of[g] == r for r, g in enumerate(gdofs)]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        r, peer = divmod(int(pair[lo]), n_ranks)
+        channels.peers[r].append(peer)
+        channels.indices[r].append(pos[lo:hi])
 
     levels_local: list[np.ndarray] = []
     if dof_level is not None:
         dof_level = np.asarray(dof_level, dtype=np.int64)
         require(dof_level.shape == (n_dof,), "dof_level must be (n_dof,)", PartitionError)
-        levels_local = [dof_level[g].copy() for g in gdofs]
+        levels_local = [dof_level[g] for g in gdofs]
 
     return RankLayout(
         n_dof_global=n_dof,

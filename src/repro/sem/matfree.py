@@ -950,9 +950,9 @@ def stiffness_share(
     of the ranks' shares is its product.
     """
     ed = np.asarray(assembler.element_dofs)
-    if element_ids is not None:
-        ed = ed[np.asarray(element_ids)]
     mask = getattr(assembler, "dirichlet_mask", None)
+    if element_ids is not None and (local_dofs is None or mask is not None):
+        ed = ed[np.asarray(element_ids)]
     return MatrixFreeStiffness(
         assembler.kernel(element_ids),
         ed if local_dofs is None else local_dofs,

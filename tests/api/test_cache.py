@@ -237,9 +237,10 @@ class TestSimulationThroughCache:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_assembler_disk_roundtrip_is_exact(self, dim, tmp_path):
-        cfg = make_config() if dim == 2 else make_config(
+        asm = {"stiffness": "assembled"}  # only an assembled K is persisted
+        cfg = make_config(backend=asm) if dim == 2 else make_config(
             mesh={"family": "refined_interval", "params": {"n_coarse": 12, "n_fine": 4}},
-            source={"position": [0.3], "f0": 4.0},
+            source={"position": [0.3], "f0": 4.0}, backend=asm,
         )
         cold = Simulation(cfg, cache=StageCache(cache_dir=tmp_path))
         cold.assembler  # resolve + persist
@@ -257,9 +258,10 @@ class TestSimulationThroughCache:
         assert np.array_equal(cold.run().u, warm.run().u)
 
     def test_disk_key_change_recomputes(self, tmp_path):
-        Simulation(make_config(), cache=StageCache(cache_dir=tmp_path)).assembler
+        asm = {"stiffness": "assembled"}  # only an assembled K is persisted
+        Simulation(make_config(backend=asm), cache=StageCache(cache_dir=tmp_path)).assembler
         other = Simulation(
-            make_config(order=4), cache=StageCache(cache_dir=tmp_path)
+            make_config(order=4, backend=asm), cache=StageCache(cache_dir=tmp_path)
         )
         other.assembler
         # Different sub-hash -> different file; no stale artifact reused.

@@ -240,7 +240,8 @@ class TestEngine:
         assert res.summary["throughput_members_per_second"] > 0
 
     def test_warm_disk_cache_replay_is_bitwise(self, tmp_path):
-        spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
+        base = {**BASE_2D, "backend": {"stiffness": "assembled"}}  # K persists
+        spec = source_sweep(base, [[1.0, 3.0], [2.0, 3.0]])
         cold = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=tmp_path))
         warm = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=tmp_path))
         assert warm.summary["cache"]["disk_hits"] >= 2  # assembler + levels

@@ -263,7 +263,7 @@ class TestFacadeMatchesManualWiring:
         sim = Simulation(cfg)
         res = sim.run()
         solver = LTSNewmarkSolver(
-            sim.assembler.A, sim.dof_level, sim.dt, force=sim.force
+            sim.operator(), sim.dof_level, sim.dt, force=sim.force
         )
         m = solver.plan.replicas  # step runs in the plan's numbering
         (u,), (v,) = m.scatter(np.zeros(sim.assembler.n_dof)), m.scatter(np.zeros(sim.assembler.n_dof))

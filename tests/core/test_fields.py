@@ -7,6 +7,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulation, SimulationConfig
 from repro.core import assign_levels
@@ -108,6 +109,7 @@ SERIAL_TRACE_PINS = {
             "time": {"n_cycles": 10},
             "source": {"position": [0.3], "f0": 4.0},
             "receivers": {"positions": [[0.7], [0.2]]},
+            "backend": {"stiffness": "assembled"},
         },
         "12216ccf52d025fc201b26cc24c3c1be516b8e3deed452edbe8e175cb6ff0c0f",
     ),
@@ -158,3 +160,43 @@ class TestStartRule:
         st = self.state([np.zeros(n) for n in lengths])
         with pytest.raises(ConfigError, match="replicas"):
             Fields.start(self.MAP3, st)
+
+
+# ----------------------------------------------------------------------
+# Gather: one read through the owner-copy index
+# ----------------------------------------------------------------------
+def replica_scatter_gather(m, u_locals):
+    """``ReplicaMap.gather`` as it was before :attr:`owner_copy`: a
+    :attr:`~ReplicaMap.whole` map's replica as is, else each replica's
+    owned entries scattered in turn onto zeros."""
+    if m.whole:
+        return u_locals[0] if m.sorter is None else u_locals[0][m.sorter[0]]
+    out = np.zeros(m.n_dof_global)
+    for g, own, u in zip(m.gdofs, m.owner, u_locals):
+        out[g[own]] = u[own]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 40), n_replicas=st.integers(1, 4), reorder=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_gather_is_the_replica_by_replica_scatter(n, n_replicas, reorder, seed):
+    """Random maps — DOFs held by several replicas or none, owned by
+    one, several (the later wins) or none (0.0), whole or not, ascending
+    or in a plan's order: the gather and a checkpoint's global fields
+    are the scatter's, bitwise."""
+    rng = np.random.default_rng(seed)
+    gdofs = [np.flatnonzero(rng.random(n) < p) for p in rng.random(n_replicas)]
+    m = ReplicaMap(n, gdofs, [rng.random(len(g)) < 0.7 for g in gdofs])
+    if reorder:
+        perms = [rng.permutation(len(g)).astype(np.int32) for g in gdofs]
+        m = m.reorder([(o, np.argsort(o).astype(np.int32)) for o in perms])
+    us = [rng.standard_normal(len(g)) for g in m.gdofs]
+    vs = [rng.standard_normal(len(g)) for g in m.gdofs]
+    want = replica_scatter_gather(m, us)
+    assert m.gather(us).tobytes() == want.tobytes()
+    assert m.owner_copy.dtype == np.int32
+    fields = Fields(m, [u.copy() for u in us], [v.copy() for v in vs])
+    saved = fields.checkpoint_arrays(*fields.snapshot())
+    assert saved["u"].tobytes() == want.tobytes()
+    assert saved["v"].tobytes() == replica_scatter_gather(m, vs).tobytes()

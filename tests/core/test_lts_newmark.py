@@ -45,10 +45,10 @@ def _run(stepper, A, dof_level, dt, u0, v0, n_cycles, force=None):
     return LTSNewmarkSolver(A, dof_level, dt, force=force).run(u0, v0, n_cycles)
 
 
-def _setup_1d(n_coarse=12, n_fine=8, refinement=4, order=4, dirichlet=True):
+def _setup_1d(n_coarse=12, n_fine=8, refinement=4, order=4, dirichlet=True, grade=False):
     mesh = refined_interval(n_coarse, n_fine, refinement=refinement, coarse_h=0.125)
     sem = SemND(mesh, order=order, dirichlet=dirichlet)
-    a = assign_levels(mesh, c_cfl=0.4, order=order)
+    a = assign_levels(mesh, c_cfl=0.4, order=order, grade=grade)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     return mesh, sem, a, dof_level
 
@@ -219,9 +219,15 @@ class TestDegenerateCases:
 class TestAlgorithm1Equivalence:
     """Active-set implementation == literal Algorithm 1."""
 
-    @pytest.mark.parametrize("refinement", [2, 4, 8])
-    def test_1d_refinements(self, refinement):
-        mesh, sem, a, dof_level = _setup_1d(refinement=refinement)
+    @pytest.mark.parametrize("refinement, grade, active", [
+        (2, False, [1, 2]),
+        (4, True, [1, 2, 3]),  # graded: the inner reconstruct runs
+        (8, True, [1, 2, 3, 4]),
+        (8, False, [1, 4]),  # two empty intermediate levels
+    ])
+    def test_1d_refinements(self, refinement, grade, active):
+        mesh, sem, a, dof_level = _setup_1d(refinement=refinement, grade=grade)
+        assert np.unique(dof_level).tolist() == active
         u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
         v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
         u1, v1 = algorithm1(sem.A, dof_level, a.dt, u0, v0, 6)

@@ -2,9 +2,15 @@
 code they replace, kept here as oracles.
 
 * ``kway_refine`` caches each vertex's candidate list, computes a pass's
-  missing lists in one array step and skips empty ones: on random graphs
-  it must take every decision the per-visit sweep takes — the same parts
-  and the same random draws (the generator ends in the same state).
+  missing lists in one array step, skips empty ones and keeps its
+  boundary by counts a move updates: on random graphs it must take
+  every decision the per-visit sweep takes — the same parts and the same
+  random draws (the generator ends in the same state).
+* The sweeps' part loads and balance bounds are the per-part loops and
+  ``np.add.at`` folds they replace; greedy growing, heavy-edge matching
+  and the balance repair are the parent's loops, decision for decision.
+* ``build_rank_layout`` folds its per-rank passes: its ids, owner masks,
+  channels and levels are those of the passes it replaced.
 * ``compact_depths`` orders DOFs by a counting sort: the stable argsort
   of the depth key.
 * Each LTS level product is built once, on its tail: table for table the
@@ -16,14 +22,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.lts_newmark import LTSPlan, compact_depths, dof_levels_from_elements
+import heapq
+
 from repro.core.operator import positions_in
-from repro.mesh import uniform_grid
+from repro.mesh import trench_mesh, uniform_grid
+from repro.partition.coarsen import heavy_edge_matching
 from repro.partition.graph import graph_from_edges
+from repro.partition.initial import grow_bisection, pseudo_peripheral_vertex
+from repro.partition.metrics import graph_cut
 from repro.partition.refine import (
-    _connectivity,
     balance_bounds_from_weights,
     fits,
     kway_refine,
+    lower_bounds_from_weights,
+    part_weights,
+    repair_balance,
 )
 from repro.runtime import build_rank_layout
 from repro.sem import SemND, fused
@@ -33,6 +46,15 @@ from repro.sem.matfree import MatrixFreeStiffness
 # ----------------------------------------------------------------------
 # Oracle 1: the per-visit sweep
 # ----------------------------------------------------------------------
+def _connectivity(v, xadj, adjncy, ew, pl):
+    """Edge weight from ``v`` to each neighbouring part, in adjacency order."""
+    conn = {}
+    for idx in range(xadj[v], xadj[v + 1]):
+        b = pl[adjncy[idx]]
+        conn[b] = conn.get(b, 0.0) + ew[idx]
+    return conn
+
+
 def per_visit_kway_refine(graph, parts, k, eps=0.05, rng=None, max_passes=8, target_fracs=None):
     """``kway_refine`` as it was before candidate lists were cached: every
     visit folds the vertex's part connectivity afresh."""
@@ -235,3 +257,274 @@ def test_level_products_are_masked_subset_then_renumber(tier, kind, dirichlet):
             want = parent_renumber(parent_masked_subset(K, mask), order[off:], inv, off)
             _same_product(restr._apply.__self__, want)
             assert np.array_equal(restr.cols, inv[np.flatnonzero(mask)] - off)
+
+
+# ----------------------------------------------------------------------
+# Oracle 4: part loads and balance bounds, per part
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(case=refine_cases(), eps=st.sampled_from([0.0, 0.01, 0.05, 0.3]))
+def test_loads_and_bounds_are_the_per_part_loops(case, eps):
+    graph, parts, k, fracs, _, _ = case
+    vw = graph.vweights * 0.37  # sums that round
+    graph.vweights = vw
+    W = np.zeros((k, vw.shape[1]))
+    np.add.at(W, parts, vw)
+    assert part_weights(graph, parts, k).tobytes() == W.tobytes()
+    total, maxv = vw.sum(axis=0), vw.max(axis=0)
+    f = np.full(k, 1.0 / k) if fracs is None else fracs
+    Lmax, Lmin = np.empty((k, vw.shape[1])), np.empty((k, vw.shape[1]))
+    for part in range(k):
+        share = total * f[part]
+        Lmax[part] = np.maximum((1.0 + eps) * share, share + maxv)
+        Lmin[part] = np.maximum(np.minimum((1.0 - eps) * share, share - maxv), 0.0)
+    Lmax[:, total <= 0] = np.inf
+    assert balance_bounds_from_weights(vw, k, eps, fracs).tobytes() == Lmax.tobytes()
+    assert lower_bounds_from_weights(vw, k, eps, fracs).tobytes() == Lmin.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Oracle 5: the balance repair over Python lists
+# ----------------------------------------------------------------------
+def list_repair_balance(graph, parts, k, eps, rng, target_fracs=None):
+    """``repair_balance`` as it was: loads by ``np.add.at``, per-part
+    bounds, damages folded over whole-graph lists."""
+    parts = np.asarray(parts, dtype=np.int64)
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    pl, vw = parts.tolist(), graph.vweights
+    W = np.zeros((k, vw.shape[1]))
+    np.add.at(W, parts, vw)
+    Lmax = balance_bounds_from_weights(vw, k, eps, target_fracs)
+    Lmin = lower_bounds_from_weights(vw, k, eps, target_fracs)
+    sizes = np.bincount(parts, minlength=k)
+    budget, best_violation, stale = len(parts) + 32 * k, np.inf, 0
+
+    def damage(v, src, dst):
+        conn = _connectivity(v, xadj, adjncy, ew, pl)
+        return conn.get(src, 0.0) - conn.get(dst, 0.0)
+
+    def move(v, src, dst):
+        nonlocal budget
+        pl[v] = dst
+        W[src] -= vw[v]
+        W[dst] += vw[v]
+        sizes[src] -= 1
+        sizes[dst] += 1
+        parts[v] = dst
+        budget -= 1
+
+    while budget > 0:
+        over, under = np.argwhere(W > Lmax), np.argwhere(W < Lmin)
+        if len(over) == 0 and len(under) == 0:
+            break
+        violation = float(np.maximum(W - Lmax, 0.0).sum() + np.maximum(Lmin - W, 0.0).sum())
+        if violation < best_violation - 1e-12:
+            best_violation, stale = violation, 0
+        else:
+            stale += 1
+            if stale > 16:
+                break
+        moved, Wl = False, W.tolist()
+        if len(over):
+            excess = np.array([W[p, i] - Lmax[p, i] for p, i in over])
+            p_over, i_con = (int(x) for x in over[int(np.argmax(excess))])
+            cand = np.nonzero((parts == p_over) & (vw[:, i_con] > 0))[0]
+            if len(cand) and sizes[p_over] > 1:
+                if len(cand) > 256:
+                    cand = rng.choice(cand, size=256, replace=False)
+                fit = ~np.any(W + vw[cand][:, None, :] > np.maximum(Lmax, W), axis=2)
+                fit[:, p_over] = False
+                best = None
+                for v, row in zip(cand.tolist(), fit.tolist()):
+                    for b in range(k):
+                        if row[b]:
+                            key = (damage(v, p_over, b), Wl[b][i_con])
+                            if best is None or key < best[0]:
+                                best = (key, v, b)
+                if best is not None:
+                    move(best[1], p_over, best[2])
+                    moved = True
+        if not moved and len(under):
+            deficit = np.array([Lmin[p, i] - W[p, i] for p, i in under])
+            p_under, i_con = (int(x) for x in under[int(np.argmax(deficit))])
+            best = None
+            for d in np.argsort(-W[:, i_con])[: max(4, k // 4)].tolist():
+                if d == p_under or sizes[d] <= 1 or W[d, i_con] <= W[p_under, i_con]:
+                    continue
+                cand = np.nonzero((parts == d) & (vw[:, i_con] > 0))[0]
+                if len(cand) > 256:
+                    cand = rng.choice(cand, size=256, replace=False)
+                fit = ~np.any(W[p_under] + vw[cand] > Lmax[p_under], axis=1)
+                for v in cand[fit].tolist():
+                    key = (damage(v, d, p_under), -Wl[d][i_con])
+                    if best is None or key < best[0]:
+                        best = (key, v, d)
+            if best is None:
+                break
+            move(best[1], best[2], p_under)
+            moved = True
+        if not moved:
+            break
+    return parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=refine_cases(), seed=st.integers(0, 2**16))
+def test_repair_is_the_list_repair(case, seed):
+    graph, parts, k, fracs, _, eps = case
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = list_repair_balance(graph, parts.copy(), k, eps, rng_a, fracs)
+    got = repair_balance(graph, parts.copy(), k, eps, rng_b, target_fracs=fracs)
+    assert np.array_equal(got, want)
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Oracle 6: greedy growing and heavy-edge matching as they were
+# ----------------------------------------------------------------------
+def parent_grow_bisection(graph, target_frac, rng, tries=4):
+    """``grow_bisection`` with each try's cut from ``graph_cut`` and the
+    degenerate split found by ``np.unique``."""
+    n = graph.n_vertices
+    total = graph.total_weight()
+    scalar_w = (graph.vweights / np.where(total > 0, total, 1.0)).sum(axis=1)
+    target = float(scalar_w.sum()) * target_frac
+    scalar_w = scalar_w.tolist()
+    xadj, adjncy, ew = graph.xadj.tolist(), graph.adjncy.tolist(), graph.eweights.tolist()
+    best_side, best_cut = None, np.inf
+    for t in range(max(1, tries)):
+        seed = pseudo_peripheral_vertex(graph, rng) if t % 2 == 0 else int(rng.integers(n))
+        side = [1] * n
+        side[seed] = 0
+        grown, heap, counter = scalar_w[seed], [], 0
+        for u in adjncy[xadj[seed]: xadj[seed + 1]]:
+            heapq.heappush(heap, (-1.0, counter, u))
+            counter += 1
+        while grown < target and heap:
+            _, _, v = heapq.heappop(heap)
+            if side[v] == 0:
+                continue
+            side[v] = 0
+            grown += scalar_w[v]
+            for idx in range(xadj[v], xadj[v + 1]):
+                if side[adjncy[idx]] == 1:
+                    heapq.heappush(heap, (-ew[idx], counter, adjncy[idx]))
+                    counter += 1
+        side = np.array(side, dtype=np.int64)
+        if len(np.unique(side)) < 2:
+            side[:] = 1
+            side[: max(1, int(round(n * target_frac)))] = 0
+        cut = graph_cut(graph, side, 2)
+        if cut < best_cut:
+            best_cut, best_side = cut, side
+    return best_side
+
+
+def parent_heavy_edge_matching(graph, rng, weight_cap=None):
+    """``heavy_edge_matching`` with every vertex weight list made up front."""
+    n = graph.n_vertices
+    match, order, cid = [-1] * n, rng.permutation(n), 0
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    ew, vw = graph.eweights.tolist(), graph.vweights.tolist()
+    cap = None if weight_cap is None else np.broadcast_to(weight_cap, len(vw[0])).tolist()
+    if cap is not None and np.all(2.0 * graph.vweights.max(axis=0) <= cap):
+        cap = None
+    for v in order.tolist():
+        if match[v] >= 0:
+            continue
+        best, best_w = -1, -np.inf
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
+            if match[u] >= 0 or u == v or ew[idx] <= best_w:
+                continue
+            if cap is None or fits(vw[v], vw[u], cap):
+                best_w, best = ew[idx], u
+        match[v] = cid
+        if best >= 0:
+            match[best] = cid
+        cid += 1
+    return np.array(match, dtype=np.int64), cid
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=refine_cases(), seed=st.integers(0, 2**16), frac=st.sampled_from([0.25, 0.5, 0.7]))
+def test_growing_is_the_parent_loop(case, seed, frac):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = parent_grow_bisection(case[0], frac, rng_a)
+    assert np.array_equal(grow_bisection(case[0], frac, rng_b), want)
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=refine_cases(), seed=st.integers(0, 2**16),
+       cap=st.sampled_from([None, 1.5, 2.0, 100.0]))
+def test_matching_is_the_parent_loop(case, seed, cap):
+    """Caps that bind, that two of the heaviest just fit, and none."""
+    graph = case[0]
+    cap = None if cap is None else cap * graph.vweights.max(axis=0)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_match, want_n = parent_heavy_edge_matching(graph, rng_a, cap)
+    got_match, got_n = heavy_edge_matching(graph, rng_b, cap)
+    assert np.array_equal(got_match, want_match) and got_n == want_n
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Oracle 7: the rank layout's passes
+# ----------------------------------------------------------------------
+def parent_layout_tables(sem, parts, n_ranks, dof_level):
+    """``gdofs``, owner masks, channels and levels as the per-rank passes
+    built them: a flag pass per rank, then owner and count scatters, a
+    stable sort of the shared pairs, a lexsort and a search per channel."""
+    n_dof, ed = sem.n_dof, sem.element_dofs
+    gdofs, present = [], np.zeros(n_dof, dtype=bool)
+    for r in range(n_ranks):
+        present[ed[np.nonzero(parts == r)[0]]] = True
+        gdofs.append(np.nonzero(present)[0])
+        present[:] = False
+    owner_of = np.full(n_dof, n_ranks, dtype=np.int64)
+    counts = np.zeros(n_dof, dtype=np.int64)
+    for r in range(n_ranks - 1, -1, -1):
+        owner_of[gdofs[r]] = r
+        counts[gdofs[r]] += 1
+    shared = [g[counts[g] > 1] for g in gdofs]
+    g_all = np.concatenate(shared)
+    r_all = np.repeat(np.arange(n_ranks), [len(sh) for sh in shared])
+    by_dof = np.argsort(g_all, kind="stable")
+    g_all, r_all = g_all[by_dof], r_all[by_dof]
+    src, dst, dof = [], [], []
+    for s in range(1, int(counts.max(initial=1))):
+        same = g_all[s:] == g_all[:-s]
+        lo, hi, g = r_all[:-s][same], r_all[s:][same], g_all[s:][same]
+        src, dst, dof = src + [lo, hi], dst + [hi, lo], dof + [g, g]
+    src, dst, dof = (np.concatenate(x or [g_all[:0]]) for x in (src, dst, dof))
+    by_pair = np.lexsort((dof, dst, src))
+    src, dst, dof = src[by_pair], dst[by_pair], dof[by_pair]
+    bounds = np.flatnonzero(np.diff(src * n_ranks + dst, prepend=-1, append=-1))
+    peers, indices = [[] for _ in range(n_ranks)], [[] for _ in range(n_ranks)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        peers[int(src[lo])].append(int(dst[lo]))
+        indices[int(src[lo])].append(np.searchsorted(gdofs[int(src[lo])], dof[lo:hi]))
+    owner = [owner_of[g] == r for r, g in enumerate(gdofs)]
+    return gdofs, owner, peers, indices, [dof_level[g].copy() for g in gdofs]
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3, 5, 8])
+def test_layout_is_the_per_rank_passes(n_ranks):
+    """Random element -> rank maps on a 3D trench (up to eight ranks at a
+    DOF, empty ranks) and every backend's product on the same ids."""
+    mesh = trench_mesh(6, 4, 3, band_radii=[0.8])
+    sem = SemND(mesh, order=2)
+    dof_level = np.random.default_rng(n_ranks).integers(1, 4, sem.n_dof)
+    for seed in range(3):
+        parts = np.random.default_rng(seed).integers(0, n_ranks, mesh.n_elements)
+        if n_ranks > 2 and seed == 0:
+            parts[parts == 1] = 0  # an empty rank
+        lay = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level, backend="matfree")
+        gdofs, owner, peers, indices, levels = parent_layout_tables(sem, parts, n_ranks, dof_level)
+        for got, want in ((lay.gdofs, gdofs), (lay.owner, owner), (lay.dof_level_local, levels),
+                          (sum(lay.channels.indices, []), sum(indices, []))):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert lay.channels.peers == peers

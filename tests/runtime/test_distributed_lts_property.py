@@ -214,8 +214,9 @@ class TestLevelSortedNumbering:
 #: 4 x 3 quads, element ``e = 3 * ix + iy``: a fine block in the middle
 #: columns with a level jump next to it.
 _BLOCK = [1, 1, 1, 3, 4, 1, 2, 4, 1, 1, 1, 1]
-#: One fine element in the corner; element 4 touches it by a corner only.
-_CORNER = [3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+#: One finest element in the corner, a level-2 one beside it (three
+#: active levels); element 4 touches the corner one by a corner only.
+_CORNER = [3, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 
 _NAMED = {
     # the cut runs through the finest elements (4 and 7 on either side)
@@ -246,6 +247,9 @@ def test_named_partitions_match_serial(name):
         assert 2 not in parts
     if name == "fine_only_rank":
         assert np.all(levels[parts == 1] > 1) and np.all(levels[parts != 1] == 1)
+    if name == "halo_written_by_peer_only":  # the inner reconstruct runs
+        dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
+        assert np.unique(dof_level).tolist() == [1, 2, 3]
     _assert_matches_serial(sem, dt, levels, parts, int(n_ranks), None, seed=7)
 
 

@@ -26,10 +26,13 @@ from repro.util.errors import PartitionError, SolverError
 
 @pytest.fixture(scope="module")
 def sys1d():
+    """Levels graded round the refined part: three active levels, so the
+    recursion's inner reconstruct runs."""
     mesh = refined_interval(12, 8, refinement=4, coarse_h=0.125)
     sem = SemND(mesh, order=4)
-    a = assign_levels(mesh, c_cfl=0.4, order=4)
+    a = assign_levels(mesh, c_cfl=0.4, order=4, grade=True)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
+    assert np.unique(dof_level).tolist() == [1, 2, 3]
     u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
     v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0

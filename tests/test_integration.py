@@ -129,11 +129,12 @@ class TestVelocityContrastPipeline2D:
         mesh.c[27:29] = 4.0
         mesh.c[35:37] = 4.0
         sem = SemND(mesh, order=3)
-        levels = assign_levels(mesh, c_cfl=0.4, order=3)
+        levels = assign_levels(mesh, c_cfl=0.4, order=3, grade=True)
         assert levels.n_levels >= 2
         assert theoretical_speedup(levels) > 1.5
 
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
+        assert np.unique(dof_level).tolist() == [1, 2, 3]  # the inner reconstruct runs
         u0 = np.exp(-((sem.node_coords[:, 0] - 4) ** 2 + (sem.node_coords[:, 1] - 4) ** 2))
         v0 = staggered_initial_velocity(sem.A, levels.dt, u0, np.zeros_like(u0))
 
