@@ -59,8 +59,8 @@ class ReplicaMap:
         """This ascending map, replica ``r``'s entry ``j`` now its entry
         ``order[j]`` for ``(order, inverse) = orders[r]``."""
         order, inverse = zip(*orders)
-        return ReplicaMap(self.n_dof_global, [g[o] for g, o in zip(self.gdofs, order)],
-                          [w[o] for w, o in zip(self.owner, order)], sorter=list(inverse))
+        return ReplicaMap(self.n_dof_global, [g.take(o) for g, o in zip(self.gdofs, order)],
+                          [w.take(o) for w, o in zip(self.owner, order)], sorter=list(inverse))
 
     @property
     def n_ranks(self) -> int:

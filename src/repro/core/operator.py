@@ -68,7 +68,7 @@ def positions_in(pos: np.ndarray, dofs: np.ndarray, what: str, off: int = 0) -> 
     """``pos[dofs] - off``, in ``pos``' dtype: where ``dofs`` sit in the
     tail from ``off`` of the numbering ``pos`` inverts, refused
     (:class:`SolverError`) if one is not."""
-    out = pos[dofs]
+    out = pos.take(dofs)
     out -= off
     require(bool((out >= 0).all()), f"numbering misses a {what}", SolverError)
     return out

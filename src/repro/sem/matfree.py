@@ -872,7 +872,7 @@ class MatrixFreeStiffness:
             keep = self.gmask[ids] != 0
             gm = keep if gm is None else gm & keep
         if idx is not None:
-            ed, Minv = positions_in(pos, ed, "row-support DOF", off), Minv[idx]
+            ed, Minv = positions_in(pos, ed, "row-support DOF", off), Minv.take(idx)
         return MatrixFreeStiffness(self.kernel.subset(ids), ed, Minv, use_fused=self._use_fused,
                                    gmask=gm, threads=self._requested_threads)
 

@@ -10,14 +10,20 @@ per GLL node:
   axis-pair *cross* kernels ``R_ab = G_a^T W G_b`` the vector-valued
   physics couples components with;
 * entity-based global DOF numbering (corners, then edge interiors, then
-  face interiors in 3D, then element interiors), built with one
-  lexicographic sort over sorted corner tuples per entity kind.  Shared edges
+  face interiors in 3D, then element interiors), built with one sort of
+  packed integer keys per entity kind: a sorted corner pair is
+  ``lo * n_corner + hi``, a sorted quad two such pairs, which needs
+  ``n_corner**2 < 2**63`` (a larger mesh is refused).  Shared edges
   are traversed from the lower- to the higher-numbered corner; shared
   hexahedral *faces* are mapped through a canonical frame anchored at the
   face's smallest corner id (see :func:`_face_orientation_perms`), so any
   conforming mesh — not just structured grids — numbers consistently;
 * geometry validation and per-axis element sizes for axis-aligned
-  box elements (the affine tensor mapping every kernel relies on);
+  box elements (the affine tensor mapping every kernel relies on).  Node
+  coordinates are not stored at setup: :attr:`SemND.node_coords` is
+  built on first access, and :meth:`SemND.nearest_dof` computes the
+  nodes of the few elements a point can be nearest to, each from the
+  element that writes it last — the values the whole table holds;
 * the :class:`SemND` assembler base: the multi-component interleaved
   DOF layout (``n_comp * node + comp``), diagonal (lumped) mass from the
   material's per-element density, one chunked CSR stiffness builder for any
@@ -50,6 +56,7 @@ matvec (paper Sec. II-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +66,6 @@ from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
 from repro.sem.matfree import AcousticKernelND, ElasticKernelND, inverse_mass, operator_for
 from repro.util.errors import SolverError
-from repro.util.rows import unique_rows
 from repro.util.validation import require
 
 #: Cap on scattered COO entries per assembly chunk (~64 MB of values).
@@ -225,20 +231,15 @@ def element_axis_sizes(mesh: Mesh) -> np.ndarray:
     per-axis extent (the affine tensor-product mapping assumption).
     """
     dim = mesh.dim
-    P = mesh.coords[mesh.elements]  # (n_elem, 2**dim, dim)
-    p0 = P[:, 0, :]
     # bits[l, a] = offset bit of local corner l along axis a (x slowest).
-    locals_ = np.arange(2**dim)[:, None]
-    bits = (locals_ >> (dim - 1 - np.arange(dim))[None, :]) & 1
+    bits = (np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
     h = np.empty((mesh.n_elements, dim))
+    aligned = True
     for a in range(dim):
-        h[:, a] = P[:, 1 << (dim - 1 - a), a] - p0[:, a]
-    expected = p0[:, None, :] + bits[None, :, :] * h[:, None, :]
-    require(
-        bool(np.allclose(P, expected)),
-        "tensor-product SEM requires axis-aligned box elements",
-        SolverError,
-    )
+        P = mesh.coords[:, a].take(mesh.elements)  # (n_elem, 2**dim): corners' axis a
+        h[:, a] = P[:, 1 << (dim - 1 - a)] - P[:, 0]
+        aligned = aligned and bool(np.allclose(P, P[:, :1] + bits[:, a] * h[:, a : a + 1]))
+    require(aligned, "tensor-product SEM requires axis-aligned box elements", SolverError)
     require(bool(np.all(h > 0)), "degenerate elements", SolverError)
     return h
 
@@ -246,52 +247,16 @@ def element_axis_sizes(mesh: Mesh) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Entity-based DOF numbering
 # ----------------------------------------------------------------------
-def _local_strides(order: int, dim: int) -> np.ndarray:
-    """Strides of the local multi-index (x slowest, C-order flattening)."""
-    return (order + 1) ** np.arange(dim - 1, -1, -1)
-
-
-def _corner_bits(local: int, dim: int) -> list[int]:
-    return [(local >> (dim - 1 - a)) & 1 for a in range(dim)]
-
-
-def _edge_positions(a: int, b: int, order: int, dim: int) -> list[int]:
-    """Local flat indices of the interior nodes of edge ``(a, b)``,
-    traversed in the +axis direction (from corner ``a`` toward ``b``)."""
-    strides = _local_strides(order, dim)
-    abits = _corner_bits(a, dim)
-    bbits = _corner_bits(b, dim)
-    (axis,) = [ax for ax in range(dim) if abits[ax] != bbits[ax]]
-    idx = [bit * order for bit in abits]
-    pos = []
-    for t in range(1, order):
-        idx[axis] = t
-        pos.append(int(np.dot(idx, strides)))
-    return pos
-
-
-def _face_positions(f: int, order: int) -> list[int]:
-    """Local flat indices of face slot ``f``'s interior grid, (s, t)
-    order with s slow — matching the rows of the orientation perms."""
-    (c00, _, _, _), s_ax, t_ax = _HEX_FACE_SLOTS[f]
-    strides = _local_strides(order, 3)
-    base = [bit * order for bit in _corner_bits(c00, 3)]
-    pos = []
-    for s in range(1, order):
-        for t in range(1, order):
-            idx = list(base)
-            idx[s_ax] = s
-            idx[t_ax] = t
-            pos.append(int(np.dot(idx, strides)))
-    return pos
-
-
-def _interior_positions(order: int, dim: int) -> np.ndarray:
-    """Local flat indices with every component in ``1..order-1`` (C-order)."""
-    n1 = order + 1
-    idx = np.indices((n1,) * dim).reshape(dim, -1)
-    inner = np.all((idx >= 1) & (idx <= order - 1), axis=0)
-    return np.nonzero(inner)[0]
+def _slot_positions(corner: int, free: tuple[int, ...], order: int, dim: int) -> np.ndarray:
+    """Local flat indices (C order, x slowest) of the nodes at local corner
+    ``corner`` along every axis but those in ``free``, which run over the
+    interior ``1..order-1``: ascending, so each free axis runs in its +axis
+    direction and the earlier one is the slower (the rows of the face
+    orientation perms)."""
+    idx = np.indices((order + 1,) * dim).reshape(dim, -1)
+    at = [((corner >> (dim - 1 - a)) & 1) * order for a in range(dim)]
+    on = [(i > 0) & (i < order) if a in free else i == at[a] for a, i in enumerate(idx)]
+    return np.flatnonzero(np.logical_and.reduce(on))
 
 
 def _face_orientation_perms(order: int) -> np.ndarray:
@@ -389,80 +354,87 @@ class TensorDofLayout:
         return np.unique(np.concatenate(parts).astype(np.int64))
 
 
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First positions of the distinct rows of the key columns ``keys``
+    (the last the primary, as for ``np.lexsort``), rows ascending, and each
+    row's rank among them: ``np.unique``'s inverse whatever order a sort
+    leaves equal rows in."""
+    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)  # a sorted row unlike its predecessor
+    for k in keys:
+        srt = k[order]
+        new[1:] |= srt[1:] != srt[:-1]
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = new.astype(np.intp).cumsum()
+    new[:1] = True
+    return order[new], inv
+
+
 def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
     """Entity-based global DOF numbering for any conforming line/quad/hex
-    mesh (see :class:`TensorDofLayout`): edge/face ``i`` is the ``i``-th distinct
-    sorted corner tuple in lexicographic order, as ``np.unique`` orders them."""
-    dim = mesh.dim
-    N = int(order)
+    mesh (see :class:`TensorDofLayout`): edge/face ``i`` is the ``i``-th
+    distinct sorted corner tuple in lexicographic order, as ``np.unique``
+    orders them.  A sorted pair packs into the key ``lo * n_corner + hi``
+    and a sorted quad into two, so one sort numbers each entity kind; the
+    keys need ``n_corner**2 < 2**63`` (larger meshes are refused).  The
+    table is written one local slot (a row over all elements) at a time,
+    then transposed once."""
+    dim, N = mesh.dim, int(order)
     require(N >= 1, "order must be >= 1", SolverError)
-    n1 = N + 1
-    n_loc = n1**dim
-    n_int = N - 1
-    conn = mesh.elements
-    n_elem = mesh.n_elements
-    n_corner = mesh.n_nodes
-    strides = _local_strides(N, dim)
-
-    element_dofs = np.empty((n_elem, n_loc), dtype=np.int64)
-    for local in range(2**dim):
-        flat = int(np.dot([b * N for b in _corner_bits(local, dim)], strides))
-        element_dofs[:, flat] = conn[:, local]
+    n_int, n_elem, n_corner = N - 1, mesh.n_elements, mesh.n_nodes
+    require(n_corner**2 < 2**63, f"{n_corner} nodes overflow 64-bit corner-pair keys", SolverError)
+    ct = mesh.elements.T  # (2**dim, n_elem)
+    table = np.empty(((N + 1) ** dim, n_elem), dtype=np.int64)  # element_dofs transposed
+    table[np.concatenate([_slot_positions(c, (), N, dim) for c in range(2**dim)])] = ct
     nxt = n_corner
 
     edge_keys = edge_inv = None
     if dim >= 2:
         slots = _EDGE_SLOTS[dim]
-        pairs = np.sort(
-            np.stack([conn[:, list(s)] for s in slots], axis=1), axis=2
-        )  # (n_elem, n_slots, 2)
-        edge_keys, _, inv = unique_rows(pairs.reshape(-1, 2))
-        edge_inv = inv.reshape(n_elem, len(slots))
-        if n_int:
-            for s, (a, b) in enumerate(slots):
-                ids = (nxt + edge_inv[:, s] * n_int)[:, None] + np.arange(n_int)
-                flip = conn[:, a] > conn[:, b]  # traverse low corner -> high
-                ids[flip] = ids[flip, ::-1]
-                element_dofs[:, _edge_positions(a, b, N, dim)] = ids
+        a, b = ct[[s[0] for s in slots]], ct[[s[1] for s in slots]]  # (n_slots, n_elem)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        first, inv = _distinct((lo * n_corner + hi).ravel())
+        edge_keys = np.stack([lo.ravel()[first], hi.ravel()[first]], axis=1)
+        inv = inv.reshape(len(slots), n_elem)
+        edge_inv = np.ascontiguousarray(inv.T)
+        if n_int:  # each edge runs from its lower global corner to its higher one
+            t = np.arange(n_int)[:, None]
+            ids = np.where((a > b)[:, None, :], n_int - 1 - t, t) + (nxt + inv * n_int)[:, None, :]
+            # An edge slot's free axis is the one its two corners differ on.
+            pos = [_slot_positions(p, (dim - (p ^ q).bit_length(),), N, dim) for p, q in slots]
+            table[np.concatenate(pos)] = ids.reshape(-1, n_elem)
             nxt += len(edge_keys) * n_int
 
     face_keys = face_inv = None
     if dim == 3:
-        quads = np.stack(
-            [np.sort(conn[:, list(c4)], axis=1) for (c4, _, _) in _HEX_FACE_SLOTS],
-            axis=1,
-        )  # (n_elem, 6, 4)
-        face_keys, _, finv = unique_rows(quads.reshape(-1, 4))
-        face_inv = finv.reshape(n_elem, 6)
+        q = ct[[list(c4) for c4, _, _ in _HEX_FACE_SLOTS]]  # (6, 4, n_elem) in (s, t) layout
+        quad = np.sort(q, axis=1)
+        pairs = quad[:, 0::2] * n_corner + quad[:, 1::2]  # (6, 2, n_elem)
+        first, inv = _distinct(pairs[:, 1].ravel(), pairs[:, 0].ravel())
+        face_keys = quad.transpose(0, 2, 1).reshape(-1, 4)[first]
+        inv = inv.reshape(6, n_elem)
+        face_inv = np.ascontiguousarray(inv.T)
         if n_int:
-            n_int2 = n_int * n_int
-            perms = _face_orientation_perms(N)
-            ar = np.arange(n_elem)
-            for f, (c4, _, _) in enumerate(_HEX_FACE_SLOTS):
-                corners4 = conn[:, list(c4)]  # (n_elem, 4) in (s, t) layout
-                o = np.argmin(corners4, axis=1)
-                os_, ot = o >> 1, o & 1
-                s_adj = corners4[ar, 2 * (1 - os_) + ot]
-                t_adj = corners4[ar, 2 * os_ + (1 - ot)]
-                t_id = 2 * o + (s_adj < t_adj)
-                ids = (nxt + face_inv[:, f] * n_int2)[:, None] + perms[t_id]
-                element_dofs[:, _face_positions(f, N)] = ids
-            nxt += len(face_keys) * n_int2
+            # The canonical frame's origin is the smallest corner, slot o;
+            # its s- and t-neighbours are slots o ^ 2 and o ^ 1.
+            o = q.argmin(axis=1)
+            adj = [np.take_along_axis(q, (o ^ k)[:, None], axis=1)[:, 0] for k in (2, 1)]
+            ids = _face_orientation_perms(N).T.take(2 * o + (adj[0] < adj[1]), axis=1)
+            ids += nxt + inv * n_int * n_int  # (n_int**2, 6, n_elem)
+            pos = [_slot_positions(c4[0], (s, t), N, 3) for c4, s, t in _HEX_FACE_SLOTS]
+            table[np.stack(pos, axis=1).ravel()] = ids.reshape(-1, n_elem)
+            nxt += len(face_keys) * n_int * n_int
 
     if n_int:
         n_inner = n_int**dim
-        inner = (
-            nxt
-            + (np.arange(n_elem) * n_inner)[:, None]
-            + np.arange(n_inner)
-        )
-        element_dofs[:, _interior_positions(N, dim)] = inner
+        inner = nxt + np.arange(n_elem) * n_inner + np.arange(n_inner)[:, None]
+        table[_slot_positions(0, tuple(range(dim)), N, dim)] = inner
         nxt += n_elem * n_inner
 
     return TensorDofLayout(
         order=N,
         dim=dim,
-        element_dofs=element_dofs,
+        element_dofs=table.T.copy(),
         n_dof=nxt,
         n_corner=n_corner,
         edge_keys=edge_keys,
@@ -557,11 +529,7 @@ class SemND:
         self._ref_cross: dict[tuple[int, int], np.ndarray] | None = None
 
         N = self.order
-        dim = self.dim
         nc = self.n_comp
-        n1 = N + 1
-        n_loc = n1**dim
-        xi, _ = gll_points_weights(N)
 
         # Geometry: per-axis sizes of the axis-aligned boxes.
         self.h_axes = element_axis_sizes(mesh)
@@ -572,38 +540,30 @@ class SemND:
         self.scalar_dofs = self._layout.element_dofs
         self.n_scalar = self._layout.n_dof
         self.n_dof = nc * self.n_scalar
-        if nc == 1:
-            self.element_dofs = self.scalar_dofs
-        else:
-            self.element_dofs = (
-                nc * np.repeat(self.scalar_dofs, nc, axis=1)
-                + np.tile(np.arange(nc), n_loc)[None, :]
-            )
+        self.element_dofs = self.scalar_dofs if nc == 1 else (
+            (nc * self.scalar_dofs)[:, :, None] + np.arange(nc)
+        ).reshape(mesh.n_elements, -1)
 
-        # Node coordinates (overlapping writes store identical values).
-        p0 = mesh.coords[mesh.elements[:, 0]]
-        gx = (xi + 1.0) * 0.5
-        flat = np.arange(n_loc)
-        coords = np.zeros((self.n_scalar, dim))
-        for a in range(dim):
-            ia = (flat // n1 ** (dim - 1 - a)) % n1
-            vals = p0[:, a : a + 1] + gx[None, :] * self.h_axes[:, a : a + 1]
-            coords[self.scalar_dofs.ravel(), a] = vals[:, ia].ravel()
-        self.node_coords = coords
+        # Node coordinates come on demand (node_coords, nearest_dof) from
+        # each element's first corner, its sizes and the GLL abscissae.
+        self._p0 = mesh.coords[mesh.elements[:, 0]]
         # Per-axis (dim, n_elem) element boxes padded by 10x the corner slack
-        # element_axis_sizes admits: each holds every node stored for it.
-        pad = 1e-7 + 1e-4 * np.abs(mesh.coords).max()
+        # element_axis_sizes admits: each holds every node value any
+        # element computes for one of its nodes.
+        self._pad = 1e-7 + 1e-4 * np.abs(mesh.coords).max()
+        p0, pad = self._p0, self._pad
         self._boxes = ((p0 - pad).T.copy(), (p0 + self.h_axes + pad).T.copy())
 
         # Per-element physics parameters (acoustic: the per-axis scales).
         self._setup_physics()
 
-        # Diagonal (lumped) mass: rho * |J| * (w (x) ... (x) w), same on
-        # every component of a node.
-        Me = self.element_mass_batch()
-        self.M = np.bincount(
-            self.element_dofs.ravel(), weights=Me.ravel(), minlength=self.n_dof
+        # Diagonal (lumped) mass: rho * |J| * (w (x) ... (x) w), the same
+        # on every component of a node, so summed once per node (the
+        # summands of each component's sum, in its order) and repeated.
+        M = np.bincount(
+            self.scalar_dofs.ravel(), weights=self._node_mass().ravel(), minlength=self.n_scalar
         )
+        self.M = M if nc == 1 else np.repeat(M, nc)
 
         # Dirichlet mask: needed by both backends (the matrix-free path
         # applies it without ever assembling), so it is built eagerly.
@@ -752,17 +712,20 @@ class SemND:
             self._ref_cross = axis_cross_kernels(self.order, self.dim)
         return self._ref_cross
 
-    def element_mass_batch(self, ids: np.ndarray | None = None) -> np.ndarray:
-        """Diagonal element mass ``(m, n_comp * n_loc)`` of elements
-        ``ids`` (all when ``None``): ``rho |J|`` times the tensor GLL
-        weights, replicated onto every component of each node."""
+    def _node_mass(self, ids: np.ndarray | None = None) -> np.ndarray:
+        """Diagonal element mass per node ``(m, n_loc)`` of elements ``ids``
+        (all when ``None``): ``rho |J|`` times the tensor GLL weights."""
         ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
         wq = tensor_quadrature_weights(self.order, self.dim)
         jac = self.h_axes[ids].prod(axis=1) / (2.0**self.dim)
-        Me = (self.material.density()[ids] * jac)[:, None] * wq[None, :]
-        if self.n_comp == 1:
-            return Me
-        return np.repeat(Me, self.n_comp, axis=1)
+        return (self.material.density()[ids] * jac)[:, None] * wq[None, :]
+
+    def element_mass_batch(self, ids: np.ndarray | None = None) -> np.ndarray:
+        """Diagonal element mass ``(m, n_comp * n_loc)`` of elements
+        ``ids`` (all when ``None``): :meth:`_node_mass` replicated onto
+        every component of each node."""
+        Me = self._node_mass(ids)
+        return Me if self.n_comp == 1 else np.repeat(Me, self.n_comp, axis=1)
 
     def element_system_batch(
         self, ids: np.ndarray | None = None
@@ -789,6 +752,27 @@ class SemND:
             return b
         return (self.n_comp * b[:, None] + np.arange(self.n_comp)).ravel()
 
+    def _node_values(self, elems, slots: np.ndarray, n: int) -> np.ndarray:
+        """``(n, dim)`` coordinates of the nodes of the elements ``elems``,
+        whose ``scalar_dofs`` read ``slots`` in ``0..n-1``: every element
+        writes the values it computes (``p0 + x_gll * h`` per axis), in
+        ravel order, so a shared node keeps its last writer's."""
+        n1, dim = self.order + 1, self.dim
+        gx = (gll_points_weights(self.order)[0] + 1.0) * 0.5
+        flat = np.arange(n1**dim)
+        coords = np.zeros((n, dim))
+        for a in range(dim):
+            ia = (flat // n1 ** (dim - 1 - a)) % n1
+            vals = self._p0[elems, a : a + 1] + gx[None, :] * self.h_axes[elems, a : a + 1]
+            coords[slots.ravel(), a] = vals[:, ia].ravel()
+        return coords
+
+    @cached_property
+    def node_coords(self) -> np.ndarray:
+        """``(n_scalar, dim)`` GLL node coordinates, built on first access
+        (no setup stage reads them; :meth:`nearest_dof` computes its few)."""
+        return self._node_values(slice(None), self.scalar_dofs, self.n_scalar)
+
     def interpolate(self, f) -> np.ndarray:
         """Nodal interpolant of ``f(x[, y[, z]])`` (vectorized callable)."""
         args = [self.node_coords[:, a] for a in range(self.dim)]
@@ -796,17 +780,31 @@ class SemND:
 
     def nearest_dof(self, *point: float) -> int:
         """Global DOF closest to ``point`` (one coordinate per axis), ties to
-        the lowest id: the brute-force ``argmin``, measured only on elements
-        whose box lies within the nearest box's best node distance (a box's
-        distance, summed per axis alike, is bitwise <= its nodes')."""
+        the lowest id: the brute-force ``argmin`` over :attr:`node_coords`,
+        computed without building it.
+
+        Every value an element computes for a node lies in the padded box
+        of each element holding the node, and a box's distance, summed per
+        axis alike, is bitwise <= that of any value in it.  The nearest
+        box's own node grid, each per-axis distance lengthened by the pad,
+        bounds the best distance from above (at the grid node whose per-axis
+        terms are least).  The elements whose boxes lie within
+        that bound hold every node no farther, and every element holding
+        such a node, so those nodes get their last writer's value as in
+        :attr:`node_coords`; a node whose last writer lies outside is
+        farther than the bound whatever value it gets."""
         require(len(point) == self.dim, "point must have one coordinate per axis", SolverError)
         x = np.array(point, dtype=np.float64)
         require(bool(np.isfinite(x).all()), f"point must be finite, got {point}", SolverError)
         (lo, hi), xc = self._boxes, x[:, None]
         box = _sq_dist(np.maximum(np.maximum(lo - xc, xc - hi), 0.0))
-        best = _sq_dist((self.node_coords[self.scalar_dofs[np.argmin(box)]] - x).T).min()
-        ids = np.unique(self.scalar_dofs[box <= best])
-        return int(ids[np.argmin(_sq_dist((self.node_coords[ids] - x).T))])
+        e, gx = np.argmin(box), (gll_points_weights(self.order)[0] + 1.0) * 0.5
+        own = self._p0[e, :, None] + gx * self.h_axes[e, :, None]  # (dim, n1) per-axis values
+        bound = _sq_dist((np.abs(own - xc) + self._pad).min(axis=1))  # at its nearest node
+        near = np.flatnonzero(box <= bound)
+        ids, slots = np.unique(self.scalar_dofs[near], return_inverse=True)
+        y = self._node_values(near, slots, len(ids))
+        return int(ids[np.argmin(_sq_dist((y - x).T))])
 
 
 # ----------------------------------------------------------------------
