@@ -66,6 +66,7 @@ from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
 from repro.sem.matfree import AcousticKernelND, ElasticKernelND, inverse_mass, operator_for
 from repro.util.errors import SolverError
+from repro.util.rows import unique_rows
 from repro.util.validation import require
 
 #: Cap on scattered COO entries per assembly chunk (~64 MB of values).
@@ -354,29 +355,14 @@ class TensorDofLayout:
         return np.unique(np.concatenate(parts).astype(np.int64))
 
 
-def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First positions of the distinct rows of the key columns ``keys``
-    (the last the primary, as for ``np.lexsort``), rows ascending, and each
-    row's rank among them: ``np.unique``'s inverse whatever order a sort
-    leaves equal rows in."""
-    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)  # a sorted row unlike its predecessor
-    for k in keys:
-        srt = k[order]
-        new[1:] |= srt[1:] != srt[:-1]
-    inv = np.empty(len(order), dtype=np.intp)
-    inv[order] = new.astype(np.intp).cumsum()
-    new[:1] = True
-    return order[new], inv
-
-
 def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
     """Entity-based global DOF numbering for any conforming line/quad/hex
     mesh (see :class:`TensorDofLayout`): edge/face ``i`` is the ``i``-th
     distinct sorted corner tuple in lexicographic order, as ``np.unique``
     orders them.  A sorted pair packs into the key ``lo * n_corner + hi``
-    and a sorted quad into two, so one sort numbers each entity kind; the
-    keys need ``n_corner**2 < 2**63`` (larger meshes are refused).  The
+    and a sorted quad into two, so one :func:`unique_rows` sort of one or
+    two key columns numbers each entity kind; the keys need
+    ``n_corner**2 < 2**63`` (larger meshes are refused).  The
     table is written one local slot (a row over all elements) at a time,
     then transposed once."""
     dim, N = mesh.dim, int(order)
@@ -393,7 +379,7 @@ def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
         slots = _EDGE_SLOTS[dim]
         a, b = ct[[s[0] for s in slots]], ct[[s[1] for s in slots]]  # (n_slots, n_elem)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        first, inv = _distinct((lo * n_corner + hi).ravel())
+        _, first, inv = unique_rows((lo * n_corner + hi).reshape(-1, 1))
         edge_keys = np.stack([lo.ravel()[first], hi.ravel()[first]], axis=1)
         inv = inv.reshape(len(slots), n_elem)
         edge_inv = np.ascontiguousarray(inv.T)
@@ -410,7 +396,7 @@ def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
         q = ct[[list(c4) for c4, _, _ in _HEX_FACE_SLOTS]]  # (6, 4, n_elem) in (s, t) layout
         quad = np.sort(q, axis=1)
         pairs = quad[:, 0::2] * n_corner + quad[:, 1::2]  # (6, 2, n_elem)
-        first, inv = _distinct(pairs[:, 1].ravel(), pairs[:, 0].ravel())
+        _, first, inv = unique_rows(pairs.transpose(0, 2, 1).reshape(-1, 2))
         face_keys = quad.transpose(0, 2, 1).reshape(-1, 4)[first]
         inv = inv.reshape(6, n_elem)
         face_inv = np.ascontiguousarray(inv.T)

@@ -205,13 +205,19 @@ def nearest_dof(coords: np.ndarray, point) -> int:
     return int(np.argmin(sum(d[:, a] * d[:, a] for a in range(coords.shape[1]))))
 
 
-def permuted_grid(shape, seed: int) -> Mesh:
+def permuted_grid(shape, seed: int, slack: float = 0.0) -> Mesh:
     """A box grid of ``shape`` with random spacing per axis, its node
     labels and element order randomly permuted (corner ids carry no grid
     order).  The ticks are decimals (one place, random offset), whose
     differences binary floats round: ``p0 + 1.0 * (x1 - p0)`` is not
     always ``x1``, so elements sharing a node can compute it apart in
-    the last bit, and which one writes last shows."""
+    the last bit, and which one writes last shows.
+
+    ``slack`` (below 0.5) moves every corner coordinate by a random
+    fraction, up to ``slack``, of the tolerance ``np.allclose`` grants
+    it (``1e-8 + 1e-5 * |x|``): each element stays within that tolerance
+    of its box, so setup accepts the mesh, while elements sharing a node
+    compute it up to about ``2 * slack`` tolerances apart."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(shape)  # unit spacing: integer corner coordinates
     coords = np.empty_like(grid.coords)
@@ -223,5 +229,8 @@ def permuted_grid(shape, seed: int) -> Mesh:
     new_coords = np.empty_like(coords)
     new_coords[perm] = coords
     elements = perm[grid.elements][rng.permutation(grid.n_elements)]
+    if slack:
+        tol = 1e-8 + 1e-5 * np.abs(new_coords)
+        new_coords += rng.uniform(-slack, slack, new_coords.shape) * tol
     n = len(elements)
     return Mesh(dim=len(shape), coords=new_coords, elements=elements, h=np.ones(n), c=np.ones(n))

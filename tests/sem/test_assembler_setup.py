@@ -7,7 +7,9 @@ writes the whole table at setup as every element computes it, the last
 write winning, and locates a point by the brute-force ``argmin`` over
 it.  Meshes are graded box grids with permuted node labels and element
 order, so the last writer of a shared node is no particular neighbour,
-and decimal ticks, so writers disagree on some nodes in the last bit.
+and decimal ticks, so writers disagree on some nodes in the last bit;
+with ``slack`` their corners also sit off their boxes by up to about
+half the tolerance setup admits, so writers disagree by far more.
 The per-axis element sizes the coordinates are computed from are held
 to the oracle's one-gather formula, refusals included, and the vector
 physics' interleaved layout and mass to the repeat-and-tile formulas.
@@ -27,6 +29,7 @@ import repro
 from repro.mesh import uniform_grid
 from repro.mesh.mesh import Mesh
 from repro.sem import ElasticSemND, SemND
+from repro.sem.gll import gll_points_weights
 from repro.sem.materials import IsotropicElastic
 from repro.sem.tensor import element_axis_sizes
 from repro.util.errors import SolverError
@@ -94,17 +97,43 @@ def test_node_coords_and_interpolate_equal_the_eager_table(case):
             assert np.array_equal(sem.interpolate(*fs), want)
 
 
-@pytest.mark.parametrize("order", [1, 3, 4])
-@pytest.mark.parametrize("shape", [(6, 5), (4, 3, 3)])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_nearest_dof_equals_brute_force_over_the_eager_table(shape, order, seed):
-    """Acoustic and elastic, 2D and 3D, at nodes, ties and points outside
+def _near_ties(sem, coords, rng, n):
+    """Up to ``n`` points between neighbouring nodes on an axis along which
+    the elements holding one of them compute it apart: their midpoint
+    moved along that axis by fractions of that spread, where the value a
+    node gets decides which of the two is nearer."""
+    dim, N = sem.dim, sem.order
+    idx = np.indices((N + 1,) * dim).reshape(dim, -1)
+    gx = (gll_points_weights(N)[0] + 1.0) * 0.5
+    p0 = sem.mesh.coords[sem.mesh.elements[:, 0]]
+    dofs = sem.scalar_dofs
+    points = []
+    for a in range(dim):
+        vals = (p0[:, a : a + 1] + gx * sem.h_axes[:, a : a + 1])[:, idx[a]]
+        lo, hi = np.full(sem.n_scalar, np.inf), np.full(sem.n_scalar, -np.inf)
+        np.minimum.at(lo, dofs.ravel(), vals.ravel())
+        np.maximum.at(hi, dofs.ravel(), vals.ravel())
+        on = np.flatnonzero(idx[a] < N)  # each node and its +axis neighbour
+        A, B = dofs[:, on].ravel(), dofs[:, on + (N + 1) ** (dim - 1 - a)].ravel()
+        spread = hi - lo
+        gap = np.maximum(spread[A], spread[B])
+        A, B, gap = A[gap > 0], B[gap > 0], gap[gap > 0]
+        for f in (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0):
+            p = 0.5 * (coords[A] + coords[B])
+            p[:, a] += f * gap
+            points.append(p)
+    points = np.unique(np.concatenate(points), axis=0)
+    return points[rng.permutation(len(points))[:n]]
+
+
+def _assert_nearest_dof_is_the_brute_force(mesh, order, seed):
+    """Acoustic and elastic, at nodes, ties, near ties and points outside
     the mesh: the DOF the brute-force ``argmin`` over the eager table
     picks (lowest id on ties), and the table is never built for it."""
-    mesh = permuted_grid(shape, seed)
     sems = _assemblers(mesh, order)
     coords = oracle_coords(sems[0])
-    points = _points(sems[0], coords, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([_points(sems[0], coords, rng), _near_ties(sems[0], coords, rng, 400)])
     for p in points:
         best = oracle_nearest(coords, p)
         assert sems[0].nearest_dof(*p) == best
@@ -112,6 +141,26 @@ def test_nearest_dof_equals_brute_force_over_the_eager_table(shape, order, seed)
             assert sems[1].nearest_dof(*p, comp=comp) == mesh.dim * best + comp
     for sem in sems:
         assert "node_coords" not in vars(sem)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+@pytest.mark.parametrize("shape", [(6, 5), (4, 3, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nearest_dof_equals_brute_force_over_the_eager_table(shape, order, seed):
+    """2D and 3D, elements disagreeing on shared nodes in the last bit."""
+    _assert_nearest_dof_is_the_brute_force(permuted_grid(shape, seed), order, seed)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+@pytest.mark.parametrize("shape", [(6, 5), (4, 3, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nearest_dof_equals_brute_force_with_corners_off_their_boxes(shape, order, seed):
+    """Corners off their boxes by up to 0.45 of the tolerance setup
+    accepts, so elements sharing a node compute it apart by far more than
+    the last bit: the pad of the boxes and of the bound must cover that
+    (without the pad the near ties pick other nodes)."""
+    mesh = permuted_grid(shape, seed, slack=0.45)
+    _assert_nearest_dof_is_the_brute_force(mesh, order, seed)
 
 
 def test_nearest_dof_ties_on_a_permuted_unit_grid():
