@@ -8,8 +8,8 @@ the element workspace lives in registers/L1; this module provides that
 tier: a small C source compiled on demand with the system compiler and
 loaded through :mod:`ctypes` (stdlib only — no new dependencies).
 Kernels: 2D acoustic (``ac_apply``), 3D hexahedral acoustic
-(``ac_apply3``), 2D elastic (``el_apply``), 3D hexahedral elastic
-(``el_apply3``), 2D/3D anisotropic stress form (``an_apply`` /
+(``ac_apply3``), 2D elastic (``el_apply``), 3D hexahedral elastic in
+stress form (``el_apply3``), 2D/3D anisotropic stress form (``an_apply`` /
 ``an_apply3``); the 3D kernels cover orders <= ``MAX_ORDER_3D``.
 
 The kernels are strictly optional.  If no C compiler is available, the
@@ -37,11 +37,17 @@ copy once, so at order 4 every contraction loop has a trip count the
 compiler sees (unrolled, register-blocked).  Both copies are the same
 source doing the same IEEE operations in the same order: bitwise the
 runtime loop.  Other orders and kernels get a literal copy only once a
-benchmark workload runs them.  The 3D elastic block also computes each
-trial component's first pair contraction (``F`` or ``E`` along the
-trial axis ``d``) once per block and shares it between the two
-components it feeds: 18 off-diagonal axis contractions per block
-instead of 24, each the same arithmetic.
+benchmark workload runs them.
+
+The 3D elastic block runs in SPECFEM's stress form (Komatitsch & Tromp
+1999): the nine gradients ``D`` along each axis of each component, a
+pointwise stress from the element's 15 coefficients, and the weighted
+divergence ``D^T`` back onto each component — 18 axis contractions per
+block, where the NumPy tier's block form
+(:class:`repro.sem.matfree.ElasticKernelND`) takes 33.  The block reads
+each row of the DOF table once for the gather and once for the scatter,
+all three components together; a DOF still gets its elements' terms in
+block, then lane order.
 
 Threading
 ---------
@@ -534,111 +540,94 @@ void el_apply(const double *restrict u, double *restrict z,
 }
 
 /*
- * 3D isotropic elastic block, component-interleaved ed of width 3*nl.
- * Blocks (c, d in {x, y, z}), with R_cd = E(at c) (x) F(at d) (x)
- * Wd(rest), E = D^T diag(w), F = diag(w) D = E^T:
- *   f_c = sum_a ds[c][a] * (KxX contraction of U_c along axis a, w-plane)
- *       + sum_{d != c} ( lamg[cd] [E@c, F@d] + mug[cd] [F@c, E@d] ) U_d
- * coef carries 15 doubles per element: ds[3][3] row-major, then lamg and
- * mug for the pairs (0,1), (0,2), (1,2) — all with the geometry factors
- * folded in.
+ * 3D isotropic elastic block in SPECFEM's stress form (gradient ->
+ * stress -> weighted divergence), component-interleaved ed of width
+ * 3*nl.  With g_d U the contraction of U with D along axis d and W =
+ * w_i w_j w_k:
+ *   S_cc = W (ds[c][c] g_c U_c + sum_{e != c} lamg[ce] g_e U_e),
+ *   S_cd = W (ds[c][d] g_d U_c + mug[cd] g_c U_d)   (d != c),
+ *   f_c  = sum_d D_d^T S_cd:
+ * the block form's diagonal terms G_a^T W G_a and pair terms
+ * lam G_c^T W G_d, mu G_d^T W G_c regrouped by the divergence axis, 9
+ * gradient and 9 divergence axis contractions per block.  coef carries
+ * 15 doubles per element: ds[3][3] row-major, then lamg and mug for the
+ * pairs (0,1), (0,2), (1,2) -- all with the geometry factors folded in.
  */
 BLOCK el_block3(long e0, int n1,
-                const double *restrict KxX, const double *restrict w,
-                const double *restrict E, const double *restrict F,
-                const double *restrict coef,
+                const double *restrict D, const double *restrict Dt,
+                const double *restrict w, const double *restrict coef,
                 const int32_t *restrict ed, const double *restrict u,
                 const uint8_t *restrict gmask, double *restrict z)
 {
     int n2 = n1 * n1, nl = n2 * n1;
-    static _Thread_local v8 U[3][MAXNL3], P[3][2][MAXNL3], Fo[MAXNL3],
-        T[MAXNL3];
+    static _Thread_local v8 U[3][MAXNL3], G[3][3][MAXNL3];
+    v8 (*Fo)[MAXNL3] = U;  /* the divergence's output: U is dead by then */
     const int str[3] = {n2, n1, 1};
-    for (int l = 0; l < VL; ++l) {
+    for (int l = 0; l < VL; ++l) {  /* one pass over each row of ed */
         const int32_t *d = ed + (e0 + l) * 3 * nl;
         const uint8_t *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
-        for (int c = 0; c < 3; ++c)
-            gather(d + c, 3, nl, u, gm ? gm + c : 0, U[c], l);
+        for (int k = 0; k < nl; ++k)
+            for (int c = 0; c < 3; ++c)
+                U[c][k][l] = gm ? u[d[3 * k + c]] * (double)gm[3 * k + c]
+                                : u[d[3 * k + c]];
     }
     v8 CF[15];
     for (int m = 0; m < 15; ++m)
         for (int l = 0; l < VL; ++l) CF[m][l] = coef[(e0 + l) * 15 + m];
-    /* First pair stage, shared by both components U_d feeds: the trial
-     * axis d contracted with F (P[d][0], the lam term) or E (P[d][1],
-     * the mu term) does not depend on the receiving component. */
-    for (int d = 0; d < 3; ++d)
-        for (int term = 0; term < 2; ++term)
-            axis3_mul(term ? E : F, U[d], P[d][term], n1,
+    /* 1. gradient: G[c][d] = g_d U_c */
+    for (int c = 0; c < 3; ++c)
+        for (int d = 0; d < 3; ++d)
+            axis3_mul(D, U[c], G[c][d], n1,
                       str[d], str[(d + 1) % 3], str[(d + 2) % 3]);
-    for (int c = 0; c < 3; ++c) {
-        v8 DX = CF[3 * c], DY = CF[3 * c + 1], DZ = CF[3 * c + 2];
-        /* diagonal block: the ac_apply3 contraction, per-comp coefs */
-        for (int i = 0; i < n1; ++i) {
-            const double *ki = KxX + i * n1;
-            for (int j = 0; j < n1; ++j) {
-                const double *kj = KxX + j * n1;
-                const v8 *uij = U[c] + (i * n1 + j) * n1;
-                for (int k = 0; k < n1; ++k) {
-                    const double *kk = KxX + k * n1;
-                    v8 a1 = {0}, a2 = {0}, a3 = {0};
-                    for (int a = 0; a < n1; ++a) {
-                        a1 += ki[a] * U[c][(a * n1 + j) * n1 + k];
-                        a2 += kj[a] * U[c][(i * n1 + a) * n1 + k];
-                        a3 += kk[a] * uij[a];
+    /* 2. stress, in place: G[c][d] becomes S_cd */
+    for (int i = 0; i < n1; ++i)
+        for (int j = 0; j < n1; ++j)
+            for (int k = 0; k < n1; ++k) {
+                int f = (i * n1 + j) * n1 + k;
+                double W = w[i] * w[j] * w[k];
+                v8 g00 = G[0][0][f], g11 = G[1][1][f], g22 = G[2][2][f];
+                G[0][0][f] = W * (CF[0] * g00 + CF[9] * g11 + CF[10] * g22);
+                G[1][1][f] = W * (CF[4] * g11 + CF[9] * g00 + CF[11] * g22);
+                G[2][2][f] = W * (CF[8] * g22 + CF[10] * g00 + CF[11] * g11);
+                for (int c = 0; c < 2; ++c)
+                    for (int d = c + 1; d < 3; ++d) {
+                        v8 MG = CF[12 + c + d - 1];
+                        v8 gcd = G[c][d][f], gdc = G[d][c][f];
+                        G[c][d][f] = W * (CF[3 * c + d] * gcd + MG * gdc);
+                        G[d][c][f] = W * (CF[3 * d + c] * gdc + MG * gcd);
                     }
-                    Fo[(i * n1 + j) * n1 + k] =
-                        DX * (w[j] * w[k]) * a1 + DY * (w[i] * w[k]) * a2
-                        + DZ * (w[i] * w[j]) * a3;
-                }
             }
-        }
-        /* off-diagonal blocks feeding component c */
-        for (int d = 0; d < 3; ++d) {
-            if (d == c) continue;
-            int lo = c < d ? c : d, hi = c < d ? d : c;
-            int p = lo + hi - 1;   /* (0,1)->0, (0,2)->1, (1,2)->2 */
-            int e = 3 - c - d;     /* the axis carrying a bare w    */
-            v8 LG = CF[9 + p], MG = CF[12 + p];
-            for (int term = 0; term < 2; ++term) {
-                /* lam [E@c, F@d] U_d, then mu [F@c, E@d] U_d */
-                const double *Ac = term ? F : E;
-                v8 CO = term ? MG : LG;
-                axis3_mul(Ac, P[d][term], T, n1,
-                          str[c], str[(c + 1) % 3], str[(c + 2) % 3]);
-                for (int i = 0; i < n1; ++i)
-                    for (int j = 0; j < n1; ++j)
-                        for (int k = 0; k < n1; ++k) {
-                            int idx3[3] = {i, j, k};
-                            int f = (i * n1 + j) * n1 + k;
-                            Fo[f] += CO * w[idx3[e]] * T[f];
-                        }
-            }
-        }
-        for (int l = 0; l < VL; ++l) {
-            const int32_t *dc = ed + (e0 + l) * 3 * nl + c;
-            for (int k = 0; k < nl; ++k) z[dc[3 * k]] += Fo[k][l];
-        }
+    /* 3. weighted divergence: f_c = sum_d D_d^T S_cd */
+    for (int c = 0; c < 3; ++c) {
+        axis3_mul(Dt, G[c][0], Fo[c], n1, str[0], str[1], str[2]);
+        axis3_mul_add(Dt, G[c][1], Fo[c], n1, str[1], str[2], str[0]);
+        axis3_mul_add(Dt, G[c][2], Fo[c], n1, str[2], str[0], str[1]);
+    }
+    /* scatter, one pass over each row of ed: a DOF still receives its
+     * elements' terms in block, then lane order */
+    for (int l = 0; l < VL; ++l) {
+        const int32_t *d = ed + (e0 + l) * 3 * nl;
+        for (int k = 0; k < nl; ++k)
+            for (int c = 0; c < 3; ++c) z[d[3 * k + c]] += Fo[c][k][l];
     }
 }
 ORDER_INSTANCES(el_block3,
-    (const double *restrict KxX, const double *restrict w,
-     const double *restrict E, const double *restrict F,
-     const double *restrict coef,
+    (const double *restrict D, const double *restrict Dt,
+     const double *restrict w, const double *restrict coef,
      const int32_t *restrict ed, const double *restrict u,
      const uint8_t *restrict gmask, double *restrict z),
-    (KxX, w, E, F, coef, ed, u, gmask, z))
+    (D, Dt, w, coef, ed, u, gmask, z))
 
 void el_apply3(const double *restrict u, double *restrict z,
                long ne, long n_dof, int n1,
-               const double *restrict KxX, const double *restrict w,
-               const double *restrict E, const double *restrict F,
-               const double *restrict coef,
+               const double *restrict D, const double *restrict Dt,
+               const double *restrict w, const double *restrict coef,
                const int32_t *restrict ed,
                const uint8_t *restrict gmask, const double *restrict Minv,
                int n_threads, double *restrict zt)
 {
     el_block3_fn block = el_block3_for(n1);
-#define EL3_CALL(ZP) block(e0, n1, KxX, w, E, F, coef, ed, u, gmask, ZP)
+#define EL3_CALL(ZP) block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(EL3_CALL);
 #undef EL3_CALL
 }
@@ -920,7 +909,7 @@ _OMP_FLAG = "-fopenmp"
 #: Kernel symbol -> number of kernel-specific coefficient pointers
 #: between the shared ``(u, z, ne, n_dof, n1)`` head and the shared
 #: ``(ed, gmask, Minv, n_threads, zt)`` tail.
-_KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 5,
+_KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 4,
             "an_apply": 4, "an_apply3": 4}
 #: LTS phase (or halo pass) symbol -> its argument types, one letter
 #: each: ``F`` / ``I`` a float64 / int64 array (or NULL), ``l`` long,
@@ -1335,7 +1324,8 @@ class Elastic3DPlan(_FusedPlan):
     Packs the per-element block coefficients of
     :class:`repro.sem.matfree.ElasticKernelND` — nine diagonal-block
     axis scales plus ``lam``/``mu`` pair coefficients with the geometry
-    factors folded in — into one 15-wide array for ``el_apply3``.
+    factors folded in — into one 15-wide array for ``el_apply3``, which
+    applies them in stress form with ``D`` and ``D^T``.
     """
 
     _symbol = "el_apply3"
@@ -1347,12 +1337,11 @@ class Elastic3DPlan(_FusedPlan):
         coef[:, 9:12] = kernel.lam_g
         coef[:, 12:15] = kernel.mu_g
         self._coef = _pad(coef, ne_pad)  # ghost elements: zero coefficients
-        self._KxX = np.ascontiguousarray(kernel.KxX)
-        self._E = np.ascontiguousarray(kernel.E)
-        self._F = np.ascontiguousarray(kernel.F)
+        self._D = np.ascontiguousarray(kernel.D)
+        self._Dt = np.ascontiguousarray(kernel.D.T)
 
     def _coef_arrays(self):
-        return (self._KxX, self._w, self._E, self._F, self._coef)
+        return (self._D, self._Dt, self._w, self._coef)
 
 
 class AnisotropicPlan(_FusedPlan):

@@ -396,6 +396,7 @@ class ElasticKernelND(_PooledKernel):
         _, w = gll_points_weights(self.order)
         D = lagrange_derivative_matrix(self.order)
         self.w = w
+        self.D = D
         self.KxX = (D.T * w) @ D
         self.E = D.T * w  # E[i, a] = D[a, i] w[a]
         self.F = w[:, None] * D
@@ -444,12 +445,13 @@ class ElasticKernelND(_PooledKernel):
     def flops_per_element(self) -> int:
         """Multiply-adds of one element contraction: ``dim`` diagonal
         acoustic-style contractions plus four two-stage pair
-        contractions per unordered axis pair.  The model counts every
-        pair term's first stage, although the fused 3D tier
-        (``el_apply3``) computes each trial axis's first stage once and
-        shares it between both receiving components (18 axis
-        contractions instead of 24): the Eq. 9 ratios and the golden
-        op counts rest on this count."""
+        contractions per unordered axis pair — this block form, the
+        NumPy tier's (in 3D: 9 diagonal and 24 pair-stage axis
+        contractions).  The fused 3D tier (``el_apply3``) does fewer
+        flops than this counts: it runs the stress form, 9 gradient and
+        9 divergence axis contractions and a pointwise stress.  The
+        Eq. 9 ratios and the golden op counts rest on this count, so it
+        stays the unit of both tiers."""
         n1 = self.n1
         diag = sum(k.flops_per_element for k in self._diag)
         pair_terms = 4 * len(self.pairs)  # lam & mu terms, both directions

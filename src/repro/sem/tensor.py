@@ -317,42 +317,30 @@ class TensorDofLayout:
             )
             return np.nonzero(counts == 1)[0].astype(np.int64)
 
-        edge_base = self.n_corner
-
+        # One mark over the DOFs: corner ids and whole entity blocks of
+        # the boundary (an entity's interior DOFs are one row of its
+        # block), read back in ascending order.
+        mark = np.zeros(self.n_dof, dtype=bool)
+        edge_block = mark[self.n_corner : self.n_corner + len(self.edge_keys) * n_int]
+        edge_block = edge_block.reshape(len(self.edge_keys), n_int)
         if self.dim == 2:
-            edge_counts = np.bincount(
-                self.edge_inv.ravel(), minlength=len(self.edge_keys)
-            )
-            bnd = np.nonzero(edge_counts == 1)[0]
-            corner = self.edge_keys[bnd].ravel()
-            interior = (
-                (edge_base + bnd * n_int)[:, None] + np.arange(n_int)
-            ).ravel()
-            return np.unique(np.concatenate([corner, interior]).astype(np.int64))
+            bnd = np.bincount(self.edge_inv.ravel(), minlength=len(self.edge_keys)) == 1
+            mark[self.edge_keys[bnd].ravel()] = True
+            edge_block[bnd] = True
+            return np.flatnonzero(mark).astype(np.int64, copy=False)
 
-        # 3D: faces used once; collect their corners, edges, interiors.
-        face_counts = np.bincount(self.face_inv.ravel(), minlength=len(self.face_keys))
-        bnd_face_mask = face_counts == 1
-        bnd_faces = np.nonzero(bnd_face_mask)[0]
-        corner = self.face_keys[bnd_faces].ravel()
-        edge_ids = [
-            self.edge_inv[bnd_face_mask[self.face_inv[:, f]]][
-                :, list(_HEX_FACE_EDGES[f])
-            ].ravel()
-            for f in range(6)
-        ]
-        bnd_edges = np.unique(np.concatenate(edge_ids))
-        parts = [corner]
-        if n_int:
-            parts.append(
-                ((edge_base + bnd_edges * n_int)[:, None] + np.arange(n_int)).ravel()
-            )
-            face_base = edge_base + len(self.edge_keys) * n_int
-            n_int2 = n_int * n_int
-            parts.append(
-                ((face_base + bnd_faces * n_int2)[:, None] + np.arange(n_int2)).ravel()
-            )
-        return np.unique(np.concatenate(parts).astype(np.int64))
+        # 3D: faces used once; mark their corners, edges, interiors.
+        bnd = np.bincount(self.face_inv.ravel(), minlength=len(self.face_keys)) == 1
+        mark[self.face_keys[bnd].ravel()] = True
+        for f in range(6):
+            on = bnd[self.face_inv[:, f]]
+            edge_block[self.edge_inv[on][:, list(_HEX_FACE_EDGES[f])].ravel()] = True
+        face_base = self.n_corner + edge_block.size
+        n_int2 = n_int * n_int
+        mark[face_base : face_base + len(self.face_keys) * n_int2].reshape(
+            len(self.face_keys), n_int2
+        )[bnd] = True
+        return np.flatnonzero(mark).astype(np.int64, copy=False)
 
 
 def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:

@@ -10,6 +10,12 @@ positions by masks over the local multi-index and writes the table one
 position at a time; every field of the layout must come out equal to
 this one, dtype included.
 
+:func:`boundary_dofs` is the oracle of
+:meth:`repro.sem.tensor.TensorDofLayout.boundary_dofs`: the DOF ids of
+the boundary entities concatenated, repeats and all, and sorted unique
+by ``np.unique``.  The package marks them in one boolean over the DOFs
+and reads the mark back.
+
 :func:`node_coords` is the oracle of ``SemND.node_coords`` and, through
 :func:`nearest_dof`'s brute-force ``argmin``, of ``SemND.nearest_dof``:
 the whole ``(n_scalar, dim)`` table written by every element at setup,
@@ -32,7 +38,13 @@ import numpy as np
 from repro.mesh import uniform_grid
 from repro.mesh.mesh import Mesh
 from repro.sem.gll import gll_points_weights
-from repro.sem.tensor import _EDGE_SLOTS, _HEX_FACE_SLOTS, TensorDofLayout, _face_orientation_perms
+from repro.sem.tensor import (
+    _EDGE_SLOTS,
+    _HEX_FACE_EDGES,
+    _HEX_FACE_SLOTS,
+    TensorDofLayout,
+    _face_orientation_perms,
+)
 from repro.util.errors import SolverError
 from repro.util.rows import unique_rows
 from repro.util.validation import require
@@ -179,6 +191,55 @@ def number_dofs(mesh: Mesh, order: int) -> TensorDofLayout:
         face_keys=face_keys,
         face_inv=face_inv,
     )
+
+
+def boundary_dofs(layout: TensorDofLayout) -> np.ndarray:
+    """Global DOFs of ``layout`` on the domain boundary, ascending
+    ``int64``: corners of 1D used once; in 2D the corners and interiors
+    of edges used once; in 3D the corners, edge interiors and interiors
+    of faces used once."""
+    n_int = layout.order - 1
+    if layout.dim == 1:
+        counts = np.bincount(
+            layout.element_dofs[:, [0, -1]].ravel(), minlength=layout.n_corner
+        )
+        return np.nonzero(counts == 1)[0].astype(np.int64)
+
+    edge_base = layout.n_corner
+
+    if layout.dim == 2:
+        edge_counts = np.bincount(
+            layout.edge_inv.ravel(), minlength=len(layout.edge_keys)
+        )
+        bnd = np.nonzero(edge_counts == 1)[0]
+        corner = layout.edge_keys[bnd].ravel()
+        interior = (
+            (edge_base + bnd * n_int)[:, None] + np.arange(n_int)
+        ).ravel()
+        return np.unique(np.concatenate([corner, interior]).astype(np.int64))
+
+    face_counts = np.bincount(layout.face_inv.ravel(), minlength=len(layout.face_keys))
+    bnd_face_mask = face_counts == 1
+    bnd_faces = np.nonzero(bnd_face_mask)[0]
+    corner = layout.face_keys[bnd_faces].ravel()
+    edge_ids = [
+        layout.edge_inv[bnd_face_mask[layout.face_inv[:, f]]][
+            :, list(_HEX_FACE_EDGES[f])
+        ].ravel()
+        for f in range(6)
+    ]
+    bnd_edges = np.unique(np.concatenate(edge_ids))
+    parts = [corner]
+    if n_int:
+        parts.append(
+            ((edge_base + bnd_edges * n_int)[:, None] + np.arange(n_int)).ravel()
+        )
+        face_base = edge_base + len(layout.edge_keys) * n_int
+        n_int2 = n_int * n_int
+        parts.append(
+            ((face_base + bnd_faces * n_int2)[:, None] + np.arange(n_int2)).ravel()
+        )
+    return np.unique(np.concatenate(parts).astype(np.int64))
 
 
 def node_coords(sem) -> np.ndarray:

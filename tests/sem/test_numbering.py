@@ -6,6 +6,8 @@ writes the element table position-major; the oracle
 distinct rows with ``unique_rows`` and writes column by column.  Meshes
 are graded box grids whose node labels (and element order) are randomly
 permuted, so corner ids carry no grid order; dims 1-3, orders 1-6.
+The boundary DOFs equal the oracle's ``np.unique`` of the boundary
+entities' ids, dtype included.
 """
 
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.assembler import boundary_dofs as boundary_oracle
 from oracles.assembler import number_dofs as oracle, permuted_grid
 
 from repro.mesh import uniform_grid
@@ -37,7 +40,7 @@ def assert_layouts_equal(got: TensorDofLayout, expected: TensorDofLayout) -> Non
         g, e = np.asarray(g), np.asarray(e)
         assert g.dtype == e.dtype and g.shape == e.shape, name
         assert np.array_equal(g, e), name
-    b, eb = got.boundary_dofs(), expected.boundary_dofs()
+    b, eb = got.boundary_dofs(), boundary_oracle(expected)
     assert b.dtype == eb.dtype and np.array_equal(b, eb)
 
 
@@ -56,6 +59,17 @@ def test_numbering_equals_oracle(case):
 def test_every_order_and_dimension(shape, order):
     mesh = permuted_grid(shape, seed=order)
     assert_layouts_equal(number_dofs(mesh, order), oracle(mesh, order))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 4)])
+def test_boundary_mark_equals_the_unique_oracle(shape, order):
+    """``boundary_dofs`` marks one boolean over the DOFs; the oracle
+    concatenates every boundary entity's ids and takes ``np.unique``."""
+    layout = number_dofs(permuted_grid(shape, seed=10 + order), order)
+    got, expected = layout.boundary_dofs(), boundary_oracle(layout)
+    assert got.dtype == expected.dtype == np.int64
+    assert np.array_equal(got, expected)
 
 
 def test_packed_key_bound_is_refused():
