@@ -517,6 +517,10 @@ class Simulation:
 
         def build():
             dof = self._locate_dof(src.position, src.component, "source")
+            mask = getattr(self.assembler, "dirichlet_mask", None)
+            if mask is not None and not mask[dof]:
+                raise ConfigError(f"source position {list(src.position)} lands on DOF {dof}, "
+                                  f"which is Dirichlet (clamped): the source would send no wave")
             stf = ricker(src.f0, t0=src.t0, amplitude=src.amplitude)
             return point_source(self.assembler.n_dof, dof, self.assembler.M, stf)
 

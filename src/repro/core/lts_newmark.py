@@ -62,18 +62,16 @@ a list of states with a ``_sum_shared(level)`` hook at each cut.
 nothing; :class:`repro.runtime.executor.DistributedLTSSolver` the same
 driver over one state per rank, its hook the halo exchange.  Both step
 one :class:`LTSPlan`, whose every numbering applies its share of
-``M^{-1} K`` (a rank's with ``1/M`` folded into its entries): a rank
-adds the halo sum and nothing else, so one rank is the serial run bit
-for bit.
+``M^{-1} K`` (``1/M`` folded into a CSR or NumPy product's entries; a
+fused product is raw, and the phases multiply its summed output by the
+numbering's ``Minv`` as they first read it): a rank adds the halo sum
+and nothing else, so one rank is the serial run bit for bit.
 
-The solver is backend- and dimension-agnostic: ``A`` may be a scipy
-sparse matrix (the assembled path), or any
-:class:`repro.core.operator.StiffnessOperator` — in particular the
-matrix-free sum-factorization operator of :mod:`repro.sem.matfree` from
-any :class:`repro.sem.tensor.SemND` assembler (2D quads, 3D hexahedra),
-whose per-level restriction applies the stiffness only on the active
-level's elements plus their gray halo, exactly as the paper's SPECFEM
-implementation does.
+The solver is backend- and dimension-agnostic: ``A`` is a scipy sparse
+matrix (the assembled path) or any
+:class:`repro.core.operator.StiffnessOperator`, such as the matrix-free
+one of :mod:`repro.sem.matfree`, whose level restriction applies only
+the active level's elements plus their gray halo, as SPECFEM does.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.health import HealthGuard
-from repro.core.newmark import Fields, ReplicaMap, run_cycles, subtract_force
+from repro.core.newmark import Fields, ReplicaMap, run_cycles
 from repro.core.operator import Restriction, _restrict_levels, as_operator
 from repro.core.workspace import workspace_bytes
 from repro.sem.fused import bind_phase
@@ -255,22 +253,24 @@ class _RankState:
     :meth:`finish` (``|``: where several ranks sum the apply output).
 
     ``restr0`` and the bound ``depths`` arrive forked, relabelled onto
-    the level-sorted numbering, each its share of ``M^{-1} K``: a summed
-    output is the forcing as it stands.  ``z1`` is level 1's output,
-    overwritten whole by every apply (as every product's output is), so
-    a source entry written into it lasts one cycle; its tail is the top
-    depth's ``F``, as each depth's ``r`` tail is its child's.  ``force``
-    is the source in this numbering.
-    ``tier`` is the kernel tier of the level-1 product: where it is a ``fused`` one, each vector
-    phase is one C call (:meth:`_bind_c`), bitwise the NumPy phases.
+    the level-sorted numbering, each its share of ``M^{-1} K`` — or raw,
+    with ``Minv`` the scale ``begin`` and ``update`` multiply a summed
+    output by (depth ``i`` by its tail) before adding any forcing.
+    ``z1`` is level 1's output, overwritten whole by every apply (as
+    every product's output is), so a source entry written into it lasts
+    one cycle; its tail is the top depth's ``F``, as each depth's ``r``
+    tail is its child's.  ``force`` is the source in this numbering.
+    ``tier`` is the kernel tier of the level-1 product: where it is a
+    ``fused`` one with a ``Minv``, each vector phase is one C call
+    (:meth:`_bind_c`), bitwise the NumPy phases.
     The state never refers back to its solver: through such a cycle the
     buffers of a finished run would wait for the cyclic collector.
     """
 
-    def __init__(self, dt: float, restr0: Restriction,
-                 depths: list[_Depth], z1: np.ndarray, force=None, tier: str = ""):
+    def __init__(self, dt: float, restr0: Restriction, depths: list[_Depth],
+                 z1: np.ndarray, force=None, tier: str = "", Minv=None):
         self.dt, self.restr0, self.depths = dt, restr0, depths
-        self.z1, self.force = z1, force
+        self.z1, self.force, self.Minv = z1, force, Minv
         self.n = len(z1)
         self.n0 = self.n - (depths[0].n if depths else 0)  # the prefix no depth holds
         self.shape = z1.shape  # of the (u, v) this state steps
@@ -292,8 +292,9 @@ class _RankState:
                 u_in, r_in = d.u[nd:], d.r[nd:]  # the child's set is a suffix
                 hand = (kid.u, u_in)
                 self._recons.append((kid.u, u_in, r_in, d.r[:nd], d.r, d.u, d.v, dt_k))
-            self._updates.append((d.z, d.r, d.F, d.u, d.v, dt_k, hand))
-        if tier.startswith("fused"):
+            scale = None if Minv is None else Minv[self.n - d.n:]
+            self._updates.append((d.z, d.r, d.F, d.u, d.v, dt_k, hand, scale))
+        if tier.startswith("fused") and Minv is not None:
             self._bind_c()
 
     def _bind_c(self) -> None:
@@ -304,12 +305,12 @@ class _RankState:
         reconstruct's) bound call."""
         bind, dt, depths, n0 = bind_phase, self.dt, self.depths, self.n0
         du, na0 = (depths[0].u, depths[0].n) if depths else (None, 0)
-        self._c_begin = bind("lts_begin", self.z1, n0, dt, du, na0)
+        self._c_begin = bind("lts_begin", self.z1, self.Minv, n0, dt, du, na0)
         if depths:
             self._c_finish = bind("lts_finish", du, n0, na0, dt)
         for d, kid, upd in zip(depths, depths[1:] + [None], self._updates):
             dt_k, na, nd = upd[5], d.n, d.n_diff
-            head = (d.z, d.F, d.r, d.u, d.v, na, nd, dt_k, None if kid is None else kid.u)
+            head = (d.z, upd[7], d.F, d.r, d.u, d.v, na, nd, dt_k, None if kid is None else kid.u)
             self._c_updates.append(tuple(bind("lts_update", *head, f) for f in (0, 1)))
             if kid is not None:  # the others hand over, then reconstruct
                 recon = (kid.u, d.r, d.u, d.v, na, nd, dt_k)
@@ -332,15 +333,22 @@ class _RankState:
         """Freeze ``F_1 = A P_1 u - f(t)``, copy the tail's displacement
         into the recursion, and take plain Newmark on the prefix: with one
         level that is the scheme; with more, the closed form of every DOF
-        outside the coarsest active set.  The C phase does both in one
-        call, reading ``z1`` without scaling it; the NumPy passes reuse
-        ``z1``'s prefix as the step's scratch once ``v`` has read it."""
-        z1, dt, n0 = self.z1, self.dt, self.n0
-        if self.force is not None:
-            subtract_force(self.force, t, z1)
-        if self._c_begin is not None:
-            self._c_begin(u.ctypes.data, v.ctypes.data)
+        outside the coarsest active set.  The C phase does all of it in
+        one call (a dense force takes the NumPy passes), writing ``F_1``
+        on the tail only; the NumPy passes reuse ``z1``'s prefix as the
+        step's scratch once ``v`` has read it."""
+        z1, dt, n0, force = self.z1, self.dt, self.n0, self.force
+        at = -1 if force is None else getattr(force, "dof", None)
+        if self._c_begin is not None and at is not None:
+            fat = 0.0 if force is None else float(force.value(t))
+            self._c_begin(int(at), fat, u.ctypes.data, v.ctypes.data)
             return
+        if self.Minv is not None:
+            z1 *= self.Minv
+        if at is None:
+            z1 -= force(t)
+        elif at >= 0:  # a point source (PointSource's dof, value): one entry
+            z1[at] -= force.value(t)
         if self.depths:
             np.copyto(self.depths[0].u, u[n0:])
         z, u, v = z1[:n0], u[:n0], v[:n0]
@@ -364,8 +372,8 @@ class _RankState:
         if self._c_updates:
             self._c_updates[i][first]()
             return
-        z, r, F, u, v, dt_k, hand = self._updates[i]
-        np.add(z, F, out=r)
+        z, r, F, u, v, dt_k, hand, scale = self._updates[i]
+        np.add(z if scale is None else np.multiply(z, scale, out=r), F, out=r)  # scale first
         if hand is not None:
             np.copyto(*hand)
             return
@@ -426,14 +434,17 @@ def active_levels(dof_levels: list[np.ndarray]) -> list[int]:
 class NumberingPlan:
     """One DOF numbering's share of a plan — the whole mesh,
     or one rank's local DOFs: its coarsest level's product, the compact
-    recursion of the finer levels, and the level-1 product's kernel
-    tier (``"assembled"`` for a CSR one): the tier a run records."""
+    recursion of the finer levels, the level-1 product's kernel
+    tier (``"assembled"`` for a CSR one): the tier a run records, and
+    the operator's ``row_scale`` in this numbering's order (``Minv``:
+    ``None`` where the products carry it)."""
 
     n: int
     level0: int
     restr0: Restriction
     depths: list[_Depth]
     tier: str
+    Minv: np.ndarray | None = None
 
     def bind(self, dt: float, force=None) -> _RankState:
         """A state stepping this numbering: fresh buffers, forked products."""
@@ -442,7 +453,7 @@ class NumberingPlan:
         for d in self.depths:  # each forcing the tail of its parent's output
             depths.append(d.bind(out[len(out) - d.n:]))
             out = depths[-1].r
-        return _RankState(dt, self.restr0.fork(), depths, z1, force=force, tier=self.tier)
+        return _RankState(dt, self.restr0.fork(), depths, z1, force, self.tier, self.Minv)
 
     def ops_per_cycle(self) -> OperationCounter:
         """One cycle's operations on this numbering, from the
@@ -516,8 +527,10 @@ def plan_numberings(stiffness: list, dof_levels: list[np.ndarray], channels=None
         # Level 1's product last, once the other builders (and any
         # ascending products they hold) are gone.
         make0, make[r], supports[r], col_masks[r] = make[r][0], None, None, None
+        scale = getattr(K, "row_scale", None)  # what raw products leave to the phases
+        scale = scale.take(numbering[0]) if scale is not None and numbering else scale
         numberings.append(NumberingPlan(len(lv), levels[0], make0(*numbering), depths,
-                                        getattr(K, "tier", "assembled")))
+                                        getattr(K, "tier", "assembled"), scale))
     for j, k in enumerate(levels if exchange and orders else ()):
         offs = [nb.n - nb.depths[j - 1].n if j else 0 for nb in numberings]
         exchange[k] = replace(exchange[k], indices=[

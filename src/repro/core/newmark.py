@@ -127,8 +127,8 @@ class ReplicaMap:
 
     def forces(self, force: Callable) -> list:
         """``force`` in each replica's numbering, ``None`` where it vanishes:
-        a point source (``dof``, ``value(t)``: :func:`subtract_force`) at
-        its position, any other force evaluated once per time, scattered."""
+        a point source (``dof``, ``value(t)``: a one-entry update) at its
+        position, any other force evaluated once per time, scattered."""
         if self.whole and self.sorter is None:
             return [force]
         dof = getattr(force, "dof", None)
@@ -291,21 +291,6 @@ def run_cycles(
         if checkpointing and cycle % checkpoint_every == 0:
             on_checkpoint(cycle, *fields.snapshot())
     return fields.result(solver)
-
-
-def subtract_force(force: Callable, t: float, z: np.ndarray) -> None:
-    """``z -= f(t)``, in place.
-
-    A force that exposes ``dof`` and ``value(t)`` — a
-    :class:`repro.sem.sources.PointSource` — is one nonzero entry and is
-    applied as a single-entry update; any other callable returns the
-    dense vector.
-    """
-    dof = getattr(force, "dof", None)
-    if dof is None:
-        z -= force(t)
-    else:
-        z[dof] -= force.value(t)
 
 
 def staggered_initial_velocity(

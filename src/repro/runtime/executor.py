@@ -11,13 +11,14 @@ tensor-product (``build_rank_layout(backend="matfree")``) — run through
 one level-apply path, in any dimension the SEM layer discretizes and for
 any physics it declares (the interleaved elastic DOFs exchange through
 the same halo plans): level ``k`` on rank ``r`` is a
-:class:`~repro.core.operator.Restriction` of the rank's partial ``M^{-1}
-K`` (``1/M`` folded into its entries at layout build) to the rank's
-level-``k`` columns — the level's elements plus their gray halo
-(:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a CSR
-column block — exchanged through a plan that keeps only the shared DOFs
-some sharer can write.  The sum of the ranks' scaled partials is the
-serial operator's product: nothing scales it afterwards.
+:class:`~repro.core.operator.Restriction` of the rank's partial ``K`` to
+the rank's level-``k`` columns — the level's elements plus their gray
+halo (:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a
+CSR column block — exchanged through a plan that keeps only the shared
+DOFs some sharer can write.  A CSR or NumPy-tier share has ``1/M``
+folded into its entries, so the sum of the ranks' scaled partials is the
+serial operator's product; a fused share is raw, and, as in SPECFEM, the
+rank's phases scale the summed share (``Minv (a + b)``).
 
 No LTS arithmetic lives here.  The cycle and the plan are the serial
 solver's (:mod:`repro.core.lts_newmark`): one

@@ -138,7 +138,7 @@ class RankLayout(ReplicaMap):
         codes do — with the Dirichlet row mask folded in (0 on a masked
         row), and its columns the Dirichlet column mask, as the serial
         operator holds them: on one rank it is that operator, entry for
-        entry.
+        entry (a fused share's level products are raw: see ``row_scale``).
     channels:
         The halo channels: a bufferless :class:`ExchangePlan` over every
         shared DOF.

@@ -17,12 +17,9 @@ compile fails, ``REPRO_FUSED=0`` is set, or the polynomial order exceeds
 ``MAX_ORDER``, callers fall back to the NumPy path transparently — same
 results (up to last-bit summation order), just slower.  The compiled
 shared object is cached in a user-private directory keyed by a source
-hash, so the one-time compile (4 s and a 105 KB object with gcc 12
-``-O3 -march=native -fopenmp`` on a 2-core Sapphire Rapids; 3 s and
-93 KB with 8-byte DOF tables and masks) is paid once per machine, not
-per process.
-When the build fails, :func:`failure_reason` says why (``python -m
-repro info`` prints it).
+hash, so the one-time compile (3-4 s with gcc 12) is paid once per
+machine, not per process.  When the build fails, :func:`failure_reason`
+says why (``python -m repro info`` prints it).
 
 Order-4 instances
 -----------------
@@ -75,16 +72,14 @@ Design notes (mirrors the NumPy path in :mod:`repro.sem.matfree`):
   masking and the LTS level restriction (``A[:, cols] u[cols]``);
 * the kernels move bytes, not flops, so their tables are narrow: ``ed``
   is ``int32`` (:data:`MAX_DOF` bounds ``n_dof``; a larger product runs
-  the NumPy tier) and ``gmask`` is ``uint8``.  An order-4 hex streams
-  125 x (4 + 1) = 625 B of tables per apply instead of 125 x (8 + 8) =
-  2,000 B (3D elastic: 1,875 B instead of 6,000 B).  The mask enters as
-  ``u[d] * (double)gm[k]``, and for a mask of 0 or 1 that is the IEEE
-  product a ``float64`` mask gives, with element and scatter order
-  unchanged: results are bitwise those of the 8-byte tables.  Values
-  other than 0 and 1 are refused before packing
-  (:class:`repro.sem.matfree.MatrixFreeStiffness`);
-* ``Minv`` (``1/M``, Dirichlet rows 0) scales the rows in the same
-  pass: every kernel computes ``M^{-1} K u``.
+  the NumPy tier) and ``gmask`` is ``uint8`` (625 B of tables per
+  order-4 hex instead of 2,000 B).  The mask enters as ``u[d] *
+  (double)gm[k]``, for a 0/1 mask the IEEE product a ``float64`` one
+  gives: bitwise the 8-byte tables.  Other values are refused before
+  packing (:class:`repro.sem.matfree.MatrixFreeStiffness`);
+* no kernel scales its rows: an apply writes the raw share ``K u`` and
+  its reader multiplies by ``M^{-1}`` first (the LTS phases below), as
+  SPECFEM's time update scales the ranks' summed shares.
 
 LTS phases
 ----------
@@ -92,9 +87,10 @@ The same build carries the vector phases of the optimized LTS cycle
 (:class:`repro.core.lts_newmark._RankState`), one pass each, which a
 rank state runs when its level-1 product runs this tier; its numbering
 is level-sorted, every depth a tail, so no phase takes an index map:
-``lts_begin`` (``v -= dt z1; u += dt v`` on the prefix, the tail copied
-into the recursion), ``lts_update`` (a fine depth's ``r = z + F``, its
-suffix the child's forcing, or the finest leap-frog step),
+``lts_begin`` (``F = M^{-1} z1 - f``, then ``v -= dt F; u += dt v`` on
+the prefix; the tail's ``F`` kept, its ``u`` copied into the recursion),
+``lts_update`` (a fine depth's ``r = M^{-1} z + F``, its suffix the
+child's forcing, or the finest leap-frog step),
 ``lts_reconstruct`` (the closed form on the prefix, ``(u_fine - u) /
 dt_k`` on the child's suffix, then the ``v`` / ``u`` step) and
 ``lts_finish`` (the ``2/dt`` velocity fix-up of the tail, in place).
@@ -269,14 +265,12 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
  * zt, reduced deterministically in ascending thread order — no atomics,
  * and the static schedules make the partial sums reproducible for a
  * fixed thread count).  ne must be a multiple of VL.  Every apply
- * overwrites all n_dof entries of z: zeroed, accumulated, then scaled
- * by the full-length Minv.
+ * overwrites all n_dof entries of z with the raw share K u.
  */
 #define SERIAL_DRIVER(CALL)                                                  \
     do {                                                                     \
         memset(z, 0, (size_t)n_dof * sizeof(double));                        \
         for (long e0 = 0; e0 < ne; e0 += VL) { CALL(z); }                    \
-        for (long i = 0; i < n_dof; ++i) z[i] *= Minv[i];                    \
     } while (0)
 
 #if REPRO_OMP
@@ -294,7 +288,7 @@ static inline void axis3_mul_add(const double *restrict A, const v8 *restrict U,
                     double acc = 0.0;                                        \
                     for (int t = 0; t < n_threads; ++t)                      \
                         acc += zt[(size_t)t * n_dof + i];                    \
-                    z[i] = acc * Minv[i];                                    \
+                    z[i] = acc;                                              \
                 }                                                            \
             }                                                                \
         } else {                                                             \
@@ -382,8 +376,7 @@ void ac_apply(const double *restrict u, double *restrict z,
               const double *restrict KxX, const double *restrict w,
               const double *restrict ax, const double *restrict ay,
               const int32_t *restrict ed,
-              const uint8_t *restrict gmask, const double *restrict Minv,
-              int n_threads, double *restrict zt)
+              const uint8_t *restrict gmask, int n_threads, double *restrict zt)
 {
     ac_block_fn block = ac_block_for(n1);
 #define AC_CALL(ZP) block(e0, n1, KxX, w, ax, ay, ed, u, gmask, ZP)
@@ -454,8 +447,7 @@ void ac_apply3(const double *restrict u, double *restrict z,
                const double *restrict ax, const double *restrict ay,
                const double *restrict az,
                const int32_t *restrict ed,
-               const uint8_t *restrict gmask, const double *restrict Minv,
-               int n_threads, double *restrict zt)
+               const uint8_t *restrict gmask, int n_threads, double *restrict zt)
 {
     ac_block3_fn block = ac_block3_for(n1);
 #define AC3_CALL(ZP) block(e0, n1, KxX, w, ax, ay, az, ed, u, gmask, ZP)
@@ -530,8 +522,7 @@ void el_apply(const double *restrict u, double *restrict z,
               const double *restrict lam, const double *restrict mu,
               const double *restrict hx, const double *restrict hy,
               const int32_t *restrict ed,
-              const uint8_t *restrict gmask, const double *restrict Minv,
-              int n_threads, double *restrict zt)
+              const uint8_t *restrict gmask, int n_threads, double *restrict zt)
 {
 #define EL_CALL(ZP) \
     el_block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
@@ -623,8 +614,7 @@ void el_apply3(const double *restrict u, double *restrict z,
                const double *restrict D, const double *restrict Dt,
                const double *restrict w, const double *restrict coef,
                const int32_t *restrict ed,
-               const uint8_t *restrict gmask, const double *restrict Minv,
-               int n_threads, double *restrict zt)
+               const uint8_t *restrict gmask, int n_threads, double *restrict zt)
 {
     el_block3_fn block = el_block3_for(n1);
 #define EL3_CALL(ZP) block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
@@ -691,8 +681,7 @@ void an_apply(const double *restrict u, double *restrict z,
               const double *restrict D, const double *restrict Dt,
               const double *restrict w, const double *restrict coef,
               const int32_t *restrict ed,
-              const uint8_t *restrict gmask, const double *restrict Minv,
-              int n_threads, double *restrict zt)
+              const uint8_t *restrict gmask, int n_threads, double *restrict zt)
 {
 #define AN_CALL(ZP) an_block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN_CALL);
@@ -758,8 +747,7 @@ void an_apply3(const double *restrict u, double *restrict z,
                const double *restrict D, const double *restrict Dt,
                const double *restrict w, const double *restrict coef,
                const int32_t *restrict ed,
-               const uint8_t *restrict gmask, const double *restrict Minv,
-               int n_threads, double *restrict zt)
+               const uint8_t *restrict gmask, int n_threads, double *restrict zt)
 {
 #define AN3_CALL(ZP) an_block3(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
     APPLY_DRIVER(AN3_CALL);
@@ -786,40 +774,44 @@ void an_apply3(const double *restrict u, double *restrict z,
 #define NO_CONTRACT _Pragma("STDC FP_CONTRACT OFF")
 #endif
 
-/* Plain Newmark on the n0 leading entries, outside the coarsest active
- * set: v -= dt z1; u += dt v (z1 is read, not scaled in place).  The
- * active set is the na entries after them: their displacement is copied
- * into the recursion's du, their forcing is z1's tail as it stands. */
-PHASE lts_begin(const double *restrict z1, long n0, double dt,
-                double *restrict du, long na,
+/* F = Minv z1 minus the point force fat at `at` (-1: none).  Plain
+ * Newmark on the n0 leading entries, outside the coarsest active set:
+ * v -= dt F; u += dt v.  The na entries after them keep F in z1 (the
+ * recursion's top forcing) and copy their displacement into du. */
+PHASE lts_begin(double *restrict z1, const double *restrict Minv, long n0,
+                double dt, double *restrict du, long na, long at, double fat,
                 double *restrict u, double *restrict v)
 {
-    NO_CONTRACT
+    NO_CONTRACT  /* x - 0.0 is x, bit for bit: off `at` F is Minv z1 */
     for (long i = 0; i < n0; ++i) {
-        double vi = v[i] - z1[i] * dt;
+        double vi = v[i] - (Minv[i] * z1[i] - (i == at ? fat : 0.0)) * dt;
         v[i] = vi;
         u[i] += vi * dt;
     }
-    for (long j = 0; j < na; ++j) du[j] = u[n0 + j];
+    for (long i = n0; i < n0 + na; ++i) {
+        z1[i] = Minv[i] * z1[i] - (i == at ? fat : 0.0);
+        du[i - n0] = u[i];
+    }
 }
 
-/* One fine depth after its (summed) apply: r = z + F.  With a child
- * (kid_u != NULL) r's suffix past n_diff is the child's forcing and u's
- * is handed over as its displacement; the finest depth takes its
- * leap-frog step instead. */
-PHASE lts_update(const double *restrict z, const double *restrict F,
-                 double *restrict r, double *restrict u, double *restrict v,
+/* One fine depth after its (summed) apply: r = Minv z + F.  With a
+ * child (kid_u != NULL) r's suffix past n_diff is the child's forcing
+ * and u's is handed over as its displacement; the finest depth takes
+ * its leap-frog step instead. */
+PHASE lts_update(const double *restrict z, const double *restrict Minv,
+                 const double *restrict F, double *restrict r,
+                 double *restrict u, double *restrict v,
                  long na, long nd, double dt_k, double *restrict kid_u, int first)
 {
     NO_CONTRACT
     if (kid_u) {
-        for (long j = 0; j < na; ++j) r[j] = z[j] + F[j];
+        for (long j = 0; j < na; ++j) r[j] = Minv[j] * z[j] + F[j];
         for (long j = nd; j < na; ++j) kid_u[j - nd] = u[j];
         return;
     }
     double h = -(0.5 * dt_k);
     for (long j = 0; j < na; ++j) {
-        double rj = z[j] + F[j];
+        double rj = Minv[j] * z[j] + F[j];
         double vj = first ? rj * h : v[j] - rj * dt_k;
         v[j] = vj;
         u[j] += vj * dt_k;
@@ -908,13 +900,13 @@ _OMP_FLAG = "-fopenmp"
 
 #: Kernel symbol -> number of kernel-specific coefficient pointers
 #: between the shared ``(u, z, ne, n_dof, n1)`` head and the shared
-#: ``(ed, gmask, Minv, n_threads, zt)`` tail.
+#: ``(ed, gmask, n_threads, zt)`` tail; none takes ``M^{-1}``.
 _KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 4,
             "an_apply": 4, "an_apply3": 4}
 #: LTS phase (or halo pass) symbol -> its argument types, one letter
 #: each: ``F`` / ``I`` a float64 / int64 array (or NULL), ``l`` long,
 #: ``d`` double, ``i`` int.
-_PHASES = {"lts_begin": "FldFlFF", "lts_update": "FFFFFlldFi",
+_PHASES = {"lts_begin": "FFldFlldFF", "lts_update": "FFFFFFlldFi",
            "lts_reconstruct": "FFFFlldi", "lts_finish": "FlldFF",
            "halo_pack": "lIIIF", "halo_accumulate": "lIIIF"}
 _CTYPE = {"F": ctypes.c_void_p, "I": ctypes.c_void_p, "l": ctypes.c_long,
@@ -1050,7 +1042,7 @@ def _build(cc: str, flags: tuple[str, ...]) -> ctypes.CDLL | None:
             fn.argtypes = (
                 [ptr, ptr, ctypes.c_long, ctypes.c_long, ctypes.c_int]
                 + [ptr] * n_coef
-                + [ptr, ptr, ptr, ctypes.c_int, ptr]
+                + [ptr, ptr, ctypes.c_int, ptr]
             )
         for name, sig in _PHASES.items():
             fn = getattr(lib, name)
@@ -1116,12 +1108,7 @@ def failure_reason() -> str | None:
 def omp_enabled() -> bool:
     """True when the loaded build honors ``n_threads > 1`` (OpenMP)."""
     lib = load()
-    if lib is None:
-        return False
-    try:
-        return bool(ctypes.c_int.in_dll(lib, "repro_omp").value)
-    except ValueError:
-        return False
+    return lib is not None and bool(ctypes.c_int.in_dll(lib, "repro_omp").value)
 
 
 def _addr(a: np.ndarray | None) -> int | None:
@@ -1159,7 +1146,7 @@ def _pad(a: np.ndarray, ne_pad: int, fill=0.0, dtype=None) -> np.ndarray:
 
 
 class _FusedPlan:
-    """Base bound fused apply: ``u -> Minv * K u`` (+ gmask).
+    """Base bound fused apply: ``u -> K u`` (+ gmask), unscaled.
 
     Subclasses name their C symbol and bind the kernel-specific
     coefficient arrays; padding, masks, the GLL weights, and the
@@ -1177,8 +1164,8 @@ class _FusedPlan:
     and ``_gmask`` as ``uint8``, each padded to ``VL`` rows.
     ``element_dofs`` and ``gmask`` are views of their first ``ne`` rows,
     which the owning :class:`repro.sem.matfree.MatrixFreeStiffness`
-    keeps as its own tables (one copy per product).  ``n_dof`` is
-    ``len(Minv)``.  The caller vouches that every entry of
+    keeps as its own tables (one copy per product).  ``n_dof`` is the
+    output's length.  The caller vouches that every entry of
     ``element_dofs`` lies in ``[0, n_dof)`` with ``n_dof <= MAX_DOF``
     and that ``gmask`` holds only 0 and 1: the packing casts without a
     check.
@@ -1186,11 +1173,11 @@ class _FusedPlan:
 
     _symbol = ""
 
-    def __init__(self, kernel, element_dofs, Minv, gmask=None, threads: int = 1):
+    def __init__(self, kernel, element_dofs, n_dof: int, gmask=None, threads: int = 1):
         lib = load()
-        assert lib is not None and len(Minv) <= MAX_DOF
+        assert lib is not None and n_dof <= MAX_DOF
         self._fn = getattr(lib, self._symbol)
-        self.n_dof = len(Minv)
+        self.n_dof = int(n_dof)
         self.n1 = kernel.n1
         ne = element_dofs.shape[0]
         ne_pad = -(-ne // VL) * VL
@@ -1204,7 +1191,6 @@ class _FusedPlan:
         )
         self.element_dofs = self._ed[:ne]
         self.gmask = None if gmask is None else self._gmask[:ne]
-        self._Minv = np.ascontiguousarray(Minv)
         self._ne = ne_pad
         _, w = _gll(kernel.order)
         self._w = w
@@ -1222,7 +1208,7 @@ class _FusedPlan:
         return (
             self._ne, self.n_dof, self.n1,
             *(_addr(a) for a in self._coef_arrays()),
-            _addr(self._ed), _addr(self._gmask), _addr(self._Minv),
+            _addr(self._ed), _addr(self._gmask),
             self.threads, _addr(self._zt),
         )
 
@@ -1244,26 +1230,17 @@ class _FusedPlan:
         (kept alive on ``self`` — the call passes raw addresses)."""
         raise NotImplementedError
 
-    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # The C kernel writes z directly; a caller-supplied contiguous
-        # float64 buffer is used as-is (allocation-free hot path), and
-        # the persistent per-thread partials _zt are reused every call.
-        if (
-            out is not None
-            and out.flags.c_contiguous
-            and out.dtype == np.float64
-            and out.shape == (self.n_dof,)
-        ):
-            z = out
-        else:
-            z = np.empty(self.n_dof)
+    def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[:] = K u`` for ``u`` and ``out`` of length ``n_dof``: the
+        C kernel writes a C-contiguous float64 ``out`` directly (the
+        allocation-free hot path; the partials ``_zt`` are reused)."""
+        z = out if out.flags.c_contiguous and out.dtype == np.float64 else np.empty(self.n_dof)
         if not (u.flags.c_contiguous and u.dtype == np.float64):
             u = np.ascontiguousarray(u, dtype=np.float64)
         self._fn(u.ctypes.data, z.ctypes.data, *self._args)
-        if out is not None and z is not out:
+        if z is not out:
             out[:] = z
-            return out
-        return z
+        return out
 
 
 class AcousticPlan(_FusedPlan):

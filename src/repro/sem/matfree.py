@@ -50,7 +50,7 @@ rank's elements that rank's share in
 restriction LTS uses is its :meth:`~MatrixFreeStiffness.masked_subset`:
 ``restrict(cols)`` touches only the elements adjacent to ``cols`` (the
 active level plus its gray halo), never a column slice of a global
-matrix.
+matrix; on the fused tier a raw ``K`` share, scaled by an LTS plan.
 
 ``nnz`` reports tensor-contraction flops per apply so the op counts of
 an LTS plan (:meth:`repro.core.lts_newmark.NumberingPlan.ops_per_cycle`)
@@ -105,7 +105,7 @@ _FUSED_PLANS = {
 }
 
 
-def _fused_plan(kernel, element_dofs, Minv, gmask=None, enabled=None, threads: int = 1):
+def _fused_plan(kernel, element_dofs, n_dof: int, gmask=None, enabled=None, threads: int = 1):
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
     ``enabled=None`` auto-detects: a physics and dimension without a
@@ -117,16 +117,16 @@ def _fused_plan(kernel, element_dofs, Minv, gmask=None, enabled=None, threads: i
     """
     if enabled is False:
         return None
-    if len(Minv) > fused.MAX_DOF:
+    if n_dof > fused.MAX_DOF:
         require(enabled is not True,
-                f"fused kernels index DOFs as int32: n_dof {len(Minv)} exceeds "
+                f"fused kernels index DOFs as int32: n_dof {n_dof} exceeds "
                 f"the limit {fused.MAX_DOF}", SolverError)
         return None
     plan_cls, max_order = _FUSED_PLANS.get((kernel.physics, kernel.dim), (None, -1))
     if kernel.order > max_order or not fused.available():
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
-    return plan_cls(kernel, element_dofs, Minv, gmask=gmask, threads=threads)
+    return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, threads=threads)
 
 
 def _require_01(mask: np.ndarray, what: str) -> np.ndarray:
@@ -676,9 +676,12 @@ class MatrixFreeStiffness:
 
     Computes ``Minv * K (gmask * u)`` with an optional per-element-node
     0/1 input mask (any other value is refused) and the diagonal
-    ``Minv``, whose length is the product's DOF count — ``1/M`` with the
-    Dirichlet rows 0 (:func:`inverse_mass`), folded into the scatter on
-    both tiers.
+    ``Minv`` — ``1/M`` with the Dirichlet rows 0 (:func:`inverse_mass`),
+    folded into the NumPy tier's scatter, multiplied after the fused
+    tier's.  The fused tier's :meth:`restrict`, :meth:`masked_subset` and
+    :meth:`element_subset` products are *raw* (``Minv`` ``None``,
+    ``n_dof`` given instead): ``apply`` is ``K u``, which an LTS plan
+    scales by :attr:`row_scale`.
 
     ``element_dofs`` and ``gmask`` are held once, in the width the tier
     reads: with a fused plan they are views of the plan's ``int32`` and
@@ -702,15 +705,16 @@ class MatrixFreeStiffness:
         self,
         kernel,
         element_dofs: np.ndarray,
-        Minv: np.ndarray,
+        Minv: np.ndarray | None,
         use_fused: bool | None = None,
         gmask: np.ndarray | None = None,
         threads: int | None = None,
+        n_dof: int | None = None,
     ):
         self.kernel = kernel
         element_dofs = np.asarray(element_dofs)
-        self.Minv = np.ascontiguousarray(Minv, dtype=np.float64)
-        self.n_dof = len(self.Minv)
+        self.Minv = None if Minv is None else np.ascontiguousarray(Minv, dtype=np.float64)
+        self.n_dof = int(n_dof) if Minv is None else len(self.Minv)
         # Both tiers index with these unchecked (``take(mode="clip")``,
         # ``csc_matvec``, the C gather/scatter), so the table is vetted
         # here, before any narrowing cast.
@@ -727,7 +731,7 @@ class MatrixFreeStiffness:
         self.threads = resolve_threads(threads)
         ne = element_dofs.shape[0]
         self._plan = (
-            _fused_plan(kernel, element_dofs, self.Minv, gmask=gmask,
+            _fused_plan(kernel, element_dofs, self.n_dof, gmask=gmask,
                         enabled=use_fused, threads=self.threads)
             if ne
             else None
@@ -790,7 +794,10 @@ class MatrixFreeStiffness:
             out.fill(0.0)
             return out
         if self._plan is not None:
-            return self._plan(u, out=out)
+            self._plan(u, out)
+            if self.Minv is not None:
+                out *= self.Minv
+            return out
         Ue = self._ws.buf("Ue", self.element_dofs.shape)
         u.take(self.element_dofs, out=Ue, mode="clip")
         if self.gmask is not None:
@@ -812,10 +819,16 @@ class MatrixFreeStiffness:
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)
 
+    @property
+    def row_scale(self) -> np.ndarray | None:
+        """The ``Minv`` this operator's raw (fused) products leave to their
+        caller; ``None`` where they carry it (NumPy) or there is none."""
+        return None if self._plan is None else self.Minv
+
     def restrict(self, cols: np.ndarray) -> Restriction:
         """The product ``A[:, cols] @ u[cols]``: the :meth:`masked_subset`
         of the columns, equal to the assembled backend's column block to
-        machine precision."""
+        machine precision once scaled by :attr:`row_scale`."""
         cols = np.asarray(cols, dtype=np.int64)
         col_mask = np.zeros(self.n_dof, dtype=bool)
         col_mask[cols] = True
@@ -832,16 +845,22 @@ class MatrixFreeStiffness:
 
     def masked_subset(self, col_mask: np.ndarray) -> "MatrixFreeStiffness":
         """The restricted action ``u -> Minv * K (col_mask * u)`` on the
-        elements adjacent to the masked DOFs (active level + gray halo).
+        elements adjacent to the masked DOFs (active level + gray halo),
+        raw on the fused tier (:attr:`row_scale`).
 
         This is the paper's per-level stiffness application: each level
         applies only the elements of the active level instead of masking
         a full product.  A mask over every DOF returns this operator
-        itself: no rebuild, no all-ones input mask.
+        itself, or its raw twin (tables and plan shared): no rebuild, no
+        all-ones input mask.
         """
         col_mask = np.asarray(col_mask, dtype=bool)
         if col_mask.all():
-            return self
+            if self.row_scale is None:
+                return self
+            twin = copy.copy(self)
+            twin.Minv = None
+            return twin
         ids = np.nonzero(col_mask[self.element_dofs].any(axis=1))[0]
         return self.element_subset(ids, col_mask[self.element_dofs[ids]])
 
@@ -869,21 +888,22 @@ class MatrixFreeStiffness:
         its tables are relabelled before the tier's plan is packed, so a
         level product lands on its LTS tail in one build — bitwise
         :meth:`masked_subset` then :meth:`renumber`."""
-        ed, Minv = self.element_dofs[ids], self.Minv
+        ed, n, Minv = self.element_dofs[ids], self.n_dof, None if self._plan else self.Minv
         if self.gmask is not None:
             keep = self.gmask[ids] != 0
             gm = keep if gm is None else gm & keep
         if idx is not None:
-            ed, Minv = positions_in(pos, ed, "row-support DOF", off), Minv.take(idx)
+            ed, n = positions_in(pos, ed, "row-support DOF", off), len(idx)
+            Minv = None if Minv is None else Minv.take(idx)
         return MatrixFreeStiffness(self.kernel.subset(ids), ed, Minv, use_fused=self._use_fused,
-                                   gmask=gm, threads=self._requested_threads)
+                                   gmask=gm, threads=self._requested_threads, n_dof=n)
 
     def renumber(self, idx: np.ndarray, pos: np.ndarray, off: int = 0) -> "MatrixFreeStiffness":
         """This operator on the numbering ``idx`` (position ``j`` is DOF
         ``idx[j]``, at ``pos[idx[j]] - off``, as for
         :meth:`~repro.core.operator.Restriction.renumber`): element
-        tables remapped, ``gmask`` kept, ``Minv`` gathered, the tier's
-        plan rebuilt.  Every element gathers, contracts and scatters in
+        tables remapped, ``gmask`` kept, a NumPy ``Minv`` gathered, the
+        tier's plan rebuilt.  Every element gathers, contracts and scatters in
         the same order, so position ``j`` is bitwise the original's
         ``idx[j]``; an element DOF outside ``idx`` is a
         :class:`SolverError`."""

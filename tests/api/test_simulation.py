@@ -104,6 +104,31 @@ class TestPipelineStages:
         with pytest.raises(ConfigError, match="2 coordinates but the mesh is 3D"):
             Simulation(config_3d(source={"position": [1.0, 2.0]})).force
 
+    @pytest.mark.parametrize("stiffness", ["matfree", "assembled"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_source_on_a_clamped_dof_refused(self, dim, stiffness):
+        """A source on a Dirichlet DOF would move the clamped node and
+        send no wave into the domain: refused, naming the position.  The
+        same source one element inside runs."""
+        if dim == 1:
+            mesh = {"family": "refined_interval", "params": {
+                "n_coarse": 16, "n_fine": 4, "refinement": 2, "coarse_h": 0.125}}
+            inside, corner = [1.0], [0.0]
+        else:
+            mesh, inside, corner = None, [1.0, 3.0], [0.0, 6.0]
+        over = dict(dirichlet=True, backend={"stiffness": stiffness},
+                    source={"position": corner, "f0": 0.8})
+        if mesh is not None:
+            over.update(mesh=mesh, material={"model": "acoustic"}, receivers=None)
+        with pytest.raises(ConfigError, match=rf"source position \{corner}.*is Dirichlet"):
+            Simulation(config_2d(**over)).force
+        over["source"] = {"position": inside, "f0": 0.8}
+        sim = Simulation(config_2d(**over))
+        assert sim.assembler.dirichlet_mask[sim.force.dof] == 1.0
+        # Without Dirichlet rows the corner is an ordinary DOF.
+        over.update(dirichlet=False, source={"position": corner, "f0": 0.8})
+        assert Simulation(config_2d(**over)).force is not None
+
     def test_t_end_mode_lands_exactly(self):
         cfg = config_2d(time={"t_end": 1.0, "c_cfl": 0.35})
         sim = Simulation(cfg)

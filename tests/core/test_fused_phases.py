@@ -5,12 +5,19 @@ phase of :class:`repro.core.lts_newmark._RankState` — ``begin``,
 ``update``, ``reconstruct``, ``finish`` — is one call into
 :mod:`repro.sem.fused` (``lts_*``), compiled with floating-point
 contraction off so every entry goes through the NumPy phases' IEEE
-operations in their order.  The NumPy phases stay the reference: here
-both run on the same buffers, phase by phase and over whole cycles, and
-must agree to the bit.  The C phases write ``u`` and ``v`` through raw
-pointers, so the cycle refuses any other layout than C-contiguous
-float64 before it touches anything.
+operations in their order.  The fused products are raw (``K u``): the
+first thing ``begin`` and ``update`` do with an apply's output is
+multiply it by the numbering's ``Minv``, then they add the forcing.  The
+NumPy phases stay the reference: here both run on the same buffers, with
+a random ``Minv`` that has zero (Dirichlet) rows, phase by phase and
+over whole cycles, and must agree to the bit — and with the formula
+itself, so a scale applied twice, or after the forcing, fails on either
+side.  The C phases write ``u`` and ``v`` through raw pointers, so the
+cycle refuses any other layout than C-contiguous float64 before it
+touches anything.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +40,7 @@ needs_fused = pytest.mark.skipif(
 
 DT = 0.37
 N = 100
+T = 0.8
 #: A product that is never applied (the phases alone are under test).
 _IDLE = Restriction(np.empty(0, dtype=np.int64), 0, lambda u, out=None: out)
 
@@ -48,10 +56,34 @@ CASES = {
     "one_level": (None, None),
 }
 
+#: The forces ``begin`` subtracts after the scale: none, a point source
+#: on the prefix (DOF 0: every case's prefix is 40+ long) or on the last
+#: DOF (the coarsest active set's tail where there is one), and a dense
+#: vector.
+SOURCES = ("none", "prefix", "tail", "dense")
 
-def _pair(case: str, seed: int = 0):
+
+def _force(source: str):
+    if source == "none":
+        return None
+    if source == "dense":
+        vec = np.random.default_rng(7).standard_normal(N)
+        return lambda t: vec * np.cos(t)
+    return SimpleNamespace(dof=0 if source == "prefix" else N - 1,
+                           value=lambda t: 1.25 * np.cos(t))
+
+
+def _minv(rng) -> np.ndarray:
+    """A random positive row scale with a tenth of its rows 0."""
+    minv = rng.uniform(0.5, 2.0, N)
+    minv[rng.choice(N, N // 10, replace=False)] = 0.0
+    return minv
+
+
+def _pair(case: str, seed: int = 0, source: str = "none"):
     """A state on the C phases and one on the NumPy phases over the same
-    random structure, every buffer holding the same random values."""
+    random structure and ``Minv``, every buffer holding the same random
+    values."""
     rng = np.random.default_rng(seed)
     na0, n_diffs = CASES[case]
     depths = []
@@ -60,7 +92,9 @@ def _pair(case: str, seed: int = 0):
         for i, nd in enumerate([*n_diffs, 0]):
             depths.append(_Depth(2 + i, _IDLE, na0 - off, nd))
             off += nd
-    states = [NumberingPlan(N, 1, _IDLE, depths, tier).bind(DT) for tier in ("fused", "numpy")]
+    minv = _minv(rng)
+    states = [NumberingPlan(N, 1, _IDLE, depths, tier, minv).bind(DT, _force(source))
+              for tier in ("fused", "numpy")]
     for bufs in zip(*map(_buffers, states)):
         values = rng.standard_normal(len(bufs[0]))
         for b in bufs:
@@ -90,33 +124,50 @@ def _assert_same(pairs, what):
 @needs_fused
 class TestPhases:
     """One phase at a time from identical states: whatever the NumPy
-    phase leaves for a later phase to read, the C phase leaves too."""
+    phase leaves for a later phase to read, the C phase leaves too, and
+    both scale an apply's output once, before the forcing."""
 
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_begin(self, case):
-        c, ref = _pair(case)
+    def test_begin(self, case, source):
+        c, ref = _pair(case, source=source)
         assert c._c_begin is not None and ref._c_begin is None
         uv = [_fields(), _fields()]
+        z1, v0 = c.z1.copy(), uv[0][1].copy()
         for st, (u, v) in zip((c, ref), uv):
-            st.begin(u, v, 0.0)
+            st.begin(u, v, T)
         kept = lambda st: st.depths and [st.depths[0].F, st.depths[0].u]
         _assert_same(zip(uv[0], uv[1]), "u, v")
         _assert_same(zip(kept(c), kept(ref)), "the recursion's forcing and displacement")
+        # The formula: F = Minv z1 - f(t), then v -= dt F.
+        force, f = _force(source), np.zeros(N)
+        if source == "dense":
+            f = force(T)
+        elif force is not None:
+            f[force.dof] = force.value(T)
+        F = c.Minv * z1 - f
+        n0 = c.n0
+        assert uv[0][1][:n0].tobytes() == (v0[:n0] - F[:n0] * DT).tobytes()
+        if c.depths:
+            assert c.depths[0].F.tobytes() == F[n0:].tobytes()
 
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("case", sorted(set(CASES) - {"one_level"}))
     def test_update(self, case, first):
         for i in range(len(CASES[case][1]) + 1):
             c, ref = _pair(case, seed=i)
+            dc, dr = c.depths[i], ref.depths[i]
+            r = c.Minv[N - dc.n:] * dc.z + dc.F  # the formula
             for st in (c, ref):
                 st.update(i, first)
-            dc, dr = c.depths[i], ref.depths[i]
             if i + 1 < len(c.depths):  # the forcing handed down, r on the prefix
                 kc, kr = c.depths[i + 1], ref.depths[i + 1]
                 nd = dc.n_diff
-                pairs = [(dc.r[:nd], dr.r[:nd]), (kc.F, kr.F), (kc.u, kr.u)]
+                pairs = [(dc.r[:nd], dr.r[:nd]), (kc.F, kr.F), (kc.u, kr.u), (dc.r, r)]
             else:  # the finest depth's leap-frog step
                 pairs = [(dc.u, dr.u), (dc.v, dr.v)]
+                if first:
+                    pairs.append((dc.v, r * -(0.5 * (DT / 2.0 ** (dc.level - 1)))))
             _assert_same(pairs, (case, i))
 
     @pytest.mark.parametrize("first", [True, False])
@@ -139,15 +190,21 @@ class TestPhases:
 
     def test_bind_refuses_buffers_the_loop_would_misread(self):
         z = np.zeros(8)
-        fine = (z, 4, DT, z[4:], 4)
+        fine = (z, np.ones(8), 4, DT, z[4:], 4)
         fused.bind_phase("lts_begin", *fine)
         for pos, bad in [(0, z.astype(np.float32)), (0, np.zeros(16)[::2]),
-                         (3, np.arange(4, dtype=np.int32)), (4, np.zeros(4)),
-                         (1, np.array(8.0))]:
+                         (1, np.ones(16)[::2]), (4, np.arange(4, dtype=np.int32)),
+                         (5, np.zeros(4)), (2, np.array(8.0))]:
             args = list(fine)
             args[pos] = bad
             with pytest.raises(TypeError, match=f"lts_begin argument {pos} takes"):
                 fused.bind_phase("lts_begin", *args)
+
+    def test_without_a_scale_the_numpy_phases_run(self):
+        """A fused numbering whose products carry their scale (no
+        ``Minv``) runs the NumPy phases, which then add no multiply."""
+        st_ = NumberingPlan(N, 1, _IDLE, [], "fused").bind(DT)
+        assert st_._c_begin is None and st_.Minv is None
 
     @pytest.mark.parametrize("case", ["split", "one_level"])
     def test_states_hold_the_same_buffers(self, case):
@@ -220,12 +277,18 @@ class TestCycles:
             DistributedLTSSolver(lay, dt, world=MailboxWorld(n_ranks), force=force)
             for lay in (layout, replace(layout, K_local=[_NumpyPhases(K) for K in layout.K_local]))
         ]
+        # The NumPy tier, whose products carry their scale: the run both
+        # phase kinds must reproduce, up to summation order.
+        ref = LTSNewmarkSolver(sem.operator("matfree", use_fused=False), dof_level, dt,
+                               force=force).run(u0, v0, N_CYCLES)
         for pair in (serial, ranks):
             # A rank that owns no element has no fused product: NumPy phases.
             assert any(s._c_begin is not None for s in pair[0]._states)
             assert all(s._c_begin is None for s in pair[1]._states)
             (uc, vc), (un, vn) = (s.run(u0, v0, N_CYCLES) for s in pair)
             assert uc.tobytes() == un.tobytes() and vc.tobytes() == vn.tobytes()
+            for got, want in zip((uc, vc), ref):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _serial_and_distributed(backend: str):
