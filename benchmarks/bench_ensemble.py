@@ -1,6 +1,6 @@
 """Ensemble throughput: shared stage cache vs naive per-config resolution.
 
-The paper's setup pipeline (mesh construction, stiffness assembly,
+The paper's setup pipeline (mesh construction, assembler setup,
 level assignment) is the amortized cost its per-step economics assume —
 but a parameter sweep that re-resolves it per member pays it N times.
 This bench runs the canonical ensemble workload — a 16-member source
@@ -54,8 +54,9 @@ N_MEMBERS = 16
 
 
 def sweep_spec(quick: bool) -> EnsembleSpec:
-    """A 16-member source sweep on one 2D model (assembled backend, so
-    the shared stage is the expensive CSR assembly)."""
+    """A 16-member source sweep on one 2D model on the matrix-free
+    backend (fused wherever it loads): the shared stages are the mesh,
+    the assembler, the levels and the solver plan."""
     shape, order, n_cycles = ((12, 12), 4, 2) if quick else ((28, 28), 6, 4)
     nx = shape[0]
     base = {
@@ -71,7 +72,7 @@ def sweep_spec(quick: bool) -> EnsembleSpec:
         "time": {"n_cycles": n_cycles, "c_cfl": 0.35},
         "source": {"position": [1.0, 1.0], "f0": 0.8},
         "receivers": {"positions": [[nx - 1.0, nx / 2]]},
-        "backend": {"stiffness": "assembled"},
+        "backend": {"stiffness": "matfree"},
     }
     positions = [
         [1.0 + (i % 4) * nx / 8, 1.0 + (i // 4) * nx / 8]
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
     print(
         f"ensemble bench: {len(configs)} members, "
         f"{sim0.mesh.n_elements} elements, order {configs[0].order}, "
-        f"{sim0.assembler.n_dof} DOFs, backend=assembled"
+        f"{sim0.assembler.n_dof} DOFs, backend=matfree"
         + (" [quick]" if args.quick else "")
     )
 

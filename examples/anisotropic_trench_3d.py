@@ -15,13 +15,12 @@ anisotropic wave speeds), not the mesh geometry alone:
    :class:`repro.sem.materials.AnisotropicElastic`) and assigns levels
    from the Christoffel quasi-P maximum automatically;
 2. the matrix-free CFL estimate (power iteration on the anisotropic
-   operator action) is verified against the sparse eigensolver;
-3. :func:`repro.api.compare_backends` partitions across 4 ranks and
-   runs the distributed LTS-Newmark solver through the mailbox
-   runtime, once per stiffness backend — assembled partial-CSR and
-   matrix-free stress-form contractions (no rank ever forms a matrix);
-4. both backends must agree to machine precision and match the serial
-   reference solver (the same config on one rank).
+   operator action) must bound the finest LTS step;
+3. the config partitions across 4 ranks and runs the distributed
+   LTS-Newmark solver through the mailbox runtime, matrix-free
+   stress-form contractions (no rank ever forms a matrix);
+   :meth:`repro.api.Simulation.variant` reruns it on one rank and on
+   the NumPy tier, and all three agree to 1e-12.
 
 Run:  python examples/anisotropic_trench_3d.py
 """
@@ -29,9 +28,10 @@ Run:  python examples/anisotropic_trench_3d.py
 import numpy as np
 
 from repro.api import (
+    BackendSpec,
+    PartitionSpec,
     Simulation,
     SimulationConfig,
-    compare_backends,
     relative_deviation,
 )
 from repro.core import stable_timestep_from_operator
@@ -100,39 +100,39 @@ def main() -> None:
     bulk = mesh.h == mesh.h.max()
     assert levels.level[bulk & tti].min() > levels.level[bulk & ~tti].max()
 
-    # Matrix-free CFL: power iteration needs only the operator action.
-    # The TTI operator's top eigenvalues are clustered (rel gap ~1e-4),
-    # so the iteration needs a looser tolerance and more headroom than
-    # the isotropic runs — the 0.95 safety absorbs the ~1e-5 residual.
-    dt_eigs = stable_timestep_from_operator(sim.assembler.A, method="eigs")
+    # Matrix-free CFL: power iteration needs only the operator action;
+    # the finest LTS step must lie inside the bound it finds.  The TTI
+    # operator's top eigenvalues are clustered (rel gap ~1e-4), so the
+    # iteration needs a tighter tolerance and more iterations than the
+    # isotropic runs.
     dt_power = stable_timestep_from_operator(
-        sim.assembler.operator("matfree"), method="power", tol=1e-10,
-        maxiter=200_000,
+        sim.operator(), method="power", tol=1e-10, maxiter=200_000,
     )
-    rel = abs(dt_eigs - dt_power) / dt_eigs
-    print(f"stable dt: eigs {dt_eigs:.5f}, matfree power iteration {dt_power:.5f} "
-          f"(rel diff {rel:.1e})")
-    assert rel < 1e-3
+    print(f"stable dt: power iteration {dt_power:.5f}, finest LTS step "
+          f"{sim.levels.dt_min:.5f}")
+    assert sim.levels.dt_min <= dt_power
 
-    # Serial reference (same config, one rank) + one distributed run
-    # per stiffness backend — all sharing sim's resolved pipeline.
-    results = compare_backends(sim, include_serial=True)
-    serial = results.pop("serial")
-    for backend, res in results.items():
+    # The distributed run (fused tier wherever it loads), then two
+    # variants sharing sim's resolved pipeline: the same config on one
+    # rank, and on the NumPy tier.
+    dist = sim.run()
+    serial = sim.variant(partition=PartitionSpec(n_ranks=1)).run()
+    numpy_run = sim.variant(backend=BackendSpec(fused=False)).run()
+    for res in (dist, numpy_run):
         print(
-            f"{backend:>9} backend: {res.metadata['messages']} messages, "
+            f"{res.metadata['kernel_tier']:>9} tier: {res.metadata['messages']} messages, "
             f"{res.metadata['comm_volume']} values exchanged over "
             f"{res.n_cycles} cycles"
         )
 
-    err_backends = relative_deviation(results["assembled"], results["matfree"])
-    err_serial = max(relative_deviation(serial, r) for r in results.values())
-    print(f"matfree vs assembled: {err_backends:.2e} (relative)")
+    err_serial = relative_deviation(serial, dist)
+    err_tiers = relative_deviation(dist, numpy_run)
     print(f"distributed vs serial: {err_serial:.2e} (relative)")
-    assert err_backends < 1e-12
-    assert err_serial < 1e-11
-    print("3D anisotropic LTS run verified: both backends reproduce the serial scheme")
-
+    print(f"NumPy tier vs {dist.metadata['kernel_tier']}: {err_tiers:.2e} (relative)")
+    assert err_serial < 1e-12
+    assert err_tiers < 1e-12
+    print("3D anisotropic LTS run verified: the distributed run reproduces the serial "
+          "one on every tier")
 
 if __name__ == "__main__":
     main()

@@ -63,7 +63,7 @@ def main() -> None:
 
     # Newmark at dt_min over the same time, hand-wired from the same stages.
     zeros = np.zeros(sim.assembler.n_dof)
-    u_nm, _ = NewmarkSolver(sim.assembler.A, sim.levels.dt_min, force=sim.force).run(
+    u_nm, _ = NewmarkSolver(sim.operator(), sim.levels.dt_min, force=sim.force).run(
         zeros, zeros, sim.n_cycles * sim.levels.p_max
     )
 

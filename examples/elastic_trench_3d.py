@@ -1,4 +1,4 @@
-"""3D elastic trench: distributed LTS on both operator backends.
+"""3D elastic trench: distributed LTS, verified against serial and across tiers.
 
 The paper's target physics in its native dimension — the elastic wave
 equation (Eqs. (1)-(2)) on a hexahedral trench mesh — declared as one
@@ -11,22 +11,21 @@ equation (Eqs. (1)-(2)) on a hexahedral trench mesh — declared as one
    the level structure is genuinely P-velocity-driven — levels follow
    ``h_i / cp_i`` exactly as Eq. (7) prescribes;
 2. the matrix-free CFL estimate (power iteration on the elastic
-   operator action — no assembled matrix needed) is verified against
-   the sparse eigensolver;
-3. :func:`repro.api.compare_backends` partitions across 4 ranks and
-   runs the distributed LTS-Newmark solver through the mailbox
-   runtime, once per stiffness backend — assembled partial-CSR and
-   matrix-free sum-factorization (no rank ever forms a matrix);
-4. both backends must agree to machine precision and match the serial
-   reference solver (the same config on one rank).
+   operator action) must bound the finest LTS step;
+3. the config partitions across 4 ranks and runs the distributed
+   LTS-Newmark solver through the mailbox runtime, matrix-free (no
+   rank ever forms a matrix); :meth:`repro.api.Simulation.variant`
+   reruns it on one rank and on the NumPy tier, and all three agree
+   to 1e-12.
 
 Run:  python examples/elastic_trench_3d.py
 """
 
 from repro.api import (
+    BackendSpec,
+    PartitionSpec,
     Simulation,
     SimulationConfig,
-    compare_backends,
     relative_deviation,
 )
 from repro.core import stable_timestep_from_operator
@@ -71,35 +70,34 @@ def main() -> None:
         f"{sim.levels.n_levels} LTS levels {sim.levels.counts()}"
     )
 
-    # Matrix-free CFL: power iteration needs only the operator action.
-    dt_eigs = stable_timestep_from_operator(sim.assembler.A, method="eigs")
-    dt_power = stable_timestep_from_operator(
-        sim.assembler.operator("matfree"), method="power"
-    )
-    rel = abs(dt_eigs - dt_power) / dt_eigs
-    print(f"stable dt: eigs {dt_eigs:.5f}, matfree power iteration {dt_power:.5f} "
-          f"(rel diff {rel:.1e})")
-    assert rel < 1e-6
+    # Matrix-free CFL: power iteration needs only the operator action;
+    # the finest LTS step must lie inside the bound it finds.
+    dt_power = stable_timestep_from_operator(sim.operator(), method="power")
+    print(f"stable dt: power iteration {dt_power:.5f}, finest LTS step "
+          f"{sim.levels.dt_min:.5f}")
+    assert sim.levels.dt_min <= dt_power
 
-    # Serial reference (same config, one rank) + one distributed run
-    # per stiffness backend — all sharing sim's resolved pipeline.
-    results = compare_backends(sim, include_serial=True)
-    serial = results.pop("serial")
-    for backend, res in results.items():
+    # The distributed run (fused tier wherever it loads), then two
+    # variants sharing sim's resolved pipeline: the same config on one
+    # rank, and on the NumPy tier.
+    dist = sim.run()
+    serial = sim.variant(partition=PartitionSpec(n_ranks=1)).run()
+    numpy_run = sim.variant(backend=BackendSpec(fused=False)).run()
+    for res in (dist, numpy_run):
         print(
-            f"{backend:>9} backend: {res.metadata['messages']} messages, "
+            f"{res.metadata['kernel_tier']:>9} tier: {res.metadata['messages']} messages, "
             f"{res.metadata['comm_volume']} values exchanged over "
             f"{res.n_cycles} cycles"
         )
 
-    err_backends = relative_deviation(results["assembled"], results["matfree"])
-    err_serial = max(relative_deviation(serial, r) for r in results.values())
-    print(f"matfree vs assembled: {err_backends:.2e} (relative)")
+    err_serial = relative_deviation(serial, dist)
+    err_tiers = relative_deviation(dist, numpy_run)
     print(f"distributed vs serial: {err_serial:.2e} (relative)")
-    assert err_backends < 1e-12
-    assert err_serial < 1e-11
-    print("3D elastic LTS run verified: both backends reproduce the serial scheme")
-
+    print(f"NumPy tier vs {dist.metadata['kernel_tier']}: {err_tiers:.2e} (relative)")
+    assert err_serial < 1e-12
+    assert err_tiers < 1e-12
+    print("3D elastic LTS run verified: the distributed run reproduces the serial "
+          "one on every tier")
 
 if __name__ == "__main__":
     main()

@@ -10,10 +10,8 @@ as a single :class:`repro.api.SimulationConfig` loaded from
   mesh (paper Eq. (7)); multi-level LTS-Newmark steps each region at
   its own rate;
 * ``dataclasses.replace`` swaps one spec field at a time: the non-LTS
-  Newmark baseline (``scheme="newmark"``) and the matrix-free
-  stiffness backend are the same config with one knob changed;
-* both stiffness backends reproduce the same receiver seismograms to
-  machine precision.
+  Newmark baseline (``scheme="newmark"``) is the same config with one
+  knob changed.
 
 Run:  python examples/quickstart.py
       python -m repro run examples/configs/quickstart.json
@@ -24,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import BackendSpec, Simulation, SimulationConfig, run
+from repro.api import Simulation, SimulationConfig, run
 from repro.core import theoretical_speedup
 
 CONFIG = Path(__file__).with_name("configs") / "quickstart.json"
@@ -53,16 +51,10 @@ def main() -> None:
     scheme_diff = np.abs(lts.u - newmark.u).max() / np.abs(newmark.u).max()
     print(f"LTS vs Newmark final field: {scheme_diff:.2e} (relative)")
     assert scheme_diff < 0.05
-
-    # --- backend parity: assembled CSR vs matrix-free -------------------
-    matfree = sim.variant(backend=BackendSpec(stiffness="matfree")).run()
     peak = np.abs(lts.traces).max()
-    backend_diff = np.abs(lts.traces - matfree.traces).max() / peak
     print(f"receiver peak |u| = {peak:.3e}")
-    print(f"matfree vs assembled traces: {backend_diff:.2e} (relative)")
-    assert backend_diff < 1e-12
-    assert np.all(np.isfinite(lts.u))
-    print("quickstart verified: both backends reproduce the same seismograms")
+    assert peak > 0 and np.all(np.isfinite(lts.u))
+    print("quickstart verified: LTS reproduces the Newmark baseline")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ from repro.api import (
     StageCache,
     SweepSpec,
     TimeSpec,
-    compare_backends,
     relative_deviation,
     run,
     run_ensemble,
@@ -117,7 +116,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "run",
-    "compare_backends",
     "relative_deviation",
     # stage cache + ensembles (repro.api)
     "StageCache",

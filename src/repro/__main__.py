@@ -6,7 +6,7 @@ Subcommands
     Resolve and execute a :class:`repro.api.SimulationConfig`, print a
     run summary, and optionally save traces/fields to an ``.npz``
     (written atomically — a killed run leaves either the complete file
-    or nothing).  ``--backend/--ranks/--scheme/--threads`` override the
+    or nothing).  ``--ranks/--scheme/--threads`` override the
     corresponding spec fields without editing the file;
     ``--checkpoint-dir/--checkpoint-every`` enable periodic
     checkpointing and ``--resume <ckpt.npz>`` restarts from a saved
@@ -20,7 +20,7 @@ Subcommands
     axes) and run every member through a shared content-addressed
     :class:`repro.api.StageCache` on ``--jobs`` worker threads.
     ``--cache-dir`` persists the expensive artifacts
-    (assembled CSR, LTS levels, partitions) across invocations;
+    (LTS levels, partitions) across invocations;
     ``--output-dir`` writes one ``member_<i>.npz`` per member plus a
     ``summary.json`` with per-member timings and cache-hit provenance
     (the directory is created — and proven writable — up front).
@@ -63,15 +63,6 @@ from repro.util.io import atomic_savez
 
 
 def _apply_overrides(cfg: SimulationConfig, args) -> SimulationConfig:
-    if args.backend is not None:
-        fused = cfg.backend.fused if args.backend == "matfree" else None
-        threads = cfg.backend.threads if args.backend == "matfree" else None
-        cfg = replace(
-            cfg,
-            backend=replace(
-                cfg.backend, stiffness=args.backend, fused=fused, threads=threads
-            ),
-        )
     if getattr(args, "threads", None) is not None:
         cfg = replace(cfg, backend=replace(cfg.backend, threads=args.threads))
     if args.ranks is not None:
@@ -106,7 +97,7 @@ def _cmd_run(args) -> int:
         f"scheme={cfg.time.scheme}: {levels.n_levels} LTS levels "
         f"{levels.counts().tolist()}, dt={sim.dt:.6g}, "
         f"{sim.n_cycles} cycles "
-        f"(backend={cfg.backend.stiffness}, ranks={cfg.partition.n_ranks})"
+        f"(ranks={cfg.partition.n_ranks})"
     )
     result = sim.run(resume=args.resume, perf=args.perf)
     md = result.metadata
@@ -408,10 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a simulation config end-to-end")
     p_run.add_argument("config", help="path to a .json or .toml SimulationConfig")
     p_run.add_argument(
-        "--backend", choices=("assembled", "matfree"), default=None,
-        help="override the stiffness backend",
-    )
-    p_run.add_argument(
         "--ranks", type=int, default=None,
         help="override the rank count (1 = serial)",
     )
@@ -422,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--threads", type=int, default=None, metavar="N",
         help="override BackendSpec.threads, the fused tier's OpenMP thread "
-             "count (0 = auto-detect; needs --backend matfree or a matfree config)",
+             "count (0 = auto-detect)",
     )
     p_run.add_argument(
         "--output", default=None, metavar="OUT.npz",

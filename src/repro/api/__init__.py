@@ -51,7 +51,6 @@ from repro.api.simulation import (
     STAGES,
     Simulation,
     SimulationResult,
-    compare_backends,
     relative_deviation,
     run,
     stage_key,
@@ -74,7 +73,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "run",
-    "compare_backends",
     "relative_deviation",
     "StageCache",
     "CacheStats",

@@ -27,7 +27,7 @@ artifacts are stored under that key:
   ``_LATEST_ONLY``) — a run only binds the plan to fresh buffers, so the
   second request for a warm model pays for the stepping alone;
 * **on disk** (optional) — the expensive array-backed artifacts
-  (assembled CSR stiffness, LTS level assignments, partition vectors)
+  (LTS level assignments, partition vectors)
   persist as ``.npz`` files written atomically via
   :func:`repro.util.io.atomic_savez`, so a later invocation, a
   restarted server or a second process on the same host warm-starts
@@ -73,10 +73,10 @@ class CacheStats:
     """Observability counters of a :class:`StageCache`.
 
     ``resolutions`` counts *builds* per stage label — the hook the
-    exactly-once guarantees are asserted against: after
-    :func:`repro.api.simulation.compare_backends` the assembler stage
-    must show ``resolutions["assembler"] == 1`` no matter how many
-    variants ran.
+    exactly-once guarantees are asserted against: after any number of
+    :meth:`repro.api.simulation.Simulation.variant` runs through one
+    cache the assembler stage must show ``resolutions["assembler"] ==
+    1``.
     """
 
     hits: int = 0

@@ -81,7 +81,6 @@ MATERIAL_MODELS: dict[str, tuple[str, ...]] = {
 }
 
 _SCHEMES = ("lts", "newmark")
-_STIFFNESS_BACKENDS = ("assembled", "matfree")
 
 
 def _freeze(value):
@@ -637,11 +636,9 @@ class PartitionSpec(Spec):
 @dataclass(frozen=True)
 class BackendSpec(Spec):
     """Stiffness-application backend (see README "Performance
-    architecture"): ``"matfree"`` (sum-factorization, no matrix; the
-    default, fused wherever that tier loads) or ``"assembled"``
-    (global/partial CSR, whose build costs seconds where matfree's costs
-    a tenth of one).  ``fused`` toggles
-    the fused C element kernels on the matfree path (``None`` = auto).
+    architecture"): ``stiffness`` accepts only ``"matfree"``
+    (sum-factorization, no matrix; fused wherever that tier loads).
+    ``fused`` toggles the fused C element kernels (``None`` = auto).
     ``threads`` is the OpenMP thread count of the fused kernels' element
     loop: ``None`` = serial, ``0`` = auto-detect the CPUs available to
     the process, ``N >= 1`` = that many threads.  The NumPy tier is
@@ -655,24 +652,14 @@ class BackendSpec(Spec):
     threads: int | None = None
 
     def __post_init__(self):
-        if self.stiffness not in _STIFFNESS_BACKENDS:
+        if self.stiffness != "matfree":
             raise ConfigError(
-                f"unknown stiffness backend {self.stiffness!r}; "
-                f"available: {', '.join(_STIFFNESS_BACKENDS)}"
+                f"unknown stiffness backend {self.stiffness!r}; the only "
+                f"backend is 'matfree'"
             )
         if self.fused is not None:
-            if self.stiffness != "matfree":
-                raise ConfigError(
-                    "BackendSpec.fused applies to the matfree backend "
-                    "only; set stiffness='matfree' (or leave fused=None)"
-                )
             self._set("fused", bool(self.fused))
         if self.threads is not None:
-            if self.stiffness != "matfree":
-                raise ConfigError(
-                    "BackendSpec.threads applies to the matfree backend "
-                    "only; set stiffness='matfree' (or leave threads=None)"
-                )
             if isinstance(self.threads, bool) or not isinstance(self.threads, int):
                 raise ConfigError(
                     f"BackendSpec.threads must be an integer >= 0 or None "
@@ -950,13 +937,13 @@ class SimulationConfig(Spec):
         * ``resilience`` — checkpoint cadence, restart budgets and
           injected test faults change *how* a run executes, not what it
           converges to;
-        * ``backend`` — the stiffness backend, fused-kernel choice and
-          thread count select an execution plan (a kernel tier) for the
-          same discrete operator; backend parity is asserted at machine
-          precision by the test suite, so a checkpoint written under
-          ``threads=None`` resumes cleanly under ``threads=2`` (or
-          under the other backend) instead of being rejected for a
-          physics-irrelevant difference.
+        * ``backend`` — the fused-kernel choice and thread count select
+          an execution plan (a kernel tier) for the same discrete
+          operator; tier parity is asserted at machine precision by the
+          test suite, so a checkpoint written under ``threads=None``
+          resumes cleanly under ``threads=2`` (or on the other tier)
+          instead of being rejected for a physics-irrelevant
+          difference.
 
         Unlike ``hash()``, the digest is stable across processes, which
         is what lets a checkpoint file reject a restore against a

@@ -17,12 +17,11 @@ executes them:
 2. **warm** the shared :class:`~repro.api.cache.StageCache` by
    resolving each *distinct* upstream artifact exactly once, in
    dependency order (mesh -> material -> assembler -> levels ->
-   dof_level -> parts, plus the CSR for assembled-backend members);
+   dof_level -> parts);
 3. **run** each member through :func:`run_member` — the one job
    runner, shared with the service's workers — on a thread pool of
    width ``jobs``, every thread resolving through the same cache (the
-   matrix-free kernels and scipy's CSR matvec both release the GIL for
-   the bulk of a step) — streaming each
+   matrix-free kernels release the GIL for the bulk of a step) — streaming each
    :class:`~repro.api.simulation.SimulationResult` through
    ``on_result`` as it completes, with per-member timing and cache-hit
    metadata attached.
@@ -303,7 +302,7 @@ def run_ensemble(
     cache:
         Shared :class:`StageCache` to resolve through (a fresh
         memory-only one when omitted; pass
-        ``StageCache(cache_dir=...)`` to persist CSR/levels/parts).
+        ``StageCache(cache_dir=...)`` to persist levels/parts).
     on_result:
         Streaming hook, called from the calling thread with each
         member's :class:`SimulationResult` as it completes (completion
@@ -344,10 +343,6 @@ def run_ensemble(
             groups.setdefault(sim.stage_key(stage), i)
         for key, i in groups.items():
             getattr(sims[i], stage)
-            if stage == "assembler" and sims[i].config.backend.stiffness == "assembled":
-                # Materialize the CSR once, in this thread: assembly is
-                # lazy, and racing workers would each pay for it.
-                sims[i].assembler.A
         sharing[stage.lstrip("_")] = {
             "distinct": len(groups),
             "members": len(sims) if stage != "parts" else sum(

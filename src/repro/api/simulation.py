@@ -17,8 +17,8 @@ and walks the paper's whole pipeline:
    :class:`~repro.api.config.ReceiverSpec`);
 5. run serially (:class:`repro.core.lts_newmark.LTSNewmarkSolver`) or
    partition and run the distributed mailbox executors
-   (:class:`~repro.api.config.PartitionSpec`), on either stiffness
-   backend (:class:`~repro.api.config.BackendSpec`);
+   (:class:`~repro.api.config.PartitionSpec`), on the kernel tier
+   :class:`~repro.api.config.BackendSpec` selects;
 6. return a :class:`SimulationResult` — receiver traces, final fields,
    level/partition/timing metadata.
 
@@ -28,10 +28,9 @@ cached properties, so the façade composes with the manual-wiring layer
 instead of hiding it: build a reference solver from ``sim.assembler``
 by hand, reuse ``sim.levels`` in a partition study, and so on.
 
-Module-level conveniences: :func:`run` (one-shot),
-:func:`compare_backends` (the assembled-vs-matfree cross-check every
-backend-parity example performs) and :func:`relative_deviation` (result
-agreement metric).
+Module-level conveniences: :func:`run` (one-shot) and
+:func:`relative_deviation` (result agreement metric); a tier or
+partition cross-check is two runs of :meth:`Simulation.variant`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.api.cache import StageCache
 from repro.api.config import BackendSpec, PartitionSpec, SimulationConfig
@@ -104,7 +102,7 @@ from repro.util.errors import ConfigError
 #                 more than one rank)
 # ==============  =====================================================
 #
-# BackendSpec (stiffness backend, fused, threads) enters only the last
+# BackendSpec (the kernel tier: fused, threads) enters only the last
 # two, which hold the execution plan — rank-local operators, level
 # restrictions, index maps — and live in the cache's memory tier only,
 # the latest of each (``repro.api.cache._LATEST_ONLY``).
@@ -371,45 +369,10 @@ class Simulation:
             self.mesh, order=cfg.order, dirichlet=cfg.dirichlet, material=self.material
         )
 
-    def _assembler_codec(self):
-        """Disk ``pack``/``unpack`` for the assembler stage, or
-        ``(None, None)`` when persisting its CSR makes no sense.
-
-        The persisted artifact is the assembled ``K`` — the single most
-        expensive resolution step.  On a disk hit the assembler object is
-        rebuilt (geometry/numbering are cheap) and ``K`` injected, which
-        scales ``A`` from it as a cold build does, bitwise.  Matrix-free
-        configs never assemble, so the codec is enabled only for the
-        ``assembled`` backend, in every dimension.
-        """
-        if self.config.backend.stiffness != "assembled":
-            return None, None
-
-        def pack(sem) -> dict:
-            return {
-                "K_data": sem.K.data,
-                "K_indices": sem.K.indices,
-                "K_indptr": sem.K.indptr,
-                "shape": np.array(sem.K.shape, dtype=np.int64),
-            }
-
-        def unpack(d: dict):
-            shape = tuple(int(x) for x in d["shape"])
-            sem = self._build_assembler()
-            sem._set_assembled(sp.csr_matrix(
-                (d["K_data"], d["K_indices"], d["K_indptr"]), shape=shape
-            ))
-            return sem
-
-        return pack, unpack
-
     @cached_property
     def assembler(self):
         """The SEM assembler of the material model (any mesh dimension)."""
-        pack, unpack = (None, None) if self.cache is None else self._assembler_codec()
-        return self._resolve(
-            "assembler", self._build_assembler, pack=pack, unpack=unpack
-        )
+        return self._resolve("assembler", self._build_assembler)
 
     @cached_property
     def levels(self) -> LevelAssignment:
@@ -532,16 +495,19 @@ class Simulation:
         rec = self.config.receivers
         if rec is None:
             return None
-        return self._resolve(
-            "receiver_dofs",
-            lambda: np.array(
-                [
-                    self._locate_dof(p, rec.component, f"receiver #{i}")
-                    for i, p in enumerate(rec.positions)
-                ],
-                dtype=np.int64,
-            ),
-        )
+
+        def build():
+            mask = getattr(self.assembler, "dirichlet_mask", None)
+            dofs = []
+            for i, p in enumerate(rec.positions):
+                dof = self._locate_dof(p, rec.component, f"receiver #{i}")
+                if mask is not None and not mask[dof]:
+                    raise ConfigError(f"receiver #{i} at {list(p)} lands on DOF {dof}, which is "
+                                      f"Dirichlet (clamped): its trace would be all zeros")
+                dofs.append(dof)
+            return np.array(dofs, dtype=np.int64)
+
+        return self._resolve("receiver_dofs", build)
 
     @cached_property
     def parts(self) -> np.ndarray | None:
@@ -564,15 +530,14 @@ class Simulation:
 
     @cached_property
     def rank_layout(self):
-        """The partition's :class:`~repro.runtime.halo.RankLayout` in the
-        configured backend, LTS levels left to the solver plan
+        """The partition's :class:`~repro.runtime.halo.RankLayout` on the
+        configured kernel tier, LTS levels left to the solver plan
         (``None`` for serial configs)."""
         if self.parts is None:
             return None
         b, n_ranks = self.config.backend, self.config.partition.n_ranks
         return self._resolve("rank_layout", lambda: build_rank_layout(
-            self.assembler, self.parts, n_ranks,
-            backend=b.stiffness, use_fused=b.fused, threads=b.threads,
+            self.assembler, self.parts, n_ranks, use_fused=b.fused, threads=b.threads,
         ))
 
     @cached_property
@@ -596,13 +561,13 @@ class Simulation:
         return self._resolve("solver_plan", build)
 
     def operator(self):
-        """The serial stiffness operator in the configured backend."""
+        """The serial stiffness operator on the configured kernel tier."""
         b = self.config.backend
-        return self.assembler.operator(b.stiffness, use_fused=b.fused, threads=b.threads)
+        return self.assembler.operator(use_fused=b.fused, threads=b.threads)
 
     def kernel_tier(self) -> str:
         """The kernel tier the solver plan's level-1 products run —
-        ``"assembled"``, ``"numpy"``, ``"fused"`` or ``"fused+openmp:N"``
+        ``"numpy"``, ``"fused"`` or ``"fused+openmp:N"``
         — read off the built plan (:attr:`NumberingPlan.tier
         <repro.core.lts_newmark.NumberingPlan.tier>`), so results record
         the path that ran: with ``fused=None`` a missing compiler or a
@@ -639,10 +604,9 @@ class Simulation:
         any) carries over, so even stages not resolved yet on *this*
         instance are shared through it.
 
-        This is how backend-parity, serial-reference, and ensemble
-        member runs avoid paying mesh construction and stiffness
-        assembly more than once; :func:`compare_backends` and
-        :mod:`repro.api.ensemble` are built on it.
+        This is how tier-parity, serial-reference, and ensemble member
+        runs avoid paying mesh and assembler construction more than
+        once; :mod:`repro.api.ensemble` is built on it.
         """
         if backend is not None:
             swaps["backend"] = backend
@@ -904,44 +868,6 @@ def run(
 ) -> SimulationResult:
     """One-shot convenience: ``Simulation(config).run(resume=resume)``."""
     return Simulation(config).run(resume=resume)
-
-
-def compare_backends(
-    config: SimulationConfig | Simulation,
-    backends: tuple[str, ...] = ("assembled", "matfree"),
-    include_serial: bool = False,
-    cache: StageCache | None = None,
-) -> dict[str, SimulationResult]:
-    """Run the same config once per stiffness backend.
-
-    The backend-parity check of every example: results should agree to
-    machine precision (:func:`relative_deviation`).  The runs are
-    routed through a shared :class:`~repro.api.cache.StageCache`
-    (``cache``, or a fresh private one), so the
-    mesh/material/assembler/levels pipeline is resolved **exactly
-    once** no matter how many legs run — assertable via the cache's
-    resolution counters (``cache.stats.resolutions``).  Pass an
-    existing :class:`Simulation` to also reuse its already-resolved
-    stages.  ``include_serial`` adds a ``"serial"`` entry — the same
-    config on one rank — as the distributed examples' reference.
-    """
-    base = config if isinstance(config, Simulation) else Simulation(config)
-    if base.cache is None:
-        base.cache = cache if cache is not None else StageCache()
-    # Resolve the shared stages once, on the base, before cloning.
-    for name in STAGES:
-        getattr(base, name)
-    results = {}
-    if include_serial:
-        results["serial"] = base.variant(partition=PartitionSpec(n_ranks=1)).run()
-    for b in backends:
-        # Keep the config's fused/threads choices on the matfree leg.
-        fused = base.config.backend.fused if b == "matfree" else None
-        threads = base.config.backend.threads if b == "matfree" else None
-        results[b] = base.variant(
-            backend=BackendSpec(stiffness=b, fused=fused, threads=threads)
-        ).run()
-    return results
 
 
 def relative_deviation(a: SimulationResult, b: SimulationResult) -> float:

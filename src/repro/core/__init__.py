@@ -14,8 +14,8 @@ Contents:
   (:class:`NewmarkSolver`) — :mod:`repro.core.lts_newmark`;
 * the LTS cycle schedule consumed by the cluster simulator —
   :mod:`repro.core.schedule`;
-* the stiffness-operator protocol shared by the assembled-CSR and
-  matrix-free backends — :mod:`repro.core.operator`.
+* the stiffness-operator protocol shared by the matrix-free operator
+  and a caller's own matrix — :mod:`repro.core.operator`.
 """
 
 from repro.core.operator import (

@@ -202,7 +202,7 @@ def stable_timestep_from_operator(
     require(safety <= 1.0, "safety must be <= 1", SolverError)
     require(method in ("auto", "eigs", "power"), f"unknown method {method!r}", SolverError)
     # Unwrap AssembledOperator and friends: anything exposing a sparse
-    # ``.A`` is an assembled backend.
+    # ``.A`` wraps an assembled matrix.
     mat = None
     if sp.issparse(A) or isinstance(A, np.ndarray):
         mat = A

@@ -68,7 +68,7 @@ numbering's ``Minv`` as they first read it): a rank adds the halo sum
 and nothing else, so one rank is the serial run bit for bit.
 
 The solver is backend- and dimension-agnostic: ``A`` is a scipy sparse
-matrix (the assembled path) or any
+matrix (a caller's own) or any
 :class:`repro.core.operator.StiffnessOperator`, such as the matrix-free
 one of :mod:`repro.sem.matfree`, whose level restriction applies only
 the active level's elements plus their gray halo, as SPECFEM does.

@@ -1,4 +1,4 @@
-"""Stiffness-operator abstraction: assembled and matrix-free backends.
+"""Stiffness-operator abstraction: the matrix-free operator and a caller's matrix.
 
 The paper's performance (Sec. II-C) rests on SPECFEM-style *unassembled*
 stiffness application: the action ``A u = M^{-1} K u`` is computed
@@ -18,8 +18,8 @@ is backend-agnostic:
   the "gray halo" of Fig. 2).  A restriction to every column is the
   operator's own product, with no copy and no input mask: one-level
   LTS, which is explicit Newmark, costs what a plain apply costs.
-* :class:`AssembledOperator` — wraps a precomputed sparse ``A``; the
-  seed's CSR path, unchanged semantics.
+* :class:`AssembledOperator` — wraps a caller's own sparse or dense
+  ``A`` (a test's CSR reference, a small model matrix).
 * :class:`repro.sem.matfree.MatrixFreeStiffness` — the unassembled
   ``M^{-1} K``, serial or a rank's share; it lives in
   :mod:`repro.sem.matfree` (it needs element geometry the core layer
@@ -33,8 +33,8 @@ refuses (:class:`SolverError`) a ``u`` or ``out`` of another length
 before it reads or writes either (:func:`check_lengths`).
 
 ``nnz`` is defined as *operations per full apply* — literal stored
-nonzeros for the assembled backend, tensor-contraction flops for the
-matrix-free one — so :class:`repro.core.lts_newmark.OperationCounter`
+nonzeros for a wrapped matrix, tensor-contraction flops for the
+matrix-free operator — so :class:`repro.core.lts_newmark.OperationCounter`
 ratios (Eq. (9) serial efficiency) stay meaningful per backend.
 """
 

@@ -13,7 +13,7 @@ allocation-discipline layer that removes that overhead:
   subsequent step; ``nbytes`` makes the footprint observable.
 * :func:`csr_matvec_into` — ``out=``-style CSR products (via the
   ``csr_matvec`` kernel scipy's own ``@`` uses, accumulated into a
-  caller buffer), behind the assembled backend's ``apply(u, out=)``;
+  caller buffer), behind a wrapped matrix's ``apply(u, out=)``;
   every solver applies its stiffness through that protocol.
 * :class:`HotPathStats` / :class:`HotPathTracer` — the opt-in evidence:
   steady-state steps/sec, tracemalloc block/byte deltas per step, and

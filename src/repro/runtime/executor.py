@@ -6,13 +6,13 @@ stiffness application performs the partial product and a halo exchange
 that sums shared-DOF contributions — one synchronization per substep,
 exactly the pattern whose load sensitivity Fig. 1 illustrates.
 
-Both layout backends — assembled partial CSR and matrix-free
-tensor-product (``build_rank_layout(backend="matfree")``) — run through
-one level-apply path, in any dimension the SEM layer discretizes and for
-any physics it declares (the interleaved elastic DOFs exchange through
-the same halo plans): level ``k`` on rank ``r`` is a
-:class:`~repro.core.operator.Restriction` of the rank's partial ``K`` to
-the rank's level-``k`` columns — the level's elements plus their gray
+Every rank-local product — the matrix-free share of
+:func:`repro.runtime.halo.build_rank_layout`, or a caller's own CSR —
+runs through one level-apply path, in any dimension the SEM layer
+discretizes and for any physics it declares (the interleaved elastic
+DOFs exchange through the same halo plans): level ``k`` on rank ``r`` is
+a :class:`~repro.core.operator.Restriction` of the rank's partial ``K``
+to the rank's level-``k`` columns — the level's elements plus their gray
 halo (:meth:`repro.sem.matfree.MatrixFreeStiffness.masked_subset`), or a
 CSR column block — exchanged through a plan that keeps only the shared
 DOFs some sharer can write.  A CSR or NumPy-tier share has ``1/M``

@@ -7,26 +7,21 @@ point-to-point exchange — the synchronization that happens at *every LTS
 substep* in Fig. 1.
 
 :func:`build_rank_layout` consumes any assembler exposing
-``element_dofs``, ``M`` and ``stiffness_csr(ids, local_dofs, n)`` (every
-SEM assembler, 1D to 3D) plus an element partition vector, and produces
-a :class:`RankLayout` the distributed solvers run on.  A rank's product
-is its share of the serial ``M^{-1} K`` — its owned elements' partial
-stiffness, rows scaled by the one ``1/M``
-(:func:`repro.sem.matfree.inverse_mass`, Dirichlet rows 0) — from the
-serial operator's own builder, in one of two backends: ``"assembled"``
-(:meth:`repro.sem.tensor.SemND.stiffness_csr`, chunked as the serial
-``K``, then :func:`repro.sem.tensor.mass_scaled`) and ``"matfree"``
-(:func:`repro.sem.matfree.stiffness_share` — no rank ever forms a
-matrix; requires the assembler to build its own element kernel,
-``kernel(ids)``).  Both duck-type ``K @ u``, so the executors are
-backend- and physics-agnostic: the three physics assemblers — scalar
-acoustic (with variable density), multi-component isotropic elastic and
-general anisotropic elastic, each generic over dimension — build
-layouts identically.  The component-interleaved DOF ids flow through
-local numbering, ownership and the halo exchange like any other DOFs,
-and each rank's kernel is built from its owned elements' slice of the
-per-element parameters (including per-element Voigt stiffness
-tensors).
+``element_dofs``, ``M`` and ``kernel(ids)`` (every SEM assembler, 1D to
+3D) plus an element partition vector, and produces a :class:`RankLayout`
+the distributed solvers run on.  A rank's product is its share of the
+serial ``M^{-1} K`` — its owned elements' partial stiffness, rows scaled
+by the one ``1/M`` (:func:`repro.sem.matfree.inverse_mass`, Dirichlet
+rows 0) — from the serial operator's own builder,
+:func:`repro.sem.matfree.stiffness_share`: no rank ever forms a matrix.
+The executors only call ``K @ u``, so they are physics-agnostic: the
+three physics assemblers — scalar acoustic (with variable density),
+multi-component isotropic elastic and general anisotropic elastic, each
+generic over dimension — build layouts identically.  The
+component-interleaved DOF ids flow through local numbering, ownership
+and the halo exchange like any other DOFs, and each rank's kernel is
+built from its owned elements' slice of the per-element parameters
+(including per-element Voigt stiffness tensors).
 
 The layout is one pass per rank over its elements' DOFs — a flag
 scatter and one scan give its sorted ids, a ``uint8`` (or wider) count
@@ -41,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.newmark import ReplicaMap
 from repro.sem.matfree import inverse_mass, stiffness_share
-from repro.sem.tensor import mass_scaled
 from repro.util.errors import PartitionError
 from repro.util.validation import require
 
@@ -132,11 +125,11 @@ class RankLayout(ReplicaMap):
     K_local:
         Per rank, the partial ``M^{-1} K`` from *owned elements only* on
         local numbering, so the cross-rank sum is the serial operator's
-        product: a CSR matrix or a matrix-free stiffness operator, either
-        way applied as ``K_local[r] @ u``.  Its rows carry ``1/M`` — the
-        fully-summed diagonal mass, collected once at setup as production
-        codes do — with the Dirichlet row mask folded in (0 on a masked
-        row), and its columns the Dirichlet column mask, as the serial
+        product, applied as ``K_local[r] @ u`` (a matrix-free stiffness
+        operator; any object with that product runs).  Its rows carry
+        ``1/M`` — the fully-summed diagonal mass, collected once at setup
+        as production codes do — with the Dirichlet row mask folded in (0
+        on a masked row), and its columns the Dirichlet column mask, as the serial
         operator holds them: on one rank it is that operator, entry for
         entry (a fused share's level products are raw: see ``row_scale``).
     channels:
@@ -144,7 +137,7 @@ class RankLayout(ReplicaMap):
         shared DOF.
     """
 
-    K_local: list[sp.csr_matrix]
+    K_local: list
     channels: ExchangePlan
     dof_level_local: list[np.ndarray] = field(default_factory=list)
 
@@ -188,7 +181,7 @@ def build_rank_layout(
     parts: np.ndarray,
     n_ranks: int,
     dof_level: np.ndarray | None = None,
-    backend: str = "assembled",
+    backend: str = "matfree",
     use_fused: bool | None = None,
     threads: int | None = None,
 ) -> RankLayout:
@@ -198,43 +191,30 @@ def build_rank_layout(
     ----------
     assembler:
         Object with ``element_dofs`` (``(n_elem, n_loc)``), ``n_dof``, the
-        fully-summed diagonal mass ``M`` and ``stiffness_csr(ids,
-        local_dofs, n)`` — any :class:`~repro.sem.tensor.SemND` subclass.
+        fully-summed diagonal mass ``M`` and ``kernel(ids)`` — acoustic
+        :class:`~repro.sem.tensor.SemND`, elastic
+        :class:`~repro.sem.tensor.ElasticSemND` or anisotropic
+        :class:`~repro.sem.anisotropic.AnisotropicElasticSemND`, in any
+        dimension each supports.
     parts:
         ``(n_elem,)`` rank id per element.
     dof_level:
         Optional per-DOF LTS level to carry onto ranks.
     backend:
-        ``"assembled"`` (partial CSR per rank) or ``"matfree"``
-        (unassembled tensor-product stiffness per rank; requires an
-        assembler that builds its element kernel, ``kernel(ids)`` —
-        acoustic :class:`~repro.sem.tensor.SemND`, elastic
-        :class:`~repro.sem.tensor.ElasticSemND` or anisotropic
-        :class:`~repro.sem.anisotropic.AnisotropicElasticSemND`, in
-        any dimension each supports).
+        Accepts only ``"matfree"`` (the unassembled stiffness per rank).
     use_fused:
-        Fused-C kernel selection for the matfree backend (``None`` =
-        auto-detect, as in :meth:`repro.sem.tensor.SemND.operator`);
-        must stay ``None`` for the assembled backend.
+        Fused-C kernel selection (``None`` = auto-detect, as in
+        :meth:`repro.sem.tensor.SemND.operator`).
     threads:
-        OpenMP thread count of the rank-local fused matfree
-        stiffness (``None`` serial, ``0`` auto-detect — see
-        :func:`repro.sem.matfree.resolve_threads`); must stay ``None``
-        for the assembled backend.
+        OpenMP thread count of the rank-local fused stiffness (``None``
+        serial, ``0`` auto-detect — see
+        :func:`repro.sem.matfree.resolve_threads`).
     """
-    require(backend in ("assembled", "matfree"), f"unknown backend {backend!r}", PartitionError)
-    require(
-        use_fused is None or backend == "matfree",
-        "use_fused applies to the matfree backend only",
-        PartitionError,
-    )
-    require(
-        threads is None or backend == "matfree",
-        "threads applies to the matfree backend only",
-        PartitionError,
-    )
+    require(backend == "matfree", f"unknown backend {backend!r} (only 'matfree')", PartitionError)
+    require(hasattr(assembler, "kernel"),
+            "build_rank_layout needs an assembler that builds its element kernel (kernel(ids))",
+            PartitionError)
     element_dofs = np.asarray(assembler.element_dofs)
-    mask = getattr(assembler, "dirichlet_mask", None)
     n_elem, n_loc = element_dofs.shape
     n_dof = int(assembler.n_dof)
     parts = np.asarray(parts, dtype=np.int64)
@@ -270,21 +250,9 @@ def build_rank_layout(
         owner_masks.append(h == 0)
         held[ids] = h + 1
         gdofs.append(ids)
-        if backend == "matfree":
-            require(
-                hasattr(assembler, "kernel"),
-                "matfree layout backend requires an assembler that builds "
-                "its element kernel (kernel(ids))",
-                PartitionError,
-            )
-            K_local.append(stiffness_share(
-                assembler, inv_m[ids], owned, ld, use_fused=use_fused, threads=threads,
-            ))
-        else:
-            K_local.append(mass_scaled(
-                assembler.stiffness_csr(owned, ld, len(ids)), inv_m[ids],
-                None if mask is None else mask[ids],
-            ))
+        K_local.append(stiffness_share(
+            assembler, inv_m[ids], owned, ld, use_fused=use_fused, threads=threads,
+        ))
 
     # Halo plans: the shared (held > 1) ``(gdof, rank, position)``
     # triples sorted by DOF, then rank; entries ``s`` apart in a DOF's

@@ -19,12 +19,13 @@ component block ``(c, d)`` is::
 
 with the per-axis kernels ``K_a`` and scales ``s_a``
 (:func:`repro.sem.tensor.elastic_axis_scales`), the axis-pair cross
-kernels ``R_ab`` (:func:`repro.sem.tensor.axis_cross_kernels`) and pair
-scales ``g_ab`` (:func:`repro.sem.tensor.elastic_pair_scales`).  The
-isotropic tensor reduces this to exactly the
-:class:`~repro.sem.tensor.ElasticSemND` blocks (tested to 1e-14).
+kernels ``R_ab = G_a^T W G_b`` and pair scales ``g_ab``
+(:func:`repro.sem.tensor.elastic_pair_scales`).  The isotropic tensor
+reduces this to exactly the :class:`~repro.sem.tensor.ElasticSemND`
+blocks (tested to 1e-14).
 
-The matrix-free backend applies the same operator in stress form
+The package never forms these blocks: the matrix-free operator applies
+the same operator in stress form
 (:class:`repro.sem.matfree.AnisotropicKernelND`, built by
 :meth:`AnisotropicElasticSemND.kernel`: gradient contractions, a
 per-element Hooke combine, divergence contractions) — so LTS level
@@ -42,13 +43,7 @@ import numpy as np
 from repro.mesh.mesh import Mesh
 from repro.sem.materials import AnisotropicElastic
 from repro.sem.matfree import AnisotropicKernelND
-from repro.sem.tensor import (
-    SemND,
-    VectorSemMixin,
-    _rows,
-    elastic_axis_scales,
-    elastic_pair_scales,
-)
+from repro.sem.tensor import SemND, VectorSemMixin, _rows
 from repro.util.errors import SolverError
 from repro.util.validation import require
 
@@ -118,46 +113,11 @@ class AnisotropicElasticSemND(VectorSemMixin, SemND):
         return self.mesh.dim
 
     def _setup_physics(self) -> None:
-        # Rank-4 per-element stiffness c[e, c, a, d, b]: the pair
-        # coefficients of every component block (class docstring).
-        self._c4 = self.material.stiffness_tensor()
+        pass  # C/rho are validated by the material before super()
 
     def kernel(self, ids: np.ndarray | None = None) -> AnisotropicKernelND:
         sl = _rows(ids)
         return AnisotropicKernelND(self.order, self.material.C[sl], self.h_axes[sl])
-
-    def element_system_batch(
-        self, ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense anisotropic stiffness ``(m, dim n_loc, dim n_loc)`` and
-        diagonal mass ``(m, dim n_loc)`` of elements ``ids`` (all when
-        ``None``), built from the reference kernels (class docstring).
-
-        Major symmetry ``c_cadb = c_dbca`` makes the assembled element
-        matrix symmetric block-by-block (``K_dc = K_cd^T``).
-        """
-        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
-        dim = self.dim
-        nc = self.n_comp
-        n_loc = (self.order + 1) ** dim
-        kernels = self._axis_kernels()
-        cross = self._cross_kernels()
-        c4 = self._c4[ids]
-        s = elastic_axis_scales(self.h_axes[ids])
-        g = elastic_pair_scales(self.h_axes[ids])
-        Ke = np.zeros((len(ids), nc * n_loc, nc * n_loc))
-        for c in range(nc):
-            for d in range(nc):
-                blk = (c4[:, c, 0, d, 0] * s[:, 0])[:, None, None] * kernels[0]
-                for a in range(1, dim):
-                    blk = blk + (c4[:, c, a, d, a] * s[:, a])[:, None, None] * kernels[a]
-                for a in range(dim):
-                    for b in range(a + 1, dim):
-                        R = cross[(a, b)]
-                        blk = blk + (c4[:, c, a, d, b] * g[:, a, b])[:, None, None] * R
-                        blk = blk + (c4[:, c, b, d, a] * g[:, a, b])[:, None, None] * R.T
-                Ke[:, c::nc, d::nc] = blk
-        return Ke, self.element_mass_batch(ids)
 
     # -- wave speeds ----------------------------------------------------
     def wave_speeds(self, directions: np.ndarray | None = None) -> np.ndarray:

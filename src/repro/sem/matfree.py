@@ -64,7 +64,6 @@ import copy
 import numpy as np
 
 from repro.core.operator import (
-    AssembledOperator,
     Restriction,
     _restriction,
     check_lengths,
@@ -105,15 +104,14 @@ _FUSED_PLANS = {
 }
 
 
-def _fused_plan(kernel, element_dofs, n_dof: int, gmask=None, enabled=None, threads: int = 1):
-    """Fused-kernel apply plan, or ``None`` to use the NumPy path.
+def _fused_plan_cls(kernel, n_dof: int, enabled=None):
+    """The fused-kernel plan class of ``kernel``, or ``None`` to use the
+    NumPy path.
 
     ``enabled=None`` auto-detects: a physics and dimension without a
     fused tier, an order above the table's, no compiler, or more than
     :data:`repro.sem.fused.MAX_DOF` DOFs runs NumPy; ``False`` forces
     the NumPy path; ``True`` raises if unavailable.
-    ``threads > 1`` requests the OpenMP element-block loop (honored only
-    when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
     """
     if enabled is False:
         return None
@@ -126,7 +124,7 @@ def _fused_plan(kernel, element_dofs, n_dof: int, gmask=None, enabled=None, thre
     if kernel.order > max_order or not fused.available():
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
-    return plan_cls(kernel, element_dofs, n_dof, gmask=gmask, threads=threads)
+    return plan_cls
 
 
 def _require_01(mask: np.ndarray, what: str) -> np.ndarray:
@@ -730,10 +728,12 @@ class MatrixFreeStiffness:
         self._requested_threads = threads
         self.threads = resolve_threads(threads)
         ne = element_dofs.shape[0]
+        # The gating picks the tier even when there is no element to plan.
+        plan_cls = _fused_plan_cls(kernel, self.n_dof, enabled=use_fused)
+        self._fused = plan_cls is not None
         self._plan = (
-            _fused_plan(kernel, element_dofs, self.n_dof, gmask=gmask,
-                        enabled=use_fused, threads=self.threads)
-            if ne
+            plan_cls(kernel, element_dofs, self.n_dof, gmask=gmask, threads=self.threads)
+            if self._fused and ne
             else None
         )
         if self._plan is not None:
@@ -768,12 +768,13 @@ class MatrixFreeStiffness:
     @property
     def tier(self) -> str:
         """The kernel tier this operator actually runs (post-gating):
-        ``"fused+openmp:N"``, ``"fused"``, or ``"numpy"``."""
-        if self._plan is not None:
-            if self._plan.threads > 1:
-                return f"fused+openmp:{self._plan.threads}"
-            return "fused"
-        return "numpy"
+        ``"fused+openmp:N"``, ``"fused"``, or ``"numpy"``; a product of
+        no elements reports the tier its gating selected."""
+        if not self._fused:
+            return "numpy"
+        if self._plan is not None and self._plan.threads > 1:
+            return f"fused+openmp:{self._plan.threads}"
+        return "fused"
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -827,7 +828,7 @@ class MatrixFreeStiffness:
 
     def restrict(self, cols: np.ndarray) -> Restriction:
         """The product ``A[:, cols] @ u[cols]``: the :meth:`masked_subset`
-        of the columns, equal to the assembled backend's column block to
+        of the columns, equal to the assembled CSR's column block to
         machine precision once scaled by :attr:`row_scale`."""
         cols = np.asarray(cols, dtype=np.int64)
         col_mask = np.zeros(self.n_dof, dtype=bool)
@@ -837,7 +838,7 @@ class MatrixFreeStiffness:
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """All DOFs of elements adjacent to the masked columns: the row
         support of their :meth:`masked_subset`.  A structural superset
-        of the assembled backend's reach (it keeps same-element DOFs
+        of the assembled CSR's reach (it keeps same-element DOFs
         whose stiffness entry is exactly zero), which is valid for LTS
         active sets: any superset of the true coupling yields the
         identical scheme."""
@@ -923,30 +924,24 @@ class MatrixFreeStiffness:
 # ----------------------------------------------------------------------
 def operator_for(
     assembler,
-    backend: str = "assembled",
+    backend: str = "matfree",
     use_fused: bool | None = None,
     threads: int | None = None,
 ):
-    """Backend dispatch behind :meth:`repro.sem.tensor.SemND.operator`.
-
-    ``"assembled"`` wraps the precomputed CSR; ``"matfree"`` is the
-    whole mesh's :func:`stiffness_share` — the serial ``M^{-1} K`` is
-    the all-elements case of a rank's product.  One implementation,
-    every assembler.
-    """
-    if backend == "assembled":
-        return AssembledOperator(assembler.A)
-    if backend == "matfree":
-        return stiffness_share(
-            assembler, inverse_mass(assembler), use_fused=use_fused, threads=threads
-        )
-    raise SolverError(f"unknown backend {backend!r}")
+    """:meth:`repro.sem.tensor.SemND.operator`: the whole mesh's
+    :func:`stiffness_share` — the serial ``M^{-1} K`` is the
+    all-elements case of a rank's product.  One implementation, every
+    assembler; ``backend`` accepts only ``"matfree"``."""
+    require(backend == "matfree", f"unknown backend {backend!r} (only 'matfree')", SolverError)
+    return stiffness_share(
+        assembler, inverse_mass(assembler), use_fused=use_fused, threads=threads
+    )
 
 
 def inverse_mass(assembler) -> np.ndarray:
     """``1/M`` of ``assembler``'s fully-summed diagonal mass with its
     Dirichlet rows set to 0: the row scale of every ``M^{-1} K``
-    product, serial or rank-local, on either backend."""
+    product, serial or rank-local."""
     inv_m = 1.0 / np.asarray(assembler.M, dtype=np.float64)
     mask = getattr(assembler, "dirichlet_mask", None)
     return inv_m if mask is None else inv_m * mask
@@ -968,8 +963,8 @@ def stiffness_share(
     product's numbering (the global one when ``None``) and ``Minv``
     (:func:`inverse_mass` on those DOFs) scales its rows.  The
     assembler's Dirichlet mask, if any, masks the columns, so the whole
-    mesh's share equals the assembled ``assembler.A`` and the halo sum
-    of the ranks' shares is its product.
+    mesh's share is the serial operator and the halo sum of the ranks'
+    shares is its product.
     """
     ed = np.asarray(assembler.element_dofs)
     mask = getattr(assembler, "dirichlet_mask", None)

@@ -5,10 +5,9 @@ element discretizations — acoustic or elastic — lives here,
 parameterized by ``mesh.dim`` and the number of displacement components
 per GLL node:
 
-* the reference-element kernels — GLL weights, the 1D stiffness
-  ``KxX = D^T diag(w) D``, their kron lifts along each axis, and the
-  axis-pair *cross* kernels ``R_ab = G_a^T W G_b`` the vector-valued
-  physics couples components with;
+* the per-element geometry scales of the element kernels — per axis
+  (acoustic, and the elastic diagonal blocks) and per axis pair (the
+  elastic cross couplings);
 * entity-based global DOF numbering (corners, then edge interiors, then
   face interiors in 3D, then element interiors), built with one sort of
   packed integer keys per entity kind: a sorted corner pair is
@@ -26,11 +25,9 @@ per GLL node:
   element that writes it last — the values the whole table holds;
 * the :class:`SemND` assembler base: the multi-component interleaved
   DOF layout (``n_comp * node + comp``), diagonal (lumped) mass from the
-  material's per-element density, one chunked CSR stiffness builder for any
-  element subset (:meth:`SemND.stiffness_csr`) and one Dirichlet-masked
-  ``1/M`` scaling (:func:`mass_scaled`), the element kernel the
-  matrix-free backend applies (:meth:`SemND.kernel`), and the
-  backend-pluggable :meth:`SemND.operator`;
+  material's per-element density, the Dirichlet mask, the element
+  kernel the matrix-free operator applies (:meth:`SemND.kernel`), and
+  :meth:`SemND.operator`;
 * :class:`ElasticSemND`, the isotropic elastic (P-SV / P-S) assembler
   generic over dimension: per-element Lamé parameters and density,
   ``dim`` components per node, P/S wave speeds for CFL and LTS level
@@ -59,20 +56,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.mesh.mesh import Mesh
-from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
+from repro.sem.gll import gll_points_weights
 from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
-from repro.sem.matfree import AcousticKernelND, ElasticKernelND, inverse_mass, operator_for
+from repro.sem.matfree import AcousticKernelND, ElasticKernelND, operator_for
 from repro.util.errors import SolverError
 from repro.util.rows import unique_rows
 from repro.util.validation import require
-
-#: Cap on scattered COO entries per assembly chunk (~64 MB of values).
-_CHUNK_ENTRIES = 8_000_000
-
-
 
 #: Element-local edge slots per dimension: corner pairs, ordered
 #: axis-by-axis (x-direction edges first).  Local corner index packs the
@@ -115,13 +106,6 @@ _HEX_FACE_EDGES = (
 # ----------------------------------------------------------------------
 # Reference-element kernels
 # ----------------------------------------------------------------------
-def reference_stiffness_1d(order: int) -> np.ndarray:
-    """The 1D GLL stiffness kernel ``KxX = D^T diag(w) D``."""
-    _, w = gll_points_weights(order)
-    D = lagrange_derivative_matrix(order)
-    return (D.T * w) @ D
-
-
 def tensor_quadrature_weights(order: int, dim: int) -> np.ndarray:
     """Flattened tensor-product GLL weights ``w (x) ... (x) w`` (dim times)."""
     _, w = gll_points_weights(order)
@@ -129,27 +113,6 @@ def tensor_quadrature_weights(order: int, dim: int) -> np.ndarray:
     for _ in range(dim - 1):
         wq = np.kron(wq, w)
     return wq
-
-
-def axis_stiffness_kernels(order: int, dim: int) -> list[np.ndarray]:
-    """Per-axis reference stiffness kernels on the flattened local basis.
-
-    Kernel ``a`` is the kron chain with ``KxX`` at axis ``a`` and
-    ``diag(w)`` elsewhere (axes ordered x slowest), so the element
-    stiffness of an axis-aligned box is the per-element scalar
-    combination ``K_e = sum_a scale[e, a] * kernel_a`` — see
-    :func:`acoustic_axis_scales`.
-    """
-    _, w = gll_points_weights(order)
-    KxX = reference_stiffness_1d(order)
-    Wd = np.diag(w)
-    out = []
-    for a in range(dim):
-        k = KxX if a == 0 else Wd
-        for b in range(1, dim):
-            k = np.kron(k, KxX if b == a else Wd)
-        out.append(k)
-    return out
 
 
 def acoustic_axis_scales(c2: np.ndarray, h_axes: np.ndarray) -> np.ndarray:
@@ -167,35 +130,6 @@ def acoustic_axis_scales(c2: np.ndarray, h_axes: np.ndarray) -> np.ndarray:
     return (np.asarray(c2, dtype=np.float64) * vol / 2.0 ** (dim - 2))[:, None] / (
         h_axes**2
     )
-
-
-def axis_cross_kernels(order: int, dim: int) -> dict[tuple[int, int], np.ndarray]:
-    """Axis-pair cross kernels ``R_ab = G_a^T W G_b`` for ``a < b``.
-
-    ``R_ab`` is the kron chain with ``E = D^T diag(w)`` at axis ``a``,
-    ``F = diag(w) D`` at axis ``b`` and ``diag(w)`` elsewhere (axes
-    ordered x slowest).  These couple displacement components in the
-    vector-valued physics: the elastic block ``(c, d)`` of an
-    axis-aligned box is ``g_cd (lam R_cd + mu R_cd^T)`` for ``c != d``
-    (note ``R_ba = R_ab^T``), with the geometry factors of
-    :func:`elastic_pair_scales`.
-    """
-    _, w = gll_points_weights(order)
-    D = lagrange_derivative_matrix(order)
-    E = D.T * w
-    F = w[:, None] * D
-    Wd = np.diag(w)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            mats = [Wd] * dim
-            mats[a] = E
-            mats[b] = F
-            k = mats[0]
-            for m in mats[1:]:
-                k = np.kron(k, m)
-            out[(a, b)] = k
-    return out
 
 
 def elastic_axis_scales(h_axes: np.ndarray) -> np.ndarray:
@@ -428,34 +362,20 @@ def _rows(ids: np.ndarray | None):
     return slice(None) if ids is None else np.asarray(ids)
 
 
-def mass_scaled(K, inv_m: np.ndarray, mask: np.ndarray | None = None) -> sp.csr_matrix:
-    """``M^{-1} K`` as the serial ``A`` and every rank's assembled share
-    hold it: rows times ``inv_m`` (:func:`repro.sem.matfree.inverse_mass`),
-    columns times the Dirichlet ``mask``, zeros dropped.  The rows scale
-    by a product with a diagonal, whose stored entry order (the order a
-    CSR product sums in) every pinned result was computed with."""
-    A = sp.csr_matrix(sp.diags(inv_m) @ K)
-    if mask is not None:
-        A.data *= mask[A.indices]
-    A.eliminate_zeros()
-    return A
-
-
 # ----------------------------------------------------------------------
 # The dimension-generic assembler
 # ----------------------------------------------------------------------
 class SemND:
-    """Assembled order-``order`` SEM on a conforming mesh of axis-aligned
+    """Order-``order`` SEM on a conforming mesh of axis-aligned
     box elements, generic over ``mesh.dim`` in (1, 2, 3) *and* over the
     physics (components per GLL node).
 
     The base class is the scalar acoustic discretization; vector-valued
     physics subclass it and override the small hook set —
-    :meth:`_n_components`, :meth:`_setup_physics`,
-    :meth:`element_system_batch`, :meth:`kernel` — while the DOF
-    layout (component-interleaved ``n_comp * node + comp``), mass and
-    stiffness assembly, Dirichlet masking and backend dispatch live here
-    exactly once (see :class:`ElasticSemND`).
+    :meth:`_n_components`, :meth:`_setup_physics`, :meth:`kernel` —
+    while the DOF layout (component-interleaved ``n_comp * node +
+    comp``), mass, Dirichlet masking and the operator live here exactly
+    once (see :class:`ElasticSemND`).
 
     DOF numbering is entity-based (see :func:`number_dofs`), so any
     conforming mesh — not just structured grids — assembles correctly,
@@ -499,8 +419,6 @@ class SemND:
         self.order = int(order)
         self.dirichlet = bool(dirichlet)
         self.n_comp = int(self._n_components())
-        self._ref_kernels: list[np.ndarray] | None = None
-        self._ref_cross: dict[tuple[int, int], np.ndarray] | None = None
 
         N = self.order
         nc = self.n_comp
@@ -539,79 +457,12 @@ class SemND:
         )
         self.M = M if nc == 1 else np.repeat(M, nc)
 
-        # Dirichlet mask: needed by both backends (the matrix-free path
-        # applies it without ever assembling), so it is built eagerly.
+        # Dirichlet mask: every product masks its columns with it.
         self.dirichlet_mask: np.ndarray | None = None
         if dirichlet:
             mask = np.ones(self.n_dof)
             mask[self.boundary_dofs()] = 0.0
             self.dirichlet_mask = mask
-
-        # Stiffness assembly is *lazy*: the chunked CSR scatter is by
-        # far the most expensive construction step and matrix-free runs
-        # never need it.  ``A``/``K`` trigger it on first access;
-        # ``_set_assembled`` takes a ``K`` restored from a stage cache
-        # and scales ``A`` from it, so a warm resolve skips the scatter.
-        self._K: sp.csr_matrix | None = None
-        self._A: sp.csr_matrix | None = None
-
-    # ------------------------------------------------------------------
-    # Lazy global stiffness
-    # ------------------------------------------------------------------
-    def stiffness_csr(self, ids=None, local_dofs=None, n: int | None = None) -> sp.csr_matrix:
-        """Stiffness of the elements ``ids`` (all) as CSR on a numbering of
-        ``n`` DOFs (``n_dof``) in which their ``element_dofs`` are
-        ``local_dofs`` (the global ones): the serial ``K`` or a rank's
-        partial one, scattered from :meth:`element_system_batch` one
-        ``_CHUNK_ENTRIES`` chunk of dense element matrices at a time."""
-        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
-        ed = self.element_dofs[ids] if local_dofs is None else local_dofs
-        n = self.n_dof if n is None else int(n)
-        n2 = ed.shape[1]
-        K = sp.csr_matrix((n, n))
-        chunk = max(1, _CHUNK_ENTRIES // (n2 * n2))
-        for s in range(0, len(ids), chunk):
-            Ke, _ = self.element_system_batch(ids[s : s + chunk])
-            d = ed[s : s + chunk]
-            rows, cols = np.repeat(d, n2, axis=1).ravel(), np.tile(d, (1, n2)).ravel()
-            K = K + sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        K.sum_duplicates()
-        K.eliminate_zeros()  # kron kernels are exactly zero off the GLL lines
-        return K
-
-    @property
-    def K(self) -> sp.csr_matrix:
-        """Global stiffness matrix (assembled on first access)."""
-        if self._K is None:
-            self._set_assembled(self.stiffness_csr())
-        return self._K
-
-    @property
-    def A(self) -> sp.csr_matrix:
-        """Assembled operator ``M^{-1} K``, :func:`mass_scaled` :attr:`K`
-        (assembled on first access)."""
-        if self._A is None:
-            self._set_assembled(self.stiffness_csr())
-        return self._A
-
-    @property
-    def assembled(self) -> bool:
-        """Whether the global CSR pair has been built (or injected)."""
-        return self._A is not None
-
-    def _set_assembled(self, K: sp.csr_matrix) -> None:
-        """Hold the global stiffness ``K`` and its :func:`mass_scaled`
-        ``A``.  The stage cache's disk restore injects a ``K`` from an
-        assembler with an identical content key here; no cross-checks
-        beyond the shape are performed."""
-        require(
-            K.shape == (self.n_dof, self.n_dof),
-            f"injected stiffness shape {K.shape} does not match "
-            f"n_dof={self.n_dof}",
-            SolverError,
-        )
-        self._K = sp.csr_matrix(K)
-        self._A = mass_scaled(self._K, inverse_mass(self), self.dirichlet_mask)
 
     # ------------------------------------------------------------------
     # Physics hooks (base class: scalar acoustic)
@@ -656,35 +507,17 @@ class SemND:
     # ------------------------------------------------------------------
     def operator(
         self,
-        backend: str = "assembled",
+        backend: str = "matfree",
         use_fused: bool | None = None,
         threads: int | None = None,
     ):
-        """Stiffness operator ``A = M^{-1} K`` in the requested backend.
-
-        ``"assembled"`` wraps the precomputed CSR matrix; ``"matfree"``
-        builds the batched sum-factorization operator (no matrix) — see
-        :mod:`repro.sem.matfree` for when each wins.  ``use_fused``
-        selects the optional fused C kernels (``None`` = auto);
-        ``threads`` their OpenMP element loop (``None`` serial, ``0``
-        auto-detect — see :func:`repro.sem.matfree.resolve_threads`).
+        """The matrix-free stiffness operator ``A = M^{-1} K`` (no matrix,
+        :mod:`repro.sem.matfree`); ``backend`` accepts only ``"matfree"``.
+        ``use_fused`` selects the optional fused C kernels (``None`` =
+        auto); ``threads`` their OpenMP element loop (``None`` serial,
+        ``0`` auto-detect — see :func:`repro.sem.matfree.resolve_threads`).
         """
         return operator_for(self, backend, use_fused=use_fused, threads=threads)
-
-    # ------------------------------------------------------------------
-    def _axis_kernels(self) -> list[np.ndarray]:
-        """Per-axis reference stiffness kernels, memoized per instance —
-        the chunked assembly loop calls :meth:`element_system_batch`
-        once per chunk and must not rebuild the kron chains each time."""
-        if self._ref_kernels is None:
-            self._ref_kernels = axis_stiffness_kernels(self.order, self.dim)
-        return self._ref_kernels
-
-    def _cross_kernels(self) -> dict[tuple[int, int], np.ndarray]:
-        """Axis-pair cross kernels, memoized like :meth:`_axis_kernels`."""
-        if self._ref_cross is None:
-            self._ref_cross = axis_cross_kernels(self.order, self.dim)
-        return self._ref_cross
 
     def _node_mass(self, ids: np.ndarray | None = None) -> np.ndarray:
         """Diagonal element mass per node ``(m, n_loc)`` of elements ``ids``
@@ -693,30 +526,6 @@ class SemND:
         wq = tensor_quadrature_weights(self.order, self.dim)
         jac = self.h_axes[ids].prod(axis=1) / (2.0**self.dim)
         return (self.material.density()[ids] * jac)[:, None] * wq[None, :]
-
-    def element_mass_batch(self, ids: np.ndarray | None = None) -> np.ndarray:
-        """Diagonal element mass ``(m, n_comp * n_loc)`` of elements
-        ``ids`` (all when ``None``): :meth:`_node_mass` replicated onto
-        every component of each node."""
-        Me = self._node_mass(ids)
-        return Me if self.n_comp == 1 else np.repeat(Me, self.n_comp, axis=1)
-
-    def element_system_batch(
-        self, ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense stiffness ``(m, n_loc, n_loc)`` and diagonal mass
-        ``(m, n_loc)`` of elements ``ids`` (all elements when ``None``).
-
-        Consumed chunk by chunk by :meth:`stiffness_csr`, which builds
-        the serial ``K`` and every rank's assembled share
-        (:func:`repro.runtime.halo.build_rank_layout`).
-        """
-        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
-        kernels = self._axis_kernels()
-        Ke = self.axis_scales[ids, 0, None, None] * kernels[0]
-        for a in range(1, self.dim):
-            Ke = Ke + self.axis_scales[ids, a, None, None] * kernels[a]
-        return Ke, self.element_mass_batch(ids)
 
     def boundary_dofs(self) -> np.ndarray:
         """Global DOFs on the domain boundary (all components of the
@@ -828,11 +637,10 @@ class ElasticSemND(VectorSemMixin, SemND):
     2 mu`` when ``a == c`` and ``mu`` otherwise (``K_a`` the per-axis
     stiffness kernels, ``s_a`` the scales of
     :func:`elastic_axis_scales`); the off-diagonal block ``(c, d)`` is
-    ``g_cd (lam R_cd + mu R_cd^T)`` with the cross kernels of
-    :func:`axis_cross_kernels` and the pair scales of
-    :func:`elastic_pair_scales`.  This vectorizes assembly (no
-    per-element B-matrix loop) and is exactly the contraction structure
-    the matrix-free backend (:class:`repro.sem.matfree.ElasticKernelND`,
+    ``g_cd (lam R_cd + mu R_cd^T)`` with the axis-pair cross kernels
+    ``R_cd = G_c^T W G_d`` and the pair scales of
+    :func:`elastic_pair_scales`.  This is the contraction structure the
+    matrix-free operator (:class:`repro.sem.matfree.ElasticKernelND`,
     built by :meth:`kernel`) applies without forming any matrix.
 
     In 2D (P-SV) these blocks reduce to the classic four-kernel form::
@@ -888,39 +696,6 @@ class ElasticSemND(VectorSemMixin, SemND):
         sl = _rows(ids)
         m = self.material
         return ElasticKernelND(self.order, m.lam[sl], m.mu[sl], self.h_axes[sl])
-
-    def element_system_batch(
-        self, ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense elastic stiffness ``(m, dim n_loc, dim n_loc)`` and
-        diagonal mass ``(m, dim n_loc)`` of elements ``ids`` (all when
-        ``None``), built from the reference kernels (class docstring)."""
-        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
-        dim = self.dim
-        nc = self.n_comp
-        n_loc = (self.order + 1) ** dim
-        kernels = self._axis_kernels()
-        cross = self._cross_kernels()
-        lam, mu = self.material.lam[ids], self.material.mu[ids]
-        cp = lam + 2 * mu
-        s = elastic_axis_scales(self.h_axes[ids])
-        g = elastic_pair_scales(self.h_axes[ids])
-        Ke = np.zeros((len(ids), nc * n_loc, nc * n_loc))
-        for c in range(nc):
-            blk = (cp * s[:, c])[:, None, None] * kernels[c]
-            for a in range(dim):
-                if a != c:
-                    blk = blk + (mu * s[:, a])[:, None, None] * kernels[a]
-            Ke[:, c::nc, c::nc] = blk
-        for c in range(dim):
-            for d in range(c + 1, dim):
-                R = cross[(c, d)]
-                lam_g = (lam * g[:, c, d])[:, None, None]
-                mu_g = (mu * g[:, c, d])[:, None, None]
-                B = lam_g * R + mu_g * R.T
-                Ke[:, c::nc, d::nc] = B
-                Ke[:, d::nc, c::nc] = np.swapaxes(B, 1, 2)
-        return Ke, self.element_mass_batch(ids)
 
     # -- wave speeds ----------------------------------------------------
     def p_velocity(self) -> np.ndarray:

@@ -14,9 +14,9 @@ from repro.api import (
     SimulationConfig,
     StageCache,
     Simulation,
-    compare_backends,
     stage_key,
 )
+from oracles import csr
 from repro.util.errors import ConfigError
 
 
@@ -236,56 +236,49 @@ class TestSimulationThroughCache:
         assert np.array_equal(cached.traces, plain.traces)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_assembler_disk_roundtrip_is_exact(self, dim, tmp_path):
-        asm = {"stiffness": "assembled"}  # only an assembled K is persisted
-        cfg = make_config(backend=asm) if dim == 2 else make_config(
+    def test_assembler_entry_of_an_assembled_config_is_ignored(self, dim, tmp_path):
+        """A cache directory that once held the assembled backend's
+        assembler entry (its ``K`` as CSR arrays, under the same content
+        key) opens without error: the stage is memory-only, so the entry
+        is never read, and the run is the cold one, bit for bit."""
+        cfg = make_config() if dim == 2 else make_config(
             mesh={"family": "refined_interval", "params": {"n_coarse": 12, "n_fine": 4}},
-            source={"position": [0.3], "f0": 4.0}, backend=asm,
+            source={"position": [0.3], "f0": 4.0},
         )
-        cold = Simulation(cfg, cache=StageCache(cache_dir=tmp_path))
-        cold.assembler  # resolve + persist
-        warm = Simulation(cfg, cache=StageCache(cache_dir=tmp_path))
-        warm.assembler
-        assert warm.cache.stats.disk_hits >= 1
-        assert "assembler" not in warm.cache.stats.resolutions
-        (disk,) = tmp_path.glob("assembler-*.npz")
-        with np.load(disk) as d:  # K only: A is scaled from it on load
-            assert set(d.files) == {"__key__", "K_data", "K_indices", "K_indptr", "shape"}
-        for name in ("K", "A"):
-            c, w = getattr(cold.assembler, name), getattr(warm.assembler, name)
-            for f in ("indptr", "indices", "data"):
-                assert getattr(c, f).tobytes() == getattr(w, f).tobytes(), (name, f)
-        assert np.array_equal(cold.run().u, warm.run().u)
+        sim = Simulation(cfg, cache=StageCache(cache_dir=tmp_path))
+        K = csr.K(Simulation(cfg).assembler)
+        sim.cache._disk_store(sim.stage_key("assembler"), {
+            "K_data": K.data, "K_indices": K.indices, "K_indptr": K.indptr,
+            "shape": np.array(K.shape, dtype=np.int64),
+        })
+        (entry,) = tmp_path.glob("assembler-*.npz")
+        got = sim.run()
+        assert sim.cache.stats.disk_hits == 0 and sim.cache.stats.disk_rejects == 0
+        assert sim.cache.stats.resolutions["assembler"] == 1
+        assert list(tmp_path.glob("assembler-*.npz")) == [entry]  # none written
+        assert list(tmp_path.glob("levels-*.npz"))  # the disk layer is live
+        plain = Simulation(cfg).run()
+        assert np.array_equal(got.u, plain.u) and np.array_equal(got.v, plain.v)
 
     def test_disk_key_change_recomputes(self, tmp_path):
-        asm = {"stiffness": "assembled"}  # only an assembled K is persisted
-        Simulation(make_config(backend=asm), cache=StageCache(cache_dir=tmp_path)).assembler
-        other = Simulation(
-            make_config(order=4, backend=asm), cache=StageCache(cache_dir=tmp_path)
-        )
-        other.assembler
+        Simulation(make_config(), cache=StageCache(cache_dir=tmp_path)).levels
+        other = Simulation(make_config(order=4), cache=StageCache(cache_dir=tmp_path))
+        other.levels
         # Different sub-hash -> different file; no stale artifact reused.
         assert other.cache.stats.disk_hits == 0
-        assert other.cache.stats.resolutions["assembler"] == 1
-        assert len(list(tmp_path.glob("assembler-*.npz"))) == 2
+        assert other.cache.stats.resolutions["levels"] == 1
+        assert len(list(tmp_path.glob("levels-*.npz"))) == 2
 
-    def test_compare_backends_resolves_assembler_once(self):
+    def test_variants_resolve_assembler_once(self):
         cache = StageCache()
-        results = compare_backends(make_config(), cache=cache)
+        sim = Simulation(make_config(), cache=cache)
+        base = sim.run()
+        numpy_leg = sim.variant(backend=BackendSpec(fused=False)).run()
         assert cache.stats.resolutions["assembler"] == 1
         assert cache.stats.resolutions["levels"] == 1
-        assert np.array_equal(
-            results["assembled"].times, results["matfree"].times
-        )
+        assert np.array_equal(base.times, numpy_leg.times)
 
-    def test_matfree_simulation_never_assembles(self):
-        sim = Simulation(
-            make_config(backend={"stiffness": "matfree"}), cache=StageCache()
-        )
-        sim.run()
-        assert not sim.assembler.assembled
-
-    def test_variant_backend_swap_keeps_lazy_csr_shared(self):
+    def test_variant_backend_swap_keeps_assembler_shared(self):
         sim = Simulation(make_config(), cache=StageCache())
         sim.run()
         var = sim.variant(backend=BackendSpec(stiffness="matfree"))

@@ -1,6 +1,6 @@
 """Ensemble engine acceptance: sweep expansion, stage-key grouping,
 and the bitwise warm-vs-cold contract across pool widths, dimensions,
-backends, and serial/distributed execution."""
+kernel tiers, and serial/distributed execution."""
 
 import json
 
@@ -29,6 +29,9 @@ BASE_2D = dict(
     source={"position": [1.0, 3.0], "f0": 0.8},
     receivers={"positions": [[4.0, 3.0]]},
 )
+
+#: The kernel tiers a member can run: NumPy, and fused wherever it loads.
+TIERS = {"numpy": {"fused": False}, "auto": {}}
 
 BASE_3D = dict(
     mesh={
@@ -89,17 +92,12 @@ class TestExpansion:
                 "sweeps": [
                     {
                         "path": "backend",
-                        "values": [
-                            {"stiffness": "assembled"},
-                            {"stiffness": "matfree"},
-                        ],
+                        "values": [{"fused": False}, {"fused": True}],
                     }
                 ],
             }
         )
-        assert [c.backend.stiffness for c in spec.expand()] == [
-            "assembled", "matfree",
-        ]
+        assert [c.backend.fused for c in spec.expand()] == [False, True]
 
     def test_round_trips_through_dicts(self):
         spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
@@ -153,10 +151,10 @@ class TestExpansion:
 
 
 class TestEngine:
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
+    @pytest.mark.parametrize("tier", list(TIERS))
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_members_bitwise_equal_cold_solo_runs_2d(self, jobs, backend):
-        base = {**BASE_2D, "backend": {"stiffness": backend}}
+    def test_members_bitwise_equal_cold_solo_runs_2d(self, jobs, tier):
+        base = {**BASE_2D, "backend": TIERS[tier]}
         spec = source_sweep(base, [[1.0, 3.0], [2.0, 3.0], [3.0, 3.0]])
         res = run_ensemble(spec, jobs=jobs)
         assert res.summary["jobs"] == jobs
@@ -165,9 +163,9 @@ class TestEngine:
             assert np.array_equal(solo.u, member.u)
             assert np.array_equal(solo.traces, member.traces)
 
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_members_bitwise_equal_cold_solo_runs_3d(self, backend):
-        base = {**BASE_3D, "backend": {"stiffness": backend}}
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_members_bitwise_equal_cold_solo_runs_3d(self, tier):
+        base = {**BASE_3D, "backend": TIERS[tier]}
         spec = source_sweep(base, [[1.0, 2.0, 0.5], [2.0, 2.0, 0.5]])
         res = run_ensemble(spec, jobs=1)
         for cfg, member in zip(spec.expand(), res.members):
@@ -175,11 +173,11 @@ class TestEngine:
             assert np.array_equal(solo.u, member.u)
             assert np.array_equal(solo.traces, member.traces)
 
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_distributed_members_match_solo(self, backend):
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_distributed_members_match_solo(self, tier):
         base = {
             **BASE_2D,
-            "backend": {"stiffness": backend},
+            "backend": TIERS[tier],
             "partition": {"n_ranks": 3},
         }
         spec = source_sweep(base, [[1.0, 3.0], [2.0, 3.0]])
@@ -240,12 +238,11 @@ class TestEngine:
         assert res.summary["throughput_members_per_second"] > 0
 
     def test_warm_disk_cache_replay_is_bitwise(self, tmp_path):
-        base = {**BASE_2D, "backend": {"stiffness": "assembled"}}  # K persists
-        spec = source_sweep(base, [[1.0, 3.0], [2.0, 3.0]])
+        spec = source_sweep(BASE_2D, [[1.0, 3.0], [2.0, 3.0]])
         cold = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=tmp_path))
         warm = run_ensemble(spec, jobs=1, cache=StageCache(cache_dir=tmp_path))
-        assert warm.summary["cache"]["disk_hits"] >= 2  # assembler + levels
-        assert "assembler" not in warm.summary["cache"]["resolutions"]
+        assert warm.summary["cache"]["disk_hits"] >= 1  # levels
+        assert "levels" not in warm.summary["cache"]["resolutions"]
         for a, b in zip(cold.members, warm.members):
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.traces, b.traces)

@@ -10,12 +10,13 @@ from repro.api import (
     PartitionSpec,
     Simulation,
     SimulationConfig,
-    compare_backends,
+    StageCache,
     relative_deviation,
     run,
 )
 from repro.sem import ElasticSemND, SemND
 from repro.util.errors import ConfigError
+from oracles import csr
 
 
 def config_2d(**overrides) -> SimulationConfig:
@@ -104,9 +105,8 @@ class TestPipelineStages:
         with pytest.raises(ConfigError, match="2 coordinates but the mesh is 3D"):
             Simulation(config_3d(source={"position": [1.0, 2.0]})).force
 
-    @pytest.mark.parametrize("stiffness", ["matfree", "assembled"])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_source_on_a_clamped_dof_refused(self, dim, stiffness):
+    def test_source_on_a_clamped_dof_refused(self, dim):
         """A source on a Dirichlet DOF would move the clamped node and
         send no wave into the domain: refused, naming the position.  The
         same source one element inside runs."""
@@ -116,8 +116,7 @@ class TestPipelineStages:
             inside, corner = [1.0], [0.0]
         else:
             mesh, inside, corner = None, [1.0, 3.0], [0.0, 6.0]
-        over = dict(dirichlet=True, backend={"stiffness": stiffness},
-                    source={"position": corner, "f0": 0.8})
+        over = dict(dirichlet=True, source={"position": corner, "f0": 0.8})
         if mesh is not None:
             over.update(mesh=mesh, material={"model": "acoustic"}, receivers=None)
         with pytest.raises(ConfigError, match=rf"source position \{corner}.*is Dirichlet"):
@@ -128,6 +127,29 @@ class TestPipelineStages:
         # Without Dirichlet rows the corner is an ordinary DOF.
         over.update(dirichlet=False, source={"position": corner, "f0": 0.8})
         assert Simulation(config_2d(**over)).force is not None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_receiver_on_a_clamped_dof_refused(self, dim):
+        """A receiver on a Dirichlet DOF would record zeros: refused,
+        naming the receiver's index and position.  The same receiver one
+        element inside records the wave."""
+        if dim == 1:
+            mesh = {"family": "refined_interval", "params": {
+                "n_coarse": 16, "n_fine": 4, "refinement": 2, "coarse_h": 0.125}}
+            inside, corner, src = [1.0], [0.0], [0.75]
+        else:
+            mesh, inside, corner, src = None, [1.0, 3.0], [0.0, 6.0], [2.0, 3.0]
+        over = dict(dirichlet=True, source={"position": src, "f0": 0.8},
+                    receivers={"positions": [inside, corner]})
+        if mesh is not None:
+            over.update(mesh=mesh, material={"model": "acoustic"})
+        with pytest.raises(ConfigError, match=rf"receiver #1 at \{corner}.*is Dirichlet"):
+            Simulation(config_2d(**over)).receiver_dofs
+        over["receivers"] = {"positions": [inside]}
+        assert np.abs(Simulation(config_2d(**over)).run().traces).max() > 0
+        # Without Dirichlet rows the corner is an ordinary DOF.
+        over.update(dirichlet=False, receivers={"positions": [corner]})
+        assert Simulation(config_2d(**over)).receiver_dofs is not None
 
     def test_t_end_mode_lands_exactly(self):
         cfg = config_2d(time={"t_end": 1.0, "c_cfl": 0.35})
@@ -210,10 +232,14 @@ class TestPipelineStages:
         assert ("resilience" in res.metadata) == resilient
 
 
+#: The kernel tiers a config can ask for: NumPy, and fused wherever it loads.
+TIERS = {"numpy": {"fused": False}, "auto": {}}
+
+
 class TestSerialDistributedAgreement:
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_2d_acoustic(self, backend):
-        cfg = config_2d(backend={"stiffness": backend})
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_2d_acoustic(self, tier):
+        cfg = config_2d(backend=TIERS[tier])
         serial = run(cfg)
         dist = run(replace(cfg, partition=PartitionSpec(n_ranks=4)))
         assert dist.parts is not None and len(dist.parts) == 36
@@ -224,35 +250,26 @@ class TestSerialDistributedAgreement:
         )
         assert np.abs(serial.traces).max() > 0
 
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_3d_elastic(self, backend):
-        cfg = config_3d(backend={"stiffness": backend})
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_3d_elastic(self, tier):
+        cfg = config_3d(backend=TIERS[tier])
         serial = run(cfg)
         dist = run(replace(cfg, partition=PartitionSpec(n_ranks=3)))
         assert relative_deviation(serial, dist) < 1e-11
         assert np.abs(serial.traces).max() > 0
 
-    def test_backend_agreement_helper(self):
-        results = compare_backends(config_2d())
-        assert set(results) == {"assembled", "matfree"}
-        assert relative_deviation(results["assembled"], results["matfree"]) < 1e-12
-
-    def test_compare_backends_includes_serial_and_shares_stages(self):
-        cfg = config_2d(partition={"n_ranks": 3})
-        sim = Simulation(cfg)
-        results = compare_backends(sim, include_serial=True)
-        assert set(results) == {"serial", "assembled", "matfree"}
-        assert results["serial"].parts is None
-        assert results["assembled"].parts is not None
-        assert relative_deviation(results["serial"], results["matfree"]) < 1e-11
-        # The expensive stages were resolved once, on the base Simulation.
-        assert "assembler" in sim.__dict__
-
-    def test_compare_backends_keeps_fused_choice(self):
-        cfg = config_2d(backend={"stiffness": "matfree", "fused": False})
-        results = compare_backends(cfg)
-        assert results["matfree"].config.backend.fused is False
-        assert results["assembled"].config.backend.fused is None
+    def test_tier_and_serial_variants_agree_and_share_stages(self):
+        """The cross-checks the examples run: a distributed config against
+        its serial variant and its NumPy-tier variant, through one cache."""
+        sim = Simulation(config_2d(partition={"n_ranks": 3}), cache=StageCache())
+        dist = sim.run()
+        serial = sim.variant(partition=PartitionSpec(n_ranks=1)).run()
+        numpy_leg = sim.variant(backend=BackendSpec(fused=False)).run()
+        assert serial.parts is None and dist.parts is not None
+        assert numpy_leg.metadata["kernel_tier"] == "numpy"
+        assert relative_deviation(serial, dist) < 1e-11
+        assert relative_deviation(dist, numpy_leg) < 1e-12
+        assert sim.cache.stats.resolutions["assembler"] == 1
 
     def test_variant_shares_resolved_stages(self):
         sim = Simulation(config_2d())
@@ -334,4 +351,4 @@ class TestFacadeMatchesManualWiring:
         assert np.array_equal(sem.material.rho, np.full(4, 2.0))
         assert np.array_equal(sem.material.c, sim.material.c)
         assert np.array_equal(sem.M, 2.0 * unit.M)
-        assert np.abs(sem.A - unit.A).max() <= 1e-14 * np.abs(unit.A).max()
+        assert np.abs(csr.A(sem) - csr.A(unit)).max() <= 1e-14 * np.abs(csr.A(unit)).max()

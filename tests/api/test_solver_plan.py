@@ -29,9 +29,9 @@ from repro.runtime.comm import MailboxWorld
 from repro.runtime.executor import DistributedLTSSolver
 from repro.sem import fused
 from repro.util.errors import SolverError
+from oracles import csr
 
 BACKENDS = {
-    "assembled": {"stiffness": "assembled"},
     "numpy": {"stiffness": "matfree", "fused": False},
     "fused": {"stiffness": "matfree", "fused": True},
 }
@@ -105,21 +105,25 @@ def test_source_off_level1_support_equals_the_reference(backend, ranks):
     sim = Simulation(make_config(backend, ranks, source=FINE_INTERIOR,
                                  time={"n_cycles": 8, "c_cfl": 0.35}))
     sem, force = sim.assembler, sim.force
-    assert not AssembledOperator(sem.A).reach(sim.dof_level == 1)[force.dof]
+    assert not AssembledOperator(csr.A(sem)).reach(sim.dof_level == 1)[force.dof]
     got = sim.run()
     zeros = np.zeros(sem.n_dof)
-    u, v = algorithm1(sem.A, sim.dof_level, got.dt, zeros, zeros, got.n_cycles, force=force)
+    u, v = algorithm1(csr.A(sem), sim.dof_level, got.dt, zeros, zeros, got.n_cycles, force=force)
     assert got.n_cycles >= 6 and np.abs(u).max() > 0
     for a, b in ((got.u, u), (got.v, v)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_plan_keys_follow_backend_scheme_and_partition():
-    def key(stage, **kw):
-        return Simulation(SimulationConfig.from_dict(make_config(**kw))).stage_key(stage)
+    def key(stage, tier=None, **kw):
+        cfg = make_config(**kw)
+        if tier is not None:  # another backend spec, named without building it
+            cfg["backend"] = tier
+        return Simulation(SimulationConfig.from_dict(cfg)).stage_key(stage)
 
+    other = {"stiffness": "matfree", "fused": False, "threads": 1}
     assert key("solver_plan") == key("solver_plan", source=(5.0, 2.5))
-    assert key("solver_plan") != key("solver_plan", backend="assembled")
+    assert key("solver_plan") != key("solver_plan", tier=other)
     assert key("solver_plan") != key("solver_plan", ranks=2)
     assert key("solver_plan") != key(
         "solver_plan", time={"n_cycles": 6, "c_cfl": 0.35, "scheme": "newmark"}
@@ -128,7 +132,7 @@ def test_plan_keys_follow_backend_scheme_and_partition():
     assert key("rank_layout", ranks=2) == key(
         "rank_layout", ranks=2, time={"n_cycles": 6, "c_cfl": 0.35, "scheme": "newmark"}
     )
-    assert key("rank_layout", ranks=2) != key("rank_layout", ranks=2, backend="assembled")
+    assert key("rank_layout", ranks=2) != key("rank_layout", ranks=2, tier=other)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +200,7 @@ def test_one_plan_class_binds_the_solver_its_channels_need():
 def test_the_serial_solver_refuses_a_plan_over_ranks():
     """A plan with exchange channels binds only through ``LTSPlan.bind``;
     the serial solver refuses it with a pointer there."""
-    sim = Simulation(make_config("assembled", 2))
+    sim = Simulation(make_config("numpy", 2))
     plan = sim.solver_plan
     assert plan.exchange
     with pytest.raises(SolverError, match=r"LTSPlan\.bind"):

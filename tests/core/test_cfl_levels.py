@@ -15,6 +15,7 @@ from repro.core import (
 from repro.mesh import refined_interval, uniform_grid, uniform_interval
 from repro.sem import SemND
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 class TestCfl:
@@ -44,14 +45,14 @@ class TestCfl:
     def test_operator_bound_is_stable_and_sharp(self):
         mesh = uniform_interval(20)
         sem = SemND(mesh, order=4)
-        dt = stable_timestep_from_operator(sem.A, safety=1.0)
+        dt = stable_timestep_from_operator(csr.A(sem), safety=1.0)
         # Leap-frog with dt below the bound stays bounded; 5% above blows up.
         from repro.core import NewmarkSolver
 
         u0 = np.sin(np.pi * sem.node_coords[:, 0] / sem.node_coords[:, 0].max())
-        stable, _ = NewmarkSolver(sem.A, 0.95 * dt).run(u0, np.zeros_like(u0), 400)
+        stable, _ = NewmarkSolver(csr.A(sem), 0.95 * dt).run(u0, np.zeros_like(u0), 400)
         assert np.max(np.abs(stable)) < 10.0
-        unstable, _ = NewmarkSolver(sem.A, 1.05 * dt).run(u0, np.zeros_like(u0), 400)
+        unstable, _ = NewmarkSolver(csr.A(sem), 1.05 * dt).run(u0, np.zeros_like(u0), 400)
         assert np.max(np.abs(unstable)) > 10.0
 
 
@@ -69,7 +70,7 @@ class TestMatrixFreeCfl:
     @pytest.mark.parametrize("shape,order", [((5, 4), 4), ((6, 6), 3), ((3, 3, 2), 3)])
     def test_power_iteration_matches_sparse_eigensolver(self, shape, order):
         sem = self._contrast(shape, order)
-        dt_eigs = stable_timestep_from_operator(sem.A, method="eigs")
+        dt_eigs = stable_timestep_from_operator(csr.A(sem), method="eigs")
         dt_pow = stable_timestep_from_operator(
             sem.operator("matfree"), method="power"
         )
@@ -80,13 +81,13 @@ class TestMatrixFreeCfl:
         op = sem.operator("matfree")
         # auto on a matrix-free operator must not require any matrix
         dt = stable_timestep_from_operator(op)
-        assert dt == pytest.approx(stable_timestep_from_operator(sem.A), rel=1e-6)
+        assert dt == pytest.approx(stable_timestep_from_operator(csr.A(sem)), rel=1e-6)
 
     def test_auto_unwraps_assembled_operator(self):
         sem = self._contrast((4, 4), 3)
-        dt_wrapped = stable_timestep_from_operator(sem.operator("assembled"))
+        dt_wrapped = stable_timestep_from_operator(csr.operator(sem))
         assert dt_wrapped == pytest.approx(
-            stable_timestep_from_operator(sem.A), rel=1e-12
+            stable_timestep_from_operator(csr.A(sem)), rel=1e-12
         )
 
     def test_spectral_radius_on_plain_matrix(self):

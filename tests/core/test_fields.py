@@ -102,16 +102,15 @@ class TestTraceRows:
 #: sha256 of serial façade traces: reading a serial run's receivers off
 #: its one replica gives the bits a read of the global vector gives.
 SERIAL_TRACE_PINS = {
-    "1d_assembled": (
+    "1d_matfree_numpy": (
         {
             "mesh": {"family": "refined_interval",
                      "params": {"n_coarse": 16, "n_fine": 8, "refinement": 4}},
             "time": {"n_cycles": 10},
             "source": {"position": [0.3], "f0": 4.0},
             "receivers": {"positions": [[0.7], [0.2]]},
-            "backend": {"stiffness": "assembled"},
         },
-        "12216ccf52d025fc201b26cc24c3c1be516b8e3deed452edbe8e175cb6ff0c0f",
+        "92f2f5d00e6463d0660bba4c51b214ee0a11ddc580f1903a8372c0e3cacf2f0e",
     ),
     "2d_matfree_numpy": (
         {

@@ -33,6 +33,7 @@ from repro.mesh import uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import SemND, fused, point_source, ricker
 from repro.util.errors import SolverError
+from oracles import csr
 
 needs_fused = pytest.mark.skipif(
     not fused.available(), reason="no C compiler: fused tier unavailable"
@@ -291,19 +292,14 @@ class TestCycles:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _serial_and_distributed(backend: str):
+def _serial_and_distributed(tier: str):
     mesh = uniform_grid((4, 3))
     sem = SemND(mesh, order=3)
     a = assign_levels(mesh, c_cfl=0.4, order=3)
     levels = np.array([1, 1, 1, 3, 4, 1, 2, 4, 1, 1, 1, 1])
     dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
-    matfree = backend != "assembled"
-    use_fused = backend == "fused" if matfree else None
-    op = sem.operator("matfree", use_fused=use_fused) if matfree else sem.A
-    layout = build_rank_layout(
-        sem, np.arange(12) % 2, 2, dof_level=dof_level,
-        backend="matfree" if matfree else "assembled", use_fused=use_fused,
-    )
+    op = csr.tier_operator(sem, tier)
+    layout = csr.tier_layout(sem, np.arange(12) % 2, 2, tier, dof_level)
     return sem, LTSNewmarkSolver(op, dof_level, a.dt), DistributedLTSSolver(layout, a.dt), layout
 
 
@@ -313,13 +309,13 @@ def _bad_fields(n: int, kind: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["strided", "float32"])
-@pytest.mark.parametrize("backend", [
+@pytest.mark.parametrize("tier", [
     "assembled", "numpy", pytest.param("fused", marks=needs_fused),
 ])
-def test_cycle_refuses_fields_it_cannot_write_in_place(backend, kind):
+def test_cycle_refuses_fields_it_cannot_write_in_place(tier, kind):
     """Strided views and float32 vectors are refused before any write,
     on every tier (the same inputs are accepted whichever tier runs)."""
-    sem, serial, dist, layout = _serial_and_distributed(backend)
+    sem, serial, dist, layout = _serial_and_distributed(tier)
     u, v = _bad_fields(sem.n_dof, kind), _bad_fields(sem.n_dof, kind)
     before = u.copy(), v.copy()
     with pytest.raises(SolverError, match="C-contiguous float64"):

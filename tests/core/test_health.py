@@ -8,6 +8,7 @@ from repro.core.lts_newmark import dof_levels_from_elements
 from repro.mesh import refined_interval
 from repro.sem import SemND
 from repro.util.errors import NumericalError, SolverError
+from oracles import csr
 
 
 class TestHealthGuard:
@@ -163,7 +164,7 @@ class TestSolverIntegration:
     def test_stable_run_passes_guard(self, sys1d):
         sem, a, dof_level, u0 = sys1d
         guard = HealthGuard(check_every=2, dt=a.dt, dt_stable=a.dt)
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         solver.run(u0, np.zeros_like(u0), 8, health=guard)
         assert guard.checks_run == 4
         assert guard.last_healthy == 8
@@ -178,7 +179,7 @@ class TestSolverIntegration:
             check_every=5, element_dofs=sem.element_dofs, dt=dt,
             dt_stable=a.dt_min, energy_factor=100.0,
         )
-        solver = NewmarkSolver(sem.A, dt)
+        solver = NewmarkSolver(csr.A(sem), dt)
         with pytest.raises(NumericalError, match="EXCEEDS") as exc:
             solver.run(u0, np.zeros_like(u0), 100, health=guard)
         # caught at a multiple of the cadence, within one window of onset
@@ -187,7 +188,7 @@ class TestSolverIntegration:
 
     def test_injected_nan_caught_next_check(self, sys1d):
         sem, a, dof_level, u0 = sys1d
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         guard = HealthGuard(check_every=1, element_dofs=sem.element_dofs)
         # step runs in the plan's numbering; its map names the global DOFs.
         m = solver.plan.replicas

@@ -28,6 +28,7 @@ from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import measure_hot_path
 from repro.mesh import uniform_grid
 from repro.sem import SemND, fused
+from oracles import csr
 
 #: Net tracemalloc blocks allowed to survive a steady-state step.
 ALLOC_BUDGET = 8
@@ -45,7 +46,7 @@ def sys2d():
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     u0 = np.exp(-((sem.node_coords - sem.node_coords.mean(axis=0)) ** 2).sum(axis=1))
-    v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
+    v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
     return sem, a, dof_level, u0, v0
 
 
@@ -62,7 +63,7 @@ def _measure(solver, u0, v0):
 def test_newmark_step_allocation_budget(sys2d, backend):
     sem, a, _, u0, v0 = sys2d
     A = (
-        sem.A
+        csr.A(sem)
         if backend == "assembled"
         else sem.operator("matfree", use_fused=False)
     )
@@ -77,7 +78,7 @@ def test_lts_step_allocation_budget(sys2d, backend):
     if backend == "fused" and not fused.available():
         pytest.skip("no C compiler: fused tier unavailable")
     op = (
-        sem.operator("assembled")
+        csr.operator(sem)
         if backend == "assembled"
         else sem.operator("matfree", use_fused=backend == "fused")
     )

@@ -32,6 +32,7 @@ from repro.mesh import refined_interval, uniform_grid, uniform_interval
 from repro.runtime import DistributedLTSSolver, build_rank_layout
 from repro.sem import SemND, discrete_energy, fused, point_source, ricker
 from repro.util.errors import SolverError
+from oracles import csr
 
 needs_fused = pytest.mark.skipif(
     not fused.available(), reason="no C compiler: fused tier unavailable"
@@ -78,7 +79,7 @@ def _golden_solver(case: str):
     counter = OperationCounter()
     if kind == "1d":
         _, sem, a, dof_level = _setup_1d()
-        return LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=counter), sem.n_dof
+        return LTSNewmarkSolver(csr.A(sem), dof_level, a.dt, counter=counter), sem.n_dof
     if kind == "3d":
         mesh = uniform_grid((3, 2, 2))
         sem = SemND(mesh, order=2)
@@ -88,7 +89,7 @@ def _golden_solver(case: str):
         return LTSNewmarkSolver(op, dof_level, dt, counter=counter), sem.n_dof
     sem, a, dof_level = _setup_2d()
     if kind == "2d":
-        op = sem.A if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
+        op = csr.A(sem) if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
         return LTSNewmarkSolver(op, dof_level, a.dt, counter=counter), sem.n_dof
     n_ranks = int(kind[len("ranks"):])
     ne = sem.element_dofs.shape[0]
@@ -171,7 +172,7 @@ class TestDegenerateCases:
         mesh = uniform_grid((4, 3))
         sem = SemND(mesh, order=3, dirichlet=True)
         dt = assign_levels(mesh, c_cfl=0.4, order=3).dt
-        A = sem.A if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
+        A = csr.A(sem) if tier == "assembled" else sem.operator("matfree", use_fused=tier == "fused")
         point = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * dt))
         force = lambda t: point(t)  # noqa: E731  (dense: the oracle reads a vector)
         rng = np.random.default_rng(3)
@@ -190,15 +191,15 @@ class TestDegenerateCases:
         sem = SemND(mesh, order=3, dirichlet=True)
         dt = 1e-3
         u0 = np.sin(np.pi * sem.node_coords[:, 0] / sem.node_coords[:, 0].max())
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
+        v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
         lv = np.ones(sem.n_dof, dtype=int)  # declared 1-level: same path
-        un, _ = NewmarkSolver(sem.A, dt).run(u0, v0, 10)
-        ul, _ = algorithm1(sem.A, lv, dt, u0, v0, 10)
+        un, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, 10)
+        ul, _ = algorithm1(csr.A(sem), lv, dt, u0, v0, 10)
         assert np.allclose(un, ul, atol=1e-14)
 
     def test_step_rejects_misshapen_fields_untouched(self):
         _, sem, a, dof_level = _setup_1d()
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         u, v = np.ones(sem.n_dof), np.ones(sem.n_dof)
         for bad_u, bad_v in ((u[:-1], v), (u, v[:-1])):  # views of u, v
             with pytest.raises(SolverError, match="shape mismatch"):
@@ -229,9 +230,9 @@ class TestAlgorithm1Equivalence:
         mesh, sem, a, dof_level = _setup_1d(refinement=refinement, grade=grade)
         assert np.unique(dof_level).tolist() == active
         u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
-        v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        u1, v1 = algorithm1(sem.A, dof_level, a.dt, u0, v0, 6)
-        u2, v2 = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
+        v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
+        u1, v1 = algorithm1(csr.A(sem), dof_level, a.dt, u0, v0, 6)
+        u2, v2 = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt).run(u0, v0, 6)
         assert np.max(np.abs(u1 - u2)) < 1e-12 * max(1.0, np.max(np.abs(u1)))
         assert np.max(np.abs(v1 - v2)) < 1e-10 * max(1.0, np.max(np.abs(v1)))
 
@@ -244,15 +245,15 @@ class TestAlgorithm1Equivalence:
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         assert np.unique(dof_level).tolist() == [1, 2, 3, 4]
         u0 = np.exp(-((sem.node_coords[:, 0] - 2.5) ** 2 + (sem.node_coords[:, 1] - 2.5) ** 2))
-        v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        u1, _ = algorithm1(sem.A, dof_level, a.dt, u0, v0, 5)
-        u2, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 5)
+        v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
+        u1, _ = algorithm1(csr.A(sem), dof_level, a.dt, u0, v0, 5)
+        u2, _ = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt).run(u0, v0, 5)
         assert np.max(np.abs(u1 - u2)) < 1e-12
 
     def test_empty_intermediate_level_skipped(self):
         mesh, sem, a, dof_level = _setup_1d(refinement=4)  # levels 1 and 3 only
         assert a.counts()[1] == 0
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         assert solver.active_levels == [1, 3]
 
 
@@ -311,7 +312,7 @@ class TestRandomAssignments:
             u0 *= sem.dirichlet_mask
         v0 = np.zeros(sem.n_dof)
 
-        backends = [sem.A, sem.operator("matfree", use_fused=False)]
+        backends = [csr.A(sem), sem.operator("matfree", use_fused=False)]
         if fused.available():
             backends.append(sem.operator("matfree", use_fused=True))
         for op in backends:
@@ -335,8 +336,8 @@ class TestAccuracy:
             n = base * r
             dt = T / n
             u0 = np.sin(k * sem.node_coords[:, 0])
-            v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-            u, _ = LTSNewmarkSolver(sem.A, dof_level, dt).run(u0, v0, n)
+            v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+            u, _ = LTSNewmarkSolver(csr.A(sem), dof_level, dt).run(u0, v0, n)
             errs.append(np.max(np.abs(u - u_exact(T))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert all(o > 1.7 for o in orders), (errs, orders)
@@ -345,15 +346,15 @@ class TestAccuracy:
         mesh, sem, a, dof_level = _setup_1d()
         L = mesh.coords[:, 0].max()
         u = np.sin(np.pi * sem.node_coords[:, 0] / L)
-        v = staggered_initial_velocity(sem.A, a.dt, u, np.zeros_like(u))
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        v = staggered_initial_velocity(csr.A(sem), a.dt, u, np.zeros_like(u))
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         m = solver.plan.replicas  # step runs in the plan's numbering
         (u,), (v,) = m.scatter(u), m.scatter(v)
         energies = []
         for _ in range(400):
             u_prev = m.gather([u]).copy()
             u, v = solver.step(u, v)
-            energies.append(discrete_energy(sem.M, sem.K, u_prev, m.gather([u]), m.gather([v])))
+            energies.append(discrete_energy(sem.M, csr.K(sem), u_prev, m.gather([u]), m.gather([v])))
         energies = np.asarray(energies)
         assert np.ptp(energies) / abs(energies.mean()) < 1e-2
         assert np.all(np.isfinite(energies))
@@ -362,11 +363,11 @@ class TestAccuracy:
         mesh, sem, a, dof_level = _setup_1d(n_coarse=16, n_fine=16)
         u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
         n_cycles = 8
-        v0l = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        ul, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0l, n_cycles)
+        v0l = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
+        ul, _ = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt).run(u0, v0l, n_cycles)
         nsub = n_cycles * a.p_max
-        v0n = staggered_initial_velocity(sem.A, a.dt_min, u0, np.zeros_like(u0))
-        un, _ = NewmarkSolver(sem.A, a.dt_min).run(u0, v0n, nsub)
+        v0n = staggered_initial_velocity(csr.A(sem), a.dt_min, u0, np.zeros_like(u0))
+        un, _ = NewmarkSolver(csr.A(sem), a.dt_min).run(u0, v0n, nsub)
         # Same simulated time, different step sizes: solutions agree to
         # discretization accuracy (not machine precision).
         assert np.max(np.abs(ul - un)) < 5e-3 * np.max(np.abs(un))
@@ -376,7 +377,7 @@ class TestOperationCounts:
     def test_stiffness_applications_per_level(self):
         mesh, sem, a, dof_level = _setup_1d()
         counter = OperationCounter()
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=counter)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt, counter=counter)
         u0 = np.zeros(sem.n_dof)
         solver.run(u0, u0, 1)
         for k in solver.active_levels:
@@ -386,8 +387,8 @@ class TestOperationCounts:
         mesh, sem, a, dof_level = _setup_1d(n_coarse=24, n_fine=8)
         u0 = np.zeros(sem.n_dof)
         c_ref, c_opt = OperationCounter(), OperationCounter()
-        algorithm1(sem.A, dof_level, a.dt, u0, u0, 1, counter=c_ref)
-        LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=c_opt).run(u0, u0, 1)
+        algorithm1(csr.A(sem), dof_level, a.dt, u0, u0, 1, counter=c_ref)
+        LTSNewmarkSolver(csr.A(sem), dof_level, a.dt, counter=c_opt).run(u0, u0, 1)
         assert c_opt.stiffness_ops < c_ref.stiffness_ops
         assert c_opt.vector_ops < c_ref.vector_ops
 
@@ -405,7 +406,7 @@ class TestOperationCounts:
         a = assign_levels(mesh, c_cfl=0.4, order=4)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         counter = OperationCounter()
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=counter)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt, counter=counter)
         u0 = np.zeros(sem.n_dof)
         solver.run(u0, u0, 1)
         stiffness_speedup = (a.p_max * solver.op.nnz) / counter.stiffness_ops
@@ -435,8 +436,8 @@ class TestOperationCounts:
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]),
-           backend=st.sampled_from(["assembled", "matfree"]))
-    def test_closed_form_matches_reference_schedule(self, data, dim, backend):
+           tier=st.sampled_from(["assembled", "numpy"]))
+    def test_closed_form_matches_reference_schedule(self, data, dim, tier):
         """Over random levels (skipped ones included) and 1-5 ranks: every
         numbering's closed form applies each level as often as the
         run-time count of the Algorithm 1 oracle, and a solver's stiffness
@@ -453,12 +454,11 @@ class TestOperationCounts:
         dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
         zeros = np.zeros(sem.n_dof)
         ref = OperationCounter()
-        algorithm1(sem.A, dof_level, dt, zeros, zeros, 1, counter=ref)
+        algorithm1(csr.A(sem), dof_level, dt, zeros, zeros, 1, counter=ref)
         applies = ref.applications_per_level
 
-        layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level, backend=backend,
-                                   use_fused=None if backend == "assembled" else False)
-        serial = LTSNewmarkSolver(sem.A, dof_level, dt, counter=OperationCounter())
+        layout = csr.tier_layout(sem, parts, n_ranks, tier, dof_level)
+        serial = LTSNewmarkSolver(csr.A(sem), dof_level, dt, counter=OperationCounter())
         ranks = DistributedLTSSolver(layout, dt)
         ranks.counter = OperationCounter()
         for solver in (serial, ranks):
@@ -493,13 +493,13 @@ class TestBackendEquivalence:
         sem, a, dof_level = _setup_2d()
         assert a.n_levels >= 3  # genuinely multi-level
         u0 = np.exp(-((sem.node_coords[:, 0] - 4) ** 2 + (sem.node_coords[:, 1] - 4) ** 2))
-        v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
+        v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
         return sem, a, dof_level, u0, v0
 
     @pytest.mark.parametrize("stepper", ["algorithm1", "solver"])
     def test_matfree_matches_assembled(self, setup_2d, stepper):
         sem, a, dof_level, u0, v0 = setup_2d
-        ua, va = _run(stepper, sem.A, dof_level, a.dt, u0, v0, 6)
+        ua, va = _run(stepper, csr.A(sem), dof_level, a.dt, u0, v0, 6)
         for use_fused in (False, None):
             op = sem.operator("matfree", use_fused=use_fused)
             um, vm = _run(stepper, op, dof_level, a.dt, u0, v0, 6)
@@ -528,8 +528,8 @@ class TestBackendEquivalence:
 
     def test_solver_steps_the_given_operator(self, setup_2d):
         sem, a, dof_level, u0, v0 = setup_2d
-        s_asm = LTSNewmarkSolver(sem.A, dof_level, a.dt)
-        assert np.shares_memory(s_asm.op.A.data, sem.A.data)  # assembled: the CSR, uncopied
+        s_asm = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
+        assert np.shares_memory(s_asm.op.A.data, csr.A(sem).data)  # assembled: the CSR, uncopied
         op = sem.operator("matfree")
         s_mf = LTSNewmarkSolver(op, dof_level, a.dt)
         assert s_mf.op is op  # matrix-free: the operator itself
@@ -550,6 +550,6 @@ class TestForce:
         dt = T / n
         u0 = np.zeros(sem.n_dof)
         v0 = np.zeros(sem.n_dof)
-        ul, _ = LTSNewmarkSolver(sem.A, dof_level, dt, force=force).run(u0, v0, n)
-        un, _ = NewmarkSolver(sem.A, dt / a.p_max, force=force).run(u0, v0, n * a.p_max)
+        ul, _ = LTSNewmarkSolver(csr.A(sem), dof_level, dt, force=force).run(u0, v0, n)
+        un, _ = NewmarkSolver(csr.A(sem), dt / a.p_max, force=force).run(u0, v0, n * a.p_max)
         assert np.max(np.abs(ul - un)) < 0.05 * np.max(np.abs(un))

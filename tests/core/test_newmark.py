@@ -16,7 +16,7 @@ from repro.core.lts_newmark import LTSPlan, dof_levels_from_elements
 from repro.core.newmark import staggered_initial_velocity
 from repro.core.workspace import reachable_buffers
 from repro.mesh import uniform_grid, uniform_interval
-from repro.runtime import DistributedLTSSolver, build_rank_layout
+from repro.runtime import DistributedLTSSolver
 from repro.sem import (
     AnisotropicElasticSemND,
     ElasticSemND,
@@ -29,6 +29,7 @@ from repro.sem import (
 )
 from repro.sem.materials import rotate_voigt, rotation_about_y
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +64,8 @@ class TestWaveEquation:
         u0 = np.sin(k * sem.node_coords[:, 0])
         T, n = 1.0, 400
         dt = T / n
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
+        v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+        u, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, n)
         assert np.max(np.abs(u - u0 * np.cos(k * T))) < 1e-4
 
     def test_energy_bounded_long_run(self, system):
@@ -73,13 +74,13 @@ class TestWaveEquation:
 
         u = np.sin(k * sem.node_coords[:, 0])
         dt = 5e-4
-        v = staggered_initial_velocity(sem.A, dt, u, np.zeros_like(u))
-        solver = NewmarkSolver(sem.A, dt)
+        v = staggered_initial_velocity(csr.A(sem), dt, u, np.zeros_like(u))
+        solver = NewmarkSolver(csr.A(sem), dt)
         energies = []
         for _ in range(300):
             u_prev = u.copy()
             u, v = solver.step(u, v)
-            energies.append(discrete_energy(sem.M, sem.K, u_prev, u, v))
+            energies.append(discrete_energy(sem.M, csr.K(sem), u_prev, u, v))
         energies = np.asarray(energies)
         assert np.ptp(energies) / energies.mean() < 1e-6
 
@@ -88,7 +89,7 @@ class TestWaveEquation:
         u0 = np.sin(k * sem.node_coords[:, 0])
         v0 = np.zeros_like(u0)
         u0c, v0c = u0.copy(), v0.copy()
-        NewmarkSolver(sem.A, 1e-4).run(u0, v0, 3)
+        NewmarkSolver(csr.A(sem), 1e-4).run(u0, v0, 3)
         assert np.array_equal(u0, u0c) and np.array_equal(v0, v0c)
 
     def test_force_injection_moves_solution(self, system):
@@ -96,12 +97,12 @@ class TestWaveEquation:
         n = sem.n_dof
         f = np.zeros(n)
         f[n // 2] = 1.0
-        u, _ = NewmarkSolver(sem.A, 1e-4, force=lambda t: f).run(np.zeros(n), np.zeros(n), 50)
+        u, _ = NewmarkSolver(csr.A(sem), 1e-4, force=lambda t: f).run(np.zeros(n), np.zeros(n), 50)
         assert np.abs(u[n // 2]) > 0
 
     def test_step_counts_time(self, system):
         sem, _ = system
-        s = NewmarkSolver(sem.A, 0.5)
+        s = NewmarkSolver(csr.A(sem), 0.5)
         s.run(np.zeros(sem.n_dof), np.zeros(sem.n_dof), 4)
         assert s.n_cycles_taken == 4
         assert s.t == pytest.approx(2.0)
@@ -161,21 +162,14 @@ def _bump(x):
     return np.exp(-8.0 * ((x - x.mean(axis=0)) ** 2).sum(axis=1))
 
 
-def _tier_kw(tier):
-    """``build_rank_layout`` / ``operator`` arguments of a tier."""
-    if tier == "assembled":
-        return {"backend": "assembled"}
-    return {"backend": "matfree", "use_fused": tier == "fused"}
-
-
 def _serial_pin(kind, tier, source):
     """``NewmarkSolver`` on a small serial system: ``(u, v)`` after the pin's steps."""
     if kind == "1d":
         sem = SemND(uniform_interval(16), order=4, dirichlet=True)
         dt = 1e-3
         u0 = np.sin(np.pi * sem.node_coords[:, 0] / sem.node_coords[:, 0].max())
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        return NewmarkSolver(sem.A, dt).run(u0, v0, N_STEPS)
+        v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+        return NewmarkSolver(csr.A(sem), dt).run(u0, v0, N_STEPS)
     velocity = None
     if kind in ("3d", "3d-o4"):
         mesh, order = (uniform_grid((3, 2, 2)), 2) if kind == "3d" else (uniform_grid((2, 2, 2)), 4)
@@ -209,8 +203,7 @@ def _serial_pin(kind, tier, source):
     dt = assign_levels(mesh, c_cfl=0.4, order=order, velocity=velocity).dt_min
     point = point_source(sem.n_dof, sem.n_dof // 3, sem.M, ricker(f0=0.5, t0=2 * dt))
     force = point if source == "point" else (lambda t: point(t))
-    kw = _tier_kw(tier)
-    A = sem.A if tier == "assembled" else sem.operator(**kw)
+    A = csr.A(sem) if tier == "assembled" else sem.operator(use_fused=tier == "fused")
     u0 = _bump(x)
     return NewmarkSolver(A, dt, force=force).run(u0, np.zeros_like(u0), N_STEPS)
 
@@ -225,9 +218,7 @@ def _ranks_pin(kind, tier):
     sem = SemND(mesh, order=3)
     a = assign_levels(mesh, c_cfl=0.4, order=3)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
-    layout = build_rank_layout(
-        sem, np.arange(64) // 22, 3, dof_level=dof_level, **_tier_kw(tier)
-    )
+    layout = csr.tier_layout(sem, np.arange(64) // 22, 3, tier, dof_level)
     point = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * a.dt))
     if kind == "newmark3":  # a one-level layout: the distributed Newmark run
         assert a.n_levels == 1 and a.dt == a.dt_min
@@ -263,7 +254,7 @@ def grid():
 class TestWholeColumnRule:
     def test_assembled_applies_the_matrix_as_given(self, grid):
         _, sem, _ = grid
-        A = sem.A.copy()
+        A = csr.A(sem).copy()
         op = AssembledOperator(A)
         restr = op.restrict(np.arange(sem.n_dof))
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
@@ -279,7 +270,7 @@ class TestWholeColumnRule:
 
     def test_one_level_plan_builds_no_csc_twin(self, grid):
         _, sem, _ = grid
-        plan = LTSPlan(sem.A, np.ones(sem.n_dof, dtype=np.int64))
+        plan = LTSPlan(csr.A(sem), np.ones(sem.n_dof, dtype=np.int64))
         assert "_A_csc" not in vars(plan.op)
         plan.op.reach(np.ones(sem.n_dof, dtype=bool))  # a reach builds it
         assert "_A_csc" in vars(plan.op)
@@ -320,9 +311,9 @@ class TestWholeColumnRule:
         column list — nothing of ``A``'s size."""
         mesh = uniform_grid((16, 16))
         sem = SemND(mesh, order=4)
-        solver = NewmarkSolver(sem.A, assign_levels(mesh, c_cfl=0.4, order=4).dt)
+        solver = NewmarkSolver(csr.A(sem), assign_levels(mesh, c_cfl=0.4, order=4).dt)
         solver.step(np.ones(sem.n_dof), np.zeros(sem.n_dof))
-        own = reachable_buffers(sem.A)
+        own = reachable_buffers(csr.A(sem))
         extra = [b for k, b in reachable_buffers(solver).items() if k not in own]
         assert sorted(extra)[-2:] == [8 * sem.n_dof] * 2
         assert sum(extra) < 2 * 8 * sem.n_dof + 4096

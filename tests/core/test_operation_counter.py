@@ -14,6 +14,7 @@ from repro.core import OperationCounter, assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.mesh import refined_interval
 from repro.sem import SemND
+from oracles import csr
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def test_reuse_without_reset_double_reports(solver_setup):
     """The bug: the same counter over two runs accumulates 2x the ops."""
     sem, a, dof_level, u0 = solver_setup
     counter = OperationCounter()
-    solver = LTSNewmarkSolver(sem.A, dof_level, a.dt, counter=counter)
+    solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt, counter=counter)
     solver.run(u0, np.zeros_like(u0), 1)
     once = counter.total_ops
     solver.run(u0, np.zeros_like(u0), 1)

@@ -1,10 +1,11 @@
-"""Tests for the StiffnessOperator protocol and the assembled backend."""
+"""Tests for the StiffnessOperator protocol and a caller's assembled matrix."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.core.operator import AssembledOperator, Restriction, StiffnessOperator, as_operator
+from oracles import csr
 
 
 @pytest.fixture()
@@ -92,7 +93,7 @@ def _product(tier: str, kind: str):
     if tier == "fused" and not fused.available():
         pytest.skip("no C compiler for the fused tier")
     sem = SemND(uniform_grid((6, 6)), order=4)
-    op = (AssembledOperator(sem.A) if tier == "assembled"
+    op = (AssembledOperator(csr.A(sem)) if tier == "assembled"
           else sem.operator("matfree", use_fused=tier == "fused"))
     n = sem.n_dof
     if kind == "full":

@@ -29,16 +29,15 @@ from repro.sem import (
     isotropic_stiffness,
 )
 from repro.util.errors import SolverError
+from oracles import csr
 
 TIERS = ["numpy", "fused", "assembled"]
 PHYSICS = ["acoustic", "elastic", "anisotropic"]
 
 
-def _tier_args(tier: str) -> tuple[str, bool | None]:
-    """``(backend, use_fused)`` of a kernel tier; skips an unbuilt one."""
+def _skip_unbuilt(tier: str) -> None:
     if tier == "fused" and not fused.available():
         pytest.skip("no C compiler for the fused tier")
-    return ("assembled", None) if tier == "assembled" else ("matfree", tier == "fused")
 
 
 def _assembler(physics: str, dim: int):
@@ -58,19 +57,17 @@ def _assembler(physics: str, dim: int):
 def _level_product(tier, physics, dim, kind, level):
     """A level-``level`` product, its numbering length and the boolean
     masks of its columns and row support."""
-    backend, use_fused = _tier_args(tier)
+    _skip_unbuilt(tier)
     sem = _assembler(physics, dim)
     rng = np.random.default_rng(7)
     element_levels = rng.integers(1, 3, sem.mesh.n_elements)
     dof_level = dof_levels_from_elements(sem.element_dofs, element_levels, sem.n_dof)
     if kind == "restrict":
-        op = sem.operator(backend, use_fused=use_fused)
+        op = csr.tier_operator(sem, tier)
         col_mask = dof_level == level
         return op.restrict(np.flatnonzero(col_mask)), sem.n_dof, col_mask, op.reach(col_mask)
     parts = np.arange(sem.mesh.n_elements) % 2
-    lay = build_rank_layout(
-        sem, parts, 2, dof_level=dof_level, backend=backend, use_fused=use_fused
-    )
+    lay = csr.tier_layout(sem, parts, 2, tier, dof_level)
     col_mask = lay.dof_level_local[0] == level
     (make,), (support,) = _restrict_levels(lay.K_local[0], [col_mask])
     return make(), len(col_mask), col_mask, support
@@ -204,7 +201,7 @@ def _trench_like():
 
 def test_adaptor_needs_every_column():
     sem, _, dof_level, _, _ = _trench_like()
-    r = WrappedOperator(sem.operator("assembled")).restrict(np.flatnonzero(dof_level == 2))
+    r = WrappedOperator(csr.operator(sem)).restrict(np.flatnonzero(dof_level == 2))
     with pytest.raises(SolverError, match="misses a column"):
         r.renumber(r.cols[1:], _inverse(r.cols[1:], sem.n_dof))
 
@@ -220,9 +217,9 @@ def _applies(solver, cycles: int) -> int:
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_wrapped_operator_steps_bitwise_like_the_native_one(tier):
-    backend, use_fused = _tier_args(tier)
+    _skip_unbuilt(tier)
     sem, dt, dof_level, u0, v0 = _trench_like()
-    op = sem.operator(backend, use_fused=use_fused)
+    op = csr.tier_operator(sem, tier)
     wrapped = WrappedOperator(op)
     native = LTSNewmarkSolver(op, dof_level, dt).run(u0, v0, 8)
     solver = LTSNewmarkSolver(wrapped, dof_level, dt)
@@ -237,12 +234,10 @@ def test_wrapped_rank_stiffness_steps_bitwise_like_the_native_one(tier):
     """Every apply of every rank's every level goes through the proxy: a
     ``masked_subset`` one on the matrix-free tiers, an operator one
     (``restrict``) around each rank's CSR."""
-    backend, use_fused = _tier_args(tier)
+    _skip_unbuilt(tier)
     sem, dt, dof_level, u0, v0 = _trench_like()
     parts = np.arange(sem.mesh.n_elements) % 4
-    lay = build_rank_layout(
-        sem, parts, 4, dof_level=dof_level, backend=backend, use_fused=use_fused
-    )
+    lay = csr.tier_layout(sem, parts, 4, tier, dof_level)
     shared = [0]
     wrapped = [
         WrappedOperator(AssembledOperator(K)) if tier == "assembled"

@@ -262,6 +262,9 @@ def test_level_products_are_masked_subset_then_renumber(tier, kind, dirichlet):
         for k, off, restr in zip(plan.active_levels, offsets, products):
             mask = lv == k
             want = parent_renumber(parent_masked_subset(K, mask), order[off:], inv, off)
+            # An empty product (the slabs' rank 0 has no fine element)
+            # reports the tier its gating chose, as its siblings do.
+            assert restr._apply.__self__.tier == tier
             _same_product(restr._apply.__self__, want, tier == "fused")
             assert np.array_equal(restr.cols, inv[np.flatnonzero(mask)] - off)
 

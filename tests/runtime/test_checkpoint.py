@@ -20,6 +20,7 @@ from repro.runtime import (
 from repro.runtime.checkpoint import CHECKPOINT_VERSION
 from repro.sem import SemND
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +125,10 @@ class TestKillAndResume:
         sem, a, dof_level, u0 = sys1d
         v0 = np.zeros_like(u0)
 
-        ref_solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        ref_solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         u_ref, v_ref = ref_solver.run(u0, v0, 12)
 
-        first = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        first = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         u, v = first.run(u0, v0, 7)
         st = first.state()
         path = save_checkpoint(
@@ -135,7 +136,7 @@ class TestKillAndResume:
         )
 
         back = load_checkpoint(path)  # "new process": only the file survives
-        second = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        second = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         second.restore(back.solver_state())
         assert second.n_cycles_taken == 7
         u2, v2 = second.run(back.u, back.v, 5)
@@ -147,10 +148,10 @@ class TestKillAndResume:
         sem, a, _, u0 = sys1d
         v0 = np.zeros_like(u0)
         dt = a.dt_min
-        u_ref, v_ref = NewmarkSolver(sem.A, dt).run(u0, v0, 10)
-        first = NewmarkSolver(sem.A, dt)
+        u_ref, v_ref = NewmarkSolver(csr.A(sem), dt).run(u0, v0, 10)
+        first = NewmarkSolver(csr.A(sem), dt)
         u, v = first.run(u0, v0, 4)
-        second = NewmarkSolver(sem.A, dt)
+        second = NewmarkSolver(csr.A(sem), dt)
         second.restore(first.state())
         u2, v2 = second.run(u, v, 6)
         assert np.array_equal(u2, u_ref) and np.array_equal(v2, v_ref)
@@ -210,7 +211,7 @@ class TestKillAndResume:
 
         def solver():
             if ranks == 1:
-                return LTSNewmarkSolver(sem.A, dof_level, a.dt)
+                return LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
             return DistributedLTSSolver(lay, a.dt)
 
         gdofs = lay.gdofs if ranks > 1 else [np.arange(sem.n_dof)]
@@ -246,7 +247,7 @@ class TestKillAndResume:
         uninterrupted run would."""
         sem, a, dof_level, u0 = sys1d
         fired = []
-        solver = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        solver = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         solver.restore({"t": 5 * a.dt, "cycle": 5})
         solver.run(
             u0, np.zeros_like(u0), 7, checkpoint_every=4,

@@ -2,8 +2,7 @@
 
 The serial ``A`` masks rows and columns.  A rank layout holds the mask
 the same way: the columns on the rank-local stiffness (the matrix-free
-``gmask``, the assembled column block), the rows folded into the
-rank-local ``1/M``.  So N ranks equal the serial run, and the boundary
+``gmask``), the rows folded into the rank-local ``1/M``.  So N ranks equal the serial run, and the boundary
 DOFs stay exactly zero, on every tier.
 """
 
@@ -15,7 +14,6 @@ from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import fused
 
 BACKENDS = {
-    "assembled": {"stiffness": "assembled"},
     "numpy": {"stiffness": "matfree", "fused": False},
     "fused": {"stiffness": "matfree", "fused": True},
 }
@@ -49,10 +47,7 @@ def test_dirichlet_run_on_ranks_equals_serial(backend, ranks):
     serial = sim.run()
     sem, b = sim.assembler, sim.config.backend
     parts = np.arange(sem.mesh.n_elements) * ranks // sem.mesh.n_elements
-    layout = build_rank_layout(
-        sem, parts, ranks, dof_level=sim.dof_level,
-        backend=b.stiffness, use_fused=b.fused,
-    )
+    layout = build_rank_layout(sem, parts, ranks, dof_level=sim.dof_level, use_fused=b.fused)
     solver = DistributedLTSSolver(layout, serial.dt, world=MailboxWorld(ranks), force=sim.force)
     zeros = np.zeros(sem.n_dof)
     u, v = solver.run(zeros, zeros, serial.n_cycles)

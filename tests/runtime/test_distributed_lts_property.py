@@ -1,5 +1,5 @@
 """Distributed LTS == serial LTS for *any* level assignment and *any*
-element -> rank map, on every layout backend.
+element -> rank map, on every tier (the CSR oracle, NumPy, fused).
 
 The executor runs the serial solver's one compact cycle per rank, over
 rank-local active sets, so "distributed == serial" compares shared
@@ -30,11 +30,12 @@ from repro.core import assign_levels
 from repro.core.lts_newmark import LTSNewmarkSolver, LTSPlan, dof_levels_from_elements
 from repro.core.operator import _restrict_levels
 from repro.mesh import uniform_grid
-from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
+from repro.runtime import DistributedLTSSolver, MailboxWorld
 from repro.sem import (
     AnisotropicElasticSemND, ElasticSemND, SemND,
-    fused, point_source, ricker, tensor,
+    fused, point_source, ricker,
 )
+from oracles import csr
 
 N_CYCLES = 6
 
@@ -58,11 +59,8 @@ def _draw_levels(data, ne: int) -> np.ndarray:
     return levels
 
 
-def _backends():
-    out = [("assembled", None), ("matfree", False)]
-    if fused.available():
-        out.append(("matfree", True))
-    return out
+def _tiers():
+    return ["assembled", "numpy", "fused"] if fused.available() else ["assembled", "numpy"]
 
 
 def _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed):
@@ -70,25 +68,21 @@ def _assert_matches_serial(sem, dt, levels, parts, n_ranks, force, seed):
     u0 = np.random.default_rng(seed).standard_normal(sem.n_dof)
     v0 = np.zeros(sem.n_dof)
     oracles = [
-        LTSNewmarkSolver(sem.A, dof_level, dt, force=force).run(u0, v0, N_CYCLES),
-        algorithm1(sem.A, dof_level, dt, u0, v0, N_CYCLES, force=force),
+        LTSNewmarkSolver(csr.A(sem), dof_level, dt, force=force).run(u0, v0, N_CYCLES),
+        algorithm1(csr.A(sem), dof_level, dt, u0, v0, N_CYCLES, force=force),
     ]
-    for backend, use_fused in _backends():
-        layout = build_rank_layout(
-            sem, parts, n_ranks, dof_level=dof_level, backend=backend,
-            use_fused=use_fused,
-        )
+    for tier in _tiers():
+        layout = csr.tier_layout(sem, parts, n_ranks, tier, dof_level)
         world = MailboxWorld(n_ranks)
         solver = DistributedLTSSolver(layout, dt, world=world, force=force)
         ud, vd = solver.run(u0, v0, N_CYCLES)
         solver.check_no_leaks()
         assert n_ranks > 1 or world.sent_messages == 0
-        tier = (backend, use_fused)
         for us, vs in oracles:
             assert np.abs(ud - us).max() <= 1e-12 * np.abs(us).max(), tier
             assert np.abs(vd - vs).max() <= 1e-12 * max(np.abs(vs).max(), 1.0), tier
         if n_ranks == 1:  # the serial run over the same tier's operator, bitwise
-            op = sem.A if backend == "assembled" else sem.operator("matfree", use_fused=use_fused)
+            op = csr.tier_operator(sem, tier)
             us, vs = LTSNewmarkSolver(op, dof_level, dt, force=force).run(u0, v0, N_CYCLES)
             assert ud.tobytes() == us.tobytes() and vd.tobytes() == vs.tobytes(), tier
 
@@ -150,9 +144,8 @@ class TestLevelSortedNumbering:
         dof_level = dof_levels_from_elements(sem.element_dofs, levels, sem.n_dof)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         x = rng.standard_normal(sem.n_dof)
-        for backend, use_fused in _backends():
-            layout = build_rank_layout(sem, parts, n_ranks, dof_level=dof_level,
-                                       backend=backend, use_fused=use_fused)
+        for tier in _tiers():
+            layout = csr.tier_layout(sem, parts, n_ranks, tier, dof_level)
             plan = LTSPlan(layout)
             m = plan.replicas
             assert m.gather(m.scatter(x)).tobytes() == x.tobytes()
@@ -269,8 +262,7 @@ _PHYSICS = {
 _needs_fused = pytest.mark.skipif(
     not fused.available(), reason="no C compiler: fused tier unavailable"
 )
-_TIERS = {"assembled": ("assembled", None), "numpy": ("matfree", False),
-          "fused": ("matfree", True)}
+_TIERS = ("assembled", "numpy", "fused")
 
 
 def _one_rank_cases():
@@ -302,7 +294,7 @@ def test_one_rank_is_the_serial_run(name, tier, dirichlet, chunked, monkeypatch)
         mesh.c = np.random.default_rng(5).uniform(1.0, 3.0, mesh.n_elements)
     sem = make(mesh, dirichlet)
     if chunked:
-        monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 2 * sem.element_dofs.shape[1] ** 2)
+        monkeypatch.setattr(csr, "_CHUNK_ENTRIES", 2 * sem.element_dofs.shape[1] ** 2)
     dt = assign_levels(mesh, c_cfl=0.4, order=sem.order, assembler=sem).dt
     ne = sem.element_dofs.shape[0]
     dof_level = dof_levels_from_elements(sem.element_dofs, np.resize(_BLOCK, ne), sem.n_dof)
@@ -310,11 +302,9 @@ def test_one_rank_is_the_serial_run(name, tier, dirichlet, chunked, monkeypatch)
     force = point_source(sem.n_dof, sem.n_dof // 2, sem.M, ricker(f0=0.5, t0=2 * dt))
     u0, v0 = np.random.default_rng(3).standard_normal(sem.n_dof), np.zeros(sem.n_dof)
 
-    backend, use_fused = _TIERS[tier]
-    op = sem.A if backend == "assembled" else sem.operator("matfree", use_fused=use_fused)
+    op = csr.tier_operator(sem, tier)
     us, vs = LTSNewmarkSolver(op, dof_level, dt, force=force).run(u0, v0, N_CYCLES)
-    layout = build_rank_layout(sem, np.zeros(ne, dtype=np.int64), 1, dof_level=dof_level,
-                               backend=backend, use_fused=use_fused)
+    layout = csr.tier_layout(sem, np.zeros(ne, dtype=np.int64), 1, tier, dof_level)
     world = MailboxWorld(1)
     ud, vd = DistributedLTSSolver(layout, dt, world=world, force=force).run(u0, v0, N_CYCLES)
     assert world.sent_messages == 0

@@ -26,6 +26,7 @@ from repro.mesh import refined_interval, uniform_grid
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.runtime.executor import _HaloSum
 from repro.sem import SemND, fused
+from oracles import csr
 
 #: Net tracemalloc blocks allowed to survive a steady-state LTS cycle.
 ALLOC_BUDGET = 16
@@ -48,7 +49,7 @@ def sys1d():
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
-    v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
+    v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0
 
 
@@ -62,7 +63,7 @@ def sys2d():
     a = assign_levels(mesh, c_cfl=0.4, order=4)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     u0 = np.exp(-((sem.node_coords - sem.node_coords.mean(axis=0)) ** 2).sum(axis=1))
-    v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
+    v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0
 
 
@@ -106,7 +107,7 @@ class TestEmptyChannelSkip:
         solver, _, world = self._solver(sys1d)
         u, v = solver.run(u0.copy(), v0.copy(), 4)  # run() checks leaks
         assert world.pending() == 0
-        serial = LTSNewmarkSolver(sem.A, dof_level, a.dt)
+        serial = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt)
         m = serial.plan.replicas  # step runs in the plan's numbering
         (us,), (vs,) = m.scatter(u0), m.scatter(v0)
         for _ in range(4):
@@ -157,29 +158,22 @@ def test_clean_exchange_sends_views_of_the_payload(sys2d):
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["c_exchange", "numpy_exchange"])
-@pytest.mark.parametrize("backend", ["assembled", "matfree", "fused"])
-def test_distributed_lts_allocation_budget(sys2d, backend, compiled):
+@pytest.mark.parametrize("tier", ["assembled", "numpy", "fused"])
+def test_distributed_lts_allocation_budget(sys2d, tier, compiled):
     """On the fused tier the ranks' vector phases are the C ones, and
     either exchange path sums the levels: the same budgets hold."""
     mesh, sem, a, dof_level, u0, v0 = sys2d
-    if (backend == "fused" or compiled) and not fused.available():
+    if (tier == "fused" or compiled) and not fused.available():
         pytest.skip("no C compiler: fused tier unavailable")
     k = 3
-    lay = build_rank_layout(
-        sem,
-        block_partition(mesh.n_elements, k),
-        k,
-        dof_level=dof_level,
-        backend="assembled" if backend == "assembled" else "matfree",
-        use_fused={"assembled": None, "matfree": False, "fused": True}[backend],
-    )
+    lay = csr.tier_layout(sem, block_partition(mesh.n_elements, k), k, tier, dof_level)
     solver = DistributedLTSSolver(lay, a.dt, world=MailboxWorld(k))
     solver._sums = {
         lv: _HaloSum(p, solver._outputs[lv], solver.comms, compiled)
         for lv, p in solver._plans.items()
     }
     assert len(solver.active_levels) >= 2
-    assert all((st._c_begin is not None) == (backend == "fused") for st in solver._states)
+    assert all((st._c_begin is not None) == (tier == "fused") for st in solver._states)
     u_locals = solver.plan.replicas.scatter(u0)
     v_locals = solver.plan.replicas.scatter(v0)
 
@@ -187,7 +181,7 @@ def test_distributed_lts_allocation_budget(sys2d, backend, compiled):
         solver.step(u_locals, v_locals)
 
     stats = measure_hot_path(step, n_steps=5, warmup=3)
-    assert stats.allocs_per_step <= ALLOC_BUDGET, (backend, stats)
+    assert stats.allocs_per_step <= ALLOC_BUDGET, (tier, stats)
     # Transient peak: the mailbox's queue nodes for one exchange's
     # messages (sent before any is received) and nothing else — no
     # payload copy, which here would be ~1.5 kB per level on top, and
@@ -195,6 +189,6 @@ def test_distributed_lts_allocation_budget(sys2d, backend, compiled):
     in_flight = MESSAGE_OVERHEAD * max(
         plan.messages_per_exchange() for plan in solver._plans.values()
     )
-    assert stats.alloc_peak_bytes_per_step <= in_flight, (backend, stats)
+    assert stats.alloc_peak_bytes_per_step <= in_flight, (tier, stats)
     assert solver.workspace_bytes() > 0
     solver.check_no_leaks()

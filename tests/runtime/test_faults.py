@@ -18,6 +18,7 @@ from repro.runtime import (
 from repro.runtime.executor import _HaloSum
 from repro.sem import SemND, fused
 from repro.util.errors import CommError, RankFailure
+from oracles import csr
 
 
 @pytest.fixture(scope="module", params=["1d_assembled", "2d_fused"])
@@ -127,7 +128,7 @@ class TestFaultyWorld:
         v0 = np.zeros_like(system.u0)
         world = FaultyWorld(system.n_ranks, FaultPlan())
         ud, _ = _solver(system, world, compiled).run(system.u0, v0, 4)
-        us, _ = LTSNewmarkSolver(system.sem.A, system.dof_level, system.dt).run(
+        us, _ = LTSNewmarkSolver(csr.A(system.sem), system.dof_level, system.dt).run(
             system.u0, v0, 4
         )
         assert np.max(np.abs(us - ud)) < 1e-11 * max(1.0, np.abs(us).max())
@@ -181,7 +182,7 @@ class TestFaultyWorld:
     def test_bitflip_perturbs_solution_deterministically(self, system):
         """The same plan corrupts identically, on either exchange path."""
         v0 = np.zeros_like(system.u0)
-        clean, _ = LTSNewmarkSolver(system.sem.A, system.dof_level, system.dt).run(
+        clean, _ = LTSNewmarkSolver(csr.A(system.sem), system.dof_level, system.dt).run(
             system.u0, v0, 4
         )
 

@@ -22,6 +22,7 @@ from repro.runtime import (
 )
 from repro.sem import SemND, fused
 from repro.util.errors import PartitionError, SolverError
+from oracles import csr
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def sys1d():
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     assert np.unique(dof_level).tolist() == [1, 2, 3]
     u0 = np.exp(-((sem.node_coords[:, 0] - sem.node_coords[:, 0].mean()) ** 2) / 0.05)
-    v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
+    v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
     return mesh, sem, a, dof_level, u0, v0
 
 
@@ -104,24 +105,24 @@ class TestLayout:
                 assert np.array_equal(idx, np.searchsorted(lay.gdofs[r], glist))
 
     @pytest.mark.parametrize("dirichlet", [False, True])
-    @pytest.mark.parametrize("backend,use_fused", [
-        ("assembled", None), ("matfree", False),
-        pytest.param("matfree", True, marks=pytest.mark.skipif(
+    @pytest.mark.parametrize("tier", [
+        "assembled", "numpy",
+        pytest.param("fused", marks=pytest.mark.skipif(
             not fused.available(), reason="no C compiler: fused tier unavailable")),
     ])
-    def test_mass_summed_across_ranks(self, backend, use_fused, dirichlet):
+    def test_mass_summed_across_ranks(self, tier, dirichlet):
         """Each rank applies its share of ``M^{-1} K``: ``1/M`` of the
         fully-summed mass (0 on a Dirichlet row) lives in its product,
         so the ranks' partial products, scattered back and summed, are
         the serial ``A u``."""
         sem = SemND(uniform_grid((4, 3)), order=3, dirichlet=dirichlet)
         parts = np.random.default_rng(1).integers(0, 3, 12)
-        lay = build_rank_layout(sem, parts, 3, backend=backend, use_fused=use_fused)
+        lay = csr.tier_layout(sem, parts, 3, tier)
         u = np.random.default_rng(2).standard_normal(sem.n_dof)
         total = np.zeros(sem.n_dof)
         for g, K, ul in zip(lay.gdofs, lay.K_local, lay.scatter(u)):
             np.add.at(total, g, K @ ul)
-        expect = sem.A @ u
+        expect = csr.A(sem) @ u
         assert np.abs(total - expect).max() <= 1e-13 * np.abs(expect).max()
         if dirichlet:
             assert not total[sem.dirichlet_mask == 0].any()
@@ -131,23 +132,21 @@ class TestLayout:
         """Assembly holds at most one chunk of dense element matrices at
         a time, for the serial ``A`` (``n_ranks=None``) and for every
         rank of an assembled layout, and visits each element once."""
-        from repro.sem import tensor
-
         sem = SemND(uniform_grid((4, 3)), order=3)
         ne, n_loc = sem.element_dofs.shape
-        monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 2 * n_loc * n_loc)
+        monkeypatch.setattr(csr, "_CHUNK_ENTRIES", 2 * n_loc * n_loc)
         batches = []
-        batch = sem.element_system_batch
+        batch = csr.element_system_batch
 
-        def spy(ids=None):
+        def spy(sem, ids=None):
             batches.append(len(ids))
-            return batch(ids)
+            return batch(sem, ids)
 
-        monkeypatch.setattr(sem, "element_system_batch", spy)
+        monkeypatch.setattr(csr, "element_system_batch", spy)
         if n_ranks is None:
-            sem.A
+            csr.A(sem)
         else:
-            build_rank_layout(sem, np.arange(ne) % n_ranks, n_ranks)
+            csr.rank_layout(sem, np.arange(ne) % n_ranks, n_ranks)
         assert max(batches) <= 2 and sum(batches) == ne
 
     def test_bad_parts_shape_rejected(self, sys1d):
@@ -169,7 +168,7 @@ class TestDistributedNewmark:
     def test_matches_serial(self, sys1d, k):
         mesh, sem, a, _, u0, v0 = sys1d
         dt = a.dt_min
-        us, vs = NewmarkSolver(sem.A, dt).run(u0, v0, 12)
+        us, vs = NewmarkSolver(csr.A(sem), dt).run(u0, v0, 12)
         ud, vd = _newmark(sem, k, dt).run(u0, v0, 12)
         assert np.max(np.abs(us - ud)) < 1e-12
         assert np.max(np.abs(vs - vd)) < 1e-12
@@ -201,7 +200,7 @@ class TestDistributedLTS:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_serial_reference(self, sys1d, k):
         mesh, sem, a, dof_level, u0, v0 = sys1d
-        us, vs = algorithm1(sem.A, dof_level, a.dt, u0, v0, 8)
+        us, vs = algorithm1(csr.A(sem), dof_level, a.dt, u0, v0, 8)
         lay = build_rank_layout(
             sem, block_partition(mesh.n_elements, k), k, dof_level=dof_level
         )
@@ -217,7 +216,7 @@ class TestDistributedLTS:
         parts = partition_scotch_p(mesh, a, 3, seed=1)
         lay = build_rank_layout(sem, parts, 3, dof_level=dof_level)
         ud, _ = DistributedLTSSolver(lay, a.dt).run(u0, v0, 6)
-        us, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
+        us, _ = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt).run(u0, v0, 6)
         assert np.max(np.abs(us - ud)) < 1e-11
 
     def test_2d_velocity_contrast(self):
@@ -228,8 +227,8 @@ class TestDistributedLTS:
         a = assign_levels(mesh, c_cfl=0.4, order=3)
         dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
         u0 = np.exp(-((sem.node_coords[:, 0] - 2.5) ** 2 + (sem.node_coords[:, 1] - 2.5) ** 2))
-        v0 = staggered_initial_velocity(sem.A, a.dt, u0, np.zeros_like(u0))
-        us, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 6)
+        v0 = staggered_initial_velocity(csr.A(sem), a.dt, u0, np.zeros_like(u0))
+        us, _ = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt).run(u0, v0, 6)
         parts = (np.arange(mesh.n_elements) % 4).astype(np.int64)
         lay = build_rank_layout(sem, parts, 4, dof_level=dof_level)
         ud, _ = DistributedLTSSolver(lay, a.dt).run(u0, v0, 6)
@@ -256,15 +255,13 @@ class TestDistributedLTS:
         v0 = np.zeros(sem.n_dof)
         parts = (np.arange(mesh.n_elements) % 3).astype(np.int64)
         sols = {}
-        for backend in ("assembled", "matfree"):
-            lay = build_rank_layout(
-                sem, parts, 3, dof_level=dof_level, backend=backend
-            )
-            sols[backend], _ = DistributedLTSSolver(lay, a.dt).run(u0, v0, 4)
+        for tier in ("assembled", "matfree"):
+            lay = csr.tier_layout(sem, parts, 3, tier, dof_level)
+            sols[tier], _ = DistributedLTSSolver(lay, a.dt).run(u0, v0, 4)
         assert np.max(np.abs(sols["matfree"] - sols["assembled"])) < 1e-11
 
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_3d_hex_trench_matches_serial(self, small_trench, backend):
+    @pytest.mark.parametrize("tier", ["assembled", "matfree"])
+    def test_3d_hex_trench_matches_serial(self, small_trench, tier):
         """The paper's workload class end-to-end: a 3D hex trench mesh
         runs a full distributed LTS cycle on both operator backends and
         reproduces the serial scheme to float round-off."""
@@ -278,9 +275,9 @@ class TestDistributedLTS:
         rng = np.random.default_rng(0)
         u0 = rng.standard_normal(sem.n_dof) * 0.1
         v0 = np.zeros(sem.n_dof)
-        us, _ = LTSNewmarkSolver(sem.A, dof_level, a.dt).run(u0, v0, 3)
+        us, _ = LTSNewmarkSolver(csr.A(sem), dof_level, a.dt).run(u0, v0, 3)
         parts = (np.arange(mesh.n_elements) % 4).astype(np.int64)
-        lay = build_rank_layout(sem, parts, 4, dof_level=dof_level, backend=backend)
+        lay = csr.tier_layout(sem, parts, 4, tier, dof_level)
         ud, _ = DistributedLTSSolver(lay, a.dt).run(u0, v0, 3)
         assert np.max(np.abs(us - ud)) < 1e-11
 
@@ -382,8 +379,8 @@ def _level_schedule(levels):
         yield from below(1, 2 ** (levels[1] - 1))
 
 
-@pytest.mark.parametrize("backend", ["assembled", "matfree"])
-def test_cycle_sends_the_level_schedule_in_order(small_trench, backend):
+@pytest.mark.parametrize("tier", ["assembled", "matfree"])
+def test_cycle_sends_the_level_schedule_in_order(small_trench, tier):
     """One cycle sends, apply by apply in Algorithm 1's order, exactly
     each level's exchange plan — rank by rank, peer by peer, tag 0 —
     so ``sum_k applies_k x plan_k`` messages and doubles: a
@@ -396,7 +393,7 @@ def test_cycle_sends_the_level_schedule_in_order(small_trench, backend):
     a = assign_levels(small_trench, c_cfl=0.4, order=2)
     dof_level = dof_levels_from_elements(sem.element_dofs, a.level, sem.n_dof)
     parts = (np.arange(small_trench.n_elements) % 4).astype(np.int64)
-    lay = build_rank_layout(sem, parts, 4, dof_level=dof_level, backend=backend)
+    lay = csr.tier_layout(sem, parts, 4, tier, dof_level)
     world = _LoggingWorld(4)
     solver = DistributedLTSSolver(lay, a.dt, world=world)
     assert len(solver.active_levels) >= 3

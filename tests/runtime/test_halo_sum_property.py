@@ -19,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import assign_levels
 from repro.core.lts_newmark import dof_levels_from_elements
 from repro.mesh import uniform_grid
-from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
+from repro.runtime import DistributedLTSSolver, MailboxWorld
 from repro.runtime.executor import _HaloSum
 from repro.sem import SemND, fused
+from oracles import csr
 
 #: Exchange paths this machine can run: the NumPy passes, and the C
 #: passes where the fused build loads.
@@ -50,12 +51,9 @@ def _system(dim: int):
     return SemND(mesh, order=order), assign_levels(mesh, c_cfl=0.4, order=order).dt
 
 
-def _solver(sem, dt, levels, parts, n_ranks, backend):
+def _solver(sem, dt, levels, parts, n_ranks, tier):
     dof_level = dof_levels_from_elements(sem.element_dofs, np.asarray(levels), sem.n_dof)
-    layout = build_rank_layout(
-        sem, np.asarray(parts), n_ranks, dof_level=dof_level, backend=backend,
-        use_fused=None if backend == "assembled" else False,
-    )
+    layout = csr.tier_layout(sem, np.asarray(parts), n_ranks, tier, dof_level)
     return DistributedLTSSolver(layout, dt, world=MailboxWorld(n_ranks))
 
 
@@ -90,8 +88,8 @@ class TestRandomLayouts:
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]),
-           backend=st.sampled_from(["assembled", "matfree"]))
-    def test_paths_and_oracle_agree_bitwise(self, data, dim, backend):
+           tier=st.sampled_from(["assembled", "numpy"]))
+    def test_paths_and_oracle_agree_bitwise(self, data, dim, tier):
         sem, dt = _system(dim)
         ne = sem.element_dofs.shape[0]
         levels = data.draw(
@@ -104,7 +102,7 @@ class TestRandomLayouts:
             label="element ranks",
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-        solver = _solver(sem, dt, levels, parts, n_ranks, backend)
+        solver = _solver(sem, dt, levels, parts, n_ranks, tier)
 
         def fields_of(level, outs):
             return [
@@ -120,14 +118,14 @@ class TestOrderMatters:
     shared by all four ranks.  Fields that cancel there make a
     reordered sum differ, and every path still agrees with the oracle."""
 
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_four_sharers(self, backend):
+    @pytest.mark.parametrize("tier", ["assembled", "numpy"])
+    def test_four_sharers(self, tier):
         mesh = uniform_grid((4, 4))
         sem = SemND(mesh, order=2)
         dt = assign_levels(mesh, c_cfl=0.4, order=2).dt
         ix, iy = np.divmod(np.arange(16), 4)
         parts = 2 * (ix >= 2) + (iy >= 2)
-        solver = _solver(sem, dt, np.ones(16, dtype=np.int64), parts, 4, backend)
+        solver = _solver(sem, dt, np.ones(16, dtype=np.int64), parts, 4, tier)
         centre = int(np.argmin(np.abs(sem.node_coords - sem.node_coords.mean(axis=0)).sum(axis=1)))
         layout = solver.layout
         local = [int(np.searchsorted(g, centre)) for g in layout.gdofs]

@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.mesh import uniform_grid
-from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
+from repro.runtime import DistributedLTSSolver, MailboxWorld
 from repro.sem import (
     AnisotropicElastic,
     AnisotropicElasticSemND,
@@ -26,6 +26,7 @@ from repro.sem.materials import rotation_about_y
 from repro.sem.matfree import AnisotropicKernelND
 from repro.util.errors import SolverError
 from oracles.scale import as_scaled
+from oracles import csr
 
 
 def _random_pd_voigt(rng, n_elem, dim):
@@ -53,9 +54,9 @@ class TestIsotropicReduction:
             mesh, order=3, C=isotropic_stiffness(lam, mu, dim), rho=rho
         )
         assert np.array_equal(iso.M, aniso.M)
-        assert _rel_err(aniso.K.toarray(), iso.K.toarray()) < 1e-14
+        assert _rel_err(csr.K(aniso).toarray(), csr.K(iso).toarray()) < 1e-14
         u = rng.standard_normal(iso.n_dof)
-        assert _rel_err(aniso.A @ u, iso.A @ u) < 1e-14
+        assert _rel_err(csr.A(aniso) @ u, csr.A(iso) @ u) < 1e-14
 
     def test_max_velocity_matches_p_velocity(self):
         mesh = uniform_grid((3, 3))
@@ -80,7 +81,7 @@ class TestBackendEquivalence:
             dirichlet=dirichlet,
         )
         u = rng.standard_normal(sem.n_dof)
-        assert _rel_err(sem.operator("matfree") @ u, sem.A @ u) < 1e-12
+        assert _rel_err(sem.operator("matfree") @ u, csr.A(sem) @ u) < 1e-12
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_full_apply_3d(self, order):
@@ -90,7 +91,7 @@ class TestBackendEquivalence:
             mesh, order=order, C=_random_pd_voigt(rng, mesh.n_elements, 3)
         )
         u = rng.standard_normal(sem.n_dof)
-        assert _rel_err(sem.operator("matfree") @ u, sem.A @ u) < 1e-12
+        assert _rel_err(sem.operator("matfree") @ u, csr.A(sem) @ u) < 1e-12
 
     @pytest.mark.parametrize("dim,grid", [(2, (4, 3)), (3, (2, 2, 2))])
     def test_restricted_apply(self, dim, grid):
@@ -101,7 +102,7 @@ class TestBackendEquivalence:
         )
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=sem.n_dof // 4, replace=False)
-        ref = sem.operator("assembled").restrict(cols).apply(u)
+        ref = csr.operator(sem).restrict(cols).apply(u)
         op = sem.operator("matfree")
         restr = op.restrict(cols)
         assert _rel_err(as_scaled(op, restr.apply(u)), ref) < 1e-12
@@ -116,7 +117,7 @@ class TestBackendEquivalence:
             mesh, order=3, C=_random_pd_voigt(rng, mesh.n_elements, 2)
         )
         op = sem.operator("matfree")
-        scale = np.abs(sem.A).max()
+        scale = np.abs(csr.A(sem)).max()
         for c in range(2):
             z = np.zeros(sem.n_dof)
             z[c::2] = 1.0
@@ -130,7 +131,7 @@ class TestBackendEquivalence:
         sem = AnisotropicElasticSemND(
             mesh, order=2, C=_random_pd_voigt(rng, mesh.n_elements, 2)
         )
-        K = sem.K.toarray()
+        K = csr.K(sem).toarray()
         assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
 
     @pytest.mark.skipif(not fused.available(), reason="no C compiler")
@@ -147,9 +148,9 @@ class TestBackendEquivalence:
         op = sem.operator("matfree", use_fused=True)
         assert op.tier == "fused"
         u = rng.standard_normal(sem.n_dof)
-        assert _rel_err(op @ u, sem.A @ u) < 1e-12
+        assert _rel_err(op @ u, csr.A(sem) @ u) < 1e-12
         cols = rng.choice(sem.n_dof, size=sem.n_dof // 4, replace=False)
-        ref = sem.operator("assembled").restrict(cols).apply(u)
+        ref = csr.operator(sem).restrict(cols).apply(u)
         assert _rel_err(as_scaled(op, op.restrict(cols).apply(u)), ref) < 1e-12
 
     def test_use_fused_true_raises_when_unavailable(self):
@@ -205,7 +206,7 @@ class TestChristoffelLevels:
         sem = AnisotropicElasticSemND(
             mesh, order=3, C=_random_pd_voigt(rng, mesh.n_elements, 2)
         )
-        dt_e = stable_timestep_from_operator(sem.A, method="eigs")
+        dt_e = stable_timestep_from_operator(csr.A(sem), method="eigs")
         dt_p = stable_timestep_from_operator(
             sem.operator("matfree"), method="power", tol=1e-10, maxiter=200_000
         )
@@ -213,8 +214,8 @@ class TestChristoffelLevels:
 
 
 class TestDistributed:
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_distributed_lts_matches_serial_3d(self, backend):
+    @pytest.mark.parametrize("tier", ["assembled", "matfree"])
+    def test_distributed_lts_matches_serial_3d(self, tier):
         """Anisotropic 3D through rank layouts, halo exchange and the
         distributed LTS executor, per stiffness backend."""
         mesh = uniform_grid((4, 2, 2))
@@ -229,10 +230,10 @@ class TestDistributed:
         rng = np.random.default_rng(0)
         u0 = rng.standard_normal(sem.n_dof) * 1e-3
         v0 = np.zeros(sem.n_dof)
-        us, _ = LTSNewmarkSolver(sem.A, dof_level, levels.dt).run(u0, v0, 4)
+        us, _ = LTSNewmarkSolver(csr.A(sem), dof_level, levels.dt).run(u0, v0, 4)
 
         parts = np.arange(mesh.n_elements) % 2
-        layout = build_rank_layout(sem, parts, 2, dof_level=dof_level, backend=backend)
+        layout = csr.tier_layout(sem, parts, 2, tier, dof_level)
         dist = DistributedLTSSolver(layout, levels.dt, world=MailboxWorld(2))
         ud, _ = dist.run(u0, v0, 4)
         assert _rel_err(ud, us) < 1e-12

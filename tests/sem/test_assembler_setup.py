@@ -33,6 +33,7 @@ from repro.sem.gll import gll_points_weights
 from repro.sem.materials import IsotropicElastic
 from repro.sem.tensor import element_axis_sizes
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 def _assemblers(mesh, order):
@@ -268,5 +269,5 @@ def test_vector_layout_and_mass_equal_the_interleaved_formulas(shape, order):
     nc, n_loc = sem.n_comp, sem.scalar_dofs.shape[1]
     ed = nc * np.repeat(sem.scalar_dofs, nc, axis=1) + np.tile(np.arange(nc), n_loc)[None, :]
     assert sem.element_dofs.dtype == ed.dtype and np.array_equal(sem.element_dofs, ed)
-    M = np.bincount(ed.ravel(), weights=sem.element_mass_batch().ravel(), minlength=sem.n_dof)
+    M = np.bincount(ed.ravel(), weights=csr.element_mass_batch(sem).ravel(), minlength=sem.n_dof)
     assert sem.M.dtype == M.dtype and np.array_equal(sem.M, M)

@@ -8,6 +8,7 @@ from repro.mesh import Mesh, refined_interval, uniform_grid, uniform_interval
 from repro.sem import SemND
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 class TestSem1D:
@@ -22,7 +23,7 @@ class TestSem1D:
 
     def test_stiffness_symmetric_positive_semidefinite(self):
         sem = SemND(uniform_interval(4), order=3)
-        K = sem.K.toarray()
+        K = csr.K(sem).toarray()
         assert np.allclose(K, K.T, atol=1e-12)
         eig = np.linalg.eigvalsh(K)
         assert eig.min() > -1e-10
@@ -30,20 +31,20 @@ class TestSem1D:
     def test_stiffness_kills_constants(self):
         """Neumann stiffness annihilates the constant mode."""
         sem = SemND(uniform_interval(6), order=4)
-        assert np.max(np.abs(sem.K @ np.ones(sem.n_dof))) < 1e-10
+        assert np.max(np.abs(csr.K(sem) @ np.ones(sem.n_dof))) < 1e-10
 
     def test_eigenvalue_of_first_mode(self):
         """Smallest nonzero eigenvalue of A ~ (pi*c/L)^2 for Neumann."""
         L, c = 2.0, 3.0
         sem = SemND(uniform_interval(16, length=L, c=c), order=4)
-        vals = np.sort(np.real(np.linalg.eigvals(sem.A.toarray())))
+        vals = np.sort(np.real(np.linalg.eigvals(csr.A(sem).toarray())))
         target = (np.pi * c / L) ** 2
         nonzero = vals[vals > 1e-8]
         assert nonzero[0] == pytest.approx(target, rel=1e-6)
 
     def test_dirichlet_zeroes_boundary_rows(self):
         sem = SemND(uniform_interval(4), order=3, dirichlet=True)
-        A = sem.A.toarray()
+        A = csr.A(sem).toarray()
         ends = sem.boundary_dofs()
         assert sorted(sem.node_coords[:, 0][ends]) == [0.0, 1.0]
         assert np.allclose(A[ends], 0) and np.allclose(A[:, ends], 0)
@@ -64,11 +65,11 @@ class TestSem1D:
         sem = SemND(mesh, order=3)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
-        Kes, Mes = sem.element_system_batch()
+        Kes, Mes = csr.element_system_batch(sem)
         for d, Ke, Me in zip(sem.element_dofs, Kes, Mes):
             K[np.ix_(d, d)] += Ke
             M[d] += Me
-        assert np.allclose(K, sem.K.toarray(), atol=1e-12)
+        assert np.allclose(K, csr.K(sem).toarray(), atol=1e-12)
         assert np.allclose(M, sem.M, atol=1e-12)
 
     def test_nearest_dof(self):
@@ -165,7 +166,7 @@ class TestSem1DMatchesChainOracle:
         sem, p, (x, M, K, A) = self._pair(self.DYADIC[kind](), order, dirichlet)
         assert np.array_equal(sem.node_coords[:, 0], x[p])
         assert np.array_equal(sem.M, M[p])
-        for got, ref in ((sem.K, K), (sem.A, A)):
+        for got, ref in ((csr.K(sem), K), (csr.A(sem), A)):
             ref = ref[p][:, p]
             assert (got != ref).nnz == 0
             assert np.array_equal(got.toarray(), ref.toarray())
@@ -177,7 +178,7 @@ class TestSem1DMatchesChainOracle:
         sem, p, (x, M, K, A) = self._pair(self.GENERAL[kind](), order, dirichlet)
         assert np.array_equal(sem.node_coords[:, 0], x[p])
         assert np.array_equal(sem.M, M[p])
-        for got, ref in ((sem.K, K), (sem.A, A)):
+        for got, ref in ((csr.K(sem), K), (csr.A(sem), A)):
             ref = ref[p][:, p]
             assert np.abs(got - ref).max() <= 4e-16 * np.abs(ref).max()
 
@@ -193,18 +194,18 @@ class TestSem2D:
 
     def test_stiffness_symmetric(self):
         sem = SemND(uniform_grid((2, 3)), order=2)
-        K = sem.K.toarray()
+        K = csr.K(sem).toarray()
         assert np.allclose(K, K.T, atol=1e-12)
 
     def test_stiffness_kills_constants(self):
         sem = SemND(uniform_grid((3, 3)), order=3)
-        assert np.max(np.abs(sem.K @ np.ones(sem.n_dof))) < 1e-9
+        assert np.max(np.abs(csr.K(sem) @ np.ones(sem.n_dof))) < 1e-9
 
     def test_first_neumann_eigenvalue(self):
         """lambda_1 = (pi c / L)^2 for the (1,0) mode on a square."""
         L = 1.0
         sem = SemND(uniform_grid((4, 4), (L, L)), order=4)
-        vals = np.sort(np.real(np.linalg.eigvals(sem.A.toarray())))
+        vals = np.sort(np.real(np.linalg.eigvals(csr.A(sem).toarray())))
         nonzero = vals[vals > 1e-7]
         assert nonzero[0] == pytest.approx(np.pi**2, rel=1e-4)
 
@@ -230,11 +231,11 @@ class TestSem2D:
         sem = SemND(mesh, order=3)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
-        Kes, Mes = sem.element_system_batch()
+        Kes, Mes = csr.element_system_batch(sem)
         for d, Ke, Me in zip(sem.element_dofs, Kes, Mes):
             K[np.ix_(d, d)] += Ke
             M[d] += Me
-        assert np.allclose(K, sem.K.toarray(), atol=1e-10)
+        assert np.allclose(K, csr.K(sem).toarray(), atol=1e-10)
         assert np.allclose(M, sem.M, atol=1e-12)
 
     def test_boundary_dofs_on_boundary(self):
@@ -250,7 +251,7 @@ class TestSem2D:
     def test_mass_lumping_diagonal_invertible(self):
         sem = SemND(uniform_grid((2, 2)), order=4)
         assert np.all(sem.M > 0)
-        assert sp.issparse(sem.A)
+        assert sp.issparse(csr.A(sem))
 
 
 class TestNearestDof:

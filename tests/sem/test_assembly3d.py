@@ -18,6 +18,7 @@ from repro.mesh import uniform_grid
 from repro.mesh.mesh import Mesh
 from repro.sem import SemND, discrete_energy
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 def _contrast_mesh(shape=(3, 3, 2)):
@@ -108,26 +109,26 @@ class TestOperator:
 
     def test_stiffness_symmetric_with_constant_nullspace(self):
         sem = SemND(_contrast_mesh(), order=3)
-        assert abs(sem.K - sem.K.T).max() < 1e-10
-        assert np.abs(sem.K @ np.ones(sem.n_dof)).max() < 1e-10
+        assert abs(csr.K(sem) - csr.K(sem).T).max() < 1e-10
+        assert np.abs(csr.K(sem) @ np.ones(sem.n_dof)).max() < 1e-10
 
     def test_element_system_matches_assembled(self):
         """Summing dense element systems reproduces the global K and M."""
         sem = SemND(_contrast_mesh((2, 2, 2)), order=2)
-        Ke, Me = sem.element_system_batch()
+        Ke, Me = csr.element_system_batch(sem)
         K = np.zeros((sem.n_dof, sem.n_dof))
         M = np.zeros(sem.n_dof)
         for e in range(sem.mesh.n_elements):
             d = sem.element_dofs[e]
             K[np.ix_(d, d)] += Ke[e]
             M[d] += Me[e]
-        assert np.abs(K - sem.K.toarray()).max() < 1e-12
+        assert np.abs(K - csr.K(sem).toarray()).max() < 1e-12
         assert np.abs(M - sem.M).max() < 1e-12
 
     def test_dirichlet_masks_boundary_rows_and_cols(self):
         sem = SemND(uniform_grid((2, 2, 2)), order=2, dirichlet=True)
         bnd = sem.boundary_dofs()
-        A = sem.A.toarray()
+        A = csr.A(sem).toarray()
         assert np.abs(A[bnd, :]).max() == 0.0
         assert np.abs(A[:, bnd]).max() == 0.0
 
@@ -149,7 +150,7 @@ class TestSpectralAccuracy3D:
         for order in (2, 3, 4, 5, 6):
             sem = SemND(uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=order)
             u = self._mode(sem)
-            errs[order] = np.abs(sem.A @ u - 3 * np.pi**2 * u).max()
+            errs[order] = np.abs(csr.A(sem) @ u - 3 * np.pi**2 * u).max()
         # monotone decay, and at least ~4 orders of magnitude over the sweep
         assert all(errs[o + 1] < errs[o] for o in (2, 3, 4, 5)), errs
         assert errs[6] < 1e-4 * errs[2], errs
@@ -160,20 +161,20 @@ class TestSpectralAccuracy3D:
         u0 = self._mode(sem)
         T, n = 0.5, 800
         dt = T / n
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
+        v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+        u, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, n)
         assert np.max(np.abs(u - u0 * np.cos(om * T))) < 5e-4
 
     def test_energy_conserved(self):
         sem = SemND(_contrast_mesh((2, 2, 2)), order=3)
         u = self._mode(sem)
         dt = 5e-3
-        v = staggered_initial_velocity(sem.A, dt, u, np.zeros_like(u))
-        solver = NewmarkSolver(sem.A, dt)
+        v = staggered_initial_velocity(csr.A(sem), dt, u, np.zeros_like(u))
+        solver = NewmarkSolver(csr.A(sem), dt)
         energies = []
         for _ in range(100):
             u_prev = u.copy()
             u, v = solver.step(u, v)
-            energies.append(discrete_energy(sem.M, sem.K, u_prev, u, v))
+            energies.append(discrete_energy(sem.M, csr.K(sem), u_prev, u, v))
         energies = np.asarray(energies)
         assert np.ptp(energies) / energies.mean() < 1e-6

@@ -12,6 +12,7 @@ from repro.mesh import uniform_grid
 from repro.sem import IsotropicElastic, discrete_energy
 from repro.sem import ElasticSemND
 from repro.util.errors import SolverError
+from oracles import csr
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ class TestAssembly:
         assert elastic.n_dof == 2 * (4 * 4 + 1) ** 2
 
     def test_stiffness_symmetric_psd(self, elastic):
-        K = elastic.K.toarray()
+        K = csr.K(elastic).toarray()
         assert np.allclose(K, K.T, atol=1e-10)
         eig = np.linalg.eigvalsh(K)
         assert eig.min() > -1e-8
@@ -36,12 +37,12 @@ class TestAssembly:
         for comp in (0, 1):
             u = np.zeros(elastic.n_dof)
             u[comp::2] = 1.0
-            assert np.max(np.abs(elastic.K @ u)) < 1e-9
+            assert np.max(np.abs(csr.K(elastic) @ u)) < 1e-9
 
     def test_infinitesimal_rotation_in_kernel(self, elastic):
         """(u, v) = (y, -x) has zero strain: the elastic energy kernel."""
         u = elastic.interpolate(lambda x, y: y, lambda x, y: -x)
-        assert np.max(np.abs(elastic.K @ u)) < 1e-8
+        assert np.max(np.abs(csr.K(elastic) @ u)) < 1e-8
 
     def test_mass_positive_and_totals_rho_area(self, elastic):
         assert np.all(elastic.M > 0)
@@ -67,7 +68,7 @@ class TestEigenstructure:
             uniform_grid((4, 4), (1.0, 1.0)), order=4,
             material=IsotropicElastic(lam=0.0, mu=1.0),
         )
-        vals = np.sort(np.real(np.linalg.eigvals(sem.A.toarray())))
+        vals = np.sort(np.real(np.linalg.eigvals(csr.A(sem).toarray())))
         vals = vals[vals > 1e-6]
         target = 2.0 * np.pi**2  # (pi cp)^2, cp = sqrt(2)
         assert np.min(np.abs(vals - target)) / target < 1e-4
@@ -79,7 +80,7 @@ class TestEigenstructure:
             uniform_grid((4, 4), (1.0, 1.0)), order=4,
             material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
-        diff = (sem4.A - 4.0 * elastic.A)
+        diff = (csr.A(sem4) - 4.0 * csr.A(elastic))
         assert np.max(np.abs(diff.toarray())) < 1e-9
 
 
@@ -94,8 +95,8 @@ class TestDynamics:
         u0 = sem.interpolate(lambda x, y: np.cos(np.pi * x), lambda x, y: 0 * x)
         T, n = 0.5, 800
         dt = T / n
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
+        v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+        u, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, n)
         exact = u0 * np.cos(np.pi * cp * T)
         assert np.max(np.abs(u - exact)) < 5e-4
 
@@ -104,13 +105,13 @@ class TestDynamics:
             lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y), lambda x, y: 0 * x
         )
         dt = 2e-4
-        v = staggered_initial_velocity(elastic.A, dt, u, np.zeros_like(u))
-        solver = NewmarkSolver(elastic.A, dt)
+        v = staggered_initial_velocity(csr.A(elastic), dt, u, np.zeros_like(u))
+        solver = NewmarkSolver(csr.A(elastic), dt)
         energies = []
         for _ in range(200):
             u_prev = u.copy()
             u, v = solver.step(u, v)
-            energies.append(discrete_energy(elastic.M, elastic.K, u_prev, u, v))
+            energies.append(discrete_energy(elastic.M, csr.K(elastic), u_prev, u, v))
         energies = np.asarray(energies)
         assert np.ptp(energies) / energies.mean() < 1e-6
 
@@ -133,9 +134,9 @@ class TestElasticLTS:
             lambda x, y: np.exp(-8 * ((x - 0.5) ** 2 + (y - 0.5) ** 2)),
             lambda x, y: 0 * x,
         )
-        v0 = staggered_initial_velocity(sem.A, levels.dt, u0, np.zeros_like(u0))
-        u1, _ = algorithm1(sem.A, dof_level, levels.dt, u0, v0, 5)
-        u2, _ = LTSNewmarkSolver(sem.A, dof_level, levels.dt).run(u0, v0, 5)
+        v0 = staggered_initial_velocity(csr.A(sem), levels.dt, u0, np.zeros_like(u0))
+        u1, _ = algorithm1(csr.A(sem), dof_level, levels.dt, u0, v0, 5)
+        u2, _ = LTSNewmarkSolver(csr.A(sem), dof_level, levels.dt).run(u0, v0, 5)
         assert np.max(np.abs(u1 - u2)) < 1e-12
         assert np.all(np.isfinite(u1))
 
@@ -156,8 +157,8 @@ class TestElasticLTS:
             lambda x, y: np.exp(-8 * ((x - 0.3) ** 2 + (y - 0.6) ** 2)),
             lambda x, y: 0 * x,
         )
-        v0 = staggered_initial_velocity(sem.A, levels.dt, u0, np.zeros_like(u0))
-        us, _ = algorithm1(sem.A, dof_level, levels.dt, u0, v0, 4)
+        v0 = staggered_initial_velocity(csr.A(sem), levels.dt, u0, np.zeros_like(u0))
+        us, _ = algorithm1(csr.A(sem), dof_level, levels.dt, u0, v0, 4)
         parts = (np.arange(16) % 3).astype(np.int64)
         layout = build_rank_layout(sem, parts, 3, dof_level=dof_level)
         ud, _ = DistributedLTSSolver(layout, levels.dt).run(u0, v0, 4)

@@ -16,6 +16,7 @@ from repro.sem import ElasticSemND, IsotropicElastic, discrete_energy, fused
 from repro.sem.matfree import ElasticKernelND, inverse_mass, stiffness_share
 from repro.util.errors import PartitionError, SolverError
 from oracles.scale import as_scaled
+from oracles import csr
 
 #: Both implementation tiers when the fused C kernels are available,
 #: otherwise just the portable NumPy path.
@@ -51,7 +52,7 @@ class TestAssembly:
         assert elastic.n_dof == 3 * elastic.n_scalar
 
     def test_stiffness_symmetric_psd(self, elastic):
-        K = elastic.K.toarray()
+        K = csr.K(elastic).toarray()
         assert np.allclose(K, K.T, atol=1e-10)
         eig = np.linalg.eigvalsh(K)
         assert eig.min() > -1e-8
@@ -60,7 +61,7 @@ class TestAssembly:
         for comp in range(3):
             u = np.zeros(elastic.n_dof)
             u[comp::3] = 1.0
-            assert np.max(np.abs(elastic.K @ u)) < 1e-9
+            assert np.max(np.abs(csr.K(elastic) @ u)) < 1e-9
 
     def test_infinitesimal_rotations_in_kernel(self, elastic):
         """All three infinitesimal rotations have zero strain: the
@@ -72,7 +73,7 @@ class TestAssembly:
             elastic.interpolate(zero, lambda x, y, z: z, lambda x, y, z: -y),
         ]
         for u in rotations:
-            assert np.max(np.abs(elastic.K @ u)) < 1e-8
+            assert np.max(np.abs(csr.K(elastic) @ u)) < 1e-8
 
     def test_mass_positive_and_totals_rho_volume(self, elastic):
         assert np.all(elastic.M > 0)
@@ -89,7 +90,7 @@ class TestAssembly:
             uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
             material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
-        diff = sem4.A - 4.0 * elastic.A
+        diff = csr.A(sem4) - 4.0 * csr.A(elastic)
         assert np.max(np.abs(diff.toarray())) < 1e-9
 
     def test_dirichlet_masks_all_components(self):
@@ -97,7 +98,7 @@ class TestAssembly:
         bd = sem.boundary_dofs()
         assert len(bd) % 3 == 0
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
-        z = sem.A @ u
+        z = csr.A(sem) @ u
         assert np.max(np.abs(z[bd])) == 0.0
 
     def test_rejects_bad_materials_and_dim(self):
@@ -115,7 +116,7 @@ class TestBackendEquivalence:
         shape = (3, 2, 2) if order <= 4 else (2, 1, 1)
         sem = _sem(order=order, shape=shape, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)
-        ref = sem.A @ u
+        ref = csr.A(sem) @ u
         for uf in FUSED_PARAMS:
             op = sem.operator("matfree", use_fused=uf)
             assert _rel_err(op @ u, ref) < 1e-12, (order, dirichlet, uf)
@@ -127,7 +128,7 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(order)
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
-        ref = sem.operator("assembled").restrict(cols).apply(u)
+        ref = csr.operator(sem).restrict(cols).apply(u)
         for uf in FUSED_PARAMS:
             op = sem.operator("matfree", use_fused=uf)
             restr = op.restrict(cols)
@@ -142,7 +143,7 @@ class TestBackendEquivalence:
         rho = rng.uniform(0.8, 1.2, mesh.n_elements)
         sem = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
         u = rng.standard_normal(sem.n_dof)
-        ref = sem.A @ u
+        ref = csr.A(sem) @ u
         for uf in FUSED_PARAMS:
             assert _rel_err(sem.operator("matfree", use_fused=uf) @ u, ref) < 1e-12
 
@@ -150,7 +151,7 @@ class TestBackendEquivalence:
         sem = _sem(order=2)
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[::11] = True
-        reach_a = sem.operator("assembled").reach(mask)
+        reach_a = csr.operator(sem).reach(mask)
         reach_m = sem.operator("matfree").reach(mask)
         assert np.all(reach_m | ~reach_a)  # reach_a implies reach_m
 
@@ -164,7 +165,7 @@ class TestBackendEquivalence:
             K = stiffness_share(sem, minv, ids, ld, use_fused=uf)
             u = np.random.default_rng(0).standard_normal(len(gd))
             ref = np.zeros(len(gd))
-            Ke, _ = sem.element_system_batch(ids)
+            Ke, _ = csr.element_system_batch(sem, ids)
             for m in range(len(ids)):
                 ref[ld[m]] += Ke[m] @ u[ld[m]]
             assert _rel_err(K @ u, minv * ref) < 1e-12
@@ -230,7 +231,7 @@ class TestFusedGating3D:
         op = sem.operator("matfree")  # auto: numpy fallback
         assert op._plan is None
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
-        assert _rel_err(op @ u, sem.A @ u) < 1e-12
+        assert _rel_err(op @ u, csr.A(sem) @ u) < 1e-12
         with pytest.raises(SolverError):
             sem.operator("matfree", use_fused=True)
 
@@ -246,13 +247,13 @@ class TestDynamicsAndCFL:
             zero,
         )
         dt = 2e-4
-        v = staggered_initial_velocity(elastic.A, dt, u, np.zeros_like(u))
-        solver = NewmarkSolver(elastic.A, dt)
+        v = staggered_initial_velocity(csr.A(elastic), dt, u, np.zeros_like(u))
+        solver = NewmarkSolver(csr.A(elastic), dt)
         energies = []
         for _ in range(150):
             u_prev = u.copy()
             u, v = solver.step(u, v)
-            energies.append(discrete_energy(elastic.M, elastic.K, u_prev, u, v))
+            energies.append(discrete_energy(elastic.M, csr.K(elastic), u_prev, u, v))
         energies = np.asarray(energies)
         assert np.ptp(energies) / energies.mean() < 1e-6
 
@@ -261,7 +262,7 @@ class TestDynamicsAndCFL:
         """Matrix-free CFL on the elastic operator action agrees with
         the sparse eigensolver bound (no assembled matrix needed)."""
         sem = _sem(order=2)
-        dt_eigs = stable_timestep_from_operator(sem.A, method="eigs")
+        dt_eigs = stable_timestep_from_operator(csr.A(sem), method="eigs")
         dt_power = stable_timestep_from_operator(
             sem.operator("matfree", use_fused=use_fused), method="power"
         )
@@ -294,25 +295,23 @@ class TestElasticLTS3D:
             zero,
             zero,
         )
-        v0 = staggered_initial_velocity(sem.A, levels.dt, u0, np.zeros_like(u0))
+        v0 = staggered_initial_velocity(csr.A(sem), levels.dt, u0, np.zeros_like(u0))
         return sem, levels, dof_level, u0, v0
 
     def test_lts_matches_algorithm1_on_stiff_inclusion(self):
         sem, levels, dof_level, u0, v0 = self._setup()
-        u1, _ = algorithm1(sem.A, dof_level, levels.dt, u0, v0, 4)
-        u2, _ = LTSNewmarkSolver(sem.A, dof_level, levels.dt).run(u0, v0, 4)
+        u1, _ = algorithm1(csr.A(sem), dof_level, levels.dt, u0, v0, 4)
+        u2, _ = LTSNewmarkSolver(csr.A(sem), dof_level, levels.dt).run(u0, v0, 4)
         assert np.max(np.abs(u1 - u2)) < 1e-12
         assert np.all(np.isfinite(u1))
 
-    @pytest.mark.parametrize("backend", ["assembled", "matfree"])
-    def test_distributed_elastic_lts_matches_serial(self, backend):
-        from repro.runtime import DistributedLTSSolver, build_rank_layout
+    @pytest.mark.parametrize("tier", ["assembled", "matfree"])
+    def test_distributed_elastic_lts_matches_serial(self, tier):
+        from repro.runtime import DistributedLTSSolver
 
         sem, levels, dof_level, u0, v0 = self._setup()
-        us, _ = algorithm1(sem.A, dof_level, levels.dt, u0, v0, 3)
+        us, _ = algorithm1(csr.A(sem), dof_level, levels.dt, u0, v0, 3)
         parts = (np.arange(sem.mesh.n_elements) % 3).astype(np.int64)
-        layout = build_rank_layout(
-            sem, parts, 3, dof_level=dof_level, backend=backend
-        )
+        layout = csr.tier_layout(sem, parts, 3, tier, dof_level)
         ud, _ = DistributedLTSSolver(layout, levels.dt).run(u0, v0, 3)
         assert np.max(np.abs(us - ud)) < 1e-11

@@ -3,9 +3,9 @@ assembled CSR at 1e-12 relative.
 
 ``el_block3`` regroups the element stiffness by divergence axis: nine
 gradients, a pointwise stress from the 15 per-element coefficients, nine
-weighted divergences.  The assembled ``A`` is built from the dense
-element matrices of :class:`repro.sem.ElasticSemND`, block by block, so
-it shares none of that arithmetic.  Meshes are graded boxes: every axis
+weighted divergences.  The assembled ``A`` (``oracles.csr``) is built from
+the dense isotropic elastic element matrices, block by block, so it
+shares none of that arithmetic.  Meshes are graded boxes: every axis
 has its own growing spacing, so each element carries its own
 ``(hx, hy, hz)`` and every geometry factor of a pair differs from its
 mirror; ``lam`` and ``mu`` are drawn per element.  Order 4 runs the
@@ -19,8 +19,8 @@ import pytest
 from repro.mesh import uniform_grid
 from repro.sem import ElasticSemND, IsotropicElastic, fused
 from repro.sem.matfree import inverse_mass, stiffness_share
-from repro.sem.tensor import mass_scaled
 from oracles.scale import as_scaled
+from oracles import csr
 
 pytestmark = pytest.mark.skipif(not fused.available(), reason="no C compiler: fused tier unavailable")
 
@@ -60,7 +60,7 @@ def test_full_apply(sem):
     op = sem.operator("matfree", use_fused=True)
     assert isinstance(op._plan, fused.Elastic3DPlan) and op._plan.n1 == sem.order + 1
     u = np.random.default_rng(1).standard_normal(sem.n_dof)
-    assert rel_err(op @ u, sem.A @ u) < 1e-12
+    assert rel_err(op @ u, csr.A(sem) @ u) < 1e-12
 
 
 def test_level_mask(sem):
@@ -72,12 +72,12 @@ def test_level_mask(sem):
     op = full.masked_subset(mask)
     assert op._plan._gmask is not None
     u = rng.standard_normal(sem.n_dof)
-    assert rel_err(as_scaled(full, op @ u), sem.A @ (u * mask)) < 1e-12
+    assert rel_err(as_scaled(full, op @ u), csr.A(sem) @ (u * mask)) < 1e-12
 
 
 def test_rank_share(sem):
     """One rank's share on its local numbering equals the partial CSR
-    that the assembled backend's rank layout builds."""
+    of the oracle's rank layout."""
     ne = sem.mesh.n_elements
     ids = np.arange(0, ne, 2)
     gd = np.unique(sem.element_dofs[ids])
@@ -85,6 +85,6 @@ def test_rank_share(sem):
     minv = inverse_mass(sem)[gd]
     K = stiffness_share(sem, minv, ids, ld, use_fused=True)
     assert isinstance(K._plan, fused.Elastic3DPlan)
-    A = mass_scaled(sem.stiffness_csr(ids, ld, len(gd)), minv)
+    A = csr.mass_scaled(csr.stiffness_csr(sem, ids, ld, len(gd)), minv)
     u = np.random.default_rng(3).standard_normal(len(gd))
     assert rel_err(K @ u, A @ u) < 1e-12

@@ -11,6 +11,7 @@ from repro.mesh import uniform_grid
 from repro.sem import ElasticSemND, IsotropicElastic, SemND, fused
 from repro.sem.matfree import MatrixFreeStiffness, inverse_mass, stiffness_share
 from oracles.scale import as_scaled
+from oracles import csr
 
 #: Both implementation tiers when the fused C kernels are available,
 #: otherwise just the portable NumPy path.
@@ -34,7 +35,7 @@ class TestAcousticEquivalence:
     def test_full_apply(self, order, dirichlet):
         sem = SemND(_mesh(), order=order, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)
-        ref = sem.A @ u
+        ref = csr.A(sem) @ u
         for uf in FUSED_PARAMS:
             op = sem.operator("matfree", use_fused=uf)
             assert _rel_err(op @ u, ref) < 1e-12, (order, dirichlet, uf)
@@ -46,7 +47,7 @@ class TestAcousticEquivalence:
         rng = np.random.default_rng(order)
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
-        ref = sem.operator("assembled").restrict(cols).apply(u)
+        ref = csr.operator(sem).restrict(cols).apply(u)
         for uf in FUSED_PARAMS:
             op = sem.operator("matfree", use_fused=uf)
             restr = op.restrict(cols)
@@ -61,7 +62,7 @@ class TestAcousticEquivalence:
         sem = SemND(_mesh(), order=order)
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[::7] = True
-        reach_a = sem.operator("assembled").reach(mask)
+        reach_a = csr.operator(sem).reach(mask)
         reach_m = sem.operator("matfree").reach(mask)
         assert np.all(reach_m | ~reach_a)  # reach_a implies reach_m
 
@@ -82,7 +83,7 @@ class TestElasticEquivalence:
             material=IsotropicElastic(lam=2.3, mu=1.7, rho=1.1),
         )
         u = np.random.default_rng(order).standard_normal(el.n_dof)
-        ref = el.A @ u
+        ref = csr.A(el) @ u
         for uf in FUSED_PARAMS:
             op = el.operator("matfree", use_fused=uf)
             assert _rel_err(op @ u, ref) < 1e-12, (order, uf)
@@ -96,7 +97,7 @@ class TestElasticEquivalence:
         rng = np.random.default_rng(order)
         u = rng.standard_normal(el.n_dof)
         cols = rng.choice(el.n_dof, size=el.n_dof // 4, replace=False)
-        ref = el.operator("assembled").restrict(cols).apply(u)
+        ref = csr.operator(el).restrict(cols).apply(u)
         for uf in FUSED_PARAMS:
             op = el.operator("matfree", use_fused=uf)
             restr = op.restrict(cols)
@@ -128,7 +129,7 @@ class TestStiffnessShare:
             u = np.random.default_rng(0).standard_normal(len(gd))
             # brute force: sum of dense element systems, rows scaled by 1/M
             ref = np.zeros(len(gd))
-            Ke, _ = sem.element_system_batch(ids)
+            Ke, _ = csr.element_system_batch(sem, ids)
             for m in range(len(ids)):
                 ref[ld[m]] += Ke[m] @ u[ld[m]]
             assert _rel_err(K @ u, minv * ref) < 1e-12
@@ -263,7 +264,7 @@ class TestAssemblerKernel:
             sem = SemND(mesh, order=4, dirichlet=dirichlet)
             assert sem.kernel().dim == 1
             u = np.random.default_rng(0).standard_normal(sem.n_dof)
-            ref = sem.A @ u
+            ref = csr.A(sem) @ u
             op = sem.operator("matfree", use_fused=False)
             assert _rel_err(op @ u, ref) < 1e-12
 
@@ -282,7 +283,7 @@ class TestAssemblerKernel:
     def test_kernel_of_a_slice_applies_its_element_matrices(self, physics, shape):
         """``kernel(ids)`` is the element stiffness of exactly the
         elements ``ids``: its contraction equals the dense element
-        matrices of :meth:`element_system_batch` on those elements, and
+        matrices of ``csr.element_system_batch`` on those elements, and
         it is the full kernel's ``subset(ids)``, bitwise."""
         from repro.sem import (
             AnisotropicElasticSemND,
@@ -304,7 +305,7 @@ class TestAssemblerKernel:
                           zip(rng.uniform(1.0, 3.0, ne), rng.uniform(0.5, 1.5, ne))])
             sem = AnisotropicElasticSemND(mesh, order=3, C=C)
         ids = np.array([ne - 1, 0, ne // 2])
-        Ke, _ = sem.element_system_batch(ids)
+        Ke, _ = csr.element_system_batch(sem, ids)
         Ue = rng.standard_normal(Ke.shape[:2])
         got = sem.kernel(ids).contract(Ue.copy())
         ref = np.einsum("eij,ej->ei", Ke, Ue)

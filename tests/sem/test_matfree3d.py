@@ -10,6 +10,7 @@ from repro.sem import SemND, fused
 from repro.sem.matfree import AcousticKernelND, inverse_mass, stiffness_share
 from repro.util.errors import SolverError
 from oracles.scale import as_scaled
+from oracles import csr
 
 #: Both implementation tiers when the fused C kernels are available,
 #: otherwise just the portable NumPy path.
@@ -35,7 +36,7 @@ class TestAcoustic3DEquivalence:
         mesh = _mesh() if order <= 6 else _mesh((2, 2, 1))
         sem = SemND(mesh, order=order, dirichlet=dirichlet)
         u = np.random.default_rng(order).standard_normal(sem.n_dof)
-        ref = sem.A @ u
+        ref = csr.A(sem) @ u
         for uf in FUSED_PARAMS:
             op = sem.operator("matfree", use_fused=uf)
             assert _rel_err(op @ u, ref) < 1e-12, (order, dirichlet, uf)
@@ -47,7 +48,7 @@ class TestAcoustic3DEquivalence:
         rng = np.random.default_rng(order)
         u = rng.standard_normal(sem.n_dof)
         cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
-        ref = sem.operator("assembled").restrict(cols).apply(u)
+        ref = csr.operator(sem).restrict(cols).apply(u)
         for uf in FUSED_PARAMS:
             op = sem.operator("matfree", use_fused=uf)
             restr = op.restrict(cols)
@@ -58,7 +59,7 @@ class TestAcoustic3DEquivalence:
         sem = SemND(_mesh(), order=3)
         mask = np.zeros(sem.n_dof, dtype=bool)
         mask[::11] = True
-        reach_a = sem.operator("assembled").reach(mask)
+        reach_a = csr.operator(sem).reach(mask)
         reach_m = sem.operator("matfree").reach(mask)
         assert np.all(reach_m | ~reach_a)  # reach_a implies reach_m
 
@@ -83,7 +84,7 @@ class TestAcoustic3DEquivalence:
             K = stiffness_share(sem, minv, ids, ld, use_fused=uf)
             u = np.random.default_rng(0).standard_normal(len(gd))
             ref = np.zeros(len(gd))
-            Ke, _ = sem.element_system_batch(ids)
+            Ke, _ = csr.element_system_batch(sem, ids)
             for m in range(len(ids)):
                 ref[ld[m]] += Ke[m] @ u[ld[m]]
             assert _rel_err(K @ u, minv * ref) < 1e-12
@@ -110,6 +111,6 @@ class TestFusedGating3D:
         op = sem.operator("matfree")  # auto: numpy fallback
         assert op._plan is None
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
-        assert _rel_err(op @ u, sem.A @ u) < 1e-12
+        assert _rel_err(op @ u, csr.A(sem) @ u) < 1e-12
         with pytest.raises(SolverError):
             sem.operator("matfree", use_fused=True)

@@ -14,8 +14,8 @@ safe:
   (no ordering or workspace-content dependence);
 * **<= 1e-12 agreement with the assembled CSR** — folding ``M^{-1}``
   into the plan data commutes through the sum only to rounding
-  (~1 ulp), so the NumPy tier must stay within 1e-12 of ``sem.A @ u``
-  and ``sem.A[:, cols] @ u[cols]``, for full and level-restricted
+  (~1 ulp), so the NumPy tier must stay within 1e-12 of ``csr.A(sem) @ u``
+  and ``csr.A(sem)[:, cols] @ u[cols]``, for full and level-restricted
   applies, 2D/3D, all three physics.
 
 The last class pins the ``Restriction.apply(u, out=buf)`` contract the
@@ -39,6 +39,7 @@ from repro.sem import (
 )
 from repro.sem.matfree import _ScatterPlan
 from oracles.scale import as_scaled
+from oracles import csr
 
 #: Kernel tiers to pin: the NumPy tier always, the fused C tier when a
 #: compiler is present.
@@ -119,7 +120,7 @@ class TestPooledOperatorDeterminism:
         fresh = np.array(sem.operator("matfree", use_fused=False) @ u)
         assert np.array_equal(got1, got2), (physics, dim)
         assert np.array_equal(got1, fresh), (physics, dim)
-        assert _rel_err(got1, sem.A @ u) < 1e-12, (physics, dim)
+        assert _rel_err(got1, csr.A(sem) @ u) < 1e-12, (physics, dim)
 
     def test_restricted_apply(self, physics, dim):
         sem = _make_sem(physics, dim)
@@ -130,7 +131,7 @@ class TestPooledOperatorDeterminism:
         got1 = np.array(restr.apply(u))
         got2 = np.array(restr.apply(u))
         assert np.array_equal(got1, got2), (physics, dim)
-        ref = sem.A.tocsc()[:, cols] @ u[cols]
+        ref = csr.A(sem).tocsc()[:, cols] @ u[cols]
         assert _rel_err(got1, ref) < 1e-12, (physics, dim)
 
 
@@ -158,7 +159,7 @@ class TestRestrictionOutContract:
     def test_out_contract(self, physics, dim, sparse):
         sem = _make_sem(physics, dim)
         cols = self._cols(sem, sparse)
-        A_cols = sem.A.tocsc()[:, cols]
+        A_cols = csr.A(sem).tocsc()[:, cols]
         rng = np.random.default_rng(20 + dim)
         u1, u2 = rng.standard_normal((2, sem.n_dof))
         ref = A_cols @ u2[cols]

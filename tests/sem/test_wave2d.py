@@ -7,6 +7,7 @@ from repro.core import NewmarkSolver
 from repro.core.newmark import staggered_initial_velocity
 from repro.mesh import uniform_grid
 from repro.sem import SemND, discrete_energy
+from oracles import csr
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,8 @@ class TestStandingWave2D:
         T = 0.8
         n = 600
         dt = T / n
-        v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-        u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
+        v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+        u, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, n)
         exact = u0 * np.cos(om * T)
         assert np.max(np.abs(u - exact)) < 5e-4
 
@@ -39,8 +40,8 @@ class TestStandingWave2D:
         errs = []
         for n in (150, 300, 600):
             dt = T / n
-            v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-            u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
+            v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+            u, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, n)
             errs.append(np.max(np.abs(u - u0 * np.cos(om * T))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(o > 1.8 for o in orders), (errs, orders)
@@ -54,8 +55,8 @@ class TestStandingWave2D:
             u0 = sem.interpolate(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
             T, n = 0.2, 800
             dt = T / n
-            v0 = staggered_initial_velocity(sem.A, dt, u0, np.zeros_like(u0))
-            u, _ = NewmarkSolver(sem.A, dt).run(u0, v0, n)
+            v0 = staggered_initial_velocity(csr.A(sem), dt, u0, np.zeros_like(u0))
+            u, _ = NewmarkSolver(csr.A(sem), dt).run(u0, v0, n)
             errs[order] = np.max(np.abs(u - u0 * np.cos(om * T)))
         assert errs[4] < errs[2] / 10
 
@@ -63,13 +64,13 @@ class TestStandingWave2D:
         sem = square
         u = sem.interpolate(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         dt = 5e-4
-        v = staggered_initial_velocity(sem.A, dt, u, np.zeros_like(u))
-        solver = NewmarkSolver(sem.A, dt)
+        v = staggered_initial_velocity(csr.A(sem), dt, u, np.zeros_like(u))
+        solver = NewmarkSolver(csr.A(sem), dt)
         energies = []
         for _ in range(200):
             u_prev = u.copy()
             u, v = solver.step(u, v)
-            energies.append(discrete_energy(sem.M, sem.K, u_prev, u, v))
+            energies.append(discrete_energy(sem.M, csr.K(sem), u_prev, u, v))
         energies = np.asarray(energies)
         assert np.ptp(energies) / energies.mean() < 1e-6
 
@@ -83,6 +84,6 @@ class TestHeterogeneous2D:
         contrast_mesh.c = contrast_mesh.c.copy()
         contrast_mesh.c[5] = 4.0
         contrast = SemND(contrast_mesh, order=3)
-        dt_u = stable_timestep_from_operator(uniform.A)
-        dt_c = stable_timestep_from_operator(contrast.A)
+        dt_u = stable_timestep_from_operator(csr.A(uniform))
+        dt_c = stable_timestep_from_operator(csr.A(contrast))
         assert dt_c < dt_u / 2  # 4x velocity ~ 4x smaller step

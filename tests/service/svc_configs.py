@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-def small_config(src=(2.0, 3.0), name="svc", backend="matfree") -> dict:
+def small_config(src=(2.0, 3.0), name="svc", fused=None) -> dict:
     """A sub-second simulation spec (6x6 grid, 3 cycles)."""
     return {
         "name": name,
@@ -11,7 +11,7 @@ def small_config(src=(2.0, 3.0), name="svc", backend="matfree") -> dict:
         "time": {"n_cycles": 3},
         "source": {"position": list(src), "f0": 0.8},
         "receivers": {"positions": [[4.0, 3.0]]},
-        "backend": {"stiffness": backend},
+        "backend": {"stiffness": "matfree", "fused": fused},
     }
 
 

@@ -60,15 +60,15 @@ class TestRoundTrip:
             assert dev <= 1e-12
             assert np.array_equal(data["times"], ref.times)
 
-    def test_assembled_job_matches_direct_run(self, client, tmp_path):
-        """An assembled-backend job, run in a worker thread through the
-        server's shared cache, steps to the same bits as a direct run."""
-        cfg = small_config(backend="assembled", name="asm")
+    def test_numpy_job_matches_direct_run(self, client, tmp_path):
+        """A NumPy-tier job, run in a worker thread through the server's
+        shared cache, steps to the same bits as a direct run."""
+        cfg = small_config(fused=False, name="np")
         record = client.wait(client.submit(config=cfg)["id"], timeout=120)
         assert record["state"] == "done", record.get("error")
-        assert record["metadata"]["member"]["kernel_tier"] == "assembled"
+        assert record["metadata"]["member"]["kernel_tier"] == "numpy"
         ref = run(SimulationConfig.from_dict(cfg))
-        with np.load(client.fetch(record["id"], tmp_path / "asm")) as data:
+        with np.load(client.fetch(record["id"], tmp_path / "np")) as data:
             assert np.array_equal(data["traces"], ref.traces)
 
     def test_ensemble_round_trip(self, client, tmp_path):

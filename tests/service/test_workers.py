@@ -57,21 +57,21 @@ class TestSharedCacheProvenance:
         assert cache.stats.misses == ma["cache_misses"]
         assert pool.completed_total == 2
 
-    def test_assembled_jobs_share_the_memory_cache(self, queue):
-        """Assembled jobs run in the worker thread like matrix-free
-        ones: with no cache_dir, a repeat job resolves every stage from
-        the pool's memory cache and steps to the same bits."""
+    def test_numpy_jobs_share_the_memory_cache(self, queue):
+        """NumPy-tier jobs run in the worker thread like fused ones:
+        with no cache_dir, a repeat job resolves every stage from the
+        pool's memory cache and steps to the same bits."""
         pool = WorkerPool(queue, n_workers=1)
         pool.start()
         try:
-            assembled = small_config(backend="assembled")
-            a = _wait_terminal(queue, queue.submit(assembled).id)
-            b = _wait_terminal(queue, queue.submit(assembled).id)
+            numpy_job = small_config(fused=False)
+            a = _wait_terminal(queue, queue.submit(numpy_job).id)
+            b = _wait_terminal(queue, queue.submit(numpy_job).id)
         finally:
             pool.drain()
         assert (a.state, b.state) == ("done", "done")
         assert pool.cache.cache_dir is None
-        assert a.metadata["member"]["kernel_tier"] == "assembled"
+        assert a.metadata["member"]["kernel_tier"] == "numpy"
         assert a.metadata["member"]["cache_misses"] > 0
         assert b.metadata["member"]["cache_misses"] == 0
         assert b.metadata["member"]["cache_hits"] > 0

@@ -30,7 +30,7 @@ def test_quickstart_runs_and_reports_speedup():
     out = _run("quickstart.py")
     assert "speedup model" in out
     assert "wall-clock speedup" in out
-    assert "both backends reproduce the same seismograms" in out
+    assert "LTS reproduces the Newmark baseline" in out
 
 
 def test_distributed_wave_matches_serial():
@@ -49,17 +49,17 @@ def test_elastic_basin_verifies():
     assert "elastic LTS run verified" in out
 
 
-def test_hex_trench_3d_verifies_both_backends():
+def test_hex_trench_3d_verifies_ranks_and_tiers():
     out = _run("hex_trench_3d.py")
     assert "3D hex LTS run verified" in out
 
 
-def test_elastic_trench_3d_verifies_both_backends():
+def test_elastic_trench_3d_verifies_ranks_and_tiers():
     out = _run("elastic_trench_3d.py")
     assert "3D elastic LTS run verified" in out
 
 
-def test_anisotropic_trench_3d_verifies_both_backends():
+def test_anisotropic_trench_3d_verifies_ranks_and_tiers():
     out = _run("anisotropic_trench_3d.py")
     assert "3D anisotropic LTS run verified" in out
 

@@ -30,6 +30,7 @@ from repro.runtime import (
 )
 from repro.runtime.perfmodel import scaled
 from repro.sem import SemND, point_source, ricker
+from oracles import csr
 
 
 class TestFullPipeline1D:
@@ -44,7 +45,7 @@ class TestFullPipeline1D:
         force = point_source(sem.n_dof, src, sem.M, ricker(f0=1.5))
         rec = sem.nearest_dof(3.0)
 
-        serial = LTSNewmarkSolver(sem.A, dof_level, levels.dt, force=force)
+        serial = LTSNewmarkSolver(csr.A(sem), dof_level, levels.dt, force=force)
         # Solvers step their plan's level-sorted numbering: fields go in
         # and come out through its replica map.
         m = serial.plan.replicas
@@ -136,10 +137,10 @@ class TestVelocityContrastPipeline2D:
         dof_level = dof_levels_from_elements(sem.element_dofs, levels.level, sem.n_dof)
         assert np.unique(dof_level).tolist() == [1, 2, 3]  # the inner reconstruct runs
         u0 = np.exp(-((sem.node_coords[:, 0] - 4) ** 2 + (sem.node_coords[:, 1] - 4) ** 2))
-        v0 = staggered_initial_velocity(sem.A, levels.dt, u0, np.zeros_like(u0))
+        v0 = staggered_initial_velocity(csr.A(sem), levels.dt, u0, np.zeros_like(u0))
 
-        u_ref, _ = algorithm1(sem.A, dof_level, levels.dt, u0, v0, 5)
-        u_opt, _ = LTSNewmarkSolver(sem.A, dof_level, levels.dt).run(u0, v0, 5)
+        u_ref, _ = algorithm1(csr.A(sem), dof_level, levels.dt, u0, v0, 5)
+        u_opt, _ = LTSNewmarkSolver(csr.A(sem), dof_level, levels.dt).run(u0, v0, 5)
         assert np.max(np.abs(u_ref - u_opt)) < 1e-12
 
         parts = PARTITIONERS["MeTiS"](mesh, levels, 4, seed=0)
