@@ -2,12 +2,15 @@
 threads, disk persistence, key-mismatch/corruption rejection — plus the
 content-key layer (stage_key / per-spec sub-hashes) it is addressed by."""
 
+import gc
 import multiprocessing
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.api import (
     BackendSpec,
@@ -17,6 +20,8 @@ from repro.api import (
     stage_key,
 )
 from oracles import csr
+from repro.core.operator import AssembledOperator
+from repro.sem.matfree import MatrixFreeStiffness
 from repro.util.errors import ConfigError
 
 
@@ -277,6 +282,21 @@ class TestSimulationThroughCache:
         assert cache.stats.resolutions["assembler"] == 1
         assert cache.stats.resolutions["levels"] == 1
         assert np.array_equal(base.times, numpy_leg.times)
+
+    def test_simulation_never_assembles(self):
+        """No stage of a run builds a matrix: the assembler, the solver
+        plan and the rank layout hold matrix-free products only."""
+        sim = Simulation(make_config(partition={"n_ranks": 2}), cache=StageCache())
+        sim.run()
+        seen, stack = set(), [sim.assembler, sim.solver_plan, sim.rank_layout]
+        while stack:
+            o = stack.pop()
+            if id(o) in seen or isinstance(o, (type, types.ModuleType, np.ndarray)):
+                continue
+            seen.add(id(o))
+            assert not sp.issparse(o) and not isinstance(o, AssembledOperator), type(o)
+            stack.extend(gc.get_referents(o))
+        assert all(isinstance(K, MatrixFreeStiffness) for K in sim.rank_layout.K_local)
 
     def test_variant_backend_swap_keeps_assembler_shared(self):
         sim = Simulation(make_config(), cache=StageCache())

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import SimulationConfig, SimulationResult, run
+from repro.api import PartitionSpec, SimulationConfig, SimulationResult, run
 
 REPO = Path(__file__).resolve().parents[2]
 QUICKSTART = REPO / "examples" / "configs" / "quickstart.json"
@@ -36,16 +37,17 @@ def _repro(*args, check=True):
 @pytest.fixture(scope="module")
 def quickstart_reference():
     """The façade's own quickstart traces (what examples/quickstart.py
-    records)."""
+    records), serial and on two ranks."""
     cfg = SimulationConfig.from_file(QUICKSTART)
-    return cfg, run(cfg)
+    return cfg, {1: run(cfg), 2: run(replace(cfg, partition=PartitionSpec(n_ranks=2)))}
 
 
 class TestRunParity:
-    def test_cli_reproduces_quickstart_traces(self, tmp_path, quickstart_reference):
-        _, ref = quickstart_reference
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_cli_reproduces_quickstart_traces(self, tmp_path, ranks, quickstart_reference):
+        ref = quickstart_reference[1][ranks]
         out = tmp_path / "quickstart.npz"
-        proc = _repro("run", str(QUICKSTART), "--output", str(out))
+        proc = _repro("run", str(QUICKSTART), "--ranks", str(ranks), "--output", str(out))
         assert "LTS levels" in proc.stdout
         data = np.load(out)
         assert np.abs(ref.traces).max() > 0
@@ -54,7 +56,8 @@ class TestRunParity:
         assert np.array_equal(data["receiver_dofs"], ref.receiver_dofs)
 
     def test_saved_config_round_trips(self, tmp_path, quickstart_reference):
-        cfg, ref = quickstart_reference
+        cfg, refs = quickstart_reference
+        ref = refs[1]
         out = tmp_path / "out.npz"
         _repro("run", str(QUICKSTART), "--output", str(out))
         stored = json.loads(str(np.load(out)["config_json"]))

@@ -122,8 +122,10 @@ class TestResilienceSpec:
 
 
 class TestKillAndResume:
-    def test_serial_resume_is_bitwise(self, tmp_path, serial_reference):
+    @pytest.mark.parametrize("tier", ["auto", "numpy"])
+    def test_serial_resume_is_bitwise(self, tmp_path, tier, serial_reference):
         cfg = config(
+            backend={"stiffness": "matfree", **({"fused": False} if tier == "numpy" else {})},
             resilience={
                 "checkpoint_every": 3,
                 "checkpoint_dir": str(tmp_path),
@@ -138,7 +140,10 @@ class TestKillAndResume:
         assert np.array_equal(resumed.v, full.v)
         assert np.array_equal(resumed.traces, full.traces)
         assert resumed.metadata["resilience"]["resumed_from_cycle"] == 6
-        assert np.array_equal(full.u, serial_reference.u)
+        if tier == "auto":  # the default backend: the reference's
+            assert np.array_equal(full.u, serial_reference.u)
+        else:
+            assert relative_deviation(serial_reference, full) <= 1e-12
 
     @pytest.mark.parametrize("n_ranks", [1, 4])
     def test_plain_guarded_and_resumed_runs_are_bitwise(

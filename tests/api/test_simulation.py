@@ -105,51 +105,59 @@ class TestPipelineStages:
         with pytest.raises(ConfigError, match="2 coordinates but the mesh is 3D"):
             Simulation(config_3d(source={"position": [1.0, 2.0]})).force
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_source_on_a_clamped_dof_refused(self, dim):
         """A source on a Dirichlet DOF would move the clamped node and
         send no wave into the domain: refused, naming the position.  The
         same source one element inside runs."""
+        make, extra = config_2d, {}
         if dim == 1:
             mesh = {"family": "refined_interval", "params": {
                 "n_coarse": 16, "n_fine": 4, "refinement": 2, "coarse_h": 0.125}}
             inside, corner = [1.0], [0.0]
-        else:
+        elif dim == 2:
             mesh, inside, corner = None, [1.0, 3.0], [0.0, 6.0]
-        over = dict(dirichlet=True, source={"position": corner, "f0": 0.8})
-        if mesh is not None:
+        else:  # elastic: every component of the corner node is clamped
+            make, extra = config_3d, {"component": 2}
+            mesh, inside, corner = None, [1.0, 2.0, 0.5], [0.0, 0.0, 0.0]
+        over = dict(dirichlet=True, source={"position": corner, "f0": 0.8, **extra})
+        if dim == 1:
             over.update(mesh=mesh, material={"model": "acoustic"}, receivers=None)
         with pytest.raises(ConfigError, match=rf"source position \{corner}.*is Dirichlet"):
-            Simulation(config_2d(**over)).force
-        over["source"] = {"position": inside, "f0": 0.8}
-        sim = Simulation(config_2d(**over))
+            Simulation(make(**over)).force
+        over["source"] = {"position": inside, "f0": 0.8, **extra}
+        sim = Simulation(make(**over))
         assert sim.assembler.dirichlet_mask[sim.force.dof] == 1.0
         # Without Dirichlet rows the corner is an ordinary DOF.
-        over.update(dirichlet=False, source={"position": corner, "f0": 0.8})
-        assert Simulation(config_2d(**over)).force is not None
+        over.update(dirichlet=False, source={"position": corner, "f0": 0.8, **extra})
+        assert Simulation(make(**over)).force is not None
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_receiver_on_a_clamped_dof_refused(self, dim):
         """A receiver on a Dirichlet DOF would record zeros: refused,
         naming the receiver's index and position.  The same receiver one
         element inside records the wave."""
+        make, extra = config_2d, {}
         if dim == 1:
             mesh = {"family": "refined_interval", "params": {
                 "n_coarse": 16, "n_fine": 4, "refinement": 2, "coarse_h": 0.125}}
             inside, corner, src = [1.0], [0.0], [0.75]
-        else:
+        elif dim == 2:
             mesh, inside, corner, src = None, [1.0, 3.0], [0.0, 6.0], [2.0, 3.0]
-        over = dict(dirichlet=True, source={"position": src, "f0": 0.8},
-                    receivers={"positions": [inside, corner]})
-        if mesh is not None:
+        else:  # elastic: every component of the corner node is clamped
+            make, extra = config_3d, {"component": 2}
+            mesh, inside, corner, src = None, [4.0, 2.0, 0.5], [6.0, 4.0, 0.0], [1.0, 2.0, 0.5]
+        over = dict(dirichlet=True, source={"position": src, "f0": 0.8, **extra},
+                    receivers={"positions": [inside, corner], **extra})
+        if dim == 1:
             over.update(mesh=mesh, material={"model": "acoustic"})
         with pytest.raises(ConfigError, match=rf"receiver #1 at \{corner}.*is Dirichlet"):
-            Simulation(config_2d(**over)).receiver_dofs
-        over["receivers"] = {"positions": [inside]}
-        assert np.abs(Simulation(config_2d(**over)).run().traces).max() > 0
+            Simulation(make(**over)).receiver_dofs
+        over["receivers"] = {"positions": [inside], **extra}
+        assert np.abs(Simulation(make(**over)).run().traces).max() > 0
         # Without Dirichlet rows the corner is an ordinary DOF.
-        over.update(dirichlet=False, receivers={"positions": [corner]})
-        assert Simulation(config_2d(**over)).receiver_dofs is not None
+        over.update(dirichlet=False, receivers={"positions": [corner], **extra})
+        assert Simulation(make(**over)).receiver_dofs is not None
 
     def test_t_end_mode_lands_exactly(self):
         cfg = config_2d(time={"t_end": 1.0, "c_cfl": 0.35})
@@ -270,6 +278,16 @@ class TestSerialDistributedAgreement:
         assert relative_deviation(serial, dist) < 1e-11
         assert relative_deviation(dist, numpy_leg) < 1e-12
         assert sim.cache.stats.resolutions["assembler"] == 1
+
+    def test_partition_variant_keeps_fused_choice(self):
+        """A distributed leg derived from a NumPy-tier config runs the
+        NumPy tier on every rank, as the base does serially."""
+        sim = Simulation(config_2d(backend={"stiffness": "matfree", "fused": False}))
+        dist = sim.variant(partition=PartitionSpec(n_ranks=3))
+        assert dist.config.backend.fused is False
+        base, leg = sim.run(), dist.run()
+        assert base.metadata["kernel_tier"] == leg.metadata["kernel_tier"] == "numpy"
+        assert relative_deviation(base, leg) < 1e-11
 
     def test_variant_shares_resolved_stages(self):
         sim = Simulation(config_2d())

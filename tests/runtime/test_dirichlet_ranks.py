@@ -2,8 +2,9 @@
 
 The serial ``A`` masks rows and columns.  A rank layout holds the mask
 the same way: the columns on the rank-local stiffness (the matrix-free
-``gmask``), the rows folded into the rank-local ``1/M``.  So N ranks equal the serial run, and the boundary
-DOFs stay exactly zero, on every tier.
+``gmask``, or the column block of the CSR oracle's share), the rows
+folded into the rank-local ``1/M``.  So N ranks equal the serial run,
+and the boundary DOFs stay exactly zero, on every tier.
 """
 
 import numpy as np
@@ -12,8 +13,11 @@ import pytest
 from repro.api import Simulation
 from repro.runtime import DistributedLTSSolver, MailboxWorld, build_rank_layout
 from repro.sem import fused
+from oracles import csr
 
 BACKENDS = {
+    # Ranks apply the CSR oracle's shares; the serial run is the NumPy tier.
+    "assembled": {"stiffness": "matfree", "fused": False},
     "numpy": {"stiffness": "matfree", "fused": False},
     "fused": {"stiffness": "matfree", "fused": True},
 }
@@ -47,7 +51,10 @@ def test_dirichlet_run_on_ranks_equals_serial(backend, ranks):
     serial = sim.run()
     sem, b = sim.assembler, sim.config.backend
     parts = np.arange(sem.mesh.n_elements) * ranks // sem.mesh.n_elements
-    layout = build_rank_layout(sem, parts, ranks, dof_level=sim.dof_level, use_fused=b.fused)
+    if backend == "assembled":
+        layout = csr.rank_layout(sem, parts, ranks, dof_level=sim.dof_level)
+    else:
+        layout = build_rank_layout(sem, parts, ranks, dof_level=sim.dof_level, use_fused=b.fused)
     solver = DistributedLTSSolver(layout, serial.dt, world=MailboxWorld(ranks), force=sim.force)
     zeros = np.zeros(sem.n_dof)
     u, v = solver.run(zeros, zeros, serial.n_cycles)

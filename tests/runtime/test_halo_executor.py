@@ -127,6 +127,16 @@ class TestLayout:
         if dirichlet:
             assert not total[sem.dirichlet_mask == 0].any()
 
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    def test_one_rank_csr_share_is_the_serial_A(self, dirichlet):
+        """On one rank the oracle's share is :func:`csr.A` entry for
+        entry: the same stored order, so the same sums."""
+        sem = SemND(uniform_grid((4, 3)), order=3, dirichlet=dirichlet)
+        (share,) = csr.rank_layout(sem, np.zeros(12, dtype=np.int64), 1).K_local
+        A = csr.A(sem)
+        for f in ("indptr", "indices", "data"):
+            assert getattr(share, f).tobytes() == getattr(A, f).tobytes(), f
+
     @pytest.mark.parametrize("n_ranks", [None, 1, 4])
     def test_assembly_batches_stay_bounded(self, n_ranks, monkeypatch):
         """Assembly holds at most one chunk of dense element matrices at
