@@ -7,33 +7,26 @@ u)`` for a per-element Voigt stiffness ``C`` (3x3 in 2D plane strain,
 6x6 in 3D) on conforming meshes of axis-aligned box elements, generic
 over dimension.
 
-On an axis-aligned box every element block is still a per-element scalar
-combination of *geometry-free* reference kernels — the same machinery
-the isotropic physics uses, generalized to arbitrary pair coefficients:
-with the rank-4 tensor ``c_{cadb}`` of the material
-(:meth:`repro.sem.materials.AnisotropicElastic.stiffness_tensor`), the
-component block ``(c, d)`` is::
-
-    K_cd = sum_a c_cada s_a K_a
-         + sum_{a<b} g_ab (c_cadb R_ab + c_cbda R_ab^T)
-
-with the per-axis kernels ``K_a`` and scales ``s_a``
-(:func:`repro.sem.tensor.elastic_axis_scales`), the axis-pair cross
-kernels ``R_ab = G_a^T W G_b`` and pair scales ``g_ab``
-(:func:`repro.sem.tensor.elastic_pair_scales`).  The isotropic tensor
-reduces this to exactly the :class:`~repro.sem.tensor.ElasticSemND`
-blocks (tested to 1e-14).
-
-The package never forms these blocks: the matrix-free operator applies
-the same operator in stress form
+On an axis-aligned box the element operator is a per-element scalar
+combination of *geometry-free* reference contractions.  The matrix-free
+operator applies it in SPECFEM's stress form
 (:class:`repro.sem.matfree.AnisotropicKernelND`, built by
-:meth:`AnisotropicElasticSemND.kernel`: gradient contractions, a
-per-element Hooke combine, divergence contractions) — so LTS level
-restriction, rank-local stiffness and the distributed
-executors work unchanged.  LTS levels follow the *Christoffel* maximal
-velocity: pass the assembler as ``assembler=`` to
-:func:`repro.core.levels.assign_levels` (Eq. (7) with the quasi-P
-speed).
+:meth:`AnisotropicElasticSemND.kernel`): the gradients ``G_b u_d``, the
+pointwise stress ``S_ca = W sum_db c_cadb g_ab G_b u_d`` with the rank-4
+tensor ``c_cadb`` of the material
+(:meth:`repro.sem.materials.AnisotropicElastic.stiffness_tensor`) and
+the axis-pair geometry scales ``g_ab``
+(:func:`repro.sem.tensor.elastic_pair_scales`), then the weighted
+divergence ``sum_a G_a^T S_ca``.  The isotropic elastic operator
+(:class:`~repro.sem.tensor.ElasticSemND`) is this kernel fed the
+isotropic tensor.  The assembled block form the stress form reduces to
+is the tests' CSR oracle's (``tests/oracles/csr.py``).  LTS level
+restriction, rank-local stiffness and the distributed executors work
+unchanged.
+
+LTS levels follow the *Christoffel* maximal velocity: pass the
+assembler as ``assembler=`` to :func:`repro.core.levels.assign_levels`
+(Eq. (7) with the quasi-P speed).
 """
 
 from __future__ import annotations

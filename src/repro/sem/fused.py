@@ -8,9 +8,10 @@ the element workspace lives in registers/L1; this module provides that
 tier: a small C source compiled on demand with the system compiler and
 loaded through :mod:`ctypes` (stdlib only — no new dependencies).
 Kernels: 2D acoustic (``ac_apply``), 3D hexahedral acoustic
-(``ac_apply3``), 2D elastic (``el_apply``), 3D hexahedral elastic in
-stress form (``el_apply3``), 2D/3D anisotropic stress form (``an_apply`` /
-``an_apply3``); the 3D kernels cover orders <= ``MAX_ORDER_3D``.
+(``ac_apply3``), and the elastic stress form: 2D isotropic and
+anisotropic (``an_apply``), 3D isotropic (``el_apply3``) and 3D
+anisotropic (``an_apply3``); the 3D kernels cover orders <=
+``MAX_ORDER_3D``.
 
 The kernels are strictly optional.  If no C compiler is available, the
 compile fails, ``REPRO_FUSED=0`` is set, or the polynomial order exceeds
@@ -33,18 +34,20 @@ copy with the runtime ``n1`` for every other order.  An apply picks its
 copy once, so at order 4 every contraction loop has a trip count the
 compiler sees (unrolled, register-blocked).  Both copies are the same
 source doing the same IEEE operations in the same order: bitwise the
-runtime loop.  Other orders and kernels get a literal copy only once a
-benchmark workload runs them.
+runtime loop.  The anisotropic blocks (``an_block``, ``an_block3``),
+which no benchmark workload runs, have the runtime copy only.
 
-The 3D elastic block runs in SPECFEM's stress form (Komatitsch & Tromp
-1999): the nine gradients ``D`` along each axis of each component, a
-pointwise stress from the element's 15 coefficients, and the weighted
-divergence ``D^T`` back onto each component — 18 axis contractions per
-block, where the NumPy tier's block form
-(:class:`repro.sem.matfree.ElasticKernelND`) takes 33.  The block reads
-each row of the DOF table once for the gather and once for the scatter,
-all three components together; a DOF still gets its elements' terms in
-block, then lane order.
+Every elastic block runs SPECFEM's stress form (Komatitsch & Tromp
+1999): the gradients ``D`` along each axis of each component, a
+pointwise stress, and the weighted divergence ``D^T`` back onto each
+component — 18 axis contractions per 3D block.  In 3D one body
+(``stress_block3``) serves both kernels and only the stress differs:
+``el_block3`` forms the isotropic stress from 15 coefficients per
+element, ``an_block3`` the general one from 81.  The body reads each
+row of the DOF table once for the gather and once for the scatter, all
+three components together; a DOF still gets its elements' terms in
+block, then lane order.  In 2D the isotropic operator runs
+``an_apply`` on its isotropic tensor.
 
 Threading
 ---------
@@ -191,20 +194,6 @@ static inline void mul_right_add(const double *restrict A, const v8 *restrict U,
             v8 acc = {0};
             for (int b = 0; b < n1; ++b) acc += aj[b] * ui[b];
             O[i * n1 + j] += acc;
-        }
-    }
-}
-
-/* O[i][j] += coef * sum_a A[i*n1+a] * U[a*n1+j] */
-static inline void mul_left_acc(const double *restrict A, const v8 *restrict U,
-                                v8 *restrict O, v8 coef, int n1)
-{
-    for (int i = 0; i < n1; ++i) {
-        const double *ai = A + i * n1;
-        for (int j = 0; j < n1; ++j) {
-            v8 acc = {0};
-            for (int a = 0; a < n1; ++a) acc += ai[a] * U[a * n1 + j];
-            O[i * n1 + j] += coef * acc;
         }
     }
 }
@@ -456,173 +445,6 @@ void ac_apply3(const double *restrict u, double *restrict z,
 }
 
 /*
- * Elastic P-SV block, component-interleaved ed of width 2*nl:
- *   fx = cp hy/hx K1 Ux + mu hx/hy K2 Ux + lam C Uy + mu C^T Uy
- *   fy = mu hy/hx K1 Uy + cp hx/hy K2 Uy + mu C Ux + lam C^T Ux
- * with C U = E (U F^T), C^T U = E^T (U F); E/ET/F/FT passed explicitly.
- */
-static void el_block(long e0, int n1,
-                     const double *restrict KxX, const double *restrict w,
-                     const double *restrict E, const double *restrict ET,
-                     const double *restrict F, const double *restrict FT,
-                     const double *restrict lam, const double *restrict mu,
-                     const double *restrict hx, const double *restrict hy,
-                     const int32_t *restrict ed, const double *restrict u,
-                     const uint8_t *restrict gmask, double *restrict z)
-{
-    int nl = n1 * n1;
-    v8 Ux[MAXNL], Uy[MAXNL], T1[MAXNL], T2[MAXNL], S[MAXNL], Fo[MAXNL];
-    for (int l = 0; l < VL; ++l) {
-        const int32_t *d = ed + (e0 + l) * 2 * nl;
-        const uint8_t *gm = gmask ? gmask + (e0 + l) * 2 * nl : 0;
-        gather(d, 2, nl, u, gm, Ux, l);
-        gather(d + 1, 2, nl, u, gm ? gm + 1 : 0, Uy, l);
-    }
-    v8 LAM, MU, C1, C2, C3, C4;
-    for (int l = 0; l < VL; ++l) {
-        double le = lam[e0 + l], me = mu[e0 + l];
-        double rx = hy[e0 + l], ry = hx[e0 + l];
-        double gx = (ry != 0.0) ? rx / ry : 0.0;  /* hy/hx; ghosts have h=0 */
-        double gy = (rx != 0.0) ? ry / rx : 0.0;
-        LAM[l] = le; MU[l] = me;
-        C1[l] = (le + 2 * me) * gx;  /* K1 coeff in fx */
-        C2[l] = me * gy;             /* K2 coeff in fx */
-        C3[l] = me * gx;             /* K1 coeff in fy */
-        C4[l] = (le + 2 * me) * gy;  /* K2 coeff in fy */
-    }
-    for (int comp = 0; comp < 2; ++comp) {
-        const v8 *U = comp ? Uy : Ux;
-        const v8 *V = comp ? Ux : Uy;  /* shear partner */
-        v8 K1C = comp ? C3 : C1, K2C = comp ? C4 : C2;
-        v8 CL = comp ? MU : LAM;   /* coeff of C V   */
-        v8 CT = comp ? LAM : MU;   /* coeff of C^T V */
-        mul_left(KxX, U, T1, n1);
-        mul_right(KxX, U, T2, n1);
-        for (int i = 0; i < n1; ++i) {
-            v8 K2W = K2C * w[i];
-            for (int j = 0; j < n1; ++j)
-                Fo[i * n1 + j] = K1C * w[j] * T1[i * n1 + j] + K2W * T2[i * n1 + j];
-        }
-        mul_right(F, V, S, n1);       /* S = V F^T  */
-        mul_left_acc(E, S, Fo, CL, n1);
-        mul_right(FT, V, S, n1);      /* S = V F    */
-        mul_left_acc(ET, S, Fo, CT, n1);
-        for (int l = 0; l < VL; ++l) {
-            const int32_t *d = ed + (e0 + l) * 2 * nl + comp;
-            for (int k = 0; k < nl; ++k) z[d[2 * k]] += Fo[k][l];
-        }
-    }
-}
-
-void el_apply(const double *restrict u, double *restrict z,
-              long ne, long n_dof, int n1,
-              const double *restrict KxX, const double *restrict w,
-              const double *restrict E, const double *restrict ET,
-              const double *restrict F, const double *restrict FT,
-              const double *restrict lam, const double *restrict mu,
-              const double *restrict hx, const double *restrict hy,
-              const int32_t *restrict ed,
-              const uint8_t *restrict gmask, int n_threads, double *restrict zt)
-{
-#define EL_CALL(ZP) \
-    el_block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
-    APPLY_DRIVER(EL_CALL);
-#undef EL_CALL
-}
-
-/*
- * 3D isotropic elastic block in SPECFEM's stress form (gradient ->
- * stress -> weighted divergence), component-interleaved ed of width
- * 3*nl.  With g_d U the contraction of U with D along axis d and W =
- * w_i w_j w_k:
- *   S_cc = W (ds[c][c] g_c U_c + sum_{e != c} lamg[ce] g_e U_e),
- *   S_cd = W (ds[c][d] g_d U_c + mug[cd] g_c U_d)   (d != c),
- *   f_c  = sum_d D_d^T S_cd:
- * the block form's diagonal terms G_a^T W G_a and pair terms
- * lam G_c^T W G_d, mu G_d^T W G_c regrouped by the divergence axis, 9
- * gradient and 9 divergence axis contractions per block.  coef carries
- * 15 doubles per element: ds[3][3] row-major, then lamg and mug for the
- * pairs (0,1), (0,2), (1,2) -- all with the geometry factors folded in.
- */
-BLOCK el_block3(long e0, int n1,
-                const double *restrict D, const double *restrict Dt,
-                const double *restrict w, const double *restrict coef,
-                const int32_t *restrict ed, const double *restrict u,
-                const uint8_t *restrict gmask, double *restrict z)
-{
-    int n2 = n1 * n1, nl = n2 * n1;
-    static _Thread_local v8 U[3][MAXNL3], G[3][3][MAXNL3];
-    v8 (*Fo)[MAXNL3] = U;  /* the divergence's output: U is dead by then */
-    const int str[3] = {n2, n1, 1};
-    for (int l = 0; l < VL; ++l) {  /* one pass over each row of ed */
-        const int32_t *d = ed + (e0 + l) * 3 * nl;
-        const uint8_t *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
-        for (int k = 0; k < nl; ++k)
-            for (int c = 0; c < 3; ++c)
-                U[c][k][l] = gm ? u[d[3 * k + c]] * (double)gm[3 * k + c]
-                                : u[d[3 * k + c]];
-    }
-    v8 CF[15];
-    for (int m = 0; m < 15; ++m)
-        for (int l = 0; l < VL; ++l) CF[m][l] = coef[(e0 + l) * 15 + m];
-    /* 1. gradient: G[c][d] = g_d U_c */
-    for (int c = 0; c < 3; ++c)
-        for (int d = 0; d < 3; ++d)
-            axis3_mul(D, U[c], G[c][d], n1,
-                      str[d], str[(d + 1) % 3], str[(d + 2) % 3]);
-    /* 2. stress, in place: G[c][d] becomes S_cd */
-    for (int i = 0; i < n1; ++i)
-        for (int j = 0; j < n1; ++j)
-            for (int k = 0; k < n1; ++k) {
-                int f = (i * n1 + j) * n1 + k;
-                double W = w[i] * w[j] * w[k];
-                v8 g00 = G[0][0][f], g11 = G[1][1][f], g22 = G[2][2][f];
-                G[0][0][f] = W * (CF[0] * g00 + CF[9] * g11 + CF[10] * g22);
-                G[1][1][f] = W * (CF[4] * g11 + CF[9] * g00 + CF[11] * g22);
-                G[2][2][f] = W * (CF[8] * g22 + CF[10] * g00 + CF[11] * g11);
-                for (int c = 0; c < 2; ++c)
-                    for (int d = c + 1; d < 3; ++d) {
-                        v8 MG = CF[12 + c + d - 1];
-                        v8 gcd = G[c][d][f], gdc = G[d][c][f];
-                        G[c][d][f] = W * (CF[3 * c + d] * gcd + MG * gdc);
-                        G[d][c][f] = W * (CF[3 * d + c] * gdc + MG * gcd);
-                    }
-            }
-    /* 3. weighted divergence: f_c = sum_d D_d^T S_cd */
-    for (int c = 0; c < 3; ++c) {
-        axis3_mul(Dt, G[c][0], Fo[c], n1, str[0], str[1], str[2]);
-        axis3_mul_add(Dt, G[c][1], Fo[c], n1, str[1], str[2], str[0]);
-        axis3_mul_add(Dt, G[c][2], Fo[c], n1, str[2], str[0], str[1]);
-    }
-    /* scatter, one pass over each row of ed: a DOF still receives its
-     * elements' terms in block, then lane order */
-    for (int l = 0; l < VL; ++l) {
-        const int32_t *d = ed + (e0 + l) * 3 * nl;
-        for (int k = 0; k < nl; ++k)
-            for (int c = 0; c < 3; ++c) z[d[3 * k + c]] += Fo[c][k][l];
-    }
-}
-ORDER_INSTANCES(el_block3,
-    (const double *restrict D, const double *restrict Dt,
-     const double *restrict w, const double *restrict coef,
-     const int32_t *restrict ed, const double *restrict u,
-     const uint8_t *restrict gmask, double *restrict z),
-    (D, Dt, w, coef, ed, u, gmask, z))
-
-void el_apply3(const double *restrict u, double *restrict z,
-               long ne, long n_dof, int n1,
-               const double *restrict D, const double *restrict Dt,
-               const double *restrict w, const double *restrict coef,
-               const int32_t *restrict ed,
-               const uint8_t *restrict gmask, int n_threads, double *restrict zt)
-{
-    el_block3_fn block = el_block3_for(n1);
-#define EL3_CALL(ZP) block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
-    APPLY_DRIVER(EL3_CALL);
-#undef EL3_CALL
-}
-
-/*
  * 2D anisotropic stress-form block, component-interleaved ed of width
  * 2*nl.  Mirrors repro.sem.matfree.AnisotropicKernelND: with G_b the 1D
  * derivative along axis b and W the tensor quadrature weights,
@@ -689,57 +511,134 @@ void an_apply(const double *restrict u, double *restrict z,
 }
 
 /*
- * 3D anisotropic stress-form block: same structure as an_block on the
- * hex layout flat = (i*n1 + j)*n1 + k, coef width dim^4 = 81, axis
- * contractions via axis3_mul with cyclic stride permutations.
+ * 3D elastic block in SPECFEM's stress form (Komatitsch & Tromp 1999),
+ * component-interleaved ed of width 3*nl, hex layout flat = (i*n1 +
+ * j)*n1 + k.  With g_d U the contraction of U with D along axis d
+ * (axis3_mul with cyclic stride permutations) and W = w_i w_j w_k: a
+ * one-pass gather, the nine gradients G[c][d] = g_d U_c, the pointwise
+ * stress S_cd written over them, the weighted divergences f_c = sum_d
+ * D_d^T S_cd and a one-pass scatter -- 18 axis contractions per block.
+ * Each row of ed is read once for the gather and once for the scatter;
+ * a DOF still receives its elements' terms in block, then lane order.
+ * Only the stress differs between the callers, picked by the constant
+ * `iso` (ncf coefficients per element, the geometry factors folded in):
+ *
+ * iso = 0 (an_block3), ncf = 81, coef[c][a][d][b] C-order:
+ *   S_ca = W sum_db coef[c][a][d][b] G[d][b];
+ * iso = 1 (el_block3), ncf = 15, the isotropic tensor's nonzero
+ * pattern: ds[3][3] row-major (ds[c][d] = coef[c][d][c][d]), then lamg
+ * (coef[c][c][d][d]) and mug (coef[c][d][d][c]) for the pairs (0,1),
+ * (0,2), (1,2):
+ *   S_cc = W (ds[c][c] G[c][c] + sum_{e != c} lamg[ce] G[e][e]),
+ *   S_cd = W (ds[c][d] G[c][d] + mug[cd] G[d][c])   (d != c).
  */
-static void an_block3(long e0, int n1,
-                      const double *restrict D, const double *restrict Dt,
-                      const double *restrict w, const double *restrict coef,
-                      const int32_t *restrict ed, const double *restrict u,
-                      const uint8_t *restrict gmask, double *restrict z)
+BLOCK stress_block3(long e0, int n1, int iso,
+                    const double *restrict D, const double *restrict Dt,
+                    const double *restrict w, const double *restrict coef,
+                    const int32_t *restrict ed, const double *restrict u,
+                    const uint8_t *restrict gmask, double *restrict z)
 {
-    int n2 = n1 * n1, nl = n2 * n1;
-    static _Thread_local v8 U[3][MAXNL3], DU[3][3][MAXNL3], S[3][MAXNL3],
-        Fo[MAXNL3];
+    int n2 = n1 * n1, nl = n2 * n1, ncf = iso ? 15 : 81;
+    static _Thread_local v8 U[3][MAXNL3], G[3][3][MAXNL3];
+    v8 (*Fo)[MAXNL3] = U;  /* the divergence's output: U is dead by then */
     const int str[3] = {n2, n1, 1};
-    for (int l = 0; l < VL; ++l) {
+    for (int l = 0; l < VL; ++l) {  /* one pass over each row of ed */
         const int32_t *d = ed + (e0 + l) * 3 * nl;
         const uint8_t *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
-        for (int c = 0; c < 3; ++c)
-            gather(d + c, 3, nl, u, gm ? gm + c : 0, U[c], l);
+        for (int k = 0; k < nl; ++k)
+            for (int c = 0; c < 3; ++c)
+                U[c][k][l] = gm ? u[d[3 * k + c]] * (double)gm[3 * k + c]
+                                : u[d[3 * k + c]];
     }
-    static _Thread_local v8 CF[81];
-    for (int m = 0; m < 81; ++m)
-        for (int l = 0; l < VL; ++l) CF[m][l] = coef[(e0 + l) * 81 + m];
-    /* 1. gradient: DU[d][b] = G_b U_d */
-    for (int d = 0; d < 3; ++d)
-        for (int b = 0; b < 3; ++b)
-            axis3_mul(D, U[d], DU[d][b], n1,
-                      str[b], str[(b + 1) % 3], str[(b + 2) % 3]);
+    v8 CF[81];
+    for (int m = 0; m < ncf; ++m)
+        for (int l = 0; l < VL; ++l) CF[m][l] = coef[(e0 + l) * ncf + m];
+    /* 1. gradient: G[c][d] = g_d U_c */
+    for (int c = 0; c < 3; ++c)
+        for (int d = 0; d < 3; ++d)
+            axis3_mul(D, U[c], G[c][d], n1,
+                      str[d], str[(d + 1) % 3], str[(d + 2) % 3]);
+    /* 2. stress, in place: G[c][d] becomes S_cd */
+    for (int i = 0; i < n1; ++i)
+        for (int j = 0; j < n1; ++j)
+            for (int k = 0; k < n1; ++k) {
+                int f = (i * n1 + j) * n1 + k;
+                double W = w[i] * w[j] * w[k];
+                if (iso) {
+                    v8 g00 = G[0][0][f], g11 = G[1][1][f], g22 = G[2][2][f];
+                    G[0][0][f] = W * (CF[0] * g00 + CF[9] * g11 + CF[10] * g22);
+                    G[1][1][f] = W * (CF[4] * g11 + CF[9] * g00 + CF[11] * g22);
+                    G[2][2][f] = W * (CF[8] * g22 + CF[10] * g00 + CF[11] * g11);
+                    for (int c = 0; c < 2; ++c)
+                        for (int d = c + 1; d < 3; ++d) {
+                            v8 MG = CF[12 + c + d - 1];
+                            v8 gcd = G[c][d][f], gdc = G[d][c][f];
+                            G[c][d][f] = W * (CF[3 * c + d] * gcd + MG * gdc);
+                            G[d][c][f] = W * (CF[3 * d + c] * gdc + MG * gcd);
+                        }
+                } else {
+                    v8 g[9];
+                    for (int m = 0; m < 9; ++m) g[m] = G[m / 3][m % 3][f];
+                    for (int c = 0; c < 3; ++c)
+                        for (int a = 0; a < 3; ++a) {
+                            const v8 *cf = CF + (c * 3 + a) * 9;
+                            v8 acc = {0};
+                            for (int m = 0; m < 9; ++m) acc += cf[m] * g[m];
+                            G[c][a][f] = W * acc;
+                        }
+                }
+            }
+    /* 3. weighted divergence: f_c = sum_d D_d^T S_cd */
     for (int c = 0; c < 3; ++c) {
-        /* 2. Hooke combine, quadrature weights folded in */
-        for (int a = 0; a < 3; ++a) {
-            const v8 *cf = CF + (c * 3 + a) * 9;
-            for (int i = 0; i < n1; ++i)
-                for (int j = 0; j < n1; ++j)
-                    for (int k = 0; k < n1; ++k) {
-                        int f = (i * n1 + j) * n1 + k;
-                        v8 acc = {0};
-                        for (int m = 0; m < 9; ++m)
-                            acc += cf[m] * DU[m / 3][m % 3][f];
-                        S[a][f] = (w[i] * w[j] * w[k]) * acc;
-                    }
-        }
-        /* 3. weighted divergence: Fo = sum_a G_a^T S[a] */
-        axis3_mul(Dt, S[0], Fo, n1, str[0], str[1], str[2]);
-        axis3_mul_add(Dt, S[1], Fo, n1, str[1], str[2], str[0]);
-        axis3_mul_add(Dt, S[2], Fo, n1, str[2], str[0], str[1]);
-        for (int l = 0; l < VL; ++l) {
-            const int32_t *dc = ed + (e0 + l) * 3 * nl + c;
-            for (int k = 0; k < nl; ++k) z[dc[3 * k]] += Fo[k][l];
-        }
+        axis3_mul(Dt, G[c][0], Fo[c], n1, str[0], str[1], str[2]);
+        axis3_mul_add(Dt, G[c][1], Fo[c], n1, str[1], str[2], str[0]);
+        axis3_mul_add(Dt, G[c][2], Fo[c], n1, str[2], str[0], str[1]);
     }
+    /* scatter, one pass over each row of ed */
+    for (int l = 0; l < VL; ++l) {
+        const int32_t *d = ed + (e0 + l) * 3 * nl;
+        for (int k = 0; k < nl; ++k)
+            for (int c = 0; c < 3; ++c) z[d[3 * k + c]] += Fo[c][k][l];
+    }
+}
+
+BLOCK el_block3(long e0, int n1,
+                const double *restrict D, const double *restrict Dt,
+                const double *restrict w, const double *restrict coef,
+                const int32_t *restrict ed, const double *restrict u,
+                const uint8_t *restrict gmask, double *restrict z)
+{
+    stress_block3(e0, n1, 1, D, Dt, w, coef, ed, u, gmask, z);
+}
+ORDER_INSTANCES(el_block3,
+    (const double *restrict D, const double *restrict Dt,
+     const double *restrict w, const double *restrict coef,
+     const int32_t *restrict ed, const double *restrict u,
+     const uint8_t *restrict gmask, double *restrict z),
+    (D, Dt, w, coef, ed, u, gmask, z))
+
+void el_apply3(const double *restrict u, double *restrict z,
+               long ne, long n_dof, int n1,
+               const double *restrict D, const double *restrict Dt,
+               const double *restrict w, const double *restrict coef,
+               const int32_t *restrict ed,
+               const uint8_t *restrict gmask, int n_threads, double *restrict zt)
+{
+    el_block3_fn block = el_block3_for(n1);
+#define EL3_CALL(ZP) block(e0, n1, D, Dt, w, coef, ed, u, gmask, ZP)
+    APPLY_DRIVER(EL3_CALL);
+#undef EL3_CALL
+}
+
+/* The anisotropic body, on the runtime n1 only (no workload runs it). */
+static __attribute__((noinline)) void an_block3(
+    long e0, int n1,
+    const double *restrict D, const double *restrict Dt,
+    const double *restrict w, const double *restrict coef,
+    const int32_t *restrict ed, const double *restrict u,
+    const uint8_t *restrict gmask, double *restrict z)
+{
+    stress_block3(e0, n1, 0, D, Dt, w, coef, ed, u, gmask, z);
 }
 
 void an_apply3(const double *restrict u, double *restrict z,
@@ -901,8 +800,8 @@ _OMP_FLAG = "-fopenmp"
 #: Kernel symbol -> number of kernel-specific coefficient pointers
 #: between the shared ``(u, z, ne, n_dof, n1)`` head and the shared
 #: ``(ed, gmask, n_threads, zt)`` tail; none takes ``M^{-1}``.
-_KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply": 10, "el_apply3": 4,
-            "an_apply": 4, "an_apply3": 4}
+_KERNELS = {"ac_apply": 4, "ac_apply3": 5, "el_apply3": 4, "an_apply": 4,
+            "an_apply3": 4}
 #: LTS phase (or halo pass) symbol -> its argument types, one letter
 #: each: ``F`` / ``I`` a float64 / int64 array (or NULL), ``l`` long,
 #: ``d`` double, ``i`` int.
@@ -1274,70 +1173,27 @@ class Acoustic3DPlan(_FusedPlan):
         return (self._KxX, self._w, self._ax, self._ay, self._az)
 
 
-class ElasticPlan(_FusedPlan):
-    """Bound fused 2D elastic apply (component-interleaved DOFs)."""
-
-    _symbol = "el_apply"
-
-    def _bind(self, kernel, ne_pad):
-        self._lam = _pad(kernel.lam, ne_pad)  # ghosts: lam = mu = 0
-        self._mu = _pad(kernel.mu, ne_pad)
-        self._hx = _pad(kernel.hx, ne_pad)
-        self._hy = _pad(kernel.hy, ne_pad)
-        self._KxX = np.ascontiguousarray(kernel.KxX)
-        self._E = np.ascontiguousarray(kernel.E)
-        self._ET = np.ascontiguousarray(kernel.E.T)
-        self._F = np.ascontiguousarray(kernel.F)
-        self._FT = np.ascontiguousarray(kernel.F.T)
-
-    def _coef_arrays(self):
-        return (self._KxX, self._w, self._E, self._ET, self._F, self._FT,
-                self._lam, self._mu, self._hx, self._hy)
-
-
-class Elastic3DPlan(_FusedPlan):
-    """Bound fused 3D elastic apply (component-interleaved DOFs).
-
-    Packs the per-element block coefficients of
-    :class:`repro.sem.matfree.ElasticKernelND` — nine diagonal-block
-    axis scales plus ``lam``/``mu`` pair coefficients with the geometry
-    factors folded in — into one 15-wide array for ``el_apply3``, which
-    applies them in stress form with ``D`` and ``D^T``.
-    """
-
-    _symbol = "el_apply3"
-
-    def _bind(self, kernel, ne_pad):
-        ne = kernel.diag_scales.shape[0]
-        coef = np.empty((ne, 15))
-        coef[:, :9] = kernel.diag_scales.reshape(ne, 9)
-        coef[:, 9:12] = kernel.lam_g
-        coef[:, 12:15] = kernel.mu_g
-        self._coef = _pad(coef, ne_pad)  # ghost elements: zero coefficients
-        self._D = np.ascontiguousarray(kernel.D)
-        self._Dt = np.ascontiguousarray(kernel.D.T)
-
-    def _coef_arrays(self):
-        return (self._D, self._Dt, self._w, self._coef)
-
-
 class AnisotropicPlan(_FusedPlan):
-    """Bound fused 2D anisotropic stress-form apply.
+    """Bound fused stress-form apply, 2D (``an_apply``) or, as
+    :class:`Anisotropic3DPlan`, 3D (``an_apply3``).
 
-    Flattens :class:`repro.sem.matfree.AnisotropicKernelND`'s
-    ``coef[e, c, a, d, b]`` (material tensor times pair geometry
-    scales) to ``dim^4`` C-ordered doubles per element for
-    ``an_apply``/``an_apply3``.
+    Packs the kernel's ``coef[e, c, a, d, b]`` (material tensor times
+    pair geometry scales, :class:`repro.sem.matfree.AnisotropicKernelND`
+    and its isotropic :class:`~repro.sem.matfree.ElasticKernelND`) as
+    ``dim^4`` C-ordered doubles per element.
     """
 
     _symbol = "an_apply"
 
     def _bind(self, kernel, ne_pad):
-        ne = kernel.coef.shape[0]
-        self._coef = _pad(np.ascontiguousarray(kernel.coef.reshape(ne, -1)),
-                          ne_pad)  # ghost elements: zero coefficients
+        # ghost elements: zero coefficients
+        self._coef = _pad(self._coefficients(kernel), ne_pad)
         self._D = np.ascontiguousarray(kernel.D)
         self._Dt = np.ascontiguousarray(kernel.Dt)
+
+    @staticmethod
+    def _coefficients(kernel) -> np.ndarray:
+        return kernel.coef.reshape(kernel.h_axes.shape[0], -1)
 
     def _coef_arrays(self):
         return (self._D, self._Dt, self._w, self._coef)
@@ -1347,6 +1203,30 @@ class Anisotropic3DPlan(AnisotropicPlan):
     """Bound fused 3D anisotropic stress-form apply."""
 
     _symbol = "an_apply3"
+
+
+#: The ``(c, a, d, b)`` index arrays of the 15 entries of ``coef`` the
+#: isotropic 3D stress reads, in ``el_block3``'s order: ``coef[c, d, c,
+#: d]`` (the axis scales, row-major), then ``coef[c, c, d, d]`` (``lam``)
+#: and ``coef[c, d, d, c]`` (``mu``) times the pair scale, for the pairs
+#: (0,1), (0,2), (1,2).
+_ISOTROPIC_ENTRIES = tuple(np.array(ix) for ix in zip(
+    *[(c, d, c, d) for c in range(3) for d in range(3)],
+    *[(c, c, d, d) for c, d in ((0, 1), (0, 2), (1, 2))],
+    *[(c, d, d, c) for c, d in ((0, 1), (0, 2), (1, 2))],
+))
+
+
+class Elastic3DPlan(AnisotropicPlan):
+    """Bound fused 3D isotropic elastic apply (``el_apply3``): the same
+    stress form, packing only the 15 entries of ``coef`` per element the
+    isotropic stress reads."""
+
+    _symbol = "el_apply3"
+
+    @staticmethod
+    def _coefficients(kernel) -> np.ndarray:
+        return kernel.coef_at(*_ISOTROPIC_ENTRIES)
 
 
 def _gll(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -93,17 +93,13 @@ def tensor_to_voigt(c4: np.ndarray, dim: int) -> np.ndarray:
 def isotropic_stiffness(lam, mu, dim: int) -> np.ndarray:
     """Isotropic Voigt stiffness ``C_ijkl = lam d_ij d_kl + mu (d_ik d_jl
     + d_il d_jk)`` — scalars give ``(nv, nv)``, arrays ``(n, nv, nv)``."""
-    lam = np.asarray(lam, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    pairs = VOIGT_PAIRS[dim]
-    nv = len(pairs)
-    C = np.zeros(np.broadcast(lam, mu).shape + (nv, nv))
-    for I, (i, j) in enumerate(pairs):
-        for J, (k, l) in enumerate(pairs):
-            C[..., I, J] = lam * (i == j) * (k == l) + mu * (
-                (i == k) * (j == l) + (i == l) * (j == k)
-            )
-    return C
+    lam = np.asarray(lam, dtype=np.float64)[..., None, None]
+    mu = np.asarray(mu, dtype=np.float64)[..., None, None]
+    pairs = np.array(VOIGT_PAIRS[dim])
+    i, j = pairs[:, 0, None], pairs[:, 1, None]  # each row's axis pair
+    k, l = pairs[None, :, 0], pairs[None, :, 1]  # each column's
+    mu_count = ((i == k) & (j == l)).astype(np.int64) + ((i == l) & (j == k))
+    return lam * ((i == j) & (k == l)) + mu * mu_count
 
 
 def hexagonal_stiffness(c11, c33, c13, c44, c66) -> np.ndarray:

@@ -8,23 +8,23 @@ global sparse matrix.  All elements are processed at once as batched
 tensor contractions (``tensordot`` → one BLAS GEMM per contraction), so
 the Python overhead is O(1) per apply instead of O(n_elem).
 
-Three physics families share the machinery, each generic over dimension:
+Two kernel bodies share the machinery, each generic over dimension:
 
 * acoustic (:class:`AcousticKernelND`) — ``K_e u`` is one 1D GLL
   stiffness contraction per axis, each scaled by a per-element weight
   plane.  In 3D this is the paper's asymptotic win: O(n^4) contraction
   work per element versus the O(n^6) of a dense element matvec;
-* isotropic elastic (:class:`ElasticKernelND`) — the per-axis-pair block
-  structure of :class:`repro.sem.tensor.ElasticSemND` (diagonal blocks
-  are acoustic-style per-axis contractions with material coefficients;
-  each off-diagonal block ``g_cd (lam R_cd + mu R_cd^T)`` is a two-stage
-  1D contraction), applied per displacement component on the interleaved
-  DOF layout;
-* general anisotropic elastic (:class:`AnisotropicKernelND`) — the
-  stress-form pipeline (gradient contractions, per-element Hooke
-  combine with the rank-4 ``C``, divergence contractions) for an
-  arbitrary per-element Voigt stiffness
-  (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`).
+* elastic in SPECFEM's stress form (:class:`AnisotropicKernelND`) —
+  gradient contractions, a per-element Hooke combine with the rank-4
+  ``C`` times the pair geometry scales, weighted divergence
+  contractions, applied on the interleaved DOF layout.  General
+  anisotropy (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`)
+  gives it an arbitrary per-element Voigt stiffness; isotropic
+  elasticity (:class:`ElasticKernelND`,
+  :class:`repro.sem.tensor.ElasticSemND`) the isotropic tensor of its
+  per-element Lamé parameters.  The assembled per-axis-pair block form
+  the stress form reduces to lives on in the tests' CSR oracle
+  (``tests/oracles/csr.py``).
 
 Which kernel applies is decided by the assembler class: each of the
 three physics assemblers (:class:`repro.sem.tensor.SemND`,
@@ -97,7 +97,7 @@ def resolve_threads(threads: int | None) -> int:
 _FUSED_PLANS = {
     ("acoustic", 2): (fused.AcousticPlan, fused.MAX_ORDER),
     ("acoustic", 3): (fused.Acoustic3DPlan, fused.MAX_ORDER_3D),
-    ("elastic", 2): (fused.ElasticPlan, fused.MAX_ORDER),
+    ("elastic", 2): (fused.AnisotropicPlan, fused.MAX_ORDER),
     ("elastic", 3): (fused.Elastic3DPlan, fused.MAX_ORDER_3D),
     ("anisotropic_elastic", 2): (fused.AnisotropicPlan, fused.MAX_ORDER),
     ("anisotropic_elastic", 3): (fused.Anisotropic3DPlan, fused.MAX_ORDER_3D),
@@ -362,170 +362,6 @@ class AcousticKernelND(_PooledKernel):
         return out
 
 
-class ElasticKernelND(_PooledKernel):
-    """Batched isotropic elastic element stiffness action, generic over
-    dimension (component-interleaved DOFs).
-
-    Applies the per-axis-pair block structure of
-    :class:`repro.sem.tensor.ElasticSemND` without forming any matrix:
-    the diagonal block of component ``c`` is an acoustic-style per-axis
-    contraction with material coefficients (``lam + 2 mu`` on axis
-    ``c``, ``mu`` elsewhere, times the geometry scales), and each of the
-    ``dim (dim - 1)`` off-diagonal blocks ``g_cd (lam R_cd + mu
-    R_cd^T)`` is a two-stage 1D contraction — ``E = D^T diag(w)`` at the
-    test axis, ``F = diag(w) D`` at the trial axis (``R_cd = E@c (x)
-    F@d (x) Wd@rest``; note ``E = F^T``), with the remaining axes'
-    quadrature weights as a broadcast plane.
-    """
-
-    physics = "elastic"
-    param_names = ("lam", "mu", "h_axes")
-
-    def __init__(self, order: int, lam, mu, h_axes):
-        from repro.sem.tensor import elastic_axis_scales, elastic_pair_scales
-
-        self.order = int(order)
-        self.n1 = self.order + 1
-        self.lam = np.asarray(lam, dtype=np.float64)
-        self.mu = np.asarray(mu, dtype=np.float64)
-        self.h_axes = np.atleast_2d(np.asarray(h_axes, dtype=np.float64))
-        self.dim = self.h_axes.shape[1]
-        self.n_comp = self.dim
-        _, w = gll_points_weights(self.order)
-        D = lagrange_derivative_matrix(self.order)
-        self.w = w
-        self.D = D
-        self.KxX = (D.T * w) @ D
-        self.E = D.T * w  # E[i, a] = D[a, i] w[a]
-        self.F = w[:, None] * D
-        self._Et = np.ascontiguousarray(self.E.T)
-        self._Ft = np.ascontiguousarray(self.F.T)
-        self._ws = Workspace()
-
-        # Diagonal blocks: per-component acoustic contractions whose
-        # per-axis scales fold material and geometry together.
-        ne = self.lam.shape[0]
-        s = elastic_axis_scales(self.h_axes)
-        cp = self.lam + 2.0 * self.mu
-        ds = np.empty((ne, self.dim, self.dim))
-        for c in range(self.dim):
-            ds[:, c, :] = self.mu[:, None] * s
-            ds[:, c, c] = cp * s[:, c]
-        self.diag_scales = ds
-        self._diag = [AcousticKernelND(self.order, ds[:, c, :]) for c in range(self.dim)]
-
-        # Off-diagonal pairs: material-times-geometry coefficients and
-        # the quadrature plane over the axes not in the pair.
-        self.pairs = [
-            (c, d) for c in range(self.dim) for d in range(c + 1, self.dim)
-        ]
-        g = elastic_pair_scales(self.h_axes)
-        n_pairs = len(self.pairs)
-        self.lam_g = np.empty((ne, n_pairs))
-        self.mu_g = np.empty((ne, n_pairs))
-        for p, (c, d) in enumerate(self.pairs):
-            self.lam_g[:, p] = self.lam * g[:, c, d]
-            self.mu_g[:, p] = self.mu * g[:, c, d]
-        bshape = (-1,) + (1,) * self.dim
-        self._lam_b = [self.lam_g[:, p].reshape(bshape) for p in range(n_pairs)]
-        self._mu_b = [self.mu_g[:, p].reshape(bshape) for p in range(n_pairs)]
-        self._wpair = []
-        for c, d in self.pairs:
-            plane = np.ones((1,) * self.dim)
-            for a in range(self.dim):
-                if a not in (c, d):
-                    shape = [1] * self.dim
-                    shape[a] = self.n1
-                    plane = plane * w.reshape(shape)
-            self._wpair.append(plane[None])
-
-    @property
-    def flops_per_element(self) -> int:
-        """Multiply-adds of one element contraction: ``dim`` diagonal
-        acoustic-style contractions plus four two-stage pair
-        contractions per unordered axis pair — this block form, the
-        NumPy tier's (in 3D: 9 diagonal and 24 pair-stage axis
-        contractions).  The fused 3D tier (``el_apply3``) does fewer
-        flops than this counts: it runs the stress form, 9 gradient and
-        9 divergence axis contractions and a pointwise stress.  The
-        Eq. 9 ratios and the golden op counts rest on this count, so it
-        stays the unit of both tiers."""
-        n1 = self.n1
-        diag = sum(k.flops_per_element for k in self._diag)
-        pair_terms = 4 * len(self.pairs)  # lam & mu terms, both directions
-        return diag + pair_terms * (4 * n1 ** (self.dim + 1) + 3 * n1**self.dim)
-
-    def fork(self) -> "ElasticKernelND":
-        twin = super().fork()
-        twin._diag = [k.fork() for k in self._diag]
-        return twin
-
-    def subset(self, ids: np.ndarray) -> "ElasticKernelND":
-        return ElasticKernelND(
-            self.order, self.lam[ids], self.mu[ids], self.h_axes[ids]
-        )
-
-    def _pair_into(self, U, c: int, d: int, lg, mg, wp, ta, tb, tc, acc) -> None:
-        """Off-diagonal block ``g_cd (lam R_cd + mu R_cd^T)`` applied to
-        one component tensor and accumulated onto ``acc`` through three
-        caller scratch tensors: ``E`` at the test axis ``c`` / ``F`` at
-        the trial axis ``d`` for the ``lam`` term, roles swapped
-        (``R^T``) for the ``mu`` term."""
-        dim = self.dim
-        _contract_axis(U, self.F, self._Ft, d, dim, ta)
-        _contract_axis(ta, self.E, self._Et, c, dim, tb)
-        _contract_axis(U, self.E, self._Et, d, dim, ta)
-        _contract_axis(ta, self.F, self._Ft, c, dim, tc)
-        tb *= lg
-        tc *= mg
-        tb += tc
-        tb *= wp
-        acc += tb
-
-    @property
-    def workspace_nbytes(self) -> int:
-        """Bytes of pooled contraction scratch built so far (own pool
-        plus the per-component diagonal kernels')."""
-        return self._ws.nbytes + sum(k.workspace_nbytes for k in self._diag)
-
-    def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply all element stiffnesses: contiguous per-component
-        gathers, batched ``matmul`` blocks, everything through cached
-        scratch tensors."""
-        if out is None:
-            out = np.empty_like(Ue)
-        n1, dim, nc = self.n1, self.dim, self.n_comp
-        ne = Ue.shape[0]
-        tshape = (ne,) + (n1,) * dim
-        ws = self._ws
-        U = [_kbuf(ws, f"el.u{c}", tshape) for c in range(nc)]
-        O = [_kbuf(ws, f"el.o{c}", tshape) for c in range(nc)]
-        for c in range(nc):
-            U[c].reshape(ne, -1)[:] = Ue[:, c::nc]
-            self._diag[c].contract(
-                U[c].reshape(ne, -1), out=O[c].reshape(ne, -1)
-            )
-        ta = _kbuf(ws, "el.ta", tshape)
-        tb = _kbuf(ws, "el.tb", tshape)
-        tc = _kbuf(ws, "el.tc", tshape)
-        for p, (c, d) in enumerate(self.pairs):
-            lg, mg, wp = self._lam_b[p], self._mu_b[p], self._wpair[p]
-            self._pair_into(U[d], c, d, lg, mg, wp, ta, tb, tc, O[c])
-            self._pair_into(U[c], d, c, lg, mg, wp, ta, tb, tc, O[d])
-        for c in range(nc):
-            out[:, c::nc] = O[c].reshape(ne, -1)
-        return out
-
-    # Named geometry views the fused plans bind to.
-    @property
-    def hx(self) -> np.ndarray:
-        return self.h_axes[:, 0]
-
-    @property
-    def hy(self) -> np.ndarray:
-        return self.h_axes[:, 1]
-
-
 class AnisotropicKernelND(_PooledKernel):
     """Batched general-anisotropy elastic stiffness action, generic over
     dimension (component-interleaved DOFs; fused C tier via
@@ -540,28 +376,24 @@ class AnisotropicKernelND(_PooledKernel):
 
     1. gradient: ``DU[d, b] = G_b u_d`` (``dim^2`` contractions),
     2. Hooke combine: ``S[c, a] = sum_db coef * DU[d, b]``, times ``W``
-       (one batched einsum — ``dim^4`` multiply-adds per node),
+       (one batched matmul — ``dim^4`` multiply-adds per node),
     3. divergence: ``out_c = sum_a G_a^T S[c, a]`` (``dim^2``
        contractions),
 
-    which reduces exactly to the assembled block structure of
-    :class:`repro.sem.anisotropic.AnisotropicElasticSemND` (note
-    ``G_a^T W G_a`` is the per-axis stiffness kernel and ``G_a^T W G_b``
-    the axis-pair cross kernel).
+    which reduces exactly to the assembled block form of the tests' CSR
+    oracle (note ``G_a^T W G_a`` is the per-axis stiffness kernel and
+    ``G_a^T W G_b`` the axis-pair cross kernel).  The kernel holds only its parameters:
+    :attr:`coef` is built on each read, and the NumPy tier keeps it as
+    its Hooke matrix from the first :meth:`contract` on.
     """
 
     physics = "anisotropic_elastic"
     param_names = ("C", "h_axes")
 
     def __init__(self, order: int, C, h_axes):
-        from repro.sem.materials import VOIGT_SIZE, voigt_to_tensor
-        from repro.sem.tensor import elastic_pair_scales
+        from repro.sem.materials import VOIGT_SIZE
 
-        self.order = int(order)
-        self.n1 = self.order + 1
-        self.h_axes = np.atleast_2d(np.asarray(h_axes, dtype=np.float64))
-        self.dim = self.h_axes.shape[1]
-        require(self.dim in (2, 3), "AnisotropicKernelND needs dim in (2, 3)", SolverError)
+        self._geometry(order, h_axes)
         nv = VOIGT_SIZE[self.dim]
         C = np.asarray(C, dtype=np.float64)
         if C.ndim == 2:
@@ -572,22 +404,21 @@ class AnisotropicKernelND(_PooledKernel):
             SolverError,
         )
         self.C = C
+
+    def _geometry(self, order: int, h_axes) -> None:
+        """The material-free part: order, element sizes, the 1D
+        derivative and the tensor quadrature weights."""
+        self.order = int(order)
+        self.n1 = self.order + 1
+        self.h_axes = np.atleast_2d(np.asarray(h_axes, dtype=np.float64))
+        self.dim = self.h_axes.shape[1]
+        require(self.dim in (2, 3), f"{type(self).__name__} needs dim in (2, 3)", SolverError)
         self.n_comp = self.dim
         _, w = gll_points_weights(self.order)
         self.D = lagrange_derivative_matrix(self.order)
         self.Dt = np.ascontiguousarray(self.D.T)
-        # coef[e, c, a, d, b] = c_cadb * g_ab (material times geometry).
-        c4 = voigt_to_tensor(C, self.dim)
-        g = elastic_pair_scales(self.h_axes)
-        self.coef = c4 * g[:, None, :, None, :]
-        # Matrix view (ne, dim^2, dim^2) of the same coefficients, rows
-        # (c, a) / cols (d, b) — the Hooke combine is one batched
-        # matmul with it (a view: no extra storage).
-        ne_c = self.coef.shape[0]
-        self._coefmat = np.ascontiguousarray(
-            self.coef.reshape(ne_c, self.dim**2, self.dim**2)
-        )
         self._ws = Workspace()
+        self._coefmat: np.ndarray | None = None  # see contract
         # Full tensor quadrature weights as a broadcast plane.
         wq = w
         for _ in range(self.dim - 1):
@@ -595,21 +426,44 @@ class AnisotropicKernelND(_PooledKernel):
         self._wflat = wq.reshape(1, 1, -1)
 
     @property
+    def coef(self) -> np.ndarray:
+        """``coef[e, c, a, d, b] = c_cadb g_ab``: the rank-4 tensor of
+        :attr:`C` times the pair geometry scales, built on each read."""
+        return self.coef_at(*np.indices((self.dim,) * 4))
+
+    def coef_at(self, c, a, d, b) -> np.ndarray:
+        """``coef[:, c, a, d, b]`` at the index arrays ``c, a, d, b``: the
+        Voigt entry of the axis pairs ``(c, a)`` and ``(d, b)`` times the
+        geometry scale ``g_ab`` (:func:`repro.sem.tensor.elastic_pair_scales`)."""
+        from repro.sem.materials import voigt_index_map
+        from repro.sem.tensor import elastic_pair_scales
+
+        ne, dim = self.h_axes.shape
+        v = voigt_index_map(dim)
+        C = self.C.reshape(ne, -1).take(v[c, a] * (v.max() + 1) + v[d, b], axis=1)
+        return C * elastic_pair_scales(self.h_axes).reshape(ne, -1).take(a * dim + b, axis=1)
+
+    def _stress_flops(self) -> int:
+        """Flops of the pointwise stress at one node: the ``dim^4``-term
+        Hooke combine and one weight product per stress component."""
+        return 2 * self.dim**4 + self.dim**2
+
+    @property
     def flops_per_element(self) -> int:
-        """Multiply-adds of one element apply: ``2 dim^2`` axis
-        contractions plus the ``dim^4``-term Hooke combine."""
-        n1 = self.n1
-        return 4 * self.dim**2 * n1 ** (self.dim + 1) + (
-            2 * self.dim**4 + self.dim**2
-        ) * n1**self.dim
+        """Flops of one element apply: ``2 dim^2`` axis contractions of
+        ``n1^(dim+1)`` multiply-adds each, plus the pointwise stress at
+        each of the ``n1^dim`` nodes."""
+        n1, dim = self.n1, self.dim
+        return 4 * dim**2 * n1 ** (dim + 1) + self._stress_flops() * n1**dim
 
     def subset(self, ids: np.ndarray) -> "AnisotropicKernelND":
         return AnisotropicKernelND(self.order, self.C[ids], self.h_axes[ids])
 
     @property
     def workspace_nbytes(self) -> int:
-        """Bytes of pooled contraction scratch built so far."""
-        return self._ws.nbytes
+        """Bytes of pooled contraction scratch built so far, the Hooke
+        matrix included."""
+        return self._ws.nbytes + (0 if self._coefmat is None else self._coefmat.nbytes)
 
     def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stress-form contraction: gradient stack and stress stack
@@ -638,7 +492,12 @@ class AnisotropicKernelND(_PooledKernel):
                     Uc, self.D, self.Dt, b, dim,
                     DU[:, d * dim + b].reshape(tshape),
                 )
-        # 2. Hooke combine + quadrature weights.
+        # 2. Hooke combine + quadrature weights: one batched matmul
+        #    with the (dim^2, dim^2) view of coef, rows (c, a), columns
+        #    (d, b), built on the first contraction (the fused tier
+        #    never reads it).
+        if self._coefmat is None:
+            self._coefmat = self.coef.reshape(-1, dim * dim, dim * dim)
         np.matmul(self._coefmat, DU, out=S)
         S *= self._wflat
         # 3. weighted divergence back onto each component.
@@ -653,6 +512,44 @@ class AnisotropicKernelND(_PooledKernel):
                 acc += t
             out[:, c::nc] = acc.reshape(ne, nl)
         return out
+
+
+class ElasticKernelND(AnisotropicKernelND):
+    """Batched isotropic elastic element stiffness action: the stress
+    form of :class:`AnisotropicKernelND` with the isotropic tensor
+    ``isotropic_stiffness(lam, mu, dim)``, built from the per-element
+    Lamé parameters of :class:`repro.sem.tensor.ElasticSemND`.  The
+    fused 3D tier (``el_apply3``) forms the stress from 15 of
+    :attr:`coef`'s entries per element (:meth:`coef_at`); in 2D both
+    tiers run the anisotropic kernels."""
+
+    physics = "elastic"
+    param_names = ("lam", "mu", "h_axes")
+
+    def __init__(self, order: int, lam, mu, h_axes):
+        self.lam = np.asarray(lam, dtype=np.float64)
+        self.mu = np.asarray(mu, dtype=np.float64)
+        self._geometry(order, h_axes)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The isotropic Voigt stiffness of every element, built on each
+        read."""
+        from repro.sem.materials import isotropic_stiffness
+
+        return isotropic_stiffness(self.lam, self.mu, self.dim)
+
+    def _stress_flops(self) -> int:
+        """In 3D ``el_apply3``'s stress: one weight product per stress
+        component, ``dim`` normal stresses of ``2 dim - 1`` flops and
+        ``dim (dim - 1)`` shear stresses of 3 (42 flops).  In 2D the full
+        combine that ``an_apply`` runs.  The NumPy tier's combine is the
+        full ``dim^4``-term matmul in both dimensions."""
+        dim = self.dim
+        return 6 * dim**2 - 4 * dim if dim == 3 else super()._stress_flops()
+
+    def subset(self, ids: np.ndarray) -> "ElasticKernelND":
+        return ElasticKernelND(self.order, self.lam[ids], self.mu[ids], self.h_axes[ids])
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,7 @@ parameterized by ``mesh.dim`` and the number of displacement components
 per GLL node:
 
 * the per-element geometry scales of the element kernels — per axis
-  (acoustic, and the elastic diagonal blocks) and per axis pair (the
-  elastic cross couplings);
+  (acoustic) and per axis pair (elastic);
 * entity-based global DOF numbering (corners, then edge interiors, then
   face interiors in 3D, then element interiors), built with one sort of
   packed integer keys per entity kind: a sorted corner pair is
@@ -132,26 +131,14 @@ def acoustic_axis_scales(c2: np.ndarray, h_axes: np.ndarray) -> np.ndarray:
     )
 
 
-def elastic_axis_scales(h_axes: np.ndarray) -> np.ndarray:
-    """Per-element, per-axis geometry scales ``prod(h) / (2^(dim-2) h_a^2)``.
-
-    The material-free part of the elastic diagonal blocks: the ``a``-axis
-    reference kernel of component ``c`` enters with coefficient
-    ``(lam + 2 mu) s_a`` when ``a == c`` and ``mu s_a`` otherwise (i.e.
-    :func:`acoustic_axis_scales` with ``c^2 = 1``).
-    """
-    h_axes = np.asarray(h_axes, dtype=np.float64)
-    return acoustic_axis_scales(np.ones(h_axes.shape[0]), h_axes)
-
-
 def elastic_pair_scales(h_axes: np.ndarray) -> np.ndarray:
     """Axis-pair geometry scales ``g[e, a, b] = prod(h) / (2^(dim-2) h_a h_b)``.
 
-    ``g[:, c, d]`` multiplies the cross kernel of the off-diagonal
-    elastic block ``(c, d)``; the diagonal recovers
-    :func:`elastic_axis_scales`.  In 2D ``g[:, 0, 1] = 1`` — the shear
-    coupling is geometry-free there, but *not* in 3D (``hz / 2`` for the
-    (x, y) pair, etc.).
+    ``g[:, a, b]`` multiplies the ``(a, b)`` axis pair of the elastic
+    stress form (:class:`repro.sem.matfree.AnisotropicKernelND`); the
+    diagonal is :func:`acoustic_axis_scales` with ``c^2 = 1``.  In 2D
+    ``g[:, 0, 1] = 1`` — the shear coupling is geometry-free there, but
+    *not* in 3D (``hz / 2`` for the (x, y) pair, etc.).
     """
     h = np.asarray(h_axes, dtype=np.float64)
     dim = h.shape[1]
@@ -631,26 +618,15 @@ class ElasticSemND(VectorSemMixin, SemND):
     and density ``rho`` (scalars broadcast); free-surface (natural)
     boundaries by default, optional homogeneous Dirichlet clamping.
 
-    On an axis-aligned box every elastic element matrix is a per-element
-    scalar combination of reference kernels: the diagonal block of
-    component ``c`` is ``sum_a coef_a s_a K_a`` with ``coef_a = lam +
-    2 mu`` when ``a == c`` and ``mu`` otherwise (``K_a`` the per-axis
-    stiffness kernels, ``s_a`` the scales of
-    :func:`elastic_axis_scales`); the off-diagonal block ``(c, d)`` is
-    ``g_cd (lam R_cd + mu R_cd^T)`` with the axis-pair cross kernels
-    ``R_cd = G_c^T W G_d`` and the pair scales of
-    :func:`elastic_pair_scales`.  This is the contraction structure the
-    matrix-free operator (:class:`repro.sem.matfree.ElasticKernelND`,
-    built by :meth:`kernel`) applies without forming any matrix.
-
-    In 2D (P-SV) these blocks reduce to the classic four-kernel form::
-
-        Kxx = (l+2m)(hy/hx) K1 + m (hx/hy) K2      K1 = KxX (x) Wd
-        Kyy = (l+2m)(hx/hy) K2 + m (hy/hx) K1      K2 = Wd (x) KxX
-        Kxy = l C + m C^T,   Kyx = Kxy^T           C  = (Dm^T w) (x) (w Dm)
-
-    (the shear coupling ``C`` is geometry-free only in 2D); in 3D there
-    are nine blocks, six of them axis-pair cross kernels.
+    The matrix-free operator (:class:`repro.sem.matfree.ElasticKernelND`,
+    built by :meth:`kernel`) applies it in SPECFEM's stress form, the
+    one general anisotropy runs
+    (:class:`repro.sem.matfree.AnisotropicKernelND`): gradient, the
+    pointwise stress of the isotropic tensor ``isotropic_stiffness(lam,
+    mu, dim)`` times the axis-pair scales of
+    :func:`elastic_pair_scales`, weighted divergence.  The assembled
+    per-axis-pair block form it reduces to is the tests' CSR oracle's
+    (``tests/oracles/csr.py``).
 
     ``mesh.c`` is *ignored* for material properties; LTS levels should
     follow the per-element P-wave speed (Eq. (7)) — pass the assembler

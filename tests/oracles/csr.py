@@ -13,8 +13,10 @@ compared with:
 * the dense element matrices of the three physics
   (:func:`element_system_batch`): acoustic, isotropic elastic and
   anisotropic elastic, each a per-element scalar combination of those
-  kernels (see :class:`repro.sem.tensor.ElasticSemND` and
-  :mod:`repro.sem.anisotropic` for the block formulas);
+  kernels: the elastic block form, whose formulas
+  (:func:`_elastic_batch`, :func:`_anisotropic_batch`, with the axis
+  scales of :func:`elastic_axis_scales`) are kept here only — the
+  package applies the stress form they reduce to;
 * :func:`stiffness_csr`, the chunked scatter of any element subset onto
   any numbering (the serial ``K`` or a rank's partial one, summed chunk
   by chunk as ``K = K + chunk``), and :func:`mass_scaled`, the
@@ -43,7 +45,7 @@ from repro.runtime.halo import build_rank_layout
 from repro.sem.anisotropic import AnisotropicElasticSemND
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
 from repro.sem.matfree import inverse_mass
-from repro.sem.tensor import ElasticSemND, elastic_axis_scales, elastic_pair_scales
+from repro.sem.tensor import ElasticSemND, acoustic_axis_scales, elastic_pair_scales
 
 #: Cap on scattered COO entries per assembly chunk (~64 MB of values).
 _CHUNK_ENTRIES = 8_000_000
@@ -115,6 +117,18 @@ def axis_cross_kernels(order: int, dim: int) -> dict[tuple[int, int], np.ndarray
 # ----------------------------------------------------------------------
 # Dense element matrices, one per physics
 # ----------------------------------------------------------------------
+def elastic_axis_scales(h_axes: np.ndarray) -> np.ndarray:
+    """Per-element, per-axis geometry scales ``prod(h) / (2^(dim-2) h_a^2)``.
+
+    The material-free part of the elastic diagonal blocks: the ``a``-axis
+    reference kernel of component ``c`` enters with coefficient
+    ``(lam + 2 mu) s_a`` when ``a == c`` and ``mu s_a`` otherwise (i.e.
+    :func:`repro.sem.tensor.acoustic_axis_scales` with ``c^2 = 1``).
+    """
+    h_axes = np.asarray(h_axes, dtype=np.float64)
+    return acoustic_axis_scales(np.ones(h_axes.shape[0]), h_axes)
+
+
 def element_mass_batch(sem, ids: np.ndarray | None = None) -> np.ndarray:
     """Diagonal element mass ``(m, n_comp * n_loc)`` of elements ``ids``
     (all when ``None``): the per-node mass replicated onto every
@@ -143,7 +157,15 @@ def element_system_batch(sem, ids: np.ndarray | None = None) -> tuple[np.ndarray
 def _elastic_batch(sem, ids, kernels) -> np.ndarray:
     """Isotropic elastic blocks: ``sum_a coef_a s_a K_a`` on the diagonal
     (``lam + 2 mu`` on the block's own axis, ``mu`` elsewhere) and
-    ``g_cd (lam R_cd + mu R_cd^T)`` off it."""
+    ``g_cd (lam R_cd + mu R_cd^T)`` off it.  In 2D (P-SV) these are the
+    classic four-kernel form::
+
+        Kxx = (l+2m)(hy/hx) K1 + m (hx/hy) K2      K1 = KxX (x) Wd
+        Kyy = (l+2m)(hx/hy) K2 + m (hy/hx) K1      K2 = Wd (x) KxX
+        Kxy = l C + m C^T,   Kyx = Kxy^T           C  = (Dm^T w) (x) (w Dm)
+
+    (the shear coupling ``C`` is geometry-free only in 2D); in 3D there
+    are nine blocks, six of them axis-pair cross kernels."""
     dim = sem.dim
     nc = sem.n_comp
     n_loc = (sem.order + 1) ** dim

@@ -16,7 +16,6 @@ from repro.sem import (
     AnisotropicElastic,
     AnisotropicElasticSemND,
     ElasticSemND,
-    ElasticSemND,
     IsotropicElastic,
     hexagonal_stiffness,
     isotropic_stiffness,
@@ -42,21 +41,42 @@ def _rel_err(got, ref):
 class TestIsotropicReduction:
     """An isotropic Voigt tensor must reproduce ElasticSemND exactly."""
 
+    @pytest.mark.parametrize("tier", ["assembled", "numpy", "fused"])
+    @pytest.mark.parametrize("dirichlet", [False, True])
     @pytest.mark.parametrize("dim,grid", [(2, (4, 3)), (3, (2, 2, 2))])
-    def test_matches_isotropic_assembler(self, dim, grid):
+    def test_matches_isotropic_assembler(self, dim, grid, dirichlet, tier):
+        """The assembled CSRs agree to 1e-14.  The matrix-free tiers run
+        one stress form: NumPy and the fused 2D tier (``an_apply`` for
+        both) bitwise; in 3D the isotropic kernel's 15-coefficient stress
+        (``el_apply3``) against the general one (``an_apply3``) to
+        1e-13."""
+        if tier == "fused" and not fused.available():
+            pytest.skip("no C compiler: fused tier unavailable")
         mesh = uniform_grid(grid, tuple(1.0 + 0.2 * a for a in range(dim)))
         rng = np.random.default_rng(dim)
         lam = 2.0 + rng.random(mesh.n_elements)
         mu = 1.0 + rng.random(mesh.n_elements)
         rho = 1.0 + rng.random(mesh.n_elements)
-        iso = ElasticSemND(mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
+        iso = ElasticSemND(mesh, order=3, dirichlet=dirichlet,
+                           material=IsotropicElastic(lam=lam, mu=mu, rho=rho))
         aniso = AnisotropicElasticSemND(
-            mesh, order=3, C=isotropic_stiffness(lam, mu, dim), rho=rho
+            mesh, order=3, C=isotropic_stiffness(lam, mu, dim), rho=rho, dirichlet=dirichlet
         )
         assert np.array_equal(iso.M, aniso.M)
-        assert _rel_err(csr.K(aniso).toarray(), csr.K(iso).toarray()) < 1e-14
         u = rng.standard_normal(iso.n_dof)
-        assert _rel_err(csr.A(aniso) @ u, csr.A(iso) @ u) < 1e-14
+        if tier == "assembled":
+            assert _rel_err(csr.K(aniso).toarray(), csr.K(iso).toarray()) < 1e-14
+            assert _rel_err(csr.A(aniso) @ u, csr.A(iso) @ u) < 1e-14
+            return
+        ops = [sem.operator(use_fused=tier == "fused") for sem in (iso, aniso)]
+        assert [op.tier for op in ops] == [tier, tier]
+        got, ref = (op @ u for op in ops)
+        assert np.any(ref != 0.0)
+        if tier == "fused" and dim == 3:
+            assert [op._plan._symbol for op in ops] == ["el_apply3", "an_apply3"]
+            assert _rel_err(got, ref) <= 1e-13
+        else:
+            assert np.array_equal(got, ref)
 
     def test_max_velocity_matches_p_velocity(self):
         mesh = uniform_grid((3, 3))

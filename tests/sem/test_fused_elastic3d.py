@@ -10,7 +10,10 @@ has its own growing spacing, so each element carries its own
 ``(hx, hy, hz)`` and every geometry factor of a pair differs from its
 mirror; ``lam`` and ``mu`` are drawn per element.  Order 4 runs the
 literal-``n1`` instance, orders 2 and 7 the runtime one; each full, on
-a level's input mask, and as one rank's ``stiffness_share``.
+a level's input mask, and as one rank's ``stiffness_share``.  The 15
+coefficients the plan takes from the stress-form tensor are pinned byte
+for byte to the ``lam``/``mu`` products with the geometry scales, the
+values every ``el_apply3`` result so far was computed with.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from repro.mesh import uniform_grid
 from repro.sem import ElasticSemND, IsotropicElastic, fused
 from repro.sem.matfree import inverse_mass, stiffness_share
+from repro.sem.tensor import elastic_pair_scales
 from oracles.scale import as_scaled
 from oracles import csr
 
@@ -28,7 +32,9 @@ pytestmark = pytest.mark.skipif(not fused.available(), reason="no C compiler: fu
 SHAPES = {2: (4, 3, 3), 4: (3, 2, 2), 7: (2, 2, 1)}
 
 
-def graded_sem(order: int) -> ElasticSemND:
+def graded_sem(order: int, fluid: int | None = None) -> ElasticSemND:
+    """A graded box of per-element materials; element ``fluid`` (if any)
+    gets ``mu = 0``."""
     shape = SHAPES[order]
     mesh = uniform_grid(shape)
     for a, growth in enumerate((1.3, 1.7, 0.6)):
@@ -37,9 +43,10 @@ def graded_sem(order: int) -> ElasticSemND:
         mesh.coords[:, a] = ticks[mesh.coords[:, a].astype(int)]
     rng = np.random.default_rng(order)
     ne = mesh.n_elements
-    material = IsotropicElastic(
-        lam=rng.uniform(0.5, 4.0, ne), mu=rng.uniform(0.3, 2.5, ne), rho=rng.uniform(0.8, 1.3, ne)
-    )
+    mu = rng.uniform(0.3, 2.5, ne)
+    if fluid is not None:
+        mu[fluid] = 0.0
+    material = IsotropicElastic(lam=rng.uniform(0.5, 4.0, ne), mu=mu, rho=rng.uniform(0.8, 1.3, ne))
     sem = ElasticSemND(mesh, order=order, material=material)
     h = sem.h_axes
     for a in range(3):  # graded: every axis has as many sizes as elements along it
@@ -88,3 +95,30 @@ def test_rank_share(sem):
     A = csr.mass_scaled(csr.stiffness_csr(sem, ids, ld, len(gd)), minv)
     u = np.random.default_rng(3).standard_normal(len(gd))
     assert rel_err(K @ u, A @ u) < 1e-12
+
+
+@pytest.mark.parametrize("order", sorted(SHAPES))
+def test_packed_coefficients_are_the_block_forms(order):
+    """``Elastic3DPlan`` packs per element the 9 axis scales
+    ``(lam + 2 mu) s_c`` (own axis) and ``mu s_d``, then ``lam g_cd`` and
+    ``mu g_cd`` for the pairs (0,1), (0,2), (1,2): the formula of the
+    block-form kernel, compared as bytes (a ``mu = 0`` element included).
+    Padding rows are zero."""
+    sem = graded_sem(order, fluid=1)
+    lam, mu = sem.material.lam, sem.material.mu
+    assert mu[1] == 0.0
+    s, g = csr.elastic_axis_scales(sem.h_axes), elastic_pair_scales(sem.h_axes)
+    ne = sem.mesh.n_elements
+    ds = np.empty((ne, 3, 3))
+    for c in range(3):
+        ds[:, c, :] = mu[:, None] * s
+        ds[:, c, c] = (lam + 2.0 * mu) * s[:, c]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    lam_g = np.stack([lam * g[:, c, d] for c, d in pairs], axis=1)
+    mu_g = np.stack([mu * g[:, c, d] for c, d in pairs], axis=1)
+    ref = np.concatenate([ds.reshape(ne, 9), lam_g, mu_g], axis=1)
+    plan = sem.operator("matfree", use_fused=True)._plan
+    assert isinstance(plan, fused.Elastic3DPlan)
+    assert plan._coef.shape == (plan._ne, 15) and plan._coef.dtype == np.float64
+    assert plan._coef[:ne].tobytes() == ref.tobytes()
+    assert not plan._coef[ne:].any()

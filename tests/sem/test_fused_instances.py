@@ -1,8 +1,11 @@
 """The fused kernels' literal-order instances are the runtime-order loops.
 
 ``ORDER_INSTANCES`` compiles each of ``ac_block``, ``ac_block3`` and
-``el_block3`` twice: once with ``n1`` the literal ``FIXED_N1`` (order 4)
-and once with the runtime ``n1``.  Every fused golden pin in
+``el_block3`` (the 3D stress-form body ``stress_block3`` with its
+15-coefficient isotropic stress) twice: once with ``n1`` the literal
+``FIXED_N1`` (order 4) and once with the runtime ``n1``.  The
+anisotropic blocks, ``an_block3`` the same body with the general stress,
+have the runtime copy only.  Every fused golden pin in
 ``tests/core/test_newmark.py`` was recorded on the runtime loops, so the
 order-4 instances must reproduce them bit for bit.  Here the same source
 is built a second time with ``FIXED_N1`` matching no order, so that

@@ -1,12 +1,13 @@
 """3D matrix-free backend: machine-precision equivalence with assembled
 CSR (full apply and LTS level-restricted apply), mirroring the 2D suite,
-plus the fused-tier gating rules specific to 3D."""
+the op unit of the acoustic and (2D and 3D) elastic kernels, plus the
+fused-tier gating rules specific to 3D."""
 
 import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import SemND, fused
+from repro.sem import AnisotropicElasticSemND, ElasticSemND, SemND, fused, isotropic_stiffness
 from repro.sem.matfree import AcousticKernelND, inverse_mass, stiffness_share
 from repro.util.errors import SolverError
 from oracles.scale import as_scaled
@@ -73,6 +74,28 @@ class TestAcoustic3DEquivalence:
         n1 = k.n1
         assert k.flops_per_element == 6 * n1**4 + 9 * n1**3
         assert op.nnz == sem.mesh.n_elements * k.flops_per_element
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_elastic_flops_count_the_stress_form(self, dim):
+        """The elastic op unit is the stress form the fused tier runs:
+        ``2 dim^2`` axis contractions of ``n1^(dim+1)`` multiply-adds,
+        then the pointwise stress per node -- in 3D ``el_apply3``'s
+        15-coefficient isotropic stress (42 flops: 9 weight products, 3
+        normal stresses of 5, 6 shear stresses of 3), in 2D the full
+        16-term combine ``an_apply`` runs (36 flops), which is also the
+        anisotropic kernel's in either dimension (``2 dim^4 + dim^2``)."""
+        mesh = uniform_grid((2,) * dim)
+        el = ElasticSemND(mesh, order=4).kernel()
+        an = AnisotropicElasticSemND(mesh, order=4, C=isotropic_stiffness(2.0, 1.0, dim)).kernel()
+        n1 = el.n1
+        contractions = 4 * dim**2 * n1 ** (dim + 1)
+        assert an.flops_per_element == contractions + (2 * dim**4 + dim**2) * n1**dim
+        if dim == 2:
+            assert el.flops_per_element == an.flops_per_element == 2900
+        else:
+            assert el.flops_per_element == contractions + 42 * n1**3 == 27750
+        op = ElasticSemND(mesh, order=4).operator("matfree")
+        assert op.nnz == mesh.n_elements * el.flops_per_element
 
     def test_rank_share_matches_partial_assembly(self):
         sem = SemND(_mesh(), order=2)
